@@ -19,6 +19,7 @@ from .cellular import (
     build_complex,
     diagonal_sign_equivalence,
     homology,
+    homology_pair,
     incidence_sign,
     trivialize,
 )
@@ -51,7 +52,6 @@ from .linalg import (
     SNFResult,
     coords_in_basis,
     det_sign,
-    kernel_basis,
     rank,
     smith_normal_form,
 )

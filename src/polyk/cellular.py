@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .cones import ConeSystem, EdgeRay, LiftedCone, positive_multiple_ratio, span_basis_of_face
+from .cones import ConeSystem, EdgeRay, positive_multiple_ratio, span_basis_of_face
 from .errors import InternalInvariantError
 from .linalg import (
     IntMatrix,
@@ -54,10 +54,9 @@ class Trivialization:
         return self.bases[F]
 
 
-def trivialize(L: FaceLattice, C: LiftedCone | ConeSystem,
+def trivialize(L: FaceLattice, system: ConeSystem,
                flip_faces: Iterable[Face] = ()) -> Trivialization:
     """Deterministic bases for every face of the lattice."""
-    system = ConeSystem.ensure(C)
     flips = frozenset(flip_faces)
     for f in flips:
         if f.dim < 0:
@@ -107,11 +106,10 @@ class ChainComplex:
 
 
 def boundary_matrix(T: Trivialization, L: FaceLattice,
-                    C: LiftedCone | ConeSystem, j: int) -> IntMatrix:
+                    system: ConeSystem, j: int) -> IntMatrix:
     """The boundary matrix D_j, rows over (j-1)-faces, columns over j-faces."""
     if not 0 <= j <= L.dim:
         raise ValueError(f"boundary dimension {j} out of range [0, {L.dim}]")
-    system = ConeSystem.ensure(C)
     rows = L.faces(j - 1)
     row_index = {f: i for i, f in enumerate(rows)}
     cols = L.faces(j)
@@ -123,8 +121,7 @@ def boundary_matrix(T: Trivialization, L: FaceLattice,
     return tuple(tuple(r) for r in out)
 
 
-def build_complex(T: Trivialization, L: FaceLattice,
-                  C: LiftedCone | ConeSystem) -> ChainComplex:
+def build_complex(T: Trivialization, L: FaceLattice, system: ConeSystem) -> ChainComplex:
     """Assemble all boundary matrices and verify the complex exactly.
 
     Verifies, and aborts with diagnostics on failure:
@@ -132,7 +129,6 @@ def build_complex(T: Trivialization, L: FaceLattice,
         strictly positive rational factor;
       * D_{j-1} @ D_j = 0 for every j, reporting the offending face pair.
     """
-    system = ConeSystem.ensure(C)
     for j in range(0, L.dim + 1):
         for e, f in ((e, f) for e, f in L.covering if f.dim == j):
             ray = system.ray(e, f)
@@ -190,11 +186,12 @@ class HomologyResult:
         return True
 
 
-def homology(X: ChainComplex, augmented: bool = True) -> HomologyResult:
-    """Integral homology of the complex via Smith normal form.
+def homology_pair(X: ChainComplex) -> tuple[HomologyResult, HomologyResult]:
+    """Augmented and reduced integral homology, from one Smith normal form
+    per boundary matrix.
 
-    With ``augmented=False`` the augmentation row (the empty-face generator)
-    is dropped, so degree 0 sees no boundary below it.
+    The reduced complex drops the augmentation row (the empty-face
+    generator), so its degree 0 sees no boundary below it.
     """
     for j in range(1, X.dim + 1):
         if not int_mat_is_zero(int_mat_mul(X.boundary[j - 1], X.boundary[j])):
@@ -202,30 +199,30 @@ def homology(X: ChainComplex, augmented: bool = True) -> HomologyResult:
     f = X.f_vector
     snfs = [smith_normal_form(m) for m in X.boundary]
     ranks = [sum(1 for x in s.diagonal if x != 0) for s in snfs]
+    # torsion of H_j comes from the map arriving from degree j+1: torsion[j + 1]
+    torsion = [tuple(x for x in s.diagonal if x > 1) for s in snfs] + [()]
 
-    def rank_out(j: int) -> int:
-        # rank of the boundary map leaving degree j downward
-        if j < 0 or j > X.dim:
-            return 0
-        if j == 0:
-            return ranks[0] if augmented else 0
-        return ranks[j]
+    def result(augmented: bool) -> HomologyResult:
+        # rank of the boundary map leaving degree j downward: rank_out[j + 1]
+        rank_out = [0, ranks[0] if augmented else 0, *ranks[1:], 0]
+        min_degree = -1 if augmented else 0
+        degrees = range(min_degree, X.dim + 1)
+        return HomologyResult(
+            augmented=augmented, min_degree=min_degree,
+            free_ranks=tuple(f[j + 1] - rank_out[j + 1] - rank_out[j + 2] for j in degrees),
+            torsion=tuple(torsion[j + 1] for j in degrees))
 
-    def torsion_in(j: int) -> tuple[int, ...]:
-        # torsion of H_j comes from the map arriving from degree j+1
-        if j + 1 > X.dim:
-            return ()
-        return tuple(x for x in snfs[j + 1].diagonal if x > 1)
+    return result(True), result(False)
 
-    min_degree = -1 if augmented else 0
-    free_ranks = []
-    torsion = []
-    for j in range(min_degree, X.dim + 1):
-        f_j = f[j + 1]
-        free_ranks.append(f_j - rank_out(j) - rank_out(j + 1))
-        torsion.append(torsion_in(j))
-    return HomologyResult(augmented=augmented, min_degree=min_degree,
-                          free_ranks=tuple(free_ranks), torsion=tuple(torsion))
+
+def homology(X: ChainComplex, augmented: bool = True) -> HomologyResult:
+    """Integral homology of the complex via Smith normal form.
+
+    With ``augmented=False`` the augmentation row (the empty-face generator)
+    is dropped, so degree 0 sees no boundary below it.
+    """
+    aug, red = homology_pair(X)
+    return aug if augmented else red
 
 
 def diagonal_sign_equivalence(A: ChainComplex, B: ChainComplex) -> dict[tuple[int, int], int] | None:

@@ -7,11 +7,12 @@ Commands::
     polyk compare FILE_A FILE_B
     polyk corpus DIR [--json]
 
-Exit codes: 0 success, 1 input error, 2 internal invariant violation,
-3 compared polytopes not isomorphic.  Human-readable output goes to stdout,
-diagnostics to stderr; ``--json`` replaces the human report with a
-machine-readable document that is byte-identical across runs for a fixed
-input and tool version (timing is therefore reported only in human mode).
+Exit codes: 0 success, 1 input error, 2 internal error (an invariant
+violation or any other unexpected exception), 3 compared polytopes not
+isomorphic.  Human-readable output goes to stdout, diagnostics to stderr;
+``--json`` replaces the human report with a machine-readable document that
+is byte-identical across runs for a fixed input and tool version (timing is
+therefore reported only in human mode).
 """
 
 from __future__ import annotations
@@ -259,6 +260,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT_ERROR
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
+    except Exception as exc:  # exit code 1 is reserved for input errors
+        print(f"internal error: {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
 
 

@@ -139,9 +139,13 @@ def dual_cone_in_span(span_basis: QMatrix, gens: Sequence[Sequence]) -> tuple[In
 
 
 def lift(P: Polytope) -> LiftedCone:
-    """Build the lifted cone with exact facet normals.
+    """Build the lifted cone with exact facet normals, read off P's facets.
 
-    Pointedness is witnessed by the functional (1, 0, ..., 0), which is
+    A facet <a, x> <= b of P lifts to the cone facet normal (b, -a): it
+    vanishes on the lifted vertices (1, v) with <a, v> = b and is positive on
+    the others, and every cone facet arises this way.  The point (d = 0) has
+    no facets, yet its cone, the ray through (1), has the one facet normal
+    (1,).  Pointedness is witnessed by the functional (1, 0, ..., 0), which is
     strictly positive on every generator; solidity follows from the polytope
     being full-dimensional.  Both are asserted.
     """
@@ -152,7 +156,10 @@ def lift(P: Polytope) -> LiftedCone:
         raise InternalInvariantError("lifted cone is not pointed")
     if rank_of_vectors(gens, n) != n:
         raise InternalInvariantError("lifted cone is not solid")
-    normals = dual_cone(gens, ambient_dim=n)
+    normals = tuple(sorted(primitive_vector((f.offset,) + tuple(-a for a in f.normal))
+                           for f in P.facets))
+    if n == 1:  # the point has no facets, but the ray through (1) has facet normal (1,)
+        normals = ((1,),)
     return LiftedCone(dim=n, base=P, generators=gens, facet_normals=normals)
 
 
@@ -279,7 +286,8 @@ def positive_multiple_ratio(w: Sequence, direction: Sequence) -> Fraction | None
 
 
 class ConeSystem:
-    """Memoizing wrapper around per-face cone data and edge rays.
+    """Memoizing wrapper around per-face cone data and edge rays, plus the
+    edge-ray cross-check.
 
     Safe to share within a run: all cached values are immutable.
     """
@@ -288,11 +296,6 @@ class ConeSystem:
         self.cone = cone
         self._face_data: dict[Face, FaceConeData] = {}
         self._rays: dict[tuple[Face, Face], EdgeRay] = {}
-        self._crosschecks: dict[tuple[Face, Face], Vector] = {}
-
-    @classmethod
-    def ensure(cls, obj: "LiftedCone | ConeSystem") -> "ConeSystem":
-        return obj if isinstance(obj, ConeSystem) else cls(obj)
 
     def face_data(self, F: Face) -> FaceConeData:
         if F not in self._face_data:
@@ -307,7 +310,5 @@ class ConeSystem:
         return self._rays[key]
 
     def crosscheck(self, E: Face, F: Face) -> Vector:
-        key = (E, F)
-        if key not in self._crosschecks:
-            self._crosschecks[key] = edge_ray_crosscheck(self.cone, E, F)
-        return self._crosschecks[key]
+        # not memoized: build_complex cross-checks each covering pair once
+        return edge_ray_crosscheck(self.cone, E, F)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cellular import ChainComplex, HomologyResult, homology
+from .cellular import ChainComplex, HomologyResult, homology_pair
 from .errors import InternalInvariantError
 from .linalg import IntMatrix, smith_normal_form
 from .polytope import FaceLattice, Polytope
@@ -166,8 +166,7 @@ def k_report(P: Polytope, L: FaceLattice, X: ChainComplex) -> KReport:
     """Compute the second page and the K-group descriptors.
 
     Unexpected nonzero homology is a report outcome, never an error."""
-    aug = homology(X, augmented=True)
-    red = homology(X, augmented=False)
+    aug, red = homology_pair(X)
 
     e2_nonzero = []
     for j in aug.degrees():

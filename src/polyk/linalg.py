@@ -3,7 +3,7 @@
 Everything in this package runs on arbitrary-precision rationals
 (:class:`fractions.Fraction`) and Python integers; there is no floating
 point anywhere.  This module provides the shared substrate: dense rational
-matrices with rank / kernel / determinant-sign / solve operations, a few
+matrices with rank / determinant-sign / solve operations, a few
 integer-vector utilities (primitive ray generators, Bareiss determinants,
 cofactor kernels), and Smith normal form over the integers.
 
@@ -41,10 +41,6 @@ def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Fraction:
 
 def vec_sub(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
     return tuple(Fraction(a) - Fraction(b) for a, b in zip(u, v))
-
-
-def vec_scale(c: Scalar, v: Sequence[Scalar]) -> Vector:
-    return tuple(Fraction(c) * Fraction(x) for x in v)
 
 
 def is_zero_vector(v: Sequence[Scalar]) -> bool:
@@ -136,9 +132,6 @@ class QMatrix:
             raise InternalInvariantError("mat_vec shape mismatch")
         return tuple(dot(r, v) for r in self.entries)
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for r in self.entries for x in r)
-
 
 def _rref(M: QMatrix) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
@@ -221,39 +214,6 @@ def coords_in_basis(B: QMatrix, T: QMatrix) -> QMatrix:
             f"coords_in_basis: target column {bad - B.cols} is outside span of basis")
     data = tuple(tuple(a[i][B.cols + j] for j in range(T.cols)) for i in range(B.cols))
     return QMatrix(B.cols, T.cols, data)
-
-
-def solve_in_span(B: QMatrix, target: Sequence[Scalar]) -> Vector | None:
-    """Least-strict solve: a vector x with B @ x = target, or None when the
-    target is outside the column span.  B need not have independent columns;
-    free coordinates are set to zero."""
-    t = qvec(target)
-    if B.rows != len(t):
-        raise InternalInvariantError("solve_in_span: shape mismatch")
-    aug = B.hstack(QMatrix.from_columns([t]))
-    a, pivots = _rref(aug)
-    if any(p == B.cols for p in pivots):
-        return None
-    x = [Fraction(0)] * B.cols
-    for row_idx, p in enumerate(pivots):
-        x[p] = a[row_idx][B.cols]
-    return tuple(x)
-
-
-def kernel_basis(M: QMatrix) -> QMatrix:
-    """Columns form a basis of the right null space over the rationals."""
-    a, pivots = _rref(M)
-    free = [j for j in range(M.cols) if j not in pivots]
-    cols = []
-    for f in free:
-        v = [Fraction(0)] * M.cols
-        v[f] = Fraction(1)
-        for row_idx, p in enumerate(pivots):
-            v[p] = -a[row_idx][f]
-        cols.append(v)
-    if not cols:
-        return QMatrix(M.cols, 0, tuple(() for _ in range(M.cols)))
-    return QMatrix.from_columns(cols, rows=M.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +397,3 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> SNFResult:
     if any(diag[i - 1] != 0 and diag[i] % diag[i - 1] != 0 for i in range(1, len(diag)) if diag[i] != 0):
         raise InternalInvariantError("smith_normal_form: divisibility chain broken")
     return SNFResult(U=Ut, D=D, V=Vt, diagonal=diag)
-
-
-def snf_rank(mat: Sequence[Sequence[int]]) -> int:
-    return sum(1 for x in smith_normal_form(mat).diagonal if x != 0)

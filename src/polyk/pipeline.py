@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cellular import ChainComplex, HomologyResult, Trivialization, build_complex, homology, trivialize
+from .cellular import ChainComplex, HomologyResult, Trivialization, build_complex, trivialize
 from .cones import ConeSystem, LiftedCone, lift
 from .ktheory import E1Page, KReport, e1_page, k_report
 from .polytope import FaceLattice, Polytope, face_lattice
@@ -32,11 +32,10 @@ def run_pipeline(P: Polytope) -> PipelineResult:
     system = ConeSystem(cone)
     triv = trivialize(lattice, system)
     complex_ = build_complex(triv, lattice, system)
-    aug = homology(complex_, augmented=True)
-    red = homology(complex_, augmented=False)
     page = e1_page(lattice, complex_)
     report = k_report(P, lattice, complex_)
     return PipelineResult(
         polytope=P, lattice=lattice, cone=cone, system=system,
         trivialization=triv, complex=complex_,
-        augmented_homology=aug, reduced_homology=red, e1=page, report=report)
+        augmented_homology=report.augmented_homology,
+        reduced_homology=report.reduced_homology, e1=page, report=report)

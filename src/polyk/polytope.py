@@ -7,7 +7,9 @@ the empty face (dimension -1) and the polytope itself, and is built by
 closing the facet vertex sets under intersection.
 
 Facet enumeration is brute force over affinely independent d-subsets of the
-vertices: transparent and exact, and entirely adequate at desk scale.
+vertices: transparent and exact, and entirely adequate at desk scale.  It
+runs once, in ``validate``, and the facet list is stored on the polytope;
+every later stage reads it from there.
 """
 
 from __future__ import annotations
@@ -32,10 +34,15 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class Polytope:
-    """A validated rational polytope in V-representation."""
+    """A validated rational polytope in V-representation.
+
+    ``facets`` is the facet list ``validate`` computed; it is determined by
+    the vertices, so it takes no part in equality or hashing.
+    """
 
     ambient_dim: int
     vertices: tuple[Vector, ...]
+    facets: tuple[Facet, ...] = field(compare=False, repr=False)
     name: str | None = None
 
     @property
@@ -180,9 +187,6 @@ def _enumerate_facets(points: Sequence[Vector], d: int) -> list[Facet]:
     return facets
 
 
-_FACET_CACHE: dict[tuple[int, tuple[Vector, ...]], tuple[Facet, ...]] = {}
-
-
 def validate(vertices: Sequence[Sequence], name: str | None = None) -> Polytope:
     """Validate a vertex list and build a Polytope.
 
@@ -211,23 +215,12 @@ def validate(vertices: Sequence[Sequence], name: str | None = None) -> Polytope:
         if d > 0 and rank_of_vectors(tight, d) < d:
             raise InputError(f"point {i} not extreme (tight facet normals span "
                              f"only {rank_of_vectors(tight, d)} of {d} dimensions)")
-    P = Polytope(ambient_dim=d, vertices=tuple(pts), name=name)
-    _facet_cache_put(P, facet_list)
-    return P
-
-
-def _facet_cache_put(P: Polytope, facet_list: tuple[Facet, ...]) -> None:
-    if len(_FACET_CACHE) > 2048:
-        _FACET_CACHE.clear()
-    _FACET_CACHE[(P.ambient_dim, P.vertices)] = facet_list
+    return Polytope(ambient_dim=d, vertices=tuple(pts), facets=facet_list, name=name)
 
 
 def facets(P: Polytope) -> tuple[Facet, ...]:
     """The complete, duplicate-free facet list with primitive integer normals."""
-    key = (P.ambient_dim, P.vertices)
-    if key not in _FACET_CACHE:
-        _facet_cache_put(P, tuple(_enumerate_facets(P.vertices, P.ambient_dim)))
-    return _FACET_CACHE[key]
+    return P.facets
 
 
 def _face_dim(P: Polytope, vertex_set: frozenset[int]) -> int:

@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the library's computational paths:
 determinants by Leibniz expansion over permutations, rank by maximal nonzero
-minors, convex-hull membership by Caratheodory enumeration, face enumeration
-by maximizing integer directions, and the classical simplicial boundary
-formula with alternating signs.
+minors, linear solves and kernels by a separate Gauss-Jordan elimination,
+convex-hull membership by Caratheodory enumeration, face enumeration by
+maximizing integer directions, and the classical simplicial boundary formula
+with alternating signs.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from polyk.linalg import QMatrix
+from polyk.linalg import QMatrix, qvec
 
 
 def leibniz_det(rows) -> Fraction:
@@ -47,12 +48,59 @@ def oracle_rank(rows, n_cols: int) -> int:
     return 0
 
 
+def _rref(M: QMatrix) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form by Gauss-Jordan; (rows, pivot columns)."""
+    a = [list(r) for r in M.entries]
+    pivots: list[int] = []
+    for col in range(M.cols):
+        pr = len(pivots)
+        pivot_row = next((i for i in range(pr, M.rows) if a[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        a[pr], a[pivot_row] = a[pivot_row], a[pr]
+        pivot = a[pr][col]
+        a[pr] = [x / pivot for x in a[pr]]
+        for i in range(M.rows):
+            if i != pr and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[pr])]
+        pivots.append(col)
+    return a, pivots
+
+
+def solve_in_span(B: QMatrix, target) -> tuple[Fraction, ...] | None:
+    """A vector x with B @ x = target, or None when the target is outside
+    the column span.  B need not have independent columns; free coordinates
+    are set to zero."""
+    t = qvec(target)
+    a, pivots = _rref(B.hstack(QMatrix.from_columns([t])))
+    if B.cols in pivots:
+        return None
+    x = [Fraction(0)] * B.cols
+    for row_idx, p in enumerate(pivots):
+        x[p] = a[row_idx][B.cols]
+    return tuple(x)
+
+
+def kernel_basis(M: QMatrix) -> QMatrix:
+    """Columns form a basis of the right null space over the rationals."""
+    a, pivots = _rref(M)
+    cols = []
+    for free in (j for j in range(M.cols) if j not in pivots):
+        v = [Fraction(0)] * M.cols
+        v[free] = Fraction(1)
+        for row_idx, p in enumerate(pivots):
+            v[p] = -a[row_idx][free]
+        cols.append(v)
+    if not cols:
+        return QMatrix(M.cols, 0, tuple(() for _ in range(M.cols)))
+    return QMatrix.from_columns(cols, rows=M.cols)
+
+
 def in_convex_hull(point, points, dim: int) -> bool:
     """Caratheodory enumeration: is the point a convex combination of the
     others?  Solves the affine system exactly on every subset of size at
     most dim + 1 and checks nonnegativity."""
-    from polyk.linalg import solve_in_span
-
     target = tuple(Fraction(x) for x in point) + (Fraction(1),)
     for k in range(1, dim + 2):
         for subset in combinations(range(len(points)), k):

@@ -18,10 +18,12 @@ from polyk.cones import (
     lift,
     positive_multiple_ratio,
 )
-from polyk.corpus import hypercube, point_polytope, simplex
+from polyk.corpus import cross_polytope, hypercube, point_polytope, simplex
 from polyk.errors import InternalInvariantError
-from polyk.linalg import QMatrix, dot, primitive_vector, rank, solve_in_span
-from polyk.polytope import face_lattice, facets
+from polyk.linalg import QMatrix, dot, primitive_vector, rank
+from polyk.polytope import face_lattice
+
+from oracles import solve_in_span
 
 
 def in_cone(x, gens, dim):
@@ -61,13 +63,12 @@ def test_lift_triangle_normal_count():
     assert len(cone.facet_normals) == 3
 
 
-def test_lift_normals_match_polytope_facets():
-    # independent route: each polytope facet <a, x> <= b lifts to (b, -a)
-    for poly in [simplex(1), simplex(2), hypercube(3)]:
+def test_lift_normals_match_polytope_facets(small_corpus):
+    # lift reads the normals off the polytope facets; the independent route
+    # is the brute-force dual of the lifted generators (the point is d = 0)
+    for poly in list(small_corpus) + [hypercube(4), cross_polytope(4)]:
         cone = lift(poly)
-        lifted = {primitive_vector((fc.offset,) + tuple(-a for a in fc.normal))
-                  for fc in facets(poly)}
-        assert set(cone.facet_normals) == lifted
+        assert cone.facet_normals == dual_cone(cone.generators), poly.name
 
 
 # --- dual_cone ---

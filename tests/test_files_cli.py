@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import polyk.cellular as cellular
+import polyk.cli as cli
 from polyk.cli import main
 from polyk.errors import InputError
 from polyk.files import load_polytope, parse_polytope_text
@@ -103,6 +104,18 @@ def test_cli_report_injected_internal_error(monkeypatch, capsys):
     rc = main(["report", str(POLYTOPES / "square.json")])
     assert rc == 2
     assert "internal error" in capsys.readouterr().err
+
+
+def test_cli_unexpected_exception_is_internal_error(monkeypatch, capsys):
+    def explode(a, b):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "is_isomorphic", explode)
+    rc = main(["compare", str(POLYTOPES / "square.json"), str(POLYTOPES / "quadrilateral.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "internal error: compare: RecursionError: maximum recursion depth exceeded" in err
+    assert "Traceback" not in err
 
 
 def test_cli_compare_isomorphic(capsys):

@@ -2,7 +2,10 @@
 
 import pytest
 
-from polyk.cellular import ChainComplex, build_complex, trivialize
+import polyk.cellular as cellular
+import polyk.ktheory as ktheory
+import polyk.linalg as linalg
+from polyk.cellular import ChainComplex, build_complex, homology, trivialize
 from polyk.cones import ConeSystem, lift
 from polyk.corpus import hypercube, point_polytope, simplex
 from polyk.errors import InternalInvariantError
@@ -15,6 +18,7 @@ from polyk.ktheory import (
     group_from_factors,
     k_report,
 )
+from polyk.pipeline import run_pipeline
 from polyk.polytope import face_lattice
 
 
@@ -119,6 +123,22 @@ def test_point_report_same_shape():
     rep = k_report(poly, lat, x)
     assert rep.k_algebra == (ZERO_GROUP, ZERO_GROUP)
     assert rep.k_quotient == (ZERO_GROUP, Z)
+
+
+def test_one_snf_pass_per_run(monkeypatch):
+    real = linalg.smith_normal_form
+    calls = []
+
+    def counting(mat):
+        calls.append(mat)
+        return real(mat)
+
+    for module in (linalg, cellular, ktheory):
+        monkeypatch.setattr(module, "smith_normal_form", counting)
+    result = run_pipeline(hypercube(3))
+    assert len(calls) == result.complex.dim + 1 == 4  # one per boundary matrix
+    assert result.augmented_homology == homology(result.complex, True)
+    assert result.reduced_homology == homology(result.complex, False)
 
 
 def test_k_groups_iff_homology(small_corpus, pipelines):

@@ -16,14 +16,12 @@ from polyk.linalg import (
     det_sign,
     int_identity,
     int_mat_mul,
-    kernel_basis,
     primitive_vector,
     rank,
     smith_normal_form,
-    solve_in_span,
 )
 
-from oracles import leibniz_det, oracle_rank
+from oracles import kernel_basis, leibniz_det, oracle_rank, solve_in_span
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
