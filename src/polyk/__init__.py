@@ -37,7 +37,6 @@ from .cones import (
     FaceConeData,
     LiftedCone,
     dual_cone,
-    dual_cone_in_span,
     edge_ray,
     edge_ray_crosscheck,
     face_cone_data,

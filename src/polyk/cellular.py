@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .cones import ConeSystem, EdgeRay, positive_multiple_ratio, span_basis_of_face
+from .cones import ConeSystem, EdgeRay, positive_multiple_ratio
 from .errors import InternalInvariantError
 from .linalg import (
     IntMatrix,
@@ -56,14 +56,15 @@ class Trivialization:
 
 def trivialize(L: FaceLattice, system: ConeSystem,
                flip_faces: Iterable[Face] = ()) -> Trivialization:
-    """Deterministic bases for every face of the lattice."""
+    """Deterministic bases for every face of the lattice: the span bases of
+    the cone system's face data, with the requested flips applied."""
     flips = frozenset(flip_faces)
     for f in flips:
         if f.dim < 0:
             raise ValueError("the empty face has no basis column to flip")
     bases: dict[Face, QMatrix] = {}
     for f in L.all_faces():
-        basis = span_basis_of_face(system.cone, f)
+        basis = system.face_data(f).span_basis
         if f in flips:
             cols = list(basis.columns())
             cols[-1] = tuple(-x for x in cols[-1])

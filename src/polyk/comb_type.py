@@ -174,37 +174,35 @@ def is_isomorphic(L1: "FaceLattice | AbstractLattice",
         if sig1 != sig2:
             return LatticeIso(False, certificate="up/down cover degree multisets differ")
 
+    # Depth-first search over the sources in rank order with an explicit
+    # stack, since lattices can have more faces than Python's recursion
+    # limit.  choice[i] is the index of the target placed for sources[i];
+    # after a backtrack, the search resumes at the next target index.
+    sources = [(r, s) for r, level in enumerate(ranks1) for s in level]
     mapping: dict[Element, Element] = {}
-
-    def assign_rank(rank_idx: int) -> bool:
-        if rank_idx == len(ranks1):
-            return True
-        sources = ranks1[rank_idx]
-        targets = ranks2[rank_idx]
-        used: set[int] = set()
-
-        def place(i: int) -> bool:
-            if i == len(sources):
-                return assign_rank(rank_idx + 1)
-            s = sources[i]
-            wanted_down = {mapping[d] for d in down1[s]}
-            for t_idx, t in enumerate(targets):
-                if t_idx in used:
-                    continue
-                if len(up2[t]) != len(up1[s]) or down2[t] != wanted_down:
-                    continue
-                mapping[s] = t
-                used.add(t_idx)
-                if place(i + 1):
-                    return True
-                del mapping[s]
-                used.discard(t_idx)
-            return False
-
-        return place(0)
-
-    if not assign_rank(0):
-        return LatticeIso(False, certificate="exhausted search: no cover-preserving bijection")
+    used: list[set[int]] = [set() for _ in ranks1]
+    choice: list[int] = []
+    start = 0
+    while len(choice) < len(sources):
+        r, s = sources[len(choice)]
+        targets = ranks2[r]
+        wanted_down = {mapping[d] for d in down1[s]}
+        found = next((t_idx for t_idx in range(start, len(targets))
+                      if t_idx not in used[r] and len(up2[targets[t_idx]]) == len(up1[s])
+                      and down2[targets[t_idx]] == wanted_down), None)
+        if found is not None:
+            mapping[s] = targets[found]
+            used[r].add(found)
+            choice.append(found)
+            start = 0
+            continue
+        if not choice:
+            return LatticeIso(False, certificate="exhausted search: no cover-preserving bijection")
+        start = choice.pop()
+        r, s = sources[len(choice)]
+        del mapping[s]
+        used[r].discard(start)
+        start += 1
 
     forward = {(mapping[a], mapping[b]) for a, b in covers1}
     if forward != covers2:

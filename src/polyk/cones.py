@@ -4,17 +4,19 @@ A polytope P in R^d lifts to the cone over 1 x P in R^n, n = d + 1; each
 face F of P spans a subcone whose linear span has dimension dim F + 1.  For
 every face we compute
 
-  * a deterministic basis of the span (lifted vertices, greedy in index order),
-  * the generators of the dual face (facet normals of the cone vanishing on F),
-  * the generators of the associated dual-of-the-dual-face cone, taken inside
-    the linear span of the dual face (written ``circledast`` here).
+  * a deterministic basis A_F of the span (lifted vertices, greedy in index
+    order),
+  * the generators of the dual face (facet normals of the cone vanishing on F).
 
-For a covering pair E < F the intersection of the circledast cone of E with
-the orthogonal complement of the dual face of F is a single extreme ray; its
-primitive integer generator plays the role of the unit edge vector in the
-incidence-sign determinant.  Unit normalization is irrelevant to signs, so
-primitive integer ray generators replace unit vectors throughout and keep
-the arithmetic exact.
+In the paper, the edge vector of a covering pair E < F is the extreme ray of
+the dual of E's dual face, taken inside that dual face's span (the
+``circledast`` cone of E), that is orthogonal to the dual face of F.  That
+ray spans the line where span(F) meets span(E)^perp, so it is read off the
+kernel of A_E^T A_F directly (see ``edge_ray``); the circledast cones
+themselves are not built here.  Its primitive integer generator plays the
+role of the unit edge vector in the incidence-sign determinant.  Unit
+normalization is irrelevant to signs, so primitive integer ray generators
+replace unit vectors throughout and keep the arithmetic exact.
 
 A second, independent construction of the same ray (orthogonal projection of
 the barycenter of the lifted F-vertices away from the span of E) is used as
@@ -57,12 +59,12 @@ class LiftedCone:
 
 @dataclass(frozen=True)
 class FaceConeData:
-    """Per-face duality data inside the lifted cone."""
+    """Per-face duality data inside the lifted cone: the span basis A_F and
+    the dual face's generators."""
 
     face: Face
     span_basis: QMatrix  # columns: greedy independent lifted vertices of the face
     dual_face_gens: tuple[IntVector, ...]
-    circledast_gens: tuple[IntVector, ...]
 
 
 @dataclass(frozen=True)
@@ -120,24 +122,6 @@ def dual_cone(gens: Sequence[Sequence], ambient_dim: int | None = None) -> tuple
     return tuple(sorted(out))
 
 
-def dual_cone_in_span(span_basis: QMatrix, gens: Sequence[Sequence]) -> tuple[IntVector, ...]:
-    """Dual of cone(gens) computed inside the column span of ``span_basis``.
-
-    The generators must span the subspace.  Working in coordinates: a point
-    B @ xi of the span pairs with y as <B @ xi, y> = <xi, B^T y>, so the dual
-    inside the span is the ordinary dual of the cone over the vectors B^T y.
-    Results are mapped back to ambient primitive integer vectors.
-    """
-    k = span_basis.cols
-    if k == 0:
-        return ()
-    bt = span_basis.transpose()
-    projected = [bt.mat_vec(qvec(y)) for y in gens]
-    rays = dual_cone(projected, ambient_dim=k)
-    ambient = [primitive_vector(span_basis.mat_vec(xi)) for xi in rays]
-    return tuple(sorted(ambient))
-
-
 def lift(P: Polytope) -> LiftedCone:
     """Build the lifted cone with exact facet normals, read off P's facets.
 
@@ -183,7 +167,7 @@ def span_basis_of_face(C: LiftedCone, F: Face) -> QMatrix:
 
 
 def face_cone_data(C: LiftedCone, F: Face) -> FaceConeData:
-    """Span basis, dual-face generators, and circledast generators of a face.
+    """Span basis and dual-face generators of a face.
 
     The dual face is a face of the dual cone, hence generated by the facet
     normals of the cone that vanish on every lifted vertex of F.  Its span
@@ -198,21 +182,7 @@ def face_cone_data(C: LiftedCone, F: Face) -> FaceConeData:
     if rank_of_vectors(dual_gens, n) != expected:
         raise InternalInvariantError(
             f"dual face of {F} spans rank {rank_of_vectors(dual_gens, n)}, expected {expected}")
-    dual_span = _greedy_independent(dual_gens, n)
-    circledast = dual_cone_in_span(dual_span, dual_gens)
-    return FaceConeData(face=F, span_basis=span_basis,
-                        dual_face_gens=dual_gens, circledast_gens=circledast)
-
-
-def _greedy_independent(vectors: Sequence[Sequence], n: int) -> QMatrix:
-    cols: list[Vector] = []
-    for v in vectors:
-        candidate = QMatrix.from_columns(cols + [qvec(v)], rows=n)
-        if rank(candidate) > len(cols):
-            cols.append(qvec(v))
-    if not cols:
-        return QMatrix(n, 0, tuple(() for _ in range(n)))
-    return QMatrix.from_columns(cols, rows=n)
+    return FaceConeData(face=F, span_basis=span_basis, dual_face_gens=dual_gens)
 
 
 def edge_ray(C: LiftedCone, E: Face, F: Face,
@@ -220,24 +190,39 @@ def edge_ray(C: LiftedCone, E: Face, F: Face,
              data_F: FaceConeData | None = None) -> EdgeRay:
     """The primitive generator of the edge ray of a covering pair (E, F).
 
-    It is the unique circledast generator of E orthogonal to the dual face
-    of F; the sign is thereby fixed (membership in the circledast cone of E).
-    All membership invariants are re-verified exactly before returning.
+    The paper's edge ray is the extreme ray of the circledast cone of E
+    orthogonal to the dual face of F; it spans the line where span(F) meets
+    span(E)^perp.  With k = dim F + 1, A_E^T A_F is a (k-1) x k matrix of
+    rank k-1, so its kernel is the line spanned by the cofactor vector kappa,
+    and the ray is primitive(A_F kappa) up to sign.  Scaling a row by a
+    positive factor keeps the kernel, so each row enters as its primitive
+    integer vector.  Every lifted vertex of F that is not in E projects to
+    the same open half of the line, so one of them fixes the sign.  For E
+    empty the matrix is 0 x 1, kappa = (1,), and the ray is the lifted
+    vertex.  Membership in the span of F, orthogonality to the span of E and
+    membership in the circledast cone of E are re-verified exactly before
+    returning.
     """
     data_E = data_E or face_cone_data(C, E)
     data_F = data_F or face_cone_data(C, F)
-    candidates = [g for g in data_E.circledast_gens
-                  if all(dot(g, y) == 0 for y in data_F.dual_face_gens)]
-    if len(candidates) != 1:
+    a_e, a_f = data_E.span_basis, data_F.span_basis
+    k = a_f.cols
+    kappa = None
+    if a_e.cols == k - 1:
+        rows = [primitive_vector(r) for r in (a_e.transpose() @ a_f).entries]
+        kappa = cofactor_kernel_vector(rows, k)
+    if kappa is None:
         raise InternalInvariantError(
-            f"edge ray of ({E}, {F}): intersection has {len(candidates)} extreme rays, "
-            "expected exactly 1")
-    direction = candidates[0]
-    span_F = data_F.span_basis
-    stacked = span_F.hstack(QMatrix.from_columns([direction], rows=C.dim))
-    if rank(stacked) != span_F.cols:
+            f"edge ray of ({E}, {F}): the kernel of A_E^T A_F is not a line "
+            f"(spans of dimension {a_e.cols} and {k})")
+    direction = primitive_vector(a_f.mat_vec(kappa))
+    outside = next(i for i in F.vertex_set if i not in E.vertex_set)
+    if dot(direction, C.generators[outside]) < 0:
+        direction = tuple(-x for x in direction)
+    stacked = a_f.hstack(QMatrix.from_columns([direction], rows=C.dim))
+    if rank(stacked) != k:
         raise InternalInvariantError(f"edge ray of ({E}, {F}) leaves the span of {F}")
-    for col in data_E.span_basis.columns():
+    for col in a_e.columns():
         if dot(direction, col) != 0:
             raise InternalInvariantError(f"edge ray of ({E}, {F}) not orthogonal to span of {E}")
     if any(dot(direction, y) < 0 for y in data_E.dual_face_gens):
@@ -286,8 +271,9 @@ def positive_multiple_ratio(w: Sequence, direction: Sequence) -> Fraction | None
 
 
 class ConeSystem:
-    """Memoizing wrapper around per-face cone data and edge rays, plus the
-    edge-ray cross-check.
+    """Memoizing wrapper around per-face cone data (span basis and dual face,
+    computed once per face and shared by the trivialization and the edge
+    rays) and edge rays, plus the edge-ray cross-check.
 
     Safe to share within a run: all cached values are immutable.
     """

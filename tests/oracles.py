@@ -6,6 +6,11 @@ minors, linear solves and kernels by a separate Gauss-Jordan elimination,
 convex-hull membership by Caratheodory enumeration, face enumeration by
 maximizing integer directions, and the classical simplicial boundary formula
 with alternating signs.
+
+The circledast oracle is the paper's own construction of the cones whose
+extreme rays are the edge vectors: the dual of a face's dual face, taken
+inside the dual face's span.  It enumerates extreme rays by brute force with
+``polyk.cones.dual_cone``, which no report computation calls.
 """
 
 from __future__ import annotations
@@ -13,7 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from polyk.linalg import QMatrix, qvec
+from polyk.cones import LiftedCone, dual_cone
+from polyk.linalg import QMatrix, dot, primitive_vector, qvec
+from polyk.polytope import Face
 
 
 def leibniz_det(rows) -> Fraction:
@@ -95,6 +102,44 @@ def kernel_basis(M: QMatrix) -> QMatrix:
     if not cols:
         return QMatrix(M.cols, 0, tuple(() for _ in range(M.cols)))
     return QMatrix.from_columns(cols, rows=M.cols)
+
+
+def _greedy_independent(vectors, n: int) -> QMatrix:
+    """Columns: the vectors that raise the rank, in the given order."""
+    cols: list = []
+    for v in vectors:
+        candidate = QMatrix.from_columns(cols + [qvec(v)], rows=n)
+        if len(_rref(candidate)[1]) > len(cols):
+            cols.append(qvec(v))
+    if not cols:
+        return QMatrix(n, 0, tuple(() for _ in range(n)))
+    return QMatrix.from_columns(cols, rows=n)
+
+
+def dual_cone_in_span(span_basis: QMatrix, gens) -> tuple[tuple[int, ...], ...]:
+    """Dual of cone(gens) computed inside the column span of ``span_basis``.
+
+    The generators must span the subspace.  Working in coordinates: a point
+    B @ xi of the span pairs with y as <B @ xi, y> = <xi, B^T y>, so the dual
+    inside the span is the ordinary dual of the cone over the vectors B^T y.
+    Results are mapped back to ambient primitive integer vectors.
+    """
+    k = span_basis.cols
+    if k == 0:
+        return ()
+    bt = span_basis.transpose()
+    projected = [bt.mat_vec(qvec(y)) for y in gens]
+    rays = dual_cone(projected, ambient_dim=k)
+    return tuple(sorted(primitive_vector(span_basis.mat_vec(xi)) for xi in rays))
+
+
+def circledast_gens(C: LiftedCone, F: Face) -> tuple[tuple[int, ...], ...]:
+    """Extreme rays of the circledast cone of F: the dual of F's dual face,
+    taken inside the dual face's span.  For a covering pair E < F exactly one
+    of those of E is orthogonal to the dual face of F: the edge ray."""
+    dual_gens = [y for y in C.facet_normals
+                 if all(dot(y, C.generators[i]) == 0 for i in F.vertex_set)]
+    return dual_cone_in_span(_greedy_independent(dual_gens, C.dim), dual_gens)
 
 
 def in_convex_hull(point, points, dim: int) -> bool:

@@ -29,7 +29,7 @@ from polyk.ktheory import ZERO_GROUP, Z
 from polyk.linalg import QMatrix, dot, int_mat_is_zero, int_mat_mul, rank
 from polyk.pipeline import run_pipeline
 
-from oracles import simplicial_boundary_matrices
+from oracles import circledast_gens, simplicial_boundary_matrices
 
 REPO = Path(__file__).resolve().parent.parent
 POLYTOPES = REPO / "polytopes"
@@ -118,6 +118,7 @@ def test_criterion_5_edge_ray_crosscheck(corpus_run):
     for res in results:
         lat, system = res.lattice, res.system
         n = system.cone.dim
+        circledast = {f: circledast_gens(system.cone, f) for f in lat.all_faces()}
         for e, f in lat.covering:
             ray = system.ray(e, f)
             data_e = system.face_data(e)
@@ -128,7 +129,7 @@ def test_criterion_5_edge_ray_crosscheck(corpus_run):
             assert all(dot(ray.direction, col) == 0 for col in data_e.span_basis.columns())
             assert all(dot(ray.direction, y) >= 0 for y in data_e.dual_face_gens)
             assert all(dot(ray.direction, y) == 0 for y in data_f.dual_face_gens)
-            hits = [g for g in data_e.circledast_gens
+            hits = [g for g in circledast[e]
                     if all(dot(g, y) == 0 for y in data_f.dual_face_gens)]
             assert len(hits) == 1
             ratio = positive_multiple_ratio(system.crosscheck(e, f), ray.direction)

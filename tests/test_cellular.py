@@ -10,6 +10,7 @@ import random
 import pytest
 
 import polyk.cellular as cellular
+import polyk.cones as cones
 from polyk.cellular import (
     ChainComplex,
     boundary_matrix,
@@ -23,6 +24,7 @@ from polyk.cones import ConeSystem, lift
 from polyk.corpus import hypercube, point_polytope, simplex
 from polyk.errors import InternalInvariantError
 from polyk.linalg import int_mat_is_zero, int_mat_mul
+from polyk.pipeline import run_pipeline
 from polyk.polytope import face_lattice, validate
 
 from oracles import simplicial_boundary_matrices
@@ -51,6 +53,24 @@ def test_trivialize_rejects_flipping_empty_face():
     lat, system, _ = setup_polytope(poly)
     with pytest.raises(ValueError):
         trivialize(lat, system, flip_faces=[lat.empty_face])
+
+
+def test_one_span_basis_per_face_per_run(monkeypatch):
+    # trivialize reuses the face data's span basis; only the cross-check of
+    # each covering pair builds one more
+    real = cones.span_basis_of_face
+    calls = []
+
+    def counting(C, F):
+        calls.append(F)
+        return real(C, F)
+
+    for module in (cones, cellular):
+        if hasattr(module, "span_basis_of_face"):
+            monkeypatch.setattr(module, "span_basis_of_face", counting)
+    result = run_pipeline(hypercube(3))
+    faces = sum(result.lattice.f_vector)
+    assert len(calls) == faces + len(result.lattice.covering)
 
 
 # --- incidence signs ---

@@ -1,11 +1,14 @@
 """Unsigned incidence, lattice reconstruction, and isomorphism testing."""
 
 import random
+import sys
+from itertools import combinations
 
 import pytest
 
 from polyk.cellular import build_complex, trivialize
 from polyk.comb_type import (
+    AbstractLattice,
     UnsignedIncidence,
     is_isomorphic,
     lattice_from_incidence,
@@ -118,6 +121,25 @@ def test_self_isomorphism_identity(small_corpus):
         iso = is_isomorphic(lat, lat)
         assert iso.isomorphic
         assert all(a == b for a, b in iso.mapping)
+
+
+def test_self_isomorphism_beyond_recursion_limit():
+    # the boolean lattice of an 11-set has 2,048 elements; a search that
+    # recursed once per element would overflow the interpreter stack
+    n = 11
+    levels = [list(combinations(range(n), k)) for k in range(n + 1)]
+    index = [{s: i for i, s in enumerate(level)} for level in levels]
+    covering = tuple(((k - 1, index[k][s]), (k, index[k + 1][tuple(sorted(s + (x,)))]))
+                     for k, level in enumerate(levels[:-1]) for s in level
+                     for x in range(n) if x not in s)
+    lat = AbstractLattice(dim=n - 1, f_vector=tuple(len(level) for level in levels),
+                          covering=covering)
+    assert sum(lat.f_vector) > sys.getrecursionlimit()
+    iso = is_isomorphic(lat, lat)
+    assert iso.isomorphic
+    mapping = dict(iso.mapping)
+    assert len(mapping) == len(set(mapping.values())) == sum(lat.f_vector)
+    assert {(mapping[a], mapping[b]) for a, b in covering} == set(covering)
 
 
 def test_symmetry(small_corpus):

@@ -23,7 +23,7 @@ from polyk.errors import InternalInvariantError
 from polyk.linalg import QMatrix, dot, primitive_vector, rank
 from polyk.polytope import face_lattice
 
-from oracles import solve_in_span
+from oracles import circledast_gens, solve_in_span
 
 
 def in_cone(x, gens, dim):
@@ -104,9 +104,10 @@ def test_dual_cone_bipolarity_on_corpus():
 def test_face_data_top_face():
     poly = simplex(2)
     lat, by_set = faces_of(poly)
-    data = face_cone_data(lift(poly), lat.top_face)
+    cone = lift(poly)
+    data = face_cone_data(cone, lat.top_face)
     assert data.dual_face_gens == ()
-    assert data.circledast_gens == ()
+    assert circledast_gens(cone, lat.top_face) == ()
     assert data.span_basis.cols == 3
 
 
@@ -116,7 +117,7 @@ def test_face_data_empty_face_bipolar():
     lat, _ = faces_of(poly)
     cone = lift(poly)
     data = face_cone_data(cone, lat.empty_face)
-    assert set(data.circledast_gens) == {primitive_vector(g) for g in cone.generators}
+    assert set(circledast_gens(cone, lat.empty_face)) == {primitive_vector(g) for g in cone.generators}
     assert data.dual_face_gens == cone.facet_normals
     assert data.span_basis.cols == 0
 
@@ -128,7 +129,7 @@ def test_face_data_segment_vertex():
     data = face_cone_data(cone, by_set[(0,)])
     assert data.span_basis.columns() == ((Fraction(1), Fraction(0)),)
     assert data.dual_face_gens == ((0, 1),)
-    assert data.circledast_gens == ((0, 1),)
+    assert circledast_gens(cone, by_set[(0,)]) == ((0, 1),)
 
 
 def test_face_data_invariants_small_corpus(small_corpus):
@@ -142,7 +143,7 @@ def test_face_data_invariants_small_corpus(small_corpus):
             for g in data.dual_face_gens:
                 assert all(dot(g, cone.generators[i]) == 0 for i in f.vertex_set)
                 assert all(dot(g, v) >= 0 for v in cone.generators)
-            for x in data.circledast_gens:
+            for x in circledast_gens(cone, f):
                 assert all(dot(x, y) >= 0 for y in data.dual_face_gens)
             # duality of span dimensions
             span_gens = QMatrix.from_columns(list(data.dual_face_gens) or [], rows=n) \
@@ -191,6 +192,15 @@ def test_edge_ray_triangle_vertex_edge_invariants():
     assert all(dot(ray.direction, y) == 0 for y in data_f.dual_face_gens)
 
 
+def test_edge_ray_rejects_non_covering_pair():
+    poly = hypercube(2)
+    lat, by_set = faces_of(poly)
+    vertex, top = by_set[(0,)], lat.top_face
+    with pytest.raises(InternalInvariantError) as err:
+        edge_ray(lift(poly), vertex, top)
+    assert f"edge ray of ({vertex}, {top}):" in str(err.value)
+
+
 def test_crosscheck_positive_on_corpus(small_corpus):
     for poly in small_corpus:
         lat = face_lattice(poly)
@@ -201,16 +211,17 @@ def test_crosscheck_positive_on_corpus(small_corpus):
 
 
 def test_ray_intersection_is_one_dimensional(small_corpus):
-    # the selection inside edge_ray errors unless exactly one generator fits
-    for poly in small_corpus:
+    # the paper's construction: the edge ray is the one extreme ray of the
+    # circledast cone of E orthogonal to the dual face of F
+    for poly in list(small_corpus) + [hypercube(4), cross_polytope(4)]:
         lat = face_lattice(poly)
         system = ConeSystem(lift(poly))
+        circledast = {f: circledast_gens(system.cone, f) for f in lat.all_faces()}
         for e, f in lat.covering:
-            data_e = system.face_data(e)
             data_f = system.face_data(f)
-            hits = [g for g in data_e.circledast_gens
+            hits = [g for g in circledast[e]
                     if all(dot(g, y) == 0 for y in data_f.dual_face_gens)]
-            assert len(hits) == 1
+            assert hits == [system.ray(e, f).direction], (poly.name, e, f)
 
 
 def test_positive_multiple_ratio_rejects():
