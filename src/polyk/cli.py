@@ -9,16 +9,18 @@ Commands::
 
 Exit codes: 0 success, 1 input error, 2 internal error (an invariant
 violation or any other unexpected exception), 3 compared polytopes not
-isomorphic.  Human-readable output goes to stdout, diagnostics to stderr;
-``--json`` replaces the human report with a machine-readable document that
-is byte-identical across runs for a fixed input and tool version (timing is
-therefore reported only in human mode).
+isomorphic, 141 standard output closed early (as in ``polyk ... | head``;
+nothing is printed on stderr then).  Human-readable output goes to stdout,
+diagnostics to stderr; ``--json`` replaces the human report with a
+machine-readable document that is byte-identical across runs for a fixed
+input and tool version (timing is therefore reported only in human mode).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -27,6 +29,7 @@ from . import __version__
 from .cellular import HomologyResult
 from .comb_type import is_isomorphic
 from .errors import (
+    EXIT_BROKEN_PIPE,
     EXIT_INPUT_ERROR,
     EXIT_INTERNAL_ERROR,
     EXIT_NOT_ISOMORPHIC,
@@ -254,7 +257,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe must fail here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at the null device so the
+        # interpreter's final flush of what is still buffered stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .linalg import QMatrix, qvec
-from .polytope import Polytope, affine_dim, validate
+from .polytope import Polytope, affine_dim, convex_hull, validate
 
 
 def simplex(d: int, name: str | None = None) -> Polytope:
@@ -52,8 +52,9 @@ def cross_polytope(d: int, name: str | None = None) -> Polytope:
 
 def random_hull(rng: random.Random, dim: int, n_points: int,
                 name: str | None = None) -> Polytope:
-    """A validated random polytope: sample rational points, keep the extreme
-    ones, retry until the hull is full-dimensional with enough vertices."""
+    """A validated random polytope: sample distinct rational points until
+    their hull is full-dimensional, and keep the points that are its
+    vertices."""
     while True:
         pts = []
         seen = set()
@@ -63,27 +64,8 @@ def random_hull(rng: random.Random, dim: int, n_points: int,
             if p not in seen:
                 seen.add(p)
                 pts.append(p)
-        if affine_dim(pts, dim) != dim:
-            continue
-        try:
-            return validate(pts, name=name)
-        except InputError:
-            pass
-        extreme = _extreme_subset(pts, dim)
-        if len(extreme) >= dim + 1 and affine_dim(extreme, dim) == dim:
-            return validate(extreme, name=name)
-
-
-def _extreme_subset(pts: list, dim: int) -> list:
-    from .polytope import _enumerate_facets, rank_of_vectors
-
-    facets = _enumerate_facets(pts, dim)
-    keep = []
-    for i, p in enumerate(pts):
-        tight = [f.normal for f in facets if i in f.vertex_set]
-        if rank_of_vectors(tight, dim) == dim:
-            keep.append(p)
-    return keep
+        if affine_dim(pts, dim) == dim:
+            return convex_hull(pts, name=name)
 
 
 def acceptance_corpus(seed: int = 20240) -> list[Polytope]:

@@ -4,6 +4,7 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_INTERNAL_ERROR = 2
 EXIT_NOT_ISOMORPHIC = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal killed
 
 
 class PolykError(Exception):

@@ -6,17 +6,18 @@ Faces are represented by their vertex index sets; the lattice always contains
 the empty face (dimension -1) and the polytope itself, and is built by
 closing the facet vertex sets under intersection.
 
-Facet enumeration is brute force over affinely independent d-subsets of the
-vertices: transparent and exact, and entirely adequate at desk scale.  It
-runs once, in ``validate``, and the facet list is stored on the polytope;
-every later stage reads it from there.
+Facets come from the double description method on the homogenized integer
+points, inserted one at a time, with combinatorial adjacency on bitmask zero
+sets; the work grows with the facets found, not with the C(n, d) vertex
+subsets.  It runs once, in ``validate``, and the facet list is stored on the
+polytope; every later stage reads it from there.  The brute force over
+d-subsets that it replaced is the tests' oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -136,55 +137,113 @@ def affine_dim(points: Sequence[Sequence], ambient_dim: int) -> int:
     return rank_of_vectors(diffs, ambient_dim)
 
 
-def _enumerate_facets(points: Sequence[Vector], d: int) -> list[Facet]:
-    """All supporting hyperplanes spanned by affinely independent d-subsets.
+def _independent(vectors: Sequence[IntVector], n: int) -> list[int]:
+    """Indices of the first n linearly independent integer vectors, greedily.
 
-    Works on arbitrary point lists (redundant points allowed): every facet of
-    the hull contains d affinely independent listed points, so none is missed.
-    The points are rescaled to a common integer grid so the whole enumeration
-    runs in plain integer arithmetic; offsets are mapped back at the end.
+    Fraction-free elimination: each vector is reduced against the echelon rows
+    kept so far, and kept itself when something nonzero remains.
+    """
+    echelon: list[tuple[int, list[int]]] = []  # (pivot column, row)
+    chosen: list[int] = []
+    for i, v in enumerate(vectors):
+        w = list(v)
+        for c, row in echelon:
+            if w[c]:
+                w = [row[c] * a - w[c] * b for a, b in zip(w, row)]
+        pivot = next((c for c, x in enumerate(w) if x), None)
+        if pivot is not None:
+            echelon.append((pivot, w))
+            chosen.append(i)
+            if len(chosen) == n:
+                return chosen
+    raise InternalInvariantError(
+        f"hull generators span only {len(chosen)} of {n} dimensions")
+
+
+def _hull_facets(points: Sequence[Vector], d: int) -> list[Facet]:
+    """The facets of conv(points), by the double description method.
+
+    The points are rescaled to a common integer grid (``scale`` = lcm of the
+    denominators) and homogenized to g_i = (1, scale * p_i).  The facets are
+    the extreme rays of the cone {h : <h, g_i> >= 0 for all i}: the ray
+    h = (b, -a) is the facet <a, x> <= b / scale, tight on the points with
+    <h, g_i> = 0.  Redundant (non-extreme) points are allowed.
+
+    The cone is built by inserting the points one at a time (Fukuda & Prodon
+    1996, "Double description method revisited").  It starts from d + 1
+    linearly independent points, whose cone is simplicial: its rays are the
+    cofactor kernel vectors of d of them, signed positive on the remaining
+    one.  Inserting g keeps the rays h with <h, g> >= 0 and adds, for every
+    adjacent pair h+, h- with <h+, g> > 0 > <h-, g>, the ray
+    primitive(<h+, g> h- - <h-, g> h+), which is zero on g.  Each ray carries
+    its zero set (the inserted points it is tight on) as a bitmask.  Adjacency
+    is decided combinatorially (Fukuda & Prodon, Prop. 7): two extreme rays
+    of a pointed cone are adjacent iff their common zero set has at least
+    d - 1 elements and no third extreme ray's zero set contains it.  The
+    identity needs the rays to be exactly the extreme rays, which holds after
+    every insertion.  A primitive normal makes each facet's (normal, offset)
+    unique, so the sorted list does not depend on the insertion order.
     """
     if d == 0:
         return []
     scale = lcm(*(x.denominator for p in points for x in p))
-    ipts = [tuple(int(x * scale) for x in p) for p in points]
-    seen: set[tuple[IntVector, int]] = set()
-    facets: list[Facet] = []
-    for subset in combinations(range(len(ipts)), d):
-        base = ipts[subset[0]]
-        rows = []
-        for i in subset[1:]:
-            diff = tuple(a - b for a, b in zip(ipts[i], base))
-            if all(x == 0 for x in diff):
-                rows = None
-                break
-            rows.append(primitive_vector(diff))
-        if rows is None:
+    gens = [(1,) + tuple(int(x * scale) for x in p) for p in points]
+    basis = _independent(gens, d + 1)
+    rays: list[tuple[IntVector, int]] = []  # (h, zero set as a bitmask)
+    for b in basis:
+        others = [c for c in basis if c != b]
+        h = primitive_vector(cofactor_kernel_vector([gens[c] for c in others], d + 1))
+        if sum(x * y for x, y in zip(h, gens[b])) < 0:
+            h = tuple(-x for x in h)
+        rays.append((h, sum(1 << c for c in others)))
+    for i, g in enumerate(gens):
+        if i in basis:
             continue
-        normal = cofactor_kernel_vector(rows, d)
-        if normal is None:  # subset affinely dependent
-            continue
-        normal = primitive_vector(normal)
-        offset = sum(a * b for a, b in zip(normal, base))
-        if (normal, offset) in seen or (tuple(-x for x in normal), -offset) in seen:
-            continue
-        values = [sum(a * b for a, b in zip(normal, p)) for p in ipts]
-        lo, hi = min(values), max(values)
-        if hi == offset:
-            pass
-        elif lo == offset:
-            normal = tuple(-x for x in normal)
-            offset = -offset
-            values = [-v for v in values]
-        else:
-            seen.add((normal, offset))
-            continue
-        seen.add((normal, offset))
-        tight = tuple(i for i, v in enumerate(values) if v == offset)
-        facets.append(Facet(normal=normal, offset=Fraction(offset, scale),
-                            vertex_set=tight))
-    facets.sort(key=lambda f: (f.normal, f.offset))
-    return facets
+        bit = 1 << i
+        values = [sum(x * y for x, y in zip(h, g)) for h, _ in rays]
+        kept = [(h, z | bit if v == 0 else z) for (h, z), v in zip(rays, values) if v >= 0]
+        minus = [n for n, v in enumerate(values) if v < 0]
+        for p, vp in enumerate(values):
+            if vp <= 0:
+                continue
+            hp, zp = rays[p]
+            for n in minus:
+                hn, zn = rays[n]
+                common = zp & zn
+                if common.bit_count() < d - 1 or any(
+                        k != p and k != n and z & common == common
+                        for k, (_, z) in enumerate(rays)):
+                    continue
+                vn = values[n]
+                kept.append((primitive_vector(tuple(vp * a - vn * b for a, b in zip(hn, hp))),
+                             common | bit))
+        rays = kept
+    facet_list = [Facet(normal=tuple(-x for x in h[1:]), offset=Fraction(h[0], scale),
+                        vertex_set=tuple(i for i in range(len(gens)) if z >> i & 1))
+                  for h, z in rays]
+    facet_list.sort(key=lambda f: (f.normal, f.offset))
+    return facet_list
+
+
+def _hull(points: Sequence[Vector], d: int) -> tuple[list[Facet], list[int]]:
+    """The facets of conv(points) and the indices of the points that are not
+    its vertices, for distinct points with a full-dimensional hull.
+
+    A listed point is a vertex iff the tight sets of the facets through it
+    meet in that point alone: every face, a vertex too, is the intersection
+    of the facets that contain it, and a point on no facet is interior.
+    """
+    facet_list = _hull_facets(points, d)
+    masks = [sum(1 << i for i in f.vertex_set) for f in facet_list]
+    inner = []
+    for i in range(len(points)):
+        meet = (1 << len(points)) - 1
+        for m in masks:
+            if m >> i & 1:
+                meet &= m
+        if meet != 1 << i:
+            inner.append(i)
+    return facet_list, inner
 
 
 def validate(vertices: Sequence[Sequence], name: str | None = None) -> Polytope:
@@ -209,13 +268,32 @@ def validate(vertices: Sequence[Sequence], name: str | None = None) -> Polytope:
     if affine_dim(pts, d) != d:
         raise InputError(
             f"hull not full-dimensional: affine dimension {affine_dim(pts, d)} < ambient {d}")
-    facet_list = tuple(_enumerate_facets(pts, d))
-    for i, p in enumerate(pts):
+    facet_list, inner = _hull(pts, d)
+    if inner:
+        i = inner[0]
         tight = [f.normal for f in facet_list if i in f.vertex_set]
-        if d > 0 and rank_of_vectors(tight, d) < d:
-            raise InputError(f"point {i} not extreme (tight facet normals span "
-                             f"only {rank_of_vectors(tight, d)} of {d} dimensions)")
-    return Polytope(ambient_dim=d, vertices=tuple(pts), facets=facet_list, name=name)
+        raise InputError(f"point {i} not extreme (tight facet normals span "
+                         f"only {rank_of_vectors(tight, d)} of {d} dimensions)")
+    return Polytope(ambient_dim=d, vertices=tuple(pts), facets=tuple(facet_list), name=name)
+
+
+def convex_hull(points: Sequence[Vector], name: str | None = None) -> Polytope:
+    """The polytope conv(points), on those of the points that are its vertices.
+
+    The points must be distinct rational vectors with a full-dimensional
+    hull.  The facets are computed once, for all the points, and their tight
+    sets are then restricted to the vertices.
+    """
+    d = len(points[0])
+    facet_list, inner = _hull(points, d)
+    keep = [i for i in range(len(points)) if i not in inner]
+    new_index = {old: new for new, old in enumerate(keep)}
+    restricted = tuple(
+        Facet(normal=f.normal, offset=f.offset,
+              vertex_set=tuple(new_index[i] for i in f.vertex_set if i in new_index))
+        for f in facet_list)
+    return Polytope(ambient_dim=d, vertices=tuple(qvec(points[i]) for i in keep),
+                    facets=restricted, name=name)
 
 
 def facets(P: Polytope) -> tuple[Facet, ...]:

@@ -11,16 +11,23 @@ The circledast oracle is the paper's own construction of the cones whose
 extreme rays are the edge vectors: the dual of a face's dual face, taken
 inside the dual face's span.  It enumerates extreme rays by brute force with
 ``polyk.cones.dual_cone``, which no report computation calls.
+
+The facet oracle is the brute force the library used before it switched to
+the double description method: every affinely independent d-subset of the
+points spans a candidate hyperplane, kept when all points lie on one side.
+It shares ``polyk.linalg.cofactor_kernel_vector`` with the library, which
+the double description calls only for its initial cone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import lcm
 
 from polyk.cones import LiftedCone, dual_cone
-from polyk.linalg import QMatrix, dot, primitive_vector, qvec
-from polyk.polytope import Face
+from polyk.linalg import QMatrix, cofactor_kernel_vector, dot, primitive_vector, qvec
+from polyk.polytope import Face, Facet
 
 
 def leibniz_det(rows) -> Fraction:
@@ -154,6 +161,58 @@ def in_convex_hull(point, points, dim: int) -> bool:
             if sol is not None and all(c >= 0 for c in sol):
                 return True
     return False
+
+
+def brute_force_facets(points, d: int) -> list[Facet]:
+    """All supporting hyperplanes spanned by affinely independent d-subsets.
+
+    Works on arbitrary point lists (redundant points allowed): every facet of
+    the hull contains d affinely independent listed points, so none is missed.
+    The points are rescaled to a common integer grid so the whole enumeration
+    runs in plain integer arithmetic; offsets are mapped back at the end.
+    C(n, d) subsets: use it only on small inputs.
+    """
+    if d == 0:
+        return []
+    scale = lcm(*(x.denominator for p in points for x in p))
+    ipts = [tuple(int(x * scale) for x in p) for p in points]
+    seen: set[tuple[tuple[int, ...], int]] = set()
+    facets: list[Facet] = []
+    for subset in combinations(range(len(ipts)), d):
+        base = ipts[subset[0]]
+        rows = []
+        for i in subset[1:]:
+            diff = tuple(a - b for a, b in zip(ipts[i], base))
+            if all(x == 0 for x in diff):
+                rows = None
+                break
+            rows.append(primitive_vector(diff))
+        if rows is None:
+            continue
+        normal = cofactor_kernel_vector(rows, d)
+        if normal is None:  # subset affinely dependent
+            continue
+        normal = primitive_vector(normal)
+        offset = sum(a * b for a, b in zip(normal, base))
+        if (normal, offset) in seen or (tuple(-x for x in normal), -offset) in seen:
+            continue
+        values = [sum(a * b for a, b in zip(normal, p)) for p in ipts]
+        lo, hi = min(values), max(values)
+        if hi == offset:
+            pass
+        elif lo == offset:
+            normal = tuple(-x for x in normal)
+            offset = -offset
+            values = [-v for v in values]
+        else:
+            seen.add((normal, offset))
+            continue
+        seen.add((normal, offset))
+        tight = tuple(i for i, v in enumerate(values) if v == offset)
+        facets.append(Facet(normal=normal, offset=Fraction(offset, scale),
+                            vertex_set=tight))
+    facets.sort(key=lambda f: (f.normal, f.offset))
+    return facets
 
 
 def faces_by_direction(vertices, dim: int, radius: int = 1) -> set[tuple[int, ...]]:

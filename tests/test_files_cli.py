@@ -2,6 +2,8 @@
 against checked-in goldens, and machine-readable round-trips."""
 
 import json
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -116,6 +118,35 @@ def test_cli_unexpected_exception_is_internal_error(monkeypatch, capsys):
     assert rc == 2
     assert "internal error: compare: RecursionError: maximum recursion depth exceeded" in err
     assert "Traceback" not in err
+
+
+def test_cli_broken_pipe_exits_quietly(capsys, tmp_path):
+    class ClosedPipe:
+        """A stdout whose reader has gone away, backed by a file descriptor of
+        its own so that redirecting it touches nothing else."""
+
+        def __init__(self):
+            self.fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.fd
+
+    pipe, saved = ClosedPipe(), sys.stdout
+    sys.stdout = pipe
+    try:
+        rc = main(["compare", str(POLYTOPES / "square.json"), str(POLYTOPES / "quadrilateral.json")])
+        assert os.path.samestat(os.fstat(pipe.fd), os.stat(os.devnull))
+    finally:
+        sys.stdout = saved
+        os.close(pipe.fd)
+    assert rc == 141
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_compare_isomorphic(capsys):

@@ -1,5 +1,5 @@
 """Polytope validation, facet enumeration, and face lattices, checked against
-direction-maximization and Caratheodory oracles."""
+brute-force facet, direction-maximization and Caratheodory oracles."""
 
 import random
 from fractions import Fraction
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polyk.polytope as polytope
 from polyk.corpus import (
     apply_affine,
     cross_polytope,
@@ -20,6 +21,7 @@ from polyk.corpus import (
 from polyk.errors import InputError
 from polyk.linalg import rank_of_vectors
 from polyk.polytope import (
+    _hull_facets,
     affine_dim,
     covering_pairs,
     face_lattice,
@@ -28,7 +30,7 @@ from polyk.polytope import (
     verify_lattice,
 )
 
-from oracles import faces_by_direction, in_convex_hull
+from oracles import brute_force_facets, faces_by_direction, in_convex_hull
 
 
 # --- validate ---
@@ -61,6 +63,38 @@ def test_validate_rejects_interior_point():
     assert in_convex_hull((1, 1), pts[:3], 2)
     with pytest.raises(InputError, match="point 3 not extreme"):
         validate(pts)
+
+
+def test_validate_names_point_on_an_edge():
+    # (1, 0) lies on the edge from (0, 0) to (2, 0): on a facet, yet not a vertex
+    with pytest.raises(InputError, match="point 3 not extreme .* only 1 of 2"):
+        validate([(0, 0), (2, 0), (0, 2), (1, 0)])
+
+
+def _random_points(rng: random.Random, d: int, n: int) -> list:
+    """n random rational points on a coarse grid, plus the midpoint of two of
+    them and the centroid of all, so collinear, coplanar, boundary and
+    interior points are common; duplicates dropped, order kept."""
+    pts = [tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(d))
+           for _ in range(n)]
+    pts.append(tuple((a + b) / 2 for a, b in zip(pts[0], pts[-1])))
+    pts.append(tuple(sum(c) / len(pts) for c in zip(*pts)))
+    return list(dict.fromkeys(pts))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
+@settings(max_examples=25)
+def test_validate_extreme_check_matches_caratheodory_oracle(seed, d):
+    rng = random.Random(seed)
+    pts = _random_points(rng, d, rng.randint(d + 1, 7))
+    if affine_dim(pts, d) != d:
+        return
+    inner = [i for i, p in enumerate(pts) if in_convex_hull(p, pts[:i] + pts[i + 1:], d)]
+    if inner:
+        with pytest.raises(InputError, match=f"point {inner[0]} not extreme"):
+            validate(pts)
+    else:
+        assert validate(pts).nvertices == len(pts)
 
 
 def test_validate_point_in_dimension_zero():
@@ -107,6 +141,75 @@ def test_every_vertex_on_at_least_d_facets():
         f = facets(p)
         for i in range(p.nvertices):
             assert sum(1 for fc in f if i in fc.vertex_set) >= p.ambient_dim
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 5))
+@settings(max_examples=60)
+def test_facets_match_brute_force_oracle(seed, d):
+    rng = random.Random(seed)
+    pts = _random_points(rng, d, rng.randint(d + 1, 10))
+    if affine_dim(pts, d) != d:
+        return
+    assert _hull_facets(pts, d) == brute_force_facets(pts, d)
+
+
+def test_validate_makes_at_most_d_plus_1_kernel_calls(monkeypatch):
+    real = polytope.cofactor_kernel_vector
+    calls = []
+
+    def counting(rows, n):
+        calls.append(n)
+        return real(rows, n)
+
+    monkeypatch.setattr(polytope, "cofactor_kernel_vector", counting)
+    P = validate([[(k >> i) & 1 for i in range(5)] for k in range(32)])
+    assert len(P.facets) == 10
+    assert len(calls) <= 6  # the initial simplicial cone only; C(32, 5) = 201,376 subsets before
+
+
+def _ridges(P, fc) -> set[tuple[int, ...]]:
+    """Vertex sets of the ridges in facet fc: the oracle's facets of fc, with
+    fc's points written in the d - 1 coordinates left after dropping one on
+    which the facet normal is nonzero (an affine bijection of the hyperplane)."""
+    k = next(j for j, a in enumerate(fc.normal) if a)
+    pts = [tuple(x for j, x in enumerate(P.vertices[v]) if j != k) for v in fc.vertex_set]
+    return {tuple(fc.vertex_set[i] for i in r.vertex_set)
+            for r in brute_force_facets(pts, P.ambient_dim - 1)}
+
+
+SCALE_CASES = {
+    "cube6": (lambda: hypercube(6), 12),
+    "cross7": (lambda: cross_polytope(7), 128),
+    "simplex8": (lambda: simplex(8), 9),
+    "hull40_d5": (lambda: random_hull(random.Random(11), 5, 40), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCALE_CASES))
+def test_facets_complete_at_scale(case):
+    """Checks that do not depend on how the facets were found.  Each listed
+    facet supports every vertex and is tight on a set of affine dimension
+    d - 1, so it is a true facet.  Where the facet count is known, the count
+    then proves the list complete; otherwise every ridge of every listed
+    facet must lie in exactly two listed facets, so the list is closed under
+    crossing ridges and, the facet graph being connected, complete."""
+    build, expected = SCALE_CASES[case]
+    P = build()
+    d = P.ambient_dim
+    assert validate(P.vertices).facets == P.facets
+    assert len({(fc.normal, fc.offset) for fc in P.facets}) == len(P.facets)
+    for fc in P.facets:
+        values = [sum(a * x for a, x in zip(fc.normal, v)) for v in P.vertices]
+        assert max(values) == fc.offset
+        assert tuple(i for i, v in enumerate(values) if v == fc.offset) == fc.vertex_set
+        assert affine_dim([P.vertices[i] for i in fc.vertex_set], d) == d - 1
+    if expected is not None:
+        assert len(P.facets) == expected
+        return
+    tight = [set(fc.vertex_set) for fc in P.facets]
+    for fc in P.facets:
+        for ridge in _ridges(P, fc):
+            assert sum(1 for t in tight if t.issuperset(ridge)) == 2
 
 
 # --- face lattice ---
