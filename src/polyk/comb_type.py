@@ -3,7 +3,11 @@ and decide lattice isomorphism between polytopes.
 
 The absolute values of the boundary-matrix entries record exactly the
 covering relation of the face lattice; transitive closure then recovers the
-whole order, so the unsigned complex determines the combinatorial type.
+whole order, so the unsigned complex determines the combinatorial type.  The
+reconstruction is checked against the lattice axioms on int bitmasks: the
+order is kept as bitset down-sets, and the meet of two elements exists iff
+the intersection of their down-sets is the down-set of its last element in
+rank order.
 Isomorphism testing is rank-by-rank backtracking, pruned by f-vector and
 up/down cover degrees, returning either a verified bijection on faces or a
 certificate of non-isomorphism.
@@ -53,8 +57,9 @@ def lattice_from_incidence(U: UnsignedIncidence) -> AbstractLattice:
 
     The support of the matrices is taken as the covering relation; the
     result is checked against the lattice axioms of a polytope face lattice
-    (bounded, graded, diamond property, meets exist) and any failure means
-    the incidence data is corrupt.
+    (bounded, graded, diamond property, meets exist; see
+    ``_verify_abstract_lattice``) and any failure means the incidence data
+    is corrupt.
     """
     mats = U.matrices
     if not mats:
@@ -79,46 +84,66 @@ def lattice_from_incidence(U: UnsignedIncidence) -> AbstractLattice:
 
 
 def _verify_abstract_lattice(lat: AbstractLattice) -> None:
+    """The lattice axioms of a polytope face lattice, on int bitmasks.
+
+    Elements are numbered in rank order, the bottom first; ``up[i]`` and
+    ``down[i]`` are the bitmasks of element i's upper and lower covers, and
+    ``ds[i]``, ``1 << i`` OR'd with the ``ds`` of i's lower covers, is its
+    down-set.  Checked in turn:
+
+    - bounded: one element of rank -1 and one of rank dim;
+    - graded: every element below the top has an upper cover and every
+      element above the bottom a lower cover;
+    - diamond: the elements between ``low`` and ``high`` two ranks apart are
+      the set bits of ``up[low] & down[high]``, and there are none or two;
+    - meets: for any a and b, ``c = ds[a] & ds[b]`` is a down-set, and the
+      meet of a and b exists iff c has a unique maximal element.  Covers go
+      up one rank (``lattice_from_incidence`` reads them off consecutive
+      matrices), so numbers grow upward and the highest-numbered element x
+      of c is maximal in c.  Hence the meet exists iff ``c == ds[x]``: then
+      every element of c lies below x; otherwise an element of c outside
+      ``ds[x]`` lies below a second maximal element.
+    """
     if lat.f_vector[0] != 1 or lat.f_vector[-1] != 1:
         raise InternalInvariantError(
             f"reconstructed poset is not bounded: f-vector {lat.f_vector}")
-    up: dict[tuple[int, int], set] = {e: set() for r in range(-1, lat.dim + 1)
-                                      for e in lat.elements(r)}
-    down: dict[tuple[int, int], set] = {e: set() for e in up}
+    elements = [e for r in range(-1, lat.dim + 1) for e in lat.elements(r)]
+    number = {e: i for i, e in enumerate(elements)}
+    up = [0] * len(elements)
+    down = [0] * len(elements)
     for a, b in lat.covering:
-        up[a].add(b)
-        down[b].add(a)
+        up[number[a]] |= 1 << number[b]
+        down[number[b]] |= 1 << number[a]
     for rank in range(-1, lat.dim):
         for e in lat.elements(rank):
-            if not up[e]:
+            if not up[number[e]]:
                 raise InternalInvariantError(f"element {e} has no upper cover: not graded")
     for rank in range(0, lat.dim + 1):
         for e in lat.elements(rank):
-            if not down[e]:
+            if not down[number[e]]:
                 raise InternalInvariantError(f"element {e} has no lower cover: not graded")
     for rank in range(-1, lat.dim - 1):
         for low in lat.elements(rank):
+            ups = up[number[low]]
             for high in lat.elements(rank + 2):
-                mids = [m for m in up[low] if high in up[m]]
-                if mids and len(mids) != 2:
+                mids = (ups & down[number[high]]).bit_count()
+                if mids and mids != 2:
                     raise InternalInvariantError(
-                        f"diamond property fails between {low} and {high}: {len(mids)} mids")
-    # meets must exist: the common down-set of any two elements has a unique maximum
-    downset: dict[tuple[int, int], frozenset] = {}
-    for rank in range(-1, lat.dim + 1):
-        for e in lat.elements(rank):
-            ds = {e}
-            for d in down[e]:
-                ds |= downset[d]
-            downset[e] = frozenset(ds)
-    all_elements = [e for r in range(-1, lat.dim + 1) for e in lat.elements(r)]
-    for i, a in enumerate(all_elements):
-        for b in all_elements[i + 1:]:
-            common = downset[a] & downset[b]
-            maximal = [x for x in common if not any(y != x and x in downset[y] for y in common)]
-            if len(maximal) != 1:
+                        f"diamond property fails between {low} and {high}: {mids} mids")
+    ds = [0] * len(elements)
+    for i, below in enumerate(down):
+        ds[i] = 1 << i
+        while below:
+            low = below & -below
+            ds[i] |= ds[low.bit_length() - 1]
+            below ^= low
+    for i, a in enumerate(elements):
+        ds_a = ds[i]
+        for j in range(i + 1, len(elements)):
+            common = ds_a & ds[j]
+            if common != ds[common.bit_length() - 1]:
                 raise InternalInvariantError(
-                    f"meet of {a} and {b} is not unique: poset is not a lattice")
+                    f"meet of {a} and {elements[j]} is not unique: poset is not a lattice")
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,11 @@
 A polytope is the convex hull of finitely many rational points that must all
 be vertices of the hull, with the hull full-dimensional in its ambient space.
 Faces are represented by their vertex index sets; the lattice always contains
-the empty face (dimension -1) and the polytope itself, and is built by
-closing the facet vertex sets under intersection.
+the empty face (dimension -1) and the polytope itself.  It is built from the
+vertex-facet incidences on int bitmasks, level by level from the empty face,
+taking each face's upper covers from the closure step; a face's dimension is
+its level minus one.  The intersection closure of the facet vertex sets with
+one rational rank per face, which it replaced, is the tests' oracle.
 
 Facets come from the double description method on the homogenized integer
 points, inserted one at a time, with combinatorial adjacency on bitmask zero
@@ -301,84 +304,141 @@ def facets(P: Polytope) -> tuple[Facet, ...]:
     return P.facets
 
 
-def _face_dim(P: Polytope, vertex_set: frozenset[int]) -> int:
-    return affine_dim([P.vertices[i] for i in sorted(vertex_set)], P.ambient_dim)
-
-
 def face_lattice(P: Polytope) -> FaceLattice:
     """The full face lattice, from the empty face up to the polytope.
 
-    Proper faces are exactly the intersections of facet vertex sets, so the
-    lattice is the intersection closure of those sets plus the two ends.
+    Built level by level from the vertex-facet incidences, in int bitmasks
+    only (Kaibel & Pfetsch 2002, "Computing the face lattice of a polytope
+    from its vertex-facet incidences").  A face is a vertex mask with its
+    facet mask, the facets that contain it; ``vfac[v]`` is the facet mask of
+    vertex v.  The smallest face containing a face F and a vertex v has the
+    facet mask ``facets(F) & vfac[v]``, and its vertices are the w whose
+    ``vfac[w]`` contains that mask (all of them when the mask is empty: the
+    polytope).  That mask is exactly the facet mask of the closure, so it
+    names the face.  Every upper cover of F is such a closure, and a closure
+    H is an upper cover iff every vertex of H outside F gives H, that is, iff
+    the number of vertices v outside F that give H is the number of vertices
+    of H outside F: a vertex of H outside F whose closure with F is smaller
+    than H shows a face strictly between F and H.  Starting from the empty
+    face (no vertices, every facet), the upper covers of level k are level
+    k + 1, and the closure step yields the covering pairs.
+
+    The face lattice of a polytope is graded by dim + 1 (Ziegler, "Lectures
+    on Polytopes", Thm 2.7), so a face at level k has dimension k - 1.  A
+    face found at two levels, or any level d + 1 other than the polytope
+    alone, is an internal error.  Levels are ordered by vertex set and the
+    covering pairs by the level and position of F, then the position of E.
     Gradedness and the diamond property are verified before returning.
     """
     d = P.ambient_dim
-    full = frozenset(range(P.nvertices))
-    sets: set[frozenset[int]] = {frozenset(f.vertex_set) for f in facets(P)}
-    frontier = set(sets)
-    while frontier:
-        new: set[frozenset[int]] = set()
-        for a in frontier:
-            for b in sets:
-                c = a & b
-                if c not in sets and c not in new:
-                    new.add(c)
-        sets |= new
-        frontier = new
-    sets.add(full)
-    sets.add(frozenset())
+    n = P.nvertices
+    facet_list = facets(P)
+    vfac = [0] * n
+    for j, fc in enumerate(facet_list):
+        for v in fc.vertex_set:
+            vfac[v] |= 1 << j
 
-    by_dim: dict[int, list[Face]] = {j: [] for j in range(-1, d + 1)}
-    for s in sets:
-        fdim = -1 if not s else _face_dim(P, s)
-        by_dim[fdim].append(Face(vertex_set=tuple(sorted(s)), dim=fdim))
-    for j in by_dim:
-        by_dim[j].sort(key=lambda f: f.vertex_set)
+    def vertex_set(mask: int) -> tuple[int, ...]:
+        return tuple(v for v in range(n) if mask >> v & 1)
 
-    covering: list[tuple[Face, Face]] = []
-    for j in range(0, d + 1):
-        for f in by_dim[j]:
-            fset = set(f.vertex_set)
-            for e in by_dim[j - 1]:
-                if set(e.vertex_set) <= fset:
-                    covering.append((e, f))
+    level_of = {0: 0}  # vertex mask -> level
+    # per level: (vertex mask, facet mask) of each face, from the empty face
+    levels: list[list[tuple[int, int]]] = [[(0, (1 << len(facet_list)) - 1)]]
+    lower: list[list[tuple[int, int]]] = [[]]  # per level: (E, F) vertex masks
+    closure: dict[int, int] = {}  # facet mask -> vertex mask; each is a face
+    for k in range(d + 1):
+        found: dict[int, int] = {}  # facet mask -> vertex mask, of level k + 1
+        pairs = []
+        for fv, ff in levels[k]:
+            counts: dict[int, int] = {}
+            for v in range(n):
+                if not fv >> v & 1:
+                    hf = ff & vfac[v]
+                    counts[hf] = counts.get(hf, 0) + 1
+            for hf, count in counts.items():
+                hv = closure.get(hf)
+                if hv is None:
+                    hv = closure[hf] = sum(1 << w for w in range(n) if vfac[w] & hf == hf)
+                if (hv & ~fv).bit_count() == count:
+                    found[hf] = hv
+                    pairs.append((fv, hv))
+        for hv in found.values():
+            if hv in level_of:
+                raise InternalInvariantError(
+                    f"face {Face(vertex_set(hv), k)} found at levels {level_of[hv]} and {k + 1}")
+            level_of[hv] = k + 1
+        levels.append([(hv, hf) for hf, hv in found.items()])
+        lower.append(pairs)
+    full = (1 << n) - 1
+    if [hv for hv, _ in levels[d + 1]] != [full]:
+        top = ", ".join(str(Face(vertex_set(hv), d)) for hv, _ in levels[d + 1])
+        raise InternalInvariantError(
+            f"level {d + 1} of the face lattice must hold the polytope "
+            f"{Face(vertex_set(full), d)} alone, found [{top}]")
+
+    faces_by_dim = []
+    position: dict[int, int] = {}  # vertex mask -> position in its level
+    for k, level in enumerate(levels):
+        ordered = sorted((vertex_set(hv), hv) for hv, _ in level)
+        position.update((hv, i) for i, (_, hv) in enumerate(ordered))
+        faces_by_dim.append(tuple(Face(vs, k - 1) for vs, _ in ordered))
+    covering = []
+    for k in range(1, d + 2):
+        for fi, ei in sorted((position[hv], position[fv]) for fv, hv in lower[k]):
+            covering.append((faces_by_dim[k - 1][ei], faces_by_dim[k][fi]))
 
     lattice = FaceLattice(
         dim=d,
-        faces_by_dim=tuple(tuple(by_dim[j]) for j in range(-1, d + 1)),
+        faces_by_dim=tuple(faces_by_dim),
         covering=tuple(covering),
-        f_vector=tuple(len(by_dim[j]) for j in range(-1, d + 1)),
+        f_vector=tuple(len(level) for level in faces_by_dim),
     )
     verify_lattice(lattice)
     return lattice
 
 
 def verify_lattice(L: FaceLattice) -> None:
-    """Exact structural checks: gradedness and the diamond property.
+    """Exact structural checks: a unique bottom and top, gradedness, and the
+    diamond property, on int bitmasks.
+
+    With the faces numbered in rank order, ``up[i]`` and ``down[i]`` are the
+    index masks of face i's upper and lower covers.  Face order is vertex-set
+    containment, tested on vertex masks as ``lo & hi == lo``.  The faces that
+    cover ``low`` and are covered by ``high`` are the set bits of
+    ``up[low] & down[high]``, so for low <= high two levels apart the number
+    of intermediate faces is its popcount, and the diamond property asks for
+    exactly two.
 
     Any failure is an internal error; valid polytope input cannot produce it.
     """
     if L.f_vector[0] != 1 or L.f_vector[-1] != 1:
         raise InternalInvariantError("face lattice must have unique bottom and top")
+    index = {f: i for i, f in enumerate(L.all_faces())}
+    up = [0] * len(index)
+    down = [0] * len(index)
+    for e, f in L.covering:
+        up[index[e]] |= 1 << index[f]
+        down[index[f]] |= 1 << index[e]
     for j in range(-1, L.dim):
         for f in L.faces(j):
-            if not L.upper_covers(f):
+            if not up[index[f]]:
                 raise InternalInvariantError(f"face {f} of dim {j} has no upper cover")
     for j in range(0, L.dim + 1):
         for f in L.faces(j):
-            if not L.lower_covers(f):
+            if not down[index[f]]:
                 raise InternalInvariantError(f"face {f} of dim {j} has no lower cover")
+    mask = {f: sum(1 << v for v in f.vertex_set) for f in index}
     for j in range(-1, L.dim - 1):
+        highs = [(mask[h], down[index[h]], h) for h in L.faces(j + 2)]
         for low in L.faces(j):
-            ups = set(L.upper_covers(low))
-            for high in L.faces(j + 2):
-                # vertex-set containment decides the face order
-                if set(low.vertex_set) <= set(high.vertex_set):
-                    mids = ups.intersection(L.lower_covers(high))
-                    if len(mids) != 2:
+            lo, ups = mask[low], up[index[low]]
+            for hi, below, high in highs:
+                if lo & hi == lo:
+                    mids = (ups & below).bit_count()
+                    if mids != 2:
                         raise InternalInvariantError(
                             f"diamond property fails between {low} and {high}: "
-                            f"{len(mids)} intermediate faces")
+                            f"{mids} intermediate faces")
 
 
 def covering_pairs(L: FaceLattice, j: int) -> tuple[tuple[Face, Face], ...]:

@@ -17,6 +17,12 @@ the double description method: every affinely independent d-subset of the
 points spans a candidate hyperplane, kept when all points lie on one side.
 It shares ``polyk.linalg.cofactor_kernel_vector`` with the library, which
 the double description calls only for its initial cone.
+
+The face lattice oracle is the construction the library used before it
+switched to vertex-facet incidences: the intersection closure of the facet
+vertex sets, one rational affine dimension per face, and covering pairs by
+subset tests between consecutive dimensions.  Its ``affine_dim`` is the
+library's, which validation still uses; the library's lattice takes no rank.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from math import lcm
 
 from polyk.cones import LiftedCone, dual_cone
 from polyk.linalg import QMatrix, cofactor_kernel_vector, dot, primitive_vector, qvec
-from polyk.polytope import Face, Facet
+from polyk.polytope import Face, Facet, FaceLattice, Polytope, affine_dim
 
 
 def leibniz_det(rows) -> Fraction:
@@ -257,3 +263,51 @@ def simplicial_boundary_matrices(d: int) -> list[list[list[int]]]:
                 mat[rows[sub]][cj] = (-1) ** drop if sub else 1
         matrices.append(mat)
     return matrices
+
+
+def closure_face_lattice(P: Polytope) -> FaceLattice:
+    """The face lattice as the intersection closure of the facet vertex sets.
+
+    Proper faces are exactly the intersections of facet vertex sets, so the
+    lattice is that closure plus the two ends; each face's dimension is the
+    affine dimension of its vertices, and E < F is a covering pair when
+    dim E = dim F - 1 and E's vertex set lies in F's.  Levels and covering
+    pairs are ordered as ``face_lattice`` orders them.  Nothing is verified.
+    """
+    d = P.ambient_dim
+    full = frozenset(range(P.nvertices))
+    sets: set[frozenset[int]] = {frozenset(f.vertex_set) for f in P.facets}
+    frontier = set(sets)
+    while frontier:
+        new: set[frozenset[int]] = set()
+        for a in frontier:
+            for b in sets:
+                c = a & b
+                if c not in sets and c not in new:
+                    new.add(c)
+        sets |= new
+        frontier = new
+    sets.add(full)
+    sets.add(frozenset())
+
+    by_dim: dict[int, list[Face]] = {j: [] for j in range(-1, d + 1)}
+    for s in sets:
+        fdim = -1 if not s else affine_dim([P.vertices[i] for i in sorted(s)], d)
+        by_dim[fdim].append(Face(vertex_set=tuple(sorted(s)), dim=fdim))
+    for j in by_dim:
+        by_dim[j].sort(key=lambda f: f.vertex_set)
+
+    covering: list[tuple[Face, Face]] = []
+    for j in range(0, d + 1):
+        for f in by_dim[j]:
+            fset = set(f.vertex_set)
+            for e in by_dim[j - 1]:
+                if set(e.vertex_set) <= fset:
+                    covering.append((e, f))
+
+    return FaceLattice(
+        dim=d,
+        faces_by_dim=tuple(tuple(by_dim[j]) for j in range(-1, d + 1)),
+        covering=tuple(covering),
+        f_vector=tuple(len(by_dim[j]) for j in range(-1, d + 1)),
+    )

@@ -10,6 +10,7 @@ from polyk.cellular import build_complex, trivialize
 from polyk.comb_type import (
     AbstractLattice,
     UnsignedIncidence,
+    _verify_abstract_lattice,
     is_isomorphic,
     lattice_from_incidence,
     strip_signs,
@@ -94,6 +95,31 @@ def test_reconstruct_rejects_bad_entry():
         lattice_from_incidence(UnsignedIncidence(tuple(tuple(tuple(r) for r in m) for m in mats)))
 
 
+def test_verify_abstract_lattice_rejects_two_maximal_lower_bounds():
+    # two atoms a, b, both covered by c and by d: c and d are incomparable
+    # and have two maximal common lower bounds, a and b; bounded, graded,
+    # and every diamond has two middle elements
+    lat = AbstractLattice(dim=2, f_vector=(1, 2, 2, 1), covering=(
+        ((-1, 0), (0, 0)), ((-1, 0), (0, 1)),
+        ((0, 0), (1, 0)), ((0, 1), (1, 0)), ((0, 0), (1, 1)), ((0, 1), (1, 1)),
+        ((1, 0), (2, 0)), ((1, 1), (2, 0))))
+    with pytest.raises(InternalInvariantError,
+                       match=r"^meet of \(1, 0\) and \(1, 1\) is not unique: poset is not a lattice$"):
+        _verify_abstract_lattice(lat)
+
+
+def test_verify_abstract_lattice_accepts_boolean_lattice():
+    # every pair of subsets of a 5-set has a meet, their intersection
+    n = 5
+    levels = [list(combinations(range(n), k)) for k in range(n + 1)]
+    index = [{s: i for i, s in enumerate(level)} for level in levels]
+    covering = tuple(((k - 1, index[k][s]), (k, index[k + 1][tuple(sorted(s + (x,)))]))
+                     for k, level in enumerate(levels[:-1]) for s in level
+                     for x in range(n) if x not in s)
+    _verify_abstract_lattice(AbstractLattice(
+        dim=n - 1, f_vector=tuple(len(level) for level in levels), covering=covering))
+
+
 # --- is_isomorphic ---
 
 def test_square_isomorphic_to_quadrilateral():
@@ -149,11 +175,40 @@ def test_symmetry(small_corpus):
     assert is_isomorphic(b, a).isomorphic
 
 
-def test_non_isomorphic_same_f_vector():
-    # square pyramid vs a simplicial 3-polytope with the same f-vector would
-    # be ideal; at small scale, compare square vs tetrahedron base cases
+def test_non_isomorphic_different_f_vector():
     iso = is_isomorphic(face_lattice(hypercube(2)), face_lattice(simplex(2)))
     assert not iso.isomorphic
+    assert iso.certificate == "f-vector mismatch: (1, 4, 4, 1) != (1, 3, 3, 1)"
+
+
+# Three 3-polytopes with f-vector (1, 7, 14, 9, 1), found by search: draws 4,
+# 263 and 674 (counting from 0) of random_hull(rng, 3, 7) with a single
+# rng = random.Random(5), the first draws whose lattices are not isomorphic
+# to draw 4's.  Draw 263 differs from draw 4 in its cover degrees; draw 674
+# agrees in them and only the search tells the two apart.
+HULL_DRAW_4 = [("7/2", 1, 3), (4, "3/2", 1), (3, 3, 2), (8, -1, "7/2"),
+               (-2, -1, "1/2"), (-8, -1, -3), (-3, 7, -3)]
+HULL_DRAW_263 = [("-5/3", -5, -1), (1, "-1/3", "8/3"), (-7, -1, -5), (2, 0, "-2/3"),
+                 (3, -8, "8/3"), ("7/3", -7, "7/3"), ("-5/2", "1/3", -2)]
+HULL_DRAW_674 = [(-3, 2, "-4/3"), ("-7/2", -8, "-1/2"), (2, "-4/3", -2), (8, 2, "2/3"),
+                 (1, 2, 1), (3, -3, 1), ("-1/2", 2, -4)]
+
+
+def test_non_isomorphic_same_f_vector():
+    a, b = face_lattice(validate(HULL_DRAW_4)), face_lattice(validate(HULL_DRAW_674))
+    assert a.f_vector == b.f_vector == (1, 7, 14, 9, 1)
+    for x, y in ((a, b), (b, a)):
+        iso = is_isomorphic(x, y)
+        assert not iso.isomorphic
+        assert iso.certificate == "exhausted search: no cover-preserving bijection"
+
+
+def test_non_isomorphic_same_f_vector_by_cover_degrees():
+    a, b = face_lattice(validate(HULL_DRAW_4)), face_lattice(validate(HULL_DRAW_263))
+    assert a.f_vector == b.f_vector == (1, 7, 14, 9, 1)
+    iso = is_isomorphic(a, b)
+    assert not iso.isomorphic
+    assert iso.certificate == "up/down cover degree multisets differ"
 
 
 def test_affine_images_isomorphic(small_corpus):

@@ -12,8 +12,10 @@ import polyk.cellular as cellular
 import polyk.cli as cli
 from polyk.cli import main
 from polyk.errors import InputError
-from polyk.files import load_polytope, parse_polytope_text
+from polyk.corpus import cross_polytope
+from polyk.files import load_polytope, parse_polytope_text, polytope_to_json
 from polyk.ktheory import AbelianGroup
+from polyk.polytope import validate
 
 REPO = Path(__file__).resolve().parent.parent
 POLYTOPES = REPO / "polytopes"
@@ -165,6 +167,22 @@ def test_cli_compare_not_isomorphic(capsys):
 def test_cli_compare_self_identity(capsys):
     rc = main(["compare", str(POLYTOPES / "cube.json"), str(POLYTOPES / "cube.json")])
     assert rc == 0
+
+
+def test_cli_compare_cross7_with_unimodular_image(tmp_path, capsys):
+    # 2,188 faces, more than the interpreter's recursion limit; the image is
+    # x -> Ax + t with A unit upper bidiagonal (determinant 1), vertices reversed
+    P = cross_polytope(7)
+    image = [tuple(v[i] + (v[i + 1] if i < 6 else 0) + i - 3 for i in range(7))
+             for v in reversed(P.vertices)]
+    files = []
+    for name, vertices in (("cross7", P.vertices), ("cross7_image", image)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(polytope_to_json(validate(vertices, name=name))))
+        files.append(str(path))
+    rc = main(["compare", *files])
+    assert rc == 0
+    assert "isomorphic: 2188 faces matched" in capsys.readouterr().out
 
 
 # --- report content ---

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polyk.linalg as linalg
 import polyk.polytope as polytope
 from polyk.corpus import (
     apply_affine,
@@ -18,9 +19,11 @@ from polyk.corpus import (
     random_invertible_affine,
     simplex,
 )
-from polyk.errors import InputError
+from polyk.errors import InputError, InternalInvariantError
 from polyk.linalg import rank_of_vectors
 from polyk.polytope import (
+    Face,
+    FaceLattice,
     _hull_facets,
     affine_dim,
     covering_pairs,
@@ -30,7 +33,7 @@ from polyk.polytope import (
     verify_lattice,
 )
 
-from oracles import brute_force_facets, faces_by_direction, in_convex_hull
+from oracles import brute_force_facets, closure_face_lattice, faces_by_direction, in_convex_hull
 
 
 # --- validate ---
@@ -251,6 +254,65 @@ def test_euler_relation_small():
 def test_lattice_is_graded_with_diamonds(small_corpus):
     for p in small_corpus:
         verify_lattice(face_lattice(p))  # raises on violation
+
+
+def _assert_matches_closure_oracle(P):
+    """The lattice equals the intersection-closure oracle's, orders included,
+    and each face's dimension, its level minus one, is the affine dimension
+    of its vertices (the rank identity of a graded face lattice)."""
+    lat = face_lattice(P)
+    assert lat == closure_face_lattice(P)
+    for f in lat.all_faces():
+        assert f.dim == affine_dim([P.vertices[i] for i in f.vertex_set], P.ambient_dim)
+
+
+def test_lattice_matches_closure_oracle(small_corpus):
+    for P in [*small_corpus, hypercube(5), cross_polytope(6)]:
+        _assert_matches_closure_oracle(P)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5))
+@settings(max_examples=30)
+def test_lattice_matches_closure_oracle_on_random_hulls(seed, d):
+    rng = random.Random(seed)
+    _assert_matches_closure_oracle(random_hull(rng, d, rng.randint(d + 1, 10)))
+
+
+def test_face_lattice_takes_no_rank(monkeypatch):
+    P = cross_polytope(5)
+    real = linalg.rank
+    calls = []
+
+    def counting(M):
+        calls.append(M)
+        return real(M)
+
+    monkeypatch.setattr(linalg, "rank", counting)
+    assert face_lattice(P).f_vector == (1, 10, 40, 80, 80, 32, 1)
+    assert calls == []  # one rational rank per face of dimension >= 1 before: 233
+
+
+def test_verify_lattice_rejects_broken_diamond():
+    # bounded and graded, but three faces lie between the bottom and the top
+    bottom, top = Face((), -1), Face((0, 1, 2), 1)
+    atoms = (Face((0,), 0), Face((1,), 0), Face((2,), 0))
+    lat = FaceLattice(dim=1, faces_by_dim=((bottom,), atoms, (top,)),
+                      covering=tuple((bottom, v) for v in atoms) + tuple((v, top) for v in atoms),
+                      f_vector=(1, 3, 1))
+    with pytest.raises(InternalInvariantError,
+                       match=r"^diamond property fails between \{\} and \{0,1,2\}: "
+                             r"3 intermediate faces$"):
+        verify_lattice(lat)
+
+
+def test_verify_lattice_names_missing_cover():
+    bottom, top = Face((), -1), Face((0, 1), 1)
+    atoms = (Face((0,), 0), Face((1,), 0))
+    lat = FaceLattice(dim=1, faces_by_dim=((bottom,), atoms, (top,)),
+                      covering=((bottom, atoms[0]), (bottom, atoms[1]), (atoms[0], top)),
+                      f_vector=(1, 2, 1))
+    with pytest.raises(InternalInvariantError, match=r"^face \{1\} of dim 0 has no upper cover$"):
+        verify_lattice(lat)
 
 
 # --- covering pairs ---
