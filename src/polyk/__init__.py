@@ -41,7 +41,6 @@ from .cones import (
     edge_ray_crosscheck,
     face_cone_data,
     lift,
-    positive_multiple_ratio,
 )
 from .errors import InputError, InternalInvariantError, PolykError
 from .files import PolytopeFile, load_polytope, parse_polytope_file, parse_polytope_text

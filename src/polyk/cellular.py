@@ -1,17 +1,22 @@
 """Oriented cellular chain complex of a polytope via the lifted cone.
 
 Each face F carries a basis A_F of the span of its lifted subcone (a greedy
-independent subset of lifted vertices in vertex-index order); the basis
-orients the span.  For a covering pair (E, F) with edge ray e the incidence
-number is
+independent subset of the integer lifted vertices in vertex-index order);
+the basis orients the span.  For a covering pair (E, F) with edge ray e the
+incidence number is the orientation sign of the basis B = [e | A_E] of
+span(F) against A_F, that is sign det C for the coordinate matrix C with
+B C = A_F.  It is computed on integers, with no solve:
 
-    [E : F] = sign det( [e | A_E]^(-1) A_F )
+    [E : F] = sign det( B^T A_F ),
 
-computed exactly: both [e | A_E] and A_F are bases of the span of F, so the
-coordinate matrix is square and its determinant is nonzero.  The pair
-(empty face, vertex) needs no special case: A_empty has no columns and the
-1 x 1 system is a positive ratio of parallel lifted vertices, giving +1, so
-the bottom boundary matrix is the all-ones augmentation row.
+because B^T A_F = (B^T B) C and the Gram determinant det(B^T B) is positive
+for independent columns.  They are independent, and span span(F), because
+e lies in span(F) and is orthogonal to span(E) (both checked by
+``edge_ray``) while A_E is a basis of span(E), a subspace of span(F).  The
+pair (empty face, vertex) needs no special case: B = (e) and A_F = (g) are
+positive multiples of one lifted vertex, so the 1 x 1 determinant <e, g> is
+positive, giving +1, and the bottom boundary matrix is the all-ones
+augmentation row.
 
 Boundary matrices are integer matrices over the stable (lexicographic by
 vertex set) face ordering; assembling the complex verifies both the
@@ -24,15 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .cones import ConeSystem, EdgeRay, positive_multiple_ratio
+from .cones import ConeSystem, EdgeRay, IntBasis
 from .errors import InternalInvariantError
 from .linalg import (
     IntMatrix,
-    QMatrix,
-    coords_in_basis,
-    det_sign,
+    bareiss_det,
+    int_dot,
     int_mat_is_zero,
     int_mat_mul,
+    primitive_vector,
     smith_normal_form,
 )
 from .polytope import Face, FaceLattice
@@ -47,10 +52,10 @@ class Trivialization:
     Treated as immutable once built.
     """
 
-    bases: dict[Face, QMatrix]
+    bases: dict[Face, IntBasis]
     flipped: frozenset[Face] = field(default_factory=frozenset)
 
-    def basis(self, F: Face) -> QMatrix:
+    def basis(self, F: Face) -> IntBasis:
         return self.bases[F]
 
 
@@ -62,23 +67,24 @@ def trivialize(L: FaceLattice, system: ConeSystem,
     for f in flips:
         if f.dim < 0:
             raise ValueError("the empty face has no basis column to flip")
-    bases: dict[Face, QMatrix] = {}
+    bases: dict[Face, IntBasis] = {}
     for f in L.all_faces():
         basis = system.face_data(f).span_basis
         if f in flips:
-            cols = list(basis.columns())
-            cols[-1] = tuple(-x for x in cols[-1])
-            basis = QMatrix.from_columns(cols, rows=basis.rows)
+            basis = basis[:-1] + (tuple(-x for x in basis[-1]),)
         bases[f] = basis
     return Trivialization(bases=bases, flipped=flips)
 
 
 def incidence_sign(T: Trivialization, ray: EdgeRay, E: Face, F: Face) -> int:
-    """The incidence number [E : F] of a covering pair; always +1 or -1."""
-    a_e = T.basis(E)
-    a_f = T.basis(F)
-    b = QMatrix.from_columns([ray.direction], rows=a_e.rows).hstack(a_e)
-    sign = det_sign(coords_in_basis(b, a_f))
+    """The incidence number [E : F] of a covering pair; always +1 or -1.
+
+    It is sign det(B^T A_F) with B = [e | A_E]: the Gram identity in the
+    module docstring makes that the sign of det C for B C = A_F.
+    """
+    b = (ray.direction,) + T.basis(E)
+    det = bareiss_det([[int_dot(u, v) for v in T.basis(F)] for u in b])
+    sign = (det > 0) - (det < 0)
     if sign == 0:
         raise InternalInvariantError(
             f"incidence sign of ({E}, {F}) is zero: corrupt edge ray or basis")
@@ -127,13 +133,14 @@ def build_complex(T: Trivialization, L: FaceLattice, system: ConeSystem) -> Chai
 
     Verifies, and aborts with diagnostics on failure:
       * every edge ray agrees with its barycenter cross-check up to a
-        strictly positive rational factor;
+        strictly positive rational factor, that is, the cross-check's
+        primitive vector is the ray's direction (which is primitive);
       * D_{j-1} @ D_j = 0 for every j, reporting the offending face pair.
     """
     for j in range(0, L.dim + 1):
         for e, f in ((e, f) for e, f in L.covering if f.dim == j):
             ray = system.ray(e, f)
-            if positive_multiple_ratio(system.crosscheck(e, f), ray.direction) is None:
+            if primitive_vector(system.crosscheck(e, f)) != ray.direction:
                 raise InternalInvariantError(
                     f"edge-ray cross-check failed for ({e}, {f}): "
                     "barycenter projection is not a positive multiple")

@@ -1,11 +1,16 @@
 """The lifted cone of a polytope and its duality apparatus.
 
 A polytope P in R^d lifts to the cone over 1 x P in R^n, n = d + 1; each
-face F of P spans a subcone whose linear span has dimension dim F + 1.  For
-every face we compute
+face F of P spans a subcone whose linear span has dimension dim F + 1.  The
+cone keeps its generators twice: the rational lifted vertices (1, v_i), and
+the integer ones L * (1, v_i), scaled by the lcm L of the vertex
+denominators.  One positive factor for all columns changes no span, kernel,
+ray direction or determinant sign, so everything below runs on Python
+integers, with ranks and span membership decided by fraction-free
+elimination (``IntEchelon``).  For every face we compute
 
-  * a deterministic basis A_F of the span (lifted vertices, greedy in index
-    order),
+  * a deterministic basis A_F of the span (integer lifted vertices, greedy
+    in index order),
   * the generators of the dual face (facet normals of the cone vanishing on F).
 
 In the paper, the edge vector of a covering pair E < F is the extreme ray of
@@ -19,8 +24,9 @@ normalization is irrelevant to signs, so primitive integer ray generators
 replace unit vectors throughout and keep the arithmetic exact.
 
 A second, independent construction of the same ray (orthogonal projection of
-the barycenter of the lifted F-vertices away from the span of E) is used as
-a cross-check: the two must agree up to a strictly positive rational factor.
+the barycenter of the lifted F-vertices away from the span of E, by an
+integer Cramer solve of the Gram system) is used as a cross-check: the two
+must agree up to a strictly positive rational factor.
 """
 
 from __future__ import annotations
@@ -28,23 +34,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Sequence
 
 from .errors import InternalInvariantError
 from .linalg import (
+    IntEchelon,
     IntVector,
-    QMatrix,
     Vector,
+    bareiss_det,
     cofactor_kernel_vector,
-    coords_in_basis,
-    dot,
+    int_dot,
     is_zero_vector,
     primitive_vector,
     qvec,
-    rank,
     rank_of_vectors,
 )
 from .polytope import Face, Polytope
+
+IntBasis = tuple[IntVector, ...]  # the columns of an integer matrix
 
 
 @dataclass(frozen=True)
@@ -54,6 +62,7 @@ class LiftedCone:
     dim: int  # n = ambient polytope dimension + 1
     base: Polytope
     generators: tuple[Vector, ...]  # lifted vertices (1, v_i), in vertex order
+    int_generators: tuple[IntVector, ...]  # L * (1, v_i), L = lcm of vertex denominators
     facet_normals: tuple[IntVector, ...]  # primitive generators of the dual cone
 
 
@@ -63,7 +72,7 @@ class FaceConeData:
     the dual face's generators."""
 
     face: Face
-    span_basis: QMatrix  # columns: greedy independent lifted vertices of the face
+    span_basis: IntBasis  # columns: greedy independent integer lifted vertices of the face
     dual_face_gens: tuple[IntVector, ...]
 
 
@@ -132,38 +141,44 @@ def lift(P: Polytope) -> LiftedCone:
     (1,).  Pointedness is witnessed by the functional (1, 0, ..., 0), which is
     strictly positive on every generator; solidity follows from the polytope
     being full-dimensional.  Both are asserted.
+
+    The integer generators are L * (1, v_i), with L the lcm of all vertex
+    denominators.  One positive factor for every column leaves spans,
+    kernels, ray directions and determinant signs as they are, and keeps
+    the barycenter exact; L is their first coordinate.
     """
     n = P.ambient_dim + 1
     gens = tuple(P.lifted_vertex(i) for i in range(P.nvertices))
-    witness = (Fraction(1),) + (Fraction(0),) * P.ambient_dim
-    if any(dot(witness, g) <= 0 for g in gens):
+    scale = lcm(*(x.denominator for v in P.vertices for x in v))
+    int_gens = tuple((scale,) + tuple(x.numerator * (scale // x.denominator) for x in v)
+                     for v in P.vertices)
+    if any(g[0] <= 0 for g in int_gens):
         raise InternalInvariantError("lifted cone is not pointed")
-    if rank_of_vectors(gens, n) != n:
+    if IntEchelon(int_gens).rank != n:
         raise InternalInvariantError("lifted cone is not solid")
     normals = tuple(sorted(primitive_vector((f.offset,) + tuple(-a for a in f.normal))
                            for f in P.facets))
     if n == 1:  # the point has no facets, but the ray through (1) has facet normal (1,)
         normals = ((1,),)
-    return LiftedCone(dim=n, base=P, generators=gens, facet_normals=normals)
+    return LiftedCone(dim=n, base=P, generators=gens, int_generators=int_gens,
+                      facet_normals=normals)
 
 
-def span_basis_of_face(C: LiftedCone, F: Face) -> QMatrix:
-    """Greedy maximal independent subset of the lifted vertices of F, in
-    increasing vertex-index order; dim F + 1 columns (0 for the empty face)."""
-    n = C.dim
-    cols: list[Vector] = []
-    current = QMatrix(n, 0, tuple(() for _ in range(n)))
+def span_basis_of_face(C: LiftedCone, F: Face) -> IntBasis:
+    """Greedy maximal independent subset of the integer lifted vertices of F,
+    in increasing vertex-index order; dim F + 1 columns (none for the empty
+    face).  One fraction-free echelon pass decides each candidate."""
+    echelon = IntEchelon()
+    cols = []
     for i in F.vertex_set:
-        candidate = QMatrix.from_columns(cols + [C.generators[i]], rows=n)
-        if rank(candidate) > len(cols):
-            cols.append(C.generators[i])
-            current = candidate
-        if len(cols) == F.dim + 1:
-            break
+        if echelon.add(C.int_generators[i]):
+            cols.append(C.int_generators[i])
+            if len(cols) == F.dim + 1:
+                break
     if len(cols) != F.dim + 1:
         raise InternalInvariantError(
             f"face {F}: span has {len(cols)} independent lifted vertices, expected {F.dim + 1}")
-    return current if cols else QMatrix(n, 0, tuple(() for _ in range(n)))
+    return tuple(cols)
 
 
 def face_cone_data(C: LiftedCone, F: Face) -> FaceConeData:
@@ -175,13 +190,12 @@ def face_cone_data(C: LiftedCone, F: Face) -> FaceConeData:
     """
     n = C.dim
     span_basis = span_basis_of_face(C, F)
-    dual_gens = tuple(
-        y for y in C.facet_normals
-        if all(dot(y, C.generators[i]) == 0 for i in F.vertex_set))
+    verts = [C.int_generators[i] for i in F.vertex_set]
+    dual_gens = tuple(y for y in C.facet_normals if all(int_dot(y, g) == 0 for g in verts))
     expected = n - (F.dim + 1)
-    if rank_of_vectors(dual_gens, n) != expected:
-        raise InternalInvariantError(
-            f"dual face of {F} spans rank {rank_of_vectors(dual_gens, n)}, expected {expected}")
+    got = IntEchelon(dual_gens).rank
+    if got != expected:
+        raise InternalInvariantError(f"dual face of {F} spans rank {got}, expected {expected}")
     return FaceConeData(face=F, span_basis=span_basis, dual_face_gens=dual_gens)
 
 
@@ -192,40 +206,39 @@ def edge_ray(C: LiftedCone, E: Face, F: Face,
 
     The paper's edge ray is the extreme ray of the circledast cone of E
     orthogonal to the dual face of F; it spans the line where span(F) meets
-    span(E)^perp.  With k = dim F + 1, A_E^T A_F is a (k-1) x k matrix of
-    rank k-1, so its kernel is the line spanned by the cofactor vector kappa,
-    and the ray is primitive(A_F kappa) up to sign.  Scaling a row by a
-    positive factor keeps the kernel, so each row enters as its primitive
-    integer vector.  Every lifted vertex of F that is not in E projects to
-    the same open half of the line, so one of them fixes the sign.  For E
-    empty the matrix is 0 x 1, kappa = (1,), and the ray is the lifted
-    vertex.  Membership in the span of F, orthogonality to the span of E and
+    span(E)^perp.  With k = dim F + 1, A_E^T A_F is a (k-1) x k integer
+    matrix of rank k-1, so its kernel is the line spanned by the cofactor
+    vector kappa, and the ray is primitive(A_F kappa) up to sign.  Scaling a
+    row by a positive factor keeps the kernel, so each row enters as its
+    primitive integer vector.  Every lifted vertex of F that is not in E
+    projects to the same open half of the line, so one of them fixes the
+    sign.  For E empty the matrix is 0 x 1, kappa = (1,), and the ray is the
+    lifted vertex.  Membership in the span of F (the remainder against an
+    echelon form of A_F is zero), orthogonality to the span of E and
     membership in the circledast cone of E are re-verified exactly before
     returning.
     """
     data_E = data_E or face_cone_data(C, E)
     data_F = data_F or face_cone_data(C, F)
     a_e, a_f = data_E.span_basis, data_F.span_basis
-    k = a_f.cols
+    k = len(a_f)
     kappa = None
-    if a_e.cols == k - 1:
-        rows = [primitive_vector(r) for r in (a_e.transpose() @ a_f).entries]
+    if len(a_e) == k - 1:
+        rows = [primitive_vector([int_dot(a, b) for b in a_f]) for a in a_e]
         kappa = cofactor_kernel_vector(rows, k)
     if kappa is None:
         raise InternalInvariantError(
             f"edge ray of ({E}, {F}): the kernel of A_E^T A_F is not a line "
-            f"(spans of dimension {a_e.cols} and {k})")
-    direction = primitive_vector(a_f.mat_vec(kappa))
+            f"(spans of dimension {len(a_e)} and {k})")
+    direction = primitive_vector([int_dot(row, kappa) for row in zip(*a_f)])
     outside = next(i for i in F.vertex_set if i not in E.vertex_set)
-    if dot(direction, C.generators[outside]) < 0:
+    if int_dot(direction, C.int_generators[outside]) < 0:
         direction = tuple(-x for x in direction)
-    stacked = a_f.hstack(QMatrix.from_columns([direction], rows=C.dim))
-    if rank(stacked) != k:
+    if not IntEchelon(a_f).contains(direction):
         raise InternalInvariantError(f"edge ray of ({E}, {F}) leaves the span of {F}")
-    for col in a_e.columns():
-        if dot(direction, col) != 0:
-            raise InternalInvariantError(f"edge ray of ({E}, {F}) not orthogonal to span of {E}")
-    if any(dot(direction, y) < 0 for y in data_E.dual_face_gens):
+    if any(int_dot(direction, col) != 0 for col in a_e):
+        raise InternalInvariantError(f"edge ray of ({E}, {F}) not orthogonal to span of {E}")
+    if any(int_dot(direction, y) < 0 for y in data_E.dual_face_gens):
         raise InternalInvariantError(f"edge ray of ({E}, {F}) outside circledast cone of {E}")
     return EdgeRay(pair=(E, F), direction=direction)
 
@@ -236,38 +249,37 @@ def edge_ray_crosscheck(C: LiftedCone, E: Face, F: Face) -> Vector:
     Returns the component of the barycenter of the lifted F-vertices
     orthogonal to the span of E (within the span of F).  By construction it
     must be a strictly positive rational multiple of the edge-ray direction.
+
+    It is computed on integers.  With A = A_E (integer columns, its own span
+    basis) and b the sum of the m integer lifted vertices of F, so that
+    b = L * m * barycenter, the projection of b onto span(A) is A x for the
+    solution x of the Gram system G x = A^T b, G = A^T A.  By Cramer,
+    x_i = det(G_i) / det(G), with G_i the Gram matrix whose column i is
+    replaced by A^T b, and det(G) > 0 for independent columns.  So
+
+        w' = det(G) b - sum_i det(G_i) A_i = (L * m * det G) * w,
+
+    an integer vector on the same ray as the rational component w, which is
+    returned after the one division at the end.
     """
-    lifted = [C.generators[i] for i in F.vertex_set]
-    m = len(lifted)
-    bary = tuple(sum(col, start=Fraction(0)) / m for col in zip(*lifted))
-    A = span_basis_of_face(C, E)
-    if A.cols == 0:
-        w = bary
-    else:
-        at = A.transpose()
-        gram = at @ A
-        rhs = QMatrix.from_columns([at.mat_vec(bary)])
-        x = coords_in_basis(gram, rhs)
-        proj = A.mat_vec(x.column(0))
-        w = tuple(b - p for b, p in zip(bary, proj))
+    a_e = span_basis_of_face(C, E)
+    lifted = [C.int_generators[i] for i in F.vertex_set]
+    b = [sum(col) for col in zip(*lifted)]
+    gram = [[int_dot(u, v) for v in a_e] for u in a_e]
+    rhs = [int_dot(u, b) for u in a_e]
+    det_g = bareiss_det(gram)
+    if det_g <= 0:
+        raise InternalInvariantError(
+            f"cross-check of ({E}, {F}): Gram determinant {det_g} of the span of {E} "
+            "is not positive")
+    w = [det_g * x for x in b]
+    for i, col in enumerate(a_e):
+        det_i = bareiss_det([r[:i] + [y] + r[i + 1:] for r, y in zip(gram, rhs)])
+        w = [x - det_i * a for x, a in zip(w, col)]
     if is_zero_vector(w):
         raise InternalInvariantError(f"barycenter of {F} projects to zero over {E}")
-    return w
-
-
-def positive_multiple_ratio(w: Sequence, direction: Sequence) -> Fraction | None:
-    """The rational lambda > 0 with w = lambda * direction, or None."""
-    wq = qvec(w)
-    dq = qvec(direction)
-    idx = next((i for i, x in enumerate(dq) if x != 0), None)
-    if idx is None:
-        return None
-    lam = wq[idx] / dq[idx]
-    if lam <= 0:
-        return None
-    if wq != tuple(lam * x for x in dq):
-        return None
-    return lam
+    denom = C.int_generators[0][0] * len(lifted) * det_g
+    return tuple(Fraction(x, denom) for x in w)
 
 
 class ConeSystem:

@@ -2,10 +2,12 @@
 
 Everything in this package runs on arbitrary-precision rationals
 (:class:`fractions.Fraction`) and Python integers; there is no floating
-point anywhere.  This module provides the shared substrate: dense rational
-matrices with rank / determinant-sign / solve operations, a few
-integer-vector utilities (primitive ray generators, Bareiss determinants,
-cofactor kernels), and Smith normal form over the integers.
+point anywhere.  This module provides the shared substrate: the integer
+tools the hot paths run on (dot products, primitive ray generators, an
+incremental fraction-free echelon form for ranks and span membership,
+Bareiss determinants, cofactor kernels), Smith normal form over the
+integers, and dense rational matrices with rank / determinant-sign / solve
+operations, which validation and the tests' oracles still use.
 
 Empty matrices (zero rows or zero columns) are legal in every operation and
 behave as rank 0; the augmentation row of the cellular complex and the empty
@@ -17,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InternalInvariantError
@@ -41,6 +44,11 @@ def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Fraction:
 
 def vec_sub(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
     return tuple(Fraction(a) - Fraction(b) for a, b in zip(u, v))
+
+
+def int_dot(u: Sequence[int], v: Sequence[int]) -> int:
+    """Dot product of two integer vectors of the same length."""
+    return sum(map(mul, u, v))
 
 
 def is_zero_vector(v: Sequence[Scalar]) -> bool:
@@ -244,6 +252,53 @@ def int_mat_is_zero(A: IntMatrix) -> bool:
 
 def int_mat_abs(A: IntMatrix) -> IntMatrix:
     return tuple(tuple(abs(x) for x in r) for r in A)
+
+
+class IntEchelon:
+    """Row echelon form of integer vectors, grown one vector at a time.
+
+    Fraction-free: a vector w is reduced against each kept row r, with pivot
+    column c, by w <- r[c] * w - w[c] * r.  That clears w[c] and leaves the
+    earlier pivot columns clear, because every kept row is zero on the pivots
+    kept before it.  A nonzero remainder is kept, divided by the gcd of its
+    entries so that the entries stay small, with its first nonzero column as
+    pivot.  Each step multiplies w by a nonzero integer and subtracts a
+    combination of the offered vectors, so w is independent of the kept rows
+    iff its remainder is nonzero: the kept rows number the rank, and v lies in
+    their span iff its remainder is zero.
+    """
+
+    def __init__(self, vectors: Iterable[Sequence[int]] = ()):
+        self._rows: list[tuple[int, list[int]]] = []  # (pivot column, row)
+        for v in vectors:
+            self.add(v)
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def remainder(self, v: Sequence[int]) -> list[int]:
+        w = list(v)
+        for c, row in self._rows:
+            x = w[c]
+            if x:
+                p = row[c]
+                w = [p * a - x * b for a, b in zip(w, row)]
+        return w
+
+    def add(self, v: Sequence[int]) -> bool:
+        """Keep v if it is independent of the kept rows; say whether it was."""
+        w = self.remainder(v)
+        pivot = next((c for c, x in enumerate(w) if x), None)
+        if pivot is None:
+            return False
+        g = gcd(*w)
+        self._rows.append((pivot, [x // g for x in w]))
+        return True
+
+    def contains(self, v: Sequence[int]) -> bool:
+        """Is v in the span of the kept rows?"""
+        return not any(self.remainder(v))
 
 
 def bareiss_det(rows: Sequence[Sequence[int]]) -> int:

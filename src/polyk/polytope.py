@@ -26,6 +26,7 @@ from typing import Iterable, Sequence
 
 from .errors import InputError, InternalInvariantError
 from .linalg import (
+    IntEchelon,
     IntVector,
     Vector,
     cofactor_kernel_vector,
@@ -141,21 +142,12 @@ def affine_dim(points: Sequence[Sequence], ambient_dim: int) -> int:
 
 
 def _independent(vectors: Sequence[IntVector], n: int) -> list[int]:
-    """Indices of the first n linearly independent integer vectors, greedily.
-
-    Fraction-free elimination: each vector is reduced against the echelon rows
-    kept so far, and kept itself when something nonzero remains.
-    """
-    echelon: list[tuple[int, list[int]]] = []  # (pivot column, row)
+    """Indices of the first n linearly independent integer vectors, greedily,
+    by one fraction-free echelon pass (``IntEchelon``)."""
+    echelon = IntEchelon()
     chosen: list[int] = []
     for i, v in enumerate(vectors):
-        w = list(v)
-        for c, row in echelon:
-            if w[c]:
-                w = [row[c] * a - w[c] * b for a, b in zip(w, row)]
-        pivot = next((c for c, x in enumerate(w) if x), None)
-        if pivot is not None:
-            echelon.append((pivot, w))
+        if echelon.add(v):
             chosen.append(i)
             if len(chosen) == n:
                 return chosen

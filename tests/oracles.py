@@ -18,6 +18,14 @@ points spans a candidate hyperplane, kept when all points lie on one side.
 It shares ``polyk.linalg.cofactor_kernel_vector`` with the library, which
 the double description calls only for its initial cone.
 
+The incidence-sign and cross-check oracles are the rational formulas the
+library used before it moved to integers: the sign of det C for the
+coordinate matrix C with [e | A_E] C = A_F, by ``coords_in_basis`` and
+``det_sign``, and the barycenter's component orthogonal to span(E), by a
+rational Gram solve over E's own greedy basis, accepted when it is a
+positive rational multiple of the ray (``positive_multiple_ratio``).  No report computation calls
+``coords_in_basis`` or ``det_sign``.
+
 The face lattice oracle is the construction the library used before it
 switched to vertex-facet incidences: the intersection closure of the facet
 vertex sets, one rational affine dimension per face, and covering pairs by
@@ -32,7 +40,15 @@ from itertools import combinations, permutations
 from math import lcm
 
 from polyk.cones import LiftedCone, dual_cone
-from polyk.linalg import QMatrix, cofactor_kernel_vector, dot, primitive_vector, qvec
+from polyk.linalg import (
+    QMatrix,
+    cofactor_kernel_vector,
+    coords_in_basis,
+    det_sign,
+    dot,
+    primitive_vector,
+    qvec,
+)
 from polyk.polytope import Face, Facet, FaceLattice, Polytope, affine_dim
 
 
@@ -153,6 +169,51 @@ def circledast_gens(C: LiftedCone, F: Face) -> tuple[tuple[int, ...], ...]:
     dual_gens = [y for y in C.facet_normals
                  if all(dot(y, C.generators[i]) == 0 for i in F.vertex_set)]
     return dual_cone_in_span(_greedy_independent(dual_gens, C.dim), dual_gens)
+
+
+def coords_det_sign(b_cols, a_cols, n: int) -> int:
+    """Sign of det C for B C = A, B and A given by their columns (length n);
+    the columns of A must lie in the span of B's independent columns."""
+    b = QMatrix.from_columns(list(b_cols), rows=n)
+    a = QMatrix.from_columns(list(a_cols), rows=n)
+    return det_sign(coords_in_basis(b, a))
+
+
+def oracle_incidence_sign(T, ray, E: Face, F: Face) -> int:
+    """[E : F] as the orientation sign of [e | A_E] against A_F, by solving
+    for the coordinate matrix; T is a ``Trivialization``."""
+    n = len(ray.direction)
+    return coords_det_sign((ray.direction,) + tuple(T.basis(E)), T.basis(F), n)
+
+
+def oracle_crosscheck(C: LiftedCone, E: Face, F: Face) -> tuple[Fraction, ...]:
+    """The component of the barycenter of the lifted F-vertices orthogonal
+    to span(E), by a rational Gram solve G x = A^T bary with G = A^T A."""
+    lifted = [C.generators[i] for i in F.vertex_set]
+    bary = tuple(sum(col, start=Fraction(0)) / len(lifted) for col in zip(*lifted))
+    A = _greedy_independent([C.generators[i] for i in E.vertex_set], C.dim)
+    if A.cols == 0:
+        return bary
+    at = A.transpose()
+    x = coords_in_basis(at @ A, QMatrix.from_columns([at.mat_vec(bary)]))
+    proj = A.mat_vec(x.column(0))
+    return tuple(b - p for b, p in zip(bary, proj))
+
+
+def positive_multiple_ratio(w, direction) -> Fraction | None:
+    """The rational lambda > 0 with w = lambda * direction, or None: the
+    cross-check's acceptance test written without primitive vectors."""
+    wq = qvec(w)
+    dq = qvec(direction)
+    idx = next((i for i, x in enumerate(dq) if x != 0), None)
+    if idx is None:
+        return None
+    lam = wq[idx] / dq[idx]
+    if lam <= 0:
+        return None
+    if wq != tuple(lam * x for x in dq):
+        return None
+    return lam
 
 
 def in_convex_hull(point, points, dim: int) -> bool:

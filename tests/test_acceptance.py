@@ -18,7 +18,6 @@ import polyk.cellular as cellular
 from polyk.cellular import ChainComplex, build_complex, diagonal_sign_equivalence, homology, trivialize
 from polyk.cli import main
 from polyk.comb_type import is_isomorphic, lattice_from_incidence, strip_signs
-from polyk.cones import positive_multiple_ratio
 from polyk.corpus import (
     acceptance_corpus,
     apply_affine,
@@ -29,7 +28,7 @@ from polyk.ktheory import ZERO_GROUP, Z
 from polyk.linalg import QMatrix, dot, int_mat_is_zero, int_mat_mul, rank
 from polyk.pipeline import run_pipeline
 
-from oracles import circledast_gens, simplicial_boundary_matrices
+from oracles import circledast_gens, positive_multiple_ratio, simplicial_boundary_matrices
 
 REPO = Path(__file__).resolve().parent.parent
 POLYTOPES = REPO / "polytopes"
@@ -124,9 +123,9 @@ def test_criterion_5_edge_ray_crosscheck(corpus_run):
             data_e = system.face_data(e)
             data_f = system.face_data(f)
             # membership invariants, all exact
-            stacked = data_f.span_basis.hstack(QMatrix.from_columns([ray.direction], rows=n))
-            assert rank(stacked) == data_f.span_basis.cols
-            assert all(dot(ray.direction, col) == 0 for col in data_e.span_basis.columns())
+            stacked = QMatrix.from_columns(data_f.span_basis + (ray.direction,), rows=n)
+            assert rank(stacked) == len(data_f.span_basis)
+            assert all(dot(ray.direction, col) == 0 for col in data_e.span_basis)
             assert all(dot(ray.direction, y) >= 0 for y in data_e.dual_face_gens)
             assert all(dot(ray.direction, y) == 0 for y in data_f.dual_face_gens)
             hits = [g for g in circledast[e]

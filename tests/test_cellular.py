@@ -5,6 +5,7 @@ formula with alternating signs (oracle in tests/oracles.py): on simplices
 the two complexes must agree up to a diagonal +-1 change of basis.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -20,14 +21,14 @@ from polyk.cellular import (
     incidence_sign,
     trivialize,
 )
-from polyk.cones import ConeSystem, lift
-from polyk.corpus import hypercube, point_polytope, simplex
+from polyk.cones import ConeSystem, EdgeRay, lift
+from polyk.corpus import cross_polytope, hypercube, point_polytope, random_hull, simplex
 from polyk.errors import InternalInvariantError
 from polyk.linalg import int_mat_is_zero, int_mat_mul
 from polyk.pipeline import run_pipeline
 from polyk.polytope import face_lattice, validate
 
-from oracles import simplicial_boundary_matrices
+from oracles import oracle_incidence_sign, simplicial_boundary_matrices
 
 
 def setup_polytope(poly):
@@ -43,9 +44,9 @@ def test_trivialize_vertex_and_empty():
     poly = simplex(2)
     lat, system, triv = setup_polytope(poly)
     v0 = lat.faces(0)[0]
-    assert triv.basis(v0).columns() == (system.cone.generators[0],)
-    assert triv.basis(lat.empty_face).cols == 0
-    assert triv.basis(lat.top_face).cols == 3
+    assert triv.basis(v0) == (system.cone.generators[0],)
+    assert len(triv.basis(lat.empty_face)) == 0
+    assert len(triv.basis(lat.top_face)) == 3
 
 
 def test_trivialize_rejects_flipping_empty_face():
@@ -91,6 +92,32 @@ def test_segment_signs_frozen():
     top = lat.top_face
     assert incidence_sign(triv, system.ray(v0, top), v0, top) == -1
     assert incidence_sign(triv, system.ray(v1, top), v1, top) == 1
+
+
+def test_incidence_signs_match_coordinate_oracle(small_corpus):
+    # sign det(B^T A_F) against the rational sign det of B^{-1} A_F, with
+    # no flips and with every nonempty face flipped; the random hulls have
+    # rational vertices
+    rational = [random_hull(random.Random(seed), d, 9) for seed, d in ((1, 2), (2, 3), (3, 4))]
+    for poly in list(small_corpus) + [hypercube(4), cross_polytope(4)] + rational:
+        lat, system, triv = setup_polytope(poly)
+        flipped = trivialize(lat, system, flip_faces=[f for f in lat.all_faces() if f.dim >= 0])
+        for t in (triv, flipped):
+            for e, f in lat.covering:
+                ray = system.ray(e, f)
+                assert incidence_sign(t, ray, e, f) == oracle_incidence_sign(t, ray, e, f), \
+                    (poly.name, e, f)
+
+
+def test_incidence_sign_zero_names_pair(monkeypatch):
+    # a basis of F whose last column repeats another makes B^T A_F singular
+    lat, system, triv = setup_polytope(hypercube(2))
+    e, f = next((e, f) for e, f in lat.covering if f.dim == 1)
+    basis = triv.basis(f)
+    monkeypatch.setitem(triv.bases, f, basis[:-1] + (basis[0],))
+    with pytest.raises(InternalInvariantError) as err:
+        incidence_sign(triv, system.ray(e, f), e, f)
+    assert f"incidence sign of ({e}, {f}) is zero" in str(err.value)
 
 
 def test_segment_pair_signs_opposite():
@@ -164,6 +191,34 @@ def test_column_support_counts(small_corpus):
                            if x.boundary[j][r][ci] != 0]
                 assert len(nonzero) == len(lat.lower_covers(f))
                 assert all(e in (-1, 1) for e in nonzero)
+
+
+def test_build_complex_reports_failed_crosscheck(monkeypatch):
+    # a negated ray is a negative multiple of its barycenter projection
+    lat, system, triv = setup_polytope(hypercube(2))
+    target = lat.covering[-1]
+    real = cones.edge_ray
+
+    def negated(C, e, f, **kwargs):
+        ray = real(C, e, f, **kwargs)
+        if (e, f) != target:
+            return ray
+        return EdgeRay(pair=ray.pair, direction=tuple(-x for x in ray.direction))
+
+    monkeypatch.setattr(cones, "edge_ray", negated)
+    with pytest.raises(InternalInvariantError) as err:
+        build_complex(triv, lat, system)
+    assert f"edge-ray cross-check failed for ({target[0]}, {target[1]})" in str(err.value)
+
+
+@pytest.mark.parametrize("poly, digest", [
+    (cross_polytope(5), "d9123e177529c0fece30b60f6b1d35d15a05f5f9490cc933c64e3742b768c1e1"),
+    (hypercube(5), "3ae862f7276f6108c5e7e9f9d786ed255a31bb12d61521a509172fb911a2f987"),
+], ids=["cross5", "cube5"])
+def test_boundary_matrices_pinned(poly, digest):
+    # digests of the boundary matrices computed by the rational formulas
+    boundary = run_pipeline(poly).complex.boundary
+    assert hashlib.sha256(repr(boundary).encode()).hexdigest() == digest
 
 
 def test_build_complex_reports_corrupt_sign(monkeypatch):

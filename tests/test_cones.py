@@ -4,11 +4,14 @@ Cone membership for the bipolarity check is decided by an independent
 Caratheodory-style enumeration over generator subsets.
 """
 
+import dataclasses
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import polyk.cones as cones
 from polyk.cones import (
     ConeSystem,
     dual_cone,
@@ -16,14 +19,13 @@ from polyk.cones import (
     edge_ray_crosscheck,
     face_cone_data,
     lift,
-    positive_multiple_ratio,
 )
-from polyk.corpus import cross_polytope, hypercube, point_polytope, simplex
+from polyk.corpus import cross_polytope, hypercube, point_polytope, random_hull, simplex
 from polyk.errors import InternalInvariantError
 from polyk.linalg import QMatrix, dot, primitive_vector, rank
 from polyk.polytope import face_lattice
 
-from oracles import circledast_gens, solve_in_span
+from oracles import circledast_gens, oracle_crosscheck, positive_multiple_ratio, solve_in_span
 
 
 def in_cone(x, gens, dim):
@@ -108,7 +110,7 @@ def test_face_data_top_face():
     data = face_cone_data(cone, lat.top_face)
     assert data.dual_face_gens == ()
     assert circledast_gens(cone, lat.top_face) == ()
-    assert data.span_basis.cols == 3
+    assert len(data.span_basis) == 3
 
 
 def test_face_data_empty_face_bipolar():
@@ -119,7 +121,7 @@ def test_face_data_empty_face_bipolar():
     data = face_cone_data(cone, lat.empty_face)
     assert set(circledast_gens(cone, lat.empty_face)) == {primitive_vector(g) for g in cone.generators}
     assert data.dual_face_gens == cone.facet_normals
-    assert data.span_basis.cols == 0
+    assert len(data.span_basis) == 0
 
 
 def test_face_data_segment_vertex():
@@ -127,7 +129,7 @@ def test_face_data_segment_vertex():
     lat, by_set = faces_of(poly)
     cone = lift(poly)
     data = face_cone_data(cone, by_set[(0,)])
-    assert data.span_basis.columns() == ((Fraction(1), Fraction(0)),)
+    assert data.span_basis == ((Fraction(1), Fraction(0)),)
     assert data.dual_face_gens == ((0, 1),)
     assert circledast_gens(cone, by_set[(0,)]) == ((0, 1),)
 
@@ -139,7 +141,7 @@ def test_face_data_invariants_small_corpus(small_corpus):
         n = cone.dim
         for f in lat.all_faces():
             data = face_cone_data(cone, f)
-            assert data.span_basis.cols == f.dim + 1
+            assert len(data.span_basis) == f.dim + 1
             for g in data.dual_face_gens:
                 assert all(dot(g, cone.generators[i]) == 0 for i in f.vertex_set)
                 assert all(dot(g, v) >= 0 for v in cone.generators)
@@ -184,7 +186,7 @@ def test_edge_ray_triangle_vertex_edge_invariants():
     data_e = face_cone_data(cone, e)
     data_f = face_cone_data(cone, f)
     # inside span of F
-    assert rank(data_f.span_basis.hstack(QMatrix.from_columns([ray.direction]))) == 2
+    assert rank(QMatrix.from_columns(data_f.span_basis + (ray.direction,))) == 2
     # orthogonal to span of E
     assert dot(ray.direction, cone.generators[0]) == 0
     # nonnegative against dual face of E, zero against dual face of F
@@ -208,6 +210,67 @@ def test_crosscheck_positive_on_corpus(small_corpus):
         for e, f in lat.covering:
             ratio = positive_multiple_ratio(system.crosscheck(e, f), system.ray(e, f).direction)
             assert ratio is not None and ratio > 0
+
+
+def test_crosscheck_matches_rational_gram_oracle(small_corpus):
+    # the integer Cramer solve divided once at the end is the rational
+    # barycenter projection, exactly; the random hulls have rational vertices
+    rational = [random_hull(random.Random(seed), d, 9) for seed, d in ((1, 2), (2, 3), (3, 4))]
+    for poly in list(small_corpus) + [hypercube(4), cross_polytope(4)] + rational:
+        lat = face_lattice(poly)
+        cone = lift(poly)
+        for e, f in lat.covering:
+            assert edge_ray_crosscheck(cone, e, f) == oracle_crosscheck(cone, e, f), (poly.name, e, f)
+
+
+def test_dual_face_rank_names_face():
+    # dropping a facet normal leaves a vertex on it with too small a dual face
+    poly = hypercube(2)
+    lat, by_set = faces_of(poly)
+    cone = lift(poly)
+    dropped = cone.facet_normals[0]
+    broken = dataclasses.replace(cone, facet_normals=cone.facet_normals[1:])
+    v = next(f for f in lat.faces(0) if dot(dropped, cone.generators[f.vertex_set[0]]) == 0)
+    with pytest.raises(InternalInvariantError) as err:
+        face_cone_data(broken, v)
+    assert f"dual face of {v} spans rank 1, expected 2" in str(err.value)
+
+
+def _perturbed_directions(monkeypatch, cone, shift):
+    """Make the ray of every pair come out shifted by ``shift``: edge_ray
+    passes its direction, a vector of length cone.dim, through
+    primitive_vector (the rows of A_E^T A_F are shorter for proper faces)."""
+    real = cones.primitive_vector
+
+    def perturbed(v):
+        w = real(v)
+        return tuple(a + b for a, b in zip(w, shift)) if len(w) == cone.dim else w
+
+    monkeypatch.setattr(cones, "primitive_vector", perturbed)
+
+
+def test_edge_ray_rejects_ray_outside_span_of_f(monkeypatch):
+    poly = hypercube(2)
+    lat, _ = faces_of(poly)
+    cone = lift(poly)
+    e, f = next((e, f) for e, f in lat.covering if f.dim == 1)
+    outside = next(i for i in range(poly.nvertices) if i not in f.vertex_set)
+    _perturbed_directions(monkeypatch, cone, primitive_vector(cone.generators[outside]))
+    with pytest.raises(InternalInvariantError) as err:
+        edge_ray(cone, e, f)
+    assert f"edge ray of ({e}, {f}) leaves the span of {f}" in str(err.value)
+
+
+def test_edge_ray_rejects_ray_not_orthogonal_to_e(monkeypatch):
+    # shifting by E's own lifted vertex stays in span F but leaves span(E)^perp
+    poly = hypercube(2)
+    lat, _ = faces_of(poly)
+    cone = lift(poly)
+    e, f = next((e, f) for e, f in lat.covering if f.dim == 1)
+    _perturbed_directions(monkeypatch, cone, primitive_vector(cone.generators[e.vertex_set[0]]))
+    with pytest.raises(InternalInvariantError) as err:
+        edge_ray(cone, e, f)
+    assert f"edge ray of ({e}, {f}) not orthogonal to span of {e}" in str(err.value)
 
 
 def test_ray_intersection_is_one_dimensional(small_corpus):

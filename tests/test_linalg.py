@@ -4,16 +4,18 @@ hypothesis property tests against the oracle implementations."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from polyk.errors import InternalInvariantError
 from polyk.linalg import (
+    IntEchelon,
     QMatrix,
     bareiss_det,
     cofactor_kernel_vector,
     coords_in_basis,
     det_sign,
+    int_dot,
     int_identity,
     int_mat_mul,
     primitive_vector,
@@ -21,7 +23,7 @@ from polyk.linalg import (
     smith_normal_form,
 )
 
-from oracles import kernel_basis, leibniz_det, oracle_rank, solve_in_span
+from oracles import coords_det_sign, kernel_basis, leibniz_det, oracle_rank, solve_in_span
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -213,6 +215,44 @@ def test_cofactor_kernel_in_kernel(rows):
     else:
         for r in rows:
             assert sum(a * b for a, b in zip(r, k)) == 0
+
+
+# --- fraction-free echelon form ---
+
+@given(st.lists(st.lists(st.integers(-5, 5), min_size=4, max_size=4), min_size=1, max_size=5),
+       st.lists(st.integers(-5, 5), min_size=4, max_size=4))
+def test_echelon_rank_and_span_match_oracle(rows, v):
+    echelon = IntEchelon(rows)
+    assert echelon.rank == oracle_rank(rows, 4)
+    assert echelon.contains(v) == (oracle_rank(rows + [v], 4) == echelon.rank)
+
+
+def test_echelon_keeps_first_independent_vectors():
+    echelon = IntEchelon()
+    kept = [echelon.add(v) for v in [(2, 4, 6), (1, 2, 3), (0, 0, 0), (0, 1, 1), (3, 7, 10)]]
+    assert kept == [True, False, False, True, False]
+    assert echelon.rank == 2
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+@given(st.integers(1, 5).flatmap(lambda k: st.integers(k, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=k, max_size=k),
+    st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k), min_size=k, max_size=k)))))
+def test_gram_determinant_sign_matches_coordinate_oracle(data):
+    # B C = A with C = U gives B^T A = (B^T B) U and det(B^T B) > 0, so
+    # sign det(B^T A) = sign det U = the sign the rational solve finds
+    b_cols, u = data
+    k, n = len(b_cols), len(b_cols[0])
+    assume(IntEchelon(b_cols).rank == k)
+    det_u = bareiss_det(u)
+    assume(det_u != 0)
+    a_cols = [tuple(sum(b_cols[i][r] * u[i][j] for i in range(k)) for r in range(n))
+              for j in range(k)]
+    gram_sign = _sign(bareiss_det([[int_dot(x, y) for y in a_cols] for x in b_cols]))
+    assert gram_sign == coords_det_sign(b_cols, a_cols, n) == _sign(det_u)
 
 
 # --- Smith normal form ---
