@@ -155,13 +155,28 @@ class LatticeIso:
     certificate: str | None = None
 
 
-def _normalize(L: "FaceLattice | AbstractLattice") -> tuple[int, list[list[Element]], set]:
+def _normalize(L: "FaceLattice | AbstractLattice"
+               ) -> tuple[int, list[range], list[set[int]], list[set[int]], list[Element]]:
+    """Number the elements once, in rank order.  Returns the dimension, the
+    numbers of each rank, the upper and the lower covers of each number as
+    sets of numbers, and the elements by number."""
     if isinstance(L, FaceLattice):
-        ranks = [list(L.faces(j)) for j in range(-1, L.dim + 1)]
-        covers = set(L.covering)
-        return L.dim, ranks, covers
-    ranks = [list(L.elements(r)) for r in range(-1, L.dim + 1)]
-    return L.dim, ranks, set(L.covering)
+        levels = [L.faces(j) for j in range(-1, L.dim + 1)]
+    else:
+        levels = [L.elements(r) for r in range(-1, L.dim + 1)]
+    elements = [e for level in levels for e in level]
+    number = {e: i for i, e in enumerate(elements)}
+    up: list[set[int]] = [set() for _ in elements]
+    down: list[set[int]] = [set() for _ in elements]
+    for a, b in L.covering:
+        i, j = number[a], number[b]
+        up[i].add(j)
+        down[j].add(i)
+    ranks, start = [], 0
+    for level in levels:
+        ranks.append(range(start, start + len(level)))
+        start += len(level)
+    return L.dim, ranks, up, down, elements
 
 
 def is_isomorphic(L1: "FaceLattice | AbstractLattice",
@@ -171,27 +186,19 @@ def is_isomorphic(L1: "FaceLattice | AbstractLattice",
     Prunes on f-vector and per-element (down-degree, up-degree), and extends
     rank by rank requiring the already-mapped lower covers to match exactly;
     a complete assignment is re-verified on all covering pairs in both
-    directions before being returned.
+    directions before being returned: the bijection maps the upper covers
+    of every element onto those of its image, which is the same as mapping
+    the covering pairs of L1 onto those of L2.  The search runs on the
+    element numbers of ``_normalize``; only the returned pairs are elements.
     """
-    dim1, ranks1, covers1 = _normalize(L1)
-    dim2, ranks2, covers2 = _normalize(L2)
+    dim1, ranks1, up1, down1, elements1 = _normalize(L1)
+    dim2, ranks2, up2, down2, elements2 = _normalize(L2)
     if dim1 != dim2:
         return LatticeIso(False, certificate=f"dimension mismatch: {dim1} != {dim2}")
     fv1 = tuple(len(r) for r in ranks1)
     fv2 = tuple(len(r) for r in ranks2)
     if fv1 != fv2:
         return LatticeIso(False, certificate=f"f-vector mismatch: {fv1} != {fv2}")
-
-    def degree_maps(ranks: list[list[Element]], covers: set) -> tuple[dict, dict]:
-        up: dict[Element, set] = {e: set() for level in ranks for e in level}
-        down: dict[Element, set] = {e: set() for level in ranks for e in level}
-        for a, b in covers:
-            up[a].add(b)
-            down[b].add(a)
-        return up, down
-
-    up1, down1 = degree_maps(ranks1, covers1)
-    up2, down2 = degree_maps(ranks2, covers2)
 
     for level1, level2 in zip(ranks1, ranks2):
         sig1 = sorted((len(down1[e]), len(up1[e])) for e in level1)
@@ -204,7 +211,7 @@ def is_isomorphic(L1: "FaceLattice | AbstractLattice",
     # limit.  choice[i] is the index of the target placed for sources[i];
     # after a backtrack, the search resumes at the next target index.
     sources = [(r, s) for r, level in enumerate(ranks1) for s in level]
-    mapping: dict[Element, Element] = {}
+    mapping: dict[int, int] = {}
     used: list[set[int]] = [set() for _ in ranks1]
     choice: list[int] = []
     start = 0
@@ -229,8 +236,7 @@ def is_isomorphic(L1: "FaceLattice | AbstractLattice",
         used[r].discard(start)
         start += 1
 
-    forward = {(mapping[a], mapping[b]) for a, b in covers1}
-    if forward != covers2:
+    if any({mapping[b] for b in up1[a]} != up2[mapping[a]] for a in mapping):
         raise InternalInvariantError("lattice bijection failed final cover verification")
-    pairs = tuple((e, mapping[e]) for level in ranks1 for e in level)
+    pairs = tuple((elements1[e], elements2[mapping[e]]) for level in ranks1 for e in level)
     return LatticeIso(True, mapping=pairs)

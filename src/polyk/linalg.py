@@ -9,6 +9,11 @@ Bareiss determinants, cofactor kernels), Smith normal form over the
 integers, and dense rational matrices with rank / determinant-sign / solve
 operations, which validation and the tests' oracles still use.
 
+Homology runs on sparse columns and reduces them by unit pivots
+(``polyk.sparse.unit_pivot_elimination``); ``smith_normal_form`` takes only
+a nonzero block that the elimination leaves over, and serves the tests as
+the oracle.  It re-verifies U @ M @ V = D densely before returning.
+
 Empty matrices (zero rows or zero columns) are legal in every operation and
 behave as rank 0; the augmentation row of the cellular complex and the empty
 face force these degenerate shapes through all code paths.

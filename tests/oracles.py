@@ -26,6 +26,10 @@ rational Gram solve over E's own greedy basis, accepted when it is a
 positive rational multiple of the ray (``positive_multiple_ratio``).  No report computation calls
 ``coords_in_basis`` or ``det_sign``.
 
+The homology oracle is the dense computation the library used before it
+moved to sparse columns and unit pivots: D_{j-1} D_j = 0 by dense products
+and one full ``smith_normal_form`` per boundary matrix.
+
 The face lattice oracle is the construction the library used before it
 switched to vertex-facet incidences: the intersection closure of the facet
 vertex sets, one rational affine dimension per face, and covering pairs by
@@ -39,15 +43,20 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import lcm
 
+from polyk.cellular import ChainComplex, HomologyResult
 from polyk.cones import LiftedCone, dual_cone
+from polyk.errors import InternalInvariantError
 from polyk.linalg import (
     QMatrix,
     cofactor_kernel_vector,
     coords_in_basis,
     det_sign,
     dot,
+    int_mat_is_zero,
+    int_mat_mul,
     primitive_vector,
     qvec,
+    smith_normal_form,
 )
 from polyk.polytope import Face, Facet, FaceLattice, Polytope, affine_dim
 
@@ -372,3 +381,28 @@ def closure_face_lattice(P: Polytope) -> FaceLattice:
         covering=tuple(covering),
         f_vector=tuple(len(by_dim[j]) for j in range(-1, d + 1)),
     )
+
+
+def dense_homology_pair(X: ChainComplex) -> tuple[HomologyResult, HomologyResult]:
+    """Augmented and reduced integral homology from dense products and one
+    dense Smith normal form per boundary matrix."""
+    for j in range(1, X.dim + 1):
+        if not int_mat_is_zero(int_mat_mul(X.boundary[j - 1], X.boundary[j])):
+            raise InternalInvariantError("homology of a non-complex: boundary squared != 0")
+    f = X.f_vector
+    snfs = [smith_normal_form(m) for m in X.boundary]
+    ranks = [sum(1 for x in s.diagonal if x != 0) for s in snfs]
+    # torsion of H_j comes from the map arriving from degree j+1: torsion[j + 1]
+    torsion = [tuple(x for x in s.diagonal if x > 1) for s in snfs] + [()]
+
+    def result(augmented: bool) -> HomologyResult:
+        # rank of the boundary map leaving degree j downward: rank_out[j + 1]
+        rank_out = [0, ranks[0] if augmented else 0, *ranks[1:], 0]
+        min_degree = -1 if augmented else 0
+        degrees = range(min_degree, X.dim + 1)
+        return HomologyResult(
+            augmented=augmented, min_degree=min_degree,
+            free_ranks=tuple(f[j + 1] - rank_out[j + 1] - rank_out[j + 2] for j in degrees),
+            torsion=tuple(torsion[j + 1] for j in degrees))
+
+    return result(True), result(False)

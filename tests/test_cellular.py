@@ -9,15 +9,19 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import polyk.cellular as cellular
 import polyk.cones as cones
 from polyk.cellular import (
     ChainComplex,
     boundary_matrix,
+    boundary_squared_entry,
     build_complex,
     diagonal_sign_equivalence,
     homology,
+    homology_pair,
     incidence_sign,
     trivialize,
 )
@@ -27,8 +31,9 @@ from polyk.errors import InternalInvariantError
 from polyk.linalg import int_mat_is_zero, int_mat_mul
 from polyk.pipeline import run_pipeline
 from polyk.polytope import face_lattice, validate
+from polyk.sparse import sparse_columns
 
-from oracles import oracle_incidence_sign, simplicial_boundary_matrices
+from oracles import dense_homology_pair, oracle_incidence_sign, simplicial_boundary_matrices
 
 
 def setup_polytope(poly):
@@ -253,6 +258,66 @@ def test_homology_small_corpus(small_corpus):
         x = build_complex(triv, lat, system)
         assert homology(x, augmented=True).is_trivial(), poly.name
         assert homology(x, augmented=False).is_z_concentrated_in_degree_zero(), poly.name
+
+
+def test_build_complex_names_first_nonzero_entry_of_corrupt_square(monkeypatch):
+    # one negated covering pair of the 3-cube; the message must name the
+    # first nonzero entry of the dense product D_{j-1} D_j, row-major
+    poly = hypercube(3)
+    lat, system, triv = setup_polytope(poly)
+    target = next((e, f) for e, f in lat.covering if f.dim == 2)
+    real = cellular.incidence_sign
+
+    def flipped(t, ray, e, f):
+        s = real(t, ray, e, f)
+        return -s if (e, f) == target else s
+
+    monkeypatch.setattr(cellular, "incidence_sign", flipped)
+    mats = [boundary_matrix(triv, lat, system, j) for j in range(lat.dim + 1)]
+    j, g_idx, f_idx, value = next(
+        (j, gi, fi, x) for j in range(1, lat.dim + 1)
+        for gi, row in enumerate(int_mat_mul(mats[j - 1], mats[j]))
+        for fi, x in enumerate(row) if x != 0)
+    g, f = lat.faces(j - 2)[g_idx], lat.faces(j)[f_idx]
+    with pytest.raises(InternalInvariantError) as err:
+        build_complex(triv, lat, system)
+    assert str(err.value) == f"boundary squared nonzero at j={j}: entry ({g}, {f}) = {value}"
+    assert j == 2 and value in (2, -2)
+
+
+small_ints = st.integers(-2, 2)
+
+
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.data())
+def test_boundary_squared_entry_is_first_nonzero_of_dense_product(a, b, c, data):
+    lower = data.draw(st.lists(st.lists(small_ints, min_size=b, max_size=b),
+                               min_size=a, max_size=a))
+    upper = data.draw(st.lists(st.lists(small_ints, min_size=c, max_size=c),
+                               min_size=b, max_size=b))
+    product = [[sum(lower[i][k] * upper[k][j] for k in range(b)) for j in range(c)]
+               for i in range(a)]
+    first = next(((i, j, x) for i, row in enumerate(product)
+                  for j, x in enumerate(row) if x != 0), None)
+    assert boundary_squared_entry(sparse_columns(lower, a, b), sparse_columns(upper, b, c)) == first
+
+
+@pytest.mark.parametrize("name", ["small_corpus", "cube5", "cross5"])
+def test_homology_matches_dense_snf_oracle(name, pipelines):
+    if name == "small_corpus":
+        complexes = [res.complex for res in pipelines.values()]
+    else:
+        poly = hypercube(5) if name == "cube5" else cross_polytope(5)
+        complexes = [run_pipeline(poly).complex]
+    for x in complexes:
+        assert homology_pair(x) == dense_homology_pair(x)
+
+
+def test_homology_rejects_malformed_boundary():
+    # D_1 has one row too few for the two vertices of the segment
+    bad = ChainComplex(dim=1, boundary=(((1, 1),), ((-1,),)),
+                       face_order=(((),), ((0,), (1,)), ((0, 1),)))
+    with pytest.raises(InternalInvariantError, match="not 2 x 1"):
+        homology(bad)
 
 
 def test_homology_rejects_non_complex():

@@ -1,9 +1,9 @@
 """First-page bookkeeping, second-page collapse, and K-group descriptors."""
 
+import sys
+
 import pytest
 
-import polyk.cellular as cellular
-import polyk.ktheory as ktheory
 import polyk.linalg as linalg
 from polyk.cellular import ChainComplex, build_complex, homology, trivialize
 from polyk.cones import ConeSystem, lift
@@ -20,6 +20,8 @@ from polyk.ktheory import (
 )
 from polyk.pipeline import run_pipeline
 from polyk.polytope import face_lattice
+
+from oracles import dense_homology_pair
 
 
 def full_run(poly):
@@ -125,20 +127,40 @@ def test_point_report_same_shape():
     assert rep.k_quotient == (ZERO_GROUP, Z)
 
 
-def test_one_snf_pass_per_run(monkeypatch):
-    real = linalg.smith_normal_form
+def count_calls(monkeypatch, name):
+    """Count the calls of ``linalg.<name>`` made through any polyk module."""
+    real = getattr(linalg, name)
     calls = []
 
-    def counting(mat):
-        calls.append(mat)
-        return real(mat)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
-    for module in (linalg, cellular, ktheory):
-        monkeypatch.setattr(module, "smith_normal_form", counting)
-    result = run_pipeline(hypercube(3))
-    assert len(calls) == result.complex.dim + 1 == 4  # one per boundary matrix
-    assert result.augmented_homology == homology(result.complex, True)
-    assert result.reduced_homology == homology(result.complex, False)
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("polyk") and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_report_runs_no_dense_product_or_snf(monkeypatch):
+    snf_calls = count_calls(monkeypatch, "smith_normal_form")
+    product_calls = count_calls(monkeypatch, "int_mat_mul")
+    result = run_pipeline(hypercube(4))
+    assert snf_calls == [] and product_calls == []
+    monkeypatch.undo()
+    homologies = (result.augmented_homology, result.reduced_homology)
+    assert homologies == dense_homology_pair(result.complex)
+    assert result.augmented_homology.is_trivial()
+
+
+def test_torsion_complex_reaches_snf_fallback(monkeypatch):
+    # the scaled-column complex of test_homology_torsion_from_scaled_column:
+    # (-2, 2)^T has no unit entry, so it goes to the dense SNF whole
+    snf_calls = count_calls(monkeypatch, "smith_normal_form")
+    x = ChainComplex(dim=1, boundary=(((1, 1),), ((-2,), (2,))),
+                     face_order=(((),), ((0,), (1,)), ((0, 1),)))
+    assert homology(x, augmented=True).group(0) == (0, (2,))
+    assert snf_calls == [(((-2,), (2,)),)]
 
 
 def test_k_groups_iff_homology(small_corpus, pipelines):
