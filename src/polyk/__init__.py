@@ -15,7 +15,6 @@ from .cellular import (
     ChainComplex,
     HomologyResult,
     Trivialization,
-    boundary_matrix,
     build_complex,
     diagonal_sign_equivalence,
     homology,
@@ -59,7 +58,6 @@ from .polytope import (
     FaceLattice,
     Facet,
     Polytope,
-    covering_pairs,
     face_lattice,
     facets,
     validate,

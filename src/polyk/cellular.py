@@ -21,10 +21,13 @@ augmentation row.
 Boundary matrices are integer matrices over the stable (lexicographic by
 vertex set) face ordering.  They are built as sparse columns,
 {row: [E : F]} over the lower covers E of each face F, and densified only
-for the ``ChainComplex``.  Assembling the complex verifies both the
-consecutive-product identity and the independent barycenter cross-check of
-every edge ray, aborting loudly on any failure.  The product D_{j-1} D_j is
-formed column by column over the nonzero entries of D_j only,
+for the ``ChainComplex``.  Assembling the complex walks the covering pairs
+once, in lattice order (the faces F of dimension j, then each F's lower
+covers E), and for each pair takes the edge ray, checks it against the
+independent barycenter cross-check, and computes [E : F] into F's column.
+It then verifies the consecutive-product identity, aborting loudly on any
+failure.  The product D_{j-1} D_j is formed column by column over the
+nonzero entries of D_j only,
 
     (D_{j-1} D_j)[., F] = sum over E with [E : F] != 0 of [E : F] D_{j-1}[., E],
 
@@ -130,18 +133,25 @@ class ChainComplex:
 def boundary_columns(T: Trivialization, L: FaceLattice,
                      system: ConeSystem, j: int) -> list[SparseColumn]:
     """The columns of D_j as {row: [E : F]} dicts, one per j-face F in
-    order, read off F's lower covers E; rows index the (j-1)-faces."""
+    order; rows index the (j-1)-faces.  Each lower cover E of F is one
+    covering pair, visited once: its edge ray, the ray's cross-check (the
+    cross-check's primitive vector must be the ray's direction, which is
+    primitive), then the incidence sign."""
     if not 0 <= j <= L.dim:
         raise ValueError(f"boundary dimension {j} out of range [0, {L.dim}]")
     row_index = {f: i for i, f in enumerate(L.faces(j - 1))}
-    return [{row_index[e]: incidence_sign(T, system.ray(e, f), e, f) for e in L.lower_covers(f)}
-            for f in L.faces(j)]
-
-
-def boundary_matrix(T: Trivialization, L: FaceLattice,
-                    system: ConeSystem, j: int) -> IntMatrix:
-    """The boundary matrix D_j, rows over (j-1)-faces, columns over j-faces."""
-    return dense_matrix(boundary_columns(T, L, system, j), len(L.faces(j - 1)))
+    columns = []
+    for f in L.faces(j):
+        column = {}
+        for e in L.lower_covers(f):
+            ray = system.ray(e, f)
+            if primitive_vector(system.crosscheck(e, f)) != ray.direction:
+                raise InternalInvariantError(
+                    f"edge-ray cross-check failed for ({e}, {f}): "
+                    "barycenter projection is not a positive multiple")
+            column[row_index[e]] = incidence_sign(T, ray, e, f)
+        columns.append(column)
+    return columns
 
 
 def boundary_squared_entry(lower: list[SparseColumn],
@@ -170,20 +180,12 @@ def boundary_squared_entry(lower: list[SparseColumn],
 def build_complex(T: Trivialization, L: FaceLattice, system: ConeSystem) -> ChainComplex:
     """Assemble all boundary matrices and verify the complex exactly.
 
-    Verifies, and aborts with diagnostics on failure:
-      * every edge ray agrees with its barycenter cross-check up to a
-        strictly positive rational factor, that is, the cross-check's
-        primitive vector is the ray's direction (which is primitive);
-      * D_{j-1} @ D_j = 0 for every j, on the sparse columns
-        (``boundary_squared_entry``), reporting the offending face pair.
+    Walks the covering pairs once, by ``boundary_columns`` for j = 0..dim;
+    for each pair (E, F) in turn it takes the edge ray, cross-checks it and
+    computes [E : F].  Then it checks D_{j-1} @ D_j = 0 for every j on the
+    sparse columns (``boundary_squared_entry``).  Any failure aborts with
+    the offending face pair.
     """
-    for j in range(0, L.dim + 1):
-        for e, f in ((e, f) for e, f in L.covering if f.dim == j):
-            ray = system.ray(e, f)
-            if primitive_vector(system.crosscheck(e, f)) != ray.direction:
-                raise InternalInvariantError(
-                    f"edge-ray cross-check failed for ({e}, {f}): "
-                    "barycenter projection is not a positive multiple")
     columns = [boundary_columns(T, L, system, j) for j in range(0, L.dim + 1)]
     for j in range(1, L.dim + 1):
         bad = boundary_squared_entry(columns[j - 1], columns[j])

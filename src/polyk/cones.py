@@ -2,12 +2,11 @@
 
 A polytope P in R^d lifts to the cone over 1 x P in R^n, n = d + 1; each
 face F of P spans a subcone whose linear span has dimension dim F + 1.  The
-cone keeps its generators twice: the rational lifted vertices (1, v_i), and
-the integer ones L * (1, v_i), scaled by the lcm L of the vertex
-denominators.  One positive factor for all columns changes no span, kernel,
-ray direction or determinant sign, so everything below runs on Python
-integers, with ranks and span membership decided by fraction-free
-elimination (``IntEchelon``).  For every face we compute
+cone's generators are the integer lifted vertices L * (1, v_i), scaled by
+the lcm L of the vertex denominators.  One positive factor for all columns
+changes no span, kernel, ray direction or determinant sign, so everything
+below runs on Python integers, with ranks and span membership decided by
+fraction-free elimination (``IntEchelon``).  For every face we compute
 
   * a deterministic basis A_F of the span (integer lifted vertices, greedy
     in index order),
@@ -26,13 +25,13 @@ replace unit vectors throughout and keep the arithmetic exact.
 A second, independent construction of the same ray (orthogonal projection of
 the barycenter of the lifted F-vertices away from the span of E, by an
 integer Cramer solve of the Gram system) is used as a cross-check: the two
-must agree up to a strictly positive rational factor.
+must agree up to a strictly positive factor, so they have the same
+primitive vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from typing import Sequence
@@ -41,7 +40,6 @@ from .errors import InternalInvariantError
 from .linalg import (
     IntEchelon,
     IntVector,
-    Vector,
     bareiss_det,
     cofactor_kernel_vector,
     int_dot,
@@ -61,8 +59,7 @@ class LiftedCone:
 
     dim: int  # n = ambient polytope dimension + 1
     base: Polytope
-    generators: tuple[Vector, ...]  # lifted vertices (1, v_i), in vertex order
-    int_generators: tuple[IntVector, ...]  # L * (1, v_i), L = lcm of vertex denominators
+    generators: tuple[IntVector, ...]  # L * (1, v_i) in vertex order, L = lcm of vertex denominators
     facet_normals: tuple[IntVector, ...]  # primitive generators of the dual cone
 
 
@@ -142,26 +139,24 @@ def lift(P: Polytope) -> LiftedCone:
     strictly positive on every generator; solidity follows from the polytope
     being full-dimensional.  Both are asserted.
 
-    The integer generators are L * (1, v_i), with L the lcm of all vertex
+    The generators are L * (1, v_i), with L the lcm of all vertex
     denominators.  One positive factor for every column leaves spans,
     kernels, ray directions and determinant signs as they are, and keeps
     the barycenter exact; L is their first coordinate.
     """
     n = P.ambient_dim + 1
-    gens = tuple(P.lifted_vertex(i) for i in range(P.nvertices))
     scale = lcm(*(x.denominator for v in P.vertices for x in v))
-    int_gens = tuple((scale,) + tuple(x.numerator * (scale // x.denominator) for x in v)
-                     for v in P.vertices)
-    if any(g[0] <= 0 for g in int_gens):
+    gens = tuple((scale,) + tuple(x.numerator * (scale // x.denominator) for x in v)
+                 for v in P.vertices)
+    if any(g[0] <= 0 for g in gens):
         raise InternalInvariantError("lifted cone is not pointed")
-    if IntEchelon(int_gens).rank != n:
+    if IntEchelon(gens).rank != n:
         raise InternalInvariantError("lifted cone is not solid")
     normals = tuple(sorted(primitive_vector((f.offset,) + tuple(-a for a in f.normal))
                            for f in P.facets))
     if n == 1:  # the point has no facets, but the ray through (1) has facet normal (1,)
         normals = ((1,),)
-    return LiftedCone(dim=n, base=P, generators=gens, int_generators=int_gens,
-                      facet_normals=normals)
+    return LiftedCone(dim=n, base=P, generators=gens, facet_normals=normals)
 
 
 def span_basis_of_face(C: LiftedCone, F: Face) -> IntBasis:
@@ -171,8 +166,8 @@ def span_basis_of_face(C: LiftedCone, F: Face) -> IntBasis:
     echelon = IntEchelon()
     cols = []
     for i in F.vertex_set:
-        if echelon.add(C.int_generators[i]):
-            cols.append(C.int_generators[i])
+        if echelon.add(C.generators[i]):
+            cols.append(C.generators[i])
             if len(cols) == F.dim + 1:
                 break
     if len(cols) != F.dim + 1:
@@ -190,7 +185,7 @@ def face_cone_data(C: LiftedCone, F: Face) -> FaceConeData:
     """
     n = C.dim
     span_basis = span_basis_of_face(C, F)
-    verts = [C.int_generators[i] for i in F.vertex_set]
+    verts = [C.generators[i] for i in F.vertex_set]
     dual_gens = tuple(y for y in C.facet_normals if all(int_dot(y, g) == 0 for g in verts))
     expected = n - (F.dim + 1)
     got = IntEchelon(dual_gens).rank
@@ -232,7 +227,7 @@ def edge_ray(C: LiftedCone, E: Face, F: Face,
             f"(spans of dimension {len(a_e)} and {k})")
     direction = primitive_vector([int_dot(row, kappa) for row in zip(*a_f)])
     outside = next(i for i in F.vertex_set if i not in E.vertex_set)
-    if int_dot(direction, C.int_generators[outside]) < 0:
+    if int_dot(direction, C.generators[outside]) < 0:
         direction = tuple(-x for x in direction)
     if not IntEchelon(a_f).contains(direction):
         raise InternalInvariantError(f"edge ray of ({E}, {F}) leaves the span of {F}")
@@ -243,15 +238,17 @@ def edge_ray(C: LiftedCone, E: Face, F: Face,
     return EdgeRay(pair=(E, F), direction=direction)
 
 
-def edge_ray_crosscheck(C: LiftedCone, E: Face, F: Face) -> Vector:
+def edge_ray_crosscheck(C: LiftedCone, E: Face, F: Face,
+                        data_E: FaceConeData | None = None) -> IntVector:
     """Independent reconstruction of the edge-ray direction of (E, F).
 
-    Returns the component of the barycenter of the lifted F-vertices
-    orthogonal to the span of E (within the span of F).  By construction it
-    must be a strictly positive rational multiple of the edge-ray direction.
+    The component w of the barycenter of the lifted F-vertices orthogonal
+    to the span of E (within the span of F) must be a strictly positive
+    multiple of the edge-ray direction.  This returns a positive integer
+    multiple of w, so its primitive vector must be the ray's direction.
 
-    It is computed on integers.  With A = A_E (integer columns, its own span
-    basis) and b the sum of the m integer lifted vertices of F, so that
+    It is computed on integers.  With A = A_E (the span basis of E's face
+    data) and b the sum of the m integer lifted vertices of F, so that
     b = L * m * barycenter, the projection of b onto span(A) is A x for the
     solution x of the Gram system G x = A^T b, G = A^T A.  By Cramer,
     x_i = det(G_i) / det(G), with G_i the Gram matrix whose column i is
@@ -259,12 +256,12 @@ def edge_ray_crosscheck(C: LiftedCone, E: Face, F: Face) -> Vector:
 
         w' = det(G) b - sum_i det(G_i) A_i = (L * m * det G) * w,
 
-    an integer vector on the same ray as the rational component w, which is
-    returned after the one division at the end.
+    which is returned as it is: the factor is positive, so w' has the
+    primitive vector of w.
     """
-    a_e = span_basis_of_face(C, E)
-    lifted = [C.int_generators[i] for i in F.vertex_set]
-    b = [sum(col) for col in zip(*lifted)]
+    data_E = data_E or face_cone_data(C, E)
+    a_e = data_E.span_basis
+    b = [sum(col) for col in zip(*(C.generators[i] for i in F.vertex_set))]
     gram = [[int_dot(u, v) for v in a_e] for u in a_e]
     rhs = [int_dot(u, b) for u in a_e]
     det_g = bareiss_det(gram)
@@ -278,14 +275,14 @@ def edge_ray_crosscheck(C: LiftedCone, E: Face, F: Face) -> Vector:
         w = [x - det_i * a for x, a in zip(w, col)]
     if is_zero_vector(w):
         raise InternalInvariantError(f"barycenter of {F} projects to zero over {E}")
-    denom = C.int_generators[0][0] * len(lifted) * det_g
-    return tuple(Fraction(x, denom) for x in w)
+    return tuple(w)
 
 
 class ConeSystem:
-    """Memoizing wrapper around per-face cone data (span basis and dual face,
-    computed once per face and shared by the trivialization and the edge
-    rays) and edge rays, plus the edge-ray cross-check.
+    """Per-face cone data (span basis and dual face), computed once per face
+    and shared by the trivialization, the edge rays and the cross-checks.
+    Edge rays and cross-checks are not kept: ``build_complex`` asks for
+    each covering pair's once.
 
     Safe to share within a run: all cached values are immutable.
     """
@@ -293,7 +290,6 @@ class ConeSystem:
     def __init__(self, cone: LiftedCone):
         self.cone = cone
         self._face_data: dict[Face, FaceConeData] = {}
-        self._rays: dict[tuple[Face, Face], EdgeRay] = {}
 
     def face_data(self, F: Face) -> FaceConeData:
         if F not in self._face_data:
@@ -301,12 +297,7 @@ class ConeSystem:
         return self._face_data[F]
 
     def ray(self, E: Face, F: Face) -> EdgeRay:
-        key = (E, F)
-        if key not in self._rays:
-            self._rays[key] = edge_ray(self.cone, E, F,
-                                       data_E=self.face_data(E), data_F=self.face_data(F))
-        return self._rays[key]
+        return edge_ray(self.cone, E, F, data_E=self.face_data(E), data_F=self.face_data(F))
 
-    def crosscheck(self, E: Face, F: Face) -> Vector:
-        # not memoized: build_complex cross-checks each covering pair once
-        return edge_ray_crosscheck(self.cone, E, F)
+    def crosscheck(self, E: Face, F: Face) -> IntVector:
+        return edge_ray_crosscheck(self.cone, E, F, data_E=self.face_data(E))

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .cellular import ChainComplex, HomologyResult, homology_pair
 from .errors import InternalInvariantError
-from .linalg import IntMatrix, smith_normal_form
+from .linalg import smith_normal_form
 from .polytope import FaceLattice, Polytope
 
 
@@ -99,16 +99,15 @@ def direct_sum(groups: Sequence[AbelianGroup]) -> AbelianGroup:
 
 @dataclass(frozen=True)
 class E1Page:
-    """First page of the filtration spectral sequence, plus its d1 maps.
+    """First page of the filtration spectral sequence.
 
     Entries live at (p, q) for p = 1, ..., dim + 2: rank f_{p-2} in odd rows
-    q, zero in even rows.  ``d1_matrix(p)`` is the cellular boundary map from
-    column p to column p - 1 in the odd rows.
+    q, zero in even rows.  The d1 map from column p to column p - 1 in the
+    odd rows is the cellular boundary ``ChainComplex.boundary[p - 2]``.
     """
 
     dim: int
     f_vector: tuple[int, ...]
-    boundary: tuple[IntMatrix, ...]
 
     def odd_rank(self, p: int) -> int:
         if not 1 <= p <= self.dim + 2:
@@ -120,16 +119,11 @@ class E1Page:
             return ZERO_GROUP
         return AbelianGroup(free_rank=self.odd_rank(p))
 
-    def d1_matrix(self, p: int) -> IntMatrix:
-        if not 2 <= p <= self.dim + 2:
-            raise ValueError(f"d1 column {p} out of range [2, {self.dim + 2}]")
-        return self.boundary[p - 2]
-
 
 def e1_page(L: FaceLattice, X: ChainComplex) -> E1Page:
     if L.f_vector != X.f_vector:
         raise InternalInvariantError("lattice and complex disagree on the f-vector")
-    return E1Page(dim=X.dim, f_vector=X.f_vector, boundary=X.boundary)
+    return E1Page(dim=X.dim, f_vector=X.f_vector)
 
 
 @dataclass(frozen=True)

@@ -112,14 +112,8 @@ class QMatrix:
     def zeros(cls, rows: int, cols: int) -> "QMatrix":
         return cls(rows, cols, tuple(tuple(Fraction(0) for _ in range(cols)) for _ in range(rows)))
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.entries)
-
-    def columns(self) -> tuple[Vector, ...]:
-        return tuple(self.column(j) for j in range(self.cols))
 
     def transpose(self) -> "QMatrix":
         return QMatrix(self.cols, self.rows, tuple(self.column(j) for j in range(self.cols)))

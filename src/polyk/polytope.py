@@ -54,10 +54,6 @@ class Polytope:
     def nvertices(self) -> int:
         return len(self.vertices)
 
-    def lifted_vertex(self, i: int) -> Vector:
-        """The vertex prepended with homogenizing coordinate 1."""
-        return (Fraction(1),) + self.vertices[i]
-
 
 @dataclass(frozen=True)
 class Face:
@@ -431,13 +427,3 @@ def verify_lattice(L: FaceLattice) -> None:
                         raise InternalInvariantError(
                             f"diamond property fails between {low} and {high}: "
                             f"{mids} intermediate faces")
-
-
-def covering_pairs(L: FaceLattice, j: int) -> tuple[tuple[Face, Face], ...]:
-    """Covering pairs (E, F) with dim E = j - 1 and dim F = j.
-
-    j = 0 yields the pairs (empty face, vertex).
-    """
-    if not 0 <= j <= L.dim:
-        raise ValueError(f"covering rank {j} out of range [0, {L.dim}]")
-    return tuple((e, f) for e, f in L.covering if f.dim == j)

@@ -21,10 +21,14 @@ the double description calls only for its initial cone.
 The incidence-sign and cross-check oracles are the rational formulas the
 library used before it moved to integers: the sign of det C for the
 coordinate matrix C with [e | A_E] C = A_F, by ``coords_in_basis`` and
-``det_sign``, and the barycenter's component orthogonal to span(E), by a
-rational Gram solve over E's own greedy basis, accepted when it is a
-positive rational multiple of the ray (``positive_multiple_ratio``).  No report computation calls
-``coords_in_basis`` or ``det_sign``.
+``det_sign``, and the component of the barycenter of the rational lifted
+vertices (1, v) orthogonal to span(E), by a rational Gram solve over E's own
+greedy basis.  The library's cross-check returns that component times the
+positive integer L * |F| * det G; either is accepted when it is a positive
+multiple of the ray (``positive_multiple_ratio``).  No report computation
+calls ``coords_in_basis`` or ``det_sign``.  The other oracles read the
+cone's integer generators L * (1, v) wherever the answer does not change
+under positive scaling.
 
 The homology oracle is the dense computation the library used before it
 moved to sparse columns and unit pivots: D_{j-1} D_j = 0 by dense products
@@ -196,11 +200,12 @@ def oracle_incidence_sign(T, ray, E: Face, F: Face) -> int:
 
 
 def oracle_crosscheck(C: LiftedCone, E: Face, F: Face) -> tuple[Fraction, ...]:
-    """The component of the barycenter of the lifted F-vertices orthogonal
-    to span(E), by a rational Gram solve G x = A^T bary with G = A^T A."""
-    lifted = [C.generators[i] for i in F.vertex_set]
+    """The component of the barycenter of the rational lifted F-vertices
+    (1, v) orthogonal to span(E), by a rational Gram solve G x = A^T bary
+    with G = A^T A."""
+    lifted = [(Fraction(1),) + C.base.vertices[i] for i in F.vertex_set]
     bary = tuple(sum(col, start=Fraction(0)) / len(lifted) for col in zip(*lifted))
-    A = _greedy_independent([C.generators[i] for i in E.vertex_set], C.dim)
+    A = _greedy_independent([(Fraction(1),) + C.base.vertices[i] for i in E.vertex_set], C.dim)
     if A.cols == 0:
         return bary
     at = A.transpose()

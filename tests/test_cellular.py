@@ -16,7 +16,7 @@ import polyk.cellular as cellular
 import polyk.cones as cones
 from polyk.cellular import (
     ChainComplex,
-    boundary_matrix,
+    boundary_columns,
     boundary_squared_entry,
     build_complex,
     diagonal_sign_equivalence,
@@ -31,7 +31,7 @@ from polyk.errors import InternalInvariantError
 from polyk.linalg import int_mat_is_zero, int_mat_mul
 from polyk.pipeline import run_pipeline
 from polyk.polytope import face_lattice, validate
-from polyk.sparse import sparse_columns
+from polyk.sparse import dense_matrix, sparse_columns
 
 from oracles import dense_homology_pair, oracle_incidence_sign, simplicial_boundary_matrices
 
@@ -41,6 +41,11 @@ def setup_polytope(poly):
     system = ConeSystem(lift(poly))
     triv = trivialize(lat, system)
     return lat, system, triv
+
+
+def boundary_matrix(triv, lat, system, j):
+    """D_j as a dense matrix, rows over (j-1)-faces, columns over j-faces."""
+    return dense_matrix(boundary_columns(triv, lat, system, j), len(lat.faces(j - 1)))
 
 
 # --- trivialize ---
@@ -62,8 +67,8 @@ def test_trivialize_rejects_flipping_empty_face():
 
 
 def test_one_span_basis_per_face_per_run(monkeypatch):
-    # trivialize reuses the face data's span basis; only the cross-check of
-    # each covering pair builds one more
+    # trivialize, the edge rays and the cross-checks all read the span basis
+    # off the face data, built once per face
     real = cones.span_basis_of_face
     calls = []
 
@@ -75,8 +80,23 @@ def test_one_span_basis_per_face_per_run(monkeypatch):
         if hasattr(module, "span_basis_of_face"):
             monkeypatch.setattr(module, "span_basis_of_face", counting)
     result = run_pipeline(hypercube(3))
-    faces = sum(result.lattice.f_vector)
-    assert len(calls) == faces + len(result.lattice.covering)
+    assert len(calls) == sum(result.lattice.f_vector)
+    assert set(calls) == set(result.lattice.all_faces())
+
+
+def test_one_edge_ray_per_covering_pair_per_run(monkeypatch):
+    # build_complex walks each covering pair once; ConeSystem keeps no rays
+    real = cones.edge_ray
+    calls = []
+
+    def counting(C, e, f, **kwargs):
+        calls.append((e, f))
+        return real(C, e, f, **kwargs)
+
+    monkeypatch.setattr(cones, "edge_ray", counting)
+    result = run_pipeline(hypercube(4))
+    assert len(calls) == len(result.lattice.covering) == 232
+    assert set(calls) == set(result.lattice.covering)
 
 
 # --- incidence signs ---
@@ -156,7 +176,7 @@ def test_boundary_out_of_range():
     poly = simplex(1)
     lat, system, triv = setup_polytope(poly)
     with pytest.raises(ValueError):
-        boundary_matrix(triv, lat, system, 2)
+        boundary_columns(triv, lat, system, 2)
 
 
 # --- build_complex ---

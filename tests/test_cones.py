@@ -6,8 +6,8 @@ Caratheodory-style enumeration over generator subsets.
 
 import dataclasses
 import random
-from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -25,7 +25,13 @@ from polyk.errors import InternalInvariantError
 from polyk.linalg import QMatrix, dot, primitive_vector, rank
 from polyk.polytope import face_lattice
 
-from oracles import circledast_gens, oracle_crosscheck, positive_multiple_ratio, solve_in_span
+from oracles import (
+    circledast_gens,
+    leibniz_det,
+    oracle_crosscheck,
+    positive_multiple_ratio,
+    solve_in_span,
+)
 
 
 def in_cone(x, gens, dim):
@@ -50,7 +56,7 @@ def faces_of(poly):
 def test_lift_segment():
     cone = lift(simplex(1))
     assert cone.dim == 2
-    assert cone.generators == ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(1)))
+    assert cone.generators == ((1, 0), (1, 1))
     assert set(cone.facet_normals) == {(0, 1), (1, -1)}
 
 
@@ -129,7 +135,7 @@ def test_face_data_segment_vertex():
     lat, by_set = faces_of(poly)
     cone = lift(poly)
     data = face_cone_data(cone, by_set[(0,)])
-    assert data.span_basis == ((Fraction(1), Fraction(0)),)
+    assert data.span_basis == ((1, 0),)
     assert data.dual_face_gens == ((0, 1),)
     assert circledast_gens(cone, by_set[(0,)]) == ((0, 1),)
 
@@ -161,9 +167,10 @@ def test_edge_ray_segment_vertex_to_top():
     cone = lift(poly)
     ray = edge_ray(cone, by_set[(0,)], by_set[(0, 1)])
     assert ray.direction == (0, 1)
+    # b = (1, 0) + (1, 1), A_E = ((1, 0),), det G = 1: w' = b - 2 (1, 0)
     w = edge_ray_crosscheck(cone, by_set[(0,)], by_set[(0, 1)])
-    assert w == (Fraction(0), Fraction(1, 2))
-    assert positive_multiple_ratio(w, ray.direction) == Fraction(1, 2)
+    assert w == (0, 1)
+    assert positive_multiple_ratio(w, ray.direction) == 1
 
 
 def test_edge_ray_from_empty_face_is_lifted_vertex(small_corpus):
@@ -173,6 +180,7 @@ def test_edge_ray_from_empty_face_is_lifted_vertex(small_corpus):
         for v in lat.faces(0):
             ray = edge_ray(cone, lat.empty_face, v)
             assert ray.direction == primitive_vector(cone.generators[v.vertex_set[0]])
+            # A_E is empty, det G = 1: w' = b, the one integer lifted vertex
             w = edge_ray_crosscheck(cone, lat.empty_face, v)
             assert w == cone.generators[v.vertex_set[0]]
 
@@ -213,14 +221,21 @@ def test_crosscheck_positive_on_corpus(small_corpus):
 
 
 def test_crosscheck_matches_rational_gram_oracle(small_corpus):
-    # the integer Cramer solve divided once at the end is the rational
-    # barycenter projection, exactly; the random hulls have rational vertices
+    # the integer Cramer solve is (L * |F| * det G) times the rational
+    # barycenter projection, exactly, with G the Gram matrix of E's span
+    # basis and L the lcm of the vertex denominators; the random hulls have
+    # rational vertices
     rational = [random_hull(random.Random(seed), d, 9) for seed, d in ((1, 2), (2, 3), (3, 4))]
     for poly in list(small_corpus) + [hypercube(4), cross_polytope(4)] + rational:
         lat = face_lattice(poly)
         cone = lift(poly)
+        scale = lcm(*(x.denominator for v in poly.vertices for x in v))
         for e, f in lat.covering:
-            assert edge_ray_crosscheck(cone, e, f) == oracle_crosscheck(cone, e, f), (poly.name, e, f)
+            a_e = face_cone_data(cone, e).span_basis
+            det_g = leibniz_det([[dot(u, v) for v in a_e] for u in a_e])
+            factor = scale * len(f.vertex_set) * det_g
+            assert edge_ray_crosscheck(cone, e, f) == \
+                tuple(factor * x for x in oracle_crosscheck(cone, e, f)), (poly.name, e, f)
 
 
 def test_dual_face_rank_names_face():

@@ -92,15 +92,6 @@ def test_e1_page_point():
     assert [page.odd_rank(p) for p in (1, 2)] == [1, 1]
 
 
-def test_e1_d1_is_shifted_boundary():
-    poly, lat, x = full_run(simplex(2))
-    page = e1_page(lat, x)
-    for p in range(2, poly.ambient_dim + 3):
-        assert page.d1_matrix(p) == x.boundary[p - 2]
-    with pytest.raises(ValueError):
-        page.d1_matrix(1)
-
-
 def test_e1_ranks_equal_f_vector_shifted():
     for poly in [simplex(3), hypercube(3)]:
         _, lat, x = full_run(poly)

@@ -26,7 +26,6 @@ from polyk.polytope import (
     FaceLattice,
     _hull_facets,
     affine_dim,
-    covering_pairs,
     face_lattice,
     facets,
     validate,
@@ -319,27 +318,29 @@ def test_verify_lattice_names_missing_cover():
 
 def test_covering_triangle_edges():
     lat = face_lattice(simplex(2))
-    assert len(covering_pairs(lat, 1)) == 6
+    assert sum(len(lat.lower_covers(f)) for f in lat.faces(1)) == 6
 
 
 def test_covering_bottom_rank():
     lat = face_lattice(hypercube(2))
-    pairs = covering_pairs(lat, 0)
+    pairs = [(e, f) for e, f in lat.covering if f.dim == 0]
     assert len(pairs) == 4
     assert all(e.dim == -1 for e, _ in pairs)
+    assert all(lat.lower_covers(v) == (lat.empty_face,) for v in lat.faces(0))
 
 
 def test_covering_segment():
     lat = face_lattice(simplex(1))
-    assert len(covering_pairs(lat, 1)) == 2
+    assert len(lat.lower_covers(lat.top_face)) == 2
 
 
-def test_covering_out_of_range():
+def test_faces_out_of_range():
     lat = face_lattice(simplex(1))
+    assert lat.faces(-1) == (lat.empty_face,)
+    with pytest.raises(ValueError, match=r"face dimension 2 out of range \[-1, 1\]"):
+        lat.faces(2)
     with pytest.raises(ValueError):
-        covering_pairs(lat, 2)
-    with pytest.raises(ValueError):
-        covering_pairs(lat, -1)
+        lat.faces(-2)
 
 
 # --- invariance properties ---

@@ -1,0 +1,59 @@
+"""The benchmark's tracer can still find and observe what it times.
+
+``perfbench/tracing.py`` rebinds every (module, attribute) in its
+``TRACED`` table, and its observers read fields of the results (the lifted
+cone's ``generators``, the lattice's ``covering`` and so on).  The
+benchmark self-test fails when a name is missing, so a deletion that would
+break it fails here first.  The tracer is loaded from its source without
+writing bytecode, so nothing under ``perfbench/`` changes.
+"""
+
+import ast
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+from polyk.corpus import hypercube
+from polyk.pipeline import run_pipeline
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def traced_names():
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets))
+
+
+def test_every_traced_name_exists():
+    missing = []
+    for module_name, attr in traced_names():
+        owner = importlib.import_module(f"polyk.{module_name}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module_name}.{attr}")
+    assert not missing, missing
+
+
+def test_traced_pipeline_runs_with_every_observer(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    expected = run_pipeline(hypercube(3)).complex
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = run_pipeline(hypercube(3)).complex
+    finally:
+        tracer.uninstall()
+    assert not tracer.absent
+    assert traced == expected
+    # C(8, 3) lift subsets and 62 covering pairs for the 3-cube, one edge
+    # ray each
+    assert tracer.lift_subsets == 56 and tracer.covering_pairs == 62
+    assert tracer.totals["cones.edge_ray"][0] == 62
+    assert not tracing.leftover_bindings()
