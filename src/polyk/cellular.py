@@ -80,11 +80,14 @@ class Trivialization:
 def trivialize(L: FaceLattice, system: ConeSystem,
                flip_faces: Iterable[Face] = ()) -> Trivialization:
     """Deterministic bases for every face of the lattice: the span bases of
-    the cone system's face data, with the requested flips applied."""
+    the cone system's face data, with the requested flips applied.  Each
+    flipped face must be a nonempty face of L."""
     flips = frozenset(flip_faces)
     for f in flips:
         if f.dim < 0:
             raise ValueError("the empty face has no basis column to flip")
+        if f.dim > L.dim or f not in L.faces(f.dim):
+            raise ValueError(f"cannot flip {f}: it is not a face of the lattice")
     bases: dict[Face, IntBasis] = {}
     for f in L.all_faces():
         basis = system.face_data(f).span_basis

@@ -6,11 +6,15 @@ cone's generators are the integer lifted vertices L * (1, v_i), scaled by
 the lcm L of the vertex denominators.  One positive factor for all columns
 changes no span, kernel, ray direction or determinant sign, so everything
 below runs on Python integers, with ranks and span membership decided by
-fraction-free elimination (``IntEchelon``).  For every face we compute
+fraction-free elimination (``IntEchelon``).  For every face, once per run
+(``ConeSystem``), we compute
 
   * a deterministic basis A_F of the span (integer lifted vertices, greedy
-    in index order),
-  * the generators of the dual face (facet normals of the cone vanishing on F).
+    in index order), with the echelon form that picked it,
+  * the sum b_F of its lifted vertices, and det G and adj G of the Gram
+    matrix G = A_F^T A_F (``gram_adjugate``),
+  * the generators of the dual face (facet normals of the cone vanishing on
+    F), as the AND of its vertices' facet bitmasks.
 
 In the paper, the edge vector of a covering pair E < F is the extreme ray of
 the dual of E's dual face, taken inside that dual face's span (the
@@ -24,23 +28,25 @@ replace unit vectors throughout and keep the arithmetic exact.
 
 A second, independent construction of the same ray (orthogonal projection of
 the barycenter of the lifted F-vertices away from the span of E, by an
-integer Cramer solve of the Gram system) is used as a cross-check: the two
-must agree up to a strictly positive factor, so they have the same
-primitive vector.
+integer Cramer solve of the Gram system whose numerators det(G_i) are the
+entries of adj(G) A_E^T b_F) is used as a cross-check: the two must agree
+up to a strictly positive factor, so they have the same primitive vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from math import lcm
+from operator import and_
 from typing import Sequence
 
 from .errors import InternalInvariantError
 from .linalg import (
     IntEchelon,
+    IntMatrix,
     IntVector,
-    bareiss_det,
     cofactor_kernel_vector,
     int_dot,
     is_zero_vector,
@@ -65,11 +71,15 @@ class LiftedCone:
 
 @dataclass(frozen=True)
 class FaceConeData:
-    """Per-face duality data inside the lifted cone: the span basis A_F and
-    the dual face's generators."""
+    """Per-face data inside the lifted cone, all the covering pairs read of
+    the face (see the module docstring)."""
 
     face: Face
     span_basis: IntBasis  # columns: greedy independent integer lifted vertices of the face
+    span_echelon: IntEchelon  # echelon form of span_basis; never grown after it is built
+    vertex_sum: IntVector  # b_F, the sum of the integer lifted vertices of the face
+    gram_det: int  # det(A_F^T A_F) > 0
+    gram_adj: IntMatrix  # adj(A_F^T A_F)
     dual_face_gens: tuple[IntVector, ...]
 
 
@@ -159,10 +169,11 @@ def lift(P: Polytope) -> LiftedCone:
     return LiftedCone(dim=n, base=P, generators=gens, facet_normals=normals)
 
 
-def span_basis_of_face(C: LiftedCone, F: Face) -> IntBasis:
+def span_basis_of_face(C: LiftedCone, F: Face) -> tuple[IntBasis, IntEchelon]:
     """Greedy maximal independent subset of the integer lifted vertices of F,
     in increasing vertex-index order; dim F + 1 columns (none for the empty
-    face).  One fraction-free echelon pass decides each candidate."""
+    face).  One fraction-free echelon pass decides each candidate; it is
+    returned with the basis, since its kept rows span exactly span(F)."""
     echelon = IntEchelon()
     cols = []
     for i in F.vertex_set:
@@ -173,25 +184,65 @@ def span_basis_of_face(C: LiftedCone, F: Face) -> IntBasis:
     if len(cols) != F.dim + 1:
         raise InternalInvariantError(
             f"face {F}: span has {len(cols)} independent lifted vertices, expected {F.dim + 1}")
-    return tuple(cols)
+    return tuple(cols), echelon
 
 
-def face_cone_data(C: LiftedCone, F: Face) -> FaceConeData:
-    """Span basis and dual-face generators of a face.
+def gram_adjugate(F: Face, gram: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
+    """det G and adj G for the Gram matrix G of the span basis of F.
 
-    The dual face is a face of the dual cone, hence generated by the facet
-    normals of the cone that vanish on every lifted vertex of F.  Its span
-    must have dimension n - (dim F + 1); anything else is a geometry bug.
+    One fraction-free Gauss-Jordan pass on [G | I] with no pivoting: step k
+    sets each row i != k to (p_k a_i - a_ik a_k) / p_{k-1}, exactly
+    divisible (Sylvester), where p_k = a_kk is the leading principal minor
+    of order k + 1 and p_{-1} = 1; it ends at [det G * I | adj G].  G is
+    positive definite (independent columns), so each p_k must be positive:
+    that is checked, and det G = p_{n-1} > 0 follows.
     """
+    n = len(gram)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(gram)]
+    prev = 1
+    for k in range(n):
+        p = a[k][k]
+        if p <= 0:
+            raise InternalInvariantError(
+                f"Gram determinant of the span of {F} is not positive: "
+                f"leading minor of order {k + 1} is {p}")
+        for i in range(n):
+            if i != k:
+                x = a[i][k]
+                a[i] = [(p * u - x * v) // prev for u, v in zip(a[i], a[k])]
+        prev = p
+    return prev, tuple(tuple(row[n:]) for row in a)
+
+
+def vertex_facet_masks(C: LiftedCone) -> tuple[int, ...]:
+    """For each lifted vertex, the bitmask of the facet normals vanishing on
+    it (bit k for ``C.facet_normals[k]``)."""
+    return tuple(sum(1 << k for k, y in enumerate(C.facet_normals) if int_dot(y, g) == 0)
+                 for g in C.generators)
+
+
+def face_cone_data(C: LiftedCone, F: Face,
+                   vertex_masks: tuple[int, ...] | None = None) -> FaceConeData:
+    """The per-face data of F.  The dual face is a face of the dual cone,
+    hence generated by the facet normals of the cone that vanish on every
+    lifted vertex of F: the AND of the vertices' ``vertex_facet_masks``
+    (computed here unless given).  Its span must have dimension
+    n - (dim F + 1); anything else is a geometry bug."""
     n = C.dim
-    span_basis = span_basis_of_face(C, F)
-    verts = [C.generators[i] for i in F.vertex_set]
-    dual_gens = tuple(y for y in C.facet_normals if all(int_dot(y, g) == 0 for g in verts))
+    span_basis, span_echelon = span_basis_of_face(C, F)
+    vertex_masks = vertex_masks or vertex_facet_masks(C)
+    dual = reduce(and_, (vertex_masks[i] for i in F.vertex_set), (1 << len(C.facet_normals)) - 1)
+    dual_gens = tuple(y for k, y in enumerate(C.facet_normals) if dual >> k & 1)
     expected = n - (F.dim + 1)
     got = IntEchelon(dual_gens).rank
     if got != expected:
         raise InternalInvariantError(f"dual face of {F} spans rank {got}, expected {expected}")
-    return FaceConeData(face=F, span_basis=span_basis, dual_face_gens=dual_gens)
+    vertex_sum = tuple(map(sum, zip(*(C.generators[i] for i in F.vertex_set)))) or (0,) * n
+    gram_det, gram_adj = gram_adjugate(
+        F, [[int_dot(u, v) for v in span_basis] for u in span_basis])
+    return FaceConeData(face=F, span_basis=span_basis, span_echelon=span_echelon,
+                        vertex_sum=vertex_sum, gram_det=gram_det, gram_adj=gram_adj,
+                        dual_face_gens=dual_gens)
 
 
 def edge_ray(C: LiftedCone, E: Face, F: Face,
@@ -208,8 +259,8 @@ def edge_ray(C: LiftedCone, E: Face, F: Face,
     primitive integer vector.  Every lifted vertex of F that is not in E
     projects to the same open half of the line, so one of them fixes the
     sign.  For E empty the matrix is 0 x 1, kappa = (1,), and the ray is the
-    lifted vertex.  Membership in the span of F (the remainder against an
-    echelon form of A_F is zero), orthogonality to the span of E and
+    lifted vertex.  Membership in the span of F (the remainder against F's
+    span echelon is zero), orthogonality to the span of E and
     membership in the circledast cone of E are re-verified exactly before
     returning.
     """
@@ -229,7 +280,7 @@ def edge_ray(C: LiftedCone, E: Face, F: Face,
     outside = next(i for i in F.vertex_set if i not in E.vertex_set)
     if int_dot(direction, C.generators[outside]) < 0:
         direction = tuple(-x for x in direction)
-    if not IntEchelon(a_f).contains(direction):
+    if not data_F.span_echelon.contains(direction):
         raise InternalInvariantError(f"edge ray of ({E}, {F}) leaves the span of {F}")
     if any(int_dot(direction, col) != 0 for col in a_e):
         raise InternalInvariantError(f"edge ray of ({E}, {F}) not orthogonal to span of {E}")
@@ -239,7 +290,8 @@ def edge_ray(C: LiftedCone, E: Face, F: Face,
 
 
 def edge_ray_crosscheck(C: LiftedCone, E: Face, F: Face,
-                        data_E: FaceConeData | None = None) -> IntVector:
+                        data_E: FaceConeData | None = None,
+                        data_F: FaceConeData | None = None) -> IntVector:
     """Independent reconstruction of the edge-ray direction of (E, F).
 
     The component w of the barycenter of the lifted F-vertices orthogonal
@@ -248,11 +300,13 @@ def edge_ray_crosscheck(C: LiftedCone, E: Face, F: Face,
     multiple of w, so its primitive vector must be the ray's direction.
 
     It is computed on integers.  With A = A_E (the span basis of E's face
-    data) and b the sum of the m integer lifted vertices of F, so that
-    b = L * m * barycenter, the projection of b onto span(A) is A x for the
-    solution x of the Gram system G x = A^T b, G = A^T A.  By Cramer,
-    x_i = det(G_i) / det(G), with G_i the Gram matrix whose column i is
-    replaced by A^T b, and det(G) > 0 for independent columns.  So
+    data) and b = b_F the sum of the m integer lifted vertices of F (F's
+    face data), so that b = L * m * barycenter, the projection of b onto
+    span(A) is A x for the solution x of the Gram system G x = A^T b,
+    G = A^T A.  By Cramer, x_i = det(G_i) / det(G), with G_i the Gram
+    matrix whose column i is replaced by A^T b; since G^-1 = adj(G) / det(G),
+    det(G_i) = (adj(G) A^T b)_i, with det G > 0 and adj G from E's face
+    data.  So
 
         w' = det(G) b - sum_i det(G_i) A_i = (L * m * det G) * w,
 
@@ -260,18 +314,12 @@ def edge_ray_crosscheck(C: LiftedCone, E: Face, F: Face,
     primitive vector of w.
     """
     data_E = data_E or face_cone_data(C, E)
-    a_e = data_E.span_basis
-    b = [sum(col) for col in zip(*(C.generators[i] for i in F.vertex_set))]
-    gram = [[int_dot(u, v) for v in a_e] for u in a_e]
+    data_F = data_F or face_cone_data(C, F)
+    a_e, b = data_E.span_basis, data_F.vertex_sum
     rhs = [int_dot(u, b) for u in a_e]
-    det_g = bareiss_det(gram)
-    if det_g <= 0:
-        raise InternalInvariantError(
-            f"cross-check of ({E}, {F}): Gram determinant {det_g} of the span of {E} "
-            "is not positive")
-    w = [det_g * x for x in b]
-    for i, col in enumerate(a_e):
-        det_i = bareiss_det([r[:i] + [y] + r[i + 1:] for r, y in zip(gram, rhs)])
+    w = [data_E.gram_det * x for x in b]
+    for adj_row, col in zip(data_E.gram_adj, a_e):
+        det_i = int_dot(adj_row, rhs)
         w = [x - det_i * a for x, a in zip(w, col)]
     if is_zero_vector(w):
         raise InternalInvariantError(f"barycenter of {F} projects to zero over {E}")
@@ -279,25 +327,28 @@ def edge_ray_crosscheck(C: LiftedCone, E: Face, F: Face,
 
 
 class ConeSystem:
-    """Per-face cone data (span basis and dual face), computed once per face
-    and shared by the trivialization, the edge rays and the cross-checks.
-    Edge rays and cross-checks are not kept: ``build_complex`` asks for
-    each covering pair's once.
+    """Per-face cone data (``FaceConeData``), computed once per face and
+    shared by the trivialization, the edge rays and the cross-checks, which
+    only read it; the vertex-facet masks behind the dual faces are computed
+    once, with the system.  Edge rays and cross-checks are not kept:
+    ``build_complex`` asks for each covering pair's once.
 
-    Safe to share within a run: all cached values are immutable.
+    Safe to share within a run: nothing cached is modified after it is built.
     """
 
     def __init__(self, cone: LiftedCone):
         self.cone = cone
+        self._vertex_masks = vertex_facet_masks(cone)
         self._face_data: dict[Face, FaceConeData] = {}
 
     def face_data(self, F: Face) -> FaceConeData:
         if F not in self._face_data:
-            self._face_data[F] = face_cone_data(self.cone, F)
+            self._face_data[F] = face_cone_data(self.cone, F, self._vertex_masks)
         return self._face_data[F]
 
     def ray(self, E: Face, F: Face) -> EdgeRay:
         return edge_ray(self.cone, E, F, data_E=self.face_data(E), data_F=self.face_data(F))
 
     def crosscheck(self, E: Face, F: Face) -> IntVector:
-        return edge_ray_crosscheck(self.cone, E, F, data_E=self.face_data(E))
+        return edge_ray_crosscheck(self.cone, E, F, data_E=self.face_data(E),
+                                   data_F=self.face_data(F))

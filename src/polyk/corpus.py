@@ -11,7 +11,6 @@ import random
 from fractions import Fraction
 
 from .errors import InputError
-from .linalg import QMatrix, qvec
 from .polytope import Polytope, affine_dim, convex_hull, validate
 
 
@@ -81,46 +80,3 @@ def acceptance_corpus(seed: int = 20240) -> list[Polytope]:
         n_points = rng.randint(dim + 1, 10)
         members.append(random_hull(rng, dim, n_points, name=f"random{k}_d{dim}"))
     return members
-
-
-def small_corpus() -> list[Polytope]:
-    """A quick corpus for unit tests."""
-    return [
-        point_polytope(),
-        simplex(1),
-        simplex(2, name="triangle"),
-        simplex(3),
-        hypercube(2, name="square"),
-        hypercube(3, name="cube"),
-        cross_polytope(3, name="octahedron"),
-    ]
-
-
-def random_invertible_affine(rng: random.Random, d: int) -> tuple[QMatrix, tuple]:
-    """An exact invertible rational affine map (A, t), built from shears and
-    nonzero diagonal scalings so invertibility never needs a determinant check."""
-    A = QMatrix.identity(d)
-    scalars = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 2)]
-    for _ in range(3 * d):
-        kind = rng.randrange(3)
-        rows = [list(r) for r in A.entries]
-        if d >= 2 and kind == 0:  # shear
-            i, j = rng.sample(range(d), 2)
-            c = Fraction(rng.randint(-2, 2))
-            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
-        elif kind == 1:  # scale a row
-            i = rng.randrange(d)
-            c = rng.choice(scalars)
-            rows[i] = [c * x for x in rows[i]]
-        else:  # swap rows
-            if d >= 2:
-                i, j = rng.sample(range(d), 2)
-                rows[i], rows[j] = rows[j], rows[i]
-        A = QMatrix.from_rows(rows, cols=d)
-    t = tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(d))
-    return A, t
-
-
-def apply_affine(P: Polytope, A: QMatrix, t: tuple, name: str | None = None) -> Polytope:
-    verts = [tuple(x + s for x, s in zip(A.mat_vec(v), qvec(t))) for v in P.vertices]
-    return validate(verts, name=name or (P.name and P.name + "_affine"))

@@ -47,10 +47,6 @@ def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Fraction:
     return sum((Fraction(a) * b for a, b in zip(u, v)), start=Fraction(0))
 
 
-def vec_sub(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
-    return tuple(Fraction(a) - Fraction(b) for a, b in zip(u, v))
-
-
 def int_dot(u: Sequence[int], v: Sequence[int]) -> int:
     """Dot product of two integer vectors of the same length."""
     return sum(map(mul, u, v))

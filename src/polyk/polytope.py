@@ -33,7 +33,6 @@ from .linalg import (
     primitive_vector,
     qvec,
     rank_of_vectors,
-    vec_sub,
 )
 
 
@@ -91,16 +90,12 @@ class FaceLattice:
     faces_by_dim: tuple[tuple[Face, ...], ...]
     covering: tuple[tuple[Face, Face], ...]
     f_vector: tuple[int, ...]
-    _upper: dict[Face, tuple[Face, ...]] = field(default_factory=dict, repr=False, compare=False)
     _lower: dict[Face, tuple[Face, ...]] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        up: dict[Face, list[Face]] = {f: [] for f in self.all_faces()}
         down: dict[Face, list[Face]] = {f: [] for f in self.all_faces()}
         for e, f in self.covering:
-            up[e].append(f)
             down[f].append(e)
-        self._upper = {f: tuple(v) for f, v in up.items()}
         self._lower = {f: tuple(v) for f, v in down.items()}
 
     def faces(self, j: int) -> tuple[Face, ...]:
@@ -121,9 +116,6 @@ class FaceLattice:
     def top_face(self) -> Face:
         return self.faces_by_dim[-1][0]
 
-    def upper_covers(self, f: Face) -> tuple[Face, ...]:
-        return self._upper[f]
-
     def lower_covers(self, f: Face) -> tuple[Face, ...]:
         return self._lower[f]
 
@@ -133,7 +125,7 @@ def affine_dim(points: Sequence[Sequence], ambient_dim: int) -> int:
     if not points:
         return -1
     base = qvec(points[0])
-    diffs = [vec_sub(p, base) for p in points[1:]]
+    diffs = [tuple(a - b for a, b in zip(qvec(p), base)) for p in points[1:]]
     return rank_of_vectors(diffs, ambient_dim)
 
 

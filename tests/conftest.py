@@ -11,9 +11,18 @@ settings.load_profile("polyk")
 
 @pytest.fixture(scope="session")
 def small_corpus():
-    from polyk.corpus import small_corpus
+    """A quick corpus for unit tests."""
+    from polyk.corpus import cross_polytope, hypercube, point_polytope, simplex
 
-    return small_corpus()
+    return [
+        point_polytope(),
+        simplex(1),
+        simplex(2, name="triangle"),
+        simplex(3),
+        hypercube(2, name="square"),
+        hypercube(3, name="cube"),
+        cross_polytope(3, name="octahedron"),
+    ]
 
 
 @pytest.fixture(scope="session")

@@ -30,6 +30,11 @@ calls ``coords_in_basis`` or ``det_sign``.  The other oracles read the
 cone's integer generators L * (1, v) wherever the answer does not change
 under positive scaling.
 
+The Cramer oracle is the integer solve the cross-check used before it read
+the Gram adjugate off the face data: one determinant per unknown, of the
+Gram matrix with that column replaced by the right-hand side.  It shares
+``polyk.linalg.bareiss_det`` with the library's incidence signs.
+
 The homology oracle is the dense computation the library used before it
 moved to sparse columns and unit pivots: D_{j-1} D_j = 0 by dense products
 and one full ``smith_normal_form`` per boundary matrix.
@@ -52,6 +57,7 @@ from polyk.cones import LiftedCone, dual_cone
 from polyk.errors import InternalInvariantError
 from polyk.linalg import (
     QMatrix,
+    bareiss_det,
     cofactor_kernel_vector,
     coords_in_basis,
     det_sign,
@@ -212,6 +218,13 @@ def oracle_crosscheck(C: LiftedCone, E: Face, F: Face) -> tuple[Fraction, ...]:
     x = coords_in_basis(at @ A, QMatrix.from_columns([at.mat_vec(bary)]))
     proj = A.mat_vec(x.column(0))
     return tuple(b - p for b, p in zip(bary, proj))
+
+
+def cramer_numerators(gram, rhs) -> list[int]:
+    """det(G_i) for each i, with G_i the matrix G whose column i is replaced
+    by rhs: the numerators of Cramer's rule for G x = rhs."""
+    return [bareiss_det([list(row[:i]) + [y] + list(row[i + 1:]) for row, y in zip(gram, rhs)])
+            for i in range(len(gram))]
 
 
 def positive_multiple_ratio(w, direction) -> Fraction | None:

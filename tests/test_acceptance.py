@@ -18,16 +18,12 @@ import polyk.cellular as cellular
 from polyk.cellular import ChainComplex, build_complex, diagonal_sign_equivalence, homology, trivialize
 from polyk.cli import main
 from polyk.comb_type import is_isomorphic, lattice_from_incidence, strip_signs
-from polyk.corpus import (
-    acceptance_corpus,
-    apply_affine,
-    random_invertible_affine,
-    simplex,
-)
+from polyk.corpus import acceptance_corpus, simplex
 from polyk.ktheory import ZERO_GROUP, Z
 from polyk.linalg import QMatrix, dot, int_mat_is_zero, int_mat_mul, rank
 from polyk.pipeline import run_pipeline
 
+from affine import apply_affine, random_invertible_affine
 from oracles import circledast_gens, positive_multiple_ratio, simplicial_boundary_matrices
 
 REPO = Path(__file__).resolve().parent.parent

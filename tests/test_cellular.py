@@ -7,6 +7,9 @@ the two complexes must agree up to a diagonal +-1 change of basis.
 
 import hashlib
 import random
+import sys
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 
 import polyk.cellular as cellular
 import polyk.cones as cones
+import polyk.linalg as linalg
 from polyk.cellular import (
     ChainComplex,
     boundary_columns,
@@ -30,7 +34,7 @@ from polyk.corpus import cross_polytope, hypercube, point_polytope, random_hull,
 from polyk.errors import InternalInvariantError
 from polyk.linalg import int_mat_is_zero, int_mat_mul
 from polyk.pipeline import run_pipeline
-from polyk.polytope import face_lattice, validate
+from polyk.polytope import Face, face_lattice, validate
 from polyk.sparse import dense_matrix, sparse_columns
 
 from oracles import dense_homology_pair, oracle_incidence_sign, simplicial_boundary_matrices
@@ -66,6 +70,16 @@ def test_trivialize_rejects_flipping_empty_face():
         trivialize(lat, system, flip_faces=[lat.empty_face])
 
 
+def test_trivialize_rejects_flipping_a_face_not_in_the_lattice():
+    lat, system, _ = setup_polytope(hypercube(2))
+    diagonal = Face(vertex_set=(0, 3), dim=1)  # two opposite corners of the square
+    too_big = Face(vertex_set=(0, 1, 2, 3), dim=3)
+    for stray in (diagonal, too_big):
+        with pytest.raises(ValueError) as err:
+            trivialize(lat, system, flip_faces=[lat.top_face, stray])
+        assert str(err.value) == f"cannot flip {stray}: it is not a face of the lattice"
+
+
 def test_one_span_basis_per_face_per_run(monkeypatch):
     # trivialize, the edge rays and the cross-checks all read the span basis
     # off the face data, built once per face
@@ -97,6 +111,75 @@ def test_one_edge_ray_per_covering_pair_per_run(monkeypatch):
     result = run_pipeline(hypercube(4))
     assert len(calls) == len(result.lattice.covering) == 232
     assert set(calls) == set(result.lattice.covering)
+
+
+def test_per_face_work_once_per_run(monkeypatch):
+    # each face's span echelon and Gram factorisation are built once; the
+    # per-pair steps only read them: edge_ray builds no echelon and the
+    # cross-check takes no determinant
+    active = []  # the wrapped per-pair functions now running
+
+    def within(name, fn):
+        def wrapped(*args, **kwargs):
+            active.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                active.pop()
+        return wrapped
+
+    echelons, grams, dets = [], [], []
+    real_gram, real_det = cones.gram_adjugate, linalg.bareiss_det
+
+    class CountingEchelon(cones.IntEchelon):
+        def __init__(self, vectors=()):
+            echelons.append((sys._getframe(1).f_code.co_name, tuple(active)))
+            super().__init__(vectors)
+
+    def counting_gram(f, gram):
+        grams.append(f)
+        return real_gram(f, gram)
+
+    def counting_det(rows):
+        dets.append(tuple(active))
+        return real_det(rows)
+
+    monkeypatch.setattr(cones, "edge_ray", within("edge_ray", cones.edge_ray))
+    monkeypatch.setattr(cones, "edge_ray_crosscheck",
+                        within("edge_ray_crosscheck", cones.edge_ray_crosscheck))
+    monkeypatch.setattr(cones, "IntEchelon", CountingEchelon)
+    monkeypatch.setattr(cones, "gram_adjugate", counting_gram)
+    for module in (linalg, cones, cellular):
+        if getattr(module, "bareiss_det", None) is real_det:
+            monkeypatch.setattr(module, "bareiss_det", counting_det)
+    result = run_pipeline(hypercube(4))
+    faces = list(result.lattice.all_faces())
+    assert Counter(grams) == Counter(faces)
+    assert Counter(caller for caller, _ in echelons) == {
+        "lift": 1, "span_basis_of_face": len(faces), "face_cone_data": len(faces)}
+    assert not any(pair for _, pair in echelons)
+    assert not any("edge_ray_crosscheck" in pair for pair in dets)
+    assert sum("edge_ray" in pair for pair in dets) > 0  # the kernel's cofactors are seen
+
+
+def test_cone_and_cellular_stages_make_no_fraction(monkeypatch):
+    # the face data, rays, cross-checks and signs run on integers only
+    poly = hypercube(4)
+    lat, cone = face_lattice(poly), lift(poly)
+    real_new = Fraction.__new__
+    made = []
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    assert Fraction(1, 2) == Fraction(2, 4) and len(made) == 2  # the counter sees them
+    made.clear()
+    system = ConeSystem(cone)
+    x = build_complex(trivialize(lat, system), lat, system)
+    assert made == []
+    assert x.f_vector == lat.f_vector
 
 
 # --- incidence signs ---
@@ -239,9 +322,12 @@ def test_build_complex_reports_failed_crosscheck(monkeypatch):
 @pytest.mark.parametrize("poly, digest", [
     (cross_polytope(5), "d9123e177529c0fece30b60f6b1d35d15a05f5f9490cc933c64e3742b768c1e1"),
     (hypercube(5), "3ae862f7276f6108c5e7e9f9d786ed255a31bb12d61521a509172fb911a2f987"),
-], ids=["cross5", "cube5"])
+    (cross_polytope(6), "63d6587f30e734b94ad1ceb8fde80cfba5afffb84d3e3731f27ea60246398590"),
+    (hypercube(6), "0cc461c87957ef6b689ef678a2abf270db5e3675b5d6dca8fd7861bbf6459b37"),
+], ids=["cross5", "cube5", "cross6", "cube6"])
 def test_boundary_matrices_pinned(poly, digest):
-    # digests of the boundary matrices computed by the rational formulas
+    # digests of the boundary matrices computed by the rational formulas;
+    # cross6 and cube6 reach the 7 x 7 determinants that dimension 5 never does
     boundary = run_pipeline(poly).complex.boundary
     assert hashlib.sha256(repr(boundary).encode()).hexdigest() == digest
 

@@ -17,15 +17,15 @@ from polyk.comb_type import (
 )
 from polyk.cones import ConeSystem, lift
 from polyk.corpus import (
-    apply_affine,
     cross_polytope,
     hypercube,
     point_polytope,
-    random_invertible_affine,
     simplex,
 )
 from polyk.errors import InternalInvariantError
 from polyk.polytope import face_lattice, validate
+
+from affine import apply_affine, random_invertible_affine
 
 
 def complex_of(poly):

@@ -10,6 +10,8 @@ from itertools import combinations
 from math import lcm
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import polyk.cones as cones
 from polyk.cones import (
@@ -18,15 +20,26 @@ from polyk.cones import (
     edge_ray,
     edge_ray_crosscheck,
     face_cone_data,
+    gram_adjugate,
     lift,
 )
 from polyk.corpus import cross_polytope, hypercube, point_polytope, random_hull, simplex
 from polyk.errors import InternalInvariantError
-from polyk.linalg import QMatrix, dot, primitive_vector, rank
-from polyk.polytope import face_lattice
+from polyk.linalg import (
+    IntEchelon,
+    QMatrix,
+    bareiss_det,
+    dot,
+    int_dot,
+    int_mat_mul,
+    primitive_vector,
+    rank,
+)
+from polyk.polytope import Face, face_lattice
 
 from oracles import (
     circledast_gens,
+    cramer_numerators,
     leibniz_det,
     oracle_crosscheck,
     positive_multiple_ratio,
@@ -236,6 +249,60 @@ def test_crosscheck_matches_rational_gram_oracle(small_corpus):
             factor = scale * len(f.vertex_set) * det_g
             assert edge_ray_crosscheck(cone, e, f) == \
                 tuple(factor * x for x in oracle_crosscheck(cone, e, f)), (poly.name, e, f)
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.integers(0, min(n, 7)).flatmap(lambda k: st.tuples(
+    st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=k, max_size=k),
+    st.lists(st.integers(-20, 20), min_size=k, max_size=k)))))
+def test_gram_adjugate_matches_bareiss_and_cramer(data):
+    # G = A^T A for independent integer columns: the pass returns det G and
+    # adj G, and adj G . r gives the Cramer numerators of G x = r
+    cols, r = data
+    assume(IntEchelon(cols).rank == len(cols))
+    gram = [[int_dot(u, v) for v in cols] for u in cols]
+    face = Face(vertex_set=tuple(range(len(cols))), dim=len(cols) - 1)
+    det, adj = gram_adjugate(face, gram)
+    assert det == bareiss_det(gram) > 0
+    k = len(cols)
+    assert int_mat_mul(tuple(map(tuple, gram)), adj) == tuple(
+        tuple(det if i == j else 0 for j in range(k)) for i in range(k))
+    assert [int_dot(row, r) for row in adj] == cramer_numerators(gram, r)
+
+
+@pytest.mark.parametrize("gram, order, minor", [
+    ([[1, 2], [2, 1]], 2, -3),  # indefinite
+    ([[2, 2], [2, 2]], 2, 0),  # dependent columns: singular
+    ([[-1]], 1, -1),
+], ids=["indefinite", "singular", "negative"])
+def test_gram_adjugate_rejects_non_positive_definite(gram, order, minor):
+    face = Face(vertex_set=(0, 1), dim=1)
+    with pytest.raises(InternalInvariantError) as err:
+        gram_adjugate(face, gram)
+    assert str(err.value) == (f"Gram determinant of the span of {face} is not positive: "
+                              f"leading minor of order {order} is {minor}")
+
+
+def test_face_data_holds_per_face_work(small_corpus):
+    # the echelon decides span membership like one built from A_F, and the
+    # vertex sum, Gram determinant and dual face (vertex masks ANDed) are
+    # those of the face
+    for poly in small_corpus:
+        lat = face_lattice(poly)
+        system = ConeSystem(lift(poly))
+        for f in lat.all_faces():
+            data = system.face_data(f)
+            fresh = IntEchelon(data.span_basis)
+            assert data.span_echelon.rank == fresh.rank == f.dim + 1
+            for g in system.cone.generators:
+                assert data.span_echelon.contains(g) == fresh.contains(g)
+            assert data.vertex_sum == tuple(
+                sum(system.cone.generators[i][c] for i in f.vertex_set)
+                for c in range(system.cone.dim))
+            gram = [[int_dot(u, v) for v in data.span_basis] for u in data.span_basis]
+            assert data.gram_det == bareiss_det(gram) > 0
+            verts = [system.cone.generators[i] for i in f.vertex_set]
+            assert data.dual_face_gens == tuple(
+                y for y in system.cone.facet_normals if all(int_dot(y, g) == 0 for g in verts))
 
 
 def test_dual_face_rank_names_face():

@@ -11,12 +11,10 @@ from hypothesis import strategies as st
 import polyk.linalg as linalg
 import polyk.polytope as polytope
 from polyk.corpus import (
-    apply_affine,
     cross_polytope,
     hypercube,
     point_polytope,
     random_hull,
-    random_invertible_affine,
     simplex,
 )
 from polyk.errors import InputError, InternalInvariantError
@@ -32,6 +30,7 @@ from polyk.polytope import (
     verify_lattice,
 )
 
+from affine import apply_affine, random_invertible_affine
 from oracles import brute_force_facets, closure_face_lattice, faces_by_direction, in_convex_hull
 
 
