@@ -1,21 +1,32 @@
 """Oriented cellular chain complex of a polytope via the lifted cone.
 
-Each face F carries a basis A_F of the span of its lifted subcone (a greedy
-independent subset of the integer lifted vertices in vertex-index order);
-the basis orients the span.  For a covering pair (E, F) with edge ray e the
-incidence number is the orientation sign of the basis B = [e | A_E] of
-span(F) against A_F, that is sign det C for the coordinate matrix C with
-B C = A_F.  It is computed on integers, with no solve:
+Each face F is oriented by the basis A_F of the span of its lifted subcone
+(``FaceConeData.span_basis``, greedy in vertex-index order), its last column
+negated if the trivialization flips F.  For a covering pair (E, F) with edge
+ray e the incidence number is the orientation sign of the basis
+B = [e | A_E] of span(F) against A_F: sign det C for B C = A_F, which is
+sign det(B^T A_F) since B^T A_F = (B^T B) C and det(B^T B) > 0.  (B is a
+basis of span(F): e lies in span(F) and is orthogonal to span(E), both
+checked by ``edge_ray``, and A_E is a basis of span(E).)
 
-    [E : F] = sign det( B^T A_F ),
+``edge_ray`` has already decided that sign.  Expanding det(B^T A_F) along
+its first row e^T A_F (Laplace), with kappa the signed cofactor vector of
+M = A_E^T A_F (``cofactor_kernel_vector``) for the unflipped bases,
 
-because B^T A_F = (B^T B) C and the Gram determinant det(B^T B) is positive
-for independent columns.  They are independent, and span span(F), because
-e lies in span(F) and is orthogonal to span(E) (both checked by
-``edge_ray``) while A_E is a basis of span(E), a subspace of span(F).  The
-pair (empty face, vertex) needs no special case: B = (e) and A_F = (g) are
-positive multiples of one lifted vertex, so the 1 x 1 determinant <e, g> is
-positive, giving +1, and the bottom boundary matrix is the all-ones
+    det(B^T A_F) = <A_F^T e, kappa> = <e, A_F kappa>,
+
+and the ray is e = sigma * c * A_F kappa with c > 0 and sigma its
+``EdgeRay.orientation``, so the determinant is sigma * c * |A_F kappa|^2,
+nonzero by ``edge_ray``'s orientation check.  A flip of F negates a column
+of B^T A_F and a flip of E a row, so with eps = -1 for a flipped face and +1
+otherwise
+
+    [E : F] = sigma * eps_E * eps_F,
+
+with no determinant per pair; the barycenter cross-check confirms the
+oriented ray, sign included, independently.  For (empty face, vertex) the
+ray is a positive multiple of the lifted vertex, sigma = +1, and the empty
+face cannot be flipped: the bottom boundary matrix is the all-ones
 augmentation row.
 
 Boundary matrices are integer matrices over the stable (lexicographic by
@@ -44,72 +55,46 @@ Only a nonzero N goes to the dense Smith normal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
-from .cones import ConeSystem, EdgeRay, IntBasis
+from .cones import ConeSystem, EdgeRay
 from .errors import InternalInvariantError
-from .linalg import (
-    IntMatrix,
-    bareiss_det,
-    int_dot,
-    int_mat_is_zero,
-    primitive_vector,
-    smith_normal_form,
-)
+from .linalg import IntMatrix, int_mat_is_zero, primitive_vector, smith_normal_form
 from .polytope import Face, FaceLattice
 from .sparse import SparseColumn, dense_matrix, sparse_columns, unit_pivot_elimination
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trivialization:
-    """Per-face orientation bases, with optional per-face sign flips.
+    """The orientation of every face: the span basis A_F of its face data,
+    with the last column negated for the faces in ``flipped``.  A flip
+    reverses the orientation of the face; the empty face has no columns and
+    cannot be flipped."""
 
-    A flip negates the last basis column of the face, reversing the induced
-    orientation; the empty face has no columns and cannot be flipped.
-    Treated as immutable once built.
-    """
-
-    bases: dict[Face, IntBasis]
-    flipped: frozenset[Face] = field(default_factory=frozenset)
-
-    def basis(self, F: Face) -> IntBasis:
-        return self.bases[F]
+    flipped: frozenset[Face]
 
 
-def trivialize(L: FaceLattice, system: ConeSystem,
-               flip_faces: Iterable[Face] = ()) -> Trivialization:
-    """Deterministic bases for every face of the lattice: the span bases of
-    the cone system's face data, with the requested flips applied.  Each
-    flipped face must be a nonempty face of L."""
+def trivialize(L: FaceLattice, flip_faces: Iterable[Face] = ()) -> Trivialization:
+    """The orientation of every face of the lattice, with the requested
+    flips.  Each flipped face must be a nonempty face of L."""
     flips = frozenset(flip_faces)
     for f in flips:
         if f.dim < 0:
             raise ValueError("the empty face has no basis column to flip")
         if f.dim > L.dim or f not in L.faces(f.dim):
             raise ValueError(f"cannot flip {f}: it is not a face of the lattice")
-    bases: dict[Face, IntBasis] = {}
-    for f in L.all_faces():
-        basis = system.face_data(f).span_basis
-        if f in flips:
-            basis = basis[:-1] + (tuple(-x for x in basis[-1]),)
-        bases[f] = basis
-    return Trivialization(bases=bases, flipped=flips)
+    return Trivialization(flipped=flips)
 
 
 def incidence_sign(T: Trivialization, ray: EdgeRay, E: Face, F: Face) -> int:
     """The incidence number [E : F] of a covering pair; always +1 or -1.
 
-    It is sign det(B^T A_F) with B = [e | A_E]: the Gram identity in the
-    module docstring makes that the sign of det C for B C = A_F.
+    It is sigma * eps_E * eps_F, with sigma the ray's orientation and
+    eps = -1 for a flipped face: the Laplace identity in the module
+    docstring makes that sign det(B^T A_F) for B = [e | A_E].
     """
-    b = (ray.direction,) + T.basis(E)
-    det = bareiss_det([[int_dot(u, v) for v in T.basis(F)] for u in b])
-    sign = (det > 0) - (det < 0)
-    if sign == 0:
-        raise InternalInvariantError(
-            f"incidence sign of ({E}, {F}) is zero: corrupt edge ray or basis")
-    return sign
+    return ray.orientation * (-1) ** ((E in T.flipped) + (F in T.flipped))
 
 
 @dataclass(frozen=True)

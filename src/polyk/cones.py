@@ -22,9 +22,10 @@ the dual of E's dual face, taken inside that dual face's span (the
 ray spans the line where span(F) meets span(E)^perp, so it is read off the
 kernel of A_E^T A_F directly (see ``edge_ray``); the circledast cones
 themselves are not built here.  Its primitive integer generator plays the
-role of the unit edge vector in the incidence-sign determinant.  Unit
-normalization is irrelevant to signs, so primitive integer ray generators
-replace unit vectors throughout and keep the arithmetic exact.
+role of the unit edge vector in the incidence-sign determinant, whose sign
+is the ray's orientation (see ``polyk.cellular``).  Unit normalization is
+irrelevant to signs, so primitive integer ray generators replace unit
+vectors throughout and keep the arithmetic exact.
 
 A second, independent construction of the same ray (orthogonal projection of
 the barycenter of the lifted F-vertices away from the span of E, by an
@@ -48,11 +49,11 @@ from .linalg import (
     IntMatrix,
     IntVector,
     cofactor_kernel_vector,
+    first_independent,
     int_dot,
     is_zero_vector,
     primitive_vector,
     qvec,
-    rank_of_vectors,
 )
 from .polytope import Face, Polytope
 
@@ -85,10 +86,13 @@ class FaceConeData:
 
 @dataclass(frozen=True)
 class EdgeRay:
-    """Primitive generator of the edge ray attached to a covering pair."""
+    """Primitive generator of the edge ray attached to a covering pair, and
+    the sign sigma with direction = sigma * c * A_F kappa, c > 0 (see
+    ``edge_ray``): the incidence sign [E : F] of the unflipped span bases."""
 
     pair: tuple[Face, Face]
     direction: IntVector
+    orientation: int  # +1 or -1
 
 
 def dual_cone(gens: Sequence[Sequence], ambient_dim: int | None = None) -> tuple[IntVector, ...]:
@@ -107,9 +111,9 @@ def dual_cone(gens: Sequence[Sequence], ambient_dim: int | None = None) -> tuple
     n = ambient_dim
     if n == 0:
         return ()
-    if rank_of_vectors(gens, n) < n:
-        raise InternalInvariantError("dual_cone: input cone is not solid in its ambient space")
     int_gens = [primitive_vector(g) for g in gens if not is_zero_vector(g)]
+    if IntEchelon(int_gens).rank < n:
+        raise InternalInvariantError("dual_cone: input cone is not solid in its ambient space")
     seen: set[IntVector] = set()  # hyperplanes already classified, canonical orientation
     out: set[IntVector] = set()
     for subset in combinations(range(len(int_gens)), n - 1):
@@ -174,17 +178,12 @@ def span_basis_of_face(C: LiftedCone, F: Face) -> tuple[IntBasis, IntEchelon]:
     in increasing vertex-index order; dim F + 1 columns (none for the empty
     face).  One fraction-free echelon pass decides each candidate; it is
     returned with the basis, since its kept rows span exactly span(F)."""
-    echelon = IntEchelon()
-    cols = []
-    for i in F.vertex_set:
-        if echelon.add(C.generators[i]):
-            cols.append(C.generators[i])
-            if len(cols) == F.dim + 1:
-                break
-    if len(cols) != F.dim + 1:
+    vertices = [C.generators[i] for i in F.vertex_set]
+    chosen, echelon = first_independent(vertices, F.dim + 1)
+    if len(chosen) != F.dim + 1:
         raise InternalInvariantError(
-            f"face {F}: span has {len(cols)} independent lifted vertices, expected {F.dim + 1}")
-    return tuple(cols), echelon
+            f"face {F}: span has {len(chosen)} independent lifted vertices, expected {F.dim + 1}")
+    return tuple(vertices[i] for i in chosen), echelon
 
 
 def gram_adjugate(F: Face, gram: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
@@ -221,16 +220,14 @@ def vertex_facet_masks(C: LiftedCone) -> tuple[int, ...]:
                  for g in C.generators)
 
 
-def face_cone_data(C: LiftedCone, F: Face,
-                   vertex_masks: tuple[int, ...] | None = None) -> FaceConeData:
+def face_cone_data(C: LiftedCone, F: Face, vertex_masks: tuple[int, ...]) -> FaceConeData:
     """The per-face data of F.  The dual face is a face of the dual cone,
     hence generated by the facet normals of the cone that vanish on every
-    lifted vertex of F: the AND of the vertices' ``vertex_facet_masks``
-    (computed here unless given).  Its span must have dimension
-    n - (dim F + 1); anything else is a geometry bug."""
+    lifted vertex of F: the AND of the vertices' ``vertex_facet_masks``.
+    Its span must have dimension n - (dim F + 1); anything else is a
+    geometry bug."""
     n = C.dim
     span_basis, span_echelon = span_basis_of_face(C, F)
-    vertex_masks = vertex_masks or vertex_facet_masks(C)
     dual = reduce(and_, (vertex_masks[i] for i in F.vertex_set), (1 << len(C.facet_normals)) - 1)
     dual_gens = tuple(y for k, y in enumerate(C.facet_normals) if dual >> k & 1)
     expected = n - (F.dim + 1)
@@ -246,26 +243,26 @@ def face_cone_data(C: LiftedCone, F: Face,
 
 
 def edge_ray(C: LiftedCone, E: Face, F: Face,
-             data_E: FaceConeData | None = None,
-             data_F: FaceConeData | None = None) -> EdgeRay:
-    """The primitive generator of the edge ray of a covering pair (E, F).
+             data_E: FaceConeData, data_F: FaceConeData) -> EdgeRay:
+    """The primitive generator of the edge ray of a covering pair (E, F),
+    with the sign that orients it.
 
     The paper's edge ray is the extreme ray of the circledast cone of E
     orthogonal to the dual face of F; it spans the line where span(F) meets
     span(E)^perp.  With k = dim F + 1, A_E^T A_F is a (k-1) x k integer
-    matrix of rank k-1, so its kernel is the line spanned by the cofactor
-    vector kappa, and the ray is primitive(A_F kappa) up to sign.  Scaling a
-    row by a positive factor keeps the kernel, so each row enters as its
-    primitive integer vector.  Every lifted vertex of F that is not in E
-    projects to the same open half of the line, so one of them fixes the
-    sign.  For E empty the matrix is 0 x 1, kappa = (1,), and the ray is the
-    lifted vertex.  Membership in the span of F (the remainder against F's
-    span echelon is zero), orthogonality to the span of E and
-    membership in the circledast cone of E are re-verified exactly before
-    returning.
+    matrix of rank k-1, so its kernel is the line spanned by the signed
+    cofactor vector kappa, and the ray is primitive(A_F kappa) up to sign.
+    Scaling a row by a positive factor keeps the kernel and scales kappa by
+    a positive factor, so each row enters as its primitive integer vector.
+    Every lifted vertex of F that is not in E projects to the same open half
+    of the line, so one of them, g, fixes the sign: the ray is
+    sigma * c * A_F kappa with c > 0 and sigma = sign <A_F kappa, g>, the
+    ray's ``orientation``.  For E empty the matrix is 0 x 1, kappa = (1,),
+    and the ray is the lifted vertex, with sigma = +1.  Membership in the
+    span of F (against F's span echelon), orthogonality to the span of E and
+    membership in the circledast cone of E are re-verified exactly, and then
+    <A_F kappa, g> != 0: g orients the ray, and A_F kappa != 0.
     """
-    data_E = data_E or face_cone_data(C, E)
-    data_F = data_F or face_cone_data(C, F)
     a_e, a_f = data_E.span_basis, data_F.span_basis
     k = len(a_f)
     kappa = None
@@ -278,7 +275,8 @@ def edge_ray(C: LiftedCone, E: Face, F: Face,
             f"(spans of dimension {len(a_e)} and {k})")
     direction = primitive_vector([int_dot(row, kappa) for row in zip(*a_f)])
     outside = next(i for i in F.vertex_set if i not in E.vertex_set)
-    if int_dot(direction, C.generators[outside]) < 0:
+    side = int_dot(direction, C.generators[outside])
+    if side < 0:
         direction = tuple(-x for x in direction)
     if not data_F.span_echelon.contains(direction):
         raise InternalInvariantError(f"edge ray of ({E}, {F}) leaves the span of {F}")
@@ -286,12 +284,15 @@ def edge_ray(C: LiftedCone, E: Face, F: Face,
         raise InternalInvariantError(f"edge ray of ({E}, {F}) not orthogonal to span of {E}")
     if any(int_dot(direction, y) < 0 for y in data_E.dual_face_gens):
         raise InternalInvariantError(f"edge ray of ({E}, {F}) outside circledast cone of {E}")
-    return EdgeRay(pair=(E, F), direction=direction)
+    if side == 0:
+        raise InternalInvariantError(
+            f"edge ray of ({E}, {F}) is orthogonal to lifted vertex {outside}: "
+            "it has no orientation")
+    return EdgeRay(pair=(E, F), direction=direction, orientation=1 if side > 0 else -1)
 
 
-def edge_ray_crosscheck(C: LiftedCone, E: Face, F: Face,
-                        data_E: FaceConeData | None = None,
-                        data_F: FaceConeData | None = None) -> IntVector:
+def edge_ray_crosscheck(E: Face, F: Face,
+                        data_E: FaceConeData, data_F: FaceConeData) -> IntVector:
     """Independent reconstruction of the edge-ray direction of (E, F).
 
     The component w of the barycenter of the lifted F-vertices orthogonal
@@ -313,8 +314,6 @@ def edge_ray_crosscheck(C: LiftedCone, E: Face, F: Face,
     which is returned as it is: the factor is positive, so w' has the
     primitive vector of w.
     """
-    data_E = data_E or face_cone_data(C, E)
-    data_F = data_F or face_cone_data(C, F)
     a_e, b = data_E.span_basis, data_F.vertex_sum
     rhs = [int_dot(u, b) for u in a_e]
     w = [data_E.gram_det * x for x in b]
@@ -328,10 +327,10 @@ def edge_ray_crosscheck(C: LiftedCone, E: Face, F: Face,
 
 class ConeSystem:
     """Per-face cone data (``FaceConeData``), computed once per face and
-    shared by the trivialization, the edge rays and the cross-checks, which
-    only read it; the vertex-facet masks behind the dual faces are computed
-    once, with the system.  Edge rays and cross-checks are not kept:
-    ``build_complex`` asks for each covering pair's once.
+    shared by the edge rays and the cross-checks, which only read it; the
+    vertex-facet masks behind the dual faces are computed once, with the
+    system.  Edge rays and cross-checks are not kept: ``build_complex``
+    asks for each covering pair's once.
 
     Safe to share within a run: nothing cached is modified after it is built.
     """
@@ -350,5 +349,4 @@ class ConeSystem:
         return edge_ray(self.cone, E, F, data_E=self.face_data(E), data_F=self.face_data(F))
 
     def crosscheck(self, E: Face, F: Face) -> IntVector:
-        return edge_ray_crosscheck(self.cone, E, F, data_E=self.face_data(E),
-                                   data_F=self.face_data(F))
+        return edge_ray_crosscheck(E, F, data_E=self.face_data(E), data_F=self.face_data(F))

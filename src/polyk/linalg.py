@@ -3,11 +3,11 @@
 Everything in this package runs on arbitrary-precision rationals
 (:class:`fractions.Fraction`) and Python integers; there is no floating
 point anywhere.  This module provides the shared substrate: the integer
-tools the hot paths run on (dot products, primitive ray generators, an
-incremental fraction-free echelon form for ranks and span membership,
-Bareiss determinants, cofactor kernels), Smith normal form over the
-integers, and dense rational matrices with rank / determinant-sign / solve
-operations, which validation and the tests' oracles still use.
+tools the hot paths and validation run on (dot products, primitive ray
+generators, an incremental fraction-free echelon form for ranks, span
+membership and greedy bases, Bareiss determinants, cofactor kernels), Smith
+normal form over the integers, and dense rational matrices with rank /
+determinant-sign / solve operations, which the tests' oracles still use.
 
 Homology runs on sparse columns and reduces them by unit pivots
 (``polyk.sparse.unit_pivot_elimination``); ``smith_normal_form`` takes only
@@ -56,15 +56,20 @@ def is_zero_vector(v: Sequence[Scalar]) -> bool:
     return all(x == 0 for x in v)
 
 
+def clear_denominators(v: Sequence[Scalar]) -> list[int]:
+    """v times the lcm of its entries' denominators: an integer vector on the
+    same ray (the zero vector stays zero)."""
+    if all(type(x) is int for x in v):
+        return list(v)
+    fracs = [Fraction(x) for x in v]
+    denom = lcm(*(x.denominator for x in fracs)) if fracs else 1
+    return [int(x * denom) for x in fracs]
+
+
 def primitive_vector(v: Sequence[Scalar]) -> IntVector:
     """Scale a nonzero rational vector by a positive rational to the unique
     primitive integer vector on the same ray (gcd of entries = 1)."""
-    if all(type(x) is int for x in v):
-        ints = list(v)
-    else:
-        fracs = [Fraction(x) for x in v]
-        denom = lcm(*(x.denominator for x in fracs)) if fracs else 1
-        ints = [int(x * denom) for x in fracs]
+    ints = clear_denominators(v)
     if all(x == 0 for x in ints):
         raise InternalInvariantError("zero vector has no primitive form")
     g = gcd(*ints)
@@ -164,12 +169,6 @@ def rank(M: QMatrix) -> int:
     if M.rows == 0 or M.cols == 0:
         return 0
     return len(_rref(M)[1])
-
-
-def rank_of_vectors(vectors: Sequence[Sequence[Scalar]], ambient_dim: int) -> int:
-    if not vectors:
-        return 0
-    return rank(QMatrix.from_rows(vectors, cols=ambient_dim))
 
 
 def det_sign(M: QMatrix) -> int:
@@ -296,6 +295,20 @@ class IntEchelon:
         return not any(self.remainder(v))
 
 
+def first_independent(vectors: Iterable[Sequence[int]], n: int) -> tuple[list[int], IntEchelon]:
+    """Indices of the first vectors, in order, that are independent of the
+    ones chosen before them, up to n of them, and the echelon form that chose
+    them; its kept rows span exactly the chosen vectors."""
+    echelon = IntEchelon()
+    chosen: list[int] = []
+    for i, v in enumerate(vectors):
+        if len(chosen) == n:
+            break
+        if echelon.add(v):
+            chosen.append(i)
+    return chosen, echelon
+
+
 def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
     """Exact integer determinant by fraction-free (Bareiss) elimination."""
     n = len(rows)
@@ -326,7 +339,10 @@ def cofactor_kernel_vector(rows: Sequence[Sequence[int]], n: int) -> IntVector |
 
     The i-th component is (-1)^i times the maximal minor omitting column i,
     so the result is integral and spans the kernel; returns None when the
-    rows have rank < n-1 (all minors vanish).
+    rows have rank < n-1 (all minors vanish).  It satisfies
+    det([x; M]) = <x, kappa> for any top row x (Laplace expansion), which
+    the incidence signs rely on (``polyk.cellular``): a replacement must
+    return this vector up to a positive factor, not any kernel generator.
     """
     if len(rows) != n - 1:
         raise InternalInvariantError("cofactor_kernel_vector: need exactly n-1 rows")

@@ -30,7 +30,7 @@ def run_pipeline(P: Polytope) -> PipelineResult:
     lattice = face_lattice(P)
     cone = lift(P)
     system = ConeSystem(cone)
-    triv = trivialize(lattice, system)
+    triv = trivialize(lattice)
     complex_ = build_complex(triv, lattice, system)
     page = e1_page(lattice, complex_)
     report = k_report(P, lattice, complex_)

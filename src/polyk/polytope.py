@@ -29,10 +29,11 @@ from .linalg import (
     IntEchelon,
     IntVector,
     Vector,
+    clear_denominators,
     cofactor_kernel_vector,
+    first_independent,
     primitive_vector,
     qvec,
-    rank_of_vectors,
 )
 
 
@@ -121,26 +122,13 @@ class FaceLattice:
 
 
 def affine_dim(points: Sequence[Sequence], ambient_dim: int) -> int:
-    """Dimension of the affine hull; -1 for no points."""
+    """Dimension of the affine hull; -1 for no points.  The differences to
+    the first point are scaled to integers, which keeps their rank."""
     if not points:
         return -1
     base = qvec(points[0])
-    diffs = [tuple(a - b for a, b in zip(qvec(p), base)) for p in points[1:]]
-    return rank_of_vectors(diffs, ambient_dim)
-
-
-def _independent(vectors: Sequence[IntVector], n: int) -> list[int]:
-    """Indices of the first n linearly independent integer vectors, greedily,
-    by one fraction-free echelon pass (``IntEchelon``)."""
-    echelon = IntEchelon()
-    chosen: list[int] = []
-    for i, v in enumerate(vectors):
-        if echelon.add(v):
-            chosen.append(i)
-            if len(chosen) == n:
-                return chosen
-    raise InternalInvariantError(
-        f"hull generators span only {len(chosen)} of {n} dimensions")
+    return IntEchelon(clear_denominators([a - b for a, b in zip(qvec(p), base)])
+                      for p in points[1:]).rank
 
 
 def _hull_facets(points: Sequence[Vector], d: int) -> list[Facet]:
@@ -171,7 +159,10 @@ def _hull_facets(points: Sequence[Vector], d: int) -> list[Facet]:
         return []
     scale = lcm(*(x.denominator for p in points for x in p))
     gens = [(1,) + tuple(int(x * scale) for x in p) for p in points]
-    basis = _independent(gens, d + 1)
+    basis, _ = first_independent(gens, d + 1)
+    if len(basis) != d + 1:
+        raise InternalInvariantError(
+            f"hull generators span only {len(basis)} of {d + 1} dimensions")
     rays: list[tuple[IntVector, int]] = []  # (h, zero set as a bitmask)
     for b in basis:
         others = [c for c in basis if c != b]
@@ -256,7 +247,7 @@ def validate(vertices: Sequence[Sequence], name: str | None = None) -> Polytope:
         i = inner[0]
         tight = [f.normal for f in facet_list if i in f.vertex_set]
         raise InputError(f"point {i} not extreme (tight facet normals span "
-                         f"only {rank_of_vectors(tight, d)} of {d} dimensions)")
+                         f"only {IntEchelon(tight).rank} of {d} dimensions)")
     return Polytope(ambient_dim=d, vertices=tuple(pts), facets=tuple(facet_list), name=name)
 
 

@@ -18,22 +18,26 @@ points spans a candidate hyperplane, kept when all points lie on one side.
 It shares ``polyk.linalg.cofactor_kernel_vector`` with the library, which
 the double description calls only for its initial cone.
 
-The incidence-sign and cross-check oracles are the rational formulas the
-library used before it moved to integers: the sign of det C for the
+The incidence-sign oracles are the formulas the library used before it read
+the sign off the edge ray's orientation, with A_E and A_F the span bases of
+the face data as the trivialization flips them: the sign of det C for the
 coordinate matrix C with [e | A_E] C = A_F, by ``coords_in_basis`` and
-``det_sign``, and the component of the barycenter of the rational lifted
-vertices (1, v) orthogonal to span(E), by a rational Gram solve over E's own
-greedy basis.  The library's cross-check returns that component times the
-positive integer L * |F| * det G; either is accepted when it is a positive
-multiple of the ray (``positive_multiple_ratio``).  No report computation
-calls ``coords_in_basis`` or ``det_sign``.  The other oracles read the
-cone's integer generators L * (1, v) wherever the answer does not change
-under positive scaling.
+``det_sign`` on rationals, and the Gram form sign det([e | A_E]^T A_F), by
+``bareiss_det`` on integers.  The cross-check oracle is the rational formula
+the library used before it moved to integers: the component of the
+barycenter of the rational lifted vertices (1, v) orthogonal to span(E), by
+a rational Gram solve over E's own greedy basis.  The library's cross-check
+returns that component times the positive integer L * |F| * det G; either
+is accepted when it is a positive multiple of the ray
+(``positive_multiple_ratio``).  No report computation calls
+``coords_in_basis`` or ``det_sign``.  The other oracles read the cone's
+integer generators L * (1, v) wherever the answer does not change under
+positive scaling.
 
 The Cramer oracle is the integer solve the cross-check used before it read
 the Gram adjugate off the face data: one determinant per unknown, of the
 Gram matrix with that column replaced by the right-hand side.  It shares
-``polyk.linalg.bareiss_det`` with the library's incidence signs.
+``polyk.linalg.bareiss_det`` with the library's kernel vectors.
 
 The homology oracle is the dense computation the library used before it
 moved to sparse columns and unit pivots: D_{j-1} D_j = 0 by dense products
@@ -198,11 +202,31 @@ def coords_det_sign(b_cols, a_cols, n: int) -> int:
     return det_sign(coords_in_basis(b, a))
 
 
-def oracle_incidence_sign(T, ray, E: Face, F: Face) -> int:
+def oriented_basis(system, T, F: Face) -> tuple[tuple[int, ...], ...]:
+    """A_F as the ``Trivialization`` T orients F: the span basis of F's face
+    data in the ``ConeSystem``, its last column negated when F is flipped."""
+    basis = system.face_data(F).span_basis
+    if F in T.flipped:
+        basis = basis[:-1] + (tuple(-x for x in basis[-1]),)
+    return basis
+
+
+def oracle_incidence_sign(system, T, ray, E: Face, F: Face) -> int:
     """[E : F] as the orientation sign of [e | A_E] against A_F, by solving
-    for the coordinate matrix; T is a ``Trivialization``."""
+    for the coordinate matrix."""
     n = len(ray.direction)
-    return coords_det_sign((ray.direction,) + tuple(T.basis(E)), T.basis(F), n)
+    return coords_det_sign((ray.direction,) + oriented_basis(system, T, E),
+                           oriented_basis(system, T, F), n)
+
+
+def gram_incidence_sign(system, T, ray, E: Face, F: Face) -> int:
+    """[E : F] as sign det(B^T A_F) with B = [e | A_E], by a Bareiss
+    determinant: B^T A_F = (B^T B) C for the coordinate matrix C, and the
+    Gram determinant det(B^T B) is positive."""
+    b = (ray.direction,) + oriented_basis(system, T, E)
+    a_f = oriented_basis(system, T, F)
+    det = bareiss_det([[sum(x * y for x, y in zip(u, v)) for v in a_f] for u in b])
+    return (det > 0) - (det < 0)
 
 
 def oracle_crosscheck(C: LiftedCone, E: Face, F: Face) -> tuple[Fraction, ...]:

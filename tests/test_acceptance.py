@@ -145,7 +145,7 @@ def test_criterion_6_orientation_covariance(corpus_run):
         flippable = [f for f in lat.all_faces() if f.dim >= 0]
         for _ in range(10):
             g = rng.choice(flippable)
-            flipped = build_complex(trivialize(lat, system, flip_faces=[g]), lat, system)
+            flipped = build_complex(trivialize(lat, flip_faces=[g]), lat, system)
             g_idx = lat.faces(g.dim).index(g)
             for j in range(0, base.dim + 1):
                 for r in range(len(base.boundary[j])):

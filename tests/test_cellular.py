@@ -37,13 +37,18 @@ from polyk.pipeline import run_pipeline
 from polyk.polytope import Face, face_lattice, validate
 from polyk.sparse import dense_matrix, sparse_columns
 
-from oracles import dense_homology_pair, oracle_incidence_sign, simplicial_boundary_matrices
+from oracles import (
+    dense_homology_pair,
+    gram_incidence_sign,
+    oracle_incidence_sign,
+    simplicial_boundary_matrices,
+)
 
 
 def setup_polytope(poly):
     lat = face_lattice(poly)
     system = ConeSystem(lift(poly))
-    triv = trivialize(lat, system)
+    triv = trivialize(lat)
     return lat, system, triv
 
 
@@ -55,19 +60,23 @@ def boundary_matrix(triv, lat, system, j):
 # --- trivialize ---
 
 def test_trivialize_vertex_and_empty():
+    # a trivialization holds its flips only; the bases it orients are the
+    # face data's span bases
     poly = simplex(2)
     lat, system, triv = setup_polytope(poly)
     v0 = lat.faces(0)[0]
-    assert triv.basis(v0) == (system.cone.generators[0],)
-    assert len(triv.basis(lat.empty_face)) == 0
-    assert len(triv.basis(lat.top_face)) == 3
+    assert triv == cellular.Trivialization(flipped=frozenset())
+    assert trivialize(lat, flip_faces=[v0]).flipped == {v0}
+    assert system.face_data(v0).span_basis == (system.cone.generators[0],)
+    assert len(system.face_data(lat.empty_face).span_basis) == 0
+    assert len(system.face_data(lat.top_face).span_basis) == 3
 
 
 def test_trivialize_rejects_flipping_empty_face():
     poly = simplex(1)
     lat, system, _ = setup_polytope(poly)
     with pytest.raises(ValueError):
-        trivialize(lat, system, flip_faces=[lat.empty_face])
+        trivialize(lat, flip_faces=[lat.empty_face])
 
 
 def test_trivialize_rejects_flipping_a_face_not_in_the_lattice():
@@ -76,13 +85,13 @@ def test_trivialize_rejects_flipping_a_face_not_in_the_lattice():
     too_big = Face(vertex_set=(0, 1, 2, 3), dim=3)
     for stray in (diagonal, too_big):
         with pytest.raises(ValueError) as err:
-            trivialize(lat, system, flip_faces=[lat.top_face, stray])
+            trivialize(lat, flip_faces=[lat.top_face, stray])
         assert str(err.value) == f"cannot flip {stray}: it is not a face of the lattice"
 
 
 def test_one_span_basis_per_face_per_run(monkeypatch):
-    # trivialize, the edge rays and the cross-checks all read the span basis
-    # off the face data, built once per face
+    # the edge rays and the cross-checks read the span basis off the face
+    # data, built once per face
     real = cones.span_basis_of_face
     calls = []
 
@@ -115,8 +124,9 @@ def test_one_edge_ray_per_covering_pair_per_run(monkeypatch):
 
 def test_per_face_work_once_per_run(monkeypatch):
     # each face's span echelon and Gram factorisation are built once; the
-    # per-pair steps only read them: edge_ray builds no echelon and the
-    # cross-check takes no determinant
+    # per-pair steps only read them: edge_ray builds no echelon, the
+    # cross-check takes no determinant and the incidence sign neither
+    poly = hypercube(4)
     active = []  # the wrapped per-pair functions now running
 
     def within(name, fn):
@@ -147,18 +157,22 @@ def test_per_face_work_once_per_run(monkeypatch):
     monkeypatch.setattr(cones, "edge_ray", within("edge_ray", cones.edge_ray))
     monkeypatch.setattr(cones, "edge_ray_crosscheck",
                         within("edge_ray_crosscheck", cones.edge_ray_crosscheck))
-    monkeypatch.setattr(cones, "IntEchelon", CountingEchelon)
+    monkeypatch.setattr(cellular, "incidence_sign",
+                        within("incidence_sign", cellular.incidence_sign))
+    for module in (linalg, cones):
+        monkeypatch.setattr(module, "IntEchelon", CountingEchelon)
     monkeypatch.setattr(cones, "gram_adjugate", counting_gram)
     for module in (linalg, cones, cellular):
         if getattr(module, "bareiss_det", None) is real_det:
             monkeypatch.setattr(module, "bareiss_det", counting_det)
-    result = run_pipeline(hypercube(4))
+    result = run_pipeline(poly)
     faces = list(result.lattice.all_faces())
     assert Counter(grams) == Counter(faces)
+    # span_basis_of_face picks A_F through first_independent
     assert Counter(caller for caller, _ in echelons) == {
-        "lift": 1, "span_basis_of_face": len(faces), "face_cone_data": len(faces)}
+        "lift": 1, "first_independent": len(faces), "face_cone_data": len(faces)}
     assert not any(pair for _, pair in echelons)
-    assert not any("edge_ray_crosscheck" in pair for pair in dets)
+    assert not any("edge_ray_crosscheck" in pair or "incidence_sign" in pair for pair in dets)
     assert sum("edge_ray" in pair for pair in dets) > 0  # the kernel's cofactors are seen
 
 
@@ -177,7 +191,7 @@ def test_cone_and_cellular_stages_make_no_fraction(monkeypatch):
     assert Fraction(1, 2) == Fraction(2, 4) and len(made) == 2  # the counter sees them
     made.clear()
     system = ConeSystem(cone)
-    x = build_complex(trivialize(lat, system), lat, system)
+    x = build_complex(trivialize(lat), lat, system)
     assert made == []
     assert x.f_vector == lat.f_vector
 
@@ -203,29 +217,19 @@ def test_segment_signs_frozen():
 
 
 def test_incidence_signs_match_coordinate_oracle(small_corpus):
-    # sign det(B^T A_F) against the rational sign det of B^{-1} A_F, with
-    # no flips and with every nonempty face flipped; the random hulls have
-    # rational vertices
+    # the ray's orientation times the flips against the rational sign det of
+    # B^{-1} A_F and the Gram form sign det(B^T A_F), with no flips and with
+    # every nonempty face flipped; the random hulls have rational vertices
     rational = [random_hull(random.Random(seed), d, 9) for seed, d in ((1, 2), (2, 3), (3, 4))]
     for poly in list(small_corpus) + [hypercube(4), cross_polytope(4)] + rational:
         lat, system, triv = setup_polytope(poly)
-        flipped = trivialize(lat, system, flip_faces=[f for f in lat.all_faces() if f.dim >= 0])
+        flipped = trivialize(lat, flip_faces=[f for f in lat.all_faces() if f.dim >= 0])
         for t in (triv, flipped):
             for e, f in lat.covering:
                 ray = system.ray(e, f)
-                assert incidence_sign(t, ray, e, f) == oracle_incidence_sign(t, ray, e, f), \
-                    (poly.name, e, f)
-
-
-def test_incidence_sign_zero_names_pair(monkeypatch):
-    # a basis of F whose last column repeats another makes B^T A_F singular
-    lat, system, triv = setup_polytope(hypercube(2))
-    e, f = next((e, f) for e, f in lat.covering if f.dim == 1)
-    basis = triv.basis(f)
-    monkeypatch.setitem(triv.bases, f, basis[:-1] + (basis[0],))
-    with pytest.raises(InternalInvariantError) as err:
-        incidence_sign(triv, system.ray(e, f), e, f)
-    assert f"incidence sign of ({e}, {f}) is zero" in str(err.value)
+                sign = incidence_sign(t, ray, e, f)
+                assert sign == oracle_incidence_sign(system, t, ray, e, f) \
+                    == gram_incidence_sign(system, t, ray, e, f), (poly.name, e, f)
 
 
 def test_segment_pair_signs_opposite():
@@ -311,7 +315,8 @@ def test_build_complex_reports_failed_crosscheck(monkeypatch):
         ray = real(C, e, f, **kwargs)
         if (e, f) != target:
             return ray
-        return EdgeRay(pair=ray.pair, direction=tuple(-x for x in ray.direction))
+        return EdgeRay(pair=ray.pair, direction=tuple(-x for x in ray.direction),
+                       orientation=-ray.orientation)
 
     monkeypatch.setattr(cones, "edge_ray", negated)
     with pytest.raises(InternalInvariantError) as err:
@@ -461,10 +466,10 @@ def test_orientation_flip_negates_row_and_column(small_corpus):
     rng = random.Random(4)
     for poly in small_corpus:
         lat, system, _ = setup_polytope(poly)
-        base = build_complex(trivialize(lat, system), lat, system)
+        base = build_complex(trivialize(lat), lat, system)
         flippable = [f for f in lat.all_faces() if f.dim >= 0]
         g = rng.choice(flippable)
-        flipped_triv = trivialize(lat, system, flip_faces=[g])
+        flipped_triv = trivialize(lat, flip_faces=[g])
         flipped = build_complex(flipped_triv, lat, system)
         g_level = lat.faces(g.dim)
         g_idx = g_level.index(g)

@@ -31,7 +31,7 @@ from affine import apply_affine, random_invertible_affine
 def complex_of(poly):
     lat = face_lattice(poly)
     system = ConeSystem(lift(poly))
-    return lat, build_complex(trivialize(lat, system), lat, system)
+    return lat, build_complex(trivialize(lat), lat, system)
 
 
 # --- strip_signs ---

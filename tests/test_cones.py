@@ -14,15 +14,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import polyk.cones as cones
-from polyk.cones import (
-    ConeSystem,
-    dual_cone,
-    edge_ray,
-    edge_ray_crosscheck,
-    face_cone_data,
-    gram_adjugate,
-    lift,
-)
+from polyk.cones import ConeSystem, dual_cone, edge_ray, gram_adjugate, lift
 from polyk.corpus import cross_polytope, hypercube, point_polytope, random_hull, simplex
 from polyk.errors import InternalInvariantError
 from polyk.linalg import (
@@ -126,7 +118,7 @@ def test_face_data_top_face():
     poly = simplex(2)
     lat, by_set = faces_of(poly)
     cone = lift(poly)
-    data = face_cone_data(cone, lat.top_face)
+    data = ConeSystem(cone).face_data(lat.top_face)
     assert data.dual_face_gens == ()
     assert circledast_gens(cone, lat.top_face) == ()
     assert len(data.span_basis) == 3
@@ -137,7 +129,7 @@ def test_face_data_empty_face_bipolar():
     poly = hypercube(2)
     lat, _ = faces_of(poly)
     cone = lift(poly)
-    data = face_cone_data(cone, lat.empty_face)
+    data = ConeSystem(cone).face_data(lat.empty_face)
     assert set(circledast_gens(cone, lat.empty_face)) == {primitive_vector(g) for g in cone.generators}
     assert data.dual_face_gens == cone.facet_normals
     assert len(data.span_basis) == 0
@@ -147,7 +139,7 @@ def test_face_data_segment_vertex():
     poly = simplex(1)
     lat, by_set = faces_of(poly)
     cone = lift(poly)
-    data = face_cone_data(cone, by_set[(0,)])
+    data = ConeSystem(cone).face_data(by_set[(0,)])
     assert data.span_basis == ((1, 0),)
     assert data.dual_face_gens == ((0, 1),)
     assert circledast_gens(cone, by_set[(0,)]) == ((0, 1),)
@@ -157,9 +149,10 @@ def test_face_data_invariants_small_corpus(small_corpus):
     for poly in small_corpus:
         lat = face_lattice(poly)
         cone = lift(poly)
+        system = ConeSystem(cone)
         n = cone.dim
         for f in lat.all_faces():
-            data = face_cone_data(cone, f)
+            data = system.face_data(f)
             assert len(data.span_basis) == f.dim + 1
             for g in data.dual_face_gens:
                 assert all(dot(g, cone.generators[i]) == 0 for i in f.vertex_set)
@@ -177,11 +170,11 @@ def test_face_data_invariants_small_corpus(small_corpus):
 def test_edge_ray_segment_vertex_to_top():
     poly = simplex(1)
     lat, by_set = faces_of(poly)
-    cone = lift(poly)
-    ray = edge_ray(cone, by_set[(0,)], by_set[(0, 1)])
+    system = ConeSystem(lift(poly))
+    ray = system.ray(by_set[(0,)], by_set[(0, 1)])
     assert ray.direction == (0, 1)
     # b = (1, 0) + (1, 1), A_E = ((1, 0),), det G = 1: w' = b - 2 (1, 0)
-    w = edge_ray_crosscheck(cone, by_set[(0,)], by_set[(0, 1)])
+    w = system.crosscheck(by_set[(0,)], by_set[(0, 1)])
     assert w == (0, 1)
     assert positive_multiple_ratio(w, ray.direction) == 1
 
@@ -190,11 +183,13 @@ def test_edge_ray_from_empty_face_is_lifted_vertex(small_corpus):
     for poly in small_corpus:
         lat = face_lattice(poly)
         cone = lift(poly)
+        system = ConeSystem(cone)
         for v in lat.faces(0):
-            ray = edge_ray(cone, lat.empty_face, v)
+            ray = system.ray(lat.empty_face, v)
             assert ray.direction == primitive_vector(cone.generators[v.vertex_set[0]])
+            assert ray.orientation == 1
             # A_E is empty, det G = 1: w' = b, the one integer lifted vertex
-            w = edge_ray_crosscheck(cone, lat.empty_face, v)
+            w = system.crosscheck(lat.empty_face, v)
             assert w == cone.generators[v.vertex_set[0]]
 
 
@@ -203,9 +198,10 @@ def test_edge_ray_triangle_vertex_edge_invariants():
     lat, by_set = faces_of(poly)
     cone = lift(poly)
     e, f = by_set[(0,)], by_set[(0, 1)]
-    ray = edge_ray(cone, e, f)
-    data_e = face_cone_data(cone, e)
-    data_f = face_cone_data(cone, f)
+    system = ConeSystem(cone)
+    ray = system.ray(e, f)
+    data_e = system.face_data(e)
+    data_f = system.face_data(f)
     # inside span of F
     assert rank(QMatrix.from_columns(data_f.span_basis + (ray.direction,))) == 2
     # orthogonal to span of E
@@ -220,7 +216,7 @@ def test_edge_ray_rejects_non_covering_pair():
     lat, by_set = faces_of(poly)
     vertex, top = by_set[(0,)], lat.top_face
     with pytest.raises(InternalInvariantError) as err:
-        edge_ray(lift(poly), vertex, top)
+        ConeSystem(lift(poly)).ray(vertex, top)
     assert f"edge ray of ({vertex}, {top}):" in str(err.value)
 
 
@@ -242,12 +238,13 @@ def test_crosscheck_matches_rational_gram_oracle(small_corpus):
     for poly in list(small_corpus) + [hypercube(4), cross_polytope(4)] + rational:
         lat = face_lattice(poly)
         cone = lift(poly)
+        system = ConeSystem(cone)
         scale = lcm(*(x.denominator for v in poly.vertices for x in v))
         for e, f in lat.covering:
-            a_e = face_cone_data(cone, e).span_basis
+            a_e = system.face_data(e).span_basis
             det_g = leibniz_det([[dot(u, v) for v in a_e] for u in a_e])
             factor = scale * len(f.vertex_set) * det_g
-            assert edge_ray_crosscheck(cone, e, f) == \
+            assert system.crosscheck(e, f) == \
                 tuple(factor * x for x in oracle_crosscheck(cone, e, f)), (poly.name, e, f)
 
 
@@ -314,7 +311,7 @@ def test_dual_face_rank_names_face():
     broken = dataclasses.replace(cone, facet_normals=cone.facet_normals[1:])
     v = next(f for f in lat.faces(0) if dot(dropped, cone.generators[f.vertex_set[0]]) == 0)
     with pytest.raises(InternalInvariantError) as err:
-        face_cone_data(broken, v)
+        ConeSystem(broken).face_data(v)
     assert f"dual face of {v} spans rank 1, expected 2" in str(err.value)
 
 
@@ -339,7 +336,7 @@ def test_edge_ray_rejects_ray_outside_span_of_f(monkeypatch):
     outside = next(i for i in range(poly.nvertices) if i not in f.vertex_set)
     _perturbed_directions(monkeypatch, cone, primitive_vector(cone.generators[outside]))
     with pytest.raises(InternalInvariantError) as err:
-        edge_ray(cone, e, f)
+        ConeSystem(cone).ray(e, f)
     assert f"edge ray of ({e}, {f}) leaves the span of {f}" in str(err.value)
 
 
@@ -351,8 +348,27 @@ def test_edge_ray_rejects_ray_not_orthogonal_to_e(monkeypatch):
     e, f = next((e, f) for e, f in lat.covering if f.dim == 1)
     _perturbed_directions(monkeypatch, cone, primitive_vector(cone.generators[e.vertex_set[0]]))
     with pytest.raises(InternalInvariantError) as err:
-        edge_ray(cone, e, f)
+        ConeSystem(cone).ray(e, f)
     assert f"edge ray of ({e}, {f}) not orthogonal to span of {e}" in str(err.value)
+
+
+def test_edge_ray_without_orientation_names_pair():
+    # the lifted vertex that orients the ray is moved into span(E), so the
+    # ray is orthogonal to it; the ray itself, read off the face data of
+    # the unchanged cone, still passes the span, orthogonality and
+    # circledast checks, which come first
+    lat, _ = faces_of(hypercube(2))
+    system = ConeSystem(lift(hypercube(2)))
+    e, f = next((e, f) for e, f in lat.covering
+                if f.dim == 1 and system.ray(e, f).orientation == 1)
+    outside = next(i for i in f.vertex_set if i not in e.vertex_set)
+    gens = list(system.cone.generators)
+    gens[outside] = gens[e.vertex_set[0]]
+    broken = dataclasses.replace(system.cone, generators=tuple(gens))
+    with pytest.raises(InternalInvariantError) as err:
+        edge_ray(broken, e, f, system.face_data(e), system.face_data(f))
+    assert str(err.value) == (
+        f"edge ray of ({e}, {f}) is orthogonal to lifted vertex {outside}: it has no orientation")
 
 
 def test_ray_intersection_is_one_dimensional(small_corpus):

@@ -27,7 +27,7 @@ from oracles import dense_homology_pair
 def full_run(poly):
     lat = face_lattice(poly)
     system = ConeSystem(lift(poly))
-    x = build_complex(trivialize(lat, system), lat, system)
+    x = build_complex(trivialize(lat), lat, system)
     return poly, lat, x
 
 

@@ -255,6 +255,29 @@ def test_gram_determinant_sign_matches_coordinate_oracle(data):
     assert gram_sign == coords_det_sign(b_cols, a_cols, n) == _sign(det_u)
 
 
+@given(st.integers(1, 5).flatmap(lambda k: st.integers(k, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=k, max_size=k),
+    st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=k - 1,
+             max_size=k - 1),
+    st.lists(st.integers(-4, 4), min_size=n, max_size=n)))))
+def test_laplace_identity_for_incidence_signs(data):
+    # det([e | A_E]^T A_F) = <e, A_F kappa> for the signed cofactor vector
+    # kappa of M = A_E^T A_F (Laplace expansion along the first row), and
+    # making the rows of M primitive keeps the sign of <e, A_F kappa>
+    a_f, a_e, e = data
+    k = len(a_f)
+
+    def a_f_kappa(rows):
+        kappa = cofactor_kernel_vector(rows, k) or (0,) * k
+        return [int_dot(row, kappa) for row in zip(*a_f)]
+
+    m = [[int_dot(a, b) for b in a_f] for a in a_e]
+    det = bareiss_det([[int_dot(u, b) for b in a_f] for u in [e] + a_e])
+    assert det == int_dot(e, a_f_kappa(m))
+    primitive_rows = [primitive_vector(r) if any(r) else r for r in m]
+    assert _sign(int_dot(e, a_f_kappa(primitive_rows))) == _sign(det)
+
+
 # --- Smith normal form ---
 
 def test_snf_identity():

@@ -18,7 +18,7 @@ from polyk.corpus import (
     simplex,
 )
 from polyk.errors import InputError, InternalInvariantError
-from polyk.linalg import rank_of_vectors
+from polyk.linalg import IntEchelon
 from polyk.polytope import (
     Face,
     FaceLattice,
@@ -120,7 +120,7 @@ def test_square_facets():
     f = facets(hypercube(2))
     assert len(f) == 4
     for fc in f:
-        assert rank_of_vectors([fc.normal], 2) == 1
+        assert IntEchelon([fc.normal]).rank == 1
         assert affine_dim([hypercube(2).vertices[i] for i in fc.vertex_set], 2) == 1
 
 
