@@ -9,24 +9,27 @@ sign det(B^T A_F) since B^T A_F = (B^T B) C and det(B^T B) > 0.  (B is a
 basis of span(F): e lies in span(F) and is orthogonal to span(E), both
 checked by ``edge_ray``, and A_E is a basis of span(E).)
 
-``edge_ray`` has already decided that sign.  Expanding det(B^T A_F) along
-its first row e^T A_F (Laplace), with kappa the signed cofactor vector of
-M = A_E^T A_F (``cofactor_kernel_vector``) for the unflipped bases,
+``edge_ray`` has already decided that sign for the unflipped bases.  The
+ray is the primitive vector e of w = det G_E * g - A_E x, the projection of
+a lifted vertex g of F outside E off span(E) scaled by det G_E > 0, so
 
-    det(B^T A_F) = <A_F^T e, kappa> = <e, A_F kappa>,
+    [w | A_E] = [g | A_E] U,   U = [[det G_E, 0], [-x, I]],   det U = det G_E,
 
-and the ray is e = sigma * c * A_F kappa with c > 0 and sigma its
-``EdgeRay.orientation``, so the determinant is sigma * c * |A_F kappa|^2,
-nonzero by ``edge_ray``'s orientation check.  A flip of F negates a column
-of B^T A_F and a flip of E a row, so with eps = -1 for a flipped face and +1
-otherwise
+and with w = c * e, c > 0,
+
+    sign det(B^T A_F) = sign det([w | A_E]^T A_F) = sign det([g | A_E]^T A_F),
+
+one k x k determinant whose entries are all lookups in the Gram table of
+the lifted vertices: the ray's ``EdgeRay.orientation`` sigma, nonzero by
+``edge_ray``'s check.  A flip of F negates a column of B^T A_F and a flip of
+E a row, so with eps = -1 for a flipped face and +1 otherwise
 
     [E : F] = sigma * eps_E * eps_F,
 
-with no determinant per pair; the barycenter cross-check confirms the
-oriented ray, sign included, independently.  For (empty face, vertex) the
-ray is a positive multiple of the lifted vertex, sigma = +1, and the empty
-face cannot be flipped: the bottom boundary matrix is the all-ones
+with no further determinant per pair; the barycenter cross-check confirms
+the oriented ray, sign included, independently.  For (empty face, vertex)
+the ray is a positive multiple of the lifted vertex, sigma = +1, and the
+empty face cannot be flipped: the bottom boundary matrix is the all-ones
 augmentation row.
 
 Boundary matrices are integer matrices over the stable (lexicographic by
@@ -91,8 +94,9 @@ def incidence_sign(T: Trivialization, ray: EdgeRay, E: Face, F: Face) -> int:
     """The incidence number [E : F] of a covering pair; always +1 or -1.
 
     It is sigma * eps_E * eps_F, with sigma the ray's orientation and
-    eps = -1 for a flipped face: the Laplace identity in the module
-    docstring makes that sign det(B^T A_F) for B = [e | A_E].
+    eps = -1 for a flipped face: the identity [w | A_E] = [g | A_E] U in
+    the module docstring makes sigma the sign det(B^T A_F) for B = [e | A_E]
+    and the unflipped bases.
     """
     return ray.orientation * (-1) ** ((E in T.flipped) + (F in T.flipped))
 

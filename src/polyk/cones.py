@@ -6,26 +6,42 @@ cone's generators are the integer lifted vertices L * (1, v_i), scaled by
 the lcm L of the vertex denominators.  One positive factor for all columns
 changes no span, kernel, ray direction or determinant sign, so everything
 below runs on Python integers, with ranks and span membership decided by
-fraction-free elimination (``IntEchelon``).  For every face, once per run
-(``ConeSystem``), we compute
+fraction-free elimination (``IntEchelon``).
+
+Every inner product the covering pairs need is between two lifted vertices
+(a span basis is made of the face's own vertices) or between a lifted
+vertex and a facet normal of the cone.  So ``ConeSystem`` builds two tables
+once per run: the Gram table T[i][j] = <v_i, v_j> of the lifted vertices
+(``gram_table``) and the slack table S[i][k] = <y_k, v_i> of the lifted
+vertices against the facet normals (``slack_table``), whose zeros give each
+vertex's facet bitmask.  For every face, once per run, we compute
 
   * a deterministic basis A_F of the span (integer lifted vertices, greedy
-    in index order), with the echelon form that picked it,
-  * the sum b_F of its lifted vertices, and det G and adj G of the Gram
-    matrix G = A_F^T A_F (``gram_adjugate``),
-  * the generators of the dual face (facet normals of the cone vanishing on
-    F), as the AND of its vertices' facet bitmasks.
+    in index order), by vertex ids, with the echelon form that picked it,
+  * the sum b_F of its lifted vertices, and the Gram matrix
+    G = A_F^T A_F read off T, with det G and adj G (``gram_adjugate``),
+  * the dual face (facet normals of the cone vanishing on F), by facet ids
+    and generators, as the AND of its vertices' facet bitmasks.
 
 In the paper, the edge vector of a covering pair E < F is the extreme ray of
 the dual of E's dual face, taken inside that dual face's span (the
 ``circledast`` cone of E), that is orthogonal to the dual face of F.  That
-ray spans the line where span(F) meets span(E)^perp, so it is read off the
-kernel of A_E^T A_F directly (see ``edge_ray``); the circledast cones
-themselves are not built here.  Its primitive integer generator plays the
-role of the unit edge vector in the incidence-sign determinant, whose sign
-is the ray's orientation (see ``polyk.cellular``).  Unit normalization is
-irrelevant to signs, so primitive integer ray generators replace unit
-vectors throughout and keep the arithmetic exact.
+ray spans the line where span(F) meets span(E)^perp.  So it is the
+projection of a lifted vertex g of F outside E off span(E), scaled by
+det G_E > 0 to stay integral (see ``edge_ray``):
+
+    w = det G_E * g - A_E x,   x = adj(G_E) A_E^T g,
+
+a combination of vertices of F whose coefficients are table lookups; the
+circledast cones themselves are not built here.  Its primitive integer
+generator e plays the role of the unit edge vector in the incidence-sign
+determinant det([e | A_E]^T A_F).  Since [w | A_E] = [g | A_E] U with U
+unit lower triangular but for its corner det G_E, det U = det G_E > 0, and
+w is a positive multiple of e, that sign is the sign of det([g | A_E]^T A_F),
+a k x k determinant of entries of T: the ray's orientation (see
+``polyk.cellular``).  Unit normalization is irrelevant to signs, so
+primitive integer ray generators replace unit vectors throughout and keep
+the arithmetic exact.
 
 A second, independent construction of the same ray (orthogonal projection of
 the barycenter of the lifted F-vertices away from the span of E, by an
@@ -48,6 +64,7 @@ from .linalg import (
     IntEchelon,
     IntMatrix,
     IntVector,
+    bareiss_det,
     cofactor_kernel_vector,
     first_independent,
     int_dot,
@@ -76,19 +93,22 @@ class FaceConeData:
     the face (see the module docstring)."""
 
     face: Face
+    span_ids: tuple[int, ...]  # vertex ids of the columns of span_basis
     span_basis: IntBasis  # columns: greedy independent integer lifted vertices of the face
     span_echelon: IntEchelon  # echelon form of span_basis; never grown after it is built
     vertex_sum: IntVector  # b_F, the sum of the integer lifted vertices of the face
-    gram_det: int  # det(A_F^T A_F) > 0
-    gram_adj: IntMatrix  # adj(A_F^T A_F)
-    dual_face_gens: tuple[IntVector, ...]
+    gram: IntMatrix  # G = A_F^T A_F, read off the Gram table
+    gram_det: int  # det G > 0
+    gram_adj: IntMatrix  # adj G
+    dual_ids: tuple[int, ...]  # indices into the cone's facet_normals of the dual face
+    dual_face_gens: tuple[IntVector, ...]  # those facet normals
 
 
 @dataclass(frozen=True)
 class EdgeRay:
-    """Primitive generator of the edge ray attached to a covering pair, and
-    the sign sigma with direction = sigma * c * A_F kappa, c > 0 (see
-    ``edge_ray``): the incidence sign [E : F] of the unflipped span bases."""
+    """Primitive generator e of the edge ray attached to a covering pair,
+    and its orientation sign det([e | A_E]^T A_F) (see ``edge_ray``): the
+    incidence sign [E : F] of the unflipped span bases."""
 
     pair: tuple[Face, Face]
     direction: IntVector
@@ -173,17 +193,17 @@ def lift(P: Polytope) -> LiftedCone:
     return LiftedCone(dim=n, base=P, generators=gens, facet_normals=normals)
 
 
-def span_basis_of_face(C: LiftedCone, F: Face) -> tuple[IntBasis, IntEchelon]:
+def span_basis_of_face(C: LiftedCone, F: Face) -> tuple[tuple[int, ...], IntEchelon]:
     """Greedy maximal independent subset of the integer lifted vertices of F,
-    in increasing vertex-index order; dim F + 1 columns (none for the empty
-    face).  One fraction-free echelon pass decides each candidate; it is
-    returned with the basis, since its kept rows span exactly span(F)."""
-    vertices = [C.generators[i] for i in F.vertex_set]
-    chosen, echelon = first_independent(vertices, F.dim + 1)
+    in increasing vertex-index order, as vertex ids; dim F + 1 of them (none
+    for the empty face).  One fraction-free echelon pass decides each
+    candidate; it is returned with the ids, since its kept rows span exactly
+    span(F)."""
+    chosen, echelon = first_independent((C.generators[i] for i in F.vertex_set), F.dim + 1)
     if len(chosen) != F.dim + 1:
         raise InternalInvariantError(
             f"face {F}: span has {len(chosen)} independent lifted vertices, expected {F.dim + 1}")
-    return tuple(vertices[i] for i in chosen), echelon
+    return tuple(F.vertex_set[i] for i in chosen), echelon
 
 
 def gram_adjugate(F: Face, gram: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
@@ -213,82 +233,114 @@ def gram_adjugate(F: Face, gram: Sequence[Sequence[int]]) -> tuple[int, IntMatri
     return prev, tuple(tuple(row[n:]) for row in a)
 
 
-def vertex_facet_masks(C: LiftedCone) -> tuple[int, ...]:
+def gram_table(C: LiftedCone) -> IntMatrix:
+    """T[i][j] = <v_i, v_j> for the integer lifted vertices v_i."""
+    return tuple(tuple(int_dot(u, v) for v in C.generators) for u in C.generators)
+
+
+def slack_table(C: LiftedCone) -> IntMatrix:
+    """S[i][k] = <y_k, v_i> for the integer lifted vertex v_i and the facet
+    normal y_k = ``C.facet_normals[k]``; nonnegative, zero where v_i lies on
+    the facet."""
+    return tuple(tuple(int_dot(y, g) for y in C.facet_normals) for g in C.generators)
+
+
+def vertex_facet_masks(slack: IntMatrix) -> tuple[int, ...]:
     """For each lifted vertex, the bitmask of the facet normals vanishing on
-    it (bit k for ``C.facet_normals[k]``)."""
-    return tuple(sum(1 << k for k, y in enumerate(C.facet_normals) if int_dot(y, g) == 0)
-                 for g in C.generators)
+    it (bit k for the normal y_k of ``slack_table``), read off the zeros of
+    its row of the slack table."""
+    return tuple(sum(1 << k for k, s in enumerate(row) if s == 0) for row in slack)
 
 
-def face_cone_data(C: LiftedCone, F: Face, vertex_masks: tuple[int, ...]) -> FaceConeData:
-    """The per-face data of F.  The dual face is a face of the dual cone,
-    hence generated by the facet normals of the cone that vanish on every
-    lifted vertex of F: the AND of the vertices' ``vertex_facet_masks``.
-    Its span must have dimension n - (dim F + 1); anything else is a
-    geometry bug."""
+def face_cone_data(C: LiftedCone, F: Face, vertex_masks: tuple[int, ...],
+                   gram: IntMatrix) -> FaceConeData:
+    """The per-face data of F, with its Gram matrix read off the Gram table
+    ``gram``.  The dual face is a face of the dual cone, hence generated by
+    the facet normals of the cone that vanish on every lifted vertex of F:
+    the AND of the vertices' ``vertex_facet_masks``.  Its span must have
+    dimension n - (dim F + 1); anything else is a geometry bug."""
     n = C.dim
-    span_basis, span_echelon = span_basis_of_face(C, F)
+    span_ids, span_echelon = span_basis_of_face(C, F)
     dual = reduce(and_, (vertex_masks[i] for i in F.vertex_set), (1 << len(C.facet_normals)) - 1)
-    dual_gens = tuple(y for k, y in enumerate(C.facet_normals) if dual >> k & 1)
+    dual_ids = tuple(k for k in range(len(C.facet_normals)) if dual >> k & 1)
+    dual_gens = tuple(C.facet_normals[k] for k in dual_ids)
     expected = n - (F.dim + 1)
     got = IntEchelon(dual_gens).rank
     if got != expected:
         raise InternalInvariantError(f"dual face of {F} spans rank {got}, expected {expected}")
     vertex_sum = tuple(map(sum, zip(*(C.generators[i] for i in F.vertex_set)))) or (0,) * n
-    gram_det, gram_adj = gram_adjugate(
-        F, [[int_dot(u, v) for v in span_basis] for u in span_basis])
-    return FaceConeData(face=F, span_basis=span_basis, span_echelon=span_echelon,
-                        vertex_sum=vertex_sum, gram_det=gram_det, gram_adj=gram_adj,
+    g_f = tuple(tuple(gram[a][b] for b in span_ids) for a in span_ids)
+    gram_det, gram_adj = gram_adjugate(F, g_f)
+    return FaceConeData(face=F, span_ids=span_ids,
+                        span_basis=tuple(C.generators[i] for i in span_ids),
+                        span_echelon=span_echelon, vertex_sum=vertex_sum, gram=g_f,
+                        gram_det=gram_det, gram_adj=gram_adj, dual_ids=dual_ids,
                         dual_face_gens=dual_gens)
 
 
-def edge_ray(C: LiftedCone, E: Face, F: Face,
-             data_E: FaceConeData, data_F: FaceConeData) -> EdgeRay:
+def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: FaceConeData,
+             gram: IntMatrix, slack: IntMatrix) -> EdgeRay:
     """The primitive generator of the edge ray of a covering pair (E, F),
-    with the sign that orients it.
+    with the sign that orients it, from the Gram table ``gram`` = T and the
+    slack table ``slack`` = S of the cone.
 
     The paper's edge ray is the extreme ray of the circledast cone of E
     orthogonal to the dual face of F; it spans the line where span(F) meets
-    span(E)^perp.  With k = dim F + 1, A_E^T A_F is a (k-1) x k integer
-    matrix of rank k-1, so its kernel is the line spanned by the signed
-    cofactor vector kappa, and the ray is primitive(A_F kappa) up to sign.
-    Scaling a row by a positive factor keeps the kernel and scales kappa by
-    a positive factor, so each row enters as its primitive integer vector.
-    Every lifted vertex of F that is not in E projects to the same open half
-    of the line, so one of them, g, fixes the sign: the ray is
-    sigma * c * A_F kappa with c > 0 and sigma = sign <A_F kappa, g>, the
-    ray's ``orientation``.  For E empty the matrix is 0 x 1, kappa = (1,),
-    and the ray is the lifted vertex, with sigma = +1.  Membership in the
-    span of F (against F's span echelon), orthogonality to the span of E and
-    membership in the circledast cone of E are re-verified exactly, and then
-    <A_F kappa, g> != 0: g orients the ray, and A_F kappa != 0.
+    span(E)^perp.  With g the first lifted vertex of F not in E, A = A_E and
+    G = G_E, the ray is the primitive vector of
+
+        w = det G * g - A x,   x = adj(G) A^T g,
+
+    det G times the component of g orthogonal to span(E); A^T g is the row
+    of T at g.  w is a combination of vertices of F, so it lies in span(F).
+    Each check reads the tables, by these identities:
+
+      * orthogonality to span(E): <w, a_j> = det G * T[g][a_j] - (G x)_j,
+        zero for every j exactly when G adj(G) = det G * I on A^T g;
+      * circledast cone of E: for y in E's dual face, <a_i, y> = 0 for
+        every vertex a_i of E, so <w, y> = det G * <g, y> = det G * S[g][y],
+        which must be >= 0;
+      * orientation: <w, g> = det G * T[g][g] - <x, A^T g>
+        = det G * |g - P_E g|^2, positive unless g lies in span(E), and
+        then w = 0;
+      * membership of the ray in span(F), against F's span echelon.
+
+    The orientation is sign det([g | A_E]^T A_F), one k x k determinant of
+    entries of T, k = dim F + 1: [w | A_E] = [g | A_E] U with det U = det G
+    > 0 and w a positive multiple of the ray e, so it is the sign of
+    det([e | A_E]^T A_F), which is nonzero because [e | A_E] and A_F are
+    bases of span(F); a zero determinant is an error naming the pair.  For
+    E empty, x is empty, w = g, and the sign is that of T[g][g] > 0.
     """
-    a_e, a_f = data_E.span_basis, data_F.span_basis
-    k = len(a_f)
-    kappa = None
-    if len(a_e) == k - 1:
-        rows = [primitive_vector([int_dot(a, b) for b in a_f]) for a in a_e]
-        kappa = cofactor_kernel_vector(rows, k)
-    if kappa is None:
+    a_ids, f_ids = data_E.span_ids, data_F.span_ids
+    if len(a_ids) != len(f_ids) - 1:
         raise InternalInvariantError(
             f"edge ray of ({E}, {F}): the kernel of A_E^T A_F is not a line "
-            f"(spans of dimension {len(a_e)} and {k})")
-    direction = primitive_vector([int_dot(row, kappa) for row in zip(*a_f)])
-    outside = next(i for i in F.vertex_set if i not in E.vertex_set)
-    side = int_dot(direction, C.generators[outside])
-    if side < 0:
-        direction = tuple(-x for x in direction)
+            f"(spans of dimension {len(a_ids)} and {len(f_ids)})")
+    g = next(i for i in F.vertex_set if i not in E.vertex_set)
+    t_g = gram[g]
+    at_g = [t_g[a] for a in a_ids]
+    det_e = data_E.gram_det
+    x = [int_dot(row, at_g) for row in data_E.gram_adj]
+    if any(det_e * t != int_dot(row, x) for row, t in zip(data_E.gram, at_g)):
+        raise InternalInvariantError(f"edge ray of ({E}, {F}) not orthogonal to span of {E}")
+    if any(slack[g][k] < 0 for k in data_E.dual_ids):
+        raise InternalInvariantError(f"edge ray of ({E}, {F}) outside circledast cone of {E}")
+    side = det_e * t_g[g] - int_dot(x, at_g)
+    if side <= 0:
+        raise InternalInvariantError(
+            f"edge ray of ({E}, {F}) is orthogonal to lifted vertex {g}: it has no orientation"
+            if side == 0 else f"edge ray of ({E}, {F}) points away from lifted vertex {g}")
+    w = [det_e * c for c in C.generators[g]]
+    for xi, a in zip(x, a_ids):
+        w = [u - xi * v for u, v in zip(w, C.generators[a])]
+    direction = primitive_vector(w)
     if not data_F.span_echelon.contains(direction):
         raise InternalInvariantError(f"edge ray of ({E}, {F}) leaves the span of {F}")
-    if any(int_dot(direction, col) != 0 for col in a_e):
-        raise InternalInvariantError(f"edge ray of ({E}, {F}) not orthogonal to span of {E}")
-    if any(int_dot(direction, y) < 0 for y in data_E.dual_face_gens):
-        raise InternalInvariantError(f"edge ray of ({E}, {F}) outside circledast cone of {E}")
-    if side == 0:
-        raise InternalInvariantError(
-            f"edge ray of ({E}, {F}) is orthogonal to lifted vertex {outside}: "
-            "it has no orientation")
-    return EdgeRay(pair=(E, F), direction=direction, orientation=1 if side > 0 else -1)
+    det = bareiss_det([[t_g[b] for b in f_ids]] + [[gram[a][b] for b in f_ids] for a in a_ids])
+    if det == 0:
+        raise InternalInvariantError(f"incidence sign of ({E}, {F}) is zero")
+    return EdgeRay(pair=(E, F), direction=direction, orientation=1 if det > 0 else -1)
 
 
 def edge_ray_crosscheck(E: Face, F: Face,
@@ -327,8 +379,9 @@ def edge_ray_crosscheck(E: Face, F: Face,
 
 class ConeSystem:
     """Per-face cone data (``FaceConeData``), computed once per face and
-    shared by the edge rays and the cross-checks, which only read it; the
-    vertex-facet masks behind the dual faces are computed once, with the
+    shared by the edge rays and the cross-checks, which only read it.  The
+    Gram and slack tables of the lifted vertices (``gram``, ``slack``) and
+    the vertex-facet masks behind the dual faces are built once, with the
     system.  Edge rays and cross-checks are not kept: ``build_complex``
     asks for each covering pair's once.
 
@@ -337,16 +390,19 @@ class ConeSystem:
 
     def __init__(self, cone: LiftedCone):
         self.cone = cone
-        self._vertex_masks = vertex_facet_masks(cone)
+        self.gram = gram_table(cone)
+        self.slack = slack_table(cone)
+        self._vertex_masks = vertex_facet_masks(self.slack)
         self._face_data: dict[Face, FaceConeData] = {}
 
     def face_data(self, F: Face) -> FaceConeData:
         if F not in self._face_data:
-            self._face_data[F] = face_cone_data(self.cone, F, self._vertex_masks)
+            self._face_data[F] = face_cone_data(self.cone, F, self._vertex_masks, self.gram)
         return self._face_data[F]
 
     def ray(self, E: Face, F: Face) -> EdgeRay:
-        return edge_ray(self.cone, E, F, data_E=self.face_data(E), data_F=self.face_data(F))
+        return edge_ray(self.cone, E, F, data_E=self.face_data(E), data_F=self.face_data(F),
+                        gram=self.gram, slack=self.slack)
 
     def crosscheck(self, E: Face, F: Face) -> IntVector:
         return edge_ray_crosscheck(E, F, data_E=self.face_data(E), data_F=self.face_data(F))

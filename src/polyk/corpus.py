@@ -63,7 +63,7 @@ def random_hull(rng: random.Random, dim: int, n_points: int,
             if p not in seen:
                 seen.add(p)
                 pts.append(p)
-        if affine_dim(pts, dim) == dim:
+        if affine_dim(pts) == dim:
             return convex_hull(pts, name=name)
 
 

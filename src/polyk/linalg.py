@@ -340,9 +340,9 @@ def cofactor_kernel_vector(rows: Sequence[Sequence[int]], n: int) -> IntVector |
     The i-th component is (-1)^i times the maximal minor omitting column i,
     so the result is integral and spans the kernel; returns None when the
     rows have rank < n-1 (all minors vanish).  It satisfies
-    det([x; M]) = <x, kappa> for any top row x (Laplace expansion), which
-    the incidence signs rely on (``polyk.cellular``): a replacement must
-    return this vector up to a positive factor, not any kernel generator.
+    det([x; M]) = <x, kappa> for any top row x (Laplace expansion).  The
+    double description's initial cone and the brute-force ``dual_cone``
+    use it; the edge rays and incidence signs do not.
     """
     if len(rows) != n - 1:
         raise InternalInvariantError("cofactor_kernel_vector: need exactly n-1 rows")

@@ -121,7 +121,7 @@ class FaceLattice:
         return self._lower[f]
 
 
-def affine_dim(points: Sequence[Sequence], ambient_dim: int) -> int:
+def affine_dim(points: Sequence[Sequence]) -> int:
     """Dimension of the affine hull; -1 for no points.  The differences to
     the first point are scaled to integers, which keeps their rank."""
     if not points:
@@ -239,9 +239,9 @@ def validate(vertices: Sequence[Sequence], name: str | None = None) -> Polytope:
         if p in seen:
             raise InputError(f"duplicate vertex: {i} equals {seen[p]}")
         seen[p] = i
-    if affine_dim(pts, d) != d:
-        raise InputError(
-            f"hull not full-dimensional: affine dimension {affine_dim(pts, d)} < ambient {d}")
+    dim = affine_dim(pts)
+    if dim != d:
+        raise InputError(f"hull not full-dimensional: affine dimension {dim} < ambient {d}")
     facet_list, inner = _hull(pts, d)
     if inner:
         i = inner[0]

@@ -12,6 +12,17 @@ extreme rays are the edge vectors: the dual of a face's dual face, taken
 inside the dual face's span.  It enumerates extreme rays by brute force with
 ``polyk.cones.dual_cone``, which no report computation calls.
 
+The kernel edge-ray oracle is the construction the library used before it
+projected a vertex off span(E) on the vertex Gram table: the ray of a
+covering pair (E, F) is A_F kappa for the signed cofactor vector kappa of
+A_E^T A_F (``cofactor_kernel_vector``, from k Bareiss minors and (k-1) k
+dot products of n-vectors), signed positive on the first lifted vertex g
+of F outside E, and its orientation is the sign sigma = sign <A_F kappa, g>
+of that fix.  By Laplace expansion along the first row,
+det([e | A_E]^T A_F) = <e, A_F kappa>, so sigma is the incidence sign of
+the unflipped bases.  The projection oracle takes the component of a
+lifted vertex orthogonal to span(E) by a rational Gram solve.
+
 The facet oracle is the brute force the library used before it switched to
 the double description method: every affinely independent d-subset of the
 points spans a candidate hyperplane, kept when all points lie on one side.
@@ -37,7 +48,7 @@ positive scaling.
 The Cramer oracle is the integer solve the cross-check used before it read
 the Gram adjugate off the face data: one determinant per unknown, of the
 Gram matrix with that column replaced by the right-hand side.  It shares
-``polyk.linalg.bareiss_det`` with the library's kernel vectors.
+``polyk.linalg.bareiss_det`` with the library's edge-ray orientation.
 
 The homology oracle is the dense computation the library used before it
 moved to sparse columns and unit pivots: D_{j-1} D_j = 0 by dense products
@@ -57,7 +68,7 @@ from itertools import combinations, permutations
 from math import lcm
 
 from polyk.cellular import ChainComplex, HomologyResult
-from polyk.cones import LiftedCone, dual_cone
+from polyk.cones import EdgeRay, FaceConeData, LiftedCone, dual_cone
 from polyk.errors import InternalInvariantError
 from polyk.linalg import (
     QMatrix,
@@ -66,6 +77,7 @@ from polyk.linalg import (
     coords_in_basis,
     det_sign,
     dot,
+    int_dot,
     int_mat_is_zero,
     int_mat_mul,
     primitive_vector,
@@ -229,19 +241,43 @@ def gram_incidence_sign(system, T, ray, E: Face, F: Face) -> int:
     return (det > 0) - (det < 0)
 
 
-def oracle_crosscheck(C: LiftedCone, E: Face, F: Face) -> tuple[Fraction, ...]:
-    """The component of the barycenter of the rational lifted F-vertices
-    (1, v) orthogonal to span(E), by a rational Gram solve G x = A^T bary
-    with G = A^T A."""
-    lifted = [(Fraction(1),) + C.base.vertices[i] for i in F.vertex_set]
-    bary = tuple(sum(col, start=Fraction(0)) / len(lifted) for col in zip(*lifted))
+def kernel_edge_ray(C: LiftedCone, E: Face, F: Face,
+                    data_E: FaceConeData, data_F: FaceConeData) -> EdgeRay:
+    """The edge ray of a covering pair as primitive(sigma * A_F kappa), with
+    kappa the signed cofactor vector of A_E^T A_F (rows scaled to their
+    primitive vectors, which scales kappa by a positive factor) and
+    sigma = sign <A_F kappa, g> for the first lifted vertex g of F outside
+    E, returned as the orientation."""
+    a_e, a_f = data_E.span_basis, data_F.span_basis
+    rows = [primitive_vector([int_dot(a, b) for b in a_f]) for a in a_e]
+    kappa = cofactor_kernel_vector(rows, len(a_f))
+    ray = [int_dot(row, kappa) for row in zip(*a_f)]
+    g = next(i for i in F.vertex_set if i not in E.vertex_set)
+    sigma = 1 if int_dot(ray, C.generators[g]) > 0 else -1
+    return EdgeRay(pair=(E, F), direction=primitive_vector([sigma * x for x in ray]),
+                   orientation=sigma)
+
+
+def orthogonal_component(C: LiftedCone, E: Face, point) -> tuple[Fraction, ...]:
+    """The component of a point of the lifted space orthogonal to the span
+    of E's rational lifted vertices (1, v), by a rational Gram solve
+    G x = A^T point with G = A^T A over E's own greedy basis A."""
+    point = qvec(point)
     A = _greedy_independent([(Fraction(1),) + C.base.vertices[i] for i in E.vertex_set], C.dim)
     if A.cols == 0:
-        return bary
+        return point
     at = A.transpose()
-    x = coords_in_basis(at @ A, QMatrix.from_columns([at.mat_vec(bary)]))
+    x = coords_in_basis(at @ A, QMatrix.from_columns([at.mat_vec(point)]))
     proj = A.mat_vec(x.column(0))
-    return tuple(b - p for b, p in zip(bary, proj))
+    return tuple(b - p for b, p in zip(point, proj))
+
+
+def oracle_crosscheck(C: LiftedCone, E: Face, F: Face) -> tuple[Fraction, ...]:
+    """The component of the barycenter of the rational lifted F-vertices
+    (1, v) orthogonal to span(E)."""
+    lifted = [(Fraction(1),) + C.base.vertices[i] for i in F.vertex_set]
+    bary = tuple(sum(col, start=Fraction(0)) / len(lifted) for col in zip(*lifted))
+    return orthogonal_component(C, E, bary)
 
 
 def cramer_numerators(gram, rhs) -> list[int]:
@@ -404,7 +440,7 @@ def closure_face_lattice(P: Polytope) -> FaceLattice:
 
     by_dim: dict[int, list[Face]] = {j: [] for j in range(-1, d + 1)}
     for s in sets:
-        fdim = -1 if not s else affine_dim([P.vertices[i] for i in sorted(s)], d)
+        fdim = -1 if not s else affine_dim([P.vertices[i] for i in sorted(s)])
         by_dim[fdim].append(Face(vertex_set=tuple(sorted(s)), dim=fdim))
     for j in by_dim:
         by_dim[j].sort(key=lambda f: f.vertex_set)

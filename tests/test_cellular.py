@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import polyk.cellular as cellular
 import polyk.cones as cones
 import polyk.linalg as linalg
+import polyk.pipeline as pipeline
 from polyk.cellular import (
     ChainComplex,
     boundary_columns,
@@ -123,9 +124,11 @@ def test_one_edge_ray_per_covering_pair_per_run(monkeypatch):
 
 
 def test_per_face_work_once_per_run(monkeypatch):
-    # each face's span echelon and Gram factorisation are built once; the
-    # per-pair steps only read them: edge_ray builds no echelon, the
-    # cross-check takes no determinant and the incidence sign neither
+    # each face's span echelon and Gram factorisation are built once, and
+    # the Gram and slack tables once per ConeSystem; the per-pair steps
+    # only read them: edge_ray builds no echelon and takes one determinant,
+    # the cross-check takes none and the incidence sign neither, and no
+    # cofactor kernel is solved while the complex is built
     poly = hypercube(4)
     active = []  # the wrapped per-pair functions now running
 
@@ -138,8 +141,9 @@ def test_per_face_work_once_per_run(monkeypatch):
                 active.pop()
         return wrapped
 
-    echelons, grams, dets = [], [], []
+    echelons, grams, dets, kernels, tables = [], [], [], [], []
     real_gram, real_det = cones.gram_adjugate, linalg.bareiss_det
+    real_kernel = linalg.cofactor_kernel_vector
 
     class CountingEchelon(cones.IntEchelon):
         def __init__(self, vectors=()):
@@ -154,26 +158,45 @@ def test_per_face_work_once_per_run(monkeypatch):
         dets.append(tuple(active))
         return real_det(rows)
 
+    def counting_kernel(rows, n):
+        kernels.append(tuple(active))
+        return real_kernel(rows, n)
+
+    def counting_table(name, fn):
+        def wrapped(C):
+            tables.append(name)
+            return fn(C)
+        return wrapped
+
     monkeypatch.setattr(cones, "edge_ray", within("edge_ray", cones.edge_ray))
     monkeypatch.setattr(cones, "edge_ray_crosscheck",
                         within("edge_ray_crosscheck", cones.edge_ray_crosscheck))
     monkeypatch.setattr(cellular, "incidence_sign",
                         within("incidence_sign", cellular.incidence_sign))
+    monkeypatch.setattr(pipeline, "build_complex",
+                        within("build_complex", pipeline.build_complex))
+    for name in ("gram_table", "slack_table"):
+        monkeypatch.setattr(cones, name, counting_table(name, getattr(cones, name)))
     for module in (linalg, cones):
         monkeypatch.setattr(module, "IntEchelon", CountingEchelon)
     monkeypatch.setattr(cones, "gram_adjugate", counting_gram)
     for module in (linalg, cones, cellular):
         if getattr(module, "bareiss_det", None) is real_det:
             monkeypatch.setattr(module, "bareiss_det", counting_det)
+        if getattr(module, "cofactor_kernel_vector", None) is real_kernel:
+            monkeypatch.setattr(module, "cofactor_kernel_vector", counting_kernel)
     result = run_pipeline(poly)
     faces = list(result.lattice.all_faces())
     assert Counter(grams) == Counter(faces)
+    assert Counter(tables) == {"gram_table": 1, "slack_table": 1}
     # span_basis_of_face picks A_F through first_independent
     assert Counter(caller for caller, _ in echelons) == {
         "lift": 1, "first_independent": len(faces), "face_cone_data": len(faces)}
-    assert not any(pair for _, pair in echelons)
+    assert not any(set(pair) - {"build_complex"} for _, pair in echelons)
     assert not any("edge_ray_crosscheck" in pair or "incidence_sign" in pair for pair in dets)
-    assert sum("edge_ray" in pair for pair in dets) > 0  # the kernel's cofactors are seen
+    # the orientation: one k x k determinant per covering pair, 232 here
+    assert sum("edge_ray" in pair for pair in dets) == len(result.lattice.covering) == 232
+    assert not any("build_complex" in pair for pair in kernels)
 
 
 def test_cone_and_cellular_stages_make_no_fraction(monkeypatch):

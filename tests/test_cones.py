@@ -32,8 +32,10 @@ from polyk.polytope import Face, face_lattice
 from oracles import (
     circledast_gens,
     cramer_numerators,
+    kernel_edge_ray,
     leibniz_det,
     oracle_crosscheck,
+    orthogonal_component,
     positive_multiple_ratio,
     solve_in_span,
 )
@@ -317,8 +319,7 @@ def test_dual_face_rank_names_face():
 
 def _perturbed_directions(monkeypatch, cone, shift):
     """Make the ray of every pair come out shifted by ``shift``: edge_ray
-    passes its direction, a vector of length cone.dim, through
-    primitive_vector (the rows of A_E^T A_F are shorter for proper faces)."""
+    passes w, a vector of length cone.dim, through primitive_vector."""
     real = cones.primitive_vector
 
     def perturbed(v):
@@ -340,22 +341,27 @@ def test_edge_ray_rejects_ray_outside_span_of_f(monkeypatch):
     assert f"edge ray of ({e}, {f}) leaves the span of {f}" in str(err.value)
 
 
-def test_edge_ray_rejects_ray_not_orthogonal_to_e(monkeypatch):
-    # shifting by E's own lifted vertex stays in span F but leaves span(E)^perp
+def test_edge_ray_rejects_ray_not_orthogonal_to_e():
+    # a doubled adjugate of G_E doubles x, so w = det G_E g - A_E x stays in
+    # span F but leaves span(E)^perp: <w, a_j> = det G_E T[g][a_j] - (G_E x)_j
+    # is read off the tables and no longer vanishes
     poly = hypercube(2)
     lat, _ = faces_of(poly)
-    cone = lift(poly)
+    system = ConeSystem(lift(poly))
     e, f = next((e, f) for e, f in lat.covering if f.dim == 1)
-    _perturbed_directions(monkeypatch, cone, primitive_vector(cone.generators[e.vertex_set[0]]))
+    data_e = system.face_data(e)
+    doubled = dataclasses.replace(
+        data_e, gram_adj=tuple(tuple(2 * x for x in row) for row in data_e.gram_adj))
     with pytest.raises(InternalInvariantError) as err:
-        ConeSystem(cone).ray(e, f)
+        edge_ray(system.cone, e, f, doubled, system.face_data(f),
+                 gram=system.gram, slack=system.slack)
     assert f"edge ray of ({e}, {f}) not orthogonal to span of {e}" in str(err.value)
 
 
 def test_edge_ray_without_orientation_names_pair():
-    # the lifted vertex that orients the ray is moved into span(E), so the
-    # ray is orthogonal to it; the ray itself, read off the face data of
-    # the unchanged cone, still passes the span, orthogonality and
+    # the lifted vertex g that orients the ray is moved into span(E), so
+    # <w, g> = det G_E |g - P_E g|^2 = 0 on the broken cone's tables; the
+    # face data of the unchanged cone still pass the orthogonality and
     # circledast checks, which come first
     lat, _ = faces_of(hypercube(2))
     system = ConeSystem(lift(hypercube(2)))
@@ -364,11 +370,100 @@ def test_edge_ray_without_orientation_names_pair():
     outside = next(i for i in f.vertex_set if i not in e.vertex_set)
     gens = list(system.cone.generators)
     gens[outside] = gens[e.vertex_set[0]]
-    broken = dataclasses.replace(system.cone, generators=tuple(gens))
+    broken = ConeSystem(dataclasses.replace(system.cone, generators=tuple(gens)))
     with pytest.raises(InternalInvariantError) as err:
-        edge_ray(broken, e, f, system.face_data(e), system.face_data(f))
+        edge_ray(broken.cone, e, f, system.face_data(e), system.face_data(f),
+                 gram=broken.gram, slack=broken.slack)
     assert str(err.value) == (
         f"edge ray of ({e}, {f}) is orthogonal to lifted vertex {outside}: it has no orientation")
+
+
+def test_edge_ray_pointing_away_names_pair():
+    # with T[g][g] zeroed, <w, g> = det G_E T[g][g] - <x, A_E^T g> is
+    # negative: no Gram table gives that, since it is det G_E |g - P_E g|^2
+    lat, _ = faces_of(hypercube(2))
+    system = ConeSystem(lift(hypercube(2)))
+    e, f = next((e, f) for e, f in lat.covering if f.dim == 1)
+    g = next(i for i in f.vertex_set if i not in e.vertex_set)
+    gram = [list(row) for row in system.gram]
+    gram[g][g] = 0
+    with pytest.raises(InternalInvariantError) as err:
+        edge_ray(system.cone, e, f, system.face_data(e), system.face_data(f),
+                 gram=gram, slack=system.slack)
+    assert str(err.value) == f"edge ray of ({e}, {f}) points away from lifted vertex {g}"
+
+
+def test_edge_ray_rejects_negative_slack():
+    # <w, y> = det G_E S[g][y] over E's dual face: a negative slack entry
+    # there puts the ray outside the circledast cone of E
+    lat, _ = faces_of(hypercube(2))
+    system = ConeSystem(lift(hypercube(2)))
+    e, f = next((e, f) for e, f in lat.covering if f.dim == 1)
+    g = next(i for i in f.vertex_set if i not in e.vertex_set)
+    data_e = system.face_data(e)
+    slack = [list(row) for row in system.slack]
+    slack[g][data_e.dual_ids[0]] = -1
+    with pytest.raises(InternalInvariantError) as err:
+        edge_ray(system.cone, e, f, data_e, system.face_data(f), gram=system.gram, slack=slack)
+    assert str(err.value) == f"edge ray of ({e}, {f}) outside circledast cone of {e}"
+
+
+def test_edge_ray_zero_sign_names_pair(monkeypatch):
+    monkeypatch.setattr(cones, "bareiss_det", lambda rows: 0)
+    lat, _ = faces_of(hypercube(2))
+    e, f = lat.covering[-1]
+    with pytest.raises(InternalInvariantError) as err:
+        ConeSystem(lift(hypercube(2))).ray(e, f)
+    assert str(err.value) == f"incidence sign of ({e}, {f}) is zero"
+
+
+def test_projection_identities_on_tables(small_corpus):
+    # w = det G_E (g - P_E g) for the first lifted vertex g of F outside E:
+    # its primitive vector is the ray; <w, y> = det G_E S[g][y] for every y
+    # in E's dual face (the a_i of E vanish there); <w, a> = 0 on span(E)
+    # and <w, g> > 0; the random hulls have rational vertices
+    rational = [random_hull(random.Random(seed), d, 9) for seed, d in ((1, 2), (2, 3), (3, 4))]
+    for poly in list(small_corpus) + [hypercube(4), cross_polytope(4)] + rational:
+        lat = face_lattice(poly)
+        system = ConeSystem(lift(poly))
+        gens = system.cone.generators
+        for e, f in lat.covering:
+            data_e = system.face_data(e)
+            g = next(i for i in f.vertex_set if i not in e.vertex_set)
+            w = tuple(data_e.gram_det * x for x in orthogonal_component(system.cone, e, gens[g]))
+            assert all(x.denominator == 1 for x in w), (poly.name, e, f)
+            assert primitive_vector(w) == system.ray(e, f).direction, (poly.name, e, f)
+            for k in data_e.dual_ids:
+                assert dot(w, system.cone.facet_normals[k]) == \
+                    data_e.gram_det * system.slack[g][k], (poly.name, e, f)
+            assert all(dot(w, gens[a]) == 0 for a in data_e.span_ids)
+            assert dot(w, gens[g]) > 0
+
+
+def test_edge_ray_matches_kernel_oracle(small_corpus):
+    # the projected ray and its one-determinant orientation equal the
+    # kernel vector A_F kappa, signed on g, and its sign sigma on every
+    # covering pair; the random hull has rational vertices
+    polys = list(small_corpus) + [hypercube(5), cross_polytope(5),
+                                  random_hull(random.Random(5), 5, 10)]
+    for poly in polys:
+        lat = face_lattice(poly)
+        system = ConeSystem(lift(poly))
+        for e, f in lat.covering:
+            assert system.ray(e, f) == kernel_edge_ray(
+                system.cone, e, f, system.face_data(e), system.face_data(f)), (poly.name, e, f)
+
+
+def test_tables_are_the_inner_products(small_corpus):
+    # T = V V^T and S = V Y^T, with the facet masks read off S's zeros
+    for poly in small_corpus:
+        system = ConeSystem(lift(poly))
+        gens, normals = system.cone.generators, system.cone.facet_normals
+        assert system.gram == tuple(tuple(dot(u, v) for v in gens) for u in gens)
+        assert system.slack == tuple(tuple(dot(y, v) for y in normals) for v in gens)
+        assert all(s >= 0 for row in system.slack for s in row)
+        assert cones.vertex_facet_masks(system.slack) == tuple(
+            sum(1 << k for k, y in enumerate(normals) if dot(y, v) == 0) for v in gens)
 
 
 def test_ray_intersection_is_one_dimensional(small_corpus):

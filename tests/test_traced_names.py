@@ -4,20 +4,24 @@
 ``TRACED`` table, and its observers read fields of the results (the lifted
 cone's ``generators``, the lattice's ``covering`` and so on).  The
 benchmark self-test fails when a name is missing, so a deletion that would
-break it fails here first.  The tracer is loaded from its source without
-writing bytecode, so nothing under ``perfbench/`` changes.
+break it fails here first, and the self-test itself runs here too.  The
+tracer is loaded from its source and the self-test is run without writing
+bytecode, so nothing under ``perfbench/`` changes.
 """
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 from polyk.corpus import hypercube
 from polyk.pipeline import run_pipeline
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def traced_names():
@@ -57,3 +61,14 @@ def test_traced_pipeline_runs_with_every_observer(monkeypatch):
     assert tracer.lift_subsets == 56 and tracer.covering_pairs == 62
     assert tracer.totals["cones.edge_ray"][0] == 62
     assert not tracing.leftover_bindings()
+
+
+def test_benchmark_selftest_passes():
+    # goldens byte for byte, traced names, restored bindings and the
+    # compare and reconstruct reference digests (see perfbench/selftest.py)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "selftest.py")], cwd=ROOT,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert not any(line.startswith("FAIL") for line in proc.stdout.splitlines()), proc.stdout
