@@ -33,9 +33,9 @@ empty face cannot be flipped: the bottom boundary matrix is the all-ones
 augmentation row.
 
 Boundary matrices are integer matrices over the stable (lexicographic by
-vertex set) face ordering.  They are built as sparse columns,
-{row: [E : F]} over the lower covers E of each face F, and densified only
-for the ``ChainComplex``.  Assembling the complex walks the covering pairs
+vertex set) face ordering, the lattice's face ids.  They are built as sparse
+columns, {row: [E : F]} over the lower covers E of each face F, and densified
+only for the ``ChainComplex``.  Assembling the complex walks the id covers
 once, in lattice order (the faces F of dimension j, then each F's lower
 covers E), and for each pair takes the edge ray, checks it against the
 independent barycenter cross-check, and computes [E : F] into F's column.
@@ -71,34 +71,33 @@ from .sparse import SparseColumn, dense_matrix, sparse_columns, unit_pivot_elimi
 @dataclass(frozen=True)
 class Trivialization:
     """The orientation of every face: the span basis A_F of its face data,
-    with the last column negated for the faces in ``flipped``.  A flip
-    reverses the orientation of the face; the empty face has no columns and
-    cannot be flipped."""
+    with the last column negated for the face ids in ``flipped``.  A flip
+    reverses the face's orientation; the empty face has no column to flip."""
 
-    flipped: frozenset[Face]
+    flipped: frozenset[int]
 
 
 def trivialize(L: FaceLattice, flip_faces: Iterable[Face] = ()) -> Trivialization:
     """The orientation of every face of the lattice, with the requested
-    flips.  Each flipped face must be a nonempty face of L."""
-    flips = frozenset(flip_faces)
+    flips, held by face id.  Each must be a nonempty face of L."""
+    flips = tuple(flip_faces)
     for f in flips:
         if f.dim < 0:
             raise ValueError("the empty face has no basis column to flip")
-        if f.dim > L.dim or f not in L.faces(f.dim):
+        if f not in L.face_id:
             raise ValueError(f"cannot flip {f}: it is not a face of the lattice")
-    return Trivialization(flipped=flips)
+    return Trivialization(flipped=frozenset(L.face_id[f] for f in flips))
 
 
-def incidence_sign(T: Trivialization, ray: EdgeRay, E: Face, F: Face) -> int:
-    """The incidence number [E : F] of a covering pair; always +1 or -1.
+def incidence_sign(T: Trivialization, ray: EdgeRay, e: int, f: int) -> int:
+    """[E : F] for the covering pair of face ids (e, f); always +1 or -1.
 
     It is sigma * eps_E * eps_F, with sigma the ray's orientation and
     eps = -1 for a flipped face: the identity [w | A_E] = [g | A_E] U in
-    the module docstring makes sigma the sign det(B^T A_F) for B = [e | A_E]
-    and the unflipped bases.
+    the module docstring makes sigma the sign det(B^T A_F) for the ray's
+    direction e, B = [e | A_E] and the unflipped bases.
     """
-    return ray.orientation * (-1) ** ((E in T.flipped) + (F in T.flipped))
+    return ray.orientation * (-1) ** ((e in T.flipped) + (f in T.flipped))
 
 
 @dataclass(frozen=True)
@@ -125,23 +124,25 @@ class ChainComplex:
 def boundary_columns(T: Trivialization, L: FaceLattice,
                      system: ConeSystem, j: int) -> list[SparseColumn]:
     """The columns of D_j as {row: [E : F]} dicts, one per j-face F in
-    order; rows index the (j-1)-faces.  Each lower cover E of F is one
-    covering pair, visited once: its edge ray, the ray's cross-check (the
-    cross-check's primitive vector must be the ray's direction, which is
-    primitive), then the incidence sign."""
+    order; the row of a (j-1)-face is its id minus its level's first id.
+    Each lower cover E of F is one covering pair, visited once: its edge
+    ray, the ray's cross-check (its primitive vector must be the ray's
+    direction, which is primitive), then the incidence sign."""
     if not 0 <= j <= L.dim:
         raise ValueError(f"boundary dimension {j} out of range [0, {L.dim}]")
-    row_index = {f: i for i, f in enumerate(L.faces(j - 1))}
+    if system.lattice is not L:
+        raise ValueError("the cone system numbers the faces of another lattice")
+    first_row = L.level_start[j]
     columns = []
-    for f in L.faces(j):
+    for f in L.ids(j):
         column = {}
-        for e in L.lower_covers(f):
+        for e in L.down[f]:
             ray = system.ray(e, f)
             if primitive_vector(system.crosscheck(e, f)) != ray.direction:
                 raise InternalInvariantError(
-                    f"edge-ray cross-check failed for ({e}, {f}): "
+                    f"edge-ray cross-check failed for ({ray.pair[0]}, {ray.pair[1]}): "
                     "barycenter projection is not a positive multiple")
-            column[row_index[e]] = incidence_sign(T, ray, e, f)
+            column[e - first_row] = incidence_sign(T, ray, e, f)
         columns.append(column)
     return columns
 
@@ -293,20 +294,17 @@ def diagonal_sign_equivalence(A: ChainComplex, B: ChainComplex) -> dict[tuple[in
     for da, db in zip(A.boundary, B.boundary):
         if tuple(tuple(abs(x) for x in r) for r in da) != tuple(tuple(abs(x) for x in r) for r in db):
             return None
-    eps: dict[tuple[int, int], int] = {(-1, 0): 1}
     # constraints: eps_E * eps_F = A[E,F] * B[E,F] over all covering entries
-    edges: dict[tuple[int, int], list[tuple[tuple[int, int], int]]] = {}
+    entries = [((j - 1, row), (j, col), a, b)
+               for j, (da, db) in enumerate(zip(A.boundary, B.boundary))
+               for row, (ra, rb) in enumerate(zip(da, db))
+               for col, (a, b) in enumerate(zip(ra, rb)) if a != 0]
     nodes = [(j, i) for j in range(-1, A.dim + 1) for i in range(len(A.face_order[j + 1]))]
-    for node in nodes:
-        edges[node] = []
-    for j in range(0, A.dim + 1):
-        da, db = A.boundary[j], B.boundary[j]
-        for row in range(len(da)):
-            for col in range(len(da[row]) if da else 0):
-                if da[row][col] != 0:
-                    rel = da[row][col] * db[row][col]
-                    edges[(j - 1, row)].append(((j, col), rel))
-                    edges[(j, col)].append(((j - 1, row), rel))
+    edges: dict[tuple[int, int], list[tuple[tuple[int, int], int]]] = {node: [] for node in nodes}
+    for e, f, a, b in entries:
+        edges[e].append((f, a * b))
+        edges[f].append((e, a * b))
+    eps: dict[tuple[int, int], int] = {(-1, 0): 1}
     stack = [(-1, 0)]
     while stack:
         node = stack.pop()
@@ -317,14 +315,8 @@ def diagonal_sign_equivalence(A: ChainComplex, B: ChainComplex) -> dict[tuple[in
                 stack.append(other)
             elif eps[other] != want:
                 return None
-    if len(eps) != len(nodes):  # disconnected cover graph cannot happen for polytopes
-        for node in nodes:
-            if node not in eps:
-                eps[node] = 1
-    for j in range(0, A.dim + 1):
-        da, db = A.boundary[j], B.boundary[j]
-        for row in range(len(da)):
-            for col in range(len(da[row]) if da else 0):
-                if eps[(j - 1, row)] * da[row][col] != eps[(j, col)] * db[row][col]:
-                    return None
+    for node in nodes:  # disconnected cover graph cannot happen for polytopes
+        eps.setdefault(node, 1)
+    if any(eps[e] * a != eps[f] * b for e, f, a, b in entries):
+        return None
     return eps

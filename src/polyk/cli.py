@@ -40,7 +40,7 @@ from .errors import (
 from .files import load_polytope, polytope_to_json
 from .ktheory import KReport, group_from_factors
 from .pipeline import PipelineResult, run_pipeline
-from .polytope import Face, face_lattice
+from .polytope import face_lattice
 
 
 def _face_label(vertex_set: tuple[int, ...]) -> str:
@@ -182,7 +182,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     print(f"isomorphic: {len(iso.mapping)} faces matched (including the empty "
           "face and the polytope itself)")
     for a, b in iso.mapping:
-        assert isinstance(a, Face) and isinstance(b, Face)
         print(f"  dim {a.dim}: {_face_label(a.vertex_set)} -> {_face_label(b.vertex_set)}")
     return EXIT_OK
 

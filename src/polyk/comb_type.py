@@ -8,20 +8,24 @@ reconstruction is checked against the lattice axioms on int bitmasks: the
 order is kept as bitset down-sets, and the meet of two elements exists iff
 the intersection of their down-sets is the down-set of its last element in
 rank order.
-Isomorphism testing is rank-by-rank backtracking, pruned by f-vector and
-up/down cover degrees, returning either a verified bijection on faces or a
-certificate of non-isomorphism.
+Isomorphism testing is rank-by-rank backtracking on the element ids and id
+covers of the two lattices, pruned by f-vector and up/down cover degrees,
+returning either a verified bijection on faces or a certificate of
+non-isomorphism.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
+from itertools import accumulate
+from operator import or_
 from typing import Hashable
 
 from .cellular import ChainComplex
 from .errors import InternalInvariantError
 from .linalg import IntMatrix, int_mat_abs
-from .polytope import FaceLattice
+from .polytope import FaceLattice, GradedIds
 
 Element = Hashable
 
@@ -38,18 +42,25 @@ def strip_signs(X: ChainComplex) -> UnsignedIncidence:
 
 
 @dataclass(frozen=True)
-class AbstractLattice:
+class AbstractLattice(GradedIds):
     """A graded lattice reconstructed without coordinates.
 
-    Elements are (rank, index) pairs with rank from -1 (bottom) to dim (top).
+    Elements are (rank, index) pairs with rank from -1 (bottom) to dim (top),
+    numbered level by level (``GradedIds``): (rank, i) has the id
+    ``level_start[rank + 1] + i`` and is ``elements_by_id`` at that id.
     """
 
     dim: int
     f_vector: tuple[int, ...]
     covering: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+    elements_by_id: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
-    def elements(self, rank: int) -> tuple[tuple[int, int], ...]:
-        return tuple((rank, i) for i in range(self.f_vector[rank + 1]))
+    def __post_init__(self) -> None:
+        start = tuple(accumulate(self.f_vector, initial=0))
+        object.__setattr__(self, "elements_by_id", tuple(
+            (r, i) for r in range(-1, self.dim + 1) for i in range(self.f_vector[r + 1])))
+        self._number(start, ((start[ra + 1] + a, start[rb + 1] + b)
+                             for (ra, a), (rb, b) in self.covering))
 
 
 def lattice_from_incidence(U: UnsignedIncidence) -> AbstractLattice:
@@ -87,9 +98,10 @@ def _verify_abstract_lattice(lat: AbstractLattice) -> None:
     """The lattice axioms of a polytope face lattice, on int bitmasks.
 
     Elements are numbered in rank order, the bottom first; ``up[i]`` and
-    ``down[i]`` are the bitmasks of element i's upper and lower covers, and
-    ``ds[i]``, ``1 << i`` OR'd with the ``ds`` of i's lower covers, is its
-    down-set.  Checked in turn:
+    ``down[i]`` are the bitmasks of element i's upper and lower covers
+    (``cover_masks``), and ``ds[i]``, ``1 << i`` OR'd with the ``ds`` of
+    i's lower covers (lower ids, so computed first), is its down-set.
+    Checked in turn:
 
     - bounded: one element of rank -1 and one of rank dim;
     - graded: every element below the top has an upper cover and every
@@ -107,36 +119,26 @@ def _verify_abstract_lattice(lat: AbstractLattice) -> None:
     if lat.f_vector[0] != 1 or lat.f_vector[-1] != 1:
         raise InternalInvariantError(
             f"reconstructed poset is not bounded: f-vector {lat.f_vector}")
-    elements = [e for r in range(-1, lat.dim + 1) for e in lat.elements(r)]
-    number = {e: i for i, e in enumerate(elements)}
-    up = [0] * len(elements)
-    down = [0] * len(elements)
-    for a, b in lat.covering:
-        up[number[a]] |= 1 << number[b]
-        down[number[b]] |= 1 << number[a]
-    for rank in range(-1, lat.dim):
-        for e in lat.elements(rank):
-            if not up[number[e]]:
-                raise InternalInvariantError(f"element {e} has no upper cover: not graded")
-    for rank in range(0, lat.dim + 1):
-        for e in lat.elements(rank):
-            if not down[number[e]]:
-                raise InternalInvariantError(f"element {e} has no lower cover: not graded")
+    elements = lat.elements_by_id
+    up, down = lat.cover_masks()
+    for i in range(lat.level_start[-2]):  # below the top
+        if not up[i]:
+            raise InternalInvariantError(f"element {elements[i]} has no upper cover: not graded")
+    for i in range(lat.level_start[1], len(elements)):  # above the bottom
+        if not down[i]:
+            raise InternalInvariantError(f"element {elements[i]} has no lower cover: not graded")
     for rank in range(-1, lat.dim - 1):
-        for low in lat.elements(rank):
-            ups = up[number[low]]
-            for high in lat.elements(rank + 2):
-                mids = (ups & down[number[high]]).bit_count()
+        for low in lat.ids(rank):
+            ups = up[low]
+            for high in lat.ids(rank + 2):
+                mids = (ups & down[high]).bit_count()
                 if mids and mids != 2:
                     raise InternalInvariantError(
-                        f"diamond property fails between {low} and {high}: {mids} mids")
-    ds = [0] * len(elements)
-    for i, below in enumerate(down):
-        ds[i] = 1 << i
-        while below:
-            low = below & -below
-            ds[i] |= ds[low.bit_length() - 1]
-            below ^= low
+                        f"diamond property fails between {elements[low]} and "
+                        f"{elements[high]}: {mids} mids")
+    ds: list[int] = []
+    for i, below in enumerate(lat.down):
+        ds.append(reduce(or_, (ds[b] for b in below), 1 << i))
     for i, a in enumerate(elements):
         ds_a = ds[i]
         for j in range(i + 1, len(elements)):
@@ -155,30 +157,6 @@ class LatticeIso:
     certificate: str | None = None
 
 
-def _normalize(L: "FaceLattice | AbstractLattice"
-               ) -> tuple[int, list[range], list[set[int]], list[set[int]], list[Element]]:
-    """Number the elements once, in rank order.  Returns the dimension, the
-    numbers of each rank, the upper and the lower covers of each number as
-    sets of numbers, and the elements by number."""
-    if isinstance(L, FaceLattice):
-        levels = [L.faces(j) for j in range(-1, L.dim + 1)]
-    else:
-        levels = [L.elements(r) for r in range(-1, L.dim + 1)]
-    elements = [e for level in levels for e in level]
-    number = {e: i for i, e in enumerate(elements)}
-    up: list[set[int]] = [set() for _ in elements]
-    down: list[set[int]] = [set() for _ in elements]
-    for a, b in L.covering:
-        i, j = number[a], number[b]
-        up[i].add(j)
-        down[j].add(i)
-    ranks, start = [], 0
-    for level in levels:
-        ranks.append(range(start, start + len(level)))
-        start += len(level)
-    return L.dim, ranks, up, down, elements
-
-
 def is_isomorphic(L1: "FaceLattice | AbstractLattice",
                   L2: "FaceLattice | AbstractLattice") -> LatticeIso:
     """Backtracking search for a cover-preserving rank bijection.
@@ -189,16 +167,17 @@ def is_isomorphic(L1: "FaceLattice | AbstractLattice",
     directions before being returned: the bijection maps the upper covers
     of every element onto those of its image, which is the same as mapping
     the covering pairs of L1 onto those of L2.  The search runs on the
-    element numbers of ``_normalize``; only the returned pairs are elements.
+    lattices' element ids and id covers (``up``, ``down``); only the
+    returned pairs are faces or abstract elements.
     """
-    dim1, ranks1, up1, down1, elements1 = _normalize(L1)
-    dim2, ranks2, up2, down2, elements2 = _normalize(L2)
-    if dim1 != dim2:
-        return LatticeIso(False, certificate=f"dimension mismatch: {dim1} != {dim2}")
-    fv1 = tuple(len(r) for r in ranks1)
-    fv2 = tuple(len(r) for r in ranks2)
+    if L1.dim != L2.dim:
+        return LatticeIso(False, certificate=f"dimension mismatch: {L1.dim} != {L2.dim}")
+    ranks1, ranks2 = ([L.ids(r) for r in range(-1, L.dim + 1)] for L in (L1, L2))
+    fv1, fv2 = tuple(map(len, ranks1)), tuple(map(len, ranks2))
     if fv1 != fv2:
         return LatticeIso(False, certificate=f"f-vector mismatch: {fv1} != {fv2}")
+    up1, down1, up2 = L1.up, L1.down, L2.up
+    down2 = [set(d) for d in L2.down]
 
     for level1, level2 in zip(ranks1, ranks2):
         sig1 = sorted((len(down1[e]), len(up1[e])) for e in level1)
@@ -206,37 +185,33 @@ def is_isomorphic(L1: "FaceLattice | AbstractLattice",
         if sig1 != sig2:
             return LatticeIso(False, certificate="up/down cover degree multisets differ")
 
-    # Depth-first search over the sources in rank order with an explicit
-    # stack, since lattices can have more faces than Python's recursion
-    # limit.  choice[i] is the index of the target placed for sources[i];
-    # after a backtrack, the search resumes at the next target index.
-    sources = [(r, s) for r, level in enumerate(ranks1) for s in level]
-    mapping: dict[int, int] = {}
-    used: list[set[int]] = [set() for _ in ranks1]
-    choice: list[int] = []
+    # Depth-first search over the sources in id order, that is rank by
+    # rank, with an explicit stack, since lattices can have more faces than
+    # Python's recursion limit.  mapping[s] is the target id placed for
+    # source s; after a backtrack, the search resumes at the next target.
+    targets = [level2 for level1, level2 in zip(ranks1, ranks2) for _ in level1]
+    mapping: list[int] = []
+    used: set[int] = set()
     start = 0
-    while len(choice) < len(sources):
-        r, s = sources[len(choice)]
-        targets = ranks2[r]
+    while len(mapping) < len(targets):
+        s = len(mapping)
         wanted_down = {mapping[d] for d in down1[s]}
-        found = next((t_idx for t_idx in range(start, len(targets))
-                      if t_idx not in used[r] and len(up2[targets[t_idx]]) == len(up1[s])
-                      and down2[targets[t_idx]] == wanted_down), None)
+        found = next((t for t in range(max(start, targets[s].start), targets[s].stop)
+                      if t not in used and len(up2[t]) == len(up1[s])
+                      and down2[t] == wanted_down), None)
         if found is not None:
-            mapping[s] = targets[found]
-            used[r].add(found)
-            choice.append(found)
+            mapping.append(found)
+            used.add(found)
             start = 0
             continue
-        if not choice:
+        if not mapping:
             return LatticeIso(False, certificate="exhausted search: no cover-preserving bijection")
-        start = choice.pop()
-        r, s = sources[len(choice)]
-        del mapping[s]
-        used[r].discard(start)
+        start = mapping.pop()
+        used.discard(start)
         start += 1
 
-    if any({mapping[b] for b in up1[a]} != up2[mapping[a]] for a in mapping):
+    if any({mapping[b] for b in up1[a]} != set(up2[t]) for a, t in enumerate(mapping)):
         raise InternalInvariantError("lattice bijection failed final cover verification")
-    pairs = tuple((elements1[e], elements2[mapping[e]]) for level in ranks1 for e in level)
-    return LatticeIso(True, mapping=pairs)
+    by_id1, by_id2 = (L.faces_by_id if isinstance(L, FaceLattice) else L.elements_by_id
+                      for L in (L1, L2))
+    return LatticeIso(True, mapping=tuple((by_id1[s], by_id2[t]) for s, t in enumerate(mapping)))

@@ -14,7 +14,8 @@ vertex and a facet normal of the cone.  So ``ConeSystem`` builds two tables
 once per run: the Gram table T[i][j] = <v_i, v_j> of the lifted vertices
 (``gram_table``) and the slack table S[i][k] = <y_k, v_i> of the lifted
 vertices against the facet normals (``slack_table``), whose zeros give each
-vertex's facet bitmask.  For every face, once per run, we compute
+vertex's facet bitmask.  For every face, once per run and kept by face id,
+we compute
 
   * a deterministic basis A_F of the span (integer lifted vertices, greedy
     in index order), by vertex ids, with the echelon form that picked it,
@@ -72,7 +73,7 @@ from .linalg import (
     primitive_vector,
     qvec,
 )
-from .polytope import Face, Polytope
+from .polytope import Face, FaceLattice, Polytope
 
 IntBasis = tuple[IntVector, ...]  # the columns of an integer matrix
 
@@ -92,7 +93,6 @@ class FaceConeData:
     """Per-face data inside the lifted cone, all the covering pairs read of
     the face (see the module docstring)."""
 
-    face: Face
     span_ids: tuple[int, ...]  # vertex ids of the columns of span_basis
     span_basis: IntBasis  # columns: greedy independent integer lifted vertices of the face
     span_echelon: IntEchelon  # echelon form of span_basis; never grown after it is built
@@ -271,7 +271,7 @@ def face_cone_data(C: LiftedCone, F: Face, vertex_masks: tuple[int, ...],
     vertex_sum = tuple(map(sum, zip(*(C.generators[i] for i in F.vertex_set)))) or (0,) * n
     g_f = tuple(tuple(gram[a][b] for b in span_ids) for a in span_ids)
     gram_det, gram_adj = gram_adjugate(F, g_f)
-    return FaceConeData(face=F, span_ids=span_ids,
+    return FaceConeData(span_ids=span_ids,
                         span_basis=tuple(C.generators[i] for i in span_ids),
                         span_echelon=span_echelon, vertex_sum=vertex_sum, gram=g_f,
                         gram_det=gram_det, gram_adj=gram_adj, dual_ids=dual_ids,
@@ -379,30 +379,35 @@ def edge_ray_crosscheck(E: Face, F: Face,
 
 class ConeSystem:
     """Per-face cone data (``FaceConeData``), computed once per face and
-    shared by the edge rays and the cross-checks, which only read it.  The
-    Gram and slack tables of the lifted vertices (``gram``, ``slack``) and
-    the vertex-facet masks behind the dual faces are built once, with the
-    system.  Edge rays and cross-checks are not kept: ``build_complex``
-    asks for each covering pair's once.
+    in a list indexed by the face ids of ``lattice``, and read by the edge
+    rays and the cross-checks.  The Gram and slack tables of the lifted
+    vertices (``gram``, ``slack``) and the vertex-facet masks behind the dual
+    faces are built once, with the system.  Edge rays and cross-checks are
+    not kept: ``build_complex`` asks for each covering pair's once.
 
     Safe to share within a run: nothing cached is modified after it is built.
     """
 
-    def __init__(self, cone: LiftedCone):
+    def __init__(self, cone: LiftedCone, lattice: FaceLattice):
         self.cone = cone
+        self.lattice = lattice
         self.gram = gram_table(cone)
         self.slack = slack_table(cone)
         self._vertex_masks = vertex_facet_masks(self.slack)
-        self._face_data: dict[Face, FaceConeData] = {}
+        self._face_data: list[FaceConeData | None] = [None] * len(lattice.faces_by_id)
 
-    def face_data(self, F: Face) -> FaceConeData:
-        if F not in self._face_data:
-            self._face_data[F] = face_cone_data(self.cone, F, self._vertex_masks, self.gram)
-        return self._face_data[F]
+    def face_data(self, f: int) -> FaceConeData:
+        data = self._face_data[f]
+        if data is None:
+            data = self._face_data[f] = face_cone_data(
+                self.cone, self.lattice.faces_by_id[f], self._vertex_masks, self.gram)
+        return data
 
-    def ray(self, E: Face, F: Face) -> EdgeRay:
-        return edge_ray(self.cone, E, F, data_E=self.face_data(E), data_F=self.face_data(F),
+    def ray(self, e: int, f: int) -> EdgeRay:
+        E, F = self.lattice.faces_by_id[e], self.lattice.faces_by_id[f]
+        return edge_ray(self.cone, E, F, data_E=self.face_data(e), data_F=self.face_data(f),
                         gram=self.gram, slack=self.slack)
 
-    def crosscheck(self, E: Face, F: Face) -> IntVector:
-        return edge_ray_crosscheck(E, F, data_E=self.face_data(E), data_F=self.face_data(F))
+    def crosscheck(self, e: int, f: int) -> IntVector:
+        E, F = self.lattice.faces_by_id[e], self.lattice.faces_by_id[f]
+        return edge_ray_crosscheck(E, F, data_E=self.face_data(e), data_F=self.face_data(f))

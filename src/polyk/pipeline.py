@@ -29,7 +29,7 @@ class PipelineResult:
 def run_pipeline(P: Polytope) -> PipelineResult:
     lattice = face_lattice(P)
     cone = lift(P)
-    system = ConeSystem(cone)
+    system = ConeSystem(cone, lattice)
     triv = trivialize(lattice)
     complex_ = build_complex(triv, lattice, system)
     page = e1_page(lattice, complex_)

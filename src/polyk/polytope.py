@@ -3,11 +3,13 @@
 A polytope is the convex hull of finitely many rational points that must all
 be vertices of the hull, with the hull full-dimensional in its ambient space.
 Faces are represented by their vertex index sets; the lattice always contains
-the empty face (dimension -1) and the polytope itself.  It is built from the
-vertex-facet incidences on int bitmasks, level by level from the empty face,
-taking each face's upper covers from the closure step; a face's dimension is
-its level minus one.  The intersection closure of the facet vertex sets with
-one rational rank per face, which it replaced, is the tests' oracle.
+the empty face (dimension -1) and the polytope itself.  It numbers the faces
+once, level by level, and keeps their covers by id, which every later stage
+reads.  It is built from the vertex-facet incidences on int bitmasks, level
+by level from the empty face, taking each face's upper covers from the
+closure step; a face's dimension is its level minus one.  The intersection
+closure of the facet vertex sets with one rational rank per face, which it
+replaced, is the tests' oracle.
 
 Facets come from the double description method on the homogenized integer
 points, inserted one at a time, with combinatorial adjacency on bitmask zero
@@ -21,7 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from itertools import accumulate, chain
 from math import lcm
+from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import InputError, InternalInvariantError
@@ -78,36 +83,64 @@ class Facet:
     vertex_set: tuple[int, ...]
 
 
-@dataclass
-class FaceLattice:
+@dataclass(frozen=True, init=False, repr=False, eq=False)
+class GradedIds:
+    """Elements numbered level by level from the bottom, rank r taking the
+    ids ``ids(r)`` from ``level_start[r + 1]``; ``down[i]`` and ``up[i]``
+    are the ids of element i's lower and upper covers, in covering order."""
+
+    level_start: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    down: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    up: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def _number(self, level_start: tuple[int, ...], id_pairs: Iterable[tuple[int, int]]) -> None:
+        down: list[list[int]] = [[] for _ in range(level_start[-1])]
+        up: list[list[int]] = [[] for _ in range(level_start[-1])]
+        for a, b in id_pairs:
+            down[b].append(a)
+            up[a].append(b)
+        object.__setattr__(self, "level_start", level_start)
+        object.__setattr__(self, "down", tuple(map(tuple, down)))
+        object.__setattr__(self, "up", tuple(map(tuple, up)))
+
+    def ids(self, rank: int) -> range:
+        return range(self.level_start[rank + 1], self.level_start[rank + 2])
+
+    def cover_masks(self) -> tuple[list[int], list[int]]:
+        """The upper and the lower covers of each element as id bitmasks."""
+        return tuple([reduce(or_, (1 << i for i in c), 0) for c in covers]
+                     for covers in (self.up, self.down))
+
+
+@dataclass(frozen=True)
+class FaceLattice(GradedIds):
     """All faces of a polytope graded by dimension, with covering pairs.
 
     ``faces_by_dim[k]`` holds the faces of dimension ``k - 1`` (so index 0 is
     the empty face and index dim+1 the whole polytope), each level ordered
-    lexicographically by vertex set.  Treated as immutable once built.
+    lexicographically by vertex set.  The faces are numbered once, in that
+    order (``GradedIds``): face i is ``faces_by_id[i]``, and ``face_id``
+    gives the id of a ``Face``.
     """
 
     dim: int
     faces_by_dim: tuple[tuple[Face, ...], ...]
     covering: tuple[tuple[Face, Face], ...]
     f_vector: tuple[int, ...]
-    _lower: dict[Face, tuple[Face, ...]] = field(default_factory=dict, repr=False, compare=False)
+    faces_by_id: tuple[Face, ...] = field(init=False, repr=False, compare=False)
+    face_id: dict[Face, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        down: dict[Face, list[Face]] = {f: [] for f in self.all_faces()}
-        for e, f in self.covering:
-            down[f].append(e)
-        self._lower = {f: tuple(v) for f, v in down.items()}
+        object.__setattr__(self, "faces_by_id", tuple(chain.from_iterable(self.faces_by_dim)))
+        object.__setattr__(self, "face_id", {f: i for i, f in enumerate(self.faces_by_id)})
+        self._number(tuple(accumulate(map(len, self.faces_by_dim), initial=0)),
+                     ((self.face_id[e], self.face_id[f]) for e, f in self.covering))
 
     def faces(self, j: int) -> tuple[Face, ...]:
         """Faces of dimension j, for -1 <= j <= dim."""
         if not -1 <= j <= self.dim:
             raise ValueError(f"face dimension {j} out of range [-1, {self.dim}]")
         return self.faces_by_dim[j + 1]
-
-    def all_faces(self) -> Iterable[Face]:
-        for level in self.faces_by_dim:
-            yield from level
 
     @property
     def empty_face(self) -> Face:
@@ -118,7 +151,7 @@ class FaceLattice:
         return self.faces_by_dim[-1][0]
 
     def lower_covers(self, f: Face) -> tuple[Face, ...]:
-        return self._lower[f]
+        return tuple(self.faces_by_id[e] for e in self.down[self.face_id[f]])
 
 
 def affine_dim(points: Sequence[Sequence]) -> int:
@@ -372,10 +405,10 @@ def verify_lattice(L: FaceLattice) -> None:
     """Exact structural checks: a unique bottom and top, gradedness, and the
     diamond property, on int bitmasks.
 
-    With the faces numbered in rank order, ``up[i]`` and ``down[i]`` are the
-    index masks of face i's upper and lower covers.  Face order is vertex-set
-    containment, tested on vertex masks as ``lo & hi == lo``.  The faces that
-    cover ``low`` and are covered by ``high`` are the set bits of
+    ``up[i]`` and ``down[i]`` are the id masks of face i's upper and lower
+    covers (``cover_masks``).  Face order is vertex-set
+    containment, tested on vertex masks as ``lo & hi == lo``.  The faces
+    that cover ``low`` and are covered by ``high`` are the set bits of
     ``up[low] & down[high]``, so for low <= high two levels apart the number
     of intermediate faces is its popcount, and the diamond property asks for
     exactly two.
@@ -384,29 +417,24 @@ def verify_lattice(L: FaceLattice) -> None:
     """
     if L.f_vector[0] != 1 or L.f_vector[-1] != 1:
         raise InternalInvariantError("face lattice must have unique bottom and top")
-    index = {f: i for i, f in enumerate(L.all_faces())}
-    up = [0] * len(index)
-    down = [0] * len(index)
-    for e, f in L.covering:
-        up[index[e]] |= 1 << index[f]
-        down[index[f]] |= 1 << index[e]
-    for j in range(-1, L.dim):
-        for f in L.faces(j):
-            if not up[index[f]]:
-                raise InternalInvariantError(f"face {f} of dim {j} has no upper cover")
-    for j in range(0, L.dim + 1):
-        for f in L.faces(j):
-            if not down[index[f]]:
-                raise InternalInvariantError(f"face {f} of dim {j} has no lower cover")
-    mask = {f: sum(1 << v for v in f.vertex_set) for f in index}
+    up, down = L.cover_masks()
+    for i in range(L.level_start[-2]):  # below the top
+        if not up[i]:
+            f = L.faces_by_id[i]
+            raise InternalInvariantError(f"face {f} of dim {f.dim} has no upper cover")
+    for i in range(L.level_start[1], len(L.faces_by_id)):  # above the bottom
+        if not down[i]:
+            f = L.faces_by_id[i]
+            raise InternalInvariantError(f"face {f} of dim {f.dim} has no lower cover")
+    mask = [sum(1 << v for v in f.vertex_set) for f in L.faces_by_id]
     for j in range(-1, L.dim - 1):
-        highs = [(mask[h], down[index[h]], h) for h in L.faces(j + 2)]
-        for low in L.faces(j):
-            lo, ups = mask[low], up[index[low]]
+        highs = [(mask[h], down[h], h) for h in L.ids(j + 2)]
+        for low in L.ids(j):
+            lo, ups = mask[low], up[low]
             for hi, below, high in highs:
                 if lo & hi == lo:
                     mids = (ups & below).bit_count()
                     if mids != 2:
                         raise InternalInvariantError(
-                            f"diamond property fails between {low} and {high}: "
-                            f"{mids} intermediate faces")
+                            f"diamond property fails between {L.faces_by_id[low]} and "
+                            f"{L.faces_by_id[high]}: {mids} intermediate faces")

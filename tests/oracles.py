@@ -214,29 +214,30 @@ def coords_det_sign(b_cols, a_cols, n: int) -> int:
     return det_sign(coords_in_basis(b, a))
 
 
-def oriented_basis(system, T, F: Face) -> tuple[tuple[int, ...], ...]:
-    """A_F as the ``Trivialization`` T orients F: the span basis of F's face
-    data in the ``ConeSystem``, its last column negated when F is flipped."""
-    basis = system.face_data(F).span_basis
-    if F in T.flipped:
+def oriented_basis(system, T, f: int) -> tuple[tuple[int, ...], ...]:
+    """A_F as the ``Trivialization`` T orients the face with id f: the span
+    basis of its face data in the ``ConeSystem``, its last column negated
+    when the face is flipped."""
+    basis = system.face_data(f).span_basis
+    if f in T.flipped:
         basis = basis[:-1] + (tuple(-x for x in basis[-1]),)
     return basis
 
 
-def oracle_incidence_sign(system, T, ray, E: Face, F: Face) -> int:
-    """[E : F] as the orientation sign of [e | A_E] against A_F, by solving
-    for the coordinate matrix."""
+def oracle_incidence_sign(system, T, ray, e: int, f: int) -> int:
+    """[E : F] for the faces with ids e and f, as the orientation sign of
+    [e | A_E] against A_F, by solving for the coordinate matrix."""
     n = len(ray.direction)
-    return coords_det_sign((ray.direction,) + oriented_basis(system, T, E),
-                           oriented_basis(system, T, F), n)
+    return coords_det_sign((ray.direction,) + oriented_basis(system, T, e),
+                           oriented_basis(system, T, f), n)
 
 
-def gram_incidence_sign(system, T, ray, E: Face, F: Face) -> int:
+def gram_incidence_sign(system, T, ray, e: int, f: int) -> int:
     """[E : F] as sign det(B^T A_F) with B = [e | A_E], by a Bareiss
     determinant: B^T A_F = (B^T B) C for the coordinate matrix C, and the
     Gram determinant det(B^T B) is positive."""
-    b = (ray.direction,) + oriented_basis(system, T, E)
-    a_f = oriented_basis(system, T, F)
+    b = (ray.direction,) + oriented_basis(system, T, e)
+    a_f = oriented_basis(system, T, f)
     det = bareiss_det([[sum(x * y for x, y in zip(u, v)) for v in a_f] for u in b])
     return (det > 0) - (det < 0)
 

@@ -8,7 +8,10 @@ there are no tolerances anywhere.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -113,11 +116,11 @@ def test_criterion_5_edge_ray_crosscheck(corpus_run):
     for res in results:
         lat, system = res.lattice, res.system
         n = system.cone.dim
-        circledast = {f: circledast_gens(system.cone, f) for f in lat.all_faces()}
+        circledast = {f: circledast_gens(system.cone, f) for f in lat.faces_by_id}
         for e, f in lat.covering:
-            ray = system.ray(e, f)
-            data_e = system.face_data(e)
-            data_f = system.face_data(f)
+            ray = system.ray(lat.face_id[e], lat.face_id[f])
+            data_e = system.face_data(lat.face_id[e])
+            data_f = system.face_data(lat.face_id[f])
             # membership invariants, all exact
             stacked = QMatrix.from_columns(data_f.span_basis + (ray.direction,), rows=n)
             assert rank(stacked) == len(data_f.span_basis)
@@ -127,7 +130,8 @@ def test_criterion_5_edge_ray_crosscheck(corpus_run):
             hits = [g for g in circledast[e]
                     if all(dot(g, y) == 0 for y in data_f.dual_face_gens)]
             assert len(hits) == 1
-            ratio = positive_multiple_ratio(system.crosscheck(e, f), ray.direction)
+            ratio = positive_multiple_ratio(
+                system.crosscheck(lat.face_id[e], lat.face_id[f]), ray.direction)
             assert ratio is not None and ratio > 0
             pairs += 1
     report_line(5, True, f"edge rays agree with barycenter projections and satisfy "
@@ -142,7 +146,7 @@ def test_criterion_6_orientation_covariance(corpus_run):
         lat, system = res.lattice, res.system
         base = res.complex
         base_hom = (res.augmented_homology, res.reduced_homology)
-        flippable = [f for f in lat.all_faces() if f.dim >= 0]
+        flippable = [f for f in lat.faces_by_id if f.dim >= 0]
         for _ in range(10):
             g = rng.choice(flippable)
             flipped = build_complex(trivialize(lat, flip_faces=[g]), lat, system)
@@ -220,7 +224,7 @@ def test_criterion_9_cli_contract(monkeypatch, capsys, tmp_path):
 
     def sabotage(t, ray, e, f):
         s = real(t, ray, e, f)
-        if f.dim == 1 and not state["flipped"]:
+        if ray.pair[1].dim == 1 and not state["flipped"]:
             state["flipped"] = True
             return -s
         return s
@@ -233,3 +237,13 @@ def test_criterion_9_cli_contract(monkeypatch, capsys, tmp_path):
                  str(POLYTOPES / "octahedron.json")]) == 3
     capsys.readouterr()
     report_line(9, True, "golden JSON reports byte-identical; exit codes 0/1/2/3 exercised")
+
+
+def test_run_corpus_script():
+    # scripts/run_corpus.py reads the pipeline results (f-vector, covering
+    # pairs, homology, K-groups) of every corpus member and prints a summary
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run([sys.executable, str(REPO / "scripts" / "run_corpus.py")],
+                         capture_output=True, text=True, env=env, cwd=REPO, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert any(line.startswith("33 members, 0 failures,") for line in run.stdout.splitlines())

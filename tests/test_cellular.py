@@ -30,6 +30,7 @@ from polyk.cellular import (
     incidence_sign,
     trivialize,
 )
+from polyk.comb_type import is_isomorphic, lattice_from_incidence, strip_signs
 from polyk.cones import ConeSystem, EdgeRay, lift
 from polyk.corpus import cross_polytope, hypercube, point_polytope, random_hull, simplex
 from polyk.errors import InternalInvariantError
@@ -48,7 +49,7 @@ from oracles import (
 
 def setup_polytope(poly):
     lat = face_lattice(poly)
-    system = ConeSystem(lift(poly))
+    system = ConeSystem(lift(poly), lat)
     triv = trivialize(lat)
     return lat, system, triv
 
@@ -67,10 +68,10 @@ def test_trivialize_vertex_and_empty():
     lat, system, triv = setup_polytope(poly)
     v0 = lat.faces(0)[0]
     assert triv == cellular.Trivialization(flipped=frozenset())
-    assert trivialize(lat, flip_faces=[v0]).flipped == {v0}
-    assert system.face_data(v0).span_basis == (system.cone.generators[0],)
-    assert len(system.face_data(lat.empty_face).span_basis) == 0
-    assert len(system.face_data(lat.top_face).span_basis) == 3
+    assert trivialize(lat, flip_faces=[v0]).flipped == {lat.face_id[v0]}
+    assert system.face_data(lat.face_id[v0]).span_basis == (system.cone.generators[0],)
+    assert len(system.face_data(lat.face_id[lat.empty_face]).span_basis) == 0
+    assert len(system.face_data(lat.face_id[lat.top_face]).span_basis) == 3
 
 
 def test_trivialize_rejects_flipping_empty_face():
@@ -105,7 +106,7 @@ def test_one_span_basis_per_face_per_run(monkeypatch):
             monkeypatch.setattr(module, "span_basis_of_face", counting)
     result = run_pipeline(hypercube(3))
     assert len(calls) == sum(result.lattice.f_vector)
-    assert set(calls) == set(result.lattice.all_faces())
+    assert set(calls) == set(result.lattice.faces_by_id)
 
 
 def test_one_edge_ray_per_covering_pair_per_run(monkeypatch):
@@ -186,7 +187,7 @@ def test_per_face_work_once_per_run(monkeypatch):
         if getattr(module, "cofactor_kernel_vector", None) is real_kernel:
             monkeypatch.setattr(module, "cofactor_kernel_vector", counting_kernel)
     result = run_pipeline(poly)
-    faces = list(result.lattice.all_faces())
+    faces = list(result.lattice.faces_by_id)
     assert Counter(grams) == Counter(faces)
     assert Counter(tables) == {"gram_table": 1, "slack_table": 1}
     # span_basis_of_face picks A_F through first_independent
@@ -197,6 +198,34 @@ def test_per_face_work_once_per_run(monkeypatch):
     # the orientation: one k x k determinant per covering pair, 232 here
     assert sum("edge_ray" in pair for pair in dets) == len(result.lattice.covering) == 232
     assert not any("build_complex" in pair for pair in kernels)
+
+
+def test_no_face_hash_in_build_complex_or_is_isomorphic(monkeypatch):
+    # faces are numbered once, by the lattice: the cellular walk and the
+    # isomorphism search read face ids and never hash a Face
+    poly = hypercube(4)
+    lat, cone = face_lattice(poly), lift(poly)
+    relabeled = face_lattice(validate(list(reversed(poly.vertices)), name="cube4-reversed"))
+    triv, system = trivialize(lat), ConeSystem(cone, lat)
+    real_hash = Face.__hash__
+    calls = []
+
+    def counting(self):
+        calls.append(self)
+        return real_hash(self)
+
+    monkeypatch.setattr(Face, "__hash__", counting)
+    assert lat.face_id[lat.top_face] == len(lat.faces_by_id) - 1 and len(calls) == 1
+    calls.clear()
+    x = build_complex(triv, lat, system)
+    assert calls == [] and x.f_vector == lat.f_vector
+    assert is_isomorphic(lat, relabeled).isomorphic
+    assert calls == []
+    rebuilt = lattice_from_incidence(strip_signs(x))
+    calls.clear()
+    assert is_isomorphic(rebuilt, rebuilt).isomorphic
+    assert is_isomorphic(rebuilt, lat).isomorphic
+    assert calls == []
 
 
 def test_cone_and_cellular_stages_make_no_fraction(monkeypatch):
@@ -213,7 +242,7 @@ def test_cone_and_cellular_stages_make_no_fraction(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
     assert Fraction(1, 2) == Fraction(2, 4) and len(made) == 2  # the counter sees them
     made.clear()
-    system = ConeSystem(cone)
+    system = ConeSystem(cone, lat)
     x = build_complex(trivialize(lat), lat, system)
     assert made == []
     assert x.f_vector == lat.f_vector
@@ -224,17 +253,18 @@ def test_cone_and_cellular_stages_make_no_fraction(monkeypatch):
 def test_sign_empty_to_vertex_is_plus_one(small_corpus):
     for poly in small_corpus:
         lat, system, triv = setup_polytope(poly)
-        for v in lat.faces(0):
-            ray = system.ray(lat.empty_face, v)
-            assert incidence_sign(triv, ray, lat.empty_face, v) == 1
+        empty = lat.face_id[lat.empty_face]
+        for v in lat.ids(0):
+            ray = system.ray(empty, v)
+            assert incidence_sign(triv, ray, empty, v) == 1
 
 
 def test_segment_signs_frozen():
     # hand computation: 2x2 solves give [v0 : P] = -1 and [v1 : P] = +1
     poly = simplex(1)
     lat, system, triv = setup_polytope(poly)
-    v0, v1 = lat.faces(0)
-    top = lat.top_face
+    v0, v1 = lat.ids(0)
+    top = lat.face_id[lat.top_face]
     assert incidence_sign(triv, system.ray(v0, top), v0, top) == -1
     assert incidence_sign(triv, system.ray(v1, top), v1, top) == 1
 
@@ -246,9 +276,10 @@ def test_incidence_signs_match_coordinate_oracle(small_corpus):
     rational = [random_hull(random.Random(seed), d, 9) for seed, d in ((1, 2), (2, 3), (3, 4))]
     for poly in list(small_corpus) + [hypercube(4), cross_polytope(4)] + rational:
         lat, system, triv = setup_polytope(poly)
-        flipped = trivialize(lat, flip_faces=[f for f in lat.all_faces() if f.dim >= 0])
+        flipped = trivialize(lat, flip_faces=[f for f in lat.faces_by_id if f.dim >= 0])
         for t in (triv, flipped):
             for e, f in lat.covering:
+                e, f = lat.face_id[e], lat.face_id[f]
                 ray = system.ray(e, f)
                 sign = incidence_sign(t, ray, e, f)
                 assert sign == oracle_incidence_sign(system, t, ray, e, f) \
@@ -363,7 +394,7 @@ def test_boundary_matrices_pinned(poly, digest):
 def test_build_complex_reports_corrupt_sign(monkeypatch):
     poly = hypercube(2)
     lat, system, triv = setup_polytope(poly)
-    target = lat.covering[-1]
+    target = tuple(lat.face_id[x] for x in lat.covering[-1])
     real = cellular.incidence_sign
 
     def flipped(t, ray, e, f):
@@ -399,7 +430,7 @@ def test_build_complex_names_first_nonzero_entry_of_corrupt_square(monkeypatch):
     # first nonzero entry of the dense product D_{j-1} D_j, row-major
     poly = hypercube(3)
     lat, system, triv = setup_polytope(poly)
-    target = next((e, f) for e, f in lat.covering if f.dim == 2)
+    target = next((lat.face_id[e], lat.face_id[f]) for e, f in lat.covering if f.dim == 2)
     real = cellular.incidence_sign
 
     def flipped(t, ray, e, f):
@@ -490,7 +521,7 @@ def test_orientation_flip_negates_row_and_column(small_corpus):
     for poly in small_corpus:
         lat, system, _ = setup_polytope(poly)
         base = build_complex(trivialize(lat), lat, system)
-        flippable = [f for f in lat.all_faces() if f.dim >= 0]
+        flippable = [f for f in lat.faces_by_id if f.dim >= 0]
         g = rng.choice(flippable)
         flipped_triv = trivialize(lat, flip_faces=[g])
         flipped = build_complex(flipped_triv, lat, system)

@@ -1,5 +1,7 @@
 """Unsigned incidence, lattice reconstruction, and isomorphism testing."""
 
+import hashlib
+import json
 import random
 import sys
 from itertools import combinations
@@ -17,20 +19,21 @@ from polyk.comb_type import (
 )
 from polyk.cones import ConeSystem, lift
 from polyk.corpus import (
+    acceptance_corpus,
     cross_polytope,
     hypercube,
     point_polytope,
     simplex,
 )
 from polyk.errors import InternalInvariantError
-from polyk.polytope import face_lattice, validate
+from polyk.polytope import Face, face_lattice, validate
 
 from affine import apply_affine, random_invertible_affine
 
 
 def complex_of(poly):
     lat = face_lattice(poly)
-    system = ConeSystem(lift(poly))
+    system = ConeSystem(lift(poly), lat)
     return lat, build_complex(trivialize(lat), lat, system)
 
 
@@ -257,3 +260,39 @@ def test_signed_match_across_isomorphic_polytopes_reported(small_corpus, capsys)
         print(f"\n[signed-match report] diagonal +-1 match through the lattice "
               f"bijection: {matched}/{len(outcomes)} "
               f"({', '.join(f'{n}={ok}' for n, ok in outcomes)})")
+
+
+def mapping_digest_pairs():
+    """The lattice pairs whose ``is_isomorphic`` mappings are pinned: the
+    5-cross-polytope and the 4-cube against affine images, every acceptance
+    corpus member against itself, and every reconstruction from unsigned
+    incidence against its source lattice."""
+    rng = random.Random(1207)
+    pairs = []
+    for poly in (cross_polytope(5), hypercube(4)):
+        A, t = random_invertible_affine(rng, poly.ambient_dim)
+        pairs.append((face_lattice(poly), face_lattice(apply_affine(poly, A, t))))
+    for poly in acceptance_corpus():
+        lat, x = complex_of(poly)
+        pairs.append((lat, lat))
+        pairs.append((lattice_from_incidence(strip_signs(x)), lat))
+    return pairs
+
+
+def element_label(e):
+    return ["face", list(e.vertex_set), e.dim] if isinstance(e, Face) else ["element", *e]
+
+
+# sha256 of the mappings of these pairs; renumbering the faces or
+# reordering the search must leave every mapping as it is
+MAPPING_DIGEST = "3f1fb7f5a4221c65a941deb433b78028198a3eac25d6448b921fe1174f4590b8"
+
+
+def test_isomorphism_mappings_pinned():
+    mappings = []
+    for a, b in mapping_digest_pairs():
+        iso = is_isomorphic(a, b)
+        assert iso.isomorphic
+        mappings.append([[element_label(x), element_label(y)] for x, y in iso.mapping])
+    text = json.dumps(mappings, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == MAPPING_DIGEST

@@ -55,7 +55,7 @@ def in_cone(x, gens, dim):
 
 def faces_of(poly):
     lat = face_lattice(poly)
-    return lat, {f.vertex_set: f for f in lat.all_faces()}
+    return lat, {f.vertex_set: f for f in lat.faces_by_id}
 
 
 # --- lift ---
@@ -120,7 +120,7 @@ def test_face_data_top_face():
     poly = simplex(2)
     lat, by_set = faces_of(poly)
     cone = lift(poly)
-    data = ConeSystem(cone).face_data(lat.top_face)
+    data = ConeSystem(cone, lat).face_data(lat.face_id[lat.top_face])
     assert data.dual_face_gens == ()
     assert circledast_gens(cone, lat.top_face) == ()
     assert len(data.span_basis) == 3
@@ -131,7 +131,7 @@ def test_face_data_empty_face_bipolar():
     poly = hypercube(2)
     lat, _ = faces_of(poly)
     cone = lift(poly)
-    data = ConeSystem(cone).face_data(lat.empty_face)
+    data = ConeSystem(cone, lat).face_data(lat.face_id[lat.empty_face])
     assert set(circledast_gens(cone, lat.empty_face)) == {primitive_vector(g) for g in cone.generators}
     assert data.dual_face_gens == cone.facet_normals
     assert len(data.span_basis) == 0
@@ -141,7 +141,7 @@ def test_face_data_segment_vertex():
     poly = simplex(1)
     lat, by_set = faces_of(poly)
     cone = lift(poly)
-    data = ConeSystem(cone).face_data(by_set[(0,)])
+    data = ConeSystem(cone, lat).face_data(lat.face_id[by_set[(0,)]])
     assert data.span_basis == ((1, 0),)
     assert data.dual_face_gens == ((0, 1),)
     assert circledast_gens(cone, by_set[(0,)]) == ((0, 1),)
@@ -151,10 +151,10 @@ def test_face_data_invariants_small_corpus(small_corpus):
     for poly in small_corpus:
         lat = face_lattice(poly)
         cone = lift(poly)
-        system = ConeSystem(cone)
+        system = ConeSystem(cone, lat)
         n = cone.dim
-        for f in lat.all_faces():
-            data = system.face_data(f)
+        for i, f in enumerate(lat.faces_by_id):
+            data = system.face_data(i)
             assert len(data.span_basis) == f.dim + 1
             for g in data.dual_face_gens:
                 assert all(dot(g, cone.generators[i]) == 0 for i in f.vertex_set)
@@ -172,11 +172,12 @@ def test_face_data_invariants_small_corpus(small_corpus):
 def test_edge_ray_segment_vertex_to_top():
     poly = simplex(1)
     lat, by_set = faces_of(poly)
-    system = ConeSystem(lift(poly))
-    ray = system.ray(by_set[(0,)], by_set[(0, 1)])
+    system = ConeSystem(lift(poly), lat)
+    e, f = lat.face_id[by_set[(0,)]], lat.face_id[by_set[(0, 1)]]
+    ray = system.ray(e, f)
     assert ray.direction == (0, 1)
     # b = (1, 0) + (1, 1), A_E = ((1, 0),), det G = 1: w' = b - 2 (1, 0)
-    w = system.crosscheck(by_set[(0,)], by_set[(0, 1)])
+    w = system.crosscheck(e, f)
     assert w == (0, 1)
     assert positive_multiple_ratio(w, ray.direction) == 1
 
@@ -185,13 +186,14 @@ def test_edge_ray_from_empty_face_is_lifted_vertex(small_corpus):
     for poly in small_corpus:
         lat = face_lattice(poly)
         cone = lift(poly)
-        system = ConeSystem(cone)
+        system = ConeSystem(cone, lat)
+        empty = lat.face_id[lat.empty_face]
         for v in lat.faces(0):
-            ray = system.ray(lat.empty_face, v)
+            ray = system.ray(empty, lat.face_id[v])
             assert ray.direction == primitive_vector(cone.generators[v.vertex_set[0]])
             assert ray.orientation == 1
             # A_E is empty, det G = 1: w' = b, the one integer lifted vertex
-            w = system.crosscheck(lat.empty_face, v)
+            w = system.crosscheck(empty, lat.face_id[v])
             assert w == cone.generators[v.vertex_set[0]]
 
 
@@ -199,8 +201,8 @@ def test_edge_ray_triangle_vertex_edge_invariants():
     poly = simplex(2)
     lat, by_set = faces_of(poly)
     cone = lift(poly)
-    e, f = by_set[(0,)], by_set[(0, 1)]
-    system = ConeSystem(cone)
+    e, f = lat.face_id[by_set[(0,)]], lat.face_id[by_set[(0, 1)]]
+    system = ConeSystem(cone, lat)
     ray = system.ray(e, f)
     data_e = system.face_data(e)
     data_f = system.face_data(f)
@@ -218,15 +220,16 @@ def test_edge_ray_rejects_non_covering_pair():
     lat, by_set = faces_of(poly)
     vertex, top = by_set[(0,)], lat.top_face
     with pytest.raises(InternalInvariantError) as err:
-        ConeSystem(lift(poly)).ray(vertex, top)
+        ConeSystem(lift(poly), lat).ray(lat.face_id[vertex], lat.face_id[top])
     assert f"edge ray of ({vertex}, {top}):" in str(err.value)
 
 
 def test_crosscheck_positive_on_corpus(small_corpus):
     for poly in small_corpus:
         lat = face_lattice(poly)
-        system = ConeSystem(lift(poly))
+        system = ConeSystem(lift(poly), lat)
         for e, f in lat.covering:
+            e, f = lat.face_id[e], lat.face_id[f]
             ratio = positive_multiple_ratio(system.crosscheck(e, f), system.ray(e, f).direction)
             assert ratio is not None and ratio > 0
 
@@ -240,13 +243,13 @@ def test_crosscheck_matches_rational_gram_oracle(small_corpus):
     for poly in list(small_corpus) + [hypercube(4), cross_polytope(4)] + rational:
         lat = face_lattice(poly)
         cone = lift(poly)
-        system = ConeSystem(cone)
+        system = ConeSystem(cone, lat)
         scale = lcm(*(x.denominator for v in poly.vertices for x in v))
         for e, f in lat.covering:
-            a_e = system.face_data(e).span_basis
+            a_e = system.face_data(lat.face_id[e]).span_basis
             det_g = leibniz_det([[dot(u, v) for v in a_e] for u in a_e])
             factor = scale * len(f.vertex_set) * det_g
-            assert system.crosscheck(e, f) == \
+            assert system.crosscheck(lat.face_id[e], lat.face_id[f]) == \
                 tuple(factor * x for x in oracle_crosscheck(cone, e, f)), (poly.name, e, f)
 
 
@@ -287,9 +290,9 @@ def test_face_data_holds_per_face_work(small_corpus):
     # those of the face
     for poly in small_corpus:
         lat = face_lattice(poly)
-        system = ConeSystem(lift(poly))
-        for f in lat.all_faces():
-            data = system.face_data(f)
+        system = ConeSystem(lift(poly), lat)
+        for i, f in enumerate(lat.faces_by_id):
+            data = system.face_data(i)
             fresh = IntEchelon(data.span_basis)
             assert data.span_echelon.rank == fresh.rank == f.dim + 1
             for g in system.cone.generators:
@@ -313,7 +316,7 @@ def test_dual_face_rank_names_face():
     broken = dataclasses.replace(cone, facet_normals=cone.facet_normals[1:])
     v = next(f for f in lat.faces(0) if dot(dropped, cone.generators[f.vertex_set[0]]) == 0)
     with pytest.raises(InternalInvariantError) as err:
-        ConeSystem(broken).face_data(v)
+        ConeSystem(broken, lat).face_data(lat.face_id[v])
     assert f"dual face of {v} spans rank 1, expected 2" in str(err.value)
 
 
@@ -337,7 +340,7 @@ def test_edge_ray_rejects_ray_outside_span_of_f(monkeypatch):
     outside = next(i for i in range(poly.nvertices) if i not in f.vertex_set)
     _perturbed_directions(monkeypatch, cone, primitive_vector(cone.generators[outside]))
     with pytest.raises(InternalInvariantError) as err:
-        ConeSystem(cone).ray(e, f)
+        ConeSystem(cone, lat).ray(lat.face_id[e], lat.face_id[f])
     assert f"edge ray of ({e}, {f}) leaves the span of {f}" in str(err.value)
 
 
@@ -347,13 +350,13 @@ def test_edge_ray_rejects_ray_not_orthogonal_to_e():
     # is read off the tables and no longer vanishes
     poly = hypercube(2)
     lat, _ = faces_of(poly)
-    system = ConeSystem(lift(poly))
+    system = ConeSystem(lift(poly), lat)
     e, f = next((e, f) for e, f in lat.covering if f.dim == 1)
-    data_e = system.face_data(e)
+    data_e = system.face_data(lat.face_id[e])
     doubled = dataclasses.replace(
         data_e, gram_adj=tuple(tuple(2 * x for x in row) for row in data_e.gram_adj))
     with pytest.raises(InternalInvariantError) as err:
-        edge_ray(system.cone, e, f, doubled, system.face_data(f),
+        edge_ray(system.cone, e, f, doubled, system.face_data(lat.face_id[f]),
                  gram=system.gram, slack=system.slack)
     assert f"edge ray of ({e}, {f}) not orthogonal to span of {e}" in str(err.value)
 
@@ -364,15 +367,16 @@ def test_edge_ray_without_orientation_names_pair():
     # face data of the unchanged cone still pass the orthogonality and
     # circledast checks, which come first
     lat, _ = faces_of(hypercube(2))
-    system = ConeSystem(lift(hypercube(2)))
+    system = ConeSystem(lift(hypercube(2)), lat)
     e, f = next((e, f) for e, f in lat.covering
-                if f.dim == 1 and system.ray(e, f).orientation == 1)
+                if f.dim == 1 and system.ray(lat.face_id[e], lat.face_id[f]).orientation == 1)
     outside = next(i for i in f.vertex_set if i not in e.vertex_set)
     gens = list(system.cone.generators)
     gens[outside] = gens[e.vertex_set[0]]
-    broken = ConeSystem(dataclasses.replace(system.cone, generators=tuple(gens)))
+    broken = ConeSystem(dataclasses.replace(system.cone, generators=tuple(gens)), lat)
     with pytest.raises(InternalInvariantError) as err:
-        edge_ray(broken.cone, e, f, system.face_data(e), system.face_data(f),
+        edge_ray(broken.cone, e, f, system.face_data(lat.face_id[e]),
+                 system.face_data(lat.face_id[f]),
                  gram=broken.gram, slack=broken.slack)
     assert str(err.value) == (
         f"edge ray of ({e}, {f}) is orthogonal to lifted vertex {outside}: it has no orientation")
@@ -382,13 +386,14 @@ def test_edge_ray_pointing_away_names_pair():
     # with T[g][g] zeroed, <w, g> = det G_E T[g][g] - <x, A_E^T g> is
     # negative: no Gram table gives that, since it is det G_E |g - P_E g|^2
     lat, _ = faces_of(hypercube(2))
-    system = ConeSystem(lift(hypercube(2)))
+    system = ConeSystem(lift(hypercube(2)), lat)
     e, f = next((e, f) for e, f in lat.covering if f.dim == 1)
     g = next(i for i in f.vertex_set if i not in e.vertex_set)
     gram = [list(row) for row in system.gram]
     gram[g][g] = 0
     with pytest.raises(InternalInvariantError) as err:
-        edge_ray(system.cone, e, f, system.face_data(e), system.face_data(f),
+        edge_ray(system.cone, e, f, system.face_data(lat.face_id[e]),
+                 system.face_data(lat.face_id[f]),
                  gram=gram, slack=system.slack)
     assert str(err.value) == f"edge ray of ({e}, {f}) points away from lifted vertex {g}"
 
@@ -397,14 +402,15 @@ def test_edge_ray_rejects_negative_slack():
     # <w, y> = det G_E S[g][y] over E's dual face: a negative slack entry
     # there puts the ray outside the circledast cone of E
     lat, _ = faces_of(hypercube(2))
-    system = ConeSystem(lift(hypercube(2)))
+    system = ConeSystem(lift(hypercube(2)), lat)
     e, f = next((e, f) for e, f in lat.covering if f.dim == 1)
     g = next(i for i in f.vertex_set if i not in e.vertex_set)
-    data_e = system.face_data(e)
+    data_e = system.face_data(lat.face_id[e])
     slack = [list(row) for row in system.slack]
     slack[g][data_e.dual_ids[0]] = -1
     with pytest.raises(InternalInvariantError) as err:
-        edge_ray(system.cone, e, f, data_e, system.face_data(f), gram=system.gram, slack=slack)
+        edge_ray(system.cone, e, f, data_e, system.face_data(lat.face_id[f]),
+                 gram=system.gram, slack=slack)
     assert str(err.value) == f"edge ray of ({e}, {f}) outside circledast cone of {e}"
 
 
@@ -413,7 +419,7 @@ def test_edge_ray_zero_sign_names_pair(monkeypatch):
     lat, _ = faces_of(hypercube(2))
     e, f = lat.covering[-1]
     with pytest.raises(InternalInvariantError) as err:
-        ConeSystem(lift(hypercube(2))).ray(e, f)
+        ConeSystem(lift(hypercube(2)), lat).ray(lat.face_id[e], lat.face_id[f])
     assert str(err.value) == f"incidence sign of ({e}, {f}) is zero"
 
 
@@ -425,14 +431,15 @@ def test_projection_identities_on_tables(small_corpus):
     rational = [random_hull(random.Random(seed), d, 9) for seed, d in ((1, 2), (2, 3), (3, 4))]
     for poly in list(small_corpus) + [hypercube(4), cross_polytope(4)] + rational:
         lat = face_lattice(poly)
-        system = ConeSystem(lift(poly))
+        system = ConeSystem(lift(poly), lat)
         gens = system.cone.generators
         for e, f in lat.covering:
-            data_e = system.face_data(e)
+            data_e = system.face_data(lat.face_id[e])
             g = next(i for i in f.vertex_set if i not in e.vertex_set)
             w = tuple(data_e.gram_det * x for x in orthogonal_component(system.cone, e, gens[g]))
             assert all(x.denominator == 1 for x in w), (poly.name, e, f)
-            assert primitive_vector(w) == system.ray(e, f).direction, (poly.name, e, f)
+            assert primitive_vector(w) == \
+                system.ray(lat.face_id[e], lat.face_id[f]).direction, (poly.name, e, f)
             for k in data_e.dual_ids:
                 assert dot(w, system.cone.facet_normals[k]) == \
                     data_e.gram_det * system.slack[g][k], (poly.name, e, f)
@@ -448,16 +455,17 @@ def test_edge_ray_matches_kernel_oracle(small_corpus):
                                   random_hull(random.Random(5), 5, 10)]
     for poly in polys:
         lat = face_lattice(poly)
-        system = ConeSystem(lift(poly))
+        system = ConeSystem(lift(poly), lat)
         for e, f in lat.covering:
-            assert system.ray(e, f) == kernel_edge_ray(
-                system.cone, e, f, system.face_data(e), system.face_data(f)), (poly.name, e, f)
+            i, j = lat.face_id[e], lat.face_id[f]
+            assert system.ray(i, j) == kernel_edge_ray(
+                system.cone, e, f, system.face_data(i), system.face_data(j)), (poly.name, e, f)
 
 
 def test_tables_are_the_inner_products(small_corpus):
     # T = V V^T and S = V Y^T, with the facet masks read off S's zeros
     for poly in small_corpus:
-        system = ConeSystem(lift(poly))
+        system = ConeSystem(lift(poly), face_lattice(poly))
         gens, normals = system.cone.generators, system.cone.facet_normals
         assert system.gram == tuple(tuple(dot(u, v) for v in gens) for u in gens)
         assert system.slack == tuple(tuple(dot(y, v) for y in normals) for v in gens)
@@ -471,13 +479,14 @@ def test_ray_intersection_is_one_dimensional(small_corpus):
     # circledast cone of E orthogonal to the dual face of F
     for poly in list(small_corpus) + [hypercube(4), cross_polytope(4)]:
         lat = face_lattice(poly)
-        system = ConeSystem(lift(poly))
-        circledast = {f: circledast_gens(system.cone, f) for f in lat.all_faces()}
+        system = ConeSystem(lift(poly), lat)
+        circledast = {f: circledast_gens(system.cone, f) for f in lat.faces_by_id}
         for e, f in lat.covering:
-            data_f = system.face_data(f)
+            data_f = system.face_data(lat.face_id[f])
             hits = [g for g in circledast[e]
                     if all(dot(g, y) == 0 for y in data_f.dual_face_gens)]
-            assert hits == [system.ray(e, f).direction], (poly.name, e, f)
+            assert hits == [system.ray(lat.face_id[e], lat.face_id[f]).direction], \
+                (poly.name, e, f)
 
 
 def test_positive_multiple_ratio_rejects():

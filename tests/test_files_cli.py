@@ -99,7 +99,7 @@ def test_cli_report_injected_internal_error(monkeypatch, capsys):
 
     def sabotage(t, ray, e, f):
         s = real(t, ray, e, f)
-        if f.dim == 1 and not state["flipped"]:
+        if ray.pair[1].dim == 1 and not state["flipped"]:
             state["flipped"] = True
             return -s
         return s

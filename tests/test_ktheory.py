@@ -26,7 +26,7 @@ from oracles import dense_homology_pair
 
 def full_run(poly):
     lat = face_lattice(poly)
-    system = ConeSystem(lift(poly))
+    system = ConeSystem(lift(poly), lat)
     x = build_complex(trivialize(lat), lat, system)
     return poly, lat, x
 

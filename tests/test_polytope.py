@@ -238,7 +238,7 @@ def test_cross4_f_vector():
                          ids=lambda p: p.name)
 def test_faces_match_direction_oracle(poly):
     lat = face_lattice(poly)
-    ours = {f.vertex_set for f in lat.all_faces()} - {(), tuple(range(poly.nvertices))}
+    ours = {f.vertex_set for f in lat.faces_by_id} - {(), tuple(range(poly.nvertices))}
     oracle = faces_by_direction(poly.vertices, poly.ambient_dim)
     oracle.discard(tuple(range(poly.nvertices)))  # argmax of 0 is everything
     assert ours == oracle
@@ -261,7 +261,7 @@ def _assert_matches_closure_oracle(P):
     of its vertices (the rank identity of a graded face lattice)."""
     lat = face_lattice(P)
     assert lat == closure_face_lattice(P)
-    for f in lat.all_faces():
+    for f in lat.faces_by_id:
         assert f.dim == affine_dim([P.vertices[i] for i in f.vertex_set])
 
 
@@ -355,8 +355,8 @@ def test_lattice_invariant_under_relabeling(rnd):
     lat1 = face_lattice(p)
     lat2 = face_lattice(relabeled)
     back = lambda fs: tuple(sorted(perm[v] for v in fs))
-    assert {back(f.vertex_set) for f in lat2.all_faces()} == \
-        {f.vertex_set for f in lat1.all_faces()}
+    assert {back(f.vertex_set) for f in lat2.faces_by_id} == \
+        {f.vertex_set for f in lat1.faces_by_id}
 
 
 @given(st.integers(0, 10_000))
@@ -368,7 +368,7 @@ def test_lattice_invariant_under_affine_maps(seed):
     q = apply_affine(p, A, t)
     lat1, lat2 = face_lattice(p), face_lattice(q)
     assert lat1.f_vector == lat2.f_vector
-    assert {f.vertex_set for f in lat1.all_faces()} == {f.vertex_set for f in lat2.all_faces()}
+    assert {f.vertex_set for f in lat1.faces_by_id} == {f.vertex_set for f in lat2.faces_by_id}
 
 
 def test_random_hulls_validate(small_corpus):
