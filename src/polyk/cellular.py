@@ -71,8 +71,9 @@ from .sparse import SparseColumn, dense_matrix, sparse_columns, unit_pivot_elimi
 @dataclass(frozen=True)
 class Trivialization:
     """The orientation of every face: the span basis A_F of its face data,
-    with the last column negated for the face ids in ``flipped``.  A flip
-    reverses the face's orientation; the empty face has no column to flip."""
+    with the last column negated for the ids in ``flipped``, which number
+    the faces of the one lattice given to ``trivialize``.  A flip reverses
+    the face's orientation; the empty face has no column to flip."""
 
     flipped: frozenset[int]
 
@@ -121,17 +122,15 @@ class ChainComplex:
         return tuple(len(level) for level in self.face_order)
 
 
-def boundary_columns(T: Trivialization, L: FaceLattice,
-                     system: ConeSystem, j: int) -> list[SparseColumn]:
-    """The columns of D_j as {row: [E : F]} dicts, one per j-face F in
-    order; the row of a (j-1)-face is its id minus its level's first id.
-    Each lower cover E of F is one covering pair, visited once: its edge
-    ray, the ray's cross-check (its primitive vector must be the ray's
-    direction, which is primitive), then the incidence sign."""
+def boundary_columns(T: Trivialization, system: ConeSystem, j: int) -> list[SparseColumn]:
+    """The columns of D_j as {row: [E : F]} dicts, one per j-face F of the
+    system's lattice in order; the row of a (j-1)-face is its id minus its
+    level's first id.  Each lower cover E of F is one covering pair, visited
+    once: its edge ray, the ray's cross-check (its primitive vector must be
+    the ray's direction, which is primitive), then the incidence sign."""
+    L = system.lattice
     if not 0 <= j <= L.dim:
         raise ValueError(f"boundary dimension {j} out of range [0, {L.dim}]")
-    if system.lattice is not L:
-        raise ValueError("the cone system numbers the faces of another lattice")
     first_row = L.level_start[j]
     columns = []
     for f in L.ids(j):
@@ -177,9 +176,11 @@ def build_complex(T: Trivialization, L: FaceLattice, system: ConeSystem) -> Chai
     for each pair (E, F) in turn it takes the edge ray, cross-checks it and
     computes [E : F].  Then it checks D_{j-1} @ D_j = 0 for every j on the
     sparse columns (``boundary_squared_entry``).  Any failure aborts with
-    the offending face pair.
+    the offending face pair.  The system must be built on L itself.
     """
-    columns = [boundary_columns(T, L, system, j) for j in range(0, L.dim + 1)]
+    if system.lattice is not L:
+        raise ValueError("the cone system numbers the faces of another lattice")
+    columns = [boundary_columns(T, system, j) for j in range(0, L.dim + 1)]
     for j in range(1, L.dim + 1):
         bad = boundary_squared_entry(columns[j - 1], columns[j])
         if bad is not None:
@@ -294,17 +295,20 @@ def diagonal_sign_equivalence(A: ChainComplex, B: ChainComplex) -> dict[tuple[in
     for da, db in zip(A.boundary, B.boundary):
         if tuple(tuple(abs(x) for x in r) for r in da) != tuple(tuple(abs(x) for x in r) for r in db):
             return None
-    # constraints: eps_E * eps_F = A[E,F] * B[E,F] over all covering entries
-    entries = [((j - 1, row), (j, col), a, b)
-               for j, (da, db) in enumerate(zip(A.boundary, B.boundary))
-               for row, (ra, rb) in enumerate(zip(da, db))
-               for col, (a, b) in enumerate(zip(ra, rb)) if a != 0]
-    nodes = [(j, i) for j in range(-1, A.dim + 1) for i in range(len(A.face_order[j + 1]))]
-    edges: dict[tuple[int, int], list[tuple[tuple[int, int], int]]] = {node: [] for node in nodes}
-    for e, f, a, b in entries:
-        edges[e].append((f, a * b))
-        edges[f].append((e, a * b))
     eps: dict[tuple[int, int], int] = {(-1, 0): 1}
+    # constraints: eps_E * eps_F = A[E,F] * B[E,F] over all covering entries
+    edges: dict[tuple[int, int], list[tuple[tuple[int, int], int]]] = {}
+    nodes = [(j, i) for j in range(-1, A.dim + 1) for i in range(len(A.face_order[j + 1]))]
+    for node in nodes:
+        edges[node] = []
+    for j in range(0, A.dim + 1):
+        da, db = A.boundary[j], B.boundary[j]
+        for row in range(len(da)):
+            for col in range(len(da[row]) if da else 0):
+                if da[row][col] != 0:
+                    rel = da[row][col] * db[row][col]
+                    edges[(j - 1, row)].append(((j, col), rel))
+                    edges[(j, col)].append(((j - 1, row), rel))
     stack = [(-1, 0)]
     while stack:
         node = stack.pop()
@@ -315,8 +319,14 @@ def diagonal_sign_equivalence(A: ChainComplex, B: ChainComplex) -> dict[tuple[in
                 stack.append(other)
             elif eps[other] != want:
                 return None
-    for node in nodes:  # disconnected cover graph cannot happen for polytopes
-        eps.setdefault(node, 1)
-    if any(eps[e] * a != eps[f] * b for e, f, a, b in entries):
-        return None
+    if len(eps) != len(nodes):  # disconnected cover graph cannot happen for polytopes
+        for node in nodes:
+            if node not in eps:
+                eps[node] = 1
+    for j in range(0, A.dim + 1):
+        da, db = A.boundary[j], B.boundary[j]
+        for row in range(len(da)):
+            for col in range(len(da[row]) if da else 0):
+                if eps[(j - 1, row)] * da[row][col] != eps[(j, col)] * db[row][col]:
+                    return None
     return eps

@@ -16,7 +16,7 @@ non-isomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 from operator import or_
@@ -45,21 +45,20 @@ def strip_signs(X: ChainComplex) -> UnsignedIncidence:
 class AbstractLattice(GradedIds):
     """A graded lattice reconstructed without coordinates.
 
-    Elements are (rank, index) pairs with rank from -1 (bottom) to dim (top),
-    numbered level by level (``GradedIds``): (rank, i) has the id
-    ``level_start[rank + 1] + i`` and is ``elements_by_id`` at that id.
+    Elements, its abstract faces, are (rank, index) pairs with rank from -1
+    (bottom) to dim (top), numbered level by level (``GradedIds``): (rank, i)
+    has the id ``level_start[rank + 1] + i`` and is ``faces_by_id`` there.
     """
 
     dim: int
     f_vector: tuple[int, ...]
     covering: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-    elements_by_id: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         start = tuple(accumulate(self.f_vector, initial=0))
-        object.__setattr__(self, "elements_by_id", tuple(
-            (r, i) for r in range(-1, self.dim + 1) for i in range(self.f_vector[r + 1])))
-        self._number(start, ((start[ra + 1] + a, start[rb + 1] + b)
+        self._number(tuple((r, i) for r in range(-1, self.dim + 1)
+                           for i in range(self.f_vector[r + 1])),
+                     start, ((start[ra + 1] + a, start[rb + 1] + b)
                              for (ra, a), (rb, b) in self.covering))
 
 
@@ -119,7 +118,7 @@ def _verify_abstract_lattice(lat: AbstractLattice) -> None:
     if lat.f_vector[0] != 1 or lat.f_vector[-1] != 1:
         raise InternalInvariantError(
             f"reconstructed poset is not bounded: f-vector {lat.f_vector}")
-    elements = lat.elements_by_id
+    elements = lat.faces_by_id
     up, down = lat.cover_masks()
     for i in range(lat.level_start[-2]):  # below the top
         if not up[i]:
@@ -212,6 +211,5 @@ def is_isomorphic(L1: "FaceLattice | AbstractLattice",
 
     if any({mapping[b] for b in up1[a]} != set(up2[t]) for a, t in enumerate(mapping)):
         raise InternalInvariantError("lattice bijection failed final cover verification")
-    by_id1, by_id2 = (L.faces_by_id if isinstance(L, FaceLattice) else L.elements_by_id
-                      for L in (L1, L2))
-    return LatticeIso(True, mapping=tuple((by_id1[s], by_id2[t]) for s, t in enumerate(mapping)))
+    return LatticeIso(True, mapping=tuple((L1.faces_by_id[s], L2.faces_by_id[t])
+                                          for s, t in enumerate(mapping)))

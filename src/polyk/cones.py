@@ -14,8 +14,7 @@ vertex and a facet normal of the cone.  So ``ConeSystem`` builds two tables
 once per run: the Gram table T[i][j] = <v_i, v_j> of the lifted vertices
 (``gram_table``) and the slack table S[i][k] = <y_k, v_i> of the lifted
 vertices against the facet normals (``slack_table``), whose zeros give each
-vertex's facet bitmask.  For every face, once per run and kept by face id,
-we compute
+vertex's facet bitmask.  For every face id, once per run, we compute
 
   * a deterministic basis A_F of the span (integer lifted vertices, greedy
     in index order), by vertex ids, with the echelon form that picked it,

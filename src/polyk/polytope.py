@@ -3,13 +3,13 @@
 A polytope is the convex hull of finitely many rational points that must all
 be vertices of the hull, with the hull full-dimensional in its ambient space.
 Faces are represented by their vertex index sets; the lattice always contains
-the empty face (dimension -1) and the polytope itself.  It numbers the faces
-once, level by level, and keeps their covers by id, which every later stage
-reads.  It is built from the vertex-facet incidences on int bitmasks, level
-by level from the empty face, taking each face's upper covers from the
-closure step; a face's dimension is its level minus one.  The intersection
-closure of the facet vertex sets with one rational rank per face, which it
-replaced, is the tests' oracle.
+the empty face (dimension -1) and the polytope itself.  It is built from the
+vertex-facet incidences on int bitmasks, level by level from the empty face,
+taking each face's upper covers from the closure step; a face's dimension is
+its level minus one.  The faces are numbered once, in that order, and every
+later stage reads their covers by id.  The intersection closure of the facet
+vertex sets with one rational rank per face, which it replaced, is the
+tests' oracle.
 
 Facets come from the double description method on the homogenized integer
 points, inserted one at a time, with combinatorial adjacency on bitmask zero
@@ -83,22 +83,25 @@ class Facet:
     vertex_set: tuple[int, ...]
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False)
 class GradedIds:
     """Elements numbered level by level from the bottom, rank r taking the
-    ids ``ids(r)`` from ``level_start[r + 1]``; ``down[i]`` and ``up[i]``
-    are the ids of element i's lower and upper covers, in covering order."""
+    ids ``ids(r)`` from ``level_start[r + 1]``: element i is
+    ``faces_by_id[i]``, and ``down[i]`` and ``up[i]`` are the ids of its
+    lower and upper covers, in covering order."""
 
-    level_start: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    down: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    up: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    faces_by_id: tuple
+    level_start: tuple[int, ...]
+    down: tuple[tuple[int, ...], ...]
+    up: tuple[tuple[int, ...], ...]
 
-    def _number(self, level_start: tuple[int, ...], id_pairs: Iterable[tuple[int, int]]) -> None:
+    def _number(self, faces_by_id: tuple, level_start: tuple[int, ...],
+                id_pairs: Iterable[tuple[int, int]]) -> None:
         down: list[list[int]] = [[] for _ in range(level_start[-1])]
         up: list[list[int]] = [[] for _ in range(level_start[-1])]
         for a, b in id_pairs:
             down[b].append(a)
             up[a].append(b)
+        object.__setattr__(self, "faces_by_id", faces_by_id)
         object.__setattr__(self, "level_start", level_start)
         object.__setattr__(self, "down", tuple(map(tuple, down)))
         object.__setattr__(self, "up", tuple(map(tuple, up)))
@@ -127,13 +130,12 @@ class FaceLattice(GradedIds):
     faces_by_dim: tuple[tuple[Face, ...], ...]
     covering: tuple[tuple[Face, Face], ...]
     f_vector: tuple[int, ...]
-    faces_by_id: tuple[Face, ...] = field(init=False, repr=False, compare=False)
     face_id: dict[Face, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "faces_by_id", tuple(chain.from_iterable(self.faces_by_dim)))
-        object.__setattr__(self, "face_id", {f: i for i, f in enumerate(self.faces_by_id)})
-        self._number(tuple(accumulate(map(len, self.faces_by_dim), initial=0)),
+        faces = tuple(chain.from_iterable(self.faces_by_dim))
+        object.__setattr__(self, "face_id", {f: i for i, f in enumerate(faces)})
+        self._number(faces, tuple(accumulate(map(len, self.faces_by_dim), initial=0)),
                      ((self.face_id[e], self.face_id[f]) for e, f in self.covering))
 
     def faces(self, j: int) -> tuple[Face, ...]:
@@ -406,25 +408,22 @@ def verify_lattice(L: FaceLattice) -> None:
     diamond property, on int bitmasks.
 
     ``up[i]`` and ``down[i]`` are the id masks of face i's upper and lower
-    covers (``cover_masks``).  Face order is vertex-set
-    containment, tested on vertex masks as ``lo & hi == lo``.  The faces
-    that cover ``low`` and are covered by ``high`` are the set bits of
-    ``up[low] & down[high]``, so for low <= high two levels apart the number
-    of intermediate faces is its popcount, and the diamond property asks for
-    exactly two.
+    covers (``cover_masks``).  Face order is vertex-set containment, tested
+    on vertex masks as ``lo & hi == lo``.  The faces that cover ``low`` and
+    are covered by ``high`` are the set bits of ``up[low] & down[high]``, so
+    for low <= high two levels apart the number of intermediate faces is its
+    popcount, and the diamond property asks for exactly two.
 
     Any failure is an internal error; valid polytope input cannot produce it.
     """
     if L.f_vector[0] != 1 or L.f_vector[-1] != 1:
         raise InternalInvariantError("face lattice must have unique bottom and top")
     up, down = L.cover_masks()
-    for i in range(L.level_start[-2]):  # below the top
+    for i, f in enumerate(L.faces_by_id[:L.level_start[-2]]):  # below the top
         if not up[i]:
-            f = L.faces_by_id[i]
             raise InternalInvariantError(f"face {f} of dim {f.dim} has no upper cover")
-    for i in range(L.level_start[1], len(L.faces_by_id)):  # above the bottom
+    for i, f in enumerate(L.faces_by_id[L.level_start[1]:], L.level_start[1]):  # above the bottom
         if not down[i]:
-            f = L.faces_by_id[i]
             raise InternalInvariantError(f"face {f} of dim {f.dim} has no lower cover")
     mask = [sum(1 << v for v in f.vertex_set) for f in L.faces_by_id]
     for j in range(-1, L.dim - 1):

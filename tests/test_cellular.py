@@ -56,7 +56,7 @@ def setup_polytope(poly):
 
 def boundary_matrix(triv, lat, system, j):
     """D_j as a dense matrix, rows over (j-1)-faces, columns over j-faces."""
-    return dense_matrix(boundary_columns(triv, lat, system, j), len(lat.faces(j - 1)))
+    return dense_matrix(boundary_columns(triv, system, j), len(lat.faces(j - 1)))
 
 
 # --- trivialize ---
@@ -317,7 +317,16 @@ def test_boundary_out_of_range():
     poly = simplex(1)
     lat, system, triv = setup_polytope(poly)
     with pytest.raises(ValueError):
-        boundary_columns(triv, lat, system, 2)
+        boundary_columns(triv, system, 2)
+
+
+def test_build_complex_rejects_system_of_another_lattice():
+    # an equal lattice built twice is still another numbering of the faces
+    poly = simplex(2)
+    lat, system, triv = setup_polytope(poly)
+    with pytest.raises(ValueError,
+                       match=r"^the cone system numbers the faces of another lattice$"):
+        build_complex(triv, face_lattice(poly), system)
 
 
 # --- build_complex ---
