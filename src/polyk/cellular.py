@@ -33,9 +33,10 @@ empty face cannot be flipped: the bottom boundary matrix is the all-ones
 augmentation row.
 
 Boundary matrices are integer matrices over the stable (lexicographic by
-vertex set) face ordering, the lattice's face ids.  They are built as sparse
-columns, {row: [E : F]} over the lower covers E of each face F, and densified
-only for the ``ChainComplex``.  Assembling the complex walks the id covers
+vertex set) face ordering, the lattice's face ids.  They are built, kept in
+the ``ChainComplex`` and read as sparse columns, {row: [E : F]} over the
+lower covers E of each face F; only a printed matrix is densified
+(``ChainComplex.matrix``).  Assembling the complex walks the id covers
 once, in lattice order (the faces F of dimension j, then each F's lower
 covers E), and for each pair takes the edge ray, checks it against the
 independent barycenter cross-check, and computes [E : F] into F's column.
@@ -59,13 +60,13 @@ Only a nonzero N goes to the dense Smith normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .cones import ConeSystem, EdgeRay
 from .errors import InternalInvariantError
-from .linalg import IntMatrix, int_mat_is_zero, primitive_vector, smith_normal_form
+from .linalg import IntMatrix, primitive_vector, smith_normal_form
 from .polytope import Face, FaceLattice
-from .sparse import SparseColumn, dense_matrix, sparse_columns, unit_pivot_elimination
+from .sparse import SparseColumn, dense_matrix, unit_pivot_elimination
 
 
 @dataclass(frozen=True)
@@ -103,16 +104,33 @@ def incidence_sign(T: Trivialization, ray: EdgeRay, e: int, f: int) -> int:
 
 @dataclass(frozen=True)
 class ChainComplex:
-    """Integer boundary matrices of the augmented cellular complex.
+    """Integer boundary matrices of the augmented cellular complex, as
+    sparse columns.
 
-    ``boundary[j]`` maps dimension-j chains to dimension-(j-1) chains, with
-    rows and columns ordered like ``face_order``; ``face_order[k]`` lists the
-    vertex sets of the faces of dimension k - 1.
+    ``columns[j]`` is D_j, which maps dimension-j chains to dimension-(j-1)
+    chains: one {row: entry} dict of its nonzero entries per j-face, rows and
+    columns ordered like ``face_order``; ``face_order[k]`` lists the vertex
+    sets of the faces of dimension k - 1.  ``matrix(j)`` is D_j dense.
     """
 
     dim: int
-    boundary: tuple[IntMatrix, ...]
+    columns: tuple[tuple[SparseColumn, ...], ...]
     face_order: tuple[tuple[tuple[int, ...], ...], ...]
+
+    def __post_init__(self) -> None:
+        f = self.f_vector
+        if len(f) != self.dim + 2 or len(self.columns) != self.dim + 1:
+            raise InternalInvariantError(
+                f"a {self.dim}-complex has {self.dim + 2} face levels and {self.dim + 1} maps")
+        for j, cols in enumerate(self.columns):
+            if len(cols) != f[j + 1] or not all(
+                    x and 0 <= i < f[j] for col in cols for i, x in col.items()):
+                raise InternalInvariantError(
+                    f"D_{j} is not {f[j]} x {f[j + 1]} in sparse columns without stored zeros")
+
+    def matrix(self, j: int) -> IntMatrix:
+        """D_j as a dense f_{j-1} x f_j matrix."""
+        return dense_matrix(self.columns[j], len(self.face_order[j]))
 
     def face_labels(self, j: int) -> tuple[tuple[int, ...], ...]:
         return self.face_order[j + 1]
@@ -146,8 +164,8 @@ def boundary_columns(T: Trivialization, system: ConeSystem, j: int) -> list[Spar
     return columns
 
 
-def boundary_squared_entry(lower: list[SparseColumn],
-                           upper: list[SparseColumn]) -> tuple[int, int, int] | None:
+def boundary_squared_entry(lower: Sequence[SparseColumn],
+                           upper: Sequence[SparseColumn]) -> tuple[int, int, int] | None:
     """The first nonzero entry (g, f, value) of D_{j-1} D_j in row-major
     order, or None when the product is zero, from the sparse columns of
     D_{j-1} (``lower``) and D_j (``upper``).
@@ -180,7 +198,7 @@ def build_complex(T: Trivialization, L: FaceLattice, system: ConeSystem) -> Chai
     """
     if system.lattice is not L:
         raise ValueError("the cone system numbers the faces of another lattice")
-    columns = [boundary_columns(T, system, j) for j in range(0, L.dim + 1)]
+    columns = tuple(tuple(boundary_columns(T, system, j)) for j in range(0, L.dim + 1))
     for j in range(1, L.dim + 1):
         bad = boundary_squared_entry(columns[j - 1], columns[j])
         if bad is not None:
@@ -189,9 +207,8 @@ def build_complex(T: Trivialization, L: FaceLattice, system: ConeSystem) -> Chai
             f = L.faces(j)[f_idx]
             raise InternalInvariantError(
                 f"boundary squared nonzero at j={j}: entry ({g}, {f}) = {value}")
-    matrices = tuple(dense_matrix(columns[j], len(L.faces(j - 1))) for j in range(0, L.dim + 1))
     face_order = tuple(tuple(f.vertex_set for f in L.faces(j)) for j in range(-1, L.dim + 1))
-    return ChainComplex(dim=L.dim, boundary=matrices, face_order=face_order)
+    return ChainComplex(dim=L.dim, columns=columns, face_order=face_order)
 
 
 @dataclass(frozen=True)
@@ -233,28 +250,26 @@ def homology_pair(X: ChainComplex) -> tuple[HomologyResult, HomologyResult]:
     """Augmented and reduced integral homology, from the invariant factors
     of each boundary matrix.
 
-    The matrices are read into sparse columns in one scan and checked for
-    D_{j-1} D_j = 0 on them (``boundary_squared_entry``).  Each matrix is
-    then reduced by ``unit_pivot_elimination``: r unit pivots give
-    M ~ diag(I_r, N), so its invariant factors are r ones followed by those
-    of the leftover N, and only a nonzero N goes to the dense
-    ``smith_normal_form``.  On the polytope complexes checked (the
-    acceptance corpus, cubes and cross-polytopes up to dimension 6) N is
-    zero, so no dense SNF runs.
+    The complex's sparse columns are checked for D_{j-1} D_j = 0
+    (``boundary_squared_entry``).  Each matrix is then reduced by
+    ``unit_pivot_elimination``: r unit pivots give M ~ diag(I_r, N), so its
+    invariant factors are r ones followed by those of the leftover N, and
+    only a nonzero N is densified for ``smith_normal_form``.  On the
+    polytope complexes checked (the acceptance corpus, cubes and
+    cross-polytopes up to dimension 6) N is zero, so no dense SNF runs.
 
     The reduced complex drops the augmentation row (the empty-face
     generator), so its degree 0 sees no boundary below it.
     """
     f = X.f_vector
-    columns = [sparse_columns(m, f[j], f[j + 1]) for j, m in enumerate(X.boundary)]
     for j in range(1, X.dim + 1):
-        if boundary_squared_entry(columns[j - 1], columns[j]) is not None:
+        if boundary_squared_entry(X.columns[j - 1], X.columns[j]) is not None:
             raise InternalInvariantError("homology of a non-complex: boundary squared != 0")
     ranks = []
     torsion = []  # of H_j, from the map arriving from degree j+1: torsion[j + 1]
-    for j, cols in enumerate(columns):
-        pivots, n = unit_pivot_elimination(cols, f[j])
-        rest = () if int_mat_is_zero(n) else smith_normal_form(n).diagonal
+    for j, cols in enumerate(X.columns):
+        pivots, n, n_rows = unit_pivot_elimination(cols, f[j])
+        rest = smith_normal_form(dense_matrix(n, n_rows)).diagonal if any(n) else ()
         ranks.append(len(pivots) + sum(1 for x in rest if x != 0))
         torsion.append(tuple(x for x in rest if x > 1))
     torsion.append(())
@@ -292,23 +307,22 @@ def diagonal_sign_equivalence(A: ChainComplex, B: ChainComplex) -> dict[tuple[in
     """
     if A.dim != B.dim or A.f_vector != B.f_vector:
         return None
-    for da, db in zip(A.boundary, B.boundary):
-        if tuple(tuple(abs(x) for x in r) for r in da) != tuple(tuple(abs(x) for x in r) for r in db):
-            return None
+    def unsigned(X: ChainComplex) -> list[list[SparseColumn]]:
+        return [[{i: abs(x) for i, x in col.items()} for col in cols] for cols in X.columns]
+
+    if unsigned(A) != unsigned(B):
+        return None
+    # the nonzero entries (E, F, A[E,F], B[E,F]), nodes keyed (dimension, index)
+    entries = [((j - 1, row), (j, col), x, cb[row])
+               for j, (cols_a, cols_b) in enumerate(zip(A.columns, B.columns))
+               for col, (ca, cb) in enumerate(zip(cols_a, cols_b)) for row, x in ca.items()]
     eps: dict[tuple[int, int], int] = {(-1, 0): 1}
     # constraints: eps_E * eps_F = A[E,F] * B[E,F] over all covering entries
-    edges: dict[tuple[int, int], list[tuple[tuple[int, int], int]]] = {}
     nodes = [(j, i) for j in range(-1, A.dim + 1) for i in range(len(A.face_order[j + 1]))]
-    for node in nodes:
-        edges[node] = []
-    for j in range(0, A.dim + 1):
-        da, db = A.boundary[j], B.boundary[j]
-        for row in range(len(da)):
-            for col in range(len(da[row]) if da else 0):
-                if da[row][col] != 0:
-                    rel = da[row][col] * db[row][col]
-                    edges[(j - 1, row)].append(((j, col), rel))
-                    edges[(j, col)].append(((j - 1, row), rel))
+    edges: dict[tuple[int, int], list[tuple[tuple[int, int], int]]] = {n: [] for n in nodes}
+    for e, f, a, b in entries:
+        edges[e].append((f, a * b))
+        edges[f].append((e, a * b))
     stack = [(-1, 0)]
     while stack:
         node = stack.pop()
@@ -319,14 +333,8 @@ def diagonal_sign_equivalence(A: ChainComplex, B: ChainComplex) -> dict[tuple[in
                 stack.append(other)
             elif eps[other] != want:
                 return None
-    if len(eps) != len(nodes):  # disconnected cover graph cannot happen for polytopes
-        for node in nodes:
-            if node not in eps:
-                eps[node] = 1
-    for j in range(0, A.dim + 1):
-        da, db = A.boundary[j], B.boundary[j]
-        for row in range(len(da)):
-            for col in range(len(da[row]) if da else 0):
-                if eps[(j - 1, row)] * da[row][col] != eps[(j, col)] * db[row][col]:
-                    return None
+    for node in nodes:  # a disconnected cover graph cannot happen for polytopes
+        eps.setdefault(node, 1)
+    if any(eps[e] * a != eps[f] * b for e, f, a, b in entries):
+        return None
     return eps

@@ -82,7 +82,7 @@ def report_document(result: PipelineResult, sections: set[str]) -> dict:
                 "j": j,
                 "rows": [_face_label(s) for s in X.face_labels(j - 1)],
                 "cols": [_face_label(s) for s in X.face_labels(j)],
-                "matrix": [list(r) for r in X.boundary[j]],
+                "matrix": [list(r) for r in X.matrix(j)],
             }
             for j in range(0, X.dim + 1)
         ]
@@ -131,7 +131,7 @@ def render_human(result: PipelineResult, sections: set[str], elapsed: float) -> 
             lines.append(f"  D_{j} (rows: faces of dim {j - 1}, cols: faces of dim {j})")
             rows = [_face_label(s) for s in X.face_labels(j - 1)]
             cols = [_face_label(s) for s in X.face_labels(j)]
-            lines.extend("  " + ln for ln in _render_matrix(rows, cols, X.boundary[j]))
+            lines.extend("  " + ln for ln in _render_matrix(rows, cols, X.matrix(j)))
     if "homology" in sections:
         lines.append("homology:")
         lines.append(f"  augmented: {_homology_line(result.augmented_homology)}")

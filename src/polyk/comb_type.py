@@ -24,8 +24,9 @@ from typing import Hashable
 
 from .cellular import ChainComplex
 from .errors import InternalInvariantError
-from .linalg import IntMatrix, int_mat_abs
+from .linalg import IntMatrix
 from .polytope import FaceLattice, GradedIds
+from .sparse import dense_matrix
 
 Element = Hashable
 
@@ -38,7 +39,10 @@ class UnsignedIncidence:
 
 
 def strip_signs(X: ChainComplex) -> UnsignedIncidence:
-    return UnsignedIncidence(matrices=tuple(int_mat_abs(m) for m in X.boundary))
+    f = X.f_vector
+    return UnsignedIncidence(matrices=tuple(
+        dense_matrix([{i: abs(x) for i, x in col.items()} for col in cols], f[j])
+        for j, cols in enumerate(X.columns)))
 
 
 @dataclass(frozen=True)

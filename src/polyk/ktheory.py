@@ -103,7 +103,7 @@ class E1Page:
 
     Entries live at (p, q) for p = 1, ..., dim + 2: rank f_{p-2} in odd rows
     q, zero in even rows.  The d1 map from column p to column p - 1 in the
-    odd rows is the cellular boundary ``ChainComplex.boundary[p - 2]``.
+    odd rows is the cellular boundary D_{p-2}, ``ChainComplex.columns[p - 2]``.
     """
 
     dim: int

@@ -10,9 +10,10 @@ normal form over the integers, and dense rational matrices with rank /
 determinant-sign / solve operations, which the tests' oracles still use.
 
 Homology runs on sparse columns and reduces them by unit pivots
-(``polyk.sparse.unit_pivot_elimination``); ``smith_normal_form`` takes only
-a nonzero block that the elimination leaves over, and serves the tests as
-the oracle.  It re-verifies U @ M @ V = D densely before returning.
+(``polyk.sparse.unit_pivot_elimination``), which leaves its block over as
+sparse columns too; ``smith_normal_form`` takes only a nonzero leftover,
+densified, and serves the tests as the oracle.  It re-verifies
+U @ M @ V = D densely before returning.
 
 Empty matrices (zero rows or zero columns) are legal in every operation and
 behave as rank 0; the augmentation row of the cellular complex and the empty
@@ -238,14 +239,6 @@ def int_mat_mul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     return tuple(
         tuple(sum(A[i][k] * B[k][j] for k in range(inner)) for j in range(cols))
         for i in range(len(A)))
-
-
-def int_mat_is_zero(A: IntMatrix) -> bool:
-    return all(x == 0 for r in A for x in r)
-
-
-def int_mat_abs(A: IntMatrix) -> IntMatrix:
-    return tuple(tuple(abs(x) for x in r) for r in A)
 
 
 class IntEchelon:

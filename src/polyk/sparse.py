@@ -2,17 +2,19 @@
 pivots.
 
 A column is a dict {row: entry} of its nonzero entries.  Boundary matrices
-of polytopes have few nonzeros per column, all +-1, so the products and
-eliminations homology needs run on these columns in time that follows the
-nonzeros rather than the full shape.
+of polytopes have few nonzeros per column, all +-1, so the chain complex
+keeps them in this form, and the products and eliminations homology needs
+run on these columns in time that follows the nonzeros rather than the full
+shape.  ``dense_matrix`` builds the full shape, for a printed matrix or a
+nonzero leftover only.
 
 ``unit_pivot_elimination`` reduces a matrix M by unimodular column
 operations on +-1 pivots only (Kaczynski, Mrozek & Slusarek 1998; Dumas,
 Heckenbach, Saunders & Welker 2003), so that M ~ diag(I_r, N) after r pivots
 and the invariant factors of M are r ones followed by those of the leftover
-N.  ``check_unit_pivots`` certifies that by replaying the recorded
-operations, and a nonzero N is left to the dense
-``linalg.smith_normal_form``.
+N, returned as sparse columns too.  ``check_unit_pivots`` certifies that by
+replaying the recorded operations, and only a nonzero N is densified
+(``dense_matrix``) for ``linalg.smith_normal_form``.
 """
 
 from __future__ import annotations
@@ -25,19 +27,6 @@ from .linalg import IntMatrix
 SparseColumn = dict[int, int]  # row index -> nonzero entry
 
 
-def sparse_columns(A: Sequence[Sequence[int]], rows: int, cols: int) -> list[SparseColumn]:
-    """The columns of a dense rows x cols integer matrix as {row: entry}
-    dicts of its nonzero entries, in one scan; the shape is checked."""
-    if len(A) != rows or any(len(r) != cols for r in A):
-        raise InternalInvariantError(f"sparse_columns: matrix is not {rows} x {cols}")
-    out: list[SparseColumn] = [{} for _ in range(cols)]
-    for i, row in enumerate(A):
-        for j, x in enumerate(row):
-            if x:
-                out[j][i] = x
-    return out
-
-
 def dense_matrix(columns: Sequence[SparseColumn], rows: int) -> IntMatrix:
     """The rows x len(columns) dense matrix of sparse columns."""
     out = [[0] * len(columns) for _ in range(rows)]
@@ -48,22 +37,25 @@ def dense_matrix(columns: Sequence[SparseColumn], rows: int) -> IntMatrix:
 
 
 def _leftover(cols: Sequence[SparseColumn], pivots: Sequence[tuple[int, int]],
-              rows: int) -> IntMatrix:
-    """The dense block of ``cols`` on the rows and columns without a pivot,
-    in index order."""
+              rows: int) -> list[SparseColumn]:
+    """The block of ``cols`` on the rows and columns without a pivot, in
+    index order, as the columns of its nonzero entries: a stored zero is
+    dropped."""
     pivot_rows = {r for r, _ in pivots}
     pivot_cols = {c for _, c in pivots}
     position = {i: k for k, i in enumerate(i for i in range(rows) if i not in pivot_rows)}
-    return dense_matrix([{position[i]: x for i, x in col.items() if i in position}
-                         for j, col in enumerate(cols) if j not in pivot_cols], len(position))
+    return [{position[i]: x for i, x in col.items() if x and i in position}
+            for j, col in enumerate(cols) if j not in pivot_cols]
 
 
-def unit_pivot_elimination(columns: Sequence[SparseColumn],
-                           rows: int) -> tuple[tuple[tuple[int, int], ...], IntMatrix]:
+def unit_pivot_elimination(
+        columns: Sequence[SparseColumn],
+        rows: int) -> tuple[tuple[tuple[int, int], ...], list[SparseColumn], int]:
     """Reduce a sparse integer matrix M (``rows`` rows, the given columns)
     by pivoting on entries +-1 only (Kaczynski, Mrozek & Slusarek 1998).
-    Returns the pivots (row, column) in the order taken and the block N
-    left on the other rows and columns, in index order.
+    Returns the pivots (row, column) in the order taken, then the block N
+    left on the other rows and columns, in index order, as sparse columns,
+    and its row count.
 
     Columns are visited in index order, in passes, until a pass takes no
     pivot.  A column c with a unit entry u = M[r, c] becomes a pivot, with r
@@ -127,19 +119,21 @@ def unit_pivot_elimination(columns: Sequence[SparseColumn],
         pending = waiting
     leftover = _leftover(cols, pivots, rows)
     check_unit_pivots(columns, rows, ops, pivots, leftover)
-    return tuple(pivots), leftover
+    return tuple(pivots), leftover, rows - len(pivots)
 
 
 def check_unit_pivots(columns: Sequence[SparseColumn], rows: int,
                       ops: Sequence[tuple[int, int, int]],
-                      pivots: Sequence[tuple[int, int]], leftover: IntMatrix) -> None:
+                      pivots: Sequence[tuple[int, int]],
+                      leftover: Sequence[SparseColumn]) -> None:
     """Certificate of ``unit_pivot_elimination``: replay the column
     operations (target, source, multiplier) on fresh copies of the original
     columns, and raise unless the result M' has the shape its identity
     needs: pivots in distinct rows and columns, a unit at each pivot
     (r_k, c_k), no entry in row r_k on a
-    non-pivot column or on a pivot column taken after step k, and
-    ``leftover`` on the other rows and columns."""
+    non-pivot column or on a pivot column taken after step k, and the
+    sparse columns ``leftover`` on the other rows and columns, where a zero
+    the replay stores does not count as an entry."""
     replayed = [dict(c) for c in columns]
     for t, s, q in ops:
         if t == s:
@@ -161,5 +155,5 @@ def check_unit_pivots(columns: Sequence[SparseColumn], rows: int,
     for r, c in pivots:
         if replayed[c].get(r) not in (1, -1):
             raise InternalInvariantError(f"unit pivots: replayed pivot ({r}, {c}) is not a unit")
-    if _leftover(replayed, pivots, rows) != leftover:
+    if _leftover(replayed, pivots, rows) != list(leftover):
         raise InternalInvariantError("unit pivots: replayed leftover differs")

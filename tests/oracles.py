@@ -52,7 +52,10 @@ Gram matrix with that column replaced by the right-hand side.  It shares
 
 The homology oracle is the dense computation the library used before it
 moved to sparse columns and unit pivots: D_{j-1} D_j = 0 by dense products
-and one full ``smith_normal_form`` per boundary matrix.
+and one full ``smith_normal_form`` per boundary matrix.  ``sparse_columns``
+and ``complex_from_dense`` turn the dense literals the tests write into the
+sparse columns a ``ChainComplex`` holds, and ``dense_matrices`` turns a
+complex back into dense matrices.
 
 The face lattice oracle is the construction the library used before it
 switched to vertex-facet incidences: the intersection closure of the facet
@@ -78,13 +81,13 @@ from polyk.linalg import (
     det_sign,
     dot,
     int_dot,
-    int_mat_is_zero,
     int_mat_mul,
     primitive_vector,
     qvec,
     smith_normal_form,
 )
 from polyk.polytope import Face, Facet, FaceLattice, Polytope, affine_dim
+from polyk.sparse import SparseColumn
 
 
 def leibniz_det(rows) -> Fraction:
@@ -462,14 +465,45 @@ def closure_face_lattice(P: Polytope) -> FaceLattice:
     )
 
 
+def int_mat_is_zero(A) -> bool:
+    return all(x == 0 for r in A for x in r)
+
+
+def sparse_columns(A, rows: int, cols: int) -> list[SparseColumn]:
+    """The columns of a dense rows x cols integer matrix as {row: entry}
+    dicts of its nonzero entries, in one scan; the shape is checked."""
+    if len(A) != rows or any(len(r) != cols for r in A):
+        raise InternalInvariantError(f"sparse_columns: matrix is not {rows} x {cols}")
+    out: list[SparseColumn] = [{} for _ in range(cols)]
+    for i, row in enumerate(A):
+        for j, x in enumerate(row):
+            if x:
+                out[j][i] = x
+    return out
+
+
+def complex_from_dense(dim: int, boundary, face_order) -> ChainComplex:
+    """The complex whose D_j is the dense matrix ``boundary[j]``."""
+    f = tuple(len(level) for level in face_order)
+    return ChainComplex(
+        dim=dim, face_order=face_order,
+        columns=tuple(tuple(sparse_columns(m, f[j], f[j + 1])) for j, m in enumerate(boundary)))
+
+
+def dense_matrices(X: ChainComplex) -> tuple:
+    """Every boundary matrix of the complex, dense."""
+    return tuple(X.matrix(j) for j in range(X.dim + 1))
+
+
 def dense_homology_pair(X: ChainComplex) -> tuple[HomologyResult, HomologyResult]:
     """Augmented and reduced integral homology from dense products and one
     dense Smith normal form per boundary matrix."""
+    boundary = dense_matrices(X)
     for j in range(1, X.dim + 1):
-        if not int_mat_is_zero(int_mat_mul(X.boundary[j - 1], X.boundary[j])):
+        if not int_mat_is_zero(int_mat_mul(boundary[j - 1], boundary[j])):
             raise InternalInvariantError("homology of a non-complex: boundary squared != 0")
     f = X.f_vector
-    snfs = [smith_normal_form(m) for m in X.boundary]
+    snfs = [smith_normal_form(m) for m in boundary]
     ranks = [sum(1 for x in s.diagonal if x != 0) for s in snfs]
     # torsion of H_j comes from the map arriving from degree j+1: torsion[j + 1]
     torsion = [tuple(x for x in s.diagonal if x > 1) for s in snfs] + [()]

@@ -18,16 +18,22 @@ from pathlib import Path
 import pytest
 
 import polyk.cellular as cellular
-from polyk.cellular import ChainComplex, build_complex, diagonal_sign_equivalence, homology, trivialize
+from polyk.cellular import build_complex, diagonal_sign_equivalence, homology, trivialize
 from polyk.cli import main
 from polyk.comb_type import is_isomorphic, lattice_from_incidence, strip_signs
 from polyk.corpus import acceptance_corpus, simplex
 from polyk.ktheory import ZERO_GROUP, Z
-from polyk.linalg import QMatrix, dot, int_mat_is_zero, int_mat_mul, rank
+from polyk.linalg import QMatrix, dot, int_mat_mul, rank
 from polyk.pipeline import run_pipeline
 
 from affine import apply_affine, random_invertible_affine
-from oracles import circledast_gens, positive_multiple_ratio, simplicial_boundary_matrices
+from oracles import (
+    circledast_gens,
+    complex_from_dense,
+    int_mat_is_zero,
+    positive_multiple_ratio,
+    simplicial_boundary_matrices,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 POLYTOPES = REPO / "polytopes"
@@ -61,7 +67,7 @@ def test_criterion_1_boundary_squared_zero(corpus_run):
     for res in results:
         x = res.complex
         for j in range(1, x.dim + 1):
-            if not int_mat_is_zero(int_mat_mul(x.boundary[j - 1], x.boundary[j])):
+            if not int_mat_is_zero(int_mat_mul(x.matrix(j - 1), x.matrix(j))):
                 violations += 1
     ok = violations == 0 and elapsed < 60.0
     report_line(1, ok, f"boundary squared zero on {len(results)} corpus members, "
@@ -98,7 +104,7 @@ def test_criterion_4_sign_formula_vs_simplicial_oracle(corpus_run):
     mismatches = []
     for d in range(1, 5):
         res = run_pipeline(simplex(d))
-        oracle = ChainComplex(
+        oracle = complex_from_dense(
             dim=d,
             boundary=tuple(tuple(tuple(r) for r in m) for m in simplicial_boundary_matrices(d)),
             face_order=res.complex.face_order)
@@ -152,9 +158,10 @@ def test_criterion_6_orientation_covariance(corpus_run):
             flipped = build_complex(trivialize(lat, flip_faces=[g]), lat, system)
             g_idx = lat.faces(g.dim).index(g)
             for j in range(0, base.dim + 1):
-                for r in range(len(base.boundary[j])):
-                    for c in range(len(base.boundary[j][r])):
-                        b, fl = base.boundary[j][r][c], flipped.boundary[j][r][c]
+                mb, mf = base.matrix(j), flipped.matrix(j)
+                for r in range(len(mb)):
+                    for c in range(len(mb[r])):
+                        b, fl = mb[r][c], mf[r][c]
                         if j == g.dim and c == g_idx or j == g.dim + 1 and r == g_idx:
                             assert fl == -b
                         else:

@@ -34,16 +34,20 @@ from polyk.comb_type import is_isomorphic, lattice_from_incidence, strip_signs
 from polyk.cones import ConeSystem, EdgeRay, lift
 from polyk.corpus import cross_polytope, hypercube, point_polytope, random_hull, simplex
 from polyk.errors import InternalInvariantError
-from polyk.linalg import int_mat_is_zero, int_mat_mul
+from polyk.linalg import int_mat_mul
 from polyk.pipeline import run_pipeline
 from polyk.polytope import Face, face_lattice, validate
-from polyk.sparse import dense_matrix, sparse_columns
+from polyk.sparse import dense_matrix
 
 from oracles import (
+    complex_from_dense,
     dense_homology_pair,
+    dense_matrices,
     gram_incidence_sign,
+    int_mat_is_zero,
     oracle_incidence_sign,
     simplicial_boundary_matrices,
+    sparse_columns,
 )
 
 
@@ -335,25 +339,25 @@ def test_point_complex():
     poly = point_polytope()
     lat, system, triv = setup_polytope(poly)
     x = build_complex(triv, lat, system)
-    assert x.boundary == (((1,),),)
+    assert dense_matrices(x) == (((1,),),)
 
 
 def test_square_complex_shapes():
     poly = hypercube(2)
     lat, system, triv = setup_polytope(poly)
     x = build_complex(triv, lat, system)
-    assert [len(m) for m in x.boundary] == [1, 4, 4]
-    assert [len(m[0]) for m in x.boundary] == [4, 4, 1]
+    assert [len(m) for m in dense_matrices(x)] == [1, 4, 4]
+    assert [len(m[0]) for m in dense_matrices(x)] == [4, 4, 1]
 
 
 def test_cube_complex_shapes_and_ddzero():
     poly = hypercube(3)
     lat, system, triv = setup_polytope(poly)
     x = build_complex(triv, lat, system)
-    shapes = [(len(m), len(m[0])) for m in x.boundary]
+    shapes = [(len(m), len(m[0])) for m in dense_matrices(x)]
     assert shapes == [(1, 8), (8, 12), (12, 6), (6, 1)]
     for j in range(1, 4):
-        assert int_mat_is_zero(int_mat_mul(x.boundary[j - 1], x.boundary[j]))
+        assert int_mat_is_zero(int_mat_mul(x.matrix(j - 1), x.matrix(j)))
 
 
 def test_column_support_counts(small_corpus):
@@ -361,9 +365,9 @@ def test_column_support_counts(small_corpus):
         lat, system, triv = setup_polytope(poly)
         x = build_complex(triv, lat, system)
         for j in range(1, x.dim + 1):
+            d = x.matrix(j)
             for ci, f in enumerate(lat.faces(j)):
-                nonzero = [x.boundary[j][r][ci] for r in range(len(x.boundary[j]))
-                           if x.boundary[j][r][ci] != 0]
+                nonzero = [d[r][ci] for r in range(len(d)) if d[r][ci] != 0]
                 assert len(nonzero) == len(lat.lower_covers(f))
                 assert all(e in (-1, 1) for e in nonzero)
 
@@ -396,7 +400,7 @@ def test_build_complex_reports_failed_crosscheck(monkeypatch):
 def test_boundary_matrices_pinned(poly, digest):
     # digests of the boundary matrices computed by the rational formulas;
     # cross6 and cube6 reach the 7 x 7 determinants that dimension 5 never does
-    boundary = run_pipeline(poly).complex.boundary
+    boundary = dense_matrices(run_pipeline(poly).complex)
     assert hashlib.sha256(repr(boundary).encode()).hexdigest() == digest
 
 
@@ -487,16 +491,17 @@ def test_homology_matches_dense_snf_oracle(name, pipelines):
 
 
 def test_homology_rejects_malformed_boundary():
-    # D_1 has one row too few for the two vertices of the segment
-    bad = ChainComplex(dim=1, boundary=(((1, 1),), ((-1,),)),
-                       face_order=(((),), ((0,), (1,)), ((0, 1),)))
-    with pytest.raises(InternalInvariantError, match="not 2 x 1"):
-        homology(bad)
+    # the segment's D_1 has one column, on rows 0 and 1: a second column, a
+    # row index past the two vertices, or a stored zero is no 2 x 1 matrix
+    segment = (((),), ((0,), (1,)), ((0, 1),))
+    for d1 in (({0: -1, 1: 1}, {0: 1}), ({0: -1, 2: 1},), ({0: -1, 1: 0},)):
+        with pytest.raises(InternalInvariantError, match=r"^D_1 is not 2 x 1 "):
+            ChainComplex(dim=1, columns=(({0: 1}, {0: 1}), d1), face_order=segment)
 
 
 def test_homology_rejects_non_complex():
-    bad = ChainComplex(dim=1, boundary=(((1, 1),), ((1,), (1,))),
-                       face_order=(((),), ((0,), (1,)), ((0, 1),)))
+    bad = complex_from_dense(dim=1, boundary=(((1, 1),), ((1,), (1,))),
+                             face_order=(((),), ((0,), (1,)), ((0, 1),)))
     with pytest.raises(InternalInvariantError):
         homology(bad)
 
@@ -504,8 +509,8 @@ def test_homology_rejects_non_complex():
 def test_homology_torsion_from_scaled_column():
     # doubling the segment's top column keeps dd = 0 but creates Z/2 in
     # degree 0: invariant factors of (-2, 2)^T are (2)
-    x = ChainComplex(dim=1, boundary=(((1, 1),), ((-2,), (2,))),
-                     face_order=(((),), ((0,), (1,)), ((0, 1),)))
+    x = complex_from_dense(dim=1, boundary=(((1, 1),), ((-2,), (2,))),
+                           face_order=(((),), ((0,), (1,)), ((0, 1),)))
     aug = homology(x, augmented=True)
     assert aug.group(0) == (0, (2,))
     assert aug.group(-1) == (0, ())
@@ -518,9 +523,10 @@ def flip_deltas(base, flipped, g, dim):
     """Indices where the two complexes differ; must be row g of D_{dim+1}
     and column g of D_dim, negated."""
     for j in range(0, base.dim + 1):
-        for r in range(len(base.boundary[j])):
-            for c in range(len(base.boundary[j][r])):
-                b, f = base.boundary[j][r][c], flipped.boundary[j][r][c]
+        mb, mf = base.matrix(j), flipped.matrix(j)
+        for r in range(len(mb)):
+            for c in range(len(mb[r])):
+                b, f = mb[r][c], mf[r][c]
                 if b != f:
                     yield j, r, c, b, f
 
@@ -569,7 +575,7 @@ def test_simplex_matches_simplicial_complex(d):
     poly = simplex(d)
     lat, system, triv = setup_polytope(poly)
     ours = build_complex(triv, lat, system)
-    oracle = ChainComplex(
+    oracle = complex_from_dense(
         dim=d,
         boundary=tuple(tuple(tuple(r) for r in m) for m in simplicial_boundary_matrices(d)),
         face_order=ours.face_order)
@@ -582,9 +588,28 @@ def test_diagonal_equivalence_rejects_sign_break():
     poly = simplex(2)
     lat, system, triv = setup_polytope(poly)
     x = build_complex(triv, lat, system)
-    rows = [list(r) for r in x.boundary[1]]
+    rows = [list(r) for r in x.matrix(1)]
     rows[0][0] = -rows[0][0]
-    broken = ChainComplex(dim=x.dim,
-                          boundary=(x.boundary[0], tuple(tuple(r) for r in rows), x.boundary[2]),
-                          face_order=x.face_order)
+    broken = complex_from_dense(dim=x.dim,
+                                boundary=(x.matrix(0), tuple(tuple(r) for r in rows), x.matrix(2)),
+                                face_order=x.face_order)
     assert diagonal_sign_equivalence(x, broken) is None
+
+
+def test_diagonal_equivalence_rejects_other_shape_or_support():
+    lat, system, triv = setup_polytope(simplex(2))
+    x = build_complex(triv, lat, system)
+    square = run_pipeline(hypercube(2)).complex
+    assert diagonal_sign_equivalence(x, square) is None  # f-vectors differ
+
+    def with_first_edge(column):
+        d1 = (column, *x.columns[1][1:])
+        return ChainComplex(dim=x.dim, columns=(x.columns[0], d1, x.columns[2]),
+                            face_order=x.face_order)
+
+    (r0, a), (r1, b) = sorted(x.columns[1][0].items())
+    # the same support, one entry of magnitude 2
+    assert diagonal_sign_equivalence(x, with_first_edge({r0: 2 * a, r1: b})) is None
+    # the entry on row r0 moved to the column's third row
+    moved = ({0, 1, 2} - {r0, r1}).pop()
+    assert diagonal_sign_equivalence(x, with_first_edge({moved: a, r1: b})) is None

@@ -29,6 +29,7 @@ from polyk.errors import InternalInvariantError
 from polyk.polytope import Face, face_lattice, validate
 
 from affine import apply_affine, random_invertible_affine
+from oracles import complex_from_dense
 
 
 def complex_of(poly):
@@ -228,7 +229,7 @@ def test_signed_match_across_isomorphic_polytopes_reported(small_corpus, capsys)
     """Whether the signed complexes of isomorphic polytopes differ only by a
     diagonal +-1 map composed with the lattice bijection is informational:
     the unsigned match is asserted, the signed outcome only reported."""
-    from polyk.cellular import ChainComplex, diagonal_sign_equivalence
+    from polyk.cellular import diagonal_sign_equivalence
 
     rng = random.Random(31)
     outcomes = []
@@ -248,11 +249,12 @@ def test_signed_match_across_isomorphic_polytopes_reported(small_corpus, capsys)
         for j in range(0, x_a.dim + 1):
             rows_a = lat_a.faces(j - 1)
             cols_a = lat_a.faces(j)
+            d_b = x_b.matrix(j)
             permuted.append(tuple(
-                tuple(x_b.boundary[j][index_b[to_b[r]]][index_b[to_b[c]]] for c in cols_a)
+                tuple(d_b[index_b[to_b[r]]][index_b[to_b[c]]] for c in cols_a)
                 for r in rows_a))
-        transported = ChainComplex(dim=x_a.dim, boundary=tuple(permuted),
-                                   face_order=x_a.face_order)
+        transported = complex_from_dense(dim=x_a.dim, boundary=tuple(permuted),
+                                         face_order=x_a.face_order)
         eps = diagonal_sign_equivalence(x_a, transported)
         outcomes.append((poly.name, eps is not None))
     with capsys.disabled():

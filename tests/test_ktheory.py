@@ -5,9 +5,11 @@ import sys
 import pytest
 
 import polyk.linalg as linalg
-from polyk.cellular import ChainComplex, build_complex, homology, trivialize
+import polyk.sparse as sparse
+from polyk.cellular import build_complex, homology, trivialize
+from polyk.cli import report_document
 from polyk.cones import ConeSystem, lift
-from polyk.corpus import hypercube, point_polytope, simplex
+from polyk.corpus import cross_polytope, hypercube, point_polytope, simplex
 from polyk.errors import InternalInvariantError
 from polyk.ktheory import (
     ZERO_GROUP,
@@ -21,7 +23,7 @@ from polyk.ktheory import (
 from polyk.pipeline import run_pipeline
 from polyk.polytope import face_lattice
 
-from oracles import dense_homology_pair
+from oracles import complex_from_dense, dense_homology_pair
 
 
 def full_run(poly):
@@ -118,9 +120,9 @@ def test_point_report_same_shape():
     assert rep.k_quotient == (ZERO_GROUP, Z)
 
 
-def count_calls(monkeypatch, name):
-    """Count the calls of ``linalg.<name>`` made through any polyk module."""
-    real = getattr(linalg, name)
+def count_calls(monkeypatch, name, home=linalg):
+    """Count the calls of ``home.<name>`` made through any polyk module."""
+    real = getattr(home, name)
     calls = []
 
     def counting(*args):
@@ -134,22 +136,31 @@ def count_calls(monkeypatch, name):
 
 
 def test_report_runs_no_dense_product_or_snf(monkeypatch):
-    snf_calls = count_calls(monkeypatch, "smith_normal_form")
-    product_calls = count_calls(monkeypatch, "int_mat_mul")
-    result = run_pipeline(hypercube(4))
-    assert snf_calls == [] and product_calls == []
-    monkeypatch.undo()
-    homologies = (result.augmented_homology, result.reduced_homology)
-    assert homologies == dense_homology_pair(result.complex)
-    assert result.augmented_homology.is_trivial()
+    # no dense matrix, not even an all-zero leftover, unless the boundary
+    # section prints the f_{j-1} x f_j matrices
+    for poly in (hypercube(4), cross_polytope(4)):
+        snf_calls = count_calls(monkeypatch, "smith_normal_form")
+        product_calls = count_calls(monkeypatch, "int_mat_mul")
+        dense_calls = count_calls(monkeypatch, "dense_matrix", home=sparse)
+        result = run_pipeline(poly)
+        report_document(result, {"faces", "homology", "ktheory"})
+        assert snf_calls == [] and product_calls == [] and dense_calls == []
+        report_document(result, {"boundary"})
+        f = result.lattice.f_vector
+        entries = sum(rows * len(columns) for columns, rows in dense_calls)
+        assert entries == sum(f[j - 1] * f[j] for j in range(1, len(f)))
+        monkeypatch.undo()
+        homologies = (result.augmented_homology, result.reduced_homology)
+        assert homologies == dense_homology_pair(result.complex)
+        assert result.augmented_homology.is_trivial()
 
 
 def test_torsion_complex_reaches_snf_fallback(monkeypatch):
     # the scaled-column complex of test_homology_torsion_from_scaled_column:
     # (-2, 2)^T has no unit entry, so it goes to the dense SNF whole
     snf_calls = count_calls(monkeypatch, "smith_normal_form")
-    x = ChainComplex(dim=1, boundary=(((1, 1),), ((-2,), (2,))),
-                     face_order=(((),), ((0,), (1,)), ((0, 1),)))
+    x = complex_from_dense(dim=1, boundary=(((1, 1),), ((-2,), (2,))),
+                           face_order=(((),), ((0,), (1,)), ((0, 1),)))
     assert homology(x, augmented=True).group(0) == (0, (2,))
     assert snf_calls == [(((-2,), (2,)),)]
 
@@ -166,7 +177,7 @@ def test_corrupted_complex_reported_not_suppressed():
     # segment complex with the top column doubled: still a complex, but the
     # second page now carries Z/2 in degree 0 (by hand: SNF of (-2,2)^T)
     poly, lat, _ = full_run(simplex(1))
-    corrupted = ChainComplex(
+    corrupted = complex_from_dense(
         dim=1, boundary=(((1, 1),), ((-2,), (2,))),
         face_order=(((),), ((0,), (1,)), ((0, 1),)))
     rep = k_report(poly, lat, corrupted)

@@ -2,7 +2,7 @@
 normal form as the oracle: random small integer matrices, matrices with
 torsion built as A diag(d) B with A and B unimodular, and unit entries
 beside blocks without units; plus the replay certificate on a matrix
-reduced by hand."""
+reduced by hand.  The sparse leftover is densified to compare it."""
 
 import pytest
 from hypothesis import given
@@ -10,13 +10,21 @@ from hypothesis import strategies as st
 
 from polyk.errors import InternalInvariantError
 from polyk.linalg import int_mat_mul, smith_normal_form
-from polyk.sparse import check_unit_pivots, sparse_columns, unit_pivot_elimination
+from polyk.sparse import check_unit_pivots, dense_matrix, unit_pivot_elimination
+
+from oracles import sparse_columns
+
+
+def densified(elimination):
+    """The pivots and the dense leftover of ``unit_pivot_elimination``."""
+    pivots, leftover, rows = elimination
+    return pivots, dense_matrix(leftover, rows)
 
 
 def unit_pivot_factors(mat):
     """The unit-pivot rank as ones, then the dense SNF of the leftover."""
     rows, cols = len(mat), len(mat[0]) if mat else 0
-    pivots, leftover = unit_pivot_elimination(sparse_columns(mat, rows, cols), rows)
+    pivots, leftover = densified(unit_pivot_elimination(sparse_columns(mat, rows, cols), rows))
     assert len(leftover) == rows - len(pivots)
     assert all(len(r) == cols - len(pivots) for r in leftover)
     return (1,) * len(pivots) + smith_normal_form(leftover).diagonal
@@ -70,7 +78,7 @@ def unit_beside_non_units(draw):
 
 
 def test_unit_pivot_unit_beside_non_unit():
-    pivots, leftover = unit_pivot_elimination(sparse_columns([[1, 0], [0, 2]], 2, 2), 2)
+    pivots, leftover = densified(unit_pivot_elimination(sparse_columns([[1, 0], [0, 2]], 2, 2), 2))
     assert pivots == ((0, 0),)
     assert leftover == ((2,),)
     assert unit_pivot_factors([[1, 0], [0, 2]]) == smith_normal_form([[1, 0], [0, 2]]).diagonal
@@ -78,7 +86,7 @@ def test_unit_pivot_unit_beside_non_unit():
 
 def test_unit_pivot_no_unit_entry_left_whole():
     # invariant factor 1 without any unit entry: all of it goes to the SNF
-    assert unit_pivot_elimination(sparse_columns([[2, 3]], 1, 2), 1) == ((), ((2, 3),))
+    assert densified(unit_pivot_elimination(sparse_columns([[2, 3]], 1, 2), 1)) == ((), ((2, 3),))
     assert unit_pivot_factors([[2, 3]]) == (1,)
 
 
@@ -99,29 +107,31 @@ def test_unit_pivot_factors_match_snf_with_torsion(mat):
 
 @given(unit_beside_non_units())
 def test_unit_pivot_factors_match_snf_beside_non_units(mat):
-    pivots, _ = unit_pivot_elimination(sparse_columns(mat, len(mat), len(mat[0])), len(mat))
+    pivots, _, _ = unit_pivot_elimination(sparse_columns(mat, len(mat), len(mat[0])), len(mat))
     assert len(pivots) >= sum(1 for row in mat for x in row if x in (1, -1))
     assert unit_pivot_factors(mat) == smith_normal_form(mat).diagonal
 
 
 def test_unit_pivot_empty_shapes():
-    assert unit_pivot_elimination([], 0) == ((), ())
-    assert unit_pivot_elimination([{}, {}], 0) == ((), ())
-    assert unit_pivot_elimination([], 3) == ((), ((), (), ()))
-    assert unit_pivot_elimination([{}, {1: 1}], 2) == (((1, 1),), ((0,),))
+    assert densified(unit_pivot_elimination([], 0)) == ((), ())
+    assert densified(unit_pivot_elimination([{}, {}], 0)) == ((), ())
+    assert densified(unit_pivot_elimination([], 3)) == ((), ((), (), ()))
+    assert densified(unit_pivot_elimination([{}, {1: 1}], 2)) == (((1, 1),), ((0,),))
 
 
 # the triangle's D_1 reduced by hand: pivot (0, 0) with u = -1 takes
 # col_2 += col_0, pivot (1, 1) with u = -1 takes col_2 += col_1, and
-# col_2 is then zero, leaving the 1 x 1 zero block on row 2 and column 2
+# col_2 is then zero, leaving the 1 x 1 zero block on row 2 and column 2;
+# the replay stores that zero, the elimination does not
 TRIANGLE = sparse_columns([[-1, 0, 1], [1, -1, 0], [0, 1, -1]], 3, 3)
 TRIANGLE_OPS = [(2, 0, 1), (2, 1, 1)]
 TRIANGLE_PIVOTS = [(0, 0), (1, 1)]
 
 
 def test_unit_pivot_triangle_by_hand():
-    assert unit_pivot_elimination(TRIANGLE, 3) == (tuple(TRIANGLE_PIVOTS), ((0,),))
-    check_unit_pivots(TRIANGLE, 3, TRIANGLE_OPS, TRIANGLE_PIVOTS, ((0,),))
+    assert densified(unit_pivot_elimination(TRIANGLE, 3)) == (tuple(TRIANGLE_PIVOTS), ((0,),))
+    assert unit_pivot_elimination(TRIANGLE, 3)[1:] == ([{}], 1)
+    check_unit_pivots(TRIANGLE, 3, TRIANGLE_OPS, TRIANGLE_PIVOTS, sparse_columns(((0,),), 1, 1))
 
 
 @pytest.mark.parametrize("ops, pivots, leftover, message", [
@@ -134,7 +144,7 @@ def test_unit_pivot_triangle_by_hand():
 ], ids=["wrong-multiplier", "missing-step", "pivot-order", "leftover", "self-add", "shared-row"])
 def test_unit_pivot_certificate_rejects(ops, pivots, leftover, message):
     with pytest.raises(InternalInvariantError, match=message):
-        check_unit_pivots(TRIANGLE, 3, ops, pivots, leftover)
+        check_unit_pivots(TRIANGLE, 3, ops, pivots, sparse_columns(leftover, 1, 1))
 
 
 def test_unit_pivot_certificate_rejects_non_unit_pivot():
