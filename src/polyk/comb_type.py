@@ -4,14 +4,16 @@ and decide lattice isomorphism between polytopes.
 The absolute values of the boundary-matrix entries record exactly the
 covering relation of the face lattice; transitive closure then recovers the
 whole order, so the unsigned complex determines the combinatorial type.  The
-reconstruction is checked against the lattice axioms on int bitmasks: the
-order is kept as bitset down-sets, and the meet of two elements exists iff
-the intersection of their down-sets is the down-set of its last element in
-rank order.
-Isomorphism testing is rank-by-rank backtracking on the element ids and id
-covers of the two lattices, pruned by f-vector and up/down cover degrees,
-returning either a verified bijection on faces or a certificate of
-non-isomorphism.
+reconstruction is checked against the lattice axioms on int bitmasks, and
+every check enumerates only the pairs a cover can reach: the diamond
+property on each element's two-step up-set, and meets, kept as bitset
+down-sets, on pairs of lower covers of a common element, which suffices
+by the dual of a lemma of Bjorner, Edelman and Ziegler.
+Isomorphism testing is backtracking in id order, rank by rank, on the
+element ids and id covers of the two lattices, pruned by f-vector and
+up/down cover degrees, with the candidates for an element read off the
+upper covers of an image already placed.  It returns either a verified
+bijection on faces or a certificate of non-isomorphism.
 """
 
 from __future__ import annotations
@@ -110,14 +112,26 @@ def _verify_abstract_lattice(lat: AbstractLattice) -> None:
     - graded: every element below the top has an upper cover and every
       element above the bottom a lower cover;
     - diamond: the elements between ``low`` and ``high`` two ranks apart are
-      the set bits of ``up[low] & down[high]``, and there are none or two;
-    - meets: for any a and b, ``c = ds[a] & ds[b]`` is a down-set, and the
-      meet of a and b exists iff c has a unique maximal element.  Covers go
-      up one rank (``lattice_from_incidence`` reads them off consecutive
-      matrices), so numbers grow upward and the highest-numbered element x
-      of c is maximal in c.  Hence the meet exists iff ``c == ds[x]``: then
-      every element of c lies below x; otherwise an element of c outside
-      ``ds[x]`` lies below a second maximal element.
+      the set bits of ``up[low] & down[high]``, and there are none or two.
+      There are some only for the ``high`` in low's two-step up-set, the
+      union of ``up[m]`` over the upper covers m of ``low``, so exactly
+      those are tested, and they must have two;
+    - meets (``_verify_meets``): every two lower covers of a common element
+      have a meet.
+
+    That suffices for every pair to have one, by the dual of Bjorner,
+    Edelman & Ziegler 1990, "Hyperplane arrangements with a lattice of
+    regions", Lemma 2.1: a bounded poset of finite length is a lattice if
+    any two elements covered by a common element have a meet.  Proof, by
+    induction upward on z: every a, b <= z have a meet.  If a or b is z,
+    the other one is the meet.  Otherwise a <= a' and b <= b' for lower
+    covers a', b' of z.  If a' = b', the induction at a' gives the meet.
+    Otherwise a' and b' have a meet m, every common lower bound of a and b
+    lies below m, the induction at a' gives the meet p of a and m, and the
+    induction at b' gives the meet of p and b.  It is the meet of a and b:
+    the common lower bounds of a and b are those of a, m and b, hence those
+    of p and b.  A bounded finite poset in which every pair has a meet is a lattice:
+    the join is the meet of the common upper bounds.
     """
     if lat.f_vector[0] != 1 or lat.f_vector[-1] != 1:
         raise InternalInvariantError(
@@ -131,24 +145,46 @@ def _verify_abstract_lattice(lat: AbstractLattice) -> None:
         if not down[i]:
             raise InternalInvariantError(f"element {elements[i]} has no lower cover: not graded")
     for rank in range(-1, lat.dim - 1):
+        highs = lat.ids(rank + 2)
+        level_mask = (1 << highs.stop) - (1 << highs.start)
         for low in lat.ids(rank):
             ups = up[low]
-            for high in lat.ids(rank + 2):
+            reach = reduce(or_, (up[m] for m in lat.up[low]), 0) & level_mask
+            while reach:
+                bit = reach & -reach
+                reach ^= bit
+                high = bit.bit_length() - 1
                 mids = (ups & down[high]).bit_count()
-                if mids and mids != 2:
+                if mids != 2:
                     raise InternalInvariantError(
                         f"diamond property fails between {elements[low]} and "
                         f"{elements[high]}: {mids} mids")
+    _verify_meets(lat)
+
+
+def _verify_meets(lat: AbstractLattice) -> None:
+    """Every two lower covers of a common element have a meet.
+
+    For elements a and b, ``c = ds[a] & ds[b]`` is a down-set, and the meet
+    of a and b exists iff c has a unique maximal element.  Covers go up in
+    id (``lattice_from_incidence`` reads them off consecutive matrices), so
+    the highest-numbered element x of c is maximal in c.  Hence the meet
+    exists iff ``c == ds[x]``: then every element of c lies below x;
+    otherwise an element of c outside ``ds[x]`` lies below a second maximal
+    element.
+    """
     ds: list[int] = []
     for i, below in enumerate(lat.down):
         ds.append(reduce(or_, (ds[b] for b in below), 1 << i))
-    for i, a in enumerate(elements):
-        ds_a = ds[i]
-        for j in range(i + 1, len(elements)):
-            common = ds_a & ds[j]
-            if common != ds[common.bit_length() - 1]:
-                raise InternalInvariantError(
-                    f"meet of {a} and {elements[j]} is not unique: poset is not a lattice")
+    for below in lat.down:
+        for k, a in enumerate(below):
+            for b in below[k + 1:]:
+                common = ds[a] & ds[b]
+                if common != ds[common.bit_length() - 1]:
+                    first, second = sorted((a, b))
+                    raise InternalInvariantError(
+                        f"meet of {lat.faces_by_id[first]} and {lat.faces_by_id[second]} "
+                        "is not unique: poset is not a lattice")
 
 
 @dataclass(frozen=True)
@@ -165,13 +201,20 @@ def is_isomorphic(L1: "FaceLattice | AbstractLattice",
     """Backtracking search for a cover-preserving rank bijection.
 
     Prunes on f-vector and per-element (down-degree, up-degree), and extends
-    rank by rank requiring the already-mapped lower covers to match exactly;
-    a complete assignment is re-verified on all covering pairs in both
-    directions before being returned: the bijection maps the upper covers
-    of every element onto those of its image, which is the same as mapping
-    the covering pairs of L1 onto those of L2.  The search runs on the
-    lattices' element ids and id covers (``up``, ``down``); only the
-    returned pairs are faces or abstract elements.
+    in id order, that is rank by rank, requiring the already-mapped lower
+    covers to match exactly; a complete assignment is re-verified on all
+    covering pairs in both directions before being returned: the bijection
+    maps the upper covers of every element onto those of its image, which
+    is the same as mapping the covering pairs of L1 onto those of L2.  The
+    search runs on the lattices' element ids and id covers (``up``,
+    ``down``); only the returned pairs are faces or abstract elements.
+
+    The targets for a source s are the unused elements t of s's rank, in
+    ascending id order, with s's up-degree and with ``down[t]`` the image
+    of s's lower covers; the first one is placed.  Such a t covers the
+    image of s's first lower cover, so when s has lower covers, the
+    candidates are read from that image's upper covers, sorted, rather than
+    from the whole rank; the first match, and so the mapping, is the same.
     """
     if L1.dim != L2.dim:
         return LatticeIso(False, certificate=f"dimension mismatch: {L1.dim} != {L2.dim}")
@@ -193,15 +236,18 @@ def is_isomorphic(L1: "FaceLattice | AbstractLattice",
     # Python's recursion limit.  mapping[s] is the target id placed for
     # source s; after a backtrack, the search resumes at the next target.
     targets = [level2 for level1, level2 in zip(ranks1, ranks2) for _ in level1]
+    up2_sorted = [sorted(u) for u in up2]
     mapping: list[int] = []
     used: set[int] = set()
     start = 0
     while len(mapping) < len(targets):
         s = len(mapping)
-        wanted_down = {mapping[d] for d in down1[s]}
-        found = next((t for t in range(max(start, targets[s].start), targets[s].stop)
-                      if t not in used and len(up2[t]) == len(up1[s])
-                      and down2[t] == wanted_down), None)
+        below, rank = down1[s], targets[s]
+        wanted_down = {mapping[d] for d in below}
+        candidates = up2_sorted[mapping[below[0]]] if below else rank
+        found = next((t for t in candidates
+                      if t >= start and t in rank and t not in used
+                      and len(up2[t]) == len(up1[s]) and down2[t] == wanted_down), None)
         if found is not None:
             mapping.append(found)
             used.add(found)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain
 from math import lcm
-from operator import or_
+from operator import and_, or_
 from typing import Iterable, Sequence
 
 from .errors import InputError, InternalInvariantError
@@ -408,11 +408,20 @@ def verify_lattice(L: FaceLattice) -> None:
     diamond property, on int bitmasks.
 
     ``up[i]`` and ``down[i]`` are the id masks of face i's upper and lower
-    covers (``cover_masks``).  Face order is vertex-set containment, tested
-    on vertex masks as ``lo & hi == lo``.  The faces that cover ``low`` and
-    are covered by ``high`` are the set bits of ``up[low] & down[high]``, so
-    for low <= high two levels apart the number of intermediate faces is its
-    popcount, and the diamond property asks for exactly two.
+    covers (``cover_masks``).  The faces that cover ``low`` and are covered
+    by ``high`` are the set bits of ``up[low] & down[high]``, so for faces
+    low and high two levels apart the number of intermediate faces is its
+    popcount, and the diamond property asks for exactly two whenever low's
+    vertex set lies in high's.
+
+    The pairs tested are all such pairs, found by an inverted vertex index
+    rather than by trying every face two levels up: ``containing[v]`` is the
+    bitmask of the level-(j + 2) faces whose vertex set holds v, so the
+    faces above ``low`` are the AND of ``containing[v]`` over the vertices
+    of ``low`` (the whole level for the empty face), taken in id order.
+    Containment is read off the vertex sets, not off the covers: a face
+    that holds ``low``'s vertices but that no path of covers reaches from
+    ``low`` fails with 0 intermediate faces.
 
     Any failure is an internal error; valid polytope input cannot produce it.
     """
@@ -425,15 +434,22 @@ def verify_lattice(L: FaceLattice) -> None:
     for i, f in enumerate(L.faces_by_id[L.level_start[1]:], L.level_start[1]):  # above the bottom
         if not down[i]:
             raise InternalInvariantError(f"face {f} of dim {f.dim} has no lower cover")
-    mask = [sum(1 << v for v in f.vertex_set) for f in L.faces_by_id]
     for j in range(-1, L.dim - 1):
-        highs = [(mask[h], down[h], h) for h in L.ids(j + 2)]
+        highs = L.ids(j + 2)
+        containing: dict[int, int] = {}
+        for b, high in enumerate(highs):
+            for v in L.faces_by_id[high].vertex_set:
+                containing[v] = containing.get(v, 0) | 1 << b
         for low in L.ids(j):
-            lo, ups = mask[low], up[low]
-            for hi, below, high in highs:
-                if lo & hi == lo:
-                    mids = (ups & below).bit_count()
-                    if mids != 2:
-                        raise InternalInvariantError(
-                            f"diamond property fails between {L.faces_by_id[low]} and "
-                            f"{L.faces_by_id[high]}: {mids} intermediate faces")
+            ups = up[low]
+            above = reduce(and_, (containing.get(v, 0) for v in L.faces_by_id[low].vertex_set),
+                           (1 << len(highs)) - 1)
+            while above:
+                bit = above & -above
+                above ^= bit
+                high = highs.start + bit.bit_length() - 1
+                mids = (ups & down[high]).bit_count()
+                if mids != 2:
+                    raise InternalInvariantError(
+                        f"diamond property fails between {L.faces_by_id[low]} and "
+                        f"{L.faces_by_id[high]}: {mids} intermediate faces")

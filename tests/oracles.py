@@ -62,15 +62,27 @@ switched to vertex-facet incidences: the intersection closure of the facet
 vertex sets, one rational affine dimension per face, and covering pairs by
 subset tests between consecutive dimensions.  Its ``affine_dim`` is the
 library's, which validation still uses; the library's lattice takes no rank.
+
+The lattice-check and isomorphism oracles are the all-pairs forms the
+library used before it enumerated only the pairs a cover can reach:
+``all_pairs_verify_lattice`` tests every two faces two levels apart for
+vertex-set containment, ``all_pairs_verify_abstract_lattice`` counts the
+mids of every pair two ranks apart and ``all_pairs_meets`` tests the meet
+of every pair of elements, and ``rank_scan_is_isomorphic`` scans a source
+element's whole target rank for candidates.  They raise the library's
+messages and return its results, so the tests compare the two directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations
 from math import lcm
+from operator import or_
 
 from polyk.cellular import ChainComplex, HomologyResult
+from polyk.comb_type import AbstractLattice, LatticeIso
 from polyk.cones import EdgeRay, FaceConeData, LiftedCone, dual_cone
 from polyk.errors import InternalInvariantError
 from polyk.linalg import (
@@ -519,3 +531,117 @@ def dense_homology_pair(X: ChainComplex) -> tuple[HomologyResult, HomologyResult
             torsion=tuple(torsion[j + 1] for j in degrees))
 
     return result(True), result(False)
+
+
+def all_pairs_verify_lattice(L: FaceLattice) -> None:
+    """``verify_lattice`` over all pairs of faces two levels apart: each pair
+    whose vertex masks satisfy ``lo & hi == lo`` must have two faces
+    between it."""
+    if L.f_vector[0] != 1 or L.f_vector[-1] != 1:
+        raise InternalInvariantError("face lattice must have unique bottom and top")
+    up, down = L.cover_masks()
+    for i, f in enumerate(L.faces_by_id[:L.level_start[-2]]):  # below the top
+        if not up[i]:
+            raise InternalInvariantError(f"face {f} of dim {f.dim} has no upper cover")
+    for i, f in enumerate(L.faces_by_id[L.level_start[1]:], L.level_start[1]):  # above the bottom
+        if not down[i]:
+            raise InternalInvariantError(f"face {f} of dim {f.dim} has no lower cover")
+    mask = [sum(1 << v for v in f.vertex_set) for f in L.faces_by_id]
+    for j in range(-1, L.dim - 1):
+        highs = [(mask[h], down[h], h) for h in L.ids(j + 2)]
+        for low in L.ids(j):
+            lo, ups = mask[low], up[low]
+            for hi, below, high in highs:
+                if lo & hi == lo:
+                    mids = (ups & below).bit_count()
+                    if mids != 2:
+                        raise InternalInvariantError(
+                            f"diamond property fails between {L.faces_by_id[low]} and "
+                            f"{L.faces_by_id[high]}: {mids} intermediate faces")
+
+
+def all_pairs_verify_abstract_lattice(lat: AbstractLattice) -> None:
+    """``_verify_abstract_lattice`` over all pairs: the mids of every two
+    elements two ranks apart, then ``all_pairs_meets``."""
+    if lat.f_vector[0] != 1 or lat.f_vector[-1] != 1:
+        raise InternalInvariantError(
+            f"reconstructed poset is not bounded: f-vector {lat.f_vector}")
+    elements = lat.faces_by_id
+    up, down = lat.cover_masks()
+    for i in range(lat.level_start[-2]):  # below the top
+        if not up[i]:
+            raise InternalInvariantError(f"element {elements[i]} has no upper cover: not graded")
+    for i in range(lat.level_start[1], len(elements)):  # above the bottom
+        if not down[i]:
+            raise InternalInvariantError(f"element {elements[i]} has no lower cover: not graded")
+    for rank in range(-1, lat.dim - 1):
+        for low in lat.ids(rank):
+            ups = up[low]
+            for high in lat.ids(rank + 2):
+                mids = (ups & down[high]).bit_count()
+                if mids and mids != 2:
+                    raise InternalInvariantError(
+                        f"diamond property fails between {elements[low]} and "
+                        f"{elements[high]}: {mids} mids")
+    all_pairs_meets(lat)
+
+
+def all_pairs_meets(lat: AbstractLattice) -> None:
+    """Every two elements a, b have a meet: ``ds[a] & ds[b]`` is the down-set
+    of its highest-numbered element, with covers going up in id."""
+    elements = lat.faces_by_id
+    ds: list[int] = []
+    for i, below in enumerate(lat.down):
+        ds.append(reduce(or_, (ds[b] for b in below), 1 << i))
+    for i, a in enumerate(elements):
+        ds_a = ds[i]
+        for j in range(i + 1, len(elements)):
+            common = ds_a & ds[j]
+            if common != ds[common.bit_length() - 1]:
+                raise InternalInvariantError(
+                    f"meet of {a} and {elements[j]} is not unique: poset is not a lattice")
+
+
+def rank_scan_is_isomorphic(L1, L2) -> LatticeIso:
+    """``is_isomorphic`` with each source's candidates scanned over its whole
+    target rank in id order."""
+    if L1.dim != L2.dim:
+        return LatticeIso(False, certificate=f"dimension mismatch: {L1.dim} != {L2.dim}")
+    ranks1, ranks2 = ([L.ids(r) for r in range(-1, L.dim + 1)] for L in (L1, L2))
+    fv1, fv2 = tuple(map(len, ranks1)), tuple(map(len, ranks2))
+    if fv1 != fv2:
+        return LatticeIso(False, certificate=f"f-vector mismatch: {fv1} != {fv2}")
+    up1, down1, up2 = L1.up, L1.down, L2.up
+    down2 = [set(d) for d in L2.down]
+
+    for level1, level2 in zip(ranks1, ranks2):
+        sig1 = sorted((len(down1[e]), len(up1[e])) for e in level1)
+        sig2 = sorted((len(down2[e]), len(up2[e])) for e in level2)
+        if sig1 != sig2:
+            return LatticeIso(False, certificate="up/down cover degree multisets differ")
+
+    targets = [level2 for level1, level2 in zip(ranks1, ranks2) for _ in level1]
+    mapping: list[int] = []
+    used: set[int] = set()
+    start = 0
+    while len(mapping) < len(targets):
+        s = len(mapping)
+        wanted_down = {mapping[d] for d in down1[s]}
+        found = next((t for t in range(max(start, targets[s].start), targets[s].stop)
+                      if t not in used and len(up2[t]) == len(up1[s])
+                      and down2[t] == wanted_down), None)
+        if found is not None:
+            mapping.append(found)
+            used.add(found)
+            start = 0
+            continue
+        if not mapping:
+            return LatticeIso(False, certificate="exhausted search: no cover-preserving bijection")
+        start = mapping.pop()
+        used.discard(start)
+        start += 1
+
+    if any({mapping[b] for b in up1[a]} != set(up2[t]) for a, t in enumerate(mapping)):
+        raise InternalInvariantError("lattice bijection failed final cover verification")
+    return LatticeIso(True, mapping=tuple((L1.faces_by_id[s], L2.faces_by_id[t])
+                                          for s, t in enumerate(mapping)))

@@ -13,6 +13,7 @@ from polyk.comb_type import (
     AbstractLattice,
     UnsignedIncidence,
     _verify_abstract_lattice,
+    _verify_meets,
     is_isomorphic,
     lattice_from_incidence,
     strip_signs,
@@ -26,10 +27,16 @@ from polyk.corpus import (
     simplex,
 )
 from polyk.errors import InternalInvariantError
-from polyk.polytope import Face, face_lattice, validate
+from polyk.polytope import Face, FaceLattice, face_lattice, validate, verify_lattice
 
 from affine import apply_affine, random_invertible_affine
-from oracles import complex_from_dense
+from oracles import (
+    all_pairs_meets,
+    all_pairs_verify_abstract_lattice,
+    all_pairs_verify_lattice,
+    complex_from_dense,
+    rank_scan_is_isomorphic,
+)
 
 
 def complex_of(poly):
@@ -122,6 +129,107 @@ def test_verify_abstract_lattice_accepts_boolean_lattice():
                      for x in range(n) if x not in s)
     _verify_abstract_lattice(AbstractLattice(
         dim=n - 1, f_vector=tuple(len(level) for level in levels), covering=covering))
+
+
+# --- cover-driven checks against the all-pairs oracles ---
+
+def failure(check, lat):
+    """The message of the InternalInvariantError check(lat) raises, or None."""
+    try:
+        check(lat)
+    except InternalInvariantError as exc:
+        return str(exc)
+    return None
+
+
+def abstract_of(lat: FaceLattice) -> AbstractLattice:
+    def element(f):
+        return f.dim, lat.face_id[f] - lat.level_start[f.dim + 1]
+
+    return AbstractLattice(dim=lat.dim, f_vector=lat.f_vector,
+                           covering=tuple((element(e), element(f)) for e, f in lat.covering))
+
+
+def corpus_lattices_and_one_cover_changes(rng):
+    """Each acceptance corpus lattice, then the same with one covering pair
+    dropped and with one added between faces of consecutive levels."""
+    for poly in acceptance_corpus():
+        lat = face_lattice(poly)
+        yield lat
+        covering = list(lat.covering)
+        if covering:
+            drop = rng.randrange(len(covering))
+            yield FaceLattice(lat.dim, lat.faces_by_dim,
+                              tuple(covering[:drop] + covering[drop + 1:]), lat.f_vector)
+        present = set(covering)
+        new = [(e, f) for k in range(1, len(lat.faces_by_dim))
+               for e in lat.faces_by_dim[k - 1] for f in lat.faces_by_dim[k]
+               if (e, f) not in present]
+        if new:
+            yield FaceLattice(lat.dim, lat.faces_by_dim, tuple(covering + [rng.choice(new)]),
+                              lat.f_vector)
+
+
+MEETS = "is not unique: poset is not a lattice"
+
+
+def assert_abstract_check_matches_oracle(lat):
+    """Same verdict as the all-pairs check; same message, except that a meet
+    failure may name another pair."""
+    found, expected = failure(_verify_abstract_lattice, lat), failure(
+        all_pairs_verify_abstract_lattice, lat)
+    if expected is not None and expected.endswith(MEETS):
+        assert found is not None and found.endswith(MEETS), (found, expected)
+    else:
+        assert found == expected
+    return expected
+
+
+def test_lattice_checks_and_search_match_all_pairs_oracles():
+    rng = random.Random(1412)
+    outcomes = []
+    for lat in corpus_lattices_and_one_cover_changes(rng):
+        expected = failure(all_pairs_verify_lattice, lat)
+        assert failure(verify_lattice, lat) == expected
+        abstract = abstract_of(lat)
+        outcomes.append((expected, assert_abstract_check_matches_oracle(abstract)))
+        for a, b in ((lat, abstract), (abstract, lat)):
+            assert is_isomorphic(a, b) == rank_scan_is_isomorphic(a, b)
+    assert (None, None) in outcomes
+    for kind in ("diamond property fails", "has no upper cover", "has no lower cover"):
+        assert any(kind in (face or "") and kind in (abstract or "")
+                   for face, abstract in outcomes), kind
+
+
+def random_graded_poset(rng) -> AbstractLattice:
+    """A bounded graded poset of rank 1 to 4 with 1 to 4 elements on each
+    middle rank and random covers between consecutive ranks; each element
+    gets an upper cover (but the top) and a lower cover (but the bottom)."""
+    dim = rng.randint(1, 4)
+    f_vector = (1, *(rng.randint(1, 4) for _ in range(dim)), 1)
+    covers = set()
+    for r in range(-1, dim):
+        below, above = range(f_vector[r + 1]), range(f_vector[r + 2])
+        covers |= {((r, a), (r + 1, b)) for a in below for b in above if rng.random() < 0.4}
+        covers |= {((r, a), (r + 1, rng.choice(above))) for a in below
+                   if not any(x == (r, a) for x, _ in covers)}
+        covers |= {((r, rng.choice(below)), (r + 1, b)) for b in above
+                   if not any(y == (r + 1, b) for _, y in covers)}
+    return AbstractLattice(dim=dim, f_vector=f_vector, covering=tuple(sorted(covers)))
+
+
+def test_meets_of_lower_covers_decide_lattices():
+    # the dual of Bjorner-Edelman-Ziegler's Lemma 2.1, against the meet of
+    # every pair, on posets where the diamond check would rarely pass
+    rng = random.Random(2203)
+    verdicts = set()
+    for _ in range(400):
+        lat = random_graded_poset(rng)
+        lattice = failure(all_pairs_meets, lat) is None
+        assert (failure(_verify_meets, lat) is None) == lattice, lat.covering
+        assert_abstract_check_matches_oracle(lat)
+        verdicts.add(lattice)
+    assert verdicts == {True, False}
 
 
 # --- is_isomorphic ---
@@ -262,6 +370,22 @@ def test_signed_match_across_isomorphic_polytopes_reported(small_corpus, capsys)
         print(f"\n[signed-match report] diagonal +-1 match through the lattice "
               f"bijection: {matched}/{len(outcomes)} "
               f"({', '.join(f'{n}={ok}' for n, ok in outcomes)})")
+
+
+def test_isomorphism_search_on_unsorted_covers():
+    # the target's covering pairs shuffled, so its up tuples are not in id
+    # order; candidates must still be tried in id order
+    lat = face_lattice(hypercube(3))
+    abstract = abstract_of(lat)
+    covering = list(abstract.covering)
+    random.Random(5).shuffle(covering)
+    shuffled = AbstractLattice(dim=abstract.dim, f_vector=abstract.f_vector,
+                               covering=tuple(covering))
+    assert any(list(up) != sorted(up) for up in shuffled.up)
+    for source in (lat, abstract):
+        iso = is_isomorphic(source, shuffled)
+        assert iso.isomorphic
+        assert iso == rank_scan_is_isomorphic(source, shuffled)
 
 
 def mapping_digest_pairs():

@@ -314,6 +314,27 @@ def test_verify_lattice_names_missing_cover():
         verify_lattice(lat)
 
 
+def test_verify_lattice_tests_containment_not_cover_paths():
+    # the tetrahedron's 2-face {0,1,2} given the vertex set {0,1,2,3}, its
+    # covers {0,1}, {1,2}, {0,2} kept: {3} lies in it, but no path of
+    # covers leads from {3} to it
+    lat = face_lattice(simplex(3))
+    old, new = Face((0, 1, 2), 2), Face((0, 1, 2, 3), 2)
+
+    def swap(f):
+        return new if f == old else f
+
+    broken = FaceLattice(dim=3, faces_by_dim=tuple(tuple(map(swap, level))
+                                                   for level in lat.faces_by_dim),
+                         covering=tuple((swap(e), swap(f)) for e, f in lat.covering),
+                         f_vector=lat.f_vector)
+    assert broken.lower_covers(new) == (Face((0, 1), 1), Face((0, 2), 1), Face((1, 2), 1))
+    with pytest.raises(InternalInvariantError,
+                       match=r"^diamond property fails between \{3\} and \{0,1,2,3\}: "
+                             r"0 intermediate faces$"):
+        verify_lattice(broken)
+
+
 # --- covering pairs ---
 
 def test_covering_triangle_edges():
