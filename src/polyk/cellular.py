@@ -6,8 +6,9 @@ negated if the trivialization flips F.  For a covering pair (E, F) with edge
 ray e the incidence number is the orientation sign of the basis
 B = [e | A_E] of span(F) against A_F: sign det C for B C = A_F, which is
 sign det(B^T A_F) since B^T A_F = (B^T B) C and det(B^T B) > 0.  (B is a
-basis of span(F): e lies in span(F) and is orthogonal to span(E), both
-checked by ``edge_ray``, and A_E is a basis of span(E).)
+basis of span(F): e lies in span(F), being by construction an integer
+combination of lifted vertices of F, e is orthogonal to span(E), which
+``edge_ray`` checks, and A_E is a basis of span(E).)
 
 ``edge_ray`` has already decided that sign for the unflipped bases.  The
 ray is the primitive vector e of w = det G_E * g - A_E x, the projection of
@@ -27,7 +28,8 @@ E a row, so with eps = -1 for a flipped face and +1 otherwise
     [E : F] = sigma * eps_E * eps_F,
 
 with no further determinant per pair; the barycenter cross-check confirms
-the oriented ray, sign included, independently.  For (empty face, vertex)
+the oriented ray, sign included, independently, and since its vector lies
+in span(F) it would also reject a ray outside span(F).  For (empty face, vertex)
 the ray is a positive multiple of the lifted vertex, sigma = +1, and the
 empty face cannot be flipped: the bottom boundary matrix is the all-ones
 augmentation row.
@@ -60,11 +62,12 @@ Only a nonzero N goes to the dense Smith normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Sequence
 
 from .cones import ConeSystem, EdgeRay
 from .errors import InternalInvariantError
-from .linalg import IntMatrix, primitive_vector, smith_normal_form
+from .linalg import IntMatrix, smith_normal_form
 from .polytope import Face, FaceLattice
 from .sparse import SparseColumn, dense_matrix, unit_pivot_elimination
 
@@ -144,8 +147,9 @@ def boundary_columns(T: Trivialization, system: ConeSystem, j: int) -> list[Spar
     """The columns of D_j as {row: [E : F]} dicts, one per j-face F of the
     system's lattice in order; the row of a (j-1)-face is its id minus its
     level's first id.  Each lower cover E of F is one covering pair, visited
-    once: its edge ray, the ray's cross-check (its primitive vector must be
-    the ray's direction, which is primitive), then the incidence sign."""
+    once: its edge ray, the ray's cross-check (its primitive vector, taken
+    on integers as w // gcd(w), must be the ray's direction, which is
+    primitive), then the incidence sign."""
     L = system.lattice
     if not 0 <= j <= L.dim:
         raise ValueError(f"boundary dimension {j} out of range [0, {L.dim}]")
@@ -155,7 +159,9 @@ def boundary_columns(T: Trivialization, system: ConeSystem, j: int) -> list[Spar
         column = {}
         for e in L.down[f]:
             ray = system.ray(e, f)
-            if primitive_vector(system.crosscheck(e, f)) != ray.direction:
+            w = system.crosscheck(e, f)  # nonzero integers, or it raised
+            common = gcd(*w)
+            if tuple(x // common for x in w) != ray.direction:
                 raise InternalInvariantError(
                     f"edge-ray cross-check failed for ({ray.pair[0]}, {ray.pair[1]}): "
                     "barycenter projection is not a positive multiple")

@@ -5,8 +5,8 @@ face F of P spans a subcone whose linear span has dimension dim F + 1.  The
 cone's generators are the integer lifted vertices L * (1, v_i), scaled by
 the lcm L of the vertex denominators.  One positive factor for all columns
 changes no span, kernel, ray direction or determinant sign, so everything
-below runs on Python integers, with ranks and span membership decided by
-fraction-free elimination (``IntEchelon``).
+below runs on Python integers, with the ranks of the cone and of the dual
+faces decided by fraction-free elimination (``IntEchelon``).
 
 Every inner product the covering pairs need is between two lifted vertices
 (a span basis is made of the face's own vertices) or between a lifted
@@ -17,11 +17,14 @@ vertices against the facet normals (``slack_table``), whose zeros give each
 vertex's facet bitmask.  For every face id, once per run, we compute
 
   * a deterministic basis A_F of the span (integer lifted vertices, greedy
-    in index order), by vertex ids, with the echelon form that picked it,
-  * the sum b_F of its lifted vertices, and the Gram matrix
-    G = A_F^T A_F read off T, with det G and adj G (``gram_adjugate``),
+    in index order), by vertex ids, with the Gram matrix G = A_F^T A_F,
+    det G and adj G, all from T alone, in one bordered pass over F's
+    vertices (``bordered_gram_basis``): a Schur complement per candidate
+    decides its independence and grows det G and adj G exactly,
+  * the sum b_F of its lifted vertices,
   * the dual face (facet normals of the cone vanishing on F), by facet ids
-    and generators, as the AND of its vertices' facet bitmasks.
+    and generators, as the AND of its vertices' facet bitmasks; its rank is
+    counted up to n - (dim F + 1), the most it can be.
 
 In the paper, the edge vector of a covering pair E < F is the extreme ray of
 the dual of E's dual face, taken inside that dual face's span (the
@@ -32,10 +35,10 @@ det G_E > 0 to stay integral (see ``edge_ray``):
 
     w = det G_E * g - A_E x,   x = adj(G_E) A_E^T g,
 
-a combination of vertices of F whose coefficients are table lookups; the
-circledast cones themselves are not built here.  Its primitive integer
-generator e plays the role of the unit edge vector in the incidence-sign
-determinant det([e | A_E]^T A_F).  Since [w | A_E] = [g | A_E] U with U
+an integer combination of vertices of F, hence in span(F) by construction,
+whose coefficients are table lookups; the circledast cones themselves are
+not built here.  Its primitive integer generator e plays the role of the
+unit edge vector in the incidence-sign determinant det([e | A_E]^T A_F).  Since [w | A_E] = [g | A_E] U with U
 unit lower triangular but for its corner det G_E, det U = det G_E > 0, and
 w is a positive multiple of e, that sign is the sign of det([g | A_E]^T A_F),
 a k x k determinant of entries of T: the ray's orientation (see
@@ -55,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from operator import and_
 from typing import Sequence
 
@@ -94,7 +97,6 @@ class FaceConeData:
 
     span_ids: tuple[int, ...]  # vertex ids of the columns of span_basis
     span_basis: IntBasis  # columns: greedy independent integer lifted vertices of the face
-    span_echelon: IntEchelon  # echelon form of span_basis; never grown after it is built
     vertex_sum: IntVector  # b_F, the sum of the integer lifted vertices of the face
     gram: IntMatrix  # G = A_F^T A_F, read off the Gram table
     gram_det: int  # det G > 0
@@ -192,44 +194,58 @@ def lift(P: Polytope) -> LiftedCone:
     return LiftedCone(dim=n, base=P, generators=gens, facet_normals=normals)
 
 
-def span_basis_of_face(C: LiftedCone, F: Face) -> tuple[tuple[int, ...], IntEchelon]:
-    """Greedy maximal independent subset of the integer lifted vertices of F,
-    in increasing vertex-index order, as vertex ids; dim F + 1 of them (none
-    for the empty face).  One fraction-free echelon pass decides each
-    candidate; it is returned with the ids, since its kept rows span exactly
-    span(F)."""
-    chosen, echelon = first_independent((C.generators[i] for i in F.vertex_set), F.dim + 1)
-    if len(chosen) != F.dim + 1:
-        raise InternalInvariantError(
-            f"face {F}: span has {len(chosen)} independent lifted vertices, expected {F.dim + 1}")
-    return tuple(F.vertex_set[i] for i in chosen), echelon
+def bordered_gram_basis(F: Face, gram: IntMatrix) -> tuple[tuple[int, ...], int, IntMatrix]:
+    """The span basis of F with the determinant and adjugate of its Gram
+    matrix, in one bordered pass over the Gram table ``gram`` = T.
 
+    It walks F's vertices in increasing index order and keeps the chosen
+    ids S with D = det G_S and adj G_S (D = 1 and S empty at the start).  A
+    candidate u borders G_S with the column b = T[S][u]; with y = adj(G_S) b
+    the Schur complement gives
 
-def gram_adjugate(F: Face, gram: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
-    """det G and adj G for the Gram matrix G of the span basis of F.
+        D' = det G_{S+u} = T[u][u] D - b^T y,
 
-    One fraction-free Gauss-Jordan pass on [G | I] with no pivoting: step k
-    sets each row i != k to (p_k a_i - a_ik a_k) / p_{k-1}, exactly
-    divisible (Sylvester), where p_k = a_kk is the leading principal minor
-    of order k + 1 and p_{-1} = 1; it ends at [det G * I | adj G].  G is
-    positive definite (independent columns), so each p_k must be positive:
-    that is checked, and det G = p_{n-1} > 0 follows.
+    the leading principal minor of order |S| + 1 of the Gram matrix of the
+    ids kept so far and u.  A Gram matrix is positive semidefinite, and
+    D' = 0 exactly when u lies in span(S):
+
+      * D' > 0: u is kept, and adj G_{S+u} = [[(D' adj G_S + y y^T) / D, -y],
+        [-y^T, D]], each division exact (an adjugate of an integer matrix is
+        integral), and D becomes D';
+      * D' = 0: u is skipped;
+      * D' < 0: no Gram table gives that, so it is an error.
+
+    This is the greedy independent subset of F's lifted vertices in index
+    order, dim F + 1 of them (none for the empty face); the walk stops there,
+    and finding fewer is an error.  Its D and adj G are those of a
+    fraction-free Gauss-Jordan pass on the Gram matrix of the chosen ids
+    (Bareiss 1968, by Sylvester's identity); ``tests/oracles.py`` keeps the
+    echelon that picked the basis before and that pass.
     """
-    n = len(gram)
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(gram)]
-    prev = 1
-    for k in range(n):
-        p = a[k][k]
-        if p <= 0:
+    want = F.dim + 1
+    ids: list[int] = []
+    det, adj = 1, []
+    for u in F.vertex_set:
+        if len(ids) == want:
+            break
+        t_u = gram[u]
+        b = [t_u[s] for s in ids]
+        y = [int_dot(row, b) for row in adj]
+        minor = t_u[u] * det - int_dot(b, y)
+        if minor > 0:
+            adj = [[(minor * a + yi * yj) // det for a, yj in zip(row, y)] + [-yi]
+                   for row, yi in zip(adj, y)]
+            adj.append([-yj for yj in y] + [det])
+            ids.append(u)
+            det = minor
+        elif minor < 0:
             raise InternalInvariantError(
                 f"Gram determinant of the span of {F} is not positive: "
-                f"leading minor of order {k + 1} is {p}")
-        for i in range(n):
-            if i != k:
-                x = a[i][k]
-                a[i] = [(p * u - x * v) // prev for u, v in zip(a[i], a[k])]
-        prev = p
-    return prev, tuple(tuple(row[n:]) for row in a)
+                f"leading minor of order {len(ids) + 1} is {minor}")
+    if len(ids) != want:
+        raise InternalInvariantError(
+            f"face {F}: span has {len(ids)} independent lifted vertices, expected {want}")
+    return tuple(ids), det, tuple(map(tuple, adj))
 
 
 def gram_table(C: LiftedCone) -> IntMatrix:
@@ -253,26 +269,32 @@ def vertex_facet_masks(slack: IntMatrix) -> tuple[int, ...]:
 
 def face_cone_data(C: LiftedCone, F: Face, vertex_masks: tuple[int, ...],
                    gram: IntMatrix) -> FaceConeData:
-    """The per-face data of F, with its Gram matrix read off the Gram table
-    ``gram``.  The dual face is a face of the dual cone, hence generated by
-    the facet normals of the cone that vanish on every lifted vertex of F:
-    the AND of the vertices' ``vertex_facet_masks``.  Its span must have
-    dimension n - (dim F + 1); anything else is a geometry bug."""
+    """The per-face data of F, with its span basis, Gram matrix, det G and
+    adj G read off the Gram table ``gram`` (``bordered_gram_basis``).  The
+    dual face is a face of the dual cone, hence generated by the facet
+    normals of the cone that vanish on every lifted vertex of F: the AND of
+    the vertices' ``vertex_facet_masks``.  Its span must have dimension
+    n - (dim F + 1); anything else is a geometry bug.
+
+    The rank is counted only up to that dimension: every dual normal
+    vanishes on F's lifted vertices, dim F + 1 of which are independent
+    (the span basis), so the normals span at most n - (dim F + 1)
+    dimensions, and the rank is right exactly when that many independent
+    ones are found."""
     n = C.dim
-    span_ids, span_echelon = span_basis_of_face(C, F)
+    span_ids, gram_det, gram_adj = bordered_gram_basis(F, gram)
     dual = reduce(and_, (vertex_masks[i] for i in F.vertex_set), (1 << len(C.facet_normals)) - 1)
     dual_ids = tuple(k for k in range(len(C.facet_normals)) if dual >> k & 1)
     dual_gens = tuple(C.facet_normals[k] for k in dual_ids)
     expected = n - (F.dim + 1)
-    got = IntEchelon(dual_gens).rank
+    got = len(first_independent(dual_gens, expected)[0])
     if got != expected:
         raise InternalInvariantError(f"dual face of {F} spans rank {got}, expected {expected}")
     vertex_sum = tuple(map(sum, zip(*(C.generators[i] for i in F.vertex_set)))) or (0,) * n
-    g_f = tuple(tuple(gram[a][b] for b in span_ids) for a in span_ids)
-    gram_det, gram_adj = gram_adjugate(F, g_f)
     return FaceConeData(span_ids=span_ids,
                         span_basis=tuple(C.generators[i] for i in span_ids),
-                        span_echelon=span_echelon, vertex_sum=vertex_sum, gram=g_f,
+                        vertex_sum=vertex_sum,
+                        gram=tuple(tuple(gram[a][b] for b in span_ids) for a in span_ids),
                         gram_det=gram_det, gram_adj=gram_adj, dual_ids=dual_ids,
                         dual_face_gens=dual_gens)
 
@@ -291,8 +313,7 @@ def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: Face
         w = det G * g - A x,   x = adj(G) A^T g,
 
     det G times the component of g orthogonal to span(E); A^T g is the row
-    of T at g.  w is a combination of vertices of F, so it lies in span(F).
-    Each check reads the tables, by these identities:
+    of T at g.  Each check reads the tables, by these identities:
 
       * orthogonality to span(E): <w, a_j> = det G * T[g][a_j] - (G x)_j,
         zero for every j exactly when G adj(G) = det G * I on A^T g;
@@ -301,8 +322,15 @@ def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: Face
         which must be >= 0;
       * orientation: <w, g> = det G * T[g][g] - <x, A^T g>
         = det G * |g - P_E g|^2, positive unless g lies in span(E), and
-        then w = 0;
-      * membership of the ray in span(F), against F's span echelon.
+        then w = 0.
+
+    Membership of the ray in span(F) is an identity, not a check: w is an
+    integer combination of g and the columns of A_E, all lifted vertices of
+    F.  The barycenter cross-check that ``build_complex`` makes on every
+    pair would reject a ray outside span(F) anyway: its vector lies in
+    span(F), so such a ray could not be its primitive vector.  The
+    primitive vector of w is w // gcd(w), on integers; gcd(w) = 0 exactly
+    when w = 0, an error naming the pair.
 
     The orientation is sign det([g | A_E]^T A_F), one k x k determinant of
     entries of T, k = dim F + 1: [w | A_E] = [g | A_E] U with det U = det G
@@ -333,9 +361,10 @@ def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: Face
     w = [det_e * c for c in C.generators[g]]
     for xi, a in zip(x, a_ids):
         w = [u - xi * v for u, v in zip(w, C.generators[a])]
-    direction = primitive_vector(w)
-    if not data_F.span_echelon.contains(direction):
-        raise InternalInvariantError(f"edge ray of ({E}, {F}) leaves the span of {F}")
+    common = gcd(*w)
+    if common == 0:
+        raise InternalInvariantError(f"edge ray of ({E}, {F}) is the zero vector")
+    direction = tuple(u // common for u in w)
     det = bareiss_det([[t_g[b] for b in f_ids]] + [[gram[a][b] for b in f_ids] for a in a_ids])
     if det == 0:
         raise InternalInvariantError(f"incidence sign of ({E}, {F}) is zero")

@@ -45,6 +45,13 @@ is accepted when it is a positive multiple of the ray
 integer generators L * (1, v) wherever the answer does not change under
 positive scaling.
 
+The span-basis oracles are the two passes the library made per face before
+one bordered pass over the Gram table replaced them: ``span_basis_of_face``
+picks the greedy independent lifted vertices of F in index order with a
+fraction-free echelon of n-vectors (``first_independent``), whose kept rows
+span exactly span(F), and ``gram_adjugate`` takes det G and adj G of their
+Gram matrix by fraction-free Gauss-Jordan on [G | I].
+
 The Cramer oracle is the integer solve the cross-check used before it read
 the Gram adjugate off the face data: one determinant per unknown, of the
 Gram matrix with that column replaced by the right-hand side.  It shares
@@ -86,12 +93,15 @@ from polyk.comb_type import AbstractLattice, LatticeIso
 from polyk.cones import EdgeRay, FaceConeData, LiftedCone, dual_cone
 from polyk.errors import InternalInvariantError
 from polyk.linalg import (
+    IntEchelon,
+    IntMatrix,
     QMatrix,
     bareiss_det,
     cofactor_kernel_vector,
     coords_in_basis,
     det_sign,
     dot,
+    first_independent,
     int_dot,
     int_mat_mul,
     primitive_vector,
@@ -294,6 +304,46 @@ def oracle_crosscheck(C: LiftedCone, E: Face, F: Face) -> tuple[Fraction, ...]:
     lifted = [(Fraction(1),) + C.base.vertices[i] for i in F.vertex_set]
     bary = tuple(sum(col, start=Fraction(0)) / len(lifted) for col in zip(*lifted))
     return orthogonal_component(C, E, bary)
+
+
+def span_basis_of_face(C: LiftedCone, F: Face) -> tuple[tuple[int, ...], IntEchelon]:
+    """Greedy maximal independent subset of the integer lifted vertices of F,
+    in increasing vertex-index order, as vertex ids; dim F + 1 of them (none
+    for the empty face).  One fraction-free echelon pass decides each
+    candidate; it is returned with the ids, since its kept rows span exactly
+    span(F)."""
+    chosen, echelon = first_independent((C.generators[i] for i in F.vertex_set), F.dim + 1)
+    if len(chosen) != F.dim + 1:
+        raise InternalInvariantError(
+            f"face {F}: span has {len(chosen)} independent lifted vertices, expected {F.dim + 1}")
+    return tuple(F.vertex_set[i] for i in chosen), echelon
+
+
+def gram_adjugate(F: Face, gram) -> tuple[int, IntMatrix]:
+    """det G and adj G for the Gram matrix G of the span basis of F.
+
+    One fraction-free Gauss-Jordan pass on [G | I] with no pivoting: step k
+    sets each row i != k to (p_k a_i - a_ik a_k) / p_{k-1}, exactly
+    divisible (Sylvester), where p_k = a_kk is the leading principal minor
+    of order k + 1 and p_{-1} = 1; it ends at [det G * I | adj G].  G is
+    positive definite (independent columns), so each p_k must be positive:
+    that is checked, and det G = p_{n-1} > 0 follows.
+    """
+    n = len(gram)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(gram)]
+    prev = 1
+    for k in range(n):
+        p = a[k][k]
+        if p <= 0:
+            raise InternalInvariantError(
+                f"Gram determinant of the span of {F} is not positive: "
+                f"leading minor of order {k + 1} is {p}")
+        for i in range(n):
+            if i != k:
+                x = a[i][k]
+                a[i] = [(p * u - x * v) // prev for u, v in zip(a[i], a[k])]
+        prev = p
+    return prev, tuple(tuple(row[n:]) for row in a)
 
 
 def cramer_numerators(gram, rhs) -> list[int]:
@@ -536,7 +586,14 @@ def dense_homology_pair(X: ChainComplex) -> tuple[HomologyResult, HomologyResult
 def all_pairs_verify_lattice(L: FaceLattice) -> None:
     """``verify_lattice`` over all pairs of faces two levels apart: each pair
     whose vertex masks satisfy ``lo & hi == lo`` must have two faces
-    between it."""
+    between it.  First, as in the library, every covering pair must be a
+    strict containment of vertex sets, here tested on Python sets."""
+    for high, below in enumerate(L.down):
+        for low in below:
+            lo, hi = L.faces_by_id[low], L.faces_by_id[high]
+            if not set(lo.vertex_set) < set(hi.vertex_set):
+                raise InternalInvariantError(
+                    f"covering pair ({lo}, {hi}) is not a strict vertex-set containment")
     if L.f_vector[0] != 1 or L.f_vector[-1] != 1:
         raise InternalInvariantError("face lattice must have unique bottom and top")
     up, down = L.cover_masks()

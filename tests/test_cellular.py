@@ -97,17 +97,17 @@ def test_trivialize_rejects_flipping_a_face_not_in_the_lattice():
 
 def test_one_span_basis_per_face_per_run(monkeypatch):
     # the edge rays and the cross-checks read the span basis off the face
-    # data, built once per face
-    real = cones.span_basis_of_face
+    # data, picked once per face by the bordered Gram pass
+    real = cones.bordered_gram_basis
     calls = []
 
-    def counting(C, F):
+    def counting(F, gram):
         calls.append(F)
-        return real(C, F)
+        return real(F, gram)
 
     for module in (cones, cellular):
-        if hasattr(module, "span_basis_of_face"):
-            monkeypatch.setattr(module, "span_basis_of_face", counting)
+        if hasattr(module, "bordered_gram_basis"):
+            monkeypatch.setattr(module, "bordered_gram_basis", counting)
     result = run_pipeline(hypercube(3))
     assert len(calls) == sum(result.lattice.f_vector)
     assert set(calls) == set(result.lattice.faces_by_id)
@@ -129,9 +129,10 @@ def test_one_edge_ray_per_covering_pair_per_run(monkeypatch):
 
 
 def test_per_face_work_once_per_run(monkeypatch):
-    # each face's span echelon and Gram factorisation are built once, and
-    # the Gram and slack tables once per ConeSystem; the per-pair steps
-    # only read them: edge_ray builds no echelon and takes one determinant,
+    # each face's bordered Gram pass (span basis, det G, adj G) and dual
+    # rank echelon run once, and the Gram and slack tables once per
+    # ConeSystem; the per-pair steps only read them: no echelon or Gram pass
+    # runs inside a pair, edge_ray takes one determinant,
     # the cross-check takes none and the incidence sign neither, and no
     # cofactor kernel is solved while the complex is built
     poly = hypercube(4)
@@ -147,7 +148,7 @@ def test_per_face_work_once_per_run(monkeypatch):
         return wrapped
 
     echelons, grams, dets, kernels, tables = [], [], [], [], []
-    real_gram, real_det = cones.gram_adjugate, linalg.bareiss_det
+    real_gram, real_det = cones.bordered_gram_basis, linalg.bareiss_det
     real_kernel = linalg.cofactor_kernel_vector
 
     class CountingEchelon(cones.IntEchelon):
@@ -156,7 +157,7 @@ def test_per_face_work_once_per_run(monkeypatch):
             super().__init__(vectors)
 
     def counting_gram(f, gram):
-        grams.append(f)
+        grams.append((f, tuple(active)))
         return real_gram(f, gram)
 
     def counting_det(rows):
@@ -184,7 +185,7 @@ def test_per_face_work_once_per_run(monkeypatch):
         monkeypatch.setattr(cones, name, counting_table(name, getattr(cones, name)))
     for module in (linalg, cones):
         monkeypatch.setattr(module, "IntEchelon", CountingEchelon)
-    monkeypatch.setattr(cones, "gram_adjugate", counting_gram)
+    monkeypatch.setattr(cones, "bordered_gram_basis", counting_gram)
     for module in (linalg, cones, cellular):
         if getattr(module, "bareiss_det", None) is real_det:
             monkeypatch.setattr(module, "bareiss_det", counting_det)
@@ -192,12 +193,11 @@ def test_per_face_work_once_per_run(monkeypatch):
             monkeypatch.setattr(module, "cofactor_kernel_vector", counting_kernel)
     result = run_pipeline(poly)
     faces = list(result.lattice.faces_by_id)
-    assert Counter(grams) == Counter(faces)
+    assert Counter(f for f, _ in grams) == Counter(faces)
     assert Counter(tables) == {"gram_table": 1, "slack_table": 1}
-    # span_basis_of_face picks A_F through first_independent
-    assert Counter(caller for caller, _ in echelons) == {
-        "lift": 1, "first_independent": len(faces), "face_cone_data": len(faces)}
-    assert not any(set(pair) - {"build_complex"} for _, pair in echelons)
+    # the dual rank goes through first_independent; A_F takes no echelon
+    assert Counter(caller for caller, _ in echelons) == {"lift": 1, "first_independent": len(faces)}
+    assert not any(set(pair) - {"build_complex"} for _, pair in echelons + grams)
     assert not any("edge_ray_crosscheck" in pair or "incidence_sign" in pair for pair in dets)
     # the orientation: one k x k determinant per covering pair, 232 here
     assert sum("edge_ray" in pair for pair in dets) == len(result.lattice.covering) == 232

@@ -10,18 +10,27 @@ from itertools import combinations
 from math import lcm
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 import polyk.cones as cones
-from polyk.cones import ConeSystem, dual_cone, edge_ray, gram_adjugate, lift
-from polyk.corpus import cross_polytope, hypercube, point_polytope, random_hull, simplex
+from polyk.cellular import build_complex, trivialize
+from polyk.cones import ConeSystem, bordered_gram_basis, dual_cone, edge_ray, lift
+from polyk.corpus import (
+    acceptance_corpus,
+    cross_polytope,
+    hypercube,
+    point_polytope,
+    random_hull,
+    simplex,
+)
 from polyk.errors import InternalInvariantError
 from polyk.linalg import (
     IntEchelon,
     QMatrix,
     bareiss_det,
     dot,
+    first_independent,
     int_dot,
     int_mat_mul,
     primitive_vector,
@@ -32,12 +41,14 @@ from polyk.polytope import Face, face_lattice
 from oracles import (
     circledast_gens,
     cramer_numerators,
+    gram_adjugate,
     kernel_edge_ray,
     leibniz_det,
     oracle_crosscheck,
     orthogonal_component,
     positive_multiple_ratio,
     solve_in_span,
+    span_basis_of_face,
 )
 
 
@@ -257,18 +268,23 @@ def test_crosscheck_matches_rational_gram_oracle(small_corpus):
     st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=k, max_size=k),
     st.lists(st.integers(-20, 20), min_size=k, max_size=k)))))
 def test_gram_adjugate_matches_bareiss_and_cramer(data):
-    # G = A^T A for independent integer columns: the pass returns det G and
-    # adj G, and adj G . r gives the Cramer numerators of G x = r
+    # on the Gram table of integer columns, dependent ones too, the bordered
+    # pass keeps the columns the echelon keeps and returns det G and adj G
+    # of their Gram matrix G, those of the Gauss-Jordan oracle; adj G . r
+    # gives the Cramer numerators of G x = r
     cols, r = data
-    assume(IntEchelon(cols).rank == len(cols))
-    gram = [[int_dot(u, v) for v in cols] for u in cols]
-    face = Face(vertex_set=tuple(range(len(cols))), dim=len(cols) - 1)
-    det, adj = gram_adjugate(face, gram)
+    table = [[int_dot(u, v) for v in cols] for u in cols]
+    chosen, echelon = first_independent(cols, len(cols))
+    face = Face(vertex_set=tuple(range(len(cols))), dim=echelon.rank - 1)
+    ids, det, adj = bordered_gram_basis(face, table)
+    assert list(ids) == chosen
+    gram = [[table[a][b] for b in ids] for a in ids]
+    assert (det, adj) == gram_adjugate(face, gram)
     assert det == bareiss_det(gram) > 0
-    k = len(cols)
+    k = len(ids)
     assert int_mat_mul(tuple(map(tuple, gram)), adj) == tuple(
         tuple(det if i == j else 0 for j in range(k)) for i in range(k))
-    assert [int_dot(row, r) for row in adj] == cramer_numerators(gram, r)
+    assert [int_dot(row, r[:k]) for row in adj] == cramer_numerators(gram, r[:k])
 
 
 @pytest.mark.parametrize("gram, order, minor", [
@@ -277,34 +293,92 @@ def test_gram_adjugate_matches_bareiss_and_cramer(data):
     ([[-1]], 1, -1),
 ], ids=["indefinite", "singular", "negative"])
 def test_gram_adjugate_rejects_non_positive_definite(gram, order, minor):
+    # a negative bordered minor is an error; a zero one skips the vertex,
+    # so two dependent vertices leave a 1-face one short of its span
     face = Face(vertex_set=(0, 1), dim=1)
     with pytest.raises(InternalInvariantError) as err:
-        gram_adjugate(face, gram)
-    assert str(err.value) == (f"Gram determinant of the span of {face} is not positive: "
-                              f"leading minor of order {order} is {minor}")
+        bordered_gram_basis(face, gram)
+    assert str(err.value) == (
+        f"face {face}: span has 1 independent lifted vertices, expected 2" if minor == 0 else
+        f"Gram determinant of the span of {face} is not positive: "
+        f"leading minor of order {order} is {minor}")
 
 
 def test_face_data_holds_per_face_work(small_corpus):
-    # the echelon decides span membership like one built from A_F, and the
-    # vertex sum, Gram determinant and dual face (vertex masks ANDed) are
-    # those of the face
+    # the span basis is the echelon oracle's, its columns span what the
+    # face's lifted vertices span, and the vertex sum, Gram matrix and
+    # determinant and dual face (vertex masks ANDed) are those of the face
     for poly in small_corpus:
         lat = face_lattice(poly)
         system = ConeSystem(lift(poly), lat)
         for i, f in enumerate(lat.faces_by_id):
             data = system.face_data(i)
+            ids, oracle = span_basis_of_face(system.cone, f)
+            assert data.span_ids == ids
+            assert data.span_basis == tuple(system.cone.generators[a] for a in ids)
             fresh = IntEchelon(data.span_basis)
-            assert data.span_echelon.rank == fresh.rank == f.dim + 1
+            assert oracle.rank == fresh.rank == f.dim + 1
             for g in system.cone.generators:
-                assert data.span_echelon.contains(g) == fresh.contains(g)
+                assert oracle.contains(g) == fresh.contains(g)
             assert data.vertex_sum == tuple(
                 sum(system.cone.generators[i][c] for i in f.vertex_set)
                 for c in range(system.cone.dim))
             gram = [[int_dot(u, v) for v in data.span_basis] for u in data.span_basis]
+            assert data.gram == tuple(map(tuple, gram))
             assert data.gram_det == bareiss_det(gram) > 0
             verts = [system.cone.generators[i] for i in f.vertex_set]
             assert data.dual_face_gens == tuple(
                 y for y in system.cone.facet_normals if all(int_dot(y, g) == 0 for g in verts))
+
+
+@pytest.fixture(scope="module")
+def identity_systems():
+    """The acceptance corpus, the 5-cube and the 5-cross-polytope, each with
+    its lattice and cone system."""
+    systems = []
+    for poly in list(acceptance_corpus()) + [hypercube(5), cross_polytope(5)]:
+        lat = face_lattice(poly)
+        systems.append((poly, lat, ConeSystem(lift(poly), lat)))
+    return systems
+
+
+def test_bordered_pass_matches_echelon_and_gauss_jordan_oracles(identity_systems):
+    # the ids of the echelon oracle, the det G and adj G of the Gauss-Jordan
+    # oracle on their Gram matrix, over faces whose walk meets dependent
+    # vertices before its last chosen id
+    skipped = 0
+    for poly, lat, system in identity_systems:
+        for i, f in enumerate(lat.faces_by_id):
+            data = system.face_data(i)
+            ids, _ = span_basis_of_face(system.cone, f)
+            assert data.span_ids == ids, (poly.name, f)
+            assert (data.gram_det, data.gram_adj) == gram_adjugate(f, data.gram), (poly.name, f)
+            if ids:  # the vertices walked, up to the last one chosen
+                skipped += f.vertex_set.index(ids[-1]) + 1 - len(ids)
+    assert skipped > 0
+
+
+def test_span_echelon_oracle_contains_every_ray(identity_systems):
+    # membership of the ray in span(F) is an identity of the construction:
+    # the echelon of F's lifted vertices contains every ray direction
+    for poly, lat, system in identity_systems:
+        echelons = {}
+        for e, f in lat.covering:
+            if f not in echelons:
+                echelons[f] = span_basis_of_face(system.cone, f)[1]
+            direction = system.ray(lat.face_id[e], lat.face_id[f]).direction
+            assert echelons[f].contains(direction), (poly.name, e, f)
+
+
+def test_dual_rank_stops_at_full_rank(identity_systems):
+    # the dual normals of F span n - (dim F + 1) dimensions, so stopping the
+    # echelon there finds the full rank
+    for poly, lat, system in identity_systems:
+        for i, f in enumerate(lat.faces_by_id):
+            gens = system.face_data(i).dual_face_gens
+            expected = system.cone.dim - (f.dim + 1)
+            assert IntEchelon(gens).rank == len(first_independent(gens, expected)[0]) \
+                == expected, (poly.name, f)
 
 
 def test_dual_face_rank_names_face():
@@ -320,28 +394,31 @@ def test_dual_face_rank_names_face():
     assert f"dual face of {v} spans rank 1, expected 2" in str(err.value)
 
 
-def _perturbed_directions(monkeypatch, cone, shift):
-    """Make the ray of every pair come out shifted by ``shift``: edge_ray
-    passes w, a vector of length cone.dim, through primitive_vector."""
-    real = cones.primitive_vector
-
-    def perturbed(v):
-        w = real(v)
-        return tuple(a + b for a, b in zip(w, shift)) if len(w) == cone.dim else w
-
-    monkeypatch.setattr(cones, "primitive_vector", perturbed)
-
-
 def test_edge_ray_rejects_ray_outside_span_of_f(monkeypatch):
+    # membership in span(F) is an identity of edge_ray's construction, and
+    # not checked there; a ray shifted out of span(F) by a lifted vertex
+    # outside F is caught by the barycenter cross-check, whose vector lies
+    # in span(F)
     poly = hypercube(2)
     lat, _ = faces_of(poly)
     cone = lift(poly)
     e, f = next((e, f) for e, f in lat.covering if f.dim == 1)
     outside = next(i for i in range(poly.nvertices) if i not in f.vertex_set)
-    _perturbed_directions(monkeypatch, cone, primitive_vector(cone.generators[outside]))
+    shift = primitive_vector(cone.generators[outside])
+    real = cones.edge_ray
+
+    def shifted(C, E, F, *args, **kwargs):
+        ray = real(C, E, F, *args, **kwargs)
+        if (E, F) != (e, f):
+            return ray
+        direction = tuple(a + b for a, b in zip(ray.direction, shift))
+        assert not span_basis_of_face(C, F)[1].contains(direction)
+        return dataclasses.replace(ray, direction=direction)
+
+    monkeypatch.setattr(cones, "edge_ray", shifted)
     with pytest.raises(InternalInvariantError) as err:
-        ConeSystem(cone, lat).ray(lat.face_id[e], lat.face_id[f])
-    assert f"edge ray of ({e}, {f}) leaves the span of {f}" in str(err.value)
+        build_complex(trivialize(lat), lat, ConeSystem(cone, lat))
+    assert f"edge-ray cross-check failed for ({e}, {f})" in str(err.value)
 
 
 def test_edge_ray_rejects_ray_not_orthogonal_to_e():
@@ -380,6 +457,21 @@ def test_edge_ray_without_orientation_names_pair():
                  gram=broken.gram, slack=broken.slack)
     assert str(err.value) == (
         f"edge ray of ({e}, {f}) is orthogonal to lifted vertex {outside}: it has no orientation")
+
+
+def test_edge_ray_zero_vector_names_pair():
+    # tables that give <w, g> > 0 with generators that give w = 0: on the
+    # segment, g = (1, 1) replaced by a = (1, 0) gives
+    # w = det G_E g - T[a][g] a = 1 (1, 0) - 1 (1, 0); gcd(w) = 0
+    lat, by_set = faces_of(simplex(1))
+    system = ConeSystem(lift(simplex(1)), lat)
+    e, f = by_set[(0,)], by_set[(0, 1)]
+    gens = system.cone.generators
+    broken = dataclasses.replace(system.cone, generators=(gens[0], gens[0]))
+    with pytest.raises(InternalInvariantError) as err:
+        edge_ray(broken, e, f, system.face_data(lat.face_id[e]),
+                 system.face_data(lat.face_id[f]), gram=system.gram, slack=system.slack)
+    assert str(err.value) == f"edge ray of ({e}, {f}) is the zero vector"
 
 
 def test_edge_ray_pointing_away_names_pair():

@@ -317,12 +317,15 @@ def test_verify_lattice_names_missing_cover():
 def test_verify_lattice_tests_containment_not_cover_paths():
     # the tetrahedron's 2-face {0,1,2} given the vertex set {0,1,2,3}, its
     # covers {0,1}, {1,2}, {0,2} kept: {3} lies in it, but no path of
-    # covers leads from {3} to it
+    # covers leads from {3} to it; the top gets a vertex 4, so that every
+    # cover stays a strict vertex-set containment
     lat = face_lattice(simplex(3))
-    old, new = Face((0, 1, 2), 2), Face((0, 1, 2, 3), 2)
+    renamed = {Face((0, 1, 2), 2): Face((0, 1, 2, 3), 2),
+               lat.top_face: Face((0, 1, 2, 3, 4), 3)}
+    new = renamed[Face((0, 1, 2), 2)]
 
     def swap(f):
-        return new if f == old else f
+        return renamed.get(f, f)
 
     broken = FaceLattice(dim=3, faces_by_dim=tuple(tuple(map(swap, level))
                                                    for level in lat.faces_by_dim),
@@ -333,6 +336,20 @@ def test_verify_lattice_tests_containment_not_cover_paths():
                        match=r"^diamond property fails between \{3\} and \{0,1,2,3\}: "
                              r"0 intermediate faces$"):
         verify_lattice(broken)
+
+
+def test_verify_lattice_rejects_cover_that_is_not_a_containment():
+    # an edge of the 4-cube added below a 2-face that does not hold it: the
+    # diamond counts alone pass this lattice
+    lat = face_lattice(hypercube(4))
+    edge, square = Face((4, 12), 1), Face((9, 11, 13, 15), 2)
+    assert edge in lat.faces(1) and square in lat.faces(2)
+    broken = FaceLattice(lat.dim, lat.faces_by_dim, lat.covering + ((edge, square),),
+                         lat.f_vector)
+    with pytest.raises(InternalInvariantError) as err:
+        verify_lattice(broken)
+    assert str(err.value) == \
+        f"covering pair ({edge}, {square}) is not a strict vertex-set containment"
 
 
 # --- covering pairs ---
