@@ -29,10 +29,10 @@ E a row, so with eps = -1 for a flipped face and +1 otherwise
 
 with no further determinant per pair; the barycenter cross-check confirms
 the oriented ray, sign included, independently, and since its vector lies
-in span(F) it would also reject a ray outside span(F).  For (empty face, vertex)
-the ray is a positive multiple of the lifted vertex, sigma = +1, and the
-empty face cannot be flipped: the bottom boundary matrix is the all-ones
-augmentation row.
+in span(F) it would also reject a ray outside span(F).  For (empty face,
+vertex) the ray is a positive multiple of the lifted vertex, sigma = +1,
+and the empty face cannot be flipped: the bottom boundary matrix is the
+all-ones augmentation row.
 
 Boundary matrices are integer matrices over the stable (lexicographic by
 vertex set) face ordering, the lattice's face ids.  They are built, kept in

@@ -38,19 +38,20 @@ det G_E > 0 to stay integral (see ``edge_ray``):
 an integer combination of vertices of F, hence in span(F) by construction,
 whose coefficients are table lookups; the circledast cones themselves are
 not built here.  Its primitive integer generator e plays the role of the
-unit edge vector in the incidence-sign determinant det([e | A_E]^T A_F).  Since [w | A_E] = [g | A_E] U with U
-unit lower triangular but for its corner det G_E, det U = det G_E > 0, and
-w is a positive multiple of e, that sign is the sign of det([g | A_E]^T A_F),
-a k x k determinant of entries of T: the ray's orientation (see
-``polyk.cellular``).  Unit normalization is irrelevant to signs, so
-primitive integer ray generators replace unit vectors throughout and keep
-the arithmetic exact.
+unit edge vector in the incidence-sign determinant det([e | A_E]^T A_F).
+Since [w | A_E] = [g | A_E] U with U unit lower triangular but for its
+corner det G_E, det U = det G_E > 0, and w is a positive multiple of e,
+that sign is the sign of det([g | A_E]^T A_F), a k x k determinant of
+entries of T: the ray's orientation (see ``polyk.cellular``).  Unit
+normalization is irrelevant to signs, so primitive integer ray generators
+replace unit vectors throughout and keep the arithmetic exact.
 
 A second, independent construction of the same ray (orthogonal projection of
 the barycenter of the lifted F-vertices away from the span of E, by an
 integer Cramer solve of the Gram system whose numerators det(G_i) are the
 entries of adj(G) A_E^T b_F) is used as a cross-check: the two must agree
 up to a strictly positive factor, so they have the same primitive vector.
+Its vector lies in span(F), so it would also reject a ray outside span(F).
 """
 
 from __future__ import annotations
@@ -219,8 +220,7 @@ def bordered_gram_basis(F: Face, gram: IntMatrix) -> tuple[tuple[int, ...], int,
     order, dim F + 1 of them (none for the empty face); the walk stops there,
     and finding fewer is an error.  Its D and adj G are those of a
     fraction-free Gauss-Jordan pass on the Gram matrix of the chosen ids
-    (Bareiss 1968, by Sylvester's identity); ``tests/oracles.py`` keeps the
-    echelon that picked the basis before and that pass.
+    (Bareiss 1968, by Sylvester's identity).
     """
     want = F.dim + 1
     ids: list[int] = []

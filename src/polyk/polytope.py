@@ -403,20 +403,6 @@ def face_lattice(P: Polytope) -> FaceLattice:
     return lattice
 
 
-def check_cover_containment(L: FaceLattice) -> None:
-    """Raise unless every covering pair of L is a strict vertex-set
-    containment: one bitmask per face, one AND per pair."""
-    mask = [sum(1 << v for v in f.vertex_set) for f in L.faces_by_id]
-    for high, below in enumerate(L.down):
-        hi = mask[high]
-        for low in below:
-            lo = mask[low]
-            if lo & hi != lo or lo == hi:
-                raise InternalInvariantError(
-                    f"covering pair ({L.faces_by_id[low]}, {L.faces_by_id[high]}) "
-                    "is not a strict vertex-set containment")
-
-
 def verify_lattice(L: FaceLattice) -> None:
     """Exact structural checks: covers that are strict vertex-set
     containments, a unique bottom and top, gradedness, and the diamond
@@ -443,7 +429,15 @@ def verify_lattice(L: FaceLattice) -> None:
 
     Any failure is an internal error; valid polytope input cannot produce it.
     """
-    check_cover_containment(L)
+    mask = [sum(1 << v for v in f.vertex_set) for f in L.faces_by_id]
+    for high, below in enumerate(L.down):
+        hi = mask[high]
+        for low in below:
+            lo = mask[low]
+            if lo & hi != lo or lo == hi:
+                raise InternalInvariantError(
+                    f"covering pair ({L.faces_by_id[low]}, {L.faces_by_id[high]}) "
+                    "is not a strict vertex-set containment")
     if L.f_vector[0] != 1 or L.f_vector[-1] != 1:
         raise InternalInvariantError("face lattice must have unique bottom and top")
     up, down = L.cover_masks()
