@@ -339,17 +339,30 @@ def test_verify_lattice_tests_containment_not_cover_paths():
 
 
 def test_verify_lattice_rejects_cover_that_is_not_a_containment():
-    # an edge of the 4-cube added below a 2-face that does not hold it: the
-    # diamond counts alone pass this lattice
-    lat = face_lattice(hypercube(4))
+    # an edge of the 4-cube added below a 2-face that does not hold it (the
+    # diamond counts alone pass this lattice), and the tetrahedron's 2-face
+    # {0,1,2} given the top's vertex set, so that the top covers an equal set
+    cube = face_lattice(hypercube(4))
     edge, square = Face((4, 12), 1), Face((9, 11, 13, 15), 2)
-    assert edge in lat.faces(1) and square in lat.faces(2)
-    broken = FaceLattice(lat.dim, lat.faces_by_dim, lat.covering + ((edge, square),),
-                         lat.f_vector)
-    with pytest.raises(InternalInvariantError) as err:
-        verify_lattice(broken)
-    assert str(err.value) == \
-        f"covering pair ({edge}, {square}) is not a strict vertex-set containment"
+    assert edge in cube.faces(1) and square in cube.faces(2)
+    tetra = face_lattice(simplex(3))
+    old, new = Face((0, 1, 2), 2), Face((0, 1, 2, 3), 2)
+
+    def swap(f):
+        return new if f == old else f
+
+    cases = [
+        (FaceLattice(cube.dim, cube.faces_by_dim, cube.covering + ((edge, square),),
+                     cube.f_vector), (edge, square)),
+        (FaceLattice(tetra.dim, tuple(tuple(map(swap, level)) for level in tetra.faces_by_dim),
+                     tuple((swap(e), swap(f)) for e, f in tetra.covering), tetra.f_vector),
+         (new, tetra.top_face)),
+    ]
+    for broken, (low, high) in cases:
+        with pytest.raises(InternalInvariantError) as err:
+            verify_lattice(broken)
+        assert str(err.value) == \
+            f"covering pair ({low}, {high}) is not a strict vertex-set containment"
 
 
 # --- covering pairs ---
