@@ -18,12 +18,17 @@ a lifted vertex g of F outside E off span(E) scaled by det G_E > 0, so
 
 and with w = c * e, c > 0,
 
-    sign det(B^T A_F) = sign det([w | A_E]^T A_F) = sign det([g | A_E]^T A_F),
+    sign det(B^T A_F) = sign det([w | A_E]^T A_F) = sign det([g | A_E]^T A_F).
 
-one k x k determinant whose entries are all lookups in the Gram table of
-the lifted vertices: the ray's ``EdgeRay.orientation`` sigma, nonzero by
-``edge_ray``'s check.  A flip of F negates a column of B^T A_F and a flip of
-E a row, so with eps = -1 for a flipped face and +1 otherwise
+With C the coordinates of [g | A_E] in the basis A_F, [g | A_E]^T A_F =
+C^T G_F and det G_F > 0, so that is sign det C: the ray's
+``EdgeRay.orientation`` sigma.  ``edge_ray`` takes g among F's span ids,
+so each column of C whose vertex is in F's basis is a unit vector, and
+det C is a permutation sign times an m x m minor (m the number of E's span
+ids outside F's basis) with entries from adj(G_F) and the Gram table of
+the lifted vertices; for m = 0, most pairs, sigma is the permutation sign,
+and a zero minor is an error.  A flip of F negates a column of B^T A_F and
+a flip of E a row, so with eps = -1 for a flipped face and +1 otherwise
 
     [E : F] = sigma * eps_E * eps_F,
 

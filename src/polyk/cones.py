@@ -17,7 +17,8 @@ vertices against the facet normals (``slack_table``), whose zeros give each
 vertex's facet bitmask.  For every face id, once per run, we compute
 
   * a deterministic basis A_F of the span (integer lifted vertices, greedy
-    in index order), by vertex ids, with the Gram matrix G = A_F^T A_F,
+    in index order), by vertex ids and as a map from each id to its row of
+    coordinates in that basis, with the Gram matrix G = A_F^T A_F,
     det G and adj G, all from T alone, in one bordered pass over F's
     vertices (``bordered_gram_basis``): a Schur complement per candidate
     decides its independence and grows det G and adj G exactly,
@@ -41,8 +42,13 @@ not built here.  Its primitive integer generator e plays the role of the
 unit edge vector in the incidence-sign determinant det([e | A_E]^T A_F).
 Since [w | A_E] = [g | A_E] U with U unit lower triangular but for its
 corner det G_E, det U = det G_E > 0, and w is a positive multiple of e,
-that sign is the sign of det([g | A_E]^T A_F), a k x k determinant of
-entries of T: the ray's orientation (see ``polyk.cellular``).  Unit
+that sign is the sign of det([g | A_E]^T A_F) = det(C^T G_F), C the
+coordinates of [g | A_E] in the basis A_F; det G_F > 0, so it is
+sign det C: the ray's orientation (see ``polyk.cellular``).  With g one of
+F's span ids, every column of C that is a vertex of F's basis is a unit
+vector, so det C is a permutation sign times an m x m minor, m the number
+of E's span ids outside F's, whose entries are read off adj(G_F) and T;
+most pairs have m = 0 and need no arithmetic for their sign.  Unit
 normalization is irrelevant to signs, so primitive integer ray generators
 replace unit vectors throughout and keep the arithmetic exact.
 
@@ -73,6 +79,7 @@ from .linalg import (
     first_independent,
     int_dot,
     is_zero_vector,
+    permutation_sign,
     primitive_vector,
     qvec,
 )
@@ -97,6 +104,7 @@ class FaceConeData:
     the face (see the module docstring)."""
 
     span_ids: tuple[int, ...]  # vertex ids of the columns of span_basis
+    span_row: dict[int, int]  # span_ids[r] -> r, its row of coordinates in span_basis
     span_basis: IntBasis  # columns: greedy independent integer lifted vertices of the face
     vertex_sum: IntVector  # b_F, the sum of the integer lifted vertices of the face
     gram: IntMatrix  # G = A_F^T A_F, read off the Gram table
@@ -291,7 +299,7 @@ def face_cone_data(C: LiftedCone, F: Face, vertex_masks: tuple[int, ...],
     if got != expected:
         raise InternalInvariantError(f"dual face of {F} spans rank {got}, expected {expected}")
     vertex_sum = tuple(map(sum, zip(*(C.generators[i] for i in F.vertex_set)))) or (0,) * n
-    return FaceConeData(span_ids=span_ids,
+    return FaceConeData(span_ids=span_ids, span_row={a: r for r, a in enumerate(span_ids)},
                         span_basis=tuple(C.generators[i] for i in span_ids),
                         vertex_sum=vertex_sum,
                         gram=tuple(tuple(gram[a][b] for b in span_ids) for a in span_ids),
@@ -307,13 +315,18 @@ def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: Face
 
     The paper's edge ray is the extreme ray of the circledast cone of E
     orthogonal to the dual face of F; it spans the line where span(F) meets
-    span(E)^perp.  With g the first lifted vertex of F not in E, A = A_E and
+    span(E)^perp.  With g the first span id of F not in E, A = A_E and
     G = G_E, the ray is the primitive vector of
 
         w = det G * g - A x,   x = adj(G) A^T g,
 
     det G times the component of g orthogonal to span(E); A^T g is the row
-    of T at g.  Each check reads the tables, by these identities:
+    of T at g.  Such a g exists, since A_F does not lie in span(E); none is
+    an error naming the pair.  Every vertex v of F outside E gives the same
+    primitive ray, and the same sign below: inside span(F), <., e> vanishes
+    exactly on span(E), so it has one sign on the vertices of F outside E,
+    positive at g, and v projects to det G <v, e> / |e|^2 * e, a positive
+    multiple of e.  Each check reads the tables, by these identities:
 
       * orthogonality to span(E): <w, a_j> = det G * T[g][a_j] - (G x)_j,
         zero for every j exactly when G adj(G) = det G * I on A^T g;
@@ -332,19 +345,35 @@ def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: Face
     primitive vector of w is w // gcd(w), on integers; gcd(w) = 0 exactly
     when w = 0, an error naming the pair.
 
-    The orientation is sign det([g | A_E]^T A_F), one k x k determinant of
-    entries of T, k = dim F + 1: [w | A_E] = [g | A_E] U with det U = det G
-    > 0 and w a positive multiple of the ray e, so it is the sign of
-    det([e | A_E]^T A_F), which is nonzero because [e | A_E] and A_F are
-    bases of span(F); a zero determinant is an error naming the pair.  For
-    E empty, x is empty, w = g, and the sign is that of T[g][g] > 0.
+    The orientation is sign det([e | A_E]^T A_F), which is
+    sign det([g | A_E]^T A_F): [w | A_E] = [g | A_E] U with det U = det G
+    > 0, and w is a positive multiple of e.  Let C be the coordinates of
+    [g | A_E] in the basis A_F, [g | A_E] = A_F C.  Then
+
+        [g | A_E]^T A_F = C^T G_F,   det G_F > 0,   so   sigma = sign det C.
+
+    A column of C whose vertex is one of F's span ids (g, and each id of A_E
+    that F's basis holds) is the unit vector at that id's row.  Give the m
+    other columns, of E's span ids outside F's basis, the m rows no unit
+    column takes, in increasing order: with pi the permutation of rows so
+    assigned, det C = sign(pi) * det M for the m x m block M of C on those
+    rows and columns.  The coordinates of a vertex a are
+    adj(G_F) A_F^T a / det G_F, and A_F^T a is read off T, so det G_F * M
+    is an integer matrix with the sign of det M, det G_F being positive.
+    For m = 0, as on most pairs, sigma = sign(pi), never zero; for m > 0 it
+    takes one Bareiss determinant of that matrix, and a zero one is an
+    error naming the pair ([g | A_E] would not be a basis of span(F)).  For
+    E empty, x is empty, w = g, and C is the one unit vector of g: +1.
     """
     a_ids, f_ids = data_E.span_ids, data_F.span_ids
     if len(a_ids) != len(f_ids) - 1:
         raise InternalInvariantError(
             f"edge ray of ({E}, {F}): the kernel of A_E^T A_F is not a line "
             f"(spans of dimension {len(a_ids)} and {len(f_ids)})")
-    g = next(i for i in F.vertex_set if i not in E.vertex_set)
+    g = next((i for i in f_ids if i not in E.vertex_set), None)
+    if g is None:
+        raise InternalInvariantError(
+            f"edge ray of ({E}, {F}): every span id of {F} lies in {E}")
     t_g = gram[g]
     at_g = [t_g[a] for a in a_ids]
     det_e = data_E.gram_det
@@ -365,10 +394,20 @@ def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: Face
     if common == 0:
         raise InternalInvariantError(f"edge ray of ({E}, {F}) is the zero vector")
     direction = tuple(u // common for u in w)
-    det = bareiss_det([[t_g[b] for b in f_ids]] + [[gram[a][b] for b in f_ids] for a in a_ids])
+    row = data_F.span_row
+    rows = [row[g]] + [row.get(a) for a in a_ids]  # None: a is not in F's basis
+    if None not in rows:
+        return EdgeRay(pair=(E, F), direction=direction, orientation=permutation_sign(rows))
+    outside = [a for a, r in zip(a_ids, rows[1:]) if r is None]
+    free = sorted(set(range(len(f_ids))).difference(rows))
+    fill = iter(free)
+    rows = [next(fill) if r is None else r for r in rows]
+    columns = [[gram[a][b] for b in f_ids] for a in outside]  # A_F^T a
+    det = bareiss_det([[int_dot(data_F.gram_adj[r], col) for col in columns] for r in free])
     if det == 0:
         raise InternalInvariantError(f"incidence sign of ({E}, {F}) is zero")
-    return EdgeRay(pair=(E, F), direction=direction, orientation=1 if det > 0 else -1)
+    return EdgeRay(pair=(E, F), direction=direction,
+                   orientation=permutation_sign(rows) * (1 if det > 0 else -1))
 
 
 def edge_ray_crosscheck(E: Face, F: Face,

@@ -17,7 +17,7 @@ from .errors import InputError
 from .linalg import Vector
 from .polytope import Polytope, validate
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")  # ASCII digits, the whole string
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ def _parse_coordinate(value, where: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if not _RATIONAL_RE.match(value):
+        if not _RATIONAL_RE.fullmatch(value):
             raise InputError(f"{where}: malformed rational {value!r}")
         if "/" in value:
             p, q = value.split("/")

@@ -327,6 +327,21 @@ def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def permutation_sign(perm: Sequence[int]) -> int:
+    """The sign of the permutation i -> perm[i] of range(len(perm)): each
+    cycle of length l is l - 1 transpositions."""
+    sign, seen = 1, [False] * len(perm)
+    for start in range(len(perm)):
+        if not seen[start]:
+            seen[start] = True
+            i = perm[start]
+            while i != start:
+                seen[i] = True
+                i = perm[i]
+                sign = -sign
+    return sign
+
+
 def cofactor_kernel_vector(rows: Sequence[Sequence[int]], n: int) -> IntVector | None:
     """Kernel generator of an (n-1) x n integer matrix of full row rank.
 

@@ -23,6 +23,13 @@ det([e | A_E]^T A_F) = <e, A_F kappa>, so sigma is the incidence sign of
 the unflipped bases.  The projection oracle takes the component of a
 lifted vertex orthogonal to span(E) by a rational Gram solve.
 
+The orientation oracle is the determinant the edge ray took before it
+read its sign off F's basis coordinates: sign det([g | A_E]^T A_F), one
+k x k ``bareiss_det`` of Gram-table entries, for any lifted vertex g of F
+outside E (``table_orientation``), with that vertex's projection off
+span(E), det G_E g - A_E adj(G_E) A_E^T g, on integers
+(``vertex_projection``).
+
 The facet oracle is the brute force the library used before it switched to
 the double description method: every affinely independent d-subset of the
 points spans a candidate hyperplane, kept when all points lie on one side.
@@ -264,6 +271,25 @@ def gram_incidence_sign(system, T, ray, e: int, f: int) -> int:
     b = (ray.direction,) + oriented_basis(system, T, e)
     a_f = oriented_basis(system, T, f)
     det = bareiss_det([[sum(x * y for x, y in zip(u, v)) for v in a_f] for u in b])
+    return (det > 0) - (det < 0)
+
+
+def vertex_projection(C: LiftedCone, data_E: FaceConeData, g: int, gram) -> list[int]:
+    """det G_E times the component of the lifted vertex g orthogonal to
+    span(E): det G_E g - A_E adj(G_E) A_E^T g, on integers."""
+    at_g = [gram[g][a] for a in data_E.span_ids]
+    w = [data_E.gram_det * c for c in C.generators[g]]
+    for adj_row, a in zip(data_E.gram_adj, data_E.span_basis):
+        xi = int_dot(adj_row, at_g)
+        w = [u - xi * v for u, v in zip(w, a)]
+    return w
+
+
+def table_orientation(data_E: FaceConeData, data_F: FaceConeData, g: int, gram) -> int:
+    """sign det([g | A_E]^T A_F) for a lifted vertex g of F outside E: one
+    k x k Bareiss determinant of entries of the Gram table ``gram``."""
+    f_ids = data_F.span_ids
+    det = bareiss_det([[gram[a][b] for b in f_ids] for a in (g,) + data_E.span_ids])
     return (det > 0) - (det < 0)
 
 

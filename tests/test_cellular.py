@@ -132,8 +132,9 @@ def test_per_face_work_once_per_run(monkeypatch):
     # each face's bordered Gram pass (span basis, det G, adj G) and dual
     # rank echelon run once, and the Gram and slack tables once per
     # ConeSystem; the per-pair steps only read them: no echelon or Gram pass
-    # runs inside a pair, edge_ray takes one determinant,
-    # the cross-check takes none and the incidence sign neither, and no
+    # runs inside a pair, edge_ray takes one sign minor on the pairs where
+    # E's basis has ids outside F's and no determinant on the others, the
+    # cross-check takes none and the incidence sign neither, and no
     # cofactor kernel is solved while the complex is built
     poly = hypercube(4)
     active = []  # the wrapped per-pair functions now running
@@ -199,8 +200,13 @@ def test_per_face_work_once_per_run(monkeypatch):
     assert Counter(caller for caller, _ in echelons) == {"lift": 1, "first_independent": len(faces)}
     assert not any(set(pair) - {"build_complex"} for _, pair in echelons + grams)
     assert not any("edge_ray_crosscheck" in pair or "incidence_sign" in pair for pair in dets)
-    # the orientation: one k x k determinant per covering pair, 232 here
-    assert sum("edge_ray" in pair for pair in dets) == len(result.lattice.covering) == 232
+    # the orientation: one sign minor per covering pair with m > 0, 76 of
+    # the 232 here, m the number of E's span ids outside F's
+    system = ConeSystem(lift(poly), result.lattice)
+    minors = sum(bool(set(system.face_data(e).span_ids) - set(system.face_data(f).span_ids))
+                 for f, lower in enumerate(result.lattice.down) for e in lower)
+    assert sum("edge_ray" in pair for pair in dets) == minors == 76
+    assert len(result.lattice.covering) == 232
     assert not any("build_complex" in pair for pair in kernels)
 
 

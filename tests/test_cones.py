@@ -10,7 +10,7 @@ from itertools import combinations
 from math import lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyk.cones as cones
@@ -49,6 +49,8 @@ from oracles import (
     positive_multiple_ratio,
     solve_in_span,
     span_basis_of_face,
+    table_orientation,
+    vertex_projection,
 )
 
 
@@ -507,12 +509,70 @@ def test_edge_ray_rejects_negative_slack():
 
 
 def test_edge_ray_zero_sign_names_pair(monkeypatch):
+    # the pair's E has one span id outside F's basis (m = 1), so its sign
+    # takes a minor, which the patched determinant makes zero
     monkeypatch.setattr(cones, "bareiss_det", lambda rows: 0)
     lat, _ = faces_of(hypercube(2))
+    system = ConeSystem(lift(hypercube(2)), lat)
     e, f = lat.covering[-1]
+    i, j = lat.face_id[e], lat.face_id[f]
+    assert len(set(system.face_data(i).span_ids) - set(system.face_data(j).span_ids)) == 1
     with pytest.raises(InternalInvariantError) as err:
-        ConeSystem(lift(hypercube(2)), lat).ray(lat.face_id[e], lat.face_id[f])
+        system.ray(i, j)
     assert str(err.value) == f"incidence sign of ({e}, {f}) is zero"
+
+
+def test_edge_ray_without_span_id_outside_e_names_pair():
+    # hand-built face data: a "face" E holding every vertex of the triangle
+    # with the data of the edge {0,1}, under the top; no span id of F lies
+    # outside E, so there is no vertex to project (and no StopIteration)
+    lat, by_set = faces_of(simplex(2))
+    system = ConeSystem(lift(simplex(2)), lat)
+    edge, top = by_set[(0, 1)], by_set[(0, 1, 2)]
+    e = Face(vertex_set=(0, 1, 2), dim=1)
+    with pytest.raises(InternalInvariantError) as err:
+        edge_ray(system.cone, e, top, system.face_data(lat.face_id[edge]),
+                 system.face_data(lat.face_id[top]), gram=system.gram, slack=system.slack)
+    assert str(err.value) == f"edge ray of ({e}, {top}): every span id of {top} lies in {e}"
+
+
+def assert_orientation_identity(poly):
+    """On every covering pair: the orientation, a permutation sign of F's
+    basis coordinates times the sign of a minor when m > 0, is the k x k
+    table determinant's sign; and every lifted vertex g of F outside E
+    projects to a positive multiple of the ray (<w, g> > 0), with that
+    sign.  Returns the number of pairs with m > 0."""
+    lat = face_lattice(poly)
+    system = ConeSystem(lift(poly), lat)
+    gens, minors = system.cone.generators, 0
+    for e, f in lat.covering:
+        i, j = lat.face_id[e], lat.face_id[f]
+        data_e, data_f = system.face_data(i), system.face_data(j)
+        ray = system.ray(i, j)
+        minors += bool(set(data_e.span_ids) - set(data_f.span_ids))
+        for g in f.vertex_set:
+            if g in e.vertex_set:
+                continue
+            w = vertex_projection(system.cone, data_e, g, system.gram)
+            assert primitive_vector(w) == ray.direction, (poly.name, e, f, g)
+            assert int_dot(w, gens[g]) > 0, (poly.name, e, f, g)
+            assert table_orientation(data_e, data_f, g, system.gram) == ray.orientation, \
+                (poly.name, e, f, g)
+    return minors
+
+
+@pytest.mark.parametrize("poly", [hypercube(6), cross_polytope(6),
+                                  random_hull(random.Random(3), 5, 16)],
+                         ids=["cube6", "cross6", "hull5"])
+def test_orientation_is_the_table_determinant_sign(poly):
+    # some pairs of each take a minor, so both branches are met
+    assert assert_orientation_identity(poly) > 0
+
+
+@settings(max_examples=20)
+@given(st.integers(0, 2 ** 32), st.integers(2, 4), st.integers(0, 4))
+def test_orientation_identity_on_random_hulls(seed, d, extra):
+    assert_orientation_identity(random_hull(random.Random(seed), d, d + 2 + extra))
 
 
 def test_projection_identities_on_tables(small_corpus):

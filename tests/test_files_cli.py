@@ -1,6 +1,7 @@
 """Input parsing, the CLI contract (exit codes 0/1/2/3), JSON determinism
 against checked-in goldens, and machine-readable round-trips."""
 
+import importlib.util
 import json
 import os
 import sys
@@ -44,6 +45,17 @@ def test_parse_rejects_floats():
 def test_parse_rejects_malformed_rational():
     with pytest.raises(InputError, match="malformed rational"):
         parse_polytope_text('{"name": "t", "dim": 1, "vertices": [["1//2"], [1]]}')
+
+
+@pytest.mark.parametrize("value", ["0\n", "1/2\n", "\u0663", "1/\u0662", " 1", "+1"],
+                         ids=["trailing-newline", "fraction-newline", "arabic-indic-digit",
+                              "arabic-indic-denominator", "leading-space", "plus-sign"])
+def test_parse_rejects_rational_that_is_not_ascii_digits_only(value):
+    # the whole string must be ASCII digits, one optional minus and one
+    # optional "/q"; a trailing newline or a non-ASCII digit is malformed
+    text = json.dumps({"name": "t", "dim": 1, "vertices": [[value], [1]]})
+    with pytest.raises(InputError, match="malformed rational"):
+        parse_polytope_text(text)
 
 
 def test_parse_rejects_missing_fields():
@@ -232,6 +244,26 @@ def test_json_reports_match_goldens(name, capsys):
     out = run_json_report(name, capsys)
     golden = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert out == golden
+
+
+def test_make_goldens_check_names_differing_files(tmp_path, monkeypatch, capsys):
+    # --check compares fresh reports with the goldens and writes nothing:
+    # exit 0 on a byte-identical copy, 1 naming each file that differs
+    spec = importlib.util.spec_from_file_location("make_goldens",
+                                                  REPO / "scripts" / "make_goldens.py")
+    make_goldens = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_goldens)
+    for name in GOLDEN_CASES:
+        (tmp_path / f"{name}.json").write_bytes((GOLDEN / f"{name}.json").read_bytes())
+    monkeypatch.setattr(make_goldens, "GOLDEN_DIR", tmp_path)
+    assert make_goldens.check() == 0
+    assert capsys.readouterr().out == "all 4 goldens match\n"
+    (tmp_path / "square.json").write_text("{}\n", encoding="utf-8")
+    (tmp_path / "cube.json").unlink()
+    assert make_goldens.check() == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"differs: {tmp_path / 'square.json'}", f"differs: {tmp_path / 'cube.json'}"]
+    assert (tmp_path / "square.json").read_text(encoding="utf-8") == "{}\n"
 
 
 def test_json_report_roundtrips_group_descriptors(capsys, pipelines):

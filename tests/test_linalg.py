@@ -18,6 +18,7 @@ from polyk.linalg import (
     int_dot,
     int_identity,
     int_mat_mul,
+    permutation_sign,
     primitive_vector,
     rank,
     smith_normal_form,
@@ -203,6 +204,14 @@ def test_primitive_vector_scales():
 @given(st.lists(st.lists(st.integers(-7, 7), min_size=3, max_size=3), min_size=3, max_size=3))
 def test_bareiss_matches_leibniz(rows):
     assert bareiss_det(rows) == leibniz_det(rows)
+
+
+@given(st.integers(0, 7).flatmap(lambda n: st.permutations(range(n))))
+def test_permutation_sign_is_leibniz_det_of_permutation_matrix(perm):
+    # column i of the matrix is the unit vector at row perm[i]
+    n = len(perm)
+    rows = [[int(perm[j] == i) for j in range(n)] for i in range(n)]
+    assert permutation_sign(perm) == leibniz_det(rows)
 
 
 @given(st.integers(2, 4).flatmap(lambda n: st.lists(
