@@ -329,8 +329,10 @@ def test_face_data_holds_per_face_work(small_corpus):
             assert data.gram == tuple(map(tuple, gram))
             assert data.gram_det == bareiss_det(gram) > 0
             verts = [system.cone.generators[i] for i in f.vertex_set]
-            assert data.dual_face_gens == tuple(
-                y for y in system.cone.facet_normals if all(int_dot(y, g) == 0 for g in verts))
+            assert data.dual_ids == tuple(k for k, y in enumerate(system.cone.facet_normals)
+                                          if all(int_dot(y, g) == 0 for g in verts))
+            assert data.dual_face_gens == tuple(system.cone.facet_normals[k]
+                                                for k in data.dual_ids)
 
 
 @pytest.fixture(scope="module")
