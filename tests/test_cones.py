@@ -602,7 +602,7 @@ def test_projection_identities_on_tables(small_corpus):
 
 
 def test_edge_ray_matches_kernel_oracle(small_corpus):
-    # the projected ray and its one-determinant orientation equal the
+    # the projected ray and its coordinate-sign orientation equal the
     # kernel vector A_F kappa, signed on g, and its sign sigma on every
     # covering pair; the random hull has rational vertices
     polys = list(small_corpus) + [hypercube(5), cross_polytope(5),
