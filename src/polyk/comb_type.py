@@ -6,7 +6,8 @@ covering relation of the face lattice; transitive closure then recovers the
 whole order, so the unsigned complex determines the combinatorial type.  The
 reconstruction is checked against the lattice axioms on int bitmasks, and
 every check enumerates only the pairs a cover can reach: the diamond
-property on each element's two-step up-set, and meets, kept as bitset
+property by counting the paths of two covers from each element in three
+bit planes, and meets, kept as bitset
 down-sets, on pairs of lower covers of a common element, which suffices
 by the dual of a lemma of Bjorner, Edelman and Ziegler.
 Isomorphism testing is backtracking in id order, rank by rank, on the
@@ -54,6 +55,7 @@ class AbstractLattice(GradedIds):
     Elements, its abstract faces, are (rank, index) pairs with rank from -1
     (bottom) to dim (top), numbered level by level (``GradedIds``): (rank, i)
     has the id ``level_start[rank + 1] + i`` and is ``faces_by_id`` there.
+    A pair listed twice in ``covering`` is one cover.
     """
 
     dim: int
@@ -65,13 +67,15 @@ class AbstractLattice(GradedIds):
         self._number(tuple((r, i) for r in range(-1, self.dim + 1)
                            for i in range(self.f_vector[r + 1])),
                      start, ((start[ra + 1] + a, start[rb + 1] + b)
-                             for (ra, a), (rb, b) in self.covering))
+                             for (ra, a), (rb, b) in dict.fromkeys(self.covering)))
 
 
 def lattice_from_incidence(U: UnsignedIncidence) -> AbstractLattice:
     """Rebuild the abstract face lattice from unsigned boundary matrices.
 
-    The support of the matrices is taken as the covering relation; the
+    The support of the matrices is taken as the covering relation, read row
+    by row with the list methods ``count`` and ``index`` (a row whose 0s
+    and 1s do not fill it holds a bad entry, named first in row order); the
     result is checked against the lattice axioms of a polytope face lattice
     (bounded, graded, diamond property, meets exist; see
     ``_verify_abstract_lattice``) and any failure means the incidence data
@@ -89,11 +93,14 @@ def lattice_from_incidence(U: UnsignedIncidence) -> AbstractLattice:
     covering = []
     for j, m in enumerate(mats):
         for r, row in enumerate(m):
-            for c, x in enumerate(row):
-                if x not in (0, 1):
-                    raise InternalInvariantError(f"unsigned incidence entry {x} not in {{0, 1}}")
-                if x == 1:
-                    covering.append(((j - 1, r), (j, c)))
+            ones = row.count(1)
+            if row.count(0) + ones != len(row):
+                x = next(x for x in row if x not in (0, 1))
+                raise InternalInvariantError(f"unsigned incidence entry {x} not in {{0, 1}}")
+            c = -1
+            for _ in range(ones):
+                c = row.index(1, c + 1)
+                covering.append(((j - 1, r), (j, c)))
     lat = AbstractLattice(dim=dim, f_vector=tuple(f_vector), covering=tuple(covering))
     _verify_abstract_lattice(lat)
     return lat
@@ -102,20 +109,23 @@ def lattice_from_incidence(U: UnsignedIncidence) -> AbstractLattice:
 def _verify_abstract_lattice(lat: AbstractLattice) -> None:
     """The lattice axioms of a polytope face lattice, on int bitmasks.
 
-    Elements are numbered in rank order, the bottom first; ``up[i]`` and
-    ``down[i]`` are the bitmasks of element i's upper and lower covers
-    (``cover_masks``), and ``ds[i]``, ``1 << i`` OR'd with the ``ds`` of
-    i's lower covers (lower ids, so computed first), is its down-set.
+    Elements are numbered in rank order, the bottom first (``GradedIds``).
     Checked in turn:
 
     - bounded: one element of rank -1 and one of rank dim;
     - graded: every element below the top has an upper cover and every
       element above the bottom a lower cover;
-    - diamond: the elements between ``low`` and ``high`` two ranks apart are
-      the set bits of ``up[low] & down[high]``, and there are none or two.
-      There are some only for the ``high`` in low's two-step up-set, the
-      union of ``up[m]`` over the upper covers m of ``low``, so exactly
-      those are tested, and they must have two;
+    - diamond: the elements between ``low`` and ``high`` two ranks apart
+      are those that cover ``low`` and are covered by ``high``, and there
+      are none or two.  Their number is the number of paths of two covers,
+      ``mids(low, high) = #{m in up(low) : high in up(m)}``, which is
+      ``popcount(up[low] & down[high])`` on id masks of covers.
+      ``two_step_paths`` gives it for every ``high`` of rank + 2 at once, as
+      the bit planes ``once``, ``twice`` and ``thrice`` (at least one, two,
+      three paths), so the pairs that fail are the set bits of
+      ``once & (thrice | ~twice)``: some paths, but not exactly two.  The
+      lowest set bit names the first failing pair in id order, and only
+      that pair's mids is counted again, for the message;
     - meets (``_verify_meets``): every two lower covers of a common element
       have a meet.
 
@@ -137,35 +147,29 @@ def _verify_abstract_lattice(lat: AbstractLattice) -> None:
         raise InternalInvariantError(
             f"reconstructed poset is not bounded: f-vector {lat.f_vector}")
     elements = lat.faces_by_id
-    up, down = lat.cover_masks()
     for i in range(lat.level_start[-2]):  # below the top
-        if not up[i]:
+        if not lat.up[i]:
             raise InternalInvariantError(f"element {elements[i]} has no upper cover: not graded")
     for i in range(lat.level_start[1], len(elements)):  # above the bottom
-        if not down[i]:
+        if not lat.down[i]:
             raise InternalInvariantError(f"element {elements[i]} has no lower cover: not graded")
     for rank in range(-1, lat.dim - 1):
-        highs = lat.ids(rank + 2)
-        level_mask = (1 << highs.stop) - (1 << highs.start)
-        for low in lat.ids(rank):
-            ups = up[low]
-            reach = reduce(or_, (up[m] for m in lat.up[low]), 0) & level_mask
-            while reach:
-                bit = reach & -reach
-                reach ^= bit
-                high = bit.bit_length() - 1
-                mids = (ups & down[high]).bit_count()
-                if mids != 2:
-                    raise InternalInvariantError(
-                        f"diamond property fails between {elements[low]} and "
-                        f"{elements[high]}: {mids} mids")
+        start = lat.level_start[rank + 3]
+        for low, once, twice, thrice in lat.two_step_paths(rank):
+            bad = once & (thrice | ~twice)
+            if bad:
+                high = start + (bad & -bad).bit_length() - 1
+                raise InternalInvariantError(
+                    f"diamond property fails between {elements[low]} and "
+                    f"{elements[high]}: {lat.mids(low, high)} mids")
     _verify_meets(lat)
 
 
 def _verify_meets(lat: AbstractLattice) -> None:
     """Every two lower covers of a common element have a meet.
 
-    For elements a and b, ``c = ds[a] & ds[b]`` is a down-set, and the meet
+    ``ds[i]``, ``1 << i`` OR'd with the ``ds`` of i's lower covers (lower
+    ids, so computed first), is element i's down-set.  For elements a and b, ``c = ds[a] & ds[b]`` is a down-set, and the meet
     of a and b exists iff c has a unique maximal element.  Covers go up in
     id (``lattice_from_incidence`` reads them off consecutive matrices), so
     the highest-numbered element x of c is maximal in c.  Hence the meet

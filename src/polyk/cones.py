@@ -83,7 +83,7 @@ from .linalg import (
     primitive_vector,
     qvec,
 )
-from .polytope import Face, FaceLattice, Polytope
+from .polytope import Face, FaceLattice, Polytope, set_bits
 
 IntBasis = tuple[IntVector, ...]  # the columns of an integer matrix
 
@@ -275,17 +275,6 @@ def vertex_facet_masks(slack: IntMatrix) -> tuple[int, ...]:
     return tuple(sum(1 << k for k, s in enumerate(row) if s == 0) for row in slack)
 
 
-def _set_bits(mask: int) -> tuple[int, ...]:
-    """The indices of the set bits of a nonnegative mask, in increasing
-    order, one step per set bit (lowest first)."""
-    bits = []
-    while mask:
-        low = mask & -mask
-        bits.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(bits)
-
-
 def face_cone_data(C: LiftedCone, F: Face, vertex_masks: tuple[int, ...],
                    gram: IntMatrix) -> FaceConeData:
     """The per-face data of F, with its span basis, Gram matrix, det G and
@@ -303,7 +292,7 @@ def face_cone_data(C: LiftedCone, F: Face, vertex_masks: tuple[int, ...],
     n = C.dim
     span_ids, gram_det, gram_adj = bordered_gram_basis(F, gram)
     dual = reduce(and_, (vertex_masks[i] for i in F.vertex_set), (1 << len(C.facet_normals)) - 1)
-    dual_ids = _set_bits(dual)
+    dual_ids = set_bits(dual)
     dual_gens = tuple(C.facet_normals[k] for k in dual_ids)
     expected = n - (F.dim + 1)
     got = len(first_independent(dual_gens, expected)[0])

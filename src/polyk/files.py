@@ -3,12 +3,17 @@
 Top-level fields: ``name`` (string), ``dim`` (integer), ``vertices`` (array
 of arrays).  Coordinates are integers or strings "p/q" with q > 0; float
 literals are rejected outright so no inexact value can enter the pipeline.
+An integer with more digits than the interpreter converts
+(``sys.get_int_max_str_digits``), as a JSON number or in a "p/q" string, and
+a document nested deeper than the JSON parser's recursion allows are input
+errors that name the file and the limit.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -31,6 +36,16 @@ def _reject_float(token: str) -> None:
     raise InputError(f"floating-point literal {token!r} not accepted; use integers or \"p/q\"")
 
 
+def _parse_int(digits: str, where: str) -> int:
+    """``int(digits)`` for an ASCII integer literal, with an optional minus."""
+    limit = sys.get_int_max_str_digits()
+    count = len(digits) - digits.startswith("-")
+    if limit and count > limit:
+        raise InputError(f"{where}: integer with {count} digits exceeds the limit "
+                         f"of {limit} digits")
+    return int(digits)
+
+
 def _parse_coordinate(value, where: str) -> Fraction:
     if isinstance(value, bool):
         raise InputError(f"{where}: boolean is not a coordinate")
@@ -40,20 +55,24 @@ def _parse_coordinate(value, where: str) -> Fraction:
         if not _RATIONAL_RE.fullmatch(value):
             raise InputError(f"{where}: malformed rational {value!r}")
         if "/" in value:
-            p, q = value.split("/")
-            if int(q) == 0:
+            p, q = (_parse_int(x, where) for x in value.split("/"))
+            if q == 0:
                 raise InputError(f"{where}: zero denominator in {value!r}")
-            return Fraction(int(p), int(q))
-        return Fraction(int(value))
+            return Fraction(p, q)
+        return Fraction(_parse_int(value, where))
     raise InputError(f"{where}: coordinate must be an integer or \"p/q\" string, "
                      f"got {type(value).__name__}")
 
 
 def parse_polytope_text(text: str, source: str = "<string>") -> PolytopeFile:
     try:
-        doc = json.loads(text, parse_float=_reject_float)
+        doc = json.loads(text, parse_float=_reject_float,
+                         parse_int=lambda digits: _parse_int(digits, source))
     except json.JSONDecodeError as exc:
         raise InputError(f"{source}: not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{source}: nested too deeply to parse (the JSON parser stops at "
+                         f"the recursion limit, {sys.getrecursionlimit()})") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{source}: top level must be an object")
     for key in ("name", "dim", "vertices"):

@@ -4,12 +4,14 @@ A polytope is the convex hull of finitely many rational points that must all
 be vertices of the hull, with the hull full-dimensional in its ambient space.
 Faces are represented by their vertex index sets; the lattice always contains
 the empty face (dimension -1) and the polytope itself.  It is built from the
-vertex-facet incidences on int bitmasks, level by level from the empty face,
-taking each face's upper covers from the closure step; a face's dimension is
-its level minus one.  The faces are numbered once, in that order, and every
-later stage reads their covers by id.  The intersection closure of the facet
-vertex sets with one rational rank per face, which it replaced, is the
-tests' oracle.
+vertex-facet incidences on int bitmasks, level by level, taking each face's
+upper covers from the closure step, which runs from the smaller side of the
+incidence: from the empty face with the vertices as atoms, or from the
+polytope with the facets as atoms; a face's dimension is its level minus
+one.  The faces are numbered once, level by level in vertex-set order,
+straight into the id covers every later stage reads.  The intersection
+closure of the facet vertex sets with one rational rank per face, and the
+closure over the vertices alone, are the tests' oracles.
 
 Facets come from the double description method on the homogenized integer
 points, inserted one at a time, with combinatorial adjacency on bitmask zero
@@ -23,11 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate, chain
 from math import lcm
-from operator import and_, or_
-from typing import Iterable, Sequence
+from operator import and_
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, InternalInvariantError
 from .linalg import (
@@ -87,7 +89,7 @@ class GradedIds:
     """Elements numbered level by level from the bottom, rank r taking the
     ids ``ids(r)`` from ``level_start[r + 1]``: element i is
     ``faces_by_id[i]``, and ``down[i]`` and ``up[i]`` are the ids of its
-    lower and upper covers, in covering order."""
+    lower and upper covers, each listed once, in covering order."""
 
     faces_by_id: tuple
     level_start: tuple[int, ...]
@@ -109,10 +111,42 @@ class GradedIds:
     def ids(self, rank: int) -> range:
         return range(self.level_start[rank + 1], self.level_start[rank + 2])
 
-    def cover_masks(self) -> tuple[list[int], list[int]]:
-        """The upper and the lower covers of each element as id bitmasks."""
-        return tuple([reduce(or_, (1 << i for i in c), 0) for c in covers]
-                     for covers in (self.up, self.down))
+    def two_step_paths(self, rank: int) -> Iterator[tuple[int, int, int, int]]:
+        """For each element ``low`` of the rank, ``(low, once, twice,
+        thrice)``: bit b of ``once`` (``twice``, ``thrice``) is set iff at
+        least one (two, three) of low's upper covers are covered by the
+        element ``ids(rank + 2)[b]``.
+
+        So for ``high`` two ranks up, bit b, the number of paths of two
+        covers from ``low`` to ``high`` is
+        ``mids(low, high) = #{m in up(low) : high in up(m)}``, the number of
+        elements between them, and it is 0, 1, 2 or at least 3 as b is set
+        in none of the planes, in ``once`` only, in ``twice`` but not in
+        ``thrice``, or in ``thrice``.  The planes fold, per upper cover m of
+        ``low``, the mask U of m's upper covers in ``ids(rank + 2)``:
+        ``thrice |= twice & U``, ``twice |= once & U``, ``once |= U``.  The
+        masks are level-local (bit b for ``ids(rank + 2)[b]``), and each U is
+        made once per m.
+        """
+        highs = self.ids(rank + 2)
+        start, stop = highs.start, highs.stop
+        up = self.up
+        local: dict[int, int] = {}  # m -> U
+        for low in self.ids(rank):
+            once = twice = thrice = 0
+            for m in up[low]:
+                u = local.get(m)
+                if u is None:
+                    u = local[m] = sum(1 << (h - start) for h in up[m] if start <= h < stop)
+                thrice |= twice & u
+                twice |= once & u
+                once |= u
+            yield low, once, twice, thrice
+
+    def mids(self, low: int, high: int) -> int:
+        """The number of elements that cover ``low`` and are covered by
+        ``high``."""
+        return len(set(self.up[low]).intersection(self.down[high]))
 
 
 @dataclass(frozen=True)
@@ -122,21 +156,37 @@ class FaceLattice(GradedIds):
     ``faces_by_dim[k]`` holds the faces of dimension ``k - 1`` (so index 0 is
     the empty face and index dim+1 the whole polytope), each level ordered
     lexicographically by vertex set.  The faces are numbered once, in that
-    order (``GradedIds``): face i is ``faces_by_id[i]``, and ``face_id``
-    gives the id of a ``Face``.
+    order (``GradedIds``): face i is ``faces_by_id[i]``, and ``down[i]``
+    holds the ids of its lower covers (ascending, as ``face_lattice`` fills
+    it); ``up`` is read off ``down``, each ascending.  ``covering`` (the pairs of faces (E, F), E covered by F,
+    ordered by the id of F, then of E) and ``face_id`` (the id of a
+    ``Face``) are views made from the ids on first use.
     """
 
     dim: int
     faces_by_dim: tuple[tuple[Face, ...], ...]
-    covering: tuple[tuple[Face, Face], ...]
-    f_vector: tuple[int, ...]
-    face_id: dict[Face, int] = field(init=False, repr=False, compare=False)
+    down: tuple[tuple[int, ...], ...]
+    f_vector: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        faces = tuple(chain.from_iterable(self.faces_by_dim))
-        object.__setattr__(self, "face_id", {f: i for i, f in enumerate(faces)})
-        self._number(faces, tuple(accumulate(map(len, self.faces_by_dim), initial=0)),
-                     ((self.face_id[e], self.face_id[f]) for e, f in self.covering))
+        f_vector = tuple(map(len, self.faces_by_dim))
+        up: list[list[int]] = [[] for _ in self.down]
+        for f, below in enumerate(self.down):
+            for e in below:
+                up[e].append(f)
+        object.__setattr__(self, "f_vector", f_vector)
+        object.__setattr__(self, "faces_by_id", tuple(chain.from_iterable(self.faces_by_dim)))
+        object.__setattr__(self, "level_start", tuple(accumulate(f_vector, initial=0)))
+        object.__setattr__(self, "up", tuple(map(tuple, up)))
+
+    @cached_property
+    def covering(self) -> tuple[tuple[Face, Face], ...]:
+        faces = self.faces_by_id
+        return tuple((faces[e], faces[f]) for f, below in enumerate(self.down) for e in below)
+
+    @cached_property
+    def face_id(self) -> dict[Face, int]:
+        return {f: i for i, f in enumerate(self.faces_by_id)}
 
     def faces(self, j: int) -> tuple[Face, ...]:
         """Faces of dimension j, for -1 <= j <= dim."""
@@ -154,6 +204,17 @@ class FaceLattice(GradedIds):
 
     def lower_covers(self, f: Face) -> tuple[Face, ...]:
         return tuple(self.faces_by_id[e] for e in self.down[self.face_id[f]])
+
+
+def set_bits(mask: int) -> tuple[int, ...]:
+    """The indices of the set bits of a nonnegative mask, in increasing
+    order, one step per set bit (lowest first)."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(bits)
 
 
 def affine_dim(points: Sequence[Sequence]) -> int:
@@ -310,97 +371,142 @@ def facets(P: Polytope) -> tuple[Facet, ...]:
     return P.facets
 
 
+def _closure(coatoms_of: Sequence[int], ncoatoms: int, d: int
+             ) -> tuple[list[list[tuple[int, int]]], list[list[tuple[int, int]]]]:
+    """Levels 0 to d + 1 of the face lattice of a d-polytope, or of its
+    order dual, from an (atoms, coatom masks) incidence, with the covers
+    between consecutive levels (Kaibel & Pfetsch 2002, "Computing the face
+    lattice of a polytope from its vertex-facet incidences").
+
+    An element is an atom mask with its coatom mask, the coatoms above it;
+    ``coatoms_of[a]`` is the coatom mask of atom a.  The smallest element
+    above an element F and an atom a outside it has the coatom mask
+    ``coatoms(F) & coatoms_of[a]``, and its atoms are the a' whose coatom
+    mask contains that mask (all of them when it is empty: the top).  That
+    mask is exactly the coatom mask of the closure, so it names the element.
+    Every upper cover of F is such a closure, and a closure H is an upper
+    cover iff every atom of H outside F gives H, that is, iff the number of
+    atoms outside F that give H is the number of atoms of H outside F: an
+    atom of H outside F whose closure with F is smaller than H shows an
+    element strictly between F and H.  Starting from the bottom (no atoms,
+    every coatom), the upper covers of level k are level k + 1.
+
+    ``levels[k]`` lists the (atom mask, coatom mask) of the elements of
+    level k in the order found, and ``covers[k]`` the pairs (i, j), element
+    i of level k covered by element j of level k + 1.  Each element takes
+    one step per atom outside it, and each new closure one per atom, so the
+    work grows with the number of atoms.
+    """
+    atoms = [(1 << a, c) for a, c in enumerate(coatoms_of)]
+    levels = [[(0, (1 << ncoatoms) - 1)]]
+    covers = []
+    closure: dict[int, int] = {}  # coatom mask -> atom mask; each is an element
+    for k in range(d + 1):
+        found: dict[int, int] = {}  # coatom mask -> position in level k + 1
+        level: list[tuple[int, int]] = []
+        pairs = []
+        for i, (fa, fc) in enumerate(levels[k]):
+            counts: dict[int, int] = {}
+            for bit, c in atoms:
+                if not fa & bit:
+                    hc = fc & c
+                    counts[hc] = counts.get(hc, 0) + 1
+            for hc, count in counts.items():
+                ha = closure.get(hc)
+                if ha is None:
+                    ha = closure[hc] = sum(bit for bit, c in atoms if c & hc == hc)
+                if (ha & ~fa).bit_count() == count:
+                    j = found.get(hc)
+                    if j is None:
+                        j = found[hc] = len(level)
+                        level.append((ha, hc))
+                    pairs.append((i, j))
+        levels.append(level)
+        covers.append(pairs)
+    return levels, covers
+
+
 def face_lattice(P: Polytope) -> FaceLattice:
     """The full face lattice, from the empty face up to the polytope.
 
-    Built level by level from the vertex-facet incidences, in int bitmasks
-    only (Kaibel & Pfetsch 2002, "Computing the face lattice of a polytope
-    from its vertex-facet incidences").  A face is a vertex mask with its
-    facet mask, the facets that contain it; ``vfac[v]`` is the facet mask of
-    vertex v.  The smallest face containing a face F and a vertex v has the
-    facet mask ``facets(F) & vfac[v]``, and its vertices are the w whose
-    ``vfac[w]`` contains that mask (all of them when the mask is empty: the
-    polytope).  That mask is exactly the facet mask of the closure, so it
-    names the face.  Every upper cover of F is such a closure, and a closure
-    H is an upper cover iff every vertex of H outside F gives H, that is, iff
-    the number of vertices v outside F that give H is the number of vertices
-    of H outside F: a vertex of H outside F whose closure with F is smaller
-    than H shows a face strictly between F and H.  Starting from the empty
-    face (no vertices, every facet), the upper covers of level k are level
-    k + 1, and the closure step yields the covering pairs.
-
-    The face lattice of a polytope is graded by dim + 1 (Ziegler, "Lectures
-    on Polytopes", Thm 2.7), so a face at level k has dimension k - 1.  A
-    face found at two levels, or any level d + 1 other than the polytope
-    alone, is an internal error.  Levels are ordered by vertex set and the
-    covering pairs by the level and position of F, then the position of E.
-    Gradedness and the diamond property are verified before returning.
+    Built level by level from the vertex-facet incidences by the closure
+    step of ``_closure``, run from the smaller side of the incidence: with
+    the n vertices as atoms and the m facets as coatoms when n <= m, and
+    otherwise with the facets as atoms, on the order dual.  The face lattice
+    of P is graded by dim + 1 (Ziegler, "Lectures on Polytopes", Thm 2.7),
+    so a face at level k has dimension k - 1.  The order dual, the lattice
+    of the polar polytope (Ziegler, section 2.3), has the same elements with
+    the levels reversed and the covers flipped, and there a face's coatom
+    mask is its vertex mask.  The point has no facets and stays on the
+    vertex side.
     """
-    d = P.ambient_dim
-    n = P.nvertices
-    facet_list = facets(P)
-    vfac = [0] * n
-    for j, fc in enumerate(facet_list):
-        for v in fc.vertex_set:
-            vfac[v] |= 1 << j
-
-    def vertex_set(mask: int) -> tuple[int, ...]:
-        return tuple(v for v in range(n) if mask >> v & 1)
-
-    level_of = {0: 0}  # vertex mask -> level
-    # per level: (vertex mask, facet mask) of each face, from the empty face
-    levels: list[list[tuple[int, int]]] = [[(0, (1 << len(facet_list)) - 1)]]
-    lower: list[list[tuple[int, int]]] = [[]]  # per level: (E, F) vertex masks
-    closure: dict[int, int] = {}  # facet mask -> vertex mask; each is a face
-    for k in range(d + 1):
-        found: dict[int, int] = {}  # facet mask -> vertex mask, of level k + 1
-        pairs = []
-        for fv, ff in levels[k]:
-            counts: dict[int, int] = {}
-            for v in range(n):
-                if not fv >> v & 1:
-                    hf = ff & vfac[v]
-                    counts[hf] = counts.get(hf, 0) + 1
-            for hf, count in counts.items():
-                hv = closure.get(hf)
-                if hv is None:
-                    hv = closure[hf] = sum(1 << w for w in range(n) if vfac[w] & hf == hf)
-                if (hv & ~fv).bit_count() == count:
-                    found[hf] = hv
-                    pairs.append((fv, hv))
-        for hv in found.values():
-            if hv in level_of:
-                raise InternalInvariantError(
-                    f"face {Face(vertex_set(hv), k)} found at levels {level_of[hv]} and {k + 1}")
-            level_of[hv] = k + 1
-        levels.append([(hv, hf) for hf, hv in found.items()])
-        lower.append(pairs)
-    full = (1 << n) - 1
-    if [hv for hv, _ in levels[d + 1]] != [full]:
-        top = ", ".join(str(Face(vertex_set(hv), d)) for hv, _ in levels[d + 1])
-        raise InternalInvariantError(
-            f"level {d + 1} of the face lattice must hold the polytope "
-            f"{Face(vertex_set(full), d)} alone, found [{top}]")
-
-    faces_by_dim = []
-    position: dict[int, int] = {}  # vertex mask -> position in its level
-    for k, level in enumerate(levels):
-        ordered = sorted((vertex_set(hv), hv) for hv, _ in level)
-        position.update((hv, i) for i, (_, hv) in enumerate(ordered))
-        faces_by_dim.append(tuple(Face(vs, k - 1) for vs, _ in ordered))
-    covering = []
-    for k in range(1, d + 2):
-        for fi, ei in sorted((position[hv], position[fv]) for fv, hv in lower[k]):
-            covering.append((faces_by_dim[k - 1][ei], faces_by_dim[k][fi]))
-
-    lattice = FaceLattice(
-        dim=d,
-        faces_by_dim=tuple(faces_by_dim),
-        covering=tuple(covering),
-        f_vector=tuple(len(level) for level in faces_by_dim),
-    )
+    n, m = P.nvertices, len(facets(P))
+    lattice = _face_lattice_from(P, facet_side=0 < m < n)
     verify_lattice(lattice)
     return lattice
+
+
+def _face_lattice_from(P: Polytope, facet_side: bool) -> FaceLattice:
+    """The face lattice by ``_closure`` with the facets as atoms or with
+    the vertices, numbered, unverified.
+
+    A face found at two levels, or any level d + 1 other than the polytope
+    alone or level 0 other than the empty face alone, is an internal error.
+    Each level is ordered by vertex set (read off the set bits of its vertex
+    mask) and numbered in that order (``GradedIds``), and the covers are
+    filled into ``down`` by id, each face's lower covers ascending.  So the
+    covering pairs are ordered by the level and position of F, then the
+    position of E.
+    """
+    d, n = P.ambient_dim, P.nvertices
+    facet_list = facets(P)
+    if facet_side:
+        levels, covers = _closure([sum(1 << v for v in fc.vertex_set) for fc in facet_list],
+                                  n, d)
+        masks = [[c for _, c in level] for level in reversed(levels)]
+        pairs = [[(j, i) for i, j in covers[d - k]] for k in range(d + 1)]
+    else:
+        vfac = [0] * n
+        for j, fc in enumerate(facet_list):
+            for v in fc.vertex_set:
+                vfac[v] |= 1 << j
+        levels, covers = _closure(vfac, len(facet_list), d)
+        masks = [[a for a, _ in level] for level in levels]
+        pairs = covers  # (position in level k, position in level k + 1)
+
+    level_of: dict[int, int] = {}  # vertex mask -> level
+    for k, level in enumerate(masks):
+        for hv in level:
+            if hv in level_of:
+                raise InternalInvariantError(
+                    f"face {Face(set_bits(hv), k - 1)} found at levels {level_of[hv]} and {k}")
+            level_of[hv] = k
+    for k, end, want in ((d + 1, "the polytope", (1 << n) - 1), (0, "the empty face", 0)):
+        if masks[k] != [want]:
+            listed = ", ".join(str(Face(set_bits(hv), k - 1)) for hv in masks[k])
+            raise InternalInvariantError(
+                f"level {k} of the face lattice must hold {end} "
+                f"{Face(set_bits(want), k - 1)} alone, found [{listed}]")
+
+    faces_by_dim = []
+    ids = []  # per level: position found -> face id
+    start = 0
+    for k, level in enumerate(masks):
+        sets = [set_bits(hv) for hv in level]
+        order = sorted(range(len(level)), key=sets.__getitem__)
+        where = [0] * len(level)
+        for i, old in enumerate(order, start):
+            where[old] = i
+        faces_by_dim.append(tuple(Face(sets[old], k - 1) for old in order))
+        ids.append(where)
+        start += len(level)
+    down: list[list[int]] = [[] for _ in range(start)]
+    for k, level_pairs in enumerate(pairs):
+        lower, upper = ids[k], ids[k + 1]
+        for i, j in level_pairs:
+            down[upper[j]].append(lower[i])
+    return FaceLattice(dim=d, faces_by_dim=tuple(faces_by_dim),
+                       down=tuple(tuple(sorted(below)) for below in down))
 
 
 def verify_lattice(L: FaceLattice) -> None:
@@ -411,58 +517,65 @@ def verify_lattice(L: FaceLattice) -> None:
     Each covering pair (low, high) must have low's vertex set strictly inside
     high's: with one vertex bitmask per face, ``lo & hi == lo != hi``.
 
-    ``up[i]`` and ``down[i]`` are the id masks of face i's upper and lower
-    covers (``cover_masks``).  The faces that cover ``low`` and are covered
-    by ``high`` are the set bits of ``up[low] & down[high]``, so for faces
-    low and high two levels apart the number of intermediate faces is its
-    popcount, and the diamond property asks for exactly two whenever low's
-    vertex set lies in high's.
+    The diamond property asks for exactly two faces between ``low`` and
+    ``high`` two levels apart whenever low's vertex set lies in high's.  The
+    faces between them are those that cover ``low`` and are covered by
+    ``high``, so their number is the number of paths of two covers,
+    ``mids(low, high) = #{m in up(low) : high in up(m)}``, which is
+    ``popcount(up[low] & down[high])`` on id masks of covers.
+    ``two_step_paths`` gives it for every ``high`` of the level at once, as
+    the bit planes ``once``, ``twice`` and ``thrice`` (at least one, two,
+    three paths); mids is 2 exactly where ``twice`` is set and ``thrice``
+    is not.  So the pairs that fail are the set bits of
+    ``above & (thrice | ~twice)``, with ``above`` the faces two levels up
+    whose vertex set holds low's.
 
-    The pairs tested are all such pairs, found by an inverted vertex index
-    rather than by trying every face two levels up: ``containing[v]`` is the
-    bitmask of the level-(j + 2) faces whose vertex set holds v, so the
-    faces above ``low`` are the AND of ``containing[v]`` over the vertices
-    of ``low`` (the whole level for the empty face), taken in id order.
-    Containment is read off the vertex sets, not off the covers: a face
-    that holds ``low``'s vertices but that no path of covers reaches from
-    ``low`` fails with 0 intermediate faces.
+    ``above`` comes from an inverted vertex index rather than from trying
+    every face two levels up: ``containing[v]`` is the bitmask of the
+    level-(j + 2) faces whose vertex set holds v, so ``above`` is the AND of
+    ``containing[v]`` over the vertices of ``low`` (the whole level for the
+    empty face).  Containment is read off the vertex sets, not off the
+    covers: a face that holds ``low``'s vertices but that no path of covers
+    reaches from ``low`` fails with 0 intermediate faces.  The lowest set
+    bit of the failure mask names the first failing pair in id order, and
+    only that pair's mids is counted again, for the message.
 
     Any failure is an internal error; valid polytope input cannot produce it.
     """
-    mask = [sum(1 << v for v in f.vertex_set) for f in L.faces_by_id]
+    faces = L.faces_by_id
+    mask = [sum(1 << v for v in f.vertex_set) for f in faces]
     for high, below in enumerate(L.down):
         hi = mask[high]
         for low in below:
             lo = mask[low]
             if lo & hi != lo or lo == hi:
                 raise InternalInvariantError(
-                    f"covering pair ({L.faces_by_id[low]}, {L.faces_by_id[high]}) "
+                    f"covering pair ({faces[low]}, {faces[high]}) "
                     "is not a strict vertex-set containment")
     if L.f_vector[0] != 1 or L.f_vector[-1] != 1:
         raise InternalInvariantError("face lattice must have unique bottom and top")
-    up, down = L.cover_masks()
-    for i, f in enumerate(L.faces_by_id[:L.level_start[-2]]):  # below the top
-        if not up[i]:
+    for i, f in enumerate(faces[:L.level_start[-2]]):  # below the top
+        if not L.up[i]:
             raise InternalInvariantError(f"face {f} of dim {f.dim} has no upper cover")
-    for i, f in enumerate(L.faces_by_id[L.level_start[1]:], L.level_start[1]):  # above the bottom
-        if not down[i]:
+    for i, f in enumerate(faces[L.level_start[1]:], L.level_start[1]):  # above the bottom
+        if not L.down[i]:
             raise InternalInvariantError(f"face {f} of dim {f.dim} has no lower cover")
+    # by the checks above, a chain of upper covers, each a strict containment,
+    # leads from every face to the top, so every vertex id is the top's
+    n = max(L.top_face.vertex_set, default=-1) + 1
     for j in range(-1, L.dim - 1):
         highs = L.ids(j + 2)
-        containing: dict[int, int] = {}
+        containing = [0] * n
         for b, high in enumerate(highs):
-            for v in L.faces_by_id[high].vertex_set:
-                containing[v] = containing.get(v, 0) | 1 << b
-        for low in L.ids(j):
-            ups = up[low]
-            above = reduce(and_, (containing.get(v, 0) for v in L.faces_by_id[low].vertex_set),
-                           (1 << len(highs)) - 1)
-            while above:
-                bit = above & -above
-                above ^= bit
-                high = highs.start + bit.bit_length() - 1
-                mids = (ups & down[high]).bit_count()
-                if mids != 2:
-                    raise InternalInvariantError(
-                        f"diamond property fails between {L.faces_by_id[low]} and "
-                        f"{L.faces_by_id[high]}: {mids} intermediate faces")
+            bit = 1 << b
+            for v in faces[high].vertex_set:
+                containing[v] |= bit
+        level = (1 << len(highs)) - 1
+        for low, _, twice, thrice in L.two_step_paths(j):
+            above = reduce(and_, map(containing.__getitem__, faces[low].vertex_set), level)
+            bad = above & (thrice | ~twice)
+            if bad:
+                high = highs.start + (bad & -bad).bit_length() - 1
+                raise InternalInvariantError(
+                    f"diamond property fails between {faces[low]} and "
+                    f"{faces[high]}: {L.mids(low, high)} intermediate faces")

@@ -76,12 +76,21 @@ switched to vertex-facet incidences: the intersection closure of the facet
 vertex sets, one rational affine dimension per face, and covering pairs by
 subset tests between consecutive dimensions.  Its ``affine_dim`` is the
 library's, which validation still uses; the library's lattice takes no rank.
+The vertex-side oracle ``vertex_closure_face_lattice`` is the Kaibel-Pfetsch
+closure as the library ran it before it ran the closure from the smaller
+side of the incidence: always with the vertices as atoms, one step per
+vertex outside a face and per vertex for each new closure, each face
+numbered by hashing its vertex mask.  ``lattice_from_pairs`` builds a
+``FaceLattice`` from faces and covering pairs of faces, by hashing each
+face to its id, for lattices written by hand; ``cover_masks`` gives the id
+masks of every element's upper and lower covers.
 
 The lattice-check and isomorphism oracles are the all-pairs forms the
 library used before it enumerated only the pairs a cover can reach:
 ``all_pairs_verify_lattice`` tests every two faces two levels apart for
 vertex-set containment, ``all_pairs_verify_abstract_lattice`` counts the
-mids of every pair two ranks apart and ``all_pairs_meets`` tests the meet
+mids of every pair two ranks apart (both as the popcount of the AND of two
+``cover_masks``) and ``all_pairs_meets`` tests the meet
 of every pair of elements, and ``rank_scan_is_isomorphic`` scans a source
 element's whole target rank for candidates.  They raise the library's
 messages and return its results, so the tests compare the two directly.
@@ -545,12 +554,81 @@ def closure_face_lattice(P: Polytope) -> FaceLattice:
                 if set(e.vertex_set) <= fset:
                     covering.append((e, f))
 
-    return FaceLattice(
-        dim=d,
-        faces_by_dim=tuple(tuple(by_dim[j]) for j in range(-1, d + 1)),
-        covering=tuple(covering),
-        f_vector=tuple(len(by_dim[j]) for j in range(-1, d + 1)),
-    )
+    return lattice_from_pairs(d, tuple(tuple(by_dim[j]) for j in range(-1, d + 1)), covering)
+
+
+def lattice_from_pairs(dim: int, faces_by_dim, covering) -> FaceLattice:
+    """The ``FaceLattice`` with these levels whose lower covers are the
+    covering pairs (E, F) of faces, each F's in the order given.  Nothing is
+    verified."""
+    face_id = {f: i for i, f in enumerate(f for level in faces_by_dim for f in level)}
+    down: list[list[int]] = [[] for _ in face_id]
+    for e, f in covering:
+        down[face_id[f]].append(face_id[e])
+    return FaceLattice(dim=dim, faces_by_dim=tuple(map(tuple, faces_by_dim)),
+                       down=tuple(map(tuple, down)))
+
+
+def cover_masks(L) -> tuple[list[int], list[int]]:
+    """The upper and the lower covers of each element as id bitmasks."""
+    return tuple([reduce(or_, (1 << i for i in c), 0) for c in covers]
+                 for covers in (L.up, L.down))
+
+
+def vertex_closure_face_lattice(P: Polytope) -> FaceLattice:
+    """The face lattice by the Kaibel-Pfetsch closure with the vertices as
+    atoms, whatever the sizes of the two sides, numbered by vertex mask.
+
+    A face is a vertex mask with its facet mask; ``vfac[v]`` is the facet
+    mask of vertex v.  The closure of a face F and a vertex v has the facet
+    mask ``facets(F) & vfac[v]``, and its vertices are the w whose
+    ``vfac[w]`` contains that mask.  It covers F iff the number of vertices
+    outside F that give it is the number of its vertices outside F.  Levels
+    are ordered by vertex set and the covering pairs by the level and
+    position of F, then the position of E.  Nothing is verified.
+    """
+    d, n = P.ambient_dim, P.nvertices
+    vfac = [0] * n
+    for j, fc in enumerate(P.facets):
+        for v in fc.vertex_set:
+            vfac[v] |= 1 << j
+
+    def vertex_set(mask: int) -> tuple[int, ...]:
+        return tuple(v for v in range(n) if mask >> v & 1)
+
+    levels: list[list[tuple[int, int]]] = [[(0, (1 << len(P.facets)) - 1)]]
+    lower: list[list[tuple[int, int]]] = [[]]  # per level: (E, F) vertex masks
+    closure: dict[int, int] = {}
+    for k in range(d + 1):
+        found: dict[int, int] = {}
+        pairs = []
+        for fv, ff in levels[k]:
+            counts: dict[int, int] = {}
+            for v in range(n):
+                if not fv >> v & 1:
+                    hf = ff & vfac[v]
+                    counts[hf] = counts.get(hf, 0) + 1
+            for hf, count in counts.items():
+                hv = closure.get(hf)
+                if hv is None:
+                    hv = closure[hf] = sum(1 << w for w in range(n) if vfac[w] & hf == hf)
+                if (hv & ~fv).bit_count() == count:
+                    found[hf] = hv
+                    pairs.append((fv, hv))
+        levels.append([(hv, hf) for hf, hv in found.items()])
+        lower.append(pairs)
+
+    faces_by_dim = []
+    position: dict[int, int] = {}  # vertex mask -> position in its level
+    for k, level in enumerate(levels):
+        ordered = sorted((vertex_set(hv), hv) for hv, _ in level)
+        position.update((hv, i) for i, (_, hv) in enumerate(ordered))
+        faces_by_dim.append(tuple(Face(vs, k - 1) for vs, _ in ordered))
+    covering = []
+    for k in range(1, d + 2):
+        for fi, ei in sorted((position[hv], position[fv]) for fv, hv in lower[k]):
+            covering.append((faces_by_dim[k - 1][ei], faces_by_dim[k][fi]))
+    return lattice_from_pairs(d, faces_by_dim, covering)
 
 
 def int_mat_is_zero(A) -> bool:
@@ -622,7 +700,7 @@ def all_pairs_verify_lattice(L: FaceLattice) -> None:
                     f"covering pair ({lo}, {hi}) is not a strict vertex-set containment")
     if L.f_vector[0] != 1 or L.f_vector[-1] != 1:
         raise InternalInvariantError("face lattice must have unique bottom and top")
-    up, down = L.cover_masks()
+    up, down = cover_masks(L)
     for i, f in enumerate(L.faces_by_id[:L.level_start[-2]]):  # below the top
         if not up[i]:
             raise InternalInvariantError(f"face {f} of dim {f.dim} has no upper cover")
@@ -650,7 +728,7 @@ def all_pairs_verify_abstract_lattice(lat: AbstractLattice) -> None:
         raise InternalInvariantError(
             f"reconstructed poset is not bounded: f-vector {lat.f_vector}")
     elements = lat.faces_by_id
-    up, down = lat.cover_masks()
+    up, down = cover_masks(lat)
     for i in range(lat.level_start[-2]):  # below the top
         if not up[i]:
             raise InternalInvariantError(f"element {elements[i]} has no upper cover: not graded")

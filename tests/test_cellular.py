@@ -211,12 +211,10 @@ def test_per_face_work_once_per_run(monkeypatch):
 
 
 def test_no_face_hash_in_build_complex_or_is_isomorphic(monkeypatch):
-    # faces are numbered once, by the lattice: the cellular walk and the
-    # isomorphism search read face ids and never hash a Face
+    # faces are numbered once, by the lattice, which hashes no Face: the
+    # cellular walk and the isomorphism search read face ids and never hash
+    # a Face, and the face_id view hashes each face once, on first use
     poly = hypercube(4)
-    lat, cone = face_lattice(poly), lift(poly)
-    relabeled = face_lattice(validate(list(reversed(poly.vertices)), name="cube4-reversed"))
-    triv, system = trivialize(lat), ConeSystem(cone, lat)
     real_hash = Face.__hash__
     calls = []
 
@@ -225,7 +223,12 @@ def test_no_face_hash_in_build_complex_or_is_isomorphic(monkeypatch):
         return real_hash(self)
 
     monkeypatch.setattr(Face, "__hash__", counting)
-    assert lat.face_id[lat.top_face] == len(lat.faces_by_id) - 1 and len(calls) == 1
+    lat, cone = face_lattice(poly), lift(poly)
+    relabeled = face_lattice(validate(list(reversed(poly.vertices)), name="cube4-reversed"))
+    triv, system = trivialize(lat), ConeSystem(cone, lat)
+    assert calls == []
+    assert lat.face_id[lat.top_face] == len(lat.faces_by_id) - 1
+    assert len(calls) == len(lat.faces_by_id) + 1
     calls.clear()
     x = build_complex(triv, lat, system)
     assert calls == [] and x.f_vector == lat.f_vector

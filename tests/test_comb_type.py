@@ -35,6 +35,7 @@ from oracles import (
     all_pairs_verify_abstract_lattice,
     all_pairs_verify_lattice,
     complex_from_dense,
+    lattice_from_pairs,
     rank_scan_is_isomorphic,
 )
 
@@ -88,6 +89,20 @@ def test_roundtrip_small_corpus(small_corpus):
     for poly in small_corpus:
         lat, x = complex_of(poly)
         assert is_isomorphic(lat, lattice_from_incidence(strip_signs(x))).isomorphic, poly.name
+
+
+def test_reconstruct_names_first_bad_entry_in_row_order():
+    # a row with a valid 1 before two bad entries, and a bad entry in a
+    # later row and in the next matrix: the first in row order is named
+    _, x = complex_of(simplex(2))
+    mats = [list(list(r) for r in m) for m in strip_signs(x).matrices]
+    assert mats[1][0][0] == 1
+    mats[1][0][1:] = [4, 3]
+    mats[1][1][0] = 5
+    mats[2][0][0] = 6
+    with pytest.raises(InternalInvariantError,
+                       match=r"^unsigned incidence entry 4 not in \{0, 1\}$"):
+        lattice_from_incidence(UnsignedIncidence(tuple(tuple(tuple(r) for r in m) for m in mats)))
 
 
 def test_reconstruct_rejects_corrupt_incidence():
@@ -159,15 +174,14 @@ def corpus_lattices_and_one_cover_changes(rng):
         covering = list(lat.covering)
         if covering:
             drop = rng.randrange(len(covering))
-            yield FaceLattice(lat.dim, lat.faces_by_dim,
-                              tuple(covering[:drop] + covering[drop + 1:]), lat.f_vector)
+            yield lattice_from_pairs(lat.dim, lat.faces_by_dim,
+                                     covering[:drop] + covering[drop + 1:])
         present = set(covering)
         new = [(e, f) for k in range(1, len(lat.faces_by_dim))
                for e in lat.faces_by_dim[k - 1] for f in lat.faces_by_dim[k]
                if (e, f) not in present]
         if new:
-            yield FaceLattice(lat.dim, lat.faces_by_dim, tuple(covering + [rng.choice(new)]),
-                              lat.f_vector)
+            yield lattice_from_pairs(lat.dim, lat.faces_by_dim, covering + [rng.choice(new)])
 
 
 MEETS = "is not unique: poset is not a lattice"
@@ -230,6 +244,100 @@ def test_meets_of_lower_covers_decide_lattices():
         assert_abstract_check_matches_oracle(lat)
         verdicts.add(lattice)
     assert verdicts == {True, False}
+
+
+# --- diamond check by path-count bit planes ---
+
+def tetrahedron_with_unreached_face() -> FaceLattice:
+    """The tetrahedron with its 2-face {0,1,2} given the vertex set
+    {0,1,2,3} and the top the extra vertex 4: {3} lies in that face, but
+    no path of covers leads there from {3}."""
+    lat = face_lattice(simplex(3))
+    renamed = {Face((0, 1, 2), 2): Face((0, 1, 2, 3), 2),
+               lat.top_face: Face((0, 1, 2, 3, 4), 3)}
+
+    def swap(f):
+        return renamed.get(f, f)
+
+    return lattice_from_pairs(3, tuple(tuple(map(swap, level)) for level in lat.faces_by_dim),
+                              tuple((swap(e), swap(f)) for e, f in lat.covering))
+
+
+def triangle_without_cover() -> FaceLattice:
+    """The triangle without the cover ({1}, {1,2}): one path of two covers
+    from the empty face to {1,2}, after two pairs of the level with two."""
+    lat = face_lattice(simplex(2))
+    drop = (Face((1,), 0), Face((1, 2), 1))
+    return lattice_from_pairs(2, lat.faces_by_dim, [c for c in lat.covering if c != drop])
+
+
+def three_atoms_under_an_edge() -> FaceLattice:
+    bottom, top = Face((), -1), Face((0, 1, 2), 1)
+    atoms = (Face((0,), 0), Face((1,), 0), Face((2,), 0))
+    return lattice_from_pairs(1, ((bottom,), atoms, (top,)),
+                              tuple((bottom, v) for v in atoms) + tuple((v, top) for v in atoms))
+
+
+@pytest.mark.parametrize("build, face_message, abstract_message", [
+    (tetrahedron_with_unreached_face,
+     "diamond property fails between {3} and {0,1,2,3}: 0 intermediate faces", None),
+    (triangle_without_cover,
+     "diamond property fails between {} and {1,2}: 1 intermediate faces",
+     "diamond property fails between (-1, 0) and (1, 2): 1 mids"),
+    (three_atoms_under_an_edge,
+     "diamond property fails between {} and {0,1,2}: 3 intermediate faces",
+     "diamond property fails between (-1, 0) and (1, 0): 3 mids"),
+], ids=["0-paths", "1-path", "3-paths"])
+def test_bit_plane_diamond_check_matches_all_pairs_oracles(build, face_message,
+                                                          abstract_message):
+    # a pair two levels apart with 0, 1 or 3 faces between: the face check
+    # fails on all three (0 only where the vertex sets are nested), the
+    # abstract check on 1 and 3, each naming the pair its oracle names
+    lat = build()
+    assert failure(verify_lattice, lat) == failure(all_pairs_verify_lattice, lat) == face_message
+    abstract = abstract_of(lat)
+    assert failure(_verify_abstract_lattice, abstract) == \
+        failure(all_pairs_verify_abstract_lattice, abstract) == abstract_message
+
+
+def triangle_poset(extra=(), drop=()) -> AbstractLattice:
+    """The triangle's lattice as (rank, index) elements, the edges
+    (1, 0), (1, 1), (1, 2) being {0,1}, {0,2}, {1,2}, with covers added and
+    removed."""
+    covers = [((-1, 0), (0, a)) for a in range(3)] + \
+             [((0, a), (1, e)) for e, atoms in enumerate([(0, 1), (0, 2), (1, 2)]) for a in atoms] + \
+             [((1, e), (2, 0)) for e in range(3)]
+    return AbstractLattice(dim=2, f_vector=(1, 3, 3, 1),
+                           covering=tuple(c for c in covers if c not in drop) + tuple(extra))
+
+
+@pytest.mark.parametrize("lat, message", [
+    (triangle_poset(extra=[((-1, 0), (1, 0))]), None),
+    (triangle_poset(extra=[((0, 0), (2, 0))]), None),
+    (triangle_poset(extra=[((0, 0), (2, 0))], drop=[((0, 0), (1, 0))]),
+     "diamond property fails between (-1, 0) and (1, 0): 1 mids"),
+], ids=["bottom-to-edge", "atom-to-top", "atom-to-top-instead-of-edge"])
+def test_abstract_diamond_check_with_covers_that_skip_a_rank(lat, message):
+    # an upper cover of low two ranks up is no path to a high of that rank:
+    # its mask U holds only its covers of rank + 2, none here
+    assert failure(_verify_abstract_lattice, lat) == \
+        failure(all_pairs_verify_abstract_lattice, lat) == message
+
+
+def test_face_diamond_check_with_a_cover_that_skips_a_level():
+    # the triangle with the empty face also below the edge {0,1}
+    lat = face_lattice(simplex(2))
+    skip = lattice_from_pairs(2, lat.faces_by_dim,
+                              lat.covering + ((lat.empty_face, Face((0, 1), 1)),))
+    assert failure(verify_lattice, skip) == failure(all_pairs_verify_lattice, skip) is None
+
+
+def test_a_cover_listed_twice_is_one_cover():
+    # the path counts see each cover once, as the id masks of covers do
+    once = triangle_poset()
+    twice = triangle_poset(extra=once.covering[:1])
+    assert twice.up == once.up and twice.down == once.down
+    assert failure(_verify_abstract_lattice, twice) is None
 
 
 # --- is_isomorphic ---

@@ -4,6 +4,7 @@ against checked-in goldens, and machine-readable round-trips."""
 import importlib.util
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -308,6 +309,46 @@ def test_cli_corpus_json(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["files"]["a.json"]["status"] == "ok"
     assert doc["files"]["b.json"]["status"] == "input-error"
+
+
+OVERSIZED = {
+    # a vertices array nested 100,000 deep, past the JSON parser's recursion
+    "deep.json": ('{"name": "deep", "dim": 1, "vertices": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                  r"nested too deeply to parse \(the JSON parser stops at the recursion "
+                  rf"limit, {sys.getrecursionlimit()}\)"),
+    # a 5,000-digit integer coordinate, and one as the denominator of "p/q"
+    "bigint.json": ('{"name": "bigint", "dim": 1, "vertices": [[0], [' + "7" * 5000 + "]]}",
+                    rf"integer with 5000 digits exceeds the limit of "
+                    rf"{sys.get_int_max_str_digits()} digits"),
+    "bigfrac.json": ('{"name": "bigfrac", "dim": 1, "vertices": [[0], ["1/' + "3" * 5000 + '"]]}',
+                     rf"vertex 1, coordinate 0: integer with 5000 digits exceeds the limit "
+                     rf"of {sys.get_int_max_str_digits()} digits"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED))
+def test_cli_oversized_input_is_input_error(name, tmp_path, capsys):
+    # exit 1 (bad input) with the file and the limit named, not exit 2
+    text, message = OVERSIZED[name]
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    assert main(["report", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: {re.escape(str(path))}: {message}\n", err), err
+
+
+def test_cli_corpus_lists_oversized_input_as_input_error(tmp_path, capsys):
+    # the run goes on past each such file and reports every one
+    for name, (text, _) in OVERSIZED.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    (tmp_path / "seg.json").write_text(
+        '{"name": "seg", "dim": 1, "vertices": [[0], [1]]}', encoding="utf-8")
+    assert main(["corpus", str(tmp_path), "--json"]) == 1
+    files = json.loads(capsys.readouterr().out)["files"]
+    assert files["seg.json"]["status"] == "ok"
+    for name, (_, message) in OVERSIZED.items():
+        assert files[name]["status"] == "input-error"
+        assert re.search(message, files[name]["message"]), files[name]["message"]
 
 
 def test_cli_corpus_empty_dir(tmp_path, capsys):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import polyk.linalg as linalg
 import polyk.polytope as polytope
 from polyk.corpus import (
+    acceptance_corpus,
     cross_polytope,
     hypercube,
     point_polytope,
@@ -21,7 +22,6 @@ from polyk.errors import InputError, InternalInvariantError
 from polyk.linalg import IntEchelon
 from polyk.polytope import (
     Face,
-    FaceLattice,
     _hull_facets,
     affine_dim,
     face_lattice,
@@ -31,7 +31,14 @@ from polyk.polytope import (
 )
 
 from affine import apply_affine, random_invertible_affine
-from oracles import brute_force_facets, closure_face_lattice, faces_by_direction, in_convex_hull
+from oracles import (
+    brute_force_facets,
+    closure_face_lattice,
+    faces_by_direction,
+    in_convex_hull,
+    lattice_from_pairs,
+    vertex_closure_face_lattice,
+)
 
 
 # --- validate ---
@@ -277,6 +284,62 @@ def test_lattice_matches_closure_oracle_on_random_hulls(seed, d):
     _assert_matches_closure_oracle(random_hull(rng, d, rng.randint(d + 1, 10)))
 
 
+def smaller_side_cases():
+    """The acceptance corpus, cubes and cross-polytopes of dimension 1 to 6,
+    seeded random hulls with fewer and with more facets than vertices, and
+    the point."""
+    rng = random.Random(1717)
+    return [*acceptance_corpus(), *(hypercube(d) for d in range(1, 7)),
+            *(cross_polytope(d) for d in range(1, 7)),
+            *(random_hull(rng, d, k) for d in (2, 3, 4, 5) for k in (d + 3, 2 * d + 5)),
+            point_polytope()]
+
+
+def test_both_sides_of_the_closure_match_the_vertex_side_oracle():
+    # the closure with the facets as atoms, on the order dual, and with the
+    # vertices as atoms give the same levels, numbering and covering order
+    # as the vertex-side closure of the oracle; the point has no facets
+    sides = set()
+    for P in smaller_side_cases():
+        oracle = vertex_closure_face_lattice(P)
+        for facet_side in (False, True) if P.facets else (False,):
+            lat = polytope._face_lattice_from(P, facet_side)
+            assert lat.faces_by_dim == oracle.faces_by_dim, (P.name, facet_side)
+            assert lat.down == oracle.down and lat.up == oracle.up, (P.name, facet_side)
+            assert lat.covering == oracle.covering, (P.name, facet_side)
+        assert face_lattice(P) == oracle, P.name
+        sides.add(P.nvertices <= len(P.facets))
+    assert sides == {True, False}
+
+
+def test_closure_runs_from_the_smaller_side(monkeypatch):
+    # min(n, m) atoms: the facets of the 4-cube (8 < 16 vertices), the
+    # vertices of the 4-cross-polytope (8 < 16 facets) and of the
+    # tetrahedron (4 = 4), and the one vertex of the point, which has no
+    # facets and stays on the vertex side
+    real = polytope._closure
+    atoms = []
+
+    def counting(coatoms_of, ncoatoms, d):
+        atoms.append((len(coatoms_of), ncoatoms))
+        return real(coatoms_of, ncoatoms, d)
+
+    monkeypatch.setattr(polytope, "_closure", counting)
+    for P, expected in ((hypercube(4), (8, 16)), (cross_polytope(4), (8, 16)),
+                        (simplex(3), (4, 4)), (point_polytope(), (1, 0))):
+        atoms.clear()
+        assert face_lattice(P) == vertex_closure_face_lattice(P)
+        assert atoms == [expected], P.name
+
+
+def test_point_has_no_facet_side():
+    # with no facets as atoms, the order dual never reaches the empty face
+    with pytest.raises(InternalInvariantError,
+                       match=r"^level 0 of the face lattice must hold the empty face "
+                             r"\{\} alone, found \[\]$"):
+        polytope._face_lattice_from(point_polytope(), facet_side=True)
+
+
 def test_face_lattice_takes_no_rank(monkeypatch):
     P = cross_polytope(5)
     real = linalg.rank
@@ -295,9 +358,8 @@ def test_verify_lattice_rejects_broken_diamond():
     # bounded and graded, but three faces lie between the bottom and the top
     bottom, top = Face((), -1), Face((0, 1, 2), 1)
     atoms = (Face((0,), 0), Face((1,), 0), Face((2,), 0))
-    lat = FaceLattice(dim=1, faces_by_dim=((bottom,), atoms, (top,)),
-                      covering=tuple((bottom, v) for v in atoms) + tuple((v, top) for v in atoms),
-                      f_vector=(1, 3, 1))
+    lat = lattice_from_pairs(1, ((bottom,), atoms, (top,)),
+                             tuple((bottom, v) for v in atoms) + tuple((v, top) for v in atoms))
     with pytest.raises(InternalInvariantError,
                        match=r"^diamond property fails between \{\} and \{0,1,2\}: "
                              r"3 intermediate faces$"):
@@ -307,9 +369,8 @@ def test_verify_lattice_rejects_broken_diamond():
 def test_verify_lattice_names_missing_cover():
     bottom, top = Face((), -1), Face((0, 1), 1)
     atoms = (Face((0,), 0), Face((1,), 0))
-    lat = FaceLattice(dim=1, faces_by_dim=((bottom,), atoms, (top,)),
-                      covering=((bottom, atoms[0]), (bottom, atoms[1]), (atoms[0], top)),
-                      f_vector=(1, 2, 1))
+    lat = lattice_from_pairs(1, ((bottom,), atoms, (top,)),
+                             ((bottom, atoms[0]), (bottom, atoms[1]), (atoms[0], top)))
     with pytest.raises(InternalInvariantError, match=r"^face \{1\} of dim 0 has no upper cover$"):
         verify_lattice(lat)
 
@@ -327,10 +388,8 @@ def test_verify_lattice_tests_containment_not_cover_paths():
     def swap(f):
         return renamed.get(f, f)
 
-    broken = FaceLattice(dim=3, faces_by_dim=tuple(tuple(map(swap, level))
-                                                   for level in lat.faces_by_dim),
-                         covering=tuple((swap(e), swap(f)) for e, f in lat.covering),
-                         f_vector=lat.f_vector)
+    broken = lattice_from_pairs(3, tuple(tuple(map(swap, level)) for level in lat.faces_by_dim),
+                                tuple((swap(e), swap(f)) for e, f in lat.covering))
     assert broken.lower_covers(new) == (Face((0, 1), 1), Face((0, 2), 1), Face((1, 2), 1))
     with pytest.raises(InternalInvariantError,
                        match=r"^diamond property fails between \{3\} and \{0,1,2,3\}: "
@@ -352,10 +411,11 @@ def test_verify_lattice_rejects_cover_that_is_not_a_containment():
         return new if f == old else f
 
     cases = [
-        (FaceLattice(cube.dim, cube.faces_by_dim, cube.covering + ((edge, square),),
-                     cube.f_vector), (edge, square)),
-        (FaceLattice(tetra.dim, tuple(tuple(map(swap, level)) for level in tetra.faces_by_dim),
-                     tuple((swap(e), swap(f)) for e, f in tetra.covering), tetra.f_vector),
+        (lattice_from_pairs(cube.dim, cube.faces_by_dim, cube.covering + ((edge, square),)),
+         (edge, square)),
+        (lattice_from_pairs(tetra.dim,
+                            tuple(tuple(map(swap, level)) for level in tetra.faces_by_dim),
+                            tuple((swap(e), swap(f)) for e, f in tetra.covering)),
          (new, tetra.top_face)),
     ]
     for broken, (low, high) in cases:
