@@ -438,7 +438,8 @@ def face_lattice(P: Polytope) -> FaceLattice:
     of the polar polytope (Ziegler, section 2.3), has the same elements with
     the levels reversed and the covers flipped, and there a face's coatom
     mask is its vertex mask.  The point has no facets and stays on the
-    vertex side.
+    vertex side.  Gradedness and the diamond property are verified
+    (``verify_lattice``) before returning.
     """
     n, m = P.nvertices, len(facets(P))
     lattice = _face_lattice_from(P, facet_side=0 < m < n)
