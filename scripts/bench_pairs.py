@@ -15,7 +15,9 @@ change first on odd ones, so a drift in host speed does not favour one side.
 
 The pairs are appended, as one set with its summary, to the list of the
 workload under ``end_to_end`` in ``BENCH_<topic>.json``, which is created if
-it is missing.  The summary gives, for every end-to-end metric that
+it is missing.  The script exits 1, naming the seed and the side, when any
+run's output was wrong (``correct`` false) or any of its ops failed
+(``failed`` > 0); the pairs are written all the same.  The summary gives, for every end-to-end metric that
 ``BENCHMARK.json`` declares, the medians of both sides, the change in
 percent, the number of pairs in which the change is better, and the
 interquartile range of the parent's runs.
@@ -148,7 +150,13 @@ def main(argv: list[str] | None = None) -> int:
     path.write_text(json.dumps(doc, indent=1) + "\n")
     wall = doc["end_to_end"][args.workload][-1]["summary"]["wall_s"]
     print(f"{args.workload} wall_s: {wall}")
-    return 0 if all(p[s]["correct"] for p in pairs for s in ("parent", "change")) else 1
+    bad = [(p["seed"], side, p[side]) for p in pairs for side in ("parent", "change")
+           if not p[side]["correct"] or p[side]["failed"]]
+    for seed, side, record in bad:
+        print(f"seed {seed}: {side} run " + ("gave wrong output" if not record["correct"] else
+                                              f"failed {record['failed']} ops"),
+              file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

@@ -7,16 +7,17 @@ ray e the incidence number is the orientation sign of the basis
 B = [e | A_E] of span(F) against A_F: sign det C for B C = A_F, which is
 sign det(B^T A_F) since B^T A_F = (B^T B) C and det(B^T B) > 0.  (B is a
 basis of span(F): e lies in span(F), being by construction an integer
-combination of lifted vertices of F, e is orthogonal to span(E), which
-``edge_ray`` checks, and A_E is a basis of span(E).)
+combination of lifted vertices of F, e is orthogonal to span(E), which the
+per-face certificate G_E adj(G_E) = det G_E * I of ``face_cone_data``
+guarantees, and A_E is a basis of span(E).)
 
 ``edge_ray`` has already decided that sign for the unflipped bases.  The
-ray is the primitive vector e of w = det G_E * g - A_E x, the projection of
-a lifted vertex g of F outside E off span(E) scaled by det G_E > 0, so
+ray is the primitive vector e of w = c * g - A_E x, c = det G_E > 0, the
+projection of a lifted vertex g of F outside E off span(E) scaled by c, so
 
     [w | A_E] = [g | A_E] U,   U = [[det G_E, 0], [-x, I]],   det U = det G_E,
 
-and with w = c * e, c > 0,
+and with w = c' * e, c' > 0,
 
     sign det(B^T A_F) = sign det([w | A_E]^T A_F) = sign det([g | A_E]^T A_F).
 
@@ -32,12 +33,26 @@ a flip of E a row, so with eps = -1 for a flipped face and +1 otherwise
 
     [E : F] = sigma * eps_E * eps_F,
 
-with no further determinant per pair; the barycenter cross-check confirms
-the oriented ray, sign included, independently, and since its vector lies
-in span(F) it would also reject a ray outside span(F).  For (empty face,
-vertex) the ray is a positive multiple of the lifted vertex, sigma = +1,
-and the empty face cannot be flipped: the bottom boundary matrix is the
-all-ones augmentation row.
+with no further determinant per pair.  For (empty face, vertex) the ray is
+a positive multiple of the lifted vertex, sigma = +1, and the empty face
+cannot be flipped: the bottom boundary matrix is the all-ones augmentation
+row.
+
+The barycenter cross-check confirms the oriented ray, sign included,
+independently, and since its vector lies in span(F) it would also reject a
+ray outside span(F).  It is made on Gram numbers, with no n-vector per
+pair (``cones.edge_ray_crosscheck``): with D = det G_E, b_F the sum of F's
+lifted vertices and x' = adj(G_E) A_E^T b_F, the barycenter vector
+w' = D b_F - A_E x' and the ray's w are both orthogonal to span(E), so
+
+    |w'|^2 = D (D |b_F|^2 - x'^T A_E^T b_F),
+    <w, w'> = c (D <g, b_F> - x'^T A_E^T g),
+    |w|^2 = c^2 T[g][g] - 2 c x^T A_E^T g + x^T G_E x,
+
+and w' is a positive multiple of w exactly when <w, w'> > 0 and
+<w, w'>^2 = |w|^2 |w'|^2.  The last is c * side for the ray ``edge_ray``
+makes, side = c T[g][g] - x^T A_E^T g.  <v, b_F> for v in F and |b_F|^2
+are taken once per face.
 
 Boundary matrices are integer matrices over the stable (lexicographic by
 vertex set) face ordering, the lattice's face ids.  They are built, kept in
@@ -67,7 +82,6 @@ Only a nonzero N goes to the dense Smith normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterable, Sequence
 
 from .cones import ConeSystem, EdgeRay
@@ -152,9 +166,9 @@ def boundary_columns(T: Trivialization, system: ConeSystem, j: int) -> list[Spar
     """The columns of D_j as {row: [E : F]} dicts, one per j-face F of the
     system's lattice in order; the row of a (j-1)-face is its id minus its
     level's first id.  Each lower cover E of F is one covering pair, visited
-    once: its edge ray, the ray's cross-check (its primitive vector, taken
-    on integers as w // gcd(w), must be the ray's direction, which is
-    primitive), then the incidence sign."""
+    once: its edge ray, the ray's cross-check (the barycenter vector must be
+    a positive multiple of the ray's, decided on Gram numbers), then the
+    incidence sign."""
     L = system.lattice
     if not 0 <= j <= L.dim:
         raise ValueError(f"boundary dimension {j} out of range [0, {L.dim}]")
@@ -164,12 +178,7 @@ def boundary_columns(T: Trivialization, system: ConeSystem, j: int) -> list[Spar
         column = {}
         for e in L.down[f]:
             ray = system.ray(e, f)
-            w = system.crosscheck(e, f)  # nonzero integers, or it raised
-            common = gcd(*w)
-            if tuple(x // common for x in w) != ray.direction:
-                raise InternalInvariantError(
-                    f"edge-ray cross-check failed for ({ray.pair[0]}, {ray.pair[1]}): "
-                    "barycenter projection is not a positive multiple")
+            system.crosscheck(e, f, ray)
             column[e - first_row] = incidence_sign(T, ray, e, f)
         columns.append(column)
     return columns

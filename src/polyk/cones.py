@@ -14,15 +14,18 @@ vertex and a facet normal of the cone.  So ``ConeSystem`` builds two tables
 once per run: the Gram table T[i][j] = <v_i, v_j> of the lifted vertices
 (``gram_table``) and the slack table S[i][k] = <y_k, v_i> of the lifted
 vertices against the facet normals (``slack_table``), whose zeros give each
-vertex's facet bitmask.  For every face id, once per run, we compute
+vertex's facet bitmask.  S >= 0 entrywise is checked there, once per run.
+For every face id, once per run, we compute
 
   * a deterministic basis A_F of the span (integer lifted vertices, greedy
     in index order), by vertex ids and as a map from each id to its row of
     coordinates in that basis, with the Gram matrix G = A_F^T A_F,
     det G and adj G, all from T alone, in one bordered pass over F's
     vertices (``bordered_gram_basis``): a Schur complement per candidate
-    decides its independence and grows det G and adj G exactly,
-  * the sum b_F of its lifted vertices,
+    decides its independence and grows det G and adj G exactly; the
+    certificate G adj(G) = det G * I, det G > 0, is checked on the result,
+  * the sum b_F of its lifted vertices, with <v, b_F> for each vertex v of
+    F and |b_F|^2 = sum of those,
   * the dual face (facet normals of the cone vanishing on F), by facet ids
     and generators, as the AND of its vertices' facet bitmasks; its rank is
     counted up to n - (dim F + 1), the most it can be.
@@ -32,38 +35,63 @@ the dual of E's dual face, taken inside that dual face's span (the
 ``circledast`` cone of E), that is orthogonal to the dual face of F.  That
 ray spans the line where span(F) meets span(E)^perp.  So it is the
 projection of a lifted vertex g of F outside E off span(E), scaled by
-det G_E > 0 to stay integral (see ``edge_ray``):
+c = det G_E > 0 to stay integral (see ``edge_ray``):
 
-    w = det G_E * g - A_E x,   x = adj(G_E) A_E^T g,
+    w = c * g - A_E x,   x = adj(G_E) A_E^T g,
 
 an integer combination of vertices of F, hence in span(F) by construction,
 whose coefficients are table lookups; the circledast cones themselves are
-not built here.  Its primitive integer generator e plays the role of the
-unit edge vector in the incidence-sign determinant det([e | A_E]^T A_F).
-Since [w | A_E] = [g | A_E] U with U unit lower triangular but for its
-corner det G_E, det U = det G_E > 0, and w is a positive multiple of e,
-that sign is the sign of det([g | A_E]^T A_F) = det(C^T G_F), C the
-coordinates of [g | A_E] in the basis A_F; det G_F > 0, so it is
-sign det C: the ray's orientation (see ``polyk.cellular``).  With g one of
-F's span ids, every column of C that is a vertex of F's basis is a unit
-vector, so det C is a permutation sign times an m x m minor, m the number
-of E's span ids outside F's, whose entries are read off adj(G_F) and T;
-most pairs have m = 0 and need no arithmetic for their sign.  Unit
+not built here, nor is w: an ``EdgeRay`` holds (g, c, x) and makes its
+primitive integer generator e, the ``direction``, only when it is read.  e
+plays the role of the unit edge vector in the incidence-sign determinant
+det([e | A_E]^T A_F).  Since [w | A_E] = [g | A_E] U with U unit lower
+triangular but for its corner det G_E, det U = det G_E > 0, and w is a
+positive multiple of e, that sign is the sign of det([g | A_E]^T A_F) =
+det(C^T G_F), C the coordinates of [g | A_E] in the basis A_F; det G_F > 0,
+so it is sign det C: the ray's orientation (see ``polyk.cellular``).  With
+g one of F's span ids, every column of C that is a vertex of F's basis is a
+unit vector, so det C is a permutation sign times an m x m minor, m the
+number of E's span ids outside F's, whose entries are read off adj(G_F) and
+T; most pairs have m = 0 and need no arithmetic for their sign.  Unit
 normalization is irrelevant to signs, so primitive integer ray generators
 replace unit vectors throughout and keep the arithmetic exact.
 
-A second, independent construction of the same ray (orthogonal projection of
-the barycenter of the lifted F-vertices away from the span of E, by an
-integer Cramer solve of the Gram system whose numerators det(G_i) are the
-entries of adj(G) A_E^T b_F) is used as a cross-check: the two must agree
-up to a strictly positive factor, so they have the same primitive vector.
-Its vector lies in span(F), so it would also reject a ray outside span(F).
+The checks of the ray are made where they cost least, each at least as
+strong as the per-pair vector check it replaces:
+
+  * orthogonality to span(E): <w, a_j> = c T[g][a_j] - (G_E x)_j, which
+    vanishes for every j when G_E adj(G_E) = det G_E * I, the per-face
+    certificate;
+  * circledast cone of E: <w, y> = c S[g][y] for y in E's dual face (every
+    vertex of E is zero there), >= 0 since S >= 0 everywhere, checked once
+    per run;
+  * orientation and nonzero: <w, g> = c * side with
+    side = c T[g][g] - x^T A_E^T g = c |g - P_E g|^2, checked positive per
+    pair; |w|^2 = c * side too, so w != 0 follows.
+
+A second, independent construction of the same ray, the barycenter vector
+
+    w' = D b_F - A_E x',   D = det G_E,   x' = adj(G_E) A_E^T b_F,
+
+(D * L * |F| times the component of the barycenter of the lifted
+F-vertices orthogonal to span(E)) is the cross-check
+(``edge_ray_crosscheck``): w' must be a strictly positive multiple of w.
+Both are orthogonal to span(E) by the certificate, and A_E^T b_F is read
+off the face data of F, so every number of the test is a Gram number:
+
+    |w'|^2    = D (D |b_F|^2 - x'^T A_E^T b_F),
+    <w, w'>   = c (D <g, b_F> - x'^T A_E^T g),
+    |w|^2     = c^2 T[g][g] - 2 c x^T A_E^T g + x^T G_E x   (= c * side),
+
+and w' = lambda w with lambda > 0 exactly when <w, w'> > 0 and
+<w, w'>^2 = |w|^2 |w'|^2 (equality in Cauchy-Schwarz), on integers.  Its
+vector lies in span(F), so it would also reject a ray outside span(F).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from itertools import combinations
 from math import gcd, lcm
 from operator import and_
@@ -107,22 +135,47 @@ class FaceConeData:
     span_row: dict[int, int]  # span_ids[r] -> r, its row of coordinates in span_basis
     span_basis: IntBasis  # columns: greedy independent integer lifted vertices of the face
     vertex_sum: IntVector  # b_F, the sum of the integer lifted vertices of the face
+    sum_dot: dict[int, int]  # v -> <v, b_F> for each vertex v of the face
+    sum_sq: int  # |b_F|^2
     gram: IntMatrix  # G = A_F^T A_F, read off the Gram table
     gram_det: int  # det G > 0
-    gram_adj: IntMatrix  # adj G
+    gram_adj: IntMatrix  # adj G, certified: G adj G = det G * I
     dual_ids: tuple[int, ...]  # indices into the cone's facet_normals of the dual face
     dual_face_gens: tuple[IntVector, ...]  # those facet normals
 
 
 @dataclass(frozen=True)
 class EdgeRay:
-    """Primitive generator e of the edge ray attached to a covering pair,
-    and its orientation sign det([e | A_E]^T A_F) (see ``edge_ray``): the
-    incidence sign [E : F] of the unflipped span bases."""
+    """The edge ray attached to a covering pair, as the coefficients of
+    w = c * g - sum_i x_i a_i over the lifted vertex g and E's span ids a_i
+    (see ``edge_ray``), with its orientation sign det([e | A_E]^T A_F): the
+    incidence sign [E : F] of the unflipped span bases.  Its primitive
+    generator e, ``direction``, is made from the cone's generators on first
+    read; the report never reads it."""
 
     pair: tuple[Face, Face]
-    direction: IntVector
+    g: int  # vertex id of the lifted vertex projected
+    c: int  # its coefficient, det G_E
+    x: tuple[int, ...]  # coefficients of E's span ids, adj(G_E) A_E^T g
+    e_ids: tuple[int, ...]  # E's span ids
     orientation: int  # +1 or -1
+    generators: tuple[IntVector, ...] = field(compare=False, repr=False)
+
+    @cached_property
+    def direction(self) -> IntVector:
+        """The primitive vector w // gcd(w) of w; gcd(w) = 0 exactly when
+        w = 0, an error naming the pair.  On the tables of the generators
+        that cannot happen once ``edge_ray`` has found side > 0, since
+        |w|^2 = c * side."""
+        gens = self.generators
+        w = [self.c * u for u in gens[self.g]]
+        for xi, a in zip(self.x, self.e_ids):
+            w = [u - xi * v for u, v in zip(w, gens[a])]
+        common = gcd(*w)
+        if common == 0:
+            E, F = self.pair
+            raise InternalInvariantError(f"edge ray of ({E}, {F}) is the zero vector")
+        return tuple(u // common for u in w)
 
 
 def dual_cone(gens: Sequence[Sequence], ambient_dim: int | None = None) -> tuple[IntVector, ...]:
@@ -268,6 +321,20 @@ def slack_table(C: LiftedCone) -> IntMatrix:
     return tuple(tuple(int_dot(y, g) for y in C.facet_normals) for g in C.generators)
 
 
+def check_slack(slack: IntMatrix) -> None:
+    """S >= 0 entrywise: every lifted vertex is on the inner side of every
+    facet normal.  An edge ray w = c g - A_E x of a pair (E, F) has
+    <w, y> = c S[g][y] >= 0 on E's dual face, so this puts every ray in its
+    circledast cone at once; a negative entry is an error naming the vertex
+    and the facet."""
+    for i, row in enumerate(slack):
+        if min(row, default=0) < 0:
+            k = next(k for k, s in enumerate(row) if s < 0)
+            raise InternalInvariantError(
+                f"vertex {{{i}}} lies outside facet normal {k} of the cone (slack {row[k]}): "
+                "the edge rays at it would leave their circledast cones")
+
+
 def vertex_facet_masks(slack: IntMatrix) -> tuple[int, ...]:
     """For each lifted vertex, the bitmask of the facet normals vanishing on
     it (bit k for the normal y_k of ``slack_table``), read off the zeros of
@@ -279,7 +346,10 @@ def face_cone_data(C: LiftedCone, F: Face, vertex_masks: tuple[int, ...],
                    gram: IntMatrix) -> FaceConeData:
     """The per-face data of F, with its span basis, Gram matrix, det G and
     adj G read off the Gram table ``gram`` (``bordered_gram_basis``).  The
-    dual face is a face of the dual cone, hence generated by the facet
+    certificate G adj(G) = det G * I with det G > 0 is checked here, once
+    per face: it makes every ray off span(F), c g - A_F adj(G) A_F^T g,
+    orthogonal to span(F), and with it the identities of the cross-check.
+    The dual face is a face of the dual cone, hence generated by the facet
     normals of the cone that vanish on every lifted vertex of F: the AND of
     the vertices' ``vertex_facet_masks``.  Its span must have dimension
     n - (dim F + 1); anything else is a geometry bug.
@@ -288,9 +358,19 @@ def face_cone_data(C: LiftedCone, F: Face, vertex_masks: tuple[int, ...],
     vanishes on F's lifted vertices, dim F + 1 of which are independent
     (the span basis), so the normals span at most n - (dim F + 1)
     dimensions, and the rank is right exactly when that many independent
-    ones are found."""
+    ones are found.
+
+    <v, b_F> is taken for every vertex v of F, and |b_F|^2 is their sum,
+    since b_F is the sum of those v."""
     n = C.dim
     span_ids, gram_det, gram_adj = bordered_gram_basis(F, gram)
+    gram_f = tuple(tuple(gram[a][b] for b in span_ids) for a in span_ids)
+    adj_cols = tuple(zip(*gram_adj))
+    if gram_det <= 0 or any(int_dot(row, col) != (gram_det if i == j else 0)
+                            for i, row in enumerate(gram_f) for j, col in enumerate(adj_cols)):
+        raise InternalInvariantError(
+            f"Gram adjugate of the span of {F} fails the certificate "
+            f"G adj(G) = det G * I, det G > 0 (det G = {gram_det})")
     dual = reduce(and_, (vertex_masks[i] for i in F.vertex_set), (1 << len(C.facet_normals)) - 1)
     dual_ids = set_bits(dual)
     dual_gens = tuple(C.facet_normals[k] for k in dual_ids)
@@ -299,51 +379,53 @@ def face_cone_data(C: LiftedCone, F: Face, vertex_masks: tuple[int, ...],
     if got != expected:
         raise InternalInvariantError(f"dual face of {F} spans rank {got}, expected {expected}")
     vertex_sum = tuple(map(sum, zip(*(C.generators[i] for i in F.vertex_set)))) or (0,) * n
+    sum_dot = {i: int_dot(C.generators[i], vertex_sum) for i in F.vertex_set}
     return FaceConeData(span_ids=span_ids, span_row={a: r for r, a in enumerate(span_ids)},
                         span_basis=tuple(C.generators[i] for i in span_ids),
-                        vertex_sum=vertex_sum,
-                        gram=tuple(tuple(gram[a][b] for b in span_ids) for a in span_ids),
-                        gram_det=gram_det, gram_adj=gram_adj, dual_ids=dual_ids,
+                        vertex_sum=vertex_sum, sum_dot=sum_dot, sum_sq=sum(sum_dot.values()),
+                        gram=gram_f, gram_det=gram_det, gram_adj=gram_adj, dual_ids=dual_ids,
                         dual_face_gens=dual_gens)
 
 
 def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: FaceConeData,
-             gram: IntMatrix, slack: IntMatrix) -> EdgeRay:
-    """The primitive generator of the edge ray of a covering pair (E, F),
-    with the sign that orients it, from the Gram table ``gram`` = T and the
-    slack table ``slack`` = S of the cone.
+             gram: IntMatrix, e_mask: int) -> EdgeRay:
+    """The edge ray of a covering pair (E, F), with the sign that orients
+    it, from the Gram table ``gram`` = T of the cone and E's vertex bitmask
+    ``e_mask``.
 
     The paper's edge ray is the extreme ray of the circledast cone of E
     orthogonal to the dual face of F; it spans the line where span(F) meets
     span(E)^perp.  With g the first span id of F not in E, A = A_E and
     G = G_E, the ray is the primitive vector of
 
-        w = det G * g - A x,   x = adj(G) A^T g,
+        w = c * g - A x,   c = det G,   x = adj(G) A^T g,
 
     det G times the component of g orthogonal to span(E); A^T g is the row
-    of T at g.  Such a g exists, since A_F does not lie in span(E); none is
-    an error naming the pair.  Every vertex v of F outside E gives the same
+    of T at g.  The ray is returned as (g, c, x); w itself is not formed.
+    Such a g exists, since A_F does not lie in span(E); none is an error
+    naming the pair.  Every vertex v of F outside E gives the same
     primitive ray, and the same sign below: inside span(F), <., e> vanishes
     exactly on span(E), so it has one sign on the vertices of F outside E,
     positive at g, and v projects to det G <v, e> / |e|^2 * e, a positive
-    multiple of e.  Each check reads the tables, by these identities:
+    multiple of e.
 
-      * orthogonality to span(E): <w, a_j> = det G * T[g][a_j] - (G x)_j,
-        zero for every j exactly when G adj(G) = det G * I on A^T g;
-      * circledast cone of E: for y in E's dual face, <a_i, y> = 0 for
-        every vertex a_i of E, so <w, y> = det G * <g, y> = det G * S[g][y],
-        which must be >= 0;
-      * orientation: <w, g> = det G * T[g][g] - <x, A^T g>
-        = det G * |g - P_E g|^2, positive unless g lies in span(E), and
-        then w = 0.
+    One check is made per pair, on k numbers (k = dim F, the size of E's
+    basis):
 
+      * orientation: <w, g> = c T[g][g] - <x, A^T g> = c * side, with
+        side = c |g - P_E g|^2, positive unless g lies in span(E), and then
+        w = 0; since |w|^2 = c * side too, side > 0 also shows w != 0.
+
+    The others hold by certificates made once: w is orthogonal to span(E)
+    because G adj(G) = det G * I (checked per face by ``face_cone_data``),
+    so <w, a_j> = c T[g][a_j] - (G x)_j = 0; and w lies in the circledast
+    cone of E because <w, y> = c S[g][y] for y in E's dual face, where
+    every vertex of E vanishes, and S >= 0 (``check_slack``, once per run).
     Membership of the ray in span(F) is an identity, not a check: w is an
     integer combination of g and the columns of A_E, all lifted vertices of
     F.  The barycenter cross-check that ``build_complex`` makes on every
     pair would reject a ray outside span(F) anyway: its vector lies in
-    span(F), so such a ray could not be its primitive vector.  The
-    primitive vector of w is w // gcd(w), on integers; gcd(w) = 0 exactly
-    when w = 0, an error naming the pair.
+    span(F), so such a ray could not be a positive multiple of it.
 
     The orientation is sign det([e | A_E]^T A_F), which is
     sign det([g | A_E]^T A_F): [w | A_E] = [g | A_E] U with det U = det G
@@ -370,78 +452,92 @@ def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: Face
         raise InternalInvariantError(
             f"edge ray of ({E}, {F}): the kernel of A_E^T A_F is not a line "
             f"(spans of dimension {len(a_ids)} and {len(f_ids)})")
-    g = next((i for i in f_ids if i not in E.vertex_set), None)
+    g = next((i for i in f_ids if not e_mask >> i & 1), None)
     if g is None:
         raise InternalInvariantError(
             f"edge ray of ({E}, {F}): every span id of {F} lies in {E}")
     t_g = gram[g]
     at_g = [t_g[a] for a in a_ids]
     det_e = data_E.gram_det
-    x = [int_dot(row, at_g) for row in data_E.gram_adj]
-    if any(det_e * t != int_dot(row, x) for row, t in zip(data_E.gram, at_g)):
-        raise InternalInvariantError(f"edge ray of ({E}, {F}) not orthogonal to span of {E}")
-    if any(slack[g][k] < 0 for k in data_E.dual_ids):
-        raise InternalInvariantError(f"edge ray of ({E}, {F}) outside circledast cone of {E}")
+    x = tuple([int_dot(row, at_g) for row in data_E.gram_adj])
     side = det_e * t_g[g] - int_dot(x, at_g)
     if side <= 0:
         raise InternalInvariantError(
             f"edge ray of ({E}, {F}) is orthogonal to lifted vertex {g}: it has no orientation"
             if side == 0 else f"edge ray of ({E}, {F}) points away from lifted vertex {g}")
-    w = [det_e * c for c in C.generators[g]]
-    for xi, a in zip(x, a_ids):
-        w = [u - xi * v for u, v in zip(w, C.generators[a])]
-    common = gcd(*w)
-    if common == 0:
-        raise InternalInvariantError(f"edge ray of ({E}, {F}) is the zero vector")
-    direction = tuple(u // common for u in w)
     row = data_F.span_row
     rows = [row[g]] + [row.get(a) for a in a_ids]  # None: a is not in F's basis
     if None not in rows:
-        return EdgeRay(pair=(E, F), direction=direction, orientation=permutation_sign(rows))
-    outside = [a for a, r in zip(a_ids, rows[1:]) if r is None]
-    free = sorted(set(range(len(f_ids))).difference(rows))
-    fill = iter(free)
-    rows = [next(fill) if r is None else r for r in rows]
-    columns = [[gram[a][b] for b in f_ids] for a in outside]  # A_F^T a
-    det = bareiss_det([[int_dot(data_F.gram_adj[r], col) for col in columns] for r in free])
-    if det == 0:
-        raise InternalInvariantError(f"incidence sign of ({E}, {F}) is zero")
-    return EdgeRay(pair=(E, F), direction=direction,
-                   orientation=permutation_sign(rows) * (1 if det > 0 else -1))
+        sign = permutation_sign(rows)
+    else:
+        outside = [a for a, r in zip(a_ids, rows[1:]) if r is None]
+        free = sorted(set(range(len(f_ids))).difference(rows))
+        fill = iter(free)
+        rows = [next(fill) if r is None else r for r in rows]
+        columns = [[gram[a][b] for b in f_ids] for a in outside]  # A_F^T a
+        det = bareiss_det([[int_dot(data_F.gram_adj[r], col) for col in columns] for r in free])
+        if det == 0:
+            raise InternalInvariantError(f"incidence sign of ({E}, {F}) is zero")
+        sign = permutation_sign(rows) * (1 if det > 0 else -1)
+    return EdgeRay(pair=(E, F), g=g, c=det_e, x=x, e_ids=a_ids, orientation=sign,
+                   generators=C.generators)
 
 
-def edge_ray_crosscheck(E: Face, F: Face,
-                        data_E: FaceConeData, data_F: FaceConeData) -> IntVector:
-    """Independent reconstruction of the edge-ray direction of (E, F).
+def edge_ray_crosscheck(ray: EdgeRay, data_E: FaceConeData, data_F: FaceConeData,
+                        gram: IntMatrix) -> None:
+    """Check the edge ray of (E, F) against an independent construction:
+    the barycenter vector w' = D b_F - A_E x' must be a strictly positive
+    multiple of the ray's w = c g - A_E x, or an error names the pair.
 
-    The component w of the barycenter of the lifted F-vertices orthogonal
-    to the span of E (within the span of F) must be a strictly positive
-    multiple of the edge-ray direction.  This returns a positive integer
-    multiple of w, so its primitive vector must be the ray's direction.
+    Here A = A_E, D = det G_E > 0, b_F is the sum of the m integer lifted
+    vertices of F (so b_F = L * m * barycenter) and x' = adj(G_E) A^T b_F:
+    by Cramer, x'_i = det(G_i) for the Gram matrix G_i whose column i is
+    A^T b_F, so A x' / D is the projection of b_F onto span(E), and w' is
+    L * m * D times the barycenter's component orthogonal to span(E).
 
-    It is computed on integers.  With A = A_E (the span basis of E's face
-    data) and b = b_F the sum of the m integer lifted vertices of F (F's
-    face data), so that b = L * m * barycenter, the projection of b onto
-    span(A) is A x for the solution x of the Gram system G x = A^T b,
-    G = A^T A.  By Cramer, x_i = det(G_i) / det(G), with G_i the Gram
-    matrix whose column i is replaced by A^T b; since G^-1 = adj(G) / det(G),
-    det(G_i) = (adj(G) A^T b)_i, with det G > 0 and adj G from E's face
-    data.  So
+    Nothing here is an n-vector.  A^T b_F, <g, b_F> and |b_F|^2 are read
+    off F's face data, A^T g off the Gram table.  G_E adj(G_E) = D * I
+    (certified per face) gives A^T w' = D A^T b_F - G_E x' = 0, hence
 
-        w' = det(G) b - sum_i det(G_i) A_i = (L * m * det G) * w,
+        |w'|^2  = D (D |b_F|^2 - x'^T A^T b_F),
+        <w, w'> = c <g, w'> - x^T A^T w' = c (D <g, b_F> - x'^T A^T g),
+        |w|^2   = c^2 T[g][g] - 2 c x^T A^T g + x^T G_E x,
 
-    which is returned as it is: the factor is positive, so w' has the
-    primitive vector of w.
+    the last for any coefficients the ray carries (it is c * side when
+    x = adj(G_E) A^T g and c = D).  Then w' = lambda w with lambda > 0
+    exactly when <w, w'> > 0 and <w, w'>^2 = |w|^2 |w'|^2: equality in
+    Cauchy-Schwarz, exact on integers.  It is the test the n-vector
+    comparison primitive(w') = primitive(w) made, on k numbers.
+
+    The ray's g must be a vertex of F and its x must go with E's span ids;
+    a g outside F (a ray outside span(F)) fails the check.  w' = 0 is an
+    error of its own.
     """
-    a_e, b = data_E.span_basis, data_F.vertex_sum
-    rhs = [int_dot(u, b) for u in a_e]
-    w = [data_E.gram_det * x for x in b]
-    for adj_row, col in zip(data_E.gram_adj, a_e):
-        det_i = int_dot(adj_row, rhs)
-        w = [x - det_i * a for x, a in zip(w, col)]
-    if is_zero_vector(w):
+    E, F = ray.pair
+    g, c, x = ray.g, ray.c, ray.x
+    sum_dot = data_F.sum_dot
+    b_g = sum_dot.get(g)
+    a_ids = data_E.span_ids
+    if b_g is None or ray.e_ids != a_ids:
+        raise InternalInvariantError(
+            f"edge-ray cross-check failed for ({E}, {F}): the ray is not a combination "
+            f"of a vertex of {F} and the span basis of {E}")
+    det = data_E.gram_det
+    adj = data_E.gram_adj
+    t_g = gram[g]
+    at_g = [t_g[a] for a in a_ids]
+    at_b = [sum_dot[a] for a in a_ids]
+    x_b = [int_dot(row, at_b) for row in adj]
+    b_sq = det * (det * data_F.sum_sq - int_dot(x_b, at_b))
+    if b_sq == 0:
         raise InternalInvariantError(f"barycenter of {F} projects to zero over {E}")
-    return tuple(w)
+    inner = c * (det * b_g - int_dot(x_b, at_g))
+    w_sq = c * (c * t_g[g] - 2 * int_dot(x, at_g)) + int_dot(
+        x, [int_dot(row, x) for row in data_E.gram])
+    if inner <= 0 or inner * inner != w_sq * b_sq:
+        raise InternalInvariantError(
+            f"edge-ray cross-check failed for ({E}, {F}): "
+            "barycenter projection is not a positive multiple")
 
 
 class ConeSystem:
@@ -449,8 +545,9 @@ class ConeSystem:
     in a list indexed by the face ids of ``lattice``, and read by the edge
     rays and the cross-checks.  The Gram and slack tables of the lifted
     vertices (``gram``, ``slack``) and the vertex-facet masks behind the dual
-    faces are built once, with the system.  Edge rays and cross-checks are
-    not kept: ``build_complex`` asks for each covering pair's once.
+    faces are built once, with the system, and S >= 0 is checked then.
+    Edge rays are not kept: ``build_complex`` asks for each covering pair's
+    once, and cross-checks it once.
 
     Safe to share within a run: nothing cached is modified after it is built.
     """
@@ -460,6 +557,7 @@ class ConeSystem:
         self.lattice = lattice
         self.gram = gram_table(cone)
         self.slack = slack_table(cone)
+        check_slack(self.slack)
         self._vertex_masks = vertex_facet_masks(self.slack)
         self._face_data: list[FaceConeData | None] = [None] * len(lattice.faces_by_id)
 
@@ -471,10 +569,11 @@ class ConeSystem:
         return data
 
     def ray(self, e: int, f: int) -> EdgeRay:
-        E, F = self.lattice.faces_by_id[e], self.lattice.faces_by_id[f]
-        return edge_ray(self.cone, E, F, data_E=self.face_data(e), data_F=self.face_data(f),
-                        gram=self.gram, slack=self.slack)
+        L = self.lattice
+        return edge_ray(self.cone, L.faces_by_id[e], L.faces_by_id[f], data_E=self.face_data(e),
+                        data_F=self.face_data(f), gram=self.gram, e_mask=L.vertex_masks[e])
 
-    def crosscheck(self, e: int, f: int) -> IntVector:
-        E, F = self.lattice.faces_by_id[e], self.lattice.faces_by_id[f]
-        return edge_ray_crosscheck(E, F, data_E=self.face_data(e), data_F=self.face_data(f))
+    def crosscheck(self, e: int, f: int, ray: EdgeRay) -> None:
+        """``edge_ray_crosscheck`` of the ray of the pair of face ids (e, f)."""
+        return edge_ray_crosscheck(ray, data_E=self.face_data(e), data_F=self.face_data(f),
+                                   gram=self.gram)

@@ -6,7 +6,8 @@ literals are rejected outright so no inexact value can enter the pipeline.
 An integer with more digits than the interpreter converts
 (``sys.get_int_max_str_digits``), as a JSON number or in a "p/q" string, and
 a document nested deeper than the JSON parser's recursion allows are input
-errors that name the file and the limit.
+errors that name the file and the limit.  A file must be UTF-8; a byte that
+does not decode is an input error naming the file and the byte's offset.
 """
 
 from __future__ import annotations
@@ -105,6 +106,9 @@ def parse_polytope_file(path: str | Path) -> PolytopeFile:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8: byte 0x{exc.object[exc.start]:02x} "
+                         f"at offset {exc.start} ({exc.reason})") from exc
     return parse_polytope_text(text, source=str(path))
 
 

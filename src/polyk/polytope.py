@@ -158,7 +158,10 @@ class FaceLattice(GradedIds):
     lexicographically by vertex set.  The faces are numbered once, in that
     order (``GradedIds``): face i is ``faces_by_id[i]``, and ``down[i]``
     holds the ids of its lower covers (ascending, as ``face_lattice`` fills
-    it); ``up`` is read off ``down``, each ascending.  ``covering`` (the pairs of faces (E, F), E covered by F,
+    it); ``up`` is read off ``down``, each ascending.  ``vertex_masks[i]`` is
+    the vertex bitmask of face i: ``face_lattice`` passes the masks its
+    closure found, and a lattice built without them derives them from the
+    vertex sets.  ``covering`` (the pairs of faces (E, F), E covered by F,
     ordered by the id of F, then of E) and ``face_id`` (the id of a
     ``Face``) are views made from the ids on first use.
     """
@@ -166,10 +169,14 @@ class FaceLattice(GradedIds):
     dim: int
     faces_by_dim: tuple[tuple[Face, ...], ...]
     down: tuple[tuple[int, ...], ...]
+    vertex_masks: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
     f_vector: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         f_vector = tuple(map(len, self.faces_by_dim))
+        if self.vertex_masks is None:
+            object.__setattr__(self, "vertex_masks", tuple(
+                sum(1 << v for v in f.vertex_set) for f in chain.from_iterable(self.faces_by_dim)))
         up: list[list[int]] = [[] for _ in self.down]
         for f, below in enumerate(self.down):
             for e in below:
@@ -490,6 +497,7 @@ def _face_lattice_from(P: Polytope, facet_side: bool) -> FaceLattice:
                 f"{Face(set_bits(want), k - 1)} alone, found [{listed}]")
 
     faces_by_dim = []
+    vertex_masks: list[int] = []  # by face id
     ids = []  # per level: position found -> face id
     start = 0
     for k, level in enumerate(masks):
@@ -499,6 +507,7 @@ def _face_lattice_from(P: Polytope, facet_side: bool) -> FaceLattice:
         for i, old in enumerate(order, start):
             where[old] = i
         faces_by_dim.append(tuple(Face(sets[old], k - 1) for old in order))
+        vertex_masks.extend(level[old] for old in order)
         ids.append(where)
         start += len(level)
     down: list[list[int]] = [[] for _ in range(start)]
@@ -507,7 +516,8 @@ def _face_lattice_from(P: Polytope, facet_side: bool) -> FaceLattice:
         for i, j in level_pairs:
             down[upper[j]].append(lower[i])
     return FaceLattice(dim=d, faces_by_dim=tuple(faces_by_dim),
-                       down=tuple(tuple(sorted(below)) for below in down))
+                       down=tuple(tuple(sorted(below)) for below in down),
+                       vertex_masks=tuple(vertex_masks))
 
 
 def verify_lattice(L: FaceLattice) -> None:
@@ -516,7 +526,7 @@ def verify_lattice(L: FaceLattice) -> None:
     property, on int bitmasks.
 
     Each covering pair (low, high) must have low's vertex set strictly inside
-    high's: with one vertex bitmask per face, ``lo & hi == lo != hi``.
+    high's: with the lattice's vertex bitmask per face, ``lo & hi == lo != hi``.
 
     The diamond property asks for exactly two faces between ``low`` and
     ``high`` two levels apart whenever low's vertex set lies in high's.  The
@@ -544,7 +554,7 @@ def verify_lattice(L: FaceLattice) -> None:
     Any failure is an internal error; valid polytope input cannot produce it.
     """
     faces = L.faces_by_id
-    mask = [sum(1 << v for v in f.vertex_set) for f in faces]
+    mask = L.vertex_masks
     for high, below in enumerate(L.down):
         hi = mask[high]
         for low in below:

@@ -18,7 +18,7 @@ covering pair (E, F) is A_F kappa for the signed cofactor vector kappa of
 A_E^T A_F (``cofactor_kernel_vector``, from k Bareiss minors and (k-1) k
 dot products of n-vectors), signed positive on the first lifted vertex g
 of F outside E, and its orientation is the sign sigma = sign <A_F kappa, g>
-of that fix.  By Laplace expansion along the first row,
+of that fix; it returns the primitive direction with sigma.  By Laplace expansion along the first row,
 det([e | A_E]^T A_F) = <e, A_F kappa>, so sigma is the incidence sign of
 the unflipped bases.  The projection oracle takes the component of a
 lifted vertex orthogonal to span(E) by a rational Gram solve.
@@ -44,10 +44,14 @@ coordinate matrix C with [e | A_E] C = A_F, by ``coords_in_basis`` and
 ``bareiss_det`` on integers.  The cross-check oracle is the rational formula
 the library used before it moved to integers: the component of the
 barycenter of the rational lifted vertices (1, v) orthogonal to span(E), by
-a rational Gram solve over E's own greedy basis.  The library's cross-check
-returns that component times the positive integer L * |F| * det G; either
-is accepted when it is a positive multiple of the ray
-(``positive_multiple_ratio``).  No report computation calls
+a rational Gram solve over E's own greedy basis.  The barycenter
+projection oracle is the integer n-vector the library's cross-check built
+before it decided on Gram numbers: w' = det G_E b_F - A_E adj(G_E) A_E^T b_F,
+that component times the positive integer L * |F| * det G
+(``barycenter_projection``); either is accepted when it is a positive
+multiple of the ray (``positive_multiple_ratio``), and
+``crosscheck_verdict`` is the n-vector verdict primitive(w') = primitive(w)
+for any ray coefficients.  No report computation calls
 ``coords_in_basis`` or ``det_sign``.  The other oracles read the cone's
 integer generators L * (1, v) wherever the answer does not change under
 positive scaling.
@@ -303,20 +307,49 @@ def table_orientation(data_E: FaceConeData, data_F: FaceConeData, g: int, gram) 
 
 
 def kernel_edge_ray(C: LiftedCone, E: Face, F: Face,
-                    data_E: FaceConeData, data_F: FaceConeData) -> EdgeRay:
+                    data_E: FaceConeData, data_F: FaceConeData) -> tuple[tuple[int, ...], int]:
     """The edge ray of a covering pair as primitive(sigma * A_F kappa), with
     kappa the signed cofactor vector of A_E^T A_F (rows scaled to their
     primitive vectors, which scales kappa by a positive factor) and
     sigma = sign <A_F kappa, g> for the first lifted vertex g of F outside
-    E, returned as the orientation."""
+    E: (direction, orientation sigma)."""
     a_e, a_f = data_E.span_basis, data_F.span_basis
     rows = [primitive_vector([int_dot(a, b) for b in a_f]) for a in a_e]
     kappa = cofactor_kernel_vector(rows, len(a_f))
     ray = [int_dot(row, kappa) for row in zip(*a_f)]
     g = next(i for i in F.vertex_set if i not in E.vertex_set)
     sigma = 1 if int_dot(ray, C.generators[g]) > 0 else -1
-    return EdgeRay(pair=(E, F), direction=primitive_vector([sigma * x for x in ray]),
-                   orientation=sigma)
+    return primitive_vector([sigma * x for x in ray]), sigma
+
+
+def barycenter_projection(system, e: int, f: int) -> tuple[int, ...]:
+    """w' = det G_E b_F - A_E adj(G_E) A_E^T b_F for the pair of face ids
+    (e, f), as an integer n-vector: b_F is the sum of F's integer lifted
+    vertices, and adj(G_E) A_E^T b_F holds the Cramer numerators det(G_i)
+    of the Gram system G_E x = A_E^T b_F.  That is L * |F| * det G_E times
+    the barycenter's component orthogonal to span(E); zero is an error."""
+    E, F = system.lattice.faces_by_id[e], system.lattice.faces_by_id[f]
+    data_E, data_F = system.face_data(e), system.face_data(f)
+    a_e, b = data_E.span_basis, data_F.vertex_sum
+    rhs = [int_dot(u, b) for u in a_e]
+    w = [data_E.gram_det * x for x in b]
+    for adj_row, col in zip(data_E.gram_adj, a_e):
+        det_i = int_dot(adj_row, rhs)
+        w = [x - det_i * a for x, a in zip(w, col)]
+    if all(x == 0 for x in w):
+        raise InternalInvariantError(f"barycenter of {F} projects to zero over {E}")
+    return tuple(w)
+
+
+def crosscheck_verdict(system, ray: EdgeRay, e: int, f: int) -> bool:
+    """Does the n-vector cross-check accept the ray: is its w = c g - A_E x,
+    built from the cone's generators, nonzero with the primitive vector of
+    the barycenter projection?"""
+    gens = system.cone.generators
+    w = [ray.c * u for u in gens[ray.g]]
+    for xi, a in zip(ray.x, ray.e_ids):
+        w = [u - xi * v for u, v in zip(w, gens[a])]
+    return any(w) and primitive_vector(w) == primitive_vector(barycenter_projection(system, e, f))
 
 
 def orthogonal_component(C: LiftedCone, E: Face, point) -> tuple[Fraction, ...]:

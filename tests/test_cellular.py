@@ -5,6 +5,7 @@ formula with alternating signs (oracle in tests/oracles.py): on simplices
 the two complexes must agree up to a diagonal +-1 change of basis.
 """
 
+import dataclasses
 import hashlib
 import random
 import sys
@@ -114,18 +115,30 @@ def test_one_span_basis_per_face_per_run(monkeypatch):
 
 
 def test_one_edge_ray_per_covering_pair_per_run(monkeypatch):
-    # build_complex walks each covering pair once; ConeSystem keeps no rays
+    # build_complex walks each covering pair once; ConeSystem keeps no rays,
+    # and no ray builds its n-vector direction: the cross-check and the
+    # incidence sign read the ray's coefficients
     real = cones.edge_ray
     calls = []
+    built = []
+    direction = EdgeRay.__dict__["direction"]
 
     def counting(C, e, f, **kwargs):
         calls.append((e, f))
         return real(C, e, f, **kwargs)
 
+    def building(ray):
+        built.append(ray.pair)
+        return direction.func(ray)
+
     monkeypatch.setattr(cones, "edge_ray", counting)
+    monkeypatch.setattr(EdgeRay, "direction", property(building))
     result = run_pipeline(hypercube(4))
     assert len(calls) == len(result.lattice.covering) == 232
     assert set(calls) == set(result.lattice.covering)
+    assert not built
+    ray = ConeSystem(lift(hypercube(1)), face_lattice(hypercube(1))).ray(1, 3)
+    assert ray.direction == (0, 1) and built == [ray.pair]
 
 
 def test_per_face_work_once_per_run(monkeypatch):
@@ -382,7 +395,8 @@ def test_column_support_counts(small_corpus):
 
 
 def test_build_complex_reports_failed_crosscheck(monkeypatch):
-    # a negated ray is a negative multiple of its barycenter projection
+    # a ray with negated coefficients, -w = -c g + A_E x, is a negative
+    # multiple of its barycenter projection: <w, w'> < 0
     lat, system, triv = setup_polytope(hypercube(2))
     target = lat.covering[-1]
     real = cones.edge_ray
@@ -391,8 +405,8 @@ def test_build_complex_reports_failed_crosscheck(monkeypatch):
         ray = real(C, e, f, **kwargs)
         if (e, f) != target:
             return ray
-        return EdgeRay(pair=ray.pair, direction=tuple(-x for x in ray.direction),
-                       orientation=-ray.orientation)
+        return dataclasses.replace(ray, c=-ray.c, x=tuple(-v for v in ray.x),
+                                   orientation=-ray.orientation)
 
     monkeypatch.setattr(cones, "edge_ray", negated)
     with pytest.raises(InternalInvariantError) as err:

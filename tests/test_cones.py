@@ -6,6 +6,7 @@ Caratheodory-style enumeration over generator subsets.
 
 import dataclasses
 import random
+from collections import Counter
 from itertools import combinations
 from math import lcm
 
@@ -39,8 +40,10 @@ from polyk.linalg import (
 from polyk.polytope import Face, face_lattice
 
 from oracles import (
+    barycenter_projection,
     circledast_gens,
     cramer_numerators,
+    crosscheck_verdict,
     gram_adjugate,
     kernel_edge_ray,
     leibniz_det,
@@ -189,8 +192,9 @@ def test_edge_ray_segment_vertex_to_top():
     e, f = lat.face_id[by_set[(0,)]], lat.face_id[by_set[(0, 1)]]
     ray = system.ray(e, f)
     assert ray.direction == (0, 1)
+    system.crosscheck(e, f, ray)
     # b = (1, 0) + (1, 1), A_E = ((1, 0),), det G = 1: w' = b - 2 (1, 0)
-    w = system.crosscheck(e, f)
+    w = barycenter_projection(system, e, f)
     assert w == (0, 1)
     assert positive_multiple_ratio(w, ray.direction) == 1
 
@@ -206,7 +210,8 @@ def test_edge_ray_from_empty_face_is_lifted_vertex(small_corpus):
             assert ray.direction == primitive_vector(cone.generators[v.vertex_set[0]])
             assert ray.orientation == 1
             # A_E is empty, det G = 1: w' = b, the one integer lifted vertex
-            w = system.crosscheck(empty, lat.face_id[v])
+            system.crosscheck(empty, lat.face_id[v], ray)
+            w = barycenter_projection(system, empty, lat.face_id[v])
             assert w == cone.generators[v.vertex_set[0]]
 
 
@@ -243,12 +248,16 @@ def test_crosscheck_positive_on_corpus(small_corpus):
         system = ConeSystem(lift(poly), lat)
         for e, f in lat.covering:
             e, f = lat.face_id[e], lat.face_id[f]
-            ratio = positive_multiple_ratio(system.crosscheck(e, f), system.ray(e, f).direction)
+            ray = system.ray(e, f)
+            system.crosscheck(e, f, ray)
+            ratio = positive_multiple_ratio(barycenter_projection(system, e, f), ray.direction)
             assert ratio is not None and ratio > 0
 
 
 def test_crosscheck_matches_rational_gram_oracle(small_corpus):
-    # the integer Cramer solve is (L * |F| * det G) times the rational
+    # the integer Cramer solve of the barycenter projection oracle, the
+    # n-vector the cross-check built before it decided on Gram numbers, is
+    # (L * |F| * det G) times the rational
     # barycenter projection, exactly, with G the Gram matrix of E's span
     # basis and L the lcm of the vertex denominators; the random hulls have
     # rational vertices
@@ -262,8 +271,85 @@ def test_crosscheck_matches_rational_gram_oracle(small_corpus):
             a_e = system.face_data(lat.face_id[e]).span_basis
             det_g = leibniz_det([[dot(u, v) for v in a_e] for u in a_e])
             factor = scale * len(f.vertex_set) * det_g
-            assert system.crosscheck(lat.face_id[e], lat.face_id[f]) == \
+            assert barycenter_projection(system, lat.face_id[e], lat.face_id[f]) == \
                 tuple(factor * x for x in oracle_crosscheck(cone, e, f)), (poly.name, e, f)
+
+
+def gram_verdict(system, ray, e, f) -> bool:
+    try:
+        system.crosscheck(e, f, ray)
+    except InternalInvariantError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("polys", [
+    list(acceptance_corpus()), [hypercube(6)], [cross_polytope(6)],
+    [random_hull(random.Random(seed), d, 9) for seed, d in ((1, 2), (2, 3), (3, 4))],
+], ids=["corpus", "cube6", "cross6", "hulls"])
+def test_gram_crosscheck_verdict_matches_vector_oracle(polys):
+    # the cross-check on Gram numbers (Cauchy-Schwarz equality and
+    # <w, w'> > 0) accepts exactly the rays the n-vector comparison
+    # primitive(w') = primitive(w) accepts.  Per covering pair it is shown
+    # the ray, the projections of up to two other vertices of F outside E
+    # (the same ray), and rays it must reject: negated coefficients, one
+    # coefficient of x moved by one, and the projection of a vertex of E
+    # (w = 0); the random hulls have rational vertices
+    verdicts = Counter()
+    for poly in polys:
+        lat = face_lattice(poly)
+        system = ConeSystem(lift(poly), lat)
+        for f, lower in enumerate(lat.down):
+            F = lat.faces_by_id[f]
+            for e in lower:
+                E = lat.faces_by_id[e]
+                ray = system.ray(e, f)
+                adj = system.face_data(e).gram_adj
+
+                def projecting(v):
+                    at_v = [system.gram[v][a] for a in ray.e_ids]
+                    return dataclasses.replace(ray, g=v, x=tuple(int_dot(r, at_v) for r in adj))
+
+                others = [v for v in F.vertex_set if v not in E.vertex_set and v != ray.g]
+                candidates = [("ray", ray)] + [("other", projecting(v)) for v in others[:2]]
+                candidates.append(("negated", dataclasses.replace(
+                    ray, c=-ray.c, x=tuple(-v for v in ray.x))))
+                if ray.x:
+                    candidates.append(("moved", dataclasses.replace(
+                        ray, x=(ray.x[0] + 1,) + ray.x[1:])))
+                    candidates.append(("in E", projecting(ray.e_ids[0])))
+                for kind, candidate in candidates:
+                    verdict = gram_verdict(system, candidate, e, f)
+                    assert verdict == bool(crosscheck_verdict(system, candidate, e, f)), \
+                        (poly.name, E, F, kind)
+                    verdicts[kind, verdict] += 1
+    assert set(verdicts) == {("ray", True), ("other", True), ("negated", False),
+                             ("moved", False), ("in E", False)}
+
+
+def test_crosscheck_rejects_perturbed_vertex_sum_dot(monkeypatch):
+    # <v, b_F> is taken once per face; one entry moved by one, for the first
+    # vertex of an edge F of the square, fails the cross-check of the first
+    # covering pair that reads it, (first lower cover of F, F), by name
+    poly = hypercube(2)
+    lat, _ = faces_of(poly)
+    F = lat.faces(1)[0]
+    E = lat.lower_covers(F)[0]
+    real = cones.face_cone_data
+
+    def perturbed(C, face, *args):
+        data = real(C, face, *args)
+        if face != F:
+            return data
+        v = face.vertex_set[0]
+        return dataclasses.replace(data, sum_dot={**data.sum_dot, v: data.sum_dot[v] + 1})
+
+    monkeypatch.setattr(cones, "face_cone_data", perturbed)
+    with pytest.raises(InternalInvariantError) as err:
+        build_complex(trivialize(lat), lat, ConeSystem(lift(poly), lat))
+    assert str(err.value) == (
+        f"edge-ray cross-check failed for ({E}, {F}): "
+        "barycenter projection is not a positive multiple")
 
 
 @given(st.integers(1, 8).flatmap(lambda n: st.integers(0, min(n, 7)).flatmap(lambda k: st.tuples(
@@ -400,24 +486,23 @@ def test_dual_face_rank_names_face():
 
 def test_edge_ray_rejects_ray_outside_span_of_f(monkeypatch):
     # membership in span(F) is an identity of edge_ray's construction, and
-    # not checked there; a ray shifted out of span(F) by a lifted vertex
-    # outside F is caught by the barycenter cross-check, whose vector lies
-    # in span(F)
+    # not checked there; a ray that projects a lifted vertex outside F in
+    # place of g leaves span(F), and is caught by the barycenter
+    # cross-check, whose vector lies in span(F)
     poly = hypercube(2)
     lat, _ = faces_of(poly)
     cone = lift(poly)
     e, f = next((e, f) for e, f in lat.covering if f.dim == 1)
     outside = next(i for i in range(poly.nvertices) if i not in f.vertex_set)
-    shift = primitive_vector(cone.generators[outside])
     real = cones.edge_ray
 
     def shifted(C, E, F, *args, **kwargs):
         ray = real(C, E, F, *args, **kwargs)
         if (E, F) != (e, f):
             return ray
-        direction = tuple(a + b for a, b in zip(ray.direction, shift))
-        assert not span_basis_of_face(C, F)[1].contains(direction)
-        return dataclasses.replace(ray, direction=direction)
+        moved = dataclasses.replace(ray, g=outside)
+        assert not span_basis_of_face(C, F)[1].contains(moved.direction)
+        return moved
 
     monkeypatch.setattr(cones, "edge_ray", shifted)
     with pytest.raises(InternalInvariantError) as err:
@@ -425,28 +510,43 @@ def test_edge_ray_rejects_ray_outside_span_of_f(monkeypatch):
     assert f"edge-ray cross-check failed for ({e}, {f})" in str(err.value)
 
 
-def test_edge_ray_rejects_ray_not_orthogonal_to_e():
-    # a doubled adjugate of G_E doubles x, so w = det G_E g - A_E x stays in
-    # span F but leaves span(E)^perp: <w, a_j> = det G_E T[g][a_j] - (G_E x)_j
-    # is read off the tables and no longer vanishes
+def test_edge_ray_rejects_ray_not_orthogonal_to_e(monkeypatch):
+    # orthogonality to span(E) is certified once per face, by
+    # G_E adj(G_E) = det G_E * I: one corrupted adjugate entry fails the
+    # certificate, naming the face.  Past the certificate, the same
+    # adjugate (adj = (0) for the vertex E) gives x = 0 and w = det G_E g,
+    # which stays in span F but leaves span(E)^perp
     poly = hypercube(2)
     lat, _ = faces_of(poly)
     system = ConeSystem(lift(poly), lat)
     e, f = next((e, f) for e, f in lat.covering if f.dim == 1)
-    data_e = system.face_data(lat.face_id[e])
-    doubled = dataclasses.replace(
-        data_e, gram_adj=tuple(tuple(2 * x for x in row) for row in data_e.gram_adj))
+    i, j = lat.face_id[e], lat.face_id[f]
+    data_e, data_f = system.face_data(i), system.face_data(j)
+    real = cones.bordered_gram_basis
+
+    def corrupt(adj):
+        return ((adj[0][0] - 1,) + adj[0][1:],) + adj[1:]
+
+    def corrupted(F, gram):
+        ids, det, adj = real(F, gram)
+        return ids, det, corrupt(adj) if F == e else adj
+
+    monkeypatch.setattr(cones, "bordered_gram_basis", corrupted)
     with pytest.raises(InternalInvariantError) as err:
-        edge_ray(system.cone, e, f, doubled, system.face_data(lat.face_id[f]),
-                 gram=system.gram, slack=system.slack)
-    assert f"edge ray of ({e}, {f}) not orthogonal to span of {e}" in str(err.value)
+        ConeSystem(system.cone, lat).face_data(i)
+    assert str(err.value) == (
+        f"Gram adjugate of the span of {e} fails the certificate "
+        f"G adj(G) = det G * I, det G > 0 (det G = {data_e.gram_det})")
+    bad = dataclasses.replace(data_e, gram_adj=corrupt(data_e.gram_adj))
+    ray = edge_ray(system.cone, e, f, bad, data_f, gram=system.gram,
+                   e_mask=lat.vertex_masks[i])
+    assert any(dot(ray.direction, system.cone.generators[a]) != 0 for a in data_e.span_ids)
 
 
 def test_edge_ray_without_orientation_names_pair():
     # the lifted vertex g that orients the ray is moved into span(E), so
     # <w, g> = det G_E |g - P_E g|^2 = 0 on the broken cone's tables; the
-    # face data of the unchanged cone still pass the orthogonality and
-    # circledast checks, which come first
+    # face data of the unchanged cone still pass their certificates
     lat, _ = faces_of(hypercube(2))
     system = ConeSystem(lift(hypercube(2)), lat)
     e, f = next((e, f) for e, f in lat.covering
@@ -458,23 +558,27 @@ def test_edge_ray_without_orientation_names_pair():
     with pytest.raises(InternalInvariantError) as err:
         edge_ray(broken.cone, e, f, system.face_data(lat.face_id[e]),
                  system.face_data(lat.face_id[f]),
-                 gram=broken.gram, slack=broken.slack)
+                 gram=broken.gram, e_mask=lat.vertex_masks[lat.face_id[e]])
     assert str(err.value) == (
         f"edge ray of ({e}, {f}) is orthogonal to lifted vertex {outside}: it has no orientation")
 
 
 def test_edge_ray_zero_vector_names_pair():
-    # tables that give <w, g> > 0 with generators that give w = 0: on the
+    # tables that give side > 0 with generators that give w = 0: on the
     # segment, g = (1, 1) replaced by a = (1, 0) gives
-    # w = det G_E g - T[a][g] a = 1 (1, 0) - 1 (1, 0); gcd(w) = 0
+    # w = det G_E g - T[a][g] a = 1 (1, 0) - 1 (1, 0).  On the generators'
+    # own tables |w|^2 = c * side rules that out, so edge_ray builds no w;
+    # the direction, made on first read, finds gcd(w) = 0
     lat, by_set = faces_of(simplex(1))
     system = ConeSystem(lift(simplex(1)), lat)
     e, f = by_set[(0,)], by_set[(0, 1)]
     gens = system.cone.generators
     broken = dataclasses.replace(system.cone, generators=(gens[0], gens[0]))
+    ray = edge_ray(broken, e, f, system.face_data(lat.face_id[e]),
+                   system.face_data(lat.face_id[f]), gram=system.gram,
+                   e_mask=lat.vertex_masks[lat.face_id[e]])
     with pytest.raises(InternalInvariantError) as err:
-        edge_ray(broken, e, f, system.face_data(lat.face_id[e]),
-                 system.face_data(lat.face_id[f]), gram=system.gram, slack=system.slack)
+        ray.direction
     assert str(err.value) == f"edge ray of ({e}, {f}) is the zero vector"
 
 
@@ -490,24 +594,28 @@ def test_edge_ray_pointing_away_names_pair():
     with pytest.raises(InternalInvariantError) as err:
         edge_ray(system.cone, e, f, system.face_data(lat.face_id[e]),
                  system.face_data(lat.face_id[f]),
-                 gram=gram, slack=system.slack)
+                 gram=gram, e_mask=lat.vertex_masks[lat.face_id[e]])
     assert str(err.value) == f"edge ray of ({e}, {f}) points away from lifted vertex {g}"
 
 
-def test_edge_ray_rejects_negative_slack():
-    # <w, y> = det G_E S[g][y] over E's dual face: a negative slack entry
-    # there puts the ray outside the circledast cone of E
+def test_edge_ray_rejects_negative_slack(monkeypatch):
+    # <w, y> = det G_E S[g][y] over E's dual face, so S >= 0, checked once
+    # per run when the cone system is built, puts every ray in the
+    # circledast cone of its E; a negative slack entry, here at g on a
+    # normal of E's dual face, fails it, naming the vertex
     lat, _ = faces_of(hypercube(2))
     system = ConeSystem(lift(hypercube(2)), lat)
     e, f = next((e, f) for e, f in lat.covering if f.dim == 1)
-    g = next(i for i in f.vertex_set if i not in e.vertex_set)
-    data_e = system.face_data(lat.face_id[e])
+    g = system.ray(lat.face_id[e], lat.face_id[f]).g
+    k = system.face_data(lat.face_id[e]).dual_ids[0]
     slack = [list(row) for row in system.slack]
-    slack[g][data_e.dual_ids[0]] = -1
+    slack[g][k] = -1
+    monkeypatch.setattr(cones, "slack_table", lambda C: tuple(map(tuple, slack)))
     with pytest.raises(InternalInvariantError) as err:
-        edge_ray(system.cone, e, f, data_e, system.face_data(lat.face_id[f]),
-                 gram=system.gram, slack=slack)
-    assert str(err.value) == f"edge ray of ({e}, {f}) outside circledast cone of {e}"
+        ConeSystem(system.cone, lat)
+    assert str(err.value) == (
+        f"vertex {{{g}}} lies outside facet normal {k} of the cone (slack -1): "
+        "the edge rays at it would leave their circledast cones")
 
 
 def test_edge_ray_zero_sign_names_pair(monkeypatch):
@@ -534,7 +642,7 @@ def test_edge_ray_without_span_id_outside_e_names_pair():
     e = Face(vertex_set=(0, 1, 2), dim=1)
     with pytest.raises(InternalInvariantError) as err:
         edge_ray(system.cone, e, top, system.face_data(lat.face_id[edge]),
-                 system.face_data(lat.face_id[top]), gram=system.gram, slack=system.slack)
+                 system.face_data(lat.face_id[top]), gram=system.gram, e_mask=0b111)
     assert str(err.value) == f"edge ray of ({e}, {top}): every span id of {top} lies in {e}"
 
 
@@ -612,7 +720,8 @@ def test_edge_ray_matches_kernel_oracle(small_corpus):
         system = ConeSystem(lift(poly), lat)
         for e, f in lat.covering:
             i, j = lat.face_id[e], lat.face_id[f]
-            assert system.ray(i, j) == kernel_edge_ray(
+            ray = system.ray(i, j)
+            assert (ray.direction, ray.orientation) == kernel_edge_ray(
                 system.cone, e, f, system.face_data(i), system.face_data(j)), (poly.name, e, f)
 
 

@@ -106,6 +106,17 @@ def test_cli_validate_missing_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_cli_report_non_utf8_file_is_input_error(tmp_path, capsys):
+    # a Latin-1 name: the byte 0xe9 at offset 10 is not followed by the
+    # continuation bytes UTF-8 needs after it
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"name": "\xe9", "dim": 1, "vertices": [[0], [1]]}')
+    assert main(["report", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {bad}: not UTF-8: byte 0xe9 at offset 10 "
+                   "(invalid continuation byte)\n")
+
+
 def test_cli_report_injected_internal_error(monkeypatch, capsys):
     real = cellular.incidence_sign
     state = {"flipped": False}

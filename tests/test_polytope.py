@@ -425,6 +425,28 @@ def test_verify_lattice_rejects_cover_that_is_not_a_containment():
             f"covering pair ({low}, {high}) is not a strict vertex-set containment"
 
 
+def test_vertex_masks_come_from_the_closure_and_are_derived_by_hand_built_lattices(
+        small_corpus):
+    # face_lattice keeps the vertex masks its closure found, by face id;
+    # a lattice built from faces and covers derives the same ones; and
+    # verify_lattice reads them, not the vertex sets: the cube's lattice
+    # with the mask of one vertex cleared fails the containment check
+    for poly in list(small_corpus) + [hypercube(4), cross_polytope(4)]:
+        lat = face_lattice(poly)
+        masks = tuple(sum(1 << v for v in f.vertex_set) for f in lat.faces_by_id)
+        assert lat.vertex_masks == masks, poly.name
+        assert lattice_from_pairs(lat.dim, lat.faces_by_dim, lat.covering).vertex_masks == masks
+    lat = face_lattice(hypercube(3))
+    vertex = lat.face_id[lat.faces(0)[0]]
+    masks = list(lat.vertex_masks)
+    masks[vertex] = 0
+    broken = polytope.FaceLattice(lat.dim, lat.faces_by_dim, lat.down, vertex_masks=tuple(masks))
+    with pytest.raises(InternalInvariantError) as err:
+        verify_lattice(broken)
+    assert str(err.value) == (f"covering pair ({lat.empty_face}, {lat.faces_by_id[vertex]}) "
+                              "is not a strict vertex-set containment")
+
+
 # --- covering pairs ---
 
 def test_covering_triangle_edges():
