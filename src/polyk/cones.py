@@ -90,12 +90,12 @@ vector lies in span(F), so it would also reject a ray outside span(F).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from math import gcd, lcm
 from operator import and_
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InternalInvariantError
 from .linalg import (
@@ -144,14 +144,15 @@ class FaceConeData:
     dual_face_gens: tuple[IntVector, ...]  # those facet normals
 
 
-@dataclass(frozen=True)
-class EdgeRay:
+class EdgeRay(NamedTuple):
     """The edge ray attached to a covering pair, as the coefficients of
     w = c * g - sum_i x_i a_i over the lifted vertex g and E's span ids a_i
     (see ``edge_ray``), with its orientation sign det([e | A_E]^T A_F): the
     incidence sign [E : F] of the unflipped span bases.  Its primitive
-    generator e, ``direction``, is made from the cone's generators on first
-    read; the report never reads it."""
+    generator e, ``direction``, is made from the cone's generators when it
+    is read; the report never reads it.  A named tuple, immutable like the
+    frozen dataclasses elsewhere: one is made per covering pair, and it is
+    made in a third of a frozen dataclass's time."""
 
     pair: tuple[Face, Face]
     g: int  # vertex id of the lifted vertex projected
@@ -159,9 +160,9 @@ class EdgeRay:
     x: tuple[int, ...]  # coefficients of E's span ids, adj(G_E) A_E^T g
     e_ids: tuple[int, ...]  # E's span ids
     orientation: int  # +1 or -1
-    generators: tuple[IntVector, ...] = field(compare=False, repr=False)
+    generators: tuple[IntVector, ...]  # the cone's, which w combines
 
-    @cached_property
+    @property
     def direction(self) -> IntVector:
         """The primitive vector w // gcd(w) of w; gcd(w) = 0 exactly when
         w = 0, an error naming the pair.  On the tables of the generators
@@ -452,8 +453,10 @@ def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: Face
         raise InternalInvariantError(
             f"edge ray of ({E}, {F}): the kernel of A_E^T A_F is not a line "
             f"(spans of dimension {len(a_ids)} and {len(f_ids)})")
-    g = next((i for i in f_ids if not e_mask >> i & 1), None)
-    if g is None:
+    for g in f_ids:
+        if not e_mask >> g & 1:
+            break
+    else:
         raise InternalInvariantError(
             f"edge ray of ({E}, {F}): every span id of {F} lies in {E}")
     t_g = gram[g]
@@ -479,8 +482,7 @@ def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: Face
         if det == 0:
             raise InternalInvariantError(f"incidence sign of ({E}, {F}) is zero")
         sign = permutation_sign(rows) * (1 if det > 0 else -1)
-    return EdgeRay(pair=(E, F), g=g, c=det_e, x=x, e_ids=a_ids, orientation=sign,
-                   generators=C.generators)
+    return EdgeRay((E, F), g, det_e, x, a_ids, sign, C.generators)
 
 
 def edge_ray_crosscheck(ray: EdgeRay, data_E: FaceConeData, data_F: FaceConeData,
@@ -513,11 +515,11 @@ def edge_ray_crosscheck(ray: EdgeRay, data_E: FaceConeData, data_F: FaceConeData
     a g outside F (a ray outside span(F)) fails the check.  w' = 0 is an
     error of its own.
     """
-    E, F = ray.pair
     g, c, x = ray.g, ray.c, ray.x
     sum_dot = data_F.sum_dot
     b_g = sum_dot.get(g)
     a_ids = data_E.span_ids
+    E, F = ray.pair
     if b_g is None or ray.e_ids != a_ids:
         raise InternalInvariantError(
             f"edge-ray cross-check failed for ({E}, {F}): the ray is not a combination "

@@ -5,7 +5,6 @@ formula with alternating signs (oracle in tests/oracles.py): on simplices
 the two complexes must agree up to a diagonal +-1 change of basis.
 """
 
-import dataclasses
 import hashlib
 import random
 import sys
@@ -121,7 +120,7 @@ def test_one_edge_ray_per_covering_pair_per_run(monkeypatch):
     real = cones.edge_ray
     calls = []
     built = []
-    direction = EdgeRay.__dict__["direction"]
+    direction = EdgeRay.direction
 
     def counting(C, e, f, **kwargs):
         calls.append((e, f))
@@ -129,7 +128,7 @@ def test_one_edge_ray_per_covering_pair_per_run(monkeypatch):
 
     def building(ray):
         built.append(ray.pair)
-        return direction.func(ray)
+        return direction.fget(ray)
 
     monkeypatch.setattr(cones, "edge_ray", counting)
     monkeypatch.setattr(EdgeRay, "direction", property(building))
@@ -405,8 +404,7 @@ def test_build_complex_reports_failed_crosscheck(monkeypatch):
         ray = real(C, e, f, **kwargs)
         if (e, f) != target:
             return ray
-        return dataclasses.replace(ray, c=-ray.c, x=tuple(-v for v in ray.x),
-                                   orientation=-ray.orientation)
+        return ray._replace(c=-ray.c, x=tuple(-v for v in ray.x), orientation=-ray.orientation)
 
     monkeypatch.setattr(cones, "edge_ray", negated)
     with pytest.raises(InternalInvariantError) as err:

@@ -308,15 +308,13 @@ def test_gram_crosscheck_verdict_matches_vector_oracle(polys):
 
                 def projecting(v):
                     at_v = [system.gram[v][a] for a in ray.e_ids]
-                    return dataclasses.replace(ray, g=v, x=tuple(int_dot(r, at_v) for r in adj))
+                    return ray._replace(g=v, x=tuple(int_dot(r, at_v) for r in adj))
 
                 others = [v for v in F.vertex_set if v not in E.vertex_set and v != ray.g]
                 candidates = [("ray", ray)] + [("other", projecting(v)) for v in others[:2]]
-                candidates.append(("negated", dataclasses.replace(
-                    ray, c=-ray.c, x=tuple(-v for v in ray.x))))
+                candidates.append(("negated", ray._replace(c=-ray.c, x=tuple(-v for v in ray.x))))
                 if ray.x:
-                    candidates.append(("moved", dataclasses.replace(
-                        ray, x=(ray.x[0] + 1,) + ray.x[1:])))
+                    candidates.append(("moved", ray._replace(x=(ray.x[0] + 1,) + ray.x[1:])))
                     candidates.append(("in E", projecting(ray.e_ids[0])))
                 for kind, candidate in candidates:
                     verdict = gram_verdict(system, candidate, e, f)
@@ -500,7 +498,7 @@ def test_edge_ray_rejects_ray_outside_span_of_f(monkeypatch):
         ray = real(C, E, F, *args, **kwargs)
         if (E, F) != (e, f):
             return ray
-        moved = dataclasses.replace(ray, g=outside)
+        moved = ray._replace(g=outside)
         assert not span_basis_of_face(C, F)[1].contains(moved.direction)
         return moved
 
