@@ -410,18 +410,19 @@ def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: Face
     positive at g, and v projects to det G <v, e> / |e|^2 * e, a positive
     multiple of e.
 
-    One check is made per pair, on k numbers (k = dim F, the size of E's
-    basis):
+    The ray takes one check per pair, on k numbers (k = dim F, the size of
+    E's basis), besides the sign minor's below:
 
       * orientation: <w, g> = c T[g][g] - <x, A^T g> = c * side, with
         side = c |g - P_E g|^2, positive unless g lies in span(E), and then
         w = 0; since |w|^2 = c * side too, side > 0 also shows w != 0.
 
-    The others hold by certificates made once: w is orthogonal to span(E)
-    because G adj(G) = det G * I (checked per face by ``face_cone_data``),
-    so <w, a_j> = c T[g][a_j] - (G x)_j = 0; and w lies in the circledast
-    cone of E because <w, y> = c S[g][y] for y in E's dual face, where
-    every vertex of E vanishes, and S >= 0 (``check_slack``, once per run).
+    The other checks hold by certificates made once: w is orthogonal to
+    span(E) because G adj(G) = det G * I (checked per face by
+    ``face_cone_data``), so <w, a_j> = c T[g][a_j] - (G x)_j = 0; and w lies
+    in the circledast cone of E because <w, y> = c S[g][y] for y in E's
+    dual face, where every vertex of E vanishes, and S >= 0
+    (``check_slack``, once per run).
     Membership of the ray in span(F) is an identity, not a check: w is an
     integer combination of g and the columns of A_E, all lifted vertices of
     F.  The barycenter cross-check that ``build_complex`` makes on every
@@ -512,8 +513,8 @@ def edge_ray_crosscheck(ray: EdgeRay, data_E: FaceConeData, data_F: FaceConeData
     comparison primitive(w') = primitive(w) made, on k numbers.
 
     The ray's g must be a vertex of F and its x must go with E's span ids;
-    a g outside F (a ray outside span(F)) fails the check.  w' = 0 is an
-    error of its own.
+    a g outside F (a ray outside span(F)) fails the check.  So does w' = 0,
+    with <w, w'> = 0.
     """
     g, c, x = ray.g, ray.c, ray.x
     sum_dot = data_F.sum_dot
@@ -531,8 +532,6 @@ def edge_ray_crosscheck(ray: EdgeRay, data_E: FaceConeData, data_F: FaceConeData
     at_b = [sum_dot[a] for a in a_ids]
     x_b = [int_dot(row, at_b) for row in adj]
     b_sq = det * (det * data_F.sum_sq - int_dot(x_b, at_b))
-    if b_sq == 0:
-        raise InternalInvariantError(f"barycenter of {F} projects to zero over {E}")
     inner = c * (det * b_g - int_dot(x_b, at_g))
     w_sq = c * (c * t_g[g] - 2 * int_dot(x, at_g)) + int_dot(
         x, [int_dot(row, x) for row in data_E.gram])
