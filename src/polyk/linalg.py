@@ -9,11 +9,11 @@ membership and greedy bases, Bareiss determinants, cofactor kernels), Smith
 normal form over the integers, and dense rational matrices with rank /
 determinant-sign / solve operations, which the tests' oracles still use.
 
-Homology runs on sparse columns and reduces them by unit pivots
-(``polyk.sparse.unit_pivot_elimination``), which leaves its block over as
-sparse columns too; ``smith_normal_form`` takes only a nonzero leftover,
-densified, and serves the tests as the oracle.  It re-verifies
-U @ M @ V = D densely before returning.
+Homology reads its ranks off a certified acyclic matching of the sparse
+columns (``polyk.sparse.acyclic_matching``); ``smith_normal_form`` takes
+only a boundary matrix the matching cannot pin, densified, and serves the
+tests as the oracle.  It re-verifies U @ M @ V = D densely before
+returning.
 
 Empty matrices (zero rows or zero columns) are legal in every operation and
 behave as rank 0; the augmentation row of the cellular complex and the empty

@@ -1,18 +1,30 @@
-"""Sparse columns and unit-pivot elimination, against the dense Smith
-normal form as the oracle: random small integer matrices, matrices with
-torsion built as A diag(d) B with A and B unimodular, and unit entries
-beside blocks without units; plus the replay certificate on a matrix
-reduced by hand.  The sparse leftover is densified to compare it."""
+"""Sparse columns and the acyclic matching homology reads its ranks off.
+
+The matching: a triangle collapsed by hand, perfect on the acceptance
+corpus, cubes and cross-polytopes of dimension 5 and 6 and a 6-dimensional
+random hull, one fault injected per check of its certificate, and per map
+the same rank as the unit-pivot oracle.  The unit-pivot oracle itself, against the dense
+Smith normal form: random small integer matrices, matrices with torsion
+built as A diag(d) B with A and B unimodular, and unit entries beside
+blocks without units; plus the replay certificate on a matrix reduced by
+hand.  The sparse leftover is densified to compare it."""
+
+import random
+from functools import cache
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from polyk.cellular import build_complex, trivialize
+from polyk.cones import ConeSystem, lift
+from polyk.corpus import acceptance_corpus, cross_polytope, hypercube, random_hull
 from polyk.errors import InternalInvariantError
 from polyk.linalg import int_mat_mul, smith_normal_form
-from polyk.sparse import check_unit_pivots, dense_matrix, unit_pivot_elimination
+from polyk.polytope import face_lattice
+from polyk.sparse import acyclic_matching, check_matching, dense_matrix
 
-from oracles import sparse_columns
+from oracles import check_unit_pivots, sparse_columns, unit_pivot_elimination
 
 
 def densified(elimination):
@@ -158,3 +170,104 @@ def test_sparse_columns_checks_shape():
         sparse_columns([[0, 2], [1]], 2, 2)
     with pytest.raises(InternalInvariantError):
         sparse_columns([[0, 2]], 2, 2)
+
+
+# --- the acyclic matching ---
+
+@cache
+def complexes(name):
+    """The cellular complexes of a named group of polytopes, built once."""
+    if name == "corpus":
+        polys = acceptance_corpus(20240)
+    else:
+        polys = [{"cube5": lambda: hypercube(5), "cross5": lambda: cross_polytope(5),
+                  "cube6": lambda: hypercube(6), "cross6": lambda: cross_polytope(6),
+                  "hull6": lambda: random_hull(random.Random(3), 6, 24)}[name]()]
+    out = []
+    for poly in polys:
+        L = face_lattice(poly)
+        out.append(build_complex(trivialize(L), L, ConeSystem(lift(poly), L)))
+    return out
+
+
+# the triangle's augmented complex: empty face; vertices 0, 1, 2; edges
+# (0,1), (0,2), (1,2); the triangle
+TRIANGLE_MAPS = ([{0: 1}, {0: 1}, {0: 1}],
+                 [{0: -1, 1: 1}, {0: -1, 2: 1}, {1: -1, 2: 1}],
+                 [{0: 1, 1: -1, 2: 1}])
+
+
+def test_matching_triangle_by_hand():
+    # every edge is free below the triangle; the first in takes it.  That
+    # frees vertices 0 and 1 (in that order) below edges (0,2) and (1,2),
+    # and the empty face last has vertex 2 as its one live coface
+    assert acyclic_matching(TRIANGLE_MAPS, (1, 3, 3, 1)) == (((0, 2),), ((0, 1), (1, 2)), ((0, 0),))
+
+
+@pytest.mark.parametrize("name", ["corpus", "cube5", "cross5", "cube6", "cross6", "hull6"])
+def test_matching_has_no_critical_cell(name):
+    # hull6 is random_hull(Random(3), 6, 24), where a last-in-first-out
+    # queue leaves critical cells
+    for x in complexes(name):
+        pairs = acyclic_matching(x.columns, x.f_vector)
+        assert 2 * sum(map(len, pairs)) == sum(x.f_vector)
+
+
+@pytest.mark.parametrize("name", ["corpus", "cube5", "cross5"])
+def test_matching_rank_matches_unit_pivot_oracle(name):
+    for x in complexes(name):
+        pairs = acyclic_matching(x.columns, x.f_vector)
+        for j, cols in enumerate(x.columns):
+            pivots, leftover, rows = unit_pivot_elimination(cols, x.f_vector[j])
+            rest = smith_normal_form(dense_matrix(leftover, rows)).diagonal if any(leftover) else ()
+            assert len(pairs[j]) == len(pivots) + sum(1 for d in rest if d)
+
+
+def cube_matching():
+    """The 5-cube's maps and matching, as lists to inject faults into."""
+    x = complexes("cube5")[0]
+    pairs = acyclic_matching(x.columns, x.f_vector)
+    return [list(cols) for cols in x.columns], [list(ps) for ps in pairs]
+
+
+def test_matching_certificate_rejects_non_unit_entry():
+    maps, pairs = cube_matching()
+    r, c = pairs[2][0]
+    maps[2][c] = {**maps[2][c], r: 2}
+    with pytest.raises(InternalInvariantError, match=(
+            rf"^acyclic matching: D_2 entry \(row {r}, column {c}\) = 2 is not a unit$")):
+        check_matching(maps, pairs)
+
+
+def test_matching_certificate_rejects_row_matched_twice():
+    maps, pairs = cube_matching()
+    (r, _), (_, c) = pairs[2][:2]
+    pairs[2][1] = (r, c)
+    with pytest.raises(InternalInvariantError,
+                       match=rf"^acyclic matching: D_2 row {r} is matched twice$"):
+        check_matching(maps, pairs)
+
+
+def swap_breaking_triangularity(maps, pairs):
+    """(j, l, k) for pairs l < k of D_j whose swap leaves exactly one
+    column meeting an earlier row: c_l, now at k, on r_k.  So c_l meets
+    r_k, and no pair between them has a column meeting r_k or a row that
+    c_l meets."""
+    for j, ps in enumerate(pairs):
+        for k, (r_k, _) in enumerate(ps):
+            # the last pair before k whose column meets r_k
+            l = max((l for l in range(k) if r_k in maps[j][ps[l][1]]), default=None)
+            if l is not None and not any(r in maps[j][ps[l][1]] for r, _ in ps[l + 1:k]):
+                return j, l, k
+    raise AssertionError("no such pair of pairs")
+
+
+def test_matching_certificate_rejects_swapped_pairs():
+    maps, pairs = cube_matching()
+    j, l, k = swap_breaking_triangularity(maps, pairs)
+    (r, c), (r_k, c_k) = pairs[j][l], pairs[j][k]
+    pairs[j][l], pairs[j][k] = (r_k, c_k), (r, c)
+    with pytest.raises(InternalInvariantError, match=(
+            rf"^acyclic matching: D_{j} column {c} is nonzero on row {r_k} of the earlier "
+            rf"pair \(row {r_k}, column {c_k}\): the matched block is not triangular$")):
+        check_matching(maps, pairs)
