@@ -5,8 +5,9 @@ face F of P spans a subcone whose linear span has dimension dim F + 1.  The
 cone's generators are the integer lifted vertices L * (1, v_i), scaled by
 the lcm L of the vertex denominators.  One positive factor for all columns
 changes no span, kernel, ray direction or determinant sign, so everything
-below runs on Python integers, with the ranks of the cone and of the dual
-faces decided by fraction-free elimination (``IntEchelon``).
+below runs on Python integers, with the rank of the cone decided by
+fraction-free elimination (``IntEchelon``) and those of the dual faces by
+the growth of their facet bitmasks along the lattice.
 
 Every inner product the covering pairs need is between two lifted vertices
 (a span basis is made of the face's own vertices) or between a lifted
@@ -14,21 +15,26 @@ vertex and a facet normal of the cone.  So ``ConeSystem`` builds two tables
 once per run: the Gram table T[i][j] = <v_i, v_j> of the lifted vertices
 (``gram_table``) and the slack table S[i][k] = <y_k, v_i> of the lifted
 vertices against the facet normals (``slack_table``), whose zeros give each
-vertex's facet bitmask.  S >= 0 entrywise is checked there, once per run.
+vertex's facet bitmask, and each face's dual-face bitmask, the AND of its
+vertices' bitmasks.  S >= 0 entrywise and the rank of every dual face
+(``check_dual_faces``: the top's mask is empty, and every other face's mask
+strictly holds that of an upper cover) are checked there, once per run.
 For every face id, once per run, we compute
 
   * a deterministic basis A_F of the span (integer lifted vertices, greedy
     in index order), by vertex ids and as a map from each id to its row of
     coordinates in that basis, with the Gram matrix G = A_F^T A_F,
-    det G and adj G, all from T alone, in one bordered pass over F's
-    vertices (``bordered_gram_basis``): a Schur complement per candidate
-    decides its independence and grows det G and adj G exactly; the
-    certificate G adj(G) = det G * I, det G > 0, is checked on the result,
+    det G and adj G, all from T alone, by bordered steps
+    (``bordered_gram_basis``): a Schur complement per candidate decides its
+    independence and grows det G and adj G exactly.  Nearly every face
+    resumes the pass of a lower cover E, whose span ids all lie below
+    p = min(F - E), with one step by p; the others walk all their
+    vertices.  The certificate G adj(G) = det G * I, det G > 0, is checked
+    on each face's result,
   * the sum b_F of its lifted vertices, with <v, b_F> for each vertex v of
     F and |b_F|^2 = sum of those,
   * the dual face (facet normals of the cone vanishing on F), by facet ids
-    and generators, as the AND of its vertices' facet bitmasks; its rank is
-    counted up to n - (dim F + 1), the most it can be.
+    and generators, read off its bitmask.
 
 In the paper, the edge vector of a covering pair E < F is the extreme ray of
 the dual of E's dual face, taken inside that dual face's span (the
@@ -95,7 +101,7 @@ from functools import reduce
 from itertools import combinations
 from math import gcd, lcm
 from operator import and_
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InternalInvariantError
 from .linalg import (
@@ -104,7 +110,6 @@ from .linalg import (
     IntVector,
     bareiss_det,
     cofactor_kernel_vector,
-    first_independent,
     int_dot,
     is_zero_vector,
     permutation_sign,
@@ -257,14 +262,17 @@ def lift(P: Polytope) -> LiftedCone:
     return LiftedCone(dim=n, base=P, generators=gens, facet_normals=normals)
 
 
-def bordered_gram_basis(F: Face, gram: IntMatrix) -> tuple[tuple[int, ...], int, IntMatrix]:
+def bordered_gram_basis(F: Face, gram: IntMatrix, walk: Iterable[int] | None = None,
+                        start: tuple[tuple[int, ...], int, IntMatrix] = ((), 1, ())
+                        ) -> tuple[tuple[int, ...], int, IntMatrix]:
     """The span basis of F with the determinant and adjugate of its Gram
-    matrix, in one bordered pass over the Gram table ``gram`` = T.
+    matrix, by bordered steps over the Gram table ``gram`` = T.
 
-    It walks F's vertices in increasing index order and keeps the chosen
-    ids S with D = det G_S and adj G_S (D = 1 and S empty at the start).  A
-    candidate u borders G_S with the column b = T[S][u]; with y = adj(G_S) b
-    the Schur complement gives
+    It walks the ids of ``walk`` (F's vertices by default) in increasing
+    order and keeps the chosen ids S with D = det G_S and adj G_S, from the
+    state ``start`` = (S, D, adj G_S) (S empty and D = 1 by default).  A
+    candidate u borders G_S with the column b = T[S][u]; with
+    y = adj(G_S) b the Schur complement gives
 
         D' = det G_{S+u} = T[u][u] D - b^T y,
 
@@ -278,16 +286,28 @@ def bordered_gram_basis(F: Face, gram: IntMatrix) -> tuple[tuple[int, ...], int,
       * D' = 0: u is skipped;
       * D' < 0: no Gram table gives that, so it is an error.
 
-    This is the greedy independent subset of F's lifted vertices in index
-    order, dim F + 1 of them (none for the empty face); the walk stops there,
-    and finding fewer is an error.  Its D and adj G are those of a
-    fraction-free Gauss-Jordan pass on the Gram matrix of the chosen ids
-    (Bareiss 1968, by Sylvester's identity).
+    From the default start this is the greedy independent subset of F's
+    lifted vertices in index order, dim F + 1 of them (none for the empty
+    face); the walk stops there, and finding fewer is an error.  Its D and
+    adj G are those of a fraction-free Gauss-Jordan pass on the Gram
+    matrix of the chosen ids (Bareiss 1968, by Sylvester's identity).
+
+    The walk can resume from a lower cover E of F.  Let p = min(F - E), the
+    lowest set bit of mask_F & ~mask_E on the vertex bitmasks, and let
+    every span id of E lie below p.  F's vertices below p are E's vertices
+    below p, since E is contained in F; so F's walk makes E's choices up to
+    E's last span id, and skips the vertices of E from there to p, which
+    lie in span(E).  p lies outside span(E), as E is a face of F and p is
+    not a vertex of E, so p is kept, and then F has its dim F + 1 ids.
+    F's state is therefore E's (ids, D, adj G) bordered once by p:
+    ``walk`` = (p,) with E's state as ``start``, O(k^2) in place of
+    O(|F| k^2).  The basis, and every orientation read off it, are those of
+    the full walk.  A zero minor at p leaves F one id short, an error.
     """
     want = F.dim + 1
-    ids: list[int] = []
-    det, adj = 1, []
-    for u in F.vertex_set:
+    ids, det, adj = start
+    ids = list(ids)
+    for u in F.vertex_set if walk is None else walk:
         if len(ids) == want:
             break
         t_u = gram[u]
@@ -343,28 +363,79 @@ def vertex_facet_masks(slack: IntMatrix) -> tuple[int, ...]:
     return tuple(sum(1 << k for k, s in enumerate(row) if s == 0) for row in slack)
 
 
-def face_cone_data(C: LiftedCone, F: Face, vertex_masks: tuple[int, ...],
-                   gram: IntMatrix) -> FaceConeData:
-    """The per-face data of F, with its span basis, Gram matrix, det G and
-    adj G read off the Gram table ``gram`` (``bordered_gram_basis``).  The
-    certificate G adj(G) = det G * I with det G > 0 is checked here, once
-    per face: it makes every ray off span(F), c g - A_F adj(G) A_F^T g,
-    orthogonal to span(F), and with it the identities of the cross-check.
-    The dual face is a face of the dual cone, hence generated by the facet
-    normals of the cone that vanish on every lifted vertex of F: the AND of
-    the vertices' ``vertex_facet_masks``.  Its span must have dimension
-    n - (dim F + 1); anything else is a geometry bug.
+def check_dual_faces(lattice: FaceLattice, dual_masks: Sequence[int], n: int) -> None:
+    """The dual face of every face F of ``lattice`` spans rank
+    n - (dim F + 1), checked once per run on ``dual_masks``: for each face,
+    the bitmask of the facet normals vanishing on it, the AND of its
+    vertices' ``vertex_facet_masks``.  The top face must have dimension
+    n - 1 and an empty mask, and every other face F must have an upper
+    cover H, of dimension dim F + 1, whose mask F's strictly contains.
 
-    The rank is counted only up to that dimension: every dual normal
-    vanishes on F's lifted vertices, dim F + 1 of which are independent
-    (the span basis), so the normals span at most n - (dim F + 1)
-    dimensions, and the rank is right exactly when that many independent
-    ones are found.
+    Lower bound, by induction from the top, whose dual face has rank
+    0 = n - (dim top + 1).  A normal y in dual(F) but not in dual(H) does
+    not vanish on some vertex v of H: its slack there is nonzero.  Every
+    normal of dual(H) vanishes on v, and so does their span; so y is not in
+    span(dual H), and with dual(H) inside dual(F),
+    rank dual(F) >= rank dual(H) + 1 >= n - (dim H + 1) + 1
+    = n - (dim F + 1).
+
+    Upper bound: every normal of dual(F) vanishes on F's lifted vertices,
+    dim F + 1 of which are independent (the span basis that
+    ``bordered_gram_basis`` finds for F's face data, with det G > 0), so
+    the normals span at most n - (dim F + 1) dimensions.
+
+    So a face's dual rank is right without an echelon of its normals.  A
+    failure names the face and its upper cover.
+    """
+    faces, up = lattice.faces_by_id, lattice.up
+    top = len(faces) - 1
+    if faces[top].dim != n - 1:
+        raise InternalInvariantError(
+            f"top face {faces[top]} has dimension {faces[top].dim} in a cone of dimension {n}")
+    if dual_masks[top]:
+        raise InternalInvariantError(
+            f"dual face of the top face {faces[top]} is not empty: facet normals "
+            f"{list(set_bits(dual_masks[top]))} vanish on every vertex")
+    for f in range(top):
+        mask, dim = dual_masks[f], faces[f].dim + 1
+        for h in up[f]:
+            smaller = dual_masks[h]
+            if smaller != mask and not smaller & ~mask and faces[h].dim == dim:
+                break
+        else:
+            F = faces[f]
+            if not up[f]:
+                raise InternalInvariantError(f"dual face of {F}: {F} has no upper cover")
+            raise InternalInvariantError(
+                f"dual face of {F} does not strictly contain that of its upper cover "
+                f"{faces[up[f][0]]}, so its rank {n - dim} is not certified")
+
+
+def face_cone_data(C: LiftedCone, F: Face, gram: IntMatrix, dual_mask: int,
+                   cover: tuple[FaceConeData, int] | None = None) -> FaceConeData:
+    """The per-face data of F, with its span basis, Gram matrix, det G and
+    adj G read off the Gram table ``gram`` (``bordered_gram_basis``): the
+    bordered pass resumed from ``cover`` = (E's face data, p) for a lower
+    cover E of F whose span ids all lie below p = min(F - E), one bordering
+    step by p, and the full walk over F's vertices without one.  The
+    certificate G adj(G) = det G * I with det G > 0 is checked here, once
+    per face, on either: it makes every ray off span(F),
+    c g - A_F adj(G) A_F^T g, orthogonal to span(F), and with it the
+    identities of the cross-check.
+
+    The dual face is a face of the dual cone, hence generated by the facet
+    normals of the cone that vanish on every lifted vertex of F, the set
+    bits of ``dual_mask``; its rank n - (dim F + 1) is certified once per
+    run by ``check_dual_faces``.
 
     <v, b_F> is taken for every vertex v of F, and |b_F|^2 is their sum,
     since b_F is the sum of those v."""
-    n = C.dim
-    span_ids, gram_det, gram_adj = bordered_gram_basis(F, gram)
+    if cover is None:
+        span_ids, gram_det, gram_adj = bordered_gram_basis(F, gram)
+    else:
+        data_E, p = cover
+        span_ids, gram_det, gram_adj = bordered_gram_basis(
+            F, gram, (p,), (data_E.span_ids, data_E.gram_det, data_E.gram_adj))
     gram_f = tuple(tuple(gram[a][b] for b in span_ids) for a in span_ids)
     adj_cols = tuple(zip(*gram_adj))
     if gram_det <= 0 or any(int_dot(row, col) != (gram_det if i == j else 0)
@@ -372,20 +443,14 @@ def face_cone_data(C: LiftedCone, F: Face, vertex_masks: tuple[int, ...],
         raise InternalInvariantError(
             f"Gram adjugate of the span of {F} fails the certificate "
             f"G adj(G) = det G * I, det G > 0 (det G = {gram_det})")
-    dual = reduce(and_, (vertex_masks[i] for i in F.vertex_set), (1 << len(C.facet_normals)) - 1)
-    dual_ids = set_bits(dual)
-    dual_gens = tuple(C.facet_normals[k] for k in dual_ids)
-    expected = n - (F.dim + 1)
-    got = len(first_independent(dual_gens, expected)[0])
-    if got != expected:
-        raise InternalInvariantError(f"dual face of {F} spans rank {got}, expected {expected}")
-    vertex_sum = tuple(map(sum, zip(*(C.generators[i] for i in F.vertex_set)))) or (0,) * n
+    dual_ids = set_bits(dual_mask)
+    vertex_sum = tuple(map(sum, zip(*(C.generators[i] for i in F.vertex_set)))) or (0,) * C.dim
     sum_dot = {i: int_dot(C.generators[i], vertex_sum) for i in F.vertex_set}
     return FaceConeData(span_ids=span_ids, span_row={a: r for r, a in enumerate(span_ids)},
                         span_basis=tuple(C.generators[i] for i in span_ids),
                         vertex_sum=vertex_sum, sum_dot=sum_dot, sum_sq=sum(sum_dot.values()),
                         gram=gram_f, gram_det=gram_det, gram_adj=gram_adj, dual_ids=dual_ids,
-                        dual_face_gens=dual_gens)
+                        dual_face_gens=tuple(C.facet_normals[k] for k in dual_ids))
 
 
 def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: FaceConeData,
@@ -545,10 +610,15 @@ class ConeSystem:
     """Per-face cone data (``FaceConeData``), computed once per face and
     in a list indexed by the face ids of ``lattice``, and read by the edge
     rays and the cross-checks.  The Gram and slack tables of the lifted
-    vertices (``gram``, ``slack``) and the vertex-facet masks behind the dual
-    faces are built once, with the system, and S >= 0 is checked then.
-    Edge rays are not kept: ``build_complex`` asks for each covering pair's
-    once, and cross-checks it once.
+    vertices (``gram``, ``slack``) and each face's dual-face bitmask (the
+    AND of its vertices' ``vertex_facet_masks``) are built once, with the
+    system; S >= 0 and the dual ranks (``check_dual_faces``) are checked
+    then.  A face's data grows from the data of a lower cover E when E's
+    span ids all lie below p = min(F - E) (see ``bordered_gram_basis``):
+    the first such cover in ``down`` order whose vertex set F's strictly
+    holds, its data made first if need be.  A face with no such cover takes
+    the full walk.  Edge rays are not kept: ``build_complex`` asks for
+    each covering pair's once, and cross-checks it once.
 
     Safe to share within a run: nothing cached is modified after it is built.
     """
@@ -559,15 +629,34 @@ class ConeSystem:
         self.gram = gram_table(cone)
         self.slack = slack_table(cone)
         check_slack(self.slack)
-        self._vertex_masks = vertex_facet_masks(self.slack)
+        vertex_masks = vertex_facet_masks(self.slack)
+        every = (1 << len(cone.facet_normals)) - 1
+        self._dual_masks = tuple(reduce(and_, (vertex_masks[i] for i in f.vertex_set), every)
+                                 for f in lattice.faces_by_id)
+        check_dual_faces(lattice, self._dual_masks, cone.dim)
         self._face_data: list[FaceConeData | None] = [None] * len(lattice.faces_by_id)
 
     def face_data(self, f: int) -> FaceConeData:
         data = self._face_data[f]
         if data is None:
             data = self._face_data[f] = face_cone_data(
-                self.cone, self.lattice.faces_by_id[f], self._vertex_masks, self.gram)
+                self.cone, self.lattice.faces_by_id[f], self.gram, self._dual_masks[f],
+                self._cover(f))
         return data
+
+    def _cover(self, f: int) -> tuple[FaceConeData, int] | None:
+        """(E's face data, p) for the first lower cover E of face f that the
+        bordered pass of f can resume from, or None."""
+        masks = self.lattice.vertex_masks
+        mask = masks[f]
+        for e in self.lattice.down[f]:
+            rest = mask & ~masks[e]
+            if rest and not masks[e] & ~mask:
+                p = (rest & -rest).bit_length() - 1
+                data = self.face_data(e)
+                if not data.span_ids or data.span_ids[-1] < p:
+                    return data, p
+        return None
 
     def ray(self, e: int, f: int) -> EdgeRay:
         L = self.lattice

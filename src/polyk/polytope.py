@@ -174,9 +174,13 @@ class FaceLattice(GradedIds):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "f_vector", tuple(map(len, self.faces_by_dim)))
-        self._number(tuple(chain.from_iterable(self.faces_by_dim)),
-                     tuple(accumulate(self.f_vector, initial=0)),
-                     ((e, f) for f, below in enumerate(self.down) for e in below))
+        object.__setattr__(self, "faces_by_id", tuple(chain.from_iterable(self.faces_by_dim)))
+        object.__setattr__(self, "level_start", tuple(accumulate(self.f_vector, initial=0)))
+        up: list[list[int]] = [[] for _ in self.down]
+        for f, below in enumerate(self.down):
+            for e in below:
+                up[e].append(f)
+        object.__setattr__(self, "up", tuple(map(tuple, up)))
         if self.vertex_masks is None:
             object.__setattr__(self, "vertex_masks", tuple(
                 sum(1 << v for v in f.vertex_set) for f in self.faces_by_id))

@@ -63,6 +63,11 @@ fraction-free echelon of n-vectors (``first_independent``), whose kept rows
 span exactly span(F), and ``gram_adjugate`` takes det G and adj G of their
 Gram matrix by fraction-free Gauss-Jordan on [G | I].
 
+The dual-rank oracle is the count the library made per face before it
+certified dual ranks once per run by the growth of the dual-face masks
+along the lattice: ``echelon_dual_rank`` runs a fraction-free echelon on
+the facet normals of F's dual face, stopped at n - (dim F + 1).
+
 The Cramer oracle is the integer solve the cross-check used before it read
 the Gram adjugate off the face data: one determinant per unknown, of the
 Gram matrix with that column replaced by the right-hand side.  It shares
@@ -390,6 +395,14 @@ def span_basis_of_face(C: LiftedCone, F: Face) -> tuple[tuple[int, ...], IntEche
         raise InternalInvariantError(
             f"face {F}: span has {len(chosen)} independent lifted vertices, expected {F.dim + 1}")
     return tuple(F.vertex_set[i] for i in chosen), echelon
+
+
+def echelon_dual_rank(gens, bound: int) -> int:
+    """The number of independent facet normals among a dual face's
+    generators ``gens``, found by a fraction-free echelon
+    (``first_independent``) that stops at ``bound``, the most the rank can
+    be: n - (dim F + 1) for the dual face of F."""
+    return len(first_independent(gens, bound)[0])
 
 
 def gram_adjugate(F: Face, gram) -> tuple[int, IntMatrix]:

@@ -97,13 +97,14 @@ def test_trivialize_rejects_flipping_a_face_not_in_the_lattice():
 
 def test_one_span_basis_per_face_per_run(monkeypatch):
     # the edge rays and the cross-checks read the span basis off the face
-    # data, picked once per face by the bordered Gram pass
+    # data, picked once per face by the bordered Gram pass, resumed from a
+    # lower cover's or walked in full
     real = cones.bordered_gram_basis
     calls = []
 
-    def counting(F, gram):
+    def counting(F, gram, *resume):
         calls.append(F)
-        return real(F, gram)
+        return real(F, gram, *resume)
 
     for module in (cones, cellular):
         if hasattr(module, "bordered_gram_basis"):
@@ -141,9 +142,10 @@ def test_one_edge_ray_per_covering_pair_per_run(monkeypatch):
 
 
 def test_per_face_work_once_per_run(monkeypatch):
-    # each face's bordered Gram pass (span basis, det G, adj G) and dual
-    # rank echelon run once, and the Gram and slack tables once per
-    # ConeSystem; the per-pair steps only read them: no echelon or Gram pass
+    # each face's bordered Gram pass (span basis, det G, adj G) runs once,
+    # and the Gram and slack tables once per ConeSystem, with the dual ranks
+    # checked on masks and no echelon; the per-pair steps only read them: no
+    # echelon or Gram pass
     # runs inside a pair, edge_ray takes one sign minor on the pairs where
     # E's basis has ids outside F's and no determinant on the others, the
     # cross-check takes none and the incidence sign neither, and no
@@ -169,9 +171,9 @@ def test_per_face_work_once_per_run(monkeypatch):
             echelons.append((sys._getframe(1).f_code.co_name, tuple(active)))
             super().__init__(vectors)
 
-    def counting_gram(f, gram):
+    def counting_gram(f, gram, *resume):
         grams.append((f, tuple(active)))
-        return real_gram(f, gram)
+        return real_gram(f, gram, *resume)
 
     def counting_det(rows):
         dets.append(tuple(active))
@@ -208,8 +210,8 @@ def test_per_face_work_once_per_run(monkeypatch):
     faces = list(result.lattice.faces_by_id)
     assert Counter(f for f, _ in grams) == Counter(faces)
     assert Counter(tables) == {"gram_table": 1, "slack_table": 1}
-    # the dual rank goes through first_independent; A_F takes no echelon
-    assert Counter(caller for caller, _ in echelons) == {"lift": 1, "first_independent": len(faces)}
+    # only lift's solidity takes an echelon: neither A_F nor a dual face does
+    assert Counter(caller for caller, _ in echelons) == {"lift": 1}
     assert not any(set(pair) - {"build_complex"} for _, pair in echelons + grams)
     assert not any("edge_ray_crosscheck" in pair or "incidence_sign" in pair for pair in dets)
     # the orientation: one sign minor per covering pair with m > 0, 76 of

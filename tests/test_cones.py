@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import polyk.cones as cones
 from polyk.cellular import build_complex, trivialize
-from polyk.cones import ConeSystem, bordered_gram_basis, dual_cone, edge_ray, lift
+from polyk.cones import ConeSystem, bordered_gram_basis, dual_cone, edge_ray, gram_table, lift
 from polyk.corpus import (
     acceptance_corpus,
     cross_polytope,
@@ -44,8 +44,10 @@ from oracles import (
     circledast_gens,
     cramer_numerators,
     crosscheck_verdict,
+    echelon_dual_rank,
     gram_adjugate,
     kernel_edge_ray,
+    lattice_from_pairs,
     leibniz_det,
     oracle_crosscheck,
     orthogonal_component,
@@ -458,28 +460,143 @@ def test_span_echelon_oracle_contains_every_ray(identity_systems):
             assert echelons[f].contains(direction), (poly.name, e, f)
 
 
-def test_dual_rank_stops_at_full_rank(identity_systems):
-    # the dual normals of F span n - (dim F + 1) dimensions, so stopping the
-    # echelon there finds the full rank
-    for poly, lat, system in identity_systems:
+@pytest.fixture(scope="module")
+def resume_lattices():
+    """The acceptance corpus, the 5- and 6-cubes and cross-polytopes and a
+    random 6-dimensional hull, each with its lattice."""
+    polys = list(acceptance_corpus()) + [hypercube(5), cross_polytope(5), hypercube(6),
+                                         cross_polytope(6), random_hull(random.Random(3), 6, 24)]
+    return [(poly, face_lattice(poly)) for poly in polys]
+
+
+def test_resumed_pass_is_the_full_walk(resume_lattices, monkeypatch):
+    # each face's (ids, det G, adj G), resumed from a lower cover by one
+    # bordering step or walked in full, is the full walk's; nearly every
+    # nonempty face resumes, and some take the full walk
+    real = cones.bordered_gram_basis
+    calls = []
+
+    def recording(F, gram, *resume):
+        calls.append((F, resume))
+        return real(F, gram, *resume)
+
+    monkeypatch.setattr(cones, "bordered_gram_basis", recording)
+    resumed = full = 0
+    for poly, lat in resume_lattices:
+        system = ConeSystem(lift(poly), lat)
+        for i, f in enumerate(lat.faces_by_id):
+            data = system.face_data(i)
+            assert (data.span_ids, data.gram_det, data.gram_adj) == real(f, system.gram), \
+                (poly.name, f)
+        for f, resume in calls:
+            if resume:
+                walk, _ = resume
+                assert len(walk) == 1, (poly.name, f)
+                resumed += 1
+            elif f.vertex_set:
+                full += 1
+        calls.clear()
+    assert resumed >= 0.99 * (resumed + full) and full > 0, (resumed, full)
+
+
+def test_dual_rank_stops_at_full_rank(resume_lattices):
+    # wherever the cone system's mask check passes, as it does on all of
+    # these, the echelon oracle finds rank n - (dim F + 1) for the dual
+    # face of F, the full rank, and stopping it there loses nothing
+    for poly, lat in resume_lattices:
+        system = ConeSystem(lift(poly), lat)
         for i, f in enumerate(lat.faces_by_id):
             gens = system.face_data(i).dual_face_gens
             expected = system.cone.dim - (f.dim + 1)
-            assert IntEchelon(gens).rank == len(first_independent(gens, expected)[0]) \
-                == expected, (poly.name, f)
+            assert IntEchelon(gens).rank == echelon_dual_rank(gens, expected) == expected, \
+                (poly.name, f)
 
 
 def test_dual_face_rank_names_face():
-    # dropping a facet normal leaves a vertex on it with too small a dual face
+    # dropping a facet normal leaves the edge on it with the empty dual face
+    # of its one upper cover, the top, where rank 1 is due
     poly = hypercube(2)
     lat, by_set = faces_of(poly)
     cone = lift(poly)
     dropped = cone.facet_normals[0]
     broken = dataclasses.replace(cone, facet_normals=cone.facet_normals[1:])
-    v = next(f for f in lat.faces(0) if dot(dropped, cone.generators[f.vertex_set[0]]) == 0)
+    edge = next(f for f in lat.faces(1)
+                if all(dot(dropped, cone.generators[i]) == 0 for i in f.vertex_set))
     with pytest.raises(InternalInvariantError) as err:
-        ConeSystem(broken, lat).face_data(lat.face_id[v])
-    assert f"dual face of {v} spans rank 1, expected 2" in str(err.value)
+        ConeSystem(broken, lat)
+    assert str(err.value) == (
+        f"dual face of {edge} does not strictly contain that of its upper cover "
+        f"{lat.top_face}, so its rank 1 is not certified")
+
+
+def test_nonempty_dual_face_of_top_names_normals():
+    # a zero facet normal vanishes on every vertex, so it is in the dual face
+    # of the top, which must be empty; its rank, 0, would not show that
+    poly = hypercube(2)
+    lat, _ = faces_of(poly)
+    cone = lift(poly)
+    broken = dataclasses.replace(cone, facet_normals=cone.facet_normals + ((0, 0, 0),))
+    with pytest.raises(InternalInvariantError) as err:
+        ConeSystem(broken, lat)
+    assert str(err.value) == (
+        f"dual face of the top face {lat.top_face} is not empty: "
+        "facet normals [4] vanish on every vertex")
+
+
+def test_top_of_wrong_dimension_names_face():
+    # the induction starts at the top, whose dual face has rank
+    # n - (dim P + 1) = 0 only in a cone of dimension dim P + 1
+    poly = hypercube(2)
+    lat, _ = faces_of(poly)
+    cone = dataclasses.replace(lift(poly), dim=4)
+    with pytest.raises(InternalInvariantError) as err:
+        ConeSystem(cone, lat)
+    assert str(err.value) == f"top face {lat.top_face} has dimension 2 in a cone of dimension 4"
+
+
+def test_face_without_upper_cover_names_face():
+    # an edge of the square left without its cover by the top has no upper
+    # cover to certify its dual rank
+    poly = hypercube(2)
+    lat, _ = faces_of(poly)
+    edge = lat.faces(1)[0]
+    pairs = [(e, f) for e, f in lat.covering if e != edge]
+    cut = lattice_from_pairs(lat.dim, lat.faces_by_dim, pairs)
+    with pytest.raises(InternalInvariantError) as err:
+        ConeSystem(lift(poly), cut)
+    assert str(err.value) == f"dual face of {edge}: {edge} has no upper cover"
+
+
+def test_inherited_adjugate_fails_certificate_of_face(monkeypatch):
+    # the edge {0,1} of the square resumes its bordered pass from the vertex
+    # {0} (p = 1); an adjugate of {0} corrupted after its own certificate
+    # passed is bordered into the edge's, whose certificate fails, naming
+    # the edge
+    poly = hypercube(2)
+    lat, by_set = faces_of(poly)
+    vertex, edge = by_set[(0,)], by_set[(0, 1)]
+    real = cones.face_cone_data
+    covers = {}
+
+    def corrupting(C, F, gram, dual_mask, cover=None):
+        covers[F] = cover
+        data = real(C, F, gram, dual_mask, cover)
+        if F != vertex:
+            return data
+        adj = data.gram_adj
+        return dataclasses.replace(data, gram_adj=((adj[0][0] - 1,),))
+
+    monkeypatch.setattr(cones, "face_cone_data", corrupting)
+    system = ConeSystem(lift(poly), lat)
+    with pytest.raises(InternalInvariantError) as err:
+        system.face_data(lat.face_id[edge])
+    bad, p = covers[edge]
+    assert bad == system.face_data(lat.face_id[vertex]) and p == 1
+    _, det, _ = bordered_gram_basis(edge, system.gram, (p,),
+                                    (bad.span_ids, bad.gram_det, bad.gram_adj))
+    assert str(err.value) == (
+        f"Gram adjugate of the span of {edge} fails the certificate "
+        f"G adj(G) = det G * I, det G > 0 (det G = {det})")
 
 
 def test_edge_ray_rejects_ray_outside_span_of_f(monkeypatch):
@@ -525,8 +642,8 @@ def test_edge_ray_rejects_ray_not_orthogonal_to_e(monkeypatch):
     def corrupt(adj):
         return ((adj[0][0] - 1,) + adj[0][1:],) + adj[1:]
 
-    def corrupted(F, gram):
-        ids, det, adj = real(F, gram)
+    def corrupted(F, gram, *resume):
+        ids, det, adj = real(F, gram, *resume)
         return ids, det, corrupt(adj) if F == e else adj
 
     monkeypatch.setattr(cones, "bordered_gram_basis", corrupted)
@@ -543,8 +660,9 @@ def test_edge_ray_rejects_ray_not_orthogonal_to_e(monkeypatch):
 
 def test_edge_ray_without_orientation_names_pair():
     # the lifted vertex g that orients the ray is moved into span(E), so
-    # <w, g> = det G_E |g - P_E g|^2 = 0 on the broken cone's tables; the
-    # face data of the unchanged cone still pass their certificates
+    # <w, g> = det G_E |g - P_E g|^2 = 0 on the broken cone's Gram table;
+    # the face data of the unchanged cone still pass their certificates.
+    # A cone system of the broken cone would fail its dual check first
     lat, _ = faces_of(hypercube(2))
     system = ConeSystem(lift(hypercube(2)), lat)
     e, f = next((e, f) for e, f in lat.covering
@@ -552,11 +670,11 @@ def test_edge_ray_without_orientation_names_pair():
     outside = next(i for i in f.vertex_set if i not in e.vertex_set)
     gens = list(system.cone.generators)
     gens[outside] = gens[e.vertex_set[0]]
-    broken = ConeSystem(dataclasses.replace(system.cone, generators=tuple(gens)), lat)
+    broken = dataclasses.replace(system.cone, generators=tuple(gens))
     with pytest.raises(InternalInvariantError) as err:
-        edge_ray(broken.cone, e, f, system.face_data(lat.face_id[e]),
+        edge_ray(broken, e, f, system.face_data(lat.face_id[e]),
                  system.face_data(lat.face_id[f]),
-                 gram=broken.gram, e_mask=lat.vertex_masks[lat.face_id[e]])
+                 gram=gram_table(broken), e_mask=lat.vertex_masks[lat.face_id[e]])
     assert str(err.value) == (
         f"edge ray of ({e}, {f}) is orthogonal to lifted vertex {outside}: it has no orientation")
 
