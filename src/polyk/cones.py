@@ -404,11 +404,13 @@ def check_dual_faces(lattice: FaceLattice, dual_masks: Sequence[int], n: int) ->
                 break
         else:
             F = faces[f]
-            if not up[f]:
-                raise InternalInvariantError(f"dual face of {F}: {F} has no upper cover")
+            covers = [h for h in up[f] if faces[h].dim == dim]
+            if not covers:
+                raise InternalInvariantError(
+                    f"dual face of {F}: {F} has no upper cover of dimension {dim}")
             raise InternalInvariantError(
                 f"dual face of {F} does not strictly contain that of its upper cover "
-                f"{faces[up[f][0]]}, so its rank {n - dim} is not certified")
+                f"{faces[covers[0]]}, so its rank {n - dim} is not certified")
 
 
 def face_cone_data(C: LiftedCone, F: Face, gram: IntMatrix, dual_mask: int,

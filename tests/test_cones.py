@@ -554,17 +554,51 @@ def test_top_of_wrong_dimension_names_face():
     assert str(err.value) == f"top face {lat.top_face} has dimension 2 in a cone of dimension 4"
 
 
-def test_face_without_upper_cover_names_face():
-    # an edge of the square left without its cover by the top has no upper
-    # cover to certify its dual rank
+@pytest.mark.parametrize("dim", [1, 0], ids=["edge-uncovered", "vertex-under-top"])
+def test_face_without_upper_cover_names_face(dim):
+    # hand-built lattices of the square: an edge left without its cover by
+    # the top, or a vertex whose one upper cover is the top, two dimensions
+    # up, have no upper cover one dimension up to certify their dual rank
     poly = hypercube(2)
     lat, _ = faces_of(poly)
-    edge = lat.faces(1)[0]
-    pairs = [(e, f) for e, f in lat.covering if e != edge]
+    face = lat.faces(dim)[0]
+    pairs = [(e, f) for e, f in lat.covering if e != face]
+    if dim == 0:
+        pairs.append((face, lat.top_face))
     cut = lattice_from_pairs(lat.dim, lat.faces_by_dim, pairs)
     with pytest.raises(InternalInvariantError) as err:
         ConeSystem(lift(poly), cut)
-    assert str(err.value) == f"dual face of {edge}: {edge} has no upper cover"
+    assert str(err.value) == f"dual face of {face}: {face} has no upper cover of dimension {dim + 1}"
+
+
+def test_upper_cover_outside_face_certifies_no_rank():
+    # a hand-built lattice puts the vertex {0} of the square under the edge
+    # {2,3} alone: that edge's dual face is not part of {0}'s, so the
+    # normals of {0}'s dual face outside the edge's prove nothing about its
+    # rank
+    poly = hypercube(2)
+    lat, by_set = faces_of(poly)
+    vertex, edge = by_set[(0,)], by_set[(2, 3)]
+    pairs = [(e, f) for e, f in lat.covering if e != vertex] + [(vertex, edge)]
+    stray = lattice_from_pairs(lat.dim, lat.faces_by_dim, pairs)
+    with pytest.raises(InternalInvariantError) as err:
+        ConeSystem(lift(poly), stray)
+    assert str(err.value) == (
+        f"dual face of {vertex} does not strictly contain that of its upper cover {edge}, "
+        "so its rank 2 is not certified")
+
+
+def test_lower_cover_outside_face_is_not_resumed_from():
+    # a hand-built lattice lists the vertex {0} first under the edge {2,3}
+    # of the square; {0}'s span id lies below p = 2, but {0} is not in the
+    # edge, so the edge does not resume from it and keeps its own basis
+    poly = hypercube(2)
+    lat, by_set = faces_of(poly)
+    edge = by_set[(2, 3)]
+    pairs = [(by_set[(0,)], edge)] + list(lat.covering)
+    stray = lattice_from_pairs(lat.dim, lat.faces_by_dim, pairs)
+    assert stray.down[stray.face_id[edge]][0] == stray.face_id[by_set[(0,)]]
+    assert ConeSystem(lift(poly), stray).face_data(stray.face_id[edge]).span_ids == (2, 3)
 
 
 def test_inherited_adjugate_fails_certificate_of_face(monkeypatch):
