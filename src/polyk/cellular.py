@@ -28,7 +28,12 @@ so each column of C whose vertex is in F's basis is a unit vector, and
 det C is a permutation sign times an m x m minor (m the number of E's span
 ids outside F's basis) with entries from adj(G_F) and the Gram table of
 the lifted vertices; for m = 0, most pairs, sigma is the permutation sign,
-and a zero minor is an error.  A flip of F negates a column of B^T A_F and
+and a zero minor is an error.  For m = 0 the ray itself is a column of
+F's certified adjugate: with r the row of g in F's basis,
+w = A_F adj(G_F) e_r, so c = adj(G_F)[r][r] = det G_E,
+x_a = -adj(G_F)[a][r] and sigma = (-1)^r, copied in O(k) with no Gram
+solve, and <w, g> = det G_F > 0 is the certificate's diagonal entry
+(``cones.edge_ray``).  A flip of F negates a column of B^T A_F and
 a flip of E a row, so with eps = -1 for a flipped face and +1 otherwise
 
     [E : F] = sigma * eps_E * eps_F,
@@ -51,8 +56,13 @@ w' = D b_F - A_E x' and the ray's w are both orthogonal to span(E), so
 
 and w' is a positive multiple of w exactly when <w, w'> > 0 and
 <w, w'>^2 = |w|^2 |w'|^2.  The last is c * side for the ray ``edge_ray``
-makes, side = c T[g][g] - x^T A_E^T g.  <v, b_F> for v in F and |b_F|^2
-are taken once per face.
+makes, side = c T[g][g] - x^T A_E^T g.  A_F^T b_F, read off the Gram
+table, z_F = adj(G_F) A_F^T b_F and |b_F|^2 = <A_F^T b_F, z_F> / det G_F
+are taken once per face.  For a ray of the m = 0 form the test takes no
+product: w' and F's adjugate column both span span(F) meet span(E)^perp,
+and <w', A_F adj(G_F) e_r> = D z_F[r], so the check accepts iff c > 0,
+(c, x) is a positive multiple of the column's coefficients and
+z_F[r] > 0, the verdict of the n-vector comparison.
 
 Boundary matrices are integer matrices over the stable (lexicographic by
 vertex set) face ordering, the lattice's face ids.  They are built, kept in
@@ -62,9 +72,11 @@ lower covers E of each face F; only a printed matrix is densified
 once, in lattice order (the faces F of dimension j, then each F's lower
 covers E), and for each pair takes the edge ray, checks it against the
 independent barycenter cross-check, and computes [E : F] into F's column.
-It then verifies the consecutive-product identity, aborting loudly on any
-failure.  The product D_{j-1} D_j is formed column by column over the
-nonzero entries of D_j only,
+The ``CheckedComplex`` it returns then verifies the consecutive-product
+identity when it is made, aborting loudly on any failure, and
+``homology_pair`` does not repeat that for it; any other ``ChainComplex``
+is checked there.  The product D_{j-1} D_j is formed column by column over
+the nonzero entries of D_j only,
 
     (D_{j-1} D_j)[., F] = sum over E with [E : F] != 0 of [E : F] D_{j-1}[., E],
 
@@ -210,28 +222,44 @@ def boundary_squared_entry(lower: Sequence[SparseColumn],
     return first
 
 
-def build_complex(T: Trivialization, L: FaceLattice, system: ConeSystem) -> ChainComplex:
+@dataclass(frozen=True)
+class CheckedComplex(ChainComplex):
+    """A ``ChainComplex`` whose constructor also checks D_{j-1} D_j = 0 for
+    every j on the sparse columns (``boundary_squared_entry``), naming the
+    faces of the first nonzero entry of the product.  ``build_complex``
+    returns one, and ``homology_pair`` does not check it again.  No instance
+    is made without the check: it runs in ``__post_init__``, on
+    ``dataclasses.replace`` too, and nothing lets a caller skip it.  The
+    sparse columns are dicts; they must not be changed after the complex is
+    made."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        for j in range(1, self.dim + 1):
+            bad = boundary_squared_entry(self.columns[j - 1], self.columns[j])
+            if bad is not None:
+                g_idx, f_idx, value = bad
+                g = Face(vertex_set=self.face_order[j - 1][g_idx], dim=j - 2)
+                f = Face(vertex_set=self.face_order[j + 1][f_idx], dim=j)
+                raise InternalInvariantError(
+                    f"boundary squared nonzero at j={j}: entry ({g}, {f}) = {value}")
+
+
+def build_complex(T: Trivialization, L: FaceLattice, system: ConeSystem) -> CheckedComplex:
     """Assemble all boundary matrices and verify the complex exactly.
 
     Walks the covering pairs once, by ``boundary_columns`` for j = 0..dim;
     for each pair (E, F) in turn it takes the edge ray, cross-checks it and
-    computes [E : F].  Then it checks D_{j-1} @ D_j = 0 for every j on the
-    sparse columns (``boundary_squared_entry``).  Any failure aborts with
-    the offending face pair.  The system must be built on L itself.
+    computes [E : F].  The ``CheckedComplex`` it returns checks
+    D_{j-1} @ D_j = 0 for every j on the sparse columns when it is made.
+    Any failure aborts with the offending face pair.  The system must be
+    built on L itself.
     """
     if system.lattice is not L:
         raise ValueError("the cone system numbers the faces of another lattice")
     columns = tuple(tuple(boundary_columns(T, system, j)) for j in range(0, L.dim + 1))
-    for j in range(1, L.dim + 1):
-        bad = boundary_squared_entry(columns[j - 1], columns[j])
-        if bad is not None:
-            g_idx, f_idx, value = bad
-            g = L.faces(j - 2)[g_idx]
-            f = L.faces(j)[f_idx]
-            raise InternalInvariantError(
-                f"boundary squared nonzero at j={j}: entry ({g}, {f}) = {value}")
     face_order = tuple(tuple(f.vertex_set for f in L.faces(j)) for j in range(-1, L.dim + 1))
-    return ChainComplex(dim=L.dim, columns=columns, face_order=face_order)
+    return CheckedComplex(dim=L.dim, columns=columns, face_order=face_order)
 
 
 @dataclass(frozen=True)
@@ -273,8 +301,10 @@ def homology_pair(X: ChainComplex) -> tuple[HomologyResult, HomologyResult]:
     """Augmented and reduced integral homology, from the rank and the
     invariant factors of each boundary matrix.
 
-    The complex's sparse columns are checked for D_{j-1} D_j = 0
-    (``boundary_squared_entry``), and the argument below depends on it.
+    The argument below depends on D_{j-1} D_j = 0.  A ``CheckedComplex``
+    (what ``build_complex`` returns) was checked for it when it was made;
+    any other complex's sparse columns are checked here
+    (``boundary_squared_entry``).
     ``sparse.acyclic_matching`` then pairs its cells, certified: the m_j
     pairs of D_j span a unimodular triangular block, so rank D_j >= m_j.
     Level k holds the f_k faces of dimension k - 1, and D_j maps level
@@ -296,9 +326,9 @@ def homology_pair(X: ChainComplex) -> tuple[HomologyResult, HomologyResult]:
     generator), so its degree 0 sees no boundary below it.
     """
     f = X.f_vector
-    for j in range(1, X.dim + 1):
-        if boundary_squared_entry(X.columns[j - 1], X.columns[j]) is not None:
-            raise InternalInvariantError("homology of a non-complex: boundary squared != 0")
+    if not isinstance(X, CheckedComplex) and any(
+            boundary_squared_entry(X.columns[j - 1], X.columns[j]) for j in range(1, X.dim + 1)):
+        raise InternalInvariantError("homology of a non-complex: boundary squared != 0")
     pairs = acyclic_matching(X.columns, f)
     m = [0, *map(len, pairs), 0]  # the pairs of D_j are m[j + 1]
     full = [m[k] + m[k + 1] == f[k] for k in range(len(f))]  # level k all matched

@@ -31,10 +31,15 @@ For every face id, once per run, we compute
     p = min(F - E), with one step by p; the others walk all their
     vertices.  The certificate G adj(G) = det G * I, det G > 0, is checked
     on each face's result,
-  * the sum b_F of its lifted vertices, with <v, b_F> for each vertex v of
-    F and |b_F|^2 = sum of those,
-  * the dual face (facet normals of the cone vanishing on F), by facet ids
-    and generators, read off its bitmask.
+  * for the sum b_F of its lifted vertices, A_F^T b_F, each entry
+    <a, b_F> = sum over u in F of T[a][u] read off the table, then
+    z_F = adj(G) A_F^T b_F and |b_F|^2 = <A_F^T b_F, z_F> / det G: b_F lies
+    in span(F), so b_F = A_F z_F / det G, and the division is exact,
+  * the dual face (facet normals of the cone vanishing on F), by facet ids,
+    read off its bitmask.
+
+No n-vector is read for any of it: the span basis and the dual face's
+generators are looked up in the cone only when a caller reads them.
 
 In the paper, the edge vector of a covering pair E < F is the extreme ray of
 the dual of E's dual face, taken inside that dual face's span (the
@@ -62,6 +67,20 @@ T; most pairs have m = 0 and need no arithmetic for their sign.  Unit
 normalization is irrelevant to signs, so primitive integer ray generators
 replace unit vectors throughout and keep the arithmetic exact.
 
+For m = 0, E's span ids are F's minus g, in the same order; let r be g's
+row in F's basis.  Then the ray is a column of F's certified adjugate:
+
+    w = A_F adj(G_F) e_r,   so   c = adj(G_F)[r][r] = det G_E,
+    x_a = -adj(G_F)[a][r] for the other rows a,   sigma = (-1)^r.
+
+For v = A_F adj(G_F) e_r gives A_F^T v = G_F adj(G_F) e_r = det G_F e_r:
+v is orthogonal to span(E) and lies in span(F), so it spans the same line
+as w, and its coefficient on g, the cofactor adj(G_F)[r][r], is the
+principal minor det G_E, w's own.  The coordinates in the independent
+basis A_F are unique, so v = w.  The certified adjugate is
+det G_F G_F^{-1}, hence symmetric, and column r is row r.  So the ray of
+such a pair is copied in O(k), with no Gram solve.
+
 The checks of the ray are made where they cost least, each at least as
 strong as the per-pair vector check it replaces:
 
@@ -73,7 +92,9 @@ strong as the per-pair vector check it replaces:
     per run;
   * orientation and nonzero: <w, g> = c * side with
     side = c T[g][g] - x^T A_E^T g = c |g - P_E g|^2, checked positive per
-    pair; |w|^2 = c * side too, so w != 0 follows.
+    pair; |w|^2 = c * side too, so w != 0 follows.  For m = 0,
+    side = (G_F adj(G_F))[r][r] = det G_F, the certificate's own diagonal
+    entry, positive by the certificate: nothing is left to check per pair.
 
 A second, independent construction of the same ray, the barycenter vector
 
@@ -92,6 +113,11 @@ off the face data of F, so every number of the test is a Gram number:
 and w' = lambda w with lambda > 0 exactly when <w, w'> > 0 and
 <w, w'>^2 = |w|^2 |w'|^2 (equality in Cauchy-Schwarz), on integers.  Its
 vector lies in span(F), so it would also reject a ray outside span(F).
+For a ray of the m = 0 form the test is O(k): w' and F's column
+v = A_F adj(G_F) e_r both span the line span(F) meet span(E)^perp, and
+<w', v> = D <b_F, v> = D z_F[r], so w' is a positive multiple of v exactly
+when z_F[r] > 0; the ray's (c, x) must then be a positive multiple of
+v's coefficients.  A ray of any other form takes the Cauchy-Schwarz test.
 """
 
 from __future__ import annotations
@@ -100,7 +126,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from math import gcd, lcm
-from operator import and_
+from operator import and_, neg
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InternalInvariantError
@@ -134,19 +160,31 @@ class LiftedCone:
 @dataclass(frozen=True)
 class FaceConeData:
     """Per-face data inside the lifted cone, all the covering pairs read of
-    the face (see the module docstring)."""
+    the face (see the module docstring).  The span basis and the dual face's
+    generators are n-vectors of ``cone``, looked up when read; the report
+    never reads them."""
 
     span_ids: tuple[int, ...]  # vertex ids of the columns of span_basis
     span_row: dict[int, int]  # span_ids[r] -> r, its row of coordinates in span_basis
-    span_basis: IntBasis  # columns: greedy independent integer lifted vertices of the face
-    vertex_sum: IntVector  # b_F, the sum of the integer lifted vertices of the face
-    sum_dot: dict[int, int]  # v -> <v, b_F> for each vertex v of the face
-    sum_sq: int  # |b_F|^2
+    span_sum_dot: tuple[int, ...]  # A_F^T b_F: <a, b_F> for each span id a, b_F the vertex sum
+    sum_coords: tuple[int, ...]  # z_F = adj(G) A_F^T b_F, det G times b_F's coordinates in A_F
+    sum_sq: int  # |b_F|^2 = <A_F^T b_F, z_F> / det G
     gram: IntMatrix  # G = A_F^T A_F, read off the Gram table
     gram_det: int  # det G > 0
     gram_adj: IntMatrix  # adj G, certified: G adj G = det G * I
     dual_ids: tuple[int, ...]  # indices into the cone's facet_normals of the dual face
-    dual_face_gens: tuple[IntVector, ...]  # those facet normals
+    cone: LiftedCone
+
+    @property
+    def span_basis(self) -> IntBasis:
+        """The columns of A_F: greedy independent integer lifted vertices of
+        the face."""
+        return tuple(self.cone.generators[i] for i in self.span_ids)
+
+    @property
+    def dual_face_gens(self) -> tuple[IntVector, ...]:
+        """The facet normals of the dual face."""
+        return tuple(self.cone.facet_normals[k] for k in self.dual_ids)
 
 
 class EdgeRay(NamedTuple):
@@ -430,8 +468,13 @@ def face_cone_data(C: LiftedCone, F: Face, gram: IntMatrix, dual_mask: int,
     bits of ``dual_mask``; its rank n - (dim F + 1) is certified once per
     run by ``check_dual_faces``.
 
-    <v, b_F> is taken for every vertex v of F, and |b_F|^2 is their sum,
-    since b_F is the sum of those v."""
+    For the sum b_F of F's lifted vertices, <a, b_F> = sum over u in F of
+    T[a][u] is taken for each span id a (A_F^T b_F, by row), then
+    z_F = adj(G) A_F^T b_F, and |b_F|^2 = <A_F^T b_F, z_F> / det G: b_F lies
+    in span(F), so G adj(G) = det G * I makes b_F = A_F z_F / det G, and
+    the division is exact.  The cross-check reads z_F[r] for the pairs with
+    m = 0 and the rest for the others.  No generator of the cone is read
+    here."""
     if cover is None:
         span_ids, gram_det, gram_adj = bordered_gram_basis(F, gram)
     else:
@@ -445,14 +488,27 @@ def face_cone_data(C: LiftedCone, F: Face, gram: IntMatrix, dual_mask: int,
         raise InternalInvariantError(
             f"Gram adjugate of the span of {F} fails the certificate "
             f"G adj(G) = det G * I, det G > 0 (det G = {gram_det})")
-    dual_ids = set_bits(dual_mask)
-    vertex_sum = tuple(map(sum, zip(*(C.generators[i] for i in F.vertex_set)))) or (0,) * C.dim
-    sum_dot = {i: int_dot(C.generators[i], vertex_sum) for i in F.vertex_set}
+    at_b = tuple([sum(map(gram[a].__getitem__, F.vertex_set)) for a in span_ids])
+    z = tuple([int_dot(row, at_b) for row in gram_adj])
     return FaceConeData(span_ids=span_ids, span_row={a: r for r, a in enumerate(span_ids)},
-                        span_basis=tuple(C.generators[i] for i in span_ids),
-                        vertex_sum=vertex_sum, sum_dot=sum_dot, sum_sq=sum(sum_dot.values()),
-                        gram=gram_f, gram_det=gram_det, gram_adj=gram_adj, dual_ids=dual_ids,
-                        dual_face_gens=tuple(C.facet_normals[k] for k in dual_ids))
+                        span_sum_dot=at_b, sum_coords=z, sum_sq=int_dot(at_b, z) // gram_det,
+                        gram=gram_f, gram_det=gram_det, gram_adj=gram_adj,
+                        dual_ids=set_bits(dual_mask), cone=C)
+
+
+def adjugate_column(data_F: FaceConeData, g: int, e_ids: tuple[int, ...]
+                    ) -> tuple[int, int, tuple[int, ...]] | None:
+    """(r, c, x) for w = A_F adj(G_F) e_r = c g - sum_a x_a a, when
+    ``e_ids`` are F's span ids minus g, in the same order (m = 0), with g
+    at row r of F's basis: c = adj(G_F)[r][r] and x the negated other
+    entries of row r, which is column r (the certified adjugate is
+    symmetric).  None for any other g and ids."""
+    r = data_F.span_row.get(g)
+    f_ids = data_F.span_ids
+    if r is None or e_ids != f_ids[:r] + f_ids[r + 1:]:
+        return None
+    col = data_F.gram_adj[r]
+    return r, col[r], tuple(map(neg, col[:r] + col[r + 1:]))
 
 
 def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: FaceConeData,
@@ -477,12 +533,21 @@ def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: Face
     positive at g, and v projects to det G <v, e> / |e|^2 * e, a positive
     multiple of e.
 
-    The ray takes one check per pair, on k numbers (k = dim F, the size of
-    E's basis), besides the sign minor's below:
+    When m = 0, that is, E's span ids are F's minus g in the same order
+    (g at row r of F's basis), the ray is read off F's certified adjugate
+    with no solve (the identity is in the module docstring):
+
+        c = adj(G_F)[r][r] = det G,   x_a = -adj(G_F)[a][r],   sigma = (-1)^r,
+
+    O(k) copies and no arithmetic.  Otherwise the ray takes one check per
+    pair, on k numbers (k = dim F, the size of E's basis), besides the sign
+    minor's below:
 
       * orientation: <w, g> = c T[g][g] - <x, A^T g> = c * side, with
         side = c |g - P_E g|^2, positive unless g lies in span(E), and then
         w = 0; since |w|^2 = c * side too, side > 0 also shows w != 0.
+        For m = 0 the same number is (G_F adj(G_F))[r][r] = det G_F, which
+        F's certificate has already found positive.
 
     The other checks hold by certificates made once: w is orthogonal to
     span(E) because G adj(G) = det G * I (checked per face by
@@ -527,6 +592,11 @@ def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: Face
     else:
         raise InternalInvariantError(
             f"edge ray of ({E}, {F}): every span id of {F} lies in {E}")
+    column = adjugate_column(data_F, g, a_ids)
+    if column is not None:
+        r, c, x = column
+        return EdgeRay((E, F), g, c, x, a_ids, -1 if r & 1 else 1, C.generators)
+    span_row = data_F.span_row
     t_g = gram[g]
     at_g = [t_g[a] for a in a_ids]
     det_e = data_E.gram_det
@@ -536,8 +606,7 @@ def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: Face
         raise InternalInvariantError(
             f"edge ray of ({E}, {F}) is orthogonal to lifted vertex {g}: it has no orientation"
             if side == 0 else f"edge ray of ({E}, {F}) points away from lifted vertex {g}")
-    row = data_F.span_row
-    rows = [row[g]] + [row.get(a) for a in a_ids]  # None: a is not in F's basis
+    rows = [span_row[g]] + [span_row.get(a) for a in a_ids]  # None: a is not in F's basis
     if None not in rows:
         sign = permutation_sign(rows)
     else:
@@ -565,8 +634,23 @@ def edge_ray_crosscheck(ray: EdgeRay, data_E: FaceConeData, data_F: FaceConeData
     A^T b_F, so A x' / D is the projection of b_F onto span(E), and w' is
     L * m * D times the barycenter's component orthogonal to span(E).
 
-    Nothing here is an n-vector.  A^T b_F, <g, b_F> and |b_F|^2 are read
-    off F's face data, A^T g off the Gram table.  G_E adj(G_E) = D * I
+    For a ray whose E's span ids are F's minus its g, in the same order (m
+    = 0, g at row r of F's basis), the test is O(k) and takes no product.
+    F's adjugate column v = A_F adj(G_F) e_r spans the line span(F) meet
+    span(E)^perp, and so does w', with <w', v> = D <b_F, v> = D z_F[r]
+    (A_E^T v = 0), z_F = adj(G_F) A_F^T b_F from F's face data.  So w' is a
+    positive multiple of v exactly when z_F[r] > 0, and w is one exactly
+    when (c, x) is a positive multiple of v's coefficients
+    (adj(G_F)[r][r], -adj(G_F)[a][r] for the other rows a), A_F being
+    independent; adj(G_F)[r][r] = det G_E > 0.  The check accepts iff
+    c > 0, (c, x) is such a multiple (equal, for the ray ``edge_ray``
+    makes) and z_F[r] > 0: the n-vector verdict, for the ray it is handed.
+
+    Every other ray takes the Cauchy-Schwarz test, and nothing there is an
+    n-vector.  <a, b_F> is read off F's face data for a span id a of F and
+    summed off the Gram table, sum over u in F of T[a][u], for another
+    vertex; |b_F|^2 is F's, A^T g is read off the Gram table.
+    G_E adj(G_E) = D * I
     (certified per face) gives A^T w' = D A^T b_F - G_E x' = 0, hence
 
         |w'|^2  = D (D |b_F|^2 - x'^T A^T b_F),
@@ -584,25 +668,38 @@ def edge_ray_crosscheck(ray: EdgeRay, data_E: FaceConeData, data_F: FaceConeData
     with <w, w'> = 0.
     """
     g, c, x = ray.g, ray.c, ray.x
-    sum_dot = data_F.sum_dot
-    b_g = sum_dot.get(g)
     a_ids = data_E.span_ids
     E, F = ray.pair
-    if b_g is None or ray.e_ids != a_ids:
+    span_row = data_F.span_row
+    if g not in span_row and g not in F.vertex_set or ray.e_ids != a_ids:
         raise InternalInvariantError(
             f"edge-ray cross-check failed for ({E}, {F}): the ray is not a combination "
             f"of a vertex of {F} and the span basis of {E}")
-    det = data_E.gram_det
-    adj = data_E.gram_adj
-    t_g = gram[g]
-    at_g = [t_g[a] for a in a_ids]
-    at_b = [sum_dot[a] for a in a_ids]
-    x_b = [int_dot(row, at_b) for row in adj]
-    b_sq = det * (det * data_F.sum_sq - int_dot(x_b, at_b))
-    inner = c * (det * b_g - int_dot(x_b, at_g))
-    w_sq = c * (c * t_g[g] - 2 * int_dot(x, at_g)) + int_dot(
-        x, [int_dot(row, x) for row in data_E.gram])
-    if inner <= 0 or inner * inner != w_sq * b_sq:
+    column = adjugate_column(data_F, g, a_ids)
+    if column is not None:
+        r, d, rest = column
+        accepted = data_F.sum_coords[r] > 0 and c > 0 and (
+            (c, x) == (d, rest)
+            or len(x) == len(rest) and all(d * xi == c * v for xi, v in zip(x, rest)))
+    else:
+        det = data_E.gram_det
+        adj = data_E.gram_adj
+        t_g = gram[g]
+        at_g = [t_g[a] for a in a_ids]
+        sums = data_F.span_sum_dot
+
+        def b_dot(v: int) -> int:  # <v, b_F> for a vertex v of F
+            i = span_row.get(v)
+            return sum(map(gram[v].__getitem__, F.vertex_set)) if i is None else sums[i]
+
+        at_b = [b_dot(a) for a in a_ids]
+        x_b = [int_dot(row, at_b) for row in adj]
+        b_sq = det * (det * data_F.sum_sq - int_dot(x_b, at_b))
+        inner = c * (det * b_dot(g) - int_dot(x_b, at_g))
+        w_sq = c * (c * t_g[g] - 2 * int_dot(x, at_g)) + int_dot(
+            x, [int_dot(row, x) for row in data_E.gram])
+        accepted = inner > 0 and inner * inner == w_sq * b_sq
+    if not accepted:
         raise InternalInvariantError(
             f"edge-ray cross-check failed for ({E}, {F}): "
             "barycenter projection is not a positive multiple")

@@ -56,6 +56,17 @@ for any ray coefficients.  No report computation calls
 integer generators L * (1, v) wherever the answer does not change under
 positive scaling.
 
+The Gram-solve ray oracle is the construction the edge ray used on every
+covering pair before it read the pairs with m = 0 (E's span ids are F's
+minus g) off one column of adj(G_F): the k x k solve x = adj(G_E) A_E^T g,
+c = det G_E, with side = c T[g][g] - x^T A_E^T g, and the orientation as
+the sign of one Bareiss determinant (``solved_edge_ray``).  The
+Cauchy-Schwarz oracle is the cross-check's verdict on every pair before
+the m = 0 pairs were decided by the sign of z_F[r]: equality in
+Cauchy-Schwarz between the ray's w and the barycenter vector w', on Gram
+numbers, with <v, b_F> and |b_F|^2 summed off the Gram table
+(``cauchy_schwarz_verdict``).  ``vertex_sum`` is b_F as an n-vector.
+
 The span-basis oracles are the two passes the library made per face before
 one bordered pass over the Gram table replaced them: ``span_basis_of_face``
 picks the greedy independent lifted vertices of F in index order with a
@@ -332,6 +343,11 @@ def kernel_edge_ray(C: LiftedCone, E: Face, F: Face,
     return primitive_vector([sigma * x for x in ray]), sigma
 
 
+def vertex_sum(C: LiftedCone, F: Face) -> tuple[int, ...]:
+    """b_F, the sum of the integer lifted vertices of F, as an n-vector."""
+    return tuple(sum(C.generators[i][c] for i in F.vertex_set) for c in range(C.dim))
+
+
 def barycenter_projection(system, e: int, f: int) -> tuple[int, ...]:
     """w' = det G_E b_F - A_E adj(G_E) A_E^T b_F for the pair of face ids
     (e, f), as an integer n-vector: b_F is the sum of F's integer lifted
@@ -340,7 +356,7 @@ def barycenter_projection(system, e: int, f: int) -> tuple[int, ...]:
     the barycenter's component orthogonal to span(E); zero is an error."""
     E, F = system.lattice.faces_by_id[e], system.lattice.faces_by_id[f]
     data_E, data_F = system.face_data(e), system.face_data(f)
-    a_e, b = data_E.span_basis, data_F.vertex_sum
+    a_e, b = data_E.span_basis, vertex_sum(system.cone, F)
     rhs = [int_dot(u, b) for u in a_e]
     w = [data_E.gram_det * x for x in b]
     for adj_row, col in zip(data_E.gram_adj, a_e):
@@ -349,6 +365,45 @@ def barycenter_projection(system, e: int, f: int) -> tuple[int, ...]:
     if all(x == 0 for x in w):
         raise InternalInvariantError(f"barycenter of {F} projects to zero over {E}")
     return tuple(w)
+
+
+def solved_edge_ray(system, e: int, f: int) -> tuple[int, int, tuple[int, ...], tuple[int, ...],
+                                                     int, int]:
+    """(g, c, x, e_ids, orientation, side) of the pair of face ids (e, f)
+    by the per-pair Gram solve: g the first span id of F outside E,
+    c = det G_E, x = adj(G_E) A_E^T g, side = c T[g][g] - x^T A_E^T g, and
+    the orientation sign det([g | A_E]^T A_F) by one Bareiss determinant."""
+    E = system.lattice.faces_by_id[e]
+    data_E, data_F = system.face_data(e), system.face_data(f)
+    g = next(a for a in data_F.span_ids if a not in E.vertex_set)
+    at_g = [system.gram[g][a] for a in data_E.span_ids]
+    x = tuple(int_dot(row, at_g) for row in data_E.gram_adj)
+    c = data_E.gram_det
+    side = c * system.gram[g][g] - int_dot(x, at_g)
+    orientation = table_orientation(data_E, data_F, g, system.gram)
+    return g, c, x, data_E.span_ids, orientation, side
+
+
+def cauchy_schwarz_verdict(system, ray: EdgeRay, e: int, f: int) -> bool:
+    """Does the Gram-number cross-check accept the ray on every pair: with
+    D = det G_E, x' = adj(G_E) A_E^T b_F and w' = D b_F - A_E x', is
+    <w, w'> > 0 and <w, w'>^2 = |w|^2 |w'|^2?  <v, b_F> = sum over u in F
+    of T[v][u], and |b_F|^2 the sum of those over v in F."""
+    F = system.lattice.faces_by_id[f]
+    data_E = system.face_data(e)
+    gram, g, c, x = system.gram, ray.g, ray.c, ray.x
+    if g not in F.vertex_set or ray.e_ids != data_E.span_ids:
+        return False
+    b_dot = {v: sum(gram[v][u] for u in F.vertex_set) for v in F.vertex_set}
+    det, a_ids = data_E.gram_det, data_E.span_ids
+    at_g = [gram[g][a] for a in a_ids]
+    at_b = [b_dot[a] for a in a_ids]
+    x_b = [int_dot(row, at_b) for row in data_E.gram_adj]
+    b_sq = det * (det * sum(b_dot.values()) - int_dot(x_b, at_b))
+    inner = c * (det * b_dot[g] - int_dot(x_b, at_g))
+    w_sq = c * (c * gram[g][g] - 2 * int_dot(x, at_g)) + int_dot(
+        x, [int_dot(row, x) for row in data_E.gram])
+    return inner > 0 and inner * inner == w_sq * b_sq
 
 
 def crosscheck_verdict(system, ray: EdgeRay, e: int, f: int) -> bool:

@@ -5,6 +5,7 @@ formula with alternating signs (oracle in tests/oracles.py): on simplices
 the two complexes must agree up to a diagonal +-1 change of basis.
 """
 
+import dataclasses
 import hashlib
 import random
 import sys
@@ -21,6 +22,7 @@ import polyk.linalg as linalg
 import polyk.pipeline as pipeline
 from polyk.cellular import (
     ChainComplex,
+    CheckedComplex,
     boundary_columns,
     boundary_squared_entry,
     build_complex,
@@ -527,6 +529,44 @@ def test_homology_rejects_non_complex():
                              face_order=(((),), ((0,), (1,)), ((0, 1),)))
     with pytest.raises(InternalInvariantError):
         homology(bad)
+
+
+def test_checked_complex_rejects_non_complex():
+    # a CheckedComplex checks D_{j-1} D_j = 0 when it is made, naming the
+    # faces of the first nonzero entry, and again when it is replaced; the
+    # segment with D_1 = (1, 1)^T has D_0 D_1 = (2)
+    segment = (((),), ((0,), (1,)), ((0, 1),))
+    columns = (({0: 1}, {0: 1}), ({0: 1, 1: 1},))
+    with pytest.raises(InternalInvariantError) as err:
+        CheckedComplex(dim=1, columns=columns, face_order=segment)
+    assert str(err.value) == "boundary squared nonzero at j=1: entry ({}, {0,1}) = 2"
+    good = CheckedComplex(dim=1, columns=(columns[0], ({0: -1, 1: 1},)), face_order=segment)
+    with pytest.raises(InternalInvariantError) as err:
+        dataclasses.replace(good, columns=columns)
+    assert str(err.value) == "boundary squared nonzero at j=1: entry ({}, {0,1}) = 2"
+
+
+def test_pipeline_checks_boundary_squared_once(monkeypatch):
+    # run_pipeline checks D_{j-1} D_j = 0 once per j, when build_complex
+    # makes its CheckedComplex; homology_pair, which k_report calls, checks
+    # a plain ChainComplex with the same columns, and not the checked one
+    calls = []
+    real = cellular.boundary_squared_entry
+
+    def counting(lower, upper):
+        calls.append(len(upper))
+        return real(lower, upper)
+
+    monkeypatch.setattr(cellular, "boundary_squared_entry", counting)
+    result = run_pipeline(hypercube(3))
+    assert len(calls) == 3
+    calls.clear()
+    x = result.complex
+    assert homology_pair(x) == (result.augmented_homology, result.reduced_homology)
+    assert calls == []
+    plain = ChainComplex(dim=x.dim, columns=x.columns, face_order=x.face_order)
+    assert homology_pair(plain) == homology_pair(x)
+    assert len(calls) == 3
 
 
 def test_homology_torsion_from_scaled_column():

@@ -41,6 +41,7 @@ from polyk.polytope import Face, face_lattice
 
 from oracles import (
     barycenter_projection,
+    cauchy_schwarz_verdict,
     circledast_gens,
     cramer_numerators,
     crosscheck_verdict,
@@ -53,9 +54,11 @@ from oracles import (
     orthogonal_component,
     positive_multiple_ratio,
     solve_in_span,
+    solved_edge_ray,
     span_basis_of_face,
     table_orientation,
     vertex_projection,
+    vertex_sum,
 )
 
 
@@ -327,28 +330,155 @@ def test_gram_crosscheck_verdict_matches_vector_oracle(polys):
                              ("moved", False), ("in E", False)}
 
 
+def is_m_zero(system, ray, e, f) -> bool:
+    """Are E's span ids F's minus the ray's g, in the same order?"""
+    f_ids = system.face_data(f).span_ids
+    return ray.g in f_ids and ray.e_ids == tuple(a for a in f_ids if a != ray.g)
+
+
+@pytest.fixture(scope="module")
+def m_zero_systems():
+    """The acceptance corpus, the 5- and 6-cubes, the 5- to 7-cross-polytopes
+    and a random 6-dimensional hull, each with its cone system."""
+    polys = list(acceptance_corpus()) + [hypercube(5), hypercube(6), cross_polytope(5),
+                                         cross_polytope(6), cross_polytope(7),
+                                         random_hull(random.Random(3), 6, 24)]
+    return [(poly, ConeSystem(lift(poly), face_lattice(poly))) for poly in polys]
+
+
+def test_m_zero_ray_is_the_gram_solve(m_zero_systems):
+    # on every pair with m = 0, the column r of adj(G_F) is the ray of the
+    # per-pair Gram solve, with c = adj(G_F)[r][r] = det G_E, and the
+    # solve's side is det G_F, the certificate's diagonal entry; the
+    # cross-check's sign of z_F[r] agrees with Cauchy-Schwarz equality
+    counts = Counter()
+    corpus = len(m_zero_systems) - 6
+    for k, (poly, system) in enumerate(m_zero_systems):
+        lat = system.lattice
+        for f, lower in enumerate(lat.down):
+            for e in lower:
+                ray = system.ray(e, f)
+                m_zero = is_m_zero(system, ray, e, f)
+                counts["corpus" if k < corpus else poly.name, m_zero] += 1
+                if not m_zero:
+                    continue
+                g, c, x, e_ids, orientation, side = solved_edge_ray(system, e, f)
+                assert (ray.g, ray.c, ray.x, ray.e_ids, ray.orientation) == \
+                    (g, c, x, e_ids, orientation), (poly.name, e, f)
+                assert ray.c == system.face_data(e).gram_det
+                assert side == system.face_data(f).gram_det
+                assert system.face_data(f).sum_coords[system.face_data(f).span_row[g]] > 0
+                assert cauchy_schwarz_verdict(system, ray, e, f), (poly.name, e, f)
+    assert counts["cross5", True] == 812 and counts["cross5", False] == 30
+    assert counts["cube5", True] == 517 and counts["cube5", False] == 325
+    assert counts["corpus", True] == 2566 and counts["corpus", False] == 249
+
+
+def test_scaled_ray_is_accepted(m_zero_systems):
+    # (2c, 2x) is the same ray: the Gram verdict accepts it on both paths
+    # (a multiple of F's adjugate column for m = 0, Cauchy-Schwarz equality
+    # otherwise), as do the n-vector verdict and the Cauchy-Schwarz oracle
+    kinds = Counter()
+    for poly, system in m_zero_systems[:-4]:  # the corpus, cube5 and cube6
+        lat = system.lattice
+        for f, lower in enumerate(lat.down):
+            for e in lower:
+                ray = system.ray(e, f)
+                scaled = ray._replace(c=2 * ray.c, x=tuple(2 * v for v in ray.x))
+                assert gram_verdict(system, scaled, e, f), (poly.name, e, f)
+                assert crosscheck_verdict(system, scaled, e, f), (poly.name, e, f)
+                assert cauchy_schwarz_verdict(system, scaled, e, f), (poly.name, e, f)
+                kinds[is_m_zero(system, ray, e, f)] += 1
+    assert kinds[True] > 0 and kinds[False] > 0
+
+
+def test_m_zero_pairs_take_no_dot_products(monkeypatch):
+    # on cross5, the 812 pairs with m = 0 run no int_dot in edge_ray or
+    # edge_ray_crosscheck, and the other 30 do; face_cone_data reads no
+    # n-vector generator of the cone
+    poly = cross_polytope(5)
+    lat = face_lattice(poly)
+    cone = lift(poly)
+    reads = []
+
+    class Recording(tuple):
+        def __getitem__(self, i):
+            reads.append(i)
+            return super().__getitem__(i)
+
+        def __iter__(self):
+            reads.append(None)
+            return super().__iter__()
+
+    system = ConeSystem(dataclasses.replace(cone, generators=Recording(cone.generators)), lat)
+    reads.clear()
+    for f in range(len(lat.faces_by_id)):
+        system.face_data(f)
+    assert reads == []
+    calls = [0]
+    real = cones.int_dot
+
+    def counting(u, v):
+        calls[0] += 1
+        return real(u, v)
+
+    monkeypatch.setattr(cones, "int_dot", counting)
+    dots = Counter()
+    for f, lower in enumerate(lat.down):
+        for e in lower:
+            before = calls[0]
+            ray = system.ray(e, f)
+            system.crosscheck(e, f, ray)
+            m_zero = is_m_zero(system, ray, e, f)
+            dots[m_zero, calls[0] > before] += 1
+    assert dots == {(True, False): 812, (False, True): 30}
+    assert reads == []
+
+
 def test_crosscheck_rejects_perturbed_vertex_sum_dot(monkeypatch):
-    # <v, b_F> is taken once per face; one entry moved by one, for the first
-    # vertex of an edge F of the square, fails the cross-check of the first
-    # covering pair that reads it, (first lower cover of F, F), by name
+    # the numbers of b_F are taken once per face.  A pair with m = 0 reads
+    # z_F[r] at the row r of its g: for the first edge F of the square it
+    # is 1, and moved down by one it fails the cross-check of the first
+    # covering pair that reads it, (first lower cover of F, F), by name.  A
+    # pair with m > 0 reads A_F^T b_F: <a, b_F> moved up by one, for a span
+    # id a of E in F's basis, fails the first pair (E, top) with m > 0
     poly = hypercube(2)
     lat, _ = faces_of(poly)
-    F = lat.faces(1)[0]
-    E = lat.lower_covers(F)[0]
+    system = ConeSystem(lift(poly), lat)
     real = cones.face_cone_data
 
-    def perturbed(C, face, *args):
-        data = real(C, face, *args)
-        if face != F:
-            return data
-        v = face.vertex_set[0]
-        return dataclasses.replace(data, sum_dot={**data.sum_dot, v: data.sum_dot[v] + 1})
+    def data(face):
+        return system.face_data(lat.face_id[face])
 
-    monkeypatch.setattr(cones, "face_cone_data", perturbed)
-    with pytest.raises(InternalInvariantError) as err:
-        build_complex(trivialize(lat), lat, ConeSystem(lift(poly), lat))
-    assert str(err.value) == (
+    def rejected(face, **change):
+        def perturbed(C, F, *args):
+            data = real(C, F, *args)
+            return dataclasses.replace(data, **change) if F == face else data
+
+        monkeypatch.setattr(cones, "face_cone_data", perturbed)
+        with pytest.raises(InternalInvariantError) as err:
+            build_complex(trivialize(lat), lat, ConeSystem(lift(poly), lat))
+        return str(err.value)
+
+    F = lat.faces(1)[0]
+    E = lat.lower_covers(F)[0]
+    r = data(F).span_row[system.ray(lat.face_id[E], lat.face_id[F]).g]
+    z = list(data(F).sum_coords)
+    f_ids = data(F).span_ids
+    assert z[r] == 1 and data(E).span_ids == f_ids[:r] + f_ids[r + 1:]  # m = 0
+    z[r] -= 1
+    assert rejected(F, sum_coords=tuple(z)) == (
         f"edge-ray cross-check failed for ({E}, {F}): "
+        "barycenter projection is not a positive multiple")
+
+    top = lat.top_face
+    E = next(e for e in lat.lower_covers(top)
+             if not set(data(e).span_ids) <= set(data(top).span_ids))
+    r = data(top).span_row[next(a for a in data(E).span_ids if a in data(top).span_row)]
+    sums = list(data(top).span_sum_dot)
+    sums[r] += 1
+    assert rejected(top, span_sum_dot=tuple(sums)) == (
+        f"edge-ray cross-check failed for ({E}, {top}): "
         "barycenter projection is not a positive multiple")
 
 
@@ -394,8 +524,10 @@ def test_gram_adjugate_rejects_non_positive_definite(gram, order, minor):
 
 def test_face_data_holds_per_face_work(small_corpus):
     # the span basis is the echelon oracle's, its columns span what the
-    # face's lifted vertices span, and the vertex sum, Gram matrix and
-    # determinant and dual face (vertex masks ANDed) are those of the face
+    # face's lifted vertices span, and the numbers of the vertex sum b_F
+    # (A_F^T b_F, z_F = adj(G) A_F^T b_F with A_F z_F = det G b_F, and
+    # |b_F|^2, against the n-vector sum of the generators), Gram matrix
+    # and determinant and dual face (vertex masks ANDed) are those of the face
     for poly in small_corpus:
         lat = face_lattice(poly)
         system = ConeSystem(lift(poly), lat)
@@ -408,9 +540,13 @@ def test_face_data_holds_per_face_work(small_corpus):
             assert oracle.rank == fresh.rank == f.dim + 1
             for g in system.cone.generators:
                 assert oracle.contains(g) == fresh.contains(g)
-            assert data.vertex_sum == tuple(
-                sum(system.cone.generators[i][c] for i in f.vertex_set)
-                for c in range(system.cone.dim))
+            b = vertex_sum(system.cone, f)
+            assert data.span_sum_dot == tuple(int_dot(a, b) for a in data.span_basis)
+            assert data.sum_coords == tuple(int_dot(row, data.span_sum_dot)
+                                            for row in data.gram_adj)
+            assert [sum(z * a[c] for z, a in zip(data.sum_coords, data.span_basis))
+                    for c in range(system.cone.dim)] == [data.gram_det * x for x in b]
+            assert data.sum_sq == int_dot(b, b)
             gram = [[int_dot(u, v) for v in data.span_basis] for u in data.span_basis]
             assert data.gram == tuple(map(tuple, gram))
             assert data.gram_det == bareiss_det(gram) > 0
@@ -661,56 +797,83 @@ def test_edge_ray_rejects_ray_outside_span_of_f(monkeypatch):
 
 def test_edge_ray_rejects_ray_not_orthogonal_to_e(monkeypatch):
     # orthogonality to span(E) is certified once per face, by
-    # G_E adj(G_E) = det G_E * I: one corrupted adjugate entry fails the
-    # certificate, naming the face.  Past the certificate, the same
-    # adjugate (adj = (0) for the vertex E) gives x = 0 and w = det G_E g,
-    # which stays in span F but leaves span(E)^perp
+    # G_F adj(G_F) = det G_F * I for the pairs with m = 0, whose ray is
+    # column r of adj(G_F): one corrupted entry of that column fails the
+    # certificate, naming F.  Past the certificate, the same adjugate moves
+    # x by one, so w stays in span F but leaves span(E)^perp
     poly = hypercube(2)
     lat, _ = faces_of(poly)
     system = ConeSystem(lift(poly), lat)
     e, f = next((e, f) for e, f in lat.covering if f.dim == 1)
     i, j = lat.face_id[e], lat.face_id[f]
     data_e, data_f = system.face_data(i), system.face_data(j)
-    real = cones.bordered_gram_basis
+    r = data_f.span_row[system.ray(i, j).g]
+    assert data_e.span_ids == tuple(a for a in data_f.span_ids if a != data_f.span_ids[r])
+    other = 1 - r
 
     def corrupt(adj):
-        return ((adj[0][0] - 1,) + adj[0][1:],) + adj[1:]
+        rows = [list(row) for row in adj]
+        rows[r][other] += 1
+        return tuple(map(tuple, rows))
+
+    real = cones.bordered_gram_basis
 
     def corrupted(F, gram, *resume):
         ids, det, adj = real(F, gram, *resume)
-        return ids, det, corrupt(adj) if F == e else adj
+        return ids, det, corrupt(adj) if F == f else adj
 
     monkeypatch.setattr(cones, "bordered_gram_basis", corrupted)
     with pytest.raises(InternalInvariantError) as err:
-        ConeSystem(system.cone, lat).face_data(i)
+        ConeSystem(system.cone, lat).face_data(j)
     assert str(err.value) == (
-        f"Gram adjugate of the span of {e} fails the certificate "
-        f"G adj(G) = det G * I, det G > 0 (det G = {data_e.gram_det})")
-    bad = dataclasses.replace(data_e, gram_adj=corrupt(data_e.gram_adj))
-    ray = edge_ray(system.cone, e, f, bad, data_f, gram=system.gram,
+        f"Gram adjugate of the span of {f} fails the certificate "
+        f"G adj(G) = det G * I, det G > 0 (det G = {data_f.gram_det})")
+    bad = dataclasses.replace(data_f, gram_adj=corrupt(data_f.gram_adj))
+    ray = edge_ray(system.cone, e, f, data_e, bad, gram=system.gram,
                    e_mask=lat.vertex_masks[i])
+    assert ray.x != system.ray(i, j).x
     assert any(dot(ray.direction, system.cone.generators[a]) != 0 for a in data_e.span_ids)
 
 
+def m_positive_pair(system):
+    """The first covering pair (E, F) of the system's lattice, as faces,
+    with m > 0: a span id of E outside F's basis, so its ray takes the
+    per-pair Gram solve."""
+    lat = system.lattice
+    return next((e, f) for e, f in lat.covering
+                if not set(system.face_data(lat.face_id[e]).span_ids)
+                <= set(system.face_data(lat.face_id[f]).span_ids))
+
+
 def test_edge_ray_without_orientation_names_pair():
-    # the lifted vertex g that orients the ray is moved into span(E), so
-    # <w, g> = det G_E |g - P_E g|^2 = 0 on the broken cone's Gram table;
-    # the face data of the unchanged cone still pass their certificates.
-    # A cone system of the broken cone would fail its dual check first
+    # the lifted vertex g that orients the ray is moved onto a span id of
+    # E, so g lies in span(E).  On a pair with m > 0 the ray takes the Gram
+    # solve, and <w, g> = det G_E |g - P_E g|^2 = 0 on the broken cone's
+    # Gram table; the face data of the unchanged cone still pass their
+    # certificates.  On a pair with m = 0, <w, g> is det G_F, and the same
+    # fault leaves F's bordered pass one id short, naming F.  A cone system
+    # of the broken cone would fail its dual check first
     lat, _ = faces_of(hypercube(2))
     system = ConeSystem(lift(hypercube(2)), lat)
-    e, f = next((e, f) for e, f in lat.covering
-                if f.dim == 1 and system.ray(lat.face_id[e], lat.face_id[f]).orientation == 1)
-    outside = next(i for i in f.vertex_set if i not in e.vertex_set)
+    e, f = m_positive_pair(system)
+    i, j = lat.face_id[e], lat.face_id[f]
+    g = system.ray(i, j).g
     gens = list(system.cone.generators)
-    gens[outside] = gens[e.vertex_set[0]]
+    gens[g] = gens[system.face_data(i).span_ids[0]]
     broken = dataclasses.replace(system.cone, generators=tuple(gens))
     with pytest.raises(InternalInvariantError) as err:
-        edge_ray(broken, e, f, system.face_data(lat.face_id[e]),
-                 system.face_data(lat.face_id[f]),
-                 gram=gram_table(broken), e_mask=lat.vertex_masks[lat.face_id[e]])
+        edge_ray(broken, e, f, system.face_data(i), system.face_data(j),
+                 gram=gram_table(broken), e_mask=lat.vertex_masks[i])
     assert str(err.value) == (
-        f"edge ray of ({e}, {f}) is orthogonal to lifted vertex {outside}: it has no orientation")
+        f"edge ray of ({e}, {f}) is orthogonal to lifted vertex {g}: it has no orientation")
+    e, f = next((e, f) for e, f in lat.covering if f.dim == 1)
+    g = next(a for a in f.vertex_set if a not in e.vertex_set)
+    gens = list(system.cone.generators)
+    gens[g] = gens[e.vertex_set[0]]
+    broken = dataclasses.replace(system.cone, generators=tuple(gens))
+    with pytest.raises(InternalInvariantError) as err:
+        cones.face_cone_data(broken, f, gram_table(broken), 0)
+    assert str(err.value) == f"face {f}: span has 1 independent lifted vertices, expected 2"
 
 
 def test_edge_ray_zero_vector_names_pair():
@@ -734,11 +897,13 @@ def test_edge_ray_zero_vector_names_pair():
 
 def test_edge_ray_pointing_away_names_pair():
     # with T[g][g] zeroed, <w, g> = det G_E T[g][g] - <x, A_E^T g> is
-    # negative: no Gram table gives that, since it is det G_E |g - P_E g|^2
+    # negative: no Gram table gives that, since it is det G_E |g - P_E g|^2.
+    # The pair has m > 0, so its ray takes the Gram solve; for m = 0,
+    # <w, g> is the certified det G_F
     lat, _ = faces_of(hypercube(2))
     system = ConeSystem(lift(hypercube(2)), lat)
-    e, f = next((e, f) for e, f in lat.covering if f.dim == 1)
-    g = next(i for i in f.vertex_set if i not in e.vertex_set)
+    e, f = m_positive_pair(system)
+    g = system.ray(lat.face_id[e], lat.face_id[f]).g
     gram = [list(row) for row in system.gram]
     gram[g][g] = 0
     with pytest.raises(InternalInvariantError) as err:
