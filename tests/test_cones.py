@@ -377,7 +377,9 @@ def test_m_zero_ray_is_the_gram_solve(m_zero_systems):
 def test_scaled_ray_is_accepted(m_zero_systems):
     # (2c, 2x) is the same ray: the Gram verdict accepts it on both paths
     # (a multiple of F's adjugate column for m = 0, Cauchy-Schwarz equality
-    # otherwise), as do the n-vector verdict and the Cauchy-Schwarz oracle
+    # otherwise), as do the n-vector verdict and the Cauchy-Schwarz oracle.
+    # A ray whose x has lost a nonzero last entry is not: every verdict
+    # rejects it
     kinds = Counter()
     for poly, system in m_zero_systems[:-4]:  # the corpus, cube5 and cube6
         lat = system.lattice
@@ -388,8 +390,15 @@ def test_scaled_ray_is_accepted(m_zero_systems):
                 assert gram_verdict(system, scaled, e, f), (poly.name, e, f)
                 assert crosscheck_verdict(system, scaled, e, f), (poly.name, e, f)
                 assert cauchy_schwarz_verdict(system, scaled, e, f), (poly.name, e, f)
-                kinds[is_m_zero(system, ray, e, f)] += 1
-    assert kinds[True] > 0 and kinds[False] > 0
+                m_zero = is_m_zero(system, ray, e, f)
+                kinds[m_zero] += 1
+                if ray.x and ray.x[-1]:
+                    short = ray._replace(x=ray.x[:-1])
+                    assert not gram_verdict(system, short, e, f), (poly.name, e, f)
+                    assert not crosscheck_verdict(system, short, e, f), (poly.name, e, f)
+                    assert not cauchy_schwarz_verdict(system, short, e, f), (poly.name, e, f)
+                    kinds["short", m_zero] += 1
+    assert all(kinds[k] > 0 for k in (True, False, ("short", True), ("short", False)))
 
 
 def test_m_zero_pairs_take_no_dot_products(monkeypatch):
