@@ -43,7 +43,7 @@ def main() -> int:
         k_alg = f"({res.report.k_algebra[0]},{res.report.k_algebra[1]})"
         k_quot = f"({res.report.k_quotient[0]},{res.report.k_quotient[1]})"
         print(f"{res.report.name:<14} {str(list(res.lattice.f_vector)):<24} "
-              f"{len(res.lattice.covering):>5} {str(exact):>5} {str(zed):>4} "
+              f"{sum(map(len, res.lattice.down)):>5} {str(exact):>5} {str(zed):>4} "
               f"{k_alg:>6} {k_quot:>8} {dt:>6.2f}s")
     print(f"\n{len(members)} members, {failures} failures, {total:.1f} s total")
     return 1 if failures else 0

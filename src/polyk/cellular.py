@@ -11,30 +11,11 @@ combination of lifted vertices of F, e is orthogonal to span(E), which the
 per-face certificate G_E adj(G_E) = det G_E * I of ``face_cone_data``
 guarantees, and A_E is a basis of span(E).)
 
-``edge_ray`` has already decided that sign for the unflipped bases.  The
-ray is the primitive vector e of w = c * g - A_E x, c = det G_E > 0, the
-projection of a lifted vertex g of F outside E off span(E) scaled by c, so
-
-    [w | A_E] = [g | A_E] U,   U = [[det G_E, 0], [-x, I]],   det U = det G_E,
-
-and with w = c' * e, c' > 0,
-
-    sign det(B^T A_F) = sign det([w | A_E]^T A_F) = sign det([g | A_E]^T A_F).
-
-With C the coordinates of [g | A_E] in the basis A_F, [g | A_E]^T A_F =
-C^T G_F and det G_F > 0, so that is sign det C: the ray's
-``EdgeRay.orientation`` sigma.  ``edge_ray`` takes g among F's span ids,
-so each column of C whose vertex is in F's basis is a unit vector, and
-det C is a permutation sign times an m x m minor (m the number of E's span
-ids outside F's basis) with entries from adj(G_F) and the Gram table of
-the lifted vertices; for m = 0, most pairs, sigma is the permutation sign,
-and a zero minor is an error.  For m = 0 the ray itself is a column of
-F's certified adjugate: with r the row of g in F's basis,
-w = A_F adj(G_F) e_r, so c = adj(G_F)[r][r] = det G_E,
-x_a = -adj(G_F)[a][r] and sigma = (-1)^r, copied in O(k) with no Gram
-solve, and <w, g> = det G_F > 0 is the certificate's diagonal entry
-(``cones.edge_ray``).  A flip of F negates a column of B^T A_F and
-a flip of E a row, so with eps = -1 for a flipped face and +1 otherwise
+``cones.edge_ray`` has already decided that sign for the unflipped bases:
+it is the ray's ``EdgeRay.orientation`` sigma, read off F's basis
+coordinates (the identity is stated there).  A flip of F negates a column
+of B^T A_F and a flip of E a row, so with eps = -1 for a flipped face and
++1 otherwise
 
     [E : F] = sigma * eps_E * eps_F,
 
@@ -43,26 +24,10 @@ a positive multiple of the lifted vertex, sigma = +1, and the empty face
 cannot be flipped: the bottom boundary matrix is the all-ones augmentation
 row.
 
-The barycenter cross-check confirms the oriented ray, sign included,
-independently, and since its vector lies in span(F) it would also reject a
-ray outside span(F).  It is made on Gram numbers, with no n-vector per
-pair (``cones.edge_ray_crosscheck``): with D = det G_E, b_F the sum of F's
-lifted vertices and x' = adj(G_E) A_E^T b_F, the barycenter vector
-w' = D b_F - A_E x' and the ray's w are both orthogonal to span(E), so
-
-    |w'|^2 = D (D |b_F|^2 - x'^T A_E^T b_F),
-    <w, w'> = c (D <g, b_F> - x'^T A_E^T g),
-    |w|^2 = c^2 T[g][g] - 2 c x^T A_E^T g + x^T G_E x,
-
-and w' is a positive multiple of w exactly when <w, w'> > 0 and
-<w, w'>^2 = |w|^2 |w'|^2.  The last is c * side for the ray ``edge_ray``
-makes, side = c T[g][g] - x^T A_E^T g.  A_F^T b_F, read off the Gram
-table, z_F = adj(G_F) A_F^T b_F and |b_F|^2 = <A_F^T b_F, z_F> / det G_F
-are taken once per face.  For a ray of the m = 0 form the test takes no
-product: w' and F's adjugate column both span span(F) meet span(E)^perp,
-and <w', A_F adj(G_F) e_r> = D z_F[r], so the check accepts iff c > 0,
-(c, x) is a positive multiple of the column's coefficients and
-z_F[r] > 0, the verdict of the n-vector comparison.
+The barycenter cross-check (``cones.edge_ray_crosscheck``, on Gram
+numbers, with no n-vector per pair) confirms the oriented ray, sign
+included, independently, and since its vector lies in span(F) it would
+also reject a ray outside span(F).
 
 Boundary matrices are integer matrices over the stable (lexicographic by
 vertex set) face ordering, the lattice's face ids.  They are built, kept in
@@ -132,9 +97,9 @@ def incidence_sign(T: Trivialization, ray: EdgeRay, e: int, f: int) -> int:
     """[E : F] for the covering pair of face ids (e, f); always +1 or -1.
 
     It is sigma * eps_E * eps_F, with sigma the ray's orientation and
-    eps = -1 for a flipped face: the identity [w | A_E] = [g | A_E] U in
-    the module docstring makes sigma the sign det(B^T A_F) for the ray's
-    direction e, B = [e | A_E] and the unflipped bases.
+    eps = -1 for a flipped face: ``cones.edge_ray`` makes sigma the sign
+    det(B^T A_F) for the ray's direction e, B = [e | A_E] and the
+    unflipped bases.
     """
     return ray.orientation * (-1) ** ((e in T.flipped) + (f in T.flipped))
 

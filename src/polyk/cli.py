@@ -38,7 +38,7 @@ from .errors import (
     InternalInvariantError,
 )
 from .files import load_polytope, polytope_to_json
-from .ktheory import KReport, group_from_factors
+from .ktheory import AbelianGroup, KReport
 from .pipeline import PipelineResult, run_pipeline
 from .polytope import face_lattice
 
@@ -48,19 +48,8 @@ def _face_label(vertex_set: tuple[int, ...]) -> str:
 
 
 def _homology_json(h: HomologyResult) -> list[dict]:
-    out = []
-    for j in h.degrees():
-        free, tors = h.group(j)
-        out.append({"degree": j, "free_rank": free, "torsion": list(tors)})
-    return out
-
-
-def _homology_line(h: HomologyResult) -> str:
-    parts = []
-    for j in h.degrees():
-        free, tors = h.group(j)
-        parts.append(f"H_{j} = {group_from_factors(free, tors)}")
-    return ", ".join(parts)
+    return [{"degree": j, "free_rank": free, "torsion": list(tors)}
+            for j, free, tors in zip(h.degrees(), h.free_ranks, h.torsion)]
 
 
 def report_document(result: PipelineResult, sections: set[str]) -> dict:
@@ -114,38 +103,39 @@ def _render_matrix(rows: list[str], cols: list[str], matrix) -> list[str]:
     return lines
 
 
-def render_human(result: PipelineResult, sections: set[str], elapsed: float) -> str:
-    P, L, X, rep = result.polytope, result.lattice, result.complex, result.report
+def render_human(doc: dict, elapsed: float) -> str:
+    """The human report: the document ``report_document`` made, formatted,
+    with the elapsed time."""
+    P = doc["input"]
     lines = [
-        f"polytope {rep.name} (dim {P.ambient_dim}, {P.nvertices} vertices)",
-        f"f-vector: {list(L.f_vector)}",
+        f"polytope {P['name']} (dim {P['dim']}, {len(P['vertices'])} vertices)",
+        f"f-vector: {doc['f_vector']}",
     ]
-    if "faces" in sections:
+    if "faces" in doc:
         lines.append("faces:")
-        for j in range(-1, L.dim + 1):
-            labels = " ".join(_face_label(f.vertex_set) for f in L.faces(j))
+        for j, faces in doc["faces"].items():
+            labels = " ".join(_face_label(f) for f in faces)
             lines.append(f"  dim {j}: {labels}")
-    if "boundary" in sections:
+    if "boundary" in doc:
         lines.append("boundary matrices:")
-        for j in range(0, X.dim + 1):
+        for b in doc["boundary"]:
+            j = b["j"]
             lines.append(f"  D_{j} (rows: faces of dim {j - 1}, cols: faces of dim {j})")
-            rows = [_face_label(s) for s in X.face_labels(j - 1)]
-            cols = [_face_label(s) for s in X.face_labels(j)]
-            lines.extend("  " + ln for ln in _render_matrix(rows, cols, X.matrix(j)))
-    if "homology" in sections:
+            lines.extend("  " + ln for ln in _render_matrix(b["rows"], b["cols"], b["matrix"]))
+    if "homology" in doc:
         lines.append("homology:")
-        lines.append(f"  augmented: {_homology_line(result.augmented_homology)}")
-        lines.append(f"  reduced:   {_homology_line(result.reduced_homology)}")
-    if "ktheory" in sections:
+        for kind, groups in doc["homology"].items():
+            line = ", ".join(f"H_{g['degree']} = {AbelianGroup.from_json(g)}" for g in groups)
+            lines.append(f"  {kind + ':':<11}{line}")
+    if "ktheory" in doc:
+        k = doc["ktheory"]
+        ranks = [rank for _, rank in k["e1_odd_ranks"]]
         lines.append("k-theory:")
-        ranks = [result.e1.odd_rank(p) for p in range(1, result.e1.dim + 3)]
-        lines.append(f"  E^1 odd-row ranks (p = 1..{result.e1.dim + 2}): {ranks}")
-        lines.append(f"  K_0(A_Omega) = {rep.k_algebra[0]}")
-        lines.append(f"  K_1(A_Omega) = {rep.k_algebra[1]}")
-        lines.append(f"  K_0(A_Omega/K) = {rep.k_quotient[0]}")
-        lines.append(f"  K_1(A_Omega/K) = {rep.k_quotient[1]}")
-        for c in rep.kk_conclusions:
-            lines.append(f"  - {c}")
+        lines.append(f"  E^1 odd-row ranks (p = 1..{len(ranks)}): {ranks}")
+        for algebra, key in (("A_Omega", "K_A_Omega"), ("A_Omega/K", "K_A_Omega_mod_K")):
+            for i in (0, 1):
+                lines.append(f"  K_{i}({algebra}) = {AbelianGroup.from_json(k[key][f'K{i}'])}")
+        lines.extend(f"  - {c}" for c in k["conclusions"])
     lines.append(f"elapsed: {elapsed:.3f} s")
     return "\n".join(lines)
 
@@ -158,17 +148,16 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     sections = {name for name in ("faces", "boundary", "homology", "ktheory")
-                if getattr(args, name)}
-    if not sections:
-        sections = {"homology", "ktheory"}
+                if getattr(args, name)} or {"homology", "ktheory"}
     start = time.monotonic()
     polytope = load_polytope(args.file)
     result = run_pipeline(polytope)
     elapsed = time.monotonic() - start
+    doc = report_document(result, sections)
     if args.json:
-        print(json.dumps(report_document(result, sections), indent=2, sort_keys=True))
+        print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        print(render_human(result, sections, elapsed))
+        print(render_human(doc, elapsed))
     return EXIT_OK
 
 

@@ -55,7 +55,8 @@ class AbstractLattice(GradedIds):
     Elements, its abstract faces, are (rank, index) pairs with rank from -1
     (bottom) to dim (top), numbered level by level (``GradedIds``): (rank, i)
     has the id ``level_start[rank + 1] + i`` and is ``faces_by_id`` there.
-    A pair listed twice in ``covering`` is one cover.
+    A pair listed twice in ``covering`` is one cover, and each ``down[i]``
+    is ascending, whatever the order of ``covering``.
     """
 
     dim: int
@@ -64,10 +65,12 @@ class AbstractLattice(GradedIds):
 
     def __post_init__(self) -> None:
         start = tuple(accumulate(self.f_vector, initial=0))
+        down: list[set[int]] = [set() for _ in range(start[-1])]
+        for (ra, a), (rb, b) in self.covering:
+            down[start[rb + 1] + b].add(start[ra + 1] + a)
         self._number(tuple((r, i) for r in range(-1, self.dim + 1)
                            for i in range(self.f_vector[r + 1])),
-                     start, ((start[ra + 1] + a, start[rb + 1] + b)
-                             for (ra, a), (rb, b) in dict.fromkeys(self.covering)))
+                     start, tuple(tuple(sorted(below)) for below in down))
 
 
 def lattice_from_incidence(U: UnsignedIncidence) -> AbstractLattice:
@@ -217,8 +220,9 @@ def is_isomorphic(L1: "FaceLattice | AbstractLattice",
     ascending id order, with s's up-degree and with ``down[t]`` the image
     of s's lower covers; the first one is placed.  Such a t covers the
     image of s's first lower cover, so when s has lower covers, the
-    candidates are read from that image's upper covers, sorted, rather than
-    from the whole rank; the first match, and so the mapping, is the same.
+    candidates are read from that image's upper covers, ascending like
+    every ``up``, rather than from the whole rank; the first match, and so
+    the mapping, is the same.
     """
     if L1.dim != L2.dim:
         return LatticeIso(False, certificate=f"dimension mismatch: {L1.dim} != {L2.dim}")
@@ -240,7 +244,6 @@ def is_isomorphic(L1: "FaceLattice | AbstractLattice",
     # Python's recursion limit.  mapping[s] is the target id placed for
     # source s; after a backtrack, the search resumes at the next target.
     targets = [level2 for level1, level2 in zip(ranks1, ranks2) for _ in level1]
-    up2_sorted = [sorted(u) for u in up2]
     mapping: list[int] = []
     used: set[int] = set()
     start = 0
@@ -248,7 +251,7 @@ def is_isomorphic(L1: "FaceLattice | AbstractLattice",
         s = len(mapping)
         below, rank = down1[s], targets[s]
         wanted_down = {mapping[d] for d in below}
-        candidates = up2_sorted[mapping[below[0]]] if below else rank
+        candidates = up2[mapping[below[0]]] if below else rank
         found = next((t for t in candidates
                       if t >= start and t in rank and t not in used
                       and len(up2[t]) == len(up1[s]) and down2[t] == wanted_down), None)

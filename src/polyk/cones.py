@@ -44,80 +44,19 @@ generators are looked up in the cone only when a caller reads them.
 In the paper, the edge vector of a covering pair E < F is the extreme ray of
 the dual of E's dual face, taken inside that dual face's span (the
 ``circledast`` cone of E), that is orthogonal to the dual face of F.  That
-ray spans the line where span(F) meets span(E)^perp.  So it is the
-projection of a lifted vertex g of F outside E off span(E), scaled by
-c = det G_E > 0 to stay integral (see ``edge_ray``):
-
-    w = c * g - A_E x,   x = adj(G_E) A_E^T g,
-
-an integer combination of vertices of F, hence in span(F) by construction,
-whose coefficients are table lookups; the circledast cones themselves are
-not built here, nor is w: an ``EdgeRay`` holds (g, c, x) and makes its
-primitive integer generator e, the ``direction``, only when it is read.  e
-plays the role of the unit edge vector in the incidence-sign determinant
-det([e | A_E]^T A_F).  Since [w | A_E] = [g | A_E] U with U unit lower
-triangular but for its corner det G_E, det U = det G_E > 0, and w is a
-positive multiple of e, that sign is the sign of det([g | A_E]^T A_F) =
-det(C^T G_F), C the coordinates of [g | A_E] in the basis A_F; det G_F > 0,
-so it is sign det C: the ray's orientation (see ``polyk.cellular``).  With
-g one of F's span ids, every column of C that is a vertex of F's basis is a
-unit vector, so det C is a permutation sign times an m x m minor, m the
-number of E's span ids outside F's, whose entries are read off adj(G_F) and
-T; most pairs have m = 0 and need no arithmetic for their sign.  Unit
-normalization is irrelevant to signs, so primitive integer ray generators
-replace unit vectors throughout and keep the arithmetic exact.
-
-For m = 0, E's span ids are F's minus g, in the same order; let r be g's
-row in F's basis.  Then the ray is a column of F's certified adjugate:
-
-    w = A_F adj(G_F) e_r,   so   c = adj(G_F)[r][r] = det G_E,
-    x_a = -adj(G_F)[a][r] for the other rows a,   sigma = (-1)^r.
-
-For v = A_F adj(G_F) e_r gives A_F^T v = G_F adj(G_F) e_r = det G_F e_r:
-v is orthogonal to span(E) and lies in span(F), so it spans the same line
-as w, and its coefficient on g, the cofactor adj(G_F)[r][r], is the
-principal minor det G_E, w's own.  The coordinates in the independent
-basis A_F are unique, so v = w.  The certified adjugate is
-det G_F G_F^{-1}, hence symmetric, and column r is row r.  So the ray of
-such a pair is copied in O(k), with no Gram solve.
-
-The checks of the ray are made where they cost least, each at least as
-strong as the per-pair vector check it replaces:
-
-  * orthogonality to span(E): <w, a_j> = c T[g][a_j] - (G_E x)_j, which
-    vanishes for every j when G_E adj(G_E) = det G_E * I, the per-face
-    certificate;
-  * circledast cone of E: <w, y> = c S[g][y] for y in E's dual face (every
-    vertex of E is zero there), >= 0 since S >= 0 everywhere, checked once
-    per run;
-  * orientation and nonzero: <w, g> = c * side with
-    side = c T[g][g] - x^T A_E^T g = c |g - P_E g|^2, checked positive per
-    pair; |w|^2 = c * side too, so w != 0 follows.  For m = 0,
-    side = (G_F adj(G_F))[r][r] = det G_F, the certificate's own diagonal
-    entry, positive by the certificate: nothing is left to check per pair.
-
-A second, independent construction of the same ray, the barycenter vector
-
-    w' = D b_F - A_E x',   D = det G_E,   x' = adj(G_E) A_E^T b_F,
-
-(D * L * |F| times the component of the barycenter of the lifted
-F-vertices orthogonal to span(E)) is the cross-check
-(``edge_ray_crosscheck``): w' must be a strictly positive multiple of w.
-Both are orthogonal to span(E) by the certificate, and A_E^T b_F is read
-off the face data of F, so every number of the test is a Gram number:
-
-    |w'|^2    = D (D |b_F|^2 - x'^T A_E^T b_F),
-    <w, w'>   = c (D <g, b_F> - x'^T A_E^T g),
-    |w|^2     = c^2 T[g][g] - 2 c x^T A_E^T g + x^T G_E x   (= c * side),
-
-and w' = lambda w with lambda > 0 exactly when <w, w'> > 0 and
-<w, w'>^2 = |w|^2 |w'|^2 (equality in Cauchy-Schwarz), on integers.  Its
-vector lies in span(F), so it would also reject a ray outside span(F).
-For a ray of the m = 0 form the test is O(k): w' and F's column
-v = A_F adj(G_F) e_r both span the line span(F) meet span(E)^perp, and
-<w', v> = D <b_F, v> = D z_F[r], so w' is a positive multiple of v exactly
-when z_F[r] > 0; the ray's (c, x) must then be a positive multiple of
-v's coefficients.  A ray of any other form takes the Cauchy-Schwarz test.
+ray spans the line where span(F) meets span(E)^perp.  So ``edge_ray`` makes
+it as the projection of a lifted vertex g of F outside E off span(E),
+scaled by c = det G_E > 0 to stay integral, w = c * g - A_E x, with the
+sign that orients it; on most pairs w is a column of F's certified
+adjugate.  Those identities, and the checks of the ray, each made where it
+costs least, are stated in its docstring.  The circledast cones themselves
+are not built here, nor is w: an ``EdgeRay`` holds (g, c, x) and makes its
+primitive integer generator e, the ``direction``, only when it is read.
+Unit normalization is irrelevant to signs, so primitive integer ray
+generators replace unit vectors throughout and keep the arithmetic exact.
+``edge_ray_crosscheck`` checks every ray against a second, independent
+construction, the barycenter vector, on Gram numbers; its docstring states
+that test.
 """
 
 from __future__ import annotations
@@ -534,12 +473,19 @@ def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: Face
     multiple of e.
 
     When m = 0, that is, E's span ids are F's minus g in the same order
-    (g at row r of F's basis), the ray is read off F's certified adjugate
-    with no solve (the identity is in the module docstring):
+    (g at row r of F's basis), the ray is a column of F's certified
+    adjugate, read off with no solve (``adjugate_column``):
 
-        c = adj(G_F)[r][r] = det G,   x_a = -adj(G_F)[a][r],   sigma = (-1)^r,
+        w = A_F adj(G_F) e_r,   so   c = adj(G_F)[r][r] = det G,
+        x_a = -adj(G_F)[a][r] for the other rows a,   sigma = (-1)^r.
 
-    O(k) copies and no arithmetic.  Otherwise the ray takes one check per
+    For v = A_F adj(G_F) e_r gives A_F^T v = G_F adj(G_F) e_r = det G_F e_r:
+    v is orthogonal to span(E) and lies in span(F), so it spans the same
+    line as w, and its coefficient on g, the cofactor adj(G_F)[r][r], is
+    the principal minor det G_E, w's own.  The coordinates in the
+    independent basis A_F are unique, so v = w.  The certified adjugate is
+    det G_F G_F^{-1}, hence symmetric, and column r is row r.  So the ray
+    is O(k) copies and no arithmetic.  Otherwise the ray takes one check per
     pair, on k numbers (k = dim F, the size of E's basis), besides the sign
     minor's below:
 
@@ -706,20 +652,22 @@ def edge_ray_crosscheck(ray: EdgeRay, data_E: FaceConeData, data_F: FaceConeData
 
 
 class ConeSystem:
-    """Per-face cone data (``FaceConeData``), computed once per face and
-    in a list indexed by the face ids of ``lattice``, and read by the edge
-    rays and the cross-checks.  The Gram and slack tables of the lifted
-    vertices (``gram``, ``slack``) and each face's dual-face bitmask (the
-    AND of its vertices' ``vertex_facet_masks``) are built once, with the
-    system; S >= 0 and the dual ranks (``check_dual_faces``) are checked
-    then.  A face's data grows from the data of a lower cover E when E's
-    span ids all lie below p = min(F - E) (see ``bordered_gram_basis``):
-    the first such cover in ``down`` order whose vertex set F's strictly
-    holds, its data made first if need be.  A face with no such cover takes
-    the full walk.  Edge rays are not kept: ``build_complex`` asks for
-    each covering pair's once, and cross-checks it once.
+    """Per-face cone data (``FaceConeData``) for every face of ``lattice``,
+    in a list indexed by its face ids, read by the edge rays and the
+    cross-checks.  The Gram and slack tables of the lifted vertices
+    (``gram``, ``slack``) and each face's dual-face bitmask (the AND of its
+    vertices' ``vertex_facet_masks``) are built first; S >= 0 and the dual
+    ranks (``check_dual_faces``) are checked then.  Every face's data is
+    then built once, in face-id order.  A face's data grows from the data
+    of a lower cover E when E's span ids all lie below p = min(F - E) (see
+    ``bordered_gram_basis``): the first such cover in ``down`` order whose
+    vertex set F's strictly holds.  Lower covers have lower ids, so E's
+    data is already built (a cover with a higher id, which only a
+    hand-built lattice can list, is not resumed from).  A face with no such
+    cover takes the full walk.  Edge rays are not kept: ``build_complex``
+    asks for each covering pair's once, and cross-checks it once.
 
-    Safe to share within a run: nothing cached is modified after it is built.
+    Safe to share within a run: nothing is modified after ``__init__``.
     """
 
     def __init__(self, cone: LiftedCone, lattice: FaceLattice):
@@ -730,29 +678,26 @@ class ConeSystem:
         check_slack(self.slack)
         vertex_masks = vertex_facet_masks(self.slack)
         every = (1 << len(cone.facet_normals)) - 1
-        self._dual_masks = tuple(reduce(and_, (vertex_masks[i] for i in f.vertex_set), every)
-                                 for f in lattice.faces_by_id)
-        check_dual_faces(lattice, self._dual_masks, cone.dim)
-        self._face_data: list[FaceConeData | None] = [None] * len(lattice.faces_by_id)
+        dual_masks = tuple(reduce(and_, (vertex_masks[i] for i in f.vertex_set), every)
+                           for f in lattice.faces_by_id)
+        check_dual_faces(lattice, dual_masks, cone.dim)
+        self._face_data: list[FaceConeData] = []
+        for f, F in enumerate(lattice.faces_by_id):
+            self._face_data.append(face_cone_data(cone, F, self.gram, dual_masks[f], self._cover(f)))
 
     def face_data(self, f: int) -> FaceConeData:
-        data = self._face_data[f]
-        if data is None:
-            data = self._face_data[f] = face_cone_data(
-                self.cone, self.lattice.faces_by_id[f], self.gram, self._dual_masks[f],
-                self._cover(f))
-        return data
+        return self._face_data[f]
 
     def _cover(self, f: int) -> tuple[FaceConeData, int] | None:
-        """(E's face data, p) for the first lower cover E of face f that the
-        bordered pass of f can resume from, or None."""
+        """(E's face data, p) for the first lower cover E of face f, already
+        built, that the bordered pass of f can resume from, or None."""
         masks = self.lattice.vertex_masks
         mask = masks[f]
         for e in self.lattice.down[f]:
             rest = mask & ~masks[e]
-            if rest and not masks[e] & ~mask:
+            if e < f and rest and not masks[e] & ~mask:
                 p = (rest & -rest).bit_length() - 1
-                data = self.face_data(e)
+                data = self._face_data[e]
                 if not data.span_ids or data.span_ids[-1] < p:
                     return data, p
         return None

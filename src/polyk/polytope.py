@@ -29,7 +29,7 @@ from functools import cached_property, reduce
 from itertools import accumulate, chain
 from math import lcm
 from operator import and_
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import InputError, InternalInvariantError
 from .linalg import (
@@ -89,7 +89,8 @@ class GradedIds:
     """Elements numbered level by level from the bottom, rank r taking the
     ids ``ids(r)`` from ``level_start[r + 1]``: element i is
     ``faces_by_id[i]``, and ``down[i]`` and ``up[i]`` are the ids of its
-    lower and upper covers, each listed once, in covering order."""
+    lower and upper covers, each listed once; ``up[i]`` is ascending, read
+    off ``down``."""
 
     faces_by_id: tuple
     level_start: tuple[int, ...]
@@ -97,15 +98,14 @@ class GradedIds:
     up: tuple[tuple[int, ...], ...]
 
     def _number(self, faces_by_id: tuple, level_start: tuple[int, ...],
-                id_pairs: Iterable[tuple[int, int]]) -> None:
-        down: list[list[int]] = [[] for _ in range(level_start[-1])]
-        up: list[list[int]] = [[] for _ in range(level_start[-1])]
-        for a, b in id_pairs:
-            down[b].append(a)
-            up[a].append(b)
+                down: tuple[tuple[int, ...], ...]) -> None:
+        up: list[list[int]] = [[] for _ in down]
+        for f, below in enumerate(down):
+            for e in below:
+                up[e].append(f)
         object.__setattr__(self, "faces_by_id", faces_by_id)
         object.__setattr__(self, "level_start", level_start)
-        object.__setattr__(self, "down", tuple(map(tuple, down)))
+        object.__setattr__(self, "down", down)
         object.__setattr__(self, "up", tuple(map(tuple, up)))
 
     def ids(self, rank: int) -> range:
@@ -174,13 +174,8 @@ class FaceLattice(GradedIds):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "f_vector", tuple(map(len, self.faces_by_dim)))
-        object.__setattr__(self, "faces_by_id", tuple(chain.from_iterable(self.faces_by_dim)))
-        object.__setattr__(self, "level_start", tuple(accumulate(self.f_vector, initial=0)))
-        up: list[list[int]] = [[] for _ in self.down]
-        for f, below in enumerate(self.down):
-            for e in below:
-                up[e].append(f)
-        object.__setattr__(self, "up", tuple(map(tuple, up)))
+        self._number(tuple(chain.from_iterable(self.faces_by_dim)),
+                     tuple(accumulate(self.f_vector, initial=0)), self.down)
         if self.vertex_masks is None:
             object.__setattr__(self, "vertex_masks", tuple(
                 sum(1 << v for v in f.vertex_set) for f in self.faces_by_id))
@@ -256,6 +251,10 @@ def _hull_facets(points: Sequence[Vector], d: int) -> list[Facet]:
     identity needs the rays to be exactly the extreme rays, which holds after
     every insertion.  A primitive normal makes each facet's (normal, offset)
     unique, so the sorted list does not depend on the insertion order.
+
+    The homogenized points span rank affine dim + 1, so fewer than d + 1
+    independent ones is the input error of a hull that is not
+    full-dimensional; on valid input it is the only rank ``validate`` takes.
     """
     if d == 0:
         return []
@@ -263,8 +262,8 @@ def _hull_facets(points: Sequence[Vector], d: int) -> list[Facet]:
     gens = [(1,) + tuple(int(x * scale) for x in p) for p in points]
     basis, _ = first_independent(gens, d + 1)
     if len(basis) != d + 1:
-        raise InternalInvariantError(
-            f"hull generators span only {len(basis)} of {d + 1} dimensions")
+        raise InputError(
+            f"hull not full-dimensional: affine dimension {len(basis) - 1} < ambient {d}")
     rays: list[tuple[IntVector, int]] = []  # (h, zero set as a bitmask)
     for b in basis:
         others = [c for c in basis if c != b]
@@ -327,7 +326,9 @@ def validate(vertices: Sequence[Sequence], name: str | None = None) -> Polytope:
 
     Rejects, in this order and naming the offending index: inconsistent
     coordinate counts, duplicate points, a hull that is not full-dimensional,
-    and listed points that are not extreme.
+    and listed points that are not extreme.  The last two come from the one
+    facet computation (``_hull``): its starting basis decides the affine
+    dimension, and its facets which points are extreme.
     """
     if not vertices:
         raise InputError("empty vertex list")
@@ -341,9 +342,6 @@ def validate(vertices: Sequence[Sequence], name: str | None = None) -> Polytope:
         if p in seen:
             raise InputError(f"duplicate vertex: {i} equals {seen[p]}")
         seen[p] = i
-    dim = affine_dim(pts)
-    if dim != d:
-        raise InputError(f"hull not full-dimensional: affine dimension {dim} < ambient {d}")
     facet_list, inner = _hull(pts, d)
     if inner:
         i = inner[0]

@@ -481,15 +481,18 @@ def test_signed_match_across_isomorphic_polytopes_reported(small_corpus, capsys)
 
 
 def test_isomorphism_search_on_unsorted_covers():
-    # the target's covering pairs shuffled, so its up tuples are not in id
-    # order; candidates must still be tried in id order
+    # the target's covering pairs shuffled; the lattice numbers them into
+    # the same ascending up and down tuples as the unshuffled pairs, so
+    # candidates are still tried in id order
     lat = face_lattice(hypercube(3))
     abstract = abstract_of(lat)
     covering = list(abstract.covering)
     random.Random(5).shuffle(covering)
+    assert covering != list(abstract.covering)
     shuffled = AbstractLattice(dim=abstract.dim, f_vector=abstract.f_vector,
                                covering=tuple(covering))
-    assert any(list(up) != sorted(up) for up in shuffled.up)
+    assert (shuffled.up, shuffled.down) == (abstract.up, abstract.down)
+    assert all(list(c) == sorted(c) for c in shuffled.up + shuffled.down)
     for source in (lat, abstract):
         iso = is_isomorphic(source, shuffled)
         assert iso.isomorphic

@@ -419,11 +419,19 @@ def test_m_zero_pairs_take_no_dot_products(monkeypatch):
             reads.append(None)
             return super().__iter__()
 
+    real_data = cones.face_cone_data
+    data_reads = []  # per face, the generators read while its data is built
+
+    def recording_data(*args):
+        before = len(reads)
+        data = real_data(*args)
+        data_reads.append(reads[before:])
+        return data
+
+    monkeypatch.setattr(cones, "face_cone_data", recording_data)
     system = ConeSystem(dataclasses.replace(cone, generators=Recording(cone.generators)), lat)
+    assert data_reads == [[]] * len(lat.faces_by_id)
     reads.clear()
-    for f in range(len(lat.faces_by_id)):
-        system.face_data(f)
-    assert reads == []
     calls = [0]
     real = cones.int_dot
 
@@ -750,12 +758,13 @@ def test_inherited_adjugate_fails_certificate_of_face(monkeypatch):
     # the edge {0,1} of the square resumes its bordered pass from the vertex
     # {0} (p = 1); an adjugate of {0} corrupted after its own certificate
     # passed is bordered into the edge's, whose certificate fails, naming
-    # the edge
+    # the edge.  Every face's data is built with the system, so that fails
+    # inside ConeSystem(...), and build_complex makes no face_cone_data call
     poly = hypercube(2)
     lat, by_set = faces_of(poly)
     vertex, edge = by_set[(0,)], by_set[(0, 1)]
     real = cones.face_cone_data
-    covers = {}
+    covers, corrupted, calls = {}, {}, []
 
     def corrupting(C, F, gram, dual_mask, cover=None):
         covers[F] = cover
@@ -763,19 +772,30 @@ def test_inherited_adjugate_fails_certificate_of_face(monkeypatch):
         if F != vertex:
             return data
         adj = data.gram_adj
-        return dataclasses.replace(data, gram_adj=((adj[0][0] - 1,),))
+        corrupted[F] = dataclasses.replace(data, gram_adj=((adj[0][0] - 1,),))
+        return corrupted[F]
 
     monkeypatch.setattr(cones, "face_cone_data", corrupting)
-    system = ConeSystem(lift(poly), lat)
     with pytest.raises(InternalInvariantError) as err:
-        system.face_data(lat.face_id[edge])
+        ConeSystem(lift(poly), lat)
     bad, p = covers[edge]
-    assert bad == system.face_data(lat.face_id[vertex]) and p == 1
-    _, det, _ = bordered_gram_basis(edge, system.gram, (p,),
+    assert bad == corrupted[vertex] and p == 1
+    _, det, _ = bordered_gram_basis(edge, gram_table(lift(poly)), (p,),
                                     (bad.span_ids, bad.gram_det, bad.gram_adj))
     assert str(err.value) == (
         f"Gram adjugate of the span of {edge} fails the certificate "
         f"G adj(G) = det G * I, det G > 0 (det G = {det})")
+
+    def counting(C, F, *args):
+        calls.append(F)
+        return real(C, F, *args)
+
+    monkeypatch.setattr(cones, "face_cone_data", counting)
+    system = ConeSystem(lift(poly), lat)
+    assert calls == list(lat.faces_by_id)
+    calls.clear()
+    build_complex(trivialize(lat), lat, system)
+    assert calls == []
 
 
 def test_edge_ray_rejects_ray_outside_span_of_f(monkeypatch):

@@ -233,6 +233,58 @@ def test_cli_report_point_full(capsys):
     assert "f-vector: [1, 1]" in out
 
 
+# the human report of the square with every section, as the CLI printed it
+# when it still formatted the pipeline result directly; only the elapsed
+# line varies, and it is left out
+SQUARE_HUMAN = """\
+polytope square (dim 2, 4 vertices)
+f-vector: [1, 4, 4, 1]
+faces:
+  dim -1: {}
+  dim 0: {0} {1} {2} {3}
+  dim 1: {0,1} {0,2} {1,3} {2,3}
+  dim 2: {0,1,2,3}
+boundary matrices:
+  D_0 (rows: faces of dim -1, cols: faces of dim 0)
+       {0} {1} {2} {3}
+    {}   1   1   1   1
+  D_1 (rows: faces of dim 0, cols: faces of dim 1)
+         {0,1} {0,2} {1,3} {2,3}
+     {0}    -1    -1     0     0
+     {1}     1     0    -1     0
+     {2}     0     1     0    -1
+     {3}     0     0     1     1
+  D_2 (rows: faces of dim 1, cols: faces of dim 2)
+             {0,1,2,3}
+       {0,1}         1
+       {0,2}        -1
+       {1,3}         1
+       {2,3}        -1
+homology:
+  augmented: H_-1 = 0, H_0 = 0, H_1 = 0, H_2 = 0
+  reduced:   H_0 = Z, H_1 = 0, H_2 = 0
+k-theory:
+  E^1 odd-row ranks (p = 1..4): [1, 4, 4, 1]
+  K_0(A_Omega) = 0
+  K_1(A_Omega) = 0
+  K_0(A_Omega/K) = 0
+  K_1(A_Omega/K) = Z
+  - second page vanishes: K_0(A_Omega) = K_1(A_Omega) = 0
+  - A_Omega is KK-contractible (K-theoretic verification)
+  - reduced homology is Z concentrated in degree 0: K_1(A_Omega/K) = Z, K_0(A_Omega/K) = 0
+  - A_Omega/K is KK-equivalent to C_0(R); the Z in K_1 is realized by the Fredholm index isomorphism
+"""
+
+
+def test_cli_report_square_human_transcript(capsys):
+    args = ["report", str(POLYTOPES / "square.json"), "--faces", "--boundary", "--homology",
+            "--ktheory"]
+    assert main(args) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert re.fullmatch(r"elapsed: \d+\.\d{3} s\n", lines[-1])
+    assert "".join(lines[:-1]) == SQUARE_HUMAN
+
+
 # --- JSON determinism and round-trip ---
 
 GOLDEN_CASES = ["segment", "triangle", "square", "cube"]

@@ -62,6 +62,24 @@ def test_validate_rejects_collinear():
     assert str(err.value) == "hull not full-dimensional: affine dimension 1 < ambient 2"
 
 
+def test_validate_takes_its_rank_from_the_hull(monkeypatch):
+    # the hull's starting basis of homogenized points has affine dim + 1
+    # ids, so validate takes no affine_dim of its own: it still accepts the
+    # corpus and rejects four coplanar points in R^3
+    members = acceptance_corpus()
+
+    def no_rank(*args):
+        raise AssertionError("validate took a separate affine_dim")
+
+    monkeypatch.setattr(polytope, "affine_dim", no_rank)
+    for P in members:
+        Q = validate(P.vertices, P.name)
+        assert Q == P and Q.facets == P.facets
+    with pytest.raises(InputError) as err:
+        validate([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
+    assert str(err.value) == "hull not full-dimensional: affine dimension 2 < ambient 3"
+
+
 def test_validate_rejects_duplicates():
     with pytest.raises(InputError, match="duplicate vertex: 2"):
         validate([(0, 0), (1, 0), (0, 0), (0, 1)])
