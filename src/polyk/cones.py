@@ -507,9 +507,13 @@ def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: Face
     pair would reject a ray outside span(F) anyway: its vector lies in
     span(F), so such a ray could not be a positive multiple of it.
 
-    The orientation is sign det([e | A_E]^T A_F), which is
-    sign det([g | A_E]^T A_F): [w | A_E] = [g | A_E] U with det U = det G
-    > 0, and w is a positive multiple of e.  Let C be the coordinates of
+    The orientation is sign det([e | A_E]^T A_F), the incidence-sign
+    determinant with e in the role of the unit edge vector, which is
+    sign det([g | A_E]^T A_F):
+
+        [w | A_E] = [g | A_E] U,   U = [[det G, 0], [-x, I]],   det U = det G > 0,
+
+    and w is a positive multiple of e.  Let C be the coordinates of
     [g | A_E] in the basis A_F, [g | A_E] = A_F C.  Then
 
         [g | A_E]^T A_F = C^T G_F,   det G_F > 0,   so   sigma = sign det C.

@@ -764,7 +764,7 @@ def test_inherited_adjugate_fails_certificate_of_face(monkeypatch):
     lat, by_set = faces_of(poly)
     vertex, edge = by_set[(0,)], by_set[(0, 1)]
     real = cones.face_cone_data
-    covers, corrupted, calls = {}, {}, []
+    covers, corrupted = {}, {}
 
     def corrupting(C, F, gram, dual_mask, cover=None):
         covers[F] = cover
@@ -785,6 +785,8 @@ def test_inherited_adjugate_fails_certificate_of_face(monkeypatch):
     assert str(err.value) == (
         f"Gram adjugate of the span of {edge} fails the certificate "
         f"G adj(G) = det G * I, det G > 0 (det G = {det})")
+
+    calls = []
 
     def counting(C, F, *args):
         calls.append(F)
