@@ -213,11 +213,13 @@ def lift(P: Polytope) -> LiftedCone:
 
     A facet <a, x> <= b of P lifts to the cone facet normal (b, -a): it
     vanishes on the lifted vertices (1, v) with <a, v> = b and is positive on
-    the others, and every cone facet arises this way.  The point (d = 0) has
-    no facets, yet its cone, the ray through (1), has the one facet normal
-    (1,).  Pointedness is witnessed by the functional (1, 0, ..., 0), which is
-    strictly positive on every generator; solidity follows from the polytope
-    being full-dimensional.  Both are asserted.
+    the others, and every cone facet arises this way.  With b = p / q in
+    lowest terms, the normal is the primitive vector of q (b, -a) = (p, -q a),
+    an integer vector on the same ray, so no ``Fraction`` enters.  The point
+    (d = 0) has no facets, yet its cone, the ray through (1), has the one
+    facet normal (1,).  Pointedness is witnessed by the functional
+    (1, 0, ..., 0), which is strictly positive on every generator; solidity
+    follows from the polytope being full-dimensional.  Both are asserted.
 
     The generators are L * (1, v_i), with L the lcm of all vertex
     denominators.  One positive factor for every column leaves spans,
@@ -232,8 +234,8 @@ def lift(P: Polytope) -> LiftedCone:
         raise InternalInvariantError("lifted cone is not pointed")
     if IntEchelon(gens).rank != n:
         raise InternalInvariantError("lifted cone is not solid")
-    normals = tuple(sorted(primitive_vector((f.offset,) + tuple(-a for a in f.normal))
-                           for f in P.facets))
+    normals = tuple(sorted(primitive_vector((f.offset.numerator,) + tuple(
+        -f.offset.denominator * a for a in f.normal)) for f in P.facets))
     if n == 1:  # the point has no facets, but the ray through (1) has facet normal (1,)
         normals = ((1,),)
     return LiftedCone(dim=n, base=P, generators=gens, facet_normals=normals)

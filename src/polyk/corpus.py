@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from .errors import InputError
-from .polytope import Polytope, affine_dim, convex_hull, validate
+from .polytope import Polytope, convex_hull, validate
 
 
 def simplex(d: int, name: str | None = None) -> Polytope:
@@ -53,7 +53,12 @@ def random_hull(rng: random.Random, dim: int, n_points: int,
                 name: str | None = None) -> Polytope:
     """A validated random polytope: sample distinct rational points until
     their hull is full-dimensional, and keep the points that are its
-    vertices."""
+    vertices.
+
+    The hull's own starting basis decides the rank: a draw whose hull is
+    not full-dimensional makes ``convex_hull`` raise ``InputError``, and
+    the points are drawn again.  That test takes nothing from ``rng``.
+    """
     while True:
         pts = []
         seen = set()
@@ -63,8 +68,10 @@ def random_hull(rng: random.Random, dim: int, n_points: int,
             if p not in seen:
                 seen.add(p)
                 pts.append(p)
-        if affine_dim(pts) == dim:
+        try:
             return convex_hull(pts, name=name)
+        except InputError:  # not full-dimensional, the only error distinct points raise
+            continue
 
 
 def acceptance_corpus(seed: int = 20240) -> list[Polytope]:

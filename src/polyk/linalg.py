@@ -5,9 +5,10 @@ Everything in this package runs on arbitrary-precision rationals
 point anywhere.  This module provides the shared substrate: the integer
 tools the hot paths and validation run on (dot products, primitive ray
 generators, an incremental fraction-free echelon form for ranks, span
-membership and greedy bases, Bareiss determinants, cofactor kernels), Smith
-normal form over the integers, and dense rational matrices with rank /
-determinant-sign / solve operations, which the tests' oracles still use.
+membership and greedy bases, Bareiss determinants, certified adjugates,
+cofactor kernels), Smith normal form over the integers, and dense rational
+matrices with rank / determinant-sign / solve operations, which the tests'
+oracles still use.
 
 Homology reads its ranks off a certified acyclic matching of the sparse
 columns (``polyk.sparse.acyclic_matching``); ``smith_normal_form`` takes
@@ -327,6 +328,47 @@ def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def int_adjugate(rows: Sequence[Sequence[int]]) -> tuple[IntMatrix, int]:
+    """(adj M, det M) of a nonsingular square integer matrix M, by one
+    fraction-free Gauss-Jordan pass on [M | I].
+
+    Step k sets each row i != k to (p a_i - a_ik a_k) / p', with p = a_kk
+    and p' the pivot of the step before (1 at the start); every division is
+    exact (Bareiss 1968, by Sylvester's identity), since each entry is a
+    minor of the matrix the pass runs on.  A zero pivot is swapped with the
+    first nonzero entry below it; the rows from k down have had the same
+    steps, so the pass is the one on PM for the permutation P of the swaps.
+    It ends at [det(PM) I | det(PM) M^-1], and sign(P) det(PM) = det M, so
+    adj M = sign(P) times the right half.  No nonzero entry below a pivot
+    means M is singular, an internal error.  The certificate
+    M adj(M) = det(M) I is checked before returning.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise InternalInvariantError("int_adjugate needs a square matrix")
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    sign, prev = 1, 1
+    for k in range(n):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                raise InternalInvariantError(f"int_adjugate: singular {n}x{n} matrix")
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        p, pivot_row = a[k][k], a[k]
+        for i in range(n):
+            if i != k:
+                x = a[i][k]
+                a[i] = [(p * u - x * v) // prev for u, v in zip(a[i], pivot_row)]
+        prev = p
+    det = sign * prev
+    adj = tuple(tuple(sign * x for x in row[n:]) for row in a)
+    if any(int_dot(r, col) != (det if i == j else 0)
+           for i, r in enumerate(rows) for j, col in enumerate(zip(*adj))):
+        raise InternalInvariantError("int_adjugate: M adj(M) != det(M) I")
+    return adj, det
+
+
 def permutation_sign(perm: Sequence[int]) -> int:
     """The sign of the permutation i -> perm[i] of range(len(perm)): each
     cycle of length l is l - 1 transpositions."""
@@ -349,8 +391,9 @@ def cofactor_kernel_vector(rows: Sequence[Sequence[int]], n: int) -> IntVector |
     so the result is integral and spans the kernel; returns None when the
     rows have rank < n-1 (all minors vanish).  It satisfies
     det([x; M]) = <x, kappa> for any top row x (Laplace expansion).  The
-    double description's initial cone and the brute-force ``dual_cone``
-    use it; the edge rays and incidence signs do not.
+    brute-force ``dual_cone`` and the tests' oracles use it; the double
+    description no longer does (its starting cone is one ``int_adjugate``),
+    nor do the edge rays and incidence signs.
     """
     if len(rows) != n - 1:
         raise InternalInvariantError("cofactor_kernel_vector: need exactly n-1 rows")

@@ -16,9 +16,17 @@ closure over the vertices alone, are the tests' oracles.
 Facets come from the double description method on the homogenized integer
 points, inserted one at a time, with combinatorial adjacency on bitmask zero
 sets; the work grows with the facets found, not with the C(n, d) vertex
-subsets.  It runs once, in ``validate``, and the facet list is stored on the
-polytope; every later stage reads it from there.  The brute force over
-d-subsets that it replaced is the tests' oracle (``tests/oracles.py``).
+subsets.  Two identities keep it in integers and off per-pair scans.  The
+starting cone is read off one adjugate: for the matrix B of d + 1
+independent points as rows, B adj(B) = det(B) I, so column b of adj(B),
+signed by det B, is the ray tight on every basis point but g_b.  Adjacency
+reads an inverted zero-set index: with tight[j] the bitmask of the rays
+tight on point j, the AND of tight[j] over a common zero set is the set of
+rays whose zero sets contain it.  It runs once, in ``validate``, and the
+facet list is stored on the polytope; every later stage reads it from
+there.  The brute force over d-subsets that it replaced, and the
+cofactor-kernel starting cone with a scan over every ray per pair, are the
+tests' oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -37,8 +45,9 @@ from .linalg import (
     IntVector,
     Vector,
     clear_denominators,
-    cofactor_kernel_vector,
     first_independent,
+    int_adjugate,
+    int_dot,
     primitive_vector,
     qvec,
 )
@@ -228,29 +237,55 @@ def affine_dim(points: Sequence[Sequence]) -> int:
                       for p in points[1:]).rank
 
 
+def _starting_cone(gens: Sequence[IntVector], basis: Sequence[int]
+                   ) -> list[tuple[IntVector, int]]:
+    """The rays of the simplicial cone {h : <h, g_c> >= 0 for c in basis},
+    each with its zero set as a bitmask of the indices in ``basis``.
+
+    With B the matrix whose rows are the basis points, B adj(B) = det(B) I
+    (``int_adjugate`` certifies it), so column b of adj(B) vanishes on every
+    basis point but g_b and takes det B on g_b.  Made primitive, and negated
+    when det B < 0, it is the ray positive on g_b and tight on the others.
+    """
+    adj, det = int_adjugate([gens[c] for c in basis])
+    full = sum(1 << c for c in basis)
+    return [(primitive_vector(col if det > 0 else [-x for x in col]), full ^ 1 << c)
+            for c, col in zip(basis, zip(*adj))]
+
+
 def _hull_facets(points: Sequence[Vector], d: int) -> list[Facet]:
     """The facets of conv(points), by the double description method.
 
     The points are rescaled to a common integer grid (``scale`` = lcm of the
-    denominators) and homogenized to g_i = (1, scale * p_i).  The facets are
+    denominators) and homogenized to g_i = (1, scale * p_i), each coordinate
+    x.numerator * (scale // x.denominator), in integers.  The facets are
     the extreme rays of the cone {h : <h, g_i> >= 0 for all i}: the ray
     h = (b, -a) is the facet <a, x> <= b / scale, tight on the points with
     <h, g_i> = 0.  Redundant (non-extreme) points are allowed.
 
     The cone is built by inserting the points one at a time (Fukuda & Prodon
     1996, "Double description method revisited").  It starts from d + 1
-    linearly independent points, whose cone is simplicial: its rays are the
-    cofactor kernel vectors of d of them, signed positive on the remaining
-    one.  Inserting g keeps the rays h with <h, g> >= 0 and adds, for every
-    adjacent pair h+, h- with <h+, g> > 0 > <h-, g>, the ray
-    primitive(<h+, g> h- - <h-, g> h+), which is zero on g.  Each ray carries
-    its zero set (the inserted points it is tight on) as a bitmask.  Adjacency
-    is decided combinatorially (Fukuda & Prodon, Prop. 7): two extreme rays
-    of a pointed cone are adjacent iff their common zero set has at least
-    d - 1 elements and no third extreme ray's zero set contains it.  The
-    identity needs the rays to be exactly the extreme rays, which holds after
-    every insertion.  A primitive normal makes each facet's (normal, offset)
-    unique, so the sorted list does not depend on the insertion order.
+    linearly independent points, whose cone is simplicial: with B the
+    matrix of those points as rows, B adj(B) = det(B) I, so the columns of
+    adj(B), signed by det B, are its rays, column b tight on every basis
+    point but g_b (``_starting_cone``).  Inserting g keeps the rays h with
+    <h, g> >= 0 and adds, for every adjacent pair h+, h- with
+    <h+, g> > 0 > <h-, g>, the ray primitive(<h+, g> h- - <h-, g> h+),
+    which is zero on g.  Each ray carries its zero set (the inserted points
+    it is tight on) as a bitmask.  Adjacency is decided combinatorially
+    (Fukuda & Prodon, Prop. 7): two extreme rays of a pointed cone are
+    adjacent iff their common zero set has at least d - 1 elements and no
+    third extreme ray's zero set contains it.  The identity needs the rays
+    to be exactly the extreme rays, which holds after every insertion.
+
+    The third rays are found on an inverted zero-set index: ``tight[j]``,
+    rebuilt on each insertion, is the bitmask of the current rays tight on
+    point j, so the AND of ``tight[j]`` over j in ``common`` (every ray when
+    ``common`` is empty) is the set of rays whose zero sets contain
+    ``common``.  It always holds p and n, so the AND can stop once it is
+    {p, n}, and the pair is adjacent iff it ends there.  A primitive normal makes each facet's (normal,
+    offset) unique, so the sorted list does not depend on the insertion
+    order.
 
     The homogenized points span rank affine dim + 1, so fewer than d + 1
     independent ones is the input error of a hull that is not
@@ -259,42 +294,44 @@ def _hull_facets(points: Sequence[Vector], d: int) -> list[Facet]:
     if d == 0:
         return []
     scale = lcm(*(x.denominator for p in points for x in p))
-    gens = [(1,) + tuple(int(x * scale) for x in p) for p in points]
+    gens = [(1,) + tuple(x.numerator * (scale // x.denominator) for x in p) for p in points]
     basis, _ = first_independent(gens, d + 1)
     if len(basis) != d + 1:
         raise InputError(
             f"hull not full-dimensional: affine dimension {len(basis) - 1} < ambient {d}")
-    rays: list[tuple[IntVector, int]] = []  # (h, zero set as a bitmask)
-    for b in basis:
-        others = [c for c in basis if c != b]
-        h = primitive_vector(cofactor_kernel_vector([gens[c] for c in others], d + 1))
-        if sum(x * y for x, y in zip(h, gens[b])) < 0:
-            h = tuple(-x for x in h)
-        rays.append((h, sum(1 << c for c in others)))
+    rays = _starting_cone(gens, basis)  # (h, zero set as a bitmask)
     for i, g in enumerate(gens):
         if i in basis:
             continue
         bit = 1 << i
-        values = [sum(x * y for x, y in zip(h, g)) for h, _ in rays]
+        values = [int_dot(h, g) for h, _ in rays]
         kept = [(h, z | bit if v == 0 else z) for (h, z), v in zip(rays, values) if v >= 0]
-        minus = [n for n, v in enumerate(values) if v < 0]
+        minus = [(n, z) for n, ((_, z), v) in enumerate(zip(rays, values)) if v < 0]
+        tight = [0] * len(gens)  # point j -> bitmask of the rays tight on it
+        for k, (_, z) in enumerate(rays):
+            for j in set_bits(z):
+                tight[j] |= 1 << k
+        everything = (1 << len(rays)) - 1
         for p, vp in enumerate(values):
             if vp <= 0:
                 continue
             hp, zp = rays[p]
-            for n in minus:
-                hn, zn = rays[n]
-                common = zp & zn
-                if common.bit_count() < d - 1 or any(
-                        k != p and k != n and z & common == common
-                        for k, (_, z) in enumerate(rays)):
+            for n, common in [(n, zp & zn) for n, zn in minus
+                              if (zp & zn).bit_count() >= d - 1]:
+                pair = 1 << p | 1 << n
+                contain, rest = everything, common
+                while rest and contain != pair:
+                    low = rest & -rest
+                    contain &= tight[low.bit_length() - 1]
+                    rest ^= low
+                if contain != pair:
                     continue
-                vn = values[n]
+                hn, vn = rays[n][0], values[n]
                 kept.append((primitive_vector(tuple(vp * a - vn * b for a, b in zip(hn, hp))),
                              common | bit))
         rays = kept
     facet_list = [Facet(normal=tuple(-x for x in h[1:]), offset=Fraction(h[0], scale),
-                        vertex_set=tuple(i for i in range(len(gens)) if z >> i & 1))
+                        vertex_set=set_bits(z))
                   for h, z in rays]
     facet_list.sort(key=lambda f: (f.normal, f.offset))
     return facet_list

@@ -33,8 +33,16 @@ span(E), det G_E g - A_E adj(G_E) A_E^T g, on integers
 The facet oracle is the brute force the library used before it switched to
 the double description method: every affinely independent d-subset of the
 points spans a candidate hyperplane, kept when all points lie on one side.
-It shares ``polyk.linalg.cofactor_kernel_vector`` with the library, which
-the double description calls only for its initial cone.
+It takes its normals from ``polyk.linalg.cofactor_kernel_vector``.  The
+scan oracle ``scan_hull_facets`` is the double description as the library
+ran it before it moved to an adjugate starting cone and an inverted
+zero-set index: its starting rays are the cofactor kernel vectors of d of
+the d + 1 basis points, signed positive on the last one
+(``cofactor_starting_cone``), and a candidate pair is tested for adjacency
+by scanning every current ray for a third zero set that contains the
+common one.  ``hull_by_rank`` is ``polyk.corpus.random_hull`` as it was
+before it left the rank to the hull: it draws the same points, and redraws
+while ``affine_dim`` of a draw is short.
 
 The incidence-sign oracles are the formulas the library used before it read
 the sign off the edge ray's orientation, with A_E and A_F the span bases of
@@ -149,7 +157,7 @@ from polyk.linalg import (
     qvec,
     smith_normal_form,
 )
-from polyk.polytope import Face, Facet, FaceLattice, Polytope, affine_dim
+from polyk.polytope import Face, Facet, FaceLattice, Polytope, affine_dim, convex_hull
 from polyk.sparse import SparseColumn
 
 
@@ -574,6 +582,81 @@ def brute_force_facets(points, d: int) -> list[Facet]:
                             vertex_set=tight))
     facets.sort(key=lambda f: (f.normal, f.offset))
     return facets
+
+
+def cofactor_starting_cone(gens, basis) -> list[tuple[tuple[int, ...], int]]:
+    """The starting rays of the double description, each with its zero set
+    as a bitmask: for each basis point g_b, the primitive cofactor kernel
+    vector of the other basis points, signed positive on g_b."""
+    rays = []
+    for b in basis:
+        others = [c for c in basis if c != b]
+        h = primitive_vector(cofactor_kernel_vector([gens[c] for c in others], len(basis)))
+        if int_dot(h, gens[b]) < 0:
+            h = tuple(-x for x in h)
+        rays.append((h, sum(1 << c for c in others)))
+    return rays
+
+
+def scan_hull_facets(points, d: int) -> list[Facet]:
+    """The double description with the cofactor starting cone and the
+    per-pair adjacency scan over every ray; same facets, sorted the same
+    way, as ``polyk.polytope._hull_facets``."""
+    if d == 0:
+        return []
+    scale = lcm(*(Fraction(x).denominator for p in points for x in p))
+    gens = [(1,) + tuple(int(Fraction(x) * scale) for x in p) for p in points]
+    basis, _ = first_independent(gens, d + 1)
+    assert len(basis) == d + 1, "hull not full-dimensional"
+    rays = cofactor_starting_cone(gens, basis)
+    for i, g in enumerate(gens):
+        if i in basis:
+            continue
+        bit = 1 << i
+        values = [int_dot(h, g) for h, _ in rays]
+        kept = [(h, z | bit if v == 0 else z) for (h, z), v in zip(rays, values) if v >= 0]
+        minus = [n for n, v in enumerate(values) if v < 0]
+        for p, vp in enumerate(values):
+            if vp <= 0:
+                continue
+            hp, zp = rays[p]
+            for n in minus:
+                hn, zn = rays[n]
+                common = zp & zn
+                if common.bit_count() < d - 1 or any(
+                        k != p and k != n and z & common == common
+                        for k, (_, z) in enumerate(rays)):
+                    continue
+                vn = values[n]
+                kept.append((primitive_vector(tuple(vp * a - vn * b for a, b in zip(hn, hp))),
+                             common | bit))
+        rays = kept
+    facet_list = [Facet(normal=tuple(-x for x in h[1:]), offset=Fraction(h[0], scale),
+                        vertex_set=tuple(i for i in range(len(gens)) if z >> i & 1))
+                  for h, z in rays]
+    facet_list.sort(key=lambda f: (f.normal, f.offset))
+    return facet_list
+
+
+def random_hull_draw(rng, dim: int, n_points: int) -> list[tuple[Fraction, ...]]:
+    """One draw of ``random_hull``: n_points distinct rational points."""
+    pts = []
+    seen = set()
+    while len(pts) < n_points:
+        p = tuple(Fraction(rng.randint(-8, 8), rng.choice((1, 1, 2, 3))) for _ in range(dim))
+        if p not in seen:
+            seen.add(p)
+            pts.append(p)
+    return pts
+
+
+def hull_by_rank(rng, dim: int, n_points: int, name=None) -> Polytope:
+    """``random_hull`` with a rank test per draw: draw points until
+    ``affine_dim`` says their hull is full-dimensional."""
+    while True:
+        pts = random_hull_draw(rng, dim, n_points)
+        if affine_dim(pts) == dim:
+            return convex_hull(pts, name=name)
 
 
 def faces_by_direction(vertices, dim: int, radius: int = 1) -> set[tuple[int, ...]]:

@@ -1,6 +1,7 @@
 """Exact linear algebra: examples frozen from independent oracles, plus
 hypothesis property tests against the oracle implementations."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from polyk.linalg import (
     cofactor_kernel_vector,
     coords_in_basis,
     det_sign,
+    int_adjugate,
     int_dot,
     int_identity,
     int_mat_mul,
@@ -204,6 +206,47 @@ def test_primitive_vector_scales():
 @given(st.lists(st.lists(st.integers(-7, 7), min_size=3, max_size=3), min_size=3, max_size=3))
 def test_bareiss_matches_leibniz(rows):
     assert bareiss_det(rows) == leibniz_det(rows)
+
+
+def test_int_adjugate_on_random_nonsingular_matrices():
+    # entries in -1..1 make zero pivots common, so many need row swaps
+    rng = random.Random(12)
+    checked = swapped = 0
+    for n in range(1, 9):
+        for _ in range(25):
+            M = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
+            det = bareiss_det(M)
+            if det == 0:
+                continue
+            adj, got = int_adjugate(M)
+            assert got == det
+            assert int_mat_mul(tuple(map(tuple, M)), adj) == tuple(
+                tuple(det * x for x in row) for row in int_identity(n))
+            for i in range(n):
+                for j in range(n):
+                    minor = [row[:j] + row[j + 1:] for k, row in enumerate(M) if k != i]
+                    assert adj[j][i] == (-1) ** (i + j) * bareiss_det(minor)
+            checked += 1
+            swapped += any(bareiss_det([row[:k] for row in M[:k]]) == 0 for k in range(1, n))
+    assert checked > 100 and swapped > 20
+
+
+def test_int_adjugate_small_cases():
+    assert int_adjugate([]) == ((), 1)
+    assert int_adjugate([[0, 1], [1, 0]]) == (((0, -1), (-1, 0)), -1)
+    assert int_adjugate([[2, 1], [3, 4]]) == (((4, -1), (-3, 2)), 5)
+
+
+@pytest.mark.parametrize("rows", [
+    [[0]],
+    [[1, 2], [2, 4]],
+    [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+    [[0, 1, 0], [0, 2, 0], [1, 0, 1]],
+    [[1, 0], [0, 1], [1, 1]],
+])
+def test_int_adjugate_rejects_singular_and_non_square(rows):
+    with pytest.raises(InternalInvariantError, match="int_adjugate"):
+        int_adjugate(rows)
 
 
 @given(st.integers(0, 7).flatmap(lambda n: st.permutations(range(n))))

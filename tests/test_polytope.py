@@ -34,9 +34,13 @@ from affine import apply_affine, random_invertible_affine
 from oracles import (
     brute_force_facets,
     closure_face_lattice,
+    cofactor_starting_cone,
     faces_by_direction,
+    hull_by_rank,
     in_convex_hull,
     lattice_from_pairs,
+    random_hull_draw,
+    scan_hull_facets,
     vertex_closure_face_lattice,
 )
 
@@ -181,17 +185,78 @@ def test_facets_match_brute_force_oracle(seed, d):
 
 
 def test_validate_makes_at_most_d_plus_1_kernel_calls(monkeypatch):
-    real = polytope.cofactor_kernel_vector
+    # the starting cone is one adjugate, not d + 1 cofactor kernels of
+    # (d + 1)^2 Bareiss minors; C(32, 5) = 201,376 kernels before the double
+    # description
     calls = []
+    for name in ("cofactor_kernel_vector", "bareiss_det"):
+        real = getattr(linalg, name)
 
-    def counting(rows, n):
-        calls.append(n)
-        return real(rows, n)
+        def counting(*args, name=name, real=real):
+            calls.append(name)
+            return real(*args)
 
-    monkeypatch.setattr(polytope, "cofactor_kernel_vector", counting)
+        for module in (linalg, polytope):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
     P = validate([[(k >> i) & 1 for i in range(5)] for k in range(32)])
     assert len(P.facets) == 10
-    assert len(calls) <= 6  # the initial simplicial cone only; C(32, 5) = 201,376 subsets before
+    assert calls == []
+
+
+@pytest.mark.parametrize("d", range(3, 8))
+def test_hull_facets_match_scan_and_brute_force(d):
+    # seeded point sets with redundant points (a midpoint and the centroid,
+    # and grid points inside the hull) against both oracles
+    rng = random.Random(7000 + d)
+    checked = redundant = 0
+    while checked < 6:
+        pts = _random_points(rng, d, rng.randint(d + 2, d + 4))
+        if affine_dim(pts) != d:
+            continue
+        found = _hull_facets(pts, d)
+        assert found == scan_hull_facets(pts, d) == brute_force_facets(pts, d)
+        checked += 1
+        redundant += bool(polytope._hull(pts, d)[1])
+    assert redundant
+
+
+def test_hull_facets_match_scan_on_larger_hulls():
+    for seed, d, n in ((5, 5, 30), (6, 6, 24)):
+        pts = random_hull_draw(random.Random(seed), d, n)
+        facet_list, inner = polytope._hull(pts, d)
+        assert inner  # interior points are inserted too
+        assert facet_list == scan_hull_facets(pts, d)
+
+
+def test_starting_cone_matches_cofactor_oracle():
+    rng = random.Random(4)
+    negative = 0
+    for d in range(1, 8):
+        for _ in range(20):
+            pts = _random_points(rng, d, d + 3)
+            gens = [(1,) + tuple(int(2 * x) for x in p) for p in pts]
+            basis, _ = linalg.first_independent(gens, d + 1)
+            if len(basis) != d + 1:
+                continue
+            assert polytope._starting_cone(gens, basis) == cofactor_starting_cone(gens, basis)
+            negative += linalg.bareiss_det([gens[c] for c in basis]) < 0
+    assert negative
+
+
+def test_random_hull_redraws_like_the_rank_loop():
+    # a seed whose first draw of three points in the plane is collinear,
+    # found by search; the hull's error and the old rank test redraw alike
+    seed = next(s for s in range(10 ** 4)
+                if affine_dim(random_hull_draw(random.Random(s), 2, 3)) < 2)
+    rng, old = random.Random(seed), random.Random(seed)
+    P, Q = random_hull(rng, 2, 3, name="t"), hull_by_rank(old, 2, 3, name="t")
+    assert P == Q and P.facets == Q.facets
+    assert rng.getstate() == old.getstate()
+    for k in range(20):
+        rng, old = random.Random(k), random.Random(k)
+        assert random_hull(rng, 3, 5).facets == hull_by_rank(old, 3, 5).facets
+        assert rng.getstate() == old.getstate()
 
 
 def _ridges(P, fc) -> set[tuple[int, ...]]:
