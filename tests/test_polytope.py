@@ -207,15 +207,21 @@ def test_validate_makes_at_most_d_plus_1_kernel_calls(monkeypatch):
 @pytest.mark.parametrize("d", range(3, 8))
 def test_hull_facets_match_scan_and_brute_force(d):
     # seeded point sets with redundant points (a midpoint and the centroid,
-    # and grid points inside the hull) against both oracles
+    # and grid points inside the hull) against both oracles; the 0/1 points
+    # put many points on each facet, so that pairs with d - 1 common zeros
+    # can be non-adjacent
     rng = random.Random(7000 + d)
     checked = redundant = 0
-    while checked < 6:
-        pts = _random_points(rng, d, rng.randint(d + 2, d + 4))
+    while checked < 12:
+        n = rng.randint(d + 2, d + 4)
+        if checked % 2:
+            corners = [tuple(Fraction(rng.randint(0, 1)) for _ in range(d)) for _ in range(n)]
+            pts = list(dict.fromkeys(corners + [(Fraction(1, 2),) * d]))
+        else:
+            pts = _random_points(rng, d, n)
         if affine_dim(pts) != d:
             continue
-        found = _hull_facets(pts, d)
-        assert found == scan_hull_facets(pts, d) == brute_force_facets(pts, d)
+        assert _hull_facets(pts, d) == scan_hull_facets(pts, d) == brute_force_facets(pts, d)
         checked += 1
         redundant += bool(polytope._hull(pts, d)[1])
     assert redundant
