@@ -8,18 +8,27 @@ B = [e | A_E] of span(F) against A_F: sign det C for B C = A_F, which is
 sign det(B^T A_F) since B^T A_F = (B^T B) C and det(B^T B) > 0.  (B is a
 basis of span(F): e lies in span(F), being by construction an integer
 combination of lifted vertices of F, e is orthogonal to span(E), which the
-per-face certificate G_E adj(G_E) = det G_E * I of ``face_cone_data``
-guarantees, and A_E is a basis of span(E).)
+certificate G_E adj(G_E) = det G_E * I guarantees, carried by the checked
+bordering steps of ``cones.bordered_gram_basis`` that build E's data, and
+A_E is a basis of span(E).)
 
-``cones.edge_ray`` has already decided that sign for the unflipped bases:
-it is the ray's ``EdgeRay.orientation`` sigma, read off F's basis
-coordinates (the identity is stated there).  A flip of F negates a column
-of B^T A_F and a flip of E a row, so with eps = -1 for a flipped face and
-+1 otherwise
+The cone stage has already decided that sign for the unflipped bases, by
+face: ``ConeSystem.cover_orientations`` gives the orientation sigma of
+every lower cover E of F at once.  A pair with m = 0, E's span bitmask
+s_E inside F's s_F, has its ray in column r = popcount(s_F & (g - 1)) of
+F's certified adjugate, g the one bit of s_F & ~s_E, and
+
+    sigma = (-1)^r,
+
+with no ray made; any other pair takes ``cones.edge_ray``, whose
+``EdgeRay.orientation`` is read off F's basis coordinates (the identities
+are stated in ``cones``).  A flip of F negates a column of B^T A_F and a
+flip of E a row, so with eps = -1 for a flipped face and +1 otherwise
 
     [E : F] = sigma * eps_E * eps_F,
 
-with no further determinant per pair.  For (empty face, vertex) the ray is
+with no further determinant per pair, in ``incidence_sign``, the one place
+the flips are applied.  For (empty face, vertex) the ray is
 a positive multiple of the lifted vertex, sigma = +1, and the empty face
 cannot be flipped: the bottom boundary matrix is the all-ones augmentation
 row.
@@ -27,7 +36,10 @@ row.
 The barycenter cross-check (``cones.edge_ray_crosscheck``, on Gram
 numbers, with no n-vector per pair) confirms the oriented ray, sign
 included, independently, and since its vector lies in span(F) it would
-also reject a ray outside span(F).
+also reject a ray outside span(F).  On a pair with m = 0 it reduces to
+z_F[r] > 0 together with the principal-minor identity
+adj(G_F)[r][r] = det G_E > 0, which ``cover_orientations`` checks off F's
+and E's data.
 
 Boundary matrices are integer matrices over the stable (lexicographic by
 vertex set) face ordering, the lattice's face ids.  They are built, kept in
@@ -35,8 +47,8 @@ the ``ChainComplex`` and read as sparse columns, {row: [E : F]} over the
 lower covers E of each face F; only a printed matrix is densified
 (``ChainComplex.matrix``).  Assembling the complex walks the id covers
 once, in lattice order (the faces F of dimension j, then each F's lower
-covers E), and for each pair takes the edge ray, checks it against the
-independent barycenter cross-check, and computes [E : F] into F's column.
+covers E): it takes the checked orientations of F's covering pairs in one
+pass, and computes each [E : F] into F's column.
 The ``CheckedComplex`` it returns then verifies the consecutive-product
 identity when it is made, aborting loudly on any failure, and
 ``homology_pair`` does not repeat that for it; any other ``ChainComplex``
@@ -64,7 +76,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .cones import ConeSystem, EdgeRay
+from .cones import ConeSystem
 from .errors import InternalInvariantError
 from .linalg import IntMatrix, smith_normal_form
 from .polytope import Face, FaceLattice
@@ -93,15 +105,15 @@ def trivialize(L: FaceLattice, flip_faces: Iterable[Face] = ()) -> Trivializatio
     return Trivialization(flipped=frozenset(L.face_id[f] for f in flips))
 
 
-def incidence_sign(T: Trivialization, ray: EdgeRay, e: int, f: int) -> int:
+def incidence_sign(T: Trivialization, sigma: int, e: int, f: int) -> int:
     """[E : F] for the covering pair of face ids (e, f); always +1 or -1.
 
-    It is sigma * eps_E * eps_F, with sigma the ray's orientation and
-    eps = -1 for a flipped face: ``cones.edge_ray`` makes sigma the sign
-    det(B^T A_F) for the ray's direction e, B = [e | A_E] and the
-    unflipped bases.
+    It is sigma * eps_E * eps_F, with sigma the pair's orientation and
+    eps = -1 for a flipped face: sigma is the sign det(B^T A_F) for the
+    edge ray's direction e, B = [e | A_E] and the unflipped bases, as
+    ``ConeSystem.cover_orientations`` (or ``EdgeRay.orientation``) gives it.
     """
-    return ray.orientation * (-1) ** ((e in T.flipped) + (f in T.flipped))
+    return sigma * (-1) ** ((e in T.flipped) + (f in T.flipped))
 
 
 @dataclass(frozen=True)
@@ -146,21 +158,17 @@ def boundary_columns(T: Trivialization, system: ConeSystem, j: int) -> list[Spar
     """The columns of D_j as {row: [E : F]} dicts, one per j-face F of the
     system's lattice in order; the row of a (j-1)-face is its id minus its
     level's first id.  Each lower cover E of F is one covering pair, visited
-    once: its edge ray, the ray's cross-check (the barycenter vector must be
-    a positive multiple of the ray's, decided on Gram numbers), then the
-    incidence sign."""
+    once: F's pairs are oriented and cross-checked together
+    (``ConeSystem.cover_orientations``), and each orientation sigma then
+    gives the incidence sign."""
     L = system.lattice
     if not 0 <= j <= L.dim:
         raise ValueError(f"boundary dimension {j} out of range [0, {L.dim}]")
     first_row = L.level_start[j]
     columns = []
     for f in L.ids(j):
-        column = {}
-        for e in L.down[f]:
-            ray = system.ray(e, f)
-            system.crosscheck(e, f, ray)
-            column[e - first_row] = incidence_sign(T, ray, e, f)
-        columns.append(column)
+        columns.append({e - first_row: incidence_sign(T, sigma, e, f)
+                        for e, sigma in zip(L.down[f], system.cover_orientations(f))})
     return columns
 
 
@@ -213,9 +221,14 @@ class CheckedComplex(ChainComplex):
 def build_complex(T: Trivialization, L: FaceLattice, system: ConeSystem) -> CheckedComplex:
     """Assemble all boundary matrices and verify the complex exactly.
 
-    Walks the covering pairs once, by ``boundary_columns`` for j = 0..dim;
-    for each pair (E, F) in turn it takes the edge ray, cross-checks it and
-    computes [E : F].  The ``CheckedComplex`` it returns checks
+    Walks the covering pairs once, by ``boundary_columns`` for j = 0..dim,
+    face by face: ``ConeSystem.cover_orientations`` orients and
+    cross-checks all the lower covers E of a face F in one pass, each pair
+    with m = 0 (s_E & ~s_F = 0 on the span bitmasks) read off F's certified
+    adjugate as sigma = (-1)^r with its verdict z_F[r] > 0 and
+    adj(G_F)[r][r] = det G_E > 0, and only the others through ``edge_ray``
+    and ``edge_ray_crosscheck``; ``incidence_sign`` then computes each
+    [E : F] from sigma.  The ``CheckedComplex`` it returns checks
     D_{j-1} @ D_j = 0 for every j on the sparse columns when it is made.
     Any failure aborts with the offending face pair.  The system must be
     built on L itself.

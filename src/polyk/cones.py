@@ -22,21 +22,24 @@ strictly holds that of an upper cover) are checked there, once per run.
 For every face id, once per run, we compute
 
   * a deterministic basis A_F of the span (integer lifted vertices, greedy
-    in index order), by vertex ids and as a map from each id to its row of
-    coordinates in that basis, with the Gram matrix G = A_F^T A_F,
-    det G and adj G, all from T alone, by bordered steps
-    (``bordered_gram_basis``): a Schur complement per candidate decides its
-    independence and grows det G and adj G exactly.  Nearly every face
-    resumes the pass of a lower cover E, whose span ids all lie below
-    p = min(F - E), with one step by p; the others walk all their
-    vertices.  The certificate G adj(G) = det G * I, det G > 0, is checked
-    on each face's result,
+    in index order), by vertex ids, as the bitmask s_F of those ids and as
+    a map from each id to its row of coordinates in that basis, with
+    det G and adj G of the Gram matrix G = A_F^T A_F, all from T alone, by
+    bordered steps (``bordered_gram_basis``): a Schur complement per
+    candidate decides its independence and grows det G and adj G exactly.
+    Nearly every face resumes the pass of a lower cover E, whose span ids
+    all lie below p = min(F - E), with one step by p; the others walk all
+    their vertices.  The certificate G adj(G) = det G * I, det G > 0, is
+    carried by the steps: each kept step checks G_S y = D b and that its
+    divisions are exact, in O(k^2), and by a block identity (stated there)
+    that turns a certified state into a certified state, so no face forms
+    the k x k product,
   * for the sum b_F of its lifted vertices, A_F^T b_F, each entry
     <a, b_F> = sum over u in F of T[a][u] read off the table, then
     z_F = adj(G) A_F^T b_F and |b_F|^2 = <A_F^T b_F, z_F> / det G: b_F lies
     in span(F), so b_F = A_F z_F / det G, and the division is exact,
-  * the dual face (facet normals of the cone vanishing on F), by facet ids,
-    read off its bitmask.
+  * the dual face (facet normals of the cone vanishing on F), kept as its
+    bitmask; its facet ids are read off that mask.
 
 No n-vector is read for any of it: the span basis and the dual face's
 generators are looked up in the cone only when a caller reads them.
@@ -57,6 +60,17 @@ generators replace unit vectors throughout and keep the arithmetic exact.
 ``edge_ray_crosscheck`` checks every ray against a second, independent
 construction, the barycenter vector, on Gram numbers; its docstring states
 that test.
+
+The covering pairs are taken by face: ``ConeSystem.cover_orientations``
+orients and checks all the lower covers E of a face F in one pass.  A pair
+has m = 0 exactly when s_E & ~s_F = 0; its ray is then column
+r = popcount(s_F & (g - 1)) of F's adjugate, g the one bit of s_F & ~s_E,
+so its sign is (-1)^r, and its cross-check reduces to z_F[r] > 0 and the
+principal-minor identity adj(G_F)[r][r] = det G_E > 0, all read off F's and
+E's data with no ray made.  Only the pairs with m > 0 call ``edge_ray`` and
+``edge_ray_crosscheck``, which still take any pair: they are the per-pair
+API and the oracle of the batch, and share its row lookup
+(``adjugate_column``).
 """
 
 from __future__ import annotations
@@ -103,15 +117,15 @@ class FaceConeData:
     generators are n-vectors of ``cone``, looked up when read; the report
     never reads them."""
 
-    span_ids: tuple[int, ...]  # vertex ids of the columns of span_basis
+    span_ids: tuple[int, ...]  # vertex ids of the columns of span_basis, increasing
+    span_mask: int  # the bitmask of span_ids
     span_row: dict[int, int]  # span_ids[r] -> r, its row of coordinates in span_basis
     span_sum_dot: tuple[int, ...]  # A_F^T b_F: <a, b_F> for each span id a, b_F the vertex sum
     sum_coords: tuple[int, ...]  # z_F = adj(G) A_F^T b_F, det G times b_F's coordinates in A_F
     sum_sq: int  # |b_F|^2 = <A_F^T b_F, z_F> / det G
-    gram: IntMatrix  # G = A_F^T A_F, read off the Gram table
-    gram_det: int  # det G > 0
-    gram_adj: IntMatrix  # adj G, certified: G adj G = det G * I
-    dual_ids: tuple[int, ...]  # indices into the cone's facet_normals of the dual face
+    gram_det: int  # det G > 0, G = A_F^T A_F
+    gram_adj: IntMatrix  # adj G, certified step by step: G adj G = det G * I
+    dual_mask: int  # bit k for each facet normal k of the cone in the dual face
     cone: LiftedCone
 
     @property
@@ -119,6 +133,11 @@ class FaceConeData:
         """The columns of A_F: greedy independent integer lifted vertices of
         the face."""
         return tuple(self.cone.generators[i] for i in self.span_ids)
+
+    @property
+    def dual_ids(self) -> tuple[int, ...]:
+        """Indices into the cone's facet_normals of the dual face."""
+        return set_bits(self.dual_mask)
 
     @property
     def dual_face_gens(self) -> tuple[IntVector, ...]:
@@ -245,25 +264,47 @@ def bordered_gram_basis(F: Face, gram: IntMatrix, walk: Iterable[int] | None = N
                         start: tuple[tuple[int, ...], int, IntMatrix] = ((), 1, ())
                         ) -> tuple[tuple[int, ...], int, IntMatrix]:
     """The span basis of F with the determinant and adjugate of its Gram
-    matrix, by bordered steps over the Gram table ``gram`` = T.
+    matrix, by bordered steps over the Gram table ``gram`` = T, each step
+    checked so that the result carries the certificate
+    G adj(G) = det G * I, det G > 0.
 
     It walks the ids of ``walk`` (F's vertices by default) in increasing
     order and keeps the chosen ids S with D = det G_S and adj G_S, from the
     state ``start`` = (S, D, adj G_S) (S empty and D = 1 by default).  A
-    candidate u borders G_S with the column b = T[S][u]; with
-    y = adj(G_S) b the Schur complement gives
+    candidate u borders G_S with the column b = T[S][u] and the corner
+    t = T[u][u]; with y = adj(G_S) b the Schur complement gives
 
-        D' = det G_{S+u} = T[u][u] D - b^T y,
+        D' = det G_{S+u} = t D - b^T y,
 
     the leading principal minor of order |S| + 1 of the Gram matrix of the
     ids kept so far and u.  A Gram matrix is positive semidefinite, and
     D' = 0 exactly when u lies in span(S):
 
       * D' > 0: u is kept, and adj G_{S+u} = [[(D' adj G_S + y y^T) / D, -y],
-        [-y^T, D]], each division exact (an adjugate of an integer matrix is
-        integral), and D becomes D';
+        [-y^T, D]], and D becomes D';
       * D' = 0: u is skipped;
       * D' < 0: no Gram table gives that, so it is an error.
+
+    Each kept step checks, in O(k^2) for k = |S|, that G_S y = D b, with
+    G_S read off T, and that every division by D is exact (``divmod``, a
+    zero remainder).  Let (G_S, D, adj G_S) be certified, G_S adj G_S = D I
+    with adj G_S symmetric.  Then the blocks of G_{S+u} adj G_{S+u}, with
+    G_{S+u} = [[G_S, b], [b^T, t]], are
+
+        upper left:   (D' G_S adj G_S + G_S y y^T) / D - b y^T
+                      = D' I + b y^T - b y^T = D' I,
+        upper right:  -G_S y + D b = 0,
+        lower left:   (D' b^T adj G_S + b^T y y^T) / D - t y^T
+                      = (D' + b^T y - t D) y^T / D = 0,
+        lower right:  -b^T y + t D = D',
+
+    the lower left by b^T adj G_S = y^T (symmetry), and the new adjugate is
+    symmetric again.  So G_{S+u} adj G_{S+u} = D' I with D' > 0: by
+    induction from the empty state (G empty, D = 1), or from the state of
+    a lower cover's face data, built by the same checked steps and never
+    changed after, every face's result is certified, and no k x k product
+    is formed for it.  A failed check is an error naming F and u.  A
+    skipped step only reads y, exact on a certified state.
 
     From the default start this is the greedy independent subset of F's
     lifted vertices in index order, dim F + 1 of them (none for the empty
@@ -294,9 +335,23 @@ def bordered_gram_basis(F: Face, gram: IntMatrix, walk: Iterable[int] | None = N
         y = [int_dot(row, b) for row in adj]
         minor = t_u[u] * det - int_dot(b, y)
         if minor > 0:
-            adj = [[(minor * a + yi * yj) // det for a, yj in zip(row, y)] + [-yi]
-                   for row, yi in zip(adj, y)]
-            adj.append([-yj for yj in y] + [det])
+            for s, b_s in zip(ids, b):
+                t_s = gram[s]
+                if sum(t_s[v] * y_v for v, y_v in zip(ids, y)) != det * b_s:
+                    raise _certificate_error(F, u, f"G_S y != D b at vertex {s} (D = {det})")
+            bordered = []
+            for row, y_i in zip(adj, y):
+                new = []
+                for a, y_j in zip(row, y):
+                    q, rem = divmod(minor * a + y_i * y_j, det)
+                    if rem:
+                        raise _certificate_error(
+                            F, u, f"(D' adj G_S + y y^T) / D is not exact (D = {det})")
+                    new.append(q)
+                new.append(-y_i)
+                bordered.append(new)
+            bordered.append([-y_j for y_j in y] + [det])
+            adj = bordered
             ids.append(u)
             det = minor
         elif minor < 0:
@@ -307,6 +362,12 @@ def bordered_gram_basis(F: Face, gram: IntMatrix, walk: Iterable[int] | None = N
         raise InternalInvariantError(
             f"face {F}: span has {len(ids)} independent lifted vertices, expected {want}")
     return tuple(ids), det, tuple(map(tuple, adj))
+
+
+def _certificate_error(F: Face, u: int, why: str) -> InternalInvariantError:
+    return InternalInvariantError(
+        f"Gram adjugate of the span of {F} fails the certificate "
+        f"G adj(G) = det G * I, det G > 0: bordering by vertex {u}, {why}")
 
 
 def gram_table(C: LiftedCone) -> IntMatrix:
@@ -394,20 +455,23 @@ def check_dual_faces(lattice: FaceLattice, dual_masks: Sequence[int], n: int) ->
 
 def face_cone_data(C: LiftedCone, F: Face, gram: IntMatrix, dual_mask: int,
                    cover: tuple[FaceConeData, int] | None = None) -> FaceConeData:
-    """The per-face data of F, with its span basis, Gram matrix, det G and
-    adj G read off the Gram table ``gram`` (``bordered_gram_basis``): the
-    bordered pass resumed from ``cover`` = (E's face data, p) for a lower
-    cover E of F whose span ids all lie below p = min(F - E), one bordering
-    step by p, and the full walk over F's vertices without one.  The
-    certificate G adj(G) = det G * I with det G > 0 is checked here, once
-    per face, on either: it makes every ray off span(F),
+    """The per-face data of F, with its span basis, det G and adj G of its
+    Gram matrix G = A_F^T A_F read off the Gram table ``gram``
+    (``bordered_gram_basis``): the bordered pass resumed from ``cover`` =
+    (E's face data, p) for a lower cover E of F whose span ids all lie below
+    p = min(F - E), one bordering step by p, and the full walk over F's
+    vertices without one.  Each bordering step checks what carries the
+    certificate G adj(G) = det G * I, det G > 0 from its state to the next
+    (the block identity is in ``bordered_gram_basis``), so no k x k product
+    is formed here.  The certificate makes every ray off span(F),
     c g - A_F adj(G) A_F^T g, orthogonal to span(F), and with it the
-    identities of the cross-check.
+    identities of the cross-check.  The span ids are also kept as the
+    bitmask s_F, which ``ConeSystem.cover_orientations`` reads.
 
     The dual face is a face of the dual cone, hence generated by the facet
     normals of the cone that vanish on every lifted vertex of F, the set
-    bits of ``dual_mask``; its rank n - (dim F + 1) is certified once per
-    run by ``check_dual_faces``.
+    bits of ``dual_mask``, which is kept; its rank n - (dim F + 1) is
+    certified once per run by ``check_dual_faces``.
 
     For the sum b_F of F's lifted vertices, <a, b_F> = sum over u in F of
     T[a][u] is taken for each span id a (A_F^T b_F, by row), then
@@ -422,34 +486,45 @@ def face_cone_data(C: LiftedCone, F: Face, gram: IntMatrix, dual_mask: int,
         data_E, p = cover
         span_ids, gram_det, gram_adj = bordered_gram_basis(
             F, gram, (p,), (data_E.span_ids, data_E.gram_det, data_E.gram_adj))
-    gram_f = tuple(tuple(gram[a][b] for b in span_ids) for a in span_ids)
-    adj_cols = tuple(zip(*gram_adj))
-    if gram_det <= 0 or any(int_dot(row, col) != (gram_det if i == j else 0)
-                            for i, row in enumerate(gram_f) for j, col in enumerate(adj_cols)):
-        raise InternalInvariantError(
-            f"Gram adjugate of the span of {F} fails the certificate "
-            f"G adj(G) = det G * I, det G > 0 (det G = {gram_det})")
     at_b = tuple([sum(map(gram[a].__getitem__, F.vertex_set)) for a in span_ids])
     z = tuple([int_dot(row, at_b) for row in gram_adj])
-    return FaceConeData(span_ids=span_ids, span_row={a: r for r, a in enumerate(span_ids)},
+    return FaceConeData(span_ids=span_ids, span_mask=sum(1 << a for a in span_ids),
+                        span_row={a: r for r, a in enumerate(span_ids)},
                         span_sum_dot=at_b, sum_coords=z, sum_sq=int_dot(at_b, z) // gram_det,
-                        gram=gram_f, gram_det=gram_det, gram_adj=gram_adj,
-                        dual_ids=set_bits(dual_mask), cone=C)
+                        gram_det=gram_det, gram_adj=gram_adj, dual_mask=dual_mask, cone=C)
 
 
-def adjugate_column(data_F: FaceConeData, g: int, e_ids: tuple[int, ...]
-                    ) -> tuple[int, int, tuple[int, ...]] | None:
-    """(r, c, x) for w = A_F adj(G_F) e_r = c g - sum_a x_a a, when
-    ``e_ids`` are F's span ids minus g, in the same order (m = 0), with g
-    at row r of F's basis: c = adj(G_F)[r][r] and x the negated other
-    entries of row r, which is column r (the certified adjugate is
-    symmetric).  None for any other g and ids."""
-    r = data_F.span_row.get(g)
-    f_ids = data_F.span_ids
-    if r is None or e_ids != f_ids[:r] + f_ids[r + 1:]:
+def adjugate_column(span_F: int, span_E: int) -> int | None:
+    """The column r of F's certified adjugate that is the edge ray of a
+    covering pair (E, F) with m = 0, from the span bitmasks s_F and s_E, or
+    None for m > 0.  The pair has m = 0 when s_E & ~s_F = 0: E's span ids
+    are then F's minus the one id g of s_F & ~s_E (|s_E| = |s_F| - 1), in
+    the same increasing order, and r = popcount(s_F & (g - 1)) is g's row
+    in F's basis.  None too when s_F & ~s_E is not a single bit, which no
+    covering pair gives."""
+    g = span_F & ~span_E
+    if span_E & ~span_F or g & (g - 1) or not g:
         return None
-    col = data_F.gram_adj[r]
-    return r, col[r], tuple(map(neg, col[:r] + col[r + 1:]))
+    return (span_F & (g - 1)).bit_count()
+
+
+NOT_A_POSITIVE_MULTIPLE = "barycenter projection is not a positive multiple"
+
+
+def adjugate_pair_fault(data_E: FaceConeData, data_F: FaceConeData, r: int) -> str | None:
+    """Why the cross-check rejects a covering pair (E, F) with m = 0 whose
+    ray is column r of F's adjugate (``adjugate_column``), or None: it
+    accepts iff z_F[r] > 0 and adj(G_F)[r][r] = det G_E > 0.  The first is
+    the barycenter test (see ``edge_ray_crosscheck``); the second is the
+    principal-minor identity, the cofactor at (r, r) of G_F being the Gram
+    determinant of F's span ids minus row r's, which are E's, so it also
+    checks E's face data against F's."""
+    if data_F.sum_coords[r] <= 0:
+        return NOT_A_POSITIVE_MULTIPLE
+    cofactor, det = data_F.gram_adj[r][r], data_E.gram_det
+    if cofactor != det or det <= 0:
+        return f"cofactor adj(G_F)[{r}][{r}] = {cofactor} is not det G_E = {det} > 0"
+    return None
 
 
 def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: FaceConeData,
@@ -498,16 +573,17 @@ def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: Face
         F's certificate has already found positive.
 
     The other checks hold by certificates made once: w is orthogonal to
-    span(E) because G adj(G) = det G * I (checked per face by
-    ``face_cone_data``), so <w, a_j> = c T[g][a_j] - (G x)_j = 0; and w lies
+    span(E) because G adj(G) = det G * I (carried by the checked bordering
+    steps of ``bordered_gram_basis``), so <w, a_j> = c T[g][a_j] - (G x)_j
+    = 0; and w lies
     in the circledast cone of E because <w, y> = c S[g][y] for y in E's
     dual face, where every vertex of E vanishes, and S >= 0
     (``check_slack``, once per run).
     Membership of the ray in span(F) is an identity, not a check: w is an
     integer combination of g and the columns of A_E, all lifted vertices of
-    F.  The barycenter cross-check that ``build_complex`` makes on every
-    pair would reject a ray outside span(F) anyway: its vector lies in
-    span(F), so such a ray could not be a positive multiple of it.
+    F.  The barycenter cross-check (``edge_ray_crosscheck``) would reject
+    a ray outside span(F) anyway: its vector lies in span(F), so such a ray
+    could not be a positive multiple of it.
 
     The orientation is sign det([e | A_E]^T A_F), the incidence-sign
     determinant with e in the role of the unit edge vector, which is
@@ -544,10 +620,11 @@ def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: Face
     else:
         raise InternalInvariantError(
             f"edge ray of ({E}, {F}): every span id of {F} lies in {E}")
-    column = adjugate_column(data_F, g, a_ids)
-    if column is not None:
-        r, c, x = column
-        return EdgeRay((E, F), g, c, x, a_ids, -1 if r & 1 else 1, C.generators)
+    r = adjugate_column(data_F.span_mask, data_E.span_mask)
+    if r is not None and f_ids[r] == g:
+        col = data_F.gram_adj[r]
+        return EdgeRay((E, F), g, col[r], tuple(map(neg, col[:r] + col[r + 1:])), a_ids,
+                       -1 if r & 1 else 1, C.generators)
     span_row = data_F.span_row
     t_g = gram[g]
     at_g = [t_g[a] for a in a_ids]
@@ -597,13 +674,17 @@ def edge_ray_crosscheck(ray: EdgeRay, data_E: FaceConeData, data_F: FaceConeData
     independent; adj(G_F)[r][r] = det G_E > 0.  The check accepts iff
     c > 0, (c, x) is such a multiple (equal, for the ray ``edge_ray``
     makes) and z_F[r] > 0: the n-vector verdict, for the ray it is handed.
+    It also checks the principal-minor identity adj(G_F)[r][r] = det G_E
+    (``adjugate_pair_fault``), which holds E's data against F's; so its
+    verdict on the ray ``edge_ray`` makes is that of
+    ``ConeSystem.cover_orientations``, which makes no ray for the pair.
 
     Every other ray takes the Cauchy-Schwarz test, and nothing there is an
     n-vector.  <a, b_F> is read off F's face data for a span id a of F and
     summed off the Gram table, sum over u in F of T[a][u], for another
-    vertex; |b_F|^2 is F's, A^T g is read off the Gram table.
-    G_E adj(G_E) = D * I
-    (certified per face) gives A^T w' = D A^T b_F - G_E x' = 0, hence
+    vertex; |b_F|^2 is F's, A^T g and G_E are read off the Gram table.
+    G_E adj(G_E) = D * I (certified by E's bordering steps) gives
+    A^T w' = D A^T b_F - G_E x' = 0, hence
 
         |w'|^2  = D (D |b_F|^2 - x'^T A^T b_F),
         <w, w'> = c <g, w'> - x^T A^T w' = c (D <g, b_F> - x'^T A^T g),
@@ -627,13 +708,16 @@ def edge_ray_crosscheck(ray: EdgeRay, data_E: FaceConeData, data_F: FaceConeData
         raise InternalInvariantError(
             f"edge-ray cross-check failed for ({E}, {F}): the ray is not a combination "
             f"of a vertex of {F} and the span basis of {E}")
-    column = adjugate_column(data_F, g, a_ids)
-    if column is not None:
-        r, d, rest = column
-        accepted = data_F.sum_coords[r] > 0 and c > 0 and (
+    r = adjugate_column(data_F.span_mask, data_E.span_mask)
+    if r is not None and data_F.span_ids[r] == g:
+        col = data_F.gram_adj[r]
+        d, rest = col[r], tuple(map(neg, col[:r] + col[r + 1:]))
+        fault = adjugate_pair_fault(data_E, data_F, r)
+        accepted = fault is None and c > 0 and (
             (c, x) == (d, rest)
             or len(x) == len(rest) and all(d * xi == c * v for xi, v in zip(x, rest)))
     else:
+        fault = None
         det = data_E.gram_det
         adj = data_E.gram_adj
         t_g = gram[g]
@@ -649,12 +733,11 @@ def edge_ray_crosscheck(ray: EdgeRay, data_E: FaceConeData, data_F: FaceConeData
         b_sq = det * (det * data_F.sum_sq - int_dot(x_b, at_b))
         inner = c * (det * b_dot(g) - int_dot(x_b, at_g))
         w_sq = c * (c * t_g[g] - 2 * int_dot(x, at_g)) + int_dot(
-            x, [int_dot(row, x) for row in data_E.gram])
+            x, [sum(gram[a][b] * x_b for b, x_b in zip(a_ids, x)) for a in a_ids])
         accepted = inner > 0 and inner * inner == w_sq * b_sq
     if not accepted:
-        raise InternalInvariantError(
-            f"edge-ray cross-check failed for ({E}, {F}): "
-            "barycenter projection is not a positive multiple")
+        raise InternalInvariantError(f"edge-ray cross-check failed for ({E}, {F}): "
+                                     f"{fault or NOT_A_POSITIVE_MULTIPLE}")
 
 
 class ConeSystem:
@@ -671,7 +754,9 @@ class ConeSystem:
     data is already built (a cover with a higher id, which only a
     hand-built lattice can list, is not resumed from).  A face with no such
     cover takes the full walk.  Edge rays are not kept: ``build_complex``
-    asks for each covering pair's once, and cross-checks it once.
+    asks for the orientations of each face's lower covers once
+    (``cover_orientations``), which makes and cross-checks a ray only for
+    a pair with m > 0.
 
     Safe to share within a run: nothing is modified after ``__init__``.
     """
@@ -707,6 +792,38 @@ class ConeSystem:
                 if not data.span_ids or data.span_ids[-1] < p:
                     return data, p
         return None
+
+    def cover_orientations(self, f: int) -> list[int]:
+        """The orientation sigma of every covering pair (E, F) of face f, one
+        per lower cover e in ``down[f]`` order, each checked as
+        ``edge_ray`` + ``edge_ray_crosscheck`` check it.
+
+        A pair with m = 0 (``adjugate_column``: s_E & ~s_F = 0 on the span
+        bitmasks, its ray column r of F's certified adjugate) is read off
+        F's data in O(1): sigma = (-1)^r, and the verdict that z_F[r] > 0
+        and adj(G_F)[r][r] = det G_E > 0 (``adjugate_pair_fault``), with no
+        ray made.  That is the verdict the per-pair functions give it, whose
+        comparison of (c, x) with column r is an identity on a ray read off
+        that column.  Only the pairs with m > 0 take ``ray`` and
+        ``crosscheck``.  A rejected pair is an error naming it."""
+        faces = self._face_data
+        data_F = faces[f]
+        span_F = data_F.span_mask
+        signs = []
+        for e in self.lattice.down[f]:
+            data_E = faces[e]
+            r = adjugate_column(span_F, data_E.span_mask)
+            if r is None:
+                ray = self.ray(e, f)
+                self.crosscheck(e, f, ray)
+                signs.append(ray.orientation)
+                continue
+            fault = adjugate_pair_fault(data_E, data_F, r)
+            if fault is not None:
+                E, F = self.lattice.faces_by_id[e], self.lattice.faces_by_id[f]
+                raise InternalInvariantError(f"edge-ray cross-check failed for ({E}, {F}): {fault}")
+            signs.append(-1 if r & 1 else 1)
+        return signs
 
     def ray(self, e: int, f: int) -> EdgeRay:
         L = self.lattice

@@ -253,15 +253,25 @@ def _starting_cone(gens: Sequence[IntVector], basis: Sequence[int]
             for c, col in zip(basis, zip(*adj))]
 
 
-def _hull_facets(points: Sequence[Vector], d: int) -> list[Facet]:
-    """The facets of conv(points), by the double description method.
+def integer_grid(points: Sequence[Vector]) -> tuple[int, list[IntVector]]:
+    """(scale, grid): the lcm ``scale`` of the points' coordinate
+    denominators, and each point p as the integer tuple scale * p, each
+    coordinate x.numerator * (scale // x.denominator).  Two points are equal
+    exactly when their grid tuples are."""
+    scale = lcm(*(x.denominator for p in points for x in p))
+    return scale, [tuple([x.numerator * (scale // x.denominator) for x in p]) for p in points]
 
-    The points are rescaled to a common integer grid (``scale`` = lcm of the
-    denominators) and homogenized to g_i = (1, scale * p_i), each coordinate
-    x.numerator * (scale // x.denominator), in integers.  The facets are
-    the extreme rays of the cone {h : <h, g_i> >= 0 for all i}: the ray
-    h = (b, -a) is the facet <a, x> <= b / scale, tight on the points with
-    <h, g_i> = 0.  Redundant (non-extreme) points are allowed.
+
+def _hull_facets(grid: tuple[int, Sequence[IntVector]], d: int) -> list[Facet]:
+    """The facets of the convex hull of the points of ``grid`` =
+    (scale, scale * p_i) (``integer_grid``), by the double description
+    method.
+
+    The grid points are homogenized to g_i = (1, scale * p_i), in
+    integers.  The facets are the extreme rays of the cone
+    {h : <h, g_i> >= 0 for all i}: the ray h = (b, -a) is the facet
+    <a, x> <= b / scale, tight on the points with <h, g_i> = 0.  Redundant
+    (non-extreme) points are allowed.
 
     The cone is built by inserting the points one at a time (Fukuda & Prodon
     1996, "Double description method revisited").  It starts from d + 1
@@ -293,8 +303,8 @@ def _hull_facets(points: Sequence[Vector], d: int) -> list[Facet]:
     """
     if d == 0:
         return []
-    scale = lcm(*(x.denominator for p in points for x in p))
-    gens = [(1,) + tuple(x.numerator * (scale // x.denominator) for x in p) for p in points]
+    scale, grid_points = grid
+    gens = [(1,) + p for p in grid_points]
     basis, _ = first_independent(gens, d + 1)
     if len(basis) != d + 1:
         raise InputError(
@@ -337,19 +347,21 @@ def _hull_facets(points: Sequence[Vector], d: int) -> list[Facet]:
     return facet_list
 
 
-def _hull(points: Sequence[Vector], d: int) -> tuple[list[Facet], list[int]]:
-    """The facets of conv(points) and the indices of the points that are not
-    its vertices, for distinct points with a full-dimensional hull.
+def _hull(grid: tuple[int, Sequence[IntVector]], d: int) -> tuple[list[Facet], list[int]]:
+    """The facets of the hull of the points of ``grid`` (``integer_grid``)
+    and the indices of the points that are not its vertices, for distinct
+    points with a full-dimensional hull.
 
     A listed point is a vertex iff the tight sets of the facets through it
     meet in that point alone: every face, a vertex too, is the intersection
     of the facets that contain it, and a point on no facet is interior.
     """
-    facet_list = _hull_facets(points, d)
+    facet_list = _hull_facets(grid, d)
     masks = [sum(1 << i for i in f.vertex_set) for f in facet_list]
     inner = []
-    for i in range(len(points)):
-        meet = (1 << len(points)) - 1
+    n = len(grid[1])
+    for i in range(n):
+        meet = (1 << n) - 1
         for m in masks:
             if m >> i & 1:
                 meet &= m
@@ -374,12 +386,13 @@ def validate(vertices: Sequence[Sequence], name: str | None = None) -> Polytope:
     for i, p in enumerate(pts):
         if len(p) != d:
             raise InputError(f"vertex {i} has {len(p)} coordinates, expected {d}")
-    seen: dict[Vector, int] = {}
-    for i, p in enumerate(pts):
+    grid = integer_grid(pts)
+    seen: dict[IntVector, int] = {}
+    for i, p in enumerate(grid[1]):
         if p in seen:
             raise InputError(f"duplicate vertex: {i} equals {seen[p]}")
         seen[p] = i
-    facet_list, inner = _hull(pts, d)
+    facet_list, inner = _hull(grid, d)
     if inner:
         i = inner[0]
         tight = [f.normal for f in facet_list if i in f.vertex_set]
@@ -396,7 +409,7 @@ def convex_hull(points: Sequence[Vector], name: str | None = None) -> Polytope:
     sets are then restricted to the vertices.
     """
     d = len(points[0])
-    facet_list, inner = _hull(points, d)
+    facet_list, inner = _hull(integer_grid(points), d)
     keep = [i for i in range(len(points)) if i not in inner]
     new_index = {old: new for new, old in enumerate(keep)}
     restricted = tuple(

@@ -81,6 +81,11 @@ picks the greedy independent lifted vertices of F in index order with a
 fraction-free echelon of n-vectors (``first_independent``), whose kept rows
 span exactly span(F), and ``gram_adjugate`` takes det G and adj G of their
 Gram matrix by fraction-free Gauss-Jordan on [G | I].
+``gram_certificate_holds`` is the certificate G adj(G) = det G * I the
+library checked on every face's result, k^2 dot products of length k,
+before each bordering step checked G_S y = D b and exact divisions, which
+carry the certificate from step to step; ``span_gram`` is G read off the
+Gram table, the matrix the face data held then.
 
 The dual-rank oracle is the count the library made per face before it
 certified dual ranks once per run by the growth of the dual-face masks
@@ -410,7 +415,7 @@ def cauchy_schwarz_verdict(system, ray: EdgeRay, e: int, f: int) -> bool:
     b_sq = det * (det * sum(b_dot.values()) - int_dot(x_b, at_b))
     inner = c * (det * b_dot[g] - int_dot(x_b, at_g))
     w_sq = c * (c * gram[g][g] - 2 * int_dot(x, at_g)) + int_dot(
-        x, [int_dot(row, x) for row in data_E.gram])
+        x, [int_dot(row, x) for row in span_gram(gram, a_ids)])
     return inner > 0 and inner * inner == w_sq * b_sq
 
 
@@ -466,6 +471,23 @@ def echelon_dual_rank(gens, bound: int) -> int:
     (``first_independent``) that stops at ``bound``, the most the rank can
     be: n - (dim F + 1) for the dual face of F."""
     return len(first_independent(gens, bound)[0])
+
+
+def span_gram(gram, ids) -> IntMatrix:
+    """The Gram matrix G = A^T A of the lifted vertices ``ids``, read off
+    the Gram table."""
+    return tuple(tuple(gram[a][b] for b in ids) for a in ids)
+
+
+def gram_certificate_holds(gram, data: FaceConeData) -> bool:
+    """G adj(G) = det G * I with det G > 0 for a face's data, G read off the
+    Gram table: k^2 dot products of length k, the per-face check that the
+    checked bordering steps of ``bordered_gram_basis`` replace."""
+    k = len(data.span_ids)
+    G = span_gram(gram, data.span_ids)
+    return data.gram_det > 0 and all(
+        sum(G[i][t] * data.gram_adj[t][j] for t in range(k)) == (data.gram_det if i == j else 0)
+        for i in range(k) for j in range(k))
 
 
 def gram_adjugate(F: Face, gram) -> tuple[int, IntMatrix]:

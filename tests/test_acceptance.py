@@ -231,15 +231,17 @@ def test_criterion_9_cli_contract(monkeypatch, capsys, tmp_path):
     real = cellular.incidence_sign
     state = {"flipped": False}
 
-    def sabotage(t, ray, e, f):
-        s = real(t, ray, e, f)
-        if ray.pair[1].dim == 1 and not state["flipped"]:
+    def sabotage(t, sigma, e, f):  # flips the first sign, on (empty face, vertex)
+        s = real(t, sigma, e, f)
+        if not state["flipped"]:
             state["flipped"] = True
             return -s
         return s
 
     monkeypatch.setattr(cellular, "incidence_sign", sabotage)
-    assert main(["report", str(POLYTOPES / "square.json")]) == 2
+    capsys.readouterr()
+    assert main(["report", str(POLYTOPES / "square.json")]) == 2 and state["flipped"]
+    assert "boundary squared nonzero at j=1" in capsys.readouterr().err
     monkeypatch.setattr(cellular, "incidence_sign", real)
 
     assert main(["compare", str(POLYTOPES / "cube.json"),

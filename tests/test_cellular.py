@@ -118,8 +118,10 @@ def test_one_span_basis_per_face_per_run(monkeypatch):
 
 def test_one_edge_ray_per_covering_pair_per_run(monkeypatch):
     # build_complex walks each covering pair once; ConeSystem keeps no rays,
-    # and no ray builds its n-vector direction: the cross-check and the
-    # incidence sign read the ray's coefficients
+    # and makes one only for a pair with m > 0 (a span id of E outside F's
+    # basis), 76 of the 232 here; the pairs with m = 0 are read off F's
+    # adjugate with no ray.  No ray builds its n-vector direction: the
+    # cross-check reads the ray's coefficients
     real = cones.edge_ray
     calls = []
     built = []
@@ -136,8 +138,12 @@ def test_one_edge_ray_per_covering_pair_per_run(monkeypatch):
     monkeypatch.setattr(cones, "edge_ray", counting)
     monkeypatch.setattr(EdgeRay, "direction", property(building))
     result = run_pipeline(hypercube(4))
-    assert len(calls) == len(result.lattice.covering) == 232
-    assert set(calls) == set(result.lattice.covering)
+    lat = result.lattice
+    system = ConeSystem(lift(hypercube(4)), lat)
+    m_positive = [(lat.faces_by_id[e], lat.faces_by_id[f]) for f, lower in enumerate(lat.down)
+                  for e in lower if system.face_data(e).span_mask & ~system.face_data(f).span_mask]
+    assert len(lat.covering) == 232 and len(m_positive) == 76
+    assert len(calls) == len(set(calls)) == 76 and set(calls) == set(m_positive)
     assert not built
     ray = ConeSystem(lift(hypercube(1)), face_lattice(hypercube(1))).ray(1, 3)
     assert ray.direction == (0, 1) and built == [ray.pair]
@@ -284,8 +290,8 @@ def test_sign_empty_to_vertex_is_plus_one(small_corpus):
         lat, system, triv = setup_polytope(poly)
         empty = lat.face_id[lat.empty_face]
         for v in lat.ids(0):
-            ray = system.ray(empty, v)
-            assert incidence_sign(triv, ray, empty, v) == 1
+            assert system.cover_orientations(v) == [1]
+            assert incidence_sign(triv, system.ray(empty, v).orientation, empty, v) == 1
 
 
 def test_segment_signs_frozen():
@@ -294,8 +300,9 @@ def test_segment_signs_frozen():
     lat, system, triv = setup_polytope(poly)
     v0, v1 = lat.ids(0)
     top = lat.face_id[lat.top_face]
-    assert incidence_sign(triv, system.ray(v0, top), v0, top) == -1
-    assert incidence_sign(triv, system.ray(v1, top), v1, top) == 1
+    assert tuple(lat.down[top]) == (v0, v1) and system.cover_orientations(top) == [-1, 1]
+    for v, sign in ((v0, -1), (v1, 1)):
+        assert incidence_sign(triv, system.ray(v, top).orientation, v, top) == sign
 
 
 def test_incidence_signs_match_coordinate_oracle(small_corpus):
@@ -306,11 +313,14 @@ def test_incidence_signs_match_coordinate_oracle(small_corpus):
     for poly in list(small_corpus) + [hypercube(4), cross_polytope(4)] + rational:
         lat, system, triv = setup_polytope(poly)
         flipped = trivialize(lat, flip_faces=[f for f in lat.faces_by_id if f.dim >= 0])
+        sigma = {(e, f): s for f, lower in enumerate(lat.down)
+                 for e, s in zip(lower, system.cover_orientations(f))}
         for t in (triv, flipped):
             for e, f in lat.covering:
                 e, f = lat.face_id[e], lat.face_id[f]
                 ray = system.ray(e, f)
-                sign = incidence_sign(t, ray, e, f)
+                assert sigma[e, f] == ray.orientation, (poly.name, e, f)
+                sign = incidence_sign(t, sigma[e, f], e, f)
                 assert sign == oracle_incidence_sign(system, t, ray, e, f) \
                     == gram_incidence_sign(system, t, ray, e, f), (poly.name, e, f)
 

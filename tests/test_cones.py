@@ -47,6 +47,7 @@ from oracles import (
     crosscheck_verdict,
     echelon_dual_rank,
     gram_adjugate,
+    gram_certificate_holds,
     kernel_edge_ray,
     lattice_from_pairs,
     leibniz_det,
@@ -56,6 +57,7 @@ from oracles import (
     solve_in_span,
     solved_edge_ray,
     span_basis_of_face,
+    span_gram,
     table_orientation,
     vertex_projection,
     vertex_sum,
@@ -565,11 +567,13 @@ def test_face_data_holds_per_face_work(small_corpus):
                     for c in range(system.cone.dim)] == [data.gram_det * x for x in b]
             assert data.sum_sq == int_dot(b, b)
             gram = [[int_dot(u, v) for v in data.span_basis] for u in data.span_basis]
-            assert data.gram == tuple(map(tuple, gram))
+            assert span_gram(system.gram, data.span_ids) == tuple(map(tuple, gram))
             assert data.gram_det == bareiss_det(gram) > 0
+            assert data.span_mask == sum(1 << a for a in ids)
             verts = [system.cone.generators[i] for i in f.vertex_set]
             assert data.dual_ids == tuple(k for k, y in enumerate(system.cone.facet_normals)
                                           if all(int_dot(y, g) == 0 for g in verts))
+            assert data.dual_mask == sum(1 << k for k in data.dual_ids)
             assert data.dual_face_gens == tuple(system.cone.facet_normals[k]
                                                 for k in data.dual_ids)
 
@@ -595,7 +599,8 @@ def test_bordered_pass_matches_echelon_and_gauss_jordan_oracles(identity_systems
             data = system.face_data(i)
             ids, _ = span_basis_of_face(system.cone, f)
             assert data.span_ids == ids, (poly.name, f)
-            assert (data.gram_det, data.gram_adj) == gram_adjugate(f, data.gram), (poly.name, f)
+            assert (data.gram_det, data.gram_adj) == gram_adjugate(
+                f, span_gram(system.gram, ids)), (poly.name, f)
             if ids:  # the vertices walked, up to the last one chosen
                 skipped += f.vertex_set.index(ids[-1]) + 1 - len(ids)
     assert skipped > 0
@@ -663,6 +668,111 @@ def test_dual_rank_stops_at_full_rank(resume_lattices):
             expected = system.cone.dim - (f.dim + 1)
             assert IntEchelon(gens).rank == echelon_dual_rank(gens, expected) == expected, \
                 (poly.name, f)
+
+
+@pytest.fixture(scope="module")
+def resume_systems(resume_lattices):
+    """The polytopes of ``resume_lattices``, each with its cone system."""
+    return [(poly, ConeSystem(lift(poly), lat)) for poly, lat in resume_lattices]
+
+
+def test_bordering_steps_carry_the_face_certificate(resume_systems):
+    # no face's data forms G adj(G): the checked bordering steps carry the
+    # certificate, and the k^2 dot-product check it replaced holds on every
+    # face, resumed or walked in full
+    faces = 0
+    for poly, system in resume_systems:
+        for f in range(len(system.lattice.faces_by_id)):
+            assert gram_certificate_holds(system.gram, system.face_data(f)), (poly.name, f)
+            faces += 1
+    assert faces > 2000
+
+
+def test_cover_batch_matches_per_pair_api(resume_systems):
+    # on every covering pair with m = 0 the batch's sigma and verdict are
+    # those of edge_ray + edge_ray_crosscheck; every pair with m > 0 takes
+    # the per-pair API in the batch, so its sigma is the ray's by
+    # construction
+    m_zero = 0
+    for poly, system in resume_systems:
+        lat = system.lattice
+        for f, lower in enumerate(lat.down):
+            span_f = system.face_data(f).span_mask
+            for e, sigma in zip(lower, system.cover_orientations(f)):
+                ray = system.ray(e, f)
+                system.crosscheck(e, f, ray)
+                assert sigma == ray.orientation, (poly.name, e, f)
+                if cones.adjugate_column(span_f, system.face_data(e).span_mask) is not None:
+                    assert is_m_zero(system, ray, e, f), (poly.name, e, f)
+                    m_zero += 1
+    assert m_zero > 10000
+
+
+@pytest.mark.parametrize("fault", ["z", "cofactor"])
+def test_cover_batch_and_per_pair_api_reject_the_same_faults(fault, monkeypatch):
+    # the top face of the 3-cube, which no face resumes from, with z_F[r]
+    # set to 0 or adj(G_F)[r][r] moved off det G_E by one, for the row r of
+    # its first lower cover E with m = 0: the batch and the per-pair API
+    # both reject (E, top), with the same message
+    poly = hypercube(3)
+    lat = face_lattice(poly)
+    system = ConeSystem(lift(poly), lat)
+    top = len(lat.faces_by_id) - 1
+    data_top = system.face_data(top)
+    e = next(e for e in lat.down[top]
+             if cones.adjugate_column(data_top.span_mask, system.face_data(e).span_mask) is not None)
+    r = cones.adjugate_column(data_top.span_mask, system.face_data(e).span_mask)
+    if fault == "z":
+        z = list(data_top.sum_coords)
+        z[r] = 0
+        change = {"sum_coords": tuple(z)}
+        why = "barycenter projection is not a positive multiple"
+    else:
+        adj = [list(row) for row in data_top.gram_adj]
+        adj[r][r] += 1
+        change = {"gram_adj": tuple(map(tuple, adj))}
+        det = system.face_data(e).gram_det
+        why = f"cofactor adj(G_F)[{r}][{r}] = {det + 1} is not det G_E = {det} > 0"
+    real = cones.face_cone_data
+
+    def corrupting(C, F, *args):
+        data = real(C, F, *args)
+        return dataclasses.replace(data, **change) if F == lat.top_face else data
+
+    monkeypatch.setattr(cones, "face_cone_data", corrupting)
+    broken = ConeSystem(system.cone, lat)
+    message = f"edge-ray cross-check failed for ({lat.faces_by_id[e]}, {lat.top_face}): {why}"
+    with pytest.raises(InternalInvariantError) as batch:
+        broken.cover_orientations(top)
+    with pytest.raises(InternalInvariantError) as pair:
+        broken.crosscheck(e, top, broken.ray(e, top))
+    assert str(batch.value) == str(pair.value) == message
+
+
+def test_bordering_step_rejects_inexact_division():
+    # a hand-built start state (S, D, adj G_S) = ((0, 1), 3, adj) for the
+    # Gram table T below, with adj's row 0 moved by (1, -1): b = T[S][2] =
+    # (1, 1) keeps y = adj b = (1, 1), so G_S y = D b holds, but
+    # (D' adj + y y^T) / D with D' = 1 is 4/3 at (0, 0); a row 0 moved by
+    # (-1, 0) makes y = (0, 1) and G_S y = (1, 2) != D b, with D' = 2 > 0.
+    # Each is an error naming the face and the vertex bordered
+    table = ((2, 1, 1), (1, 2, 1), (1, 1, 1))
+    F = Face(vertex_set=(0, 1, 2), dim=2)
+    good = ((2, -1), (-1, 2))
+    ids, det, adj = bordered_gram_basis(F, table, (2,), ((0, 1), 3, good))
+    assert (ids, det) == ((0, 1, 2), 1)
+    assert all(sum(table[a][c] * adj[c][j] for c in range(3)) == det * (a == j)
+               for a in range(3) for j in range(3))
+    with pytest.raises(InternalInvariantError) as err:
+        bordered_gram_basis(F, table, (2,), ((0, 1), 3, ((3, -2), (-1, 2))))
+    assert str(err.value) == (
+        f"Gram adjugate of the span of {F} fails the certificate G adj(G) = det G * I, "
+        "det G > 0: bordering by vertex 2, (D' adj G_S + y y^T) / D is not exact (D = 3)")
+    with pytest.raises(InternalInvariantError) as err:
+        bordered_gram_basis(F, table, (2,), ((0, 1), 3, ((1, -1), (-1, 2))))
+    assert str(err.value) == (
+        f"Gram adjugate of the span of {F} fails the certificate G adj(G) = det G * I, "
+        "det G > 0: bordering by vertex 2, G_S y != D b at vertex 0 (D = 3)")
 
 
 def test_dual_face_rank_names_face():
@@ -756,10 +866,10 @@ def test_lower_cover_outside_face_is_not_resumed_from():
 
 def test_inherited_adjugate_fails_certificate_of_face(monkeypatch):
     # the edge {0,1} of the square resumes its bordered pass from the vertex
-    # {0} (p = 1); an adjugate of {0} corrupted after its own certificate
-    # passed is bordered into the edge's, whose certificate fails, naming
-    # the edge.  Every face's data is built with the system, so that fails
-    # inside ConeSystem(...), and build_complex makes no face_cone_data call
+    # {0} (p = 1); an adjugate of {0} corrupted after its own steps passed
+    # fails the edge's bordering step, G_S y != D b, naming the edge and p.
+    # Every face's data is built with the system, so that fails inside
+    # ConeSystem(...), and build_complex makes no face_cone_data call
     poly = hypercube(2)
     lat, by_set = faces_of(poly)
     vertex, edge = by_set[(0,)], by_set[(0, 1)]
@@ -780,11 +890,11 @@ def test_inherited_adjugate_fails_certificate_of_face(monkeypatch):
         ConeSystem(lift(poly), lat)
     bad, p = covers[edge]
     assert bad == corrupted[vertex] and p == 1
-    _, det, _ = bordered_gram_basis(edge, gram_table(lift(poly)), (p,),
-                                    (bad.span_ids, bad.gram_det, bad.gram_adj))
+    assert bad.gram_adj == ((0,),)  # so y = 0, while D b is not
     assert str(err.value) == (
         f"Gram adjugate of the span of {edge} fails the certificate "
-        f"G adj(G) = det G * I, det G > 0 (det G = {det})")
+        f"G adj(G) = det G * I, det G > 0: bordering by vertex 1, "
+        f"G_S y != D b at vertex 0 (D = {bad.gram_det})")
 
     calls = []
 
@@ -800,70 +910,70 @@ def test_inherited_adjugate_fails_certificate_of_face(monkeypatch):
     assert calls == []
 
 
-def test_edge_ray_rejects_ray_outside_span_of_f(monkeypatch):
+def test_edge_ray_rejects_ray_outside_span_of_f():
     # membership in span(F) is an identity of edge_ray's construction, and
     # not checked there; a ray that projects a lifted vertex outside F in
     # place of g leaves span(F), and is caught by the barycenter
-    # cross-check, whose vector lies in span(F)
-    poly = hypercube(2)
-    lat, _ = faces_of(poly)
-    cone = lift(poly)
-    e, f = next((e, f) for e, f in lat.covering if f.dim == 1)
-    outside = next(i for i in range(poly.nvertices) if i not in f.vertex_set)
-    real = cones.edge_ray
-
-    def shifted(C, E, F, *args, **kwargs):
-        ray = real(C, E, F, *args, **kwargs)
-        if (E, F) != (e, f):
-            return ray
-        moved = ray._replace(g=outside)
-        assert not span_basis_of_face(C, F)[1].contains(moved.direction)
-        return moved
-
-    monkeypatch.setattr(cones, "edge_ray", shifted)
-    with pytest.raises(InternalInvariantError) as err:
-        build_complex(trivialize(lat), lat, ConeSystem(cone, lat))
-    assert f"edge-ray cross-check failed for ({e}, {f})" in str(err.value)
-
-
-def test_edge_ray_rejects_ray_not_orthogonal_to_e(monkeypatch):
-    # orthogonality to span(E) is certified once per face, by
-    # G_F adj(G_F) = det G_F * I for the pairs with m = 0, whose ray is
-    # column r of adj(G_F): one corrupted entry of that column fails the
-    # certificate, naming F.  Past the certificate, the same adjugate moves
-    # x by one, so w stays in span F but leaves span(E)^perp
+    # cross-check, whose vector lies in span(F).  The pair has m = 0, so
+    # build_complex makes no ray for it: the per-pair API is shown the ray
     poly = hypercube(2)
     lat, _ = faces_of(poly)
     system = ConeSystem(lift(poly), lat)
     e, f = next((e, f) for e, f in lat.covering if f.dim == 1)
     i, j = lat.face_id[e], lat.face_id[f]
-    data_e, data_f = system.face_data(i), system.face_data(j)
-    r = data_f.span_row[system.ray(i, j).g]
-    assert data_e.span_ids == tuple(a for a in data_f.span_ids if a != data_f.span_ids[r])
-    other = 1 - r
+    outside = next(v for v in range(poly.nvertices) if v not in f.vertex_set)
+    ray = system.ray(i, j)
+    assert is_m_zero(system, ray, i, j)
+    moved = ray._replace(g=outside)
+    assert not span_basis_of_face(system.cone, f)[1].contains(moved.direction)
+    with pytest.raises(InternalInvariantError) as err:
+        system.crosscheck(i, j, moved)
+    assert f"edge-ray cross-check failed for ({e}, {f})" in str(err.value)
 
-    def corrupt(adj):
+
+def test_edge_ray_rejects_ray_not_orthogonal_to_e(monkeypatch):
+    # for a pair with m = 0 the ray is column r of adj(G_F), certified by
+    # the bordering steps that built it, so w = c g - A_E x is orthogonal
+    # to span(E).  The edge {2,3} of the square is no face's resumed cover;
+    # its adjugate corrupted after its steps at (r, r), c = det G_E moved by
+    # one, would move w off span(E)^perp, and the batch rejects the pair by
+    # the principal-minor check adj(G_F)[r][r] = det G_E, naming it.  Moved
+    # off the diagonal, the same corruption moves x by one: w stays in
+    # span(F) but leaves span(E)^perp, as the per-pair API shows
+    poly = hypercube(2)
+    lat, by_set = faces_of(poly)
+    system = ConeSystem(lift(poly), lat)
+    f = by_set[(2, 3)]
+    j = lat.face_id[f]
+    i = lat.down[j][0]
+    e = lat.faces_by_id[i]
+    data_e, data_f = system.face_data(i), system.face_data(j)
+    ray = system.ray(i, j)
+    r = data_f.span_row[ray.g]
+    assert is_m_zero(system, ray, i, j)
+
+    def corrupt(adj, at):
         rows = [list(row) for row in adj]
-        rows[r][other] += 1
+        rows[r][at] += 1
         return tuple(map(tuple, rows))
 
-    real = cones.bordered_gram_basis
+    real = cones.face_cone_data
 
-    def corrupted(F, gram, *resume):
-        ids, det, adj = real(F, gram, *resume)
-        return ids, det, corrupt(adj) if F == f else adj
+    def corrupting(C, F, *args):
+        data = real(C, F, *args)
+        return dataclasses.replace(data, gram_adj=corrupt(data.gram_adj, r)) if F == f else data
 
-    monkeypatch.setattr(cones, "bordered_gram_basis", corrupted)
+    monkeypatch.setattr(cones, "face_cone_data", corrupting)
     with pytest.raises(InternalInvariantError) as err:
-        ConeSystem(system.cone, lat).face_data(j)
+        build_complex(trivialize(lat), lat, ConeSystem(system.cone, lat))
     assert str(err.value) == (
-        f"Gram adjugate of the span of {f} fails the certificate "
-        f"G adj(G) = det G * I, det G > 0 (det G = {data_f.gram_det})")
-    bad = dataclasses.replace(data_f, gram_adj=corrupt(data_f.gram_adj))
-    ray = edge_ray(system.cone, e, f, data_e, bad, gram=system.gram,
-                   e_mask=lat.vertex_masks[i])
-    assert ray.x != system.ray(i, j).x
-    assert any(dot(ray.direction, system.cone.generators[a]) != 0 for a in data_e.span_ids)
+        f"edge-ray cross-check failed for ({e}, {f}): cofactor adj(G_F)[{r}][{r}] = "
+        f"{data_e.gram_det + 1} is not det G_E = {data_e.gram_det} > 0")
+    bad = dataclasses.replace(data_f, gram_adj=corrupt(data_f.gram_adj, 1 - r))
+    moved = edge_ray(system.cone, e, f, data_e, bad, gram=system.gram,
+                     e_mask=lat.vertex_masks[i])
+    assert moved.x != ray.x
+    assert any(dot(moved.direction, system.cone.generators[a]) != 0 for a in data_e.span_ids)
 
 
 def m_positive_pair(system):

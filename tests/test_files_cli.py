@@ -121,17 +121,18 @@ def test_cli_report_injected_internal_error(monkeypatch, capsys):
     real = cellular.incidence_sign
     state = {"flipped": False}
 
-    def sabotage(t, ray, e, f):
-        s = real(t, ray, e, f)
-        if ray.pair[1].dim == 1 and not state["flipped"]:
+    def sabotage(t, sigma, e, f):  # flips the first sign, on (empty face, vertex)
+        s = real(t, sigma, e, f)
+        if not state["flipped"]:
             state["flipped"] = True
             return -s
         return s
 
     monkeypatch.setattr(cellular, "incidence_sign", sabotage)
     rc = main(["report", str(POLYTOPES / "square.json")])
-    assert rc == 2
-    assert "internal error" in capsys.readouterr().err
+    assert rc == 2 and state["flipped"]
+    err = capsys.readouterr().err
+    assert "internal error" in err and "boundary squared nonzero at j=1" in err
 
 
 def test_cli_unexpected_exception_is_internal_error(monkeypatch, capsys):

@@ -23,6 +23,7 @@ from polyk.linalg import IntEchelon
 from polyk.polytope import (
     Face,
     _hull_facets,
+    integer_grid,
     affine_dim,
     face_lattice,
     facets,
@@ -87,6 +88,23 @@ def test_validate_takes_its_rank_from_the_hull(monkeypatch):
 def test_validate_rejects_duplicates():
     with pytest.raises(InputError, match="duplicate vertex: 2"):
         validate([(0, 0), (1, 0), (0, 0), (0, 1)])
+
+
+def test_validate_finds_duplicates_on_the_integer_grid():
+    # duplicates are found on the integer points of the grid the hull runs
+    # on, so "1/2" and "2/4" are one coordinate; the rejection order is
+    # kept: a coordinate count first, then a duplicate, then a hull that is
+    # not full-dimensional (the last three points are collinear too)
+    with pytest.raises(InputError) as err:
+        validate([("0", "0"), ("1/2", "1"), ("1", "0"), ("2/4", "1")])
+    assert str(err.value) == "duplicate vertex: 3 equals 1"
+    with pytest.raises(InputError) as err:
+        validate([("1/2", "0"), ("2/4", "0"), ("1",)])
+    assert str(err.value) == "vertex 2 has 1 coordinates, expected 2"
+    with pytest.raises(InputError) as err:
+        validate([("0", "0"), ("1/2", "1/3"), ("2/4", "2/6")])
+    assert str(err.value) == "duplicate vertex: 2 equals 1"
+    assert validate([("1/2", "1/3"), ("1/3", "1/2"), ("0", "0")]).nvertices == 3
 
 
 def test_validate_rejects_interior_point():
@@ -181,7 +199,7 @@ def test_facets_match_brute_force_oracle(seed, d):
     pts = _random_points(rng, d, rng.randint(d + 1, 10))
     if affine_dim(pts) != d:
         return
-    assert _hull_facets(pts, d) == brute_force_facets(pts, d)
+    assert _hull_facets(integer_grid(pts), d) == brute_force_facets(pts, d)
 
 
 def test_validate_makes_at_most_d_plus_1_kernel_calls(monkeypatch):
@@ -221,16 +239,17 @@ def test_hull_facets_match_scan_and_brute_force(d):
             pts = _random_points(rng, d, n)
         if affine_dim(pts) != d:
             continue
-        assert _hull_facets(pts, d) == scan_hull_facets(pts, d) == brute_force_facets(pts, d)
+        assert (_hull_facets(integer_grid(pts), d) == scan_hull_facets(pts, d)
+                == brute_force_facets(pts, d))
         checked += 1
-        redundant += bool(polytope._hull(pts, d)[1])
+        redundant += bool(polytope._hull(integer_grid(pts), d)[1])
     assert redundant
 
 
 def test_hull_facets_match_scan_on_larger_hulls():
     for seed, d, n in ((5, 5, 30), (6, 6, 24)):
         pts = random_hull_draw(random.Random(seed), d, n)
-        facet_list, inner = polytope._hull(pts, d)
+        facet_list, inner = polytope._hull(integer_grid(pts), d)
         assert inner  # interior points are inserted too
         assert facet_list == scan_hull_facets(pts, d)
 

@@ -17,8 +17,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+from polyk.cones import ConeSystem, lift
 from polyk.corpus import hypercube
 from polyk.pipeline import run_pipeline
+from polyk.polytope import face_lattice
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -56,10 +58,15 @@ def test_traced_pipeline_runs_with_every_observer(monkeypatch):
         tracer.uninstall()
     assert not tracer.absent
     assert traced == expected
-    # C(8, 3) lift subsets and 62 covering pairs for the 3-cube, one edge
-    # ray each
+    # C(8, 3) lift subsets and 62 covering pairs for the 3-cube, with one
+    # edge ray for each pair with m > 0 (a span id of E outside F's basis)
     assert tracer.lift_subsets == 56 and tracer.covering_pairs == 62
-    assert tracer.totals["cones.edge_ray"][0] == 62
+    system = ConeSystem(lift(hypercube(3)), face_lattice(hypercube(3)))
+    masks = [system.face_data(f).span_mask for f in range(len(system.lattice.faces_by_id))]
+    m_positive = sum(bool(masks[e] & ~masks[f])
+                     for f, lower in enumerate(system.lattice.down) for e in lower)
+    assert 0 < m_positive < 62
+    assert tracer.totals["cones.edge_ray"][0] == m_positive
     assert not tracing.leftover_bindings()
 
 
