@@ -1,9 +1,10 @@
 """Oriented cellular chain complex of a polytope via the lifted cone.
 
 Each face F is oriented by the basis A_F of the span of its lifted subcone
-(``FaceConeData.span_basis``, greedy in vertex-index order), its last column
-negated if the trivialization flips F.  For a covering pair (E, F) with edge
-ray e the incidence number is the orientation sign of the basis
+(the cone's generators at ``FaceConeData.span_ids``, greedy in vertex-index
+order), its last column negated if the trivialization flips F.  For a
+covering pair (E, F) with edge ray e the incidence number is the
+orientation sign of the basis
 B = [e | A_E] of span(F) against A_F: sign det C for B C = A_F, which is
 sign det(B^T A_F) since B^T A_F = (B^T B) C and det(B^T B) > 0.  (B is a
 basis of span(F): e lies in span(F), being by construction an integer
@@ -14,16 +15,12 @@ A_E is a basis of span(E).)
 
 The cone stage has already decided that sign for the unflipped bases, by
 face: ``ConeSystem.cover_orientations`` gives the orientation sigma of
-every lower cover E of F at once.  A pair with m = 0, E's span bitmask
-s_E inside F's s_F, has its ray in column r = popcount(s_F & (g - 1)) of
-F's certified adjugate, g the one bit of s_F & ~s_E, and
-
-    sigma = (-1)^r,
-
-with no ray made; any other pair takes ``cones.edge_ray``, whose
-``EdgeRay.orientation`` is read off F's basis coordinates (the identities
-are stated in ``cones``).  A flip of F negates a column of B^T A_F and a
-flip of E a row, so with eps = -1 for a flipped face and +1 otherwise
+every lower cover E of F at once.  A pair with m = 0 reads sigma off F's
+certified adjugate with no ray made (``cones.adjugate_column`` states the
+identities); any other pair takes ``cones.edge_ray``, whose
+``EdgeRay.orientation`` is read off F's basis coordinates.  A flip of F
+negates a column of B^T A_F and a flip of E a row, so with eps = -1 for a
+flipped face and +1 otherwise
 
     [E : F] = sigma * eps_E * eps_F,
 
@@ -37,9 +34,7 @@ The barycenter cross-check (``cones.edge_ray_crosscheck``, on Gram
 numbers, with no n-vector per pair) confirms the oriented ray, sign
 included, independently, and since its vector lies in span(F) it would
 also reject a ray outside span(F).  On a pair with m = 0 it reduces to
-z_F[r] > 0 together with the principal-minor identity
-adj(G_F)[r][r] = det G_E > 0, which ``cover_orientations`` checks off F's
-and E's data.
+what ``cones.adjugate_pair_fault`` checks off F's and E's data.
 
 Boundary matrices are integer matrices over the stable (lexicographic by
 vertex set) face ordering, the lattice's face ids.  They are built, kept in
@@ -143,10 +138,15 @@ class ChainComplex:
                     f"D_{j} is not {f[j]} x {f[j + 1]} in sparse columns without stored zeros")
 
     def matrix(self, j: int) -> IntMatrix:
-        """D_j as a dense f_{j-1} x f_j matrix."""
+        """D_j as a dense f_{j-1} x f_j matrix, for 0 <= j <= dim."""
+        if not 0 <= j <= self.dim:
+            raise ValueError(f"boundary dimension {j} out of range [0, {self.dim}]")
         return dense_matrix(self.columns[j], len(self.face_order[j]))
 
     def face_labels(self, j: int) -> tuple[tuple[int, ...], ...]:
+        """The vertex sets of the faces of dimension j, for -1 <= j <= dim."""
+        if not -1 <= j <= self.dim:
+            raise ValueError(f"face dimension {j} out of range [-1, {self.dim}]")
         return self.face_order[j + 1]
 
     @property
@@ -224,11 +224,9 @@ def build_complex(T: Trivialization, L: FaceLattice, system: ConeSystem) -> Chec
     Walks the covering pairs once, by ``boundary_columns`` for j = 0..dim,
     face by face: ``ConeSystem.cover_orientations`` orients and
     cross-checks all the lower covers E of a face F in one pass, each pair
-    with m = 0 (s_E & ~s_F = 0 on the span bitmasks) read off F's certified
-    adjugate as sigma = (-1)^r with its verdict z_F[r] > 0 and
-    adj(G_F)[r][r] = det G_E > 0, and only the others through ``edge_ray``
-    and ``edge_ray_crosscheck``; ``incidence_sign`` then computes each
-    [E : F] from sigma.  The ``CheckedComplex`` it returns checks
+    with m = 0 read off F's certified adjugate, and only the others through
+    ``edge_ray`` and ``edge_ray_crosscheck``; ``incidence_sign`` then
+    computes each [E : F] from sigma.  The ``CheckedComplex`` it returns checks
     D_{j-1} @ D_j = 0 for every j on the sparse columns when it is made.
     Any failure aborts with the offending face pair.  The system must be
     built on L itself.

@@ -37,12 +37,13 @@ For every face id, once per run, we compute
   * for the sum b_F of its lifted vertices, A_F^T b_F, each entry
     <a, b_F> = sum over u in F of T[a][u] read off the table, then
     z_F = adj(G) A_F^T b_F and |b_F|^2 = <A_F^T b_F, z_F> / det G: b_F lies
-    in span(F), so b_F = A_F z_F / det G, and the division is exact,
-  * the dual face (facet normals of the cone vanishing on F), kept as its
-    bitmask; its facet ids are read off that mask.
+    in span(F), so b_F = A_F z_F / det G, and the division is exact.
 
-No n-vector is read for any of it: the span basis and the dual face's
-generators are looked up in the cone only when a caller reads them.
+No n-vector is read for any of it, and a face's data holds vertex ids and
+integers only: its span basis is the cone's generators at its span ids.
+The dual face of F, a face of the dual cone, is generated by the facet
+normals of the cone that vanish on every lifted vertex of F; it is not
+kept, and its bitmask serves the rank check alone.
 
 In the paper, the edge vector of a covering pair E < F is the extreme ray of
 the dual of E's dual face, taken inside that dual face's span (the
@@ -50,27 +51,26 @@ the dual of E's dual face, taken inside that dual face's span (the
 ray spans the line where span(F) meets span(E)^perp.  So ``edge_ray`` makes
 it as the projection of a lifted vertex g of F outside E off span(E),
 scaled by c = det G_E > 0 to stay integral, w = c * g - A_E x, with the
-sign that orients it; on most pairs w is a column of F's certified
-adjugate.  Those identities, and the checks of the ray, each made where it
-costs least, are stated in its docstring.  The circledast cones themselves
-are not built here, nor is w: an ``EdgeRay`` holds (g, c, x) and makes its
-primitive integer generator e, the ``direction``, only when it is read.
-Unit normalization is irrelevant to signs, so primitive integer ray
-generators replace unit vectors throughout and keep the arithmetic exact.
+sign that orients it.  Those identities, and the checks of the ray, each
+made where it costs least, are stated in its docstring.  The circledast
+cones themselves are not built here, nor is w: an ``EdgeRay`` holds
+(g, c, x) and makes its primitive integer generator e, the ``direction``,
+only when it is read.  Unit normalization is irrelevant to signs, so
+primitive integer ray generators replace unit vectors throughout and keep
+the arithmetic exact.
 ``edge_ray_crosscheck`` checks every ray against a second, independent
 construction, the barycenter vector, on Gram numbers; its docstring states
 that test.
 
 The covering pairs are taken by face: ``ConeSystem.cover_orientations``
 orients and checks all the lower covers E of a face F in one pass.  A pair
-has m = 0 exactly when s_E & ~s_F = 0; its ray is then column
-r = popcount(s_F & (g - 1)) of F's adjugate, g the one bit of s_F & ~s_E,
-so its sign is (-1)^r, and its cross-check reduces to z_F[r] > 0 and the
-principal-minor identity adj(G_F)[r][r] = det G_E > 0, all read off F's and
-E's data with no ray made.  Only the pairs with m > 0 call ``edge_ray`` and
-``edge_ray_crosscheck``, which still take any pair: they are the per-pair
-API and the oracle of the batch, and share its row lookup
-(``adjugate_column``).
+with m = 0, E's span ids F's minus one, is read off F's certified adjugate
+with no ray made: ``adjugate_column`` states the identities that give its
+ray and sign, and ``adjugate_pair_fault`` what its cross-check reduces to.
+Only the pairs with m > 0 call ``edge_ray`` and ``edge_ray_crosscheck``.
+Those two take any pair by the one general construction, the Gram solve
+and the Cauchy-Schwarz test, so on the pairs with m = 0 they are an
+independent oracle of the batch.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from math import gcd, lcm
-from operator import and_, neg
+from operator import and_
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InternalInvariantError
@@ -97,15 +97,12 @@ from .linalg import (
 )
 from .polytope import Face, FaceLattice, Polytope, set_bits
 
-IntBasis = tuple[IntVector, ...]  # the columns of an integer matrix
-
 
 @dataclass(frozen=True)
 class LiftedCone:
     """The cone over 1 x P: pointed, solid, with explicit dual generators."""
 
     dim: int  # n = ambient polytope dimension + 1
-    base: Polytope
     generators: tuple[IntVector, ...]  # L * (1, v_i) in vertex order, L = lcm of vertex denominators
     facet_normals: tuple[IntVector, ...]  # primitive generators of the dual cone
 
@@ -113,36 +110,18 @@ class LiftedCone:
 @dataclass(frozen=True)
 class FaceConeData:
     """Per-face data inside the lifted cone, all the covering pairs read of
-    the face (see the module docstring).  The span basis and the dual face's
-    generators are n-vectors of ``cone``, looked up when read; the report
-    never reads them."""
+    the face (see the module docstring): vertex ids and integers, no
+    n-vector.  The columns of A_F are the cone's generators at
+    ``span_ids``."""
 
-    span_ids: tuple[int, ...]  # vertex ids of the columns of span_basis, increasing
-    span_mask: int  # the bitmask of span_ids
-    span_row: dict[int, int]  # span_ids[r] -> r, its row of coordinates in span_basis
+    span_ids: tuple[int, ...]  # vertex ids of the columns of A_F, increasing
+    span_mask: int  # the bitmask s_F of span_ids
+    span_row: dict[int, int]  # span_ids[r] -> r, its row of coordinates in A_F
     span_sum_dot: tuple[int, ...]  # A_F^T b_F: <a, b_F> for each span id a, b_F the vertex sum
     sum_coords: tuple[int, ...]  # z_F = adj(G) A_F^T b_F, det G times b_F's coordinates in A_F
     sum_sq: int  # |b_F|^2 = <A_F^T b_F, z_F> / det G
     gram_det: int  # det G > 0, G = A_F^T A_F
     gram_adj: IntMatrix  # adj G, certified step by step: G adj G = det G * I
-    dual_mask: int  # bit k for each facet normal k of the cone in the dual face
-    cone: LiftedCone
-
-    @property
-    def span_basis(self) -> IntBasis:
-        """The columns of A_F: greedy independent integer lifted vertices of
-        the face."""
-        return tuple(self.cone.generators[i] for i in self.span_ids)
-
-    @property
-    def dual_ids(self) -> tuple[int, ...]:
-        """Indices into the cone's facet_normals of the dual face."""
-        return set_bits(self.dual_mask)
-
-    @property
-    def dual_face_gens(self) -> tuple[IntVector, ...]:
-        """The facet normals of the dual face."""
-        return tuple(self.cone.facet_normals[k] for k in self.dual_ids)
 
 
 class EdgeRay(NamedTuple):
@@ -257,7 +236,7 @@ def lift(P: Polytope) -> LiftedCone:
         -f.offset.denominator * a for a in f.normal)) for f in P.facets))
     if n == 1:  # the point has no facets, but the ray through (1) has facet normal (1,)
         normals = ((1,),)
-    return LiftedCone(dim=n, base=P, generators=gens, facet_normals=normals)
+    return LiftedCone(dim=n, generators=gens, facet_normals=normals)
 
 
 def bordered_gram_basis(F: Face, gram: IntMatrix, walk: Iterable[int] | None = None,
@@ -453,7 +432,7 @@ def check_dual_faces(lattice: FaceLattice, dual_masks: Sequence[int], n: int) ->
                 f"{faces[covers[0]]}, so its rank {n - dim} is not certified")
 
 
-def face_cone_data(C: LiftedCone, F: Face, gram: IntMatrix, dual_mask: int,
+def face_cone_data(F: Face, gram: IntMatrix,
                    cover: tuple[FaceConeData, int] | None = None) -> FaceConeData:
     """The per-face data of F, with its span basis, det G and adj G of its
     Gram matrix G = A_F^T A_F read off the Gram table ``gram``
@@ -468,18 +447,13 @@ def face_cone_data(C: LiftedCone, F: Face, gram: IntMatrix, dual_mask: int,
     identities of the cross-check.  The span ids are also kept as the
     bitmask s_F, which ``ConeSystem.cover_orientations`` reads.
 
-    The dual face is a face of the dual cone, hence generated by the facet
-    normals of the cone that vanish on every lifted vertex of F, the set
-    bits of ``dual_mask``, which is kept; its rank n - (dim F + 1) is
-    certified once per run by ``check_dual_faces``.
-
     For the sum b_F of F's lifted vertices, <a, b_F> = sum over u in F of
     T[a][u] is taken for each span id a (A_F^T b_F, by row), then
     z_F = adj(G) A_F^T b_F, and |b_F|^2 = <A_F^T b_F, z_F> / det G: b_F lies
     in span(F), so G adj(G) = det G * I makes b_F = A_F z_F / det G, and
     the division is exact.  The cross-check reads z_F[r] for the pairs with
-    m = 0 and the rest for the others.  No generator of the cone is read
-    here."""
+    m = 0 and the rest for the others.  Only the Gram table is read here,
+    no generator of the cone."""
     if cover is None:
         span_ids, gram_det, gram_adj = bordered_gram_basis(F, gram)
     else:
@@ -491,17 +465,41 @@ def face_cone_data(C: LiftedCone, F: Face, gram: IntMatrix, dual_mask: int,
     return FaceConeData(span_ids=span_ids, span_mask=sum(1 << a for a in span_ids),
                         span_row={a: r for r, a in enumerate(span_ids)},
                         span_sum_dot=at_b, sum_coords=z, sum_sq=int_dot(at_b, z) // gram_det,
-                        gram_det=gram_det, gram_adj=gram_adj, dual_mask=dual_mask, cone=C)
+                        gram_det=gram_det, gram_adj=gram_adj)
 
 
 def adjugate_column(span_F: int, span_E: int) -> int | None:
-    """The column r of F's certified adjugate that is the edge ray of a
-    covering pair (E, F) with m = 0, from the span bitmasks s_F and s_E, or
-    None for m > 0.  The pair has m = 0 when s_E & ~s_F = 0: E's span ids
-    are then F's minus the one id g of s_F & ~s_E (|s_E| = |s_F| - 1), in
-    the same increasing order, and r = popcount(s_F & (g - 1)) is g's row
-    in F's basis.  None too when s_F & ~s_E is not a single bit, which no
-    covering pair gives."""
+    """The row r of F's basis whose column of F's certified adjugate is the
+    edge ray of a covering pair (E, F) with m = 0, from the span bitmasks
+    s_F and s_E, or None for m > 0.  The pair has m = 0 when s_E & ~s_F = 0:
+    E's span ids are then F's minus the one id g of s_F & ~s_E
+    (|s_E| = |s_F| - 1), in the same increasing order, and
+    r = popcount(s_F & (g - 1)) is g's row in F's basis.  None too when
+    s_F & ~s_E is not a single bit, which no covering pair gives.  This g is
+    the vertex ``edge_ray`` projects, the first span id of F outside E: F's
+    other span ids are E's, and g is not a vertex of E, or span(E) would
+    hold all of F's basis.
+
+    The ray ``edge_ray`` makes for such a pair by its Gram solve is a column
+    of F's certified adjugate, read off with no solve:
+
+        w = A_F adj(G_F) e_r,   so   c = adj(G_F)[r][r] = det G_E,
+        x_a = -adj(G_F)[a][r] for the other rows a,   sigma = (-1)^r.
+
+    For v = A_F adj(G_F) e_r gives A_F^T v = G_F adj(G_F) e_r = det G_F e_r:
+    v is orthogonal to span(E) and lies in span(F), so it spans the same
+    line as w, and its coefficient on g, the cofactor adj(G_F)[r][r], is
+    the principal minor det G_E, w's own.  The coordinates in the
+    independent basis A_F are unique, so v = w.  The certified adjugate is
+    det G_F G_F^{-1}, hence symmetric, and column r is row r.  The number
+    ``edge_ray`` checks for the orientation, <w, g> = c * side, is
+    (G_F adj(G_F))[r][r] = det G_F, which F's certificate has already found
+    positive.  The coordinates C of [g | A_E] in the basis A_F are unit
+    columns, g's at row r and E's span ids at the other rows in order, so
+    sigma = sign det C is the sign of the permutation that moves row r to
+    the front, (-1)^r, never zero.  So the ray is O(k) copies and no
+    arithmetic, and its sign none; ``ConeSystem.cover_orientations`` makes
+    neither, and reads sigma = (-1)^r."""
     g = span_F & ~span_E
     if span_E & ~span_F or g & (g - 1) or not g:
         return None
@@ -514,11 +512,24 @@ NOT_A_POSITIVE_MULTIPLE = "barycenter projection is not a positive multiple"
 def adjugate_pair_fault(data_E: FaceConeData, data_F: FaceConeData, r: int) -> str | None:
     """Why the cross-check rejects a covering pair (E, F) with m = 0 whose
     ray is column r of F's adjugate (``adjugate_column``), or None: it
-    accepts iff z_F[r] > 0 and adj(G_F)[r][r] = det G_E > 0.  The first is
-    the barycenter test (see ``edge_ray_crosscheck``); the second is the
-    principal-minor identity, the cofactor at (r, r) of G_F being the Gram
-    determinant of F's span ids minus row r's, which are E's, so it also
-    checks E's face data against F's."""
+    accepts iff z_F[r] > 0 and adj(G_F)[r][r] = det G_E > 0.
+
+    The first is the barycenter test of ``edge_ray_crosscheck`` on that ray,
+    in O(1) and with no product.  F's adjugate column v = A_F adj(G_F) e_r
+    spans the line span(F) meet span(E)^perp, and so does the barycenter
+    vector w' = D b_F - A_E x' (D = det G_E), with <w', v> = D <b_F, v>
+    = D z_F[r] (A_E^T v = 0), z_F = adj(G_F) A_F^T b_F from F's face data.
+    So w' is a positive multiple of v exactly when z_F[r] > 0.  A ray with
+    coefficients (c, x) is a positive multiple of v exactly when (c, x) is
+    one of v's coefficients (adj(G_F)[r][r], -adj(G_F)[a][r] for the other
+    rows a), A_F being independent, with adj(G_F)[r][r] = det G_E > 0;
+    the ray ``edge_ray`` makes is v itself.  So on that ray the verdict
+    z_F[r] > 0 is the Cauchy-Schwarz verdict, and the n-vector verdict.
+
+    The second is the principal-minor identity, the cofactor at (r, r) of
+    G_F being the Gram determinant of F's span ids minus row r's, which are
+    E's; so it also checks E's face data against F's, which the per-pair
+    functions read each on its own."""
     if data_F.sum_coords[r] <= 0:
         return NOT_A_POSITIVE_MULTIPLE
     cofactor, det = data_F.gram_adj[r][r], data_E.gram_det
@@ -549,28 +560,16 @@ def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: Face
     positive at g, and v projects to det G <v, e> / |e|^2 * e, a positive
     multiple of e.
 
-    When m = 0, that is, E's span ids are F's minus g in the same order
-    (g at row r of F's basis), the ray is a column of F's certified
-    adjugate, read off with no solve (``adjugate_column``):
-
-        w = A_F adj(G_F) e_r,   so   c = adj(G_F)[r][r] = det G,
-        x_a = -adj(G_F)[a][r] for the other rows a,   sigma = (-1)^r.
-
-    For v = A_F adj(G_F) e_r gives A_F^T v = G_F adj(G_F) e_r = det G_F e_r:
-    v is orthogonal to span(E) and lies in span(F), so it spans the same
-    line as w, and its coefficient on g, the cofactor adj(G_F)[r][r], is
-    the principal minor det G_E, w's own.  The coordinates in the
-    independent basis A_F are unique, so v = w.  The certified adjugate is
-    det G_F G_F^{-1}, hence symmetric, and column r is row r.  So the ray
-    is O(k) copies and no arithmetic.  Otherwise the ray takes one check per
-    pair, on k numbers (k = dim F, the size of E's basis), besides the sign
-    minor's below:
+    Every pair takes this one construction.  On a pair with m = 0 the ray
+    is also a column of F's certified adjugate (``adjugate_column`` states
+    the identities), which ``ConeSystem.cover_orientations`` reads in place
+    of the solve; so on those pairs this function is the batch's
+    independent oracle.  The ray takes one check per pair, on k numbers
+    (k = dim F, the size of E's basis), besides the sign minor's below:
 
       * orientation: <w, g> = c T[g][g] - <x, A^T g> = c * side, with
         side = c |g - P_E g|^2, positive unless g lies in span(E), and then
         w = 0; since |w|^2 = c * side too, side > 0 also shows w != 0.
-        For m = 0 the same number is (G_F adj(G_F))[r][r] = det G_F, which
-        F's certificate has already found positive.
 
     The other checks hold by certificates made once: w is orthogonal to
     span(E) because G adj(G) = det G * I (carried by the checked bordering
@@ -620,11 +619,6 @@ def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: Face
     else:
         raise InternalInvariantError(
             f"edge ray of ({E}, {F}): every span id of {F} lies in {E}")
-    r = adjugate_column(data_F.span_mask, data_E.span_mask)
-    if r is not None and f_ids[r] == g:
-        col = data_F.gram_adj[r]
-        return EdgeRay((E, F), g, col[r], tuple(map(neg, col[:r] + col[r + 1:])), a_ids,
-                       -1 if r & 1 else 1, C.generators)
     span_row = data_F.span_row
     t_g = gram[g]
     at_g = [t_g[a] for a in a_ids]
@@ -663,28 +657,14 @@ def edge_ray_crosscheck(ray: EdgeRay, data_E: FaceConeData, data_F: FaceConeData
     A^T b_F, so A x' / D is the projection of b_F onto span(E), and w' is
     L * m * D times the barycenter's component orthogonal to span(E).
 
-    For a ray whose E's span ids are F's minus its g, in the same order (m
-    = 0, g at row r of F's basis), the test is O(k) and takes no product.
-    F's adjugate column v = A_F adj(G_F) e_r spans the line span(F) meet
-    span(E)^perp, and so does w', with <w', v> = D <b_F, v> = D z_F[r]
-    (A_E^T v = 0), z_F = adj(G_F) A_F^T b_F from F's face data.  So w' is a
-    positive multiple of v exactly when z_F[r] > 0, and w is one exactly
-    when (c, x) is a positive multiple of v's coefficients
-    (adj(G_F)[r][r], -adj(G_F)[a][r] for the other rows a), A_F being
-    independent; adj(G_F)[r][r] = det G_E > 0.  The check accepts iff
-    c > 0, (c, x) is such a multiple (equal, for the ray ``edge_ray``
-    makes) and z_F[r] > 0: the n-vector verdict, for the ray it is handed.
-    It also checks the principal-minor identity adj(G_F)[r][r] = det G_E
-    (``adjugate_pair_fault``), which holds E's data against F's; so its
-    verdict on the ray ``edge_ray`` makes is that of
-    ``ConeSystem.cover_orientations``, which makes no ray for the pair.
-
-    Every other ray takes the Cauchy-Schwarz test, and nothing there is an
-    n-vector.  <a, b_F> is read off F's face data for a span id a of F and
-    summed off the Gram table, sum over u in F of T[a][u], for another
-    vertex; |b_F|^2 is F's, A^T g and G_E are read off the Gram table.
-    G_E adj(G_E) = D * I (certified by E's bordering steps) gives
-    A^T w' = D A^T b_F - G_E x' = 0, hence
+    Every ray takes the Cauchy-Schwarz test, and nothing there is an
+    n-vector.  (On a pair with m = 0 the test reduces to z_F[r] > 0, which
+    ``ConeSystem.cover_orientations`` checks in place of this one; the
+    reduction is in ``adjugate_pair_fault``.)  <a, b_F> is read off F's
+    face data for a span id a of F and summed off the Gram table, sum over
+    u in F of T[a][u], for another vertex; |b_F|^2 is F's, A^T g and G_E
+    are read off the Gram table.  G_E adj(G_E) = D * I (certified by E's
+    bordering steps) gives A^T w' = D A^T b_F - G_E x' = 0, hence
 
         |w'|^2  = D (D |b_F|^2 - x'^T A^T b_F),
         <w, w'> = c <g, w'> - x^T A^T w' = c (D <g, b_F> - x'^T A^T g),
@@ -708,36 +688,24 @@ def edge_ray_crosscheck(ray: EdgeRay, data_E: FaceConeData, data_F: FaceConeData
         raise InternalInvariantError(
             f"edge-ray cross-check failed for ({E}, {F}): the ray is not a combination "
             f"of a vertex of {F} and the span basis of {E}")
-    r = adjugate_column(data_F.span_mask, data_E.span_mask)
-    if r is not None and data_F.span_ids[r] == g:
-        col = data_F.gram_adj[r]
-        d, rest = col[r], tuple(map(neg, col[:r] + col[r + 1:]))
-        fault = adjugate_pair_fault(data_E, data_F, r)
-        accepted = fault is None and c > 0 and (
-            (c, x) == (d, rest)
-            or len(x) == len(rest) and all(d * xi == c * v for xi, v in zip(x, rest)))
-    else:
-        fault = None
-        det = data_E.gram_det
-        adj = data_E.gram_adj
-        t_g = gram[g]
-        at_g = [t_g[a] for a in a_ids]
-        sums = data_F.span_sum_dot
+    det = data_E.gram_det
+    t_g = gram[g]
+    at_g = [t_g[a] for a in a_ids]
+    sums = data_F.span_sum_dot
 
-        def b_dot(v: int) -> int:  # <v, b_F> for a vertex v of F
-            i = span_row.get(v)
-            return sum(map(gram[v].__getitem__, F.vertex_set)) if i is None else sums[i]
+    def b_dot(v: int) -> int:  # <v, b_F> for a vertex v of F
+        i = span_row.get(v)
+        return sum(map(gram[v].__getitem__, F.vertex_set)) if i is None else sums[i]
 
-        at_b = [b_dot(a) for a in a_ids]
-        x_b = [int_dot(row, at_b) for row in adj]
-        b_sq = det * (det * data_F.sum_sq - int_dot(x_b, at_b))
-        inner = c * (det * b_dot(g) - int_dot(x_b, at_g))
-        w_sq = c * (c * t_g[g] - 2 * int_dot(x, at_g)) + int_dot(
-            x, [sum(gram[a][b] * x_b for b, x_b in zip(a_ids, x)) for a in a_ids])
-        accepted = inner > 0 and inner * inner == w_sq * b_sq
-    if not accepted:
-        raise InternalInvariantError(f"edge-ray cross-check failed for ({E}, {F}): "
-                                     f"{fault or NOT_A_POSITIVE_MULTIPLE}")
+    at_b = [b_dot(a) for a in a_ids]
+    x_b = [int_dot(row, at_b) for row in data_E.gram_adj]
+    b_sq = det * (det * data_F.sum_sq - int_dot(x_b, at_b))
+    inner = c * (det * b_dot(g) - int_dot(x_b, at_g))
+    w_sq = c * (c * t_g[g] - 2 * int_dot(x, at_g)) + int_dot(
+        x, [sum(gram[a][b] * x_b for b, x_b in zip(a_ids, x)) for a in a_ids])
+    if inner <= 0 or inner * inner != w_sq * b_sq:
+        raise InternalInvariantError(
+            f"edge-ray cross-check failed for ({E}, {F}): {NOT_A_POSITIVE_MULTIPLE}")
 
 
 class ConeSystem:
@@ -746,7 +714,8 @@ class ConeSystem:
     cross-checks.  The Gram and slack tables of the lifted vertices
     (``gram``, ``slack``) and each face's dual-face bitmask (the AND of its
     vertices' ``vertex_facet_masks``) are built first; S >= 0 and the dual
-    ranks (``check_dual_faces``) are checked then.  Every face's data is
+    ranks (``check_dual_faces``) are checked then, and the masks are not
+    kept.  Every face's data is
     then built once, in face-id order.  A face's data grows from the data
     of a lower cover E when E's span ids all lie below p = min(F - E) (see
     ``bordered_gram_basis``): the first such cover in ``down`` order whose
@@ -774,7 +743,7 @@ class ConeSystem:
         check_dual_faces(lattice, dual_masks, cone.dim)
         self._face_data: list[FaceConeData] = []
         for f, F in enumerate(lattice.faces_by_id):
-            self._face_data.append(face_cone_data(cone, F, self.gram, dual_masks[f], self._cover(f)))
+            self._face_data.append(face_cone_data(F, self.gram, self._cover(f)))
 
     def face_data(self, f: int) -> FaceConeData:
         return self._face_data[f]
@@ -800,12 +769,12 @@ class ConeSystem:
 
         A pair with m = 0 (``adjugate_column``: s_E & ~s_F = 0 on the span
         bitmasks, its ray column r of F's certified adjugate) is read off
-        F's data in O(1): sigma = (-1)^r, and the verdict that z_F[r] > 0
-        and adj(G_F)[r][r] = det G_E > 0 (``adjugate_pair_fault``), with no
-        ray made.  That is the verdict the per-pair functions give it, whose
-        comparison of (c, x) with column r is an identity on a ray read off
-        that column.  Only the pairs with m > 0 take ``ray`` and
-        ``crosscheck``.  A rejected pair is an error naming it."""
+        F's data in O(1), with no ray made: sigma = (-1)^r, and the verdict
+        of ``adjugate_pair_fault``.  Those are the sign and the verdict the
+        per-pair functions reach by the Gram solve and the Cauchy-Schwarz
+        test on face data that pass their certificates; the identities are
+        stated in those two helpers.  Only the pairs with m > 0 take ``ray``
+        and ``crosscheck``.  A rejected pair is an error naming it."""
         faces = self._face_data
         data_F = faces[f]
         span_F = data_F.span_mask

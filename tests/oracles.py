@@ -87,6 +87,13 @@ before each bordering step checked G_S y = D b and exact divisions, which
 carry the certificate from step to step; ``span_gram`` is G read off the
 Gram table, the matrix the face data held then.
 
+The face-data views rebuild what the library's per-face data does not
+hold, since no report reads it: ``span_basis`` is A_F, the cone's
+generators at the face's span ids; ``dual_face_ids`` and
+``dual_face_gens`` are the facet normals of the dual face, read off the
+zeros of the slack table; and ``rational_lifted_vertex`` is (1, v) in
+rationals, the integer lifted vertex L (1, v) over its first coordinate.
+
 The dual-rank oracle is the count the library made per face before it
 certified dual ranks once per run by the growth of the dual-face masks
 along the lattice: ``echelon_dual_rank`` runs a fraction-free echelon on
@@ -259,21 +266,21 @@ def _greedy_independent(vectors, n: int) -> QMatrix:
     return QMatrix.from_columns(cols, rows=n)
 
 
-def dual_cone_in_span(span_basis: QMatrix, gens) -> tuple[tuple[int, ...], ...]:
-    """Dual of cone(gens) computed inside the column span of ``span_basis``.
+def dual_cone_in_span(basis: QMatrix, gens) -> tuple[tuple[int, ...], ...]:
+    """Dual of cone(gens) computed inside the column span of ``basis``.
 
     The generators must span the subspace.  Working in coordinates: a point
     B @ xi of the span pairs with y as <B @ xi, y> = <xi, B^T y>, so the dual
     inside the span is the ordinary dual of the cone over the vectors B^T y.
     Results are mapped back to ambient primitive integer vectors.
     """
-    k = span_basis.cols
+    k = basis.cols
     if k == 0:
         return ()
-    bt = span_basis.transpose()
+    bt = basis.transpose()
     projected = [bt.mat_vec(qvec(y)) for y in gens]
     rays = dual_cone(projected, ambient_dim=k)
-    return tuple(sorted(primitive_vector(span_basis.mat_vec(xi)) for xi in rays))
+    return tuple(sorted(primitive_vector(basis.mat_vec(xi)) for xi in rays))
 
 
 def circledast_gens(C: LiftedCone, F: Face) -> tuple[tuple[int, ...], ...]:
@@ -283,6 +290,33 @@ def circledast_gens(C: LiftedCone, F: Face) -> tuple[tuple[int, ...], ...]:
     dual_gens = [y for y in C.facet_normals
                  if all(dot(y, C.generators[i]) == 0 for i in F.vertex_set)]
     return dual_cone_in_span(_greedy_independent(dual_gens, C.dim), dual_gens)
+
+
+def span_basis(C: LiftedCone, data: FaceConeData) -> tuple[tuple[int, ...], ...]:
+    """The columns of A_F for a face's data: the cone's integer lifted
+    vertices at its span ids."""
+    return tuple(C.generators[a] for a in data.span_ids)
+
+
+def dual_face_ids(system, f: int) -> tuple[int, ...]:
+    """The facet normals of the dual face of the face with id f, as indices
+    into the cone's ``facet_normals``: those whose column of the slack
+    table vanishes at every vertex of the face."""
+    F = system.lattice.faces_by_id[f]
+    return tuple(k for k in range(len(system.cone.facet_normals))
+                 if all(system.slack[i][k] == 0 for i in F.vertex_set))
+
+
+def dual_face_gens(system, f: int) -> tuple[tuple[int, ...], ...]:
+    """The facet normals of the dual face of the face with id f."""
+    return tuple(system.cone.facet_normals[k] for k in dual_face_ids(system, f))
+
+
+def rational_lifted_vertex(C: LiftedCone, i: int) -> tuple[Fraction, ...]:
+    """(1, v_i) in rationals, from the integer lifted vertex L (1, v_i):
+    its coordinates over its first one, L."""
+    g = C.generators[i]
+    return tuple(Fraction(x, g[0]) for x in g)
 
 
 def coords_det_sign(b_cols, a_cols, n: int) -> int:
@@ -297,7 +331,7 @@ def oriented_basis(system, T, f: int) -> tuple[tuple[int, ...], ...]:
     """A_F as the ``Trivialization`` T orients the face with id f: the span
     basis of its face data in the ``ConeSystem``, its last column negated
     when the face is flipped."""
-    basis = system.face_data(f).span_basis
+    basis = span_basis(system.cone, system.face_data(f))
     if f in T.flipped:
         basis = basis[:-1] + (tuple(-x for x in basis[-1]),)
     return basis
@@ -326,7 +360,7 @@ def vertex_projection(C: LiftedCone, data_E: FaceConeData, g: int, gram) -> list
     span(E): det G_E g - A_E adj(G_E) A_E^T g, on integers."""
     at_g = [gram[g][a] for a in data_E.span_ids]
     w = [data_E.gram_det * c for c in C.generators[g]]
-    for adj_row, a in zip(data_E.gram_adj, data_E.span_basis):
+    for adj_row, a in zip(data_E.gram_adj, span_basis(C, data_E)):
         xi = int_dot(adj_row, at_g)
         w = [u - xi * v for u, v in zip(w, a)]
     return w
@@ -347,7 +381,7 @@ def kernel_edge_ray(C: LiftedCone, E: Face, F: Face,
     primitive vectors, which scales kappa by a positive factor) and
     sigma = sign <A_F kappa, g> for the first lifted vertex g of F outside
     E: (direction, orientation sigma)."""
-    a_e, a_f = data_E.span_basis, data_F.span_basis
+    a_e, a_f = span_basis(C, data_E), span_basis(C, data_F)
     rows = [primitive_vector([int_dot(a, b) for b in a_f]) for a in a_e]
     kappa = cofactor_kernel_vector(rows, len(a_f))
     ray = [int_dot(row, kappa) for row in zip(*a_f)]
@@ -369,7 +403,7 @@ def barycenter_projection(system, e: int, f: int) -> tuple[int, ...]:
     the barycenter's component orthogonal to span(E); zero is an error."""
     E, F = system.lattice.faces_by_id[e], system.lattice.faces_by_id[f]
     data_E, data_F = system.face_data(e), system.face_data(f)
-    a_e, b = data_E.span_basis, vertex_sum(system.cone, F)
+    a_e, b = span_basis(system.cone, data_E), vertex_sum(system.cone, F)
     rhs = [int_dot(u, b) for u in a_e]
     w = [data_E.gram_det * x for x in b]
     for adj_row, col in zip(data_E.gram_adj, a_e):
@@ -435,7 +469,7 @@ def orthogonal_component(C: LiftedCone, E: Face, point) -> tuple[Fraction, ...]:
     of E's rational lifted vertices (1, v), by a rational Gram solve
     G x = A^T point with G = A^T A over E's own greedy basis A."""
     point = qvec(point)
-    A = _greedy_independent([(Fraction(1),) + C.base.vertices[i] for i in E.vertex_set], C.dim)
+    A = _greedy_independent([rational_lifted_vertex(C, i) for i in E.vertex_set], C.dim)
     if A.cols == 0:
         return point
     at = A.transpose()
@@ -447,7 +481,7 @@ def orthogonal_component(C: LiftedCone, E: Face, point) -> tuple[Fraction, ...]:
 def oracle_crosscheck(C: LiftedCone, E: Face, F: Face) -> tuple[Fraction, ...]:
     """The component of the barycenter of the rational lifted F-vertices
     (1, v) orthogonal to span(E)."""
-    lifted = [(Fraction(1),) + C.base.vertices[i] for i in F.vertex_set]
+    lifted = [rational_lifted_vertex(C, i) for i in F.vertex_set]
     bary = tuple(sum(col, start=Fraction(0)) / len(lifted) for col in zip(*lifted))
     return orthogonal_component(C, E, bary)
 

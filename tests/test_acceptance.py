@@ -31,9 +31,11 @@ from oracles import (
     barycenter_projection,
     circledast_gens,
     complex_from_dense,
+    dual_face_gens,
     int_mat_is_zero,
     positive_multiple_ratio,
     simplicial_boundary_matrices,
+    span_basis,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -128,14 +130,16 @@ def test_criterion_5_edge_ray_crosscheck(corpus_run):
             ray = system.ray(lat.face_id[e], lat.face_id[f])
             data_e = system.face_data(lat.face_id[e])
             data_f = system.face_data(lat.face_id[f])
+            basis_f = span_basis(system.cone, data_f)
+            dual_e = dual_face_gens(system, lat.face_id[e])
+            dual_f = dual_face_gens(system, lat.face_id[f])
             # membership invariants, all exact
-            stacked = QMatrix.from_columns(data_f.span_basis + (ray.direction,), rows=n)
-            assert rank(stacked) == len(data_f.span_basis)
-            assert all(dot(ray.direction, col) == 0 for col in data_e.span_basis)
-            assert all(dot(ray.direction, y) >= 0 for y in data_e.dual_face_gens)
-            assert all(dot(ray.direction, y) == 0 for y in data_f.dual_face_gens)
-            hits = [g for g in circledast[e]
-                    if all(dot(g, y) == 0 for y in data_f.dual_face_gens)]
+            stacked = QMatrix.from_columns(basis_f + (ray.direction,), rows=n)
+            assert rank(stacked) == len(basis_f)
+            assert all(dot(ray.direction, col) == 0 for col in span_basis(system.cone, data_e))
+            assert all(dot(ray.direction, y) >= 0 for y in dual_e)
+            assert all(dot(ray.direction, y) == 0 for y in dual_f)
+            hits = [g for g in circledast[e] if all(dot(g, y) == 0 for y in dual_f)]
             assert len(hits) == 1
             system.crosscheck(lat.face_id[e], lat.face_id[f], ray)
             ratio = positive_multiple_ratio(

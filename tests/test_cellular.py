@@ -49,6 +49,7 @@ from oracles import (
     int_mat_is_zero,
     oracle_incidence_sign,
     simplicial_boundary_matrices,
+    span_basis,
     sparse_columns,
 )
 
@@ -75,9 +76,10 @@ def test_trivialize_vertex_and_empty():
     v0 = lat.faces(0)[0]
     assert triv == cellular.Trivialization(flipped=frozenset())
     assert trivialize(lat, flip_faces=[v0]).flipped == {lat.face_id[v0]}
-    assert system.face_data(lat.face_id[v0]).span_basis == (system.cone.generators[0],)
-    assert len(system.face_data(lat.face_id[lat.empty_face]).span_basis) == 0
-    assert len(system.face_data(lat.face_id[lat.top_face]).span_basis) == 3
+    v0_data = system.face_data(lat.face_id[v0])
+    assert span_basis(system.cone, v0_data) == (system.cone.generators[0],)
+    assert len(system.face_data(lat.face_id[lat.empty_face]).span_ids) == 0
+    assert len(system.face_data(lat.face_id[lat.top_face]).span_ids) == 3
 
 
 def test_trivialize_rejects_flipping_empty_face():
@@ -357,6 +359,23 @@ def test_boundary_out_of_range():
     lat, system, triv = setup_polytope(poly)
     with pytest.raises(ValueError):
         boundary_columns(triv, system, 2)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_complex_matrix_and_labels_reject_dimension_out_of_range(d):
+    # D_j exists for 0 <= j <= dim and face labels for -1 <= j <= dim; a
+    # negative index does not wrap around to the top, and one past either
+    # end is a ValueError naming the range, as for boundary_columns and
+    # FaceLattice.faces
+    x = run_pipeline(hypercube(d)).complex
+    assert x.matrix(0) == ((1,) * 2 ** d,)
+    assert x.face_labels(-1) == ((),) and x.face_labels(d) == (tuple(range(2 ** d)),)
+    for j in (-2, -1, d + 1):
+        with pytest.raises(ValueError, match=rf"^boundary dimension {j} out of range \[0, {d}\]$"):
+            x.matrix(j)
+    for j in (-2, d + 1):
+        with pytest.raises(ValueError, match=rf"^face dimension {j} out of range \[-1, {d}\]$"):
+            x.face_labels(j)
 
 
 def test_build_complex_rejects_system_of_another_lattice():

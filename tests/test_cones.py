@@ -45,6 +45,8 @@ from oracles import (
     circledast_gens,
     cramer_numerators,
     crosscheck_verdict,
+    dual_face_gens,
+    dual_face_ids,
     echelon_dual_rank,
     gram_adjugate,
     gram_certificate_holds,
@@ -56,6 +58,7 @@ from oracles import (
     positive_multiple_ratio,
     solve_in_span,
     solved_edge_ray,
+    span_basis,
     span_basis_of_face,
     span_gram,
     table_orientation,
@@ -143,10 +146,11 @@ def test_face_data_top_face():
     poly = simplex(2)
     lat, by_set = faces_of(poly)
     cone = lift(poly)
-    data = ConeSystem(cone, lat).face_data(lat.face_id[lat.top_face])
-    assert data.dual_face_gens == ()
+    system = ConeSystem(cone, lat)
+    top = lat.face_id[lat.top_face]
+    assert dual_face_gens(system, top) == ()
     assert circledast_gens(cone, lat.top_face) == ()
-    assert len(data.span_basis) == 3
+    assert len(system.face_data(top).span_ids) == 3
 
 
 def test_face_data_empty_face_bipolar():
@@ -154,19 +158,21 @@ def test_face_data_empty_face_bipolar():
     poly = hypercube(2)
     lat, _ = faces_of(poly)
     cone = lift(poly)
-    data = ConeSystem(cone, lat).face_data(lat.face_id[lat.empty_face])
+    system = ConeSystem(cone, lat)
+    empty = lat.face_id[lat.empty_face]
     assert set(circledast_gens(cone, lat.empty_face)) == {primitive_vector(g) for g in cone.generators}
-    assert data.dual_face_gens == cone.facet_normals
-    assert len(data.span_basis) == 0
+    assert dual_face_gens(system, empty) == cone.facet_normals
+    assert len(system.face_data(empty).span_ids) == 0
 
 
 def test_face_data_segment_vertex():
     poly = simplex(1)
     lat, by_set = faces_of(poly)
     cone = lift(poly)
-    data = ConeSystem(cone, lat).face_data(lat.face_id[by_set[(0,)]])
-    assert data.span_basis == ((1, 0),)
-    assert data.dual_face_gens == ((0, 1),)
+    system = ConeSystem(cone, lat)
+    vertex = lat.face_id[by_set[(0,)]]
+    assert span_basis(cone, system.face_data(vertex)) == ((1, 0),)
+    assert dual_face_gens(system, vertex) == ((0, 1),)
     assert circledast_gens(cone, by_set[(0,)]) == ((0, 1),)
 
 
@@ -177,16 +183,16 @@ def test_face_data_invariants_small_corpus(small_corpus):
         system = ConeSystem(cone, lat)
         n = cone.dim
         for i, f in enumerate(lat.faces_by_id):
-            data = system.face_data(i)
-            assert len(data.span_basis) == f.dim + 1
-            for g in data.dual_face_gens:
+            assert len(system.face_data(i).span_ids) == f.dim + 1
+            dual = dual_face_gens(system, i)
+            for g in dual:
                 assert all(dot(g, cone.generators[i]) == 0 for i in f.vertex_set)
                 assert all(dot(g, v) >= 0 for v in cone.generators)
             for x in circledast_gens(cone, f):
-                assert all(dot(x, y) >= 0 for y in data.dual_face_gens)
+                assert all(dot(x, y) >= 0 for y in dual)
             # duality of span dimensions
-            span_gens = QMatrix.from_columns(list(data.dual_face_gens) or [], rows=n) \
-                if data.dual_face_gens else QMatrix(n, 0, tuple(() for _ in range(n)))
+            span_gens = QMatrix.from_columns(list(dual), rows=n) \
+                if dual else QMatrix(n, 0, tuple(() for _ in range(n)))
             assert rank(span_gens) == n - (f.dim + 1)
 
 
@@ -229,15 +235,13 @@ def test_edge_ray_triangle_vertex_edge_invariants():
     e, f = lat.face_id[by_set[(0,)]], lat.face_id[by_set[(0, 1)]]
     system = ConeSystem(cone, lat)
     ray = system.ray(e, f)
-    data_e = system.face_data(e)
-    data_f = system.face_data(f)
     # inside span of F
-    assert rank(QMatrix.from_columns(data_f.span_basis + (ray.direction,))) == 2
+    assert rank(QMatrix.from_columns(span_basis(cone, system.face_data(f)) + (ray.direction,))) == 2
     # orthogonal to span of E
     assert dot(ray.direction, cone.generators[0]) == 0
     # nonnegative against dual face of E, zero against dual face of F
-    assert all(dot(ray.direction, y) >= 0 for y in data_e.dual_face_gens)
-    assert all(dot(ray.direction, y) == 0 for y in data_f.dual_face_gens)
+    assert all(dot(ray.direction, y) >= 0 for y in dual_face_gens(system, e))
+    assert all(dot(ray.direction, y) == 0 for y in dual_face_gens(system, f))
 
 
 def test_edge_ray_rejects_non_covering_pair():
@@ -275,7 +279,7 @@ def test_crosscheck_matches_rational_gram_oracle(small_corpus):
         system = ConeSystem(cone, lat)
         scale = lcm(*(x.denominator for v in poly.vertices for x in v))
         for e, f in lat.covering:
-            a_e = system.face_data(lat.face_id[e]).span_basis
+            a_e = span_basis(cone, system.face_data(lat.face_id[e]))
             det_g = leibniz_det([[dot(u, v) for v in a_e] for u in a_e])
             factor = scale * len(f.vertex_set) * det_g
             assert barycenter_projection(system, lat.face_id[e], lat.face_id[f]) == \
@@ -404,9 +408,12 @@ def test_scaled_ray_is_accepted(m_zero_systems):
 
 
 def test_m_zero_pairs_take_no_dot_products(monkeypatch):
-    # on cross5, the 812 pairs with m = 0 run no int_dot in edge_ray or
-    # edge_ray_crosscheck, and the other 30 do; face_cone_data reads no
-    # n-vector generator of the cone
+    # on cross5, inside cover_orientations, the 812 pairs with m = 0 run no
+    # int_dot, and the other 30, which take edge_ray and
+    # edge_ray_crosscheck, do; a pair's count runs from its adjugate_column
+    # call, the first thing the batch does for it, to the next pair's.
+    # face_cone_data reads no n-vector generator of the cone, nor does the
+    # batch
     poly = cross_polytope(5)
     lat = face_lattice(poly)
     cone = lift(poly)
@@ -441,15 +448,24 @@ def test_m_zero_pairs_take_no_dot_products(monkeypatch):
         calls[0] += 1
         return real(u, v)
 
+    real_column = cones.adjugate_column
+    starts = []  # per pair of the face: (m = 0, int_dot calls before it)
+
+    def marking(span_f, span_e):
+        r = real_column(span_f, span_e)
+        starts.append((r is not None, calls[0]))
+        return r
+
     monkeypatch.setattr(cones, "int_dot", counting)
+    monkeypatch.setattr(cones, "adjugate_column", marking)
     dots = Counter()
     for f, lower in enumerate(lat.down):
-        for e in lower:
-            before = calls[0]
-            ray = system.ray(e, f)
-            system.crosscheck(e, f, ray)
-            m_zero = is_m_zero(system, ray, e, f)
-            dots[m_zero, calls[0] > before] += 1
+        starts.clear()
+        system.cover_orientations(f)
+        assert len(starts) == len(lower)
+        ends = [before for _, before in starts[1:]] + [calls[0]]
+        for (m_zero, before), end in zip(starts, ends):
+            dots[m_zero, end > before] += 1
     assert dots == {(True, False): 812, (False, True): 30}
     assert reads == []
 
@@ -470,8 +486,8 @@ def test_crosscheck_rejects_perturbed_vertex_sum_dot(monkeypatch):
         return system.face_data(lat.face_id[face])
 
     def rejected(face, **change):
-        def perturbed(C, F, *args):
-            data = real(C, F, *args)
+        def perturbed(F, *args):
+            data = real(F, *args)
             return dataclasses.replace(data, **change) if F == face else data
 
         monkeypatch.setattr(cones, "face_cone_data", perturbed)
@@ -546,7 +562,8 @@ def test_face_data_holds_per_face_work(small_corpus):
     # face's lifted vertices span, and the numbers of the vertex sum b_F
     # (A_F^T b_F, z_F = adj(G) A_F^T b_F with A_F z_F = det G b_F, and
     # |b_F|^2, against the n-vector sum of the generators), Gram matrix
-    # and determinant and dual face (vertex masks ANDed) are those of the face
+    # and determinant are those of the face; its dual face read off the
+    # slack table's zeros is the one of the dot products
     for poly in small_corpus:
         lat = face_lattice(poly)
         system = ConeSystem(lift(poly), lat)
@@ -554,28 +571,26 @@ def test_face_data_holds_per_face_work(small_corpus):
             data = system.face_data(i)
             ids, oracle = span_basis_of_face(system.cone, f)
             assert data.span_ids == ids
-            assert data.span_basis == tuple(system.cone.generators[a] for a in ids)
-            fresh = IntEchelon(data.span_basis)
+            basis = span_basis(system.cone, data)
+            fresh = IntEchelon(basis)
             assert oracle.rank == fresh.rank == f.dim + 1
             for g in system.cone.generators:
                 assert oracle.contains(g) == fresh.contains(g)
             b = vertex_sum(system.cone, f)
-            assert data.span_sum_dot == tuple(int_dot(a, b) for a in data.span_basis)
+            assert data.span_sum_dot == tuple(int_dot(a, b) for a in basis)
             assert data.sum_coords == tuple(int_dot(row, data.span_sum_dot)
                                             for row in data.gram_adj)
-            assert [sum(z * a[c] for z, a in zip(data.sum_coords, data.span_basis))
+            assert [sum(z * a[c] for z, a in zip(data.sum_coords, basis))
                     for c in range(system.cone.dim)] == [data.gram_det * x for x in b]
             assert data.sum_sq == int_dot(b, b)
-            gram = [[int_dot(u, v) for v in data.span_basis] for u in data.span_basis]
+            gram = [[int_dot(u, v) for v in basis] for u in basis]
             assert span_gram(system.gram, data.span_ids) == tuple(map(tuple, gram))
             assert data.gram_det == bareiss_det(gram) > 0
             assert data.span_mask == sum(1 << a for a in ids)
             verts = [system.cone.generators[i] for i in f.vertex_set]
-            assert data.dual_ids == tuple(k for k, y in enumerate(system.cone.facet_normals)
-                                          if all(int_dot(y, g) == 0 for g in verts))
-            assert data.dual_mask == sum(1 << k for k in data.dual_ids)
-            assert data.dual_face_gens == tuple(system.cone.facet_normals[k]
-                                                for k in data.dual_ids)
+            assert dual_face_ids(system, i) == tuple(
+                k for k, y in enumerate(system.cone.facet_normals)
+                if all(int_dot(y, g) == 0 for g in verts))
 
 
 @pytest.fixture(scope="module")
@@ -664,7 +679,7 @@ def test_dual_rank_stops_at_full_rank(resume_lattices):
     for poly, lat in resume_lattices:
         system = ConeSystem(lift(poly), lat)
         for i, f in enumerate(lat.faces_by_id):
-            gens = system.face_data(i).dual_face_gens
+            gens = dual_face_gens(system, i)
             expected = system.cone.dim - (f.dim + 1)
             assert IntEchelon(gens).rank == echelon_dual_rank(gens, expected) == expected, \
                 (poly.name, f)
@@ -690,30 +705,41 @@ def test_bordering_steps_carry_the_face_certificate(resume_systems):
 
 def test_cover_batch_matches_per_pair_api(resume_systems):
     # on every covering pair with m = 0 the batch's sigma and verdict are
-    # those of edge_ray + edge_ray_crosscheck; every pair with m > 0 takes
-    # the per-pair API in the batch, so its sigma is the ray's by
-    # construction
+    # those of edge_ray + edge_ray_crosscheck, which take the general Gram
+    # solve and Cauchy-Schwarz test there too; and the solved ray is the
+    # identity the batch rests on, column r of F's certified adjugate:
+    # c = adj(G_F)[r][r] = det G_E, x = (-adj(G_F)[a][r] for a != r) and
+    # sigma = (-1)^r.  Every pair with m > 0 takes the per-pair API in the
+    # batch, so its sigma is the ray's by construction
     m_zero = 0
     for poly, system in resume_systems:
         lat = system.lattice
         for f, lower in enumerate(lat.down):
-            span_f = system.face_data(f).span_mask
+            data_f = system.face_data(f)
             for e, sigma in zip(lower, system.cover_orientations(f)):
                 ray = system.ray(e, f)
                 system.crosscheck(e, f, ray)
                 assert sigma == ray.orientation, (poly.name, e, f)
-                if cones.adjugate_column(span_f, system.face_data(e).span_mask) is not None:
-                    assert is_m_zero(system, ray, e, f), (poly.name, e, f)
-                    m_zero += 1
+                r = cones.adjugate_column(data_f.span_mask, system.face_data(e).span_mask)
+                if r is None:
+                    continue
+                assert is_m_zero(system, ray, e, f), (poly.name, e, f)
+                adj = data_f.gram_adj
+                assert ray.c == adj[r][r] == system.face_data(e).gram_det, (poly.name, e, f)
+                assert ray.x == tuple(-adj[a][r] for a in range(len(adj)) if a != r), \
+                    (poly.name, e, f)
+                assert ray.orientation == (-1) ** r, (poly.name, e, f)
+                m_zero += 1
     assert m_zero > 10000
 
 
 @pytest.mark.parametrize("fault", ["z", "cofactor"])
-def test_cover_batch_and_per_pair_api_reject_the_same_faults(fault, monkeypatch):
+def test_m_zero_faults_fail_the_batch_not_the_per_pair_api(fault, monkeypatch):
     # the top face of the 3-cube, which no face resumes from, with z_F[r]
     # set to 0 or adj(G_F)[r][r] moved off det G_E by one, for the row r of
-    # its first lower cover E with m = 0: the batch and the per-pair API
-    # both reject (E, top), with the same message
+    # its first lower cover E with m = 0: the batch rejects (E, top),
+    # naming it, and the per-pair API, which reads neither z_F nor F's
+    # adjugate on that pair, makes the same ray and accepts it
     poly = hypercube(3)
     lat = face_lattice(poly)
     system = ConeSystem(lift(poly), lat)
@@ -735,18 +761,19 @@ def test_cover_batch_and_per_pair_api_reject_the_same_faults(fault, monkeypatch)
         why = f"cofactor adj(G_F)[{r}][{r}] = {det + 1} is not det G_E = {det} > 0"
     real = cones.face_cone_data
 
-    def corrupting(C, F, *args):
-        data = real(C, F, *args)
+    def corrupting(F, *args):
+        data = real(F, *args)
         return dataclasses.replace(data, **change) if F == lat.top_face else data
 
     monkeypatch.setattr(cones, "face_cone_data", corrupting)
     broken = ConeSystem(system.cone, lat)
-    message = f"edge-ray cross-check failed for ({lat.faces_by_id[e]}, {lat.top_face}): {why}"
     with pytest.raises(InternalInvariantError) as batch:
         broken.cover_orientations(top)
-    with pytest.raises(InternalInvariantError) as pair:
-        broken.crosscheck(e, top, broken.ray(e, top))
-    assert str(batch.value) == str(pair.value) == message
+    assert str(batch.value) == (
+        f"edge-ray cross-check failed for ({lat.faces_by_id[e]}, {lat.top_face}): {why}")
+    ray = broken.ray(e, top)
+    assert ray == system.ray(e, top)
+    broken.crosscheck(e, top, ray)
 
 
 def test_bordering_step_rejects_inexact_division():
@@ -876,9 +903,9 @@ def test_inherited_adjugate_fails_certificate_of_face(monkeypatch):
     real = cones.face_cone_data
     covers, corrupted = {}, {}
 
-    def corrupting(C, F, gram, dual_mask, cover=None):
+    def corrupting(F, gram, cover=None):
         covers[F] = cover
-        data = real(C, F, gram, dual_mask, cover)
+        data = real(F, gram, cover)
         if F != vertex:
             return data
         adj = data.gram_adj
@@ -898,9 +925,9 @@ def test_inherited_adjugate_fails_certificate_of_face(monkeypatch):
 
     calls = []
 
-    def counting(C, F, *args):
+    def counting(F, *args):
         calls.append(F)
-        return real(C, F, *args)
+        return real(F, *args)
 
     monkeypatch.setattr(cones, "face_cone_data", counting)
     system = ConeSystem(lift(poly), lat)
@@ -932,14 +959,15 @@ def test_edge_ray_rejects_ray_outside_span_of_f():
 
 
 def test_edge_ray_rejects_ray_not_orthogonal_to_e(monkeypatch):
-    # for a pair with m = 0 the ray is column r of adj(G_F), certified by
-    # the bordering steps that built it, so w = c g - A_E x is orthogonal
-    # to span(E).  The edge {2,3} of the square is no face's resumed cover;
-    # its adjugate corrupted after its steps at (r, r), c = det G_E moved by
-    # one, would move w off span(E)^perp, and the batch rejects the pair by
-    # the principal-minor check adj(G_F)[r][r] = det G_E, naming it.  Moved
-    # off the diagonal, the same corruption moves x by one: w stays in
-    # span(F) but leaves span(E)^perp, as the per-pair API shows
+    # for a pair with m = 0 the batch reads the ray as column r of adj(G_F),
+    # certified by the bordering steps that built it, so w = c g - A_E x is
+    # orthogonal to span(E).  The edge {2,3} of the square is no face's
+    # resumed cover; its adjugate corrupted after its steps at (r, r),
+    # c = det G_E moved by one, would move w off span(E)^perp, and the
+    # batch rejects the pair by the principal-minor check
+    # adj(G_F)[r][r] = det G_E, naming it.  The per-pair API solves for x
+    # with E's adjugate: that adjugate moved by -1 at (0, 0) moves x, and
+    # w stays in span(F) but leaves span(E)^perp
     poly = hypercube(2)
     lat, by_set = faces_of(poly)
     system = ConeSystem(lift(poly), lat)
@@ -952,16 +980,17 @@ def test_edge_ray_rejects_ray_not_orthogonal_to_e(monkeypatch):
     r = data_f.span_row[ray.g]
     assert is_m_zero(system, ray, i, j)
 
-    def corrupt(adj, at):
-        rows = [list(row) for row in adj]
-        rows[r][at] += 1
+    def corrupt(adj, row, col, by):
+        rows = [list(x) for x in adj]
+        rows[row][col] += by
         return tuple(map(tuple, rows))
 
     real = cones.face_cone_data
 
-    def corrupting(C, F, *args):
-        data = real(C, F, *args)
-        return dataclasses.replace(data, gram_adj=corrupt(data.gram_adj, r)) if F == f else data
+    def corrupting(F, *args):
+        data = real(F, *args)
+        return dataclasses.replace(data, gram_adj=corrupt(data.gram_adj, r, r, 1)) \
+            if F == f else data
 
     monkeypatch.setattr(cones, "face_cone_data", corrupting)
     with pytest.raises(InternalInvariantError) as err:
@@ -969,8 +998,8 @@ def test_edge_ray_rejects_ray_not_orthogonal_to_e(monkeypatch):
     assert str(err.value) == (
         f"edge-ray cross-check failed for ({e}, {f}): cofactor adj(G_F)[{r}][{r}] = "
         f"{data_e.gram_det + 1} is not det G_E = {data_e.gram_det} > 0")
-    bad = dataclasses.replace(data_f, gram_adj=corrupt(data_f.gram_adj, 1 - r))
-    moved = edge_ray(system.cone, e, f, data_e, bad, gram=system.gram,
+    bad = dataclasses.replace(data_e, gram_adj=corrupt(data_e.gram_adj, 0, 0, -1))
+    moved = edge_ray(system.cone, e, f, bad, data_f, gram=system.gram,
                      e_mask=lat.vertex_masks[i])
     assert moved.x != ray.x
     assert any(dot(moved.direction, system.cone.generators[a]) != 0 for a in data_e.span_ids)
@@ -1013,7 +1042,7 @@ def test_edge_ray_without_orientation_names_pair():
     gens[g] = gens[e.vertex_set[0]]
     broken = dataclasses.replace(system.cone, generators=tuple(gens))
     with pytest.raises(InternalInvariantError) as err:
-        cones.face_cone_data(broken, f, gram_table(broken), 0)
+        cones.face_cone_data(f, gram_table(broken))
     assert str(err.value) == f"face {f}: span has 1 independent lifted vertices, expected 2"
 
 
@@ -1063,7 +1092,7 @@ def test_edge_ray_rejects_negative_slack(monkeypatch):
     system = ConeSystem(lift(hypercube(2)), lat)
     e, f = next((e, f) for e, f in lat.covering if f.dim == 1)
     g = system.ray(lat.face_id[e], lat.face_id[f]).g
-    k = system.face_data(lat.face_id[e]).dual_ids[0]
+    k = dual_face_ids(system, lat.face_id[e])[0]
     slack = [list(row) for row in system.slack]
     slack[g][k] = -1
     monkeypatch.setattr(cones, "slack_table", lambda C: tuple(map(tuple, slack)))
@@ -1158,7 +1187,7 @@ def test_projection_identities_on_tables(small_corpus):
             assert all(x.denominator == 1 for x in w), (poly.name, e, f)
             assert primitive_vector(w) == \
                 system.ray(lat.face_id[e], lat.face_id[f]).direction, (poly.name, e, f)
-            for k in data_e.dual_ids:
+            for k in dual_face_ids(system, lat.face_id[e]):
                 assert dot(w, system.cone.facet_normals[k]) == \
                     data_e.gram_det * system.slack[g][k], (poly.name, e, f)
             assert all(dot(w, gens[a]) == 0 for a in data_e.span_ids)
@@ -1201,9 +1230,8 @@ def test_ray_intersection_is_one_dimensional(small_corpus):
         system = ConeSystem(lift(poly), lat)
         circledast = {f: circledast_gens(system.cone, f) for f in lat.faces_by_id}
         for e, f in lat.covering:
-            data_f = system.face_data(lat.face_id[f])
-            hits = [g for g in circledast[e]
-                    if all(dot(g, y) == 0 for y in data_f.dual_face_gens)]
+            dual_f = dual_face_gens(system, lat.face_id[f])
+            hits = [g for g in circledast[e] if all(dot(g, y) == 0 for y in dual_f)]
             assert hits == [system.ray(lat.face_id[e], lat.face_id[f]).direction], \
                 (poly.name, e, f)
 
