@@ -17,8 +17,10 @@ The cone stage has already decided that sign for the unflipped bases, by
 face: ``ConeSystem.cover_orientations`` gives the orientation sigma of
 every lower cover E of F at once.  A pair with m = 0 reads sigma off F's
 certified adjugate with no ray made (``cones.adjugate_column`` states the
-identities); any other pair takes ``cones.edge_ray``, whose
-``EdgeRay.orientation`` is read off F's basis coordinates.  A flip of F
+identities); a pair with m > 0 whose faces are both dual-simple reads it on
+the dual side, from the dual base signs of E and F and one bit of their
+dual masks (``cones.dual_sign``); any other pair takes ``cones.edge_ray``,
+whose ``EdgeRay.orientation`` is read off F's basis coordinates.  A flip of F
 negates a column of B^T A_F and a flip of E a row, so with eps = -1 for a
 flipped face and +1 otherwise
 
@@ -34,7 +36,9 @@ The barycenter cross-check (``cones.edge_ray_crosscheck``, on Gram
 numbers, with no n-vector per pair) confirms the oriented ray, sign
 included, independently, and since its vector lies in span(F) it would
 also reject a ray outside span(F).  On a pair with m = 0 it reduces to
-what ``cones.adjugate_pair_fault`` checks off F's and E's data.
+what ``cones.adjugate_pair_fault`` checks off F's and E's data, and on the
+dual route to a fact of the dual masks and S >= 0
+(``ConeSystem.cover_orientations``).
 
 Boundary matrices are integer matrices over the stable (lexicographic by
 vertex set) face ordering, the lattice's face ids.  They are built, kept in

@@ -43,7 +43,7 @@ No n-vector is read for any of it, and a face's data holds vertex ids and
 integers only: its span basis is the cone's generators at its span ids.
 The dual face of F, a face of the dual cone, is generated by the facet
 normals of the cone that vanish on every lifted vertex of F; it is not
-kept, and its bitmask serves the rank check alone.
+built, and its bitmask serves the rank check and the dual route.
 
 In the paper, the edge vector of a covering pair E < F is the extreme ray of
 the dual of E's dual face, taken inside that dual face's span (the
@@ -63,14 +63,26 @@ construction, the barycenter vector, on Gram numbers; its docstring states
 that test.
 
 The covering pairs are taken by face: ``ConeSystem.cover_orientations``
-orients and checks all the lower covers E of a face F in one pass.  A pair
-with m = 0, E's span ids F's minus one, is read off F's certified adjugate
-with no ray made: ``adjugate_column`` states the identities that give its
-ray and sign, and ``adjugate_pair_fault`` what its cross-check reduces to.
-Only the pairs with m > 0 call ``edge_ray`` and ``edge_ray_crosscheck``.
+orients and checks all the lower covers E of a face F in one pass, each by
+one of three routes, fixed by the pair's span and dual masks alone:
+
+  * m = 0, E's span ids F's minus one: read off F's certified adjugate with
+    no ray made; ``adjugate_column`` states the identities that give its
+    ray and sign, and ``adjugate_pair_fault`` what its cross-check reduces
+    to;
+  * m > 0 with E and F both dual-simple, their dual masks of exactly
+    n - dim - 1 normals: read on the dual side, by the cone duality the
+    circledast construction rests on, from the dual base signs tau of the
+    two faces and one bit of their dual masks; ``dual_sign`` states and
+    proves the formula, ``dual_base_sign`` why tau is defined,
+    ``ConeSystem`` how tau propagates along resume covers, and
+    ``cover_orientations`` what the cross-check reduces to and how tau is
+    checked against the adjugates;
+  * any other pair: ``edge_ray`` and ``edge_ray_crosscheck``.
+
 Those two take any pair by the one general construction, the Gram solve
-and the Cauchy-Schwarz test, so on the pairs with m = 0 they are an
-independent oracle of the batch.
+and the Cauchy-Schwarz test, so on the pairs of the first two routes they
+are an independent oracle of the batch.
 """
 
 from __future__ import annotations
@@ -115,8 +127,7 @@ class FaceConeData:
     ``span_ids``."""
 
     span_ids: tuple[int, ...]  # vertex ids of the columns of A_F, increasing
-    span_mask: int  # the bitmask s_F of span_ids
-    span_row: dict[int, int]  # span_ids[r] -> r, its row of coordinates in A_F
+    span_mask: int  # the bitmask s_F of span_ids; id a is row popcount(s_F & (2^a - 1))
     span_sum_dot: tuple[int, ...]  # A_F^T b_F: <a, b_F> for each span id a, b_F the vertex sum
     sum_coords: tuple[int, ...]  # z_F = adj(G) A_F^T b_F, det G times b_F's coordinates in A_F
     sum_sq: int  # |b_F|^2 = <A_F^T b_F, z_F> / det G
@@ -452,7 +463,8 @@ def face_cone_data(F: Face, gram: IntMatrix,
     z_F = adj(G) A_F^T b_F, and |b_F|^2 = <A_F^T b_F, z_F> / det G: b_F lies
     in span(F), so G adj(G) = det G * I makes b_F = A_F z_F / det G, and
     the division is exact.  The cross-check reads z_F[r] for the pairs with
-    m = 0 and the rest for the others.  Only the Gram table is read here,
+    m = 0 and the rest for the pairs of the general route.  Only the Gram
+    table is read here,
     no generator of the cone."""
     if cover is None:
         span_ids, gram_det, gram_adj = bordered_gram_basis(F, gram)
@@ -463,7 +475,6 @@ def face_cone_data(F: Face, gram: IntMatrix,
     at_b = tuple([sum(map(gram[a].__getitem__, F.vertex_set)) for a in span_ids])
     z = tuple([int_dot(row, at_b) for row in gram_adj])
     return FaceConeData(span_ids=span_ids, span_mask=sum(1 << a for a in span_ids),
-                        span_row={a: r for r, a in enumerate(span_ids)},
                         span_sum_dot=at_b, sum_coords=z, sum_sq=int_dot(at_b, z) // gram_det,
                         gram_det=gram_det, gram_adj=gram_adj)
 
@@ -562,9 +573,10 @@ def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: Face
 
     Every pair takes this one construction.  On a pair with m = 0 the ray
     is also a column of F's certified adjugate (``adjugate_column`` states
-    the identities), which ``ConeSystem.cover_orientations`` reads in place
-    of the solve; so on those pairs this function is the batch's
-    independent oracle.  The ray takes one check per pair, on k numbers
+    the identities), and on a pair of dual-simple faces its sign is
+    (-1)^(n-1) * pi * tau_E * tau_F (``dual_sign``);
+    ``ConeSystem.cover_orientations`` reads those in place of the solve, so
+    on those pairs this function is the batch's independent oracle.  The ray takes one check per pair, on k numbers
     (k = dim F, the size of E's basis), besides the sign minor's below:
 
       * orientation: <w, g> = c T[g][g] - <x, A^T g> = c * side, with
@@ -619,7 +631,7 @@ def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: Face
     else:
         raise InternalInvariantError(
             f"edge ray of ({E}, {F}): every span id of {F} lies in {E}")
-    span_row = data_F.span_row
+    span_F = data_F.span_mask
     t_g = gram[g]
     at_g = [t_g[a] for a in a_ids]
     det_e = data_E.gram_det
@@ -629,7 +641,8 @@ def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: Face
         raise InternalInvariantError(
             f"edge ray of ({E}, {F}) is orthogonal to lifted vertex {g}: it has no orientation"
             if side == 0 else f"edge ray of ({E}, {F}) points away from lifted vertex {g}")
-    rows = [span_row[g]] + [span_row.get(a) for a in a_ids]  # None: a is not in F's basis
+    rows = [(span_F & ((1 << a) - 1)).bit_count() if span_F >> a & 1 else None
+            for a in (g,) + a_ids]  # None: a is not in F's basis
     if None not in rows:
         sign = permutation_sign(rows)
     else:
@@ -660,7 +673,9 @@ def edge_ray_crosscheck(ray: EdgeRay, data_E: FaceConeData, data_F: FaceConeData
     Every ray takes the Cauchy-Schwarz test, and nothing there is an
     n-vector.  (On a pair with m = 0 the test reduces to z_F[r] > 0, which
     ``ConeSystem.cover_orientations`` checks in place of this one; the
-    reduction is in ``adjugate_pair_fault``.)  <a, b_F> is read off F's
+    reduction is in ``adjugate_pair_fault``.  On a pair of dual-simple faces
+    it holds by S >= 0 and the dual masks, as ``cover_orientations``
+    states.)  <a, b_F> is read off F's
     face data for a span id a of F and summed off the Gram table, sum over
     u in F of T[a][u], for another vertex; |b_F|^2 is F's, A^T g and G_E
     are read off the Gram table.  G_E adj(G_E) = D * I (certified by E's
@@ -683,8 +698,8 @@ def edge_ray_crosscheck(ray: EdgeRay, data_E: FaceConeData, data_F: FaceConeData
     g, c, x = ray.g, ray.c, ray.x
     a_ids = data_E.span_ids
     E, F = ray.pair
-    span_row = data_F.span_row
-    if g not in span_row and g not in F.vertex_set or ray.e_ids != a_ids:
+    span_F = data_F.span_mask
+    if not span_F >> g & 1 and g not in F.vertex_set or ray.e_ids != a_ids:
         raise InternalInvariantError(
             f"edge-ray cross-check failed for ({E}, {F}): the ray is not a combination "
             f"of a vertex of {F} and the span basis of {E}")
@@ -694,8 +709,9 @@ def edge_ray_crosscheck(ray: EdgeRay, data_E: FaceConeData, data_F: FaceConeData
     sums = data_F.span_sum_dot
 
     def b_dot(v: int) -> int:  # <v, b_F> for a vertex v of F
-        i = span_row.get(v)
-        return sum(map(gram[v].__getitem__, F.vertex_set)) if i is None else sums[i]
+        if span_F >> v & 1:
+            return sums[(span_F & ((1 << v) - 1)).bit_count()]
+        return sum(map(gram[v].__getitem__, F.vertex_set))
 
     at_b = [b_dot(a) for a in a_ids]
     x_b = [int_dot(row, at_b) for row in data_E.gram_adj]
@@ -708,26 +724,104 @@ def edge_ray_crosscheck(ray: EdgeRay, data_E: FaceConeData, data_F: FaceConeData
             f"edge-ray cross-check failed for ({E}, {F}): {NOT_A_POSITIVE_MULTIPLE}")
 
 
+def dual_sign(n: int, dual_F: int, dual_E: int) -> int:
+    """(-1)^(n-1) * pi for a covering pair (E, F) whose faces are both
+    dual-simple, from their dual masks: pi = (-1)^(popcount of the bits of
+    ``dual_F`` above y), y the one bit of ``dual_E`` & ~``dual_F``.  The
+    pair's orientation is then
+
+        sigma = (-1)^(n-1) * pi * tau_E * tau_F,
+
+    with tau the dual base sign of each face (``dual_base_sign``).
+
+    A face F is dual-simple when its dual mask has exactly n - dim F - 1
+    bits, the rank ``check_dual_faces`` certifies; its normals, in index
+    order the columns of Y_F, are then independent, and [A_F | Y_F] is a
+    basis of R^n (``dual_base_sign``).  E lies in F, so dual_F is inside
+    dual_E, and their counts differ by one: dual_E = dual_F plus the one
+    normal y, column j of Y_E, j = popcount(dual_F below y).
+
+    Proof.  The ray w = c g - A_E x of the pair (``edge_ray``) spans
+    span(F) meet span(E)^perp, and span(E)^perp is span(Y_E): the
+    n - dim E - 1 independent normals of Y_E vanish on span(E), of that
+    codimension.  So w = alpha y + Y_F beta.  Every normal of Y_F vanishes on g, a vertex of
+    F, so <w, g> = alpha S[g][y]; <w, g> = c * side > 0 and S >= 0 give
+    alpha > 0.  Expand det[w | A_E | Y_F], n columns, both ways:
+
+      * [w | A_E] = A_F C with sign det C = sigma (``edge_ray``), so the
+        matrix is [A_F | Y_F] diag(C, I): the sign is sigma * tau_F;
+      * Y_F beta is a combination of the other columns, so the determinant
+        is alpha det[y | A_E | Y_F]; moving y past the dim F columns of A_E
+        and the j of Y_F below it gives [A_E | Y_E]: the sign is
+        (-1)^(dim F + j) * tau_E.
+
+    So sigma = (-1)^(dim F + j) tau_E tau_F, and
+    dim F + j = n - 1 - popcount(dual_F above y), as |dual_F| = n - dim F - 1.
+    No ray is made, and no Gram number is read."""
+    y = dual_E & ~dual_F
+    return -1 if (n - 1 + (dual_F >> y.bit_length()).bit_count()) & 1 else 1
+
+
+def dual_base_sign(F: Face, span_ids: Sequence[int], dual_mask: int, top_ids: Sequence[int],
+                   gram: IntMatrix, slack: IntMatrix) -> int:
+    """tau_F, the sign of [A_F | Y_F] for a dual-simple face F, by one n x n
+    Bareiss determinant on the Gram and slack tables: A_F the cone's
+    generators at F's ``span_ids``, Y_F the facet normals of F's
+    ``dual_mask`` in index order (``dual_sign``).
+
+    It is taken against the basis A_P of the top face P (``top_ids``, n
+    independent lifted vertices): tau_F = sign det([A_F | Y_F]^T A_P), whose
+    entries are <a, b> = T[a][b] and <y_k, b> = S[b][k] for b in P's span
+    ids.  That is sign det[A_F | Y_F] times sign det A_P, one factor for
+    every face, which cancels in the product tau_E tau_F of ``dual_sign``
+    and in the propagation along resume covers (``ConeSystem``); so no
+    generator of the cone is read.
+
+    [A_F | Y_F] is nonsingular: A_F is independent (det G_F > 0), the
+    n - dim F - 1 normals of Y_F are independent (their certified rank) and
+    orthogonal to span(F), as each vanishes on F's vertices; a vector in
+    both spans is orthogonal to itself, and the counts add up to n.  A_P is
+    a basis of R^n.  So a zero determinant is an error naming F."""
+    rows = [[gram[a][b] for b in top_ids] for a in span_ids]
+    rows += [[slack[b][k] for b in top_ids] for k in set_bits(dual_mask)]
+    det = bareiss_det(rows)
+    if det == 0:
+        raise InternalInvariantError(f"dual base [A_F | Y_F] of {F} is singular")
+    return 1 if det > 0 else -1
+
+
 class ConeSystem:
     """Per-face cone data (``FaceConeData``) for every face of ``lattice``,
     in a list indexed by its face ids, read by the edge rays and the
     cross-checks.  The Gram and slack tables of the lifted vertices
-    (``gram``, ``slack``) and each face's dual-face bitmask (the AND of its
-    vertices' ``vertex_facet_masks``) are built first; S >= 0 and the dual
-    ranks (``check_dual_faces``) are checked then, and the masks are not
-    kept.  Every face's data is
-    then built once, in face-id order.  A face's data grows from the data
-    of a lower cover E when E's span ids all lie below p = min(F - E) (see
-    ``bordered_gram_basis``): the first such cover in ``down`` order whose
-    vertex set F's strictly holds.  Lower covers have lower ids, so E's
-    data is already built (a cover with a higher id, which only a
-    hand-built lattice can list, is not resumed from).  A face with no such
-    cover takes the full walk.  Edge rays are not kept: ``build_complex``
-    asks for the orientations of each face's lower covers once
-    (``cover_orientations``), which makes and cross-checks a ray only for
-    a pair with m > 0.
+    (``gram``, ``slack``) and each face's dual-face bitmask (``dual_masks``,
+    the AND of its vertices' ``vertex_facet_masks``) are built first; S >= 0
+    and the dual ranks (``check_dual_faces``) are checked then.  Every
+    face's data is then built once, in face-id order.  A face's data grows
+    from the data of a lower cover E, its resume cover, when E's span ids
+    all lie below p = min(F - E) (see ``bordered_gram_basis``): the first
+    such cover in ``down`` order whose vertex set F's strictly holds.
+    Lower covers have lower ids, so E's data is already built (a cover
+    with a higher id, which only a hand-built lattice can list, is not
+    resumed from).  A face with no such cover takes the full walk.  Edge
+    rays are not kept: ``build_complex`` asks for the orientations of each
+    face's lower covers once (``cover_orientations``).
 
-    Safe to share within a run: nothing is modified after ``__init__``.
+    The dual base sign tau_F of a dual-simple face (``dual_sign``,
+    ``dual_base_sign``) is taken only for the faces a pair of the dual
+    route reaches, and kept.  The resume pair (E, F) has m = 0 with p at
+    F's last row r = dim F, so sigma = (-1)^(dim F) (``adjugate_column``);
+    when E is dual-simple too, ``dual_sign`` gives
+
+        tau_F = (-1)^(dim F) * (-1)^(n-1) * pi * tau_E,
+
+    in O(1).  A face whose resume cover is not dual-simple, or that has
+    none (the vertices, unless the empty face is dual-simple), takes one
+    ``dual_base_sign``.
+
+    Safe to share within a run: nothing but that memo of signs, whose
+    values do not depend on the order the faces are asked in, is modified
+    after ``__init__``.
     """
 
     def __init__(self, cone: LiftedCone, lattice: FaceLattice):
@@ -738,61 +832,133 @@ class ConeSystem:
         check_slack(self.slack)
         vertex_masks = vertex_facet_masks(self.slack)
         every = (1 << len(cone.facet_normals)) - 1
-        dual_masks = tuple(reduce(and_, (vertex_masks[i] for i in f.vertex_set), every)
-                           for f in lattice.faces_by_id)
-        check_dual_faces(lattice, dual_masks, cone.dim)
+        self.dual_masks = tuple(reduce(and_, (vertex_masks[i] for i in f.vertex_set), every)
+                                for f in lattice.faces_by_id)
+        check_dual_faces(lattice, self.dual_masks, cone.dim)
         self._face_data: list[FaceConeData] = []
+        self._resumed_from: list[int | None] = []  # each face's resume cover, if any
         for f, F in enumerate(lattice.faces_by_id):
-            self._face_data.append(face_cone_data(F, self.gram, self._cover(f)))
+            resume = self._resume(f)
+            cover = None if resume is None else (self._face_data[resume[0]], resume[1])
+            self._face_data.append(face_cone_data(F, self.gram, cover))
+            self._resumed_from.append(None if resume is None else resume[0])
+        self._taus: dict[int, int] = {}  # tau_F of the dual-simple faces reached so far
 
     def face_data(self, f: int) -> FaceConeData:
         return self._face_data[f]
 
-    def _cover(self, f: int) -> tuple[FaceConeData, int] | None:
-        """(E's face data, p) for the first lower cover E of face f, already
-        built, that the bordered pass of f can resume from, or None."""
+    def _resume(self, f: int) -> tuple[int, int] | None:
+        """(e, p) for the first lower cover e of face f, already built, that
+        the bordered pass of f can resume from, or None."""
         masks = self.lattice.vertex_masks
         mask = masks[f]
         for e in self.lattice.down[f]:
             rest = mask & ~masks[e]
             if e < f and rest and not masks[e] & ~mask:
                 p = (rest & -rest).bit_length() - 1
-                data = self._face_data[e]
-                if not data.span_ids or data.span_ids[-1] < p:
-                    return data, p
+                ids = self._face_data[e].span_ids
+                if not ids or ids[-1] < p:
+                    return e, p
         return None
+
+    def _dual_simple(self, f: int) -> bool:
+        return self.dual_masks[f].bit_count() == self.cone.dim - self.lattice.faces_by_id[f].dim - 1
+
+    def _tau(self, f: int) -> int:
+        """tau_F of a dual-simple face f: kept, propagated from its resume
+        cover when that is dual-simple, or one ``dual_base_sign``.  A new
+        tau is checked at once (``_check_taus``)."""
+        tau = self._taus.get(f)
+        if tau is None:
+            n, dual = self.cone.dim, self.dual_masks
+            e = self._resumed_from[f]
+            if e is not None and self._dual_simple(e):
+                parity = -1 if self.lattice.faces_by_id[f].dim & 1 else 1
+                tau = parity * dual_sign(n, dual[f], dual[e]) * self._tau(e)
+            else:
+                tau = dual_base_sign(self.lattice.faces_by_id[f], self._face_data[f].span_ids,
+                                     dual[f], self._face_data[-1].span_ids, self.gram, self.slack)
+            self._taus[f] = tau
+            self._check_taus(f)
+        return tau
+
+    def _check_taus(self, f: int) -> None:
+        """Every covering pair with m = 0 between face f, whose tau has just
+        been set, and a face that has one already must have
+        (-1)^r = (-1)^(n-1) * pi * tau_E * tau_F (``dual_sign``; the identity
+        holds for every pair of dual-simple faces).  So each such pair is
+        checked once, when the second of its two signs is set, in whatever
+        order the faces are asked; the resume pair that set one tau from the
+        other agrees by construction.  That ties every tau to the certified
+        adjugates.  A mismatch is an error naming the pair."""
+        taus, faces, dual, n = self._taus, self._face_data, self.dual_masks, self.cone.dim
+        L = self.lattice
+        pairs = [(e, f) for e in L.down[f] if e in taus] + [(f, h) for h in L.up[f] if h in taus]
+        for e, h in pairs:
+            r = adjugate_column(faces[h].span_mask, faces[e].span_mask)
+            if r is None:
+                continue
+            sigma = dual_sign(n, dual[h], dual[e]) * taus[e] * taus[h]
+            if sigma != (-1 if r & 1 else 1):
+                raise self._pair_error(
+                    e, h, f"the dual base signs give {sigma}, F's adjugate (-1)^{r} = {-sigma}")
 
     def cover_orientations(self, f: int) -> list[int]:
         """The orientation sigma of every covering pair (E, F) of face f, one
         per lower cover e in ``down[f]`` order, each checked as
-        ``edge_ray`` + ``edge_ray_crosscheck`` check it.
+        ``edge_ray`` + ``edge_ray_crosscheck`` check it.  A pair takes one of
+        three routes, fixed by its span and dual masks alone:
 
-        A pair with m = 0 (``adjugate_column``: s_E & ~s_F = 0 on the span
-        bitmasks, its ray column r of F's certified adjugate) is read off
-        F's data in O(1), with no ray made: sigma = (-1)^r, and the verdict
-        of ``adjugate_pair_fault``.  Those are the sign and the verdict the
-        per-pair functions reach by the Gram solve and the Cauchy-Schwarz
-        test on face data that pass their certificates; the identities are
-        stated in those two helpers.  Only the pairs with m > 0 take ``ray``
-        and ``crosscheck``.  A rejected pair is an error naming it."""
+          * m = 0 (``adjugate_column``: s_E & ~s_F = 0 on the span bitmasks,
+            its ray column r of F's certified adjugate): read off F's data
+            in O(1), with no ray made: sigma = (-1)^r, and the verdict of
+            ``adjugate_pair_fault``;
+          * m > 0, E and F both dual-simple: sigma from two face signs and
+            one dual-mask bit (``dual_sign``), in O(1), with no ray made and
+            no Gram number read;
+          * any other pair: ``ray`` and ``crosscheck``.
+
+        The first two give the sign and the verdict the per-pair functions
+        reach by the Gram solve and the Cauchy-Schwarz test on face data
+        that pass their certificates; the identities are stated in those
+        helpers.  On the dual route the barycenter cross-check reduces to
+        sum over v in F of S[v][y] > 0.  The ray w and the barycenter vector
+        w' lie on the line span(F) meet span(E)^perp, and <., y> is not zero
+        on it: y vanishes on span(E) but not on span(F), which that line
+        and span(E) span.  y vanishes on A_E, so <w, y> = c S[g][y] >= 0 is
+        positive, and w' is a positive multiple of w exactly when
+        <w', y> = det G_E * sum over v in F of S[v][y] > 0.  S >= 0
+        (``check_slack``) and y outside F's dual mask, so nonzero at some
+        vertex of F, already imply that: it checks nothing new.
+
+        What the dual route adds is checked on the adjugate route: the
+        m = 0 pairs between faces that carry tau (``_check_taus``).  A
+        rejected pair is an error naming it."""
         faces = self._face_data
         data_F = faces[f]
-        span_F = data_F.span_mask
+        span_F, dual_F = data_F.span_mask, self.dual_masks[f]
+        simple = self._dual_simple(f)
         signs = []
         for e in self.lattice.down[f]:
             data_E = faces[e]
             r = adjugate_column(span_F, data_E.span_mask)
-            if r is None:
+            if r is not None:
+                fault = adjugate_pair_fault(data_E, data_F, r)
+                if fault is not None:
+                    raise self._pair_error(e, f, fault)
+                signs.append(-1 if r & 1 else 1)
+            elif simple and self._dual_simple(e):
+                signs.append(dual_sign(self.cone.dim, dual_F, self.dual_masks[e])
+                             * self._tau(e) * self._tau(f))
+            else:
                 ray = self.ray(e, f)
                 self.crosscheck(e, f, ray)
                 signs.append(ray.orientation)
-                continue
-            fault = adjugate_pair_fault(data_E, data_F, r)
-            if fault is not None:
-                E, F = self.lattice.faces_by_id[e], self.lattice.faces_by_id[f]
-                raise InternalInvariantError(f"edge-ray cross-check failed for ({E}, {F}): {fault}")
-            signs.append(-1 if r & 1 else 1)
         return signs
+
+    def _pair_error(self, e: int, f: int, why: str) -> InternalInvariantError:
+        E, F = self.lattice.faces_by_id[e], self.lattice.faces_by_id[f]
+        return InternalInvariantError(f"edge-ray cross-check failed for ({E}, {F}): {why}")
 
     def ray(self, e: int, f: int) -> EdgeRay:
         L = self.lattice

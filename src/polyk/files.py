@@ -7,7 +7,9 @@ An integer with more digits than the interpreter converts
 (``sys.get_int_max_str_digits``), as a JSON number or in a "p/q" string, and
 a document nested deeper than the JSON parser's recursion allows are input
 errors that name the file and the limit.  A file must be UTF-8; a byte that
-does not decode is an input error naming the file and the byte's offset.
+does not decode is an input error naming the file and the byte's offset.  So
+must the name: a JSON escape of a lone surrogate (``"\\ud800"``) decodes to a
+string no UTF-8 output can write, an input error naming the file.
 """
 
 from __future__ import annotations
@@ -82,6 +84,11 @@ def parse_polytope_text(text: str, source: str = "<string>") -> PolytopeFile:
     name = doc["name"]
     if not isinstance(name, str):
         raise InputError(f"{source}: name must be a string")
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise InputError(f"{source}: name does not encode as UTF-8: character {exc.start} "
+                         f"is {name[exc.start]!r} ({exc.reason})") from exc
     dim = doc["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
         raise InputError(f"{source}: dim must be a non-negative integer")

@@ -91,8 +91,15 @@ The face-data views rebuild what the library's per-face data does not
 hold, since no report reads it: ``span_basis`` is A_F, the cone's
 generators at the face's span ids; ``dual_face_ids`` and
 ``dual_face_gens`` are the facet normals of the dual face, read off the
-zeros of the slack table; and ``rational_lifted_vertex`` is (1, v) in
-rationals, the integer lifted vertex L (1, v) over its first coordinate.
+zeros of the slack table; ``rational_lifted_vertex`` is (1, v) in
+rationals, the integer lifted vertex L (1, v) over its first coordinate;
+and ``span_row`` is a span id's row, its position in ``span_ids``.
+
+The route oracles classify a covering pair by its masks as the cone
+batch's docstring defines its three routes, without running the batch:
+``dual_simple`` counts a face's dual mask against n - dim F - 1, and
+``pair_route`` names the route.  ``pyramid_prism`` is a small polytope
+whose pairs take all three.
 
 The dual-rank oracle is the count the library made per face before it
 certified dual ranks once per run by the growth of the dual-face masks
@@ -169,7 +176,15 @@ from polyk.linalg import (
     qvec,
     smith_normal_form,
 )
-from polyk.polytope import Face, Facet, FaceLattice, Polytope, affine_dim, convex_hull
+from polyk.polytope import (
+    Face,
+    Facet,
+    FaceLattice,
+    Polytope,
+    affine_dim,
+    convex_hull,
+    validate,
+)
 from polyk.sparse import SparseColumn
 
 
@@ -296,6 +311,37 @@ def span_basis(C: LiftedCone, data: FaceConeData) -> tuple[tuple[int, ...], ...]
     """The columns of A_F for a face's data: the cone's integer lifted
     vertices at its span ids."""
     return tuple(C.generators[a] for a in data.span_ids)
+
+
+def span_row(data: FaceConeData, a: int) -> int | None:
+    """The row of vertex id a in the face's span basis A_F, its position in
+    ``span_ids``, or None when a is not a span id."""
+    return data.span_ids.index(a) if a in data.span_ids else None
+
+
+def pyramid_prism() -> Polytope:
+    """A prism over a square pyramid, 10 vertices in R^4.  The pyramid's
+    apex edge is not dual-simple (its dual mask has one normal too many),
+    so 4 of the 38 covering pairs with m > 0 take the general route and the
+    other 34 the dual route."""
+    pyramid = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 2)]
+    return validate([v + (t,) for t in (0, 1) for v in pyramid], name="pyramid_prism")
+
+
+def dual_simple(system, f) -> bool:
+    """Does the dual mask of face f have n - dim F - 1 bits?"""
+    dim = system.lattice.faces_by_id[f].dim
+    return system.dual_masks[f].bit_count() == system.cone.dim - dim - 1
+
+
+def pair_route(system, e, f) -> str:
+    """The route the batch takes for the covering pair of face ids (e, f),
+    by its masks: "adjugate" for m = 0, "dual" for m > 0 with both faces
+    dual-simple, "general" otherwise."""
+    span_e, span_f = system.face_data(e).span_mask, system.face_data(f).span_mask
+    if not span_e & ~span_f:
+        return "adjugate"
+    return "dual" if dual_simple(system, e) and dual_simple(system, f) else "general"
 
 
 def dual_face_ids(system, f: int) -> tuple[int, ...]:

@@ -48,6 +48,8 @@ from oracles import (
     gram_incidence_sign,
     int_mat_is_zero,
     oracle_incidence_sign,
+    pair_route,
+    pyramid_prism,
     simplicial_boundary_matrices,
     span_basis,
     sparse_columns,
@@ -120,10 +122,13 @@ def test_one_span_basis_per_face_per_run(monkeypatch):
 
 def test_one_edge_ray_per_covering_pair_per_run(monkeypatch):
     # build_complex walks each covering pair once; ConeSystem keeps no rays,
-    # and makes one only for a pair with m > 0 (a span id of E outside F's
-    # basis), 76 of the 232 here; the pairs with m = 0 are read off F's
-    # adjugate with no ray.  No ray builds its n-vector direction: the
-    # cross-check reads the ray's coefficients
+    # and makes one only for a pair of the general route: m > 0 (a span id
+    # of E outside F's basis) with a face that is not dual-simple.  On the
+    # 4-cube all 76 pairs with m > 0 (of 232) take the dual route and no
+    # ray is made; on the prism over a square pyramid 4 of its 38 do not.
+    # The pairs with m = 0 are read off F's adjugate with no ray.  No ray
+    # builds its n-vector direction: the cross-check reads the ray's
+    # coefficients
     real = cones.edge_ray
     calls = []
     built = []
@@ -139,13 +144,18 @@ def test_one_edge_ray_per_covering_pair_per_run(monkeypatch):
 
     monkeypatch.setattr(cones, "edge_ray", counting)
     monkeypatch.setattr(EdgeRay, "direction", property(building))
-    result = run_pipeline(hypercube(4))
-    lat = result.lattice
-    system = ConeSystem(lift(hypercube(4)), lat)
-    m_positive = [(lat.faces_by_id[e], lat.faces_by_id[f]) for f, lower in enumerate(lat.down)
-                  for e in lower if system.face_data(e).span_mask & ~system.face_data(f).span_mask]
-    assert len(lat.covering) == 232 and len(m_positive) == 76
-    assert len(calls) == len(set(calls)) == 76 and set(calls) == set(m_positive)
+    for poly, pairs, m_positive, general in ((hypercube(4), 232, 76, 0),
+                                             (pyramid_prism(), 159, 38, 4)):
+        calls.clear()
+        result = run_pipeline(poly)
+        lat = result.lattice
+        system = ConeSystem(lift(poly), lat)
+        routes = {(lat.faces_by_id[e], lat.faces_by_id[f]): pair_route(system, e, f)
+                  for f, lower in enumerate(lat.down) for e in lower}
+        assert len(lat.covering) == pairs
+        assert sum(route != "adjugate" for route in routes.values()) == m_positive
+        assert len(calls) == len(set(calls)) == general
+        assert set(calls) == {pair for pair, route in routes.items() if route == "general"}
     assert not built
     ray = ConeSystem(lift(hypercube(1)), face_lattice(hypercube(1))).ray(1, 3)
     assert ray.direction == (0, 1) and built == [ray.pair]
@@ -155,12 +165,12 @@ def test_per_face_work_once_per_run(monkeypatch):
     # each face's bordered Gram pass (span basis, det G, adj G) runs once,
     # and the Gram and slack tables once per ConeSystem, with the dual ranks
     # checked on masks and no echelon; the per-pair steps only read them: no
-    # echelon or Gram pass
-    # runs inside a pair, edge_ray takes one sign minor on the pairs where
-    # E's basis has ids outside F's and no determinant on the others, the
-    # cross-check takes none and the incidence sign neither, and no
-    # cofactor kernel is solved while the complex is built
-    poly = hypercube(4)
+    # echelon or Gram pass runs inside a pair, edge_ray takes one sign minor
+    # on the pairs of the general route and is not called on the others,
+    # the dual route takes one base determinant per face its signs cannot
+    # be propagated to, the cross-check takes none and the incidence sign
+    # neither, and no cofactor kernel is solved while the complex is built
+    poly = pyramid_prism()
     active = []  # the wrapped per-pair functions now running
 
     def within(name, fn):
@@ -224,13 +234,15 @@ def test_per_face_work_once_per_run(monkeypatch):
     assert Counter(caller for caller, _ in echelons) == {"lift": 1}
     assert not any(set(pair) - {"build_complex"} for _, pair in echelons + grams)
     assert not any("edge_ray_crosscheck" in pair or "incidence_sign" in pair for pair in dets)
-    # the orientation: one sign minor per covering pair with m > 0, 76 of
-    # the 232 here, m the number of E's span ids outside F's
+    # the orientation: one sign minor per covering pair of the general
+    # route, 4 of the 38 with m > 0 here (m the number of E's span ids
+    # outside F's), and 8 dual base determinants for the other 34
     system = ConeSystem(lift(poly), result.lattice)
-    minors = sum(bool(set(system.face_data(e).span_ids) - set(system.face_data(f).span_ids))
-                 for f, lower in enumerate(result.lattice.down) for e in lower)
-    assert sum("edge_ray" in pair for pair in dets) == minors == 76
-    assert len(result.lattice.covering) == 232
+    routes = Counter(pair_route(system, e, f)
+                     for f, lower in enumerate(result.lattice.down) for e in lower)
+    assert sum("edge_ray" in pair for pair in dets) == routes["general"] == 4
+    assert dets.count(("build_complex",)) == 8 and routes["dual"] == 34
+    assert len(dets) == 12 and len(result.lattice.covering) == 159
     assert not any("build_complex" in pair for pair in kernels)
 
 
@@ -428,9 +440,11 @@ def test_column_support_counts(small_corpus):
 
 def test_build_complex_reports_failed_crosscheck(monkeypatch):
     # a ray with negated coefficients, -w = -c g + A_E x, is a negative
-    # multiple of its barycenter projection: <w, w'> < 0
-    lat, system, triv = setup_polytope(hypercube(2))
-    target = lat.covering[-1]
+    # multiple of its barycenter projection: <w, w'> < 0.  The target is the
+    # last pair of the general route of the prism over a square pyramid
+    lat, system, triv = setup_polytope(pyramid_prism())
+    target = [pair for pair in lat.covering
+              if pair_route(system, lat.face_id[pair[0]], lat.face_id[pair[1]]) == "general"][-1]
     real = cones.edge_ray
 
     def negated(C, e, f, **kwargs):

@@ -6,6 +6,7 @@ Caratheodory-style enumeration over generator subsets.
 
 import dataclasses
 import random
+import sys
 from collections import Counter
 from itertools import combinations
 from math import lcm
@@ -37,7 +38,7 @@ from polyk.linalg import (
     primitive_vector,
     rank,
 )
-from polyk.polytope import Face, face_lattice
+from polyk.polytope import Face, face_lattice, validate
 
 from oracles import (
     barycenter_projection,
@@ -47,6 +48,7 @@ from oracles import (
     crosscheck_verdict,
     dual_face_gens,
     dual_face_ids,
+    dual_simple,
     echelon_dual_rank,
     gram_adjugate,
     gram_certificate_holds,
@@ -55,12 +57,14 @@ from oracles import (
     leibniz_det,
     oracle_crosscheck,
     orthogonal_component,
+    pair_route,
     positive_multiple_ratio,
     solve_in_span,
     solved_edge_ray,
     span_basis,
     span_basis_of_face,
     span_gram,
+    span_row,
     table_orientation,
     vertex_projection,
     vertex_sum,
@@ -373,7 +377,7 @@ def test_m_zero_ray_is_the_gram_solve(m_zero_systems):
                     (g, c, x, e_ids, orientation), (poly.name, e, f)
                 assert ray.c == system.face_data(e).gram_det
                 assert side == system.face_data(f).gram_det
-                assert system.face_data(f).sum_coords[system.face_data(f).span_row[g]] > 0
+                assert system.face_data(f).sum_coords[span_row(system.face_data(f), g)] > 0
                 assert cauchy_schwarz_verdict(system, ray, e, f), (poly.name, e, f)
     assert counts["cross5", True] == 812 and counts["cross5", False] == 30
     assert counts["cube5", True] == 517 and counts["cube5", False] == 325
@@ -408,12 +412,13 @@ def test_scaled_ray_is_accepted(m_zero_systems):
 
 
 def test_m_zero_pairs_take_no_dot_products(monkeypatch):
-    # on cross5, inside cover_orientations, the 812 pairs with m = 0 run no
-    # int_dot, and the other 30, which take edge_ray and
-    # edge_ray_crosscheck, do; a pair's count runs from its adjugate_column
-    # call, the first thing the batch does for it, to the next pair's.
-    # face_cone_data reads no n-vector generator of the cone, nor does the
-    # batch
+    # on cross5, inside cover_orientations, no pair runs an int_dot: not the
+    # 812 with m = 0, read off F's adjugate, nor the other 30, which take
+    # the dual route (their dual base signs are Bareiss determinants on the
+    # tables); a pair's count runs from its adjugate_column call in
+    # cover_orientations, the first thing the batch does for it, to the
+    # next pair's.  face_cone_data reads
+    # no n-vector generator of the cone, nor does the batch
     poly = cross_polytope(5)
     lat = face_lattice(poly)
     cone = lift(poly)
@@ -453,7 +458,8 @@ def test_m_zero_pairs_take_no_dot_products(monkeypatch):
 
     def marking(span_f, span_e):
         r = real_column(span_f, span_e)
-        starts.append((r is not None, calls[0]))
+        if sys._getframe(1).f_code.co_name == "cover_orientations":  # not a check of tau
+            starts.append((r is not None, calls[0]))
         return r
 
     monkeypatch.setattr(cones, "int_dot", counting)
@@ -466,7 +472,7 @@ def test_m_zero_pairs_take_no_dot_products(monkeypatch):
         ends = [before for _, before in starts[1:]] + [calls[0]]
         for (m_zero, before), end in zip(starts, ends):
             dots[m_zero, end > before] += 1
-    assert dots == {(True, False): 812, (False, True): 30}
+    assert dots == {(True, False): 812, (False, False): 30}
     assert reads == []
 
 
@@ -475,17 +481,13 @@ def test_crosscheck_rejects_perturbed_vertex_sum_dot(monkeypatch):
     # z_F[r] at the row r of its g: for the first edge F of the square it
     # is 1, and moved down by one it fails the cross-check of the first
     # covering pair that reads it, (first lower cover of F, F), by name.  A
-    # pair with m > 0 reads A_F^T b_F: <a, b_F> moved up by one, for a span
-    # id a of E in F's basis, fails the first pair (E, top) with m > 0
-    poly = hypercube(2)
-    lat, _ = faces_of(poly)
-    system = ConeSystem(lift(poly), lat)
+    # pair of the general route reads A_F^T b_F: on a prism over a square
+    # pyramid, whose apex is not dual-simple, <a, b_F> moved up by one, for
+    # a span id a of E in F's basis, fails the first such pair (E, F) of
+    # the batch (the dual route reads no Gram number)
     real = cones.face_cone_data
 
-    def data(face):
-        return system.face_data(lat.face_id[face])
-
-    def rejected(face, **change):
+    def rejected(poly, lat, face, **change):
         def perturbed(F, *args):
             data = real(F, *args)
             return dataclasses.replace(data, **change) if F == face else data
@@ -493,27 +495,40 @@ def test_crosscheck_rejects_perturbed_vertex_sum_dot(monkeypatch):
         monkeypatch.setattr(cones, "face_cone_data", perturbed)
         with pytest.raises(InternalInvariantError) as err:
             build_complex(trivialize(lat), lat, ConeSystem(lift(poly), lat))
+        monkeypatch.setattr(cones, "face_cone_data", real)
         return str(err.value)
+
+    poly = hypercube(2)
+    lat, _ = faces_of(poly)
+    system = ConeSystem(lift(poly), lat)
+
+    def data(face):
+        return system.face_data(lat.face_id[face])
 
     F = lat.faces(1)[0]
     E = lat.lower_covers(F)[0]
-    r = data(F).span_row[system.ray(lat.face_id[E], lat.face_id[F]).g]
+    r = span_row(data(F), system.ray(lat.face_id[E], lat.face_id[F]).g)
     z = list(data(F).sum_coords)
     f_ids = data(F).span_ids
     assert z[r] == 1 and data(E).span_ids == f_ids[:r] + f_ids[r + 1:]  # m = 0
     z[r] -= 1
-    assert rejected(F, sum_coords=tuple(z)) == (
+    assert rejected(poly, lat, F, sum_coords=tuple(z)) == (
         f"edge-ray cross-check failed for ({E}, {F}): "
         "barycenter projection is not a positive multiple")
 
-    top = lat.top_face
-    E = next(e for e in lat.lower_covers(top)
-             if not set(data(e).span_ids) <= set(data(top).span_ids))
-    r = data(top).span_row[next(a for a in data(E).span_ids if a in data(top).span_row)]
-    sums = list(data(top).span_sum_dot)
+    pyramid = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 2)]
+    poly = validate([v + (t,) for t in (0, 1) for v in pyramid])
+    lat = face_lattice(poly)
+    system = ConeSystem(lift(poly), lat)
+    e, f = next((e, f) for f, lower in enumerate(lat.down) for e in lower
+                if pair_route(system, e, f) == "general")
+    E, F = lat.faces_by_id[e], lat.faces_by_id[f]
+    data_e, data_f = system.face_data(e), system.face_data(f)
+    r = span_row(data_f, next(a for a in data_e.span_ids if span_row(data_f, a) is not None))
+    sums = list(data_f.span_sum_dot)
     sums[r] += 1
-    assert rejected(top, span_sum_dot=tuple(sums)) == (
-        f"edge-ray cross-check failed for ({E}, {top}): "
+    assert rejected(poly, lat, F, span_sum_dot=tuple(sums)) == (
+        f"edge-ray cross-check failed for ({E}, {F}): "
         "barycenter projection is not a positive multiple")
 
 
@@ -703,16 +718,32 @@ def test_bordering_steps_carry_the_face_certificate(resume_systems):
     assert faces > 2000
 
 
-def test_cover_batch_matches_per_pair_api(resume_systems):
-    # on every covering pair with m = 0 the batch's sigma and verdict are
-    # those of edge_ray + edge_ray_crosscheck, which take the general Gram
-    # solve and Cauchy-Schwarz test there too; and the solved ray is the
-    # identity the batch rests on, column r of F's certified adjugate:
-    # c = adj(G_F)[r][r] = det G_E, x = (-adj(G_F)[a][r] for a != r) and
-    # sigma = (-1)^r.  Every pair with m > 0 takes the per-pair API in the
-    # batch, so its sigma is the ray's by construction
-    m_zero = 0
-    for poly, system in resume_systems:
+@pytest.fixture(scope="module")
+def mixed_route_systems():
+    """A prism over the 4-cross-polytope, a pyramid over the 4-cube and a
+    0/1 hull in 5 d, each with its cone system: their pairs with m > 0 take
+    the dual route, and on the prism and the 0/1 hull some take the general
+    one."""
+    cross4 = [tuple(s * (i == j) for j in range(4)) for i in range(4) for s in (1, -1)]
+    cube4 = [tuple(2 * (k >> i & 1) for i in range(4)) for k in range(16)]
+    zero_one = [tuple(k >> i & 1 for i in range(5)) for k in (3, 4, 6, 8, 12, 14, 15, 20, 24, 28, 29)]
+    polys = [validate([v + (t,) for t in (0, 1) for v in cross4], name="prism_cross4"),
+             validate([v + (0,) for v in cube4] + [(1, 1, 1, 1, 1)], name="pyramid_cube4"),
+             validate(zero_one, name="zero_one5")]
+    return [(poly, ConeSystem(lift(poly), face_lattice(poly))) for poly in polys]
+
+
+def test_cover_batch_matches_per_pair_api(resume_systems, mixed_route_systems):
+    # on every covering pair the batch's sigma is the orientation of
+    # edge_ray, and its verdict that of edge_ray + edge_ray_crosscheck,
+    # which take the general Gram solve and Cauchy-Schwarz test on every
+    # route.  On m = 0 the solved ray is the identity the batch rests on,
+    # column r of F's certified adjugate: c = adj(G_F)[r][r] = det G_E,
+    # x = (-adj(G_F)[a][r] for a != r) and sigma = (-1)^r.  The pairs with
+    # m > 0 take the dual route, sigma from two face signs and a dual-mask
+    # bit, or, where a face is not dual-simple, the per-pair API
+    routes = Counter()
+    for poly, system in resume_systems + mixed_route_systems:
         lat = system.lattice
         for f, lower in enumerate(lat.down):
             data_f = system.face_data(f)
@@ -720,7 +751,10 @@ def test_cover_batch_matches_per_pair_api(resume_systems):
                 ray = system.ray(e, f)
                 system.crosscheck(e, f, ray)
                 assert sigma == ray.orientation, (poly.name, e, f)
+                route = pair_route(system, e, f)
+                routes[route] += 1
                 r = cones.adjugate_column(data_f.span_mask, system.face_data(e).span_mask)
+                assert (r is not None) == (route == "adjugate"), (poly.name, e, f)
                 if r is None:
                     continue
                 assert is_m_zero(system, ray, e, f), (poly.name, e, f)
@@ -729,8 +763,117 @@ def test_cover_batch_matches_per_pair_api(resume_systems):
                 assert ray.x == tuple(-adj[a][r] for a in range(len(adj)) if a != r), \
                     (poly.name, e, f)
                 assert ray.orientation == (-1) ** r, (poly.name, e, f)
-                m_zero += 1
-    assert m_zero > 10000
+    assert routes["adjugate"] > 10000 and routes["dual"] > 1000 and routes["general"] > 80
+
+
+@pytest.mark.parametrize("poly, counts", [
+    (hypercube(5), {"dual": 325, "general": 0, "dets": 31}),
+    (cross_polytope(5), {"dual": 30, "general": 0, "dets": 17}),
+    (validate([tuple(s * (i == j) for j in range(4)) + (t,)
+               for t in (0, 1) for i in range(4) for s in (1, -1)]),
+     {"dual": 108, "general": 80, "dets": 66}),
+], ids=["cube5", "cross5", "prism_cross4"])
+def test_dual_route_counts(poly, counts, monkeypatch):
+    # the batch makes a ray for the general pairs only, and takes a dual
+    # base determinant only for the faces the dual route reaches and that
+    # no dual-simple resume cover propagates to
+    lat = face_lattice(poly)
+    system = ConeSystem(lift(poly), lat)
+    made = Counter()
+    real_ray, real_sign = cones.edge_ray, cones.dual_base_sign
+
+    def ray(*args, **kwargs):
+        made["general"] += 1
+        return real_ray(*args, **kwargs)
+
+    def base_sign(*args):
+        made["dets"] += 1
+        return real_sign(*args)
+
+    monkeypatch.setattr(cones, "edge_ray", ray)
+    monkeypatch.setattr(cones, "dual_base_sign", base_sign)
+    for f in range(len(lat.faces_by_id)):
+        system.cover_orientations(f)
+    routes = Counter(pair_route(system, e, f) for f, lower in enumerate(lat.down) for e in lower)
+    assert made["general"] == routes["general"]
+    assert {"dual": routes["dual"], "general": routes["general"], "dets": made["dets"]} == counts
+
+
+def test_dual_base_signs_match_the_generator_determinants():
+    # every tau the batch keeps, propagated or taken on the tables, is
+    # sign det[A_F | Y_F] * sign det A_P on the generators and normals
+    # (Leibniz), and on every pair of dual-simple faces, of any route, the
+    # ray's orientation is (-1)^(n-1) pi tau_E tau_F
+    checked = Counter()
+    prism = validate([tuple(s * (i == j) for j in range(3)) + (t,)
+                      for t in (0, 1) for i in range(3) for s in (1, -1)])
+    for poly in (hypercube(4), cross_polytope(4), prism):
+        lat = face_lattice(poly)
+        system = ConeSystem(lift(poly), lat)
+        for f in range(len(lat.faces_by_id)):
+            system.cover_orientations(f)
+        C, n = system.cone, system.cone.dim
+        top = span_basis(C, system.face_data(len(lat.faces_by_id) - 1))
+        top_sign = 1 if leibniz_det(top) > 0 else -1
+
+        def tau(f):
+            rows = span_basis(C, system.face_data(f)) + dual_face_gens(system, f)
+            return (1 if leibniz_det(rows) > 0 else -1) * top_sign
+
+        taus = {f: tau(f) for f in range(len(lat.faces_by_id)) if dual_simple(system, f)}
+        for f, kept in system._taus.items():
+            assert kept == taus[f], (poly.name, f)
+        for f, lower in enumerate(lat.down):
+            for e in lower:
+                if e in taus and f in taus:
+                    sigma = cones.dual_sign(n, system.dual_masks[f], system.dual_masks[e])
+                    assert system.ray(e, f).orientation == sigma * taus[e] * taus[f], \
+                        (poly.name, e, f)
+                    checked[pair_route(system, e, f)] += 1
+    assert checked["adjugate"] > 250 and checked["dual"] > 100
+
+
+def test_flipped_dual_base_sign_fails_the_batch_not_the_per_pair_api(monkeypatch):
+    # the dual base sign of vertex {0} of the 3-cube flipped: it propagates
+    # to the faces resumed from {0}, and the batch rejects the first m = 0
+    # pair between one of those and a face whose own sign it set apart,
+    # ({1}, {0,1}), naming it; the per-pair API, which reads no dual base
+    # sign, makes the same ray and accepts it
+    poly = hypercube(3)
+    lat, by_set = faces_of(poly)
+    system = ConeSystem(lift(poly), lat)
+    real = cones.dual_base_sign
+
+    def flipping(F, *args):
+        return -real(F, *args) if F == by_set[(0,)] else real(F, *args)
+
+    monkeypatch.setattr(cones, "dual_base_sign", flipping)
+    broken = ConeSystem(system.cone, lat)
+    with pytest.raises(InternalInvariantError) as batch:
+        for f in range(len(lat.faces_by_id)):
+            broken.cover_orientations(f)
+    E, F = by_set[(1,)], by_set[(0, 1)]
+    assert str(batch.value) == (f"edge-ray cross-check failed for ({E}, {F}): "
+                                "the dual base signs give -1, F's adjugate (-1)^0 = 1")
+    e, f = lat.face_id[E], lat.face_id[F]
+    ray = broken.ray(e, f)
+    assert ray == system.ray(e, f) and ray.orientation == 1
+    broken.crosscheck(e, f, ray)
+
+
+def test_singular_dual_base_names_face(monkeypatch):
+    # [A_F | Y_F] is a basis of R^n for every dual-simple face; a zero
+    # determinant (forced here) is an error naming the first face whose
+    # sign the batch takes by determinant: on the square, the first pair
+    # of the dual route is ({1,3}, top), and the edge {1,3} resumed from
+    # its vertex {1}
+    poly = hypercube(2)
+    lat, by_set = faces_of(poly)
+    system = ConeSystem(lift(poly), lat)
+    monkeypatch.setattr(cones, "bareiss_det", lambda rows: 0)
+    with pytest.raises(InternalInvariantError) as err:
+        build_complex(trivialize(lat), lat, system)
+    assert str(err.value) == f"dual base [A_F | Y_F] of {by_set[(1,)]} is singular"
 
 
 @pytest.mark.parametrize("fault", ["z", "cofactor"])
@@ -977,7 +1120,7 @@ def test_edge_ray_rejects_ray_not_orthogonal_to_e(monkeypatch):
     e = lat.faces_by_id[i]
     data_e, data_f = system.face_data(i), system.face_data(j)
     ray = system.ray(i, j)
-    r = data_f.span_row[ray.g]
+    r = span_row(data_f, ray.g)
     assert is_m_zero(system, ray, i, j)
 
     def corrupt(adj, row, col, by):

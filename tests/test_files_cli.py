@@ -117,6 +117,19 @@ def test_cli_report_non_utf8_file_is_input_error(tmp_path, capsys):
                    "(invalid continuation byte)\n")
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_cli_report_lone_surrogate_name_is_input_error(tmp_path, capsys, flags):
+    # the escape \ud800 decodes to a lone surrogate, valid JSON but no
+    # UTF-8 text: the human report could not print it, and neither output
+    # may take it
+    bad = tmp_path / "surrogate.json"
+    bad.write_text('{"name": "a\\ud800b", "dim": 1, "vertices": [[0], [1]]}', encoding="utf-8")
+    assert main(["report", *flags, str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"error: {bad}: name does not encode as UTF-8: character 1 "
+                                 "is '\\ud800' (surrogates not allowed)\n")
+
+
 def test_cli_report_injected_internal_error(monkeypatch, capsys):
     real = cellular.incidence_sign
     state = {"flipped": False}

@@ -18,9 +18,10 @@ import sys
 from pathlib import Path
 
 from polyk.cones import ConeSystem, lift
-from polyk.corpus import hypercube
 from polyk.pipeline import run_pipeline
 from polyk.polytope import face_lattice
+
+from oracles import pair_route, pyramid_prism
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -49,24 +50,26 @@ def test_traced_pipeline_runs_with_every_observer(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    expected = run_pipeline(hypercube(3)).complex
+    poly = pyramid_prism()
+    expected = run_pipeline(poly).complex
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        traced = run_pipeline(hypercube(3)).complex
+        traced = run_pipeline(poly).complex
     finally:
         tracer.uninstall()
     assert not tracer.absent
     assert traced == expected
-    # C(8, 3) lift subsets and 62 covering pairs for the 3-cube, with one
-    # edge ray for each pair with m > 0 (a span id of E outside F's basis)
-    assert tracer.lift_subsets == 56 and tracer.covering_pairs == 62
-    system = ConeSystem(lift(hypercube(3)), face_lattice(hypercube(3)))
-    masks = [system.face_data(f).span_mask for f in range(len(system.lattice.faces_by_id))]
-    m_positive = sum(bool(masks[e] & ~masks[f])
-                     for f, lower in enumerate(system.lattice.down) for e in lower)
-    assert 0 < m_positive < 62
-    assert tracer.totals["cones.edge_ray"][0] == m_positive
+    # C(10, 4) lift subsets and 159 covering pairs for the prism over a
+    # square pyramid, with one edge ray for each pair of the general route
+    # (m > 0, a span id of E outside F's basis, and a face that is not
+    # dual-simple)
+    assert tracer.lift_subsets == 210 and tracer.covering_pairs == 159
+    system = ConeSystem(lift(poly), face_lattice(poly))
+    general = sum(pair_route(system, e, f) == "general"
+                  for f, lower in enumerate(system.lattice.down) for e in lower)
+    assert 0 < general < 159
+    assert tracer.totals["cones.edge_ray"][0] == general
     assert not tracing.leftover_bindings()
 
 
