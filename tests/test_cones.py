@@ -718,16 +718,22 @@ def test_bordering_steps_carry_the_face_certificate(resume_systems):
     assert faces > 2000
 
 
+def prism_over_cross4():
+    """The prism over the 4-cross-polytope: 80 of its 188 pairs with m > 0
+    take the general route."""
+    cross4 = [tuple(s * (i == j) for j in range(4)) for i in range(4) for s in (1, -1)]
+    return validate([v + (t,) for t in (0, 1) for v in cross4], name="prism_cross4")
+
+
 @pytest.fixture(scope="module")
 def mixed_route_systems():
     """A prism over the 4-cross-polytope, a pyramid over the 4-cube and a
     0/1 hull in 5 d, each with its cone system: their pairs with m > 0 take
     the dual route, and on the prism and the 0/1 hull some take the general
     one."""
-    cross4 = [tuple(s * (i == j) for j in range(4)) for i in range(4) for s in (1, -1)]
     cube4 = [tuple(2 * (k >> i & 1) for i in range(4)) for k in range(16)]
     zero_one = [tuple(k >> i & 1 for i in range(5)) for k in (3, 4, 6, 8, 12, 14, 15, 20, 24, 28, 29)]
-    polys = [validate([v + (t,) for t in (0, 1) for v in cross4], name="prism_cross4"),
+    polys = [prism_over_cross4(),
              validate([v + (0,) for v in cube4] + [(1, 1, 1, 1, 1)], name="pyramid_cube4"),
              validate(zero_one, name="zero_one5")]
     return [(poly, ConeSystem(lift(poly), face_lattice(poly))) for poly in polys]
@@ -769,9 +775,7 @@ def test_cover_batch_matches_per_pair_api(resume_systems, mixed_route_systems):
 @pytest.mark.parametrize("poly, counts", [
     (hypercube(5), {"dual": 325, "general": 0, "dets": 31}),
     (cross_polytope(5), {"dual": 30, "general": 0, "dets": 17}),
-    (validate([tuple(s * (i == j) for j in range(4)) + (t,)
-               for t in (0, 1) for i in range(4) for s in (1, -1)]),
-     {"dual": 108, "general": 80, "dets": 66}),
+    (prism_over_cross4(), {"dual": 108, "general": 80, "dets": 66}),
 ], ids=["cube5", "cross5", "prism_cross4"])
 def test_dual_route_counts(poly, counts, monkeypatch):
     # the batch makes a ray for the general pairs only, and takes a dual
