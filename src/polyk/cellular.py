@@ -78,7 +78,7 @@ from typing import Iterable, Sequence
 from .cones import ConeSystem
 from .errors import InternalInvariantError
 from .linalg import IntMatrix, smith_normal_form
-from .polytope import Face, FaceLattice
+from .polytope import Face, FaceLattice, face_label
 from .sparse import SparseColumn, acyclic_matching, dense_matrix
 
 
@@ -215,15 +215,15 @@ class CheckedComplex(ChainComplex):
         for j in range(1, self.dim + 1):
             bad = boundary_squared_entry(self.columns[j - 1], self.columns[j])
             if bad is not None:
-                g_idx, f_idx, value = bad
-                g = Face(vertex_set=self.face_order[j - 1][g_idx], dim=j - 2)
-                f = Face(vertex_set=self.face_order[j + 1][f_idx], dim=j)
-                raise InternalInvariantError(
-                    f"boundary squared nonzero at j={j}: entry ({g}, {f}) = {value}")
+                g, f, value = bad
+                low, high = self.face_order[j - 1][g], self.face_order[j + 1][f]
+                raise InternalInvariantError(f"boundary squared nonzero at j={j}: entry "
+                                             f"({face_label(low)}, {face_label(high)}) = {value}")
 
 
-def build_complex(T: Trivialization, L: FaceLattice, system: ConeSystem) -> CheckedComplex:
-    """Assemble all boundary matrices and verify the complex exactly.
+def build_complex(T: Trivialization, system: ConeSystem) -> CheckedComplex:
+    """Assemble all boundary matrices of the system's lattice and verify
+    the complex exactly.
 
     Walks the covering pairs once, by ``boundary_columns`` for j = 0..dim,
     face by face: ``ConeSystem.cover_orientations`` orients and
@@ -232,11 +232,10 @@ def build_complex(T: Trivialization, L: FaceLattice, system: ConeSystem) -> Chec
     ``edge_ray`` and ``edge_ray_crosscheck``; ``incidence_sign`` then
     computes each [E : F] from sigma.  The ``CheckedComplex`` it returns checks
     D_{j-1} @ D_j = 0 for every j on the sparse columns when it is made.
-    Any failure aborts with the offending face pair.  The system must be
-    built on L itself.
+    Any failure aborts with the offending face pair.  The lattice is the
+    one the system numbers its faces by, ``system.lattice``.
     """
-    if system.lattice is not L:
-        raise ValueError("the cone system numbers the faces of another lattice")
+    L = system.lattice
     columns = tuple(tuple(boundary_columns(T, system, j)) for j in range(0, L.dim + 1))
     face_order = tuple(tuple(f.vertex_set for f in L.faces(j)) for j in range(-1, L.dim + 1))
     return CheckedComplex(dim=L.dim, columns=columns, face_order=face_order)

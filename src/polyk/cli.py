@@ -40,11 +40,7 @@ from .errors import (
 from .files import load_polytope, polytope_to_json
 from .ktheory import AbelianGroup, KReport
 from .pipeline import PipelineResult, run_pipeline
-from .polytope import face_lattice
-
-
-def _face_label(vertex_set: tuple[int, ...]) -> str:
-    return "{" + ",".join(str(i) for i in vertex_set) + "}"
+from .polytope import face_label, face_lattice
 
 
 def _homology_json(h: HomologyResult) -> list[dict]:
@@ -69,8 +65,8 @@ def report_document(result: PipelineResult, sections: set[str]) -> dict:
         doc["boundary"] = [
             {
                 "j": j,
-                "rows": [_face_label(s) for s in X.face_labels(j - 1)],
-                "cols": [_face_label(s) for s in X.face_labels(j)],
+                "rows": [face_label(s) for s in X.face_labels(j - 1)],
+                "cols": [face_label(s) for s in X.face_labels(j)],
                 "matrix": [list(r) for r in X.matrix(j)],
             }
             for j in range(0, X.dim + 1)
@@ -114,7 +110,7 @@ def render_human(doc: dict, elapsed: float) -> str:
     if "faces" in doc:
         lines.append("faces:")
         for j, faces in doc["faces"].items():
-            labels = " ".join(_face_label(f) for f in faces)
+            labels = " ".join(face_label(f) for f in faces)
             lines.append(f"  dim {j}: {labels}")
     if "boundary" in doc:
         lines.append("boundary matrices:")
@@ -171,7 +167,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     print(f"isomorphic: {len(iso.mapping)} faces matched (including the empty "
           "face and the polytope itself)")
     for a, b in iso.mapping:
-        print(f"  dim {a.dim}: {_face_label(a.vertex_set)} -> {_face_label(b.vertex_set)}")
+        print(f"  dim {a.dim}: {face_label(a.vertex_set)} -> {face_label(b.vertex_set)}")
     return EXIT_OK
 
 

@@ -4,12 +4,12 @@ and decide lattice isomorphism between polytopes.
 The absolute values of the boundary-matrix entries record exactly the
 covering relation of the face lattice; transitive closure then recovers the
 whole order, so the unsigned complex determines the combinatorial type.  The
-reconstruction is checked against the lattice axioms on int bitmasks, and
-every check enumerates only the pairs a cover can reach: the diamond
-property by counting the paths of two covers from each element in three
-bit planes, and meets, kept as bitset
-down-sets, on pairs of lower covers of a common element, which suffices
-by the dual of a lemma of Bjorner, Edelman and Ziegler.
+reconstruction is checked against the lattice axioms, as ``GradedIds``
+states them, on int bitmasks, and every check enumerates only the pairs a
+cover can reach: the diamond property on the elements two covers up, and
+meets, kept as bitset down-sets, on pairs of lower covers of a common
+element, which suffices by the dual of a lemma of Bjorner, Edelman and
+Ziegler (``_verify_meets``).
 Isomorphism testing is backtracking in id order, rank by rank, on the
 element ids and id covers of the two lattices, pruned by f-vector and
 up/down cover degrees, with the candidates for an element read off the
@@ -76,13 +76,13 @@ class AbstractLattice(GradedIds):
 def lattice_from_incidence(U: UnsignedIncidence) -> AbstractLattice:
     """Rebuild the abstract face lattice from unsigned boundary matrices.
 
-    The support of the matrices is taken as the covering relation, read row
-    by row with the list methods ``count`` and ``index`` (a row whose 0s
-    and 1s do not fill it holds a bad entry, named first in row order); the
-    result is checked against the lattice axioms of a polytope face lattice
-    (bounded, graded, diamond property, meets exist; see
-    ``_verify_abstract_lattice``) and any failure means the incidence data
-    is corrupt.
+    Every row of D_j must have as many entries as its first row, which
+    sets the column count.  The support of the matrices is taken as the covering
+    relation, read row by row with the list methods ``count`` and ``index``
+    (a row whose 0s and 1s do not fill it holds a bad entry, named first in
+    row order); the result is checked against the lattice axioms of a
+    polytope face lattice (``_verify_abstract_lattice``) and any failure
+    means the incidence data is corrupt.
     """
     mats = U.matrices
     if not mats:
@@ -96,6 +96,9 @@ def lattice_from_incidence(U: UnsignedIncidence) -> AbstractLattice:
     covering = []
     for j, m in enumerate(mats):
         for r, row in enumerate(m):
+            if len(row) != f_vector[j + 1]:
+                raise InternalInvariantError(f"D_{j} is ragged: row {r} has length {len(row)}, "
+                                             f"row 0 has length {f_vector[j + 1]}")
             ones = row.count(1)
             if row.count(0) + ones != len(row):
                 x = next(x for x in row if x not in (0, 1))
@@ -110,27 +113,24 @@ def lattice_from_incidence(U: UnsignedIncidence) -> AbstractLattice:
 
 
 def _verify_abstract_lattice(lat: AbstractLattice) -> None:
-    """The lattice axioms of a polytope face lattice, on int bitmasks.
+    """The lattice axioms of a polytope face lattice (``GradedIds``), on
+    int bitmasks: bounded and graded, then the diamond property, then meets.
 
-    Elements are numbered in rank order, the bottom first (``GradedIds``).
-    Checked in turn:
+    An abstract lattice has no vertex sets, so the highs above ``low`` are
+    those a path of two covers reaches, and the failure mask of ``low`` is
+    ``once & (thrice | ~twice)``: some paths, but not exactly two.
+    """
+    lat.verify_graded()
+    for rank in range(-1, lat.dim - 1):
+        for low, once, twice, thrice in lat.two_step_paths(rank):
+            bad = once & (thrice | ~twice)
+            if bad:
+                raise lat.diamond_error(low, rank, bad)
+    _verify_meets(lat)
 
-    - bounded: one element of rank -1 and one of rank dim;
-    - graded: every element below the top has an upper cover and every
-      element above the bottom a lower cover;
-    - diamond: the elements between ``low`` and ``high`` two ranks apart
-      are those that cover ``low`` and are covered by ``high``, and there
-      are none or two.  Their number is the number of paths of two covers,
-      ``mids(low, high) = #{m in up(low) : high in up(m)}``, which is
-      ``popcount(up[low] & down[high])`` on id masks of covers.
-      ``two_step_paths`` gives it for every ``high`` of rank + 2 at once, as
-      the bit planes ``once``, ``twice`` and ``thrice`` (at least one, two,
-      three paths), so the pairs that fail are the set bits of
-      ``once & (thrice | ~twice)``: some paths, but not exactly two.  The
-      lowest set bit names the first failing pair in id order, and only
-      that pair's mids is counted again, for the message;
-    - meets (``_verify_meets``): every two lower covers of a common element
-      have a meet.
+
+def _verify_meets(lat: AbstractLattice) -> None:
+    """Every two lower covers of a common element have a meet.
 
     That suffices for every pair to have one, by the dual of Bjorner,
     Edelman & Ziegler 1990, "Hyperplane arrangements with a lattice of
@@ -143,37 +143,13 @@ def _verify_abstract_lattice(lat: AbstractLattice) -> None:
     lies below m, the induction at a' gives the meet p of a and m, and the
     induction at b' gives the meet of p and b.  It is the meet of a and b:
     the common lower bounds of a and b are those of a, m and b, hence those
-    of p and b.  A bounded finite poset in which every pair has a meet is a lattice:
-    the join is the meet of the common upper bounds.
-    """
-    if lat.f_vector[0] != 1 or lat.f_vector[-1] != 1:
-        raise InternalInvariantError(
-            f"reconstructed poset is not bounded: f-vector {lat.f_vector}")
-    elements = lat.faces_by_id
-    for i in range(lat.level_start[-2]):  # below the top
-        if not lat.up[i]:
-            raise InternalInvariantError(f"element {elements[i]} has no upper cover: not graded")
-    for i in range(lat.level_start[1], len(elements)):  # above the bottom
-        if not lat.down[i]:
-            raise InternalInvariantError(f"element {elements[i]} has no lower cover: not graded")
-    for rank in range(-1, lat.dim - 1):
-        start = lat.level_start[rank + 3]
-        for low, once, twice, thrice in lat.two_step_paths(rank):
-            bad = once & (thrice | ~twice)
-            if bad:
-                high = start + (bad & -bad).bit_length() - 1
-                raise InternalInvariantError(
-                    f"diamond property fails between {elements[low]} and "
-                    f"{elements[high]}: {lat.mids(low, high)} mids")
-    _verify_meets(lat)
-
-
-def _verify_meets(lat: AbstractLattice) -> None:
-    """Every two lower covers of a common element have a meet.
+    of p and b.  A bounded finite poset in which every pair has a meet is a
+    lattice: the join is the meet of the common upper bounds.
 
     ``ds[i]``, ``1 << i`` OR'd with the ``ds`` of i's lower covers (lower
-    ids, so computed first), is element i's down-set.  For elements a and b, ``c = ds[a] & ds[b]`` is a down-set, and the meet
-    of a and b exists iff c has a unique maximal element.  Covers go up in
+    ids, so computed first), is element i's down-set.  For elements a and
+    b, ``c = ds[a] & ds[b]`` is a down-set, and the meet of a and b exists
+    iff c has a unique maximal element.  Covers go up in
     id (``lattice_from_incidence`` reads them off consecutive matrices), so
     the highest-numbered element x of c is maximal in c.  Hence the meet
     exists iff ``c == ds[x]``: then every element of c lies below x;

@@ -90,7 +90,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from operator import and_
 from typing import Iterable, NamedTuple, Sequence
 
@@ -107,7 +107,7 @@ from .linalg import (
     primitive_vector,
     qvec,
 )
-from .polytope import Face, FaceLattice, Polytope, set_bits
+from .polytope import Face, FaceLattice, Polytope, integer_grid, set_bits
 
 
 @dataclass(frozen=True)
@@ -231,14 +231,14 @@ def lift(P: Polytope) -> LiftedCone:
     follows from the polytope being full-dimensional.  Both are asserted.
 
     The generators are L * (1, v_i), with L the lcm of all vertex
-    denominators.  One positive factor for every column leaves spans,
-    kernels, ray directions and determinant signs as they are, and keeps
-    the barycenter exact; L is their first coordinate.
+    denominators and L * v_i the vertex on the integer grid
+    (``polytope.integer_grid``).  One positive factor for every column
+    leaves spans, kernels, ray directions and determinant signs as they
+    are, and keeps the barycenter exact; L is their first coordinate.
     """
     n = P.ambient_dim + 1
-    scale = lcm(*(x.denominator for v in P.vertices for x in v))
-    gens = tuple((scale,) + tuple(x.numerator * (scale // x.denominator) for x in v)
-                 for v in P.vertices)
+    scale, grid = integer_grid(P.vertices)
+    gens = tuple((scale,) + p for p in grid)
     if any(g[0] <= 0 for g in gens):
         raise InternalInvariantError("lifted cone is not pointed")
     if IntEchelon(gens).rank != n:
@@ -576,8 +576,9 @@ def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: Face
     the identities), and on a pair of dual-simple faces its sign is
     (-1)^(n-1) * pi * tau_E * tau_F (``dual_sign``);
     ``ConeSystem.cover_orientations`` reads those in place of the solve, so
-    on those pairs this function is the batch's independent oracle.  The ray takes one check per pair, on k numbers
-    (k = dim F, the size of E's basis), besides the sign minor's below:
+    on those pairs this function is the batch's independent oracle.  The
+    ray takes one check per pair, on k numbers (k = dim F, the size of E's
+    basis), besides the sign minor's below:
 
       * orientation: <w, g> = c T[g][g] - <x, A^T g> = c * side, with
         side = c |g - P_E g|^2, positive unless g lies in span(E), and then
@@ -615,9 +616,9 @@ def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: Face
     rows and columns.  The coordinates of a vertex a are
     adj(G_F) A_F^T a / det G_F, and A_F^T a is read off T, so det G_F * M
     is an integer matrix with the sign of det M, det G_F being positive.
-    For m = 0, as on most pairs, sigma = sign(pi), never zero; for m > 0 it
-    takes one Bareiss determinant of that matrix, and a zero one is an
+    It takes one Bareiss determinant of that matrix, and a zero one is an
     error naming the pair ([g | A_E] would not be a basis of span(F)).  For
+    m = 0, M is the 0 x 0 matrix, det M = 1, and sigma = sign(pi).  For
     E empty, x is empty, w = g, and C is the one unit vector of g: +1.
     """
     a_ids, f_ids = data_E.span_ids, data_F.span_ids
@@ -643,18 +644,15 @@ def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: Face
             if side == 0 else f"edge ray of ({E}, {F}) points away from lifted vertex {g}")
     rows = [(span_F & ((1 << a) - 1)).bit_count() if span_F >> a & 1 else None
             for a in (g,) + a_ids]  # None: a is not in F's basis
-    if None not in rows:
-        sign = permutation_sign(rows)
-    else:
-        outside = [a for a, r in zip(a_ids, rows[1:]) if r is None]
-        free = sorted(set(range(len(f_ids))).difference(rows))
-        fill = iter(free)
-        rows = [next(fill) if r is None else r for r in rows]
-        columns = [[gram[a][b] for b in f_ids] for a in outside]  # A_F^T a
-        det = bareiss_det([[int_dot(data_F.gram_adj[r], col) for col in columns] for r in free])
-        if det == 0:
-            raise InternalInvariantError(f"incidence sign of ({E}, {F}) is zero")
-        sign = permutation_sign(rows) * (1 if det > 0 else -1)
+    outside = [a for a, r in zip(a_ids, rows[1:]) if r is None]
+    free = sorted(set(range(len(f_ids))).difference(rows))
+    fill = iter(free)
+    rows = [next(fill) if r is None else r for r in rows]
+    columns = [[gram[a][b] for b in f_ids] for a in outside]  # A_F^T a
+    det = bareiss_det([[int_dot(data_F.gram_adj[r], col) for col in columns] for r in free])
+    if det == 0:
+        raise InternalInvariantError(f"incidence sign of ({E}, {F}) is zero")
+    sign = permutation_sign(rows) * (1 if det > 0 else -1)
     return EdgeRay((E, F), g, det_e, x, a_ids, sign, C.generators)
 
 

@@ -21,8 +21,6 @@ def simplex(d: int, name: str | None = None) -> Polytope:
         v = [0] * d
         v[i] = 1
         verts.append(v)
-    if d == 0:
-        verts = [[]]
     return validate(verts, name=name or f"simplex{d}")
 
 

@@ -125,13 +125,10 @@ def load_polytope(path: str | Path) -> Polytope:
     return validate(pf.vertices, name=pf.name)
 
 
-def coordinate_string(x: Fraction) -> str:
-    return str(x)  # Fraction renders as "p/q" or "n", matching the input grammar
-
-
 def polytope_to_json(P: Polytope) -> dict:
     return {
         "name": P.name or "(unnamed)",
         "dim": P.ambient_dim,
-        "vertices": [[coordinate_string(x) for x in v] for v in P.vertices],
+        # a Fraction renders as "p/q" or "n", matching the input grammar
+        "vertices": [[str(x) for x in v] for v in P.vertices],
     }

@@ -25,7 +25,7 @@ from typing import Sequence
 from .cellular import ChainComplex, HomologyResult, homology_pair
 from .errors import InternalInvariantError
 from .linalg import smith_normal_form
-from .polytope import FaceLattice, Polytope
+from .polytope import Polytope
 
 
 @dataclass(frozen=True)
@@ -120,9 +120,7 @@ class E1Page:
         return AbelianGroup(free_rank=self.odd_rank(p))
 
 
-def e1_page(L: FaceLattice, X: ChainComplex) -> E1Page:
-    if L.f_vector != X.f_vector:
-        raise InternalInvariantError("lattice and complex disagree on the f-vector")
+def e1_page(X: ChainComplex) -> E1Page:
     return E1Page(dim=X.dim, f_vector=X.f_vector)
 
 
@@ -156,7 +154,7 @@ def _parity_sum(h: HomologyResult, parity: int) -> AbelianGroup:
     return direct_sum(groups)
 
 
-def k_report(P: Polytope, L: FaceLattice, X: ChainComplex) -> KReport:
+def k_report(P: Polytope, X: ChainComplex) -> KReport:
     """Compute the second page and the K-group descriptors.
 
     Unexpected nonzero homology is a report outcome, never an error."""
@@ -193,7 +191,7 @@ def k_report(P: Polytope, L: FaceLattice, X: ChainComplex) -> KReport:
 
     return KReport(
         name=P.name or "(unnamed)",
-        f_vector=L.f_vector,
+        f_vector=X.f_vector,
         augmented_homology=aug,
         reduced_homology=red,
         k_algebra=k_algebra,

@@ -1,8 +1,9 @@
-"""Exact rational and integer linear algebra.
+"""Exact integer and rational linear algebra.
 
-Everything in this package runs on arbitrary-precision rationals
-(:class:`fractions.Fraction`) and Python integers; there is no floating
-point anywhere.  This module provides the shared substrate: the integer
+The package computes on Python integers, and there is no floating point
+anywhere; :class:`fractions.Fraction` holds only the input coordinates
+(``qvec``), the facet offsets, and the dense rational matrices the tests'
+oracles use.  This module provides the shared substrate: the integer
 tools the hot paths and validation run on (dot products, primitive ray
 generators, an incremental fraction-free echelon form for ranks, span
 membership and greedy bases, Bareiss determinants, certified adjugates,

@@ -31,9 +31,9 @@ def run_pipeline(P: Polytope) -> PipelineResult:
     cone = lift(P)
     system = ConeSystem(cone, lattice)
     triv = trivialize(lattice)
-    complex_ = build_complex(triv, lattice, system)
-    page = e1_page(lattice, complex_)
-    report = k_report(P, lattice, complex_)
+    complex_ = build_complex(triv, system)
+    page = e1_page(complex_)
+    report = k_report(P, complex_)
     return PipelineResult(
         polytope=P, lattice=lattice, cone=cone, system=system,
         trivialization=triv, complex=complex_,

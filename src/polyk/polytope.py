@@ -44,7 +44,6 @@ from .linalg import (
     IntEchelon,
     IntVector,
     Vector,
-    clear_denominators,
     first_independent,
     int_adjugate,
     int_dot,
@@ -71,6 +70,11 @@ class Polytope:
         return len(self.vertices)
 
 
+def face_label(vertex_set: Sequence[int]) -> str:
+    """A face's printed name: its vertex indices in braces, as ``{0,2}``."""
+    return "{" + ",".join(map(str, vertex_set)) + "}"
+
+
 @dataclass(frozen=True)
 class Face:
     """A face identified by the sorted indices of the vertices it contains.
@@ -82,7 +86,7 @@ class Face:
     dim: int
 
     def __str__(self) -> str:
-        return "{" + ",".join(str(i) for i in self.vertex_set) + "}"
+        return face_label(self.vertex_set)
 
 
 @dataclass(frozen=True)
@@ -99,10 +103,39 @@ class GradedIds:
     ids ``ids(r)`` from ``level_start[r + 1]``: element i is
     ``faces_by_id[i]``, and ``down[i]`` and ``up[i]`` are the ids of its
     lower and upper covers, each listed once; ``up[i]`` is ascending, read
-    off ``down``."""
+    off ``down``.
+
+    The axioms of a polytope face lattice, which ``verify_lattice`` and
+    ``comb_type.lattice_from_incidence`` check, are stated here once:
+
+    - bounded: one element of rank -1 and one of rank dim
+      (``verify_graded``);
+    - graded: every element below the top has an upper cover and every
+      element above the bottom a lower cover (``verify_graded``);
+    - diamond: two elements ``low`` and ``high`` two ranks apart, with
+      ``low`` below ``high``, have exactly two elements between them.  The
+      elements between are those that cover ``low`` and are covered by
+      ``high``, so their number is the number of paths of two covers,
+      ``mids(low, high) = #{m in up(low) : high in up(m)}``, which is
+      ``popcount(up[low] & down[high])`` on id masks of covers.
+      ``two_step_paths`` gives it for every ``high`` of rank + 2 at once,
+      as the bit planes ``once``, ``twice`` and ``thrice`` (at least one,
+      two, three paths); mids is 2 exactly where ``twice`` is set and
+      ``thrice`` is not, so the pairs that fail are the set bits of
+      ``thrice | ~twice`` among the highs above ``low``.  Each lattice
+      decides which highs lie above ``low``, and ``diamond_error`` names
+      the lowest set bit of the failure mask, the first failing pair in id
+      order, counting only that pair's mids again, for the message;
+    - meets: every two elements have a meet.  ``comb_type._verify_meets``
+      checks it on an abstract lattice; ``verify_lattice`` does not, since
+      the faces of a polytope are closed under intersection.
+
+    Any failure is an ``InternalInvariantError``.
+    """
 
     faces_by_id: tuple
     level_start: tuple[int, ...]
+    f_vector: tuple[int, ...]
     down: tuple[tuple[int, ...], ...]
     up: tuple[tuple[int, ...], ...]
 
@@ -156,6 +189,27 @@ class GradedIds:
         """The number of elements that cover ``low`` and are covered by
         ``high``."""
         return len(set(self.up[low]).intersection(self.down[high]))
+
+    def verify_graded(self) -> None:
+        """The bounded and graded axioms (see the class docstring)."""
+        if self.f_vector[0] != 1 or self.f_vector[-1] != 1:
+            raise InternalInvariantError(f"not bounded: f-vector {self.f_vector}")
+        elements = self.faces_by_id
+        for i in range(self.level_start[-2]):  # below the top
+            if not self.up[i]:
+                raise InternalInvariantError(f"{elements[i]} has no upper cover: not graded")
+        for i in range(self.level_start[1], len(elements)):  # above the bottom
+            if not self.down[i]:
+                raise InternalInvariantError(f"{elements[i]} has no lower cover: not graded")
+
+    def diamond_error(self, low: int, rank: int, bad: int) -> InternalInvariantError:
+        """The failure of the diamond axiom between ``low``, of the rank,
+        and the element ``ids(rank + 2)[b]`` of the lowest set bit b of the
+        nonzero mask ``bad``, with the number of elements between them."""
+        high = self.level_start[rank + 3] + (bad & -bad).bit_length() - 1
+        return InternalInvariantError(
+            f"diamond property fails between {self.faces_by_id[low]} and "
+            f"{self.faces_by_id[high]}: {self.mids(low, high)} intermediate elements")
 
 
 @dataclass(frozen=True)
@@ -225,16 +279,6 @@ def set_bits(mask: int) -> tuple[int, ...]:
         bits.append(low.bit_length() - 1)
         mask ^= low
     return tuple(bits)
-
-
-def affine_dim(points: Sequence[Sequence]) -> int:
-    """Dimension of the affine hull; -1 for no points.  The differences to
-    the first point are scaled to integers, which keeps their rank."""
-    if not points:
-        return -1
-    base = qvec(points[0])
-    return IntEchelon(clear_denominators([a - b for a, b in zip(qvec(p), base)])
-                      for p in points[1:]).rank
 
 
 def _starting_cone(gens: Sequence[IntVector], basis: Sequence[int]
@@ -568,35 +612,23 @@ def _face_lattice_from(P: Polytope, facet_side: bool) -> FaceLattice:
 
 
 def verify_lattice(L: FaceLattice) -> None:
-    """Exact structural checks: covers that are strict vertex-set
-    containments, a unique bottom and top, gradedness, and the diamond
-    property, on int bitmasks.
+    """Exact structural checks on int bitmasks: covers that are strict
+    vertex-set containments, then the bounded, graded and diamond axioms
+    of ``GradedIds``.
 
     Each covering pair (low, high) must have low's vertex set strictly inside
     high's: with the lattice's vertex bitmask per face, ``lo & hi == lo != hi``.
 
-    The diamond property asks for exactly two faces between ``low`` and
-    ``high`` two levels apart whenever low's vertex set lies in high's.  The
-    faces between them are those that cover ``low`` and are covered by
-    ``high``, so their number is the number of paths of two covers,
-    ``mids(low, high) = #{m in up(low) : high in up(m)}``, which is
-    ``popcount(up[low] & down[high])`` on id masks of covers.
-    ``two_step_paths`` gives it for every ``high`` of the level at once, as
-    the bit planes ``once``, ``twice`` and ``thrice`` (at least one, two,
-    three paths); mids is 2 exactly where ``twice`` is set and ``thrice``
-    is not.  So the pairs that fail are the set bits of
-    ``above & (thrice | ~twice)``, with ``above`` the faces two levels up
-    whose vertex set holds low's.
-
+    The diamond axiom asks for two faces between ``low`` and every face
+    ``high`` two levels up whose vertex set holds low's, so the failure mask
+    of ``low`` is ``above & (thrice | ~twice)``, with ``above`` those faces.
     ``above`` comes from an inverted vertex index rather than from trying
     every face two levels up: ``containing[v]`` is the bitmask of the
     level-(j + 2) faces whose vertex set holds v, so ``above`` is the AND of
     ``containing[v]`` over the vertices of ``low`` (the whole level for the
     empty face).  Containment is read off the vertex sets, not off the
     covers: a face that holds ``low``'s vertices but that no path of covers
-    reaches from ``low`` fails with 0 intermediate faces.  The lowest set
-    bit of the failure mask names the first failing pair in id order, and
-    only that pair's mids is counted again, for the message.
+    reaches from ``low`` fails with 0 intermediate elements.
 
     Any failure is an internal error; valid polytope input cannot produce it.
     """
@@ -610,14 +642,7 @@ def verify_lattice(L: FaceLattice) -> None:
                 raise InternalInvariantError(
                     f"covering pair ({faces[low]}, {faces[high]}) "
                     "is not a strict vertex-set containment")
-    if L.f_vector[0] != 1 or L.f_vector[-1] != 1:
-        raise InternalInvariantError("face lattice must have unique bottom and top")
-    for i, f in enumerate(faces[:L.level_start[-2]]):  # below the top
-        if not L.up[i]:
-            raise InternalInvariantError(f"face {f} of dim {f.dim} has no upper cover")
-    for i, f in enumerate(faces[L.level_start[1]:], L.level_start[1]):  # above the bottom
-        if not L.down[i]:
-            raise InternalInvariantError(f"face {f} of dim {f.dim} has no lower cover")
+    L.verify_graded()
     # by the checks above, a chain of upper covers, each a strict containment,
     # leads from every face to the top, so every vertex id is the top's
     n = max(L.top_face.vertex_set, default=-1) + 1
@@ -633,7 +658,4 @@ def verify_lattice(L: FaceLattice) -> None:
             above = reduce(and_, map(containing.__getitem__, faces[low].vertex_set), level)
             bad = above & (thrice | ~twice)
             if bad:
-                high = highs.start + (bad & -bad).bit_length() - 1
-                raise InternalInvariantError(
-                    f"diamond property fails between {faces[low]} and "
-                    f"{faces[high]}: {L.mids(low, high)} intermediate faces")
+                raise L.diamond_error(low, j, bad)

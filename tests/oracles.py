@@ -125,8 +125,9 @@ tests write into the sparse columns a ``ChainComplex`` holds, and
 The face lattice oracle is the construction the library used before it
 switched to vertex-facet incidences: the intersection closure of the facet
 vertex sets, one rational affine dimension per face, and covering pairs by
-subset tests between consecutive dimensions.  Its ``affine_dim`` is the
-library's, which validation still uses; the library's lattice takes no rank.
+subset tests between consecutive dimensions, with ``affine_dim``, which
+the library no longer has: validation takes the rank from the hull, and
+the library's lattice takes no rank.
 The vertex-side oracle ``vertex_closure_face_lattice`` is the Kaibel-Pfetsch
 closure as the library ran it before it ran the closure from the smaller
 side of the incidence: always with the vertices as atoms, one step per
@@ -153,7 +154,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations
 from math import lcm
-from operator import or_
+from operator import mul, or_
 from typing import Sequence
 
 from polyk.cellular import ChainComplex, HomologyResult
@@ -165,10 +166,10 @@ from polyk.linalg import (
     IntMatrix,
     QMatrix,
     bareiss_det,
+    clear_denominators,
     cofactor_kernel_vector,
     coords_in_basis,
     det_sign,
-    dot,
     first_independent,
     int_dot,
     int_mat_mul,
@@ -181,11 +182,20 @@ from polyk.polytope import (
     Facet,
     FaceLattice,
     Polytope,
-    affine_dim,
     convex_hull,
     validate,
 )
 from polyk.sparse import SparseColumn
+
+
+def affine_dim(points: Sequence[Sequence]) -> int:
+    """Dimension of the affine hull; -1 for no points.  The differences to
+    the first point are scaled to integers, which keeps their rank."""
+    if not points:
+        return -1
+    base = qvec(points[0])
+    return IntEchelon(clear_denominators([a - b for a, b in zip(qvec(p), base)])
+                      for p in points[1:]).rank
 
 
 def leibniz_det(rows) -> Fraction:
@@ -281,30 +291,35 @@ def _greedy_independent(vectors, n: int) -> QMatrix:
     return QMatrix.from_columns(cols, rows=n)
 
 
-def dual_cone_in_span(basis: QMatrix, gens) -> tuple[tuple[int, ...], ...]:
-    """Dual of cone(gens) computed inside the column span of ``basis``.
+def dual_cone_in_span(basis, gens) -> tuple[tuple[int, ...], ...]:
+    """Dual of cone(gens) computed inside the span of the independent
+    integer vectors ``basis``.
 
     The generators must span the subspace.  Working in coordinates: a point
     B @ xi of the span pairs with y as <B @ xi, y> = <xi, B^T y>, so the dual
     inside the span is the ordinary dual of the cone over the vectors B^T y.
-    Results are mapped back to ambient primitive integer vectors.
+    Results are mapped back to ambient primitive integer vectors.  All of it
+    is integer products.
     """
-    k = basis.cols
-    if k == 0:
+    if not basis:
         return ()
-    bt = basis.transpose()
-    projected = [bt.mat_vec(qvec(y)) for y in gens]
-    rays = dual_cone(projected, ambient_dim=k)
-    return tuple(sorted(primitive_vector(basis.mat_vec(xi)) for xi in rays))
+    projected = [[int_dot(b, y) for b in basis] for y in gens]
+    rays = dual_cone(projected, ambient_dim=len(basis))
+    return tuple(sorted(primitive_vector([sum(map(mul, xi, column)) for column in zip(*basis)])
+                        for xi in rays))
 
 
 def circledast_gens(C: LiftedCone, F: Face) -> tuple[tuple[int, ...], ...]:
     """Extreme rays of the circledast cone of F: the dual of F's dual face,
     taken inside the dual face's span.  For a covering pair E < F exactly one
-    of those of E is orthogonal to the dual face of F: the edge ray."""
+    of those of E is orthogonal to the dual face of F: the edge ray.  The
+    dual face's generators are the facet normals zero on F's lifted
+    vertices, by integer products, and the span's basis the greedy
+    independent ones among them, in order."""
     dual_gens = [y for y in C.facet_normals
-                 if all(dot(y, C.generators[i]) == 0 for i in F.vertex_set)]
-    return dual_cone_in_span(_greedy_independent(dual_gens, C.dim), dual_gens)
+                 if all(int_dot(y, C.generators[i]) == 0 for i in F.vertex_set)]
+    basis, _ = first_independent(dual_gens, C.dim)
+    return dual_cone_in_span([dual_gens[i] for i in basis], dual_gens)
 
 
 def span_basis(C: LiftedCone, data: FaceConeData) -> tuple[tuple[int, ...], ...]:
@@ -1113,14 +1128,14 @@ def all_pairs_verify_lattice(L: FaceLattice) -> None:
                 raise InternalInvariantError(
                     f"covering pair ({lo}, {hi}) is not a strict vertex-set containment")
     if L.f_vector[0] != 1 or L.f_vector[-1] != 1:
-        raise InternalInvariantError("face lattice must have unique bottom and top")
+        raise InternalInvariantError(f"not bounded: f-vector {L.f_vector}")
     up, down = cover_masks(L)
     for i, f in enumerate(L.faces_by_id[:L.level_start[-2]]):  # below the top
         if not up[i]:
-            raise InternalInvariantError(f"face {f} of dim {f.dim} has no upper cover")
+            raise InternalInvariantError(f"{f} has no upper cover: not graded")
     for i, f in enumerate(L.faces_by_id[L.level_start[1]:], L.level_start[1]):  # above the bottom
         if not down[i]:
-            raise InternalInvariantError(f"face {f} of dim {f.dim} has no lower cover")
+            raise InternalInvariantError(f"{f} has no lower cover: not graded")
     mask = [sum(1 << v for v in f.vertex_set) for f in L.faces_by_id]
     for j in range(-1, L.dim - 1):
         highs = [(mask[h], down[h], h) for h in L.ids(j + 2)]
@@ -1132,23 +1147,22 @@ def all_pairs_verify_lattice(L: FaceLattice) -> None:
                     if mids != 2:
                         raise InternalInvariantError(
                             f"diamond property fails between {L.faces_by_id[low]} and "
-                            f"{L.faces_by_id[high]}: {mids} intermediate faces")
+                            f"{L.faces_by_id[high]}: {mids} intermediate elements")
 
 
 def all_pairs_verify_abstract_lattice(lat: AbstractLattice) -> None:
     """``_verify_abstract_lattice`` over all pairs: the mids of every two
     elements two ranks apart, then ``all_pairs_meets``."""
     if lat.f_vector[0] != 1 or lat.f_vector[-1] != 1:
-        raise InternalInvariantError(
-            f"reconstructed poset is not bounded: f-vector {lat.f_vector}")
+        raise InternalInvariantError(f"not bounded: f-vector {lat.f_vector}")
     elements = lat.faces_by_id
     up, down = cover_masks(lat)
     for i in range(lat.level_start[-2]):  # below the top
         if not up[i]:
-            raise InternalInvariantError(f"element {elements[i]} has no upper cover: not graded")
+            raise InternalInvariantError(f"{elements[i]} has no upper cover: not graded")
     for i in range(lat.level_start[1], len(elements)):  # above the bottom
         if not down[i]:
-            raise InternalInvariantError(f"element {elements[i]} has no lower cover: not graded")
+            raise InternalInvariantError(f"{elements[i]} has no lower cover: not graded")
     for rank in range(-1, lat.dim - 1):
         for low in lat.ids(rank):
             ups = up[low]
@@ -1157,7 +1171,7 @@ def all_pairs_verify_abstract_lattice(lat: AbstractLattice) -> None:
                 if mids and mids != 2:
                     raise InternalInvariantError(
                         f"diamond property fails between {elements[low]} and "
-                        f"{elements[high]}: {mids} mids")
+                        f"{elements[high]}: {mids} intermediate elements")
     all_pairs_meets(lat)
 
 

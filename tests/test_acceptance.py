@@ -23,7 +23,7 @@ from polyk.cli import main
 from polyk.comb_type import is_isomorphic, lattice_from_incidence, strip_signs
 from polyk.corpus import acceptance_corpus, simplex
 from polyk.ktheory import ZERO_GROUP, Z
-from polyk.linalg import QMatrix, dot, int_mat_mul, rank
+from polyk.linalg import QMatrix, int_dot, int_mat_mul, rank
 from polyk.pipeline import run_pipeline
 
 from affine import apply_affine, random_invertible_affine
@@ -125,27 +125,28 @@ def test_criterion_5_edge_ray_crosscheck(corpus_run):
     for res in results:
         lat, system = res.lattice, res.system
         n = system.cone.dim
-        circledast = {f: circledast_gens(system.cone, f) for f in lat.faces_by_id}
-        for e, f in lat.covering:
-            ray = system.ray(lat.face_id[e], lat.face_id[f])
-            data_e = system.face_data(lat.face_id[e])
-            data_f = system.face_data(lat.face_id[f])
-            basis_f = span_basis(system.cone, data_f)
-            dual_e = dual_face_gens(system, lat.face_id[e])
-            dual_f = dual_face_gens(system, lat.face_id[f])
-            # membership invariants, all exact
-            stacked = QMatrix.from_columns(basis_f + (ray.direction,), rows=n)
-            assert rank(stacked) == len(basis_f)
-            assert all(dot(ray.direction, col) == 0 for col in span_basis(system.cone, data_e))
-            assert all(dot(ray.direction, y) >= 0 for y in dual_e)
-            assert all(dot(ray.direction, y) == 0 for y in dual_f)
-            hits = [g for g in circledast[e] if all(dot(g, y) == 0 for y in dual_f)]
-            assert len(hits) == 1
-            system.crosscheck(lat.face_id[e], lat.face_id[f], ray)
-            ratio = positive_multiple_ratio(
-                barycenter_projection(system, lat.face_id[e], lat.face_id[f]), ray.direction)
-            assert ratio is not None and ratio > 0
-            pairs += 1
+        # per face, once: the circledast generators, the span basis and the
+        # dual face's generators (all integer vectors)
+        ids = range(len(lat.faces_by_id))
+        circledast = [circledast_gens(system.cone, F) for F in lat.faces_by_id]
+        basis = [span_basis(system.cone, system.face_data(i)) for i in ids]
+        dual = [dual_face_gens(system, i) for i in ids]
+        for f, below in enumerate(lat.down):
+            for e in below:
+                ray = system.ray(e, f)
+                # membership invariants, all exact
+                stacked = QMatrix.from_columns(basis[f] + (ray.direction,), rows=n)
+                assert rank(stacked) == len(basis[f])
+                assert all(int_dot(ray.direction, col) == 0 for col in basis[e])
+                assert all(int_dot(ray.direction, y) >= 0 for y in dual[e])
+                assert all(int_dot(ray.direction, y) == 0 for y in dual[f])
+                hits = [g for g in circledast[e] if all(int_dot(g, y) == 0 for y in dual[f])]
+                assert len(hits) == 1
+                system.crosscheck(e, f, ray)
+                ratio = positive_multiple_ratio(barycenter_projection(system, e, f),
+                                                ray.direction)
+                assert ratio is not None and ratio > 0
+                pairs += 1
     report_line(5, True, f"edge rays agree with barycenter projections and satisfy "
                          f"all membership invariants on {pairs} covering pairs")
 
@@ -161,7 +162,7 @@ def test_criterion_6_orientation_covariance(corpus_run):
         flippable = [f for f in lat.faces_by_id if f.dim >= 0]
         for _ in range(10):
             g = rng.choice(flippable)
-            flipped = build_complex(trivialize(lat, flip_faces=[g]), lat, system)
+            flipped = build_complex(trivialize(lat, flip_faces=[g]), system)
             g_idx = lat.faces(g.dim).index(g)
             for j in range(0, base.dim + 1):
                 mb, mf = base.matrix(j), flipped.matrix(j)

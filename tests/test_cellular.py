@@ -266,7 +266,7 @@ def test_no_face_hash_in_build_complex_or_is_isomorphic(monkeypatch):
     assert lat.face_id[lat.top_face] == len(lat.faces_by_id) - 1
     assert len(calls) == len(lat.faces_by_id) + 1
     calls.clear()
-    x = build_complex(triv, lat, system)
+    x = build_complex(triv, system)
     assert calls == [] and x.f_vector == lat.f_vector
     assert is_isomorphic(lat, relabeled).isomorphic
     assert calls == []
@@ -292,7 +292,7 @@ def test_cone_and_cellular_stages_make_no_fraction(monkeypatch):
     assert Fraction(1, 2) == Fraction(2, 4) and len(made) == 2  # the counter sees them
     made.clear()
     system = ConeSystem(cone, lat)
-    x = build_complex(trivialize(lat), lat, system)
+    x = build_complex(trivialize(lat), system)
     assert made == []
     assert x.f_vector == lat.f_vector
 
@@ -390,28 +390,19 @@ def test_complex_matrix_and_labels_reject_dimension_out_of_range(d):
             x.face_labels(j)
 
 
-def test_build_complex_rejects_system_of_another_lattice():
-    # an equal lattice built twice is still another numbering of the faces
-    poly = simplex(2)
-    lat, system, triv = setup_polytope(poly)
-    with pytest.raises(ValueError,
-                       match=r"^the cone system numbers the faces of another lattice$"):
-        build_complex(triv, face_lattice(poly), system)
-
-
 # --- build_complex ---
 
 def test_point_complex():
     poly = point_polytope()
     lat, system, triv = setup_polytope(poly)
-    x = build_complex(triv, lat, system)
+    x = build_complex(triv, system)
     assert dense_matrices(x) == (((1,),),)
 
 
 def test_square_complex_shapes():
     poly = hypercube(2)
     lat, system, triv = setup_polytope(poly)
-    x = build_complex(triv, lat, system)
+    x = build_complex(triv, system)
     assert [len(m) for m in dense_matrices(x)] == [1, 4, 4]
     assert [len(m[0]) for m in dense_matrices(x)] == [4, 4, 1]
 
@@ -419,7 +410,7 @@ def test_square_complex_shapes():
 def test_cube_complex_shapes_and_ddzero():
     poly = hypercube(3)
     lat, system, triv = setup_polytope(poly)
-    x = build_complex(triv, lat, system)
+    x = build_complex(triv, system)
     shapes = [(len(m), len(m[0])) for m in dense_matrices(x)]
     assert shapes == [(1, 8), (8, 12), (12, 6), (6, 1)]
     for j in range(1, 4):
@@ -429,7 +420,7 @@ def test_cube_complex_shapes_and_ddzero():
 def test_column_support_counts(small_corpus):
     for poly in small_corpus:
         lat, system, triv = setup_polytope(poly)
-        x = build_complex(triv, lat, system)
+        x = build_complex(triv, system)
         for j in range(1, x.dim + 1):
             d = x.matrix(j)
             for ci, f in enumerate(lat.faces(j)):
@@ -455,7 +446,7 @@ def test_build_complex_reports_failed_crosscheck(monkeypatch):
 
     monkeypatch.setattr(cones, "edge_ray", negated)
     with pytest.raises(InternalInvariantError) as err:
-        build_complex(triv, lat, system)
+        build_complex(triv, system)
     assert f"edge-ray cross-check failed for ({target[0]}, {target[1]})" in str(err.value)
 
 
@@ -484,7 +475,7 @@ def test_build_complex_reports_corrupt_sign(monkeypatch):
 
     monkeypatch.setattr(cellular, "incidence_sign", flipped)
     with pytest.raises(InternalInvariantError, match="boundary squared nonzero"):
-        build_complex(triv, lat, system)
+        build_complex(triv, system)
 
 
 # --- homology ---
@@ -492,7 +483,7 @@ def test_build_complex_reports_corrupt_sign(monkeypatch):
 def test_homology_point_reduced():
     poly = point_polytope()
     lat, system, triv = setup_polytope(poly)
-    x = build_complex(triv, lat, system)
+    x = build_complex(triv, system)
     red = homology(x, augmented=False)
     assert red.group(0) == (1, ())
     assert homology(x, augmented=True).is_trivial()
@@ -501,7 +492,7 @@ def test_homology_point_reduced():
 def test_homology_small_corpus(small_corpus):
     for poly in small_corpus:
         lat, system, triv = setup_polytope(poly)
-        x = build_complex(triv, lat, system)
+        x = build_complex(triv, system)
         assert homology(x, augmented=True).is_trivial(), poly.name
         assert homology(x, augmented=False).is_z_concentrated_in_degree_zero(), poly.name
 
@@ -526,7 +517,7 @@ def test_build_complex_names_first_nonzero_entry_of_corrupt_square(monkeypatch):
         for fi, x in enumerate(row) if x != 0)
     g, f = lat.faces(j - 2)[g_idx], lat.faces(j)[f_idx]
     with pytest.raises(InternalInvariantError) as err:
-        build_complex(triv, lat, system)
+        build_complex(triv, system)
     assert str(err.value) == f"boundary squared nonzero at j={j}: entry ({g}, {f}) = {value}"
     assert j == 2 and value in (2, -2)
 
@@ -641,11 +632,11 @@ def test_orientation_flip_negates_row_and_column(small_corpus):
     rng = random.Random(4)
     for poly in small_corpus:
         lat, system, _ = setup_polytope(poly)
-        base = build_complex(trivialize(lat), lat, system)
+        base = build_complex(trivialize(lat), system)
         flippable = [f for f in lat.faces_by_id if f.dim >= 0]
         g = rng.choice(flippable)
         flipped_triv = trivialize(lat, flip_faces=[g])
-        flipped = build_complex(flipped_triv, lat, system)
+        flipped = build_complex(flipped_triv, system)
         g_level = lat.faces(g.dim)
         g_idx = g_level.index(g)
         for j, r, c, b, f in flip_deltas(base, flipped, g, g.dim):
@@ -669,7 +660,7 @@ def test_homology_invariant_under_relabeling():
     results = []
     for p in (poly, relabeled):
         lat, system, triv = setup_polytope(p)
-        x = build_complex(triv, lat, system)
+        x = build_complex(triv, system)
         results.append((homology(x, True), homology(x, False)))
     assert results[0] == results[1]
 
@@ -680,7 +671,7 @@ def test_homology_invariant_under_relabeling():
 def test_simplex_matches_simplicial_complex(d):
     poly = simplex(d)
     lat, system, triv = setup_polytope(poly)
-    ours = build_complex(triv, lat, system)
+    ours = build_complex(triv, system)
     oracle = complex_from_dense(
         dim=d,
         boundary=tuple(tuple(tuple(r) for r in m) for m in simplicial_boundary_matrices(d)),
@@ -693,7 +684,7 @@ def test_diagonal_equivalence_rejects_sign_break():
     # flipping a single entry is not a diagonal change of basis
     poly = simplex(2)
     lat, system, triv = setup_polytope(poly)
-    x = build_complex(triv, lat, system)
+    x = build_complex(triv, system)
     rows = [list(r) for r in x.matrix(1)]
     rows[0][0] = -rows[0][0]
     broken = complex_from_dense(dim=x.dim,
@@ -704,7 +695,7 @@ def test_diagonal_equivalence_rejects_sign_break():
 
 def test_diagonal_equivalence_rejects_other_shape_or_support():
     lat, system, triv = setup_polytope(simplex(2))
-    x = build_complex(triv, lat, system)
+    x = build_complex(triv, system)
     square = run_pipeline(hypercube(2)).complex
     assert diagonal_sign_equivalence(x, square) is None  # f-vectors differ
 

@@ -43,7 +43,7 @@ from oracles import (
 def complex_of(poly):
     lat = face_lattice(poly)
     system = ConeSystem(lift(poly), lat)
-    return lat, build_complex(trivialize(lat), lat, system)
+    return lat, build_complex(trivialize(lat), system)
 
 
 # --- strip_signs ---
@@ -121,6 +121,19 @@ def test_reconstruct_rejects_bad_entry():
         lattice_from_incidence(UnsignedIncidence(tuple(tuple(tuple(r) for r in m) for m in mats)))
 
 
+@pytest.mark.parametrize("mats, message", [
+    ((((1, 1),), ((1,), (1, 1))), "D_1 is ragged: row 1 has length 2, row 0 has length 1"),
+    ((((1, 1),), ((1, 0), (1,))), "D_1 is ragged: row 1 has length 1, row 0 has length 2"),
+], ids=["long-row", "short-row"])
+def test_reconstruct_rejects_ragged_rows(mats, message):
+    # every row is checked against the column count of row 0: a longer row
+    # would name a column past the rank's last element, and a shorter one
+    # would drop its covers and fail as some other fault
+    with pytest.raises(InternalInvariantError) as err:
+        lattice_from_incidence(UnsignedIncidence(mats))
+    assert str(err.value) == message
+
+
 def test_verify_abstract_lattice_rejects_two_maximal_lower_bounds():
     # two atoms a, b, both covered by c and by d: c and d are incomparable
     # and have two maximal common lower bounds, a and b; bounded, graded,
@@ -163,6 +176,16 @@ def abstract_of(lat: FaceLattice) -> AbstractLattice:
 
     return AbstractLattice(dim=lat.dim, f_vector=lat.f_vector,
                            covering=tuple((element(e), element(f)) for e, f in lat.covering))
+
+
+def incidence_of(lat: FaceLattice) -> UnsignedIncidence:
+    """The unsigned boundary matrices of the lattice's covers, each between
+    consecutive levels."""
+    rows = [[[0] * len(upper) for _ in lower]
+            for lower, upper in zip(lat.faces_by_dim, lat.faces_by_dim[1:])]
+    for e, f in lat.covering:
+        rows[f.dim][lat.faces(e.dim).index(e)][lat.faces(f.dim).index(f)] = 1
+    return UnsignedIncidence(tuple(tuple(map(tuple, m)) for m in rows))
 
 
 def corpus_lattices_and_one_cover_changes(rng):
@@ -280,13 +303,13 @@ def three_atoms_under_an_edge() -> FaceLattice:
 
 @pytest.mark.parametrize("build, face_message, abstract_message", [
     (tetrahedron_with_unreached_face,
-     "diamond property fails between {3} and {0,1,2,3}: 0 intermediate faces", None),
+     "diamond property fails between {3} and {0,1,2,3}: 0 intermediate elements", None),
     (triangle_without_cover,
-     "diamond property fails between {} and {1,2}: 1 intermediate faces",
-     "diamond property fails between (-1, 0) and (1, 2): 1 mids"),
+     "diamond property fails between {} and {1,2}: 1 intermediate elements",
+     "diamond property fails between (-1, 0) and (1, 2): 1 intermediate elements"),
     (three_atoms_under_an_edge,
-     "diamond property fails between {} and {0,1,2}: 3 intermediate faces",
-     "diamond property fails between (-1, 0) and (1, 0): 3 mids"),
+     "diamond property fails between {} and {0,1,2}: 3 intermediate elements",
+     "diamond property fails between (-1, 0) and (1, 0): 3 intermediate elements"),
 ], ids=["0-paths", "1-path", "3-paths"])
 def test_bit_plane_diamond_check_matches_all_pairs_oracles(build, face_message,
                                                           abstract_message):
@@ -298,6 +321,11 @@ def test_bit_plane_diamond_check_matches_all_pairs_oracles(build, face_message,
     abstract = abstract_of(lat)
     assert failure(_verify_abstract_lattice, abstract) == \
         failure(all_pairs_verify_abstract_lattice, abstract) == abstract_message
+    # the same covers as unsigned incidence fail with the same message, whose
+    # tail after the pair reads as the face check's
+    assert failure(lattice_from_incidence, incidence_of(lat)) == abstract_message
+    if abstract_message is not None:
+        assert abstract_message.rpartition(": ")[2] == face_message.rpartition(": ")[2]
 
 
 def triangle_poset(extra=(), drop=()) -> AbstractLattice:
@@ -315,7 +343,7 @@ def triangle_poset(extra=(), drop=()) -> AbstractLattice:
     (triangle_poset(extra=[((-1, 0), (1, 0))]), None),
     (triangle_poset(extra=[((0, 0), (2, 0))]), None),
     (triangle_poset(extra=[((0, 0), (2, 0))], drop=[((0, 0), (1, 0))]),
-     "diamond property fails between (-1, 0) and (1, 0): 1 mids"),
+     "diamond property fails between (-1, 0) and (1, 0): 1 intermediate elements"),
 ], ids=["bottom-to-edge", "atom-to-top", "atom-to-top-instead-of-edge"])
 def test_abstract_diamond_check_with_covers_that_skip_a_rank(lat, message):
     # an upper cover of low two ranks up is no path to a high of that rank:

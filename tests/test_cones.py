@@ -494,7 +494,7 @@ def test_crosscheck_rejects_perturbed_vertex_sum_dot(monkeypatch):
 
         monkeypatch.setattr(cones, "face_cone_data", perturbed)
         with pytest.raises(InternalInvariantError) as err:
-            build_complex(trivialize(lat), lat, ConeSystem(lift(poly), lat))
+            build_complex(trivialize(lat), ConeSystem(lift(poly), lat))
         monkeypatch.setattr(cones, "face_cone_data", real)
         return str(err.value)
 
@@ -876,7 +876,7 @@ def test_singular_dual_base_names_face(monkeypatch):
     system = ConeSystem(lift(poly), lat)
     monkeypatch.setattr(cones, "bareiss_det", lambda rows: 0)
     with pytest.raises(InternalInvariantError) as err:
-        build_complex(trivialize(lat), lat, system)
+        build_complex(trivialize(lat), system)
     assert str(err.value) == f"dual base [A_F | Y_F] of {by_set[(1,)]} is singular"
 
 
@@ -1080,7 +1080,7 @@ def test_inherited_adjugate_fails_certificate_of_face(monkeypatch):
     system = ConeSystem(lift(poly), lat)
     assert calls == list(lat.faces_by_id)
     calls.clear()
-    build_complex(trivialize(lat), lat, system)
+    build_complex(trivialize(lat), system)
     assert calls == []
 
 
@@ -1141,7 +1141,7 @@ def test_edge_ray_rejects_ray_not_orthogonal_to_e(monkeypatch):
 
     monkeypatch.setattr(cones, "face_cone_data", corrupting)
     with pytest.raises(InternalInvariantError) as err:
-        build_complex(trivialize(lat), lat, ConeSystem(system.cone, lat))
+        build_complex(trivialize(lat), ConeSystem(system.cone, lat))
     assert str(err.value) == (
         f"edge-ray cross-check failed for ({e}, {f}): cofactor adj(G_F)[{r}][{r}] = "
         f"{data_e.gram_det + 1} is not det G_E = {data_e.gram_det} > 0")

@@ -29,7 +29,7 @@ from oracles import complex_from_dense, dense_homology_pair
 def full_run(poly):
     lat = face_lattice(poly)
     system = ConeSystem(lift(poly), lat)
-    x = build_complex(trivialize(lat), lat, system)
+    x = build_complex(trivialize(lat), system)
     return poly, lat, x
 
 
@@ -72,7 +72,7 @@ def test_group_json_roundtrip():
 
 def test_e1_page_segment():
     poly, lat, x = full_run(simplex(1))
-    page = e1_page(lat, x)
+    page = e1_page(x)
     assert [page.odd_rank(p) for p in (1, 2, 3)] == [1, 2, 1]
     assert page.entry(2, 1) == AbelianGroup(2)
     assert page.entry(2, 3) == AbelianGroup(2)  # only parity of q matters
@@ -82,7 +82,7 @@ def test_e1_page_segment():
 
 def test_e1_page_even_rows_vanish():
     poly, lat, x = full_run(hypercube(2))
-    page = e1_page(lat, x)
+    page = e1_page(x)
     for p in range(0, 6):
         for q in (-2, 0, 2):
             assert page.entry(p, q).is_trivial()
@@ -90,14 +90,14 @@ def test_e1_page_even_rows_vanish():
 
 def test_e1_page_point():
     poly, lat, x = full_run(point_polytope())
-    page = e1_page(lat, x)
+    page = e1_page(x)
     assert [page.odd_rank(p) for p in (1, 2)] == [1, 1]
 
 
 def test_e1_ranks_equal_f_vector_shifted():
     for poly in [simplex(3), hypercube(3)]:
         _, lat, x = full_run(poly)
-        page = e1_page(lat, x)
+        page = e1_page(x)
         assert tuple(page.odd_rank(p) for p in range(1, poly.ambient_dim + 3)) == lat.f_vector
 
 
@@ -105,7 +105,7 @@ def test_e1_ranks_equal_f_vector_shifted():
 
 def test_cube_report():
     poly, lat, x = full_run(hypercube(3))
-    rep = k_report(poly, lat, x)
+    rep = k_report(poly, x)
     assert rep.k_algebra == (ZERO_GROUP, ZERO_GROUP)
     assert rep.k_quotient == (ZERO_GROUP, Z)
     assert rep.e2_nonzero == ()
@@ -115,7 +115,7 @@ def test_cube_report():
 
 def test_point_report_same_shape():
     poly, lat, x = full_run(point_polytope())
-    rep = k_report(poly, lat, x)
+    rep = k_report(poly, x)
     assert rep.k_algebra == (ZERO_GROUP, ZERO_GROUP)
     assert rep.k_quotient == (ZERO_GROUP, Z)
 
@@ -180,7 +180,7 @@ def test_corrupted_complex_reported_not_suppressed():
     corrupted = complex_from_dense(
         dim=1, boundary=(((1, 1),), ((-2,), (2,))),
         face_order=(((),), ((0,), (1,)), ((0, 1),)))
-    rep = k_report(poly, lat, corrupted)
+    rep = k_report(poly, corrupted)
     assert rep.e2_nonzero == ((0, AbelianGroup(0, (2,))),)
     assert any(c.startswith("FALSIFIED") for c in rep.kk_conclusions)
     # degree 0 lands in K_1 by the parity bookkeeping

@@ -24,7 +24,6 @@ from polyk.polytope import (
     Face,
     _hull_facets,
     integer_grid,
-    affine_dim,
     face_lattice,
     facets,
     validate,
@@ -33,6 +32,7 @@ from polyk.polytope import (
 
 from affine import apply_affine, random_invertible_affine
 from oracles import (
+    affine_dim,
     brute_force_facets,
     closure_face_lattice,
     cofactor_starting_cone,
@@ -67,16 +67,11 @@ def test_validate_rejects_collinear():
     assert str(err.value) == "hull not full-dimensional: affine dimension 1 < ambient 2"
 
 
-def test_validate_takes_its_rank_from_the_hull(monkeypatch):
+def test_validate_takes_its_rank_from_the_hull():
     # the hull's starting basis of homogenized points has affine dim + 1
-    # ids, so validate takes no affine_dim of its own: it still accepts the
+    # ids, so validate needs no affine dimension of its own: it accepts the
     # corpus and rejects four coplanar points in R^3
     members = acceptance_corpus()
-
-    def no_rank(*args):
-        raise AssertionError("validate took a separate affine_dim")
-
-    monkeypatch.setattr(polytope, "affine_dim", no_rank)
     for P in members:
         Q = validate(P.vertices, P.name)
         assert Q == P and Q.facets == P.facets
@@ -470,7 +465,7 @@ def test_verify_lattice_rejects_broken_diamond():
                              tuple((bottom, v) for v in atoms) + tuple((v, top) for v in atoms))
     with pytest.raises(InternalInvariantError,
                        match=r"^diamond property fails between \{\} and \{0,1,2\}: "
-                             r"3 intermediate faces$"):
+                             r"3 intermediate elements$"):
         verify_lattice(lat)
 
 
@@ -479,7 +474,7 @@ def test_verify_lattice_names_missing_cover():
     atoms = (Face((0,), 0), Face((1,), 0))
     lat = lattice_from_pairs(1, ((bottom,), atoms, (top,)),
                              ((bottom, atoms[0]), (bottom, atoms[1]), (atoms[0], top)))
-    with pytest.raises(InternalInvariantError, match=r"^face \{1\} of dim 0 has no upper cover$"):
+    with pytest.raises(InternalInvariantError, match=r"^\{1\} has no upper cover: not graded$"):
         verify_lattice(lat)
 
 
@@ -501,7 +496,7 @@ def test_verify_lattice_tests_containment_not_cover_paths():
     assert broken.lower_covers(new) == (Face((0, 1), 1), Face((0, 2), 1), Face((1, 2), 1))
     with pytest.raises(InternalInvariantError,
                        match=r"^diamond property fails between \{3\} and \{0,1,2,3\}: "
-                             r"0 intermediate faces$"):
+                             r"0 intermediate elements$"):
         verify_lattice(broken)
 
 

@@ -186,7 +186,7 @@ def complexes(name):
     out = []
     for poly in polys:
         L = face_lattice(poly)
-        out.append(build_complex(trivialize(L), L, ConeSystem(lift(poly), L)))
+        out.append(build_complex(trivialize(L), ConeSystem(lift(poly), L)))
     return out
 
 
