@@ -154,7 +154,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations
 from math import lcm
-from operator import mul, or_
+from operator import or_
 from typing import Sequence
 
 from polyk.cellular import ChainComplex, HomologyResult
@@ -298,14 +298,14 @@ def dual_cone_in_span(basis, gens) -> tuple[tuple[int, ...], ...]:
     The generators must span the subspace.  Working in coordinates: a point
     B @ xi of the span pairs with y as <B @ xi, y> = <xi, B^T y>, so the dual
     inside the span is the ordinary dual of the cone over the vectors B^T y.
-    Results are mapped back to ambient primitive integer vectors.  All of it
-    is integer products.
+    Results are mapped back to ambient primitive integer vectors, all on
+    integers.
     """
     if not basis:
         return ()
     projected = [[int_dot(b, y) for b in basis] for y in gens]
     rays = dual_cone(projected, ambient_dim=len(basis))
-    return tuple(sorted(primitive_vector([sum(map(mul, xi, column)) for column in zip(*basis)])
+    return tuple(sorted(primitive_vector([int_dot(xi, column) for column in zip(*basis)])
                         for xi in rays))
 
 
