@@ -18,8 +18,9 @@ face: ``ConeSystem.cover_orientations`` gives the orientation sigma of
 every lower cover E of F at once.  A pair with m = 0 reads sigma off F's
 certified adjugate with no ray made (``cones.adjugate_column`` states the
 identities); a pair with m > 0 whose faces are both dual-simple reads it on
-the dual side, from the dual base signs of E and F and one bit of their
-dual masks (``cones.dual_sign``); any other pair takes ``cones.edge_ray``,
+the dual side, from the dual base signs of E and F, fixed once from the top
+face down (``ConeSystem``), and one bit of their dual masks
+(``cones.dual_sign``); any other pair takes ``cones.edge_ray``,
 whose ``EdgeRay.orientation`` is read off F's basis coordinates.  A flip of F
 negates a column of B^T A_F and a flip of E a row, so with eps = -1 for a
 flipped face and +1 otherwise

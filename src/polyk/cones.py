@@ -74,15 +74,16 @@ one of three routes, fixed by the pair's span and dual masks alone:
     n - dim - 1 normals: read on the dual side, by the cone duality the
     circledast construction rests on, from the dual base signs tau of the
     two faces and one bit of their dual masks; ``dual_sign`` states and
-    proves the formula, ``dual_base_sign`` why tau is defined,
-    ``ConeSystem`` how tau propagates along resume covers, and
-    ``cover_orientations`` what the cross-check reduces to and how tau is
-    checked against the adjugates;
+    proves the formula and why tau is defined, ``ConeSystem`` how tau is
+    fixed once, from the top face down, and ``cover_orientations`` what
+    the cross-check reduces to and how tau is checked against the
+    adjugates;
   * any other pair: ``edge_ray`` and ``edge_ray_crosscheck``.
 
 Those two take any pair by the one general construction, the Gram solve
 and the Cauchy-Schwarz test, so on the pairs of the first two routes they
-are an independent oracle of the batch.
+are an independent oracle of the batch; ``ConeSystem`` also orients by
+them the few pairs that bridge tau to a face the top cannot reach.
 """
 
 from __future__ import annotations
@@ -730,12 +731,17 @@ def dual_sign(n: int, dual_F: int, dual_E: int) -> int:
 
         sigma = (-1)^(n-1) * pi * tau_E * tau_F,
 
-    with tau the dual base sign of each face (``dual_base_sign``).
+    with tau the dual base sign of each face (``ConeSystem.taus``).
 
     A face F is dual-simple when its dual mask has exactly n - dim F - 1
     bits, the rank ``check_dual_faces`` certifies; its normals, in index
-    order the columns of Y_F, are then independent, and [A_F | Y_F] is a
-    basis of R^n (``dual_base_sign``).  E lies in F, so dual_F is inside
+    order the columns of Y_F, are then independent.  [A_F | Y_F] is then a
+    basis of R^n: A_F is independent (det G_F > 0), the normals of Y_F are
+    orthogonal to span(F), as each vanishes on F's vertices, a vector in
+    both spans is orthogonal to itself, and the counts add up to n.  Its
+    sign, taken against the top face's basis A_P, is
+    tau_F = sign det[A_F | Y_F] * sign det A_P, one factor for every face,
+    which cancels in tau_E tau_F.  E lies in F, so dual_F is inside
     dual_E, and their counts differ by one: dual_E = dual_F plus the one
     normal y, column j of Y_E, j = popcount(dual_F below y).
 
@@ -760,34 +766,6 @@ def dual_sign(n: int, dual_F: int, dual_E: int) -> int:
     return -1 if (n - 1 + (dual_F >> y.bit_length()).bit_count()) & 1 else 1
 
 
-def dual_base_sign(F: Face, span_ids: Sequence[int], dual_mask: int, top_ids: Sequence[int],
-                   gram: IntMatrix, slack: IntMatrix) -> int:
-    """tau_F, the sign of [A_F | Y_F] for a dual-simple face F, by one n x n
-    Bareiss determinant on the Gram and slack tables: A_F the cone's
-    generators at F's ``span_ids``, Y_F the facet normals of F's
-    ``dual_mask`` in index order (``dual_sign``).
-
-    It is taken against the basis A_P of the top face P (``top_ids``, n
-    independent lifted vertices): tau_F = sign det([A_F | Y_F]^T A_P), whose
-    entries are <a, b> = T[a][b] and <y_k, b> = S[b][k] for b in P's span
-    ids.  That is sign det[A_F | Y_F] times sign det A_P, one factor for
-    every face, which cancels in the product tau_E tau_F of ``dual_sign``
-    and in the propagation along resume covers (``ConeSystem``); so no
-    generator of the cone is read.
-
-    [A_F | Y_F] is nonsingular: A_F is independent (det G_F > 0), the
-    n - dim F - 1 normals of Y_F are independent (their certified rank) and
-    orthogonal to span(F), as each vanishes on F's vertices; a vector in
-    both spans is orthogonal to itself, and the counts add up to n.  A_P is
-    a basis of R^n.  So a zero determinant is an error naming F."""
-    rows = [[gram[a][b] for b in top_ids] for a in span_ids]
-    rows += [[slack[b][k] for b in top_ids] for k in set_bits(dual_mask)]
-    det = bareiss_det(rows)
-    if det == 0:
-        raise InternalInvariantError(f"dual base [A_F | Y_F] of {F} is singular")
-    return 1 if det > 0 else -1
-
-
 class ConeSystem:
     """Per-face cone data (``FaceConeData``) for every face of ``lattice``,
     in a list indexed by its face ids, read by the edge rays and the
@@ -805,21 +783,34 @@ class ConeSystem:
     rays are not kept: ``build_complex`` asks for the orientations of each
     face's lower covers once (``cover_orientations``).
 
-    The dual base sign tau_F of a dual-simple face (``dual_sign``,
-    ``dual_base_sign``) is taken only for the faces a pair of the dual
-    route reaches, and kept.  The resume pair (E, F) has m = 0 with p at
-    F's last row r = dim F, so sigma = (-1)^(dim F) (``adjugate_column``);
-    when E is dual-simple too, ``dual_sign`` gives
+    Last, ``taus`` holds the dual base sign tau_F of every face
+    (``dual_sign``): +1 or -1 for a dual-simple face, 0 for any other.
+    Every upper cover H of a dual-simple face E is dual-simple: dual_H is
+    a subset of dual_E (E lies in H), whose normals are independent, their
+    count being their certified rank; so dual_H's normals are independent
+    too, and their count is their rank n - dim H - 1
+    (``check_dual_faces``).  tau is fixed from the top face P down:
 
-        tau_F = (-1)^(dim F) * (-1)^(n-1) * pi * tau_E,
+      * tau_P = sign det(A_P^T A_P) = +1, with no determinant: Y_P is
+        empty (``check_dual_faces``) and det G_P > 0 is certified by P's
+        bordering steps;
+      * tau spreads over the covering pairs (E, F) with m = 0 between
+        dual-simple faces, both ways: there sigma = (-1)^r
+        (``adjugate_column``), so tau_E = (-1)^r * dual_sign * tau_F, and
+        tau_F = (-1)^r * dual_sign * tau_E;
+      * the dual-simple face E of highest id that the spread has not
+        reached takes a bridge, the pair (E, H) to an upper cover H.  H
+        carries tau: it is dual-simple and has a higher id (the lattice
+        numbers faces level by level), and every dual-simple face above
+        E's id has been reached or bridged.  The pair has m > 0, or the
+        spread would have reached E from H, and its sigma is the general
+        route's, ``ray`` checked by ``crosscheck``; then
+        tau_E = sigma * dual_sign * tau_H, and the spread goes on from E.
 
-    in O(1).  A face whose resume cover is not dual-simple, or that has
-    none (the vertices, unless the empty face is dual-simple), takes one
-    ``dual_base_sign``.
-
-    Safe to share within a run: nothing but that memo of signs, whose
-    values do not depend on the order the faces are asked in, is modified
-    after ``__init__``.
+    No n x n determinant is taken, and every face's tau is set once, by
+    one of those three.  ``cover_orientations`` checks every pair with
+    m = 0 between two dual-simple faces against the formula, the pairs the
+    spread went along included.  Nothing is assigned after ``__init__``.
     """
 
     def __init__(self, cone: LiftedCone, lattice: FaceLattice):
@@ -834,13 +825,11 @@ class ConeSystem:
                                 for f in lattice.faces_by_id)
         check_dual_faces(lattice, self.dual_masks, cone.dim)
         self._face_data: list[FaceConeData] = []
-        self._resumed_from: list[int | None] = []  # each face's resume cover, if any
         for f, F in enumerate(lattice.faces_by_id):
             resume = self._resume(f)
             cover = None if resume is None else (self._face_data[resume[0]], resume[1])
             self._face_data.append(face_cone_data(F, self.gram, cover))
-            self._resumed_from.append(None if resume is None else resume[0])
-        self._taus: dict[int, int] = {}  # tau_F of the dual-simple faces reached so far
+        self.taus = self._dual_base_signs()
 
     def face_data(self, f: int) -> FaceConeData:
         return self._face_data[f]
@@ -859,47 +848,35 @@ class ConeSystem:
                     return e, p
         return None
 
-    def _dual_simple(self, f: int) -> bool:
-        return self.dual_masks[f].bit_count() == self.cone.dim - self.lattice.faces_by_id[f].dim - 1
-
-    def _tau(self, f: int) -> int:
-        """tau_F of a dual-simple face f: kept, propagated from its resume
-        cover when that is dual-simple, or one ``dual_base_sign``.  A new
-        tau is checked at once (``_check_taus``)."""
-        tau = self._taus.get(f)
-        if tau is None:
-            n, dual = self.cone.dim, self.dual_masks
-            e = self._resumed_from[f]
-            if e is not None and self._dual_simple(e):
-                parity = -1 if self.lattice.faces_by_id[f].dim & 1 else 1
-                tau = parity * dual_sign(n, dual[f], dual[e]) * self._tau(e)
-            else:
-                tau = dual_base_sign(self.lattice.faces_by_id[f], self._face_data[f].span_ids,
-                                     dual[f], self._face_data[-1].span_ids, self.gram, self.slack)
-            self._taus[f] = tau
-            self._check_taus(f)
-        return tau
-
-    def _check_taus(self, f: int) -> None:
-        """Every covering pair with m = 0 between face f, whose tau has just
-        been set, and a face that has one already must have
-        (-1)^r = (-1)^(n-1) * pi * tau_E * tau_F (``dual_sign``; the identity
-        holds for every pair of dual-simple faces).  So each such pair is
-        checked once, when the second of its two signs is set, in whatever
-        order the faces are asked; the resume pair that set one tau from the
-        other agrees by construction.  That ties every tau to the certified
-        adjugates.  A mismatch is an error naming the pair."""
-        taus, faces, dual, n = self._taus, self._face_data, self.dual_masks, self.cone.dim
-        L = self.lattice
-        pairs = [(e, f) for e in L.down[f] if e in taus] + [(f, h) for h in L.up[f] if h in taus]
-        for e, h in pairs:
-            r = adjugate_column(faces[h].span_mask, faces[e].span_mask)
-            if r is None:
+    def _dual_base_signs(self) -> tuple[int, ...]:
+        """tau of every face, from the top face down (see the class)."""
+        n, dual, L = self.cone.dim, self.dual_masks, self.lattice
+        spans = [data.span_mask for data in self._face_data]
+        taus: list[int | None] = [None if dual[f].bit_count() == n - F.dim - 1 else 0
+                                  for f, F in enumerate(L.faces_by_id)]  # None: not set yet
+        top = len(taus) - 1
+        for root in range(top, -1, -1):
+            if taus[root] is not None:
                 continue
-            sigma = dual_sign(n, dual[h], dual[e]) * taus[e] * taus[h]
-            if sigma != (-1 if r & 1 else 1):
-                raise self._pair_error(
-                    e, h, f"the dual base signs give {sigma}, F's adjugate (-1)^{r} = {-sigma}")
+            if root == top:
+                taus[root] = 1
+            else:
+                h = next(h for h in L.up[root] if taus[h])
+                ray = self.ray(root, h)
+                self.crosscheck(root, h, ray)
+                taus[root] = ray.orientation * dual_sign(n, dual[h], dual[root]) * taus[h]
+            stack = [root]
+            while stack:
+                f = stack.pop()
+                for g in L.down[f] + L.up[f]:
+                    if taus[g] is None:
+                        e, h = min(f, g), max(f, g)  # lower covers have lower ids
+                        r = adjugate_column(spans[h], spans[e])
+                        if r is not None:
+                            sigma = -1 if r & 1 else 1
+                            taus[g] = sigma * dual_sign(n, dual[h], dual[e]) * taus[f]
+                            stack.append(g)
+        return tuple(taus)
 
     def cover_orientations(self, f: int) -> list[int]:
         """The orientation sigma of every covering pair (E, F) of face f, one
@@ -911,9 +888,9 @@ class ConeSystem:
             its ray column r of F's certified adjugate): read off F's data
             in O(1), with no ray made: sigma = (-1)^r, and the verdict of
             ``adjugate_pair_fault``;
-          * m > 0, E and F both dual-simple: sigma from two face signs and
-            one dual-mask bit (``dual_sign``), in O(1), with no ray made and
-            no Gram number read;
+          * m > 0, E and F both dual-simple, tau_E tau_F != 0: sigma from
+            ``taus`` and one dual-mask bit (``dual_sign``), in O(1), with no
+            ray made and no Gram number read;
           * any other pair: ``ray`` and ``crosscheck``.
 
         The first two give the sign and the verdict the per-pair functions
@@ -929,25 +906,28 @@ class ConeSystem:
         (``check_slack``) and y outside F's dual mask, so nonzero at some
         vertex of F, already imply that: it checks nothing new.
 
-        What the dual route adds is checked on the adjugate route: the
-        m = 0 pairs between faces that carry tau (``_check_taus``).  A
-        rejected pair is an error naming it."""
-        faces = self._face_data
+        What the dual route adds is checked on the adjugate route: every
+        m = 0 pair between two dual-simple faces must have
+        (-1)^r = dual_sign * tau_E * tau_F, which ties every tau to the
+        certified adjugates.  A rejected pair is an error naming it."""
+        faces, taus, dual, n = self._face_data, self.taus, self.dual_masks, self.cone.dim
         data_F = faces[f]
-        span_F, dual_F = data_F.span_mask, self.dual_masks[f]
-        simple = self._dual_simple(f)
+        span_F, dual_F, tau_F = data_F.span_mask, dual[f], taus[f]
         signs = []
         for e in self.lattice.down[f]:
             data_E = faces[e]
             r = adjugate_column(span_F, data_E.span_mask)
+            tau = taus[e] * tau_F  # nonzero iff both faces are dual-simple
             if r is not None:
+                sigma = -1 if r & 1 else 1
                 fault = adjugate_pair_fault(data_E, data_F, r)
+                if fault is None and tau and dual_sign(n, dual_F, dual[e]) * tau != sigma:
+                    fault = f"the dual base signs give {-sigma}, F's adjugate (-1)^{r} = {sigma}"
                 if fault is not None:
                     raise self._pair_error(e, f, fault)
-                signs.append(-1 if r & 1 else 1)
-            elif simple and self._dual_simple(e):
-                signs.append(dual_sign(self.cone.dim, dual_F, self.dual_masks[e])
-                             * self._tau(e) * self._tau(f))
+                signs.append(sigma)
+            elif tau:
+                signs.append(dual_sign(n, dual_F, dual[e]) * tau)
             else:
                 ray = self.ray(e, f)
                 self.crosscheck(e, f, ray)

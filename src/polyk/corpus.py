@@ -56,7 +56,14 @@ def random_hull(rng: random.Random, dim: int, n_points: int,
     The hull's own starting basis decides the rank: a draw whose hull is
     not full-dimensional makes ``convex_hull`` raise ``InputError``, and
     the points are drawn again.  That test takes nothing from ``rng``.
+
+    A coordinate is k / q with -8 <= k <= 8 and q in {1, 2, 3}: 37 distinct
+    values.  So no draw ends unless dim + 1 <= n_points <= 37^dim, and any
+    other ``n_points`` is a ``ValueError`` before the first draw.
     """
+    if not dim + 1 <= n_points <= 37 ** dim:
+        raise ValueError(f"random_hull needs dim + 1 <= n_points <= 37^dim "
+                         f"(dim {dim}), got n_points = {n_points}")
     while True:
         pts = []
         seen = set()

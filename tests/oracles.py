@@ -101,6 +101,11 @@ batch's docstring defines its three routes, without running the batch:
 ``pair_route`` names the route.  ``pyramid_prism`` is a small polytope
 whose pairs take all three.
 
+The dual-base oracle is the determinant the cone batch took for tau_F,
+the sign of [A_F | Y_F] of a dual-simple face, before it fixed every tau
+once from the top face down: ``dual_base_sign``, one n x n Bareiss
+determinant on the Gram and slack tables against the top face's basis.
+
 The dual-rank oracle is the count the library made per face before it
 certified dual ranks once per run by the growth of the dual-face masks
 along the lattice: ``echelon_dual_rank`` runs a fraction-free echelon on
@@ -183,6 +188,7 @@ from polyk.polytope import (
     FaceLattice,
     Polytope,
     convex_hull,
+    set_bits,
     validate,
 )
 from polyk.sparse import SparseColumn
@@ -205,16 +211,17 @@ def leibniz_det(rows) -> Fraction:
         raise ValueError("square matrix required")
     total = Fraction(0)
     for perm in permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        for i in range(n):  # count inversions for the permutation sign
-            for j in range(i + 1, n):
-                if seen[i] > seen[j]:
-                    sign = -sign
         term = Fraction(1)
         for i in range(n):
             term *= Fraction(rows[i][perm[i]])
-        total += sign * term
+            if not term:  # a zero factor: the term adds nothing
+                break
+        else:
+            for i in range(n):  # count inversions for the permutation sign
+                for j in range(i + 1, n):
+                    if perm[i] > perm[j]:
+                        term = -term
+            total += term
     return total
 
 
@@ -371,6 +378,35 @@ def dual_face_ids(system, f: int) -> tuple[int, ...]:
 def dual_face_gens(system, f: int) -> tuple[tuple[int, ...], ...]:
     """The facet normals of the dual face of the face with id f."""
     return tuple(system.cone.facet_normals[k] for k in dual_face_ids(system, f))
+
+
+def dual_base_sign(F: Face, span_ids: Sequence[int], dual_mask: int, top_ids: Sequence[int],
+                   gram: IntMatrix, slack: IntMatrix) -> int:
+    """tau_F, the sign of [A_F | Y_F] for a dual-simple face F, by one n x n
+    Bareiss determinant on the Gram and slack tables: A_F the cone's
+    generators at F's ``span_ids``, Y_F the facet normals of F's
+    ``dual_mask`` in index order (``polyk.cones.dual_sign``).
+
+    It is taken against the basis A_P of the top face P (``top_ids``, n
+    independent lifted vertices): tau_F = sign det([A_F | Y_F]^T A_P), whose
+    entries are <a, b> = T[a][b] and <y_k, b> = S[b][k] for b in P's span
+    ids.  That is sign det[A_F | Y_F] times sign det A_P, one factor for
+    every face, which cancels in the product tau_E tau_F of
+    ``polyk.cones.dual_sign``, and +1 at P itself; so no generator of the
+    cone is read.
+
+    [A_F | Y_F] is nonsingular: A_F is independent (det G_F > 0), the
+    n - dim F - 1 normals of Y_F are independent (their certified rank) and
+    orthogonal to span(F), as each vanishes on F's vertices; a vector in
+    both spans is orthogonal to itself, and the counts add up to n.  A_P is
+    a basis of R^n.  So a zero determinant is an error naming F."""
+    rows = [[gram[a][b] for b in top_ids] for a in span_ids]
+    rows += [[slack[b][k] for b in top_ids] for k in set_bits(dual_mask)]
+    det = bareiss_det(rows)
+    if det == 0:
+        raise InternalInvariantError(f"dual base [A_F | Y_F] of {F} is singular")
+    return 1 if det > 0 else -1
+
 
 
 def rational_lifted_vertex(C: LiftedCone, i: int) -> tuple[Fraction, ...]:

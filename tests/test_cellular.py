@@ -167,9 +167,10 @@ def test_per_face_work_once_per_run(monkeypatch):
     # checked on masks and no echelon; the per-pair steps only read them: no
     # echelon or Gram pass runs inside a pair, edge_ray takes one sign minor
     # on the pairs of the general route and is not called on the others,
-    # the dual route takes one base determinant per face its signs cannot
-    # be propagated to, the cross-check takes none and the incidence sign
-    # neither, and no cofactor kernel is solved while the complex is built
+    # the dual route takes no determinant (tau spreads from the top face
+    # here, with no bridge), the cross-check takes none and the incidence
+    # sign neither, and no cofactor kernel is solved while the complex is
+    # built
     poly = pyramid_prism()
     active = []  # the wrapped per-pair functions now running
 
@@ -236,13 +237,13 @@ def test_per_face_work_once_per_run(monkeypatch):
     assert not any("edge_ray_crosscheck" in pair or "incidence_sign" in pair for pair in dets)
     # the orientation: one sign minor per covering pair of the general
     # route, 4 of the 38 with m > 0 here (m the number of E's span ids
-    # outside F's), and 8 dual base determinants for the other 34
+    # outside F's), and none for the other 34
     system = ConeSystem(lift(poly), result.lattice)
     routes = Counter(pair_route(system, e, f)
                      for f, lower in enumerate(result.lattice.down) for e in lower)
     assert sum("edge_ray" in pair for pair in dets) == routes["general"] == 4
-    assert dets.count(("build_complex",)) == 8 and routes["dual"] == 34
-    assert len(dets) == 12 and len(result.lattice.covering) == 159
+    assert routes["dual"] == 34
+    assert len(dets) == 4 and len(result.lattice.covering) == 159
     assert not any("build_complex" in pair for pair in kernels)
 
 

@@ -48,6 +48,7 @@ from oracles import (
     crosscheck_verdict,
     dual_face_gens,
     dual_face_ids,
+    dual_base_sign,
     dual_simple,
     echelon_dual_rank,
     gram_adjugate,
@@ -773,111 +774,117 @@ def test_cover_batch_matches_per_pair_api(resume_systems, mixed_route_systems):
 
 
 @pytest.mark.parametrize("poly, counts", [
-    (hypercube(5), {"dual": 325, "general": 0, "dets": 31}),
-    (cross_polytope(5), {"dual": 30, "general": 0, "dets": 17}),
-    (prism_over_cross4(), {"dual": 108, "general": 80, "dets": 66}),
+    (hypercube(5), {"dual": 325, "general": 0, "bridges": 0}),
+    (cross_polytope(5), {"dual": 30, "general": 0, "bridges": 0}),
+    (prism_over_cross4(), {"dual": 108, "general": 80, "bridges": 1}),
 ], ids=["cube5", "cross5", "prism_cross4"])
 def test_dual_route_counts(poly, counts, monkeypatch):
-    # the batch makes a ray for the general pairs only, and takes a dual
-    # base determinant only for the faces the dual route reaches and that
-    # no dual-simple resume cover propagates to
-    lat = face_lattice(poly)
-    system = ConeSystem(lift(poly), lat)
-    made = Counter()
-    real_ray, real_sign = cones.edge_ray, cones.dual_base_sign
+    # the system makes a ray only for the faces tau cannot spread to from
+    # the top (a bridge each), and the batch one for each general pair
+    made = []
+    real_ray = cones.edge_ray
 
     def ray(*args, **kwargs):
-        made["general"] += 1
+        made.append(args)
         return real_ray(*args, **kwargs)
 
-    def base_sign(*args):
-        made["dets"] += 1
-        return real_sign(*args)
-
     monkeypatch.setattr(cones, "edge_ray", ray)
-    monkeypatch.setattr(cones, "dual_base_sign", base_sign)
+    lat = face_lattice(poly)
+    system = ConeSystem(lift(poly), lat)
+    bridges = len(made)
     for f in range(len(lat.faces_by_id)):
         system.cover_orientations(f)
     routes = Counter(pair_route(system, e, f) for f, lower in enumerate(lat.down) for e in lower)
-    assert made["general"] == routes["general"]
-    assert {"dual": routes["dual"], "general": routes["general"], "dets": made["dets"]} == counts
+    assert len(made) - bridges == routes["general"]
+    assert {"dual": routes["dual"], "general": routes["general"], "bridges": bridges} == counts
 
 
 def test_dual_base_signs_match_the_generator_determinants():
-    # every tau the batch keeps, propagated or taken on the tables, is
-    # sign det[A_F | Y_F] * sign det A_P on the generators and normals
-    # (Leibniz), and on every pair of dual-simple faces, of any route, the
-    # ray's orientation is (-1)^(n-1) pi tau_E tau_F
+    # every nonzero tau of the system, the top's +1, the spread ones and
+    # the bridged ones, is sign det[A_F | Y_F] * sign det A_P on the
+    # generators and normals (Leibniz) and the table-form oracle's sign;
+    # every 0 marks a face that is not dual-simple; and on every pair of
+    # dual-simple faces, of any route, the ray's orientation is
+    # (-1)^(n-1) pi tau_E tau_F
     checked = Counter()
     prism = validate([tuple(s * (i == j) for j in range(3)) + (t,)
                       for t in (0, 1) for i in range(3) for s in (1, -1)])
-    for poly in (hypercube(4), cross_polytope(4), prism):
+    for poly in (hypercube(4), cross_polytope(4), prism, prism_over_cross4()):
         lat = face_lattice(poly)
         system = ConeSystem(lift(poly), lat)
-        for f in range(len(lat.faces_by_id)):
-            system.cover_orientations(f)
-        C, n = system.cone, system.cone.dim
-        top = span_basis(C, system.face_data(len(lat.faces_by_id) - 1))
-        top_sign = 1 if leibniz_det(top) > 0 else -1
-
-        def tau(f):
+        C, n, top = system.cone, system.cone.dim, len(lat.faces_by_id) - 1
+        top_basis = span_basis(C, system.face_data(top))
+        top_sign = 1 if leibniz_det(top_basis) > 0 else -1
+        for f, tau in enumerate(system.taus):
+            if not tau:
+                assert not dual_simple(system, f), (poly.name, f)
+                continue
             rows = span_basis(C, system.face_data(f)) + dual_face_gens(system, f)
-            return (1 if leibniz_det(rows) > 0 else -1) * top_sign
-
-        taus = {f: tau(f) for f in range(len(lat.faces_by_id)) if dual_simple(system, f)}
-        for f, kept in system._taus.items():
-            assert kept == taus[f], (poly.name, f)
+            assert tau == (1 if leibniz_det(rows) > 0 else -1) * top_sign, (poly.name, f)
+            assert tau == dual_base_sign(lat.faces_by_id[f], system.face_data(f).span_ids,
+                                         system.dual_masks[f], system.face_data(top).span_ids,
+                                         system.gram, system.slack), (poly.name, f)
+        assert system.taus[top] == 1
         for f, lower in enumerate(lat.down):
             for e in lower:
-                if e in taus and f in taus:
+                if system.taus[e] and system.taus[f]:
                     sigma = cones.dual_sign(n, system.dual_masks[f], system.dual_masks[e])
-                    assert system.ray(e, f).orientation == sigma * taus[e] * taus[f], \
-                        (poly.name, e, f)
+                    assert system.ray(e, f).orientation == \
+                        sigma * system.taus[e] * system.taus[f], (poly.name, e, f)
                     checked[pair_route(system, e, f)] += 1
     assert checked["adjugate"] > 250 and checked["dual"] > 100
 
 
 def test_flipped_dual_base_sign_fails_the_batch_not_the_per_pair_api(monkeypatch):
-    # the dual base sign of vertex {0} of the 3-cube flipped: it propagates
-    # to the faces resumed from {0}, and the batch rejects the first m = 0
-    # pair between one of those and a face whose own sign it set apart,
-    # ({1}, {0,1}), naming it; the per-pair API, which reads no dual base
-    # sign, makes the same ray and accepts it
+    # the dual base sign of vertex {0} of the 3-cube flipped in a built
+    # system: the batch, taking the faces in id order, rejects the first
+    # m = 0 pair at {0} between dual-simple faces, ({0}, {0,1}), naming it
+    # (the empty face below {0} is not dual-simple); the per-pair API, which
+    # reads no dual base sign, makes the same ray and accepts it
     poly = hypercube(3)
     lat, by_set = faces_of(poly)
     system = ConeSystem(lift(poly), lat)
-    real = cones.dual_base_sign
-
-    def flipping(F, *args):
-        return -real(F, *args) if F == by_set[(0,)] else real(F, *args)
-
-    monkeypatch.setattr(cones, "dual_base_sign", flipping)
     broken = ConeSystem(system.cone, lat)
+    flipped = lat.face_id[by_set[(0,)]]
+    monkeypatch.setattr(broken, "taus", tuple(-t if f == flipped else t
+                                              for f, t in enumerate(system.taus)))
     with pytest.raises(InternalInvariantError) as batch:
         for f in range(len(lat.faces_by_id)):
             broken.cover_orientations(f)
-    E, F = by_set[(1,)], by_set[(0, 1)]
+    E, F = by_set[(0,)], by_set[(0, 1)]
     assert str(batch.value) == (f"edge-ray cross-check failed for ({E}, {F}): "
-                                "the dual base signs give -1, F's adjugate (-1)^0 = 1")
+                                "the dual base signs give 1, F's adjugate (-1)^1 = -1")
     e, f = lat.face_id[E], lat.face_id[F]
     ray = broken.ray(e, f)
-    assert ray == system.ray(e, f) and ray.orientation == 1
+    assert ray == system.ray(e, f) and ray.orientation == -1
     broken.crosscheck(e, f, ray)
 
 
-def test_singular_dual_base_names_face(monkeypatch):
-    # [A_F | Y_F] is a basis of R^n for every dual-simple face; a zero
-    # determinant (forced here) is an error naming the first face whose
-    # sign the batch takes by determinant: on the square, the first pair
-    # of the dual route is ({1,3}, top), and the edge {1,3} resumed from
-    # its vertex {1}
+def test_cover_orientations_in_reverse_order_match_and_keep_taus(mixed_route_systems):
+    # tau is fixed by the constructor: asking for the faces from the top
+    # down gives the signs of asking from the bottom up, and changes no tau
+    for poly, system in mixed_route_systems:
+        ids = range(len(system.lattice.faces_by_id))
+        taus = system.taus
+        backward = {f: system.cover_orientations(f) for f in reversed(ids)}
+        assert system.taus == taus, poly.name
+        fresh = ConeSystem(system.cone, system.lattice)
+        assert [fresh.cover_orientations(f) for f in ids] == [backward[f] for f in ids], poly.name
+        assert fresh.taus == taus, poly.name
+
+
+def test_singular_dual_base_names_face():
+    # [A_F | Y_F] is a basis of R^n for every dual-simple face; on a table
+    # whose rows repeat (the vertex {1} of the square given twice for the
+    # edge {1,3}) the oracle's determinant is zero, an error naming the face
     poly = hypercube(2)
     lat, by_set = faces_of(poly)
     system = ConeSystem(lift(poly), lat)
-    monkeypatch.setattr(cones, "bareiss_det", lambda rows: 0)
+    edge, top = lat.face_id[by_set[(1, 3)]], len(lat.faces_by_id) - 1
     with pytest.raises(InternalInvariantError) as err:
-        build_complex(trivialize(lat), system)
-    assert str(err.value) == f"dual base [A_F | Y_F] of {by_set[(1,)]} is singular"
+        dual_base_sign(by_set[(1, 3)], (1, 1), system.dual_masks[edge],
+                       system.face_data(top).span_ids, system.gram, system.slack)
+    assert str(err.value) == f"dual base [A_F | Y_F] of {by_set[(1, 3)]} is singular"
 
 
 @pytest.mark.parametrize("fault", ["z", "cofactor"])

@@ -279,6 +279,24 @@ def test_random_hull_redraws_like_the_rank_loop():
         assert rng.getstate() == old.getstate()
 
 
+@pytest.mark.parametrize("dim, n_points", [(3, 3), (1, 60)], ids=["below_dim_plus_1", "above_37_to_dim"])
+def test_random_hull_rejects_unreachable_point_counts(dim, n_points):
+    # fewer than dim + 1 points span no full-dimensional hull, and a grid of
+    # 37 coordinates has only 37^dim distinct points: either count would
+    # redraw forever, so it is refused before anything is drawn
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=r"dim \+ 1 <= n_points <= 37\^dim"):
+        random_hull(rng, dim, n_points)
+    assert rng.getstate() == state
+
+
+def test_random_hull_reaches_both_bounds():
+    # dim + 1 points, and all 37 points of the 1-d grid, are drawn
+    assert random_hull(random.Random(1), 3, 4).nvertices == 4
+    assert random_hull(random.Random(1), 1, 37).vertices == ((-8,), (8,))
+
+
 def _ridges(P, fc) -> set[tuple[int, ...]]:
     """Vertex sets of the ridges in facet fc: the oracle's facets of fc, with
     fc's points written in the d - 1 coordinates left after dropping one on
