@@ -205,7 +205,8 @@ def affine_dim(points: Sequence[Sequence]) -> int:
 
 
 def leibniz_det(rows) -> Fraction:
-    """Determinant as the signed sum over all permutations."""
+    """Determinant as the signed sum over all permutations; a term stops at
+    its first zero factor, and only a nonzero term has its sign counted."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("square matrix required")
@@ -406,7 +407,6 @@ def dual_base_sign(F: Face, span_ids: Sequence[int], dual_mask: int, top_ids: Se
     if det == 0:
         raise InternalInvariantError(f"dual base [A_F | Y_F] of {F} is singular")
     return 1 if det > 0 else -1
-
 
 
 def rational_lifted_vertex(C: LiftedCone, i: int) -> tuple[Fraction, ...]:

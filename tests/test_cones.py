@@ -46,9 +46,9 @@ from oracles import (
     circledast_gens,
     cramer_numerators,
     crosscheck_verdict,
+    dual_base_sign,
     dual_face_gens,
     dual_face_ids,
-    dual_base_sign,
     dual_simple,
     echelon_dual_rank,
     gram_adjugate,
@@ -862,12 +862,14 @@ def test_flipped_dual_base_sign_fails_the_batch_not_the_per_pair_api(monkeypatch
 
 def test_cover_orientations_in_reverse_order_match_and_keep_taus(mixed_route_systems):
     # tau is fixed by the constructor: asking for the faces from the top
-    # down gives the signs of asking from the bottom up, and changes no tau
+    # down gives the signs of asking from the bottom up, and assigns no
+    # attribute of the system, taus included
     for poly, system in mixed_route_systems:
         ids = range(len(system.lattice.faces_by_id))
-        taus = system.taus
+        taus, attributes = system.taus, dict(vars(system))
         backward = {f: system.cover_orientations(f) for f in reversed(ids)}
-        assert system.taus == taus, poly.name
+        assert vars(system).keys() == attributes.keys(), poly.name
+        assert all(vars(system)[k] is v for k, v in attributes.items()), poly.name
         fresh = ConeSystem(system.cone, system.lattice)
         assert [fresh.cover_orientations(f) for f in ids] == [backward[f] for f in ids], poly.name
         assert fresh.taus == taus, poly.name

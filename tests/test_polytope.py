@@ -279,7 +279,8 @@ def test_random_hull_redraws_like_the_rank_loop():
         assert rng.getstate() == old.getstate()
 
 
-@pytest.mark.parametrize("dim, n_points", [(3, 3), (1, 60)], ids=["below_dim_plus_1", "above_37_to_dim"])
+@pytest.mark.parametrize("dim, n_points", [(3, 3), (1, 60)],
+                         ids=["below_dim_plus_1", "above_37_to_dim"])
 def test_random_hull_rejects_unreachable_point_counts(dim, n_points):
     # fewer than dim + 1 points span no full-dimensional hull, and a grid of
     # 37 coordinates has only 37^dim distinct points: either count would
