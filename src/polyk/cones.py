@@ -829,7 +829,7 @@ class ConeSystem:
             resume = self._resume(f)
             cover = None if resume is None else (self._face_data[resume[0]], resume[1])
             self._face_data.append(face_cone_data(F, self.gram, cover))
-        self.taus = self._dual_base_signs()
+        self.taus = self._signs_from_top()
 
     def face_data(self, f: int) -> FaceConeData:
         return self._face_data[f]
@@ -848,7 +848,7 @@ class ConeSystem:
                     return e, p
         return None
 
-    def _dual_base_signs(self) -> tuple[int, ...]:
+    def _signs_from_top(self) -> tuple[int, ...]:
         """tau of every face, from the top face down (see the class)."""
         n, dual, L = self.cone.dim, self.dual_masks, self.lattice
         spans = [data.span_mask for data in self._face_data]
