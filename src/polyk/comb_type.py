@@ -199,6 +199,16 @@ def is_isomorphic(L1: "FaceLattice | AbstractLattice",
     candidates are read from that image's upper covers, ascending like
     every ``up``, rather than from the whole rank; the first match, and so
     the mapping, is the same.
+
+    The images of s's lower covers, and in the final check of its upper
+    covers, are compared as sorted id tuples with the target's ``down`` and
+    ``up``.  ``up`` is ascending, read off ``down``, and the target's
+    ``down`` lists are sorted once per call, since a lattice built by hand
+    may list them in any order.  Every list holds each cover once
+    (``GradedIds``), and the images of one list are distinct, as the
+    mapping is injective.  Two lists without repeats hold the same set
+    exactly when they are equal sorted, so this is the set equality the
+    search needs, with no set made per element.
     """
     if L1.dim != L2.dim:
         return LatticeIso(False, certificate=f"dimension mismatch: {L1.dim} != {L2.dim}")
@@ -207,7 +217,7 @@ def is_isomorphic(L1: "FaceLattice | AbstractLattice",
     if fv1 != fv2:
         return LatticeIso(False, certificate=f"f-vector mismatch: {fv1} != {fv2}")
     up1, down1, up2 = L1.up, L1.down, L2.up
-    down2 = [set(d) for d in L2.down]
+    down2 = list(map(tuple, map(sorted, L2.down)))
 
     for level1, level2 in zip(ranks1, ranks2):
         sig1 = sorted((len(down1[e]), len(up1[e])) for e in level1)
@@ -221,12 +231,13 @@ def is_isomorphic(L1: "FaceLattice | AbstractLattice",
     # source s; after a backtrack, the search resumes at the next target.
     targets = [level2 for level1, level2 in zip(ranks1, ranks2) for _ in level1]
     mapping: list[int] = []
+    image = mapping.__getitem__
     used: set[int] = set()
     start = 0
     while len(mapping) < len(targets):
         s = len(mapping)
         below, rank = down1[s], targets[s]
-        wanted_down = {mapping[d] for d in below}
+        wanted_down = tuple(sorted(map(image, below)))
         candidates = up2[mapping[below[0]]] if below else rank
         found = next((t for t in candidates
                       if t >= start and t in rank and t not in used
@@ -242,7 +253,7 @@ def is_isomorphic(L1: "FaceLattice | AbstractLattice",
         used.discard(start)
         start += 1
 
-    if any({mapping[b] for b in up1[a]} != set(up2[t]) for a, t in enumerate(mapping)):
+    if any(tuple(sorted(map(image, up1[a]))) != up2[t] for a, t in enumerate(mapping)):
         raise InternalInvariantError("lattice bijection failed final cover verification")
     return LatticeIso(True, mapping=tuple((L1.faces_by_id[s], L2.faces_by_id[t])
                                           for s, t in enumerate(mapping)))

@@ -83,7 +83,8 @@ one of three routes, fixed by the pair's span and dual masks alone:
 Those two take any pair by the one general construction, the Gram solve
 and the Cauchy-Schwarz test, so on the pairs of the first two routes they
 are an independent oracle of the batch; ``ConeSystem`` also orients by
-them the few pairs that bridge tau to a face the top cannot reach.
+them the few pairs that bridge tau to a face the top cannot reach, and
+checks each bridged tau by one n x n determinant.
 """
 
 from __future__ import annotations
@@ -805,12 +806,15 @@ class ConeSystem:
         E's id has been reached or bridged.  The pair has m > 0, or the
         spread would have reached E from H, and its sigma is the general
         route's, ``ray`` checked by ``crosscheck``; then
-        tau_E = sigma * dual_sign * tau_H, and the spread goes on from E.
+        tau_E = sigma * dual_sign * tau_H, checked against its definition
+        by one n x n determinant (``_check_bridge``), and the spread goes
+        on from E.
 
-    No n x n determinant is taken, and every face's tau is set once, by
-    one of those three.  ``cover_orientations`` checks every pair with
-    m = 0 between two dual-simple faces against the formula, the pairs the
-    spread went along included.  Nothing is assigned after ``__init__``.
+    Every face's tau is set once, by one of those three, and no face but
+    a bridged one takes an n x n determinant.  ``cover_orientations``
+    checks every pair with m = 0 between two dual-simple faces against the
+    formula, the pairs the spread went along included.  Nothing is
+    assigned after ``__init__``.
     """
 
     def __init__(self, cone: LiftedCone, lattice: FaceLattice):
@@ -865,6 +869,7 @@ class ConeSystem:
                 ray = self.ray(root, h)
                 self.crosscheck(root, h, ray)
                 taus[root] = ray.orientation * dual_sign(n, dual[h], dual[root]) * taus[h]
+                self._check_bridge(root, h, taus[root])
             stack = [root]
             while stack:
                 f = stack.pop()
@@ -877,6 +882,25 @@ class ConeSystem:
                             taus[g] = sigma * dual_sign(n, dual[h], dual[e]) * taus[f]
                             stack.append(g)
         return tuple(taus)
+
+    def _check_bridge(self, e: int, h: int, tau: int) -> None:
+        """Check the tau that the bridge (E, H) gave E against its
+        definition, sign det([A_E | Y_E]^T A_P) (``dual_sign``), by one
+        n x n ``bareiss_det`` on the tables: the entries are
+        <a, b> = T[a][b] and <y_k, b> = S[b][k], for a in E's span ids, k in
+        E's dual mask and b in the top's span ids.  [A_E | Y_E] and A_P are
+        nonsingular (``dual_sign``), so a zero determinant fails too.  The
+        check is needed: a wrong bridge sign flips the tau of every face the
+        spread reaches from E, which re-orients them all together, and the
+        m = 0 checks and the boundary check accept that."""
+        gram, slack, top = self.gram, self.slack, self._face_data[-1].span_ids
+        rows = [[gram[a][b] for b in top] for a in self._face_data[e].span_ids]
+        rows += [[slack[b][k] for b in top] for k in set_bits(self.dual_masks[e])]
+        det = bareiss_det(rows)
+        sign = (det > 0) - (det < 0)
+        if sign != tau:
+            raise self._pair_error(e, h, f"the bridge gives tau_E = {tau}, "
+                                         f"sign det([A_E | Y_E]^T A_P) = {sign}")
 
     def cover_orientations(self, f: int) -> list[int]:
         """The orientation sigma of every covering pair (E, F) of face f, one

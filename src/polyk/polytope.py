@@ -8,8 +8,10 @@ vertex-facet incidences on int bitmasks, level by level, taking each face's
 upper covers from the closure step, which runs from the smaller side of the
 incidence: from the empty face with the vertices as atoms, or from the
 polytope with the facets as atoms; a face's dimension is its level minus
-one.  The faces are numbered once, level by level in vertex-set order,
-straight into the id covers every later stage reads.  The intersection
+one.  Each level is sorted by vertex set as soon as it is complete, and
+the closure step walks it in that order, so the faces are numbered level
+by level in vertex-set order as they are found, and the covers come out
+as the ascending id tuples every later stage reads.  The intersection
 closure of the facet vertex sets with one rational rank per face, and the
 closure over the vertices alone, are the tests' oracles.
 
@@ -36,7 +38,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import accumulate, chain
 from math import lcm
-from operator import and_
+from operator import and_, itemgetter
 from typing import Iterator, Sequence
 
 from .errors import InputError, InternalInvariantError
@@ -120,7 +122,9 @@ class GradedIds:
       ``popcount(up[low] & down[high])`` on id masks of covers.
       ``two_step_paths`` gives it for every ``high`` of rank + 2 at once,
       as the bit planes ``once``, ``twice`` and ``thrice`` (at least one,
-      two, three paths); mids is 2 exactly where ``twice`` is set and
+      two, three paths), folded over low's upper covers m from one mask U
+      per m, the highs that cover m, made with one OR per cover from the
+      highs' ``down``; mids is 2 exactly where ``twice`` is set and
       ``thrice`` is not, so the pairs that fail are the set bits of
       ``thrice | ~twice`` among the highs above ``low``.  Each lattice
       decides which highs lie above ``low``, and ``diamond_error`` names
@@ -167,19 +171,24 @@ class GradedIds:
         ``thrice``, or in ``thrice``.  The planes fold, per upper cover m of
         ``low``, the mask U of m's upper covers in ``ids(rank + 2)``:
         ``thrice |= twice & U``, ``twice |= once & U``, ``once |= U``.  The
-        masks are level-local (bit b for ``ids(rank + 2)[b]``), and each U is
-        made once per m.
+        masks are level-local (bit b for ``ids(rank + 2)[b]``).  Every U is
+        made first, from the highs' lower covers: bit b is ORed into the U
+        of each m in ``down[ids(rank + 2)[b]]``, one OR per cover.  That is
+        the mask of m's upper covers in ``ids(rank + 2)``, since ``up`` is
+        read off ``down``: h is in ``up[m]`` iff m is in ``down[h]``.  U is
+        0 for an m, of any rank, that no element of ``ids(rank + 2)``
+        covers.
         """
-        highs = self.ids(rank + 2)
-        start, stop = highs.start, highs.stop
-        up = self.up
-        local: dict[int, int] = {}  # m -> U
+        down, up = self.down, self.up
+        covered_by = [0] * len(down)  # m -> U
+        for b, high in enumerate(self.ids(rank + 2)):
+            bit = 1 << b
+            for m in down[high]:
+                covered_by[m] |= bit
         for low in self.ids(rank):
             once = twice = thrice = 0
             for m in up[low]:
-                u = local.get(m)
-                if u is None:
-                    u = local[m] = sum(1 << (h - start) for h in up[m] if start <= h < stop)
+                u = covered_by[m]
                 thrice |= twice & u
                 twice |= once & u
                 once |= u
@@ -469,8 +478,8 @@ def facets(P: Polytope) -> tuple[Facet, ...]:
     return P.facets
 
 
-def _closure(coatoms_of: Sequence[int], ncoatoms: int, d: int
-             ) -> tuple[list[list[tuple[int, int]]], list[list[tuple[int, int]]]]:
+def _closure(coatoms_of: Sequence[int], ncoatoms: int, d: int, dual: bool
+             ) -> list[list[tuple[tuple[int, ...], int, int, tuple[int, ...]]]]:
     """Levels 0 to d + 1 of the face lattice of a d-polytope, or of its
     order dual, from an (atoms, coatom masks) incidence, with the covers
     between consecutive levels (Kaibel & Pfetsch 2002, "Computing the face
@@ -479,49 +488,71 @@ def _closure(coatoms_of: Sequence[int], ncoatoms: int, d: int
     An element is an atom mask with its coatom mask, the coatoms above it;
     ``coatoms_of[a]`` is the coatom mask of atom a.  The smallest element
     above an element F and an atom a outside it has the coatom mask
-    ``coatoms(F) & coatoms_of[a]``, and its atoms are the a' whose coatom
-    mask contains that mask (all of them when it is empty: the top).  That
+    ``hc = coatoms(F) & coatoms_of[a]``, and its atoms are the a' whose
+    coatom mask contains hc (all of them when it is empty: the top).  That
     mask is exactly the coatom mask of the closure, so it names the element.
-    Every upper cover of F is such a closure, and a closure H is an upper
-    cover iff every atom of H outside F gives H, that is, iff the number of
-    atoms outside F that give H is the number of atoms of H outside F: an
-    atom of H outside F whose closure with F is smaller than H shows an
-    element strictly between F and H.  Starting from the bottom (no atoms,
-    every coatom), the upper covers of level k are level k + 1.
+    Every upper cover of F is such a closure.  Starting from the bottom (no
+    atoms, every coatom), the upper covers of level k are level k + 1.
 
-    ``levels[k]`` lists the (atom mask, coatom mask) of the elements of
-    level k in the order found, and ``covers[k]`` the pairs (i, j), element
-    i of level k covered by element j of level k + 1.  Each element takes
-    one step per atom outside it, and each new closure one per atom, so the
-    work grows with the number of atoms.
+    Both the closure and the cover test are read off F's own candidates:
+    ``gave[hc]``, the atoms outside F whose closure with F has the coatom
+    mask hc.  Every atom of F is in the closure, as its coatom mask holds
+    coatoms(F), which holds hc.  An atom a' outside F is in it iff its own
+    candidate coatoms(F) & coatoms_of[a'] contains hc, as hc lies inside
+    coatoms(F).  So the closure's atoms are F's and the ``gave[h2]`` of the
+    candidates h2 that contain hc.  The closure H covers F iff
+    ``atoms(H) & ~atoms(F) == gave[hc]``.  Proof: ``gave[hc]`` always lies
+    inside the left side.  An atom a' of H outside F but not in
+    ``gave[hc]`` has a candidate h2 that strictly holds hc, and the
+    closure of h2 holds F and a' and lies strictly inside H: an element
+    strictly between F and H.  Conversely, an element G strictly between
+    them has an atom a' outside F, whose closure with F lies inside G, so
+    a' is an atom of H outside F but not in ``gave[hc]``.  A new closure is
+    kept by hc, so each takes one step per candidate of the face that finds
+    it first.
+
+    ``levels[k]`` lists the elements of level k as (name, atom mask,
+    coatom mask, lower covers), ordered by name, the set bits of the atom
+    mask, or of the coatom mask when ``dual``.  The elements are numbered
+    level by level from the bottom, in that order, and the lower covers of
+    an element are the ids of the elements of level k - 1 it covers,
+    ascending.  Each level is walked in id order, and sorted as soon as it
+    is complete, so the ids of level k are known before level k + 1 is
+    found.
     """
     atoms = [(1 << a, c) for a, c in enumerate(coatoms_of)]
-    levels = [[(0, (1 << ncoatoms) - 1)]]
-    covers = []
+    every = (1 << ncoatoms) - 1
+    levels = [[(set_bits(every if dual else 0), 0, every, ())]]
     closure: dict[int, int] = {}  # coatom mask -> atom mask; each is an element
+    start = 0  # the id of the first element of level k
     for k in range(d + 1):
-        found: dict[int, int] = {}  # coatom mask -> position in level k + 1
-        level: list[tuple[int, int]] = []
-        pairs = []
-        for i, (fa, fc) in enumerate(levels[k]):
-            counts: dict[int, int] = {}
+        found: dict[int, list[int]] = {}  # coatom mask -> the ids it covers
+        for i, (_, fa, fc, _) in enumerate(levels[k], start):
+            gave: dict[int, int] = {}
             for bit, c in atoms:
                 if not fa & bit:
                     hc = fc & c
-                    counts[hc] = counts.get(hc, 0) + 1
-            for hc, count in counts.items():
+                    gave[hc] = gave.get(hc, 0) | bit
+            for hc, g in gave.items():
                 ha = closure.get(hc)
                 if ha is None:
-                    ha = closure[hc] = sum(bit for bit, c in atoms if c & hc == hc)
-                if (ha & ~fa).bit_count() == count:
-                    j = found.get(hc)
-                    if j is None:
-                        j = found[hc] = len(level)
-                        level.append((ha, hc))
-                    pairs.append((i, j))
+                    ha = fa
+                    for h2, g2 in gave.items():
+                        if h2 & hc == hc:
+                            ha |= g2
+                    closure[hc] = ha
+                if ha & ~fa == g:
+                    below = found.get(hc)
+                    if below is None:
+                        found[hc] = [i]
+                    else:
+                        below.append(i)
+        start += len(levels[k])
+        level = [(set_bits(hc if dual else closure[hc]), closure[hc], hc, tuple(below))
+                 for hc, below in found.items()]
+        level.sort(key=itemgetter(0))
         levels.append(level)
-        covers.append(pairs)
-    return levels, covers
+    return levels
 
 
 def face_lattice(P: Polytope) -> FaceLattice:
@@ -551,27 +582,38 @@ def _face_lattice_from(P: Polytope, facet_side: bool) -> FaceLattice:
 
     A face found at two levels, or any level d + 1 other than the polytope
     alone or level 0 other than the empty face alone, is an internal error.
-    Each level is ordered by vertex set (read off the set bits of its vertex
-    mask) and numbered in that order (``GradedIds``), and the covers are
-    filled into ``down`` by id, each face's lower covers ascending.  So the
-    covering pairs are ordered by the level and position of F, then the
-    position of E.
+    ``_closure`` orders each level by vertex set, so its levels, in face
+    order, are the face lattice's levels and its order its numbering
+    (``GradedIds``).  With the vertices as atoms its ids are the face ids
+    and its lower covers each face's ``down``.  On the order dual, the
+    lower covers of a face are the elements that cover it there, so each
+    face is appended to the lists of the faces it covers there, the faces
+    taken in id order; those of one list lie on one level, so each list
+    comes out ascending.  So the covering pairs are ordered by the level
+    and position of F, then the position of E.
     """
     d, n = P.ambient_dim, P.nvertices
     facet_list = facets(P)
     if facet_side:
-        levels, covers = _closure([sum(1 << v for v in fc.vertex_set) for fc in facet_list],
-                                  n, d)
-        masks = [[c for _, c in level] for level in reversed(levels)]
-        pairs = [[(j, i) for i, j in covers[d - k]] for k in range(d + 1)]
+        dual_levels = _closure([sum(1 << v for v in fc.vertex_set) for fc in facet_list],
+                               n, d, True)
+        starts = list(accumulate(map(len, dual_levels), initial=0))
+        lower: list[list[int]] = [[] for _ in range(starts[-1])]  # by id in the dual
+        levels = dual_levels[::-1]
+        for f, (*_, above) in enumerate(chain.from_iterable(levels)):
+            for x in above:
+                lower[x].append(f)
+        down = [tuple(below) for k in reversed(range(d + 2))
+                for below in lower[starts[k]:starts[k + 1]]]
+        masks = [[c for _, _, c, _ in level] for level in levels]
     else:
         vfac = [0] * n
         for j, fc in enumerate(facet_list):
             for v in fc.vertex_set:
                 vfac[v] |= 1 << j
-        levels, covers = _closure(vfac, len(facet_list), d)
-        masks = [[a for a, _ in level] for level in levels]
-        pairs = covers  # (position in level k, position in level k + 1)
+        levels = _closure(vfac, len(facet_list), d, False)
+        down = [below for level in levels for *_, below in level]
+        masks = [[a for _, a, _, _ in level] for level in levels]
 
     level_of: dict[int, int] = {}  # vertex mask -> level
     for k, level in enumerate(masks):
@@ -587,28 +629,10 @@ def _face_lattice_from(P: Polytope, facet_side: bool) -> FaceLattice:
                 f"level {k} of the face lattice must hold {end} "
                 f"{Face(set_bits(want), k - 1)} alone, found [{listed}]")
 
-    faces_by_dim = []
-    vertex_masks: list[int] = []  # by face id
-    ids = []  # per level: position found -> face id
-    start = 0
-    for k, level in enumerate(masks):
-        sets = [set_bits(hv) for hv in level]
-        order = sorted(range(len(level)), key=sets.__getitem__)
-        where = [0] * len(level)
-        for i, old in enumerate(order, start):
-            where[old] = i
-        faces_by_dim.append(tuple(Face(sets[old], k - 1) for old in order))
-        vertex_masks.extend(level[old] for old in order)
-        ids.append(where)
-        start += len(level)
-    down: list[list[int]] = [[] for _ in range(start)]
-    for k, level_pairs in enumerate(pairs):
-        lower, upper = ids[k], ids[k + 1]
-        for i, j in level_pairs:
-            down[upper[j]].append(lower[i])
-    return FaceLattice(dim=d, faces_by_dim=tuple(faces_by_dim),
-                       down=tuple(tuple(sorted(below)) for below in down),
-                       vertex_masks=tuple(vertex_masks))
+    return FaceLattice(dim=d,
+                       faces_by_dim=tuple(tuple(Face(name, k - 1) for name, *_ in level)
+                                          for k, level in enumerate(levels)),
+                       down=tuple(down), vertex_masks=tuple(chain.from_iterable(masks)))
 
 
 def verify_lattice(L: FaceLattice) -> None:

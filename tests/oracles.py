@@ -105,6 +105,8 @@ The dual-base oracle is the determinant the cone batch took for tau_F,
 the sign of [A_F | Y_F] of a dual-simple face, before it fixed every tau
 once from the top face down: ``dual_base_sign``, one n x n Bareiss
 determinant on the Gram and slack tables against the top face's basis.
+The library takes the same determinant only at a bridged face, to check
+the tau its bridge gave it (``ConeSystem._check_bridge``).
 
 The dual-rank oracle is the count the library made per face before it
 certified dual ranks once per run by the growth of the dual-face masks

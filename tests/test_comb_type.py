@@ -7,6 +7,8 @@ import sys
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyk.cellular import build_complex, trivialize
 from polyk.comb_type import (
@@ -368,6 +370,37 @@ def test_a_cover_listed_twice_is_one_cover():
     assert failure(_verify_abstract_lattice, twice) is None
 
 
+@st.composite
+def cover_graphs(draw) -> AbstractLattice:
+    """Ranks -1 to dim with 1 to 4 elements each, and any covers from a
+    lower rank to a higher one, two or more ranks up included, listed in
+    any order, some twice: graded or not, bounded or not."""
+    dim = draw(st.integers(0, 3))
+    f_vector = tuple(draw(st.lists(st.integers(1, 4), min_size=dim + 2, max_size=dim + 2)))
+    elements = [(r, i) for r in range(-1, dim + 1) for i in range(f_vector[r + 1])]
+    pairs = [(a, b) for a in elements for b in elements if a[0] < b[0]]
+    covering = draw(st.lists(st.sampled_from(pairs), max_size=40)) if pairs else []
+    return AbstractLattice(dim=dim, f_vector=f_vector, covering=tuple(covering))
+
+
+@given(cover_graphs())
+@settings(max_examples=150, deadline=None)
+def test_two_step_path_planes_count_the_mids(lat):
+    # the planes, made from the masks U of the highs' down lists, hold
+    # mids(low, high) for every low of the rank and high two ranks up
+    for rank in range(-1, lat.dim - 1):
+        highs = lat.ids(rank + 2)
+        lows = []
+        for low, once, twice, thrice in lat.two_step_paths(rank):
+            lows.append(low)
+            for b, high in enumerate(highs):
+                k = lat.mids(low, high)
+                assert [once >> b & 1, twice >> b & 1, thrice >> b & 1] == \
+                    [k >= 1, k >= 2, k >= 3], (rank, low, high)
+            assert max(once, twice, thrice).bit_length() <= len(highs)
+        assert lows == list(lat.ids(rank))
+
+
 # --- is_isomorphic ---
 
 def test_square_isomorphic_to_quadrilateral():
@@ -525,6 +558,57 @@ def test_isomorphism_search_on_unsorted_covers():
         iso = is_isomorphic(source, shuffled)
         assert iso.isomorphic
         assert iso == rank_scan_is_isomorphic(source, shuffled)
+
+
+def scrambled(lat: AbstractLattice, rng) -> AbstractLattice:
+    """The same lattice with its covering pairs shuffled and a third of
+    them listed a second time."""
+    covering = list(lat.covering)
+    covering += rng.sample(covering, len(covering) // 3)
+    rng.shuffle(covering)
+    return AbstractLattice(dim=lat.dim, f_vector=lat.f_vector, covering=tuple(covering))
+
+
+def test_isomorphism_search_on_covers_out_of_order_and_twice():
+    # the search compares sorted id tuples against the target's down and
+    # up; the lattice lists each cover once and ascending, however the
+    # pairs came, so the mappings and the certificates (exhausted search,
+    # cover degrees) are those of the clean lattices
+    rng = random.Random(2917)
+    draw4, draw263, draw674 = (abstract_of(face_lattice(validate(v)))
+                               for v in (HULL_DRAW_4, HULL_DRAW_263, HULL_DRAW_674))
+    cube, image = (abstract_of(face_lattice(p)) for p in (
+        hypercube(3), apply_affine(hypercube(3), *random_invertible_affine(rng, 3))))
+    certificates = set()
+    for a, b in ((cube, image), (image, cube), (draw4, draw674), (draw674, draw4),
+                 (draw4, draw263), (draw4, draw4)):
+        messy_a, messy_b = scrambled(a, rng), scrambled(b, rng)
+        assert len(messy_a.covering) > len(a.covering)
+        assert (messy_a.up, messy_a.down) == (a.up, a.down)
+        expected = is_isomorphic(a, b)
+        assert expected == rank_scan_is_isomorphic(a, b)
+        for x, y in ((messy_a, b), (a, messy_b), (messy_a, messy_b)):
+            assert is_isomorphic(x, y) == expected
+        certificates.add(expected.certificate)
+    assert certificates == {None, "exhausted search: no cover-preserving bijection",
+                            "up/down cover degree multisets differ"}
+
+
+def test_compare_path_builds_no_pair_or_face_view():
+    # face_lattice, verify_lattice and is_isomorphic read ids and id covers
+    # only; the covering and face_id views, O(covers) and O(faces) each,
+    # are made on first use, so none may be made on the compare path
+    rng = random.Random(2918)
+    for poly in (cross_polytope(5), hypercube(4)):
+        a = face_lattice(poly)
+        b = face_lattice(apply_affine(poly, *random_invertible_affine(rng, poly.ambient_dim)))
+        for lat in (a, b):
+            verify_lattice(lat)
+        assert is_isomorphic(a, b).isomorphic
+        for lat in (a, b):
+            assert "covering" not in lat.__dict__ and "face_id" not in lat.__dict__, poly.name
+    assert a.covering and a.face_id
+    assert "covering" in a.__dict__ and "face_id" in a.__dict__
 
 
 def mapping_digest_pairs():

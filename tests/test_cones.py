@@ -38,6 +38,7 @@ from polyk.linalg import (
     primitive_vector,
     rank,
 )
+from polyk.pipeline import run_pipeline
 from polyk.polytope import Face, face_lattice, validate
 
 from oracles import (
@@ -858,6 +859,39 @@ def test_flipped_dual_base_sign_fails_the_batch_not_the_per_pair_api(monkeypatch
     ray = broken.ray(e, f)
     assert ray == system.ray(e, f) and ray.orientation == -1
     broken.crosscheck(e, f, ray)
+
+
+def corpus_member(name):
+    return next(P for P in acceptance_corpus() if P.name == name)
+
+
+@pytest.mark.parametrize("poly", [prism_over_cross4(), corpus_member("random11_d4")],
+                         ids=["prism_cross4", "random11_d4"])
+def test_negated_bridge_sign_fails_the_pipeline(poly, monkeypatch):
+    # every ray the system makes is a bridge's, the first one first; with
+    # its orientation negated, tau would flip on every face the spread
+    # reaches from the bridged face, which every m = 0 check and the
+    # boundary check accept, so the bridge's own determinant rejects it
+    real = cones.edge_ray
+    bridges = []
+
+    def negated(C, E, F, **kwargs):
+        bridges.append((E, F))
+        ray = real(C, E, F, **kwargs)
+        return ray._replace(orientation=-ray.orientation)
+
+    monkeypatch.setattr(cones, "edge_ray", negated)
+    with pytest.raises(InternalInvariantError) as err:
+        run_pipeline(poly)
+    assert len(bridges) == 1
+    E, F = bridges[0]
+    prefix = (f"edge-ray cross-check failed for ({E}, {F}): the bridge gives tau_E = ")
+    message = str(err.value)
+    assert message.startswith(prefix), message
+    given, _, defined = message[len(prefix):].partition(", sign det([A_E | Y_E]^T A_P) = ")
+    assert {given, defined} == {"1", "-1"}, message
+    monkeypatch.setattr(cones, "edge_ray", real)
+    run_pipeline(poly)
 
 
 def test_cover_orientations_in_reverse_order_match_and_keep_taus(mixed_route_systems):

@@ -3,6 +3,8 @@ brute-force facet, direction-maximization and Caratheodory oracles."""
 
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import and_
 
 import pytest
 from hypothesis import given, settings
@@ -442,9 +444,9 @@ def test_closure_runs_from_the_smaller_side(monkeypatch):
     real = polytope._closure
     atoms = []
 
-    def counting(coatoms_of, ncoatoms, d):
+    def counting(coatoms_of, ncoatoms, d, dual):
         atoms.append((len(coatoms_of), ncoatoms))
-        return real(coatoms_of, ncoatoms, d)
+        return real(coatoms_of, ncoatoms, d, dual)
 
     monkeypatch.setattr(polytope, "_closure", counting)
     for P, expected in ((hypercube(4), (8, 16)), (cross_polytope(4), (8, 16)),
@@ -452,6 +454,59 @@ def test_closure_runs_from_the_smaller_side(monkeypatch):
         atoms.clear()
         assert face_lattice(P) == vertex_closure_face_lattice(P)
         assert atoms == [expected], P.name
+
+
+def nested_candidate_cases():
+    """0/1 point sets in dimensions 3 to 5, a pyramid over a square and a
+    prism over a pentagon: polytopes with faces that are not simplices, so
+    some of a face's candidate closures lie inside others."""
+    rng = random.Random(2903)
+    cases = []
+    for d in (3, 4, 5):
+        cube = [tuple(k >> i & 1 for i in range(d)) for k in range(2 ** d)]
+        for size in (d + 2, 2 ** (d - 1) + 1, 2 ** d - 2):
+            points = rng.sample(cube, size)
+            while affine_dim(points) < d:
+                points = rng.sample(cube, size)
+            cases.append(validate(points, name=f"zero_one{d}_{size}"))
+    cases.append(validate([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)],
+                          name="pyramid_square"))
+    pentagon = [(0, 0), (2, 0), (3, 2), (1, 3), (-1, 2)]
+    cases.append(validate([v + (t,) for t in (0, 1) for v in pentagon], name="prism_pentagon"))
+    return cases
+
+
+def nested_candidates(atoms_of, lattice_atoms):
+    """The number of elements, given by their atom and coatom masks, with
+    two candidate closures hc != h2, h2 inside hc: the closure with h2 then
+    takes in atoms whose own candidate is not h2."""
+    count = 0
+    for fa, fc in lattice_atoms:
+        candidates = {fc & c for a, c in enumerate(atoms_of) if not fa >> a & 1}
+        count += any(h2 != hc and h2 & hc == h2 for hc in candidates for h2 in candidates)
+    return count
+
+
+def test_closures_from_candidates_match_the_vertex_side_oracle():
+    # each new closure is read off the face's own candidates and the cover
+    # test is a mask identity (``_closure``); on both sides, where candidate
+    # closures nest, the levels, numbering and covers are the oracle's
+    for P in nested_candidate_cases():
+        oracle = vertex_closure_face_lattice(P)
+        for facet_side in (False, True):
+            lat = polytope._face_lattice_from(P, facet_side)
+            assert lat.faces_by_dim == oracle.faces_by_dim, (P.name, facet_side)
+            assert lat.down == oracle.down and lat.up == oracle.up, (P.name, facet_side)
+        assert face_lattice(P) == oracle, P.name
+        vfac = [sum(1 << j for j, fc in enumerate(P.facets) if v in fc.vertex_set)
+                for v in range(P.nvertices)]
+        every = (1 << len(P.facets)) - 1
+        faces = [(sum(1 << v for v in f.vertex_set),
+                  reduce(and_, (vfac[v] for v in f.vertex_set), every))
+                 for f in oracle.faces_by_id]
+        assert nested_candidates(vfac, faces), P.name
+        fvert = [sum(1 << v for v in fc.vertex_set) for fc in P.facets]
+        assert nested_candidates(fvert, [(c, a) for a, c in faces]), P.name
 
 
 def test_point_has_no_facet_side():
