@@ -885,7 +885,7 @@ def test_negated_bridge_sign_fails_the_pipeline(poly, monkeypatch):
         run_pipeline(poly)
     assert len(bridges) == 1
     E, F = bridges[0]
-    prefix = (f"edge-ray cross-check failed for ({E}, {F}): the bridge gives tau_E = ")
+    prefix = f"edge-ray cross-check failed for ({E}, {F}): the bridge gives tau_E = "
     message = str(err.value)
     assert message.startswith(prefix), message
     given, _, defined = message[len(prefix):].partition(", sign det([A_E | Y_E]^T A_P) = ")
