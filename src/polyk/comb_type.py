@@ -200,15 +200,17 @@ def is_isomorphic(L1: "FaceLattice | AbstractLattice",
     every ``up``, rather than from the whole rank; the first match, and so
     the mapping, is the same.
 
-    The images of s's lower covers, and in the final check of its upper
-    covers, are compared as sorted id tuples with the target's ``down`` and
-    ``up``.  ``up`` is ascending, read off ``down``, and the target's
-    ``down`` lists are sorted once per call, since a lattice built by hand
-    may list them in any order.  Every list holds each cover once
-    (``GradedIds``), and the images of one list are distinct, as the
-    mapping is injective.  Two lists without repeats hold the same set
-    exactly when they are equal sorted, so this is the set equality the
-    search needs, with no set made per element.
+    Every list of covers holds each cover once (``GradedIds``), and the
+    images of one list are distinct, as the mapping is injective, so the
+    set equalities the search needs are read off the lists as they are,
+    with no copy of the target's lists and no set per target element.  A
+    target t matches the set W of images of s's lower covers iff
+    ``down[t]`` has |W| entries, all in W: then its set lies in W and has
+    |W| elements.  That holds whatever the order of ``down[t]``, which a
+    lattice built by hand may list in any order.  In the final check, the
+    images of s's upper covers, sorted, must equal the tuple ``up[t]``:
+    ``up`` is ascending, read off ``down``, and two ascending tuples
+    without repeats are equal exactly when their sets are.
     """
     if L1.dim != L2.dim:
         return LatticeIso(False, certificate=f"dimension mismatch: {L1.dim} != {L2.dim}")
@@ -216,8 +218,7 @@ def is_isomorphic(L1: "FaceLattice | AbstractLattice",
     fv1, fv2 = tuple(map(len, ranks1)), tuple(map(len, ranks2))
     if fv1 != fv2:
         return LatticeIso(False, certificate=f"f-vector mismatch: {fv1} != {fv2}")
-    up1, down1, up2 = L1.up, L1.down, L2.up
-    down2 = list(map(tuple, map(sorted, L2.down)))
+    up1, down1, up2, down2 = L1.up, L1.down, L2.up, L2.down
 
     for level1, level2 in zip(ranks1, ranks2):
         sig1 = sorted((len(down1[e]), len(up1[e])) for e in level1)
@@ -237,11 +238,13 @@ def is_isomorphic(L1: "FaceLattice | AbstractLattice",
     while len(mapping) < len(targets):
         s = len(mapping)
         below, rank = down1[s], targets[s]
-        wanted_down = tuple(sorted(map(image, below)))
+        wanted_down = set(map(image, below))
+        wanted = len(wanted_down)
         candidates = up2[mapping[below[0]]] if below else rank
         found = next((t for t in candidates
                       if t >= start and t in rank and t not in used
-                      and len(up2[t]) == len(up1[s]) and down2[t] == wanted_down), None)
+                      and len(up2[t]) == len(up1[s]) and len(down2[t]) == wanted
+                      and wanted_down.issuperset(down2[t])), None)
         if found is not None:
             mapping.append(found)
             used.add(found)

@@ -613,8 +613,8 @@ def _face_lattice_from(P: Polytope, facet_side: bool) -> FaceLattice:
                 vfac[v] |= 1 << j
         levels = _closure(vfac, len(facet_list), d, False)
         # the tuples are made in one pass once the closure is done: made
-        # among its temporaries, they raised the peak RSS of the compare
-        # workload by 0.6 MB in most runs
+        # level by level among its temporaries, they fragmented the heap
+        # and raised the peak RSS of the compare workload
         down = [tuple(below) for level in levels for *_, below in level]
         masks = [[a for _, a, _, _ in level] for level in levels]
 

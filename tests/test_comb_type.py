@@ -570,10 +570,10 @@ def scrambled(lat: AbstractLattice, rng) -> AbstractLattice:
 
 
 def test_isomorphism_search_on_covers_out_of_order_and_twice():
-    # the search compares sorted id tuples against the target's down and
-    # up; the lattice lists each cover once and ascending, however the
-    # pairs came, so the mappings and the certificates (exhausted search,
-    # cover degrees) are those of the clean lattices
+    # the search reads the target's down and up lists as they are; the
+    # lattice lists each cover once and ascending, however the pairs came,
+    # so the mappings and the certificates (exhausted search, cover
+    # degrees) are those of the clean lattices
     rng = random.Random(2917)
     draw4, draw263, draw674 = (abstract_of(face_lattice(validate(v)))
                                for v in (HULL_DRAW_4, HULL_DRAW_263, HULL_DRAW_674))
