@@ -185,3 +185,36 @@ def test_corrupted_complex_reported_not_suppressed():
     assert any(c.startswith("FALSIFIED") for c in rep.kk_conclusions)
     # degree 0 lands in K_1 by the parity bookkeeping
     assert rep.k_algebra == (ZERO_GROUP, AbelianGroup(0, (2,)))
+
+
+# three hand-built complexes whose report deviates: (dim, boundary, face order)
+DOUBLED_SEGMENT = (1, (((1, 1),), ((-2,), (2,))),
+                   (((),), ((0,), (1,)), ((0, 1),)))
+CIRCLE = (1, (((1, 1),), ((-1, -1), (1, 1))),
+          (((),), ((0,), (1,)), ((0, 1), (0, 1))))
+MIXED_TORSION = (2, (((3,),), ((0,),), ((2,),)),
+                 (((),), ((0,),), ((0, 1),), ((0, 1, 2),)))
+
+
+@pytest.mark.parametrize("complex_, e2, k_algebra, k_quotient, conclusions", [
+    (DOUBLED_SEGMENT, ((0, AbelianGroup(0, (2,))),),
+     (ZERO_GROUP, AbelianGroup(0, (2,))), (ZERO_GROUP, AbelianGroup(1, (2,))),
+     ("FALSIFIED: augmented homology does not vanish (degree 0: Z/2)",
+      "FALSIFIED: reduced homology deviates (degree 0: Z + Z/2)")),
+    (CIRCLE, ((1, Z),), (Z, ZERO_GROUP), (Z, Z),
+     ("FALSIFIED: augmented homology does not vanish (degree 1: Z)",
+      "FALSIFIED: reduced homology deviates (degree 1: Z)")),
+    # Z/3 in degree -1 and Z/2 in degree 1 both land in K_0, as Z/6
+    (MIXED_TORSION, ((-1, AbelianGroup(0, (3,))), (1, AbelianGroup(0, (2,)))),
+     (AbelianGroup(0, (6,)), ZERO_GROUP), (AbelianGroup(0, (2,)), Z),
+     ("FALSIFIED: augmented homology does not vanish (degree -1: Z/3; degree 1: Z/2)",
+      "FALSIFIED: reduced homology deviates (degree 1: Z/2)")),
+], ids=["doubled-segment", "circle", "mixed-torsion"])
+def test_deviating_report_text(complex_, e2, k_algebra, k_quotient, conclusions):
+    dim, boundary, face_order = complex_
+    x = complex_from_dense(dim=dim, boundary=boundary, face_order=face_order)
+    rep = k_report(simplex(1), x)
+    assert rep.e2_nonzero == e2
+    assert rep.k_algebra == k_algebra
+    assert rep.k_quotient == k_quotient
+    assert rep.kk_conclusions == conclusions
