@@ -38,13 +38,13 @@ def main() -> int:
         res = run_pipeline(validate(p.vertices, name=p.name))
         dt = time.monotonic() - t0
         total += dt
-        exact = res.augmented_homology.is_trivial()
-        zed = res.reduced_homology.is_z_concentrated_in_degree_zero()
+        exact = res.report.augmented_homology.is_trivial()
+        zed = res.report.reduced_homology.is_z_concentrated_in_degree_zero()
         if not (exact and zed):
             failures += 1
         k_alg = f"({res.report.k_algebra[0]},{res.report.k_algebra[1]})"
         k_quot = f"({res.report.k_quotient[0]},{res.report.k_quotient[1]})"
-        print(f"{res.report.name:<14} {str(list(res.lattice.f_vector)):<24} "
+        print(f"{res.polytope.name:<14} {str(list(res.lattice.f_vector)):<24} "
               f"{sum(map(len, res.lattice.down)):>5} {str(exact):>5} {str(zed):>4} "
               f"{k_alg:>6} {k_quot:>8} {1000 * dt:>7.1f}")
     print(f"\n{len(members)} members, {failures} failures, {total:.3f} s total")

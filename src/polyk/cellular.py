@@ -243,38 +243,89 @@ def build_complex(T: Trivialization, system: ConeSystem) -> CheckedComplex:
 
 
 @dataclass(frozen=True)
-class HomologyResult:
-    """Free rank and torsion invariant factors per degree.
+class AbelianGroup:
+    """Finitely generated abelian group: free rank plus invariant factors.
 
-    Degrees run from ``min_degree`` (-1 for the augmented complex, 0 for the
-    reduced complex without the augmentation row) up to the dimension.
+    Invariant factors are > 1 and form a divisibility chain, so equal groups
+    have equal descriptors.
+    """
+
+    free_rank: int = 0
+    invariant_factors: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.free_rank < 0:
+            raise InternalInvariantError("negative free rank")
+        prev = 1
+        for n in self.invariant_factors:
+            if n <= 1 or n % prev != 0:
+                raise InternalInvariantError(
+                    f"invariant factors {self.invariant_factors} are not a chain")
+            prev = n
+
+    def is_trivial(self) -> bool:
+        return self.free_rank == 0 and not self.invariant_factors
+
+    def __str__(self) -> str:
+        parts = []
+        if self.free_rank == 1:
+            parts.append("Z")
+        elif self.free_rank > 1:
+            parts.append(f"Z^{self.free_rank}")
+        parts.extend(f"Z/{n}" for n in self.invariant_factors)
+        return " + ".join(parts) if parts else "0"
+
+    def to_json(self) -> dict:
+        return {"free_rank": self.free_rank, "torsion": list(self.invariant_factors)}
+
+    @classmethod
+    def from_json(cls, data: dict) -> "AbelianGroup":
+        return cls(free_rank=int(data["free_rank"]),
+                   invariant_factors=tuple(int(x) for x in data["torsion"]))
+
+
+ZERO_GROUP = AbelianGroup()
+Z = AbelianGroup(free_rank=1)
+
+
+@dataclass(frozen=True)
+class HomologyResult:
+    """The integral homology group of each degree.
+
+    ``groups`` runs from ``min_degree`` (-1 for the augmented complex, 0 for
+    the reduced complex without the augmentation row) up to the dimension.
+    It is the one record of these groups: the K-theory report
+    (``ktheory.KReport``) holds the two results of ``homology_pair`` and
+    reads every group, and every deviation it states, off them.
     """
 
     augmented: bool
-    min_degree: int
-    free_ranks: tuple[int, ...]
-    torsion: tuple[tuple[int, ...], ...]
+    groups: tuple[AbelianGroup, ...]
+
+    @property
+    def min_degree(self) -> int:
+        return -1 if self.augmented else 0
 
     def degrees(self) -> range:
-        return range(self.min_degree, self.min_degree + len(self.free_ranks))
+        return range(self.min_degree, self.min_degree + len(self.groups))
 
-    def group(self, j: int) -> tuple[int, tuple[int, ...]]:
+    def group(self, j: int) -> AbelianGroup:
         idx = j - self.min_degree
-        if not 0 <= idx < len(self.free_ranks):
+        if not 0 <= idx < len(self.groups):
             raise ValueError(f"degree {j} outside {list(self.degrees())}")
-        return self.free_ranks[idx], self.torsion[idx]
+        return self.groups[idx]
 
     def is_trivial(self) -> bool:
-        return all(r == 0 for r in self.free_ranks) and all(not t for t in self.torsion)
+        return all(g.is_trivial() for g in self.groups)
+
+    def deviations_from_point(self) -> list[tuple[int, AbelianGroup]]:
+        """(degree, group) for every degree whose group differs from the
+        reduced homology of a point: Z in degree 0 and 0 elsewhere."""
+        return [(j, g) for j, g in enumerate(self.groups, self.min_degree)
+                if g != (Z if j == 0 else ZERO_GROUP)]
 
     def is_z_concentrated_in_degree_zero(self) -> bool:
-        for j in self.degrees():
-            free, tors = self.group(j)
-            if j == 0 and (free != 1 or tors):
-                return False
-            if j != 0 and (free != 0 or tors):
-                return False
-        return True
+        return not self.deviations_from_point()
 
 
 def homology_pair(X: ChainComplex) -> tuple[HomologyResult, HomologyResult]:
@@ -303,7 +354,9 @@ def homology_pair(X: ChainComplex) -> tuple[HomologyResult, HomologyResult]:
     maps, whole, to the dense SNF, which may not finish.
 
     The reduced complex drops the augmentation row (the empty-face
-    generator), so its degree 0 sees no boundary below it.
+    generator), so its degree 0 sees no boundary below it.  A Smith
+    diagonal is a divisibility chain, so its entries > 1 are the invariant
+    factors of the torsion, as each ``AbelianGroup`` checks.
     """
     f = X.f_vector
     if not isinstance(X, CheckedComplex) and any(
@@ -322,12 +375,9 @@ def homology_pair(X: ChainComplex) -> tuple[HomologyResult, HomologyResult]:
     def result(augmented: bool) -> HomologyResult:
         # rank of the boundary map leaving degree j downward: rank_out[j + 1]
         rank_out = [0, ranks[0] if augmented else 0, *ranks[1:], 0]
-        min_degree = -1 if augmented else 0
-        degrees = range(min_degree, X.dim + 1)
-        return HomologyResult(
-            augmented=augmented, min_degree=min_degree,
-            free_ranks=tuple(f[j + 1] - rank_out[j + 1] - rank_out[j + 2] for j in degrees),
-            torsion=tuple(torsion[j + 1] for j in degrees))
+        return HomologyResult(augmented=augmented, groups=tuple(
+            AbelianGroup(f[j + 1] - rank_out[j + 1] - rank_out[j + 2], torsion[j + 1])
+            for j in range(-1 if augmented else 0, X.dim + 1)))
 
     return result(True), result(False)
 

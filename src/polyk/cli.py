@@ -44,8 +44,7 @@ from .polytope import face_label, face_lattice
 
 
 def _homology_json(h: HomologyResult) -> list[dict]:
-    return [{"degree": j, "free_rank": free, "torsion": list(tors)}
-            for j, free, tors in zip(h.degrees(), h.free_ranks, h.torsion)]
+    return [{"degree": j, **g.to_json()} for j, g in enumerate(h.groups, h.min_degree)]
 
 
 def report_document(result: PipelineResult, sections: set[str]) -> dict:
@@ -73,8 +72,8 @@ def report_document(result: PipelineResult, sections: set[str]) -> dict:
         ]
     if "homology" in sections:
         doc["homology"] = {
-            "augmented": _homology_json(result.augmented_homology),
-            "reduced": _homology_json(result.reduced_homology),
+            "augmented": _homology_json(rep.augmented_homology),
+            "reduced": _homology_json(rep.reduced_homology),
         }
     if "ktheory" in sections:
         doc["ktheory"] = _ktheory_json(result, rep)

@@ -144,8 +144,10 @@ class EdgeRay(NamedTuple):
     incidence sign [E : F] of the unflipped span bases.  Its primitive
     generator e, ``direction``, is made from the cone's generators when it
     is read; the report never reads it.  A named tuple, immutable like the
-    frozen dataclasses elsewhere: one is made per covering pair, and it is
-    made in a third of a frozen dataclass's time."""
+    frozen dataclasses elsewhere, made in a third of a frozen dataclass's
+    time.  One is made only for a covering pair of the general route and for
+    a bridge of the dual base signs (``ConeSystem``): none on the 5-cube or
+    the 5-cross-polytope, three on the acceptance corpus."""
 
     pair: tuple[Face, Face]
     g: int  # vertex id of the lifted vertex projected

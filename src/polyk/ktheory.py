@@ -22,56 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cellular import ChainComplex, HomologyResult, homology_pair
+# the group type lives with HomologyResult; Z is imported to be re-exported
+from .cellular import ZERO_GROUP, AbelianGroup, ChainComplex, HomologyResult, Z, homology_pair  # noqa: F401
 from .errors import InternalInvariantError
 from .linalg import smith_normal_form
-from .polytope import Polytope
-
-
-@dataclass(frozen=True)
-class AbelianGroup:
-    """Finitely generated abelian group: free rank plus invariant factors.
-
-    Invariant factors are > 1 and form a divisibility chain, so equal groups
-    have equal descriptors.
-    """
-
-    free_rank: int = 0
-    invariant_factors: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.free_rank < 0:
-            raise InternalInvariantError("negative free rank")
-        prev = 1
-        for n in self.invariant_factors:
-            if n <= 1 or n % prev != 0:
-                raise InternalInvariantError(
-                    f"invariant factors {self.invariant_factors} are not a chain")
-            prev = n
-
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.invariant_factors
-
-    def __str__(self) -> str:
-        parts = []
-        if self.free_rank == 1:
-            parts.append("Z")
-        elif self.free_rank > 1:
-            parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"Z/{n}" for n in self.invariant_factors)
-        return " + ".join(parts) if parts else "0"
-
-    def to_json(self) -> dict:
-        return {"free_rank": self.free_rank, "torsion": list(self.invariant_factors)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "AbelianGroup":
-        return cls(free_rank=int(data["free_rank"]),
-                   invariant_factors=tuple(int(x) for x in data["torsion"]))
-
-
-ZERO_GROUP = AbelianGroup()
-Z = AbelianGroup(free_rank=1)
 
 
 def group_from_factors(free_rank: int, factors: Sequence[int]) -> AbelianGroup:
@@ -126,17 +80,17 @@ def e1_page(X: ChainComplex) -> E1Page:
 
 @dataclass(frozen=True)
 class KReport:
-    """K-theoretic conclusions for one polytope, fully exact.
+    """K-theoretic conclusions for one complex, fully exact.
 
     ``k_algebra`` holds (K_0, K_1) of the Wiener-Hopf algebra of the lifted
     cone, ``k_quotient`` the same for its quotient by the compacts.
     ``e2_nonzero`` lists (degree, group) for every nonvanishing entry of the
     second page of the augmented complex; it is empty exactly when the
-    expected contractibility conclusion holds.
+    expected contractibility conclusion holds.  The report is the one owner
+    of the two homology results it is read off; a pipeline run reaches them
+    here.
     """
 
-    name: str
-    f_vector: tuple[int, ...]
     augmented_homology: HomologyResult
     reduced_homology: HomologyResult
     k_algebra: tuple[AbelianGroup, AbelianGroup]
@@ -146,37 +100,34 @@ class KReport:
 
 
 def _parity_sum(h: HomologyResult, parity: int) -> AbelianGroup:
-    groups = []
-    for j in h.degrees():
-        if (j + 1) % 2 == parity:
-            free, tors = h.group(j)
-            groups.append(group_from_factors(free, tors))
-    return direct_sum(groups)
+    return direct_sum([g for j, g in enumerate(h.groups, h.min_degree) if (j + 1) % 2 == parity])
 
 
-def k_report(P: Polytope, X: ChainComplex) -> KReport:
+def _listing(groups: Sequence[tuple[int, AbelianGroup]]) -> str:
+    return "; ".join(f"degree {j}: {g}" for j, g in groups)
+
+
+def k_report(X: ChainComplex) -> KReport:
     """Compute the second page and the K-group descriptors.
 
-    Unexpected nonzero homology is a report outcome, never an error."""
+    Each expectation is stated once: the second page is the nontrivial
+    groups of the augmented homology, and the quotient's deviations are
+    ``HomologyResult.deviations_from_point``, which also decides
+    ``is_z_concentrated_in_degree_zero``.  Unexpected nonzero homology is a
+    report outcome, never an error."""
     aug, red = homology_pair(X)
-
-    e2_nonzero = []
-    for j in aug.degrees():
-        free, tors = aug.group(j)
-        if free or tors:
-            e2_nonzero.append((j, group_from_factors(free, tors)))
-
-    k_algebra = (_parity_sum(aug, 0), _parity_sum(aug, 1))
-    k_quotient = (_parity_sum(red, 0), _parity_sum(red, 1))
+    e2_nonzero = tuple((j, g) for j, g in enumerate(aug.groups, aug.min_degree)
+                       if not g.is_trivial())
+    deviations = red.deviations_from_point()
 
     conclusions = []
     if not e2_nonzero:
         conclusions.append("second page vanishes: K_0(A_Omega) = K_1(A_Omega) = 0")
         conclusions.append("A_Omega is KK-contractible (K-theoretic verification)")
     else:
-        listing = "; ".join(f"degree {j}: {g}" for j, g in e2_nonzero)
-        conclusions.append(f"FALSIFIED: augmented homology does not vanish ({listing})")
-    if red.is_z_concentrated_in_degree_zero():
+        conclusions.append(
+            f"FALSIFIED: augmented homology does not vanish ({_listing(e2_nonzero)})")
+    if not deviations:
         conclusions.append(
             "reduced homology is Z concentrated in degree 0: "
             "K_1(A_Omega/K) = Z, K_0(A_Omega/K) = 0")
@@ -184,18 +135,13 @@ def k_report(P: Polytope, X: ChainComplex) -> KReport:
             "A_Omega/K is KK-equivalent to C_0(R); the Z in K_1 is realized by "
             "the Fredholm index isomorphism")
     else:
-        bad = "; ".join(f"degree {j}: {group_from_factors(*red.group(j))}"
-                        for j in red.degrees()
-                        if red.group(j) != ((1, ()) if j == 0 else (0, ())))
-        conclusions.append(f"FALSIFIED: reduced homology deviates ({bad})")
+        conclusions.append(f"FALSIFIED: reduced homology deviates ({_listing(deviations)})")
 
     return KReport(
-        name=P.name or "(unnamed)",
-        f_vector=X.f_vector,
         augmented_homology=aug,
         reduced_homology=red,
-        k_algebra=k_algebra,
-        k_quotient=k_quotient,
-        e2_nonzero=tuple(e2_nonzero),
+        k_algebra=(_parity_sum(aug, 0), _parity_sum(aug, 1)),
+        k_quotient=(_parity_sum(red, 0), _parity_sum(red, 1)),
+        e2_nonzero=e2_nonzero,
         kk_conclusions=tuple(conclusions),
     )

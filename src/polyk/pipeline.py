@@ -4,38 +4,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cellular import ChainComplex, HomologyResult, Trivialization, build_complex, trivialize
-from .cones import ConeSystem, LiftedCone, lift
+from .cellular import ChainComplex, build_complex, trivialize
+from .cones import ConeSystem, lift
 from .ktheory import E1Page, KReport, e1_page, k_report
 from .polytope import FaceLattice, Polytope, face_lattice
 
 
 @dataclass
 class PipelineResult:
-    """Everything one run computes; all members immutable."""
+    """Everything one run computes, each value held once: the lifted cone is
+    ``system.cone``, and the homology results are the report's."""
 
     polytope: Polytope
     lattice: FaceLattice
-    cone: LiftedCone
     system: ConeSystem
-    trivialization: Trivialization
     complex: ChainComplex
-    augmented_homology: HomologyResult
-    reduced_homology: HomologyResult
     e1: E1Page
     report: KReport
 
 
 def run_pipeline(P: Polytope) -> PipelineResult:
     lattice = face_lattice(P)
-    cone = lift(P)
-    system = ConeSystem(cone, lattice)
-    triv = trivialize(lattice)
-    complex_ = build_complex(triv, system)
+    system = ConeSystem(lift(P), lattice)
+    complex_ = build_complex(trivialize(lattice), system)
     page = e1_page(complex_)
-    report = k_report(P, complex_)
+    report = k_report(complex_)
     return PipelineResult(
-        polytope=P, lattice=lattice, cone=cone, system=system,
-        trivialization=triv, complex=complex_,
-        augmented_homology=report.augmented_homology,
-        reduced_homology=report.reduced_homology, e1=page, report=report)
+        polytope=P, lattice=lattice, system=system, complex=complex_, e1=page, report=report)

@@ -164,7 +164,7 @@ from math import lcm
 from operator import or_
 from typing import Sequence
 
-from polyk.cellular import ChainComplex, HomologyResult
+from polyk.cellular import AbelianGroup, ChainComplex, HomologyResult
 from polyk.comb_type import AbstractLattice, LatticeIso
 from polyk.cones import EdgeRay, FaceConeData, LiftedCone, dual_cone
 from polyk.errors import InternalInvariantError
@@ -1144,12 +1144,9 @@ def dense_homology_pair(X: ChainComplex) -> tuple[HomologyResult, HomologyResult
     def result(augmented: bool) -> HomologyResult:
         # rank of the boundary map leaving degree j downward: rank_out[j + 1]
         rank_out = [0, ranks[0] if augmented else 0, *ranks[1:], 0]
-        min_degree = -1 if augmented else 0
-        degrees = range(min_degree, X.dim + 1)
-        return HomologyResult(
-            augmented=augmented, min_degree=min_degree,
-            free_ranks=tuple(f[j + 1] - rank_out[j + 1] - rank_out[j + 2] for j in degrees),
-            torsion=tuple(torsion[j + 1] for j in degrees))
+        return HomologyResult(augmented=augmented, groups=tuple(
+            AbelianGroup(f[j + 1] - rank_out[j + 1] - rank_out[j + 2], torsion[j + 1])
+            for j in range(-1 if augmented else 0, X.dim + 1)))
 
     return result(True), result(False)
 

@@ -81,8 +81,8 @@ def test_criterion_1_boundary_squared_zero(corpus_run):
 
 def test_criterion_2_exactness_k_triviality(corpus_run):
     _, results, _ = corpus_run
-    bad = [r.report.name for r in results if not r.augmented_homology.is_trivial()]
-    k_bad = [r.report.name for r in results
+    bad = [r.polytope.name for r in results if not r.report.augmented_homology.is_trivial()]
+    k_bad = [r.polytope.name for r in results
              if r.report.k_algebra != (ZERO_GROUP, ZERO_GROUP)]
     ok = not bad and not k_bad
     report_line(2, ok, f"augmented homology vanishes and K_*(A_Omega) = 0 "
@@ -93,9 +93,9 @@ def test_criterion_2_exactness_k_triviality(corpus_run):
 
 def test_criterion_3_quotient_k_theory(corpus_run):
     _, results, _ = corpus_run
-    bad = [r.report.name for r in results
-           if not r.reduced_homology.is_z_concentrated_in_degree_zero()]
-    k_bad = [r.report.name for r in results if r.report.k_quotient != (ZERO_GROUP, Z)]
+    bad = [r.polytope.name for r in results
+           if not r.report.reduced_homology.is_z_concentrated_in_degree_zero()]
+    k_bad = [r.polytope.name for r in results if r.report.k_quotient != (ZERO_GROUP, Z)]
     ok = not bad and not k_bad
     report_line(3, ok, f"reduced homology is Z in degree 0 and K_1(A_Omega/K) = Z, "
                        f"K_0 = 0 on all {len(results)} members")
@@ -158,7 +158,7 @@ def test_criterion_6_orientation_covariance(corpus_run):
     for res in results:
         lat, system = res.lattice, res.system
         base = res.complex
-        base_hom = (res.augmented_homology, res.reduced_homology)
+        base_hom = (res.report.augmented_homology, res.report.reduced_homology)
         flippable = [f for f in lat.faces_by_id if f.dim >= 0]
         for _ in range(10):
             g = rng.choice(flippable)
@@ -184,7 +184,7 @@ def test_criterion_7_combinatorial_type(corpus_run):
     members, results, _ = corpus_run
     for res in results:
         rebuilt = lattice_from_incidence(strip_signs(res.complex))
-        assert is_isomorphic(res.lattice, rebuilt).isomorphic, res.report.name
+        assert is_isomorphic(res.lattice, rebuilt).isomorphic, res.polytope.name
 
     assert main(["compare", str(POLYTOPES / "square.json"),
                  str(POLYTOPES / "quadrilateral.json")]) == 0
@@ -211,7 +211,7 @@ def test_criterion_8_euler_relation(corpus_run):
     for res in results:
         fv = res.lattice.f_vector
         total = sum((-1) ** j * fv[j + 1] for j in range(-1, res.lattice.dim + 1))
-        assert total == 0, res.report.name
+        assert total == 0, res.polytope.name
     report_line(8, True, f"Euler relation holds from f-vectors alone on all "
                          f"{len(results)} members")
 

@@ -355,8 +355,8 @@ def test_json_report_roundtrips_group_descriptors(capsys, pipelines):
     assert AbelianGroup.from_json(kt["K_A_Omega_mod_K"]["K1"]) == rep.k_quotient[1]
     hom = doc["homology"]
     for entry in hom["augmented"]:
-        free, tors = pipelines["cube"].augmented_homology.group(entry["degree"])
-        assert entry["free_rank"] == free and tuple(entry["torsion"]) == tors
+        g = pipelines["cube"].report.augmented_homology.group(entry["degree"])
+        assert entry["free_rank"] == g.free_rank and tuple(entry["torsion"]) == g.invariant_factors
     assert doc["f_vector"] == list(pipelines["cube"].lattice.f_vector)
 
 
