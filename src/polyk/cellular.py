@@ -36,10 +36,11 @@ row.
 The barycenter cross-check (``cones.edge_ray_crosscheck``, on Gram
 numbers, with no n-vector per pair) confirms the oriented ray, sign
 included, independently, and since its vector lies in span(F) it would
-also reject a ray outside span(F).  On a pair with m = 0 it reduces to
-what ``cones.adjugate_pair_fault`` checks off F's and E's data, and on the
-dual route to a fact of the dual masks and S >= 0
-(``ConeSystem.cover_orientations``).
+also reject a ray outside span(F).  On a pair with m = 0, and on the
+dual route, it reduces to a fact of the dual masks and S >= 0, some facet
+normal vanishing on E and not on F (``ConeSystem.cover_orientations``
+states the identity); an m = 0 pair also takes the principal-minor check
+of ``cones.adjugate_pair_fault``.
 
 Boundary matrices are integer matrices over the stable (lexicographic by
 vertex set) face ordering, the lattice's face ids.  They are built, kept in
@@ -229,8 +230,9 @@ def build_complex(T: Trivialization, system: ConeSystem) -> CheckedComplex:
     Walks the covering pairs once, by ``boundary_columns`` for j = 0..dim,
     face by face: ``ConeSystem.cover_orientations`` orients and
     cross-checks all the lower covers E of a face F in one pass, each pair
-    with m = 0 read off F's certified adjugate, and only the others through
-    ``edge_ray`` and ``edge_ray_crosscheck``; ``incidence_sign`` then
+    with m = 0 read off F's certified adjugate, a pair of two dual-simple
+    faces on the dual side, and only the others through ``edge_ray`` and
+    ``edge_ray_crosscheck``; ``incidence_sign`` then
     computes each [E : F] from sigma.  The ``CheckedComplex`` it returns checks
     D_{j-1} @ D_j = 0 for every j on the sparse columns when it is made.
     Any failure aborts with the offending face pair.  The lattice is the

@@ -73,7 +73,11 @@ Cauchy-Schwarz oracle is the cross-check's verdict on every pair before
 the m = 0 pairs were decided by the sign of z_F[r]: equality in
 Cauchy-Schwarz between the ray's w and the barycenter vector w', on Gram
 numbers, with <v, b_F> and |b_F|^2 summed off the Gram table
-(``cauchy_schwarz_verdict``).  ``vertex_sum`` is b_F as an n-vector.
+(``cauchy_schwarz_verdict``).  ``vertex_sum`` is b_F as an n-vector.  The
+vertex-sum oracle is the per-face pass the library's face data made before
+the m = 0 barycenter test became a comparison of dual masks: A_F^T b_F,
+z_F = adj(G_F) A_F^T b_F and |b_F|^2 on Gram numbers
+(``vertex_sum_numbers``).
 
 The span-basis oracles are the two passes the library made per face before
 one bordered pass over the Gram table replaced them: ``span_basis_of_face``
@@ -105,8 +109,8 @@ The dual-base oracle is the determinant the cone batch took for tau_F,
 the sign of [A_F | Y_F] of a dual-simple face, before it fixed every tau
 once from the top face down: ``dual_base_sign``, one n x n Bareiss
 determinant on the Gram and slack tables against the top face's basis.
-The library takes the same determinant only at a bridged face, to check
-the tau its bridge gave it (``ConeSystem._check_bridge``).
+The library takes the same determinant only at a face that the spread
+from the top does not reach, as that face's tau (``ConeSystem._tau``).
 
 The dual-rank oracle is the count the library made per face before it
 certified dual ranks once per run by the growth of the dual-face masks
@@ -492,6 +496,22 @@ def kernel_edge_ray(C: LiftedCone, E: Face, F: Face,
 def vertex_sum(C: LiftedCone, F: Face) -> tuple[int, ...]:
     """b_F, the sum of the integer lifted vertices of F, as an n-vector."""
     return tuple(sum(C.generators[i][c] for i in F.vertex_set) for c in range(C.dim))
+
+
+def vertex_sum_numbers(system, f: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """(A_F^T b_F, z_F, |b_F|^2) for the face with id f and the sum b_F of
+    its integer lifted vertices, off the Gram table and F's face data:
+    <a, b_F> = sum over u in F of T[a][u] for each span id a,
+    z_F = adj(G_F) A_F^T b_F, det G_F times b_F's coordinates in A_F, and
+    |b_F|^2 = <A_F^T b_F, z_F> / det G_F, exact since b_F lies in span(F).
+    z_F[r] > 0 is the barycenter test of a pair with m = 0 whose ray is
+    column r of adj(G_F) (``polyk.cones.ConeSystem.cover_orientations``)."""
+    F, data, gram = system.lattice.faces_by_id[f], system.face_data(f), system.gram
+    at_b = tuple(sum(gram[a][u] for u in F.vertex_set) for a in data.span_ids)
+    z = tuple(int_dot(row, at_b) for row in data.gram_adj)
+    b_sq, rem = divmod(int_dot(at_b, z), data.gram_det)
+    assert rem == 0, F
+    return at_b, z, b_sq
 
 
 def barycenter_projection(system, e: int, f: int) -> tuple[int, ...]:

@@ -171,7 +171,7 @@ def test_per_face_work_once_per_run(monkeypatch):
     # echelon or Gram pass runs inside a pair, edge_ray takes one sign minor
     # on the pairs of the general route and is not called on the others,
     # the dual route takes no determinant (tau spreads from the top face
-    # here, with no bridge), the cross-check takes none and the incidence
+    # here, and no face takes its determinant), the cross-check takes none and the incidence
     # sign neither, and no cofactor kernel is solved while the complex is
     # built
     poly = pyramid_prism()

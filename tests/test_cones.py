@@ -61,6 +61,7 @@ from oracles import (
     orthogonal_component,
     pair_route,
     positive_multiple_ratio,
+    pyramid_prism,
     solve_in_span,
     solved_edge_ray,
     span_basis,
@@ -70,6 +71,7 @@ from oracles import (
     table_orientation,
     vertex_projection,
     vertex_sum,
+    vertex_sum_numbers,
 )
 
 
@@ -361,8 +363,8 @@ def m_zero_systems():
 def test_m_zero_ray_is_the_gram_solve(m_zero_systems):
     # on every pair with m = 0, the column r of adj(G_F) is the ray of the
     # per-pair Gram solve, with c = adj(G_F)[r][r] = det G_E, and the
-    # solve's side is det G_F, the certificate's diagonal entry; the
-    # cross-check's sign of z_F[r] agrees with Cauchy-Schwarz equality
+    # solve's side is det G_F, the certificate's diagonal entry; the sign
+    # of the oracle's z_F[r] agrees with Cauchy-Schwarz equality
     counts = Counter()
     corpus = len(m_zero_systems) - 6
     for k, (poly, system) in enumerate(m_zero_systems):
@@ -379,7 +381,7 @@ def test_m_zero_ray_is_the_gram_solve(m_zero_systems):
                     (g, c, x, e_ids, orientation), (poly.name, e, f)
                 assert ray.c == system.face_data(e).gram_det
                 assert side == system.face_data(f).gram_det
-                assert system.face_data(f).sum_coords[span_row(system.face_data(f), g)] > 0
+                assert vertex_sum_numbers(system, f)[1][span_row(system.face_data(f), g)] > 0
                 assert cauchy_schwarz_verdict(system, ray, e, f), (poly.name, e, f)
     assert counts["cross5", True] == 812 and counts["cross5", False] == 30
     assert counts["cube5", True] == 517 and counts["cube5", False] == 325
@@ -478,45 +480,34 @@ def test_m_zero_pairs_take_no_dot_products(monkeypatch):
     assert reads == []
 
 
-def test_crosscheck_rejects_perturbed_vertex_sum_dot(monkeypatch):
-    # the numbers of b_F are taken once per face.  A pair with m = 0 reads
-    # z_F[r] at the row r of its g: for the first edge F of the square it
-    # is 1, and moved down by one it fails the cross-check of the first
-    # covering pair that reads it, (first lower cover of F, F), by name.  A
-    # pair of the general route reads A_F^T b_F: on a prism over a square
-    # pyramid, whose apex is not dual-simple, <a, b_F> moved up by one, for
-    # a span id a of E in F's basis, fails the first such pair (E, F) of
-    # the batch (the dual route reads no Gram number)
-    real = cones.face_cone_data
-
-    def rejected(poly, lat, face, **change):
-        def perturbed(F, *args):
-            data = real(F, *args)
-            return dataclasses.replace(data, **change) if F == face else data
-
-        monkeypatch.setattr(cones, "face_cone_data", perturbed)
-        with pytest.raises(InternalInvariantError) as err:
-            build_complex(trivialize(lat), ConeSystem(lift(poly), lat))
-        monkeypatch.setattr(cones, "face_cone_data", real)
-        return str(err.value)
-
+def test_equal_dual_masks_fail_the_m_zero_pair(monkeypatch):
+    # a pair with m = 0 passes its barycenter test by a normal of dual_E
+    # outside dual_F.  For the first edge F of the square and its first
+    # lower cover E, E's dual mask set to F's in a built system leaves no
+    # such normal, and build_complex rejects (E, F), the first pair that
+    # reads it, by name, though the oracle's z_F[r] is still positive.  The
+    # per-pair cross-check reads only E's face data and the Gram table: on
+    # a prism over a square pyramid, whose apex is not dual-simple, it
+    # accepts the first pair of the general route, and with <a, b_F> moved
+    # up by one on the table, for a span id a of E, it rejects that pair
     poly = hypercube(2)
     lat, _ = faces_of(poly)
     system = ConeSystem(lift(poly), lat)
-
-    def data(face):
-        return system.face_data(lat.face_id[face])
-
     F = lat.faces(1)[0]
     E = lat.lower_covers(F)[0]
-    r = span_row(data(F), system.ray(lat.face_id[E], lat.face_id[F]).g)
-    z = list(data(F).sum_coords)
-    f_ids = data(F).span_ids
-    assert z[r] == 1 and data(E).span_ids == f_ids[:r] + f_ids[r + 1:]  # m = 0
-    z[r] -= 1
-    assert rejected(poly, lat, F, sum_coords=tuple(z)) == (
+    e, f = lat.face_id[E], lat.face_id[F]
+    r = span_row(system.face_data(f), system.ray(e, f).g)
+    assert cones.adjugate_column(system.face_data(f).span_mask,
+                                 system.face_data(e).span_mask) == r  # m = 0
+    assert vertex_sum_numbers(system, f)[1][r] > 0
+    masks = list(system.dual_masks)
+    masks[e] = masks[f]
+    monkeypatch.setattr(system, "dual_masks", tuple(masks))
+    with pytest.raises(InternalInvariantError) as err:
+        build_complex(trivialize(lat), system)
+    assert str(err.value) == (
         f"edge-ray cross-check failed for ({E}, {F}): "
-        "barycenter projection is not a positive multiple")
+        "no facet normal vanishes on E and not on F (dual_E & ~dual_F = 0)")
 
     pyramid = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 2)]
     poly = validate([v + (t,) for t in (0, 1) for v in pyramid])
@@ -525,11 +516,16 @@ def test_crosscheck_rejects_perturbed_vertex_sum_dot(monkeypatch):
     e, f = next((e, f) for f, lower in enumerate(lat.down) for e in lower
                 if pair_route(system, e, f) == "general")
     E, F = lat.faces_by_id[e], lat.faces_by_id[f]
-    data_e, data_f = system.face_data(e), system.face_data(f)
-    r = span_row(data_f, next(a for a in data_e.span_ids if span_row(data_f, a) is not None))
-    sums = list(data_f.span_sum_dot)
-    sums[r] += 1
-    assert rejected(poly, lat, F, span_sum_dot=tuple(sums)) == (
+    ray = system.ray(e, f)
+    data_e = system.face_data(e)
+    cones.edge_ray_crosscheck(ray, data_e, system.gram)
+    a = data_e.span_ids[0]
+    u = next(u for u in F.vertex_set if u not in data_e.span_ids and u != ray.g)
+    gram = [list(row) for row in system.gram]
+    gram[a][u] += 1
+    with pytest.raises(InternalInvariantError) as err:
+        cones.edge_ray_crosscheck(ray, data_e, gram)
+    assert str(err.value) == (
         f"edge-ray cross-check failed for ({E}, {F}): "
         "barycenter projection is not a positive multiple")
 
@@ -577,6 +573,7 @@ def test_gram_adjugate_rejects_non_positive_definite(gram, order, minor):
 def test_face_data_holds_per_face_work(small_corpus):
     # the span basis is the echelon oracle's, its columns span what the
     # face's lifted vertices span, and the numbers of the vertex sum b_F
+    # that the oracle reads off the face data and the Gram table
     # (A_F^T b_F, z_F = adj(G) A_F^T b_F with A_F z_F = det G b_F, and
     # |b_F|^2, against the n-vector sum of the generators), Gram matrix
     # and determinant are those of the face; its dual face read off the
@@ -594,12 +591,12 @@ def test_face_data_holds_per_face_work(small_corpus):
             for g in system.cone.generators:
                 assert oracle.contains(g) == fresh.contains(g)
             b = vertex_sum(system.cone, f)
-            assert data.span_sum_dot == tuple(int_dot(a, b) for a in basis)
-            assert data.sum_coords == tuple(int_dot(row, data.span_sum_dot)
-                                            for row in data.gram_adj)
-            assert [sum(z * a[c] for z, a in zip(data.sum_coords, basis))
+            at_b, sum_coords, sum_sq = vertex_sum_numbers(system, i)
+            assert at_b == tuple(int_dot(a, b) for a in basis)
+            assert sum_coords == tuple(int_dot(row, at_b) for row in data.gram_adj)
+            assert [sum(z * a[c] for z, a in zip(sum_coords, basis))
                     for c in range(system.cone.dim)] == [data.gram_det * x for x in b]
-            assert data.sum_sq == int_dot(b, b)
+            assert sum_sq == int_dot(b, b)
             gram = [[int_dot(u, v) for v in basis] for u in basis]
             assert span_gram(system.gram, data.span_ids) == tuple(map(tuple, gram))
             assert data.gram_det == bareiss_det(gram) > 0
@@ -775,34 +772,40 @@ def test_cover_batch_matches_per_pair_api(resume_systems, mixed_route_systems):
 
 
 @pytest.mark.parametrize("poly, counts", [
-    (hypercube(5), {"dual": 325, "general": 0, "bridges": 0}),
-    (cross_polytope(5), {"dual": 30, "general": 0, "bridges": 0}),
-    (prism_over_cross4(), {"dual": 108, "general": 80, "bridges": 1}),
+    (hypercube(5), {"dual": 325, "general": 0, "tau_dets": 0}),
+    (cross_polytope(5), {"dual": 30, "general": 0, "tau_dets": 0}),
+    (prism_over_cross4(), {"dual": 108, "general": 80, "tau_dets": 1}),
 ], ids=["cube5", "cross5", "prism_cross4"])
 def test_dual_route_counts(poly, counts, monkeypatch):
-    # the system makes a ray only for the faces tau cannot spread to from
-    # the top (a bridge each), and the batch one for each general pair
-    made = []
-    real_ray = cones.edge_ray
+    # the system makes no ray: a face tau cannot spread to from the top
+    # takes one determinant.  The batch makes one ray for each general pair
+    made, dets = [], []
+    real_ray, real_tau = cones.edge_ray, ConeSystem._tau
 
     def ray(*args, **kwargs):
         made.append(args)
         return real_ray(*args, **kwargs)
 
+    def tau(self, f):
+        dets.append(f)
+        return real_tau(self, f)
+
     monkeypatch.setattr(cones, "edge_ray", ray)
+    monkeypatch.setattr(ConeSystem, "_tau", tau)
     lat = face_lattice(poly)
     system = ConeSystem(lift(poly), lat)
-    bridges = len(made)
+    assert made == []
     for f in range(len(lat.faces_by_id)):
         system.cover_orientations(f)
     routes = Counter(pair_route(system, e, f) for f, lower in enumerate(lat.down) for e in lower)
-    assert len(made) - bridges == routes["general"]
-    assert {"dual": routes["dual"], "general": routes["general"], "bridges": bridges} == counts
+    assert len(made) == routes["general"]
+    assert {"dual": routes["dual"], "general": routes["general"], "tau_dets": len(dets)} == counts
 
 
 def test_dual_base_signs_match_the_generator_determinants():
     # every nonzero tau of the system, the top's +1, the spread ones and
-    # the bridged ones, is sign det[A_F | Y_F] * sign det A_P on the
+    # those of the faces the spread does not reach, is
+    # sign det[A_F | Y_F] * sign det A_P on the
     # generators and normals (Leibniz) and the table-form oracle's sign;
     # every 0 marks a face that is not dual-simple; and on every pair of
     # dual-simple faces, of any route, the ray's orientation is
@@ -810,7 +813,9 @@ def test_dual_base_signs_match_the_generator_determinants():
     checked = Counter()
     prism = validate([tuple(s * (i == j) for j in range(3)) + (t,)
                       for t in (0, 1) for i in range(3) for s in (1, -1)])
-    for poly in (hypercube(4), cross_polytope(4), prism, prism_over_cross4()):
+    polys = [hypercube(4), cross_polytope(4), prism, prism_over_cross4()] + [
+        corpus_member(name) for name in ("random11_d4", "random14_d4", "random16_d3")]
+    for poly in polys:
         lat = face_lattice(poly)
         system = ConeSystem(lift(poly), lat)
         C, n, top = system.cone, system.cone.dim, len(lat.faces_by_id) - 1
@@ -865,33 +870,47 @@ def corpus_member(name):
     return next(P for P in acceptance_corpus() if P.name == name)
 
 
-@pytest.mark.parametrize("poly", [prism_over_cross4(), corpus_member("random11_d4")],
-                         ids=["prism_cross4", "random11_d4"])
-def test_negated_bridge_sign_fails_the_pipeline(poly, monkeypatch):
-    # every ray the system makes is a bridge's, the first one first; with
-    # its orientation negated, tau would flip on every face the spread
-    # reaches from the bridged face, which every m = 0 check and the
-    # boundary check accept, so the bridge's own determinant rejects it
-    real = cones.edge_ray
-    bridges = []
+def test_m_zero_dual_masks_imply_the_barycenter_test(monkeypatch):
+    # the identity cover_orientations states: on a pair with m = 0, a
+    # normal y of dual_E outside dual_F gives z_F[r] = |v|^2 sum t_u > 0.
+    # On every such pair of these inputs dual_F lies inside dual_E, the
+    # batch's mask test holds and the vertex-sum oracle's z_F[r] is
+    # positive.  The faces tau cannot spread to from the top take one
+    # determinant each: three on the corpus (random11_d4, random14_d4 and
+    # random16_d3), one on the prism over the 4-cross-polytope
+    dets = []
+    real_tau = ConeSystem._tau
 
-    def negated(C, E, F, **kwargs):
-        bridges.append((E, F))
-        ray = real(C, E, F, **kwargs)
-        return ray._replace(orientation=-ray.orientation)
+    def tau(self, f):
+        dets.append(f)
+        return real_tau(self, f)
 
-    monkeypatch.setattr(cones, "edge_ray", negated)
-    with pytest.raises(InternalInvariantError) as err:
-        run_pipeline(poly)
-    assert len(bridges) == 1
-    E, F = bridges[0]
-    prefix = f"edge-ray cross-check failed for ({E}, {F}): the bridge gives tau_E = "
-    message = str(err.value)
-    assert message.startswith(prefix), message
-    given, _, defined = message[len(prefix):].partition(", sign det([A_E | Y_E]^T A_P) = ")
-    assert {given, defined} == {"1", "-1"}, message
-    monkeypatch.setattr(cones, "edge_ray", real)
-    run_pipeline(poly)
+    monkeypatch.setattr(ConeSystem, "_tau", tau)
+    groups = [("corpus", P) for P in acceptance_corpus()] + [
+        (P.name, P) for P in (hypercube(5), cross_polytope(5), prism_over_cross4(),
+                              pyramid_prism())]
+    pairs, taus = Counter(), Counter()
+    for group, poly in groups:
+        lat = face_lattice(poly)
+        before = len(dets)
+        system = ConeSystem(lift(poly), lat)
+        taus[group] += len(dets) - before
+        dual = system.dual_masks
+        for f, lower in enumerate(lat.down):
+            span_f = system.face_data(f).span_mask
+            z = vertex_sum_numbers(system, f)[1]
+            for e in lower:
+                r = cones.adjugate_column(span_f, system.face_data(e).span_mask)
+                if r is None:
+                    continue
+                assert not dual[f] & ~dual[e], (poly.name, e, f)
+                assert dual[e] != dual[f], (poly.name, e, f)
+                assert z[r] > 0, (poly.name, e, f)
+                pairs[group] += 1
+    assert pairs == {"corpus": 2566, "cube5": 517, "cross5": 812,
+                     "prism_cross4": 662, "pyramid_prism": 121}
+    assert taus == {"corpus": 3, "cube5": 0, "cross5": 0, "prism_cross4": 1,
+                    "pyramid_prism": 0}
 
 
 def test_cover_orientations_in_reverse_order_match_and_keep_taus(mixed_route_systems):
@@ -923,13 +942,38 @@ def test_singular_dual_base_names_face():
     assert str(err.value) == f"dual base [A_F | Y_F] of {by_set[(1, 3)]} is singular"
 
 
-@pytest.mark.parametrize("fault", ["z", "cofactor"])
+def test_singular_tau_determinant_names_face(monkeypatch):
+    # the one face of the prism over the 4-cross-polytope that tau cannot
+    # spread to from the top takes tau from its determinant; a zero one
+    # there (bareiss_det patched, as no table of a polytope gives it) is an
+    # error naming that face, in the oracle's words
+    poly = prism_over_cross4()
+    lat = face_lattice(poly)
+    cone = lift(poly)
+    roots = []
+    real_tau = ConeSystem._tau
+
+    def tau(self, f):
+        roots.append(f)
+        return real_tau(self, f)
+
+    monkeypatch.setattr(ConeSystem, "_tau", tau)
+    ConeSystem(cone, lat)
+    assert len(roots) == 1
+    monkeypatch.setattr(cones, "bareiss_det", lambda rows: 0)
+    with pytest.raises(InternalInvariantError) as err:
+        ConeSystem(cone, lat)
+    assert str(err.value) == f"dual base [A_F | Y_F] of {lat.faces_by_id[roots[0]]} is singular"
+
+
+@pytest.mark.parametrize("fault", ["dual", "cofactor"])
 def test_m_zero_faults_fail_the_batch_not_the_per_pair_api(fault, monkeypatch):
-    # the top face of the 3-cube, which no face resumes from, with z_F[r]
-    # set to 0 or adj(G_F)[r][r] moved off det G_E by one, for the row r of
-    # its first lower cover E with m = 0: the batch rejects (E, top),
-    # naming it, and the per-pair API, which reads neither z_F nor F's
-    # adjugate on that pair, makes the same ray and accepts it
+    # the top face of the 3-cube, which no face resumes from, and its first
+    # lower cover E with m = 0, with E's dual mask set to the top's (empty)
+    # or adj(G_F)[r][r] moved off det G_E by one, for E's row r: the batch
+    # rejects (E, top), naming it, and the per-pair API, which reads
+    # neither the dual masks nor F's adjugate on that pair, makes the same
+    # ray and accepts it
     poly = hypercube(3)
     lat = face_lattice(poly)
     system = ConeSystem(lift(poly), lat)
@@ -938,25 +982,26 @@ def test_m_zero_faults_fail_the_batch_not_the_per_pair_api(fault, monkeypatch):
     e = next(e for e in lat.down[top]
              if cones.adjugate_column(data_top.span_mask, system.face_data(e).span_mask) is not None)
     r = cones.adjugate_column(data_top.span_mask, system.face_data(e).span_mask)
-    if fault == "z":
-        z = list(data_top.sum_coords)
-        z[r] = 0
-        change = {"sum_coords": tuple(z)}
-        why = "barycenter projection is not a positive multiple"
+    if fault == "dual":
+        broken = ConeSystem(system.cone, lat)
+        masks = list(system.dual_masks)
+        masks[e] = masks[top]
+        monkeypatch.setattr(broken, "dual_masks", tuple(masks))
+        why = "no facet normal vanishes on E and not on F (dual_E & ~dual_F = 0)"
     else:
         adj = [list(row) for row in data_top.gram_adj]
         adj[r][r] += 1
-        change = {"gram_adj": tuple(map(tuple, adj))}
+        real = cones.face_cone_data
+
+        def corrupting(F, *args):
+            data = real(F, *args)
+            return dataclasses.replace(data, gram_adj=tuple(map(tuple, adj))) \
+                if F == lat.top_face else data
+
+        monkeypatch.setattr(cones, "face_cone_data", corrupting)
+        broken = ConeSystem(system.cone, lat)
         det = system.face_data(e).gram_det
         why = f"cofactor adj(G_F)[{r}][{r}] = {det + 1} is not det G_E = {det} > 0"
-    real = cones.face_cone_data
-
-    def corrupting(F, *args):
-        data = real(F, *args)
-        return dataclasses.replace(data, **change) if F == lat.top_face else data
-
-    monkeypatch.setattr(cones, "face_cone_data", corrupting)
-    broken = ConeSystem(system.cone, lat)
     with pytest.raises(InternalInvariantError) as batch:
         broken.cover_orientations(top)
     assert str(batch.value) == (
