@@ -76,9 +76,9 @@ one of three routes, fixed by the pair's span and dual masks alone:
 
 Those two take any pair by the one general construction, the Gram solve
 and the Cauchy-Schwarz test, so on the pairs of the first two routes they
-are an independent oracle of the batch.  ``ConeSystem`` makes no ray: a
-face that the spread of tau from the top cannot reach takes tau from its
-definition, one n x n determinant.
+are an independent oracle of the batch.  ``ConeSystem.__init__`` makes no
+ray: a face that the spread of tau from the top cannot reach takes tau
+from its definition, one n x n determinant.
 """
 
 from __future__ import annotations
