@@ -15,8 +15,9 @@ change first on odd ones, so a drift in host speed does not favour one side.
 
 The pairs are appended, as one set with its summary, to the list of the
 workload under ``end_to_end`` in ``BENCH_<topic>.json``, which is created if
-it is missing.  The script exits 1, naming the seed and the side, when any
-run's output was wrong (``correct`` false) or any of its ops failed
+it is missing; the file's top-level ``parent`` and ``change`` name the
+commits of the set appended last.  The script exits 1, naming the seed and
+the side, when any run's output was wrong (``correct`` false) or any of its ops failed
 (``failed`` > 0); the pairs are written all the same.  The summary gives, for every end-to-end metric that
 ``BENCHMARK.json`` declares, the medians of both sides, the change in
 percent, the number of pairs in which the change is better, and the
@@ -133,8 +134,7 @@ def main(argv: list[str] | None = None) -> int:
     path = REPO / f"BENCH_{args.topic}.json"
     doc = json.loads(path.read_text()) if path.exists() else {}
     doc.setdefault("topic", args.topic.replace("_", " "))
-    doc.setdefault("parent", revs["parent"])
-    doc.setdefault("change", revs["change"])
+    doc["parent"], doc["change"] = revs["parent"], revs["change"]
     doc.setdefault("host", {"nproc": len(os.sched_getaffinity(0)),
                             "python": platform.python_version(),
                             "implementation": platform.python_implementation(),

@@ -1,8 +1,9 @@
 """Oriented cellular chain complex of a polytope via the lifted cone.
 
 Each face F is oriented by the basis A_F of the span of its lifted subcone
-(the cone's generators at ``FaceConeData.span_ids``, greedy in vertex-index
-order), its last column negated if the trivialization flips F.  For a
+(the cone's generators at its span ids, greedy in vertex-index order: a
+simplex face's vertex ids, any other face's ``FaceConeData.span_ids``),
+its last column negated if the trivialization flips F.  For a
 covering pair (E, F) with edge ray e the incidence number is the
 orientation sign of the basis
 B = [e | A_E] of span(F) against A_F: sign det C for B C = A_F, which is
@@ -10,14 +11,15 @@ sign det(B^T A_F) since B^T A_F = (B^T B) C and det(B^T B) > 0.  (B is a
 basis of span(F): e lies in span(F), being by construction an integer
 combination of lifted vertices of F, e is orthogonal to span(E), which the
 certificate G_E adj(G_E) = det G_E * I guarantees, carried by the checked
-bordering steps of ``cones.bordered_gram_basis`` that build E's data, and
-A_E is a basis of span(E).)
+bordering steps of ``cones.bordered_gram_basis`` that build E's data where
+a ray is made, and A_E is a basis of span(E).)
 
 The cone stage has already decided that sign for the unflipped bases, by
 face: ``ConeSystem.cover_orientations`` gives the orientation sigma of
 every lower cover E of F at once.  A pair with m = 0 reads sigma off F's
 certified adjugate with no ray made (``cones.adjugate_column`` states the
-identities); a pair with m > 0 whose faces are both dual-simple reads it on
+identities), and a pair into a simplex face, which carries no face data,
+reads it off F's vertex tuple, the simplicial boundary's (-1)^r; a pair with m > 0 whose faces are both dual-simple reads it on
 the dual side, from the dual base signs of E and F, fixed once from the top
 face down (``ConeSystem``), and one bit of their dual masks
 (``cones.dual_sign``); any other pair takes ``cones.edge_ray``,

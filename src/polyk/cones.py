@@ -19,18 +19,24 @@ vertex's facet bitmask, and each face's dual-face bitmask, the AND of its
 vertices' bitmasks.  S >= 0 entrywise and the rank of every dual face
 (``check_dual_faces``: the top's mask is empty, and every other face's mask
 strictly holds that of an upper cover) are checked there, once per run.
-For every face id, once per run, we compute a deterministic basis A_F of
-the span (integer lifted vertices, greedy in index order), by vertex ids
-and as the bitmask s_F of those ids, with det G and adj G of the Gram
-matrix G = A_F^T A_F, all from T alone, by bordered steps
-(``bordered_gram_basis``): a Schur complement per candidate decides its
-independence and grows det G and adj G exactly.  Nearly every face resumes
-the pass of a lower cover E, whose span ids all lie below p = min(F - E),
-with one step by p; the others walk all their vertices.  The certificate
-G adj(G) = det G * I, det G > 0, is carried by the steps: each kept step
-checks G_S y = D b and that its divisions are exact, in O(k^2), and by a
-block identity (stated there) that turns a certified state into a
-certified state, so no face forms the k x k product.
+Every face F has a deterministic basis A_F of its span (integer lifted
+vertices, greedy in index order), held by vertex ids and as the bitmask s_F
+of those ids.  A simplex face, |F| = dim F + 1, has all its vertices as
+span ids and its vertex mask as s_F, and carries no other data: each of
+its lower covers is F without one vertex, the simplicial boundary, whose
+sign is a permutation sign (``ConeSystem.cover_orientations``).  Any other
+face carries face data (``FaceConeData``): its span basis with det G and
+adj G of the Gram matrix G = A_F^T A_F, all from T alone, by bordered
+steps (``bordered_gram_basis``): a Schur complement per candidate decides
+its independence and grows det G and adj G exactly.  Such a face resumes
+the pass of a lower cover E that carries data, when E's span ids all lie
+below p = min(F - E), with one step by p; the others walk all their
+vertices.  A simplex face carries data too where a pair of the general
+route reads it (below).  The certificate G adj(G) = det G * I, det G > 0,
+is carried by the steps: each kept step checks G_S y = D b and that its
+divisions are exact, in O(k^2), and by a block identity (stated there)
+that turns a certified state into a certified state, so no face forms the
+k x k product.
 
 No n-vector is read for any of it, and a face's data holds vertex ids and
 integers only: its span basis is the cone's generators at its span ids.
@@ -63,7 +69,8 @@ one of three routes, fixed by the pair's span and dual masks alone:
     no ray made; ``adjugate_column`` states the identities that give its
     ray and sign, and ``cover_orientations`` why its cross-check reduces
     to one dual-mask comparison and the principal-minor check of
-    ``adjugate_pair_fault``;
+    ``adjugate_pair_fault``; every pair into a simplex face takes this
+    route with no Gram number read, its sign (-1)^r a permutation sign;
   * m > 0 with E and F both dual-simple, their dual masks of exactly
     n - dim - 1 normals: read on the dual side, by the cone duality the
     circledast construction rests on, from the dual base signs tau of the
@@ -87,7 +94,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from math import gcd
-from operator import and_
+from operator import and_, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InternalInvariantError
@@ -121,7 +128,9 @@ class FaceConeData:
     the face (see the module docstring): its span basis and the
     determinant and adjugate of its Gram matrix, as vertex ids and
     integers, no n-vector.  The columns of A_F are the cone's generators
-    at ``span_ids``."""
+    at ``span_ids``.  ``ConeSystem`` builds it for every face that is not
+    a simplex, and for a simplex face only where a pair of the general
+    route reads it: a pair into a simplex face reads no Gram number."""
 
     span_ids: tuple[int, ...]  # vertex ids of the columns of A_F, increasing
     span_mask: int  # the bitmask s_F of span_ids; id a is row popcount(s_F & (2^a - 1))
@@ -273,7 +282,12 @@ def bordered_gram_basis(F: Face, gram: IntMatrix, walk: Iterable[int] | None = N
 
     Each kept step checks, in O(k^2) for k = |S|, that G_S y = D b, with
     G_S read off T, and that every division by D is exact (``divmod``, a
-    zero remainder).  Let (G_S, D, adj G_S) be certified, G_S adj G_S = D I
+    zero remainder).  Only the upper triangle of (D' adj G_S + y y^T) / D
+    is formed, and each entry below it is the integer mirrored from above:
+    with adj G_S symmetric the matrix is symmetric before the division, so
+    a mirrored entry is the same quotient of the same numerator, and the
+    exact-division check of the upper triangle covers every entry.  Let
+    (G_S, D, adj G_S) be certified, G_S adj G_S = D I
     with adj G_S symmetric.  Then the blocks of G_{S+u} adj G_{S+u}, with
     G_{S+u} = [[G_S, b], [b^T, t]], are
 
@@ -318,17 +332,16 @@ def bordered_gram_basis(F: Face, gram: IntMatrix, walk: Iterable[int] | None = N
             break
         t_u = gram[u]
         b = [t_u[s] for s in ids]
-        y = [int_dot(row, b) for row in adj]
-        minor = t_u[u] * det - int_dot(b, y)
+        y = [sum(map(mul, row, b)) for row in adj]  # int_dot inlined in this hot loop
+        minor = t_u[u] * det - sum(map(mul, b, y))
         if minor > 0:
             for s, b_s in zip(ids, b):
-                t_s = gram[s]
-                if sum(t_s[v] * y_v for v, y_v in zip(ids, y)) != det * b_s:
+                if sum(map(mul, map(gram[s].__getitem__, ids), y)) != det * b_s:
                     raise _certificate_error(F, u, f"G_S y != D b at vertex {s} (D = {det})")
             bordered = []
-            for row, y_i in zip(adj, y):
-                new = []
-                for a, y_j in zip(row, y):
+            for i, (row, y_i) in enumerate(zip(adj, y)):
+                new = [above[i] for above in bordered]  # mirrored: the adjugate is symmetric
+                for a, y_j in zip(row[i:], y[i:]):
                     q, rem = divmod(minor * a + y_i * y_j, det)
                     if rem:
                         raise _certificate_error(
@@ -406,9 +419,11 @@ def check_dual_faces(lattice: FaceLattice, dual_masks: Sequence[int], n: int) ->
     = n - (dim F + 1).
 
     Upper bound: every normal of dual(F) vanishes on F's lifted vertices,
-    dim F + 1 of which are independent (the span basis that
-    ``bordered_gram_basis`` finds for F's face data, with det G > 0), so
-    the normals span at most n - (dim F + 1) dimensions.
+    dim F + 1 of which are independent, so the normals span at most
+    n - (dim F + 1) dimensions.  For a face that carries data, that is the
+    span basis ``bordered_gram_basis`` finds, with det G > 0; for a
+    simplex face, it is the identity ``ConeSystem.cover_orientations``
+    states, on the dual masks of its covering pairs, which it checks.
 
     So a face's dual rank is right without an echelon of its normals.  A
     failure names the face and its upper cover.
@@ -453,7 +468,10 @@ def face_cone_data(F: Face, gram: IntMatrix,
     c g - A_F adj(G) A_F^T g, orthogonal to span(F), and with it the
     identities of the cross-check.  The span ids are also kept as the
     bitmask s_F, which ``ConeSystem.cover_orientations`` reads.  Only the
-    Gram table is read here, no generator of the cone."""
+    Gram table is read here, no generator of the cone.  ``ConeSystem``
+    calls it for the faces that are not simplices and for the simplex
+    faces a pair of the general route reads, and its ``face_data`` for any
+    other simplex face, the full walk, whose span ids are F's vertices."""
     if cover is None:
         span_ids, gram_det, gram_adj = bordered_gram_basis(F, gram)
     else:
@@ -502,10 +520,12 @@ def adjugate_column(span_F: int, span_E: int) -> int | None:
     return (span_F & (g - 1)).bit_count()
 
 
-def adjugate_pair_fault(data_E: FaceConeData, data_F: FaceConeData, r: int) -> str | None:
+def adjugate_pair_fault(data_E: FaceConeData | None, data_F: FaceConeData, r: int) -> str | None:
     """Why the cross-check rejects a covering pair (E, F) with m = 0 whose
     ray is column r of F's adjugate (``adjugate_column``) on its face
-    data, or None: it accepts iff adj(G_F)[r][r] = det G_E > 0.
+    data, or None: it accepts iff adj(G_F)[r][r] = det G_E > 0.  F is not
+    a simplex; a pair into a simplex face takes no such check
+    (``ConeSystem.cover_orientations`` states why).
 
     That is the principal-minor identity, the cofactor at (r, r) of G_F
     being the Gram determinant of F's span ids minus row r's, which are
@@ -515,10 +535,22 @@ def adjugate_pair_fault(data_E: FaceConeData, data_F: FaceConeData, r: int) -> s
     rows a), is F's adjugate column v = A_F adj(G_F) e_r itself, and
     c = det G_E > 0.  The pair's barycenter test is then one comparison
     of dual masks, made by ``ConeSystem.cover_orientations``, which states
-    the identity."""
-    cofactor, det = data_F.gram_adj[r][r], data_E.gram_det
-    if cofactor != det or det <= 0:
-        return f"cofactor adj(G_F)[{r}][{r}] = {cofactor} is not det G_E = {det} > 0"
+    the identity.
+
+    A simplex E that carries no data (``data_E`` None) has its vertices as
+    span ids, F's span ids minus row r's, so its Gram matrix is G_F without
+    row and column r, and the identity makes adj(G_F)[r][r] its
+    determinant.  With no det G_E to compare, the check reduces to
+    adj(G_F)[r][r] > 0, a principal minor of G_F, which F's certificate
+    shows positive definite: G_F adj(G_F) = det G_F * I with det G_F > 0
+    makes adj(G_F) = det G_F * G_F^-1, and the inverse of a positive
+    definite matrix has a positive diagonal."""
+    cofactor = data_F.gram_adj[r][r]
+    if data_E is None:
+        if cofactor <= 0:
+            return f"cofactor adj(G_F)[{r}][{r}] = {cofactor} is not det G_E > 0"
+    elif cofactor != data_E.gram_det or cofactor <= 0:
+        return f"cofactor adj(G_F)[{r}][{r}] = {cofactor} is not det G_E = {data_E.gram_det} > 0"
     return None
 
 
@@ -629,7 +661,18 @@ def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: Face
     return EdgeRay((E, F), g, det_e, x, a_ids, sign, C.generators)
 
 
-def edge_ray_crosscheck(ray: EdgeRay, data_E: FaceConeData, gram: IntMatrix) -> None:
+def face_vertex_sums(F: Face, gram: IntMatrix) -> tuple[dict[int, int], int]:
+    """<v, b_F> for every vertex v of F, by vertex id, and |b_F|^2, for the
+    sum b_F of F's integer lifted vertices, read off the Gram table:
+    <v, b_F> = sum over u in F of T[v][u], and |b_F|^2 = sum over v in F
+    of <v, b_F>.  They depend on F alone, so a face takes them once for
+    all its pairs of the general route (``edge_ray_crosscheck``)."""
+    dots = {v: sum(map(gram[v].__getitem__, F.vertex_set)) for v in F.vertex_set}
+    return dots, sum(dots.values())
+
+
+def edge_ray_crosscheck(ray: EdgeRay, data_E: FaceConeData, gram: IntMatrix,
+                        b_dots: dict[int, int], b_sq: int) -> None:
     """Check the edge ray of (E, F) against an independent construction:
     the barycenter vector w' = D b_F - A_E x' must be a strictly positive
     multiple of the ray's w = c g - A_E x, or an error names the pair.
@@ -643,10 +686,11 @@ def edge_ray_crosscheck(ray: EdgeRay, data_E: FaceConeData, gram: IntMatrix) -> 
     Every ray takes the Cauchy-Schwarz test, and nothing there is an
     n-vector.  (On the pairs of the two O(1) routes the test reduces to a
     comparison of dual masks, which ``ConeSystem.cover_orientations``
-    makes in place of this one and states.)  Only E's face data and the
-    Gram table are read: <v, b_F> = sum over u in F of T[v][u] for a
-    vertex v, |b_F|^2 = sum over u in F of <u, b_F>, and A^T g and G_E off
-    the table.  G_E adj(G_E) = D * I (certified by E's bordering steps)
+    makes in place of this one and states.)  Only E's face data, the Gram
+    table and F's vertex sums are read: ``b_dots`` maps each vertex v of F
+    to <v, b_F>, and ``b_sq`` is |b_F|^2, both made once per face
+    (``face_vertex_sums``); A^T g and G_E are read off the table.
+    G_E adj(G_E) = D * I (certified by E's bordering steps)
     gives A^T w' = D A^T b_F - G_E x' = 0, hence
 
         |w'|^2  = D (D |b_F|^2 - x'^T A^T b_F),
@@ -659,31 +703,27 @@ def edge_ray_crosscheck(ray: EdgeRay, data_E: FaceConeData, gram: IntMatrix) -> 
     Cauchy-Schwarz, exact on integers.  It is the test the n-vector
     comparison primitive(w') = primitive(w) made, on k numbers.
 
-    The ray's g must be a vertex of F and its x must go with E's span ids;
-    a g outside F (a ray outside span(F)) fails the check.  So does w' = 0,
-    with <w, w'> = 0.
+    The ray's g must be a vertex of F, its x must go with E's span ids, and
+    those must be vertices of F; a g outside F (a ray outside span(F))
+    fails the check.  So does w' = 0, with <w, w'> = 0.
     """
     g, c, x = ray.g, ray.c, ray.x
     a_ids = data_E.span_ids
     E, F = ray.pair
-    if g not in F.vertex_set or ray.e_ids != a_ids:
+    at_b = [b_dots.get(a) for a in a_ids]  # None: a is not a vertex of F
+    if g not in b_dots or ray.e_ids != a_ids or None in at_b:
         raise InternalInvariantError(
             f"edge-ray cross-check failed for ({E}, {F}): the ray is not a combination "
-            f"of a vertex of {F} and the span basis of {E}")
+            f"of a vertex of {F} and the span basis of {E} inside {F}")
     det = data_E.gram_det
     t_g = gram[g]
     at_g = [t_g[a] for a in a_ids]
-
-    def b_dot(v: int) -> int:  # <v, b_F>
-        return sum(map(gram[v].__getitem__, F.vertex_set))
-
-    at_b = [b_dot(a) for a in a_ids]
     x_b = [int_dot(row, at_b) for row in data_E.gram_adj]
-    b_sq = det * (det * sum(map(b_dot, F.vertex_set)) - int_dot(x_b, at_b))
-    inner = c * (det * b_dot(g) - int_dot(x_b, at_g))
+    bary_sq = det * (det * b_sq - int_dot(x_b, at_b))
+    inner = c * (det * b_dots[g] - int_dot(x_b, at_g))
     w_sq = c * (c * t_g[g] - 2 * int_dot(x, at_g)) + int_dot(
         x, [sum(gram[a][b] * x_b for b, x_b in zip(a_ids, x)) for a in a_ids])
-    if inner <= 0 or inner * inner != w_sq * b_sq:
+    if inner <= 0 or inner * inner != w_sq * bary_sq:
         raise InternalInvariantError(
             f"edge-ray cross-check failed for ({E}, {F}): "
             "barycenter projection is not a positive multiple")
@@ -733,21 +773,35 @@ def dual_sign(n: int, dual_F: int, dual_E: int) -> int:
 
 
 class ConeSystem:
-    """Per-face cone data (``FaceConeData``) for every face of ``lattice``,
-    in a list indexed by its face ids, read by the edge rays and the
-    cross-checks.  The Gram and slack tables of the lifted vertices
-    (``gram``, ``slack``) and each face's dual-face bitmask (``dual_masks``,
-    the AND of its vertices' ``vertex_facet_masks``) are built first; S >= 0
-    and the dual ranks (``check_dual_faces``) are checked then.  Every
-    face's data is then built once, in face-id order.  A face's data grows
-    from the data of a lower cover E, its resume cover, when E's span ids
-    all lie below p = min(F - E) (see ``bordered_gram_basis``): the first
-    such cover in ``down`` order whose vertex set F's strictly holds.
-    Lower covers have lower ids, so E's data is already built (a cover
-    with a higher id, which only a hand-built lattice can list, is not
-    resumed from).  A face with no such cover takes the full walk.  Edge
-    rays are not kept: ``build_complex`` asks for the orientations of each
-    face's lower covers once (``cover_orientations``).
+    """Per-face cone data (``FaceConeData``) for the faces of ``lattice``
+    that need it, indexed by face id, read by the covering pairs.  The Gram
+    and slack tables of the lifted vertices (``gram``, ``slack``) and each
+    face's dual-face bitmask (``dual_masks``, the AND of its vertices'
+    ``vertex_facet_masks``) are built first; S >= 0 and the dual ranks
+    (``check_dual_faces``) are checked then.
+
+    A simplex face, |F| = dim F + 1, takes no data of its own: its span
+    ids are its vertex ids and its span mask its vertex mask, which
+    ``span_masks`` holds for every face, so tau spreads over it and
+    ``_tau`` reads it with no arithmetic, and every pair into it is read
+    with none (``cover_orientations``).  The data of every other face is
+    built once, in face-id order.  It grows from the data of a lower cover
+    E, its resume cover, when E's span ids all lie below p = min(F - E)
+    (see ``bordered_gram_basis``): the first such cover in ``down`` order
+    that carries data and whose vertex set F's strictly holds.  Lower
+    covers have lower ids, so E's data is already built (a cover with a
+    higher id, which only a hand-built lattice can list, has none yet and
+    is not resumed from).  A face with no such cover, a square say, whose
+    lower covers are simplices, takes the full walk.  Then each pair of
+    the general route (m > 0, a face not dual-simple) into a face with
+    data reads E's data, so a simplex E of such a pair gets its data too,
+    by the full walk; that is decided on the span and dual masks alone: 48
+    pairs and 30 simplex faces on the prism over the 4-cross-polytope,
+    none on the 5-cube, the 5-cross-polytope or the acceptance corpus.
+    ``face_data`` gives any other simplex face's data, made when read and
+    not kept, for the per-pair API.  Edge rays are not kept:
+    ``build_complex`` asks for the orientations of each face's lower
+    covers once (``cover_orientations``).
 
     Last, ``taus`` holds the dual base sign tau_F of every face
     (``dual_sign``): +1 or -1 for a dual-simple face, 0 for any other.
@@ -758,8 +812,9 @@ class ConeSystem:
     (``check_dual_faces``).  tau is fixed from the top face P down:
 
       * tau_P = sign det(A_P^T A_P) = +1, with no determinant: Y_P is
-        empty (``check_dual_faces``) and det G_P > 0 is certified by P's
-        bordering steps;
+        empty (``check_dual_faces``) and A_P is a basis, with det G_P > 0
+        certified by P's bordering steps, or by the dual masks of its
+        lower covers if P is a simplex (``cover_orientations``);
       * tau spreads over the covering pairs (E, F) with m = 0 between
         dual-simple faces, both ways: there sigma = (-1)^r
         (``adjugate_column``), so tau_E = (-1)^r * dual_sign * tau_F, and
@@ -787,39 +842,53 @@ class ConeSystem:
         check_slack(self.slack)
         vertex_masks = vertex_facet_masks(self.slack)
         every = (1 << len(cone.facet_normals)) - 1
+        faces, n = lattice.faces_by_id, cone.dim
         self.dual_masks = tuple(reduce(and_, (vertex_masks[i] for i in f.vertex_set), every)
-                                for f in lattice.faces_by_id)
-        check_dual_faces(lattice, self.dual_masks, cone.dim)
-        self._face_data: list[FaceConeData] = []
-        for f, F in enumerate(lattice.faces_by_id):
-            resume = self._resume(f)
-            cover = None if resume is None else (self._face_data[resume[0]], resume[1])
-            self._face_data.append(face_cone_data(F, self.gram, cover))
-        self.taus = self._signs_from_top()
+                                for f in faces)
+        check_dual_faces(lattice, self.dual_masks, n)
+        data: list[FaceConeData | None] = [None] * len(faces)
+        for f, F in enumerate(faces):
+            if len(F.vertex_set) != F.dim + 1:
+                data[f] = face_cone_data(F, self.gram, self._resume(f, data))
+        self.span_masks = tuple(lattice.vertex_masks[f] if d is None else d.span_mask
+                                for f, d in enumerate(data))
+        simple = [mask.bit_count() == n - F.dim - 1 for mask, F in zip(self.dual_masks, faces)]
+        for f, lower in enumerate(lattice.down):
+            if data[f] is not None:
+                for e in lower:
+                    if data[e] is None and not (simple[e] and simple[f]) and adjugate_column(
+                            self.span_masks[f], self.span_masks[e]) is None:
+                        data[e] = face_cone_data(faces[e], self.gram)
+        self._face_data = tuple(data)
+        self.taus = self._signs_from_top(simple)
 
     def face_data(self, f: int) -> FaceConeData:
-        return self._face_data[f]
+        """The face data of face f: the one built with the system, or, for a
+        simplex face that carries none, the full bordered walk, made when
+        read and not kept."""
+        data = self._face_data[f]
+        return face_cone_data(self.lattice.faces_by_id[f], self.gram) if data is None else data
 
-    def _resume(self, f: int) -> tuple[int, int] | None:
-        """(e, p) for the first lower cover e of face f, already built, that
-        the bordered pass of f can resume from, or None."""
+    def _resume(self, f: int, data: Sequence[FaceConeData | None]
+                ) -> tuple[FaceConeData, int] | None:
+        """(E's face data, p) for the first lower cover E of face f already
+        carrying data that the bordered pass of f can resume from, or None."""
         masks = self.lattice.vertex_masks
         mask = masks[f]
         for e in self.lattice.down[f]:
-            rest = mask & ~masks[e]
-            if e < f and rest and not masks[e] & ~mask:
+            data_e, rest = data[e], mask & ~masks[e]
+            if data_e is not None and rest and not masks[e] & ~mask:
                 p = (rest & -rest).bit_length() - 1
-                ids = self._face_data[e].span_ids
+                ids = data_e.span_ids
                 if not ids or ids[-1] < p:
-                    return e, p
+                    return data_e, p
         return None
 
-    def _signs_from_top(self) -> tuple[int, ...]:
-        """tau of every face, from the top face down (see the class)."""
-        n, dual, L = self.cone.dim, self.dual_masks, self.lattice
-        spans = [data.span_mask for data in self._face_data]
-        taus: list[int | None] = [None if dual[f].bit_count() == n - F.dim - 1 else 0
-                                  for f, F in enumerate(L.faces_by_id)]  # None: not set yet
+    def _signs_from_top(self, simple: Sequence[bool]) -> tuple[int, ...]:
+        """tau of every face, from the top face down (see the class), with
+        ``simple`` flagging the dual-simple faces."""
+        n, dual, L, spans = self.cone.dim, self.dual_masks, self.lattice, self.span_masks
+        taus: list[int | None] = [None if s else 0 for s in simple]  # None: not set yet
         top = len(taus) - 1
         for root in range(top, -1, -1):
             if taus[root] is not None:
@@ -845,14 +914,19 @@ class ConeSystem:
         F's dual mask and b in the top's span ids.  [A_F | Y_F] and A_P are
         nonsingular (``dual_sign``), so a zero determinant is an error
         naming F."""
-        gram, slack, top = self.gram, self.slack, self._face_data[-1].span_ids
-        rows = [[gram[a][b] for b in top] for a in self._face_data[f].span_ids]
+        gram, slack, top = self.gram, self.slack, self._span_ids(-1)
+        rows = [[gram[a][b] for b in top] for a in self._span_ids(f)]
         rows += [[slack[b][k] for b in top] for k in set_bits(self.dual_masks[f])]
         det = bareiss_det(rows)
         if det == 0:
             raise InternalInvariantError(
                 f"dual base [A_F | Y_F] of {self.lattice.faces_by_id[f]} is singular")
         return 1 if det > 0 else -1
+
+    def _span_ids(self, f: int) -> tuple[int, ...]:
+        """F's span ids: a simplex face's are its vertex ids."""
+        data = self._face_data[f]
+        return self.lattice.faces_by_id[f].vertex_set if data is None else data.span_ids
 
     def cover_orientations(self, f: int) -> list[int]:
         """The orientation sigma of every covering pair (E, F) of face f, one
@@ -898,21 +972,45 @@ class ConeSystem:
         What the dual route adds is checked on the adjugate route: every
         m = 0 pair between two dual-simple faces must have
         (-1)^r = dual_sign * tau_E * tau_F, which ties every tau to the
-        certified adjugates.  A rejected pair is an error naming it."""
-        faces, taus, dual, n = self._face_data, self.taus, self.dual_masks, self.cone.dim
-        data_F = faces[f]
-        span_F, dual_F, tau_F = data_F.span_mask, dual[f], taus[f]
-        signs = []
+        certified adjugates.  A rejected pair is an error naming it.
+
+        A simplex face F, |F| = dim F + 1, carries no data, and its pairs
+        read no Gram number.  Its span ids are its vertex ids, so on a
+        lattice of P each lower cover E is F without one vertex g, a simplex
+        whose span ids are E's vertex ids: m = 0, and sigma = (-1)^r with r
+        the row of g in F's vertex tuple, the sign of the simplicial
+        boundary.  The pair takes the dual-mask comparison and the tau
+        check, and no ``adjugate_pair_fault``: what F's certificate
+        det G_F > 0 showed, that F's vertices are independent, is the
+        identity of the dual masks.  A normal y in dual_E & ~dual_F
+        vanishes on span(E) and is positive at a vertex of F outside E,
+        which can only be g; so g is not in span(E), and F's vertices are
+        independent when E's are.  Every pair into a simplex face is
+        checked so when the batch reads that face, and the faces below a
+        simplex are simplices; so along a chain of covers from the empty
+        face, whose span is {0}, to F the span grows at each of the
+        dim F + 1 covers, and dim span(F) = dim F + 1 = |F|.  With F's
+        vertices independent, G_F is positive definite, and its principal
+        minor adj(G_F)[r][r] is det G_E > 0, which the cofactor check would
+        compare.  A simplex E under a face F that carries data takes the
+        reduced cofactor check of ``adjugate_pair_fault``, and a general
+        pair, which reads E's data, finds it built by ``__init__``."""
+        faces, spans, taus, dual = self._face_data, self.span_masks, self.taus, self.dual_masks
+        F, n = self.lattice.faces_by_id[f], self.cone.dim
+        data_F = None if len(F.vertex_set) == F.dim + 1 else faces[f]  # None: F is a simplex
+        span_F, dual_F, tau_F = spans[f], dual[f], taus[f]
+        signs, sums = [], None  # sums: F's vertex sums, made for its first general pair
         for e in self.lattice.down[f]:
-            data_E = faces[e]
-            r = adjugate_column(span_F, data_E.span_mask)
+            r = adjugate_column(span_F, spans[e])
             tau = taus[e] * tau_F  # nonzero iff both faces are dual-simple
             if r is not None:
                 sigma = -1 if r & 1 else 1
-                if dual[e] & ~dual_F:
-                    fault = adjugate_pair_fault(data_E, data_F, r)
-                else:
+                if not dual[e] & ~dual_F:
                     fault = "no facet normal vanishes on E and not on F (dual_E & ~dual_F = 0)"
+                elif data_F is not None:
+                    fault = adjugate_pair_fault(faces[e], data_F, r)
+                else:
+                    fault = None
                 if fault is None and tau and dual_sign(n, dual_F, dual[e]) * tau != sigma:
                     fault = f"the dual base signs give {-sigma}, F's adjugate (-1)^{r} = {sigma}"
                 if fault is not None:
@@ -922,7 +1020,9 @@ class ConeSystem:
                 signs.append(dual_sign(n, dual_F, dual[e]) * tau)
             else:
                 ray = self.ray(e, f)
-                self.crosscheck(e, f, ray)
+                if sums is None:
+                    sums = face_vertex_sums(F, self.gram)
+                edge_ray_crosscheck(ray, self.face_data(e), self.gram, *sums)
                 signs.append(ray.orientation)
         return signs
 
@@ -937,4 +1037,5 @@ class ConeSystem:
 
     def crosscheck(self, e: int, f: int, ray: EdgeRay) -> None:
         """``edge_ray_crosscheck`` of the ray of the pair of face ids (e, f)."""
-        return edge_ray_crosscheck(ray, data_E=self.face_data(e), gram=self.gram)
+        return edge_ray_crosscheck(ray, self.face_data(e), self.gram,
+                                   *face_vertex_sums(self.lattice.faces_by_id[f], self.gram))

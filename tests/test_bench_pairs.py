@@ -92,3 +92,23 @@ def test_main_exits_1_naming_seed_and_side_of_a_failing_run(
     assert [line for line in err if "run " in line] == ([message] if message else [])
     doc = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert [p["seed"] for p in doc["end_to_end"]["cross5"][0]["pairs"]] == [4201, 4202]
+
+
+def test_appended_set_names_its_commits_at_the_top(tmp_path, monkeypatch):
+    # a second set appended to an existing BENCH_<topic>.json keeps the
+    # first set and its revisions, and the file's top-level parent and
+    # change name the commits of the set appended last
+    bench = load_bench_pairs()
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "wall_s", "better": "lower"}]}))
+    monkeypatch.setattr(bench, "REPO", tmp_path)
+    monkeypatch.setattr(bench, "export", lambda rev, into: rev)
+    monkeypatch.setattr(bench, "run_once", lambda tree, workload, seed, seconds: {
+        "correct": True, "failed": 0, "metrics": {"wall_s": {"value": 0.1, "unit": "s"}}})
+    for parent, change in (("p1", "c1"), ("p2", "c2")):
+        assert bench.main(["--parent", parent, "--change", change, "--workload", "corpus",
+                           "--seeds", "1-2", "--topic", "t"]) == 0
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert (doc["parent"], doc["change"]) == ("p2", "c2")
+    assert [(s["parent"], s["change"]) for s in doc["end_to_end"]["corpus"]] == [
+        ("p1", "c1"), ("p2", "c2")]

@@ -37,7 +37,14 @@ from polyk.cellular import (
 )
 from polyk.comb_type import is_isomorphic, lattice_from_incidence, strip_signs
 from polyk.cones import ConeSystem, EdgeRay, lift
-from polyk.corpus import cross_polytope, hypercube, point_polytope, random_hull, simplex
+from polyk.corpus import (
+    acceptance_corpus,
+    cross_polytope,
+    hypercube,
+    point_polytope,
+    random_hull,
+    simplex,
+)
 from polyk.errors import InternalInvariantError
 from polyk.linalg import int_mat_mul
 from polyk.pipeline import run_pipeline
@@ -52,6 +59,8 @@ from oracles import (
     int_mat_is_zero,
     oracle_incidence_sign,
     pair_route,
+    PerFaceSystem,
+    prism_over_cross,
     pyramid_prism,
     simplicial_boundary_matrices,
     span_basis,
@@ -106,8 +115,10 @@ def test_trivialize_rejects_flipping_a_face_not_in_the_lattice():
 
 def test_one_span_basis_per_face_per_run(monkeypatch):
     # the edge rays and the cross-checks read the span basis off the face
-    # data, picked once per face by the bordered Gram pass, resumed from a
-    # lower cover's or walked in full
+    # data, picked once per face that carries data by the bordered Gram
+    # pass, resumed from a lower cover's or walked in full.  On the 3-cube
+    # those are the faces that are not simplices, the six squares and the
+    # top; a simplex face's span ids are its vertex ids, with no pass
     real = cones.bordered_gram_basis
     calls = []
 
@@ -119,8 +130,8 @@ def test_one_span_basis_per_face_per_run(monkeypatch):
         if hasattr(module, "bordered_gram_basis"):
             monkeypatch.setattr(module, "bordered_gram_basis", counting)
     result = run_pipeline(hypercube(3))
-    assert len(calls) == sum(result.lattice.f_vector)
-    assert set(calls) == set(result.lattice.faces_by_id)
+    assert calls == [f for f in result.lattice.faces_by_id if len(f.vertex_set) > f.dim + 1]
+    assert len(calls) == 7
 
 
 def test_one_edge_ray_per_covering_pair_per_run(monkeypatch):
@@ -164,8 +175,50 @@ def test_one_edge_ray_per_covering_pair_per_run(monkeypatch):
     assert ray.direction == (0, 1) and built == [ray.pair]
 
 
+@pytest.mark.parametrize("polys, counts", [
+    (lambda: acceptance_corpus(), (57, 0, 0)),
+    (lambda: [hypercube(5)], (131, 0, 0)),
+    (lambda: [cross_polytope(5)], (1, 0, 0)),
+    (lambda: [prism_over_cross(4)], (75, 30, 48)),
+    (lambda: [prism_over_cross(5)], (235, 128, 160)),
+    (lambda: [pyramid_prism()], (18, 1, 4)),
+], ids=["corpus", "cube5", "cross5", "prism_cross4", "prism_cross5", "pyramid_prism"])
+def test_face_data_only_where_a_pair_reads_it(polys, counts, monkeypatch):
+    # a run builds the face data of each face that is not a simplex once,
+    # and of each simplex face that is E of a pair of the general route,
+    # whose ray and cross-check read E's data; none of any other simplex
+    # face, and none while the complex is built.  counts: the faces that
+    # are not simplices, the simplex faces with data, and the general
+    # pairs whose E is a simplex
+    real = cones.face_cone_data
+    built = []
+
+    def counting(F, *args):
+        built.append(F)
+        return real(F, *args)
+
+    monkeypatch.setattr(cones, "face_cone_data", counting)
+    got = [0, 0, 0]
+    for poly in polys():
+        built.clear()
+        result = run_pipeline(poly)
+        lat, data = result.lattice, list(built)
+        system = PerFaceSystem(result.system)
+        simplex = [len(F.vertex_set) == F.dim + 1 for F in lat.faces_by_id]
+        general = [e for f, lower in enumerate(lat.down) for e in lower
+                   if simplex[e] and pair_route(system, e, f) == "general"]
+        assert Counter(data) == Counter(F for f, F in enumerate(lat.faces_by_id)
+                                        if not simplex[f] or f in general), poly.name
+        got[0] += simplex.count(False)
+        got[1] += len(set(general))
+        got[2] += len(general)
+    assert tuple(got) == counts
+
+
 def test_per_face_work_once_per_run(monkeypatch):
-    # each face's bordered Gram pass (span basis, det G, adj G) runs once,
+    # the bordered Gram pass (span basis, det G, adj G) runs once for each
+    # face that carries data: the 18 faces that are not simplices and the
+    # one simplex that is E of general pairs here,
     # and the Gram and slack tables once per ConeSystem, with the dual ranks
     # checked on masks and no echelon; the per-pair steps only read them: no
     # echelon or Gram pass runs inside a pair, edge_ray takes one sign minor
@@ -231,8 +284,8 @@ def test_per_face_work_once_per_run(monkeypatch):
         if getattr(module, "cofactor_kernel_vector", None) is real_kernel:
             monkeypatch.setattr(module, "cofactor_kernel_vector", counting_kernel)
     result = run_pipeline(poly)
-    faces = list(result.lattice.faces_by_id)
-    assert Counter(f for f, _ in grams) == Counter(faces)
+    lat = result.lattice
+    built = Counter(f for f, _ in grams)
     assert Counter(tables) == {"gram_table": 1, "slack_table": 1}
     # only lift's solidity takes an echelon: neither A_F nor a dual face does
     assert Counter(caller for caller, _ in echelons) == {"lift": 1}
@@ -241,12 +294,17 @@ def test_per_face_work_once_per_run(monkeypatch):
     # the orientation: one sign minor per covering pair of the general
     # route, 4 of the 38 with m > 0 here (m the number of E's span ids
     # outside F's), and none for the other 34
-    system = ConeSystem(lift(poly), result.lattice)
-    routes = Counter(pair_route(system, e, f)
-                     for f, lower in enumerate(result.lattice.down) for e in lower)
-    assert sum("edge_ray" in pair for pair in dets) == routes["general"] == 4
-    assert routes["dual"] == 34
-    assert len(dets) == 4 and len(result.lattice.covering) == 159
+    system = PerFaceSystem(result.system)
+    routes = {(e, f): pair_route(system, e, f) for f, lower in enumerate(lat.down) for e in lower}
+    counts = Counter(routes.values())
+    assert sum("edge_ray" in pair for pair in dets) == counts["general"] == 4
+    assert counts["dual"] == 34
+    assert len(dets) == 4 and len(lat.covering) == 159
+    simplices = {e for (e, f), route in routes.items() if route == "general"
+                 and len(lat.faces_by_id[e].vertex_set) == lat.faces_by_id[e].dim + 1}
+    assert built == Counter(F for f, F in enumerate(lat.faces_by_id)
+                            if len(F.vertex_set) > F.dim + 1 or f in simplices)
+    assert sum(built.values()) == 19 and len(simplices) == 1
     assert not any("build_complex" in pair for pair in kernels)
 
 

@@ -60,7 +60,10 @@ from oracles import (
     oracle_crosscheck,
     orthogonal_component,
     pair_route,
+    per_face_data,
+    PerFaceSystem,
     positive_multiple_ratio,
+    prism_over_cross,
     pyramid_prism,
     solve_in_span,
     solved_edge_ray,
@@ -317,7 +320,7 @@ def test_gram_crosscheck_verdict_matches_vector_oracle(polys):
     verdicts = Counter()
     for poly in polys:
         lat = face_lattice(poly)
-        system = ConeSystem(lift(poly), lat)
+        system = PerFaceSystem(ConeSystem(lift(poly), lat))
         for f, lower in enumerate(lat.down):
             F = lat.faces_by_id[f]
             for e in lower:
@@ -353,11 +356,12 @@ def is_m_zero(system, ray, e, f) -> bool:
 @pytest.fixture(scope="module")
 def m_zero_systems():
     """The acceptance corpus, the 5- and 6-cubes, the 5- to 7-cross-polytopes
-    and a random 6-dimensional hull, each with its cone system."""
+    and a random 6-dimensional hull, each with its cone system, whose
+    per-pair API reads the per-face path's data (``PerFaceSystem``)."""
     polys = list(acceptance_corpus()) + [hypercube(5), hypercube(6), cross_polytope(5),
                                          cross_polytope(6), cross_polytope(7),
                                          random_hull(random.Random(3), 6, 24)]
-    return [(poly, ConeSystem(lift(poly), face_lattice(poly))) for poly in polys]
+    return [(poly, PerFaceSystem(ConeSystem(lift(poly), face_lattice(poly)))) for poly in polys]
 
 
 def test_m_zero_ray_is_the_gram_solve(m_zero_systems):
@@ -421,8 +425,10 @@ def test_m_zero_pairs_take_no_dot_products(monkeypatch):
     # the dual route (their dual base signs are Bareiss determinants on the
     # tables); a pair's count runs from its adjugate_column call in
     # cover_orientations, the first thing the batch does for it, to the
-    # next pair's.  face_cone_data reads
-    # no n-vector generator of the cone, nor does the batch
+    # next pair's.  face_cone_data reads no n-vector generator of the cone,
+    # for the top, the one face that is not a simplex and the one face
+    # whose data the system builds, nor for a simplex face whose data is
+    # made when read; nor does the batch
     poly = cross_polytope(5)
     lat = face_lattice(poly)
     cone = lift(poly)
@@ -448,7 +454,10 @@ def test_m_zero_pairs_take_no_dot_products(monkeypatch):
 
     monkeypatch.setattr(cones, "face_cone_data", recording_data)
     system = ConeSystem(dataclasses.replace(cone, generators=Recording(cone.generators)), lat)
-    assert data_reads == [[]] * len(lat.faces_by_id)
+    assert data_reads == [[]]
+    for f in range(len(lat.faces_by_id)):
+        system.face_data(f)
+    assert data_reads == [[]] * len(lat.faces_by_id)  # the top's, then 243 made when read
     reads.clear()
     calls = [0]
     real = cones.int_dot
@@ -518,13 +527,13 @@ def test_equal_dual_masks_fail_the_m_zero_pair(monkeypatch):
     E, F = lat.faces_by_id[e], lat.faces_by_id[f]
     ray = system.ray(e, f)
     data_e = system.face_data(e)
-    cones.edge_ray_crosscheck(ray, data_e, system.gram)
+    cones.edge_ray_crosscheck(ray, data_e, system.gram, *cones.face_vertex_sums(F, system.gram))
     a = data_e.span_ids[0]
     u = next(u for u in F.vertex_set if u not in data_e.span_ids and u != ray.g)
     gram = [list(row) for row in system.gram]
     gram[a][u] += 1
     with pytest.raises(InternalInvariantError) as err:
-        cones.edge_ray_crosscheck(ray, data_e, gram)
+        cones.edge_ray_crosscheck(ray, data_e, gram, *cones.face_vertex_sums(F, gram))
     assert str(err.value) == (
         f"edge-ray cross-check failed for ({E}, {F}): "
         "barycenter projection is not a positive multiple")
@@ -658,8 +667,12 @@ def resume_lattices():
 
 def test_resumed_pass_is_the_full_walk(resume_lattices, monkeypatch):
     # each face's (ids, det G, adj G), resumed from a lower cover by one
-    # bordering step or walked in full, is the full walk's; nearly every
-    # nonempty face resumes, and some take the full walk
+    # bordering step or walked in full, is the full walk's.  The system
+    # builds data for the faces that are not simplices and, on these
+    # inputs, for no simplex face; a face resumes only from a lower cover
+    # that is not a simplex, so a face whose lower covers are all simplices
+    # (a square, or the top of a simplicial polytope) walks in full: 370 do,
+    # and 294 resume
     real = cones.bordered_gram_basis
     calls = []
 
@@ -671,19 +684,21 @@ def test_resumed_pass_is_the_full_walk(resume_lattices, monkeypatch):
     resumed = full = 0
     for poly, lat in resume_lattices:
         system = ConeSystem(lift(poly), lat)
+        built = [f for f, _ in calls]
+        assert built == [f for f in lat.faces_by_id if len(f.vertex_set) > f.dim + 1], poly.name
+        for f, resume in calls:
+            if resume:
+                walk, (ids, _, _) = resume
+                assert len(walk) == 1 and len(ids) == f.dim, (poly.name, f)
+                resumed += 1
+            else:
+                full += 1
         for i, f in enumerate(lat.faces_by_id):
             data = system.face_data(i)
             assert (data.span_ids, data.gram_det, data.gram_adj) == real(f, system.gram), \
                 (poly.name, f)
-        for f, resume in calls:
-            if resume:
-                walk, _ = resume
-                assert len(walk) == 1, (poly.name, f)
-                resumed += 1
-            elif f.vertex_set:
-                full += 1
         calls.clear()
-    assert resumed >= 0.99 * (resumed + full) and full > 0, (resumed, full)
+    assert (resumed, full) == (294, 370)
 
 
 def test_dual_rank_stops_at_full_rank(resume_lattices):
@@ -717,13 +732,6 @@ def test_bordering_steps_carry_the_face_certificate(resume_systems):
     assert faces > 2000
 
 
-def prism_over_cross4():
-    """The prism over the 4-cross-polytope: 80 of its 188 pairs with m > 0
-    take the general route."""
-    cross4 = [tuple(s * (i == j) for j in range(4)) for i in range(4) for s in (1, -1)]
-    return validate([v + (t,) for t in (0, 1) for v in cross4], name="prism_cross4")
-
-
 @pytest.fixture(scope="module")
 def mixed_route_systems():
     """A prism over the 4-cross-polytope, a pyramid over the 4-cube and a
@@ -732,7 +740,7 @@ def mixed_route_systems():
     one."""
     cube4 = [tuple(2 * (k >> i & 1) for i in range(4)) for k in range(16)]
     zero_one = [tuple(k >> i & 1 for i in range(5)) for k in (3, 4, 6, 8, 12, 14, 15, 20, 24, 28, 29)]
-    polys = [prism_over_cross4(),
+    polys = [prism_over_cross(4),
              validate([v + (0,) for v in cube4] + [(1, 1, 1, 1, 1)], name="pyramid_cube4"),
              validate(zero_one, name="zero_one5")]
     return [(poly, ConeSystem(lift(poly), face_lattice(poly))) for poly in polys]
@@ -742,17 +750,17 @@ def test_cover_batch_matches_per_pair_api(resume_systems, mixed_route_systems):
     # on every covering pair the batch's sigma is the orientation of
     # edge_ray, and its verdict that of edge_ray + edge_ray_crosscheck,
     # which take the general Gram solve and Cauchy-Schwarz test on every
-    # route.  On m = 0 the solved ray is the identity the batch rests on,
+    # route, here on the per-face path's data of every face.  On m = 0 the solved ray is the identity the batch rests on,
     # column r of F's certified adjugate: c = adj(G_F)[r][r] = det G_E,
     # x = (-adj(G_F)[a][r] for a != r) and sigma = (-1)^r.  The pairs with
     # m > 0 take the dual route, sigma from two face signs and a dual-mask
     # bit, or, where a face is not dual-simple, the per-pair API
     routes = Counter()
-    for poly, system in resume_systems + mixed_route_systems:
-        lat = system.lattice
+    for poly, batch in resume_systems + mixed_route_systems:
+        lat, system = batch.lattice, PerFaceSystem(batch)
         for f, lower in enumerate(lat.down):
             data_f = system.face_data(f)
-            for e, sigma in zip(lower, system.cover_orientations(f)):
+            for e, sigma in zip(lower, batch.cover_orientations(f)):
                 ray = system.ray(e, f)
                 system.crosscheck(e, f, ray)
                 assert sigma == ray.orientation, (poly.name, e, f)
@@ -771,10 +779,54 @@ def test_cover_batch_matches_per_pair_api(resume_systems, mixed_route_systems):
     assert routes["adjugate"] > 10000 and routes["dual"] > 1000 and routes["general"] > 80
 
 
+@pytest.fixture(scope="module")
+def simplex_route_systems():
+    """The acceptance corpus, the 6-cube, the 6-cross-polytope, a random
+    6-dimensional hull and the prism over the 5-cross-polytope, each with
+    its cone system."""
+    polys = list(acceptance_corpus()) + [hypercube(6), cross_polytope(6),
+                                         random_hull(random.Random(3), 6, 24), prism_over_cross(5)]
+    return [(poly, ConeSystem(lift(poly), face_lattice(poly))) for poly in polys]
+
+
+def test_simplex_pairs_are_the_simplicial_boundary(simplex_route_systems):
+    # on every covering pair (E, F) whose upper face is a simplex,
+    # |F| = dim F + 1, E is F without one vertex g, dual_E strictly holds
+    # dual_F, and the batch's sigma is (-1)^r for g's row r in F's vertex
+    # tuple, the simplicial boundary; it is the orientation the per-pair
+    # API makes on the per-face path's data, whose span ids for F are all
+    # of F's vertices (det G_F > 0, which the strict dual masks certify in
+    # the batch).  On the pairs whose lower face E is a simplex and whose
+    # upper face is not, the batch's sigma is the per-pair API's on all
+    # three routes
+    routes = Counter()
+    for poly, batch in simplex_route_systems:
+        lat, system = batch.lattice, PerFaceSystem(batch)
+        dual = batch.dual_masks
+        for f, lower in enumerate(lat.down):
+            F = lat.faces_by_id[f]
+            simplex_f = len(F.vertex_set) == F.dim + 1
+            if simplex_f:
+                assert system.face_data(f).span_ids == F.vertex_set, (poly.name, f)
+            for e, sigma in zip(lower, batch.cover_orientations(f)):
+                E = lat.faces_by_id[e]
+                if simplex_f:
+                    (g,) = set(F.vertex_set) - set(E.vertex_set)
+                    assert len(E.vertex_set) == F.dim, (poly.name, e, f)
+                    assert sigma == (-1) ** F.vertex_set.index(g), (poly.name, e, f)
+                    assert dual[e] & ~dual[f] and not dual[f] & ~dual[e], (poly.name, e, f)
+                elif len(E.vertex_set) != E.dim + 1:
+                    continue
+                assert sigma == system.ray(e, f).orientation, (poly.name, e, f)
+                routes[simplex_f, pair_route(system, e, f)] += 1
+    assert routes == {(True, "adjugate"): 24832, (False, "adjugate"): 841,
+                      (False, "dual"): 1352, (False, "general"): 160}
+
+
 @pytest.mark.parametrize("poly, counts", [
     (hypercube(5), {"dual": 325, "general": 0, "tau_dets": 0}),
     (cross_polytope(5), {"dual": 30, "general": 0, "tau_dets": 0}),
-    (prism_over_cross4(), {"dual": 108, "general": 80, "tau_dets": 1}),
+    (prism_over_cross(4), {"dual": 108, "general": 80, "tau_dets": 1}),
 ], ids=["cube5", "cross5", "prism_cross4"])
 def test_dual_route_counts(poly, counts, monkeypatch):
     # the system makes no ray: a face tau cannot spread to from the top
@@ -813,7 +865,7 @@ def test_dual_base_signs_match_the_generator_determinants():
     checked = Counter()
     prism = validate([tuple(s * (i == j) for j in range(3)) + (t,)
                       for t in (0, 1) for i in range(3) for s in (1, -1)])
-    polys = [hypercube(4), cross_polytope(4), prism, prism_over_cross4()] + [
+    polys = [hypercube(4), cross_polytope(4), prism, prism_over_cross(4)] + [
         corpus_member(name) for name in ("random11_d4", "random14_d4", "random16_d3")]
     for poly in polys:
         lat = face_lattice(poly)
@@ -887,7 +939,7 @@ def test_m_zero_dual_masks_imply_the_barycenter_test(monkeypatch):
 
     monkeypatch.setattr(ConeSystem, "_tau", tau)
     groups = [("corpus", P) for P in acceptance_corpus()] + [
-        (P.name, P) for P in (hypercube(5), cross_polytope(5), prism_over_cross4(),
+        (P.name, P) for P in (hypercube(5), cross_polytope(5), prism_over_cross(4),
                               pyramid_prism())]
     pairs, taus = Counter(), Counter()
     for group, poly in groups:
@@ -947,7 +999,7 @@ def test_singular_tau_determinant_names_face(monkeypatch):
     # spread to from the top takes tau from its determinant; a zero one
     # there (bareiss_det patched, as no table of a polytope gives it) is an
     # error naming that face, in the oracle's words
-    poly = prism_over_cross4()
+    poly = prism_over_cross(4)
     lat = face_lattice(poly)
     cone = lift(poly)
     roots = []
@@ -1113,6 +1165,74 @@ def test_upper_cover_outside_face_certifies_no_rank():
         "so its rank 2 is not certified")
 
 
+def test_simplex_face_with_dependent_vertices_names_face():
+    # a hand-built lattice of the 4-cube adds F = {0,1,2,3}, the vertices of
+    # a square, as a 3-face under the top, and the triangle {0,1,2} as a
+    # 2-face under F and under a cube facet, above the square's edges {0,1}
+    # and {0,2}.  F has dim F + 1 vertices, a simplex face, but they span
+    # rank 3.  The dual ranks pass (the triangle's dual face strictly holds
+    # the cube facet's, F's the top's), and F takes no data as a simplex;
+    # but (F, top) is a general pair (F's vertices are not in the top's
+    # span basis, and F's dual face has 2 normals, not the 1 of a
+    # dual-simple face), so F's data is built for it, one id short, an
+    # error naming F
+    poly = hypercube(4)
+    lat = face_lattice(poly)
+    square = lat.faces(2)[0]
+    assert square.vertex_set == (0, 1, 2, 3)
+    triangle, flat = Face((0, 1, 2), 2), Face((0, 1, 2, 3), 3)
+    facet = next(h for h in lat.faces(3) if set(square.vertex_set) <= set(h.vertex_set))
+    levels = [list(level) for level in lat.faces_by_dim]
+    levels[3].append(triangle)
+    levels[4].append(flat)
+    pairs = list(lat.covering) + [(Face((0, 1), 1), triangle), (Face((0, 2), 1), triangle),
+                                  (triangle, flat), (triangle, facet), (flat, lat.top_face)]
+    hand = lattice_from_pairs(lat.dim, levels, pairs)
+    with pytest.raises(InternalInvariantError) as err:
+        ConeSystem(lift(poly), hand)
+    assert str(err.value) == f"face {flat}: span has 3 independent lifted vertices, expected 4"
+
+
+@pytest.mark.parametrize("cofactor", [0, -1])
+def test_simplex_lower_cover_takes_the_reduced_cofactor_check(cofactor, monkeypatch):
+    # an edge E of the 3-cube, a simplex, carries no data under its square
+    # F: the pair's cofactor check reduces to adj(G_F)[r][r] > 0, the
+    # Gram determinant of E's vertices as a principal minor of G_F, which
+    # F's certificate makes positive.  F's adjugate corrupted there after
+    # its steps (the last square, which no face resumes from) fails the
+    # batch, naming the pair; the per-pair API, which reads E's own data,
+    # makes the same ray and accepts it
+    poly = hypercube(3)
+    lat = face_lattice(poly)
+    system = ConeSystem(lift(poly), lat)
+    F = lat.faces(2)[-1]
+    f = lat.face_id[F]
+    e = lat.down[f][0]
+    r = cones.adjugate_column(system.span_masks[f], system.span_masks[e])
+    assert r is not None and system._face_data[e] is None
+    real = cones.face_cone_data
+
+    def corrupting(G, *args):
+        data = real(G, *args)
+        if G != F:
+            return data
+        adj = [list(row) for row in data.gram_adj]
+        adj[r][r] = cofactor
+        return dataclasses.replace(data, gram_adj=tuple(map(tuple, adj)))
+
+    monkeypatch.setattr(cones, "face_cone_data", corrupting)
+    broken = ConeSystem(system.cone, lat)
+    with pytest.raises(InternalInvariantError) as batch:
+        broken.cover_orientations(f)
+    assert str(batch.value) == (
+        f"edge-ray cross-check failed for ({lat.faces_by_id[e]}, {F}): "
+        f"cofactor adj(G_F)[{r}][{r}] = {cofactor} is not det G_E > 0")
+    monkeypatch.setattr(cones, "face_cone_data", real)
+    ray = system.ray(e, f)
+    assert ray.orientation == (-1) ** r
+    system.crosscheck(e, f, ray)
+
+
 def test_lower_cover_outside_face_is_not_resumed_from():
     # a hand-built lattice lists the vertex {0} first under the edge {2,3}
     # of the square; {0}'s span id lies below p = 2, but {0} is not in the
@@ -1127,35 +1247,36 @@ def test_lower_cover_outside_face_is_not_resumed_from():
 
 
 def test_inherited_adjugate_fails_certificate_of_face(monkeypatch):
-    # the edge {0,1} of the square resumes its bordered pass from the vertex
-    # {0} (p = 1); an adjugate of {0} corrupted after its own steps passed
-    # fails the edge's bordering step, G_S y != D b, naming the edge and p.
-    # Every face's data is built with the system, so that fails inside
-    # ConeSystem(...), and build_complex makes no face_cone_data call
-    poly = hypercube(2)
-    lat, by_set = faces_of(poly)
-    vertex, edge = by_set[(0,)], by_set[(0, 1)]
+    # the top of the 3-cube resumes its bordered pass from the first square
+    # built, whose span ids (0, 1, 2) lie below p = 4; the square's
+    # adjugate zeroed after its own steps passed gives y = 0 and fails the
+    # top's bordering step, G_S y != D b, naming the top and p.  The data
+    # of every face that is not a simplex is built with the system, so
+    # that fails inside ConeSystem(...), and build_complex makes no
+    # face_cone_data call
+    poly = hypercube(3)
+    lat = face_lattice(poly)
+    top = lat.top_face
     real = cones.face_cone_data
-    covers, corrupted = {}, {}
+    covers, corrupted = {}, []
 
     def corrupting(F, gram, cover=None):
         covers[F] = cover
         data = real(F, gram, cover)
-        if F != vertex:
+        if F.dim != 2 or corrupted:
             return data
-        adj = data.gram_adj
-        corrupted[F] = dataclasses.replace(data, gram_adj=((adj[0][0] - 1,),))
-        return corrupted[F]
+        k = len(data.span_ids)
+        corrupted.append(dataclasses.replace(data, gram_adj=((0,) * k,) * k))
+        return corrupted[0]
 
     monkeypatch.setattr(cones, "face_cone_data", corrupting)
     with pytest.raises(InternalInvariantError) as err:
         ConeSystem(lift(poly), lat)
-    bad, p = covers[edge]
-    assert bad == corrupted[vertex] and p == 1
-    assert bad.gram_adj == ((0,),)  # so y = 0, while D b is not
+    bad, p = covers[top]
+    assert bad == corrupted[0] and bad.span_ids == (0, 1, 2) and p == 4
     assert str(err.value) == (
-        f"Gram adjugate of the span of {edge} fails the certificate "
-        f"G adj(G) = det G * I, det G > 0: bordering by vertex 1, "
+        f"Gram adjugate of the span of {top} fails the certificate "
+        f"G adj(G) = det G * I, det G > 0: bordering by vertex 4, "
         f"G_S y != D b at vertex 0 (D = {bad.gram_det})")
 
     calls = []
@@ -1166,7 +1287,7 @@ def test_inherited_adjugate_fails_certificate_of_face(monkeypatch):
 
     monkeypatch.setattr(cones, "face_cone_data", counting)
     system = ConeSystem(lift(poly), lat)
-    assert calls == list(lat.faces_by_id)
+    assert calls == [f for f in lat.faces_by_id if len(f.vertex_set) > f.dim + 1]
     calls.clear()
     build_complex(trivialize(lat), system)
     assert calls == []
@@ -1196,24 +1317,25 @@ def test_edge_ray_rejects_ray_outside_span_of_f():
 def test_edge_ray_rejects_ray_not_orthogonal_to_e(monkeypatch):
     # for a pair with m = 0 the batch reads the ray as column r of adj(G_F),
     # certified by the bordering steps that built it, so w = c g - A_E x is
-    # orthogonal to span(E).  The edge {2,3} of the square is no face's
-    # resumed cover; its adjugate corrupted after its steps at (r, r),
-    # c = det G_E moved by one, would move w off span(E)^perp, and the
-    # batch rejects the pair by the principal-minor check
-    # adj(G_F)[r][r] = det G_E, naming it.  The per-pair API solves for x
-    # with E's adjugate: that adjugate moved by -1 at (0, 0) moves x, and
-    # w stays in span(F) but leaves span(E)^perp
-    poly = hypercube(2)
-    lat, by_set = faces_of(poly)
+    # orthogonal to span(E).  The top of the 3-cube is no face's resumed
+    # cover; its adjugate corrupted after its steps at (r, r) for its first
+    # lower cover E with m = 0, a square, c = det G_E moved by one, would
+    # move w off span(E)^perp, and the batch rejects the pair by the
+    # principal-minor check adj(G_F)[r][r] = det G_E, naming it.  The
+    # per-pair API solves for x with E's adjugate: that adjugate moved by
+    # -1 at (0, 0) moves x, and w stays in span(F) but leaves span(E)^perp
+    poly = hypercube(3)
+    lat = face_lattice(poly)
     system = ConeSystem(lift(poly), lat)
-    f = by_set[(2, 3)]
-    j = lat.face_id[f]
-    i = lat.down[j][0]
+    f = lat.top_face
+    j = len(lat.faces_by_id) - 1
+    i = next(i for i in lat.down[j] if cones.adjugate_column(
+        system.face_data(j).span_mask, system.face_data(i).span_mask) is not None)
     e = lat.faces_by_id[i]
     data_e, data_f = system.face_data(i), system.face_data(j)
     ray = system.ray(i, j)
     r = span_row(data_f, ray.g)
-    assert is_m_zero(system, ray, i, j)
+    assert is_m_zero(system, ray, i, j) and e.dim == 2 and len(e.vertex_set) == 4
 
     def corrupt(adj, row, col, by):
         rows = [list(x) for x in adj]
