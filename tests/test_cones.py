@@ -60,7 +60,6 @@ from oracles import (
     oracle_crosscheck,
     orthogonal_component,
     pair_route,
-    per_face_data,
     PerFaceSystem,
     positive_multiple_ratio,
     prism_over_cross,
