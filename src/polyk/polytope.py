@@ -3,17 +3,22 @@
 A polytope is the convex hull of finitely many rational points that must all
 be vertices of the hull, with the hull full-dimensional in its ambient space.
 Faces are represented by their vertex index sets; the lattice always contains
-the empty face (dimension -1) and the polytope itself.  It is built from the
-vertex-facet incidences on int bitmasks, level by level, taking each face's
-upper covers from the closure step, which runs from the smaller side of the
-incidence: from the empty face with the vertices as atoms, or from the
-polytope with the facets as atoms; a face's dimension is its level minus
-one.  Each level is sorted by vertex set as soon as it is complete, and
-the closure step walks it in that order, so the faces are numbered level
-by level in vertex-set order as they are found, and the covers come out
-as the ascending id tuples every later stage reads.  The intersection
-closure of the facet vertex sets with one rational rank per face, and the
-closure over the vertices alone, are the tests' oracles.
+the empty face (dimension -1) and the polytope itself.  It is built on int
+bitmasks from the polytope down, level by level; a face's dimension is its
+level minus one.  Three identities give each face's lower covers.  The
+facets are P's lower covers, read from the facet list.  The interval below
+a simplex face G, |G| = dim G + 1, is Boolean, so its lower covers are G
+minus one vertex, each named by G's vertex set with one entry dropped.
+Every face above a face that is not a simplex is not a simplex either, so
+the Kaibel-Pfetsch closure step on the vertex-facet incidences, with the
+facets as atoms, reaches every such face from P down, and it runs on those
+faces alone.  Each level is sorted by vertex set as soon as it is
+complete, and the faces are numbered from the bottom in that order, with
+each face's lower covers as the ascending id tuples every later stage
+reads.  The lattice is verified before it is returned, and a corrupt facet
+list fails there or in the walk's level checks, naming a face.  The
+intersection closure of the facet vertex sets with one rational rank per
+face, and the closure over the vertices alone, are the tests' oracles.
 
 Facets come from the double description method on the homogenized integer
 points, inserted one at a time, with combinatorial adjacency on bitmask zero
@@ -232,7 +237,7 @@ class FaceLattice(GradedIds):
     holds the ids of its lower covers (ascending, as ``face_lattice`` fills
     it); ``up`` is read off ``down``, each ascending.  ``vertex_masks[i]`` is
     the vertex bitmask of face i: ``face_lattice`` passes the masks its
-    closure found, and a lattice built without them derives them from the
+    walk found, and a lattice built without them derives them from the
     vertex sets.  ``covering`` (the pairs of faces (E, F), E covered by F,
     ordered by the id of F, then of E) and ``face_id`` (the id of a
     ``Face``) are views made from the ids on first use.
@@ -478,145 +483,136 @@ def facets(P: Polytope) -> tuple[Facet, ...]:
     return P.facets
 
 
-def _closure(coatoms_of: Sequence[int], ncoatoms: int, d: int, dual: bool
-             ) -> list[list[tuple[tuple[int, ...], int, int, list[int]]]]:
-    """Levels 0 to d + 1 of the face lattice of a d-polytope, or of its
-    order dual, from an (atoms, coatom masks) incidence, with the covers
-    between consecutive levels (Kaibel & Pfetsch 2002, "Computing the face
-    lattice of a polytope from its vertex-facet incidences").
+def _closure_step(i: int, gv: int, gf: int, atoms: Sequence[tuple[int, int]],
+                  vfac: Sequence[int], closure: dict[int, tuple[int, tuple[int, ...]]],
+                  found: dict[int, list]) -> None:
+    """Records in ``found`` the lower covers of face i, with vertex mask
+    ``gv`` and facet mask ``gf``, by one closure step on the order dual of
+    the lattice, with the facets as atoms and the vertex masks as coatoms
+    (Kaibel & Pfetsch 2002, "Computing the face lattice of a polytope from
+    its vertex-facet incidences").  ``atoms`` lists (facet bit, facet
+    vertex mask), ``vfac`` is the facet mask of each vertex, and
+    ``closure`` maps the vertex mask of each face a step has met to its
+    facet mask and vertex set, and gains the new ones.
 
-    An element is an atom mask with its coatom mask, the coatoms above it;
-    ``coatoms_of[a]`` is the coatom mask of atom a.  The smallest element
-    above an element F and an atom a outside it has the coatom mask
-    ``hc = coatoms(F) & coatoms_of[a]``, and its atoms are the a' whose
-    coatom mask contains hc (all of them when it is empty: the top).  That
-    mask is exactly the coatom mask of the closure, so it names the element.
-    Every upper cover of F is such a closure.  Starting from the bottom (no
-    atoms, every coatom), the upper covers of level k are level k + 1.
-
-    Both the closure and the cover test are read off F's own candidates:
-    ``gave[hc]``, the atoms outside F whose closure with F has the coatom
-    mask hc.  Every atom of F is in the closure, as its coatom mask holds
-    coatoms(F), which holds hc.  An atom a' outside F is in it iff its own
-    candidate coatoms(F) & coatoms_of[a'] contains hc, as hc lies inside
-    coatoms(F).  So the closure's atoms are F's and the ``gave[h2]`` of the
-    candidates h2 that contain hc.  The closure H covers F iff
-    ``atoms(H) & ~atoms(F) == gave[hc]``.  Proof: ``gave[hc]`` always lies
-    inside the left side.  An atom a' of H outside F but not in
-    ``gave[hc]`` has a candidate h2 that strictly holds hc, and the
-    closure of h2 holds F and a' and lies strictly inside H: an element
-    strictly between F and H.  Conversely, an element G strictly between
-    them has an atom a' outside F, whose closure with F lies inside G, so
-    a' is an atom of H outside F but not in ``gave[hc]``.  A new closure is
-    kept by hc, so each takes one step per candidate of the face that finds
-    it first.
-
-    ``levels[k]`` lists the elements of level k as (name, atom mask,
-    coatom mask, lower covers), ordered by name, the set bits of the atom
-    mask, or of the coatom mask when ``dual``.  The elements are numbered
-    level by level from the bottom, in that order, and the lower covers of
-    an element are the ids of the elements of level k - 1 it covers,
-    ascending.  Each level is walked in id order, and sorted as soon as it
-    is complete, so the ids of level k are known before level k + 1 is
-    found.
+    Each lower cover of G is G's meet with a facet outside it, and each
+    such meet is a face.  The candidates are read off in one pass: for
+    each facet j outside ``gf``, its meet ``hc = gv & vertex mask of j``,
+    and ``gave[hc]``, the facets outside G that give hc.  A new face's
+    facet mask is the AND of the facet masks of its vertices.  G covers
+    the face hc iff ``facets(hc) & ~gf == gave[hc]``.  Proof: every facet
+    of hc outside G has a candidate that holds hc, and ``gave[hc]`` is
+    those whose candidate is hc.  So the test fails iff some candidate h2
+    strictly holds hc, and the face h2, inside a facet outside G, lies
+    strictly between hc and G.  Conversely, a face strictly between them
+    lies in some facet j' outside G, whose candidate holds it, so j' is a
+    facet of hc outside G but not in ``gave[hc]``.
     """
-    atoms = [(1 << a, c) for a, c in enumerate(coatoms_of)]
-    every = (1 << ncoatoms) - 1
-    levels = [[(set_bits(every if dual else 0), 0, every, [])]]
-    closure: dict[int, int] = {}  # coatom mask -> atom mask; each is an element
-    start = 0  # the id of the first element of level k
-    for k in range(d + 1):
-        found: dict[int, list[int]] = {}  # coatom mask -> the ids it covers
-        for i, (_, fa, fc, _) in enumerate(levels[k], start):
-            gave: dict[int, int] = {}
-            for bit, c in atoms:
-                if not fa & bit:
-                    hc = fc & c
-                    gave[hc] = gave.get(hc, 0) | bit
-            for hc, g in gave.items():
-                ha = closure.get(hc)
-                if ha is None:
-                    ha = fa
-                    for h2, g2 in gave.items():
-                        if h2 & hc == hc:
-                            ha |= g2
-                    closure[hc] = ha
-                if ha & ~fa == g:
-                    below = found.get(hc)
-                    if below is None:
-                        found[hc] = [i]
-                    else:
-                        below.append(i)
-        start += len(levels[k])
-        level = [(set_bits(hc if dual else closure[hc]), closure[hc], hc, below)
-                 for hc, below in found.items()]
-        level.sort(key=itemgetter(0))
-        levels.append(level)
-    return levels
+    gave: dict[int, int] = {}
+    for bit, fv in atoms:
+        if not gf & bit:
+            hc = gv & fv
+            gave[hc] = gave.get(hc, 0) | bit
+    for hc, g in gave.items():
+        face = closure.get(hc)
+        if face is None:
+            name = set_bits(hc)
+            face = closure[hc] = (reduce(and_, map(vfac.__getitem__, name)), name)
+        if face[0] & ~gf == g:
+            e = found.get(hc)
+            if e is None:
+                found[hc] = [face[1], hc, face[0], i]
+            else:
+                e.append(i)
 
 
 def face_lattice(P: Polytope) -> FaceLattice:
     """The full face lattice, from the empty face up to the polytope.
 
-    Built level by level from the vertex-facet incidences by the closure
-    step of ``_closure``, run from the smaller side of the incidence: with
-    the n vertices as atoms and the m facets as coatoms when n <= m, and
-    otherwise with the facets as atoms, on the order dual.  The face lattice
-    of P is graded by dim + 1 (Ziegler, "Lectures on Polytopes", Thm 2.7),
-    so a face at level k has dimension k - 1.  The order dual, the lattice
-    of the polar polytope (Ziegler, section 2.3), has the same elements with
-    the levels reversed and the covers flipped, and there a face's coatom
-    mask is its vertex mask.  The point has no facets and stays on the
-    vertex side.  Gradedness and the diamond property are verified
-    (``verify_lattice``) before returning.
+    Found from P down, level by level (``_top_down``), each face's lower
+    covers by one of three rules, which rest on three identities:
+
+    - the facets are P's lower covers, so P, unless it is a simplex, reads
+      them from ``P.facets``;
+    - the interval below a simplex face G, |G| = dim G + 1, is Boolean
+      (Ziegler, "Lectures on Polytopes", section 2.1), so G, P too if it
+      is a simplex, covers G minus each one of its vertices, each named by
+      G's vertex set with that entry dropped; the point, which has no
+      facets, takes this rule;
+    - every face above a face that is not a simplex is not a simplex
+      either, since every face of a simplex is one, so every other face
+      lies below P through faces that are not simplices, and one closure
+      step on each of them (``_closure_step``) reaches them all.
+
+    The face lattice is graded by dim + 1 (Ziegler, Thm 2.7), so a face at
+    level k has dimension k - 1.  The lattice is verified
+    (``verify_lattice``: covers that are strict containments, then the
+    bounded, graded and diamond axioms) before it is returned.  A facet
+    list that is not P's fails there or in the walk's own checks, each
+    naming a face: a facet with a vertex too few or a dropped facet leaves
+    a diamond short, or a face at two levels; a facet with a vertex too
+    many, or a face of a facet listed as a facet too, puts a face at two
+    levels.
     """
-    n, m = P.nvertices, len(facets(P))
-    lattice = _face_lattice_from(P, facet_side=0 < m < n)
+    lattice = _top_down(P)
     verify_lattice(lattice)
     return lattice
 
 
-def _face_lattice_from(P: Polytope, facet_side: bool) -> FaceLattice:
-    """The face lattice by ``_closure`` with the facets as atoms or with
-    the vertices, numbered, unverified.
+def _top_down(P: Polytope) -> FaceLattice:
+    """The face lattice by the rules of ``face_lattice``, numbered,
+    unverified.
 
-    A face found at two levels, or any level d + 1 other than the polytope
-    alone or level 0 other than the empty face alone, is an internal error.
-    ``_closure`` orders each level by vertex set, so its levels, in face
-    order, are the face lattice's levels and its order its numbering
-    (``GradedIds``).  With the vertices as atoms its ids are the face ids
-    and its lower covers each face's ``down``.  On the order dual, the
-    lower covers of a face are the elements that cover it there, so each
-    face is appended to the lists of the faces it covers there, the faces
-    taken in id order; those of one list lie on one level, so each list
-    comes out ascending.  So the covering pairs are ordered by the level
-    and position of F, then the position of E.
+    Each level is sorted by vertex set as soon as it is complete and
+    numbered from the top in that order, and each face records the
+    top-first ids of the faces it was found under.  Each face is then
+    appended to the lists of those faces, the faces taken from the bottom
+    level up in ``GradedIds`` order, so each list is the face's ``down``,
+    ascending.  A face found at two levels, or any level d + 1 other than
+    the polytope alone or level 0 other than the empty face alone, is an
+    internal error.
     """
     d, n = P.ambient_dim, P.nvertices
-    facet_list = facets(P)
-    if facet_side:
-        dual_levels = _closure([sum(1 << v for v in fc.vertex_set) for fc in facet_list],
-                               n, d, True)
-        starts = list(accumulate(map(len, dual_levels), initial=0))
-        lower: list[list[int]] = [[] for _ in range(starts[-1])]  # by id in the dual
-        levels = dual_levels[::-1]
-        for f, (*_, above) in enumerate(chain.from_iterable(levels)):
-            for x in above:
-                lower[x].append(f)
-        down = [tuple(below) for k in reversed(range(d + 2))
-                for below in lower[starts[k]:starts[k + 1]]]
-        masks = [[c for _, _, c, _ in level] for level in levels]
-    else:
-        vfac = [0] * n
-        for j, fc in enumerate(facet_list):
-            for v in fc.vertex_set:
-                vfac[v] |= 1 << j
-        levels = _closure(vfac, len(facet_list), d, False)
-        # the tuples are made in one pass once the closure is done: made
-        # level by level among its temporaries, they fragmented the heap
-        # and raised the peak RSS of the compare workload
-        down = [tuple(below) for level in levels for *_, below in level]
-        masks = [[a for _, a, _, _ in level] for level in levels]
+    atoms = [(1 << j, sum(1 << v for v in fc.vertex_set)) for j, fc in enumerate(facets(P))]
+    vbit = [1 << v for v in range(n)]
+    vfac = [0] * n  # vertex -> facet mask
+    for bit, fv in atoms:
+        for v in set_bits(fv):
+            vfac[v] |= bit
+    # a face: [vertex set, vertex mask, facet mask, top-first ids of the faces above...]
+    levels = [[[tuple(range(n)), (1 << n) - 1, 0]]]
+    # vertex mask -> (facet mask, vertex set) of each face a closure step
+    # met; the empty face, in every facet, is there from the start
+    closure = {0: ((1 << len(atoms)) - 1, ())}
+    start = 0  # the top-first id of the first face of level k
+    for k in range(d + 1, 0, -1):
+        found: dict[int, list] = {}  # vertex mask -> face
+        for i, face in enumerate(levels[-1], start):
+            name, gv, gf = face[0], face[1], face[2]
+            if len(name) == k:  # a simplex: G minus each one of its vertices
+                for j, v in enumerate(name):
+                    ev = gv ^ vbit[v]
+                    e = found.get(ev)
+                    if e is None:
+                        found[ev] = [name[:j] + name[j + 1:], ev, 0, i]
+                    else:
+                        e.append(i)
+            elif k > d:  # P: its facets
+                for bit, fv in atoms:
+                    found[fv] = [set_bits(fv), fv, bit, i]
+            else:
+                _closure_step(i, gv, gf, atoms, vfac, closure, found)
+        start += len(levels[-1])
+        levels.append(sorted(found.values(), key=itemgetter(0)))
+    starts = list(accumulate(map(len, levels), initial=0))
+    levels.reverse()
+    lower: list[list[int]] = [[] for _ in range(starts[-1])]  # by top-first id
+    for f, face in enumerate(chain.from_iterable(levels)):
+        for x in face[3:]:
+            lower[x].append(f)
+    down = [tuple(below) for k in reversed(range(d + 2))
+            for below in lower[starts[k]:starts[k + 1]]]
+    masks = [[face[1] for face in level] for level in levels]
 
     level_of: dict[int, int] = {}  # vertex mask -> level
     for k, level in enumerate(masks):
@@ -633,7 +629,7 @@ def _face_lattice_from(P: Polytope, facet_side: bool) -> FaceLattice:
                 f"{Face(set_bits(want), k - 1)} alone, found [{listed}]")
 
     return FaceLattice(dim=d,
-                       faces_by_dim=tuple(tuple(Face(name, k - 1) for name, *_ in level)
+                       faces_by_dim=tuple(tuple(Face(face[0], k - 1) for face in level)
                                           for k, level in enumerate(levels)),
                        down=tuple(down), vertex_masks=tuple(chain.from_iterable(masks)))
 

@@ -150,10 +150,10 @@ subset tests between consecutive dimensions, with ``affine_dim``, which
 the library no longer has: validation takes the rank from the hull, and
 the library's lattice takes no rank.
 The vertex-side oracle ``vertex_closure_face_lattice`` is the Kaibel-Pfetsch
-closure as the library ran it before it ran the closure from the smaller
-side of the incidence: always with the vertices as atoms, one step per
-vertex outside a face and per vertex for each new closure, each face
-numbered by hashing its vertex mask.  ``lattice_from_pairs`` builds a
+closure from the bottom up, with the vertices as atoms, as the library ran
+it before it walked the lattice from the top down: one step on every face,
+one per vertex outside a face and per vertex for each new closure, each
+face numbered by hashing its vertex mask.  ``lattice_from_pairs`` builds a
 ``FaceLattice`` from faces and covering pairs of faces, by hashing each
 face to its id, for lattices written by hand; ``cover_masks`` gives the id
 masks of every element's upper and lower covers.

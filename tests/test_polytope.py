@@ -42,6 +42,8 @@ from oracles import (
     hull_by_rank,
     in_convex_hull,
     lattice_from_pairs,
+    prism_over_cross,
+    pyramid_prism,
     random_hull_draw,
     scan_hull_facets,
     vertex_closure_face_lattice,
@@ -408,7 +410,7 @@ def test_lattice_matches_closure_oracle_on_random_hulls(seed, d):
     _assert_matches_closure_oracle(random_hull(rng, d, rng.randint(d + 1, 10)))
 
 
-def smaller_side_cases():
+def incidence_cases():
     """The acceptance corpus, cubes and cross-polytopes of dimension 1 to 6,
     seeded random hulls with fewer and with more facets than vertices, and
     the point."""
@@ -419,41 +421,66 @@ def smaller_side_cases():
             point_polytope()]
 
 
-def test_both_sides_of_the_closure_match_the_vertex_side_oracle():
-    # the closure with the facets as atoms, on the order dual, and with the
-    # vertices as atoms give the same levels, numbering and covering order
-    # as the vertex-side closure of the oracle; the point has no facets
-    sides = set()
-    for P in smaller_side_cases():
+def is_simplex(face) -> bool:
+    return len(face.vertex_set) == face.dim + 1
+
+
+def test_lattice_matches_the_vertex_side_oracle():
+    # the top-down walk gives the levels, numbering, covering order and
+    # vertex masks of the vertex-side closure, with fewer and with more
+    # facets than vertices, on simplices (the point too) and on the inputs
+    # whose cone pairs take the general route
+    for P in [*incidence_cases(), *(simplex(d) for d in range(6)),
+              prism_over_cross(4), pyramid_prism()]:
         oracle = vertex_closure_face_lattice(P)
-        for facet_side in (False, True) if P.facets else (False,):
-            lat = polytope._face_lattice_from(P, facet_side)
-            assert lat.faces_by_dim == oracle.faces_by_dim, (P.name, facet_side)
-            assert lat.down == oracle.down and lat.up == oracle.up, (P.name, facet_side)
-            assert lat.covering == oracle.covering, (P.name, facet_side)
-        assert face_lattice(P) == oracle, P.name
-        sides.add(P.nvertices <= len(P.facets))
-    assert sides == {True, False}
+        lat = face_lattice(P)
+        assert lat == oracle, P.name
+        assert lat.down == oracle.down and lat.up == oracle.up, P.name
+        assert lat.covering == oracle.covering, P.name
+        assert lat.vertex_masks == oracle.vertex_masks, P.name
 
 
-def test_closure_runs_from_the_smaller_side(monkeypatch):
-    # min(n, m) atoms: the facets of the 4-cube (8 < 16 vertices), the
-    # vertices of the 4-cross-polytope (8 < 16 facets) and of the
-    # tetrahedron (4 = 4), and the one vertex of the point, which has no
-    # facets and stays on the vertex side
-    real = polytope._closure
-    atoms = []
+def closure_step_faces(monkeypatch, P):
+    """The vertex sets of the faces of P that take a closure step in
+    ``face_lattice``, in the order they take it."""
+    real = polytope._closure_step
+    stepped = []
 
-    def counting(coatoms_of, ncoatoms, d, dual):
-        atoms.append((len(coatoms_of), ncoatoms))
-        return real(coatoms_of, ncoatoms, d, dual)
+    def recording(i, gv, *rest):
+        stepped.append(polytope.set_bits(gv))
+        return real(i, gv, *rest)
 
-    monkeypatch.setattr(polytope, "_closure", counting)
-    for P, expected in ((hypercube(4), (8, 16)), (cross_polytope(4), (8, 16)),
-                        (simplex(3), (4, 4)), (point_polytope(), (1, 0))):
-        atoms.clear()
-        assert face_lattice(P) == vertex_closure_face_lattice(P)
-        assert atoms == [expected], P.name
+    monkeypatch.setattr(polytope, "_closure_step", recording)
+    face_lattice(P)
+    return stepped
+
+
+def test_closure_step_runs_on_faces_that_are_not_simplices(monkeypatch):
+    # the faces that are not simplices, |F| > dim F + 1, take the
+    # non-simplex rules: P reads its facets and every other one takes one
+    # closure step; the simplex faces, P too if it is one, drop a vertex.
+    # On the 4-cross-polytope that is P alone, with no closure step; on the
+    # 4-cube P and every face of dimension 2 and 3
+    for P in (cross_polytope(4), hypercube(4), simplex(3), *acceptance_corpus()):
+        lat = face_lattice(P)
+        stepped = closure_step_faces(monkeypatch, P)
+        assert len(stepped) == len(set(stepped)), P.name
+        expected = {f.vertex_set for f in lat.faces_by_id if not is_simplex(f)}
+        expected.discard(lat.top_face.vertex_set)
+        assert set(stepped) == expected, P.name
+    assert closure_step_faces(monkeypatch, cross_polytope(4)) == []
+    cube = face_lattice(hypercube(4))
+    assert sorted(closure_step_faces(monkeypatch, hypercube(4))) == sorted(
+        f.vertex_set for f in (*cube.faces(2), *cube.faces(3)))
+
+
+def test_point_takes_the_simplex_rule(monkeypatch):
+    # the point has no facets: as a 0-simplex it covers itself minus its
+    # one vertex, the empty face, with no closure step
+    assert closure_step_faces(monkeypatch, point_polytope()) == []
+    lat = face_lattice(point_polytope())
+    assert lat.faces_by_dim == ((Face((), -1),), (Face((0,), 0),))
+    assert lat.down == ((), (0,))
 
 
 def nested_candidate_cases():
@@ -488,33 +515,77 @@ def nested_candidates(atoms_of, lattice_atoms):
 
 
 def test_closures_from_candidates_match_the_vertex_side_oracle():
-    # each new closure is read off the face's own candidates and the cover
-    # test is a mask identity (``_closure``); on both sides, where candidate
-    # closures nest, the levels, numbering and covers are the oracle's
+    # each new face's facet mask is the AND of its vertices' and the cover
+    # test is a mask identity (``_closure_step``); the levels, numbering and
+    # covers are the oracle's, on five inputs where candidate closures nest
+    # on faces that take a closure step (the others have too few faces that
+    # are not simplices)
+    nesting = []
     for P in nested_candidate_cases():
         oracle = vertex_closure_face_lattice(P)
-        for facet_side in (False, True):
-            lat = polytope._face_lattice_from(P, facet_side)
-            assert lat.faces_by_dim == oracle.faces_by_dim, (P.name, facet_side)
-            assert lat.down == oracle.down and lat.up == oracle.up, (P.name, facet_side)
-        assert face_lattice(P) == oracle, P.name
+        lat = face_lattice(P)
+        assert lat.faces_by_dim == oracle.faces_by_dim, P.name
+        assert lat.down == oracle.down and lat.up == oracle.up, P.name
         vfac = [sum(1 << j for j, fc in enumerate(P.facets) if v in fc.vertex_set)
                 for v in range(P.nvertices)]
         every = (1 << len(P.facets)) - 1
-        faces = [(sum(1 << v for v in f.vertex_set),
-                  reduce(and_, (vfac[v] for v in f.vertex_set), every))
-                 for f in oracle.faces_by_id]
-        assert nested_candidates(vfac, faces), P.name
+        stepped = [(reduce(and_, (vfac[v] for v in f.vertex_set), every),
+                    sum(1 << v for v in f.vertex_set))
+                   for f in oracle.faces_by_id[:-1] if not is_simplex(f)]
         fvert = [sum(1 << v for v in fc.vertex_set) for fc in P.facets]
-        assert nested_candidates(fvert, [(c, a) for a, c in faces]), P.name
+        if nested_candidates(fvert, stepped):
+            nesting.append(P.name)
+    assert nesting == ["zero_one4_9", "zero_one4_14", "zero_one5_17", "zero_one5_30",
+                       "prism_pentagon"]
 
 
-def test_point_has_no_facet_side():
-    # with no facets as atoms, the order dual never reaches the empty face
-    with pytest.raises(InternalInvariantError,
-                       match=r"^level 0 of the face lattice must hold the empty face "
-                             r"\{\} alone, found \[\]$"):
-        polytope._face_lattice_from(point_polytope(), facet_side=True)
+def corrupt_facets(P, kind):
+    """P with its facet list broken one way, the vertex sets alone kept:
+    the first facet missing its first vertex or given the first vertex
+    outside it, the first facet dropped, or a "facet" added on the first
+    edge of the first facet, a ridge of it in dimension 3."""
+    sets = [fc.vertex_set for fc in P.facets]
+    first = sets[0]
+    if kind == "missing_vertex":
+        sets[0] = first[1:]
+    elif kind == "extra_vertex":
+        sets[0] = tuple(sorted(first + (min(set(range(P.nvertices)) - set(first)),)))
+    elif kind == "dropped_facet":
+        del sets[0]
+    else:
+        ridge = next(e.vertex_set for e in face_lattice(P).faces(P.ambient_dim - 2)
+                     if set(e.vertex_set) <= set(first))
+        sets.append(ridge)
+    return polytope.Polytope(P.ambient_dim, P.vertices, tuple(
+        polytope.Facet(normal=(0,) * P.ambient_dim, offset=Fraction(0), vertex_set=vs)
+        for vs in sets), name=f"{P.name}_{kind}")
+
+
+CORRUPT_CASES = {
+    ("cube3", "missing_vertex"):
+        r"diamond property fails between \{0\} and \{0,1,2,3\}: 1 intermediate elements",
+    ("cube3", "extra_vertex"): r"face \{1\} found at levels 0 and 1",
+    ("cube3", "dropped_facet"):
+        r"diamond property fails between \{0\} and \{0,1,2,3\}: 1 intermediate elements",
+    ("cube3", "nested_ridge"): r"face \{0,2\} found at levels 2 and 3",
+    ("cross3", "missing_vertex"): r"face \{3,5\} found at levels 2 and 3",
+    ("cross3", "extra_vertex"): r"face \{0\} found at levels 0 and 1",
+    ("cross3", "dropped_facet"):
+        r"diamond property fails between \{1,3\} and \{0,1,2,3,4,5\}: 1 intermediate elements",
+    ("cross3", "nested_ridge"): r"face \{1,3\} found at levels 2 and 3",
+}
+
+
+@pytest.mark.parametrize("case", CORRUPT_CASES, ids="-".join)
+def test_corrupt_facet_list_names_a_face(case):
+    # a facet list that is not P's fails in the walk's level checks or in
+    # verify_lattice, naming a face; the nested ridge, a facet's edge
+    # listed as a facet too, passed the closure before the walk read P's
+    # lower covers off the facet list (cross3 gave f-vector (1, 6, 12, 8, 1))
+    name, kind = case
+    P = {"cube3": hypercube(3), "cross3": cross_polytope(3)}[name]
+    with pytest.raises(InternalInvariantError, match=f"^{CORRUPT_CASES[case]}$"):
+        face_lattice(corrupt_facets(P, kind))
 
 
 def test_face_lattice_takes_no_rank(monkeypatch):
@@ -604,7 +675,7 @@ def test_verify_lattice_rejects_cover_that_is_not_a_containment():
 
 def test_vertex_masks_come_from_the_closure_and_are_derived_by_hand_built_lattices(
         small_corpus):
-    # face_lattice keeps the vertex masks its closure found, by face id;
+    # face_lattice keeps the vertex masks its walk found, by face id;
     # a lattice built from faces and covers derives the same ones; and
     # verify_lattice reads them, not the vertex sets: the cube's lattice
     # with the mask of one vertex cleared fails the containment check
