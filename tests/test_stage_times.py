@@ -10,7 +10,8 @@ REPO = Path(__file__).resolve().parent.parent
 
 
 def load_stage_times():
-    spec = importlib.util.spec_from_file_location("stage_times", REPO / "scripts" / "stage_times.py")
+    spec = importlib.util.spec_from_file_location("stage_times",
+                                                  REPO / "scripts" / "stage_times.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
