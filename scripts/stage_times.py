@@ -6,8 +6,10 @@ Run from the repository root:
     python scripts/stage_times.py [--repeat N] [NAME ...]
 
 Each NAME is ``cross<d>`` (``cross_polytope(d)``), ``cube<d>``
-(``hypercube(d)``) or ``hull<d>_<k>`` (``random_hull(Random(3), d, k)``),
-all from ``polyk.corpus``; the default is ``cross7 cube8 hull6_24
+(``hypercube(d)``), ``hull<d>_<k>`` (``random_hull(Random(3), d, k)``),
+all from ``polyk.corpus``, or ``prism<d>``, the prism over
+``cross_polytope(d)`` (its vertices times {0, 1}), where the covering pairs
+of the general route live; the default is ``cross7 cube8 hull6_24
 hull7_30``.  The pipeline runs N times (default 3) per input, and each
 stage's best time is printed, with their sum as the total, as one row of a
 Markdown table:
@@ -48,7 +50,11 @@ def polytope(name: str) -> Polytope:
         return hypercube(int(m[1]))
     if m := re.fullmatch(r"hull(\d+)_(\d+)", name):
         return random_hull(random.Random(3), int(m[1]), int(m[2]))
-    raise ValueError(f"unknown input {name!r}: expected cross<d>, cube<d> or hull<d>_<k>")
+    if m := re.fullmatch(r"prism(\d+)", name):
+        return validate([v + (t,) for t in (0, 1) for v in cross_polytope(int(m[1])).vertices],
+                        name=name)
+    raise ValueError(
+        f"unknown input {name!r}: expected cross<d>, cube<d>, hull<d>_<k> or prism<d>")
 
 
 def stage_times(P: Polytope, repeat: int) -> dict[str, float]:

@@ -8,11 +8,9 @@ covering pair (E, F) with edge ray e the incidence number is the
 orientation sign of the basis
 B = [e | A_E] of span(F) against A_F: sign det C for B C = A_F, which is
 sign det(B^T A_F) since B^T A_F = (B^T B) C and det(B^T B) > 0.  (B is a
-basis of span(F): e lies in span(F), being by construction an integer
-combination of lifted vertices of F, e is orthogonal to span(E), which the
-certificate G_E adj(G_E) = det G_E * I guarantees, carried by the checked
-bordering steps of ``cones.bordered_gram_basis`` that build E's data where
-a ray is made, and A_E is a basis of span(E).)
+basis of span(F): e spans the line where span(F) meets span(E)^perp, and
+A_E is a basis of span(E), as the checks of
+``ConeSystem.cover_orientations`` certify on each route.)
 
 The cone stage has already decided that sign for the unflipped bases, by
 face: ``ConeSystem.cover_orientations`` gives the orientation sigma of
@@ -22,8 +20,8 @@ identities), and a pair into a simplex face, which carries no face data,
 reads it off F's vertex tuple, the simplicial boundary's (-1)^r; a pair with m > 0 whose faces are both dual-simple reads it on
 the dual side, from the dual base signs of E and F, fixed once from the top
 face down (``ConeSystem``), and one bit of their dual masks
-(``cones.dual_sign``); any other pair takes ``cones.edge_ray``,
-whose ``EdgeRay.orientation`` is read off F's basis coordinates.  A flip of F
+(``cones.dual_sign``); any other pair reads it off F's basis coordinates,
+one m x m determinant with no ray made (``cones.edge_ray``).  A flip of F
 negates a column of B^T A_F and a flip of E a row, so with eps = -1 for a
 flipped face and +1 otherwise
 
@@ -36,13 +34,11 @@ cannot be flipped: the bottom boundary matrix is the all-ones augmentation
 row.
 
 The barycenter cross-check (``cones.edge_ray_crosscheck``, on Gram
-numbers, with no n-vector per pair) confirms the oriented ray, sign
-included, independently, and since its vector lies in span(F) it would
-also reject a ray outside span(F).  On a pair with m = 0, and on the
-dual route, it reduces to a fact of the dual masks and S >= 0, some facet
-normal vanishing on E and not on F (``ConeSystem.cover_orientations``
-states the identity); an m = 0 pair also takes the principal-minor check
-of ``cones.adjugate_pair_fault``.
+numbers) confirms an oriented ray, sign included, independently.  On
+every pair the batch reduces it to a fact of the dual masks and S >= 0,
+some facet normal vanishing on E and not on F
+(``ConeSystem.cover_orientations`` states the identity); an m = 0 pair
+also takes the principal-minor check of ``cones.adjugate_pair_fault``.
 
 Boundary matrices are integer matrices over the stable (lexicographic by
 vertex set) face ordering, the lattice's face ids.  They are built, kept in
@@ -233,8 +229,8 @@ def build_complex(T: Trivialization, system: ConeSystem) -> CheckedComplex:
     face by face: ``ConeSystem.cover_orientations`` orients and
     cross-checks all the lower covers E of a face F in one pass, each pair
     with m = 0 read off F's certified adjugate, a pair of two dual-simple
-    faces on the dual side, and only the others through ``edge_ray`` and
-    ``edge_ray_crosscheck``; ``incidence_sign`` then
+    faces on the dual side, and any other by one sign determinant off F's
+    adjugate, no ray made on any; ``incidence_sign`` then
     computes each [E : F] from sigma.  The ``CheckedComplex`` it returns checks
     D_{j-1} @ D_j = 0 for every j on the sparse columns when it is made.
     Any failure aborts with the offending face pair.  The lattice is the

@@ -31,12 +31,11 @@ steps (``bordered_gram_basis``): a Schur complement per candidate decides
 its independence and grows det G and adj G exactly.  Such a face resumes
 the pass of a lower cover E that carries data, when E's span ids all lie
 below p = min(F - E), with one step by p; the others walk all their
-vertices.  A simplex face carries data too where a pair of the general
-route reads it (below).  The certificate G adj(G) = det G * I, det G > 0,
-is carried by the steps: each kept step checks G_S y = D b and that its
-divisions are exact, in O(k^2), and by a block identity (stated there)
-that turns a certified state into a certified state, so no face forms the
-k x k product.
+vertices.  The certificate G adj(G) = det G * I, det G > 0, is carried by
+the steps: each kept step checks G_S y = D b and that its divisions are
+exact, in O(k^2), and by a block identity (stated there) that turns a
+certified state into a certified state, so no face forms the k x k
+product.
 
 No n-vector is read for any of it, and a face's data holds vertex ids and
 integers only: its span basis is the cone's generators at its span ids.
@@ -50,16 +49,13 @@ the dual of E's dual face, taken inside that dual face's span (the
 ray spans the line where span(F) meets span(E)^perp.  So ``edge_ray`` makes
 it as the projection of a lifted vertex g of F outside E off span(E),
 scaled by c = det G_E > 0 to stay integral, w = c * g - A_E x, with the
-sign that orients it.  Those identities, and the checks of the ray, each
-made where it costs least, are stated in its docstring.  The circledast
-cones themselves are not built here, nor is w: an ``EdgeRay`` holds
+sign that orients it; its docstring states the identities and checks.  The
+circledast cones are not built here, nor is w: an ``EdgeRay`` holds
 (g, c, x) and makes its primitive integer generator e, the ``direction``,
 only when it is read.  Unit normalization is irrelevant to signs, so
-primitive integer ray generators replace unit vectors throughout and keep
-the arithmetic exact.
-``edge_ray_crosscheck`` checks every ray against a second, independent
-construction, the barycenter vector, on Gram numbers; its docstring states
-that test.
+primitive integer ray generators replace unit vectors and keep the
+arithmetic exact.  ``edge_ray_crosscheck`` checks a ray against a second,
+independent construction, the barycenter vector, on Gram numbers.
 
 The covering pairs are taken by face: ``ConeSystem.cover_orientations``
 orients and checks all the lower covers E of a face F in one pass, each by
@@ -79,13 +75,16 @@ one of three routes, fixed by the pair's span and dual masks alone:
     fixed once, from the top face down, and ``cover_orientations`` what
     the cross-check reduces to and how tau is checked against the
     adjugates;
-  * any other pair: ``edge_ray`` and ``edge_ray_crosscheck``.
+  * any other pair, of the general route: its sign alone, sign det C for
+    [g | A_E] = A_F C, one m x m determinant off F's certified adjugate and
+    E's span ids (``edge_ray`` states it), so a simplex E reads no data.
 
-Those two take any pair by the one general construction, the Gram solve
-and the Cauchy-Schwarz test, so on the pairs of the first two routes they
-are an independent oracle of the batch.  ``ConeSystem.__init__`` makes no
-ray: a face that the spread of tau from the top cannot reach takes tau
-from its definition, one n x n determinant.
+Every pair takes one dual-mask test in place of the barycenter test
+(``cover_orientations``).  So the batch makes no ray on any input, and
+``edge_ray`` and ``edge_ray_crosscheck``, the Gram solve and the
+Cauchy-Schwarz test, are its independent per-pair oracle.  A face that the
+spread of tau from the top cannot reach takes tau from its definition,
+one n x n determinant.
 """
 
 from __future__ import annotations
@@ -128,9 +127,8 @@ class FaceConeData:
     the face (see the module docstring): its span basis and the
     determinant and adjugate of its Gram matrix, as vertex ids and
     integers, no n-vector.  The columns of A_F are the cone's generators
-    at ``span_ids``.  ``ConeSystem`` builds it for every face that is not
-    a simplex, and for a simplex face only where a pair of the general
-    route reads it: a pair into a simplex face reads no Gram number."""
+    at ``span_ids``.  ``ConeSystem`` builds it for exactly the faces that
+    are not simplices: no pair reads a simplex face's Gram numbers."""
 
     span_ids: tuple[int, ...]  # vertex ids of the columns of A_F, increasing
     span_mask: int  # the bitmask s_F of span_ids; id a is row popcount(s_F & (2^a - 1))
@@ -146,9 +144,7 @@ class EdgeRay(NamedTuple):
     generator e, ``direction``, is made from the cone's generators when it
     is read; the report never reads it.  A named tuple, immutable like the
     frozen dataclasses elsewhere, made in a third of a frozen dataclass's
-    time.  The batch makes one only for a covering pair of the general
-    route: none on the 5-cube, the 5-cross-polytope or the acceptance
-    corpus."""
+    time.  The batch makes none: it is the per-pair oracle's."""
 
     pair: tuple[Face, Face]
     g: int  # vertex id of the lifted vertex projected
@@ -469,9 +465,8 @@ def face_cone_data(F: Face, gram: IntMatrix,
     identities of the cross-check.  The span ids are also kept as the
     bitmask s_F, which ``ConeSystem.cover_orientations`` reads.  Only the
     Gram table is read here, no generator of the cone.  ``ConeSystem``
-    calls it for the faces that are not simplices and for the simplex
-    faces a pair of the general route reads, and its ``face_data`` for any
-    other simplex face, the full walk, whose span ids are F's vertices."""
+    calls it for the faces that are not simplices, and its ``face_data``
+    for a simplex face, the full walk, whose span ids are F's vertices."""
     if cover is None:
         span_ids, gram_det, gram_adj = bordered_gram_basis(F, gram)
     else:
@@ -576,14 +571,13 @@ def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: Face
     positive at g, and v projects to det G <v, e> / |e|^2 * e, a positive
     multiple of e.
 
-    Every pair takes this one construction.  On a pair with m = 0 the ray
-    is also a column of F's certified adjugate (``adjugate_column`` states
-    the identities), and on a pair of dual-simple faces its sign is
-    (-1)^(n-1) * pi * tau_E * tau_F (``dual_sign``);
-    ``ConeSystem.cover_orientations`` reads those in place of the solve, so
-    on those pairs this function is the batch's independent oracle.  The
-    ray takes one check per pair, on k numbers (k = dim F, the size of E's
-    basis), besides the sign minor's below:
+    The batch makes no ray: on a pair with m = 0 the ray is a column of
+    F's certified adjugate (``adjugate_column``), on a pair of dual-simple
+    faces its sign is (-1)^(n-1) * pi * tau_E * tau_F (``dual_sign``), and
+    any other pair takes the sign below alone.  So this function is the
+    batch's independent oracle on every pair.  The ray takes one check per
+    pair, on k numbers (k = dim F, the size of E's basis), besides the
+    sign minor's below:
 
       * orientation: <w, g> = c T[g][g] - <x, A^T g> = c * side, with
         side = c |g - P_E g|^2, positive unless g lies in span(E), and then
@@ -622,22 +616,16 @@ def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: Face
     adj(G_F) A_F^T a / det G_F, and A_F^T a is read off T, so det G_F * M
     is an integer matrix with the sign of det M, det G_F being positive.
     It takes one Bareiss determinant of that matrix, and a zero one is an
-    error naming the pair ([g | A_E] would not be a basis of span(F)).  For
-    m = 0, M is the 0 x 0 matrix, det M = 1, and sigma = sign(pi).  For
-    E empty, x is empty, w = g, and C is the one unit vector of g: +1.
+    error naming the pair.  For m = 0, M is the 0 x 0 matrix, det M = 1,
+    and sigma = sign(pi).  For E empty, x is empty, w = g, and C is the one
+    unit vector of g: +1.  det M != 0 means [g | A_E] = A_F C with C
+    nonsingular, so [g | A_E] is a basis of span(F): A_E is independent and
+    g is not in span(E), what side > 0 and det G_E > 0 show.  So the
+    batch's general route takes sigma = sign det C alone, from F's data
+    and E's span ids (``_vertex_outside``, ``_coordinate_sign``).
     """
-    a_ids, f_ids = data_E.span_ids, data_F.span_ids
-    if len(a_ids) != len(f_ids) - 1:
-        raise InternalInvariantError(
-            f"edge ray of ({E}, {F}): the kernel of A_E^T A_F is not a line "
-            f"(spans of dimension {len(a_ids)} and {len(f_ids)})")
-    for g in f_ids:
-        if not e_mask >> g & 1:
-            break
-    else:
-        raise InternalInvariantError(
-            f"edge ray of ({E}, {F}): every span id of {F} lies in {E}")
-    span_F = data_F.span_mask
+    a_ids = data_E.span_ids
+    g = _vertex_outside(E, F, a_ids, data_F.span_ids, e_mask)
     t_g = gram[g]
     at_g = [t_g[a] for a in a_ids]
     det_e = data_E.gram_det
@@ -647,8 +635,35 @@ def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: Face
         raise InternalInvariantError(
             f"edge ray of ({E}, {F}) is orthogonal to lifted vertex {g}: it has no orientation"
             if side == 0 else f"edge ray of ({E}, {F}) points away from lifted vertex {g}")
+    sign = _coordinate_sign(E, F, g, a_ids, data_F, gram)
+    return EdgeRay((E, F), g, det_e, x, a_ids, sign, C.generators)
+
+
+def _vertex_outside(E: Face, F: Face, a_ids: Sequence[int], f_ids: Sequence[int],
+                    e_mask: int) -> int:
+    """g, the first of F's span ids ``f_ids`` outside E (vertex bitmask
+    ``e_mask``), once the kernel of A_E^T A_F is a line: E's span ids
+    ``a_ids`` one fewer than F's.  Either failing is an error naming the
+    pair (``edge_ray``)."""
+    if len(a_ids) != len(f_ids) - 1:
+        raise InternalInvariantError(
+            f"edge ray of ({E}, {F}): the kernel of A_E^T A_F is not a line "
+            f"(spans of dimension {len(a_ids)} and {len(f_ids)})")
+    for g in f_ids:
+        if not e_mask >> g & 1:
+            return g
+    raise InternalInvariantError(f"edge ray of ({E}, {F}): every span id of {F} lies in {E}")
+
+
+def _coordinate_sign(E: Face, F: Face, g: int, a_ids: Sequence[int], data_F: FaceConeData,
+                     gram: IntMatrix) -> int:
+    """sign det C for [g | A_E] = A_F C, E's span ids ``a_ids``: the
+    permutation sign times that of one m x m Bareiss determinant, read off
+    F's certified adjugate (``edge_ray`` states it); a zero one is an error
+    naming the pair."""
+    span_F, f_ids = data_F.span_mask, data_F.span_ids
     rows = [(span_F & ((1 << a) - 1)).bit_count() if span_F >> a & 1 else None
-            for a in (g,) + a_ids]  # None: a is not in F's basis
+            for a in (g, *a_ids)]  # None: a is not in F's basis
     outside = [a for a, r in zip(a_ids, rows[1:]) if r is None]
     free = sorted(set(range(len(f_ids))).difference(rows))
     fill = iter(free)
@@ -657,22 +672,10 @@ def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: Face
     det = bareiss_det([[int_dot(data_F.gram_adj[r], col) for col in columns] for r in free])
     if det == 0:
         raise InternalInvariantError(f"incidence sign of ({E}, {F}) is zero")
-    sign = permutation_sign(rows) * (1 if det > 0 else -1)
-    return EdgeRay((E, F), g, det_e, x, a_ids, sign, C.generators)
+    return permutation_sign(rows) * (1 if det > 0 else -1)
 
 
-def face_vertex_sums(F: Face, gram: IntMatrix) -> tuple[dict[int, int], int]:
-    """<v, b_F> for every vertex v of F, by vertex id, and |b_F|^2, for the
-    sum b_F of F's integer lifted vertices, read off the Gram table:
-    <v, b_F> = sum over u in F of T[v][u], and |b_F|^2 = sum over v in F
-    of <v, b_F>.  They depend on F alone, so a face takes them once for
-    all its pairs of the general route (``edge_ray_crosscheck``)."""
-    dots = {v: sum(map(gram[v].__getitem__, F.vertex_set)) for v in F.vertex_set}
-    return dots, sum(dots.values())
-
-
-def edge_ray_crosscheck(ray: EdgeRay, data_E: FaceConeData, gram: IntMatrix,
-                        b_dots: dict[int, int], b_sq: int) -> None:
+def edge_ray_crosscheck(ray: EdgeRay, data_E: FaceConeData, gram: IntMatrix) -> None:
     """Check the edge ray of (E, F) against an independent construction:
     the barycenter vector w' = D b_F - A_E x' must be a strictly positive
     multiple of the ray's w = c g - A_E x, or an error names the pair.
@@ -684,12 +687,11 @@ def edge_ray_crosscheck(ray: EdgeRay, data_E: FaceConeData, gram: IntMatrix,
     L * m * D times the barycenter's component orthogonal to span(E).
 
     Every ray takes the Cauchy-Schwarz test, and nothing there is an
-    n-vector.  (On the pairs of the two O(1) routes the test reduces to a
-    comparison of dual masks, which ``ConeSystem.cover_orientations``
-    makes in place of this one and states.)  Only E's face data, the Gram
-    table and F's vertex sums are read: ``b_dots`` maps each vertex v of F
-    to <v, b_F>, and ``b_sq`` is |b_F|^2, both made once per face
-    (``face_vertex_sums``); A^T g and G_E are read off the table.
+    n-vector.  (The batch makes no ray: on every pair the test reduces to
+    a comparison of dual masks, which ``ConeSystem.cover_orientations``
+    states and makes.)  Only E's face data and the Gram table are read:
+    for F = ``ray.pair[1]``, <v, b_F> = sum over u in F of T[v][u] for each
+    vertex v of F, and |b_F|^2 is their sum; A^T g and G_E are read off it.
     G_E adj(G_E) = D * I (certified by E's bordering steps)
     gives A^T w' = D A^T b_F - G_E x' = 0, hence
 
@@ -710,6 +712,8 @@ def edge_ray_crosscheck(ray: EdgeRay, data_E: FaceConeData, gram: IntMatrix,
     g, c, x = ray.g, ray.c, ray.x
     a_ids = data_E.span_ids
     E, F = ray.pair
+    b_dots = {v: sum(map(gram[v].__getitem__, F.vertex_set)) for v in F.vertex_set}
+    b_sq = sum(b_dots.values())
     at_b = [b_dots.get(a) for a in a_ids]  # None: a is not a vertex of F
     if g not in b_dots or ray.e_ids != a_ids or None in at_b:
         raise InternalInvariantError(
@@ -792,16 +796,11 @@ class ConeSystem:
     covers have lower ids, so E's data is already built (a cover with a
     higher id, which only a hand-built lattice can list, has none yet and
     is not resumed from).  A face with no such cover, a square say, whose
-    lower covers are simplices, takes the full walk.  Then each pair of
-    the general route (m > 0, a face not dual-simple) into a face with
-    data reads E's data, so a simplex E of such a pair gets its data too,
-    by the full walk; that is decided on the span and dual masks alone: 48
-    pairs and 30 simplex faces on the prism over the 4-cross-polytope,
-    none on the 5-cube, the 5-cross-polytope or the acceptance corpus.
-    ``face_data`` gives any other simplex face's data, made when read and
-    not kept, for the per-pair API.  Edge rays are not kept:
-    ``build_complex`` asks for the orientations of each face's lower
-    covers once (``cover_orientations``).
+    lower covers are simplices, takes the full walk.  So a face carries
+    data exactly when it is not a simplex.  ``face_data`` gives a simplex
+    face's data, made when read and not kept, for the per-pair API.  No
+    ray is made: ``build_complex`` asks for the orientations of each
+    face's lower covers once (``cover_orientations``).
 
     Last, ``taus`` holds the dual base sign tau_F of every face
     (``dual_sign``): +1 or -1 for a dual-simple face, 0 for any other.
@@ -850,16 +849,10 @@ class ConeSystem:
         for f, F in enumerate(faces):
             if len(F.vertex_set) != F.dim + 1:
                 data[f] = face_cone_data(F, self.gram, self._resume(f, data))
+        self._face_data = tuple(data)
         self.span_masks = tuple(lattice.vertex_masks[f] if d is None else d.span_mask
                                 for f, d in enumerate(data))
         simple = [mask.bit_count() == n - F.dim - 1 for mask, F in zip(self.dual_masks, faces)]
-        for f, lower in enumerate(lattice.down):
-            if data[f] is not None:
-                for e in lower:
-                    if data[e] is None and not (simple[e] and simple[f]) and adjugate_column(
-                            self.span_masks[f], self.span_masks[e]) is None:
-                        data[e] = face_cone_data(faces[e], self.gram)
-        self._face_data = tuple(data)
         self.taus = self._signs_from_top(simple)
 
     def face_data(self, f: int) -> FaceConeData:
@@ -931,25 +924,27 @@ class ConeSystem:
     def cover_orientations(self, f: int) -> list[int]:
         """The orientation sigma of every covering pair (E, F) of face f, one
         per lower cover e in ``down[f]`` order, each checked as
-        ``edge_ray`` + ``edge_ray_crosscheck`` check it.  A pair takes one of
-        three routes, fixed by its span and dual masks alone:
+        ``edge_ray`` + ``edge_ray_crosscheck`` check it, with no ray made.
+        Every pair takes the mask test, that some normal y of dual_E lies
+        outside dual_F, and one of three routes, fixed by its span and dual
+        masks alone:
 
           * m = 0 (``adjugate_column``: s_E & ~s_F = 0 on the span bitmasks,
             its ray column r of F's certified adjugate): read off F's data
-            in O(1), with no ray made: sigma = (-1)^r, and the verdict of
-            ``adjugate_pair_fault`` and of one dual-mask comparison, that
-            some normal of dual_E lies outside dual_F;
+            in O(1): sigma = (-1)^r, and the verdict of
+            ``adjugate_pair_fault``;
           * m > 0, E and F both dual-simple, tau_E tau_F != 0: sigma from
             ``taus`` and one dual-mask bit (``dual_sign``), in O(1), with no
-            ray made and no Gram number read;
-          * any other pair: ``ray`` and ``crosscheck``.
+            Gram number read;
+          * any other pair: sigma = sign det C for [g | A_E] = A_F C, one
+            m x m determinant off F's data and E's span ids, nonzero only
+            if [g | A_E] is a basis of span(F) (``edge_ray``).
 
-        The first two give the sign and the verdict the per-pair functions
-        reach by the Gram solve and the Cauchy-Schwarz test on face data
-        that pass their certificates; the identities of the sign are stated
-        in those helpers.  On both, the barycenter test reduces to the dual
-        masks.  Let y be a normal in dual_E & ~dual_F (dual_F lies in
-        dual_E by construction, so on a lattice of P this is
+        Each gives the sign and the verdict the per-pair functions reach
+        by the Gram solve and the Cauchy-Schwarz test on face data that
+        pass their certificates; the identities are stated in the helpers.
+        On every route the barycenter test reduces to the mask test
+        (dual_F lies in dual_E by construction, so on a lattice of P it is
         dual_E != dual_F).  The ray v of the pair spans the line span(F)
         meet span(E)^perp; it is w = c g - A_E x (``edge_ray``), F's
         adjugate column for m = 0 (``adjugate_column``, once
@@ -964,10 +959,7 @@ class ConeSystem:
         z_F[r] = <b_F, v> = |v|^2 * (sum of the t_u) > 0, the test's form on
         Gram numbers: so the mask test implies it, and on a hand-built
         lattice may reject more; on a lattice of P, whose distinct faces
-        have distinct dual faces, both accept.  On the dual route y is the
-        one bit of dual_E & ~dual_F, there since the two counts differ by
-        one, so it checks nothing new; on the adjugate route the batch
-        checks that y exists.
+        have distinct dual faces, both accept.
 
         What the dual route adds is checked on the adjugate route: every
         m = 0 pair between two dual-simple faces must have
@@ -994,23 +986,21 @@ class ConeSystem:
         minor adj(G_F)[r][r] is det G_E > 0, which the cofactor check would
         compare.  A simplex E under a face F that carries data takes the
         reduced cofactor check of ``adjugate_pair_fault``, and a general
-        pair, which reads E's data, finds it built by ``__init__``."""
+        pair reads only E's span ids, a simplex E's vertex ids."""
         faces, spans, taus, dual = self._face_data, self.span_masks, self.taus, self.dual_masks
-        F, n = self.lattice.faces_by_id[f], self.cone.dim
-        data_F = None if len(F.vertex_set) == F.dim + 1 else faces[f]  # None: F is a simplex
+        L, n = self.lattice, self.cone.dim
+        F, data_F = L.faces_by_id[f], faces[f]  # None: F is a simplex
         span_F, dual_F, tau_F = spans[f], dual[f], taus[f]
-        signs, sums = [], None  # sums: F's vertex sums, made for its first general pair
-        for e in self.lattice.down[f]:
+        signs = []
+        for e in L.down[f]:
+            if not dual[e] & ~dual_F:
+                raise self._pair_error(
+                    e, f, "no facet normal vanishes on E and not on F (dual_E & ~dual_F = 0)")
             r = adjugate_column(span_F, spans[e])
             tau = taus[e] * tau_F  # nonzero iff both faces are dual-simple
             if r is not None:
                 sigma = -1 if r & 1 else 1
-                if not dual[e] & ~dual_F:
-                    fault = "no facet normal vanishes on E and not on F (dual_E & ~dual_F = 0)"
-                elif data_F is not None:
-                    fault = adjugate_pair_fault(faces[e], data_F, r)
-                else:
-                    fault = None
+                fault = None if data_F is None else adjugate_pair_fault(faces[e], data_F, r)
                 if fault is None and tau and dual_sign(n, dual_F, dual[e]) * tau != sigma:
                     fault = f"the dual base signs give {-sigma}, F's adjugate (-1)^{r} = {sigma}"
                 if fault is not None:
@@ -1019,11 +1009,9 @@ class ConeSystem:
             elif tau:
                 signs.append(dual_sign(n, dual_F, dual[e]) * tau)
             else:
-                ray = self.ray(e, f)
-                if sums is None:
-                    sums = face_vertex_sums(F, self.gram)
-                edge_ray_crosscheck(ray, self.face_data(e), self.gram, *sums)
-                signs.append(ray.orientation)
+                E, a_ids, data = L.faces_by_id[e], self._span_ids(e), self.face_data(f)
+                g = _vertex_outside(E, F, a_ids, data.span_ids, L.vertex_masks[e])
+                signs.append(_coordinate_sign(E, F, g, a_ids, data, self.gram))
         return signs
 
     def _pair_error(self, e: int, f: int, why: str) -> InternalInvariantError:
@@ -1037,5 +1025,4 @@ class ConeSystem:
 
     def crosscheck(self, e: int, f: int, ray: EdgeRay) -> None:
         """``edge_ray_crosscheck`` of the ray of the pair of face ids (e, f)."""
-        return edge_ray_crosscheck(ray, self.face_data(e), self.gram,
-                                   *face_vertex_sums(self.lattice.faces_by_id[f], self.gram))
+        return edge_ray_crosscheck(ray, self.face_data(e), self.gram)

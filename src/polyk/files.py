@@ -120,9 +120,12 @@ def parse_polytope_file(path: str | Path) -> PolytopeFile:
 
 
 def load_polytope(path: str | Path) -> Polytope:
-    """Parse and validate in one step."""
+    """Parse and validate in one step; a validation error names the file."""
     pf = parse_polytope_file(path)
-    return validate(pf.vertices, name=pf.name)
+    try:
+        return validate(pf.vertices, name=pf.name)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def polytope_to_json(P: Polytope) -> dict:

@@ -134,15 +134,16 @@ def test_one_span_basis_per_face_per_run(monkeypatch):
     assert len(calls) == 7
 
 
-def test_one_edge_ray_per_covering_pair_per_run(monkeypatch):
-    # build_complex walks each covering pair once; ConeSystem keeps no rays,
-    # and makes one only for a pair of the general route: m > 0 (a span id
-    # of E outside F's basis) with a face that is not dual-simple.  On the
-    # 4-cube all 76 pairs with m > 0 (of 232) take the dual route and no
-    # ray is made; on the prism over a square pyramid 4 of its 38 do not.
-    # The pairs with m = 0 are read off F's adjugate with no ray.  No ray
-    # builds its n-vector direction: the cross-check reads the ray's
-    # coefficients
+def test_no_edge_ray_per_run(monkeypatch):
+    # build_complex walks each covering pair once, and neither ConeSystem
+    # nor the batch makes a ray: a pair with m = 0 is read off F's
+    # adjugate, one with m > 0 of two dual-simple faces on the dual side,
+    # and one of the general route (m > 0, a span id of E outside F's
+    # basis, with a face that is not dual-simple) takes only its sign, off
+    # F's adjugate and E's span ids.  On the 4-cube all 76 pairs with
+    # m > 0 (of 232) take the dual route; on the prism over a square
+    # pyramid 4 of its 38 take the general route.  A ray of the per-pair
+    # API builds its n-vector direction only when it is read
     real = cones.edge_ray
     calls = []
     built = []
@@ -160,7 +161,6 @@ def test_one_edge_ray_per_covering_pair_per_run(monkeypatch):
     monkeypatch.setattr(EdgeRay, "direction", property(building))
     for poly, pairs, m_positive, general in ((hypercube(4), 232, 76, 0),
                                              (pyramid_prism(), 159, 38, 4)):
-        calls.clear()
         result = run_pipeline(poly)
         lat = result.lattice
         system = ConeSystem(lift(poly), lat)
@@ -168,65 +168,69 @@ def test_one_edge_ray_per_covering_pair_per_run(monkeypatch):
                   for f, lower in enumerate(lat.down) for e in lower}
         assert len(lat.covering) == pairs
         assert sum(route != "adjugate" for route in routes.values()) == m_positive
-        assert len(calls) == len(set(calls)) == general
-        assert set(calls) == {pair for pair, route in routes.items() if route == "general"}
+        assert sum(route == "general" for route in routes.values()) == general
+        assert calls == []
     assert not built
     ray = ConeSystem(lift(hypercube(1)), face_lattice(hypercube(1))).ray(1, 3)
     assert ray.direction == (0, 1) and built == [ray.pair]
 
 
 @pytest.mark.parametrize("polys, counts", [
-    (lambda: acceptance_corpus(), (57, 0, 0)),
-    (lambda: [hypercube(5)], (131, 0, 0)),
-    (lambda: [cross_polytope(5)], (1, 0, 0)),
-    (lambda: [prism_over_cross(4)], (75, 30, 48)),
-    (lambda: [prism_over_cross(5)], (235, 128, 160)),
-    (lambda: [pyramid_prism()], (18, 1, 4)),
+    (lambda: acceptance_corpus(), (57, 0)),
+    (lambda: [hypercube(5)], (131, 0)),
+    (lambda: [cross_polytope(5)], (1, 0)),
+    (lambda: [prism_over_cross(4)], (75, 48)),
+    (lambda: [prism_over_cross(5)], (235, 160)),
+    (lambda: [pyramid_prism()], (18, 4)),
 ], ids=["corpus", "cube5", "cross5", "prism_cross4", "prism_cross5", "pyramid_prism"])
 def test_face_data_only_where_a_pair_reads_it(polys, counts, monkeypatch):
     # a run builds the face data of each face that is not a simplex once,
-    # and of each simplex face that is E of a pair of the general route,
-    # whose ray and cross-check read E's data; none of any other simplex
-    # face, and none while the complex is built.  counts: the faces that
-    # are not simplices, the simplex faces with data, and the general
-    # pairs whose E is a simplex
+    # and none of a simplex face, nor any while the complex is built: the
+    # system holds data exactly for the faces with |F| > dim F + 1.  A pair
+    # of the general route reads F's data, F being no simplex there, and
+    # E's span ids, a simplex E's its vertex ids; no ray is made and none
+    # cross-checked.  counts: the faces that are not simplices, and the
+    # general pairs whose E is a simplex
     real = cones.face_cone_data
-    built = []
+    built, rays = [], []
 
     def counting(F, *args):
         built.append(F)
         return real(F, *args)
 
+    def refused(name):
+        return lambda *args, **kwargs: rays.append(name)
+
     monkeypatch.setattr(cones, "face_cone_data", counting)
-    got = [0, 0, 0]
+    for name in ("edge_ray", "edge_ray_crosscheck"):
+        monkeypatch.setattr(cones, name, refused(name))
+    got = [0, 0]
     for poly in polys():
         built.clear()
         result = run_pipeline(poly)
         lat, data = result.lattice, list(built)
-        system = PerFaceSystem(result.system)
         simplex = [len(F.vertex_set) == F.dim + 1 for F in lat.faces_by_id]
-        general = [e for f, lower in enumerate(lat.down) for e in lower
-                   if simplex[e] and pair_route(system, e, f) == "general"]
+        assert [d is None for d in result.system._face_data] == simplex, poly.name
         assert Counter(data) == Counter(F for f, F in enumerate(lat.faces_by_id)
-                                        if not simplex[f] or f in general), poly.name
+                                        if not simplex[f]), poly.name
+        system = PerFaceSystem(result.system)
         got[0] += simplex.count(False)
-        got[1] += len(set(general))
-        got[2] += len(general)
+        got[1] += sum(simplex[e] and pair_route(system, e, f) == "general"
+                      for f, lower in enumerate(lat.down) for e in lower)
     assert tuple(got) == counts
+    assert rays == []
 
 
 def test_per_face_work_once_per_run(monkeypatch):
     # the bordered Gram pass (span basis, det G, adj G) runs once for each
-    # face that carries data: the 18 faces that are not simplices and the
-    # one simplex that is E of general pairs here,
+    # face that carries data, the 18 faces that are not simplices here,
     # and the Gram and slack tables once per ConeSystem, with the dual ranks
     # checked on masks and no echelon; the per-pair steps only read them: no
-    # echelon or Gram pass runs inside a pair, edge_ray takes one sign minor
-    # on the pairs of the general route and is not called on the others,
-    # the dual route takes no determinant (tau spreads from the top face
-    # here, and no face takes its determinant), the cross-check takes none and the incidence
-    # sign neither, and no cofactor kernel is solved while the complex is
-    # built
+    # echelon or Gram pass runs inside a pair, a pair of the general route
+    # takes one sign minor (_coordinate_sign) and no edge ray, the dual
+    # route takes no determinant (tau spreads from the top face here, and
+    # no face takes its determinant), the incidence sign none, and no
+    # cofactor kernel is solved while the complex is built
     poly = pyramid_prism()
     active = []  # the wrapped per-pair functions now running
 
@@ -266,9 +270,8 @@ def test_per_face_work_once_per_run(monkeypatch):
             return fn(C)
         return wrapped
 
-    monkeypatch.setattr(cones, "edge_ray", within("edge_ray", cones.edge_ray))
-    monkeypatch.setattr(cones, "edge_ray_crosscheck",
-                        within("edge_ray_crosscheck", cones.edge_ray_crosscheck))
+    monkeypatch.setattr(cones, "_coordinate_sign",
+                        within("_coordinate_sign", cones._coordinate_sign))
     monkeypatch.setattr(cellular, "incidence_sign",
                         within("incidence_sign", cellular.incidence_sign))
     monkeypatch.setattr(pipeline, "build_complex",
@@ -290,21 +293,18 @@ def test_per_face_work_once_per_run(monkeypatch):
     # only lift's solidity takes an echelon: neither A_F nor a dual face does
     assert Counter(caller for caller, _ in echelons) == {"lift": 1}
     assert not any(set(pair) - {"build_complex"} for _, pair in echelons + grams)
-    assert not any("edge_ray_crosscheck" in pair or "incidence_sign" in pair for pair in dets)
+    assert not any("incidence_sign" in pair for pair in dets)
     # the orientation: one sign minor per covering pair of the general
     # route, 4 of the 38 with m > 0 here (m the number of E's span ids
     # outside F's), and none for the other 34
     system = PerFaceSystem(result.system)
     routes = {(e, f): pair_route(system, e, f) for f, lower in enumerate(lat.down) for e in lower}
     counts = Counter(routes.values())
-    assert sum("edge_ray" in pair for pair in dets) == counts["general"] == 4
+    assert sum("_coordinate_sign" in pair for pair in dets) == counts["general"] == 4
     assert counts["dual"] == 34
     assert len(dets) == 4 and len(lat.covering) == 159
-    simplices = {e for (e, f), route in routes.items() if route == "general"
-                 and len(lat.faces_by_id[e].vertex_set) == lat.faces_by_id[e].dim + 1}
-    assert built == Counter(F for f, F in enumerate(lat.faces_by_id)
-                            if len(F.vertex_set) > F.dim + 1 or f in simplices)
-    assert sum(built.values()) == 19 and len(simplices) == 1
+    assert built == Counter(F for F in lat.faces_by_id if len(F.vertex_set) > F.dim + 1)
+    assert sum(built.values()) == 18
     assert not any("build_complex" in pair for pair in kernels)
 
 
@@ -493,23 +493,30 @@ def test_column_support_counts(small_corpus):
 
 def test_build_complex_reports_failed_crosscheck(monkeypatch):
     # a ray with negated coefficients, -w = -c g + A_E x, is a negative
-    # multiple of its barycenter projection: <w, w'> < 0.  The target is the
-    # last pair of the general route of the prism over a square pyramid
+    # multiple of its barycenter projection: <w, w'> < 0, and the per-pair
+    # cross-check rejects it.  The batch makes no ray on a general pair:
+    # its sign negated there breaks D_{j-1} D_j = 0, which build_complex
+    # reports.  The target is the last pair of the general route of the
+    # prism over a square pyramid
     lat, system, triv = setup_polytope(pyramid_prism())
     target = [pair for pair in lat.covering
               if pair_route(system, lat.face_id[pair[0]], lat.face_id[pair[1]]) == "general"][-1]
-    real = cones.edge_ray
-
-    def negated(C, e, f, **kwargs):
-        ray = real(C, e, f, **kwargs)
-        if (e, f) != target:
-            return ray
-        return ray._replace(c=-ray.c, x=tuple(-v for v in ray.x), orientation=-ray.orientation)
-
-    monkeypatch.setattr(cones, "edge_ray", negated)
+    e, f = lat.face_id[target[0]], lat.face_id[target[1]]
+    ray = system.ray(e, f)
+    system.crosscheck(e, f, ray)
+    negated = ray._replace(c=-ray.c, x=tuple(-v for v in ray.x), orientation=-ray.orientation)
     with pytest.raises(InternalInvariantError) as err:
-        build_complex(triv, system)
+        system.crosscheck(e, f, negated)
     assert f"edge-ray cross-check failed for ({target[0]}, {target[1]})" in str(err.value)
+    real = cones._coordinate_sign
+
+    def flipped(E, F, *args):
+        sign = real(E, F, *args)
+        return -sign if (E, F) == target else sign
+
+    monkeypatch.setattr(cones, "_coordinate_sign", flipped)
+    with pytest.raises(InternalInvariantError, match="boundary squared nonzero"):
+        build_complex(triv, system)
 
 
 @pytest.mark.parametrize("poly, digest", [

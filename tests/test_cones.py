@@ -526,13 +526,13 @@ def test_equal_dual_masks_fail_the_m_zero_pair(monkeypatch):
     E, F = lat.faces_by_id[e], lat.faces_by_id[f]
     ray = system.ray(e, f)
     data_e = system.face_data(e)
-    cones.edge_ray_crosscheck(ray, data_e, system.gram, *cones.face_vertex_sums(F, system.gram))
+    cones.edge_ray_crosscheck(ray, data_e, system.gram)
     a = data_e.span_ids[0]
     u = next(u for u in F.vertex_set if u not in data_e.span_ids and u != ray.g)
     gram = [list(row) for row in system.gram]
     gram[a][u] += 1
     with pytest.raises(InternalInvariantError) as err:
-        cones.edge_ray_crosscheck(ray, data_e, gram, *cones.face_vertex_sums(F, gram))
+        cones.edge_ray_crosscheck(ray, data_e, gram)
     assert str(err.value) == (
         f"edge-ray cross-check failed for ({E}, {F}): "
         "barycenter projection is not a positive multiple")
@@ -828,8 +828,9 @@ def test_simplex_pairs_are_the_simplicial_boundary(simplex_route_systems):
     (prism_over_cross(4), {"dual": 108, "general": 80, "tau_dets": 1}),
 ], ids=["cube5", "cross5", "prism_cross4"])
 def test_dual_route_counts(poly, counts, monkeypatch):
-    # the system makes no ray: a face tau cannot spread to from the top
-    # takes one determinant.  The batch makes one ray for each general pair
+    # neither the system nor the batch makes a ray: a face tau cannot
+    # spread to from the top takes one determinant, and a general pair
+    # takes its sign off F's adjugate
     made, dets = [], []
     real_ray, real_tau = cones.edge_ray, ConeSystem._tau
 
@@ -849,8 +850,81 @@ def test_dual_route_counts(poly, counts, monkeypatch):
     for f in range(len(lat.faces_by_id)):
         system.cover_orientations(f)
     routes = Counter(pair_route(system, e, f) for f, lower in enumerate(lat.down) for e in lower)
-    assert len(made) == routes["general"]
+    assert made == []
     assert {"dual": routes["dual"], "general": routes["general"], "tau_dets": len(dets)} == counts
+
+
+@pytest.fixture(scope="module")
+def general_route_systems():
+    """The inputs with pairs of the general route: the prisms over the 4-
+    and 5-cross-polytopes, the prism over a square pyramid and a prism over
+    the prism over the 3-cross-polytope, each with its cone system."""
+    prism = [tuple(s * (i == j) for j in range(3)) + (t,)
+             for t in (0, 1) for i in range(3) for s in (1, -1)]
+    twice = validate([v + (t,) for t in (0, 1) for v in prism], name="prism_prism_cross3")
+    polys = [prism_over_cross(4), prism_over_cross(5), pyramid_prism(), twice]
+    return [(poly, ConeSystem(lift(poly), face_lattice(poly))) for poly in polys]
+
+
+def test_general_pairs_take_the_mask_test_and_the_coordinate_sign(general_route_systems):
+    # the batch makes no ray on a pair of the general route: sigma is
+    # sign det C for [g | A_E] = A_F C, off F's adjugate and E's span ids,
+    # and the barycenter test is the mask test, some normal of dual_E
+    # outside dual_F.  On every such pair the mask test holds, the per-pair
+    # API's ray passes its cross-check, and its orientation is the batch's
+    # sigma
+    counts = []
+    for poly, system in general_route_systems:
+        lat, dual, general = system.lattice, system.dual_masks, 0
+        for f, lower in enumerate(lat.down):
+            for e, sigma in zip(lower, system.cover_orientations(f)):
+                if pair_route(system, e, f) == "general":
+                    assert dual[e] & ~dual[f], (poly.name, e, f)
+                    ray = system.ray(e, f)
+                    system.crosscheck(e, f, ray)
+                    assert sigma == ray.orientation, (poly.name, e, f)
+                    general += 1
+        counts.append(general)
+    assert counts == [80, 320, 4, 72]
+
+
+def first_general_pair(system) -> tuple[int, int]:
+    """The first pair of the general route in the order build_complex
+    walks them: by the id of F, then by ``down``."""
+    return next((e, f) for f, lower in enumerate(system.lattice.down) for e in lower
+                if pair_route(system, e, f) == "general")
+
+
+def test_general_pair_with_equal_dual_masks_fails(monkeypatch):
+    # E's dual mask set to F's on a general pair leaves no normal of dual_E
+    # outside dual_F: build_complex rejects the pair by name
+    poly = pyramid_prism()
+    lat = face_lattice(poly)
+    system = ConeSystem(lift(poly), lat)
+    e, f = first_general_pair(system)
+    masks = list(system.dual_masks)
+    masks[e] = masks[f]
+    monkeypatch.setattr(system, "dual_masks", tuple(masks))
+    with pytest.raises(InternalInvariantError) as err:
+        build_complex(trivialize(lat), system)
+    assert str(err.value) == (
+        f"edge-ray cross-check failed for ({lat.faces_by_id[e]}, {lat.faces_by_id[f]}): "
+        "no facet normal vanishes on E and not on F (dual_E & ~dual_F = 0)")
+
+
+def test_zero_sign_determinant_fails_the_general_pair(monkeypatch):
+    # [g | A_E] = A_F C with det C = 0 is no basis of span(F): the sign
+    # determinant of a general pair read as zero is an error naming it.
+    # Only the general route takes a determinant in build_complex
+    poly = prism_over_cross(4)
+    lat = face_lattice(poly)
+    system = ConeSystem(lift(poly), lat)
+    e, f = first_general_pair(system)
+    monkeypatch.setattr(cones, "bareiss_det", lambda rows: 0)
+    with pytest.raises(InternalInvariantError) as err:
+        build_complex(trivialize(lat), system)
+    assert str(err.value) == (
+        f"incidence sign of ({lat.faces_by_id[e]}, {lat.faces_by_id[f]}) is zero")
 
 
 def test_dual_base_signs_match_the_generator_determinants():
@@ -1170,11 +1244,11 @@ def test_simplex_face_with_dependent_vertices_names_face():
     # 2-face under F and under a cube facet, above the square's edges {0,1}
     # and {0,2}.  F has dim F + 1 vertices, a simplex face, but they span
     # rank 3.  The dual ranks pass (the triangle's dual face strictly holds
-    # the cube facet's, F's the top's), and F takes no data as a simplex;
-    # but (F, top) is a general pair (F's vertices are not in the top's
-    # span basis, and F's dual face has 2 normals, not the 1 of a
-    # dual-simple face), so F's data is built for it, one id short, an
-    # error naming F
+    # the cube facet's, F's the top's), and F takes no data as a simplex,
+    # so the system builds.  The batch's mask test, made on every pair
+    # before its route, rejects (triangle, F): the triangle's vertices span
+    # the square, so no normal vanishes on it and not on F.  The per-pair
+    # API builds F's data, one id short, an error naming F
     poly = hypercube(4)
     lat = face_lattice(poly)
     square = lat.faces(2)[0]
@@ -1187,8 +1261,14 @@ def test_simplex_face_with_dependent_vertices_names_face():
     pairs = list(lat.covering) + [(Face((0, 1), 1), triangle), (Face((0, 2), 1), triangle),
                                   (triangle, flat), (triangle, facet), (flat, lat.top_face)]
     hand = lattice_from_pairs(lat.dim, levels, pairs)
+    system = ConeSystem(lift(poly), hand)
     with pytest.raises(InternalInvariantError) as err:
-        ConeSystem(lift(poly), hand)
+        build_complex(trivialize(hand), system)
+    assert str(err.value) == (
+        f"edge-ray cross-check failed for ({triangle}, {flat}): "
+        "no facet normal vanishes on E and not on F (dual_E & ~dual_F = 0)")
+    with pytest.raises(InternalInvariantError) as err:
+        system.face_data(hand.face_id[flat])
     assert str(err.value) == f"face {flat}: span has 3 independent lifted vertices, expected 4"
 
 

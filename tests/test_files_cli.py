@@ -101,6 +101,14 @@ def test_cli_validate_input_error(tmp_path, capsys):
     assert "point 3 not extreme" in capsys.readouterr().err
 
 
+def test_cli_compare_names_the_file_that_fails_validation(tmp_path, capsys):
+    inner = tmp_path / "inner.json"
+    inner.write_text('{"name": "i", "dim": 2, '
+                     '"vertices": [[0,0],[1,0],[0,1],["1/4","1/4"]]}', encoding="utf-8")
+    assert main(["compare", str(POLYTOPES / "triangle.json"), str(inner)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {inner}: point 3 not extreme")
+
+
 def test_cli_validate_missing_file(capsys):
     assert main(["validate", "/nonexistent/poly.json"]) == 1
     assert "cannot read" in capsys.readouterr().err

@@ -1,10 +1,12 @@
-"""``scripts/stage_times.py`` on the 3-cross-polytope: one row of stage
-times, every stage timed."""
+"""``scripts/stage_times.py`` on the 3-cross-polytope and the prism over
+it: one row of stage times each, every stage timed."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from oracles import prism_over_cross
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -22,13 +24,16 @@ def test_stage_times_on_cross3(capsys):
     assert stage_times.polytope("cross3").nvertices == 6
     assert stage_times.polytope("cube3").nvertices == 8
     assert stage_times.polytope("hull3_7").ambient_dim == 3
-    stage_times.main(["cross3", "--repeat", "1"])
-    header, rule, row = capsys.readouterr().out.splitlines()
+    prism = stage_times.polytope("prism3")
+    assert prism.vertices == prism_over_cross(3).vertices and prism.ambient_dim == 4
+    stage_times.main(["cross3", "prism3", "--repeat", "1"])
+    header, rule, *rows = capsys.readouterr().out.splitlines()
     assert header == "| input | total | validate | lattice | ConeSystem | build | report |"
     assert rule == "|---|---|---|---|---|---|---|"
-    cells = [c.strip() for c in row.strip("|").split("|")]
-    assert cells[0] == "`cross3`" and cells[1].endswith(" s")
-    assert len(cells) == 7 and all(float(c) >= 0 for c in cells[2:])
+    for name, row in zip(("cross3", "prism3"), rows, strict=True):
+        cells = [c.strip() for c in row.strip("|").split("|")]
+        assert cells[0] == f"`{name}`" and cells[1].endswith(" s")
+        assert len(cells) == 7 and all(float(c) >= 0 for c in cells[2:])
 
 
 def test_stage_times_rejects_unknown_names():

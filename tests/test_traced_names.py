@@ -52,24 +52,26 @@ def test_traced_pipeline_runs_with_every_observer(monkeypatch):
     spec.loader.exec_module(tracing)
     poly = pyramid_prism()
     expected = run_pipeline(poly).complex
+    system = ConeSystem(lift(poly), face_lattice(poly))
+    general = [(e, f) for f, lower in enumerate(system.lattice.down) for e in lower
+               if pair_route(system, e, f) == "general"]
     tracer = tracing.Tracer()
     tracer.install()
     try:
         traced = run_pipeline(poly).complex
+        piped = tracer.totals["cones.edge_ray"][0]
+        system.ray(*general[0])  # the edge-ray observer runs on the per-pair API
     finally:
         tracer.uninstall()
     assert not tracer.absent
     assert traced == expected
     # C(10, 4) lift subsets and 159 covering pairs for the prism over a
-    # square pyramid, with one edge ray for each pair of the general route
-    # (m > 0, a span id of E outside F's basis, and a face that is not
-    # dual-simple)
+    # square pyramid; the pipeline makes no edge ray, though 4 pairs take
+    # the general route (m > 0, a span id of E outside F's basis, and a
+    # face that is not dual-simple): their signs are read off F's adjugate
     assert tracer.lift_subsets == 210 and tracer.covering_pairs == 159
-    system = ConeSystem(lift(poly), face_lattice(poly))
-    general = sum(pair_route(system, e, f) == "general"
-                  for f, lower in enumerate(system.lattice.down) for e in lower)
-    assert 0 < general < 159
-    assert tracer.totals["cones.edge_ray"][0] == general
+    assert len(general) == 4 and piped == 0
+    assert tracer.totals["cones.edge_ray"][0] == 1 and tracer.max_bits > 0
     assert not tracing.leftover_bindings()
 
 
