@@ -17,7 +17,6 @@ from .cellular import (
     Trivialization,
     build_complex,
     diagonal_sign_equivalence,
-    homology,
     homology_pair,
     incidence_sign,
     trivialize,
@@ -32,26 +31,15 @@ from .comb_type import (
 )
 from .cones import (
     ConeSystem,
-    EdgeRay,
     FaceConeData,
     LiftedCone,
-    dual_cone,
-    edge_ray,
-    edge_ray_crosscheck,
     face_cone_data,
     lift,
 )
 from .errors import InputError, InternalInvariantError, PolykError
 from .files import PolytopeFile, load_polytope, parse_polytope_file, parse_polytope_text
 from .ktheory import AbelianGroup, E1Page, KReport, direct_sum, e1_page, group_from_factors, k_report
-from .linalg import (
-    QMatrix,
-    SNFResult,
-    coords_in_basis,
-    det_sign,
-    rank,
-    smith_normal_form,
-)
+from .linalg import SNFResult, smith_normal_form
 from .pipeline import PipelineResult, run_pipeline
 from .polytope import (
     Face,

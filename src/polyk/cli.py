@@ -42,12 +42,14 @@ from .ktheory import AbelianGroup, KReport
 from .pipeline import PipelineResult, run_pipeline
 from .polytope import face_label, face_lattice
 
+DEFAULT_SECTIONS = frozenset({"homology", "ktheory"})  # report with no section flag, and corpus
+
 
 def _homology_json(h: HomologyResult) -> list[dict]:
     return [{"degree": j, **g.to_json()} for j, g in enumerate(h.groups, h.min_degree)]
 
 
-def report_document(result: PipelineResult, sections: set[str]) -> dict:
+def report_document(result: PipelineResult, sections: frozenset[str] | set[str]) -> dict:
     """The machine-readable report; sections chosen by flag names."""
     P, L, X, rep = result.polytope, result.lattice, result.complex, result.report
     doc: dict = {
@@ -143,7 +145,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     sections = {name for name in ("faces", "boundary", "homology", "ktheory")
-                if getattr(args, name)} or {"homology", "ktheory"}
+                if getattr(args, name)} or DEFAULT_SECTIONS
     start = time.monotonic()
     polytope = load_polytope(args.file)
     result = run_pipeline(polytope)
@@ -182,7 +184,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     for path in paths:
         try:
             result = run_pipeline(load_polytope(path))
-            doc = report_document(result, {"homology", "ktheory"})
+            doc = report_document(result, DEFAULT_SECTIONS)
             results[path.name] = {"status": "ok", "report": doc}
         except InputError as exc:
             results[path.name] = {"status": "input-error", "message": str(exc)}

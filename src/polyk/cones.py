@@ -16,7 +16,8 @@ once per run: the Gram table T[i][j] = <v_i, v_j> of the lifted vertices
 (``gram_table``) and the slack table S[i][k] = <y_k, v_i> of the lifted
 vertices against the facet normals (``slack_table``), whose zeros give each
 vertex's facet bitmask, and each face's dual-face bitmask, the AND of its
-vertices' bitmasks.  S >= 0 entrywise and the rank of every dual face
+vertices' bitmasks.  S >= 0 entrywise, in the same pass over S as the
+bitmasks (``vertex_facet_masks``), and the rank of every dual face
 (``check_dual_faces``: the top's mask is empty, and every other face's mask
 strictly holds that of an upper cover) are checked there, once per run.
 Every face F has a deterministic basis A_F of its span (integer lifted
@@ -27,7 +28,7 @@ its lower covers is F without one vertex, the simplicial boundary, whose
 sign is a permutation sign (``ConeSystem.cover_orientations``).  Any other
 face carries face data (``FaceConeData``): its span basis with det G and
 adj G of the Gram matrix G = A_F^T A_F, all from T alone, by bordered
-steps (``bordered_gram_basis``): a Schur complement per candidate decides
+steps (``face_cone_data``): a Schur complement per candidate decides
 its independence and grows det G and adj G exactly.  Such a face resumes
 the pass of a lower cover E that carries data, when E's span ids all lie
 below p = min(F - E), with one step by p; the others walk all their
@@ -82,9 +83,10 @@ one of three routes, fixed by the pair's span and dual masks alone:
 Every pair takes one dual-mask test in place of the barycenter test
 (``cover_orientations``).  So the batch makes no ray on any input, and
 ``edge_ray`` and ``edge_ray_crosscheck``, the Gram solve and the
-Cauchy-Schwarz test, are its independent per-pair oracle.  A face that the
-spread of tau from the top cannot reach takes tau from its definition,
-one n x n determinant.
+Cauchy-Schwarz test, are its independent per-pair oracle.  tau has one
+root, the top face, and one rule, the pair signs: a face that the spread
+of tau from the top cannot reach takes tau over an upper cover that
+carries it, from that pair's sign by the general route (``ConeSystem``).
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ from functools import reduce
 from itertools import combinations
 from math import gcd
 from operator import and_, mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InternalInvariantError
 from .linalg import (
@@ -251,19 +253,24 @@ def lift(P: Polytope) -> LiftedCone:
     return LiftedCone(dim=n, generators=gens, facet_normals=normals)
 
 
-def bordered_gram_basis(F: Face, gram: IntMatrix, walk: Iterable[int] | None = None,
-                        start: tuple[tuple[int, ...], int, IntMatrix] = ((), 1, ())
-                        ) -> tuple[tuple[int, ...], int, IntMatrix]:
-    """The span basis of F with the determinant and adjugate of its Gram
-    matrix, by bordered steps over the Gram table ``gram`` = T, each step
-    checked so that the result carries the certificate
-    G adj(G) = det G * I, det G > 0.
+def face_cone_data(F: Face, gram: IntMatrix,
+                   cover: tuple[FaceConeData, int] | None = None) -> FaceConeData:
+    """The per-face data of F: its span basis with the determinant and
+    adjugate of its Gram matrix G = A_F^T A_F, by bordered steps over the
+    Gram table ``gram`` = T, each step checked so that the result carries
+    the certificate G adj(G) = det G * I, det G > 0.  The certificate makes
+    every ray off span(F), c g - A_F adj(G) A_F^T g, orthogonal to span(F),
+    and with it the identities of the cross-check.  The span ids are also
+    kept as the bitmask s_F, which ``ConeSystem.cover_orientations`` reads.
+    Only the Gram table is read, no generator of the cone.  ``ConeSystem``
+    calls it for the faces that are not simplices, and its ``face_data``
+    for a simplex face, the full walk, whose span ids are F's vertices.
 
-    It walks the ids of ``walk`` (F's vertices by default) in increasing
-    order and keeps the chosen ids S with D = det G_S and adj G_S, from the
-    state ``start`` = (S, D, adj G_S) (S empty and D = 1 by default).  A
-    candidate u borders G_S with the column b = T[S][u] and the corner
-    t = T[u][u]; with y = adj(G_S) b the Schur complement gives
+    The pass walks F's vertices in increasing order and keeps the chosen
+    ids S with D = det G_S and adj G_S, from S empty and D = 1, or from the
+    state of ``cover`` (below).  A candidate u borders G_S with the column
+    b = T[S][u] and the corner t = T[u][u]; with y = adj(G_S) b the Schur
+    complement gives
 
         D' = det G_{S+u} = t D - b^T y,
 
@@ -302,29 +309,31 @@ def bordered_gram_basis(F: Face, gram: IntMatrix, walk: Iterable[int] | None = N
     is formed for it.  A failed check is an error naming F and u.  A
     skipped step only reads y, exact on a certified state.
 
-    From the default start this is the greedy independent subset of F's
+    From the empty state this is the greedy independent subset of F's
     lifted vertices in index order, dim F + 1 of them (none for the empty
     face); the walk stops there, and finding fewer is an error.  Its D and
     adj G are those of a fraction-free Gauss-Jordan pass on the Gram
     matrix of the chosen ids (Bareiss 1968, by Sylvester's identity).
 
-    The walk can resume from a lower cover E of F.  Let p = min(F - E), the
-    lowest set bit of mask_F & ~mask_E on the vertex bitmasks, and let
-    every span id of E lie below p.  F's vertices below p are E's vertices
-    below p, since E is contained in F; so F's walk makes E's choices up to
-    E's last span id, and skips the vertices of E from there to p, which
-    lie in span(E).  p lies outside span(E), as E is a face of F and p is
-    not a vertex of E, so p is kept, and then F has its dim F + 1 ids.
-    F's state is therefore E's (ids, D, adj G) bordered once by p:
-    ``walk`` = (p,) with E's state as ``start``, O(k^2) in place of
-    O(|F| k^2).  The basis, and every orientation read off it, are those of
-    the full walk.  A zero minor at p leaves F one id short, an error.
+    The walk can resume from a lower cover E of F: ``cover`` = (E's face
+    data, p).  Let p = min(F - E), the lowest set bit of mask_F & ~mask_E
+    on the vertex bitmasks, and let every span id of E lie below p.  F's
+    vertices below p are E's vertices below p, since E is contained in F;
+    so F's walk makes E's choices up to E's last span id, and skips the
+    vertices of E from there to p, which lie in span(E).  p lies outside
+    span(E), as E is a face of F and p is not a vertex of E, so p is kept,
+    and then F has its dim F + 1 ids.  F's state is therefore E's
+    (ids, D, adj G) bordered once by p, O(k^2) in place of O(|F| k^2).  The
+    basis, and every orientation read off it, are those of the full walk.
+    A zero minor at p leaves F one id short, an error.
     """
-    want = F.dim + 1
-    ids, det, adj = start
-    ids = list(ids)
-    for u in F.vertex_set if walk is None else walk:
-        if len(ids) == want:
+    if cover is None:
+        ids, det, adj, walk = [], 1, (), F.vertex_set
+    else:
+        data_E, p = cover
+        ids, det, adj, walk = list(data_E.span_ids), data_E.gram_det, data_E.gram_adj, (p,)
+    for u in walk:
+        if len(ids) > F.dim:
             break
         t_u = gram[u]
         b = [t_u[s] for s in ids]
@@ -353,10 +362,11 @@ def bordered_gram_basis(F: Face, gram: IntMatrix, walk: Iterable[int] | None = N
             raise InternalInvariantError(
                 f"Gram determinant of the span of {F} is not positive: "
                 f"leading minor of order {len(ids) + 1} is {minor}")
-    if len(ids) != want:
+    if len(ids) != F.dim + 1:
         raise InternalInvariantError(
-            f"face {F}: span has {len(ids)} independent lifted vertices, expected {want}")
-    return tuple(ids), det, tuple(map(tuple, adj))
+            f"face {F}: span has {len(ids)} independent lifted vertices, expected {F.dim + 1}")
+    return FaceConeData(span_ids=tuple(ids), span_mask=sum(1 << a for a in ids),
+                        gram_det=det, gram_adj=tuple(map(tuple, adj)))
 
 
 def _certificate_error(F: Face, u: int, why: str) -> InternalInvariantError:
@@ -377,25 +387,24 @@ def slack_table(C: LiftedCone) -> IntMatrix:
     return tuple(tuple(int_dot(y, g) for y in C.facet_normals) for g in C.generators)
 
 
-def check_slack(slack: IntMatrix) -> None:
-    """S >= 0 entrywise: every lifted vertex is on the inner side of every
-    facet normal.  An edge ray w = c g - A_E x of a pair (E, F) has
+def vertex_facet_masks(slack: IntMatrix) -> tuple[int, ...]:
+    """For each lifted vertex, the bitmask of the facet normals vanishing on
+    it (bit k for the normal y_k of ``slack_table``), read off the zeros of
+    its row of the slack table, in one pass that also checks S >= 0
+    entrywise: every lifted vertex is on the inner side of every facet
+    normal.  An edge ray w = c g - A_E x of a pair (E, F) has
     <w, y> = c S[g][y] >= 0 on E's dual face, so this puts every ray in its
     circledast cone at once; a negative entry is an error naming the vertex
     and the facet."""
+    masks = []
     for i, row in enumerate(slack):
         if min(row, default=0) < 0:
             k = next(k for k, s in enumerate(row) if s < 0)
             raise InternalInvariantError(
                 f"vertex {{{i}}} lies outside facet normal {k} of the cone (slack {row[k]}): "
                 "the edge rays at it would leave their circledast cones")
-
-
-def vertex_facet_masks(slack: IntMatrix) -> tuple[int, ...]:
-    """For each lifted vertex, the bitmask of the facet normals vanishing on
-    it (bit k for the normal y_k of ``slack_table``), read off the zeros of
-    its row of the slack table."""
-    return tuple(sum(1 << k for k, s in enumerate(row) if s == 0) for row in slack)
+        masks.append(sum(1 << k for k, s in enumerate(row) if s == 0))
+    return tuple(masks)
 
 
 def check_dual_faces(lattice: FaceLattice, dual_masks: Sequence[int], n: int) -> None:
@@ -417,7 +426,7 @@ def check_dual_faces(lattice: FaceLattice, dual_masks: Sequence[int], n: int) ->
     Upper bound: every normal of dual(F) vanishes on F's lifted vertices,
     dim F + 1 of which are independent, so the normals span at most
     n - (dim F + 1) dimensions.  For a face that carries data, that is the
-    span basis ``bordered_gram_basis`` finds, with det G > 0; for a
+    span basis ``face_cone_data`` finds, with det G > 0; for a
     simplex face, it is the identity ``ConeSystem.cover_orientations``
     states, on the dual masks of its covering pairs, which it checks.
 
@@ -448,33 +457,6 @@ def check_dual_faces(lattice: FaceLattice, dual_masks: Sequence[int], n: int) ->
             raise InternalInvariantError(
                 f"dual face of {F} does not strictly contain that of its upper cover "
                 f"{faces[covers[0]]}, so its rank {n - dim} is not certified")
-
-
-def face_cone_data(F: Face, gram: IntMatrix,
-                   cover: tuple[FaceConeData, int] | None = None) -> FaceConeData:
-    """The per-face data of F, with its span basis, det G and adj G of its
-    Gram matrix G = A_F^T A_F read off the Gram table ``gram``
-    (``bordered_gram_basis``): the bordered pass resumed from ``cover`` =
-    (E's face data, p) for a lower cover E of F whose span ids all lie below
-    p = min(F - E), one bordering step by p, and the full walk over F's
-    vertices without one.  Each bordering step checks what carries the
-    certificate G adj(G) = det G * I, det G > 0 from its state to the next
-    (the block identity is in ``bordered_gram_basis``), so no k x k product
-    is formed here.  The certificate makes every ray off span(F),
-    c g - A_F adj(G) A_F^T g, orthogonal to span(F), and with it the
-    identities of the cross-check.  The span ids are also kept as the
-    bitmask s_F, which ``ConeSystem.cover_orientations`` reads.  Only the
-    Gram table is read here, no generator of the cone.  ``ConeSystem``
-    calls it for the faces that are not simplices, and its ``face_data``
-    for a simplex face, the full walk, whose span ids are F's vertices."""
-    if cover is None:
-        span_ids, gram_det, gram_adj = bordered_gram_basis(F, gram)
-    else:
-        data_E, p = cover
-        span_ids, gram_det, gram_adj = bordered_gram_basis(
-            F, gram, (p,), (data_E.span_ids, data_E.gram_det, data_E.gram_adj))
-    return FaceConeData(span_ids=span_ids, span_mask=sum(1 << a for a in span_ids),
-                        gram_det=gram_det, gram_adj=gram_adj)
 
 
 def adjugate_column(span_F: int, span_E: int) -> int | None:
@@ -585,11 +567,11 @@ def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: Face
 
     The other checks hold by certificates made once: w is orthogonal to
     span(E) because G adj(G) = det G * I (carried by the checked bordering
-    steps of ``bordered_gram_basis``), so <w, a_j> = c T[g][a_j] - (G x)_j
+    steps of ``face_cone_data``), so <w, a_j> = c T[g][a_j] - (G x)_j
     = 0; and w lies
     in the circledast cone of E because <w, y> = c S[g][y] for y in E's
     dual face, where every vertex of E vanishes, and S >= 0
-    (``check_slack``, once per run).
+    (``vertex_facet_masks``, once per run).
     Membership of the ray in span(F) is an identity, not a check: w is an
     integer combination of g and the columns of A_E, all lifted vertices of
     F.  The barycenter cross-check (``edge_ray_crosscheck``) would reject
@@ -781,17 +763,17 @@ class ConeSystem:
     that need it, indexed by face id, read by the covering pairs.  The Gram
     and slack tables of the lifted vertices (``gram``, ``slack``) and each
     face's dual-face bitmask (``dual_masks``, the AND of its vertices'
-    ``vertex_facet_masks``) are built first; S >= 0 and the dual ranks
-    (``check_dual_faces``) are checked then.
+    ``vertex_facet_masks``, whose pass checks S >= 0) are built first, and
+    the dual ranks (``check_dual_faces``) are checked then.
 
     A simplex face, |F| = dim F + 1, takes no data of its own: its span
     ids are its vertex ids and its span mask its vertex mask, which
-    ``span_masks`` holds for every face, so tau spreads over it and
-    ``_tau`` reads it with no arithmetic, and every pair into it is read
-    with none (``cover_orientations``).  The data of every other face is
+    ``span_masks`` holds for every face, so tau spreads over it, a bridge
+    (below) reads its vertex ids as its span ids, and every pair into it
+    is read with no arithmetic (``cover_orientations``).  The data of every other face is
     built once, in face-id order.  It grows from the data of a lower cover
     E, its resume cover, when E's span ids all lie below p = min(F - E)
-    (see ``bordered_gram_basis``): the first such cover in ``down`` order
+    (see ``face_cone_data``): the first such cover in ``down`` order
     that carries data and whose vertex set F's strictly holds.  Lower
     covers have lower ids, so E's data is already built (a cover with a
     higher id, which only a hand-built lattice can list, has none yet and
@@ -819,18 +801,26 @@ class ConeSystem:
         (``adjugate_column``), so tau_E = (-1)^r * dual_sign * tau_F, and
         tau_F = (-1)^r * dual_sign * tau_E;
       * the dual-simple face E of highest id that the spread has not
-        reached takes tau_E from its definition, sign det([A_E | Y_E]^T A_P),
-        by one n x n determinant (``_tau``), and the spread goes on from E.
+        reached, a bridge, takes tau over an upper cover H one dimension
+        up that carries it, the first in ``up`` order: every upper cover
+        of E has a higher id, so on a lattice of P each carries tau, and H
+        is ``up[E][0]``; a lattice where none does is an error naming E.
+        H is dual-simple, and the spread did not go from H to E, so the
+        pair (E, H) has m > 0, and the general route gives its sign
+        sigma = sign det C (``edge_ray``), one m x m determinant off H's
+        certified adjugate (``_general_sign``).  With sigma = dual_sign *
+        tau_E * tau_H (``dual_sign``), tau_E = sigma * dual_sign * tau_H,
+        and the spread goes on from E.
 
-    Every face's tau is set once, by one of those three, and no face but
-    an unreached one takes an n x n determinant: none on the 5-cube or the
-    5-cross-polytope, one on the prism over the 4-cross-polytope, three on
-    the acceptance corpus.  No ray is made.  The spread carries a root's
-    tau, +1 or its determinant, along pairs whose sigma the certified
-    adjugate fixes, and ``cover_orientations`` checks every pair with
-    m = 0 between two dual-simple faces against the formula, the pairs
-    the spread went along included.  Nothing is assigned after
-    ``__init__``.
+    Every face's tau is set once, by one of those three, from one root,
+    P, by one rule, the signs of covering pairs.  No face takes an n x n
+    determinant, and only a bridge takes one, m x m: none on the 5-cube
+    or the 5-cross-polytope, one on the prism over the 4-cross-polytope,
+    three on the acceptance corpus.  No ray is made.  The spread carries
+    tau along pairs whose sigma the certified adjugate fixes, and
+    ``cover_orientations`` checks every pair with m = 0 between two
+    dual-simple faces against the formula, the pairs the spread went
+    along included.  Nothing is assigned after ``__init__``.
     """
 
     def __init__(self, cone: LiftedCone, lattice: FaceLattice):
@@ -838,7 +828,6 @@ class ConeSystem:
         self.lattice = lattice
         self.gram = gram_table(cone)
         self.slack = slack_table(cone)
-        check_slack(self.slack)
         vertex_masks = vertex_facet_masks(self.slack)
         every = (1 << len(cone.facet_normals)) - 1
         faces, n = lattice.faces_by_id, cone.dim
@@ -886,7 +875,7 @@ class ConeSystem:
         for root in range(top, -1, -1):
             if taus[root] is not None:
                 continue
-            taus[root] = 1 if root == top else self._tau(root)
+            taus[root] = 1 if root == top else self._bridge(root, taus)
             stack = [root]
             while stack:
                 f = stack.pop()
@@ -900,26 +889,25 @@ class ConeSystem:
                             stack.append(g)
         return tuple(taus)
 
-    def _tau(self, f: int) -> int:
-        """tau_F by its definition, sign det([A_F | Y_F]^T A_P) (``dual_sign``),
-        one n x n ``bareiss_det`` on the tables: the entries are
-        <a, b> = T[a][b] and <y_k, b> = S[b][k], for a in F's span ids, k in
-        F's dual mask and b in the top's span ids.  [A_F | Y_F] and A_P are
-        nonsingular (``dual_sign``), so a zero determinant is an error
-        naming F."""
-        gram, slack, top = self.gram, self.slack, self._span_ids(-1)
-        rows = [[gram[a][b] for b in top] for a in self._span_ids(f)]
-        rows += [[slack[b][k] for b in top] for k in set_bits(self.dual_masks[f])]
-        det = bareiss_det(rows)
-        if det == 0:
-            raise InternalInvariantError(
-                f"dual base [A_F | Y_F] of {self.lattice.faces_by_id[f]} is singular")
-        return 1 if det > 0 else -1
+    def _bridge(self, e: int, taus: Sequence[int | None]) -> int:
+        """tau_E of a face E the spread does not reach, over its first upper
+        cover H one dimension up that carries tau (see the class)."""
+        faces, dual = self.lattice.faces_by_id, self.dual_masks
+        dim = faces[e].dim + 1
+        h = next((h for h in self.lattice.up[e] if faces[h].dim == dim and taus[h]), None)
+        if h is None:
+            raise InternalInvariantError(f"no upper cover of {faces[e]} carries tau")
+        return self._general_sign(e, h) * dual_sign(self.cone.dim, dual[h], dual[e]) * taus[h]
 
-    def _span_ids(self, f: int) -> tuple[int, ...]:
-        """F's span ids: a simplex face's are its vertex ids."""
-        data = self._face_data[f]
-        return self.lattice.faces_by_id[f].vertex_set if data is None else data.span_ids
+    def _general_sign(self, e: int, f: int) -> int:
+        """sigma of the covering pair (E, F) by the general route, sign det C
+        for [g | A_E] = A_F C, off F's data and E's span ids, a simplex E's
+        vertex ids (``edge_ray``)."""
+        L, data_E, data_F = self.lattice, self._face_data[e], self.face_data(f)
+        E, F = L.faces_by_id[e], L.faces_by_id[f]
+        a_ids = E.vertex_set if data_E is None else data_E.span_ids
+        g = _vertex_outside(E, F, a_ids, data_F.span_ids, L.vertex_masks[e])
+        return _coordinate_sign(E, F, g, a_ids, data_F, self.gram)
 
     def cover_orientations(self, f: int) -> list[int]:
         """The orientation sigma of every covering pair (E, F) of face f, one
@@ -951,7 +939,7 @@ class ConeSystem:
         ``adjugate_pair_fault`` has passed).  y vanishes on E's span ids,
         so <y, v> = det G_E * S[g][y].  Every vertex u of F is
         e_u + t_u v with e_u in span(E), so S[u][y] = t_u <y, v>.  S >= 0
-        (``check_slack``), and y is not in dual_F, so S[u][y] > 0 at some u:
+        (``vertex_facet_masks``), and y is not in dual_F, so S[u][y] > 0 at some u:
         hence <y, v> > 0, every t_u >= 0 and some t_u > 0.  The barycenter
         vector is then w' = det G_E * (sum of the t_u) * v, a positive
         multiple of the ray.  For m = 0, with b_F the sum of F's lifted
@@ -989,7 +977,7 @@ class ConeSystem:
         pair reads only E's span ids, a simplex E's vertex ids."""
         faces, spans, taus, dual = self._face_data, self.span_masks, self.taus, self.dual_masks
         L, n = self.lattice, self.cone.dim
-        F, data_F = L.faces_by_id[f], faces[f]  # None: F is a simplex
+        data_F = faces[f]  # None: F is a simplex
         span_F, dual_F, tau_F = spans[f], dual[f], taus[f]
         signs = []
         for e in L.down[f]:
@@ -1009,9 +997,7 @@ class ConeSystem:
             elif tau:
                 signs.append(dual_sign(n, dual_F, dual[e]) * tau)
             else:
-                E, a_ids, data = L.faces_by_id[e], self._span_ids(e), self.face_data(f)
-                g = _vertex_outside(E, F, a_ids, data.span_ids, L.vertex_masks[e])
-                signs.append(_coordinate_sign(E, F, g, a_ids, data, self.gram))
+                signs.append(self._general_sign(e, f))
         return signs
 
     def _pair_error(self, e: int, f: int, why: str) -> InternalInvariantError:

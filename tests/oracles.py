@@ -119,8 +119,9 @@ The dual-base oracle is the determinant the cone batch took for tau_F,
 the sign of [A_F | Y_F] of a dual-simple face, before it fixed every tau
 once from the top face down: ``dual_base_sign``, one n x n Bareiss
 determinant on the Gram and slack tables against the top face's basis.
-The library takes the same determinant only at a face that the spread
-from the top does not reach, as that face's tau (``ConeSystem._tau``).
+The library takes no such determinant: a face that the spread from the
+top does not reach takes tau over an upper cover, from that pair's sign
+by the general route (``ConeSystem._bridge``).
 
 The dual-rank oracle is the count the library made per face before it
 certified dual ranks once per run by the growth of the dual-face masks
@@ -687,7 +688,7 @@ def span_gram(gram, ids) -> IntMatrix:
 def gram_certificate_holds(gram, data: FaceConeData) -> bool:
     """G adj(G) = det G * I with det G > 0 for a face's data, G read off the
     Gram table: k^2 dot products of length k, the per-face check that the
-    checked bordering steps of ``bordered_gram_basis`` replace."""
+    checked bordering steps of ``polyk.cones.face_cone_data`` replace."""
     k = len(data.span_ids)
     G = span_gram(gram, data.span_ids)
     return data.gram_det > 0 and all(

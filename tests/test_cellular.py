@@ -119,16 +119,16 @@ def test_one_span_basis_per_face_per_run(monkeypatch):
     # pass, resumed from a lower cover's or walked in full.  On the 3-cube
     # those are the faces that are not simplices, the six squares and the
     # top; a simplex face's span ids are its vertex ids, with no pass
-    real = cones.bordered_gram_basis
+    real = cones.face_cone_data
     calls = []
 
-    def counting(F, gram, *resume):
+    def counting(F, gram, cover=None):
         calls.append(F)
-        return real(F, gram, *resume)
+        return real(F, gram, cover)
 
     for module in (cones, cellular):
-        if hasattr(module, "bordered_gram_basis"):
-            monkeypatch.setattr(module, "bordered_gram_basis", counting)
+        if hasattr(module, "face_cone_data"):
+            monkeypatch.setattr(module, "face_cone_data", counting)
     result = run_pipeline(hypercube(3))
     assert calls == [f for f in result.lattice.faces_by_id if len(f.vertex_set) > f.dim + 1]
     assert len(calls) == 7
@@ -229,7 +229,7 @@ def test_per_face_work_once_per_run(monkeypatch):
     # echelon or Gram pass runs inside a pair, a pair of the general route
     # takes one sign minor (_coordinate_sign) and no edge ray, the dual
     # route takes no determinant (tau spreads from the top face here, and
-    # no face takes its determinant), the incidence sign none, and no
+    # no face is bridged), the incidence sign none, and no
     # cofactor kernel is solved while the complex is built
     poly = pyramid_prism()
     active = []  # the wrapped per-pair functions now running
@@ -244,7 +244,7 @@ def test_per_face_work_once_per_run(monkeypatch):
         return wrapped
 
     echelons, grams, dets, kernels, tables = [], [], [], [], []
-    real_gram, real_det = cones.bordered_gram_basis, linalg.bareiss_det
+    real_gram, real_det = cones.face_cone_data, linalg.bareiss_det
     real_kernel = linalg.cofactor_kernel_vector
 
     class CountingEchelon(cones.IntEchelon):
@@ -252,9 +252,9 @@ def test_per_face_work_once_per_run(monkeypatch):
             echelons.append((sys._getframe(1).f_code.co_name, tuple(active)))
             super().__init__(vectors)
 
-    def counting_gram(f, gram, *resume):
+    def counting_gram(f, gram, cover=None):
         grams.append((f, tuple(active)))
-        return real_gram(f, gram, *resume)
+        return real_gram(f, gram, cover)
 
     def counting_det(rows):
         dets.append(tuple(active))
@@ -280,7 +280,7 @@ def test_per_face_work_once_per_run(monkeypatch):
         monkeypatch.setattr(cones, name, counting_table(name, getattr(cones, name)))
     for module in (linalg, cones):
         monkeypatch.setattr(module, "IntEchelon", CountingEchelon)
-    monkeypatch.setattr(cones, "bordered_gram_basis", counting_gram)
+    monkeypatch.setattr(cones, "face_cone_data", counting_gram)
     for module in (linalg, cones, cellular):
         if getattr(module, "bareiss_det", None) is real_det:
             monkeypatch.setattr(module, "bareiss_det", counting_det)

@@ -17,7 +17,15 @@ from hypothesis import strategies as st
 
 import polyk.cones as cones
 from polyk.cellular import build_complex, trivialize
-from polyk.cones import ConeSystem, bordered_gram_basis, dual_cone, edge_ray, gram_table, lift
+from polyk.cones import (
+    ConeSystem,
+    FaceConeData,
+    dual_cone,
+    edge_ray,
+    face_cone_data,
+    gram_table,
+    lift,
+)
 from polyk.corpus import (
     acceptance_corpus,
     cross_polytope,
@@ -550,7 +558,8 @@ def test_gram_adjugate_matches_bareiss_and_cramer(data):
     table = [[int_dot(u, v) for v in cols] for u in cols]
     chosen, echelon = first_independent(cols, len(cols))
     face = Face(vertex_set=tuple(range(len(cols))), dim=echelon.rank - 1)
-    ids, det, adj = bordered_gram_basis(face, table)
+    data = face_cone_data(face, table)
+    ids, det, adj = data.span_ids, data.gram_det, data.gram_adj
     assert list(ids) == chosen
     gram = [[table[a][b] for b in ids] for a in ids]
     assert (det, adj) == gram_adjugate(face, gram)
@@ -571,7 +580,7 @@ def test_gram_adjugate_rejects_non_positive_definite(gram, order, minor):
     # so two dependent vertices leave a 1-face one short of its span
     face = Face(vertex_set=(0, 1), dim=1)
     with pytest.raises(InternalInvariantError) as err:
-        bordered_gram_basis(face, gram)
+        face_cone_data(face, gram)
     assert str(err.value) == (
         f"face {face}: span has 1 independent lifted vertices, expected 2" if minor == 0 else
         f"Gram determinant of the span of {face} is not positive: "
@@ -672,30 +681,28 @@ def test_resumed_pass_is_the_full_walk(resume_lattices, monkeypatch):
     # that is not a simplex, so a face whose lower covers are all simplices
     # (a square, or the top of a simplicial polytope) walks in full: 370 do,
     # and 294 resume
-    real = cones.bordered_gram_basis
+    real = cones.face_cone_data
     calls = []
 
-    def recording(F, gram, *resume):
-        calls.append((F, resume))
-        return real(F, gram, *resume)
+    def recording(F, gram, cover=None):
+        calls.append((F, cover))
+        return real(F, gram, cover)
 
-    monkeypatch.setattr(cones, "bordered_gram_basis", recording)
+    monkeypatch.setattr(cones, "face_cone_data", recording)
     resumed = full = 0
     for poly, lat in resume_lattices:
         system = ConeSystem(lift(poly), lat)
         built = [f for f, _ in calls]
         assert built == [f for f in lat.faces_by_id if len(f.vertex_set) > f.dim + 1], poly.name
-        for f, resume in calls:
-            if resume:
-                walk, (ids, _, _) = resume
-                assert len(walk) == 1 and len(ids) == f.dim, (poly.name, f)
+        for f, cover in calls:
+            if cover:
+                data_e, p = cover
+                assert p in f.vertex_set and len(data_e.span_ids) == f.dim, (poly.name, f)
                 resumed += 1
             else:
                 full += 1
         for i, f in enumerate(lat.faces_by_id):
-            data = system.face_data(i)
-            assert (data.span_ids, data.gram_det, data.gram_adj) == real(f, system.gram), \
-                (poly.name, f)
+            assert system.face_data(i) == real(f, system.gram), (poly.name, f)
         calls.clear()
     assert (resumed, full) == (294, 370)
 
@@ -829,29 +836,39 @@ def test_simplex_pairs_are_the_simplicial_boundary(simplex_route_systems):
 ], ids=["cube5", "cross5", "prism_cross4"])
 def test_dual_route_counts(poly, counts, monkeypatch):
     # neither the system nor the batch makes a ray: a face tau cannot
-    # spread to from the top takes one determinant, and a general pair
-    # takes its sign off F's adjugate
-    made, dets = [], []
-    real_ray, real_tau = cones.edge_ray, ConeSystem._tau
+    # spread to from the top takes tau over an upper cover, by that pair's
+    # sign off the cover's adjugate, one _coordinate_sign call and its one
+    # determinant in the constructor, which takes no other determinant;
+    # a general pair takes its sign off F's adjugate the same way
+    made, signs, dets = [], [], []
+    real_ray, real_sign, real_det = cones.edge_ray, cones._coordinate_sign, cones.bareiss_det
 
     def ray(*args, **kwargs):
         made.append(args)
         return real_ray(*args, **kwargs)
 
-    def tau(self, f):
-        dets.append(f)
-        return real_tau(self, f)
+    def sign(E, F, *args):
+        signs.append((E, F))
+        return real_sign(E, F, *args)
+
+    def det(rows):
+        dets.append(signs[-1] if signs else None)
+        return real_det(rows)
 
     monkeypatch.setattr(cones, "edge_ray", ray)
-    monkeypatch.setattr(ConeSystem, "_tau", tau)
+    monkeypatch.setattr(cones, "_coordinate_sign", sign)
+    monkeypatch.setattr(cones, "bareiss_det", det)
     lat = face_lattice(poly)
     system = ConeSystem(lift(poly), lat)
+    bridges = len(signs)
     assert made == []
+    assert dets == signs
     for f in range(len(lat.faces_by_id)):
         system.cover_orientations(f)
     routes = Counter(pair_route(system, e, f) for f, lower in enumerate(lat.down) for e in lower)
     assert made == []
-    assert {"dual": routes["dual"], "general": routes["general"], "tau_dets": len(dets)} == counts
+    assert len(signs) == len(dets) == bridges + routes["general"]
+    assert {"dual": routes["dual"], "general": routes["general"], "tau_dets": bridges} == counts
 
 
 @pytest.fixture(scope="module")
@@ -1000,17 +1017,18 @@ def test_m_zero_dual_masks_imply_the_barycenter_test(monkeypatch):
     # normal y of dual_E outside dual_F gives z_F[r] = |v|^2 sum t_u > 0.
     # On every such pair of these inputs dual_F lies inside dual_E, the
     # batch's mask test holds and the vertex-sum oracle's z_F[r] is
-    # positive.  The faces tau cannot spread to from the top take one
-    # determinant each: three on the corpus (random11_d4, random14_d4 and
-    # random16_d3), one on the prism over the 4-cross-polytope
+    # positive.  The faces tau cannot spread to from the top take it over
+    # an upper cover, by one _coordinate_sign call each in the constructor:
+    # three on the corpus (random11_d4, random14_d4 and random16_d3), one
+    # on the prism over the 4-cross-polytope
     dets = []
-    real_tau = ConeSystem._tau
+    real_sign = cones._coordinate_sign
 
-    def tau(self, f):
-        dets.append(f)
-        return real_tau(self, f)
+    def sign(E, F, *args):
+        dets.append((E, F))
+        return real_sign(E, F, *args)
 
-    monkeypatch.setattr(ConeSystem, "_tau", tau)
+    monkeypatch.setattr(cones, "_coordinate_sign", sign)
     groups = [("corpus", P) for P in acceptance_corpus()] + [
         (P.name, P) for P in (hypercube(5), cross_polytope(5), prism_over_cross(4),
                               pyramid_prism())]
@@ -1067,28 +1085,72 @@ def test_singular_dual_base_names_face():
     assert str(err.value) == f"dual base [A_F | Y_F] of {by_set[(1, 3)]} is singular"
 
 
+def bridges_of(poly, monkeypatch):
+    """The lattice and cone of ``poly`` with the pairs (E, H) over which the
+    cone system bridged tau, read off its _coordinate_sign calls, the only
+    ones its constructor makes."""
+    lat, cone, bridges = face_lattice(poly), lift(poly), []
+    real_sign = cones._coordinate_sign
+
+    def sign(E, F, *args):
+        bridges.append((E, F))
+        return real_sign(E, F, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cones, "_coordinate_sign", sign)
+        ConeSystem(cone, lat)
+    return lat, cone, bridges
+
+
 def test_singular_tau_determinant_names_face(monkeypatch):
     # the one face of the prism over the 4-cross-polytope that tau cannot
-    # spread to from the top takes tau from its determinant; a zero one
-    # there (bareiss_det patched, as no table of a polytope gives it) is an
-    # error naming that face, in the oracle's words
+    # spread to from the top takes tau over its first upper cover, a facet
+    # under P, by the general route's sign of that pair; a zero
+    # determinant there (bareiss_det patched, as no table of a polytope
+    # gives it) is an error naming the pair, in the general route's words
     poly = prism_over_cross(4)
-    lat = face_lattice(poly)
-    cone = lift(poly)
-    roots = []
-    real_tau = ConeSystem._tau
-
-    def tau(self, f):
-        roots.append(f)
-        return real_tau(self, f)
-
-    monkeypatch.setattr(ConeSystem, "_tau", tau)
-    ConeSystem(cone, lat)
-    assert len(roots) == 1
+    lat, cone, bridges = bridges_of(poly, monkeypatch)
+    assert len(bridges) == 1
+    (E, H), = bridges
+    assert lat.face_id[H] == lat.up[lat.face_id[E]][0] and H == lat.top_face
     monkeypatch.setattr(cones, "bareiss_det", lambda rows: 0)
     with pytest.raises(InternalInvariantError) as err:
         ConeSystem(cone, lat)
-    assert str(err.value) == f"dual base [A_F | Y_F] of {lat.faces_by_id[roots[0]]} is singular"
+    assert str(err.value) == f"incidence sign of ({E}, {H}) is zero"
+
+
+class PatchedUp:
+    """``lattice`` with its ``up`` replaced."""
+
+    def __init__(self, lattice, up):
+        self.lattice, self.up = lattice, up
+
+    def __getattr__(self, name):
+        return getattr(self.lattice, name)
+
+
+@pytest.mark.parametrize("fault", ["no_cover_one_up", "no_cover_with_tau"])
+def test_bridge_without_an_upper_cover_carrying_tau_names_face(fault, monkeypatch):
+    # a bridge takes tau over an upper cover one dimension up that already
+    # carries it; on a lattice of P every upper cover does, so only a
+    # patched lattice can lack one: E's upper covers replaced by its lower
+    # covers (none one dimension up), or tau not yet set at E's covers.
+    # Either is an error naming E, not a failure on a missing tau
+    poly = prism_over_cross(4)
+    lat, cone, ((E, _),) = bridges_of(poly, monkeypatch)
+    system = ConeSystem(cone, lat)
+    e, taus = lat.face_id[E], list(system.taus)
+    if fault == "no_cover_one_up":
+        up = list(lat.up)
+        up[e] = lat.down[e]
+        assert all(taus[d] for d in up[e])
+        monkeypatch.setattr(system, "lattice", PatchedUp(lat, tuple(up)))
+    else:
+        for h in lat.up[e]:
+            taus[h] = None
+    with pytest.raises(InternalInvariantError) as err:
+        system._bridge(e, taus)
+    assert str(err.value) == f"no upper cover of {E} carries tau"
 
 
 @pytest.mark.parametrize("fault", ["dual", "cofactor"])
@@ -1137,26 +1199,31 @@ def test_m_zero_faults_fail_the_batch_not_the_per_pair_api(fault, monkeypatch):
 
 
 def test_bordering_step_rejects_inexact_division():
-    # a hand-built start state (S, D, adj G_S) = ((0, 1), 3, adj) for the
-    # Gram table T below, with adj's row 0 moved by (1, -1): b = T[S][2] =
-    # (1, 1) keeps y = adj b = (1, 1), so G_S y = D b holds, but
-    # (D' adj + y y^T) / D with D' = 1 is 4/3 at (0, 0); a row 0 moved by
-    # (-1, 0) makes y = (0, 1) and G_S y = (1, 2) != D b, with D' = 2 > 0.
-    # Each is an error naming the face and the vertex bordered
+    # a hand-built cover state (S, D, adj G_S) = ((0, 1), 3, adj) for the
+    # Gram table T below, resumed by vertex 2, with adj's row 0 moved by
+    # (1, -1): b = T[S][2] = (1, 1) keeps y = adj b = (1, 1), so
+    # G_S y = D b holds, but (D' adj + y y^T) / D with D' = 1 is 4/3 at
+    # (0, 0); a row 0 moved by (-1, 0) makes y = (0, 1) and
+    # G_S y = (1, 2) != D b, with D' = 2 > 0.  Each is an error naming the
+    # face and the vertex bordered
     table = ((2, 1, 1), (1, 2, 1), (1, 1, 1))
     F = Face(vertex_set=(0, 1, 2), dim=2)
-    good = ((2, -1), (-1, 2))
-    ids, det, adj = bordered_gram_basis(F, table, (2,), ((0, 1), 3, good))
+
+    def cover(adj):
+        return FaceConeData(span_ids=(0, 1), span_mask=0b11, gram_det=3, gram_adj=adj), 2
+
+    data = face_cone_data(F, table, cover(((2, -1), (-1, 2))))
+    ids, det, adj = data.span_ids, data.gram_det, data.gram_adj
     assert (ids, det) == ((0, 1, 2), 1)
     assert all(sum(table[a][c] * adj[c][j] for c in range(3)) == det * (a == j)
                for a in range(3) for j in range(3))
     with pytest.raises(InternalInvariantError) as err:
-        bordered_gram_basis(F, table, (2,), ((0, 1), 3, ((3, -2), (-1, 2))))
+        face_cone_data(F, table, cover(((3, -2), (-1, 2))))
     assert str(err.value) == (
         f"Gram adjugate of the span of {F} fails the certificate G adj(G) = det G * I, "
         "det G > 0: bordering by vertex 2, (D' adj G_S + y y^T) / D is not exact (D = 3)")
     with pytest.raises(InternalInvariantError) as err:
-        bordered_gram_basis(F, table, (2,), ((0, 1), 3, ((1, -1), (-1, 2))))
+        face_cone_data(F, table, cover(((1, -1), (-1, 2))))
     assert str(err.value) == (
         f"Gram adjugate of the span of {F} fails the certificate G adj(G) = det G * I, "
         "det G > 0: bordering by vertex 2, G_S y != D b at vertex 0 (D = 3)")

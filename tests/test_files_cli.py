@@ -396,6 +396,17 @@ def test_cli_corpus_json(tmp_path, capsys):
     assert doc["files"]["b.json"]["status"] == "input-error"
 
 
+def test_cli_corpus_json_carries_each_files_report(capsys):
+    # corpus --json holds, per file, the document report --json prints
+    # with no section flag: both take the default sections from one place
+    assert main(["corpus", str(POLYTOPES), "--json"]) == 0
+    files = json.loads(capsys.readouterr().out)["files"]
+    assert sorted(files) == sorted(path.name for path in POLYTOPES.glob("*.json"))
+    for name, entry in files.items():
+        assert main(["report", str(POLYTOPES / name), "--json"]) == 0
+        assert entry == {"status": "ok", "report": json.loads(capsys.readouterr().out)}, name
+
+
 OVERSIZED = {
     # a vertices array nested 100,000 deep, past the JSON parser's recursion
     "deep.json": ('{"name": "deep", "dim": 1, "vertices": ' + "[" * 100_000 + "]" * 100_000 + "}",
