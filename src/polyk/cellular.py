@@ -73,7 +73,7 @@ neither end goes to the dense Smith normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .cones import ConeSystem
 from .errors import InternalInvariantError
@@ -82,8 +82,7 @@ from .polytope import Face, FaceLattice, face_label
 from .sparse import SparseColumn, acyclic_matching, dense_matrix
 
 
-@dataclass(frozen=True)
-class Trivialization:
+class Trivialization(NamedTuple):
     """The orientation of every face: the span basis A_F of its face data,
     with the last column negated for the ids in ``flipped``, which number
     the faces of the one lattice given to ``trivialize``.  A flip reverses
@@ -199,13 +198,13 @@ def boundary_squared_entry(lower: Sequence[SparseColumn],
     return first
 
 
-@dataclass(frozen=True)
 class CheckedComplex(ChainComplex):
     """A ``ChainComplex`` whose constructor also checks D_{j-1} D_j = 0 for
     every j on the sparse columns (``boundary_squared_entry``), naming the
     faces of the first nonzero entry of the product.  ``build_complex``
     returns one, and ``homology_pair`` does not check it again.  No instance
-    is made without the check: it runs in ``__post_init__``, on
+    is made without the check: ``ChainComplex``'s generated ``__init__``,
+    which this class inherits, calls the ``__post_init__`` below, on
     ``dataclasses.replace`` too, and nothing lets a caller skip it.  The
     sparse columns are dicts; they must not be changed after the complex is
     made."""
@@ -288,8 +287,7 @@ ZERO_GROUP = AbelianGroup()
 Z = AbelianGroup(free_rank=1)
 
 
-@dataclass(frozen=True)
-class HomologyResult:
+class HomologyResult(NamedTuple):
     """The integral homology group of each degree.
 
     ``groups`` runs from ``min_degree`` (-1 for the augmented complex, 0 for

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 from operator import or_
-from typing import Hashable
+from typing import Hashable, NamedTuple
 
 from .cellular import ChainComplex
 from .errors import InternalInvariantError
@@ -34,8 +34,7 @@ from .sparse import dense_matrix
 Element = Hashable
 
 
-@dataclass(frozen=True)
-class UnsignedIncidence:
+class UnsignedIncidence(NamedTuple):
     """Entrywise absolute values of the boundary matrices."""
 
     matrices: tuple[IntMatrix, ...]
@@ -170,8 +169,7 @@ def _verify_meets(lat: AbstractLattice) -> None:
                         "is not unique: poset is not a lattice")
 
 
-@dataclass(frozen=True)
-class LatticeIso:
+class LatticeIso(NamedTuple):
     """A verified rank-preserving bijection, or a non-isomorphism certificate."""
 
     isomorphic: bool

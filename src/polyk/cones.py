@@ -91,7 +91,6 @@ carries it, from that pair's sign by the general route (``ConeSystem``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from math import gcd
@@ -114,8 +113,7 @@ from .linalg import (
 from .polytope import Face, FaceLattice, Polytope, integer_grid, set_bits
 
 
-@dataclass(frozen=True)
-class LiftedCone:
+class LiftedCone(NamedTuple):
     """The cone over 1 x P: pointed, solid, with explicit dual generators."""
 
     dim: int  # n = ambient polytope dimension + 1
@@ -123,8 +121,7 @@ class LiftedCone:
     facet_normals: tuple[IntVector, ...]  # primitive generators of the dual cone
 
 
-@dataclass(frozen=True)
-class FaceConeData:
+class FaceConeData(NamedTuple):
     """Per-face data inside the lifted cone, all the covering pairs read of
     the face (see the module docstring): its span basis and the
     determinant and adjugate of its Gram matrix, as vertex ids and
@@ -144,9 +141,8 @@ class EdgeRay(NamedTuple):
     (see ``edge_ray``), with its orientation sign det([e | A_E]^T A_F): the
     incidence sign [E : F] of the unflipped span bases.  Its primitive
     generator e, ``direction``, is made from the cone's generators when it
-    is read; the report never reads it.  A named tuple, immutable like the
-    frozen dataclasses elsewhere, made in a third of a frozen dataclass's
-    time.  The batch makes none: it is the per-pair oracle's."""
+    is read; the report never reads it.  The batch makes none: it is the
+    per-pair oracle's."""
 
     pair: tuple[Face, Face]
     g: int  # vertex id of the lifted vertex projected

@@ -17,9 +17,9 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import InputError
 from .linalg import Vector
@@ -28,8 +28,7 @@ from .polytope import Polytope, validate
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")  # ASCII digits, the whole string
 
 
-@dataclass(frozen=True)
-class PolytopeFile:
+class PolytopeFile(NamedTuple):
     name: str
     dim: int
     vertices: tuple[Vector, ...]

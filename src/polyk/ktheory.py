@@ -19,8 +19,7 @@ reported verbatim as a falsification of the expected result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 # the group type lives with HomologyResult; Z is imported to be re-exported
 from .cellular import ZERO_GROUP, AbelianGroup, ChainComplex, HomologyResult, Z, homology_pair  # noqa: F401
@@ -51,8 +50,7 @@ def direct_sum(groups: Sequence[AbelianGroup]) -> AbelianGroup:
     return group_from_factors(free, factors)
 
 
-@dataclass(frozen=True)
-class E1Page:
+class E1Page(NamedTuple):
     """First page of the filtration spectral sequence.
 
     Entries live at (p, q) for p = 1, ..., dim + 2: rank f_{p-2} in odd rows
@@ -78,8 +76,7 @@ def e1_page(X: ChainComplex) -> E1Page:
     return E1Page(dim=X.dim, f_vector=X.f_vector)
 
 
-@dataclass(frozen=True)
-class KReport:
+class KReport(NamedTuple):
     """K-theoretic conclusions for one complex, fully exact.
 
     ``k_algebra`` holds (K_0, K_1) of the Wiener-Hopf algebra of the lifted

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InternalInvariantError
 
@@ -412,8 +412,7 @@ def cofactor_kernel_vector(rows: Sequence[Sequence[int]], n: int) -> IntVector |
 # Smith normal form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(NamedTuple):
     """U @ M @ V = D with U, V unimodular and D = diag(invariant factors)."""
 
     U: IntMatrix

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cellular import ChainComplex, build_complex, trivialize
 from .cones import ConeSystem, lift
@@ -10,8 +10,7 @@ from .ktheory import E1Page, KReport, e1_page, k_report
 from .polytope import FaceLattice, Polytope, face_lattice
 
 
-@dataclass
-class PipelineResult:
+class PipelineResult(NamedTuple):
     """Everything one run computes, each value held once: the lifted cone is
     ``system.cone``, and the homology results are the report's."""
 

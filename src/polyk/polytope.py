@@ -44,7 +44,7 @@ from functools import cached_property, reduce
 from itertools import accumulate, chain
 from math import lcm
 from operator import and_, itemgetter
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InputError, InternalInvariantError
 from .linalg import (
@@ -59,17 +59,18 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class Polytope:
+class Polytope(NamedTuple):
     """A validated rational polytope in V-representation.
 
-    ``facets`` is the facet list ``validate`` computed; it is determined by
-    the vertices, so it takes no part in equality or hashing.
+    ``facets`` is the facet list ``validate`` computed.  It takes part in
+    equality and hashing, but adds nothing to either: ``validate`` and
+    ``convex_hull`` compute the facets from the vertices alone, so two
+    polytopes with equal vertices have equal facets.
     """
 
     ambient_dim: int
     vertices: tuple[Vector, ...]
-    facets: tuple[Facet, ...] = field(compare=False, repr=False)
+    facets: tuple[Facet, ...]
     name: str | None = None
 
     @property
@@ -82,8 +83,7 @@ def face_label(vertex_set: Sequence[int]) -> str:
     return "{" + ",".join(map(str, vertex_set)) + "}"
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     """A face identified by the sorted indices of the vertices it contains.
 
     The empty tuple is the unique face of dimension -1.
@@ -96,8 +96,7 @@ class Face:
         return face_label(self.vertex_set)
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(NamedTuple):
     """Supporting hyperplane <normal, x> <= offset, tight on vertex_set."""
 
     normal: IntVector

@@ -4,7 +4,6 @@ Cone membership for the bipolarity check is decided by an independent
 Caratheodory-style enumeration over generator subsets.
 """
 
-import dataclasses
 import random
 import sys
 from collections import Counter
@@ -460,7 +459,7 @@ def test_m_zero_pairs_take_no_dot_products(monkeypatch):
         return data
 
     monkeypatch.setattr(cones, "face_cone_data", recording_data)
-    system = ConeSystem(dataclasses.replace(cone, generators=Recording(cone.generators)), lat)
+    system = ConeSystem(cone._replace(generators=Recording(cone.generators)), lat)
     assert data_reads == [[]]
     for f in range(len(lat.faces_by_id)):
         system.face_data(f)
@@ -1182,7 +1181,7 @@ def test_m_zero_faults_fail_the_batch_not_the_per_pair_api(fault, monkeypatch):
 
         def corrupting(F, *args):
             data = real(F, *args)
-            return dataclasses.replace(data, gram_adj=tuple(map(tuple, adj))) \
+            return data._replace(gram_adj=tuple(map(tuple, adj))) \
                 if F == lat.top_face else data
 
         monkeypatch.setattr(cones, "face_cone_data", corrupting)
@@ -1236,7 +1235,7 @@ def test_dual_face_rank_names_face():
     lat, by_set = faces_of(poly)
     cone = lift(poly)
     dropped = cone.facet_normals[0]
-    broken = dataclasses.replace(cone, facet_normals=cone.facet_normals[1:])
+    broken = cone._replace(facet_normals=cone.facet_normals[1:])
     edge = next(f for f in lat.faces(1)
                 if all(dot(dropped, cone.generators[i]) == 0 for i in f.vertex_set))
     with pytest.raises(InternalInvariantError) as err:
@@ -1252,7 +1251,7 @@ def test_nonempty_dual_face_of_top_names_normals():
     poly = hypercube(2)
     lat, _ = faces_of(poly)
     cone = lift(poly)
-    broken = dataclasses.replace(cone, facet_normals=cone.facet_normals + ((0, 0, 0),))
+    broken = cone._replace(facet_normals=cone.facet_normals + ((0, 0, 0),))
     with pytest.raises(InternalInvariantError) as err:
         ConeSystem(broken, lat)
     assert str(err.value) == (
@@ -1265,7 +1264,7 @@ def test_top_of_wrong_dimension_names_face():
     # n - (dim P + 1) = 0 only in a cone of dimension dim P + 1
     poly = hypercube(2)
     lat, _ = faces_of(poly)
-    cone = dataclasses.replace(lift(poly), dim=4)
+    cone = lift(poly)._replace(dim=4)
     with pytest.raises(InternalInvariantError) as err:
         ConeSystem(cone, lat)
     assert str(err.value) == f"top face {lat.top_face} has dimension 2 in a cone of dimension 4"
@@ -1364,7 +1363,7 @@ def test_simplex_lower_cover_takes_the_reduced_cofactor_check(cofactor, monkeypa
             return data
         adj = [list(row) for row in data.gram_adj]
         adj[r][r] = cofactor
-        return dataclasses.replace(data, gram_adj=tuple(map(tuple, adj)))
+        return data._replace(gram_adj=tuple(map(tuple, adj)))
 
     monkeypatch.setattr(cones, "face_cone_data", corrupting)
     broken = ConeSystem(system.cone, lat)
@@ -1412,7 +1411,7 @@ def test_inherited_adjugate_fails_certificate_of_face(monkeypatch):
         if F.dim != 2 or corrupted:
             return data
         k = len(data.span_ids)
-        corrupted.append(dataclasses.replace(data, gram_adj=((0,) * k,) * k))
+        corrupted.append(data._replace(gram_adj=((0,) * k,) * k))
         return corrupted[0]
 
     monkeypatch.setattr(cones, "face_cone_data", corrupting)
@@ -1492,7 +1491,7 @@ def test_edge_ray_rejects_ray_not_orthogonal_to_e(monkeypatch):
 
     def corrupting(F, *args):
         data = real(F, *args)
-        return dataclasses.replace(data, gram_adj=corrupt(data.gram_adj, r, r, 1)) \
+        return data._replace(gram_adj=corrupt(data.gram_adj, r, r, 1)) \
             if F == f else data
 
     monkeypatch.setattr(cones, "face_cone_data", corrupting)
@@ -1501,7 +1500,7 @@ def test_edge_ray_rejects_ray_not_orthogonal_to_e(monkeypatch):
     assert str(err.value) == (
         f"edge-ray cross-check failed for ({e}, {f}): cofactor adj(G_F)[{r}][{r}] = "
         f"{data_e.gram_det + 1} is not det G_E = {data_e.gram_det} > 0")
-    bad = dataclasses.replace(data_e, gram_adj=corrupt(data_e.gram_adj, 0, 0, -1))
+    bad = data_e._replace(gram_adj=corrupt(data_e.gram_adj, 0, 0, -1))
     moved = edge_ray(system.cone, e, f, bad, data_f, gram=system.gram,
                      e_mask=lat.vertex_masks[i])
     assert moved.x != ray.x
@@ -1533,7 +1532,7 @@ def test_edge_ray_without_orientation_names_pair():
     g = system.ray(i, j).g
     gens = list(system.cone.generators)
     gens[g] = gens[system.face_data(i).span_ids[0]]
-    broken = dataclasses.replace(system.cone, generators=tuple(gens))
+    broken = system.cone._replace(generators=tuple(gens))
     with pytest.raises(InternalInvariantError) as err:
         edge_ray(broken, e, f, system.face_data(i), system.face_data(j),
                  gram=gram_table(broken), e_mask=lat.vertex_masks[i])
@@ -1543,7 +1542,7 @@ def test_edge_ray_without_orientation_names_pair():
     g = next(a for a in f.vertex_set if a not in e.vertex_set)
     gens = list(system.cone.generators)
     gens[g] = gens[e.vertex_set[0]]
-    broken = dataclasses.replace(system.cone, generators=tuple(gens))
+    broken = system.cone._replace(generators=tuple(gens))
     with pytest.raises(InternalInvariantError) as err:
         cones.face_cone_data(f, gram_table(broken))
     assert str(err.value) == f"face {f}: span has 1 independent lifted vertices, expected 2"
@@ -1559,7 +1558,7 @@ def test_edge_ray_zero_vector_names_pair():
     system = ConeSystem(lift(simplex(1)), lat)
     e, f = by_set[(0,)], by_set[(0, 1)]
     gens = system.cone.generators
-    broken = dataclasses.replace(system.cone, generators=(gens[0], gens[0]))
+    broken = system.cone._replace(generators=(gens[0], gens[0]))
     ray = edge_ray(broken, e, f, system.face_data(lat.face_id[e]),
                    system.face_data(lat.face_id[f]), gram=system.gram,
                    e_mask=lat.vertex_masks[lat.face_id[e]])

@@ -78,7 +78,7 @@ def test_validate_takes_its_rank_from_the_hull():
     members = acceptance_corpus()
     for P in members:
         Q = validate(P.vertices, P.name)
-        assert Q == P and Q.facets == P.facets
+        assert Q == P and Q.facets == P.facets and hash(Q) == hash(P)
     with pytest.raises(InputError) as err:
         validate([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
     assert str(err.value) == "hull not full-dimensional: affine dimension 2 < ambient 3"
