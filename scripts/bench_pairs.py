@@ -21,7 +21,8 @@ the side, when any run's output was wrong (``correct`` false) or any of its ops 
 (``failed`` > 0); the pairs are written all the same.  The summary gives, for every end-to-end metric that
 ``BENCHMARK.json`` declares, the medians of both sides, the change in
 percent, the number of pairs in which the change is better, and the
-interquartile range of the parent's runs.
+interquartile range of the parent's runs; the script prints it, one line
+per metric in the declared order.
 """
 
 from __future__ import annotations
@@ -71,6 +72,13 @@ def summarize(pairs: list[dict], metrics: list[tuple[str, bool]]) -> dict:
             "parent_iqr": round(q3 - q1, 5),
         }
     return out
+
+
+def summary_lines(workload: str, summary: dict, pairs: int) -> list[str]:
+    """One printed line per metric of ``summarize``'s summary, in its order."""
+    return [f"{workload} {name}: parent {s['parent_median']:g}, change {s['change_median']:g} "
+            f"({s['change_pct']:+.1f}%), change better in {s['change_better_pairs']}/{pairs} "
+            f"pairs, parent IQR {s['parent_iqr']:g}" for name, s in summary.items()]
 
 
 def run_record(result: dict, metrics: list[tuple[str, bool]]) -> dict:
@@ -148,8 +156,9 @@ def main(argv: list[str] | None = None) -> int:
         "pairs": pairs,
     })
     path.write_text(json.dumps(doc, indent=1) + "\n")
-    wall = doc["end_to_end"][args.workload][-1]["summary"]["wall_s"]
-    print(f"{args.workload} wall_s: {wall}")
+    for line in summary_lines(args.workload, doc["end_to_end"][args.workload][-1]["summary"],
+                              len(pairs)):
+        print(line)
     bad = [(p["seed"], side, p[side]) for p in pairs for side in ("parent", "change")
            if not p[side]["correct"] or p[side]["failed"]]
     for seed, side, record in bad:

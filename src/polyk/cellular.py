@@ -17,11 +17,12 @@ face: ``ConeSystem.cover_orientations`` gives the orientation sigma of
 every lower cover E of F at once.  A pair with m = 0 reads sigma off F's
 certified adjugate with no ray made (``cones.adjugate_column`` states the
 identities), and a pair into a simplex face, which carries no face data,
-reads it off F's vertex tuple, the simplicial boundary's (-1)^r; a pair with m > 0 whose faces are both dual-simple reads it on
-the dual side, from the dual base signs of E and F, fixed once from the top
-face down (``ConeSystem``), and one bit of their dual masks
-(``cones.dual_sign``); any other pair reads it off F's basis coordinates,
-one m x m determinant with no ray made (``cones.edge_ray``).  A flip of F
+reads it off F's vertex tuple, the simplicial boundary's (-1)^r; a pair
+with m > 0 whose faces are both dual-simple reads it on the dual side, from
+the dual base signs of E and F, fixed once from the top face down
+(``ConeSystem``), and one bit of their dual masks (``cones.dual_sign``);
+any other pair reads it off F's basis coordinates, one m x m determinant
+with no ray made (``cones._coordinate_sign``).  A flip of F
 negates a column of B^T A_F and a flip of E a row, so with eps = -1 for a
 flipped face and +1 otherwise
 
@@ -33,12 +34,13 @@ a positive multiple of the lifted vertex, sigma = +1, and the empty face
 cannot be flipped: the bottom boundary matrix is the all-ones augmentation
 row.
 
-The barycenter cross-check (``cones.edge_ray_crosscheck``, on Gram
-numbers) confirms an oriented ray, sign included, independently.  On
-every pair the batch reduces it to a fact of the dual masks and S >= 0,
-some facet normal vanishing on E and not on F
-(``ConeSystem.cover_orientations`` states the identity); an m = 0 pair
-also takes the principal-minor check of ``cones.adjugate_pair_fault``.
+The batch makes no ray, so it runs no barycenter cross-check of one.  On
+every pair that check reduces to a fact of the dual masks and S >= 0,
+some facet normal vanishing on E and not on F, which
+``ConeSystem.cover_orientations`` states and checks; an m = 0 pair also
+takes the principal-minor check of ``cones.adjugate_pair_fault``.  The
+per-pair ray and its barycenter check (``cones.edge_ray``,
+``cones.edge_ray_crosscheck``) are the tests' oracle.
 
 Boundary matrices are integer matrices over the stable (lexicographic by
 vertex set) face ordering, the lattice's face ids.  They are built, kept in
@@ -48,11 +50,10 @@ lower covers E of each face F; only a printed matrix is densified
 once, in lattice order (the faces F of dimension j, then each F's lower
 covers E): it takes the checked orientations of F's covering pairs in one
 pass, and computes each [E : F] into F's column.
-The ``CheckedComplex`` it returns then verifies the consecutive-product
-identity when it is made, aborting loudly on any failure, and
-``homology_pair`` does not repeat that for it; any other ``ChainComplex``
-is checked there.  The product D_{j-1} D_j is formed column by column over
-the nonzero entries of D_j only,
+Every ``ChainComplex`` verifies the consecutive-product identity when it
+is made, aborting loudly on any failure, so ``homology_pair`` need not
+repeat it.  The product D_{j-1} D_j is formed column by column over the
+nonzero entries of D_j only,
 
     (D_{j-1} D_j)[., F] = sum over E with [E : F] != 0 of [E : F] D_{j-1}[., E],
 
@@ -109,7 +110,7 @@ def incidence_sign(T: Trivialization, sigma: int, e: int, f: int) -> int:
     It is sigma * eps_E * eps_F, with sigma the pair's orientation and
     eps = -1 for a flipped face: sigma is the sign det(B^T A_F) for the
     edge ray's direction e, B = [e | A_E] and the unflipped bases, as
-    ``ConeSystem.cover_orientations`` (or ``EdgeRay.orientation``) gives it.
+    ``ConeSystem.cover_orientations`` gives it.
     """
     return sigma * (-1) ** ((e in T.flipped) + (f in T.flipped))
 
@@ -123,6 +124,13 @@ class ChainComplex:
     chains: one {row: entry} dict of its nonzero entries per j-face, rows and
     columns ordered like ``face_order``; ``face_order[k]`` lists the vertex
     sets of the faces of dimension k - 1.  ``matrix(j)`` is D_j dense.
+
+    The constructor checks the shapes, then D_{j-1} D_j = 0 for every j on
+    the sparse columns (``boundary_squared_entry``), naming the faces of the
+    first nonzero entry of the product.  The generated ``__init__`` calls
+    ``__post_init__`` on ``dataclasses.replace`` too, so no instance is made
+    without the checks.  The sparse columns are dicts; they must not be
+    changed after the complex is made.
     """
 
     dim: int
@@ -139,6 +147,13 @@ class ChainComplex:
                     x and 0 <= i < f[j] for col in cols for i, x in col.items()):
                 raise InternalInvariantError(
                     f"D_{j} is not {f[j]} x {f[j + 1]} in sparse columns without stored zeros")
+        for j in range(1, self.dim + 1):
+            bad = boundary_squared_entry(self.columns[j - 1], self.columns[j])
+            if bad is not None:
+                row, col, value = bad
+                low, high = self.face_order[j - 1][row], self.face_order[j + 1][col]
+                raise InternalInvariantError(f"boundary squared nonzero at j={j}: entry "
+                                             f"({face_label(low)}, {face_label(high)}) = {value}")
 
     def matrix(self, j: int) -> IntMatrix:
         """D_j as a dense f_{j-1} x f_j matrix, for 0 <= j <= dim."""
@@ -198,29 +213,7 @@ def boundary_squared_entry(lower: Sequence[SparseColumn],
     return first
 
 
-class CheckedComplex(ChainComplex):
-    """A ``ChainComplex`` whose constructor also checks D_{j-1} D_j = 0 for
-    every j on the sparse columns (``boundary_squared_entry``), naming the
-    faces of the first nonzero entry of the product.  ``build_complex``
-    returns one, and ``homology_pair`` does not check it again.  No instance
-    is made without the check: ``ChainComplex``'s generated ``__init__``,
-    which this class inherits, calls the ``__post_init__`` below, on
-    ``dataclasses.replace`` too, and nothing lets a caller skip it.  The
-    sparse columns are dicts; they must not be changed after the complex is
-    made."""
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        for j in range(1, self.dim + 1):
-            bad = boundary_squared_entry(self.columns[j - 1], self.columns[j])
-            if bad is not None:
-                g, f, value = bad
-                low, high = self.face_order[j - 1][g], self.face_order[j + 1][f]
-                raise InternalInvariantError(f"boundary squared nonzero at j={j}: entry "
-                                             f"({face_label(low)}, {face_label(high)}) = {value}")
-
-
-def build_complex(T: Trivialization, system: ConeSystem) -> CheckedComplex:
+def build_complex(T: Trivialization, system: ConeSystem) -> ChainComplex:
     """Assemble all boundary matrices of the system's lattice and verify
     the complex exactly.
 
@@ -230,7 +223,7 @@ def build_complex(T: Trivialization, system: ConeSystem) -> CheckedComplex:
     with m = 0 read off F's certified adjugate, a pair of two dual-simple
     faces on the dual side, and any other by one sign determinant off F's
     adjugate, no ray made on any; ``incidence_sign`` then
-    computes each [E : F] from sigma.  The ``CheckedComplex`` it returns checks
+    computes each [E : F] from sigma.  The ``ChainComplex`` it returns checks
     D_{j-1} @ D_j = 0 for every j on the sparse columns when it is made.
     Any failure aborts with the offending face pair.  The lattice is the
     one the system numbers its faces by, ``system.lattice``.
@@ -238,7 +231,7 @@ def build_complex(T: Trivialization, system: ConeSystem) -> CheckedComplex:
     L = system.lattice
     columns = tuple(tuple(boundary_columns(T, system, j)) for j in range(0, L.dim + 1))
     face_order = tuple(tuple(f.vertex_set for f in L.faces(j)) for j in range(-1, L.dim + 1))
-    return CheckedComplex(dim=L.dim, columns=columns, face_order=face_order)
+    return ChainComplex(dim=L.dim, columns=columns, face_order=face_order)
 
 
 @dataclass(frozen=True)
@@ -330,10 +323,8 @@ def homology_pair(X: ChainComplex) -> tuple[HomologyResult, HomologyResult]:
     """Augmented and reduced integral homology, from the rank and the
     invariant factors of each boundary matrix.
 
-    The argument below depends on D_{j-1} D_j = 0.  A ``CheckedComplex``
-    (what ``build_complex`` returns) was checked for it when it was made;
-    any other complex's sparse columns are checked here
-    (``boundary_squared_entry``).
+    The argument below depends on D_{j-1} D_j = 0, which every
+    ``ChainComplex`` was checked for when it was made.
     ``sparse.acyclic_matching`` then pairs its cells, certified: the m_j
     pairs of D_j span a unimodular triangular block, so rank D_j >= m_j.
     Level k holds the f_k faces of dimension k - 1, and D_j maps level
@@ -357,9 +348,6 @@ def homology_pair(X: ChainComplex) -> tuple[HomologyResult, HomologyResult]:
     factors of the torsion, as each ``AbelianGroup`` checks.
     """
     f = X.f_vector
-    if not isinstance(X, CheckedComplex) and any(
-            boundary_squared_entry(X.columns[j - 1], X.columns[j]) for j in range(1, X.dim + 1)):
-        raise InternalInvariantError("homology of a non-complex: boundary squared != 0")
     pairs = acyclic_matching(X.columns, f)
     m = [0, *map(len, pairs), 0]  # the pairs of D_j are m[j + 1]
     full = [m[k] + m[k + 1] == f[k] for k in range(len(f))]  # level k all matched

@@ -20,6 +20,7 @@ vertices' bitmasks.  S >= 0 entrywise, in the same pass over S as the
 bitmasks (``vertex_facet_masks``), and the rank of every dual face
 (``check_dual_faces``: the top's mask is empty, and every other face's mask
 strictly holds that of an upper cover) are checked there, once per run.
+S is read by that one pass and not kept; the pairs read the bitmasks.
 Every face F has a deterministic basis A_F of its span (integer lifted
 vertices, greedy in index order), held by vertex ids and as the bitmask s_F
 of those ids.  A simplex face, |F| = dim F + 1, has all its vertices as
@@ -78,7 +79,8 @@ one of three routes, fixed by the pair's span and dual masks alone:
     adjugates;
   * any other pair, of the general route: its sign alone, sign det C for
     [g | A_E] = A_F C, one m x m determinant off F's certified adjugate and
-    E's span ids (``edge_ray`` states it), so a simplex E reads no data.
+    E's span ids (``_coordinate_sign`` states it), so a simplex E reads no
+    data.
 
 Every pair takes one dual-mask test in place of the barycenter test
 (``cover_orientations``).  So the batch makes no ray on any input, and
@@ -580,27 +582,9 @@ def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: Face
 
         [w | A_E] = [g | A_E] U,   U = [[det G, 0], [-x, I]],   det U = det G > 0,
 
-    and w is a positive multiple of e.  Let C be the coordinates of
-    [g | A_E] in the basis A_F, [g | A_E] = A_F C.  Then
-
-        [g | A_E]^T A_F = C^T G_F,   det G_F > 0,   so   sigma = sign det C.
-
-    A column of C whose vertex is one of F's span ids (g, and each id of A_E
-    that F's basis holds) is the unit vector at that id's row.  Give the m
-    other columns, of E's span ids outside F's basis, the m rows no unit
-    column takes, in increasing order: with pi the permutation of rows so
-    assigned, det C = sign(pi) * det M for the m x m block M of C on those
-    rows and columns.  The coordinates of a vertex a are
-    adj(G_F) A_F^T a / det G_F, and A_F^T a is read off T, so det G_F * M
-    is an integer matrix with the sign of det M, det G_F being positive.
-    It takes one Bareiss determinant of that matrix, and a zero one is an
-    error naming the pair.  For m = 0, M is the 0 x 0 matrix, det M = 1,
-    and sigma = sign(pi).  For E empty, x is empty, w = g, and C is the one
-    unit vector of g: +1.  det M != 0 means [g | A_E] = A_F C with C
-    nonsingular, so [g | A_E] is a basis of span(F): A_E is independent and
-    g is not in span(E), what side > 0 and det G_E > 0 show.  So the
-    batch's general route takes sigma = sign det C alone, from F's data
-    and E's span ids (``_vertex_outside``, ``_coordinate_sign``).
+    and w is a positive multiple of e.  That sign is sign det C for the
+    coordinates C of [g | A_E] in the basis A_F, one m x m determinant off
+    F's certified adjugate (``_coordinate_sign`` states the identities).
     """
     a_ids = data_E.span_ids
     g = _vertex_outside(E, F, a_ids, data_F.span_ids, e_mask)
@@ -636,9 +620,31 @@ def _vertex_outside(E: Face, F: Face, a_ids: Sequence[int], f_ids: Sequence[int]
 def _coordinate_sign(E: Face, F: Face, g: int, a_ids: Sequence[int], data_F: FaceConeData,
                      gram: IntMatrix) -> int:
     """sign det C for [g | A_E] = A_F C, E's span ids ``a_ids``: the
-    permutation sign times that of one m x m Bareiss determinant, read off
-    F's certified adjugate (``edge_ray`` states it); a zero one is an error
-    naming the pair."""
+    orientation sigma of the covering pair (E, F), the permutation sign
+    times that of one m x m Bareiss determinant, read off F's certified
+    adjugate; a zero one is an error naming the pair.
+
+    sigma is sign det([g | A_E]^T A_F) (``edge_ray`` shows that the ray
+    may stand in for g), and
+
+        [g | A_E]^T A_F = C^T G_F,   det G_F > 0,   so   sigma = sign det C.
+
+    A column of C whose vertex is one of F's span ids (g, and each id of A_E
+    that F's basis holds) is the unit vector at that id's row.  Give the m
+    other columns, of E's span ids outside F's basis, the m rows no unit
+    column takes, in increasing order: with pi the permutation of rows so
+    assigned, det C = sign(pi) * det M for the m x m block M of C on those
+    rows and columns.  The coordinates of a vertex a are
+    adj(G_F) A_F^T a / det G_F, and A_F^T a is read off T, so det G_F * M
+    is an integer matrix with the sign of det M, det G_F being positive.
+    For m = 0, M is the 0 x 0 matrix, det M = 1, and sigma = sign(pi).  For
+    E empty, C is the one unit vector of g: +1.  det M != 0 means
+    [g | A_E] = A_F C with C nonsingular, so [g | A_E] is a basis of
+    span(F): A_E is independent and g is not in span(E), what side > 0 and
+    det G_E > 0 show on the ray.  So the batch's general route
+    (``ConeSystem._general_sign``) takes sigma = sign det C alone, from F's
+    data and E's span ids (g from ``_vertex_outside``), with no ray made.
+    """
     span_F, f_ids = data_F.span_mask, data_F.span_ids
     rows = [(span_F & ((1 << a) - 1)).bit_count() if span_F >> a & 1 else None
             for a in (g, *a_ids)]  # None: a is not in F's basis
@@ -757,10 +763,12 @@ def dual_sign(n: int, dual_F: int, dual_E: int) -> int:
 class ConeSystem:
     """Per-face cone data (``FaceConeData``) for the faces of ``lattice``
     that need it, indexed by face id, read by the covering pairs.  The Gram
-    and slack tables of the lifted vertices (``gram``, ``slack``) and each
-    face's dual-face bitmask (``dual_masks``, the AND of its vertices'
-    ``vertex_facet_masks``, whose pass checks S >= 0) are built first, and
-    the dual ranks (``check_dual_faces``) are checked then.
+    table of the lifted vertices (``gram``) and each face's dual-face
+    bitmask (``dual_masks``, the AND of its vertices'
+    ``vertex_facet_masks``) are built first, and the dual ranks
+    (``check_dual_faces``) are checked then.  The slack table S is read
+    once, by the pass of ``vertex_facet_masks`` that also checks S >= 0,
+    and not kept: no covering pair reads it.
 
     A simplex face, |F| = dim F + 1, takes no data of its own: its span
     ids are its vertex ids and its span mask its vertex mask, which
@@ -803,10 +811,10 @@ class ConeSystem:
         is ``up[E][0]``; a lattice where none does is an error naming E.
         H is dual-simple, and the spread did not go from H to E, so the
         pair (E, H) has m > 0, and the general route gives its sign
-        sigma = sign det C (``edge_ray``), one m x m determinant off H's
-        certified adjugate (``_general_sign``).  With sigma = dual_sign *
-        tau_E * tau_H (``dual_sign``), tau_E = sigma * dual_sign * tau_H,
-        and the spread goes on from E.
+        sigma = sign det C (``_coordinate_sign``), one m x m determinant
+        off H's certified adjugate (``_general_sign``).  With
+        sigma = dual_sign * tau_E * tau_H (``dual_sign``),
+        tau_E = sigma * dual_sign * tau_H, and the spread goes on from E.
 
     Every face's tau is set once, by one of those three, from one root,
     P, by one rule, the signs of covering pairs.  No face takes an n x n
@@ -823,8 +831,7 @@ class ConeSystem:
         self.cone = cone
         self.lattice = lattice
         self.gram = gram_table(cone)
-        self.slack = slack_table(cone)
-        vertex_masks = vertex_facet_masks(self.slack)
+        vertex_masks = vertex_facet_masks(slack_table(cone))
         every = (1 << len(cone.facet_normals)) - 1
         faces, n = lattice.faces_by_id, cone.dim
         self.dual_masks = tuple(reduce(and_, (vertex_masks[i] for i in f.vertex_set), every)
@@ -898,8 +905,15 @@ class ConeSystem:
     def _general_sign(self, e: int, f: int) -> int:
         """sigma of the covering pair (E, F) by the general route, sign det C
         for [g | A_E] = A_F C, off F's data and E's span ids, a simplex E's
-        vertex ids (``edge_ray``)."""
-        L, data_E, data_F = self.lattice, self._face_data[e], self.face_data(f)
+        vertex ids (``_coordinate_sign``).
+
+        On a lattice of P, F is never a simplex, so it carries data.  A
+        simplex's lower covers are the simplex without one vertex, pairs
+        with m = 0, which ``cover_orientations`` reads off the adjugate
+        route; and a bridge's upper cover H carries tau, so if H were a
+        simplex the spread of tau, which crosses every m = 0 pair from a
+        face that carries tau, would have reached the bridge from H."""
+        L, data_E, data_F = self.lattice, self._face_data[e], self._face_data[f]
         E, F = L.faces_by_id[e], L.faces_by_id[f]
         a_ids = E.vertex_set if data_E is None else data_E.span_ids
         g = _vertex_outside(E, F, a_ids, data_F.span_ids, L.vertex_masks[e])
@@ -907,8 +921,9 @@ class ConeSystem:
 
     def cover_orientations(self, f: int) -> list[int]:
         """The orientation sigma of every covering pair (E, F) of face f, one
-        per lower cover e in ``down[f]`` order, each checked as
-        ``edge_ray`` + ``edge_ray_crosscheck`` check it, with no ray made.
+        per lower cover e in ``down[f]`` order, each with the verdict the
+        per-pair oracle (``edge_ray`` + ``edge_ray_crosscheck``) reaches,
+        and with no ray made.
         Every pair takes the mask test, that some normal y of dual_E lies
         outside dual_F, and one of three routes, fixed by its span and dual
         masks alone:
@@ -922,7 +937,7 @@ class ConeSystem:
             Gram number read;
           * any other pair: sigma = sign det C for [g | A_E] = A_F C, one
             m x m determinant off F's data and E's span ids, nonzero only
-            if [g | A_E] is a basis of span(F) (``edge_ray``).
+            if [g | A_E] is a basis of span(F) (``_coordinate_sign``).
 
         Each gives the sign and the verdict the per-pair functions reach
         by the Gram solve and the Cauchy-Schwarz test on face data that

@@ -181,7 +181,14 @@ from typing import Sequence
 
 from polyk.cellular import AbelianGroup, ChainComplex, HomologyResult
 from polyk.comb_type import AbstractLattice, LatticeIso
-from polyk.cones import ConeSystem, EdgeRay, FaceConeData, LiftedCone, dual_cone, face_cone_data
+from polyk.cones import (
+    ConeSystem,
+    EdgeRay,
+    FaceConeData,
+    LiftedCone,
+    dual_cone,
+    face_cone_data,
+)
 from polyk.errors import InternalInvariantError
 from polyk.linalg import (
     IntEchelon,
@@ -429,10 +436,11 @@ class PerFaceSystem(ConeSystem):
 def dual_face_ids(system, f: int) -> tuple[int, ...]:
     """The facet normals of the dual face of the face with id f, as indices
     into the cone's ``facet_normals``: those whose column of the slack
-    table vanishes at every vertex of the face."""
-    F = system.lattice.faces_by_id[f]
-    return tuple(k for k in range(len(system.cone.facet_normals))
-                 if all(system.slack[i][k] == 0 for i in F.vertex_set))
+    table, S[i][k] = <y_k, v_i>, vanishes at every vertex of the face (only
+    the face's rows are formed)."""
+    F, C = system.lattice.faces_by_id[f], system.cone
+    return tuple(k for k, y in enumerate(C.facet_normals)
+                 if all(int_dot(y, C.generators[i]) == 0 for i in F.vertex_set))
 
 
 def dual_face_gens(system, f: int) -> tuple[tuple[int, ...], ...]:

@@ -40,6 +40,11 @@ def test_summary_of_canned_pairs():
     assert summary["ok_frac"] == {"parent_median": 1.0, "change_median": 1.0,
                                   "change_pct": 0.0, "change_better_pairs": 1,
                                   "parent_iqr": 0.05}
+    assert bench.summary_lines("corpus", summary, len(pairs)) == [
+        "corpus wall_s: parent 0.14, change 0.12 (-14.3%), change better in 3/5 pairs, "
+        "parent IQR 0.06",
+        "corpus ok_frac: parent 1, change 1 (+0.0%), change better in 1/5 pairs, "
+        "parent IQR 0.05"]
 
 
 def test_summary_of_one_pair_and_equal_runs():
@@ -88,7 +93,10 @@ def test_main_exits_1_naming_seed_and_side_of_a_failing_run(
     monkeypatch.setattr(bench, "run_once", run_once)
     assert bench.main(["--parent", "p", "--change", "c", "--workload", "cross5",
                        "--seeds", "4201-4202", "--topic", "t"]) == code
-    err = capsys.readouterr().err.splitlines()
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["cross5 wall_s: parent 0.1, change 0.1 (+0.0%), "
+                                "change better in 0/2 pairs, parent IQR 0"]
+    err = err.splitlines()
     assert [line for line in err if "run " in line] == ([message] if message else [])
     doc = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert [p["seed"] for p in doc["end_to_end"]["cross5"][0]["pairs"]] == [4201, 4202]

@@ -24,7 +24,6 @@ from polyk.cellular import (
     ZERO_GROUP,
     AbelianGroup,
     ChainComplex,
-    CheckedComplex,
     Z,
     boundary_columns,
     boundary_squared_entry,
@@ -628,22 +627,23 @@ def test_homology_rejects_malformed_boundary():
 
 
 def test_homology_rejects_non_complex():
-    bad = complex_from_dense(dim=1, boundary=(((1, 1),), ((1,), (1,))),
-                             face_order=(((),), ((0,), (1,)), ((0, 1),)))
-    with pytest.raises(InternalInvariantError):
-        homology(bad)
+    # homology needs D_{j-1} D_j = 0, and no ChainComplex without it is
+    # made: the segment with D_1 = (1, 1)^T has D_0 D_1 = (2)
+    with pytest.raises(InternalInvariantError, match="^boundary squared nonzero at j=1"):
+        complex_from_dense(dim=1, boundary=(((1, 1),), ((1,), (1,))),
+                           face_order=(((),), ((0,), (1,)), ((0, 1),)))
 
 
-def test_checked_complex_rejects_non_complex():
-    # a CheckedComplex checks D_{j-1} D_j = 0 when it is made, naming the
+def test_chain_complex_rejects_non_complex():
+    # a ChainComplex checks D_{j-1} D_j = 0 when it is made, naming the
     # faces of the first nonzero entry, and again when it is replaced; the
     # segment with D_1 = (1, 1)^T has D_0 D_1 = (2)
     segment = (((),), ((0,), (1,)), ((0, 1),))
     columns = (({0: 1}, {0: 1}), ({0: 1, 1: 1},))
     with pytest.raises(InternalInvariantError) as err:
-        CheckedComplex(dim=1, columns=columns, face_order=segment)
+        ChainComplex(dim=1, columns=columns, face_order=segment)
     assert str(err.value) == "boundary squared nonzero at j=1: entry ({}, {0,1}) = 2"
-    good = CheckedComplex(dim=1, columns=(columns[0], ({0: -1, 1: 1},)), face_order=segment)
+    good = ChainComplex(dim=1, columns=(columns[0], ({0: -1, 1: 1},)), face_order=segment)
     with pytest.raises(InternalInvariantError) as err:
         dataclasses.replace(good, columns=columns)
     assert str(err.value) == "boundary squared nonzero at j=1: entry ({}, {0,1}) = 2"
@@ -651,8 +651,9 @@ def test_checked_complex_rejects_non_complex():
 
 def test_pipeline_checks_boundary_squared_once(monkeypatch):
     # run_pipeline checks D_{j-1} D_j = 0 once per j, when build_complex
-    # makes its CheckedComplex; homology_pair, which k_report calls, checks
-    # a plain ChainComplex with the same columns, and not the checked one
+    # makes its ChainComplex; homology_pair, which k_report calls, does not
+    # check again, and a second complex on the same columns is checked
+    # when it is made
     calls = []
     real = cellular.boundary_squared_entry
 
@@ -668,6 +669,7 @@ def test_pipeline_checks_boundary_squared_once(monkeypatch):
     assert homology_pair(x) == (result.report.augmented_homology, result.report.reduced_homology)
     assert calls == []
     plain = ChainComplex(dim=x.dim, columns=x.columns, face_order=x.face_order)
+    assert len(calls) == 3
     assert homology_pair(plain) == homology_pair(x)
     assert len(calls) == 3
 
@@ -750,16 +752,20 @@ def test_simplex_matches_simplicial_complex(d):
 
 
 def test_diagonal_equivalence_rejects_sign_break():
-    # flipping a single entry is not a diagonal change of basis
-    poly = simplex(2)
-    lat, system, triv = setup_polytope(poly)
-    x = build_complex(triv, system)
-    rows = [list(r) for r in x.matrix(1)]
-    rows[0][0] = -rows[0][0]
-    broken = complex_from_dense(dim=x.dim,
-                                boundary=(x.matrix(0), tuple(tuple(r) for r in rows), x.matrix(2)),
-                                face_order=x.face_order)
-    assert diagonal_sign_equivalence(x, broken) is None
+    # flipping entries of one column is not a diagonal change of basis.  On
+    # a polytope's lattice, boundary squared zero fixes the signs up to one
+    # (Bjoerner 1984), so the sign break is shown on two complexes of four
+    # parallel edges a, b, c, d from u to v and one 2-cell, whose boundary
+    # is a - b + c - d in one and a + b - c - d in the other: both have
+    # D_1 D_2 = 0 and the same support, and eps would have to be +1 and -1
+    # on the 2-cell
+    levels = (((),), ((0,), (1,)), ((0, 1),) * 4, ((0, 1, 2),))
+    edges = ((1, 1),), ((-1,) * 4, (1,) * 4)
+    one, other = (complex_from_dense(dim=2, boundary=(*edges, tuple((x,) for x in top)),
+                                     face_order=levels)
+                  for top in ((1, -1, 1, -1), (1, 1, -1, -1)))
+    assert diagonal_sign_equivalence(one, other) is None
+    assert diagonal_sign_equivalence(one, one) is not None
 
 
 def test_diagonal_equivalence_rejects_other_shape_or_support():
@@ -768,14 +774,13 @@ def test_diagonal_equivalence_rejects_other_shape_or_support():
     square = run_pipeline(hypercube(2)).complex
     assert diagonal_sign_equivalence(x, square) is None  # f-vectors differ
 
-    def with_first_edge(column):
-        d1 = (column, *x.columns[1][1:])
-        return ChainComplex(dim=x.dim, columns=(x.columns[0], d1, x.columns[2]),
-                            face_order=x.face_order)
-
-    (r0, a), (r1, b) = sorted(x.columns[1][0].items())
-    # the same support, one entry of magnitude 2
-    assert diagonal_sign_equivalence(x, with_first_edge({r0: 2 * a, r1: b})) is None
-    # the entry on row r0 moved to the column's third row
-    moved = ({0, 1, 2} - {r0, r1}).pop()
-    assert diagonal_sign_equivalence(x, with_first_edge({moved: a, r1: b})) is None
+    # the same support, the top column doubled: boundary squared stays zero
+    doubled = ChainComplex(dim=x.dim, face_order=x.face_order, columns=(
+        *x.columns[:2], tuple({e: 2 * s for e, s in col.items()} for col in x.columns[2])))
+    assert diagonal_sign_equivalence(x, doubled) is None
+    # the same f-vector, another support: the square with its vertices
+    # relabelled has an edge on other vertex rows
+    poly = hypercube(2)
+    relabeled = run_pipeline(validate([poly.vertices[i] for i in (0, 3, 1, 2)])).complex
+    assert [set(col) for col in square.columns[1]] != [set(col) for col in relabeled.columns[1]]
+    assert diagonal_sign_equivalence(square, relabeled) is None

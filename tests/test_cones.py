@@ -24,6 +24,7 @@ from polyk.cones import (
     face_cone_data,
     gram_table,
     lift,
+    slack_table,
 )
 from polyk.corpus import (
     acceptance_corpus,
@@ -960,6 +961,7 @@ def test_dual_base_signs_match_the_generator_determinants():
         lat = face_lattice(poly)
         system = ConeSystem(lift(poly), lat)
         C, n, top = system.cone, system.cone.dim, len(lat.faces_by_id) - 1
+        slack = slack_table(C)
         top_basis = span_basis(C, system.face_data(top))
         top_sign = 1 if leibniz_det(top_basis) > 0 else -1
         for f, tau in enumerate(system.taus):
@@ -970,7 +972,7 @@ def test_dual_base_signs_match_the_generator_determinants():
             assert tau == (1 if leibniz_det(rows) > 0 else -1) * top_sign, (poly.name, f)
             assert tau == dual_base_sign(lat.faces_by_id[f], system.face_data(f).span_ids,
                                          system.dual_masks[f], system.face_data(top).span_ids,
-                                         system.gram, system.slack), (poly.name, f)
+                                         system.gram, slack), (poly.name, f)
         assert system.taus[top] == 1
         for f, lower in enumerate(lat.down):
             for e in lower:
@@ -1080,7 +1082,7 @@ def test_singular_dual_base_names_face():
     edge, top = lat.face_id[by_set[(1, 3)]], len(lat.faces_by_id) - 1
     with pytest.raises(InternalInvariantError) as err:
         dual_base_sign(by_set[(1, 3)], (1, 1), system.dual_masks[edge],
-                       system.face_data(top).span_ids, system.gram, system.slack)
+                       system.face_data(top).span_ids, system.gram, slack_table(system.cone))
     assert str(err.value) == f"dual base [A_F | Y_F] of {by_set[(1, 3)]} is singular"
 
 
@@ -1595,7 +1597,7 @@ def test_edge_ray_rejects_negative_slack(monkeypatch):
     e, f = next((e, f) for e, f in lat.covering if f.dim == 1)
     g = system.ray(lat.face_id[e], lat.face_id[f]).g
     k = dual_face_ids(system, lat.face_id[e])[0]
-    slack = [list(row) for row in system.slack]
+    slack = [list(row) for row in slack_table(system.cone)]
     slack[g][k] = -1
     monkeypatch.setattr(cones, "slack_table", lambda C: tuple(map(tuple, slack)))
     with pytest.raises(InternalInvariantError) as err:
@@ -1681,7 +1683,7 @@ def test_projection_identities_on_tables(small_corpus):
     for poly in list(small_corpus) + [hypercube(4), cross_polytope(4)] + rational:
         lat = face_lattice(poly)
         system = ConeSystem(lift(poly), lat)
-        gens = system.cone.generators
+        gens, slack = system.cone.generators, slack_table(system.cone)
         for e, f in lat.covering:
             data_e = system.face_data(lat.face_id[e])
             g = next(i for i in f.vertex_set if i not in e.vertex_set)
@@ -1691,7 +1693,7 @@ def test_projection_identities_on_tables(small_corpus):
                 system.ray(lat.face_id[e], lat.face_id[f]).direction, (poly.name, e, f)
             for k in dual_face_ids(system, lat.face_id[e]):
                 assert dot(w, system.cone.facet_normals[k]) == \
-                    data_e.gram_det * system.slack[g][k], (poly.name, e, f)
+                    data_e.gram_det * slack[g][k], (poly.name, e, f)
             assert all(dot(w, gens[a]) == 0 for a in data_e.span_ids)
             assert dot(w, gens[g]) > 0
 
@@ -1718,10 +1720,18 @@ def test_tables_are_the_inner_products(small_corpus):
         system = ConeSystem(lift(poly), face_lattice(poly))
         gens, normals = system.cone.generators, system.cone.facet_normals
         assert system.gram == tuple(tuple(dot(u, v) for v in gens) for u in gens)
-        assert system.slack == tuple(tuple(dot(y, v) for y in normals) for v in gens)
-        assert all(s >= 0 for row in system.slack for s in row)
-        assert cones.vertex_facet_masks(system.slack) == tuple(
+        slack = slack_table(system.cone)
+        assert slack == tuple(tuple(dot(y, v) for y in normals) for v in gens)
+        assert all(s >= 0 for row in slack for s in row)
+        assert cones.vertex_facet_masks(slack) == tuple(
             sum(1 << k for k, y in enumerate(normals) if dot(y, v) == 0) for v in gens)
+
+
+def test_cone_system_keeps_only_what_pairs_read():
+    # the slack table is read once, by vertex_facet_masks, and not kept
+    system = ConeSystem(lift(pyramid_prism()), face_lattice(pyramid_prism()))
+    assert set(vars(system)) == {"cone", "lattice", "gram", "dual_masks", "_face_data",
+                                 "span_masks", "taus"}
 
 
 def test_ray_intersection_is_one_dimensional(small_corpus):

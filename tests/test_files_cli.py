@@ -447,6 +447,55 @@ def test_cli_corpus_lists_oversized_input_as_input_error(tmp_path, capsys):
         assert re.search(message, files[name]["message"]), files[name]["message"]
 
 
+MALFORMED = {
+    "boolean-coordinate": ('{"name": "t", "dim": 1, "vertices": [[true], [1]]}',
+                           "vertex 0, coordinate 0: boolean is not a coordinate"),
+    "list-coordinate": ('{"name": "t", "dim": 1, "vertices": [[[0]], [1]]}',
+                        'vertex 0, coordinate 0: coordinate must be an integer or "p/q" '
+                        "string, got list"),
+    "top-level-array": ('[[0], [1]]', "top level must be an object"),
+    "name-not-string": ('{"name": 7, "dim": 1, "vertices": [[0], [1]]}',
+                        "name must be a string"),
+    "negative-dim": ('{"name": "t", "dim": -1, "vertices": [[0], [1]]}',
+                     "dim must be a non-negative integer"),
+    "boolean-dim": ('{"name": "t", "dim": true, "vertices": [[0], [1]]}',
+                    "dim must be a non-negative integer"),
+    "empty-vertices": ('{"name": "t", "dim": 1, "vertices": []}',
+                       "vertices must be a non-empty array"),
+    "object-vertices": ('{"name": "t", "dim": 1, "vertices": {"0": [0]}}',
+                        "vertices must be a non-empty array"),
+    "vertex-not-array": ('{"name": "t", "dim": 1, "vertices": [[0], 1]}',
+                         "vertex 1 must be an array"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_cli_malformed_file_is_one_error_line(name, tmp_path, capsys):
+    # exit 1, one "error:" line on stderr naming the file, nothing on stdout
+    text, message = MALFORMED[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["report", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+
+
+def test_cli_corpus_not_a_directory(tmp_path, capsys):
+    path = tmp_path / "seg.json"
+    path.write_text('{"name": "seg", "dim": 1, "vertices": [[0], [1]]}', encoding="utf-8")
+    assert main(["corpus", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: not a directory: {path}\n"
+
+
+def test_cli_compare_dimension_mismatch(capsys):
+    rc = main(["compare", str(POLYTOPES / "point.json"), str(POLYTOPES / "segment.json")])
+    assert rc == 3
+    assert capsys.readouterr().out == "not isomorphic: dimension mismatch: 0 != 1\n"
+
+
 def test_cli_corpus_empty_dir(tmp_path, capsys):
     assert main(["corpus", str(tmp_path)]) == 1
     assert "no *.json" in capsys.readouterr().err

@@ -758,3 +758,8 @@ def test_random_hulls_validate(small_corpus):
         p = random_hull(rng, 2 + k % 3, 7)
         fv = face_lattice(p).f_vector
         assert sum((-1) ** j * fv[j + 1] for j in range(-1, p.ambient_dim + 1)) == 0
+
+
+def test_validate_rejects_empty_vertex_list():
+    with pytest.raises(InputError, match="^empty vertex list$"):
+        validate([])

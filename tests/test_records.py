@@ -13,7 +13,7 @@ import pkgutil
 import pytest
 
 import polyk
-from polyk.cellular import CheckedComplex
+from polyk.cellular import ChainComplex
 
 DATACLASSES = {"cellular.ChainComplex", "cellular.AbelianGroup", "comb_type.AbstractLattice",
                "polytope.FaceLattice", "linalg.QMatrix"}
@@ -54,8 +54,16 @@ def test_records_are_immutable_named_tuples(name):
         f"{field}={i}" for i, field in enumerate(cls._fields)) + ")"
 
 
-def test_checked_complex_stays_frozen():
-    X = CheckedComplex(dim=0, columns=(({0: 1},),), face_order=(((),), ((0,),)))
+def test_chain_complex_stays_frozen():
+    X = ChainComplex(dim=0, columns=(({0: 1},),), face_order=(((),), ((0,),)))
     for field in ("dim", "columns", "face_order"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(X, field, None)
+
+
+def test_nothing_subclasses_chain_complex():
+    # ChainComplex checks D_{j-1} D_j = 0 itself, so no subclass marks a
+    # checked complex and homology reads any complex alike
+    subclasses = [name for name, cls in polyk_classes().items()
+                  if cls is not ChainComplex and issubclass(cls, ChainComplex)]
+    assert subclasses == []
