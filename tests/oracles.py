@@ -181,14 +181,7 @@ from typing import Sequence
 
 from polyk.cellular import AbelianGroup, ChainComplex, HomologyResult
 from polyk.comb_type import AbstractLattice, LatticeIso
-from polyk.cones import (
-    ConeSystem,
-    EdgeRay,
-    FaceConeData,
-    LiftedCone,
-    dual_cone,
-    face_cone_data,
-)
+from polyk.cones import ConeSystem, EdgeRay, FaceConeData, LiftedCone, dual_cone, face_cone_data
 from polyk.errors import InternalInvariantError
 from polyk.linalg import (
     IntEchelon,
