@@ -37,8 +37,9 @@ row.
 The batch makes no ray, so it runs no barycenter cross-check of one.  On
 every pair that check reduces to a fact of the dual masks and S >= 0,
 some facet normal vanishing on E and not on F, which
-``ConeSystem.cover_orientations`` states and checks; an m = 0 pair also
-takes the principal-minor check of ``cones.adjugate_pair_fault``.  The
+``cones.check_dual_faces`` states and certifies for every covering pair
+when the ``ConeSystem`` is built; an m = 0 pair also takes the
+principal-minor check of ``cones.adjugate_pair_fault``.  The
 per-pair ray and its barycenter check (``cones.edge_ray``,
 ``cones.edge_ray_crosscheck``) are the tests' oracle.
 
@@ -382,9 +383,11 @@ def diagonal_sign_equivalence(A: ChainComplex, B: ChainComplex) -> dict[tuple[in
     """Per-face signs eps with eps_E * A[E,F] = eps_F * B[E,F], or None.
 
     Both complexes must share shapes and unsigned support.  The signs are
-    found by propagation over the covering graph and verified globally, so a
-    return value is a proof that the complexes are isomorphic via a diagonal
-    +-1 map (and None a proof that they are not).
+    found by propagation over the covering graph, from +1 at the empty face
+    and at the first cell of every other component, and every constraint is
+    checked as the propagation crosses it, so a return value is a proof that
+    the complexes are isomorphic via a diagonal +-1 map (and None a proof
+    that they are not: a component fixes its signs up to one common sign).
     """
     if A.dim != B.dim or A.f_vector != B.f_vector:
         return None
@@ -397,25 +400,26 @@ def diagonal_sign_equivalence(A: ChainComplex, B: ChainComplex) -> dict[tuple[in
     entries = [((j - 1, row), (j, col), x, cb[row])
                for j, (cols_a, cols_b) in enumerate(zip(A.columns, B.columns))
                for col, (ca, cb) in enumerate(zip(cols_a, cols_b)) for row, x in ca.items()]
-    eps: dict[tuple[int, int], int] = {(-1, 0): 1}
-    # constraints: eps_E * eps_F = A[E,F] * B[E,F] over all covering entries
+    # constraints: eps_E * A[E,F] = eps_F * B[E,F] over all covering entries
     nodes = [(j, i) for j in range(-1, A.dim + 1) for i in range(len(A.face_order[j + 1]))]
     edges: dict[tuple[int, int], list[tuple[tuple[int, int], int]]] = {n: [] for n in nodes}
-    for e, f, a, b in entries:
-        edges[e].append((f, a * b))
-        edges[f].append((e, a * b))
-    stack = [(-1, 0)]
-    while stack:
-        node = stack.pop()
-        for other, rel in edges[node]:
-            want = eps[node] * rel
-            if other not in eps:
-                eps[other] = want
-                stack.append(other)
-            elif eps[other] != want:
-                return None
-    for node in nodes:  # a disconnected cover graph cannot happen for polytopes
-        eps.setdefault(node, 1)
-    if any(eps[e] * a != eps[f] * b for e, f, a, b in entries):
-        return None
+    for e, f, a, b in entries:  # |a| = |b|, so eps_F = eps_E * sign(a * b)
+        rel = 1 if a == b else -1
+        edges[e].append((f, rel))
+        edges[f].append((e, rel))
+    eps: dict[tuple[int, int], int] = {}
+    for root in nodes:  # the empty face first; each component of the graph from +1
+        if root in eps:
+            continue
+        eps[root] = 1
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            for other, rel in edges[node]:
+                want = eps[node] * rel
+                if other not in eps:
+                    eps[other] = want
+                    stack.append(other)
+                elif eps[other] != want:
+                    return None
     return eps

@@ -17,9 +17,11 @@ once per run: the Gram table T[i][j] = <v_i, v_j> of the lifted vertices
 vertices against the facet normals (``slack_table``), whose zeros give each
 vertex's facet bitmask, and each face's dual-face bitmask, the AND of its
 vertices' bitmasks.  S >= 0 entrywise, in the same pass over S as the
-bitmasks (``vertex_facet_masks``), and the rank of every dual face
-(``check_dual_faces``: the top's mask is empty, and every other face's mask
-strictly holds that of an upper cover) are checked there, once per run.
+bitmasks (``vertex_facet_masks``), and the dual faces (``check_dual_faces``:
+the top's mask is empty, and along every covering pair E < H, H one
+dimension up, the mask strictly shrinks) are checked there, once per run,
+before anything reads the masks; that certifies every dual face's rank, and
+every pair's barycenter test reduces to it (``check_dual_faces``).
 S is read by that one pass and not kept; the pairs read the bitmasks.
 Every face F has a deterministic basis A_F of its span (integer lifted
 vertices, greedy in index order), held by vertex ids and as the bitmask s_F
@@ -65,8 +67,8 @@ one of three routes, fixed by the pair's span and dual masks alone:
 
   * m = 0, E's span ids F's minus one: read off F's certified adjugate with
     no ray made; ``adjugate_column`` states the identities that give its
-    ray and sign, and ``cover_orientations`` why its cross-check reduces
-    to one dual-mask comparison and the principal-minor check of
+    ray and sign, and ``check_dual_faces`` why its cross-check reduces
+    to the dual-mask certificate and the principal-minor check of
     ``adjugate_pair_fault``; every pair into a simplex face takes this
     route with no Gram number read, its sign (-1)^r a permutation sign;
   * m > 0 with E and F both dual-simple, their dual masks of exactly
@@ -82,13 +84,13 @@ one of three routes, fixed by the pair's span and dual masks alone:
     E's span ids (``_coordinate_sign`` states it), so a simplex E reads no
     data.
 
-Every pair takes one dual-mask test in place of the barycenter test
-(``cover_orientations``).  So the batch makes no ray on any input, and
+No pair takes a barycenter test of its own: ``check_dual_faces`` has
+certified what it reduces to.  So the batch makes no ray on any input, and
 ``edge_ray`` and ``edge_ray_crosscheck``, the Gram solve and the
 Cauchy-Schwarz test, are its independent per-pair oracle.  tau has one
 root, the top face, and one rule, the pair signs: a face that the spread
-of tau from the top cannot reach takes tau over an upper cover that
-carries it, from that pair's sign by the general route (``ConeSystem``).
+of tau from the top cannot reach takes tau over its first upper cover,
+``up[E][0]``, from that pair's sign by the general route (``ConeSystem``).
 """
 
 from __future__ import annotations
@@ -406,30 +408,55 @@ def vertex_facet_masks(slack: IntMatrix) -> tuple[int, ...]:
 
 
 def check_dual_faces(lattice: FaceLattice, dual_masks: Sequence[int], n: int) -> None:
-    """The dual face of every face F of ``lattice`` spans rank
-    n - (dim F + 1), checked once per run on ``dual_masks``: for each face,
-    the bitmask of the facet normals vanishing on it, the AND of its
-    vertices' ``vertex_facet_masks``.  The top face must have dimension
-    n - 1 and an empty mask, and every other face F must have an upper
-    cover H, of dimension dim F + 1, whose mask F's strictly contains.
+    """The dual faces certified once per run, on ``dual_masks`` (for each
+    face, the bitmask of the facet normals vanishing on it, the AND of its
+    vertices' ``vertex_facet_masks``), before anything reads them.  The top
+    face must have dimension n - 1 and an empty mask, every other face F
+    an upper cover, and every covering pair E < H, level by level from the
+    top down, must have dim H = dim E + 1 and dual_H a proper subset of
+    dual_E.  A failing pair is an error naming both faces.
 
-    Lower bound, by induction from the top, whose dual face has rank
-    0 = n - (dim top + 1).  A normal y in dual(F) but not in dual(H) does
-    not vanish on some vertex v of H: its slack there is nonzero.  Every
-    normal of dual(H) vanishes on v, and so does their span; so y is not in
-    span(dual H), and with dual(H) inside dual(F),
-    rank dual(F) >= rank dual(H) + 1 >= n - (dim H + 1) + 1
-    = n - (dim F + 1).
+    The dual face of every face F then spans rank n - (dim F + 1).  Lower
+    bound, by induction from the top, whose dual face has rank
+    0 = n - (dim top + 1): take an upper cover H of F.  A normal y in
+    dual(F) but not in dual(H) does not vanish on some vertex v of H: its
+    slack there is nonzero.  Every normal of dual(H) vanishes on v, and so
+    does their span; so y is not in span(dual H), and with dual(H) inside
+    dual(F), rank dual(F) >= rank dual(H) + 1 >= n - (dim H + 1) + 1
+    = n - (dim F + 1).  Upper bound: every normal of dual(F) vanishes on
+    F's lifted vertices, dim F + 1 of which are independent, so the
+    normals span at most n - (dim F + 1) dimensions.  For a face that
+    carries data, that is the span basis ``face_cone_data`` finds, with
+    det G > 0; for a simplex face, it is the identity below.
 
-    Upper bound: every normal of dual(F) vanishes on F's lifted vertices,
-    dim F + 1 of which are independent, so the normals span at most
-    n - (dim F + 1) dimensions.  For a face that carries data, that is the
-    span basis ``face_cone_data`` finds, with det G > 0; for a
-    simplex face, it is the identity ``ConeSystem.cover_orientations``
-    states, on the dual masks of its covering pairs, which it checks.
+    The barycenter test of every covering pair (E, F) reduces to this
+    certificate, so ``ConeSystem.cover_orientations`` makes no mask
+    comparison.  The ray v of the pair spans the line span(F) meet
+    span(E)^perp: w = c g - A_E x (``edge_ray``), or F's adjugate column
+    for m = 0 (``adjugate_column``, once ``adjugate_pair_fault`` has
+    passed).  Take y in dual_E & ~dual_F.  y vanishes on E's span ids, so
+    <y, v> = det G_E * S[g][y].  Every vertex u of F is e_u + t_u v with
+    e_u in span(E), so S[u][y] = t_u <y, v>.  S >= 0
+    (``vertex_facet_masks``), and y is not in dual_F, so S[u][y] > 0 at
+    some u: hence <y, v> > 0, every t_u >= 0 and some t_u > 0.  The
+    barycenter vector is then w' = det G_E * (sum of the t_u) * v, a
+    positive multiple of the ray.  For m = 0, with b_F the sum of F's
+    lifted vertices and z_F = adj(G_F) A_F^T b_F, that is
+    z_F[r] = <b_F, v> = |v|^2 * (sum of the t_u) > 0, the test's form on
+    Gram numbers.  So the certificate implies the test, and on a
+    hand-built lattice may reject more; on a lattice of P, whose distinct
+    faces have distinct dual faces, both accept.
 
-    So a face's dual rank is right without an echelon of its normals.  A
-    failure names the face and its upper cover.
+    A simplex face F, |F| = dim F + 1, needs no det G_F > 0 of its own:
+    on a lattice of P each lower cover E is F without one vertex g, and
+    a normal y in dual_E & ~dual_F vanishes on span(E) and is positive at
+    a vertex of F outside E, which can only be g; so g is not in span(E),
+    and F's vertices are independent when E's are.  The faces below a
+    simplex are simplices, so along a chain of covers from the empty face,
+    whose span is {0}, to F the span grows at each of the dim F + 1
+    covers, and dim span(F) = dim F + 1 = |F|.  With F's vertices
+    independent, G_F is positive definite, and each principal minor
+    adj(G_F)[r][r] is det G_E > 0.
     """
     faces, up = lattice.faces_by_id, lattice.up
     top = len(faces) - 1
@@ -440,21 +467,20 @@ def check_dual_faces(lattice: FaceLattice, dual_masks: Sequence[int], n: int) ->
         raise InternalInvariantError(
             f"dual face of the top face {faces[top]} is not empty: facet normals "
             f"{list(set_bits(dual_masks[top]))} vanish on every vertex")
-    for f in range(top):
-        mask, dim = dual_masks[f], faces[f].dim + 1
-        for h in up[f]:
-            smaller = dual_masks[h]
-            if smaller != mask and not smaller & ~mask and faces[h].dim == dim:
-                break
-        else:
-            F = faces[f]
-            covers = [h for h in up[f] if faces[h].dim == dim]
-            if not covers:
-                raise InternalInvariantError(
-                    f"dual face of {F}: {F} has no upper cover of dimension {dim}")
+    for f in range(top - 1, -1, -1):
+        F, mask, dim = faces[f], dual_masks[f], faces[f].dim + 1
+        if not up[f]:
             raise InternalInvariantError(
-                f"dual face of {F} does not strictly contain that of its upper cover "
-                f"{faces[covers[0]]}, so its rank {n - dim} is not certified")
+                f"dual face of {F}: {F} has no upper cover of dimension {dim}")
+        for h in up[f]:
+            H, smaller = faces[h], dual_masks[h]
+            if H.dim != dim:
+                raise InternalInvariantError(
+                    f"dual face of {F}: its upper cover {H} has dimension {H.dim}, not {dim}")
+            if smaller == mask or smaller & ~mask:
+                raise InternalInvariantError(
+                    f"dual face of {F} does not strictly contain that of its upper cover "
+                    f"{H}, so its rank {n - dim} is not certified")
 
 
 def adjugate_column(span_F: int, span_E: int) -> int | None:
@@ -508,9 +534,9 @@ def adjugate_pair_fault(data_E: FaceConeData | None, data_F: FaceConeData, r: in
     functions read each on its own.  With it, the ray ``edge_ray`` makes
     for the pair, (c, x) = (adj(G_F)[r][r], -adj(G_F)[a][r] for the other
     rows a), is F's adjugate column v = A_F adj(G_F) e_r itself, and
-    c = det G_E > 0.  The pair's barycenter test is then one comparison
-    of dual masks, made by ``ConeSystem.cover_orientations``, which states
-    the identity.
+    c = det G_E > 0.  The pair's barycenter test then reduces to the
+    dual-mask certificate of ``check_dual_faces``, which states the
+    identity.
 
     A simplex E that carries no data (``data_E`` None) has its vertices as
     span ids, F's span ids minus row r's, so its Gram matrix is G_F without
@@ -672,8 +698,8 @@ def edge_ray_crosscheck(ray: EdgeRay, data_E: FaceConeData, gram: IntMatrix) -> 
 
     Every ray takes the Cauchy-Schwarz test, and nothing there is an
     n-vector.  (The batch makes no ray: on every pair the test reduces to
-    a comparison of dual masks, which ``ConeSystem.cover_orientations``
-    states and makes.)  Only E's face data and the Gram table are read:
+    the dual-mask certificate, which ``check_dual_faces`` states and
+    makes.)  Only E's face data and the Gram table are read:
     for F = ``ray.pair[1]``, <v, b_F> = sum over u in F of T[v][u] for each
     vertex v of F, and |b_F|^2 is their sum; A^T g and G_E are read off it.
     G_E adj(G_E) = D * I (certified by E's bordering steps)
@@ -765,10 +791,10 @@ class ConeSystem:
     that need it, indexed by face id, read by the covering pairs.  The Gram
     table of the lifted vertices (``gram``) and each face's dual-face
     bitmask (``dual_masks``, the AND of its vertices'
-    ``vertex_facet_masks``) are built first, and the dual ranks
-    (``check_dual_faces``) are checked then.  The slack table S is read
-    once, by the pass of ``vertex_facet_masks`` that also checks S >= 0,
-    and not kept: no covering pair reads it.
+    ``vertex_facet_masks``) are built first, and the dual masks of every
+    covering pair (``check_dual_faces``) are certified then.  The slack
+    table S is read once, by the pass of ``vertex_facet_masks`` that also
+    checks S >= 0, and not kept: no covering pair reads it.
 
     A simplex face, |F| = dim F + 1, takes no data of its own: its span
     ids are its vertex ids and its span mask its vertex mask, which
@@ -799,21 +825,21 @@ class ConeSystem:
       * tau_P = sign det(A_P^T A_P) = +1, with no determinant: Y_P is
         empty (``check_dual_faces``) and A_P is a basis, with det G_P > 0
         certified by P's bordering steps, or by the dual masks of its
-        lower covers if P is a simplex (``cover_orientations``);
+        lower covers if P is a simplex (``check_dual_faces``);
       * tau spreads over the covering pairs (E, F) with m = 0 between
         dual-simple faces, both ways: there sigma = (-1)^r
         (``adjugate_column``), so tau_E = (-1)^r * dual_sign * tau_F, and
         tau_F = (-1)^r * dual_sign * tau_E;
       * the dual-simple face E of highest id that the spread has not
-        reached, a bridge, takes tau over an upper cover H one dimension
-        up that carries it, the first in ``up`` order: every upper cover
-        of E has a higher id, so on a lattice of P each carries tau, and H
-        is ``up[E][0]``; a lattice where none does is an error naming E.
-        H is dual-simple, and the spread did not go from H to E, so the
-        pair (E, H) has m > 0, and the general route gives its sign
-        sigma = sign det C (``_coordinate_sign``), one m x m determinant
-        off H's certified adjugate (``_general_sign``).  With
-        sigma = dual_sign * tau_E * tau_H (``dual_sign``),
+        reached, a bridge, takes tau over its first upper cover
+        H = ``up[E][0]``.  ``check_dual_faces`` certified every covering
+        pair, so every upper cover of E is dual-simple (above), one
+        dimension up, and, a level higher, of a higher id; the descending
+        loop over roots has set its tau already.  The spread did not go
+        from H to E, so the pair (E, H) has m > 0, and the general route
+        gives its sign sigma = sign det C (``_coordinate_sign``), one
+        m x m determinant off H's certified adjugate (``_general_sign``).
+        With sigma = dual_sign * tau_E * tau_H (``dual_sign``),
         tau_E = sigma * dual_sign * tau_H, and the spread goes on from E.
 
     Every face's tau is set once, by one of those three, from one root,
@@ -894,12 +920,8 @@ class ConeSystem:
 
     def _bridge(self, e: int, taus: Sequence[int | None]) -> int:
         """tau_E of a face E the spread does not reach, over its first upper
-        cover H one dimension up that carries tau (see the class)."""
-        faces, dual = self.lattice.faces_by_id, self.dual_masks
-        dim = faces[e].dim + 1
-        h = next((h for h in self.lattice.up[e] if faces[h].dim == dim and taus[h]), None)
-        if h is None:
-            raise InternalInvariantError(f"no upper cover of {faces[e]} carries tau")
+        cover H = ``up[E][0]``, whose tau is set (see the class)."""
+        h, dual = self.lattice.up[e][0], self.dual_masks
         return self._general_sign(e, h) * dual_sign(self.cone.dim, dual[h], dual[e]) * taus[h]
 
     def _general_sign(self, e: int, f: int) -> int:
@@ -923,10 +945,8 @@ class ConeSystem:
         """The orientation sigma of every covering pair (E, F) of face f, one
         per lower cover e in ``down[f]`` order, each with the verdict the
         per-pair oracle (``edge_ray`` + ``edge_ray_crosscheck``) reaches,
-        and with no ray made.
-        Every pair takes the mask test, that some normal y of dual_E lies
-        outside dual_F, and one of three routes, fixed by its span and dual
-        masks alone:
+        and with no ray made.  Every pair takes one of three routes, fixed
+        by its span and dual masks alone:
 
           * m = 0 (``adjugate_column``: s_E & ~s_F = 0 on the span bitmasks,
             its ray column r of F's certified adjugate): read off F's data
@@ -942,23 +962,9 @@ class ConeSystem:
         Each gives the sign and the verdict the per-pair functions reach
         by the Gram solve and the Cauchy-Schwarz test on face data that
         pass their certificates; the identities are stated in the helpers.
-        On every route the barycenter test reduces to the mask test
-        (dual_F lies in dual_E by construction, so on a lattice of P it is
-        dual_E != dual_F).  The ray v of the pair spans the line span(F)
-        meet span(E)^perp; it is w = c g - A_E x (``edge_ray``), F's
-        adjugate column for m = 0 (``adjugate_column``, once
-        ``adjugate_pair_fault`` has passed).  y vanishes on E's span ids,
-        so <y, v> = det G_E * S[g][y].  Every vertex u of F is
-        e_u + t_u v with e_u in span(E), so S[u][y] = t_u <y, v>.  S >= 0
-        (``vertex_facet_masks``), and y is not in dual_F, so S[u][y] > 0 at some u:
-        hence <y, v> > 0, every t_u >= 0 and some t_u > 0.  The barycenter
-        vector is then w' = det G_E * (sum of the t_u) * v, a positive
-        multiple of the ray.  For m = 0, with b_F the sum of F's lifted
-        vertices and z_F = adj(G_F) A_F^T b_F, that is
-        z_F[r] = <b_F, v> = |v|^2 * (sum of the t_u) > 0, the test's form on
-        Gram numbers: so the mask test implies it, and on a hand-built
-        lattice may reject more; on a lattice of P, whose distinct faces
-        have distinct dual faces, both accept.
+        On every route the barycenter test reduces to the dual-mask
+        certificate that ``check_dual_faces`` made on every covering pair
+        when the system was built; it states the identity.
 
         What the dual route adds is checked on the adjugate route: every
         m = 0 pair between two dual-simple faces must have
@@ -970,31 +976,20 @@ class ConeSystem:
         lattice of P each lower cover E is F without one vertex g, a simplex
         whose span ids are E's vertex ids: m = 0, and sigma = (-1)^r with r
         the row of g in F's vertex tuple, the sign of the simplicial
-        boundary.  The pair takes the dual-mask comparison and the tau
-        check, and no ``adjugate_pair_fault``: what F's certificate
-        det G_F > 0 showed, that F's vertices are independent, is the
-        identity of the dual masks.  A normal y in dual_E & ~dual_F
-        vanishes on span(E) and is positive at a vertex of F outside E,
-        which can only be g; so g is not in span(E), and F's vertices are
-        independent when E's are.  Every pair into a simplex face is
-        checked so when the batch reads that face, and the faces below a
-        simplex are simplices; so along a chain of covers from the empty
-        face, whose span is {0}, to F the span grows at each of the
-        dim F + 1 covers, and dim span(F) = dim F + 1 = |F|.  With F's
-        vertices independent, G_F is positive definite, and its principal
-        minor adj(G_F)[r][r] is det G_E > 0, which the cofactor check would
-        compare.  A simplex E under a face F that carries data takes the
-        reduced cofactor check of ``adjugate_pair_fault``, and a general
-        pair reads only E's span ids, a simplex E's vertex ids."""
+        boundary.  The pair takes the tau check, and no
+        ``adjugate_pair_fault``: that F's vertices are independent, which
+        F's certificate det G_F > 0 would show, and that the cofactor
+        adj(G_F)[r][r] is det G_E > 0, follow from the dual masks
+        (``check_dual_faces``).  A simplex E under a face F that carries
+        data takes the reduced cofactor check of ``adjugate_pair_fault``,
+        and a general pair reads only E's span ids, a simplex E's vertex
+        ids."""
         faces, spans, taus, dual = self._face_data, self.span_masks, self.taus, self.dual_masks
         L, n = self.lattice, self.cone.dim
         data_F = faces[f]  # None: F is a simplex
         span_F, dual_F, tau_F = spans[f], dual[f], taus[f]
         signs = []
         for e in L.down[f]:
-            if not dual[e] & ~dual_F:
-                raise self._pair_error(
-                    e, f, "no facet normal vanishes on E and not on F (dual_E & ~dual_F = 0)")
             r = adjugate_column(span_F, spans[e])
             tau = taus[e] * tau_F  # nonzero iff both faces are dual-simple
             if r is not None:
@@ -1003,17 +998,15 @@ class ConeSystem:
                 if fault is None and tau and dual_sign(n, dual_F, dual[e]) * tau != sigma:
                     fault = f"the dual base signs give {-sigma}, F's adjugate (-1)^{r} = {sigma}"
                 if fault is not None:
-                    raise self._pair_error(e, f, fault)
+                    E, F = L.faces_by_id[e], L.faces_by_id[f]
+                    raise InternalInvariantError(
+                        f"edge-ray cross-check failed for ({E}, {F}): {fault}")
                 signs.append(sigma)
             elif tau:
                 signs.append(dual_sign(n, dual_F, dual[e]) * tau)
             else:
                 signs.append(self._general_sign(e, f))
         return signs
-
-    def _pair_error(self, e: int, f: int, why: str) -> InternalInvariantError:
-        E, F = self.lattice.faces_by_id[e], self.lattice.faces_by_id[f]
-        return InternalInvariantError(f"edge-ray cross-check failed for ({E}, {F}): {why}")
 
     def ray(self, e: int, f: int) -> EdgeRay:
         L = self.lattice

@@ -19,29 +19,32 @@ reported verbatim as a falsification of the expected result.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import NamedTuple, Sequence
 
 # the group type lives with HomologyResult; Z is imported to be re-exported
 from .cellular import ZERO_GROUP, AbelianGroup, ChainComplex, HomologyResult, Z, homology_pair  # noqa: F401
 from .errors import InternalInvariantError
-from .linalg import smith_normal_form
 
 
 def group_from_factors(free_rank: int, factors: Sequence[int]) -> AbelianGroup:
     """Normalize arbitrary cyclic orders > 1 into invariant-factor form.
 
-    The invariant factors of a direct sum of cyclic groups are the Smith
-    diagonal of the diagonal matrix of their orders.
+    Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b): prime by prime, the two p-power
+    parts go one to each side, the smaller to the gcd.  So the sweep
+    (a_i, a_j) <- (gcd, lcm) over i < j keeps the group, and it leaves
+    a_i | a_j: row i ends as the gcd of itself and every later order, and
+    each later order stays a multiple of it.  Dropping the 1s gives the
+    invariant factors, the Smith diagonal of the orders' diagonal matrix.
     """
-    factors = [int(n) for n in factors if int(n) != 1]
-    if any(n < 1 for n in factors):
+    orders = [int(n) for n in factors if int(n) != 1]
+    if any(n < 1 for n in orders):
         raise InternalInvariantError("cyclic factors must be positive")
-    if not factors:
-        return AbelianGroup(free_rank=free_rank)
-    diag = [[factors[i] if i == j else 0 for j in range(len(factors))]
-            for i in range(len(factors))]
-    chain = tuple(x for x in smith_normal_form(diag).diagonal if x > 1)
-    return AbelianGroup(free_rank=free_rank, invariant_factors=chain)
+    for i in range(len(orders)):
+        for j in range(i + 1, len(orders)):
+            common = gcd(orders[i], orders[j])
+            orders[i], orders[j] = common, orders[i] // common * orders[j]
+    return AbelianGroup(free_rank=free_rank, invariant_factors=tuple(n for n in orders if n > 1))
 
 
 def direct_sum(groups: Sequence[AbelianGroup]) -> AbelianGroup:

@@ -24,6 +24,7 @@ from polyk.cellular import (
     ZERO_GROUP,
     AbelianGroup,
     ChainComplex,
+    HomologyResult,
     Z,
     boundary_columns,
     boundary_squared_entry,
@@ -768,6 +769,32 @@ def test_diagonal_equivalence_rejects_sign_break():
     assert diagonal_sign_equivalence(one, one) is not None
 
 
+def test_diagonal_equivalence_roots_every_component_and_reads_signs():
+    # a vertex v under the empty face, and apart from them an edge e with a
+    # zero boundary under a 2-cell F, whose boundary is k e in one complex
+    # and -k e in the other: the cover graph has two components, and
+    # eps_F = -1 against eps_e = +1 is the equivalence, for a unit and for
+    # a non-unit entry alike.  The square's complex against itself with
+    # the top column negated and doubled on both sides gives -1 on the top
+    # cell alone
+    levels = (((),), ((0,),), ((0,),), ((0,),))
+    for k in (1, 2):
+        one, other = (complex_from_dense(dim=2, boundary=(((1,),), ((0,),), ((x,),)),
+                                         face_order=levels) for x in (k, -k))
+        assert diagonal_sign_equivalence(one, other) == {
+            (-1, 0): 1, (0, 0): 1, (1, 0): 1, (2, 0): -1}
+    square = run_pipeline(hypercube(2)).complex
+
+    def top_times(c):
+        return ChainComplex(dim=2, face_order=square.face_order, columns=(
+            *square.columns[:2], tuple({e: c * s for e, s in col.items()}
+                                       for col in square.columns[2])))
+
+    eps = diagonal_sign_equivalence(top_times(2), top_times(-2))
+    assert eps == {node: -1 if node == (2, 0) else 1 for node in eps}
+    assert len(eps) == sum(square.f_vector)
+
+
 def test_diagonal_equivalence_rejects_other_shape_or_support():
     lat, system, triv = setup_polytope(simplex(2))
     x = build_complex(triv, system)
@@ -784,3 +811,20 @@ def test_diagonal_equivalence_rejects_other_shape_or_support():
     relabeled = run_pipeline(validate([poly.vertices[i] for i in (0, 3, 1, 2)])).complex
     assert [set(col) for col in square.columns[1]] != [set(col) for col in relabeled.columns[1]]
     assert diagonal_sign_equivalence(square, relabeled) is None
+
+
+def test_chain_complex_rejects_wrong_number_of_maps():
+    # a 1-complex has three face levels and two boundary maps
+    with pytest.raises(InternalInvariantError) as err:
+        ChainComplex(dim=1, columns=(), face_order=(((),), ((0,),), ((0,),)))
+    assert str(err.value) == "a 1-complex has 3 face levels and 2 maps"
+
+
+def test_homology_result_names_degree_out_of_range():
+    # augmented homology starts in degree -1, one group per degree
+    result = HomologyResult(augmented=True, groups=(ZERO_GROUP, Z))
+    assert list(result.degrees()) == [-1, 0]
+    assert result.group(0) == Z
+    with pytest.raises(ValueError) as err:
+        result.group(1)
+    assert str(err.value) == "degree 1 outside [-1, 0]"

@@ -645,3 +645,15 @@ def test_isomorphism_mappings_pinned():
         mappings.append([[element_label(x), element_label(y)] for x, y in iso.mapping])
     text = json.dumps(mappings, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == MAPPING_DIGEST
+
+
+@pytest.mark.parametrize("matrices, message", [
+    ((), "no incidence matrices"),
+    ((((1,),), ((1, 1), (1, 1))), "incidence matrices dimensionally inconsistent at rank 1"),
+], ids=["none", "rows-not-columns-below"])
+def test_incidence_shape_guards_name_the_fault(matrices, message):
+    # D_1 must have one row per column of D_0: here D_0 is 1 x 1 and D_1
+    # has two rows
+    with pytest.raises(InternalInvariantError) as err:
+        lattice_from_incidence(UnsignedIncidence(matrices))
+    assert str(err.value) == message

@@ -496,16 +496,30 @@ def test_m_zero_pairs_take_no_dot_products(monkeypatch):
     assert reads == []
 
 
+def certify_masks_with(monkeypatch, e: int, f: int) -> None:
+    """Make the next ``ConeSystem`` certify its dual masks with face e's
+    mask set to face f's: the fault the certificate must reject, injected
+    where ``check_dual_faces`` reads the masks."""
+    real = cones.check_dual_faces
+
+    def broken(lattice, masks, n):
+        masks = list(masks)
+        masks[e] = masks[f]
+        return real(lattice, masks, n)
+
+    monkeypatch.setattr(cones, "check_dual_faces", broken)
+
+
 def test_equal_dual_masks_fail_the_m_zero_pair(monkeypatch):
     # a pair with m = 0 passes its barycenter test by a normal of dual_E
     # outside dual_F.  For the first edge F of the square and its first
-    # lower cover E, E's dual mask set to F's in a built system leaves no
-    # such normal, and build_complex rejects (E, F), the first pair that
-    # reads it, by name, though the oracle's z_F[r] is still positive.  The
-    # per-pair cross-check reads only E's face data and the Gram table: on
-    # a prism over a square pyramid, whose apex is not dual-simple, it
-    # accepts the first pair of the general route, and with <a, b_F> moved
-    # up by one on the table, for a span id a of E, it rejects that pair
+    # lower cover E, E's dual mask set to F's leaves no such normal, and
+    # the system's certificate rejects (E, F) by name when it is built,
+    # though the oracle's z_F[r] is still positive.  The per-pair
+    # cross-check reads only E's face data and the Gram table: on a prism
+    # over a square pyramid, whose apex is not dual-simple, it accepts the
+    # first pair of the general route, and with <a, b_F> moved up by one
+    # on the table, for a span id a of E, it rejects that pair
     poly = hypercube(2)
     lat, _ = faces_of(poly)
     system = ConeSystem(lift(poly), lat)
@@ -516,14 +530,13 @@ def test_equal_dual_masks_fail_the_m_zero_pair(monkeypatch):
     assert cones.adjugate_column(system.face_data(f).span_mask,
                                  system.face_data(e).span_mask) == r  # m = 0
     assert vertex_sum_numbers(system, f)[1][r] > 0
-    masks = list(system.dual_masks)
-    masks[e] = masks[f]
-    monkeypatch.setattr(system, "dual_masks", tuple(masks))
-    with pytest.raises(InternalInvariantError) as err:
-        build_complex(trivialize(lat), system)
+    with monkeypatch.context() as patch:
+        certify_masks_with(patch, e, f)
+        with pytest.raises(InternalInvariantError) as err:
+            ConeSystem(lift(poly), lat)
     assert str(err.value) == (
-        f"edge-ray cross-check failed for ({E}, {F}): "
-        "no facet normal vanishes on E and not on F (dual_E & ~dual_F = 0)")
+        f"dual face of {E} does not strictly contain that of its upper cover {F}, "
+        "so its rank 2 is not certified")
 
     pyramid = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 2)]
     poly = validate([v + (t,) for t in (0, 1) for v in pyramid])
@@ -913,20 +926,21 @@ def first_general_pair(system) -> tuple[int, int]:
 
 
 def test_general_pair_with_equal_dual_masks_fails(monkeypatch):
-    # E's dual mask set to F's on a general pair leaves no normal of dual_E
-    # outside dual_F: build_complex rejects the pair by name
+    # E's dual mask set to F's on a general pair, F E's first upper cover,
+    # leaves no normal of dual_E outside dual_F: the system's certificate
+    # rejects the pair by name when it is built
     poly = pyramid_prism()
     lat = face_lattice(poly)
-    system = ConeSystem(lift(poly), lat)
-    e, f = first_general_pair(system)
-    masks = list(system.dual_masks)
-    masks[e] = masks[f]
-    monkeypatch.setattr(system, "dual_masks", tuple(masks))
+    e, f = first_general_pair(ConeSystem(lift(poly), lat))
+    assert lat.up[e][0] == f
+    E, F = lat.faces_by_id[e], lat.faces_by_id[f]
+    certify_masks_with(monkeypatch, e, f)
     with pytest.raises(InternalInvariantError) as err:
-        build_complex(trivialize(lat), system)
+        ConeSystem(lift(poly), lat)
+    assert (E.dim, F.dim) == (1, 2)
     assert str(err.value) == (
-        f"edge-ray cross-check failed for ({lat.faces_by_id[e]}, {lat.faces_by_id[f]}): "
-        "no facet normal vanishes on E and not on F (dual_E & ~dual_F = 0)")
+        f"dual face of {E} does not strictly contain that of its upper cover {F}, "
+        "so its rank 3 is not certified")
 
 
 def test_zero_sign_determinant_fails_the_general_pair(monkeypatch):
@@ -1120,48 +1134,15 @@ def test_singular_tau_determinant_names_face(monkeypatch):
     assert str(err.value) == f"incidence sign of ({E}, {H}) is zero"
 
 
-class PatchedUp:
-    """``lattice`` with its ``up`` replaced."""
-
-    def __init__(self, lattice, up):
-        self.lattice, self.up = lattice, up
-
-    def __getattr__(self, name):
-        return getattr(self.lattice, name)
-
-
-@pytest.mark.parametrize("fault", ["no_cover_one_up", "no_cover_with_tau"])
-def test_bridge_without_an_upper_cover_carrying_tau_names_face(fault, monkeypatch):
-    # a bridge takes tau over an upper cover one dimension up that already
-    # carries it; on a lattice of P every upper cover does, so only a
-    # patched lattice can lack one: E's upper covers replaced by its lower
-    # covers (none one dimension up), or tau not yet set at E's covers.
-    # Either is an error naming E, not a failure on a missing tau
-    poly = prism_over_cross(4)
-    lat, cone, ((E, _),) = bridges_of(poly, monkeypatch)
-    system = ConeSystem(cone, lat)
-    e, taus = lat.face_id[E], list(system.taus)
-    if fault == "no_cover_one_up":
-        up = list(lat.up)
-        up[e] = lat.down[e]
-        assert all(taus[d] for d in up[e])
-        monkeypatch.setattr(system, "lattice", PatchedUp(lat, tuple(up)))
-    else:
-        for h in lat.up[e]:
-            taus[h] = None
-    with pytest.raises(InternalInvariantError) as err:
-        system._bridge(e, taus)
-    assert str(err.value) == f"no upper cover of {E} carries tau"
-
-
 @pytest.mark.parametrize("fault", ["dual", "cofactor"])
 def test_m_zero_faults_fail_the_batch_not_the_per_pair_api(fault, monkeypatch):
     # the top face of the 3-cube, which no face resumes from, and its first
     # lower cover E with m = 0, with E's dual mask set to the top's (empty)
-    # or adj(G_F)[r][r] moved off det G_E by one, for E's row r: the batch
-    # rejects (E, top), naming it, and the per-pair API, which reads
-    # neither the dual masks nor F's adjugate on that pair, makes the same
-    # ray and accepts it
+    # or adj(G_F)[r][r] moved off det G_E by one, for E's row r: the
+    # system's certificate rejects (E, top) when it is built, or the batch
+    # does, naming it, and the per-pair API, which reads neither the dual
+    # masks nor F's adjugate on that pair, makes the same ray and accepts
+    # it
     poly = hypercube(3)
     lat = face_lattice(poly)
     system = ConeSystem(lift(poly), lat)
@@ -1170,32 +1151,33 @@ def test_m_zero_faults_fail_the_batch_not_the_per_pair_api(fault, monkeypatch):
     e = next(e for e in lat.down[top]
              if cones.adjugate_column(data_top.span_mask, system.face_data(e).span_mask) is not None)
     r = cones.adjugate_column(data_top.span_mask, system.face_data(e).span_mask)
+    ray = system.ray(e, top)
     if fault == "dual":
-        broken = ConeSystem(system.cone, lat)
-        masks = list(system.dual_masks)
-        masks[e] = masks[top]
-        monkeypatch.setattr(broken, "dual_masks", tuple(masks))
-        why = "no facet normal vanishes on E and not on F (dual_E & ~dual_F = 0)"
-    else:
-        adj = [list(row) for row in data_top.gram_adj]
-        adj[r][r] += 1
-        real = cones.face_cone_data
+        certify_masks_with(monkeypatch, e, top)
+        with pytest.raises(InternalInvariantError) as built:
+            ConeSystem(system.cone, lat)
+        assert str(built.value) == (
+            f"dual face of {lat.faces_by_id[e]} does not strictly contain that of its "
+            f"upper cover {lat.top_face}, so its rank 1 is not certified")
+        system.crosscheck(e, top, ray)
+        return
+    adj = [list(row) for row in data_top.gram_adj]
+    adj[r][r] += 1
+    real = cones.face_cone_data
 
-        def corrupting(F, *args):
-            data = real(F, *args)
-            return data._replace(gram_adj=tuple(map(tuple, adj))) \
-                if F == lat.top_face else data
+    def corrupting(F, *args):
+        data = real(F, *args)
+        return data._replace(gram_adj=tuple(map(tuple, adj))) if F == lat.top_face else data
 
-        monkeypatch.setattr(cones, "face_cone_data", corrupting)
-        broken = ConeSystem(system.cone, lat)
-        det = system.face_data(e).gram_det
-        why = f"cofactor adj(G_F)[{r}][{r}] = {det + 1} is not det G_E = {det} > 0"
+    monkeypatch.setattr(cones, "face_cone_data", corrupting)
+    broken = ConeSystem(system.cone, lat)
+    det = system.face_data(e).gram_det
+    why = f"cofactor adj(G_F)[{r}][{r}] = {det + 1} is not det G_E = {det} > 0"
     with pytest.raises(InternalInvariantError) as batch:
         broken.cover_orientations(top)
     assert str(batch.value) == (
         f"edge-ray cross-check failed for ({lat.faces_by_id[e]}, {lat.top_face}): {why}")
-    ray = broken.ray(e, top)
-    assert ray == system.ray(e, top)
+    assert broken.ray(e, top) == ray
     broken.crosscheck(e, top, ray)
 
 
@@ -1275,8 +1257,9 @@ def test_top_of_wrong_dimension_names_face():
 @pytest.mark.parametrize("dim", [1, 0], ids=["edge-uncovered", "vertex-under-top"])
 def test_face_without_upper_cover_names_face(dim):
     # hand-built lattices of the square: an edge left without its cover by
-    # the top, or a vertex whose one upper cover is the top, two dimensions
-    # up, have no upper cover one dimension up to certify their dual rank
+    # the top has no upper cover to certify its dual rank, and a vertex
+    # whose one upper cover is the top, two dimensions up, fails the
+    # certificate on that pair, named
     poly = hypercube(2)
     lat, _ = faces_of(poly)
     face = lat.faces(dim)[0]
@@ -1286,7 +1269,9 @@ def test_face_without_upper_cover_names_face(dim):
     cut = lattice_from_pairs(lat.dim, lat.faces_by_dim, pairs)
     with pytest.raises(InternalInvariantError) as err:
         ConeSystem(lift(poly), cut)
-    assert str(err.value) == f"dual face of {face}: {face} has no upper cover of dimension {dim + 1}"
+    assert str(err.value) == (
+        f"dual face of {face}: {face} has no upper cover of dimension 2" if dim == 1 else
+        f"dual face of {face}: its upper cover {lat.top_face} has dimension 2, not 1")
 
 
 def test_upper_cover_outside_face_certifies_no_rank():
@@ -1311,12 +1296,12 @@ def test_simplex_face_with_dependent_vertices_names_face():
     # a square, as a 3-face under the top, and the triangle {0,1,2} as a
     # 2-face under F and under a cube facet, above the square's edges {0,1}
     # and {0,2}.  F has dim F + 1 vertices, a simplex face, but they span
-    # rank 3.  The dual ranks pass (the triangle's dual face strictly holds
-    # the cube facet's, F's the top's), and F takes no data as a simplex,
-    # so the system builds.  The batch's mask test, made on every pair
-    # before its route, rejects (triangle, F): the triangle's vertices span
-    # the square, so no normal vanishes on it and not on F.  The per-pair
-    # API builds F's data, one id short, an error naming F
+    # rank 3.  The triangle's dual face strictly holds the cube facet's,
+    # and F's the top's, but the system's certificate, made on every
+    # covering pair when it is built, rejects (triangle, F): the triangle's
+    # vertices span the square, so no normal vanishes on it and not on F.
+    # F's data, the full walk the per-pair API makes, is one id short, an
+    # error naming F
     poly = hypercube(4)
     lat = face_lattice(poly)
     square = lat.faces(2)[0]
@@ -1329,14 +1314,13 @@ def test_simplex_face_with_dependent_vertices_names_face():
     pairs = list(lat.covering) + [(Face((0, 1), 1), triangle), (Face((0, 2), 1), triangle),
                                   (triangle, flat), (triangle, facet), (flat, lat.top_face)]
     hand = lattice_from_pairs(lat.dim, levels, pairs)
-    system = ConeSystem(lift(poly), hand)
     with pytest.raises(InternalInvariantError) as err:
-        build_complex(trivialize(hand), system)
+        ConeSystem(lift(poly), hand)
     assert str(err.value) == (
-        f"edge-ray cross-check failed for ({triangle}, {flat}): "
-        "no facet normal vanishes on E and not on F (dual_E & ~dual_F = 0)")
+        f"dual face of {triangle} does not strictly contain that of its upper cover "
+        f"{flat}, so its rank 2 is not certified")
     with pytest.raises(InternalInvariantError) as err:
-        system.face_data(hand.face_id[flat])
+        face_cone_data(flat, gram_table(lift(poly)))
     assert str(err.value) == f"face {flat}: span has 3 independent lifted vertices, expected 4"
 
 
@@ -1382,15 +1366,20 @@ def test_simplex_lower_cover_takes_the_reduced_cofactor_check(cofactor, monkeypa
 
 def test_lower_cover_outside_face_is_not_resumed_from():
     # a hand-built lattice lists the vertex {0} first under the edge {2,3}
-    # of the square; {0}'s span id lies below p = 2, but {0} is not in the
-    # edge, so the edge does not resume from it and keeps its own basis
+    # of the square, besides its own edges; {0} is not in the edge, and its
+    # dual face does not hold the edge's, so the system's certificate
+    # rejects that pair by name before any face data is built
     poly = hypercube(2)
     lat, by_set = faces_of(poly)
-    edge = by_set[(2, 3)]
-    pairs = [(by_set[(0,)], edge)] + list(lat.covering)
+    vertex, edge = by_set[(0,)], by_set[(2, 3)]
+    pairs = [(vertex, edge)] + list(lat.covering)
     stray = lattice_from_pairs(lat.dim, lat.faces_by_dim, pairs)
-    assert stray.down[stray.face_id[edge]][0] == stray.face_id[by_set[(0,)]]
-    assert ConeSystem(lift(poly), stray).face_data(stray.face_id[edge]).span_ids == (2, 3)
+    assert stray.down[stray.face_id[edge]][0] == stray.face_id[vertex]
+    with pytest.raises(InternalInvariantError) as err:
+        ConeSystem(lift(poly), stray)
+    assert str(err.value) == (
+        f"dual face of {vertex} does not strictly contain that of its upper cover {edge}, "
+        "so its rank 2 is not certified")
 
 
 def test_inherited_adjugate_fails_certificate_of_face(monkeypatch):
@@ -1753,3 +1742,21 @@ def test_positive_multiple_ratio_rejects():
     assert positive_multiple_ratio((0, -2), (0, 1)) is None
     assert positive_multiple_ratio((1, 1), (0, 1)) is None
     assert positive_multiple_ratio((0, 3), (0, 1)) == 3
+
+
+def test_dual_cone_of_no_generators():
+    # the dual of the zero cone in R^0 is R^0, which has no extreme ray; with
+    # no generator and no dimension the ambient space is unknown
+    assert dual_cone([], 0) == ()
+    with pytest.raises(InternalInvariantError) as err:
+        dual_cone([])
+    assert str(err.value) == "dual_cone needs generators or an explicit dimension"
+
+
+def test_lift_of_a_flat_vertex_set_is_not_solid():
+    # a Polytope record built by hand, two points in R^2: their lifted
+    # vertices span a plane of R^3, so the cone is not solid
+    flat = hypercube(2)._replace(vertices=((0, 0), (1, 0)), facets=())
+    with pytest.raises(InternalInvariantError) as err:
+        lift(flat)
+    assert str(err.value) == "lifted cone is not solid"

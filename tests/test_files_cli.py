@@ -13,7 +13,7 @@ import pytest
 import polyk.cellular as cellular
 import polyk.cli as cli
 from polyk.cli import main
-from polyk.errors import InputError
+from polyk.errors import InputError, InternalInvariantError
 from polyk.corpus import cross_polytope
 from polyk.files import load_polytope, parse_polytope_text, polytope_to_json
 from polyk.ktheory import AbelianGroup
@@ -499,3 +499,32 @@ def test_cli_compare_dimension_mismatch(capsys):
 def test_cli_corpus_empty_dir(tmp_path, capsys):
     assert main(["corpus", str(tmp_path)]) == 1
     assert "no *.json" in capsys.readouterr().err
+
+
+def test_cli_corpus_lists_internal_error_and_goes_on(tmp_path, capsys, monkeypatch):
+    # a file whose pipeline raises an internal error (injected here, as no
+    # valid input does) is listed with its status and message, the run goes
+    # on past it and past a malformed file, and the worst exit code, 2,
+    # wins; the human report gives each failed file one line
+    files = {"seg.json": '{"name": "seg", "dim": 1, "vertices": [[0], [1]]}',
+             "broken.json": '{"name": "broken", "dim": 1, "vertices": [[0], [2]]}',
+             "malformed.json": '{"name": "t", "dim": 1, "vertices": [[0], 1]}'}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    real = cli.run_pipeline
+
+    def failing(P):
+        if P.name == "broken":
+            raise InternalInvariantError("injected fault")
+        return real(P)
+
+    monkeypatch.setattr(cli, "run_pipeline", failing)
+    assert main(["corpus", str(tmp_path)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "broken.json: internal-error: injected fault",
+        f"malformed.json: input-error: {tmp_path / 'malformed.json'}: vertex 1 must be an array",
+        "seg.json: ok, f-vector [1, 2, 1]"]
+    assert main(["corpus", str(tmp_path), "--json"]) == 2
+    listed = json.loads(capsys.readouterr().out)["files"]
+    assert listed["broken.json"] == {"status": "internal-error", "message": "injected fault"}
+    assert listed["seg.json"]["status"] == "ok"

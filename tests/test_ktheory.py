@@ -1,5 +1,6 @@
 """First-page bookkeeping, second-page collapse, and K-group descriptors."""
 
+import random
 import sys
 
 import pytest
@@ -47,6 +48,25 @@ def test_group_normalization_via_snf():
     assert group_from_factors(0, [2, 3]) == AbelianGroup(0, (6,))
     assert group_from_factors(0, [4, 6]) == AbelianGroup(0, (2, 12))
     assert group_from_factors(3, [1, 1]) == AbelianGroup(3)
+
+
+def test_group_normalization_matches_smith_normal_form():
+    # the pairwise (gcd, lcm) sweep gives the Smith diagonal of the orders'
+    # diagonal matrix, on a seeded sample of order lists mixing shared and
+    # coprime prime powers, units included
+    rng = random.Random(3801)
+    orders = (1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 18, 25, 27, 30, 36, 49, 60, 210)
+    for _ in range(300):
+        factors = [rng.choice(orders) for _ in range(rng.randint(0, 7))]
+        diag = [[n if i == j else 0 for j in range(len(factors))] for i, n in enumerate(factors)]
+        smith = linalg.smith_normal_form(diag).diagonal if factors else ()
+        assert group_from_factors(2, factors) == AbelianGroup(2, tuple(x for x in smith if x > 1))
+
+
+@pytest.mark.parametrize("factors", [[2, 0], [-3]])
+def test_group_rejects_nonpositive_orders(factors):
+    with pytest.raises(InternalInvariantError, match="^cyclic factors must be positive$"):
+        group_from_factors(0, factors)
 
 
 def test_direct_sum():

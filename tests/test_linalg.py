@@ -16,6 +16,7 @@ from polyk.linalg import (
     cofactor_kernel_vector,
     coords_in_basis,
     det_sign,
+    dot,
     int_adjugate,
     int_dot,
     int_identity,
@@ -382,3 +383,29 @@ def test_snf_invariants(mat):
 def test_snf_rank_agrees_with_rational_rank(mat):
     s = smith_normal_form(mat)
     assert sum(1 for x in s.diagonal if x != 0) == rank(QMatrix.from_rows(mat))
+
+
+SHAPE_GUARDS = {
+    "dot": (lambda: dot((1, 2), (1,)), "dot of length 2 with 1"),
+    "qmatrix": (lambda: QMatrix(2, 1, ((1,),)), "QMatrix shape mismatch"),
+    "from-columns": (lambda: QMatrix.from_columns([]),
+                     "from_columns([]) needs an explicit row count"),
+    "hstack": (lambda: qm([[1]]).hstack(qm([[1], [2]])), "hstack row mismatch"),
+    "matmul": (lambda: qm([[1, 2]]) @ qm([[1, 2]]), "matmul shape mismatch"),
+    "mat-vec": (lambda: qm([[1, 2]]).mat_vec((1,)), "mat_vec shape mismatch"),
+    "coords": (lambda: coords_in_basis(qm([[1]]), qm([[1], [2]])),
+               "coords_in_basis: row count mismatch"),
+    "int-mat-mul": (lambda: int_mat_mul(((1, 2),), ((1, 2),)), "int_mat_mul shape mismatch"),
+    "bareiss": (lambda: bareiss_det([[1, 2]]), "bareiss_det needs a square matrix"),
+    "cofactor-kernel": (lambda: cofactor_kernel_vector([[1, 0, 0]], 3),
+                        "cofactor_kernel_vector: need exactly n-1 rows"),
+    "snf-ragged": (lambda: smith_normal_form([[1, 2], [3]]), "smith_normal_form: ragged input"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_GUARDS))
+def test_shape_guards_name_the_operation(name):
+    call, message = SHAPE_GUARDS[name]
+    with pytest.raises(InternalInvariantError) as err:
+        call()
+    assert str(err.value) == message

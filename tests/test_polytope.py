@@ -763,3 +763,29 @@ def test_random_hulls_validate(small_corpus):
 def test_validate_rejects_empty_vertex_list():
     with pytest.raises(InputError, match="^empty vertex list$"):
         validate([])
+
+
+def test_cross_polytope_needs_dimension_one():
+    with pytest.raises(InputError) as err:
+        cross_polytope(0)
+    assert str(err.value) == "cross-polytope needs dimension >= 1"
+
+
+def test_verify_lattice_names_unbounded_f_vector():
+    # two vertices over the empty face with no top face: covers are strict
+    # containments, but the lattice has no top
+    empty, a, b = Face((), -1), Face((0,), 0), Face((1,), 0)
+    lat = lattice_from_pairs(1, ((empty,), (a, b), ()), [(empty, a), (empty, b)])
+    with pytest.raises(InternalInvariantError) as err:
+        verify_lattice(lat)
+    assert str(err.value) == "not bounded: f-vector (1, 2, 0)"
+
+
+def test_face_lattice_of_a_polytope_without_facets_names_bottom_level():
+    # a Polytope record built by hand with no facets: the walk from the top
+    # finds no lower cover, so level 0 is empty, an error naming the level
+    square = hypercube(2)
+    with pytest.raises(InternalInvariantError) as err:
+        face_lattice(square._replace(facets=()))
+    assert str(err.value) == (
+        "level 0 of the face lattice must hold the empty face {} alone, found []")
