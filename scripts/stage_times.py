@@ -15,7 +15,9 @@ stage's best time is printed, with their sum as the total, as one row of a
 Markdown table:
 
 - validate: ``validate`` on the input's vertices;
-- lattice: ``face_lattice``;
+- walk: the face lattice's top-down walk (``polytope._top_down``);
+- verify: its verification (``verify_lattice``), the rest of
+  ``face_lattice``;
 - ConeSystem: ``lift`` and ``ConeSystem``;
 - build: ``trivialize`` and ``build_complex``;
 - report: ``e1_page`` and ``k_report``.
@@ -36,10 +38,10 @@ from polyk.cellular import build_complex, trivialize  # noqa: E402
 from polyk.cones import ConeSystem, lift  # noqa: E402
 from polyk.corpus import cross_polytope, hypercube, random_hull  # noqa: E402
 from polyk.ktheory import e1_page, k_report  # noqa: E402
-from polyk.polytope import Polytope, face_lattice, validate  # noqa: E402
+from polyk.polytope import Polytope, _top_down, validate, verify_lattice  # noqa: E402
 
 DEFAULT = ("cross7", "cube8", "hull6_24", "hull7_30")
-STAGES = ("validate", "lattice", "ConeSystem", "build", "report")
+STAGES = ("validate", "walk", "verify", "ConeSystem", "build", "report")
 
 
 def polytope(name: str) -> Polytope:
@@ -65,7 +67,9 @@ def stage_times(P: Polytope, repeat: int) -> dict[str, float]:
         marks = []
         validate(P.vertices)
         marks.append(time.perf_counter())
-        lattice = face_lattice(P)
+        lattice = _top_down(P)
+        marks.append(time.perf_counter())
+        verify_lattice(lattice)
         marks.append(time.perf_counter())
         system = ConeSystem(lift(P), lattice)
         marks.append(time.perf_counter())

@@ -200,8 +200,9 @@ def cmd_corpus(args: argparse.Namespace) -> int:
                 conclusions = entry["report"]["ktheory"]["conclusions"]
                 flag = "ok" if not any(c.startswith("FALSIFIED") for c in conclusions) else "FALSIFIED"
                 print(f"{name}: {flag}, f-vector {entry['report']['f_vector']}")
-            else:
-                print(f"{name}: {entry['status']}: {entry['message']}")
+            else:  # the line names the file once, not again as the message's prefix
+                message = entry["message"].removeprefix(f"{directory / name}: ")
+                print(f"{name}: {entry['status']}: {message}")
     return worst
 
 

@@ -16,9 +16,12 @@ faces alone.  Each level is sorted by vertex set as soon as it is
 complete, and the faces are numbered from the bottom in that order, with
 each face's lower covers as the ascending id tuples every later stage
 reads.  The lattice is verified before it is returned, and a corrupt facet
-list fails there or in the walk's level checks, naming a face.  The
-intersection closure of the facet vertex sets with one rational rank per
-face, and the closure over the vertices alone, are the tests' oracles.
+list fails there or in the walk's level checks, naming a face.  The same
+Boolean interval spares the verification: once a cheap certificate on the
+vertex masks and covers holds, the diamond check reads only the faces two
+levels below faces that are not simplices.  The intersection closure of
+the facet vertex sets with one rational rank per face, and the closure
+over the vertices alone, are the tests' oracles.
 
 Facets come from the double description method on the homogenized integer
 points, inserted one at a time, with combinatorial adjacency on bitmask zero
@@ -139,6 +142,31 @@ class GradedIds:
       the faces of a polytope are closed under intersection.
 
     Any failure is an ``InternalInvariantError``.
+
+    On a face lattice the diamond axiom holds below every simplex face
+    once the lattice passes the simplex certificate
+    (``simplex_certificate``).  A simplex face G of rank r is one
+    whose vertex mask has r + 1 bits, and the certificate asks that (a)
+    the vertex masks are pairwise distinct, (b) every cover joins adjacent
+    ranks and (c) every simplex face of rank r has exactly r + 1 lower
+    covers.  The claim: every face of rank r - 2 whose mask lies in G's
+    has exactly two faces between it and G.  Proof, for a lattice whose
+    covers are strict containments of masks and that is bounded and
+    graded:
+
+    - a face of rank r has at least r + 1 vertices: by (b) and the graded
+      axiom, a chain of r + 1 lower covers, each one rank down, reaches
+      the bottom, and each is a strict containment;
+    - so each lower cover of G, of rank r - 1 by (b), is G minus one
+      vertex, and the r + 1 of them that (c) asks for, listed once and of
+      pairwise distinct masks by (a), are all the faces G - u; each of
+      them is again a simplex, with all of its own lower covers G - u - v
+      by (c);
+    - the faces two levels below G through covers are therefore the faces
+      G - {u, v}, and each lies under exactly G - u and G - v;
+    - any other face X of rank r - 2 inside G has at least r - 1
+      vertices, so X's mask is that of a face G - {u, v}, G - u or G, a
+      mask that (a) allows only once.
     """
 
     faces_by_id: tuple
@@ -161,11 +189,14 @@ class GradedIds:
     def ids(self, rank: int) -> range:
         return range(self.level_start[rank + 1], self.level_start[rank + 2])
 
-    def two_step_paths(self, rank: int) -> Iterator[tuple[int, int, int, int]]:
+    def two_step_paths(self, rank: int, highs: Sequence[int] | None = None
+                       ) -> Iterator[tuple[int, int, int, int]]:
         """For each element ``low`` of the rank, ``(low, once, twice,
         thrice)``: bit b of ``once`` (``twice``, ``thrice``) is set iff at
         least one (two, three) of low's upper covers are covered by the
-        element ``ids(rank + 2)[b]``.
+        element ``ids(rank + 2)[b]``, if that element is one of
+        ``highs`` (by default all of ``ids(rank + 2)``); the bits of the
+        others are 0.
 
         So for ``high`` two ranks up, bit b, the number of paths of two
         covers from ``low`` to ``high`` is
@@ -178,15 +209,15 @@ class GradedIds:
         masks are level-local (bit b for ``ids(rank + 2)[b]``).  Every U is
         made first, from the highs' lower covers: bit b is ORed into the U
         of each m in ``down[ids(rank + 2)[b]]``, one OR per cover.  That is
-        the mask of m's upper covers in ``ids(rank + 2)``, since ``up`` is
-        read off ``down``: h is in ``up[m]`` iff m is in ``down[h]``.  U is
-        0 for an m, of any rank, that no element of ``ids(rank + 2)``
-        covers.
+        the mask of m's upper covers among the highs, since ``up`` is read
+        off ``down``: h is in ``up[m]`` iff m is in ``down[h]``.  U is 0
+        for an m, of any rank, that no high covers.
         """
         down, up = self.down, self.up
+        first = self.level_start[rank + 3]
         covered_by = [0] * len(down)  # m -> U
-        for b, high in enumerate(self.ids(rank + 2)):
-            bit = 1 << b
+        for high in self.ids(rank + 2) if highs is None else highs:
+            bit = 1 << (high - first)
             for m in down[high]:
                 covered_by[m] |= bit
         for low in self.ids(rank):
@@ -238,8 +269,8 @@ class FaceLattice(GradedIds):
     the vertex bitmask of face i: ``face_lattice`` passes the masks its
     walk found, and a lattice built without them derives them from the
     vertex sets.  ``covering`` (the pairs of faces (E, F), E covered by F,
-    ordered by the id of F, then of E) and ``face_id`` (the id of a
-    ``Face``) are views made from the ids on first use.
+    ordered by the id of F, then of E), ``face_id`` (the id of a ``Face``)
+    and ``distinct_masks`` are views made on first use.
     """
 
     dim: int
@@ -264,6 +295,13 @@ class FaceLattice(GradedIds):
     @cached_property
     def face_id(self) -> dict[Face, int]:
         return {f: i for i, f in enumerate(self.faces_by_id)}
+
+    @cached_property
+    def distinct_masks(self) -> bool:
+        """Are the vertex masks pairwise distinct?  The walk asks, to find a
+        face met at two levels, and ``simplex_certificate`` reads the same
+        answer."""
+        return len(set(self.vertex_masks)) == len(self.vertex_masks)
 
     def faces(self, j: int) -> tuple[Face, ...]:
         """Faces of dimension j, for -1 <= j <= dim."""
@@ -546,7 +584,9 @@ def face_lattice(P: Polytope) -> FaceLattice:
     The face lattice is graded by dim + 1 (Ziegler, Thm 2.7), so a face at
     level k has dimension k - 1.  The lattice is verified
     (``verify_lattice``: covers that are strict containments, then the
-    bounded, graded and diamond axioms) before it is returned.  A facet
+    bounded, graded and diamond axioms) before it is returned; the second
+    identity, certified on the lattice itself (``simplex_certificate``),
+    spares the diamond check every pair below a simplex face.  A facet
     list that is not P's fails there or in the walk's own checks, each
     naming a face: a facet with a vertex too few or a dropped facet leaves
     a diamond short, or a face at two levels; a facet with a vertex too
@@ -569,7 +609,9 @@ def _top_down(P: Polytope) -> FaceLattice:
     level up in ``GradedIds`` order, so each list is the face's ``down``,
     ascending.  A face found at two levels, or any level d + 1 other than
     the polytope alone or level 0 other than the empty face alone, is an
-    internal error.
+    internal error.  A face at two levels shows as fewer distinct vertex
+    masks than faces (``FaceLattice.distinct_masks``); only then is each mask's level looked up, to name
+    the first face met again and its two levels.
     """
     d, n = P.ambient_dim, P.nvertices
     atoms = [(1 << j, sum(1 << v for v in fc.vertex_set)) for j, fc in enumerate(facets(P))]
@@ -612,25 +654,63 @@ def _top_down(P: Polytope) -> FaceLattice:
     down = [tuple(below) for k in reversed(range(d + 2))
             for below in lower[starts[k]:starts[k + 1]]]
     masks = [[face[1] for face in level] for level in levels]
-
-    level_of: dict[int, int] = {}  # vertex mask -> level
-    for k, level in enumerate(masks):
-        for hv in level:
-            if hv in level_of:
-                raise InternalInvariantError(
-                    f"face {Face(set_bits(hv), k - 1)} found at levels {level_of[hv]} and {k}")
-            level_of[hv] = k
+    lattice = FaceLattice(dim=d,
+                          faces_by_dim=tuple(tuple(Face(face[0], k - 1) for face in level)
+                                             for k, level in enumerate(levels)),
+                          down=tuple(down), vertex_masks=tuple(chain.from_iterable(masks)))
+    if not lattice.distinct_masks:
+        level_of: dict[int, int] = {}  # vertex mask -> level
+        for k, level in enumerate(masks):
+            for hv in level:
+                if hv in level_of:
+                    raise InternalInvariantError(
+                        f"face {Face(set_bits(hv), k - 1)} found at levels {level_of[hv]} and {k}")
+                level_of[hv] = k
     for k, end, want in ((d + 1, "the polytope", (1 << n) - 1), (0, "the empty face", 0)):
         if masks[k] != [want]:
             listed = ", ".join(str(Face(set_bits(hv), k - 1)) for hv in masks[k])
             raise InternalInvariantError(
                 f"level {k} of the face lattice must hold {end} "
                 f"{Face(set_bits(want), k - 1)} alone, found [{listed}]")
+    return lattice
 
-    return FaceLattice(dim=d,
-                       faces_by_dim=tuple(tuple(Face(face[0], k - 1) for face in level)
-                                          for k, level in enumerate(levels)),
-                       down=tuple(down), vertex_masks=tuple(chain.from_iterable(masks)))
+
+def simplex_certificate(L: FaceLattice) -> list[list[int]] | None:
+    """The ids of the faces that are not simplices, rank by rank from 0 to
+    ``L.dim``, when L passes the simplex certificate; None when it fails.
+
+    A simplex face is one whose vertex mask has rank + 1 bits.  On a
+    lattice whose covers are strict containments of masks and that is
+    bounded and graded, which ``verify_lattice`` checks first, the
+    certificate is:
+
+    - (a) the vertex masks are pairwise distinct;
+    - (b) every cover joins adjacent ranks: ``up`` is ascending
+      (``GradedIds``), so this is a range test on the two ends of each
+      face's ``up``, and the top has no upper cover;
+    - (c) every simplex face of rank r has exactly r + 1 lower covers.
+
+    What it proves, the diamond axiom below every simplex face, is stated
+    and proved in ``GradedIds``.
+    """
+    mask, down, up, start = L.vertex_masks, L.down, L.up, L.level_start
+    if not L.distinct_masks or up[-1]:
+        return None
+    for r in range(-1, L.dim):
+        level = up[start[r + 1]:start[r + 2]]
+        if (min(map(itemgetter(0), level)) < start[r + 2]
+                or max(map(itemgetter(-1), level)) >= start[r + 3]):
+            return None
+    others = []
+    for r in range(L.dim + 1):
+        rest = []
+        for g in L.ids(r):
+            if mask[g].bit_count() != r + 1:
+                rest.append(g)
+            elif len(down[g]) != r + 1:
+                return None
+        others.append(rest)
+    return others
 
 
 def verify_lattice(L: FaceLattice) -> None:
@@ -642,15 +722,27 @@ def verify_lattice(L: FaceLattice) -> None:
     high's: with the lattice's vertex bitmask per face, ``lo & hi == lo != hi``.
 
     The diamond axiom asks for two faces between ``low`` and every face
-    ``high`` two levels up whose vertex set holds low's, so the failure mask
-    of ``low`` is ``above & (thrice | ~twice)``, with ``above`` those faces.
-    ``above`` comes from an inverted vertex index rather than from trying
-    every face two levels up: ``containing[v]`` is the bitmask of the
-    level-(j + 2) faces whose vertex set holds v, so ``above`` is the AND of
-    ``containing[v]`` over the vertices of ``low`` (the whole level for the
-    empty face).  Containment is read off the vertex sets, not off the
-    covers: a face that holds ``low``'s vertices but that no path of covers
-    reaches from ``low`` fails with 0 intermediate elements.
+    ``high`` two levels up whose vertex mask holds low's, so the failure
+    mask of ``low`` is ``above & (thrice | ~twice)``, with ``above`` those
+    faces.  ``above`` comes from an inverted vertex index rather than from
+    trying every face two levels up: ``containing[v]`` is the bitmask of the
+    highs whose mask has bit v, so ``above`` is the AND of ``containing[v]``
+    over the bits v of low's mask (the whole level for the empty face).  The
+    AND starts from the failure candidates and stops as soon as none is
+    left.  Both sides read the vertex masks, as the containment check and
+    the certificate below do, so a lattice built with masks of its own is
+    checked on those masks alone.  Containment is read off the masks, not
+    off the covers: a face that holds ``low``'s vertices but that no path of
+    covers reaches from ``low`` fails with 0 intermediate elements.
+
+    When L passes the simplex certificate (``simplex_certificate``), the
+    highs are only the faces that are not simplices, and a rank whose highs
+    are all simplices is skipped.  The identity in ``GradedIds`` shows that
+    every face two levels below a simplex face has exactly two faces
+    between them, so no skipped pair can fail: the check accepts the same
+    lattices and names the same first failing pair as with every face a
+    high.  When the certificate fails, every face is a high.  On a
+    simplicial polytope, only P over its ridges is left.
 
     Any failure is an internal error; valid polytope input cannot produce it.
     """
@@ -665,19 +757,31 @@ def verify_lattice(L: FaceLattice) -> None:
                     f"covering pair ({faces[low]}, {faces[high]}) "
                     "is not a strict vertex-set containment")
     L.verify_graded()
+    others = simplex_certificate(L)
     # by the checks above, a chain of upper covers, each a strict containment,
-    # leads from every face to the top, so every vertex id is the top's
-    n = max(L.top_face.vertex_set, default=-1) + 1
+    # leads from every face to the top, so every vertex bit is the top's
+    vbit = [1 << v for v in range(mask[-1].bit_length())]
     for j in range(-1, L.dim - 1):
-        highs = L.ids(j + 2)
-        containing = [0] * n
-        for b, high in enumerate(highs):
-            bit = 1 << b
-            for v in faces[high].vertex_set:
+        highs = L.ids(j + 2) if others is None else others[j + 2]
+        if not highs:
+            continue
+        first = L.level_start[j + 3]
+        containing = [0] * len(vbit)
+        keep = 0
+        for high in highs:
+            bit = 1 << (high - first)
+            keep |= bit
+            hi = mask[high]
+            while hi:
+                v = hi.bit_length() - 1
                 containing[v] |= bit
-        level = (1 << len(highs)) - 1
-        for low, _, twice, thrice in L.two_step_paths(j):
-            above = reduce(and_, map(containing.__getitem__, faces[low].vertex_set), level)
-            bad = above & (thrice | ~twice)
+                hi ^= vbit[v]
+        for low, _, twice, thrice in L.two_step_paths(j, highs):
+            bad = keep & (thrice | ~twice)
+            lo = mask[low]
+            while bad and lo:
+                v = lo.bit_length() - 1
+                bad &= containing[v]
+                lo ^= vbit[v]
             if bad:
                 raise L.diamond_error(low, j, bad)

@@ -1225,6 +1225,15 @@ def dense_homology_pair(X: ChainComplex) -> tuple[HomologyResult, HomologyResult
     return result(True), result(False)
 
 
+def failure(check, lat) -> str | None:
+    """The message of the InternalInvariantError check(lat) raises, or None."""
+    try:
+        check(lat)
+    except InternalInvariantError as exc:
+        return str(exc)
+    return None
+
+
 def all_pairs_verify_lattice(L: FaceLattice) -> None:
     """``verify_lattice`` over all pairs of faces two levels apart: each pair
     whose vertex masks satisfy ``lo & hi == lo`` must have two faces

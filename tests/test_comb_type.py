@@ -37,6 +37,7 @@ from oracles import (
     all_pairs_verify_abstract_lattice,
     all_pairs_verify_lattice,
     complex_from_dense,
+    failure,
     lattice_from_pairs,
     rank_scan_is_isomorphic,
 )
@@ -162,15 +163,6 @@ def test_verify_abstract_lattice_accepts_boolean_lattice():
 
 
 # --- cover-driven checks against the all-pairs oracles ---
-
-def failure(check, lat):
-    """The message of the InternalInvariantError check(lat) raises, or None."""
-    try:
-        check(lat)
-    except InternalInvariantError as exc:
-        return str(exc)
-    return None
-
 
 def abstract_of(lat: FaceLattice) -> AbstractLattice:
     def element(f):

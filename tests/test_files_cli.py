@@ -505,7 +505,8 @@ def test_cli_corpus_lists_internal_error_and_goes_on(tmp_path, capsys, monkeypat
     # a file whose pipeline raises an internal error (injected here, as no
     # valid input does) is listed with its status and message, the run goes
     # on past it and past a malformed file, and the worst exit code, 2,
-    # wins; the human report gives each failed file one line
+    # wins; the human report gives each failed file one line that names it
+    # once, while --json keeps the message whole, path prefix and all
     files = {"seg.json": '{"name": "seg", "dim": 1, "vertices": [[0], [1]]}',
              "broken.json": '{"name": "broken", "dim": 1, "vertices": [[0], [2]]}',
              "malformed.json": '{"name": "t", "dim": 1, "vertices": [[0], 1]}'}
@@ -522,9 +523,12 @@ def test_cli_corpus_lists_internal_error_and_goes_on(tmp_path, capsys, monkeypat
     assert main(["corpus", str(tmp_path)]) == 2
     assert capsys.readouterr().out.splitlines() == [
         "broken.json: internal-error: injected fault",
-        f"malformed.json: input-error: {tmp_path / 'malformed.json'}: vertex 1 must be an array",
+        "malformed.json: input-error: vertex 1 must be an array",
         "seg.json: ok, f-vector [1, 2, 1]"]
     assert main(["corpus", str(tmp_path), "--json"]) == 2
     listed = json.loads(capsys.readouterr().out)["files"]
     assert listed["broken.json"] == {"status": "internal-error", "message": "injected fault"}
+    assert listed["malformed.json"] == {
+        "status": "input-error",
+        "message": f"{tmp_path / 'malformed.json'}: vertex 1 must be an array"}
     assert listed["seg.json"]["status"] == "ok"

@@ -35,10 +35,12 @@ from polyk.polytope import (
 from affine import apply_affine, random_invertible_affine
 from oracles import (
     affine_dim,
+    all_pairs_verify_lattice,
     brute_force_facets,
     closure_face_lattice,
     cofactor_starting_cone,
     faces_by_direction,
+    failure,
     hull_by_rank,
     in_convex_hull,
     lattice_from_pairs,
@@ -693,6 +695,110 @@ def test_vertex_masks_come_from_the_closure_and_are_derived_by_hand_built_lattic
         verify_lattice(broken)
     assert str(err.value) == (f"covering pair ({lat.empty_face}, {lat.faces_by_id[vertex]}) "
                               "is not a strict vertex-set containment")
+
+
+# --- the simplex certificate ---
+
+def test_simplex_certificate_holds_on_polytopes_and_verify_matches_all_pairs():
+    # every face lattice passes the certificate, so verify_lattice reads the
+    # diamonds only below faces that are not simplices, and the all-pairs
+    # oracle, which reads every pair, finds each lattice sound as well
+    rng = random.Random(3901)
+    inputs = (acceptance_corpus() + [hypercube(d) for d in range(1, 7)]
+              + [cross_polytope(d) for d in range(1, 7)] + [simplex(8)]
+              + [random_hull(rng, d, d + 6) for d in range(3, 7)]
+              + [prism_over_cross(4), prism_over_cross(5), pyramid_prism()])
+    for poly in inputs:
+        lat = face_lattice(poly)
+        assert polytope.simplex_certificate(lat) is not None, poly.name
+        assert failure(verify_lattice, lat) == failure(all_pairs_verify_lattice, lat) is None, \
+            poly.name
+    # on a simplicial polytope only P is left as a high: the diamonds of P
+    # over its ridges; on a simplex not even P
+    for poly, simplicial in ((cross_polytope(6), True), (simplex(8), False)):
+        lat = face_lattice(poly)
+        top = [len(lat.faces_by_id) - 1] if simplicial else []
+        assert polytope.simplex_certificate(lat) == [[]] * lat.dim + [top]
+
+
+TRIANGLE = Face((0, 1, 2), 2)
+
+
+def tetrahedron_with_covers(drop=(), extra=()) -> polytope.FaceLattice:
+    lat = face_lattice(simplex(3))
+    return lattice_from_pairs(3, lat.faces_by_dim,
+                              tuple(c for c in lat.covering if c not in drop) + tuple(extra))
+
+
+def tetrahedron_with_a_repeated_mask() -> polytope.FaceLattice:
+    """The tetrahedron with the vertex {3} given the vertex set {0,1}, that
+    of the edge {0,1} a level up, and placed first in its level; every face
+    above it gains {0,1} and a new vertex of its own (4 to 9), so that
+    every cover stays a strict containment.  {0,1} then lies in the
+    triangle {0,1,2}, with no path of covers between them."""
+    lat = face_lattice(simplex(3))
+    renamed = {Face((3,), 0): (0, 1), Face((0, 3), 1): (0, 1, 3, 4),
+               Face((1, 3), 1): (0, 1, 3, 5), Face((2, 3), 1): (0, 1, 2, 3, 6),
+               Face((0, 1, 3), 2): (0, 1, 3, 4, 5, 7),
+               Face((0, 2, 3), 2): (0, 1, 2, 3, 4, 6, 8),
+               Face((1, 2, 3), 2): (0, 1, 2, 3, 5, 6, 9), lat.top_face: tuple(range(10))}
+
+    def swap(f):
+        return Face(renamed[f], f.dim) if f in renamed else f
+
+    levels = [list(map(swap, level)) for level in lat.faces_by_dim]
+    levels[1].insert(0, levels[1].pop())
+    return lattice_from_pairs(3, levels, tuple((swap(e), swap(f)) for e, f in lat.covering))
+
+
+SHORT = "diamond property fails between {1} and {0,1,2}: 1 intermediate elements"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: tetrahedron_with_covers(drop=[(Face((1, 2), 1), TRIANGLE)]), SHORT),
+    (tetrahedron_with_a_repeated_mask,
+     "diamond property fails between {0,1} and {0,1,2}: 0 intermediate elements"),
+    (lambda: tetrahedron_with_covers(drop=[(Face((1, 2), 1), TRIANGLE)],
+                                     extra=[(Face((), -1), TRIANGLE)]), SHORT),
+], ids=["simplex-short-of-a-cover", "two-faces-one-mask", "cover-skips-a-level"])
+def test_simplex_certificate_fails_and_the_full_check_names_the_pair(build, message):
+    # one premise of the certificate broken each: (c) the triangle {0,1,2}
+    # has two lower covers, (a) a vertex repeats an edge's mask, (b) the
+    # triangle covers the empty face in place of {1,2}; the other two hold.
+    # In each the first failing pair lies below the triangle, a simplex, so
+    # only the failed certificate keeps the pair in the check, which names
+    # it as the all-pairs oracle does
+    lat = build()
+    assert polytope.simplex_certificate(lat) is None
+    assert failure(verify_lattice, lat) == failure(all_pairs_verify_lattice, lat) == message
+    assert TRIANGLE in lat.face_id
+
+
+def test_simplex_certificate_holds_and_a_diamond_above_a_square_fails():
+    # the cube without the cover ({0,1}, {0,1,2,3}): the simplex faces keep
+    # their covers, so the certificate holds, and the square, not a
+    # simplex, is still a high of the diamond check
+    lat = face_lattice(hypercube(3))
+    edge, square = Face((0, 1), 1), Face((0, 1, 2, 3), 2)
+    assert (edge, square) in lat.covering
+    broken = lattice_from_pairs(3, lat.faces_by_dim,
+                                tuple(c for c in lat.covering if c != (edge, square)))
+    assert polytope.simplex_certificate(broken) is not None
+    assert failure(verify_lattice, broken) == failure(all_pairs_verify_lattice, broken) == \
+        "diamond property fails between {0} and {0,1,2,3}: 1 intermediate elements"
+
+
+def test_two_step_paths_on_some_highs_are_the_full_planes_on_their_bits():
+    lat = face_lattice(hypercube(4))
+    for rank in range(-1, lat.dim - 1):
+        highs = lat.ids(rank + 2)
+        some = highs[::2]
+        keep = sum(1 << (h - highs.start) for h in some)
+        full = list(lat.two_step_paths(rank))
+        part = list(lat.two_step_paths(rank, some))
+        assert [low for low, *_ in part] == [low for low, *_ in full]
+        assert [tuple(p & keep for p in planes) for _, *planes in full] == \
+            [tuple(planes) for _, *planes in part]
 
 
 # --- covering pairs ---
