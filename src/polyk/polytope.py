@@ -610,8 +610,9 @@ def _top_down(P: Polytope) -> FaceLattice:
     ascending.  A face found at two levels, or any level d + 1 other than
     the polytope alone or level 0 other than the empty face alone, is an
     internal error.  A face at two levels shows as fewer distinct vertex
-    masks than faces (``FaceLattice.distinct_masks``); only then is each mask's level looked up, to name
-    the first face met again and its two levels.
+    masks than faces (``FaceLattice.distinct_masks``); only then is each
+    mask's level looked up, to name the first face met again and its two
+    levels.
     """
     d, n = P.ambient_dim, P.nvertices
     atoms = [(1 << j, sum(1 << v for v in fc.vertex_set)) for j, fc in enumerate(facets(P))]

@@ -771,7 +771,7 @@ def test_simplex_certificate_fails_and_the_full_check_names_the_pair(build, mess
     lat = build()
     assert polytope.simplex_certificate(lat) is None
     assert failure(verify_lattice, lat) == failure(all_pairs_verify_lattice, lat) == message
-    assert TRIANGLE in lat.face_id
+    assert lat.vertex_masks[lat.face_id[TRIANGLE]].bit_count() == TRIANGLE.dim + 1
 
 
 def test_simplex_certificate_holds_and_a_diamond_above_a_square_fails():
