@@ -26,7 +26,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .cellular import HomologyResult
+from .cellular import AbelianGroup, HomologyResult
 from .comb_type import is_isomorphic
 from .errors import (
     EXIT_BROKEN_PIPE,
@@ -38,7 +38,7 @@ from .errors import (
     InternalInvariantError,
 )
 from .files import load_polytope, polytope_to_json
-from .ktheory import AbelianGroup, KReport
+from .ktheory import KReport
 from .pipeline import PipelineResult, run_pipeline
 from .polytope import face_label, face_lattice
 

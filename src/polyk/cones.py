@@ -411,10 +411,12 @@ def check_dual_faces(lattice: FaceLattice, dual_masks: Sequence[int], n: int) ->
     """The dual faces certified once per run, on ``dual_masks`` (for each
     face, the bitmask of the facet normals vanishing on it, the AND of its
     vertices' ``vertex_facet_masks``), before anything reads them.  The top
-    face must have dimension n - 1 and an empty mask, every other face F
-    an upper cover, and every covering pair E < H, level by level from the
-    top down, must have dim H = dim E + 1 and dual_H a proper subset of
-    dual_E.  A failing pair is an error naming both faces.
+    face must have dimension n - 1 and an empty mask.  The lattice must be
+    graded (``GradedIds.verify_graded``, which owns the rule): every face F
+    below the top has an upper cover, and every cover E < H has
+    dim H = dim E + 1.  Every covering pair, level by level from the top
+    down, must then have dual_H a proper subset of dual_E.  A failing pair
+    is an error naming both faces.
 
     The dual face of every face F then spans rank n - (dim F + 1).  Lower
     bound, by induction from the top, whose dual face has rank
@@ -467,20 +469,15 @@ def check_dual_faces(lattice: FaceLattice, dual_masks: Sequence[int], n: int) ->
         raise InternalInvariantError(
             f"dual face of the top face {faces[top]} is not empty: facet normals "
             f"{list(set_bits(dual_masks[top]))} vanish on every vertex")
+    lattice.verify_graded()
     for f in range(top - 1, -1, -1):
-        F, mask, dim = faces[f], dual_masks[f], faces[f].dim + 1
-        if not up[f]:
-            raise InternalInvariantError(
-                f"dual face of {F}: {F} has no upper cover of dimension {dim}")
+        mask = dual_masks[f]
         for h in up[f]:
-            H, smaller = faces[h], dual_masks[h]
-            if H.dim != dim:
-                raise InternalInvariantError(
-                    f"dual face of {F}: its upper cover {H} has dimension {H.dim}, not {dim}")
+            smaller = dual_masks[h]
             if smaller == mask or smaller & ~mask:
                 raise InternalInvariantError(
-                    f"dual face of {F} does not strictly contain that of its upper cover "
-                    f"{H}, so its rank {n - dim} is not certified")
+                    f"dual face of {faces[f]} does not strictly contain that of its upper "
+                    f"cover {faces[h]}, so its rank {n - 1 - faces[f].dim} is not certified")
 
 
 def adjugate_column(span_F: int, span_E: int) -> int | None:
@@ -792,7 +789,10 @@ class ConeSystem:
     table of the lifted vertices (``gram``) and each face's dual-face
     bitmask (``dual_masks``, the AND of its vertices'
     ``vertex_facet_masks``) are built first, and the dual masks of every
-    covering pair (``check_dual_faces``) are certified then.  The slack
+    covering pair (``check_dual_faces``) are certified then, on a lattice
+    that ``GradedIds.verify_graded`` finds graded, each cover one
+    dimension up: the premise of the dual ranks, checked by the same call
+    and with the same messages as in ``face_lattice``.  The slack
     table S is read once, by the pass of ``vertex_facet_masks`` that also
     checks S >= 0, and not kept: no covering pair reads it.
 
@@ -834,11 +834,12 @@ class ConeSystem:
         reached, a bridge, takes tau over its first upper cover
         H = ``up[E][0]``.  ``check_dual_faces`` certified every covering
         pair, so every upper cover of E is dual-simple (above), one
-        dimension up, and, a level higher, of a higher id; the descending
-        loop over roots has set its tau already.  The spread did not go
-        from H to E, so the pair (E, H) has m > 0, and the general route
-        gives its sign sigma = sign det C (``_coordinate_sign``), one
-        m x m determinant off H's certified adjugate (``_general_sign``).
+        dimension up (``GradedIds.verify_graded``), and, a level higher, of
+        a higher id; the descending loop over roots has set its tau
+        already.  The spread did not go from H to E, so the pair (E, H)
+        has m > 0, and the general route gives its sign
+        sigma = sign det C (``_coordinate_sign``), one m x m determinant
+        off H's certified adjugate (``_general_sign``).
         With sigma = dual_sign * tau_E * tau_H (``dual_sign``),
         tau_E = sigma * dual_sign * tau_H, and the spread goes on from E.
 

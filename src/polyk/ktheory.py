@@ -22,8 +22,7 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple, Sequence
 
-# the group type lives with HomologyResult; Z is imported to be re-exported
-from .cellular import ZERO_GROUP, AbelianGroup, ChainComplex, HomologyResult, Z, homology_pair  # noqa: F401
+from .cellular import ZERO_GROUP, AbelianGroup, ChainComplex, HomologyResult, homology_pair
 from .errors import InternalInvariantError
 
 

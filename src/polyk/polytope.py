@@ -13,15 +13,15 @@ Every face above a face that is not a simplex is not a simplex either, so
 the Kaibel-Pfetsch closure step on the vertex-facet incidences, with the
 facets as atoms, reaches every such face from P down, and it runs on those
 faces alone.  Each level is sorted by vertex set as soon as it is
-complete, and the faces are numbered from the bottom in that order, with
-each face's lower covers as the ascending id tuples every later stage
-reads.  The lattice is verified before it is returned, and a corrupt facet
-list fails there or in the walk's level checks, naming a face.  The same
-Boolean interval spares the verification: once a cheap certificate on the
-vertex masks and covers holds, the diamond check reads only the faces two
-levels below faces that are not simplices.  The intersection closure of
-the facet vertex sets with one rational rank per face, and the closure
-over the vertices alone, are the tests' oracles.
+complete, and the faces are numbered once, from the bottom in that
+order, with each face's lower covers as the ascending id tuples every
+later stage reads.  The lattice is verified before it is returned, and a
+corrupt facet list fails there or in the walk's level checks, naming a
+face.  The same Boolean interval spares the verification: once a cheap
+certificate on the vertex masks and covers holds, the diamond check reads
+only the faces two levels below faces that are not simplices.  The
+intersection closure of the facet vertex sets with one rational rank per
+face, and the closure over the vertices alone, are the tests' oracles.
 
 Facets come from the double description method on the homogenized integer
 points, inserted one at a time, with combinatorial adjacency on bitmask zero
@@ -111,16 +111,19 @@ class GradedIds:
     """Elements numbered level by level from the bottom, rank r taking the
     ids ``ids(r)`` from ``level_start[r + 1]``: element i is
     ``faces_by_id[i]``, and ``down[i]`` and ``up[i]`` are the ids of its
-    lower and upper covers, each listed once; ``up[i]`` is ascending, read
-    off ``down``.
+    lower and upper covers; ``up[i]`` is ascending, read off ``down``.  A
+    cover listed twice in some ``down[i]`` is an error, raised as ``up`` is
+    read, so each cover is listed once in each.
 
-    The axioms of a polytope face lattice, which ``verify_lattice`` and
-    ``comb_type.lattice_from_incidence`` check, are stated here once:
+    The axioms of a polytope face lattice, which ``verify_lattice``,
+    ``comb_type.lattice_from_incidence`` and ``cones.check_dual_faces``
+    check, are stated here once:
 
     - bounded: one element of rank -1 and one of rank dim
       (``verify_graded``);
     - graded: every element below the top has an upper cover and every
-      element above the bottom a lower cover (``verify_graded``);
+      element above the bottom a lower cover, every cover joins adjacent
+      ranks, and the top has no upper cover (``verify_graded``);
     - diamond: two elements ``low`` and ``high`` two ranks apart, with
       ``low`` below ``high``, have exactly two elements between them.  The
       elements between are those that cover ``low`` and are covered by
@@ -147,16 +150,16 @@ class GradedIds:
     once the lattice passes the simplex certificate
     (``simplex_certificate``).  A simplex face G of rank r is one
     whose vertex mask has r + 1 bits, and the certificate asks that (a)
-    the vertex masks are pairwise distinct, (b) every cover joins adjacent
-    ranks and (c) every simplex face of rank r has exactly r + 1 lower
-    covers.  The claim: every face of rank r - 2 whose mask lies in G's
-    has exactly two faces between it and G.  Proof, for a lattice whose
-    covers are strict containments of masks and that is bounded and
-    graded:
+    the vertex masks are pairwise distinct and (c) every simplex face of
+    rank r has exactly r + 1 lower covers; (b), every cover joins adjacent
+    ranks, is part of the graded axiom.  The claim: every face of rank
+    r - 2 whose mask lies in G's has exactly two faces between it and G.
+    Proof, for a lattice whose covers are strict containments of masks and
+    that is bounded and graded:
 
-    - a face of rank r has at least r + 1 vertices: by (b) and the graded
-      axiom, a chain of r + 1 lower covers, each one rank down, reaches
-      the bottom, and each is a strict containment;
+    - a face of rank r has at least r + 1 vertices: by the graded axiom, a
+      chain of r + 1 lower covers, each one rank down, reaches the bottom,
+      and each is a strict containment;
     - so each lower cover of G, of rank r - 1 by (b), is G minus one
       vertex, and the r + 1 of them that (c) asks for, listed once and of
       pairwise distinct masks by (a), are all the faces G - u; each of
@@ -180,7 +183,11 @@ class GradedIds:
         up: list[list[int]] = [[] for _ in down]
         for f, below in enumerate(down):
             for e in below:
-                up[e].append(f)
+                above = up[e]
+                if above and above[-1] == f:
+                    raise InternalInvariantError(
+                        f"cover ({faces_by_id[e]}, {faces_by_id[f]}) is listed twice")
+                above.append(f)
         object.__setattr__(self, "faces_by_id", faces_by_id)
         object.__setattr__(self, "level_start", level_start)
         object.__setattr__(self, "down", down)
@@ -235,16 +242,36 @@ class GradedIds:
         return len(set(self.up[low]).intersection(self.down[high]))
 
     def verify_graded(self) -> None:
-        """The bounded and graded axioms (see the class docstring)."""
+        """The bounded and graded axioms (see the class docstring).
+
+        Every ``up`` is ascending, so the covers of rank r join adjacent
+        ranks iff the least first entry and the greatest last entry of the
+        ``up`` lists of rank r lie in ``ids(r + 1)``: a range test on the
+        two ends of each list, by ``min`` and ``max`` over the level.  Only
+        when a level fails is the first offending pair, in id order,
+        searched for, to name it.
+        """
         if self.f_vector[0] != 1 or self.f_vector[-1] != 1:
             raise InternalInvariantError(f"not bounded: f-vector {self.f_vector}")
-        elements = self.faces_by_id
-        for i in range(self.level_start[-2]):  # below the top
-            if not self.up[i]:
+        elements, up, start = self.faces_by_id, self.up, self.level_start
+        for i in range(start[-2]):  # below the top
+            if not up[i]:
                 raise InternalInvariantError(f"{elements[i]} has no upper cover: not graded")
-        for i in range(self.level_start[1], len(elements)):  # above the bottom
+        for i in range(start[1], len(elements)):  # above the bottom
             if not self.down[i]:
                 raise InternalInvariantError(f"{elements[i]} has no lower cover: not graded")
+        for r in range(-1, self.dim):  # no level met is empty: the one below covers into it
+            low, high = start[r + 2], start[r + 3]
+            level = up[start[r + 1]:low]
+            if (min(map(itemgetter(0), level)) < low
+                    or max(map(itemgetter(-1), level)) >= high):
+                e, f = next((e, f) for e in self.ids(r) for f in up[e] if not low <= f < high)
+                how = "skips a rank" if f >= high else "does not go up a rank"
+                raise InternalInvariantError(
+                    f"cover ({elements[e]}, {elements[f]}) {how}: not graded")
+        if up[-1]:
+            raise InternalInvariantError(f"cover ({elements[-1]}, {elements[up[-1][0]]}) "
+                                         "does not go up a rank: not graded")
 
     def diamond_error(self, low: int, rank: int, bad: int) -> InternalInvariantError:
         """The failure of the diamond axiom between ``low``, of the rank,
@@ -520,17 +547,18 @@ def facets(P: Polytope) -> tuple[Facet, ...]:
     return P.facets
 
 
-def _closure_step(i: int, gv: int, gf: int, atoms: Sequence[tuple[int, int]],
-                  vfac: Sequence[int], closure: dict[int, tuple[int, tuple[int, ...]]],
-                  found: dict[int, list]) -> None:
-    """Records in ``found`` the lower covers of face i, with vertex mask
-    ``gv`` and facet mask ``gf``, by one closure step on the order dual of
-    the lattice, with the facets as atoms and the vertex masks as coatoms
-    (Kaibel & Pfetsch 2002, "Computing the face lattice of a polytope from
-    its vertex-facet incidences").  ``atoms`` lists (facet bit, facet
-    vertex mask), ``vfac`` is the facet mask of each vertex, and
-    ``closure`` maps the vertex mask of each face a step has met to its
-    facet mask and vertex set, and gains the new ones.
+def _closure_step(face: list, atoms: Sequence[tuple[int, int]], vfac: Sequence[int],
+                  closure: dict[int, tuple[int, tuple[int, ...]]], found: dict[int, list]) -> None:
+    """Records in ``found`` the lower covers of the walk's face record
+    ``face`` (``_top_down``), with vertex mask ``gv`` and facet mask
+    ``gf``, by one closure step on the order dual of the lattice, with the
+    facets as atoms and the vertex masks as coatoms (Kaibel & Pfetsch 2002,
+    "Computing the face lattice of a polytope from its vertex-facet
+    incidences").  ``atoms`` lists (facet bit, facet vertex mask), ``vfac``
+    is the facet mask of each vertex, and ``closure`` maps the vertex mask
+    of each face a step has met to its facet mask and vertex set, and gains
+    the new ones.  A lower cover met again gains ``face`` as one more face
+    it was found under.
 
     Each lower cover of G is G's meet with a facet outside it, and each
     such meet is a face.  The candidates are read off in one pass: for
@@ -545,22 +573,23 @@ def _closure_step(i: int, gv: int, gf: int, atoms: Sequence[tuple[int, int]],
     lies in some facet j' outside G, whose candidate holds it, so j' is a
     facet of hc outside G but not in ``gave[hc]``.
     """
+    gv, gf = face[1], face[2]
     gave: dict[int, int] = {}
     for bit, fv in atoms:
         if not gf & bit:
             hc = gv & fv
             gave[hc] = gave.get(hc, 0) | bit
     for hc, g in gave.items():
-        face = closure.get(hc)
-        if face is None:
+        known = closure.get(hc)
+        if known is None:
             name = set_bits(hc)
-            face = closure[hc] = (reduce(and_, map(vfac.__getitem__, name)), name)
-        if face[0] & ~gf == g:
+            known = closure[hc] = (reduce(and_, map(vfac.__getitem__, name)), name)
+        if known[0] & ~gf == g:
             e = found.get(hc)
             if e is None:
-                found[hc] = [face[1], hc, face[0], i]
+                found[hc] = [known[1], hc, known[0], [], face]
             else:
-                e.append(i)
+                e.append(face)
 
 
 def face_lattice(P: Polytope) -> FaceLattice:
@@ -602,17 +631,17 @@ def _top_down(P: Polytope) -> FaceLattice:
     """The face lattice by the rules of ``face_lattice``, numbered,
     unverified.
 
-    Each level is sorted by vertex set as soon as it is complete and
-    numbered from the top in that order, and each face records the
-    top-first ids of the faces it was found under.  Each face is then
-    appended to the lists of those faces, the faces taken from the bottom
-    level up in ``GradedIds`` order, so each list is the face's ``down``,
-    ascending.  A face found at two levels, or any level d + 1 other than
-    the polytope alone or level 0 other than the empty face alone, is an
-    internal error.  A face at two levels shows as fewer distinct vertex
-    masks than faces (``FaceLattice.distinct_masks``); only then is each
-    mask's level looked up, to name the first face met again and its two
-    levels.
+    Each face is a record [vertex set, vertex mask, facet mask, lower
+    covers, the records of the faces it was found under...], and each
+    level is sorted by vertex set as soon as it is complete.  The faces
+    are numbered once, from the bottom level up in ``GradedIds`` order:
+    one pass appends each face's id to the lower-cover lists of the faces
+    it was found under, so each list is the face's ``down``, ascending.  A
+    face found at two levels, or any level d + 1 other than the polytope
+    alone or level 0 other than the empty face alone, is an internal
+    error.  A face at two levels shows as fewer distinct vertex masks than
+    faces (``FaceLattice.distinct_masks``); only then is each mask's level
+    looked up, to name the first face met again and its two levels.
     """
     d, n = P.ambient_dim, P.nvertices
     atoms = [(1 << j, sum(1 << v for v in fc.vertex_set)) for j, fc in enumerate(facets(P))]
@@ -621,44 +650,39 @@ def _top_down(P: Polytope) -> FaceLattice:
     for bit, fv in atoms:
         for v in set_bits(fv):
             vfac[v] |= bit
-    # a face: [vertex set, vertex mask, facet mask, top-first ids of the faces above...]
-    levels = [[[tuple(range(n)), (1 << n) - 1, 0]]]
+    # a face: [vertex set, vertex mask, facet mask, lower covers, the faces above...]
+    levels = [[[tuple(range(n)), (1 << n) - 1, 0, []]]]
     # vertex mask -> (facet mask, vertex set) of each face a closure step
     # met; the empty face, in every facet, is there from the start
     closure = {0: ((1 << len(atoms)) - 1, ())}
-    start = 0  # the top-first id of the first face of level k
     for k in range(d + 1, 0, -1):
         found: dict[int, list] = {}  # vertex mask -> face
-        for i, face in enumerate(levels[-1], start):
-            name, gv, gf = face[0], face[1], face[2]
+        for face in levels[-1]:
+            name, gv = face[0], face[1]
             if len(name) == k:  # a simplex: G minus each one of its vertices
                 for j, v in enumerate(name):
                     ev = gv ^ vbit[v]
                     e = found.get(ev)
                     if e is None:
-                        found[ev] = [name[:j] + name[j + 1:], ev, 0, i]
+                        found[ev] = [name[:j] + name[j + 1:], ev, 0, [], face]
                     else:
-                        e.append(i)
+                        e.append(face)
             elif k > d:  # P: its facets
                 for bit, fv in atoms:
-                    found[fv] = [set_bits(fv), fv, bit, i]
+                    found[fv] = [set_bits(fv), fv, bit, [], face]
             else:
-                _closure_step(i, gv, gf, atoms, vfac, closure, found)
-        start += len(levels[-1])
+                _closure_step(face, atoms, vfac, closure, found)
         levels.append(sorted(found.values(), key=itemgetter(0)))
-    starts = list(accumulate(map(len, levels), initial=0))
     levels.reverse()
-    lower: list[list[int]] = [[] for _ in range(starts[-1])]  # by top-first id
     for f, face in enumerate(chain.from_iterable(levels)):
-        for x in face[3:]:
-            lower[x].append(f)
-    down = [tuple(below) for k in reversed(range(d + 2))
-            for below in lower[starts[k]:starts[k + 1]]]
+        for above in face[4:]:
+            above[3].append(f)
     masks = [[face[1] for face in level] for level in levels]
     lattice = FaceLattice(dim=d,
                           faces_by_dim=tuple(tuple(Face(face[0], k - 1) for face in level)
                                              for k, level in enumerate(levels)),
-                          down=tuple(down), vertex_masks=tuple(chain.from_iterable(masks)))
+                          down=tuple(tuple(face[3]) for level in levels for face in level),
+                          vertex_masks=tuple(chain.from_iterable(masks)))
     if not lattice.distinct_masks:
         level_of: dict[int, int] = {}  # vertex mask -> level
         for k, level in enumerate(masks):
@@ -682,26 +706,19 @@ def simplex_certificate(L: FaceLattice) -> list[list[int]] | None:
 
     A simplex face is one whose vertex mask has rank + 1 bits.  On a
     lattice whose covers are strict containments of masks and that is
-    bounded and graded, which ``verify_lattice`` checks first, the
-    certificate is:
+    bounded and graded, which ``verify_lattice`` checks first, every cover
+    joins adjacent ranks: that is premise (b), owned by
+    ``GradedIds.verify_graded``.  The certificate adds:
 
     - (a) the vertex masks are pairwise distinct;
-    - (b) every cover joins adjacent ranks: ``up`` is ascending
-      (``GradedIds``), so this is a range test on the two ends of each
-      face's ``up``, and the top has no upper cover;
     - (c) every simplex face of rank r has exactly r + 1 lower covers.
 
     What it proves, the diamond axiom below every simplex face, is stated
     and proved in ``GradedIds``.
     """
-    mask, down, up, start = L.vertex_masks, L.down, L.up, L.level_start
-    if not L.distinct_masks or up[-1]:
+    mask, down = L.vertex_masks, L.down
+    if not L.distinct_masks:
         return None
-    for r in range(-1, L.dim):
-        level = up[start[r + 1]:start[r + 2]]
-        if (min(map(itemgetter(0), level)) < start[r + 2]
-                or max(map(itemgetter(-1), level)) >= start[r + 3]):
-            return None
     others = []
     for r in range(L.dim + 1):
         rest = []
@@ -717,7 +734,10 @@ def simplex_certificate(L: FaceLattice) -> list[list[int]] | None:
 def verify_lattice(L: FaceLattice) -> None:
     """Exact structural checks on int bitmasks: covers that are strict
     vertex-set containments, then the bounded, graded and diamond axioms
-    of ``GradedIds``.
+    of ``GradedIds``.  ``GradedIds.verify_graded`` owns the bounded and
+    graded axioms, adjacent ranks included, so a cover that skips a rank
+    is rejected there, naming the pair, before the simplex certificate
+    (whose premise (b) it is) is asked.
 
     Each covering pair (low, high) must have low's vertex set strictly inside
     high's: with the lattice's vertex bitmask per face, ``lo & hi == lo != hi``.

@@ -176,7 +176,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations
 from math import lcm
-from operator import or_
+from operator import itemgetter, or_
 from typing import Sequence
 
 from polyk.cellular import AbelianGroup, ChainComplex, HomologyResult
@@ -993,6 +993,22 @@ def cover_masks(L) -> tuple[list[int], list[int]]:
                  for covers in (L.up, L.down))
 
 
+def adjacent_rank_covers(elements: Sequence, up: Sequence[int], rank) -> None:
+    """Every cover joins adjacent ranks, on the id bitmasks ``up`` of upper
+    covers and each element's ``rank(element)``: the first failing pair,
+    by the id of the lower element, then of the upper, is named."""
+    for e, low in enumerate(elements):
+        above = up[e]
+        while above:
+            f = (above & -above).bit_length() - 1
+            above &= above - 1
+            step = rank(elements[f]) - rank(low)
+            if step != 1:
+                how = "skips a rank" if step > 1 else "does not go up a rank"
+                raise InternalInvariantError(
+                    f"cover ({low}, {elements[f]}) {how}: not graded")
+
+
 def vertex_closure_face_lattice(P: Polytope) -> FaceLattice:
     """The face lattice by the Kaibel-Pfetsch closure with the vertices as
     atoms, whatever the sizes of the two sides, numbered by vertex mask.
@@ -1238,7 +1254,9 @@ def all_pairs_verify_lattice(L: FaceLattice) -> None:
     """``verify_lattice`` over all pairs of faces two levels apart: each pair
     whose vertex masks satisfy ``lo & hi == lo`` must have two faces
     between it.  First, as in the library, every covering pair must be a
-    strict containment of vertex sets, here tested on Python sets."""
+    strict containment of vertex sets, here tested on Python sets, and the
+    lattice bounded and graded, each cover one face dimension up
+    (``adjacent_rank_covers``)."""
     for high, below in enumerate(L.down):
         for low in below:
             lo, hi = L.faces_by_id[low], L.faces_by_id[high]
@@ -1254,6 +1272,7 @@ def all_pairs_verify_lattice(L: FaceLattice) -> None:
     for i, f in enumerate(L.faces_by_id[L.level_start[1]:], L.level_start[1]):  # above the bottom
         if not down[i]:
             raise InternalInvariantError(f"{f} has no lower cover: not graded")
+    adjacent_rank_covers(L.faces_by_id, up, lambda face: face.dim)
     mask = [sum(1 << v for v in f.vertex_set) for f in L.faces_by_id]
     for j in range(-1, L.dim - 1):
         highs = [(mask[h], down[h], h) for h in L.ids(j + 2)]
@@ -1269,8 +1288,9 @@ def all_pairs_verify_lattice(L: FaceLattice) -> None:
 
 
 def all_pairs_verify_abstract_lattice(lat: AbstractLattice) -> None:
-    """``_verify_abstract_lattice`` over all pairs: the mids of every two
-    elements two ranks apart, then ``all_pairs_meets``."""
+    """``_verify_abstract_lattice`` over all pairs: bounded and graded, each
+    cover one element rank up (``adjacent_rank_covers``), then the mids of
+    every two elements two ranks apart, then ``all_pairs_meets``."""
     if lat.f_vector[0] != 1 or lat.f_vector[-1] != 1:
         raise InternalInvariantError(f"not bounded: f-vector {lat.f_vector}")
     elements = lat.faces_by_id
@@ -1281,6 +1301,7 @@ def all_pairs_verify_abstract_lattice(lat: AbstractLattice) -> None:
     for i in range(lat.level_start[1], len(elements)):  # above the bottom
         if not down[i]:
             raise InternalInvariantError(f"{elements[i]} has no lower cover: not graded")
+    adjacent_rank_covers(elements, up, itemgetter(0))  # an element is (rank, index)
     for rank in range(-1, lat.dim - 1):
         for low in lat.ids(rank):
             ups = up[low]

@@ -18,11 +18,17 @@ from pathlib import Path
 import pytest
 
 import polyk.cellular as cellular
-from polyk.cellular import build_complex, diagonal_sign_equivalence, homology, trivialize
+from polyk.cellular import (
+    ZERO_GROUP,
+    Z,
+    build_complex,
+    diagonal_sign_equivalence,
+    homology,
+    trivialize,
+)
 from polyk.cli import main
 from polyk.comb_type import is_isomorphic, lattice_from_incidence, strip_signs
 from polyk.corpus import acceptance_corpus, simplex
-from polyk.ktheory import ZERO_GROUP, Z
 from polyk.linalg import QMatrix, int_dot, int_mat_mul, rank
 from polyk.pipeline import run_pipeline
 

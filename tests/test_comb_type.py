@@ -334,14 +334,16 @@ def triangle_poset(extra=(), drop=()) -> AbstractLattice:
 
 
 @pytest.mark.parametrize("lat, message", [
-    (triangle_poset(extra=[((-1, 0), (1, 0))]), None),
-    (triangle_poset(extra=[((0, 0), (2, 0))]), None),
+    (triangle_poset(extra=[((-1, 0), (1, 0))]),
+     "cover ((-1, 0), (1, 0)) skips a rank: not graded"),
+    (triangle_poset(extra=[((0, 0), (2, 0))]),
+     "cover ((0, 0), (2, 0)) skips a rank: not graded"),
     (triangle_poset(extra=[((0, 0), (2, 0))], drop=[((0, 0), (1, 0))]),
-     "diamond property fails between (-1, 0) and (1, 0): 1 intermediate elements"),
+     "cover ((0, 0), (2, 0)) skips a rank: not graded"),
 ], ids=["bottom-to-edge", "atom-to-top", "atom-to-top-instead-of-edge"])
 def test_abstract_diamond_check_with_covers_that_skip_a_rank(lat, message):
-    # an upper cover of low two ranks up is no path to a high of that rank:
-    # its mask U holds only its covers of rank + 2, none here
+    # a cover two ranks up breaks the graded axiom, which is checked before
+    # any diamond: the library and the oracle name the same pair
     assert failure(_verify_abstract_lattice, lat) == \
         failure(all_pairs_verify_abstract_lattice, lat) == message
 
@@ -351,7 +353,44 @@ def test_face_diamond_check_with_a_cover_that_skips_a_level():
     lat = face_lattice(simplex(2))
     skip = lattice_from_pairs(2, lat.faces_by_dim,
                               lat.covering + ((lat.empty_face, Face((0, 1), 1)),))
-    assert failure(verify_lattice, skip) == failure(all_pairs_verify_lattice, skip) is None
+    assert failure(verify_lattice, skip) == failure(all_pairs_verify_lattice, skip) == \
+        "cover ({}, {0,1}) skips a rank: not graded"
+
+
+@pytest.mark.parametrize("lat, message", [
+    (triangle_poset(extra=[((1, 0), (0, 0))]),
+     "cover ((1, 0), (0, 0)) does not go up a rank: not graded"),
+    (triangle_poset(extra=[((2, 0), (1, 0))]),
+     "cover ((2, 0), (1, 0)) does not go up a rank: not graded"),
+], ids=["edge-over-atom", "top-over-edge"])
+def test_abstract_covers_that_do_not_go_up_a_rank(lat, message):
+    # a cover down a rank, or from the top, which has no upper cover, breaks
+    # the graded axiom as a skip up does
+    assert failure(_verify_abstract_lattice, lat) == \
+        failure(all_pairs_verify_abstract_lattice, lat) == message
+
+
+@pytest.mark.parametrize("poly, high", [(simplex(3), Face((0, 1, 2), 2)),
+                                        (hypercube(3), Face((0, 1, 2, 3), 2))],
+                         ids=["tetrahedron", "cube"])
+def test_a_cover_that_skips_a_rank_is_rejected_by_every_check(poly, high):
+    # the true lattice with the vertex {0} also under a 2-face: every
+    # lattice check and the cone system reject it, naming the pair, where
+    # the face and abstract checks once accepted it
+    lat = face_lattice(poly)
+    low = Face((0,), 0)
+    skip = lattice_from_pairs(lat.dim, lat.faces_by_dim, lat.covering + ((low, high),))
+    message = f"cover ({low}, {high}) skips a rank: not graded"
+    assert failure(verify_lattice, skip) == failure(all_pairs_verify_lattice, skip) == message
+    with pytest.raises(InternalInvariantError) as err:
+        ConeSystem(lift(poly), skip)
+    assert str(err.value) == message
+    abstract = abstract_of(skip)
+    element = (2, skip.face_id[high] - skip.level_start[3])
+    assert failure(_verify_abstract_lattice, abstract) == \
+        failure(all_pairs_verify_abstract_lattice, abstract) == \
+        f"cover ((0, 0), {element}) skips a rank: not graded"
+    assert not is_isomorphic(lat, skip).isomorphic
 
 
 def test_a_cover_listed_twice_is_one_cover():
@@ -373,6 +412,14 @@ def cover_graphs(draw) -> AbstractLattice:
     pairs = [(a, b) for a in elements for b in elements if a[0] < b[0]]
     covering = draw(st.lists(st.sampled_from(pairs), max_size=40)) if pairs else []
     return AbstractLattice(dim=dim, f_vector=f_vector, covering=tuple(covering))
+
+
+@given(cover_graphs())
+@settings(max_examples=150, deadline=None)
+def test_abstract_check_names_what_the_all_pairs_oracle_names(lat):
+    # graded or not, skipping ranks or not: the same verdict and message
+    assert failure(_verify_abstract_lattice, lat) == \
+        failure(all_pairs_verify_abstract_lattice, lat)
 
 
 @given(cover_graphs())

@@ -47,7 +47,7 @@ from polyk.linalg import (
     rank,
 )
 from polyk.pipeline import run_pipeline
-from polyk.polytope import Face, face_lattice, validate
+from polyk.polytope import Face, face_lattice, validate, verify_lattice
 
 from oracles import (
     barycenter_projection,
@@ -60,6 +60,7 @@ from oracles import (
     dual_face_ids,
     dual_simple,
     echelon_dual_rank,
+    failure,
     gram_adjugate,
     gram_certificate_holds,
     kernel_edge_ray,
@@ -1258,8 +1259,9 @@ def test_top_of_wrong_dimension_names_face():
 def test_face_without_upper_cover_names_face(dim):
     # hand-built lattices of the square: an edge left without its cover by
     # the top has no upper cover to certify its dual rank, and a vertex
-    # whose one upper cover is the top, two dimensions up, fails the
-    # certificate on that pair, named
+    # whose one upper cover is the top, two dimensions up, has no cover one
+    # dimension up.  Both break the graded axiom, which the system checks
+    # by the call ``verify_lattice`` makes, with the same message
     poly = hypercube(2)
     lat, _ = faces_of(poly)
     face = lat.faces(dim)[0]
@@ -1269,9 +1271,9 @@ def test_face_without_upper_cover_names_face(dim):
     cut = lattice_from_pairs(lat.dim, lat.faces_by_dim, pairs)
     with pytest.raises(InternalInvariantError) as err:
         ConeSystem(lift(poly), cut)
-    assert str(err.value) == (
-        f"dual face of {face}: {face} has no upper cover of dimension 2" if dim == 1 else
-        f"dual face of {face}: its upper cover {lat.top_face} has dimension 2, not 1")
+    assert str(err.value) == failure(verify_lattice, cut) == (
+        f"{face} has no upper cover: not graded" if dim == 1 else
+        f"cover ({face}, {lat.top_face}) skips a rank: not graded")
 
 
 def test_upper_cover_outside_face_certifies_no_rank():

@@ -7,7 +7,7 @@ import pytest
 
 import polyk.linalg as linalg
 import polyk.sparse as sparse
-from polyk.cellular import build_complex, homology, trivialize
+from polyk.cellular import Z, build_complex, homology, trivialize
 from polyk.cli import report_document
 from polyk.cones import ConeSystem, lift
 from polyk.corpus import cross_polytope, hypercube, point_polytope, simplex
@@ -15,7 +15,6 @@ from polyk.errors import InternalInvariantError
 from polyk.ktheory import (
     ZERO_GROUP,
     AbelianGroup,
-    Z,
     direct_sum,
     e1_page,
     group_from_factors,

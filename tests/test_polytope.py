@@ -448,9 +448,9 @@ def closure_step_faces(monkeypatch, P):
     real = polytope._closure_step
     stepped = []
 
-    def recording(i, gv, *rest):
-        stepped.append(polytope.set_bits(gv))
-        return real(i, gv, *rest)
+    def recording(face, *rest):  # face: the walk's record, vertex mask second
+        stepped.append(polytope.set_bits(face[1]))
+        return real(face, *rest)
 
     monkeypatch.setattr(polytope, "_closure_step", recording)
     face_lattice(P)
@@ -752,6 +752,7 @@ def tetrahedron_with_a_repeated_mask() -> polytope.FaceLattice:
 
 
 SHORT = "diamond property fails between {1} and {0,1,2}: 1 intermediate elements"
+SHORT_BY_A_SKIP = "cover ({}, {0,1,2}) skips a rank: not graded"
 
 
 @pytest.mark.parametrize("build, message", [
@@ -759,19 +760,38 @@ SHORT = "diamond property fails between {1} and {0,1,2}: 1 intermediate elements
     (tetrahedron_with_a_repeated_mask,
      "diamond property fails between {0,1} and {0,1,2}: 0 intermediate elements"),
     (lambda: tetrahedron_with_covers(drop=[(Face((1, 2), 1), TRIANGLE)],
-                                     extra=[(Face((), -1), TRIANGLE)]), SHORT),
+                                     extra=[(Face((), -1), TRIANGLE)]), SHORT_BY_A_SKIP),
 ], ids=["simplex-short-of-a-cover", "two-faces-one-mask", "cover-skips-a-level"])
 def test_simplex_certificate_fails_and_the_full_check_names_the_pair(build, message):
     # one premise of the certificate broken each: (c) the triangle {0,1,2}
     # has two lower covers, (a) a vertex repeats an edge's mask, (b) the
     # triangle covers the empty face in place of {1,2}; the other two hold.
-    # In each the first failing pair lies below the triangle, a simplex, so
-    # only the failed certificate keeps the pair in the check, which names
-    # it as the all-pairs oracle does
+    # In the first two the first failing pair lies below the triangle, a
+    # simplex, so only the failed certificate keeps the pair in the check,
+    # which names it as the all-pairs oracle does.  (b) belongs to the
+    # graded axiom, so the graded check names the pair that breaks it
+    # before the certificate is asked
     lat = build()
-    assert polytope.simplex_certificate(lat) is None
+    if message == SHORT_BY_A_SKIP:
+        assert polytope.simplex_certificate(lat) is not None  # (b) is not its premise
+    else:
+        assert polytope.simplex_certificate(lat) is None
     assert failure(verify_lattice, lat) == failure(all_pairs_verify_lattice, lat) == message
     assert lat.vertex_masks[lat.face_id[TRIANGLE]].bit_count() == TRIANGLE.dim + 1
+
+
+@pytest.mark.parametrize("drop, extra, pair", [
+    ((), [(Face((0,), 0), Face((0, 1), 1))], "({0}, {0,1})"),
+    ([(Face((1, 2), 1), TRIANGLE)], [(Face((0, 1), 1), TRIANGLE)], "({0,1}, {0,1,2})"),
+], ids=["vertex-under-edge", "edge-under-triangle-in-place-of-another"])
+def test_a_cover_listed_twice_is_an_error_at_construction(drop, extra, pair):
+    # each cover is listed once (GradedIds): a path count would see a
+    # repeated one twice, and reject the sound lattice of the first case
+    # with 2 intermediate elements, or take the second case's repeat for
+    # the dropped cover and accept it
+    with pytest.raises(InternalInvariantError) as err:
+        tetrahedron_with_covers(drop=drop, extra=extra)
+    assert str(err.value) == f"cover {pair} is listed twice"
 
 
 def test_simplex_certificate_holds_and_a_diamond_above_a_square_fails():
