@@ -253,13 +253,12 @@ class GradedIds:
         """
         if self.f_vector[0] != 1 or self.f_vector[-1] != 1:
             raise InternalInvariantError(f"not bounded: f-vector {self.f_vector}")
-        elements, up, start = self.faces_by_id, self.up, self.level_start
-        for i in range(start[-2]):  # below the top
-            if not up[i]:
-                raise InternalInvariantError(f"{elements[i]} has no upper cover: not graded")
-        for i in range(start[1], len(elements)):  # above the bottom
-            if not self.down[i]:
-                raise InternalInvariantError(f"{elements[i]} has no lower cover: not graded")
+        elements, up, down, start = self.faces_by_id, self.up, self.down, self.level_start
+        if not all(up[:start[-2]]):  # below the top; the first () in up is there
+            raise InternalInvariantError(f"{elements[up.index(())]} has no upper cover: not graded")
+        if not all(down[start[1]:]):  # above the bottom
+            i = next(i for i in range(start[1], len(down)) if not down[i])
+            raise InternalInvariantError(f"{elements[i]} has no lower cover: not graded")
         for r in range(-1, self.dim):  # no level met is empty: the one below covers into it
             low, high = start[r + 2], start[r + 3]
             level = up[start[r + 1]:low]

@@ -418,8 +418,7 @@ def cover_graphs(draw) -> AbstractLattice:
 @settings(max_examples=150, deadline=None)
 def test_abstract_check_names_what_the_all_pairs_oracle_names(lat):
     # graded or not, skipping ranks or not: the same verdict and message
-    assert failure(_verify_abstract_lattice, lat) == \
-        failure(all_pairs_verify_abstract_lattice, lat)
+    assert_abstract_check_matches_oracle(lat)
 
 
 @given(cover_graphs())
