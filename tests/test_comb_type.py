@@ -375,8 +375,8 @@ def test_abstract_covers_that_do_not_go_up_a_rank(lat, message):
                          ids=["tetrahedron", "cube"])
 def test_a_cover_that_skips_a_rank_is_rejected_by_every_check(poly, high):
     # the true lattice with the vertex {0} also under a 2-face: every
-    # lattice check and the cone system reject it, naming the pair, where
-    # the face and abstract checks once accepted it
+    # lattice check and the cone system reject it with one message naming
+    # the pair
     lat = face_lattice(poly)
     low = Face((0,), 0)
     skip = lattice_from_pairs(lat.dim, lat.faces_by_dim, lat.covering + ((low, high),))
