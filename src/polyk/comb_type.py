@@ -9,26 +9,29 @@ states them, on int bitmasks, and every check enumerates only the pairs a
 cover can reach: the diamond property on the elements two covers up, and
 meets, kept as bitset down-sets, on pairs of lower covers of a common
 element, which suffices by the dual of a lemma of Bjorner, Edelman and
-Ziegler (``_verify_meets``).
+Ziegler (``_verify_meets``).  Both skip what the simplex certificate on
+the atom masks proves: the intervals below simplices are Boolean.
 Isomorphism testing is backtracking in id order, rank by rank, on the
-element ids and id covers of the two lattices, pruned by f-vector and
-up/down cover degrees, with the candidates for an element read off the
-upper covers of an image already placed.  It returns either a verified
-bijection on faces or a certificate of non-isomorphism.
+element ids, id covers and atom masks of the two lattices, pruned by
+f-vector and up/down cover degrees.  An atom is placed only where the
+counts of coatoms it shares with the atoms already placed agree, and every
+other element's candidates are one dict lookup of the OR of its lower
+covers' images' atom masks (Kaibel and Schwartz 2003: a face lattice is
+fixed by its atoms and coatoms).  The search returns either a bijection
+on faces that preserves covers both ways, with the test that places each
+element as its only certificate, or a certificate of non-isomorphism.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import accumulate
-from operator import or_
+from itertools import accumulate, chain
 from typing import Hashable, NamedTuple
 
 from .cellular import ChainComplex
 from .errors import InternalInvariantError
 from .linalg import IntMatrix
-from .polytope import FaceLattice, GradedIds
+from .polytope import FaceLattice, GradedIds, simplex_certificate
 from .sparse import dense_matrix
 
 Element = Hashable
@@ -118,18 +121,35 @@ def _verify_abstract_lattice(lat: AbstractLattice) -> None:
     An abstract lattice has no vertex sets, so the highs above ``low`` are
     those a path of two covers reaches, and the failure mask of ``low`` is
     ``once & (thrice | ~twice)``: some paths, but not exactly two.
+
+    After the graded check, the simplex certificate is asked on the atom
+    masks (``GradedIds.atom_masks``, ``simplex_certificate``).  Each mask is
+    the OR of its lower covers' masks, so every cover is a containment of
+    masks, strict when the masks are distinct, and the identity in
+    ``GradedIds`` applies: the lower interval of every simplex is Boolean.
+    When the certificate holds, the diamond check takes as highs only the
+    elements that are not simplices, and the meet check pairs the lower
+    covers only of elements that have a lower cover that is not a simplex:
+    two simplices have a meet (``GradedIds``), and the lower covers of a
+    simplex are simplices.  No skipped high or pair can fail, so both
+    accept the same posets and name the same first failure as with every
+    element; when the certificate fails, every element is read.
     """
     lat.verify_graded()
+    others = simplex_certificate(lat, lat.atom_masks, len(set(lat.atom_masks)) == len(lat.down))
     for rank in range(-1, lat.dim - 1):
-        for low, once, twice, thrice in lat.two_step_paths(rank):
+        for low, once, twice, thrice in lat.two_step_paths(rank, others and others[rank + 2]):
             bad = once & (thrice | ~twice)
             if bad:
                 raise lat.diamond_error(low, rank, bad)
-    _verify_meets(lat)
+    _verify_meets(lat, None if others is None else set(chain.from_iterable(others)))
 
 
-def _verify_meets(lat: AbstractLattice) -> None:
-    """Every two lower covers of a common element have a meet.
+def _verify_meets(lat: AbstractLattice, others: set[int] | None = None) -> None:
+    """Every two lower covers of a common element have a meet, asked only
+    where some lower cover is in ``others`` when that is given: the
+    elements that are not simplices, once the simplex certificate holds
+    (``_verify_abstract_lattice``).
 
     That suffices for every pair to have one, by the dual of Bjorner,
     Edelman & Ziegler 1990, "Hyperplane arrangements with a lattice of
@@ -157,8 +177,11 @@ def _verify_meets(lat: AbstractLattice) -> None:
     """
     ds: list[int] = []
     for i, below in enumerate(lat.down):
-        ds.append(reduce(or_, (ds[b] for b in below), 1 << i))
-    for below in lat.down:
+        d = 1 << i
+        for b in below:
+            d |= ds[b]
+        ds.append(d)
+    for below in lat.down if others is None else (c for c in lat.down if not others.isdisjoint(c)):
         for k, a in enumerate(below):
             for b in below[k + 1:]:
                 common = ds[a] & ds[b]
@@ -183,78 +206,102 @@ def is_isomorphic(L1: "FaceLattice | AbstractLattice",
 
     Prunes on f-vector and per-element (down-degree, up-degree), and extends
     in id order, that is rank by rank, requiring the already-mapped lower
-    covers to match exactly; a complete assignment is re-verified on all
-    covering pairs in both directions before being returned: the bijection
-    maps the upper covers of every element onto those of its image, which
-    is the same as mapping the covering pairs of L1 onto those of L2.  The
-    search runs on the lattices' element ids and id covers (``up``,
-    ``down``); only the returned pairs are faces or abstract elements.
+    covers to match exactly.  The search runs on the lattices' element ids,
+    id covers (``up``, ``down``) and atom masks (``GradedIds.atom_masks``);
+    only the returned pairs are faces or abstract elements.
 
     The targets for a source s are the unused elements t of s's rank, in
-    ascending id order, with s's up-degree and with ``down[t]`` the image
-    of s's lower covers; the first one is placed.  Such a t covers the
-    image of s's first lower cover, so when s has lower covers, the
-    candidates are read from that image's upper covers, ascending like
-    every ``up``, rather than from the whole rank; the first match, and so
-    the mapping, is the same.
+    ascending id order, with s's up-degree and with ``set(down[t])`` the
+    image W of s's lower covers; the first one is placed.  Every list of
+    covers holds each cover once (``GradedIds``), and the images of one
+    list are distinct, as the mapping is injective, so t matches iff
+    ``down[t]`` has |W| entries, all in W, whatever the order of
+    ``down[t]``, which a lattice built by hand may list in any order.
+    Three identities make the search cheap, and the first mapping found is
+    the least valid one in id order, since it prunes only by properties
+    that every isomorphism has:
 
-    Every list of covers holds each cover once (``GradedIds``), and the
-    images of one list are distinct, as the mapping is injective, so the
-    set equalities the search needs are read off the lists as they are,
-    with no copy of the target's lists and no set per target element.  A
-    target t matches the set W of images of s's lower covers iff
-    ``down[t]`` has |W| entries, all in W: then its set lies in W and has
-    |W| elements.  That holds whatever the order of ``down[t]``, which a
-    lattice built by hand may list in any order.  In the final check, the
-    images of s's upper covers, sorted, must equal the tuple ``up[t]``:
-    ``up`` is ascending, read off ``down``, and two ascending tuples
-    without repeats are equal exactly when their sets are.
+    - *candidates by mask.*  Any t with ``set(down[t]) == W`` has as its
+      atom mask the OR of the masks of W, by the rule the masks are read
+      off.  So for s above rank 0 the candidates are the ids of L2 with
+      that mask, ascending: one dict lookup, from each mask to the least id
+      that has it, or a scan of s's rank when L2 has two elements of one
+      mask, which happens only in a poset that is not atomic.  After the
+      test above, the candidates and their order are those of a scan of the
+      rank, and so is the mapping.
+    - *atoms by coatom counts.*  Atom s is placed at t only if, for every
+      earlier atom a, as many coatoms hold both s and a in L1 (by their
+      atom masks) as hold both t and a's image in L2.  An isomorphism maps
+      atom masks to atom masks, so it keeps these counts, and no extendable
+      placement is cut.  Kaibel and Schwartz (2003) show that a face
+      lattice is fixed by its atoms and coatoms: once the atoms are placed,
+      each other element is one lookup.  The counts are needed only when the
+      search backtracks, so they are made then, with the atom masks of L1,
+      and the atoms are placed again from the first, now pruned; a search
+      that never backtracks reads no mask of L1.
+    - *one certificate.*  Let a mapping f send each rank onto the same
+      rank, each target once, with ``set(down[f(s)]) == f(down[s])`` for
+      every s, the bottom and the atoms included.  Then (e, s) -> (fe, fs)
+      sends covers of L1 to covers of L2, and every cover (e', fs) of L2
+      has e' in f(down[s]), so comes from a cover of L1.  So every complete
+      assignment preserves covers both ways, and it is returned with no
+      further pass.
     """
     if L1.dim != L2.dim:
         return LatticeIso(False, certificate=f"dimension mismatch: {L1.dim} != {L2.dim}")
-    ranks1, ranks2 = ([L.ids(r) for r in range(-1, L.dim + 1)] for L in (L1, L2))
-    fv1, fv2 = tuple(map(len, ranks1)), tuple(map(len, ranks2))
+    fv1, fv2 = tuple(L1.f_vector), tuple(L2.f_vector)
     if fv1 != fv2:
         return LatticeIso(False, certificate=f"f-vector mismatch: {fv1} != {fv2}")
+    # equal f-vectors number both lattices alike: rank r has the ids L1.ids(r) in both
     up1, down1, up2, down2 = L1.up, L1.down, L2.up, L2.down
-
-    for level1, level2 in zip(ranks1, ranks2):
-        sig1 = sorted((len(down1[e]), len(up1[e])) for e in level1)
-        sig2 = sorted((len(down2[e]), len(up2[e])) for e in level2)
+    for r in map(L1.ids, range(-1, L1.dim + 1)):
+        sig1, sig2 = (sorted(zip(map(len, L.down[r.start:r.stop]), map(len, L.up[r.start:r.stop])))
+                      for L in (L1, L2))
         if sig1 != sig2:
             return LatticeIso(False, certificate="up/down cover degree multisets differ")
 
+    atoms, masks2 = L1.ids(0), L2.atom_masks
+    # mask -> least id; masks are shared only in a poset that is not atomic
+    first = dict(zip(reversed(masks2), range(len(masks2) - 1, -1, -1)))
     # Depth-first search over the sources in id order, that is rank by
     # rank, with an explicit stack, since lattices can have more faces than
     # Python's recursion limit.  mapping[s] is the target id placed for
     # source s; after a backtrack, the search resumes at the next target.
-    targets = [level2 for level1, level2 in zip(ranks1, ranks2) for _ in level1]
+    targets = [r for r in map(L1.ids, range(-1, L1.dim + 1)) for _ in r]
     mapping: list[int] = []
-    image = mapping.__getitem__
     used: set[int] = set()
-    start = 0
+    # holding[a]: the bitmask of the coatoms whose masks hold atom a, made on the first backtrack
+    start, holding1, holding2 = 0, None, None
     while len(mapping) < len(targets):
         s = len(mapping)
         below, rank = down1[s], targets[s]
-        wanted_down = set(map(image, below))
-        wanted = len(wanted_down)
-        candidates = up2[mapping[below[0]]] if below else rank
-        found = next((t for t in candidates
-                      if t >= start and t in rank and t not in used
-                      and len(up2[t]) == len(up1[s]) and len(down2[t]) == wanted
-                      and wanted_down.issuperset(down2[t])), None)
-        if found is not None:
-            mapping.append(found)
-            used.add(found)
-            start = 0
-            continue
-        if not mapping:
-            return LatticeIso(False, certificate="exhausted search: no cover-preserving bijection")
-        start = mapping.pop()
-        used.discard(start)
-        start += 1
+        wanted_down = {mapping[e] for e in below}
+        counts = [(holding2[mapping[a]], (holding1[s] & holding1[a]).bit_count())
+                  for a in range(atoms.start, s)] if holding1 and s in atoms else ()
+        key = 0
+        for e in wanted_down:
+            key |= masks2[e]
+        candidates = (rank if s < atoms.stop else [t for t in rank if masks2[t] == key]
+                      if len(first) < len(masks2) else (first[key],) if key in first else ())
+        for t in candidates:
+            if (t >= start and t in rank and t not in used and len(up2[t]) == len(up1[s])
+                    and len(down2[t]) == len(wanted_down) and wanted_down.issuperset(down2[t])
+                    and (not counts or all((holding2[t] & h).bit_count() == n for h, n in counts))):
+                mapping.append(t)
+                used.add(t)
+                start = 0
+                break
+        else:
+            if not mapping:
+                return LatticeIso(False, certificate="exhausted search: no cover-preserving bijection")
+            if holding1 is None:  # the first backtrack: prune the atoms, and place them again
+                holding1, holding2 = ({a: sum(1 << c for c, m in enumerate(
+                    L.atom_masks[L.level_start[L.dim]:L.level_start[L.dim + 1]]) if m >> k & 1)
+                    for k, a in enumerate(atoms)} for L in (L1, L2))
+                # a sentinel -1 in place of the first atom's target: the pop below resumes there
+                mapping[atoms.start:], used = [-1], set(mapping[:atoms.start])
+            used.discard(mapping[-1])
+            start = mapping.pop() + 1
 
-    if any(tuple(sorted(map(image, up1[a]))) != up2[t] for a, t in enumerate(mapping)):
-        raise InternalInvariantError("lattice bijection failed final cover verification")
-    return LatticeIso(True, mapping=tuple((L1.faces_by_id[s], L2.faces_by_id[t])
-                                          for s, t in enumerate(mapping)))
+    return LatticeIso(True, mapping=tuple(zip(L1.faces_by_id,
+                                              map(L2.faces_by_id.__getitem__, mapping))))

@@ -46,7 +46,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import accumulate, chain
 from math import lcm
-from operator import and_, itemgetter
+from operator import and_, itemgetter, or_
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InputError, InternalInvariantError
@@ -146,30 +146,47 @@ class GradedIds:
 
     Any failure is an ``InternalInvariantError``.
 
-    On a face lattice the diamond axiom holds below every simplex face
-    once the lattice passes the simplex certificate
-    (``simplex_certificate``).  A simplex face G of rank r is one
-    whose vertex mask has r + 1 bits, and the certificate asks that (a)
-    the vertex masks are pairwise distinct and (c) every simplex face of
-    rank r has exactly r + 1 lower covers; (b), every cover joins adjacent
-    ranks, is part of the graded axiom.  The claim: every face of rank
-    r - 2 whose mask lies in G's has exactly two faces between it and G.
-    Proof, for a lattice whose covers are strict containments of masks and
-    that is bounded and graded:
+    The atom masks (``atom_masks``) are read off the covers alone: atom k
+    has bit k, and every element above the atoms the OR of its lower
+    covers' masks.  So every cover is a containment of atom masks, on
+    every lattice, one built by hand included.  On the face lattice of a
+    polytope the atoms are the vertices, in vertex order, and the atom
+    masks are the vertex masks.  ``comb_type.is_isomorphic`` reads its
+    candidates off them.
 
-    - a face of rank r has at least r + 1 vertices: by the graded axiom, a
+    The diamond axiom holds below every simplex, and so does the meet
+    axiom, once the lattice passes the simplex certificate
+    (``simplex_certificate``) on some masks: the vertex masks of a face
+    lattice (``verify_lattice``) or the atom masks of any lattice
+    (``comb_type._verify_abstract_lattice``).  A simplex G of rank r is an
+    element whose mask has r + 1 bits, and the certificate asks that (a)
+    the masks are pairwise distinct and (c) every simplex of rank r has
+    exactly r + 1 lower covers; (b), every cover joins adjacent ranks, is
+    part of the graded axiom.  The claims: the elements below G are
+    exactly one per subset of G's mask, so every element of rank r - 2
+    whose mask lies in G's has exactly two elements between it and G; and
+    any two simplices have a meet.  Proof, for a lattice whose covers are
+    strict containments of masks and that is bounded and graded:
+
+    - an element of rank r has at least r + 1 bits: by the graded axiom, a
       chain of r + 1 lower covers, each one rank down, reaches the bottom,
       and each is a strict containment;
     - so each lower cover of G, of rank r - 1 by (b), is G minus one
-      vertex, and the r + 1 of them that (c) asks for, listed once and of
-      pairwise distinct masks by (a), are all the faces G - u; each of
+      bit, and the r + 1 of them that (c) asks for, listed once and of
+      pairwise distinct masks by (a), are all the elements G - u; each of
       them is again a simplex, with all of its own lower covers G - u - v
-      by (c);
-    - the faces two levels below G through covers are therefore the faces
-      G - {u, v}, and each lies under exactly G - u and G - v;
-    - any other face X of rank r - 2 inside G has at least r - 1
-      vertices, so X's mask is that of a face G - {u, v}, G - u or G, a
-      mask that (a) allows only once.
+      by (c); by induction, the elements below G are one per subset of
+      G's mask, each of rank its size minus one;
+    - the elements two levels below G through covers are therefore the
+      elements G - {u, v}, and each lies under exactly G - u and G - v;
+    - any other element X of rank r - 2 inside G has at least r - 1 bits,
+      so X's mask is that of an element G - {u, v}, G - u or G, a mask
+      that (a) allows only once;
+    - for simplices G and H, an element below both has its mask in the
+      intersection M of theirs, and each element whose mask lies in M is
+      the one below G with that mask and the one below H, by (a).  So the
+      elements below both are those below the element of mask M below G,
+      which is their meet.
     """
 
     faces_by_id: tuple
@@ -196,6 +213,32 @@ class GradedIds:
     def ids(self, rank: int) -> range:
         return range(self.level_start[rank + 1], self.level_start[rank + 2])
 
+    @cached_property
+    def atom_masks(self) -> tuple[int, ...]:
+        """Per element, the bitmask of the atoms below it, read off the
+        covers (see the class docstring): the k-th element of rank 0 has
+        bit k, every element above rank 0 the OR of its lower covers'
+        masks, and every element of rank -1 none.  Made once per lattice,
+        in one pass in id order.  When some lower cover is not below its
+        element in id, as on a cover down a rank, which no graded poset
+        has, the pass meets a mask not yet made; then the rule is applied
+        again and again, from the masks made so far, until nothing changes,
+        which gives its least solution."""
+        atoms, down = self.ids(0), self.down
+        masks = [0] * atoms.start + [1 << k for k in range(len(atoms))]
+        try:
+            for below in down[atoms.stop:]:
+                m = 0
+                for e in below:
+                    m |= masks[e]
+                masks.append(m)
+        except IndexError:  # a lower cover not below in id
+            masks, old = masks + [0] * (len(down) - len(masks)), None
+            while masks != old:
+                old, masks = masks, masks[:atoms.stop] + [
+                    reduce(or_, map(masks.__getitem__, below), 0) for below in down[atoms.stop:]]
+        return tuple(masks)
+
     def two_step_paths(self, rank: int, highs: Sequence[int] | None = None
                        ) -> Iterator[tuple[int, int, int, int]]:
         """For each element ``low`` of the rank, ``(low, once, twice,
@@ -218,8 +261,11 @@ class GradedIds:
         of each m in ``down[ids(rank + 2)[b]]``, one OR per cover.  That is
         the mask of m's upper covers among the highs, since ``up`` is read
         off ``down``: h is in ``up[m]`` iff m is in ``down[h]``.  U is 0
-        for an m, of any rank, that no high covers.
+        for an m, of any rank, that no high covers.  With no highs at all,
+        every plane would be 0, and no element is yielded.
         """
+        if highs is not None and not highs:
+            return
         down, up = self.down, self.up
         first = self.level_start[rank + 3]
         covered_by = [0] * len(down)  # m -> U
@@ -699,32 +745,36 @@ def _top_down(P: Polytope) -> FaceLattice:
     return lattice
 
 
-def simplex_certificate(L: FaceLattice) -> list[list[int]] | None:
-    """The ids of the faces that are not simplices, rank by rank from 0 to
-    ``L.dim``, when L passes the simplex certificate; None when it fails.
+def simplex_certificate(L: GradedIds, masks: Sequence[int], distinct: bool
+                        ) -> list[list[int]] | None:
+    """The ids of the elements that are not simplices, rank by rank from 0
+    to ``L.dim``, when L passes the simplex certificate on ``masks``; None
+    when it fails.  ``distinct`` says whether the masks are pairwise
+    distinct; the caller knows, or asks once.
 
-    A simplex face is one whose vertex mask has rank + 1 bits.  On a
-    lattice whose covers are strict containments of masks and that is
-    bounded and graded, which ``verify_lattice`` checks first, every cover
-    joins adjacent ranks: that is premise (b), owned by
-    ``GradedIds.verify_graded``.  The certificate adds:
+    The masks are a face lattice's vertex masks (``verify_lattice``) or any
+    lattice's atom masks (``comb_type._verify_abstract_lattice``).  A
+    simplex is an element whose mask has rank + 1 bits.  On a lattice whose
+    covers are strict containments of masks and that is bounded and graded,
+    which the caller checks first, every cover joins adjacent ranks: that is
+    premise (b), owned by ``GradedIds.verify_graded``.  The certificate
+    adds:
 
-    - (a) the vertex masks are pairwise distinct;
-    - (c) every simplex face of rank r has exactly r + 1 lower covers.
+    - (a) the masks are pairwise distinct;
+    - (c) every simplex of rank r has exactly r + 1 lower covers.
 
-    What it proves, the diamond axiom below every simplex face, is stated
-    and proved in ``GradedIds``.
+    What it proves, the diamond axiom below every simplex, and the meets of
+    its lower covers, is stated and proved in ``GradedIds``.
     """
-    mask, down = L.vertex_masks, L.down
-    if not L.distinct_masks:
+    if not distinct:
         return None
     others = []
     for r in range(L.dim + 1):
         rest = []
         for g in L.ids(r):
-            if mask[g].bit_count() != r + 1:
+            if masks[g].bit_count() != r + 1:
                 rest.append(g)
-            elif len(down[g]) != r + 1:
+            elif len(L.down[g]) != r + 1:
                 return None
         others.append(rest)
     return others
@@ -777,14 +827,12 @@ def verify_lattice(L: FaceLattice) -> None:
                     f"covering pair ({faces[low]}, {faces[high]}) "
                     "is not a strict vertex-set containment")
     L.verify_graded()
-    others = simplex_certificate(L)
+    others = simplex_certificate(L, mask, L.distinct_masks)
     # by the checks above, a chain of upper covers, each a strict containment,
     # leads from every face to the top, so every vertex bit is the top's
     vbit = [1 << v for v in range(mask[-1].bit_length())]
     for j in range(-1, L.dim - 1):
         highs = L.ids(j + 2) if others is None else others[j + 2]
-        if not highs:
-            continue
         first = L.level_start[j + 3]
         containing = [0] * len(vbit)
         keep = 0

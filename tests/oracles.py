@@ -166,8 +166,12 @@ vertex-set containment, ``all_pairs_verify_abstract_lattice`` counts the
 mids of every pair two ranks apart (both as the popcount of the AND of two
 ``cover_masks``) and ``all_pairs_meets`` tests the meet
 of every pair of elements, and ``rank_scan_is_isomorphic`` scans a source
-element's whole target rank for candidates.  They raise the library's
-messages and return its results, so the tests compare the two directly.
+element's whole target rank for candidates.  ``up_scan_is_isomorphic`` is
+the search the library ran before it keyed candidates on atom masks: the
+candidates are the upper covers of the image of an element's first lower
+cover, no atom is pruned, and a final pass checks every ``up`` list.
+They raise the library's messages and return its results, so the tests
+compare the two directly.
 """
 
 from __future__ import annotations
@@ -1370,6 +1374,56 @@ def rank_scan_is_isomorphic(L1, L2) -> LatticeIso:
         start += 1
 
     if any({mapping[b] for b in up1[a]} != set(up2[t]) for a, t in enumerate(mapping)):
+        raise InternalInvariantError("lattice bijection failed final cover verification")
+    return LatticeIso(True, mapping=tuple((L1.faces_by_id[s], L2.faces_by_id[t])
+                                          for s, t in enumerate(mapping)))
+
+
+def up_scan_is_isomorphic(L1, L2) -> LatticeIso:
+    """``is_isomorphic`` with each source's candidates read off the upper
+    covers of its first lower cover's image, in id order, and the complete
+    assignment checked again on every ``up`` list."""
+    if L1.dim != L2.dim:
+        return LatticeIso(False, certificate=f"dimension mismatch: {L1.dim} != {L2.dim}")
+    ranks1, ranks2 = ([L.ids(r) for r in range(-1, L.dim + 1)] for L in (L1, L2))
+    fv1, fv2 = tuple(map(len, ranks1)), tuple(map(len, ranks2))
+    if fv1 != fv2:
+        return LatticeIso(False, certificate=f"f-vector mismatch: {fv1} != {fv2}")
+    up1, down1, up2, down2 = L1.up, L1.down, L2.up, L2.down
+
+    for level1, level2 in zip(ranks1, ranks2):
+        sig1 = sorted((len(down1[e]), len(up1[e])) for e in level1)
+        sig2 = sorted((len(down2[e]), len(up2[e])) for e in level2)
+        if sig1 != sig2:
+            return LatticeIso(False, certificate="up/down cover degree multisets differ")
+
+    targets = [level2 for level1, level2 in zip(ranks1, ranks2) for _ in level1]
+    mapping: list[int] = []
+    image = mapping.__getitem__
+    used: set[int] = set()
+    start = 0
+    while len(mapping) < len(targets):
+        s = len(mapping)
+        below, rank = down1[s], targets[s]
+        wanted_down = set(map(image, below))
+        wanted = len(wanted_down)
+        candidates = up2[mapping[below[0]]] if below else rank
+        found = next((t for t in candidates
+                      if t >= start and t in rank and t not in used
+                      and len(up2[t]) == len(up1[s]) and len(down2[t]) == wanted
+                      and wanted_down.issuperset(down2[t])), None)
+        if found is not None:
+            mapping.append(found)
+            used.add(found)
+            start = 0
+            continue
+        if not mapping:
+            return LatticeIso(False, certificate="exhausted search: no cover-preserving bijection")
+        start = mapping.pop()
+        used.discard(start)
+        start += 1
+
+    if any(tuple(sorted(map(image, up1[a]))) != up2[t] for a, t in enumerate(mapping)):
         raise InternalInvariantError("lattice bijection failed final cover verification")
     return LatticeIso(True, mapping=tuple((L1.faces_by_id[s], L2.faces_by_id[t])
                                           for s, t in enumerate(mapping)))

@@ -813,6 +813,18 @@ def test_diagonal_equivalence_rejects_other_shape_or_support():
     assert diagonal_sign_equivalence(square, relabeled) is None
 
 
+def test_diagonal_equivalence_rejects_another_bottom_row_count():
+    # equal dimensions and equal columns, but two empty faces against one:
+    # the columns do not record how many rows D_0 has, so only the f-vector
+    # test tells the complexes apart
+    one = ChainComplex(dim=0, columns=(({0: 1},),), face_order=(((),), ((0,),)))
+    two = ChainComplex(dim=0, columns=(({0: 1},),), face_order=(((), ()), ((0,),)))
+    assert one.dim == two.dim and one.columns == two.columns
+    assert one.f_vector != two.f_vector
+    assert diagonal_sign_equivalence(one, two) is None
+    assert diagonal_sign_equivalence(two, one) is None
+
+
 def test_chain_complex_rejects_wrong_number_of_maps():
     # a 1-complex has three face levels and two boundary maps
     with pytest.raises(InternalInvariantError) as err:

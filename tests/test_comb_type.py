@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from polyk.cellular import build_complex, trivialize
 from polyk.comb_type import (
     AbstractLattice,
+    LatticeIso,
     UnsignedIncidence,
     _verify_abstract_lattice,
     _verify_meets,
@@ -29,7 +30,14 @@ from polyk.corpus import (
     simplex,
 )
 from polyk.errors import InternalInvariantError
-from polyk.polytope import Face, FaceLattice, face_lattice, validate, verify_lattice
+from polyk.polytope import (
+    Face,
+    FaceLattice,
+    face_lattice,
+    simplex_certificate,
+    validate,
+    verify_lattice,
+)
 
 from affine import apply_affine, random_invertible_affine
 from oracles import (
@@ -40,6 +48,7 @@ from oracles import (
     failure,
     lattice_from_pairs,
     rank_scan_is_isomorphic,
+    up_scan_is_isomorphic,
 )
 
 
@@ -225,7 +234,8 @@ def test_lattice_checks_and_search_match_all_pairs_oracles():
         abstract = abstract_of(lat)
         outcomes.append((expected, assert_abstract_check_matches_oracle(abstract)))
         for a, b in ((lat, abstract), (abstract, lat)):
-            assert is_isomorphic(a, b) == rank_scan_is_isomorphic(a, b)
+            assert is_isomorphic(a, b) == rank_scan_is_isomorphic(a, b) == \
+                up_scan_is_isomorphic(a, b)
     assert (None, None) in outcomes
     for kind in ("diamond property fails", "has no upper cover", "has no lower cover"):
         assert any(kind in (face or "") and kind in (abstract or "")
@@ -403,11 +413,13 @@ def test_a_cover_listed_twice_is_one_cover():
 
 @st.composite
 def cover_graphs(draw) -> AbstractLattice:
-    """Ranks -1 to dim with 1 to 4 elements each, and any covers from a
-    lower rank to a higher one, two or more ranks up included, listed in
-    any order, some twice: graded or not, bounded or not."""
+    """One bottom, one top, ranks 0 to dim - 1 with 1 to 4 elements each,
+    and any covers from a lower rank to a higher one, two or more ranks up
+    included, listed in any order, some twice: graded or not.  A poset
+    that is not bounded stops at the first check, so none is drawn
+    (``test_abstract_check_rejects_a_poset_that_is_not_bounded``)."""
     dim = draw(st.integers(0, 3))
-    f_vector = tuple(draw(st.lists(st.integers(1, 4), min_size=dim + 2, max_size=dim + 2)))
+    f_vector = (1, *draw(st.lists(st.integers(1, 4), min_size=dim, max_size=dim)), 1)
     elements = [(r, i) for r in range(-1, dim + 1) for i in range(f_vector[r + 1])]
     pairs = [(a, b) for a in elements for b in elements if a[0] < b[0]]
     covering = draw(st.lists(st.sampled_from(pairs), max_size=40)) if pairs else []
@@ -419,6 +431,16 @@ def cover_graphs(draw) -> AbstractLattice:
 def test_abstract_check_names_what_the_all_pairs_oracle_names(lat):
     # graded or not, skipping ranks or not: the same verdict and message
     assert_abstract_check_matches_oracle(lat)
+
+
+@pytest.mark.parametrize("f_vector, covering", [
+    ((2, 1), (((-1, 0), (0, 0)), ((-1, 1), (0, 0)))),
+    ((1, 1, 2), (((-1, 0), (0, 0)), ((0, 0), (1, 0)), ((0, 0), (1, 1)))),
+], ids=["two-bottoms", "two-tops"])
+def test_abstract_check_rejects_a_poset_that_is_not_bounded(f_vector, covering):
+    lat = AbstractLattice(dim=len(f_vector) - 2, f_vector=f_vector, covering=covering)
+    assert failure(_verify_abstract_lattice, lat) == \
+        failure(all_pairs_verify_abstract_lattice, lat) == f"not bounded: f-vector {f_vector}"
 
 
 @given(cover_graphs())
@@ -695,3 +717,213 @@ def test_incidence_shape_guards_name_the_fault(matrices, message):
     with pytest.raises(InternalInvariantError) as err:
         lattice_from_incidence(UnsignedIncidence(matrices))
     assert str(err.value) == message
+
+
+# --- the search keyed on atom masks, against both oracles ---
+
+def relabeled(lat: AbstractLattice, perms) -> AbstractLattice:
+    """The same covers with element i of rank r renamed perms[r + 1][i]."""
+    def rename(element):
+        rank, i = element
+        return rank, perms[rank + 1][i]
+
+    return AbstractLattice(dim=lat.dim, f_vector=lat.f_vector,
+                           covering=tuple((rename(a), rename(b)) for a, b in lat.covering))
+
+
+def switched(lat: AbstractLattice, i: int, j: int) -> AbstractLattice:
+    """Covers i and j of ``lat.covering``, (a, b) and (c, d), replaced by
+    (a, d) and (c, b) when both are new and join the same ranks: every
+    element keeps its up and down degrees, so only the search can tell the
+    two apart."""
+    covering = list(dict.fromkeys(lat.covering))
+    (a, b), (c, d) = covering[i % len(covering)], covering[j % len(covering)]
+    if (a[0], b[0]) == (c[0], d[0]) and {(a, d), (c, b)}.isdisjoint(covering):
+        covering[i % len(covering)], covering[j % len(covering)] = (a, d), (c, b)
+    return AbstractLattice(dim=lat.dim, f_vector=lat.f_vector, covering=tuple(covering))
+
+
+def changed(lat: AbstractLattice, how: int, i: int, j: int) -> AbstractLattice:
+    """``lat`` itself (how 0), with covers i and j switched (how 1), or
+    with cover i dropped (how 2), which changes two degrees."""
+    if how == 0 or not lat.covering:
+        return lat
+    if how == 1:
+        return switched(lat, i, j)
+    covering = list(dict.fromkeys(lat.covering))
+    del covering[i % len(covering)]
+    return AbstractLattice(dim=lat.dim, f_vector=lat.f_vector, covering=tuple(covering))
+
+
+@st.composite
+def relabeled_pairs(draw):
+    """A bounded poset, graded (``random_graded_poset``) or not
+    (``cover_graphs``), and the same poset, or one changed a little
+    (``changed``), with the elements of every rank renumbered."""
+    source = draw(st.one_of(st.randoms(use_true_random=False).map(random_graded_poset),
+                            cover_graphs()))
+    target = changed(source, draw(st.integers(0, 2)), draw(st.integers(0, 99)),
+                     draw(st.integers(0, 99)))
+    perms = [draw(st.permutations(range(n))) for n in source.f_vector]
+    return source, relabeled(target, perms)
+
+
+def assert_search_matches_oracles(a, b) -> LatticeIso:
+    expected = is_isomorphic(a, b)
+    assert expected == rank_scan_is_isomorphic(a, b) == up_scan_is_isomorphic(a, b)
+    return expected
+
+
+@given(relabeled_pairs())
+@settings(max_examples=300, deadline=None)
+def test_search_on_atom_masks_matches_both_oracles(pair):
+    # the same mapping, the least valid one in id order, or the same
+    # certificate, both ways round, on posets renumbered within each rank
+    a, b = pair
+    assert_search_matches_oracles(a, b)
+    assert_search_matches_oracles(b, a)
+
+
+def test_search_on_atom_masks_reaches_every_verdict():
+    # the draws of the property test above, seeded, reach an isomorphism
+    # and all three certificates a search on equal f-vectors can give
+    rng = random.Random(4103)
+    verdicts = set()
+    for _ in range(600):
+        source = random_graded_poset(rng)
+        target = changed(source, rng.randrange(3), rng.randrange(99), rng.randrange(99))
+        perms = [rng.sample(range(n), n) for n in source.f_vector]
+        iso = assert_search_matches_oracles(source, relabeled(target, perms))
+        verdicts.add(iso.certificate)
+    assert verdicts == {None, "up/down cover degree multisets differ",
+                        "exhausted search: no cover-preserving bijection"}
+
+
+def two_squares(over) -> AbstractLattice:
+    """Four atoms, the edges (1, 0) = {0,1}, (1, 1) = {2,3}, (1, 2) = {0,2}
+    and (1, 3) = {1,3}, the elements (2, 0) and (2, 1) over the edge pairs
+    ``over``, and a top over both."""
+    edges = [(0, 1), (2, 3), (0, 2), (1, 3)]
+    covering = [((-1, 0), (0, a)) for a in range(4)]
+    covering += [((0, a), (1, e)) for e, atoms in enumerate(edges) for a in atoms]
+    covering += [((1, e), (2, f)) for f, pair in enumerate(over) for e in pair]
+    covering += [((2, f), (3, 0)) for f in range(2)]
+    return AbstractLattice(dim=3, f_vector=(1, 4, 4, 2, 1), covering=tuple(covering))
+
+
+def test_a_candidate_of_the_right_mask_and_degrees_fails_the_down_set_test():
+    # (2, 0) of the source lies over the edges (1, 0) and (1, 1); in the
+    # target, (2, 0) lies over (1, 2) and (1, 3).  Both have all four atoms
+    # and the same degrees, so both are candidates; the down-set test
+    # rejects the first, and the second is placed
+    source, target = two_squares([(0, 1), (2, 3)]), two_squares([(2, 3), (0, 1)])
+    masks = target.atom_masks
+    rank2 = target.ids(2)
+    assert masks[rank2[0]] == masks[rank2[1]] == 0b1111
+    assert [len(target.up[t]) for t in rank2] == [len(source.up[rank2[0]])] * 2
+    assert [len(target.down[t]) for t in rank2] == [len(source.down[rank2[0]])] * 2
+    iso = assert_search_matches_oracles(source, target)
+    assert dict(iso.mapping)[(2, 0)] == (2, 1)
+
+
+def test_a_candidate_of_the_right_mask_in_another_rank_is_not_placed():
+    # the source's edge (1, 0) over the atoms 0 and 1; in the target no
+    # edge has that mask, but (2, 0) covers the atoms 0 and 1 directly, a
+    # cover that skips a rank, with the degrees of (1, 0).  The lookup finds
+    # it, and only the rank test keeps it out of rank 1
+    def poset(edges, square):
+        covering = [((-1, 0), (0, a)) for a in range(3)]
+        covering += [((0, a), (1, e)) for e, atoms in enumerate(edges) for a in atoms]
+        covering += [((0, a), (2, 0)) for a in square]
+        covering += [((r, i), (3, 0)) for r, i in ((1, 0), (1, 1), (2, 0))]
+        return AbstractLattice(dim=3, f_vector=(1, 3, 2, 1, 1), covering=tuple(covering))
+
+    source, target = poset([(0, 1), (0, 2)], (1, 2)), poset([(0, 2), (1, 2)], (0, 1))
+    assert target.atom_masks[target.ids(2)[0]] == source.atom_masks[source.ids(1)[0]] == 0b011
+    iso = assert_search_matches_oracles(source, target)
+    assert iso.isomorphic and all(x[0] == y[0] for x, y in iso.mapping)
+
+
+def pillow() -> AbstractLattice:
+    """Four squares (2, i) around the atoms p = (0, 0) and q = (0, 1), the
+    square i over the edges from p and q to the atoms (0, 2 + i) and
+    (0, 2 + (i + 1) % 4), and a top: bounded, graded, every diamond has two
+    middle elements, the atom masks are distinct and every edge is a
+    simplex; but two squares meet in two edges, or in p and q alone."""
+    edges = [(0, 2 + i) for i in range(4)] + [(1, 2 + i) for i in range(4)]
+    covering = [((-1, 0), (0, a)) for a in range(6)]
+    covering += [((0, a), (1, e)) for e, pair in enumerate(edges) for a in pair]
+    for i in range(4):
+        j = (i + 1) % 4
+        covering += [((1, e), (2, i)) for e in (i, j, 4 + i, 4 + j)] + [((2, i), (3, 0))]
+    return AbstractLattice(dim=3, f_vector=(1, 6, 8, 4, 1), covering=tuple(covering))
+
+
+def test_meet_check_reads_the_lower_covers_that_are_not_simplices():
+    # the certificate holds, so the meet check skips every element whose
+    # lower covers are all simplices (here the squares, over edges) and
+    # pairs the squares under the top, where the first failure is
+    lat = pillow()
+    masks = lat.atom_masks
+    others = simplex_certificate(lat, masks, len(set(masks)) == len(masks))
+    assert others == [[], [], list(lat.ids(2)), list(lat.ids(3))]
+    message = "meet of (2, 0) and (2, 1) is not unique: poset is not a lattice"
+    assert failure(_verify_abstract_lattice, lat) == failure(_verify_meets, lat) == message
+    assert failure(all_pairs_verify_abstract_lattice, lat).endswith(MEETS)
+
+
+def test_atom_masks_with_a_lower_cover_above_in_id():
+    # the triangle with the edge (1, 1) also under (1, 0): the pass in id
+    # order meets (1, 1) before its mask is made, and the masks are the
+    # least solution of the rule; the search reads them on the target and
+    # finds the isomorphism that swaps the atoms (0, 1) and (0, 2)
+    below, above = triangle_poset(extra=[((1, 0), (1, 1))]), triangle_poset(extra=[((1, 1), (1, 0))])
+    edge = above.ids(1)
+    assert edge[1] in above.down[edge[0]]
+    assert above.atom_masks[edge[0]] == 0b111 and above.atom_masks[edge[1]] == 0b101
+    iso = assert_search_matches_oracles(below, above)
+    assert iso.isomorphic and dict(iso.mapping)[(0, 1)] == (0, 2)
+
+
+def test_atom_masks_are_the_vertex_masks_of_a_face_lattice(small_corpus):
+    # atom k is the vertex {k}, and a face of dimension 1 or more is the
+    # union of its facets
+    for poly in small_corpus + [cross_polytope(5), hypercube(4), validate(HULL_DRAW_674)]:
+        lat = face_lattice(poly)
+        assert lat.atom_masks == lat.vertex_masks, poly.name
+
+
+def shuffled_image(poly, rng):
+    """An affine image of ``poly`` with its vertex list shuffled by ``rng``."""
+    image = apply_affine(poly, *random_invertible_affine(rng, poly.ambient_dim))
+    vertices = list(image.vertices)
+    rng.shuffle(vertices)
+    return validate(vertices)
+
+
+def preserves_covers(iso: LatticeIso, a: FaceLattice, b: FaceLattice) -> bool:
+    m = dict(iso.mapping)
+    return (len(m) == len(set(m.values())) == len(a.faces_by_id)
+            and all(e.dim == m[e].dim for e in m)
+            and {(m[e], m[f]) for e, f in a.covering} == set(b.covering))
+
+
+@pytest.mark.parametrize("poly", [cross_polytope(5), hypercube(4)], ids=["cross5", "cube4"])
+def test_search_on_an_image_with_shuffled_vertices(poly):
+    # the faces of the image are numbered in another order than the
+    # source's; the search placed the atoms by scans of their rank, pruned
+    # only by degrees, and took 7.6 to 15.7 s on cross5 and more than 60 s
+    # on cube4.  The mapping is checked on the faces themselves
+    a, b = face_lattice(poly), face_lattice(shuffled_image(poly, random.Random(1207)))
+    iso = is_isomorphic(a, b)
+    assert iso.isomorphic and preserves_covers(iso, a, b)
+
+
+def test_search_between_hull_draws_with_shuffled_vertices():
+    # the exhausted search of test_non_isomorphic_same_f_vector, on an
+    # image of draw 674 with its vertices shuffled
+    a = face_lattice(validate(HULL_DRAW_4))
+    b = face_lattice(shuffled_image(validate(HULL_DRAW_674), random.Random(1207)))
+    for x, y in ((a, b), (b, a)):
+        assert assert_search_matches_oracles(x, y).certificate == \
+            "exhausted search: no cover-preserving bijection"

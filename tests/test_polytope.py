@@ -710,7 +710,7 @@ def test_simplex_certificate_holds_on_polytopes_and_verify_matches_all_pairs():
               + [prism_over_cross(4), prism_over_cross(5), pyramid_prism()])
     for poly in inputs:
         lat = face_lattice(poly)
-        assert polytope.simplex_certificate(lat) is not None, poly.name
+        assert polytope.simplex_certificate(lat, lat.vertex_masks, lat.distinct_masks) is not None, poly.name
         assert failure(verify_lattice, lat) == failure(all_pairs_verify_lattice, lat) is None, \
             poly.name
     # on a simplicial polytope only P is left as a high: the diamonds of P
@@ -718,7 +718,7 @@ def test_simplex_certificate_holds_on_polytopes_and_verify_matches_all_pairs():
     for poly, simplicial in ((cross_polytope(6), True), (simplex(8), False)):
         lat = face_lattice(poly)
         top = [len(lat.faces_by_id) - 1] if simplicial else []
-        assert polytope.simplex_certificate(lat) == [[]] * lat.dim + [top]
+        assert polytope.simplex_certificate(lat, lat.vertex_masks, lat.distinct_masks) == [[]] * lat.dim + [top]
 
 
 TRIANGLE = Face((0, 1, 2), 2)
@@ -773,9 +773,9 @@ def test_simplex_certificate_fails_and_the_full_check_names_the_pair(build, mess
     # before the certificate is asked
     lat = build()
     if message == SHORT_BY_A_SKIP:
-        assert polytope.simplex_certificate(lat) is not None  # (b) is not its premise
+        assert polytope.simplex_certificate(lat, lat.vertex_masks, lat.distinct_masks) is not None  # (b) is not its premise
     else:
-        assert polytope.simplex_certificate(lat) is None
+        assert polytope.simplex_certificate(lat, lat.vertex_masks, lat.distinct_masks) is None
     assert failure(verify_lattice, lat) == failure(all_pairs_verify_lattice, lat) == message
     assert lat.vertex_masks[lat.face_id[TRIANGLE]].bit_count() == TRIANGLE.dim + 1
 
@@ -803,7 +803,7 @@ def test_simplex_certificate_holds_and_a_diamond_above_a_square_fails():
     assert (edge, square) in lat.covering
     broken = lattice_from_pairs(3, lat.faces_by_dim,
                                 tuple(c for c in lat.covering if c != (edge, square)))
-    assert polytope.simplex_certificate(broken) is not None
+    assert polytope.simplex_certificate(broken, broken.vertex_masks, broken.distinct_masks) is not None
     assert failure(verify_lattice, broken) == failure(all_pairs_verify_lattice, broken) == \
         "diamond property fails between {0} and {0,1,2,3}: 1 intermediate elements"
 
@@ -819,6 +819,7 @@ def test_two_step_paths_on_some_highs_are_the_full_planes_on_their_bits():
         assert [low for low, *_ in part] == [low for low, *_ in full]
         assert [tuple(p & keep for p in planes) for _, *planes in full] == \
             [tuple(planes) for _, *planes in part]
+        assert list(lat.two_step_paths(rank, [])) == []  # no high, no plane to read
 
 
 # --- covering pairs ---

@@ -239,6 +239,16 @@ def test_matching_certificate_rejects_non_unit_entry():
         check_matching(maps, pairs)
 
 
+def test_matching_certificate_rejects_a_row_outside_its_column():
+    # a pair whose row is not in its column's support reads the entry 0;
+    # on cube5 every cell is matched, so such a pair is caught there as a
+    # cell matched twice or a block that is not triangular, and only a map
+    # built by hand leaves the unit test to decide
+    with pytest.raises(InternalInvariantError, match=(
+            r"^acyclic matching: D_0 entry \(row 1, column 0\) = 0 is not a unit$")):
+        check_matching([[{0: 1}]], [[(1, 0)]])
+
+
 def test_matching_certificate_rejects_row_matched_twice():
     maps, pairs = cube_matching()
     (r, _), (_, c) = pairs[2][:2]
