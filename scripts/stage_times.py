@@ -15,8 +15,9 @@ stage's best time is printed, with their sum as the total, as one row of a
 Markdown table:
 
 - validate: ``validate`` on the input's vertices;
-- walk: the face lattice's top-down walk (``polytope._top_down``);
-- verify: its verification (``verify_lattice``), the rest of
+- walk: the face lattice's top-down walk (``polytope._top_down``), with
+  the containment and graded checks the lattice makes as it is built;
+- verify: its diamond check (``verify_lattice``), the rest of
   ``face_lattice``;
 - ConeSystem: ``lift`` and ``ConeSystem``;
 - build: ``trivialize`` and ``build_complex``;

@@ -58,7 +58,8 @@ class AbstractLattice(GradedIds):
     (bottom) to dim (top), numbered level by level (``GradedIds``): (rank, i)
     has the id ``level_start[rank + 1] + i`` and is ``faces_by_id`` there.
     A pair listed twice in ``covering`` is one cover, and each ``down[i]``
-    is ascending, whatever the order of ``covering``.
+    is ascending, whatever the order of ``covering``.  Built, it checks
+    the bounded and graded axioms (``GradedIds``).
     """
 
     dim: int
@@ -73,6 +74,7 @@ class AbstractLattice(GradedIds):
         self._number(tuple((r, i) for r in range(-1, self.dim + 1)
                            for i in range(self.f_vector[r + 1])),
                      start, tuple(tuple(sorted(below)) for below in down))
+        self.verify_graded()
 
 
 def lattice_from_incidence(U: UnsignedIncidence) -> AbstractLattice:
@@ -83,8 +85,9 @@ def lattice_from_incidence(U: UnsignedIncidence) -> AbstractLattice:
     relation, read row by row with the list methods ``count`` and ``index``
     (a row whose 0s and 1s do not fill it holds a bad entry, named first in
     row order); the result is checked against the lattice axioms of a
-    polytope face lattice (``_verify_abstract_lattice``) and any failure
-    means the incidence data is corrupt.
+    polytope face lattice (``AbstractLattice``, then
+    ``_verify_abstract_lattice``) and any failure means the incidence data
+    is corrupt.
     """
     mats = U.matrices
     if not mats:
@@ -115,16 +118,15 @@ def lattice_from_incidence(U: UnsignedIncidence) -> AbstractLattice:
 
 
 def _verify_abstract_lattice(lat: AbstractLattice) -> None:
-    """The lattice axioms of a polytope face lattice (``GradedIds``), on
-    int bitmasks: bounded and graded, then the diamond property, then meets.
+    """The diamond property, then meets (``GradedIds``), on int bitmasks.
 
     An abstract lattice has no vertex sets, so the highs above ``low`` are
     those a path of two covers reaches, and the failure mask of ``low`` is
     ``once & (thrice | ~twice)``: some paths, but not exactly two.
 
-    After the graded check, the simplex certificate is asked on the atom
-    masks (``GradedIds.atom_masks``, ``simplex_certificate``).  Each mask is
-    the OR of its lower covers' masks, so every cover is a containment of
+    The simplex certificate is asked first, on the atom masks
+    (``GradedIds.atom_masks``, ``simplex_certificate``).  Each mask is the
+    OR of its lower covers' masks, so every cover is a containment of
     masks, strict when the masks are distinct, and the identity in
     ``GradedIds`` applies: the lower interval of every simplex is Boolean.
     When the certificate holds, the diamond check takes as highs only the
@@ -135,7 +137,6 @@ def _verify_abstract_lattice(lat: AbstractLattice) -> None:
     accept the same posets and name the same first failure as with every
     element; when the certificate fails, every element is read.
     """
-    lat.verify_graded()
     others = simplex_certificate(lat, lat.atom_masks, len(set(lat.atom_masks)) == len(lat.down))
     for rank in range(-1, lat.dim - 1):
         for low, once, twice, thrice in lat.two_step_paths(rank, others and others[rank + 2]):
@@ -168,12 +169,11 @@ def _verify_meets(lat: AbstractLattice, others: set[int] | None = None) -> None:
     ``ds[i]``, ``1 << i`` OR'd with the ``ds`` of i's lower covers (lower
     ids, so computed first), is element i's down-set.  For elements a and
     b, ``c = ds[a] & ds[b]`` is a down-set, and the meet of a and b exists
-    iff c has a unique maximal element.  Covers go up in
-    id (``lattice_from_incidence`` reads them off consecutive matrices), so
-    the highest-numbered element x of c is maximal in c.  Hence the meet
-    exists iff ``c == ds[x]``: then every element of c lies below x;
-    otherwise an element of c outside ``ds[x]`` lies below a second maximal
-    element.
+    iff c has a unique maximal element.  Covers go up in id
+    (``GradedIds``), so the highest-numbered element x of c is maximal in
+    c.  Hence the meet exists iff ``c == ds[x]``: then every element of c
+    lies below x; otherwise an element of c outside ``ds[x]`` lies below a
+    second maximal element.
     """
     ds: list[int] = []
     for i, below in enumerate(lat.down):

@@ -411,20 +411,18 @@ def check_dual_faces(lattice: FaceLattice, dual_masks: Sequence[int], n: int) ->
     """The dual faces certified once per run, on ``dual_masks`` (for each
     face, the bitmask of the facet normals vanishing on it, the AND of its
     vertices' ``vertex_facet_masks``), before anything reads them.  The top
-    face must have dimension n - 1 and an empty mask.  The lattice must be
-    graded (``GradedIds.verify_graded``, which owns the rule): every face F
-    below the top has an upper cover, and every cover E < H has
-    dim H = dim E + 1.  Every covering pair, level by level from the top
-    down, must then have dual_H a proper subset of dual_E.  A failing pair
-    is an error naming both faces.
+    face must have dimension n - 1 and an empty mask.  Every covering
+    pair, level by level from the top down, must then have dual_H a proper
+    subset of dual_E.  A failing pair is an error naming both faces.
 
-    The dual face of every face F then spans rank n - (dim F + 1).  Lower
-    bound, by induction from the top, whose dual face has rank
-    0 = n - (dim top + 1): take an upper cover H of F.  A normal y in
-    dual(F) but not in dual(H) does not vanish on some vertex v of H: its
-    slack there is nonzero.  Every normal of dual(H) vanishes on v, and so
-    does their span; so y is not in span(dual H), and with dual(H) inside
-    dual(F), rank dual(F) >= rank dual(H) + 1 >= n - (dim H + 1) + 1
+    The dual face of every face F then spans rank n - (dim F + 1), the
+    lattice being graded (``GradedIds``).  Lower bound, by induction from
+    the top, whose dual face has rank 0 = n - (dim top + 1): take an upper
+    cover H of F.  A normal y in dual(F) but not in dual(H) does not vanish
+    on some vertex v of H: its slack there is nonzero.  Every normal of
+    dual(H) vanishes on v, and so does their span; so y is not in
+    span(dual H), and with dual(H) inside dual(F),
+    rank dual(F) >= rank dual(H) + 1 >= n - (dim H + 1) + 1
     = n - (dim F + 1).  Upper bound: every normal of dual(F) vanishes on
     F's lifted vertices, dim F + 1 of which are independent, so the
     normals span at most n - (dim F + 1) dimensions.  For a face that
@@ -469,7 +467,6 @@ def check_dual_faces(lattice: FaceLattice, dual_masks: Sequence[int], n: int) ->
         raise InternalInvariantError(
             f"dual face of the top face {faces[top]} is not empty: facet normals "
             f"{list(set_bits(dual_masks[top]))} vanish on every vertex")
-    lattice.verify_graded()
     for f in range(top - 1, -1, -1):
         mask = dual_masks[f]
         for h in up[f]:
@@ -789,10 +786,7 @@ class ConeSystem:
     table of the lifted vertices (``gram``) and each face's dual-face
     bitmask (``dual_masks``, the AND of its vertices'
     ``vertex_facet_masks``) are built first, and the dual masks of every
-    covering pair (``check_dual_faces``) are certified then, on a lattice
-    that ``GradedIds.verify_graded`` finds graded, each cover one
-    dimension up: the premise of the dual ranks, checked by the same call
-    and with the same messages as in ``face_lattice``.  The slack
+    covering pair (``check_dual_faces``) are certified then.  The slack
     table S is read once, by the pass of ``vertex_facet_masks`` that also
     checks S >= 0, and not kept: no covering pair reads it.
 
@@ -800,14 +794,12 @@ class ConeSystem:
     ids are its vertex ids and its span mask its vertex mask, which
     ``span_masks`` holds for every face, so tau spreads over it, a bridge
     (below) reads its vertex ids as its span ids, and every pair into it
-    is read with no arithmetic (``cover_orientations``).  The data of every other face is
-    built once, in face-id order.  It grows from the data of a lower cover
-    E, its resume cover, when E's span ids all lie below p = min(F - E)
-    (see ``face_cone_data``): the first such cover in ``down`` order
-    that carries data and whose vertex set F's strictly holds.  Lower
-    covers have lower ids, so E's data is already built (a cover with a
-    higher id, which only a hand-built lattice can list, has none yet and
-    is not resumed from).  A face with no such cover, a square say, whose
+    is read with no arithmetic (``cover_orientations``).  The data of every
+    other face is built once, in face-id order.  It grows from the data of
+    a lower cover E, its resume cover, when E's span ids all lie below
+    p = min(F - E) (see ``face_cone_data``): the first such cover in
+    ``down`` order that carries data.  Lower covers have lower ids, so E's
+    data is already built.  A face with no such cover, a square say, whose
     lower covers are simplices, takes the full walk.  So a face carries
     data exactly when it is not a simplex.  ``face_data`` gives a simplex
     face's data, made when read and not kept, for the per-pair API.  No
@@ -833,11 +825,10 @@ class ConeSystem:
       * the dual-simple face E of highest id that the spread has not
         reached, a bridge, takes tau over its first upper cover
         H = ``up[E][0]``.  ``check_dual_faces`` certified every covering
-        pair, so every upper cover of E is dual-simple (above), one
-        dimension up (``GradedIds.verify_graded``), and, a level higher, of
-        a higher id; the descending loop over roots has set its tau
-        already.  The spread did not go from H to E, so the pair (E, H)
-        has m > 0, and the general route gives its sign
+        pair, so every upper cover of E is dual-simple (above), and, one
+        dimension up, of a higher id; the descending loop over roots has
+        set its tau already.  The spread did not go from H to E, so the
+        pair (E, H) has m > 0, and the general route gives its sign
         sigma = sign det C (``_coordinate_sign``), one m x m determinant
         off H's certified adjugate (``_general_sign``).
         With sigma = dual_sign * tau_E * tau_H (``dual_sign``),
@@ -845,8 +836,9 @@ class ConeSystem:
 
     Every face's tau is set once, by one of those three, from one root,
     P, by one rule, the signs of covering pairs.  No face takes an n x n
-    determinant, and only a bridge takes one, m x m: none on the 5-cube
-    or the 5-cross-polytope, one on the prism over the 4-cross-polytope,
+    determinant, and only a bridge takes any, one m x m and one k x k for
+    its check (``_check_bridge``): none on the 5-cube or the
+    5-cross-polytope, one bridge on the prism over the 4-cross-polytope,
     three on the acceptance corpus.  No ray is made.  The spread carries
     tau along pairs whose sigma the certified adjugate fixes, and
     ``cover_orientations`` checks every pair with m = 0 between two
@@ -889,7 +881,7 @@ class ConeSystem:
         mask = masks[f]
         for e in self.lattice.down[f]:
             data_e, rest = data[e], mask & ~masks[e]
-            if data_e is not None and rest and not masks[e] & ~mask:
+            if data_e is not None:
                 p = (rest & -rest).bit_length() - 1
                 ids = data_e.span_ids
                 if not ids or ids[-1] < p:
@@ -905,7 +897,11 @@ class ConeSystem:
         for root in range(top, -1, -1):
             if taus[root] is not None:
                 continue
-            taus[root] = 1 if root == top else self._bridge(root, taus)
+            if root == top:
+                taus[root] = 1
+            else:
+                taus[root] = self._bridge(root, taus)
+                self._check_bridge(root, taus)
             stack = [root]
             while stack:
                 f = stack.pop()
@@ -925,6 +921,32 @@ class ConeSystem:
         h, dual = self.lattice.up[e][0], self.dual_masks
         return self._general_sign(e, h) * dual_sign(self.cone.dim, dual[h], dual[e]) * taus[h]
 
+    def _check_bridge(self, e: int, taus: Sequence[int | None]) -> None:
+        """The tau of the bridge E against the definition of the sign of
+        its pair (E, H), H = ``up[E][0]``: dual_sign * tau_E * tau_H must
+        be sign det([g | A_E]^T A_H), one k x k determinant of Gram
+        entries, which reads no adjugate.  A mismatch is an error naming
+        the pair.  Boundary squared zero cannot see a wrong bridge: it
+        flips whole columns, which re-orients cells (Bjoerner 1984)."""
+        h = self.lattice.up[e][0]
+        E, H, g, a_ids, data_H = self._general_pair(e, h)
+        det = bareiss_det([[self.gram[a][b] for b in data_H.span_ids] for a in (g, *a_ids)])
+        sign, dual = (det > 0) - (det < 0), self.dual_masks
+        sigma = dual_sign(self.cone.dim, dual[h], dual[e]) * taus[e] * taus[h]
+        if sign != sigma:
+            raise InternalInvariantError(f"bridge ({E}, {H}): the dual base signs give {sigma}, "
+                                         f"sign det([g | A_E]^T A_H) = {sign}")
+
+    def _general_pair(self, e: int, f: int) -> tuple[Face, Face, int, tuple[int, ...],
+                                                     FaceConeData]:
+        """(E, F, g, E's span ids, F's data) of the covering pair (E, F),
+        the arguments of ``_coordinate_sign``."""
+        L, data_E, data_F = self.lattice, self._face_data[e], self._face_data[f]
+        E, F = L.faces_by_id[e], L.faces_by_id[f]
+        a_ids = E.vertex_set if data_E is None else data_E.span_ids
+        g = _vertex_outside(E, F, a_ids, data_F.span_ids, L.vertex_masks[e])
+        return E, F, g, a_ids, data_F
+
     def _general_sign(self, e: int, f: int) -> int:
         """sigma of the covering pair (E, F) by the general route, sign det C
         for [g | A_E] = A_F C, off F's data and E's span ids, a simplex E's
@@ -936,11 +958,7 @@ class ConeSystem:
         route; and a bridge's upper cover H carries tau, so if H were a
         simplex the spread of tau, which crosses every m = 0 pair from a
         face that carries tau, would have reached the bridge from H."""
-        L, data_E, data_F = self.lattice, self._face_data[e], self._face_data[f]
-        E, F = L.faces_by_id[e], L.faces_by_id[f]
-        a_ids = E.vertex_set if data_E is None else data_E.span_ids
-        g = _vertex_outside(E, F, a_ids, data_F.span_ids, L.vertex_masks[e])
-        return _coordinate_sign(E, F, g, a_ids, data_F, self.gram)
+        return _coordinate_sign(*self._general_pair(e, f), self.gram)
 
     def cover_orientations(self, f: int) -> list[int]:
         """The orientation sigma of every covering pair (E, F) of face f, one

@@ -15,11 +15,12 @@ facets as atoms, reaches every such face from P down, and it runs on those
 faces alone.  Each level is sorted by vertex set as soon as it is
 complete, and the faces are numbered once, from the bottom in that
 order, with each face's lower covers as the ascending id tuples every
-later stage reads.  The lattice is verified before it is returned, and a
-corrupt facet list fails there or in the walk's level checks, naming a
-face.  The same Boolean interval spares the verification: once a cheap
-certificate on the vertex masks and covers holds, the diamond check reads
-only the faces two levels below faces that are not simplices.  The
+later stage reads.  The lattice checks its covers and its grading as it is
+built, and its diamonds before it is returned; a corrupt facet list fails
+there or in the walk's level checks, naming a face.  The same Boolean
+interval spares the diamond check: once a cheap certificate on the vertex
+masks and covers holds, it reads only the faces two levels below faces
+that are not simplices.  The
 intersection closure of the facet vertex sets with one rational rank per
 face, and the closure over the vertices alone, are the tests' oracles.
 
@@ -46,7 +47,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import accumulate, chain
 from math import lcm
-from operator import and_, itemgetter, or_
+from operator import and_, itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InputError, InternalInvariantError
@@ -115,15 +116,12 @@ class GradedIds:
     cover listed twice in some ``down[i]`` is an error, raised as ``up`` is
     read, so each cover is listed once in each.
 
-    The axioms of a polytope face lattice, which ``verify_lattice``,
-    ``comb_type.lattice_from_incidence`` and ``cones.check_dual_faces``
-    check, are stated here once:
+    The axioms of a polytope face lattice are stated here once:
 
-    - bounded: one element of rank -1 and one of rank dim
-      (``verify_graded``);
+    - bounded: one element of rank -1 and one of rank dim;
     - graded: every element below the top has an upper cover and every
       element above the bottom a lower cover, every cover joins adjacent
-      ranks, and the top has no upper cover (``verify_graded``);
+      ranks, and the top has no upper cover;
     - diamond: two elements ``low`` and ``high`` two ranks apart, with
       ``low`` below ``high``, have exactly two elements between them.  The
       elements between are those that cover ``low`` and are covered by
@@ -144,7 +142,16 @@ class GradedIds:
       checks it on an abstract lattice; ``verify_lattice`` does not, since
       the faces of a polytope are closed under intersection.
 
-    Any failure is an ``InternalInvariantError``.
+    Each lattice checks the first two when it is built, in its
+    ``__post_init__``: after ``_number`` finds each cover listed once, a
+    ``FaceLattice`` checks that every cover is a strict containment of
+    vertex masks, and then both kinds run ``verify_graded``.  So every
+    lattice that exists is bounded and graded, and every lower cover lies
+    one rank down, at a lower id; every later stage rests on that and
+    checks it nowhere else.  ``verify_lattice`` and
+    ``comb_type._verify_abstract_lattice`` check the diamond axiom and, on
+    an abstract lattice, the meets.  Any failure is an
+    ``InternalInvariantError``.
 
     The atom masks (``atom_masks``) are read off the covers alone: atom k
     has bit k, and every element above the atoms the OR of its lower
@@ -162,11 +169,11 @@ class GradedIds:
     element whose mask has r + 1 bits, and the certificate asks that (a)
     the masks are pairwise distinct and (c) every simplex of rank r has
     exactly r + 1 lower covers; (b), every cover joins adjacent ranks, is
-    part of the graded axiom.  The claims: the elements below G are
-    exactly one per subset of G's mask, so every element of rank r - 2
-    whose mask lies in G's has exactly two elements between it and G; and
-    any two simplices have a meet.  Proof, for a lattice whose covers are
-    strict containments of masks and that is bounded and graded:
+    part of the graded axiom, which every lattice has.  The claims: the
+    elements below G are exactly one per subset of G's mask, so every
+    element of rank r - 2 whose mask lies in G's has exactly two elements
+    between it and G; and any two simplices have a meet.  Proof, for a lattice whose covers are
+    strict containments of masks:
 
     - an element of rank r has at least r + 1 bits: by the graded axiom, a
       chain of r + 1 lower covers, each one rank down, reaches the bottom,
@@ -219,24 +226,14 @@ class GradedIds:
         covers (see the class docstring): the k-th element of rank 0 has
         bit k, every element above rank 0 the OR of its lower covers'
         masks, and every element of rank -1 none.  Made once per lattice,
-        in one pass in id order.  When some lower cover is not below its
-        element in id, as on a cover down a rank, which no graded poset
-        has, the pass meets a mask not yet made; then the rule is applied
-        again and again, from the masks made so far, until nothing changes,
-        which gives its least solution."""
-        atoms, down = self.ids(0), self.down
+        in one pass in id order, which meets every lower cover first."""
+        atoms = self.ids(0)
         masks = [0] * atoms.start + [1 << k for k in range(len(atoms))]
-        try:
-            for below in down[atoms.stop:]:
-                m = 0
-                for e in below:
-                    m |= masks[e]
-                masks.append(m)
-        except IndexError:  # a lower cover not below in id
-            masks, old = masks + [0] * (len(down) - len(masks)), None
-            while masks != old:
-                old, masks = masks, masks[:atoms.stop] + [
-                    reduce(or_, map(masks.__getitem__, below), 0) for below in down[atoms.stop:]]
+        for below in self.down[atoms.stop:]:
+            m = 0
+            for e in below:
+                m |= masks[e]
+            masks.append(m)
         return tuple(masks)
 
     def two_step_paths(self, rank: int, highs: Sequence[int] | None = None
@@ -288,7 +285,8 @@ class GradedIds:
         return len(set(self.up[low]).intersection(self.down[high]))
 
     def verify_graded(self) -> None:
-        """The bounded and graded axioms (see the class docstring).
+        """The bounded and graded axioms (see the class docstring), checked
+        by each lattice's ``__post_init__``.
 
         Every ``up`` is ascending, so the covers of rank r join adjacent
         ranks iff the least first entry and the greatest last entry of the
@@ -343,6 +341,10 @@ class FaceLattice(GradedIds):
     vertex sets.  ``covering`` (the pairs of faces (E, F), E covered by F,
     ordered by the id of F, then of E), ``face_id`` (the id of a ``Face``)
     and ``distinct_masks`` are views made on first use.
+
+    Built, it checks each covering pair (low, high) for a strict
+    containment of vertex masks, ``lo & hi == lo != hi``, and then the
+    bounded and graded axioms (``GradedIds``).
     """
 
     dim: int
@@ -358,6 +360,16 @@ class FaceLattice(GradedIds):
         if self.vertex_masks is None:
             object.__setattr__(self, "vertex_masks", tuple(
                 sum(1 << v for v in f.vertex_set) for f in self.faces_by_id))
+        faces, mask = self.faces_by_id, self.vertex_masks
+        for high, below in enumerate(self.down):
+            hi = mask[high]
+            for low in below:
+                lo = mask[low]
+                if lo & hi != lo or lo == hi:
+                    raise InternalInvariantError(
+                        f"covering pair ({faces[low]}, {faces[high]}) "
+                        "is not a strict vertex-set containment")
+        self.verify_graded()
 
     @cached_property
     def covering(self) -> tuple[tuple[Face, Face], ...]:
@@ -370,9 +382,8 @@ class FaceLattice(GradedIds):
 
     @cached_property
     def distinct_masks(self) -> bool:
-        """Are the vertex masks pairwise distinct?  The walk asks, to find a
-        face met at two levels, and ``simplex_certificate`` reads the same
-        answer."""
+        """Are the vertex masks pairwise distinct?  ``simplex_certificate``
+        asks."""
         return len(set(self.vertex_masks)) == len(self.vertex_masks)
 
     def faces(self, j: int) -> tuple[Face, ...]:
@@ -656,11 +667,12 @@ def face_lattice(P: Polytope) -> FaceLattice:
       step on each of them (``_closure_step``) reaches them all.
 
     The face lattice is graded by dim + 1 (Ziegler, Thm 2.7), so a face at
-    level k has dimension k - 1.  The lattice is verified
-    (``verify_lattice``: covers that are strict containments, then the
-    bounded, graded and diamond axioms) before it is returned; the second
-    identity, certified on the lattice itself (``simplex_certificate``),
-    spares the diamond check every pair below a simplex face.  A facet
+    level k has dimension k - 1.  The lattice checks its covers and the
+    bounded and graded axioms as it is built (``FaceLattice``), and the
+    diamond axiom is verified (``verify_lattice``) before it is returned;
+    the second identity, certified on the lattice itself
+    (``simplex_certificate``), spares the diamond check every pair below a
+    simplex face.  A facet
     list that is not P's fails there or in the walk's own checks, each
     naming a face: a facet with a vertex too few or a dropped facet leaves
     a diamond short, or a face at two levels; a facet with a vertex too
@@ -673,8 +685,8 @@ def face_lattice(P: Polytope) -> FaceLattice:
 
 
 def _top_down(P: Polytope) -> FaceLattice:
-    """The face lattice by the rules of ``face_lattice``, numbered,
-    unverified.
+    """The face lattice by the rules of ``face_lattice``, numbered, with
+    the diamond axiom not yet checked.
 
     Each face is a record [vertex set, vertex mask, facet mask, lower
     covers, the records of the faces it was found under...], and each
@@ -684,8 +696,9 @@ def _top_down(P: Polytope) -> FaceLattice:
     it was found under, so each list is the face's ``down``, ascending.  A
     face found at two levels, or any level d + 1 other than the polytope
     alone or level 0 other than the empty face alone, is an internal
-    error.  A face at two levels shows as fewer distinct vertex masks than
-    faces (``FaceLattice.distinct_masks``); only then is each mask's level
+    error, raised before the lattice is built and checks its covers, so
+    that the message names the face.  A face at two levels shows as fewer
+    distinct vertex masks than faces; only then is each mask's level
     looked up, to name the first face met again and its two levels.
     """
     d, n = P.ambient_dim, P.nvertices
@@ -723,12 +736,8 @@ def _top_down(P: Polytope) -> FaceLattice:
         for above in face[4:]:
             above[3].append(f)
     masks = [[face[1] for face in level] for level in levels]
-    lattice = FaceLattice(dim=d,
-                          faces_by_dim=tuple(tuple(Face(face[0], k - 1) for face in level)
-                                             for k, level in enumerate(levels)),
-                          down=tuple(tuple(face[3]) for level in levels for face in level),
-                          vertex_masks=tuple(chain.from_iterable(masks)))
-    if not lattice.distinct_masks:
+    vertex_masks = tuple(chain.from_iterable(masks))
+    if len(set(vertex_masks)) < len(vertex_masks):
         level_of: dict[int, int] = {}  # vertex mask -> level
         for k, level in enumerate(masks):
             for hv in level:
@@ -742,7 +751,11 @@ def _top_down(P: Polytope) -> FaceLattice:
             raise InternalInvariantError(
                 f"level {k} of the face lattice must hold {end} "
                 f"{Face(set_bits(want), k - 1)} alone, found [{listed}]")
-    return lattice
+    return FaceLattice(dim=d,
+                       faces_by_dim=tuple(tuple(Face(face[0], k - 1) for face in level)
+                                          for k, level in enumerate(levels)),
+                       down=tuple(tuple(face[3]) for level in levels for face in level),
+                       vertex_masks=vertex_masks)
 
 
 def simplex_certificate(L: GradedIds, masks: Sequence[int], distinct: bool
@@ -754,11 +767,9 @@ def simplex_certificate(L: GradedIds, masks: Sequence[int], distinct: bool
 
     The masks are a face lattice's vertex masks (``verify_lattice``) or any
     lattice's atom masks (``comb_type._verify_abstract_lattice``).  A
-    simplex is an element whose mask has rank + 1 bits.  On a lattice whose
-    covers are strict containments of masks and that is bounded and graded,
-    which the caller checks first, every cover joins adjacent ranks: that is
-    premise (b), owned by ``GradedIds.verify_graded``.  The certificate
-    adds:
+    simplex is an element whose mask has rank + 1 bits.  Premise (b),
+    every cover joins adjacent ranks, holds on every lattice
+    (``GradedIds``).  The certificate adds:
 
     - (a) the masks are pairwise distinct;
     - (c) every simplex of rank r has exactly r + 1 lower covers.
@@ -781,15 +792,7 @@ def simplex_certificate(L: GradedIds, masks: Sequence[int], distinct: bool
 
 
 def verify_lattice(L: FaceLattice) -> None:
-    """Exact structural checks on int bitmasks: covers that are strict
-    vertex-set containments, then the bounded, graded and diamond axioms
-    of ``GradedIds``.  ``GradedIds.verify_graded`` owns the bounded and
-    graded axioms, adjacent ranks included, so a cover that skips a rank
-    is rejected there, naming the pair, before the simplex certificate
-    (whose premise (b) it is) is asked.
-
-    Each covering pair (low, high) must have low's vertex set strictly inside
-    high's: with the lattice's vertex bitmask per face, ``lo & hi == lo != hi``.
+    """The diamond axiom of ``GradedIds``, on int bitmasks.
 
     The diamond axiom asks for two faces between ``low`` and every face
     ``high`` two levels up whose vertex mask holds low's, so the failure
@@ -799,8 +802,8 @@ def verify_lattice(L: FaceLattice) -> None:
     highs whose mask has bit v, so ``above`` is the AND of ``containing[v]``
     over the bits v of low's mask (the whole level for the empty face).  The
     AND starts from the failure candidates and stops as soon as none is
-    left.  Both sides read the vertex masks, as the containment check and
-    the certificate below do, so a lattice built with masks of its own is
+    left.  Both sides read the vertex masks, as the lattice's containment
+    check and the certificate below do, so a lattice built with masks of its own is
     checked on those masks alone.  Containment is read off the masks, not
     off the covers: a face that holds ``low``'s vertices but that no path of
     covers reaches from ``low`` fails with 0 intermediate elements.
@@ -816,19 +819,9 @@ def verify_lattice(L: FaceLattice) -> None:
 
     Any failure is an internal error; valid polytope input cannot produce it.
     """
-    faces = L.faces_by_id
     mask = L.vertex_masks
-    for high, below in enumerate(L.down):
-        hi = mask[high]
-        for low in below:
-            lo = mask[low]
-            if lo & hi != lo or lo == hi:
-                raise InternalInvariantError(
-                    f"covering pair ({faces[low]}, {faces[high]}) "
-                    "is not a strict vertex-set containment")
-    L.verify_graded()
     others = simplex_certificate(L, mask, L.distinct_masks)
-    # by the checks above, a chain of upper covers, each a strict containment,
+    # a chain of upper covers, each a strict containment (``FaceLattice``),
     # leads from every face to the top, so every vertex bit is the top's
     vbit = [1 << v for v in range(mask[-1].bit_length())]
     for j in range(-1, L.dim - 1):

@@ -157,12 +157,18 @@ one per vertex outside a face and per vertex for each new closure, each
 face numbered by hashing its vertex mask.  ``lattice_from_pairs`` builds a
 ``FaceLattice`` from faces and covering pairs of faces, by hashing each
 face to its id, for lattices written by hand; ``cover_masks`` gives the id
-masks of every element's upper and lower covers.
+masks of every element's upper and lower covers.  A lattice checks its
+covers and its grading when it is built; ``UncheckedFaceLattice`` and
+``UncheckedAbstractLattice`` are numbered the same way with no check, so
+that a poset the library refuses to build can still feed the oracles, and
+``verify_as_built`` builds the library's lattice from such a one's fields
+and verifies it, as the library would have.
 
 The lattice-check and isomorphism oracles are the all-pairs forms the
 library used before it enumerated only the pairs a cover can reach:
 ``all_pairs_verify_lattice`` tests every two faces two levels apart for
-vertex-set containment, ``all_pairs_verify_abstract_lattice`` counts the
+vertex-set containment, after ``all_pairs_order_axioms`` has tested every
+cover, ``all_pairs_verify_abstract_lattice`` counts the
 mids of every pair two ranks apart (both as the popcount of the AND of two
 ``cover_masks``) and ``all_pairs_meets`` tests the meet
 of every pair of elements, and ``rank_scan_is_isomorphic`` scans a source
@@ -176,15 +182,16 @@ compare the two directly.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, permutations
+from itertools import accumulate, chain, combinations, permutations
 from math import lcm
 from operator import itemgetter, or_
 from typing import Sequence
 
 from polyk.cellular import AbelianGroup, ChainComplex, HomologyResult
-from polyk.comb_type import AbstractLattice, LatticeIso
+from polyk.comb_type import AbstractLattice, LatticeIso, _verify_abstract_lattice
 from polyk.cones import ConeSystem, EdgeRay, FaceConeData, LiftedCone, dual_cone, face_cone_data
 from polyk.errors import InternalInvariantError
 from polyk.linalg import (
@@ -211,6 +218,7 @@ from polyk.polytope import (
     convex_hull,
     set_bits,
     validate,
+    verify_lattice,
 )
 from polyk.sparse import SparseColumn
 
@@ -979,16 +987,62 @@ def closure_face_lattice(P: Polytope) -> FaceLattice:
     return lattice_from_pairs(d, tuple(tuple(by_dim[j]) for j in range(-1, d + 1)), covering)
 
 
-def lattice_from_pairs(dim: int, faces_by_dim, covering) -> FaceLattice:
+@dataclass(frozen=True)
+class UncheckedFaceLattice(FaceLattice):
+    """A ``FaceLattice`` numbered as the library numbers one, a cover listed
+    twice still an error, with no check of its covers or its grading."""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "f_vector", tuple(map(len, self.faces_by_dim)))
+        self._number(tuple(chain.from_iterable(self.faces_by_dim)),
+                     tuple(accumulate(self.f_vector, initial=0)), self.down)
+        if self.vertex_masks is None:
+            object.__setattr__(self, "vertex_masks", tuple(
+                sum(1 << v for v in f.vertex_set) for f in self.faces_by_id))
+
+
+@dataclass(frozen=True)
+class UncheckedAbstractLattice(AbstractLattice):
+    """An ``AbstractLattice`` numbered as the library numbers one, with no
+    check of its grading."""
+
+    def __post_init__(self) -> None:
+        start = tuple(accumulate(self.f_vector, initial=0))
+        down: list[set[int]] = [set() for _ in range(start[-1])]
+        for (ra, a), (rb, b) in self.covering:
+            down[start[rb + 1] + b].add(start[ra + 1] + a)
+        self._number(tuple((r, i) for r in range(-1, self.dim + 1)
+                           for i in range(self.f_vector[r + 1])),
+                     start, tuple(tuple(sorted(below)) for below in down))
+
+
+def built(lat) -> FaceLattice | AbstractLattice:
+    """The library's lattice with the fields of ``lat``, checked as it is
+    built."""
+    if isinstance(lat, FaceLattice):
+        return FaceLattice(lat.dim, lat.faces_by_dim, lat.down, lat.vertex_masks)
+    return AbstractLattice(lat.dim, lat.f_vector, lat.covering)
+
+
+def verify_as_built(lat) -> None:
+    """``built(lat)`` verified (``verify_lattice`` or
+    ``_verify_abstract_lattice``): the library's verdict on ``lat``."""
+    lattice = built(lat)
+    (verify_lattice if isinstance(lattice, FaceLattice) else _verify_abstract_lattice)(lattice)
+
+
+def lattice_from_pairs(dim: int, faces_by_dim, covering, unchecked: bool = False
+                       ) -> FaceLattice:
     """The ``FaceLattice`` with these levels whose lower covers are the
-    covering pairs (E, F) of faces, each F's in the order given.  Nothing is
-    verified."""
+    covering pairs (E, F) of faces, each F's in the order given, checked as
+    it is built, or an ``UncheckedFaceLattice`` if ``unchecked``.  The
+    diamonds are not verified."""
     face_id = {f: i for i, f in enumerate(f for level in faces_by_dim for f in level)}
     down: list[list[int]] = [[] for _ in face_id]
     for e, f in covering:
         down[face_id[f]].append(face_id[e])
-    return FaceLattice(dim=dim, faces_by_dim=tuple(map(tuple, faces_by_dim)),
-                       down=tuple(map(tuple, down)))
+    return (UncheckedFaceLattice if unchecked else FaceLattice)(
+        dim=dim, faces_by_dim=tuple(map(tuple, faces_by_dim)), down=tuple(map(tuple, down)))
 
 
 def cover_masks(L) -> tuple[list[int], list[int]]:
@@ -1254,14 +1308,14 @@ def failure(check, lat) -> str | None:
     return None
 
 
-def all_pairs_verify_lattice(L: FaceLattice) -> None:
-    """``verify_lattice`` over all pairs of faces two levels apart: each pair
-    whose vertex masks satisfy ``lo & hi == lo`` must have two faces
-    between it.  First, as in the library, every covering pair must be a
-    strict containment of vertex sets, here tested on Python sets, and the
-    lattice bounded and graded, each cover one face dimension up
-    (``adjacent_rank_covers``)."""
-    for high, below in enumerate(L.down):
+def all_pairs_order_axioms(L) -> None:
+    """What a lattice checks as it is built, on every cover: on a
+    ``FaceLattice``, each covering pair a strict containment of vertex
+    sets, here tested on Python sets; then, on either kind, bounded and
+    graded, each cover one rank up (``adjacent_rank_covers``), a face's
+    rank being its dimension and an abstract element's its first entry."""
+    faces = isinstance(L, FaceLattice)
+    for high, below in enumerate(L.down) if faces else ():
         for low in below:
             lo, hi = L.faces_by_id[low], L.faces_by_id[high]
             if not set(lo.vertex_set) < set(hi.vertex_set):
@@ -1269,14 +1323,23 @@ def all_pairs_verify_lattice(L: FaceLattice) -> None:
                     f"covering pair ({lo}, {hi}) is not a strict vertex-set containment")
     if L.f_vector[0] != 1 or L.f_vector[-1] != 1:
         raise InternalInvariantError(f"not bounded: f-vector {L.f_vector}")
+    elements = L.faces_by_id
     up, down = cover_masks(L)
-    for i, f in enumerate(L.faces_by_id[:L.level_start[-2]]):  # below the top
+    for i in range(L.level_start[-2]):  # below the top
         if not up[i]:
-            raise InternalInvariantError(f"{f} has no upper cover: not graded")
-    for i, f in enumerate(L.faces_by_id[L.level_start[1]:], L.level_start[1]):  # above the bottom
+            raise InternalInvariantError(f"{elements[i]} has no upper cover: not graded")
+    for i in range(L.level_start[1], len(elements)):  # above the bottom
         if not down[i]:
-            raise InternalInvariantError(f"{f} has no lower cover: not graded")
-    adjacent_rank_covers(L.faces_by_id, up, lambda face: face.dim)
+            raise InternalInvariantError(f"{elements[i]} has no lower cover: not graded")
+    adjacent_rank_covers(elements, up, (lambda face: face.dim) if faces else itemgetter(0))
+
+
+def all_pairs_verify_lattice(L: FaceLattice) -> None:
+    """``verify_lattice`` over all pairs of faces two levels apart, after
+    ``all_pairs_order_axioms``: each pair whose vertex masks satisfy
+    ``lo & hi == lo`` must have two faces between it."""
+    all_pairs_order_axioms(L)
+    up, down = cover_masks(L)
     mask = [sum(1 << v for v in f.vertex_set) for f in L.faces_by_id]
     for j in range(-1, L.dim - 1):
         highs = [(mask[h], down[h], h) for h in L.ids(j + 2)]
@@ -1292,20 +1355,12 @@ def all_pairs_verify_lattice(L: FaceLattice) -> None:
 
 
 def all_pairs_verify_abstract_lattice(lat: AbstractLattice) -> None:
-    """``_verify_abstract_lattice`` over all pairs: bounded and graded, each
-    cover one element rank up (``adjacent_rank_covers``), then the mids of
-    every two elements two ranks apart, then ``all_pairs_meets``."""
-    if lat.f_vector[0] != 1 or lat.f_vector[-1] != 1:
-        raise InternalInvariantError(f"not bounded: f-vector {lat.f_vector}")
+    """``_verify_abstract_lattice`` over all pairs, after
+    ``all_pairs_order_axioms``: the mids of every two elements two ranks
+    apart, then ``all_pairs_meets``."""
+    all_pairs_order_axioms(lat)
     elements = lat.faces_by_id
     up, down = cover_masks(lat)
-    for i in range(lat.level_start[-2]):  # below the top
-        if not up[i]:
-            raise InternalInvariantError(f"{elements[i]} has no upper cover: not graded")
-    for i in range(lat.level_start[1], len(elements)):  # above the bottom
-        if not down[i]:
-            raise InternalInvariantError(f"{elements[i]} has no lower cover: not graded")
-    adjacent_rank_covers(elements, up, itemgetter(0))  # an element is (rank, index)
     for rank in range(-1, lat.dim - 1):
         for low in lat.ids(rank):
             ups = up[low]

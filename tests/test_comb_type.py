@@ -41,14 +41,19 @@ from polyk.polytope import (
 
 from affine import apply_affine, random_invertible_affine
 from oracles import (
+    UncheckedAbstractLattice,
+    UncheckedFaceLattice,
     all_pairs_meets,
+    all_pairs_order_axioms,
     all_pairs_verify_abstract_lattice,
     all_pairs_verify_lattice,
+    built,
     complex_from_dense,
     failure,
     lattice_from_pairs,
     rank_scan_is_isomorphic,
     up_scan_is_isomorphic,
+    verify_as_built,
 )
 
 
@@ -174,11 +179,13 @@ def test_verify_abstract_lattice_accepts_boolean_lattice():
 # --- cover-driven checks against the all-pairs oracles ---
 
 def abstract_of(lat: FaceLattice) -> AbstractLattice:
+    """The abstract lattice of the same covers, unchecked if ``lat`` is."""
     def element(f):
         return f.dim, lat.face_id[f] - lat.level_start[f.dim + 1]
 
-    return AbstractLattice(dim=lat.dim, f_vector=lat.f_vector,
-                           covering=tuple((element(e), element(f)) for e, f in lat.covering))
+    kind = UncheckedAbstractLattice if isinstance(lat, UncheckedFaceLattice) else AbstractLattice
+    return kind(dim=lat.dim, f_vector=lat.f_vector,
+                covering=tuple((element(e), element(f)) for e, f in lat.covering))
 
 
 def incidence_of(lat: FaceLattice) -> UnsignedIncidence:
@@ -192,8 +199,9 @@ def incidence_of(lat: FaceLattice) -> UnsignedIncidence:
 
 
 def corpus_lattices_and_one_cover_changes(rng):
-    """Each acceptance corpus lattice, then the same with one covering pair
-    dropped and with one added between faces of consecutive levels."""
+    """Each acceptance corpus lattice, then, unchecked, the same with one
+    covering pair dropped and with one added between faces of consecutive
+    levels."""
     for poly in acceptance_corpus():
         lat = face_lattice(poly)
         yield lat
@@ -201,13 +209,14 @@ def corpus_lattices_and_one_cover_changes(rng):
         if covering:
             drop = rng.randrange(len(covering))
             yield lattice_from_pairs(lat.dim, lat.faces_by_dim,
-                                     covering[:drop] + covering[drop + 1:])
+                                     covering[:drop] + covering[drop + 1:], unchecked=True)
         present = set(covering)
         new = [(e, f) for k in range(1, len(lat.faces_by_dim))
                for e in lat.faces_by_dim[k - 1] for f in lat.faces_by_dim[k]
                if (e, f) not in present]
         if new:
-            yield lattice_from_pairs(lat.dim, lat.faces_by_dim, covering + [rng.choice(new)])
+            yield lattice_from_pairs(lat.dim, lat.faces_by_dim, covering + [rng.choice(new)],
+                                     unchecked=True)
 
 
 MEETS = "is not unique: poset is not a lattice"
@@ -216,7 +225,7 @@ MEETS = "is not unique: poset is not a lattice"
 def assert_abstract_check_matches_oracle(lat):
     """Same verdict as the all-pairs check; same message, except that a meet
     failure may name another pair."""
-    found, expected = failure(_verify_abstract_lattice, lat), failure(
+    found, expected = failure(verify_as_built, lat), failure(
         all_pairs_verify_abstract_lattice, lat)
     if expected is not None and expected.endswith(MEETS):
         assert found is not None and found.endswith(MEETS), (found, expected)
@@ -230,12 +239,15 @@ def test_lattice_checks_and_search_match_all_pairs_oracles():
     outcomes = []
     for lat in corpus_lattices_and_one_cover_changes(rng):
         expected = failure(all_pairs_verify_lattice, lat)
-        assert failure(verify_lattice, lat) == expected
+        assert failure(verify_as_built, lat) == expected
+        assert failure(built, lat) == failure(all_pairs_order_axioms, lat)
         abstract = abstract_of(lat)
         outcomes.append((expected, assert_abstract_check_matches_oracle(abstract)))
-        for a, b in ((lat, abstract), (abstract, lat)):
-            assert is_isomorphic(a, b) == rank_scan_is_isomorphic(a, b) == \
-                up_scan_is_isomorphic(a, b)
+        if failure(built, lat) is None:  # only a lattice that is built is searched
+            lat, abstract = built(lat), built(abstract)
+            for a, b in ((lat, abstract), (abstract, lat)):
+                assert is_isomorphic(a, b) == rank_scan_is_isomorphic(a, b) == \
+                    up_scan_is_isomorphic(a, b)
     assert (None, None) in outcomes
     for kind in ("diamond property fails", "has no upper cover", "has no lower cover"):
         assert any(kind in (face or "") and kind in (abstract or "")
@@ -332,75 +344,74 @@ def test_bit_plane_diamond_check_matches_all_pairs_oracles(build, face_message,
         assert abstract_message.rpartition(": ")[2] == face_message.rpartition(": ")[2]
 
 
-def triangle_poset(extra=(), drop=()) -> AbstractLattice:
+def triangle_poset(extra=(), drop=(), kind=AbstractLattice) -> AbstractLattice:
     """The triangle's lattice as (rank, index) elements, the edges
     (1, 0), (1, 1), (1, 2) being {0,1}, {0,2}, {1,2}, with covers added and
-    removed."""
+    removed, as a lattice of the given kind."""
     covers = [((-1, 0), (0, a)) for a in range(3)] + \
              [((0, a), (1, e)) for e, atoms in enumerate([(0, 1), (0, 2), (1, 2)]) for a in atoms] + \
              [((1, e), (2, 0)) for e in range(3)]
-    return AbstractLattice(dim=2, f_vector=(1, 3, 3, 1),
-                           covering=tuple(c for c in covers if c not in drop) + tuple(extra))
+    return kind(dim=2, f_vector=(1, 3, 3, 1),
+                covering=tuple(c for c in covers if c not in drop) + tuple(extra))
 
 
-@pytest.mark.parametrize("lat, message", [
-    (triangle_poset(extra=[((-1, 0), (1, 0))]),
-     "cover ((-1, 0), (1, 0)) skips a rank: not graded"),
-    (triangle_poset(extra=[((0, 0), (2, 0))]),
-     "cover ((0, 0), (2, 0)) skips a rank: not graded"),
-    (triangle_poset(extra=[((0, 0), (2, 0))], drop=[((0, 0), (1, 0))]),
-     "cover ((0, 0), (2, 0)) skips a rank: not graded"),
+def assert_refused_as_built(build, message):
+    """``build(kind)`` fails with ``message`` for the library's kind, and
+    the all-pairs oracle gives the same message on the unchecked kind."""
+    with pytest.raises(InternalInvariantError) as err:
+        build(AbstractLattice)
+    assert str(err.value) == failure(all_pairs_verify_abstract_lattice,
+                                     build(UncheckedAbstractLattice)) == message
+
+
+@pytest.mark.parametrize("extra, drop, message", [
+    ([((-1, 0), (1, 0))], (), "cover ((-1, 0), (1, 0)) skips a rank: not graded"),
+    ([((0, 0), (2, 0))], (), "cover ((0, 0), (2, 0)) skips a rank: not graded"),
+    ([((0, 0), (2, 0))], [((0, 0), (1, 0))], "cover ((0, 0), (2, 0)) skips a rank: not graded"),
 ], ids=["bottom-to-edge", "atom-to-top", "atom-to-top-instead-of-edge"])
-def test_abstract_diamond_check_with_covers_that_skip_a_rank(lat, message):
-    # a cover two ranks up breaks the graded axiom, which is checked before
-    # any diamond: the library and the oracle name the same pair
-    assert failure(_verify_abstract_lattice, lat) == \
-        failure(all_pairs_verify_abstract_lattice, lat) == message
+def test_abstract_diamond_check_with_covers_that_skip_a_rank(extra, drop, message):
+    # a cover two ranks up breaks the graded axiom, which the lattice checks
+    # as it is built, before any diamond: the library and the oracle name
+    # the same pair
+    assert_refused_as_built(lambda kind: triangle_poset(extra, drop, kind), message)
 
 
 def test_face_diamond_check_with_a_cover_that_skips_a_level():
     # the triangle with the empty face also below the edge {0,1}
     lat = face_lattice(simplex(2))
     skip = lattice_from_pairs(2, lat.faces_by_dim,
-                              lat.covering + ((lat.empty_face, Face((0, 1), 1)),))
-    assert failure(verify_lattice, skip) == failure(all_pairs_verify_lattice, skip) == \
+                              lat.covering + ((lat.empty_face, Face((0, 1), 1)),), unchecked=True)
+    assert failure(verify_as_built, skip) == failure(all_pairs_verify_lattice, skip) == \
         "cover ({}, {0,1}) skips a rank: not graded"
 
 
-@pytest.mark.parametrize("lat, message", [
-    (triangle_poset(extra=[((1, 0), (0, 0))]),
-     "cover ((1, 0), (0, 0)) does not go up a rank: not graded"),
-    (triangle_poset(extra=[((2, 0), (1, 0))]),
-     "cover ((2, 0), (1, 0)) does not go up a rank: not graded"),
+@pytest.mark.parametrize("extra, message", [
+    ([((1, 0), (0, 0))], "cover ((1, 0), (0, 0)) does not go up a rank: not graded"),
+    ([((2, 0), (1, 0))], "cover ((2, 0), (1, 0)) does not go up a rank: not graded"),
 ], ids=["edge-over-atom", "top-over-edge"])
-def test_abstract_covers_that_do_not_go_up_a_rank(lat, message):
+def test_abstract_covers_that_do_not_go_up_a_rank(extra, message):
     # a cover down a rank, or from the top, which has no upper cover, breaks
     # the graded axiom as a skip up does
-    assert failure(_verify_abstract_lattice, lat) == \
-        failure(all_pairs_verify_abstract_lattice, lat) == message
+    assert_refused_as_built(lambda kind: triangle_poset(extra, kind=kind), message)
 
 
 @pytest.mark.parametrize("poly, high", [(simplex(3), Face((0, 1, 2), 2)),
                                         (hypercube(3), Face((0, 1, 2, 3), 2))],
                          ids=["tetrahedron", "cube"])
 def test_a_cover_that_skips_a_rank_is_rejected_by_every_check(poly, high):
-    # the true lattice with the vertex {0} also under a 2-face: every
-    # lattice check and the cone system reject it with one message naming
-    # the pair
+    # the true lattice with the vertex {0} also under a 2-face: neither
+    # kind of lattice can be built with it, each refusing it with one
+    # message naming the pair, so no cone system or search is given it
     lat = face_lattice(poly)
     low = Face((0,), 0)
-    skip = lattice_from_pairs(lat.dim, lat.faces_by_dim, lat.covering + ((low, high),))
+    skip = lattice_from_pairs(lat.dim, lat.faces_by_dim, lat.covering + ((low, high),),
+                              unchecked=True)
     message = f"cover ({low}, {high}) skips a rank: not graded"
-    assert failure(verify_lattice, skip) == failure(all_pairs_verify_lattice, skip) == message
-    with pytest.raises(InternalInvariantError) as err:
-        ConeSystem(lift(poly), skip)
-    assert str(err.value) == message
+    assert failure(built, skip) == failure(all_pairs_verify_lattice, skip) == message
     abstract = abstract_of(skip)
     element = (2, skip.face_id[high] - skip.level_start[3])
-    assert failure(_verify_abstract_lattice, abstract) == \
-        failure(all_pairs_verify_abstract_lattice, abstract) == \
+    assert failure(built, abstract) == failure(all_pairs_verify_abstract_lattice, abstract) == \
         f"cover ((0, 0), {element}) skips a rank: not graded"
-    assert not is_isomorphic(lat, skip).isomorphic
 
 
 def test_a_cover_listed_twice_is_one_cover():
@@ -412,18 +423,28 @@ def test_a_cover_listed_twice_is_one_cover():
 
 
 @st.composite
-def cover_graphs(draw) -> AbstractLattice:
+def cover_graphs(draw) -> UncheckedAbstractLattice:
     """One bottom, one top, ranks 0 to dim - 1 with 1 to 4 elements each,
     and any covers from a lower rank to a higher one, two or more ranks up
-    included, listed in any order, some twice: graded or not.  A poset
-    that is not bounded stops at the first check, so none is drawn
+    included, listed in any order, some twice: graded or not, so unchecked.
+    A poset that is not bounded stops at the first check, so none is drawn
     (``test_abstract_check_rejects_a_poset_that_is_not_bounded``)."""
     dim = draw(st.integers(0, 3))
     f_vector = (1, *draw(st.lists(st.integers(1, 4), min_size=dim, max_size=dim)), 1)
     elements = [(r, i) for r in range(-1, dim + 1) for i in range(f_vector[r + 1])]
     pairs = [(a, b) for a in elements for b in elements if a[0] < b[0]]
     covering = draw(st.lists(st.sampled_from(pairs), max_size=40)) if pairs else []
-    return AbstractLattice(dim=dim, f_vector=f_vector, covering=tuple(covering))
+    return UncheckedAbstractLattice(dim=dim, f_vector=f_vector, covering=tuple(covering))
+
+
+@given(st.one_of(st.randoms(use_true_random=False).map(random_graded_poset), cover_graphs()))
+@settings(max_examples=200, deadline=None)
+def test_a_poset_is_built_exactly_when_it_passes_the_order_axioms(lat):
+    # the lattice refuses to be built with the message the all-pairs oracle
+    # gives on the unchecked poset, or is built, and then passes the
+    # oracle's bounded and graded checks; a face lattice adds containment
+    # (test_lattice_checks_and_search_match_all_pairs_oracles)
+    assert failure(built, lat) == failure(all_pairs_order_axioms, lat)
 
 
 @given(cover_graphs())
@@ -438,9 +459,10 @@ def test_abstract_check_names_what_the_all_pairs_oracle_names(lat):
     ((1, 1, 2), (((-1, 0), (0, 0)), ((0, 0), (1, 0)), ((0, 0), (1, 1)))),
 ], ids=["two-bottoms", "two-tops"])
 def test_abstract_check_rejects_a_poset_that_is_not_bounded(f_vector, covering):
-    lat = AbstractLattice(dim=len(f_vector) - 2, f_vector=f_vector, covering=covering)
-    assert failure(_verify_abstract_lattice, lat) == \
-        failure(all_pairs_verify_abstract_lattice, lat) == f"not bounded: f-vector {f_vector}"
+    # refused as it is built
+    assert_refused_as_built(
+        lambda kind: kind(dim=len(f_vector) - 2, f_vector=f_vector, covering=covering),
+        f"not bounded: f-vector {f_vector}")
 
 
 @given(cover_graphs())
@@ -745,23 +767,30 @@ def switched(lat: AbstractLattice, i: int, j: int) -> AbstractLattice:
 
 def changed(lat: AbstractLattice, how: int, i: int, j: int) -> AbstractLattice:
     """``lat`` itself (how 0), with covers i and j switched (how 1), or
-    with cover i dropped (how 2), which changes two degrees."""
+    with a cover dropped (how 2), which changes two degrees: the first from
+    cover i on, cyclically, whose ends keep a cover each, so that the poset
+    stays graded and can be built; ``lat`` if there is none."""
     if how == 0 or not lat.covering:
         return lat
     if how == 1:
         return switched(lat, i, j)
     covering = list(dict.fromkeys(lat.covering))
-    del covering[i % len(covering)]
-    return AbstractLattice(dim=lat.dim, f_vector=lat.f_vector, covering=tuple(covering))
+    n = len(covering)
+    for k in range(i, i + n):
+        a, b = covering[k % n]
+        if len(lat.down[lat.faces_by_id.index(b)]) > 1 and \
+                len(lat.up[lat.faces_by_id.index(a)]) > 1:
+            del covering[k % n]
+            return AbstractLattice(dim=lat.dim, f_vector=lat.f_vector, covering=tuple(covering))
+    return lat
 
 
 @st.composite
 def relabeled_pairs(draw):
-    """A bounded poset, graded (``random_graded_poset``) or not
-    (``cover_graphs``), and the same poset, or one changed a little
-    (``changed``), with the elements of every rank renumbered."""
-    source = draw(st.one_of(st.randoms(use_true_random=False).map(random_graded_poset),
-                            cover_graphs()))
+    """A bounded graded poset (``random_graded_poset``), and the same
+    poset, or one changed a little (``changed``), with the elements of
+    every rank renumbered: only posets that can be built are searched."""
+    source = random_graded_poset(draw(st.randoms(use_true_random=False)))
     target = changed(source, draw(st.integers(0, 2)), draw(st.integers(0, 99)),
                      draw(st.integers(0, 99)))
     perms = [draw(st.permutations(range(n))) for n in source.f_vector]
@@ -826,24 +855,6 @@ def test_a_candidate_of_the_right_mask_and_degrees_fails_the_down_set_test():
     assert dict(iso.mapping)[(2, 0)] == (2, 1)
 
 
-def test_a_candidate_of_the_right_mask_in_another_rank_is_not_placed():
-    # the source's edge (1, 0) over the atoms 0 and 1; in the target no
-    # edge has that mask, but (2, 0) covers the atoms 0 and 1 directly, a
-    # cover that skips a rank, with the degrees of (1, 0).  The lookup finds
-    # it, and only the rank test keeps it out of rank 1
-    def poset(edges, square):
-        covering = [((-1, 0), (0, a)) for a in range(3)]
-        covering += [((0, a), (1, e)) for e, atoms in enumerate(edges) for a in atoms]
-        covering += [((0, a), (2, 0)) for a in square]
-        covering += [((r, i), (3, 0)) for r, i in ((1, 0), (1, 1), (2, 0))]
-        return AbstractLattice(dim=3, f_vector=(1, 3, 2, 1, 1), covering=tuple(covering))
-
-    source, target = poset([(0, 1), (0, 2)], (1, 2)), poset([(0, 2), (1, 2)], (0, 1))
-    assert target.atom_masks[target.ids(2)[0]] == source.atom_masks[source.ids(1)[0]] == 0b011
-    iso = assert_search_matches_oracles(source, target)
-    assert iso.isomorphic and all(x[0] == y[0] for x, y in iso.mapping)
-
-
 def pillow() -> AbstractLattice:
     """Four squares (2, i) around the atoms p = (0, 0) and q = (0, 1), the
     square i over the edges from p and q to the atoms (0, 2 + i) and
@@ -870,19 +881,6 @@ def test_meet_check_reads_the_lower_covers_that_are_not_simplices():
     message = "meet of (2, 0) and (2, 1) is not unique: poset is not a lattice"
     assert failure(_verify_abstract_lattice, lat) == failure(_verify_meets, lat) == message
     assert failure(all_pairs_verify_abstract_lattice, lat).endswith(MEETS)
-
-
-def test_atom_masks_with_a_lower_cover_above_in_id():
-    # the triangle with the edge (1, 1) also under (1, 0): the pass in id
-    # order meets (1, 1) before its mask is made, and the masks are the
-    # least solution of the rule; the search reads them on the target and
-    # finds the isomorphism that swaps the atoms (0, 1) and (0, 2)
-    below, above = triangle_poset(extra=[((1, 0), (1, 1))]), triangle_poset(extra=[((1, 1), (1, 0))])
-    edge = above.ids(1)
-    assert edge[1] in above.down[edge[0]]
-    assert above.atom_masks[edge[0]] == 0b111 and above.atom_masks[edge[1]] == 0b101
-    iso = assert_search_matches_oracles(below, above)
-    assert iso.isomorphic and dict(iso.mapping)[(0, 1)] == (0, 2)
 
 
 def test_atom_masks_are_the_vertex_masks_of_a_face_lattice(small_corpus):

@@ -47,9 +47,10 @@ from polyk.linalg import (
     rank,
 )
 from polyk.pipeline import run_pipeline
-from polyk.polytope import Face, face_lattice, validate, verify_lattice
+from polyk.polytope import Face, face_lattice, validate
 
 from oracles import (
+    all_pairs_verify_lattice,
     barycenter_projection,
     cauchy_schwarz_verdict,
     circledast_gens,
@@ -852,7 +853,8 @@ def test_dual_route_counts(poly, counts, monkeypatch):
     # neither the system nor the batch makes a ray: a face tau cannot
     # spread to from the top takes tau over an upper cover, by that pair's
     # sign off the cover's adjugate, one _coordinate_sign call and its one
-    # determinant in the constructor, which takes no other determinant;
+    # determinant in the constructor, and the bridge check's determinant
+    # after it, which makes two per bridge and no other;
     # a general pair takes its sign off F's adjugate the same way
     made, signs, dets = [], [], []
     real_ray, real_sign, real_det = cones.edge_ray, cones._coordinate_sign, cones.bareiss_det
@@ -876,12 +878,12 @@ def test_dual_route_counts(poly, counts, monkeypatch):
     system = ConeSystem(lift(poly), lat)
     bridges = len(signs)
     assert made == []
-    assert dets == signs
+    assert dets == [pair for pair in signs for _ in range(2)]
     for f in range(len(lat.faces_by_id)):
         system.cover_orientations(f)
     routes = Counter(pair_route(system, e, f) for f, lower in enumerate(lat.down) for e in lower)
     assert made == []
-    assert len(signs) == len(dets) == bridges + routes["general"]
+    assert len(signs) == len(dets) - bridges == bridges + routes["general"]
     assert {"dual": routes["dual"], "general": routes["general"], "tau_dets": bridges} == counts
 
 
@@ -1260,18 +1262,19 @@ def test_face_without_upper_cover_names_face(dim):
     # hand-built lattices of the square: an edge left without its cover by
     # the top has no upper cover to certify its dual rank, and a vertex
     # whose one upper cover is the top, two dimensions up, has no cover one
-    # dimension up.  Both break the graded axiom, which the system checks
-    # by the call ``verify_lattice`` makes, with the same message
+    # dimension up.  Both break the graded axiom, which the lattice checks
+    # as it is built, so no cone system is ever given them; the all-pairs
+    # oracle names the same face
     poly = hypercube(2)
     lat, _ = faces_of(poly)
     face = lat.faces(dim)[0]
     pairs = [(e, f) for e, f in lat.covering if e != face]
     if dim == 0:
         pairs.append((face, lat.top_face))
-    cut = lattice_from_pairs(lat.dim, lat.faces_by_dim, pairs)
     with pytest.raises(InternalInvariantError) as err:
-        ConeSystem(lift(poly), cut)
-    assert str(err.value) == failure(verify_lattice, cut) == (
+        lattice_from_pairs(lat.dim, lat.faces_by_dim, pairs)
+    cut = lattice_from_pairs(lat.dim, lat.faces_by_dim, pairs, unchecked=True)
+    assert str(err.value) == failure(all_pairs_verify_lattice, cut) == (
         f"{face} has no upper cover: not graded" if dim == 1 else
         f"cover ({face}, {lat.top_face}) skips a rank: not graded")
 
@@ -1279,18 +1282,17 @@ def test_face_without_upper_cover_names_face(dim):
 def test_upper_cover_outside_face_certifies_no_rank():
     # a hand-built lattice puts the vertex {0} of the square under the edge
     # {2,3} alone: that edge's dual face is not part of {0}'s, so the
-    # normals of {0}'s dual face outside the edge's prove nothing about its
-    # rank
+    # normals of {0}'s dual face outside the edge's would prove nothing
+    # about its rank.  The edge does not hold the vertex, so the lattice is
+    # refused as it is built, and no cone system is given it
     poly = hypercube(2)
     lat, by_set = faces_of(poly)
     vertex, edge = by_set[(0,)], by_set[(2, 3)]
     pairs = [(e, f) for e, f in lat.covering if e != vertex] + [(vertex, edge)]
-    stray = lattice_from_pairs(lat.dim, lat.faces_by_dim, pairs)
     with pytest.raises(InternalInvariantError) as err:
-        ConeSystem(lift(poly), stray)
-    assert str(err.value) == (
-        f"dual face of {vertex} does not strictly contain that of its upper cover {edge}, "
-        "so its rank 2 is not certified")
+        lattice_from_pairs(lat.dim, lat.faces_by_dim, pairs)
+    assert str(err.value) == \
+        f"covering pair ({vertex}, {edge}) is not a strict vertex-set containment"
 
 
 def test_simplex_face_with_dependent_vertices_names_face():
@@ -1366,22 +1368,22 @@ def test_simplex_lower_cover_takes_the_reduced_cofactor_check(cofactor, monkeypa
     system.crosscheck(e, f, ray)
 
 
-def test_lower_cover_outside_face_is_not_resumed_from():
+def test_lower_cover_outside_face_is_refused_at_construction():
     # a hand-built lattice lists the vertex {0} first under the edge {2,3}
-    # of the square, besides its own edges; {0} is not in the edge, and its
-    # dual face does not hold the edge's, so the system's certificate
-    # rejects that pair by name before any face data is built
+    # of the square, besides its own edges.  {0} is not in the edge, so the
+    # lattice is refused as it is built, with the message the all-pairs
+    # oracle gives on it unchecked: every lower cover the system's resume
+    # pass (``ConeSystem._resume``) reads lies inside its face
     poly = hypercube(2)
     lat, by_set = faces_of(poly)
     vertex, edge = by_set[(0,)], by_set[(2, 3)]
     pairs = [(vertex, edge)] + list(lat.covering)
-    stray = lattice_from_pairs(lat.dim, lat.faces_by_dim, pairs)
+    stray = lattice_from_pairs(lat.dim, lat.faces_by_dim, pairs, unchecked=True)
     assert stray.down[stray.face_id[edge]][0] == stray.face_id[vertex]
     with pytest.raises(InternalInvariantError) as err:
-        ConeSystem(lift(poly), stray)
-    assert str(err.value) == (
-        f"dual face of {vertex} does not strictly contain that of its upper cover {edge}, "
-        "so its rank 2 is not certified")
+        lattice_from_pairs(lat.dim, lat.faces_by_dim, pairs)
+    assert str(err.value) == failure(all_pairs_verify_lattice, stray) == \
+        f"covering pair ({vertex}, {edge}) is not a strict vertex-set containment"
 
 
 def test_inherited_adjugate_fails_certificate_of_face(monkeypatch):

@@ -48,6 +48,7 @@ from oracles import (
     pyramid_prism,
     random_hull_draw,
     scan_hull_facets,
+    verify_as_built,
     vertex_closure_face_lattice,
 )
 
@@ -617,12 +618,16 @@ def test_verify_lattice_rejects_broken_diamond():
 
 
 def test_verify_lattice_names_missing_cover():
+    # the lattice checks its grading as it is built, so the lattice is
+    # never made, and the all-pairs oracle names the same face
     bottom, top = Face((), -1), Face((0, 1), 1)
     atoms = (Face((0,), 0), Face((1,), 0))
-    lat = lattice_from_pairs(1, ((bottom,), atoms, (top,)),
-                             ((bottom, atoms[0]), (bottom, atoms[1]), (atoms[0], top)))
+    args = (1, ((bottom,), atoms, (top,)),
+            ((bottom, atoms[0]), (bottom, atoms[1]), (atoms[0], top)))
     with pytest.raises(InternalInvariantError, match=r"^\{1\} has no upper cover: not graded$"):
-        verify_lattice(lat)
+        lattice_from_pairs(*args)
+    assert failure(all_pairs_verify_lattice, lattice_from_pairs(*args, unchecked=True)) == \
+        "{1} has no upper cover: not graded"
 
 
 def test_verify_lattice_tests_containment_not_cover_paths():
@@ -661,26 +666,27 @@ def test_verify_lattice_rejects_cover_that_is_not_a_containment():
         return new if f == old else f
 
     cases = [
-        (lattice_from_pairs(cube.dim, cube.faces_by_dim, cube.covering + ((edge, square),)),
-         (edge, square)),
-        (lattice_from_pairs(tetra.dim,
-                            tuple(tuple(map(swap, level)) for level in tetra.faces_by_dim),
-                            tuple((swap(e), swap(f)) for e, f in tetra.covering)),
-         (new, tetra.top_face)),
+        ((cube.dim, cube.faces_by_dim, cube.covering + ((edge, square),)), (edge, square)),
+        ((tetra.dim, tuple(tuple(map(swap, level)) for level in tetra.faces_by_dim),
+          tuple((swap(e), swap(f)) for e, f in tetra.covering)), (new, tetra.top_face)),
     ]
-    for broken, (low, high) in cases:
+    for args, (low, high) in cases:
+        # refused as it is built, before its grading is checked
+        message = f"covering pair ({low}, {high}) is not a strict vertex-set containment"
         with pytest.raises(InternalInvariantError) as err:
-            verify_lattice(broken)
-        assert str(err.value) == \
-            f"covering pair ({low}, {high}) is not a strict vertex-set containment"
+            lattice_from_pairs(*args)
+        assert str(err.value) == message
+        assert failure(all_pairs_verify_lattice, lattice_from_pairs(*args, unchecked=True)) == \
+            message
 
 
 def test_vertex_masks_come_from_the_closure_and_are_derived_by_hand_built_lattices(
         small_corpus):
     # face_lattice keeps the vertex masks its walk found, by face id;
     # a lattice built from faces and covers derives the same ones; and
-    # verify_lattice reads them, not the vertex sets: the cube's lattice
-    # with the mask of one vertex cleared fails the containment check
+    # the containment check, as the lattice is built, reads them, not the
+    # vertex sets: the cube's lattice with the mask of one vertex cleared
+    # fails it
     for poly in list(small_corpus) + [hypercube(4), cross_polytope(4)]:
         lat = face_lattice(poly)
         masks = tuple(sum(1 << v for v in f.vertex_set) for f in lat.faces_by_id)
@@ -690,9 +696,8 @@ def test_vertex_masks_come_from_the_closure_and_are_derived_by_hand_built_lattic
     vertex = lat.face_id[lat.faces(0)[0]]
     masks = list(lat.vertex_masks)
     masks[vertex] = 0
-    broken = polytope.FaceLattice(lat.dim, lat.faces_by_dim, lat.down, vertex_masks=tuple(masks))
     with pytest.raises(InternalInvariantError) as err:
-        verify_lattice(broken)
+        polytope.FaceLattice(lat.dim, lat.faces_by_dim, lat.down, vertex_masks=tuple(masks))
     assert str(err.value) == (f"covering pair ({lat.empty_face}, {lat.faces_by_id[vertex]}) "
                               "is not a strict vertex-set containment")
 
@@ -724,13 +729,14 @@ def test_simplex_certificate_holds_on_polytopes_and_verify_matches_all_pairs():
 TRIANGLE = Face((0, 1, 2), 2)
 
 
-def tetrahedron_with_covers(drop=(), extra=()) -> polytope.FaceLattice:
+def tetrahedron_with_covers(drop=(), extra=(), unchecked=False) -> polytope.FaceLattice:
     lat = face_lattice(simplex(3))
     return lattice_from_pairs(3, lat.faces_by_dim,
-                              tuple(c for c in lat.covering if c not in drop) + tuple(extra))
+                              tuple(c for c in lat.covering if c not in drop) + tuple(extra),
+                              unchecked)
 
 
-def tetrahedron_with_a_repeated_mask() -> polytope.FaceLattice:
+def tetrahedron_with_a_repeated_mask(unchecked=False) -> polytope.FaceLattice:
     """The tetrahedron with the vertex {3} given the vertex set {0,1}, that
     of the edge {0,1} a level up, and placed first in its level; every face
     above it gains {0,1} and a new vertex of its own (4 to 9), so that
@@ -748,7 +754,8 @@ def tetrahedron_with_a_repeated_mask() -> polytope.FaceLattice:
 
     levels = [list(map(swap, level)) for level in lat.faces_by_dim]
     levels[1].insert(0, levels[1].pop())
-    return lattice_from_pairs(3, levels, tuple((swap(e), swap(f)) for e, f in lat.covering))
+    return lattice_from_pairs(3, levels, tuple((swap(e), swap(f)) for e, f in lat.covering),
+                              unchecked)
 
 
 SHORT = "diamond property fails between {1} and {0,1,2}: 1 intermediate elements"
@@ -756,11 +763,12 @@ SHORT_BY_A_SKIP = "cover ({}, {0,1,2}) skips a rank: not graded"
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: tetrahedron_with_covers(drop=[(Face((1, 2), 1), TRIANGLE)]), SHORT),
-    (tetrahedron_with_a_repeated_mask,
+    (lambda: tetrahedron_with_covers(drop=[(Face((1, 2), 1), TRIANGLE)], unchecked=True), SHORT),
+    (lambda: tetrahedron_with_a_repeated_mask(unchecked=True),
      "diamond property fails between {0,1} and {0,1,2}: 0 intermediate elements"),
     (lambda: tetrahedron_with_covers(drop=[(Face((1, 2), 1), TRIANGLE)],
-                                     extra=[(Face((), -1), TRIANGLE)]), SHORT_BY_A_SKIP),
+                                     extra=[(Face((), -1), TRIANGLE)], unchecked=True),
+     SHORT_BY_A_SKIP),
 ], ids=["simplex-short-of-a-cover", "two-faces-one-mask", "cover-skips-a-level"])
 def test_simplex_certificate_fails_and_the_full_check_names_the_pair(build, message):
     # one premise of the certificate broken each: (c) the triangle {0,1,2}
@@ -769,14 +777,15 @@ def test_simplex_certificate_fails_and_the_full_check_names_the_pair(build, mess
     # In the first two the first failing pair lies below the triangle, a
     # simplex, so only the failed certificate keeps the pair in the check,
     # which names it as the all-pairs oracle does.  (b) belongs to the
-    # graded axiom, so the graded check names the pair that breaks it
-    # before the certificate is asked
+    # graded axiom, so the lattice names the pair that breaks it as it is
+    # built, and no certificate is asked.  The lattices here are unchecked,
+    # so that the certificate can be read on the third
     lat = build()
     if message == SHORT_BY_A_SKIP:
         assert polytope.simplex_certificate(lat, lat.vertex_masks, lat.distinct_masks) is not None  # (b) is not its premise
     else:
         assert polytope.simplex_certificate(lat, lat.vertex_masks, lat.distinct_masks) is None
-    assert failure(verify_lattice, lat) == failure(all_pairs_verify_lattice, lat) == message
+    assert failure(verify_as_built, lat) == failure(all_pairs_verify_lattice, lat) == message
     assert lat.vertex_masks[lat.face_id[TRIANGLE]].bit_count() == TRIANGLE.dim + 1
 
 
@@ -900,12 +909,14 @@ def test_cross_polytope_needs_dimension_one():
 
 def test_verify_lattice_names_unbounded_f_vector():
     # two vertices over the empty face with no top face: covers are strict
-    # containments, but the lattice has no top
+    # containments, but the lattice has no top, and is refused as it is
+    # built
     empty, a, b = Face((), -1), Face((0,), 0), Face((1,), 0)
-    lat = lattice_from_pairs(1, ((empty,), (a, b), ()), [(empty, a), (empty, b)])
+    args = (1, ((empty,), (a, b), ()), [(empty, a), (empty, b)])
     with pytest.raises(InternalInvariantError) as err:
-        verify_lattice(lat)
-    assert str(err.value) == "not bounded: f-vector (1, 2, 0)"
+        lattice_from_pairs(*args)
+    assert str(err.value) == "not bounded: f-vector (1, 2, 0)" == \
+        failure(all_pairs_verify_lattice, lattice_from_pairs(*args, unchecked=True))
 
 
 def test_face_lattice_of_a_polytope_without_facets_names_bottom_level():

@@ -13,9 +13,10 @@ Boundary squared zero cannot see every defect.  On a regular CW complex,
 +-1 incidences on the covers with D_{j-1} D_j = 0 are unique up to
 re-orienting cells (Bjoerner 1984), so a mutation that re-orients cells
 passes it.  Negating a bridge's tau or the general route's sign does that
-on the corpus members: the report changes and nothing raises.  Those cases
-are strict xfails, the known gap of ROADMAP item 3; the check it plans
-makes them raise and so flips them.
+on the corpus members.  The bridge check (``ConeSystem._check_bridge``)
+compares each bridge's tau with the definition of its pair's sign, so
+those mutations raise there, on the prisms too, before any boundary is
+made.
 
 Two mutations are re-orientations by construction, and the tests state the
 identity instead of asking for an error:
@@ -47,8 +48,9 @@ from oracles import prism_over_cross, pyramid_prism
 BRIDGED = ("random11_d4", "random14_d4", "random16_d3")
 GENERAL = ("prism_cross4", "prism_cross5", "pyramid_prism")
 INPUTS = BRIDGED + GENERAL + ("cube5", "cross5")
-ITEM_3 = ("ROADMAP item 3: a mutated sign that re-orients cells passes boundary squared "
-          "zero, and no check compares it with its definition yet")
+WITH_BRIDGE = BRIDGED + GENERAL[:2]
+# the message each outcome starts with
+RAISED = {"bridge": "bridge (", "raises": "boundary squared nonzero at j="}
 
 
 @cache
@@ -110,17 +112,15 @@ def negate_first_entry(columns):
 
 
 def case(producer, name, outcome):
-    marks = [pytest.mark.xfail(strict=True, raises=pytest.fail.Exception, reason=ITEM_3)] \
-        if outcome == "silent" else []
-    return pytest.param(producer, name, outcome, marks=marks, id=f"{producer}-{name}")
+    return pytest.param(producer, name, outcome, id=f"{producer}-{name}")
 
 
-# "raises": boundary squared zero fails; "silent": the report changes and
-# nothing raises (the known gap); "unreached": the input never calls it
+# "bridge": the bridge check fails; "raises": boundary squared zero fails;
+# "unreached": the input never calls it
 CASES = [case("d2_entry", name, "raises") for name in INPUTS] + [
-    case(producer, name, "silent" if name in BRIDGED
+    case(producer, name, "bridge" if name in WITH_BRIDGE
          else "raises" if name in raising else "unreached")
-    for producer, raising in (("coordinate_sign", GENERAL), ("bridge", GENERAL[:2]))
+    for producer, raising in (("coordinate_sign", GENERAL), ("bridge", ()))
     for name in INPUTS]
 
 
@@ -133,22 +133,18 @@ def test_negated_sign_is_caught(monkeypatch, producer, name, outcome):
     try:
         result = run_pipeline(polytope(name))
     except InternalInvariantError as err:
-        assert outcome in ("raises", "silent"), str(err)
-        if outcome == "raises":
-            assert str(err).startswith("boundary squared nonzero at j="), str(err)
+        assert outcome in RAISED and str(err).startswith(RAISED[outcome]), str(err)
         return
-    if outcome == "unreached":
-        assert calls == [] and digest(result) == base
-        return
-    assert calls and digest(result) != base  # the mutation reached the report
-    pytest.fail(f"negated {producer} on {name} passes every check of run_pipeline")
+    assert outcome == "unreached", f"negated {producer} on {name} passes every check"
+    assert calls == [] and digest(result) == base
 
 
 @pytest.mark.parametrize("name, minors", [("prism_cross4", 81), ("pyramid_prism", 4)])
 def test_each_general_minor_negated_alone_is_caught(monkeypatch, name, minors):
-    # the gap above is confined to the bridged corpus members: on these
-    # inputs the k-th general-route minor negated alone, for every k, the
-    # bridge's minor on the prism included, fails boundary squared zero
+    # the k-th general-route minor negated alone, for every k, fails: the
+    # prism's bridge takes the first minor, in the constructor, and fails
+    # the bridge check; every other fails boundary squared zero
+    bridges = int(name in WITH_BRIDGE)
     with monkeypatch.context() as patch:
         calls = negate(patch, cones, "_coordinate_sign", only=minors)  # counts, negates none
         assert digest(run_pipeline(polytope(name))) == digest(unpatched(name))
@@ -156,8 +152,9 @@ def test_each_general_minor_negated_alone_is_caught(monkeypatch, name, minors):
     for k in range(minors):
         with monkeypatch.context() as patch:
             negate(patch, cones, "_coordinate_sign", only=k)
-            with pytest.raises(InternalInvariantError, match="^boundary squared nonzero at j="):
+            with pytest.raises(InternalInvariantError) as err:
                 run_pipeline(polytope(name))
+            assert str(err.value).startswith(RAISED["bridge" if k < bridges else "raises"])
 
 
 @pytest.mark.parametrize("name", INPUTS)
