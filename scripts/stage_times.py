@@ -15,10 +15,8 @@ stage's best time is printed, with their sum as the total, as one row of a
 Markdown table:
 
 - validate: ``validate`` on the input's vertices;
-- walk: the face lattice's top-down walk (``polytope._top_down``), with
-  the containment and graded checks the lattice makes as it is built;
-- verify: its diamond check (``verify_lattice``), the rest of
-  ``face_lattice``;
+- lattice: ``face_lattice``, the top-down walk with the checks the
+  lattice makes as it is built (containment, graded, diamonds);
 - ConeSystem: ``lift`` and ``ConeSystem``;
 - build: ``trivialize`` and ``build_complex``;
 - report: ``e1_page`` and ``k_report``.
@@ -39,10 +37,10 @@ from polyk.cellular import build_complex, trivialize  # noqa: E402
 from polyk.cones import ConeSystem, lift  # noqa: E402
 from polyk.corpus import cross_polytope, hypercube, random_hull  # noqa: E402
 from polyk.ktheory import e1_page, k_report  # noqa: E402
-from polyk.polytope import Polytope, _top_down, validate, verify_lattice  # noqa: E402
+from polyk.polytope import Polytope, face_lattice, validate  # noqa: E402
 
 DEFAULT = ("cross7", "cube8", "hull6_24", "hull7_30")
-STAGES = ("validate", "walk", "verify", "ConeSystem", "build", "report")
+STAGES = ("validate", "lattice", "ConeSystem", "build", "report")
 
 
 def polytope(name: str) -> Polytope:
@@ -68,9 +66,7 @@ def stage_times(P: Polytope, repeat: int) -> dict[str, float]:
         marks = []
         validate(P.vertices)
         marks.append(time.perf_counter())
-        lattice = _top_down(P)
-        marks.append(time.perf_counter())
-        verify_lattice(lattice)
+        lattice = face_lattice(P)
         marks.append(time.perf_counter())
         system = ConeSystem(lift(P), lattice)
         marks.append(time.perf_counter())

@@ -4,13 +4,13 @@ and decide lattice isomorphism between polytopes.
 The absolute values of the boundary-matrix entries record exactly the
 covering relation of the face lattice; transitive closure then recovers the
 whole order, so the unsigned complex determines the combinatorial type.  The
-reconstruction is checked against the lattice axioms, as ``GradedIds``
-states them, on int bitmasks, and every check enumerates only the pairs a
-cover can reach: the diamond property on the elements two covers up, and
-meets, kept as bitset down-sets, on pairs of lower covers of a common
-element, which suffices by the dual of a lemma of Bjorner, Edelman and
-Ziegler (``_verify_meets``).  Both skip what the simplex certificate on
-the atom masks proves: the intervals below simplices are Boolean.
+reconstruction is an ``AbstractLattice``, which checks the lattice axioms,
+as ``GradedIds`` states them, on int bitmasks as it is built: the diamond
+property on the atom masks, by the rule a face lattice's vertex masks
+follow, and meets, kept as bitset down-sets, on pairs of lower covers of a
+common element, which suffices by the dual of a lemma of Bjorner, Edelman
+and Ziegler (``_verify_meets``).  Both skip what the simplex certificate
+on the atom masks proves: the intervals below simplices are Boolean.
 Isomorphism testing is backtracking in id order, rank by rank, on the
 element ids, id covers and atom masks of the two lattices, pruned by
 f-vector and up/down cover degrees.  An atom is placed only where the
@@ -31,7 +31,7 @@ from typing import Hashable, NamedTuple
 from .cellular import ChainComplex
 from .errors import InternalInvariantError
 from .linalg import IntMatrix
-from .polytope import FaceLattice, GradedIds, simplex_certificate
+from .polytope import FaceLattice, GradedIds
 from .sparse import dense_matrix
 
 Element = Hashable
@@ -59,7 +59,15 @@ class AbstractLattice(GradedIds):
     has the id ``level_start[rank + 1] + i`` and is ``faces_by_id`` there.
     A pair listed twice in ``covering`` is one cover, and each ``down[i]``
     is ascending, whatever the order of ``covering``.  Built, it checks
-    the bounded and graded axioms (``GradedIds``).
+    (``_verify_axioms``) the bounded and graded axioms, then the diamonds
+    on the atom masks, then the meets (``GradedIds``).  The meet check
+    reads the highs the diamond check read: when the simplex certificate
+    holds, it pairs the lower covers only of elements that have a lower
+    cover that is not a simplex, since two simplices have a meet
+    (``GradedIds``) and the lower covers of a simplex are simplices; when
+    it fails, every element.  No skipped pair can fail, so the check
+    accepts the same posets and names the same first failure as with
+    every element.
     """
 
     dim: int
@@ -74,7 +82,11 @@ class AbstractLattice(GradedIds):
         self._number(tuple((r, i) for r in range(-1, self.dim + 1)
                            for i in range(self.f_vector[r + 1])),
                      start, tuple(tuple(sorted(below)) for below in down))
+        self._verify_axioms()
+
+    def _verify_axioms(self) -> None:
         self.verify_graded()
+        _verify_meets(self, set(chain.from_iterable(self._verify_diamonds(self.atom_masks))))
 
 
 def lattice_from_incidence(U: UnsignedIncidence) -> AbstractLattice:
@@ -84,10 +96,9 @@ def lattice_from_incidence(U: UnsignedIncidence) -> AbstractLattice:
     sets the column count.  The support of the matrices is taken as the covering
     relation, read row by row with the list methods ``count`` and ``index``
     (a row whose 0s and 1s do not fill it holds a bad entry, named first in
-    row order); the result is checked against the lattice axioms of a
-    polytope face lattice (``AbstractLattice``, then
-    ``_verify_abstract_lattice``) and any failure means the incidence data
-    is corrupt.
+    row order); the result checks the lattice axioms of a polytope face
+    lattice as it is built (``AbstractLattice``), and any failure means the
+    incidence data is corrupt.
     """
     mats = U.matrices
     if not mats:
@@ -112,45 +123,14 @@ def lattice_from_incidence(U: UnsignedIncidence) -> AbstractLattice:
             for _ in range(ones):
                 c = row.index(1, c + 1)
                 covering.append(((j - 1, r), (j, c)))
-    lat = AbstractLattice(dim=dim, f_vector=tuple(f_vector), covering=tuple(covering))
-    _verify_abstract_lattice(lat)
-    return lat
+    return AbstractLattice(dim=dim, f_vector=tuple(f_vector), covering=tuple(covering))
 
 
-def _verify_abstract_lattice(lat: AbstractLattice) -> None:
-    """The diamond property, then meets (``GradedIds``), on int bitmasks.
-
-    An abstract lattice has no vertex sets, so the highs above ``low`` are
-    those a path of two covers reaches, and the failure mask of ``low`` is
-    ``once & (thrice | ~twice)``: some paths, but not exactly two.
-
-    The simplex certificate is asked first, on the atom masks
-    (``GradedIds.atom_masks``, ``simplex_certificate``).  Each mask is the
-    OR of its lower covers' masks, so every cover is a containment of
-    masks, strict when the masks are distinct, and the identity in
-    ``GradedIds`` applies: the lower interval of every simplex is Boolean.
-    When the certificate holds, the diamond check takes as highs only the
-    elements that are not simplices, and the meet check pairs the lower
-    covers only of elements that have a lower cover that is not a simplex:
-    two simplices have a meet (``GradedIds``), and the lower covers of a
-    simplex are simplices.  No skipped high or pair can fail, so both
-    accept the same posets and name the same first failure as with every
-    element; when the certificate fails, every element is read.
-    """
-    others = simplex_certificate(lat, lat.atom_masks, len(set(lat.atom_masks)) == len(lat.down))
-    for rank in range(-1, lat.dim - 1):
-        for low, once, twice, thrice in lat.two_step_paths(rank, others and others[rank + 2]):
-            bad = once & (thrice | ~twice)
-            if bad:
-                raise lat.diamond_error(low, rank, bad)
-    _verify_meets(lat, None if others is None else set(chain.from_iterable(others)))
-
-
-def _verify_meets(lat: AbstractLattice, others: set[int] | None = None) -> None:
+def _verify_meets(lat: AbstractLattice, others: set[int]) -> None:
     """Every two lower covers of a common element have a meet, asked only
-    where some lower cover is in ``others`` when that is given: the
-    elements that are not simplices, once the simplex certificate holds
-    (``_verify_abstract_lattice``).
+    where some lower cover is in ``others``: the elements that are not
+    simplices once the simplex certificate holds, every element when it
+    fails (``AbstractLattice``).
 
     That suffices for every pair to have one, by the dual of Bjorner,
     Edelman & Ziegler 1990, "Hyperplane arrangements with a lattice of
@@ -181,7 +161,7 @@ def _verify_meets(lat: AbstractLattice, others: set[int] | None = None) -> None:
         for b in below:
             d |= ds[b]
         ds.append(d)
-    for below in lat.down if others is None else (c for c in lat.down if not others.isdisjoint(c)):
+    for below in (c for c in lat.down if not others.isdisjoint(c)):
         for k, a in enumerate(below):
             for b in below[k + 1:]:
                 common = ds[a] & ds[b]
@@ -228,7 +208,12 @@ def is_isomorphic(L1: "FaceLattice | AbstractLattice",
       that has it, or a scan of s's rank when L2 has two elements of one
       mask, which happens only in a poset that is not atomic.  After the
       test above, the candidates and their order are those of a scan of the
-      rank, and so is the mapping.
+      rank, and so is the mapping.  No candidate needs a rank test: for s
+      at rank -1 or 0 the candidates are s's rank itself, and for s of
+      rank r above the atoms, W is a nonempty set of images of rank r - 1,
+      since s has a lower cover (``GradedIds``), and the test above makes
+      ``down[t]`` equal to W; every cover joins adjacent ranks, so t has
+      rank r.
     - *atoms by coatom counts.*  Atom s is placed at t only if, for every
       earlier atom a, as many coatoms hold both s and a in L1 (by their
       atom masks) as hold both t and a's image in L2.  An isomorphism maps
@@ -284,7 +269,7 @@ def is_isomorphic(L1: "FaceLattice | AbstractLattice",
         candidates = (rank if s < atoms.stop else [t for t in rank if masks2[t] == key]
                       if len(first) < len(masks2) else (first[key],) if key in first else ())
         for t in candidates:
-            if (t >= start and t in rank and t not in used and len(up2[t]) == len(up1[s])
+            if (t >= start and t not in used and len(up2[t]) == len(up1[s])
                     and len(down2[t]) == len(wanted_down) and wanted_down.issuperset(down2[t])
                     and (not counts or all((holding2[t] & h).bit_count() == n for h, n in counts))):
                 mapping.append(t)

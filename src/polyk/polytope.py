@@ -15,9 +15,9 @@ facets as atoms, reaches every such face from P down, and it runs on those
 faces alone.  Each level is sorted by vertex set as soon as it is
 complete, and the faces are numbered once, from the bottom in that
 order, with each face's lower covers as the ascending id tuples every
-later stage reads.  The lattice checks its covers and its grading as it is
-built, and its diamonds before it is returned; a corrupt facet list fails
-there or in the walk's level checks, naming a face.  The same Boolean
+later stage reads.  The lattice checks its covers, its grading and its
+diamonds as it is built; a corrupt facet list fails there or in the walk's
+level checks, naming a face.  The same Boolean
 interval spares the diamond check: once a cheap certificate on the vertex
 masks and covers holds, it reads only the faces two levels below faces
 that are not simplices.  The
@@ -134,24 +134,46 @@ class GradedIds:
       per m, the highs that cover m, made with one OR per cover from the
       highs' ``down``; mids is 2 exactly where ``twice`` is set and
       ``thrice`` is not, so the pairs that fail are the set bits of
-      ``thrice | ~twice`` among the highs above ``low``.  Each lattice
-      decides which highs lie above ``low``, and ``diamond_error`` names
-      the lowest set bit of the failure mask, the first failing pair in id
-      order, counting only that pair's mids again, for the message;
+      ``thrice | ~twice`` among the highs above ``low``, those whose mask
+      holds low's (``_verify_diamonds``, below), and ``diamond_error``
+      names the lowest set bit of the failure mask, the first failing pair
+      in id order, counting only that pair's mids again, for the message;
     - meets: every two elements have a meet.  ``comb_type._verify_meets``
-      checks it on an abstract lattice; ``verify_lattice`` does not, since
+      checks it on an abstract lattice; a face lattice does not, since
       the faces of a polytope are closed under intersection.
 
-    Each lattice checks the first two when it is built, in its
-    ``__post_init__``: after ``_number`` finds each cover listed once, a
-    ``FaceLattice`` checks that every cover is a strict containment of
-    vertex masks, and then both kinds run ``verify_graded``.  So every
-    lattice that exists is bounded and graded, and every lower cover lies
-    one rank down, at a lower id; every later stage rests on that and
-    checks it nowhere else.  ``verify_lattice`` and
-    ``comb_type._verify_abstract_lattice`` check the diamond axiom and, on
-    an abstract lattice, the meets.  Any failure is an
-    ``InternalInvariantError``.
+    Each lattice checks them once, when it is built, in one method,
+    ``_verify_axioms``, that its ``__post_init__`` calls last, after
+    ``_number`` has found each cover listed once.  A ``FaceLattice``
+    checks that every cover is a strict containment of vertex masks, then
+    ``verify_graded``, then ``_verify_diamonds`` on the vertex masks; an
+    ``AbstractLattice`` checks ``verify_graded``, then ``_verify_diamonds``
+    on the atom masks, then the meets.  So every lattice that exists is a
+    lattice in the sense stated here, every lower cover lies one rank
+    down, at a lower id, and every later stage rests on that and checks it
+    nowhere else.  Any failure is an ``InternalInvariantError``.
+
+    The diamond check has one rule on both kinds: ``low`` is below
+    ``high`` when low's mask lies in high's.  On a face lattice that is
+    the order itself.  On an abstract lattice, with the atom masks, it
+    accepts the same posets as asking only the pairs a path of two covers
+    joins, once the meets are asked as well:
+
+    - a path of covers from ``low`` to ``high`` nests their atom masks,
+      since each mask is the OR of its lower covers' masks; so every pair
+      the path rule asks is asked here too, and a poset this check accepts
+      the path rule accepts;
+    - a poset that the path rule and the meets accept is a lattice in
+      which every interval of length 2 is a diamond; there every element
+      above the bottom is the join of its atoms (an atom is one; an
+      element of rank r >= 1 is the join of two of its lower covers, each
+      a join of atoms by induction), so distinct elements have distinct
+      atom masks, and nested masks mean that the join of low's atoms lies
+      below high: the pair is comparable, a path of two covers joins it,
+      and the path rule has asked it already.
+
+    The two rules can name different failures only on a poset that both
+    refuse: one whose meets fail.
 
     The atom masks (``atom_masks``) are read off the covers alone: atom k
     has bit k, and every element above the atoms the OR of its lower
@@ -163,9 +185,9 @@ class GradedIds:
 
     The diamond axiom holds below every simplex, and so does the meet
     axiom, once the lattice passes the simplex certificate
-    (``simplex_certificate``) on some masks: the vertex masks of a face
-    lattice (``verify_lattice``) or the atom masks of any lattice
-    (``comb_type._verify_abstract_lattice``).  A simplex G of rank r is an
+    (``simplex_certificate``) on the masks ``_verify_diamonds`` reads: the
+    vertex masks of a face lattice or the atom masks of an abstract one.
+    A simplex G of rank r is an
     element whose mask has r + 1 bits, and the certificate asks that (a)
     the masks are pairwise distinct and (c) every simplex of rank r has
     exactly r + 1 lower covers; (b), every cover joins adjacent ranks, is
@@ -236,14 +258,13 @@ class GradedIds:
             masks.append(m)
         return tuple(masks)
 
-    def two_step_paths(self, rank: int, highs: Sequence[int] | None = None
+    def two_step_paths(self, rank: int, highs: Sequence[int]
                        ) -> Iterator[tuple[int, int, int, int]]:
         """For each element ``low`` of the rank, ``(low, once, twice,
         thrice)``: bit b of ``once`` (``twice``, ``thrice``) is set iff at
         least one (two, three) of low's upper covers are covered by the
         element ``ids(rank + 2)[b]``, if that element is one of
-        ``highs`` (by default all of ``ids(rank + 2)``); the bits of the
-        others are 0.
+        ``highs``, some ids of rank + 2; the bits of the others are 0.
 
         So for ``high`` two ranks up, bit b, the number of paths of two
         covers from ``low`` to ``high`` is
@@ -261,12 +282,12 @@ class GradedIds:
         for an m, of any rank, that no high covers.  With no highs at all,
         every plane would be 0, and no element is yielded.
         """
-        if highs is not None and not highs:
+        if not highs:
             return
         down, up = self.down, self.up
         first = self.level_start[rank + 3]
         covered_by = [0] * len(down)  # m -> U
-        for high in self.ids(rank + 2) if highs is None else highs:
+        for high in highs:
             bit = 1 << (high - first)
             for m in down[high]:
                 covered_by[m] |= bit
@@ -325,6 +346,60 @@ class GradedIds:
             f"diamond property fails between {self.faces_by_id[low]} and "
             f"{self.faces_by_id[high]}: {self.mids(low, high)} intermediate elements")
 
+    def _verify_diamonds(self, masks: Sequence[int]) -> list[Sequence[int]]:
+        """The diamond axiom (see the class docstring) on int bitmasks, with
+        ``low`` below ``high`` when ``masks[low]`` lies in ``masks[high]``:
+        the vertex masks of a face lattice or the atom masks of an abstract
+        one, read after the lattice's other checks have passed.  Returns the
+        highs it read, rank by rank from 0 (``simplex_certificate``).
+
+        The failure mask of ``low`` is ``above & (thrice | ~twice)``, with
+        ``above`` the highs two ranks up whose mask holds low's.  ``above``
+        comes from an inverted index rather than from trying every high:
+        ``containing[v]`` is the bitmask of the highs whose mask has bit v,
+        so ``above`` is the AND of ``containing[v]`` over the bits v of
+        low's mask (the whole level for the bottom).  The AND starts from
+        the failure candidates and stops as soon as none is left.  A high
+        whose mask holds low's but that no path of covers reaches from
+        ``low`` fails with 0 intermediate elements.
+
+        When the lattice passes the simplex certificate on the masks, the
+        highs are only the elements that are not simplices, and a rank
+        whose highs are all simplices is skipped.  The identity in the class
+        docstring shows that every element two ranks below a simplex, with
+        its mask inside the simplex's, has exactly two elements between
+        them, so no skipped pair can fail: the check accepts the same
+        lattices and names the same first failing pair as with every element
+        a high.  When the certificate fails, every element is a high.  On a
+        simplicial polytope, only P over its ridges is left.
+        """
+        others = simplex_certificate(self, masks)
+        # a chain of upper covers, each a containment of masks, leads from
+        # every element to the top, so every bit is the top's
+        vbit = [1 << v for v in range(masks[-1].bit_length())]
+        for j in range(-1, self.dim - 1):
+            highs = others[j + 2]
+            first = self.level_start[j + 3]
+            containing, keep = [0] * len(vbit), 0
+            for high in highs:
+                bit = 1 << (high - first)
+                keep |= bit
+                hi = masks[high]
+                while hi:
+                    v = hi.bit_length() - 1
+                    containing[v] |= bit
+                    hi ^= vbit[v]
+            for low, _, twice, thrice in self.two_step_paths(j, highs):
+                bad = keep & (thrice | ~twice)
+                lo = masks[low]
+                while bad and lo:
+                    v = lo.bit_length() - 1
+                    bad &= containing[v]
+                    lo ^= vbit[v]
+                if bad:
+                    raise self.diamond_error(low, j, bad)
+        return others
+
 
 @dataclass(frozen=True)
 class FaceLattice(GradedIds):
@@ -339,12 +414,13 @@ class FaceLattice(GradedIds):
     the vertex bitmask of face i: ``face_lattice`` passes the masks its
     walk found, and a lattice built without them derives them from the
     vertex sets.  ``covering`` (the pairs of faces (E, F), E covered by F,
-    ordered by the id of F, then of E), ``face_id`` (the id of a ``Face``)
-    and ``distinct_masks`` are views made on first use.
+    ordered by the id of F, then of E) and ``face_id`` (the id of a
+    ``Face``) are views made on first use.
 
-    Built, it checks each covering pair (low, high) for a strict
-    containment of vertex masks, ``lo & hi == lo != hi``, and then the
-    bounded and graded axioms (``GradedIds``).
+    Built, it checks (``_verify_axioms``) each covering pair (low, high)
+    for a strict containment of vertex masks, ``lo & hi == lo != hi``, then
+    the bounded and graded axioms, then the diamonds on the vertex masks
+    (``GradedIds``).
     """
 
     dim: int
@@ -360,6 +436,9 @@ class FaceLattice(GradedIds):
         if self.vertex_masks is None:
             object.__setattr__(self, "vertex_masks", tuple(
                 sum(1 << v for v in f.vertex_set) for f in self.faces_by_id))
+        self._verify_axioms()
+
+    def _verify_axioms(self) -> None:
         faces, mask = self.faces_by_id, self.vertex_masks
         for high, below in enumerate(self.down):
             hi = mask[high]
@@ -370,6 +449,7 @@ class FaceLattice(GradedIds):
                         f"covering pair ({faces[low]}, {faces[high]}) "
                         "is not a strict vertex-set containment")
         self.verify_graded()
+        self._verify_diamonds(mask)
 
     @cached_property
     def covering(self) -> tuple[tuple[Face, Face], ...]:
@@ -379,12 +459,6 @@ class FaceLattice(GradedIds):
     @cached_property
     def face_id(self) -> dict[Face, int]:
         return {f: i for i, f in enumerate(self.faces_by_id)}
-
-    @cached_property
-    def distinct_masks(self) -> bool:
-        """Are the vertex masks pairwise distinct?  ``simplex_certificate``
-        asks."""
-        return len(set(self.vertex_masks)) == len(self.vertex_masks)
 
     def faces(self, j: int) -> tuple[Face, ...]:
         """Faces of dimension j, for -1 <= j <= dim."""
@@ -606,7 +680,7 @@ def facets(P: Polytope) -> tuple[Facet, ...]:
 def _closure_step(face: list, atoms: Sequence[tuple[int, int]], vfac: Sequence[int],
                   closure: dict[int, tuple[int, tuple[int, ...]]], found: dict[int, list]) -> None:
     """Records in ``found`` the lower covers of the walk's face record
-    ``face`` (``_top_down``), with vertex mask ``gv`` and facet mask
+    ``face`` (``face_lattice``), with vertex mask ``gv`` and facet mask
     ``gf``, by one closure step on the order dual of the lattice, with the
     facets as atoms and the vertex masks as coatoms (Kaibel & Pfetsch 2002,
     "Computing the face lattice of a polytope from its vertex-facet
@@ -651,8 +725,8 @@ def _closure_step(face: list, atoms: Sequence[tuple[int, int]], vfac: Sequence[i
 def face_lattice(P: Polytope) -> FaceLattice:
     """The full face lattice, from the empty face up to the polytope.
 
-    Found from P down, level by level (``_top_down``), each face's lower
-    covers by one of three rules, which rest on three identities:
+    Found from P down, level by level, each face's lower covers by one of
+    three rules, which rest on three identities:
 
     - the facets are P's lower covers, so P, unless it is a simplex, reads
       them from ``P.facets``;
@@ -667,39 +741,27 @@ def face_lattice(P: Polytope) -> FaceLattice:
       step on each of them (``_closure_step``) reaches them all.
 
     The face lattice is graded by dim + 1 (Ziegler, Thm 2.7), so a face at
-    level k has dimension k - 1.  The lattice checks its covers and the
-    bounded and graded axioms as it is built (``FaceLattice``), and the
-    diamond axiom is verified (``verify_lattice``) before it is returned;
-    the second identity, certified on the lattice itself
-    (``simplex_certificate``), spares the diamond check every pair below a
-    simplex face.  A facet
-    list that is not P's fails there or in the walk's own checks, each
-    naming a face: a facet with a vertex too few or a dropped facet leaves
-    a diamond short, or a face at two levels; a facet with a vertex too
-    many, or a face of a facet listed as a facet too, puts a face at two
-    levels.
-    """
-    lattice = _top_down(P)
-    verify_lattice(lattice)
-    return lattice
-
-
-def _top_down(P: Polytope) -> FaceLattice:
-    """The face lattice by the rules of ``face_lattice``, numbered, with
-    the diamond axiom not yet checked.
-
-    Each face is a record [vertex set, vertex mask, facet mask, lower
-    covers, the records of the faces it was found under...], and each
-    level is sorted by vertex set as soon as it is complete.  The faces
-    are numbered once, from the bottom level up in ``GradedIds`` order:
-    one pass appends each face's id to the lower-cover lists of the faces
-    it was found under, so each list is the face's ``down``, ascending.  A
-    face found at two levels, or any level d + 1 other than the polytope
-    alone or level 0 other than the empty face alone, is an internal
-    error, raised before the lattice is built and checks its covers, so
+    level k has dimension k - 1.  Each face is a record [vertex set, vertex
+    mask, facet mask, lower covers, the records of the faces it was found
+    under...], and each level is sorted by vertex set as soon as it is
+    complete.  The faces are numbered once, from the bottom level up in
+    ``GradedIds`` order: one pass appends each face's id to the lower-cover
+    lists of the faces it was found under, so each list is the face's
+    ``down``, ascending.  A face found at two levels, or any level d + 1
+    other than the polytope alone or level 0 other than the empty face
+    alone, is an internal error, raised before the lattice is built, so
     that the message names the face.  A face at two levels shows as fewer
-    distinct vertex masks than faces; only then is each mask's level
-    looked up, to name the first face met again and its two levels.
+    distinct vertex masks than faces; only then is each mask's level looked
+    up, to name the first face met again and its two levels.
+
+    The lattice then checks its covers and the bounded, graded and diamond
+    axioms as it is built (``FaceLattice``); the second identity, certified
+    on the lattice itself (``simplex_certificate``), spares the diamond
+    check every pair below a simplex face.  A facet list that is not P's
+    fails there or in the walk's own checks, each naming a face: a facet
+    with a vertex too few or a dropped facet leaves a diamond short, or a
+    face at two levels; a facet with a vertex too many, or a face of a
+    facet listed as a facet too, puts a face at two levels.
     """
     d, n = P.ambient_dim, P.nvertices
     atoms = [(1 << j, sum(1 << v for v in fc.vertex_set)) for j, fc in enumerate(facets(P))]
@@ -758,18 +820,16 @@ def _top_down(P: Polytope) -> FaceLattice:
                        vertex_masks=vertex_masks)
 
 
-def simplex_certificate(L: GradedIds, masks: Sequence[int], distinct: bool
-                        ) -> list[list[int]] | None:
-    """The ids of the elements that are not simplices, rank by rank from 0
-    to ``L.dim``, when L passes the simplex certificate on ``masks``; None
-    when it fails.  ``distinct`` says whether the masks are pairwise
-    distinct; the caller knows, or asks once.
+def simplex_certificate(L: GradedIds, masks: Sequence[int]) -> list[Sequence[int]]:
+    """The highs the diamond check must read (``GradedIds._verify_diamonds``),
+    rank by rank from 0 to ``L.dim``: the ids of the elements that are not
+    simplices when L passes the simplex certificate on ``masks``, and every
+    id when it fails.
 
-    The masks are a face lattice's vertex masks (``verify_lattice``) or any
-    lattice's atom masks (``comb_type._verify_abstract_lattice``).  A
-    simplex is an element whose mask has rank + 1 bits.  Premise (b),
-    every cover joins adjacent ranks, holds on every lattice
-    (``GradedIds``).  The certificate adds:
+    The masks are a face lattice's vertex masks or an abstract lattice's
+    atom masks.  A simplex is an element whose mask has rank + 1 bits.
+    Premise (b), every cover joins adjacent ranks, holds on every lattice
+    whose graded axiom has passed (``GradedIds``).  The certificate adds:
 
     - (a) the masks are pairwise distinct;
     - (c) every simplex of rank r has exactly r + 1 lower covers.
@@ -777,72 +837,16 @@ def simplex_certificate(L: GradedIds, masks: Sequence[int], distinct: bool
     What it proves, the diamond axiom below every simplex, and the meets of
     its lower covers, is stated and proved in ``GradedIds``.
     """
-    if not distinct:
-        return None
+    every = [L.ids(r) for r in range(L.dim + 1)]
+    if len(set(masks)) < len(masks):
+        return every
     others = []
-    for r in range(L.dim + 1):
+    for r, ids in enumerate(every):
         rest = []
-        for g in L.ids(r):
+        for g in ids:
             if masks[g].bit_count() != r + 1:
                 rest.append(g)
             elif len(L.down[g]) != r + 1:
-                return None
+                return every
         others.append(rest)
     return others
-
-
-def verify_lattice(L: FaceLattice) -> None:
-    """The diamond axiom of ``GradedIds``, on int bitmasks.
-
-    The diamond axiom asks for two faces between ``low`` and every face
-    ``high`` two levels up whose vertex mask holds low's, so the failure
-    mask of ``low`` is ``above & (thrice | ~twice)``, with ``above`` those
-    faces.  ``above`` comes from an inverted vertex index rather than from
-    trying every face two levels up: ``containing[v]`` is the bitmask of the
-    highs whose mask has bit v, so ``above`` is the AND of ``containing[v]``
-    over the bits v of low's mask (the whole level for the empty face).  The
-    AND starts from the failure candidates and stops as soon as none is
-    left.  Both sides read the vertex masks, as the lattice's containment
-    check and the certificate below do, so a lattice built with masks of its own is
-    checked on those masks alone.  Containment is read off the masks, not
-    off the covers: a face that holds ``low``'s vertices but that no path of
-    covers reaches from ``low`` fails with 0 intermediate elements.
-
-    When L passes the simplex certificate (``simplex_certificate``), the
-    highs are only the faces that are not simplices, and a rank whose highs
-    are all simplices is skipped.  The identity in ``GradedIds`` shows that
-    every face two levels below a simplex face has exactly two faces
-    between them, so no skipped pair can fail: the check accepts the same
-    lattices and names the same first failing pair as with every face a
-    high.  When the certificate fails, every face is a high.  On a
-    simplicial polytope, only P over its ridges is left.
-
-    Any failure is an internal error; valid polytope input cannot produce it.
-    """
-    mask = L.vertex_masks
-    others = simplex_certificate(L, mask, L.distinct_masks)
-    # a chain of upper covers, each a strict containment (``FaceLattice``),
-    # leads from every face to the top, so every vertex bit is the top's
-    vbit = [1 << v for v in range(mask[-1].bit_length())]
-    for j in range(-1, L.dim - 1):
-        highs = L.ids(j + 2) if others is None else others[j + 2]
-        first = L.level_start[j + 3]
-        containing = [0] * len(vbit)
-        keep = 0
-        for high in highs:
-            bit = 1 << (high - first)
-            keep |= bit
-            hi = mask[high]
-            while hi:
-                v = hi.bit_length() - 1
-                containing[v] |= bit
-                hi ^= vbit[v]
-        for low, _, twice, thrice in L.two_step_paths(j, highs):
-            bad = keep & (thrice | ~twice)
-            lo = mask[low]
-            while bad and lo:
-                v = lo.bit_length() - 1
-                bad &= containing[v]
-                lo ^= vbit[v]
-            if bad:
-                raise L.diamond_error(low, j, bad)

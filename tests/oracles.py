@@ -158,21 +158,26 @@ face numbered by hashing its vertex mask.  ``lattice_from_pairs`` builds a
 ``FaceLattice`` from faces and covering pairs of faces, by hashing each
 face to its id, for lattices written by hand; ``cover_masks`` gives the id
 masks of every element's upper and lower covers.  A lattice checks its
-covers and its grading when it is built; ``UncheckedFaceLattice`` and
+axioms when it is built; ``UncheckedFaceLattice`` and
 ``UncheckedAbstractLattice`` are numbered the same way with no check, so
 that a poset the library refuses to build can still feed the oracles, and
-``verify_as_built`` builds the library's lattice from such a one's fields
-and verifies it, as the library would have.
+``built`` builds the library's lattice from such a one's fields.
+``GradedPoset`` checks only the bounded and graded axioms, so that the
+isomorphism search can be run on posets that are not lattices.
 
 The lattice-check and isomorphism oracles are the all-pairs forms the
 library used before it enumerated only the pairs a cover can reach:
-``all_pairs_verify_lattice`` tests every two faces two levels apart for
-vertex-set containment, after ``all_pairs_order_axioms`` has tested every
-cover, ``all_pairs_verify_abstract_lattice`` counts the
-mids of every pair two ranks apart (both as the popcount of the AND of two
-``cover_masks``) and ``all_pairs_meets`` tests the meet
-of every pair of elements, and ``rank_scan_is_isomorphic`` scans a source
-element's whole target rank for candidates.  ``up_scan_is_isomorphic`` is
+``all_pairs_verify_lattice`` and ``all_pairs_abstract_lattice`` check what
+each kind of lattice checks as it is built, after
+``all_pairs_order_axioms`` has tested every cover: ``all_pairs_diamonds``
+counts the mids of every two elements two ranks apart whose masks nest
+(the popcount of the AND of two ``cover_masks``), on vertex sets or on the
+atoms of each down-set, and ``all_pairs_meets`` tests the meet of every
+pair of elements.  ``all_pairs_verify_abstract_lattice`` is the rule an
+abstract lattice followed before, every pair a path of two covers joins,
+kept as the witness that both rules accept the same posets.
+``rank_scan_is_isomorphic`` scans a source element's whole target rank for
+candidates.  ``up_scan_is_isomorphic`` is
 the search the library ran before it keyed candidates on atom masks: the
 candidates are the upper covers of the image of an element's first lower
 cover, no atom is pruned, and a final pass checks every ``up`` list.
@@ -182,16 +187,15 @@ compare the two directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, chain, combinations, permutations
+from itertools import combinations, permutations
 from math import lcm
 from operator import itemgetter, or_
 from typing import Sequence
 
 from polyk.cellular import AbelianGroup, ChainComplex, HomologyResult
-from polyk.comb_type import AbstractLattice, LatticeIso, _verify_abstract_lattice
+from polyk.comb_type import AbstractLattice, LatticeIso
 from polyk.cones import ConeSystem, EdgeRay, FaceConeData, LiftedCone, dual_cone, face_cone_data
 from polyk.errors import InternalInvariantError
 from polyk.linalg import (
@@ -218,7 +222,6 @@ from polyk.polytope import (
     convex_hull,
     set_bits,
     validate,
-    verify_lattice,
 )
 from polyk.sparse import SparseColumn
 
@@ -987,56 +990,44 @@ def closure_face_lattice(P: Polytope) -> FaceLattice:
     return lattice_from_pairs(d, tuple(tuple(by_dim[j]) for j in range(-1, d + 1)), covering)
 
 
-@dataclass(frozen=True)
 class UncheckedFaceLattice(FaceLattice):
     """A ``FaceLattice`` numbered as the library numbers one, a cover listed
-    twice still an error, with no check of its covers or its grading."""
+    twice still an error, with no check of its axioms."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "f_vector", tuple(map(len, self.faces_by_dim)))
-        self._number(tuple(chain.from_iterable(self.faces_by_dim)),
-                     tuple(accumulate(self.f_vector, initial=0)), self.down)
-        if self.vertex_masks is None:
-            object.__setattr__(self, "vertex_masks", tuple(
-                sum(1 << v for v in f.vertex_set) for f in self.faces_by_id))
+    def _verify_axioms(self) -> None:
+        pass
 
 
-@dataclass(frozen=True)
 class UncheckedAbstractLattice(AbstractLattice):
-    """An ``AbstractLattice`` numbered as the library numbers one, with no
-    check of its grading."""
+    """An ``AbstractLattice`` numbered as the library numbers one, a cover
+    listed twice one cover, with no check of its axioms."""
 
-    def __post_init__(self) -> None:
-        start = tuple(accumulate(self.f_vector, initial=0))
-        down: list[set[int]] = [set() for _ in range(start[-1])]
-        for (ra, a), (rb, b) in self.covering:
-            down[start[rb + 1] + b].add(start[ra + 1] + a)
-        self._number(tuple((r, i) for r in range(-1, self.dim + 1)
-                           for i in range(self.f_vector[r + 1])),
-                     start, tuple(tuple(sorted(below)) for below in down))
+    def _verify_axioms(self) -> None:
+        pass
+
+
+class GradedPoset(AbstractLattice):
+    """An ``AbstractLattice`` that checks only the bounded and graded
+    axioms: a bounded graded poset, a lattice or not, that the search
+    (``is_isomorphic``) can still be run on."""
+
+    def _verify_axioms(self) -> None:
+        self.verify_graded()
 
 
 def built(lat) -> FaceLattice | AbstractLattice:
     """The library's lattice with the fields of ``lat``, checked as it is
-    built."""
+    built: the library's verdict on ``lat``."""
     if isinstance(lat, FaceLattice):
         return FaceLattice(lat.dim, lat.faces_by_dim, lat.down, lat.vertex_masks)
     return AbstractLattice(lat.dim, lat.f_vector, lat.covering)
-
-
-def verify_as_built(lat) -> None:
-    """``built(lat)`` verified (``verify_lattice`` or
-    ``_verify_abstract_lattice``): the library's verdict on ``lat``."""
-    lattice = built(lat)
-    (verify_lattice if isinstance(lattice, FaceLattice) else _verify_abstract_lattice)(lattice)
 
 
 def lattice_from_pairs(dim: int, faces_by_dim, covering, unchecked: bool = False
                        ) -> FaceLattice:
     """The ``FaceLattice`` with these levels whose lower covers are the
     covering pairs (E, F) of faces, each F's in the order given, checked as
-    it is built, or an ``UncheckedFaceLattice`` if ``unchecked``.  The
-    diamonds are not verified."""
+    it is built, or an ``UncheckedFaceLattice`` if ``unchecked``."""
     face_id = {f: i for i, f in enumerate(f for level in faces_by_dim for f in level)}
     down: list[list[int]] = [[] for _ in face_id]
     for e, f in covering:
@@ -1334,30 +1325,47 @@ def all_pairs_order_axioms(L) -> None:
     adjacent_rank_covers(elements, up, (lambda face: face.dim) if faces else itemgetter(0))
 
 
-def all_pairs_verify_lattice(L: FaceLattice) -> None:
-    """``verify_lattice`` over all pairs of faces two levels apart, after
-    ``all_pairs_order_axioms``: each pair whose vertex masks satisfy
-    ``lo & hi == lo`` must have two faces between it."""
-    all_pairs_order_axioms(L)
+def all_pairs_diamonds(L, masks) -> None:
+    """Every two elements two ranks apart whose ``masks`` nest,
+    ``lo & hi == lo``, have two elements between them, counted as the
+    popcount of the AND of two ``cover_masks``."""
     up, down = cover_masks(L)
-    mask = [sum(1 << v for v in f.vertex_set) for f in L.faces_by_id]
     for j in range(-1, L.dim - 1):
-        highs = [(mask[h], down[h], h) for h in L.ids(j + 2)]
         for low in L.ids(j):
-            lo, ups = mask[low], up[low]
-            for hi, below, high in highs:
-                if lo & hi == lo:
-                    mids = (ups & below).bit_count()
+            for high in L.ids(j + 2):
+                if masks[low] & masks[high] == masks[low]:
+                    mids = (up[low] & down[high]).bit_count()
                     if mids != 2:
                         raise InternalInvariantError(
                             f"diamond property fails between {L.faces_by_id[low]} and "
                             f"{L.faces_by_id[high]}: {mids} intermediate elements")
 
 
+def all_pairs_verify_lattice(L: FaceLattice) -> None:
+    """What a ``FaceLattice`` checks as it is built, over all pairs:
+    ``all_pairs_order_axioms``, then ``all_pairs_diamonds`` on the vertex
+    sets as masks."""
+    all_pairs_order_axioms(L)
+    all_pairs_diamonds(L, [sum(1 << v for v in f.vertex_set) for f in L.faces_by_id])
+
+
+def all_pairs_abstract_lattice(lat: AbstractLattice) -> None:
+    """What an ``AbstractLattice`` checks as it is built, over all pairs:
+    ``all_pairs_order_axioms``, then ``all_pairs_diamonds`` on the atoms
+    below each element, read off its down-set (``down_sets``), then
+    ``all_pairs_meets``."""
+    all_pairs_order_axioms(lat)
+    atoms = sum(1 << a for a in lat.ids(0))
+    all_pairs_diamonds(lat, [d & atoms for d in down_sets(lat)])
+    all_pairs_meets(lat)
+
+
 def all_pairs_verify_abstract_lattice(lat: AbstractLattice) -> None:
-    """``_verify_abstract_lattice`` over all pairs, after
-    ``all_pairs_order_axioms``: the mids of every two elements two ranks
-    apart, then ``all_pairs_meets``."""
+    """The rule an abstract lattice's diamond check followed before it read
+    atom masks, over all pairs, after ``all_pairs_order_axioms``: every two
+    elements two ranks apart that a path of two covers joins have two
+    elements between them; then ``all_pairs_meets``.  It accepts what
+    ``all_pairs_abstract_lattice`` accepts (``GradedIds``)."""
     all_pairs_order_axioms(lat)
     elements = lat.faces_by_id
     up, down = cover_masks(lat)
@@ -1373,13 +1381,20 @@ def all_pairs_verify_abstract_lattice(lat: AbstractLattice) -> None:
     all_pairs_meets(lat)
 
 
+def down_sets(lat) -> list[int]:
+    """Per element i, the id bitmask of the elements below or at i: ``1 <<
+    i`` OR'd with the down-sets of its lower covers, lower ids first."""
+    ds: list[int] = []
+    for i, below in enumerate(lat.down):
+        ds.append(reduce(or_, (ds[b] for b in below), 1 << i))
+    return ds
+
+
 def all_pairs_meets(lat: AbstractLattice) -> None:
     """Every two elements a, b have a meet: ``ds[a] & ds[b]`` is the down-set
     of its highest-numbered element, with covers going up in id."""
     elements = lat.faces_by_id
-    ds: list[int] = []
-    for i, below in enumerate(lat.down):
-        ds.append(reduce(or_, (ds[b] for b in below), 1 << i))
+    ds = down_sets(lat)
     for i, a in enumerate(elements):
         ds_a = ds[i]
         for j in range(i + 1, len(elements)):

@@ -4,7 +4,7 @@ import hashlib
 import json
 import random
 import sys
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +15,6 @@ from polyk.comb_type import (
     AbstractLattice,
     LatticeIso,
     UnsignedIncidence,
-    _verify_abstract_lattice,
     _verify_meets,
     is_isomorphic,
     lattice_from_incidence,
@@ -36,13 +35,14 @@ from polyk.polytope import (
     face_lattice,
     simplex_certificate,
     validate,
-    verify_lattice,
 )
 
 from affine import apply_affine, random_invertible_affine
 from oracles import (
+    GradedPoset,
     UncheckedAbstractLattice,
     UncheckedFaceLattice,
+    all_pairs_abstract_lattice,
     all_pairs_meets,
     all_pairs_order_axioms,
     all_pairs_verify_abstract_lattice,
@@ -53,7 +53,6 @@ from oracles import (
     lattice_from_pairs,
     rank_scan_is_isomorphic,
     up_scan_is_isomorphic,
-    verify_as_built,
 )
 
 
@@ -154,26 +153,26 @@ def test_reconstruct_rejects_ragged_rows(mats, message):
 def test_verify_abstract_lattice_rejects_two_maximal_lower_bounds():
     # two atoms a, b, both covered by c and by d: c and d are incomparable
     # and have two maximal common lower bounds, a and b; bounded, graded,
-    # and every diamond has two middle elements
-    lat = AbstractLattice(dim=2, f_vector=(1, 2, 2, 1), covering=(
-        ((-1, 0), (0, 0)), ((-1, 0), (0, 1)),
-        ((0, 0), (1, 0)), ((0, 1), (1, 0)), ((0, 0), (1, 1)), ((0, 1), (1, 1)),
-        ((1, 0), (2, 0)), ((1, 1), (2, 0))))
+    # and every diamond has two middle elements, so the meets refuse it as
+    # it is built
     with pytest.raises(InternalInvariantError,
                        match=r"^meet of \(1, 0\) and \(1, 1\) is not unique: poset is not a lattice$"):
-        _verify_abstract_lattice(lat)
+        AbstractLattice(dim=2, f_vector=(1, 2, 2, 1), covering=(
+            ((-1, 0), (0, 0)), ((-1, 0), (0, 1)),
+            ((0, 0), (1, 0)), ((0, 1), (1, 0)), ((0, 0), (1, 1)), ((0, 1), (1, 1)),
+            ((1, 0), (2, 0)), ((1, 1), (2, 0))))
 
 
 def test_verify_abstract_lattice_accepts_boolean_lattice():
-    # every pair of subsets of a 5-set has a meet, their intersection
+    # every pair of subsets of a 5-set has a meet, their intersection: the
+    # lattice is built, and so passes its checks
     n = 5
     levels = [list(combinations(range(n), k)) for k in range(n + 1)]
     index = [{s: i for i, s in enumerate(level)} for level in levels]
     covering = tuple(((k - 1, index[k][s]), (k, index[k + 1][tuple(sorted(s + (x,)))]))
                      for k, level in enumerate(levels[:-1]) for s in level
                      for x in range(n) if x not in s)
-    _verify_abstract_lattice(AbstractLattice(
-        dim=n - 1, f_vector=tuple(len(level) for level in levels), covering=covering))
+    AbstractLattice(dim=n - 1, f_vector=tuple(len(level) for level in levels), covering=covering)
 
 
 # --- cover-driven checks against the all-pairs oracles ---
@@ -223,14 +222,17 @@ MEETS = "is not unique: poset is not a lattice"
 
 
 def assert_abstract_check_matches_oracle(lat):
-    """Same verdict as the all-pairs check; same message, except that a meet
-    failure may name another pair."""
-    found, expected = failure(verify_as_built, lat), failure(
-        all_pairs_verify_abstract_lattice, lat)
+    """Built or refused as the all-pairs check of nested atom masks accepts
+    it or not, with its message, except that a meet failure may name
+    another pair; and the same verdict from the all-pairs check of the
+    pairs a path of two covers joins, with the meets (``GradedIds``)."""
+    found, expected = failure(built, lat), failure(all_pairs_abstract_lattice, lat)
     if expected is not None and expected.endswith(MEETS):
         assert found is not None and found.endswith(MEETS), (found, expected)
     else:
         assert found == expected
+    assert (failure(all_pairs_verify_abstract_lattice, lat) is None) == (expected is None), \
+        (lat.covering, expected)
     return expected
 
 
@@ -239,8 +241,7 @@ def test_lattice_checks_and_search_match_all_pairs_oracles():
     outcomes = []
     for lat in corpus_lattices_and_one_cover_changes(rng):
         expected = failure(all_pairs_verify_lattice, lat)
-        assert failure(verify_as_built, lat) == expected
-        assert failure(built, lat) == failure(all_pairs_order_axioms, lat)
+        assert failure(built, lat) == expected
         abstract = abstract_of(lat)
         outcomes.append((expected, assert_abstract_check_matches_oracle(abstract)))
         if failure(built, lat) is None:  # only a lattice that is built is searched
@@ -254,10 +255,11 @@ def test_lattice_checks_and_search_match_all_pairs_oracles():
                    for face, abstract in outcomes), kind
 
 
-def random_graded_poset(rng) -> AbstractLattice:
+def random_graded_poset(rng) -> GradedPoset:
     """A bounded graded poset of rank 1 to 4 with 1 to 4 elements on each
     middle rank and random covers between consecutive ranks; each element
-    gets an upper cover (but the top) and a lower cover (but the bottom)."""
+    gets an upper cover (but the top) and a lower cover (but the bottom).
+    Most are not lattices, so it is a ``GradedPoset``."""
     dim = rng.randint(1, 4)
     f_vector = (1, *(rng.randint(1, 4) for _ in range(dim)), 1)
     covers = set()
@@ -268,7 +270,13 @@ def random_graded_poset(rng) -> AbstractLattice:
                    if not any(x == (r, a) for x, _ in covers)}
         covers |= {((r, rng.choice(below)), (r + 1, b)) for b in above
                    if not any(y == (r + 1, b) for _, y in covers)}
-    return AbstractLattice(dim=dim, f_vector=f_vector, covering=tuple(sorted(covers)))
+    return GradedPoset(dim=dim, f_vector=f_vector, covering=tuple(sorted(covers)))
+
+
+def every_meet(lat) -> None:
+    """``_verify_meets`` asked at every element, as when the simplex
+    certificate fails."""
+    _verify_meets(lat, set(range(len(lat.down))))
 
 
 def test_meets_of_lower_covers_decide_lattices():
@@ -279,7 +287,7 @@ def test_meets_of_lower_covers_decide_lattices():
     for _ in range(400):
         lat = random_graded_poset(rng)
         lattice = failure(all_pairs_meets, lat) is None
-        assert (failure(_verify_meets, lat) is None) == lattice, lat.covering
+        assert (failure(every_meet, lat) is None) == lattice, lat.covering
         assert_abstract_check_matches_oracle(lat)
         verdicts.add(lattice)
     assert verdicts == {True, False}
@@ -287,10 +295,11 @@ def test_meets_of_lower_covers_decide_lattices():
 
 # --- diamond check by path-count bit planes ---
 
-def tetrahedron_with_unreached_face() -> FaceLattice:
+def tetrahedron_with_unreached_face() -> UncheckedFaceLattice:
     """The tetrahedron with its 2-face {0,1,2} given the vertex set
     {0,1,2,3} and the top the extra vertex 4: {3} lies in that face, but
-    no path of covers leads there from {3}."""
+    no path of covers leads there from {3}.  Unchecked, as are the two
+    below, so that the oracles can be given it."""
     lat = face_lattice(simplex(3))
     renamed = {Face((0, 1, 2), 2): Face((0, 1, 2, 3), 2),
                lat.top_face: Face((0, 1, 2, 3, 4), 3)}
@@ -299,22 +308,24 @@ def tetrahedron_with_unreached_face() -> FaceLattice:
         return renamed.get(f, f)
 
     return lattice_from_pairs(3, tuple(tuple(map(swap, level)) for level in lat.faces_by_dim),
-                              tuple((swap(e), swap(f)) for e, f in lat.covering))
+                              tuple((swap(e), swap(f)) for e, f in lat.covering), unchecked=True)
 
 
-def triangle_without_cover() -> FaceLattice:
+def triangle_without_cover() -> UncheckedFaceLattice:
     """The triangle without the cover ({1}, {1,2}): one path of two covers
     from the empty face to {1,2}, after two pairs of the level with two."""
     lat = face_lattice(simplex(2))
     drop = (Face((1,), 0), Face((1, 2), 1))
-    return lattice_from_pairs(2, lat.faces_by_dim, [c for c in lat.covering if c != drop])
+    return lattice_from_pairs(2, lat.faces_by_dim, [c for c in lat.covering if c != drop],
+                              unchecked=True)
 
 
-def three_atoms_under_an_edge() -> FaceLattice:
+def three_atoms_under_an_edge() -> UncheckedFaceLattice:
     bottom, top = Face((), -1), Face((0, 1, 2), 1)
     atoms = (Face((0,), 0), Face((1,), 0), Face((2,), 0))
     return lattice_from_pairs(1, ((bottom,), atoms, (top,)),
-                              tuple((bottom, v) for v in atoms) + tuple((v, top) for v in atoms))
+                              tuple((bottom, v) for v in atoms) + tuple((v, top) for v in atoms),
+                              unchecked=True)
 
 
 @pytest.mark.parametrize("build, face_message, abstract_message", [
@@ -331,11 +342,13 @@ def test_bit_plane_diamond_check_matches_all_pairs_oracles(build, face_message,
                                                           abstract_message):
     # a pair two levels apart with 0, 1 or 3 faces between: the face check
     # fails on all three (0 only where the vertex sets are nested), the
-    # abstract check on 1 and 3, each naming the pair its oracle names
+    # abstract check on 1 and 3, each naming the pair its oracle names; the
+    # abstract lattice of the first has the tetrahedron's covers, and so the
+    # tetrahedron's atom masks, which nest only where covers lead
     lat = build()
-    assert failure(verify_lattice, lat) == failure(all_pairs_verify_lattice, lat) == face_message
+    assert failure(built, lat) == failure(all_pairs_verify_lattice, lat) == face_message
     abstract = abstract_of(lat)
-    assert failure(_verify_abstract_lattice, abstract) == \
+    assert failure(built, abstract) == failure(all_pairs_abstract_lattice, abstract) == \
         failure(all_pairs_verify_abstract_lattice, abstract) == abstract_message
     # the same covers as unsigned incidence fail with the same message, whose
     # tail after the pair reads as the face check's
@@ -360,7 +373,7 @@ def assert_refused_as_built(build, message):
     the all-pairs oracle gives the same message on the unchecked kind."""
     with pytest.raises(InternalInvariantError) as err:
         build(AbstractLattice)
-    assert str(err.value) == failure(all_pairs_verify_abstract_lattice,
+    assert str(err.value) == failure(all_pairs_abstract_lattice,
                                      build(UncheckedAbstractLattice)) == message
 
 
@@ -381,7 +394,7 @@ def test_face_diamond_check_with_a_cover_that_skips_a_level():
     lat = face_lattice(simplex(2))
     skip = lattice_from_pairs(2, lat.faces_by_dim,
                               lat.covering + ((lat.empty_face, Face((0, 1), 1)),), unchecked=True)
-    assert failure(verify_as_built, skip) == failure(all_pairs_verify_lattice, skip) == \
+    assert failure(built, skip) == failure(all_pairs_verify_lattice, skip) == \
         "cover ({}, {0,1}) skips a rank: not graded"
 
 
@@ -410,47 +423,58 @@ def test_a_cover_that_skips_a_rank_is_rejected_by_every_check(poly, high):
     assert failure(built, skip) == failure(all_pairs_verify_lattice, skip) == message
     abstract = abstract_of(skip)
     element = (2, skip.face_id[high] - skip.level_start[3])
-    assert failure(built, abstract) == failure(all_pairs_verify_abstract_lattice, abstract) == \
+    assert failure(built, abstract) == failure(all_pairs_abstract_lattice, abstract) == \
         f"cover ((0, 0), {element}) skips a rank: not graded"
 
 
 def test_a_cover_listed_twice_is_one_cover():
-    # the path counts see each cover once, as the id masks of covers do
+    # the path counts see each cover once, as the id masks of covers do,
+    # so the lattice with a cover listed twice is built
     once = triangle_poset()
     twice = triangle_poset(extra=once.covering[:1])
     assert twice.up == once.up and twice.down == once.down
-    assert failure(_verify_abstract_lattice, twice) is None
 
 
 @st.composite
 def cover_graphs(draw) -> UncheckedAbstractLattice:
     """One bottom, one top, ranks 0 to dim - 1 with 1 to 4 elements each,
-    and any covers from a lower rank to a higher one, two or more ranks up
-    included, listed in any order, some twice: graded or not, so unchecked.
-    A poset that is not bounded stops at the first check, so none is drawn
-    (``test_abstract_check_rejects_a_poset_that_is_not_bounded``)."""
+    and covers from a lower rank to a higher one, listed in any order, some
+    twice: one or more upper covers of each element below the top and
+    lower covers of each element above the bottom, all between adjacent
+    ranks, then, in some draws, one of those dropped or one cover added
+    that skips ranks.  Graded or not, so unchecked; most reach the diamond
+    check.  A poset that is not bounded stops at the first check, so none
+    is drawn (``test_abstract_check_rejects_a_poset_that_is_not_bounded``)."""
     dim = draw(st.integers(0, 3))
     f_vector = (1, *draw(st.lists(st.integers(1, 4), min_size=dim, max_size=dim)), 1)
-    elements = [(r, i) for r in range(-1, dim + 1) for i in range(f_vector[r + 1])]
-    pairs = [(a, b) for a in elements for b in elements if a[0] < b[0]]
-    covering = draw(st.lists(st.sampled_from(pairs), max_size=40)) if pairs else []
-    return UncheckedAbstractLattice(dim=dim, f_vector=f_vector, covering=tuple(covering))
+    level = [range(n) for n in f_vector]  # level r + 1 holds rank r
+    covering = {((r, a), (r + 1, b)) for r in range(-1, dim) for a in level[r + 1]
+                for b in draw(st.sets(st.sampled_from(level[r + 2]), min_size=1))}
+    covering |= {((r - 1, a), (r, b)) for r in range(0, dim + 1) for b in level[r + 1]
+                 for a in draw(st.sets(st.sampled_from(level[r]), min_size=1))}
+    listed = sorted(covering)
+    fault = draw(st.sampled_from((None, None, None, None, "drop", "skip")))
+    if fault == "drop":
+        listed.remove(draw(st.sampled_from(listed)))
+    if fault == "skip" and dim > 0:
+        r = draw(st.integers(-1, dim - 2))
+        s = draw(st.integers(r + 2, dim))
+        listed.append(((r, draw(st.sampled_from(level[r + 1]))),
+                       (s, draw(st.sampled_from(level[s + 1])))))
+    listed += draw(st.lists(st.sampled_from(listed), max_size=3)) if listed else []
+    return UncheckedAbstractLattice(dim=dim, f_vector=f_vector,
+                                    covering=tuple(draw(st.permutations(listed))))
 
 
 @given(st.one_of(st.randoms(use_true_random=False).map(random_graded_poset), cover_graphs()))
-@settings(max_examples=200, deadline=None)
-def test_a_poset_is_built_exactly_when_it_passes_the_order_axioms(lat):
-    # the lattice refuses to be built with the message the all-pairs oracle
-    # gives on the unchecked poset, or is built, and then passes the
-    # oracle's bounded and graded checks; a face lattice adds containment
-    # (test_lattice_checks_and_search_match_all_pairs_oracles)
-    assert failure(built, lat) == failure(all_pairs_order_axioms, lat)
-
-
-@given(cover_graphs())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_abstract_check_names_what_the_all_pairs_oracle_names(lat):
-    # graded or not, skipping ranks or not: the same verdict and message
+    # the lattice refuses to be built with the message the all-pairs
+    # oracle gives on the same poset, order axioms, diamonds on nested atom
+    # masks and meets, or is built, and the oracle accepts it; the oracle
+    # of the pairs a path of two covers joins, with meets, gives the same
+    # verdict (GradedIds).  A face lattice adds containment
+    # (test_lattice_checks_and_search_match_all_pairs_oracles)
     assert_abstract_check_matches_oracle(lat)
 
 
@@ -473,7 +497,7 @@ def test_two_step_path_planes_count_the_mids(lat):
     for rank in range(-1, lat.dim - 1):
         highs = lat.ids(rank + 2)
         lows = []
-        for low, once, twice, thrice in lat.two_step_paths(rank):
+        for low, once, twice, thrice in lat.two_step_paths(rank, highs):
             lows.append(low)
             for b, high in enumerate(highs):
                 k = lat.mids(low, high)
@@ -677,15 +701,14 @@ def test_isomorphism_search_on_covers_out_of_order_and_twice():
 
 
 def test_compare_path_builds_no_pair_or_face_view():
-    # face_lattice, verify_lattice and is_isomorphic read ids and id covers
-    # only; the covering and face_id views, O(covers) and O(faces) each,
-    # are made on first use, so none may be made on the compare path
+    # face_lattice, with the checks the lattice makes as it is built, and
+    # is_isomorphic read ids and id covers only; the covering and face_id
+    # views, O(covers) and O(faces) each, are made on first use, so none may
+    # be made on the compare path
     rng = random.Random(2918)
     for poly in (cross_polytope(5), hypercube(4)):
         a = face_lattice(poly)
         b = face_lattice(apply_affine(poly, *random_invertible_affine(rng, poly.ambient_dim)))
-        for lat in (a, b):
-            verify_lattice(lat)
         assert is_isomorphic(a, b).isomorphic
         for lat in (a, b):
             assert "covering" not in lat.__dict__ and "face_id" not in lat.__dict__, poly.name
@@ -749,8 +772,8 @@ def relabeled(lat: AbstractLattice, perms) -> AbstractLattice:
         rank, i = element
         return rank, perms[rank + 1][i]
 
-    return AbstractLattice(dim=lat.dim, f_vector=lat.f_vector,
-                           covering=tuple((rename(a), rename(b)) for a, b in lat.covering))
+    return type(lat)(dim=lat.dim, f_vector=lat.f_vector,
+                     covering=tuple((rename(a), rename(b)) for a, b in lat.covering))
 
 
 def switched(lat: AbstractLattice, i: int, j: int) -> AbstractLattice:
@@ -762,7 +785,7 @@ def switched(lat: AbstractLattice, i: int, j: int) -> AbstractLattice:
     (a, b), (c, d) = covering[i % len(covering)], covering[j % len(covering)]
     if (a[0], b[0]) == (c[0], d[0]) and {(a, d), (c, b)}.isdisjoint(covering):
         covering[i % len(covering)], covering[j % len(covering)] = (a, d), (c, b)
-    return AbstractLattice(dim=lat.dim, f_vector=lat.f_vector, covering=tuple(covering))
+    return type(lat)(dim=lat.dim, f_vector=lat.f_vector, covering=tuple(covering))
 
 
 def changed(lat: AbstractLattice, how: int, i: int, j: int) -> AbstractLattice:
@@ -781,7 +804,7 @@ def changed(lat: AbstractLattice, how: int, i: int, j: int) -> AbstractLattice:
         if len(lat.down[lat.faces_by_id.index(b)]) > 1 and \
                 len(lat.up[lat.faces_by_id.index(a)]) > 1:
             del covering[k % n]
-            return AbstractLattice(dim=lat.dim, f_vector=lat.f_vector, covering=tuple(covering))
+            return type(lat)(dim=lat.dim, f_vector=lat.f_vector, covering=tuple(covering))
     return lat
 
 
@@ -828,7 +851,7 @@ def test_search_on_atom_masks_reaches_every_verdict():
                         "exhausted search: no cover-preserving bijection"}
 
 
-def two_squares(over) -> AbstractLattice:
+def two_squares(over) -> GradedPoset:
     """Four atoms, the edges (1, 0) = {0,1}, (1, 1) = {2,3}, (1, 2) = {0,2}
     and (1, 3) = {1,3}, the elements (2, 0) and (2, 1) over the edge pairs
     ``over``, and a top over both."""
@@ -837,7 +860,7 @@ def two_squares(over) -> AbstractLattice:
     covering += [((0, a), (1, e)) for e, atoms in enumerate(edges) for a in atoms]
     covering += [((1, e), (2, f)) for f, pair in enumerate(over) for e in pair]
     covering += [((2, f), (3, 0)) for f in range(2)]
-    return AbstractLattice(dim=3, f_vector=(1, 4, 4, 2, 1), covering=tuple(covering))
+    return GradedPoset(dim=3, f_vector=(1, 4, 4, 2, 1), covering=tuple(covering))
 
 
 def test_a_candidate_of_the_right_mask_and_degrees_fails_the_down_set_test():
@@ -855,7 +878,7 @@ def test_a_candidate_of_the_right_mask_and_degrees_fails_the_down_set_test():
     assert dict(iso.mapping)[(2, 0)] == (2, 1)
 
 
-def pillow() -> AbstractLattice:
+def pillow() -> GradedPoset:
     """Four squares (2, i) around the atoms p = (0, 0) and q = (0, 1), the
     square i over the edges from p and q to the atoms (0, 2 + i) and
     (0, 2 + (i + 1) % 4), and a top: bounded, graded, every diamond has two
@@ -867,7 +890,7 @@ def pillow() -> AbstractLattice:
     for i in range(4):
         j = (i + 1) % 4
         covering += [((1, e), (2, i)) for e in (i, j, 4 + i, 4 + j)] + [((2, i), (3, 0))]
-    return AbstractLattice(dim=3, f_vector=(1, 6, 8, 4, 1), covering=tuple(covering))
+    return GradedPoset(dim=3, f_vector=(1, 6, 8, 4, 1), covering=tuple(covering))
 
 
 def test_meet_check_reads_the_lower_covers_that_are_not_simplices():
@@ -875,11 +898,12 @@ def test_meet_check_reads_the_lower_covers_that_are_not_simplices():
     # lower covers are all simplices (here the squares, over edges) and
     # pairs the squares under the top, where the first failure is
     lat = pillow()
-    masks = lat.atom_masks
-    others = simplex_certificate(lat, masks, len(set(masks)) == len(masks))
+    others = simplex_certificate(lat, lat.atom_masks)
     assert others == [[], [], list(lat.ids(2)), list(lat.ids(3))]
     message = "meet of (2, 0) and (2, 1) is not unique: poset is not a lattice"
-    assert failure(_verify_abstract_lattice, lat) == failure(_verify_meets, lat) == message
+    assert failure(built, lat) == failure(every_meet, lat) == message
+    assert failure(lambda x: _verify_meets(x, set(chain.from_iterable(others))), lat) == message
+    assert failure(all_pairs_abstract_lattice, lat).endswith(MEETS)
     assert failure(all_pairs_verify_abstract_lattice, lat).endswith(MEETS)
 
 

@@ -1305,7 +1305,9 @@ def test_simplex_face_with_dependent_vertices_names_face():
     # covering pair when it is built, rejects (triangle, F): the triangle's
     # vertices span the square, so no normal vanishes on it and not on F.
     # F's data, the full walk the per-pair API makes, is one id short, an
-    # error naming F
+    # error naming F.  The lattice itself fails the diamond check ({1} lies
+    # in the triangle with one face between), so it is refused as it is
+    # built, and the system is given it unchecked
     poly = hypercube(4)
     lat = face_lattice(poly)
     square = lat.faces(2)[0]
@@ -1317,7 +1319,11 @@ def test_simplex_face_with_dependent_vertices_names_face():
     levels[4].append(flat)
     pairs = list(lat.covering) + [(Face((0, 1), 1), triangle), (Face((0, 2), 1), triangle),
                                   (triangle, flat), (triangle, facet), (flat, lat.top_face)]
-    hand = lattice_from_pairs(lat.dim, levels, pairs)
+    with pytest.raises(InternalInvariantError) as err:
+        lattice_from_pairs(lat.dim, levels, pairs)
+    assert str(err.value) == \
+        "diamond property fails between {1} and {0,1,2}: 1 intermediate elements"
+    hand = lattice_from_pairs(lat.dim, levels, pairs, unchecked=True)
     with pytest.raises(InternalInvariantError) as err:
         ConeSystem(lift(poly), hand)
     assert str(err.value) == (

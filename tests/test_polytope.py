@@ -29,7 +29,6 @@ from polyk.polytope import (
     face_lattice,
     facets,
     validate,
-    verify_lattice,
 )
 
 from affine import apply_affine, random_invertible_affine
@@ -37,6 +36,7 @@ from oracles import (
     affine_dim,
     all_pairs_verify_lattice,
     brute_force_facets,
+    built,
     closure_face_lattice,
     cofactor_starting_cone,
     faces_by_direction,
@@ -48,7 +48,6 @@ from oracles import (
     pyramid_prism,
     random_hull_draw,
     scan_hull_facets,
-    verify_as_built,
     vertex_closure_face_lattice,
 )
 
@@ -387,8 +386,9 @@ def test_euler_relation_small():
 
 
 def test_lattice_is_graded_with_diamonds(small_corpus):
+    # the lattice checks itself as it is built; the all-pairs oracle agrees
     for p in small_corpus:
-        verify_lattice(face_lattice(p))  # raises on violation
+        assert failure(all_pairs_verify_lattice, face_lattice(p)) is None, p.name
 
 
 def _assert_matches_closure_oracle(P):
@@ -581,8 +581,8 @@ CORRUPT_CASES = {
 
 @pytest.mark.parametrize("case", CORRUPT_CASES, ids="-".join)
 def test_corrupt_facet_list_names_a_face(case):
-    # a facet list that is not P's fails in the walk's level checks or in
-    # verify_lattice, naming a face; the nested ridge, a facet's edge
+    # a facet list that is not P's fails in the walk's level checks or as
+    # the lattice is built, naming a face; the nested ridge, a facet's edge
     # listed as a facet too, passed the closure before the walk read P's
     # lower covers off the facet list (cross3 gave f-vector (1, 6, 12, 8, 1))
     name, kind = case
@@ -606,15 +606,15 @@ def test_face_lattice_takes_no_rank(monkeypatch):
 
 
 def test_verify_lattice_rejects_broken_diamond():
-    # bounded and graded, but three faces lie between the bottom and the top
+    # bounded and graded, but three faces lie between the bottom and the
+    # top: refused as it is built
     bottom, top = Face((), -1), Face((0, 1, 2), 1)
     atoms = (Face((0,), 0), Face((1,), 0), Face((2,), 0))
-    lat = lattice_from_pairs(1, ((bottom,), atoms, (top,)),
-                             tuple((bottom, v) for v in atoms) + tuple((v, top) for v in atoms))
     with pytest.raises(InternalInvariantError,
                        match=r"^diamond property fails between \{\} and \{0,1,2\}: "
                              r"3 intermediate elements$"):
-        verify_lattice(lat)
+        lattice_from_pairs(1, ((bottom,), atoms, (top,)),
+                           tuple((bottom, v) for v in atoms) + tuple((v, top) for v in atoms))
 
 
 def test_verify_lattice_names_missing_cover():
@@ -644,12 +644,12 @@ def test_verify_lattice_tests_containment_not_cover_paths():
         return renamed.get(f, f)
 
     broken = lattice_from_pairs(3, tuple(tuple(map(swap, level)) for level in lat.faces_by_dim),
-                                tuple((swap(e), swap(f)) for e, f in lat.covering))
+                                tuple((swap(e), swap(f)) for e, f in lat.covering), unchecked=True)
     assert broken.lower_covers(new) == (Face((0, 1), 1), Face((0, 2), 1), Face((1, 2), 1))
     with pytest.raises(InternalInvariantError,
                        match=r"^diamond property fails between \{3\} and \{0,1,2,3\}: "
                              r"0 intermediate elements$"):
-        verify_lattice(broken)
+        built(broken)
 
 
 def test_verify_lattice_rejects_cover_that_is_not_a_containment():
@@ -704,10 +704,25 @@ def test_vertex_masks_come_from_the_closure_and_are_derived_by_hand_built_lattic
 
 # --- the simplex certificate ---
 
+def certificate_holds(lat) -> bool:
+    """Does the simplex certificate hold on the vertex masks, so that the
+    highs it returns hold no simplex?"""
+    masks = lat.vertex_masks
+    return all(masks[g].bit_count() != r + 1
+               for r, highs in enumerate(polytope.simplex_certificate(lat, masks)) for g in highs)
+
+
+def every_id(lat) -> list[range]:
+    """What ``simplex_certificate`` returns when it fails: every id, rank
+    by rank from 0."""
+    return [lat.ids(r) for r in range(lat.dim + 1)]
+
+
 def test_simplex_certificate_holds_on_polytopes_and_verify_matches_all_pairs():
-    # every face lattice passes the certificate, so verify_lattice reads the
-    # diamonds only below faces that are not simplices, and the all-pairs
-    # oracle, which reads every pair, finds each lattice sound as well
+    # every face lattice passes the certificate, so its diamond check reads
+    # the diamonds only below faces that are not simplices, and the
+    # all-pairs oracle, which reads every pair, finds each lattice sound as
+    # well
     rng = random.Random(3901)
     inputs = (acceptance_corpus() + [hypercube(d) for d in range(1, 7)]
               + [cross_polytope(d) for d in range(1, 7)] + [simplex(8)]
@@ -715,15 +730,14 @@ def test_simplex_certificate_holds_on_polytopes_and_verify_matches_all_pairs():
               + [prism_over_cross(4), prism_over_cross(5), pyramid_prism()])
     for poly in inputs:
         lat = face_lattice(poly)
-        assert polytope.simplex_certificate(lat, lat.vertex_masks, lat.distinct_masks) is not None, poly.name
-        assert failure(verify_lattice, lat) == failure(all_pairs_verify_lattice, lat) is None, \
-            poly.name
+        assert certificate_holds(lat), poly.name
+        assert failure(built, lat) == failure(all_pairs_verify_lattice, lat) is None, poly.name
     # on a simplicial polytope only P is left as a high: the diamonds of P
     # over its ridges; on a simplex not even P
     for poly, simplicial in ((cross_polytope(6), True), (simplex(8), False)):
         lat = face_lattice(poly)
         top = [len(lat.faces_by_id) - 1] if simplicial else []
-        assert polytope.simplex_certificate(lat, lat.vertex_masks, lat.distinct_masks) == [[]] * lat.dim + [top]
+        assert polytope.simplex_certificate(lat, lat.vertex_masks) == [[]] * lat.dim + [top]
 
 
 TRIANGLE = Face((0, 1, 2), 2)
@@ -779,13 +793,15 @@ def test_simplex_certificate_fails_and_the_full_check_names_the_pair(build, mess
     # which names it as the all-pairs oracle does.  (b) belongs to the
     # graded axiom, so the lattice names the pair that breaks it as it is
     # built, and no certificate is asked.  The lattices here are unchecked,
-    # so that the certificate can be read on the third
+    # so that the certificate can be read on each; when it fails, it
+    # returns every face as a high
     lat = build()
     if message == SHORT_BY_A_SKIP:
-        assert polytope.simplex_certificate(lat, lat.vertex_masks, lat.distinct_masks) is not None  # (b) is not its premise
+        assert certificate_holds(lat)  # (b) is not its premise
     else:
-        assert polytope.simplex_certificate(lat, lat.vertex_masks, lat.distinct_masks) is None
-    assert failure(verify_as_built, lat) == failure(all_pairs_verify_lattice, lat) == message
+        assert polytope.simplex_certificate(lat, lat.vertex_masks) == every_id(lat)
+        assert not certificate_holds(lat)
+    assert failure(built, lat) == failure(all_pairs_verify_lattice, lat) == message
     assert lat.vertex_masks[lat.face_id[TRIANGLE]].bit_count() == TRIANGLE.dim + 1
 
 
@@ -811,9 +827,10 @@ def test_simplex_certificate_holds_and_a_diamond_above_a_square_fails():
     edge, square = Face((0, 1), 1), Face((0, 1, 2, 3), 2)
     assert (edge, square) in lat.covering
     broken = lattice_from_pairs(3, lat.faces_by_dim,
-                                tuple(c for c in lat.covering if c != (edge, square)))
-    assert polytope.simplex_certificate(broken, broken.vertex_masks, broken.distinct_masks) is not None
-    assert failure(verify_lattice, broken) == failure(all_pairs_verify_lattice, broken) == \
+                                tuple(c for c in lat.covering if c != (edge, square)),
+                                unchecked=True)
+    assert certificate_holds(broken)
+    assert failure(built, broken) == failure(all_pairs_verify_lattice, broken) == \
         "diamond property fails between {0} and {0,1,2,3}: 1 intermediate elements"
 
 
@@ -823,7 +840,7 @@ def test_two_step_paths_on_some_highs_are_the_full_planes_on_their_bits():
         highs = lat.ids(rank + 2)
         some = highs[::2]
         keep = sum(1 << (h - highs.start) for h in some)
-        full = list(lat.two_step_paths(rank))
+        full = list(lat.two_step_paths(rank, highs))
         part = list(lat.two_step_paths(rank, some))
         assert [low for low, *_ in part] == [low for low, *_ in full]
         assert [tuple(p & keep for p in planes) for _, *planes in full] == \

@@ -27,6 +27,16 @@ identity instead of asking for an error:
     hence the report, is unchanged;
   * every entry of D_1 negated re-orients every cell of dimension >= 1:
     D_1 has one flipped end, every D_j with j >= 2 two.
+
+The parity of the row ``adjugate_column`` returns, flipped (to a row of F
+in range), negates every m = 0 sign and reads a neighbouring column of F's
+adjugate.  Where the lower face of such a pair is not a simplex, it carries
+data, and the cofactor check (``adjugate_pair_fault``) names the pair.  On
+a simplicial polytope every proper face is a simplex, whose check reduces
+to a positive principal minor, which any row passes; the mutation then
+passes every check, and since a complex with +-1 incidences on the covers
+and D_{j-1} D_j = 0 is unique up to re-orienting cells (Bjoerner 1984), it
+re-orients cells: the boundary changes, the homology does not.
 """
 
 import hashlib
@@ -199,3 +209,42 @@ def test_pipeline_reads_no_per_pair_face_data(monkeypatch, name):
                         lambda self, f: calls.append(f) or real(self, f))
     run_pipeline(polytope(name))
     assert calls == []
+
+
+def flip_parity(monkeypatch) -> list:
+    """Patch ``cones.adjugate_column`` to return a row of F of the other
+    parity, r ^ 1, or r - 1 when r ^ 1 is past F's last row; the list it
+    returns counts the calls."""
+    real, calls = cones.adjugate_column, []
+
+    def flipped(span_F, span_E):
+        calls.append((span_F, span_E))
+        r = real(span_F, span_E)
+        return None if r is None else r ^ 1 if r ^ 1 < span_F.bit_count() else r - 1
+
+    monkeypatch.setattr(cones, "adjugate_column", flipped)
+    return calls
+
+
+# every proper face a simplex: the flipped parity re-orients cells there
+SIMPLICIAL = BRIDGED + ("cross5",)
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_flipped_adjugate_parity_is_caught_or_reorients(monkeypatch, name):
+    # caught by the cofactor check where an m = 0 pair's lower face carries
+    # data; on the simplicial inputs, a re-orientation that every check
+    # passes, whose boundary differs and whose homology does not
+    base = unpatched(name)
+    calls = flip_parity(monkeypatch)
+    try:
+        result = run_pipeline(polytope(name))
+    except InternalInvariantError as err:
+        assert name not in SIMPLICIAL and str(err).startswith("edge-ray cross-check failed for (")
+        assert "is not det G_E" in str(err), str(err)
+        return
+    assert name in SIMPLICIAL and calls
+    assert digest(result) != digest(base)
+    assert diagonal_sign_equivalence(base.complex, result.complex) is not None
+    sections = {"homology", "ktheory"}
+    assert report_document(result, sections) == report_document(base, sections)

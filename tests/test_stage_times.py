@@ -29,12 +29,12 @@ def test_stage_times_on_cross3(capsys):
     stage_times.main(["cross3", "prism3", "--repeat", "1"])
     header, rule, *rows = capsys.readouterr().out.splitlines()
     assert header == \
-        "| input | total | validate | walk | verify | ConeSystem | build | report |"
-    assert rule == "|---|---|---|---|---|---|---|---|"
+        "| input | total | validate | lattice | ConeSystem | build | report |"
+    assert rule == "|---|---|---|---|---|---|---|"
     for name, row in zip(("cross3", "prism3"), rows, strict=True):
         cells = [c.strip() for c in row.strip("|").split("|")]
         assert cells[0] == f"`{name}`" and cells[1].endswith(" s")
-        assert len(cells) == 8 and all(float(c) >= 0 for c in cells[2:])
+        assert len(cells) == 7 and all(float(c) >= 0 for c in cells[2:])
 
 
 def test_stage_times_rejects_unknown_names():
