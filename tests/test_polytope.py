@@ -712,12 +712,6 @@ def certificate_holds(lat) -> bool:
                for r, highs in enumerate(polytope.simplex_certificate(lat, masks)) for g in highs)
 
 
-def every_id(lat) -> list[range]:
-    """What ``simplex_certificate`` returns when it fails: every id, rank
-    by rank from 0."""
-    return [lat.ids(r) for r in range(lat.dim + 1)]
-
-
 def test_simplex_certificate_holds_on_polytopes_and_verify_matches_all_pairs():
     # every face lattice passes the certificate, so its diamond check reads
     # the diamonds only below faces that are not simplices, and the
@@ -799,7 +793,8 @@ def test_simplex_certificate_fails_and_the_full_check_names_the_pair(build, mess
     if message == SHORT_BY_A_SKIP:
         assert certificate_holds(lat)  # (b) is not its premise
     else:
-        assert polytope.simplex_certificate(lat, lat.vertex_masks) == every_id(lat)
+        assert polytope.simplex_certificate(lat, lat.vertex_masks) == \
+            [lat.ids(r) for r in range(lat.dim + 1)]  # every id
         assert not certificate_holds(lat)
     assert failure(built, lat) == failure(all_pairs_verify_lattice, lat) == message
     assert lat.vertex_masks[lat.face_id[TRIANGLE]].bit_count() == TRIANGLE.dim + 1
