@@ -467,6 +467,20 @@ def cover_graphs(draw) -> UncheckedAbstractLattice:
 
 
 @given(st.one_of(st.randoms(use_true_random=False).map(random_graded_poset), cover_graphs()))
+@settings(max_examples=200, deadline=None)
+def test_a_poset_is_built_exactly_when_it_passes_the_order_axioms(lat):
+    # a GradedPoset, which checks only the order axioms, is built or refused
+    # with the message of the all-pairs oracle of those axioms; a lattice
+    # checks them first, so a poset that breaks them is refused with the
+    # same message.  A lattice's later checks, diamonds and meets, are
+    # test_abstract_check_names_what_the_all_pairs_oracle_names
+    order = failure(all_pairs_order_axioms, lat)
+    assert failure(lambda p: GradedPoset(p.dim, p.f_vector, p.covering), lat) == order
+    if order is not None:
+        assert failure(built, lat) == order
+
+
+@given(st.one_of(st.randoms(use_true_random=False).map(random_graded_poset), cover_graphs()))
 @settings(max_examples=300, deadline=None)
 def test_abstract_check_names_what_the_all_pairs_oracle_names(lat):
     # the lattice refuses to be built with the message the all-pairs
