@@ -11,6 +11,8 @@ follow, and meets, kept as bitset down-sets, on pairs of lower covers of a
 common element, which suffices by the dual of a lemma of Bjorner, Edelman
 and Ziegler (``_verify_meets``).  Both skip what the simplex certificate
 on the atom masks proves: the intervals below simplices are Boolean.
+Distinct atom masks are checked before either, once, as ``GradedIds``
+checks them on every lattice.
 Isomorphism testing is backtracking in id order, rank by rank, on the
 element ids, id covers and atom masks of the two lattices, pruned by
 f-vector and up/down cover degrees.  An atom is placed only where the
@@ -59,15 +61,15 @@ class AbstractLattice(GradedIds):
     has the id ``level_start[rank + 1] + i`` and is ``faces_by_id`` there.
     A pair listed twice in ``covering`` is one cover, and each ``down[i]``
     is ascending, whatever the order of ``covering``.  Built, it checks
-    (``_verify_axioms``) the bounded and graded axioms, then the diamonds
-    on the atom masks, then the meets (``GradedIds``).  The meet check
-    reads the highs the diamond check read: when the simplex certificate
-    holds, it pairs the lower covers only of elements that have a lower
-    cover that is not a simplex, since two simplices have a meet
-    (``GradedIds``) and the lower covers of a simplex are simplices; when
-    it fails, every element.  No skipped pair can fail, so the check
-    accepts the same posets and names the same first failure as with
-    every element.
+    (``_verify_axioms``) the bounded and graded axioms, then that the atom
+    masks are distinct, naming the two elements of the first repeated
+    mask, then the diamonds on the atom masks, then the meets
+    (``GradedIds``).  The meet check reads the highs the diamond check
+    read, the elements that fail the simplex certificate: it pairs the
+    lower covers only of elements that have such a lower cover.  Once the
+    diamonds hold, the others are simplices, and two simplices have a meet
+    (``GradedIds``).  No skipped pair can fail, so the check accepts the
+    same posets and names the same first failure as with every element.
     """
 
     dim: int
@@ -86,6 +88,7 @@ class AbstractLattice(GradedIds):
 
     def _verify_axioms(self) -> None:
         self.verify_graded()
+        self.verify_distinct(self.atom_masks, "{0} and {1} lie above the same atoms")
         _verify_meets(self, set(chain.from_iterable(self._verify_diamonds(self.atom_masks))))
 
 
@@ -128,9 +131,9 @@ def lattice_from_incidence(U: UnsignedIncidence) -> AbstractLattice:
 
 def _verify_meets(lat: AbstractLattice, others: set[int]) -> None:
     """Every two lower covers of a common element have a meet, asked only
-    where some lower cover is in ``others``: the elements that are not
-    simplices once the simplex certificate holds, every element when it
-    fails (``AbstractLattice``).
+    where some lower cover is in ``others``, the elements that fail the
+    simplex certificate, which are not simplices once the diamonds hold
+    (``AbstractLattice``).
 
     That suffices for every pair to have one, by the dual of Bjorner,
     Edelman & Ziegler 1990, "Hyperplane arrangements with a lattice of

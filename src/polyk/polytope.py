@@ -15,12 +15,12 @@ facets as atoms, reaches every such face from P down, and it runs on those
 faces alone.  Each level is sorted by vertex set as soon as it is
 complete, and the faces are numbered once, from the bottom in that
 order, with each face's lower covers as the ascending id tuples every
-later stage reads.  The lattice checks its covers, its grading and its
-diamonds as it is built; a corrupt facet list fails there or in the walk's
-level checks, naming a face.  The same Boolean
-interval spares the diamond check: once a cheap certificate on the vertex
-masks and covers holds, it reads only the faces two levels below faces
-that are not simplices.  The
+later stage reads.  The lattice checks its vertex masks distinct, its
+covers, its grading and its diamonds as it is built; a corrupt facet list
+fails there or in the walk's check of level 0, naming a face.  The same
+Boolean interval spares the diamond check: a cheap certificate on each
+face's vertex mask and covers leaves it only the pairs below the faces
+that fail it, faces that are not simplices on a sound lattice.  The
 intersection closure of the facet vertex sets with one rational rank per
 face, and the closure over the vertices alone, are the tests' oracles.
 
@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from bisect import bisect_right
 from functools import cached_property, reduce
 from itertools import accumulate, chain
 from math import lcm
@@ -140,18 +141,26 @@ class GradedIds:
       in id order, counting only that pair's mids again, for the message;
     - meets: every two elements have a meet.  ``comb_type._verify_meets``
       checks it on an abstract lattice; a face lattice does not, since
-      the faces of a polytope are closed under intersection.
+      the faces of a polytope are closed under intersection;
+    - distinct masks: distinct elements have distinct masks, the vertex
+      masks of a face lattice or the atom masks of an abstract one.  A
+      face of a polytope is fixed by its vertex set (Ziegler, "Lectures on
+      Polytopes", section 2.2), and a lattice whose intervals of length 2
+      are diamonds is atomic (below).  ``verify_distinct`` checks it, and
+      it is the one place where a repeated mask is refused.
 
     Each lattice checks them once, when it is built, in one method,
     ``_verify_axioms``, that its ``__post_init__`` calls last, after
     ``_number`` has found each cover listed once.  A ``FaceLattice``
-    checks that every cover is a strict containment of vertex masks, then
+    checks distinct vertex masks, then that every cover is a containment
+    of vertex masks, a strict one as the masks are distinct, then
     ``verify_graded``, then ``_verify_diamonds`` on the vertex masks; an
-    ``AbstractLattice`` checks ``verify_graded``, then ``_verify_diamonds``
-    on the atom masks, then the meets.  So every lattice that exists is a
-    lattice in the sense stated here, every lower cover lies one rank
-    down, at a lower id, and every later stage rests on that and checks it
-    nowhere else.  Any failure is an ``InternalInvariantError``.
+    ``AbstractLattice`` checks ``verify_graded``, then distinct atom
+    masks, then ``_verify_diamonds`` on the atom masks, then the meets.
+    So every lattice that exists is a lattice in the sense stated here,
+    every lower cover lies one rank down, at a lower id, and every later
+    stage rests on that and checks it nowhere else.  Any failure is an
+    ``InternalInvariantError``.
 
     The diamond check has one rule on both kinds: ``low`` is below
     ``high`` when low's mask lies in high's.  On a face lattice that is
@@ -172,50 +181,66 @@ class GradedIds:
       below high: the pair is comparable, a path of two covers joins it,
       and the path rule has asked it already.
 
-    The two rules can name different failures only on a poset that both
-    refuse: one whose meets fail.
+    So the distinct-mask axiom refuses no poset that the path rule and the
+    meets accept, and the two rules can name different failures only on a
+    poset that both refuse: one whose meets fail.
 
     The atom masks (``atom_masks``) are read off the covers alone: atom k
     has bit k, and every element above the atoms the OR of its lower
     covers' masks.  So every cover is a containment of atom masks, on
-    every lattice, one built by hand included.  On the face lattice of a
-    polytope the atoms are the vertices, in vertex order, and the atom
-    masks are the vertex masks.  ``comb_type.is_isomorphic`` reads its
-    candidates off them.
+    every lattice, one built by hand included, and a strict one once the
+    masks are distinct.  On the face lattice of a polytope the atoms are
+    the vertices, in vertex order, and the atom masks are the vertex
+    masks.  ``comb_type.is_isomorphic`` reads its candidates off them.
 
-    The diamond axiom holds below every simplex, and so does the meet
-    axiom, once the lattice passes the simplex certificate
-    (``simplex_certificate``) on the masks ``_verify_diamonds`` reads: the
-    vertex masks of a face lattice or the atom masks of an abstract one.
-    A simplex G of rank r is an
-    element whose mask has r + 1 bits, and the certificate asks that (a)
-    the masks are pairwise distinct and (c) every simplex of rank r has
-    exactly r + 1 lower covers; (b), every cover joins adjacent ranks, is
-    part of the graded axiom, which every lattice has.  The claims: the
-    elements below G are exactly one per subset of G's mask, so every
-    element of rank r - 2 whose mask lies in G's has exactly two elements
-    between it and G; and any two simplices have a meet.  Proof, for a lattice whose covers are
-    strict containments of masks:
+    The simplex certificate (``simplex_certificate``) spares the diamond
+    and meet checks most pairs.  It judges each element on its own, on the
+    masks ``_verify_diamonds`` reads: an element G of rank r passes when
+    its mask has r + 1 bits and it has exactly r + 1 lower covers.  The
+    claims below hold on a lattice whose masks are distinct, whose covers
+    are containments of masks, strict ones therefore, and whose graded
+    axiom holds; each lattice checks all three before its diamonds.
 
-    - an element of rank r has at least r + 1 bits: by the graded axiom, a
-      chain of r + 1 lower covers, each one rank down, reaches the bottom,
-      and each is a strict containment;
-    - so each lower cover of G, of rank r - 1 by (b), is G minus one
-      bit, and the r + 1 of them that (c) asks for, listed once and of
-      pairwise distinct masks by (a), are all the elements G - u; each of
-      them is again a simplex, with all of its own lower covers G - u - v
-      by (c); by induction, the elements below G are one per subset of
-      G's mask, each of rank its size minus one;
-    - the elements two levels below G through covers are therefore the
-      elements G - {u, v}, and each lies under exactly G - u and G - v;
-    - any other element X of rank r - 2 inside G has at least r - 1 bits,
-      so X's mask is that of an element G - {u, v}, G - u or G, a mask
-      that (a) allows only once;
-    - for simplices G and H, an element below both has its mask in the
-      intersection M of theirs, and each element whose mask lies in M is
-      the one below G with that mask and the one below H, by (a).  So the
-      elements below both are those below the element of mask M below G,
-      which is their meet.
+    - An element of rank r has at least r + 1 bits: a chain of r + 1
+      lower covers, each one rank down, reaches the bottom, and each is a
+      strict containment.
+    - If G passes, each lower cover of G, of rank r - 1 and so of at least
+      r bits, is G minus one bit, and, the masks being distinct, the r + 1
+      of them are all the elements G - u.
+    - If G and every G - u pass, no pair (low, G) fails: low, of rank
+      r - 2 and so of at least r - 1 bits inside G's, has the mask of a
+      G - {u, v}, a G - u or G, and the last two belong to elements of
+      other ranks; so low is the lower cover G - {u, v} of G - u, and of
+      G - v, and of no other G - w, and two elements lie between it and G.
+    - If an element X of rank s has s + 1 bits and fails, some pair
+      (low, high) fails with low of rank at most s - 2.  By induction on
+      s: as in the second claim, X's lower covers are elements X - v, at
+      most s + 1 of them, and as X fails, they are fewer, the X - v for v
+      in some V.  For s = 1 X covers one atom, and one element lies between
+      the bottom and X; an atom of one bit always passes, as the bottom is
+      its only lower cover.  For s >= 2, if some X - v fails, the
+      induction gives the pair; otherwise each X - v passes and covers
+      every X - {v, w}.  Take v in V and w not in V: X - {v, w} lies under
+      X - v, but under no X - w, so one element lies between it and X.
+
+    So the first failing pair (low, G) in the check's order, by the rank
+    of low, then by id, has a high that fails the certificate: were G to
+    pass, some G - u would fail, by the third claim, and the fourth would
+    give a failing pair whose low has rank at most r - 3, earlier in that
+    order.  The diamond check reads only the highs that fail the
+    certificate (``_verify_diamonds``), and it accepts the same lattices
+    and names the same first failing pair as with every element a high.
+
+    Once the diamonds hold, every element with rank + 1 bits, a simplex,
+    passes, by the fourth claim.  So the elements below a simplex G are,
+    by the second claim and induction, one simplex per subset of G's
+    mask: the interval below G is Boolean.  Any two simplices G and H
+    have a meet: an element below both has its mask in the intersection M
+    of theirs, and each element whose mask lies in M is the one below G
+    with that mask and the one below H, the masks being distinct.  So the
+    elements below both are those below the element of mask M below G,
+    which is their meet.  The meet check reads the same highs
+    (``comb_type._verify_meets``).
     """
 
     faces_by_id: tuple
@@ -337,6 +362,22 @@ class GradedIds:
             raise InternalInvariantError(f"cover ({elements[-1]}, {elements[up[-1][0]]}) "
                                          "does not go up a rank: not graded")
 
+    def verify_distinct(self, masks: Sequence[int], message: str) -> None:
+        """The distinct-mask axiom (see the class docstring), checked by
+        each lattice's ``_verify_axioms``: ``message`` is formatted with
+        the first element, in id order, whose mask an element e before it
+        has, in the order (e, that element, e's level, its level), a
+        level being a rank + 1.  Only when a set of the masks is smaller
+        than their list is that element searched for, to name it."""
+        if len(set(masks)) < len(masks):
+            first: dict[int, int] = {}  # mask -> the least id that has it
+            for f, m in enumerate(masks):
+                e = first.setdefault(m, f)
+                if e != f:
+                    raise InternalInvariantError(message.format(
+                        self.faces_by_id[e], self.faces_by_id[f],
+                        *(bisect_right(self.level_start, i) - 1 for i in (e, f))))
+
     def diamond_error(self, low: int, rank: int, bad: int) -> InternalInvariantError:
         """The failure of the diamond axiom between ``low``, of the rank,
         and the element ``ids(rank + 2)[b]`` of the lowest set bit b of the
@@ -346,12 +387,13 @@ class GradedIds:
             f"diamond property fails between {self.faces_by_id[low]} and "
             f"{self.faces_by_id[high]}: {self.mids(low, high)} intermediate elements")
 
-    def _verify_diamonds(self, masks: Sequence[int]) -> list[Sequence[int]]:
+    def _verify_diamonds(self, masks: Sequence[int]) -> list[list[int]]:
         """The diamond axiom (see the class docstring) on int bitmasks, with
         ``low`` below ``high`` when ``masks[low]`` lies in ``masks[high]``:
         the vertex masks of a face lattice or the atom masks of an abstract
-        one, read after the lattice's other checks have passed.  Returns the
-        highs it read, rank by rank from 0 (``simplex_certificate``).
+        one, read after the lattice's other checks, distinct masks
+        included, have passed.  Returns the highs it read, rank by rank
+        from 0 (``simplex_certificate``).
 
         The failure mask of ``low`` is ``above & (thrice | ~twice)``, with
         ``above`` the highs two ranks up whose mask holds low's.  ``above``
@@ -363,15 +405,12 @@ class GradedIds:
         whose mask holds low's but that no path of covers reaches from
         ``low`` fails with 0 intermediate elements.
 
-        When the lattice passes the simplex certificate on the masks, the
-        highs are only the elements that are not simplices, and a rank
-        whose highs are all simplices is skipped.  The identity in the class
-        docstring shows that every element two ranks below a simplex, with
-        its mask inside the simplex's, has exactly two elements between
-        them, so no skipped pair can fail: the check accepts the same
-        lattices and names the same first failing pair as with every element
-        a high.  When the certificate fails, every element is a high.  On a
-        simplicial polytope, only P over its ridges is left.
+        The highs are the elements that fail the simplex certificate, and
+        a rank with no such element is skipped.  The class docstring shows
+        that the first failing pair, with every element a high, has a high
+        that fails it, so the check accepts the same lattices and names the
+        same first failing pair.  On a simplicial polytope, only P over its
+        ridges is left.
         """
         others = simplex_certificate(self, masks)
         # a chain of upper covers, each a containment of masks, leads from
@@ -417,9 +456,11 @@ class FaceLattice(GradedIds):
     ordered by the id of F, then of E) and ``face_id`` (the id of a
     ``Face``) are views made on first use.
 
-    Built, it checks (``_verify_axioms``) each covering pair (low, high)
-    for a strict containment of vertex masks, ``lo & hi == lo != hi``, then
-    the bounded and graded axioms, then the diamonds on the vertex masks
+    Built, it checks (``_verify_axioms``) that the vertex masks are
+    distinct, naming a repeated one as the face found at two levels, then
+    each covering pair (low, high) for a containment of vertex masks,
+    ``lo & hi == lo``, strict as the masks are distinct, then the bounded
+    and graded axioms, then the diamonds on the vertex masks
     (``GradedIds``).
     """
 
@@ -440,11 +481,12 @@ class FaceLattice(GradedIds):
 
     def _verify_axioms(self) -> None:
         faces, mask = self.faces_by_id, self.vertex_masks
+        self.verify_distinct(mask, "face {1} found at levels {2} and {3}")
         for high, below in enumerate(self.down):
             hi = mask[high]
             for low in below:
                 lo = mask[low]
-                if lo & hi != lo or lo == hi:
+                if lo & hi != lo:
                     raise InternalInvariantError(
                         f"covering pair ({faces[low]}, {faces[high]}) "
                         "is not a strict vertex-set containment")
@@ -747,20 +789,19 @@ def face_lattice(P: Polytope) -> FaceLattice:
     complete.  The faces are numbered once, from the bottom level up in
     ``GradedIds`` order: one pass appends each face's id to the lower-cover
     lists of the faces it was found under, so each list is the face's
-    ``down``, ascending.  A face found at two levels, or any level d + 1
-    other than the polytope alone or level 0 other than the empty face
-    alone, is an internal error, raised before the lattice is built, so
-    that the message names the face.  A face at two levels shows as fewer
-    distinct vertex masks than faces; only then is each mask's level looked
-    up, to name the first face met again and its two levels.
+    ``down``, ascending.  The walk starts level d + 1 as P alone and never
+    adds to it; a level 0 without the empty face, which sorts first there,
+    is an internal error, raised before the lattice is built, so that the
+    message lists the level.
 
-    The lattice then checks its covers and the bounded, graded and diamond
-    axioms as it is built (``FaceLattice``); the second identity, certified
-    on the lattice itself (``simplex_certificate``), spares the diamond
-    check every pair below a simplex face.  A facet list that is not P's
-    fails there or in the walk's own checks, each naming a face: a facet
-    with a vertex too few or a dropped facet leaves a diamond short, or a
-    face at two levels; a facet with a vertex too many, or a face of a
+    The lattice then checks its vertex masks distinct, naming a face found
+    at two levels, its covers, and the bounded, graded and diamond axioms
+    as it is built (``FaceLattice``); the second identity, certified on
+    each face of the lattice itself (``simplex_certificate``), spares the
+    diamond check every pair below a simplex face.  A facet list that is
+    not P's fails there or in the walk's own check, each naming a face: a
+    facet with a vertex too few or a dropped facet leaves a diamond short,
+    or a face at two levels; a facet with a vertex too many, or a face of a
     facet listed as a facet too, puts a face at two levels.
     """
     d, n = P.ambient_dim, P.nvertices
@@ -797,56 +838,26 @@ def face_lattice(P: Polytope) -> FaceLattice:
     for f, face in enumerate(chain.from_iterable(levels)):
         for above in face[4:]:
             above[3].append(f)
-    masks = [[face[1] for face in level] for level in levels]
-    vertex_masks = tuple(chain.from_iterable(masks))
-    if len(set(vertex_masks)) < len(vertex_masks):
-        level_of: dict[int, int] = {}  # vertex mask -> level
-        for k, level in enumerate(masks):
-            for hv in level:
-                if hv in level_of:
-                    raise InternalInvariantError(
-                        f"face {Face(set_bits(hv), k - 1)} found at levels {level_of[hv]} and {k}")
-                level_of[hv] = k
-    for k, end, want in ((d + 1, "the polytope", (1 << n) - 1), (0, "the empty face", 0)):
-        if masks[k] != [want]:
-            listed = ", ".join(str(Face(set_bits(hv), k - 1)) for hv in masks[k])
-            raise InternalInvariantError(
-                f"level {k} of the face lattice must hold {end} "
-                f"{Face(set_bits(want), k - 1)} alone, found [{listed}]")
+    if [face[1] for face in levels[0][:1]] != [0]:  # the empty face sorts first
+        listed = ", ".join(face_label(face[0]) for face in levels[0])
+        raise InternalInvariantError("level 0 of the face lattice must hold the empty face {} "
+                                     f"alone, found [{listed}]")
     return FaceLattice(dim=d,
                        faces_by_dim=tuple(tuple(Face(face[0], k - 1) for face in level)
                                           for k, level in enumerate(levels)),
                        down=tuple(tuple(face[3]) for level in levels for face in level),
-                       vertex_masks=vertex_masks)
+                       vertex_masks=tuple(face[1] for level in levels for face in level))
 
 
-def simplex_certificate(L: GradedIds, masks: Sequence[int]) -> list[Sequence[int]]:
-    """The highs the diamond check must read (``GradedIds._verify_diamonds``),
-    rank by rank from 0 to ``L.dim``: the ids of the elements that are not
-    simplices when L passes the simplex certificate on ``masks``, and every
-    id when it fails.
-
-    The masks are a face lattice's vertex masks or an abstract lattice's
-    atom masks.  A simplex is an element whose mask has rank + 1 bits.
-    Premise (b), every cover joins adjacent ranks, holds on every lattice
-    whose graded axiom has passed (``GradedIds``).  The certificate adds:
-
-    - (a) the masks are pairwise distinct;
-    - (c) every simplex of rank r has exactly r + 1 lower covers.
-
-    What it proves, the diamond axiom below every simplex, and the meets of
-    its lower covers, is stated and proved in ``GradedIds``.
+def simplex_certificate(L: GradedIds, masks: Sequence[int]) -> list[list[int]]:
+    """The highs the diamond check reads (``GradedIds._verify_diamonds``),
+    rank by rank from 0 to ``L.dim``: the ids of the elements that fail the
+    simplex certificate, each judged on its own, those whose mask, a face
+    lattice's vertex mask or an abstract lattice's atom mask, does not have
+    rank + 1 bits, or that do not have rank + 1 lower covers.  What passing
+    it proves, on a lattice whose masks are distinct, is stated and proved
+    in ``GradedIds``.
     """
-    every = [L.ids(r) for r in range(L.dim + 1)]
-    if len(set(masks)) < len(masks):
-        return every
-    others = []
-    for r, ids in enumerate(every):
-        rest = []
-        for g in ids:
-            if masks[g].bit_count() != r + 1:
-                rest.append(g)
-            elif len(L.down[g]) != r + 1:
-                return every
-        others.append(rest)
-    return others
+    down = L.down
+    return [[g for g in L.ids(r) if masks[g].bit_count() != r + 1 or len(down[g]) != r + 1]
+            for r in range(L.dim + 1)]

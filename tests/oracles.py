@@ -1341,22 +1341,41 @@ def all_pairs_diamonds(L, masks) -> None:
                             f"{L.faces_by_id[high]}: {mids} intermediate elements")
 
 
+def first_repeat(masks: list[int]) -> tuple[int, int] | None:
+    """The first id f, in id order, whose mask an earlier id e has, as
+    (e, f) with e the first id of that mask (``list.index``), or None."""
+    return next(((masks.index(m), f) for f, m in enumerate(masks) if masks.index(m) < f), None)
+
+
 def all_pairs_verify_lattice(L: FaceLattice) -> None:
     """What a ``FaceLattice`` checks as it is built, over all pairs:
-    ``all_pairs_order_axioms``, then ``all_pairs_diamonds`` on the vertex
-    sets as masks."""
+    distinct vertex sets (``first_repeat``), the repeat named as a face
+    found at two levels, then ``all_pairs_order_axioms``, then
+    ``all_pairs_diamonds`` on the vertex sets as masks."""
+    faces = L.faces_by_id
+    masks = [sum(1 << v for v in f.vertex_set) for f in faces]
+    repeat = first_repeat(masks)
+    if repeat:
+        e, f = (faces[i] for i in repeat)
+        raise InternalInvariantError(f"face {f} found at levels {e.dim + 1} and {f.dim + 1}")
     all_pairs_order_axioms(L)
-    all_pairs_diamonds(L, [sum(1 << v for v in f.vertex_set) for f in L.faces_by_id])
+    all_pairs_diamonds(L, masks)
 
 
 def all_pairs_abstract_lattice(lat: AbstractLattice) -> None:
     """What an ``AbstractLattice`` checks as it is built, over all pairs:
-    ``all_pairs_order_axioms``, then ``all_pairs_diamonds`` on the atoms
-    below each element, read off its down-set (``down_sets``), then
-    ``all_pairs_meets``."""
+    ``all_pairs_order_axioms``, then distinct atom sets (``first_repeat``)
+    on the atoms below each element, read off its down-set
+    (``down_sets``), naming both elements of the repeat, then
+    ``all_pairs_diamonds`` on those atom sets, then ``all_pairs_meets``."""
     all_pairs_order_axioms(lat)
     atoms = sum(1 << a for a in lat.ids(0))
-    all_pairs_diamonds(lat, [d & atoms for d in down_sets(lat)])
+    masks = [d & atoms for d in down_sets(lat)]
+    repeat = first_repeat(masks)
+    if repeat:
+        e, f = (lat.faces_by_id[i] for i in repeat)
+        raise InternalInvariantError(f"{e} and {f} lie above the same atoms")
+    all_pairs_diamonds(lat, masks)
     all_pairs_meets(lat)
 
 

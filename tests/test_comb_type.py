@@ -43,6 +43,7 @@ from oracles import (
     UncheckedAbstractLattice,
     UncheckedFaceLattice,
     all_pairs_abstract_lattice,
+    all_pairs_diamonds,
     all_pairs_meets,
     all_pairs_order_axioms,
     all_pairs_verify_abstract_lattice,
@@ -153,10 +154,11 @@ def test_reconstruct_rejects_ragged_rows(mats, message):
 def test_verify_abstract_lattice_rejects_two_maximal_lower_bounds():
     # two atoms a, b, both covered by c and by d: c and d are incomparable
     # and have two maximal common lower bounds, a and b; bounded, graded,
-    # and every diamond has two middle elements, so the meets refuse it as
-    # it is built
+    # and every diamond has two middle elements, but c and d lie above the
+    # same atoms, which the distinct-mask axiom refuses as it is built,
+    # before the meets
     with pytest.raises(InternalInvariantError,
-                       match=r"^meet of \(1, 0\) and \(1, 1\) is not unique: poset is not a lattice$"):
+                       match=r"^\(1, 0\) and \(1, 1\) lie above the same atoms$"):
         AbstractLattice(dim=2, f_vector=(1, 2, 2, 1), covering=(
             ((-1, 0), (0, 0)), ((-1, 0), (0, 1)),
             ((0, 0), (1, 0)), ((0, 1), (1, 0)), ((0, 0), (1, 1)), ((0, 1), (1, 1)),
@@ -274,8 +276,8 @@ def random_graded_poset(rng) -> GradedPoset:
 
 
 def every_meet(lat) -> None:
-    """``_verify_meets`` asked at every element, as when the simplex
-    certificate fails."""
+    """``_verify_meets`` asked at every element, as if every element
+    failed the simplex certificate."""
     _verify_meets(lat, set(range(len(lat.down))))
 
 
@@ -311,12 +313,13 @@ def tetrahedron_with_unreached_face() -> UncheckedFaceLattice:
                               tuple((swap(e), swap(f)) for e, f in lat.covering), unchecked=True)
 
 
-def triangle_without_cover() -> UncheckedFaceLattice:
-    """The triangle without the cover ({1}, {1,2}): one path of two covers
-    from the empty face to {1,2}, after two pairs of the level with two."""
-    lat = face_lattice(simplex(2))
-    drop = (Face((1,), 0), Face((1, 2), 1))
-    return lattice_from_pairs(2, lat.faces_by_dim, [c for c in lat.covering if c != drop],
+def tetrahedron_without_cover() -> UncheckedFaceLattice:
+    """The tetrahedron without the cover ({1,2}, {0,1,2}): one path of two
+    covers from {1} to {0,1,2}, after the pair of {0} with two; every atom
+    mask stays distinct."""
+    lat = face_lattice(simplex(3))
+    drop = (Face((1, 2), 1), Face((0, 1, 2), 2))
+    return lattice_from_pairs(3, lat.faces_by_dim, [c for c in lat.covering if c != drop],
                               unchecked=True)
 
 
@@ -331,9 +334,9 @@ def three_atoms_under_an_edge() -> UncheckedFaceLattice:
 @pytest.mark.parametrize("build, face_message, abstract_message", [
     (tetrahedron_with_unreached_face,
      "diamond property fails between {3} and {0,1,2,3}: 0 intermediate elements", None),
-    (triangle_without_cover,
-     "diamond property fails between {} and {1,2}: 1 intermediate elements",
-     "diamond property fails between (-1, 0) and (1, 2): 1 intermediate elements"),
+    (tetrahedron_without_cover,
+     "diamond property fails between {1} and {0,1,2}: 1 intermediate elements",
+     "diamond property fails between (0, 1) and (2, 0): 1 intermediate elements"),
     (three_atoms_under_an_edge,
      "diamond property fails between {} and {0,1,2}: 3 intermediate elements",
      "diamond property fails between (-1, 0) and (1, 0): 3 intermediate elements"),
@@ -919,6 +922,63 @@ def test_meet_check_reads_the_lower_covers_that_are_not_simplices():
     assert failure(lambda x: _verify_meets(x, set(chain.from_iterable(others))), lat) == message
     assert failure(all_pairs_abstract_lattice, lat).endswith(MEETS)
     assert failure(all_pairs_verify_abstract_lattice, lat).endswith(MEETS)
+
+
+class RepeatedMasksAllowed(AbstractLattice):
+    """An ``AbstractLattice`` that skips only the distinct-mask check."""
+
+    def verify_distinct(self, masks, message) -> None:
+        pass
+
+
+def two_edges_over_two_atoms(kind=AbstractLattice) -> AbstractLattice:
+    """Three atoms; (1, 0) and (1, 1) both cover atoms 0 and 1, (1, 2)
+    covers atoms 1 and 2, and the top covers all three edges."""
+    covering = [((-1, 0), (0, a)) for a in range(3)]
+    covering += [((0, a), (1, e)) for e, pair in enumerate([(0, 1), (0, 1), (1, 2)]) for a in pair]
+    covering += [((1, e), (2, 0)) for e in range(3)]
+    return kind(dim=2, f_vector=(1, 3, 3, 1), covering=tuple(covering))
+
+
+def test_the_simplex_certificate_needs_distinct_masks():
+    # every element passes the certificate on its own: each edge has two
+    # atoms and two lower covers, and the top three of each.  So the
+    # diamond check reads no high, and only the distinct-mask axiom
+    # refuses the poset, naming the two edges over atoms 0 and 1; without
+    # it, the lattice is built, though atom 1 lies under three edges
+    with pytest.raises(InternalInvariantError) as err:
+        two_edges_over_two_atoms()
+    assert str(err.value) == "(1, 0) and (1, 1) lie above the same atoms" == \
+        failure(all_pairs_abstract_lattice, two_edges_over_two_atoms(UncheckedAbstractLattice))
+    lat = two_edges_over_two_atoms(RepeatedMasksAllowed)
+    assert simplex_certificate(lat, lat.atom_masks) == [[], [], []]
+    assert failure(lambda x: all_pairs_diamonds(x, x.atom_masks), lat) == \
+        "diamond property fails between (0, 1) and (2, 0): 3 intermediate elements"
+
+
+def digon() -> FaceLattice:
+    """The vertices {0} and {1}, the edges {0,1} and {0,1,2}, each over
+    both vertices, and the top {0,1,2,3}: a ``FaceLattice`` with distinct
+    vertex masks whose two edges share one atom mask, so not a lattice."""
+    bottom, top = Face((), -1), Face((0, 1, 2, 3), 2)
+    vertices, edges = (Face((0,), 0), Face((1,), 0)), (Face((0, 1), 1), Face((0, 1, 2), 1))
+    return lattice_from_pairs(2, ((bottom,), vertices, edges, (top,)),
+                              [(bottom, v) for v in vertices]
+                              + [(v, e) for e in edges for v in vertices]
+                              + [(e, top) for e in edges])
+
+
+def test_a_face_lattice_with_a_shared_atom_mask_is_searched_as_the_oracles_search_it():
+    # a face lattice checks no meets, and the digon's vertex masks are
+    # distinct, so it is built; its edges share an atom mask, so the search
+    # runs the scan of a rank for candidates, and finds the mapping the
+    # oracles find
+    lat = digon()
+    edges = lat.ids(1)
+    assert lat.atom_masks[edges[0]] == lat.atom_masks[edges[1]] == 0b11
+    assert len(set(lat.vertex_masks)) == len(lat.vertex_masks)
+    iso = assert_search_matches_oracles(lat, lat)
+    assert iso.isomorphic and all(a == b for a, b in iso.mapping)
 
 
 def test_atom_masks_are_the_vertex_masks_of_a_face_lattice(small_corpus):

@@ -1305,9 +1305,9 @@ def test_simplex_face_with_dependent_vertices_names_face():
     # covering pair when it is built, rejects (triangle, F): the triangle's
     # vertices span the square, so no normal vanishes on it and not on F.
     # F's data, the full walk the per-pair API makes, is one id short, an
-    # error naming F.  The lattice itself fails the diamond check ({1} lies
-    # in the triangle with one face between), so it is refused as it is
-    # built, and the system is given it unchecked
+    # error naming F.  The lattice itself has F at two levels, F and the
+    # square having one vertex mask, so it is refused as it is built, and
+    # the system is given it unchecked
     poly = hypercube(4)
     lat = face_lattice(poly)
     square = lat.faces(2)[0]
@@ -1321,8 +1321,7 @@ def test_simplex_face_with_dependent_vertices_names_face():
                                   (triangle, flat), (triangle, facet), (flat, lat.top_face)]
     with pytest.raises(InternalInvariantError) as err:
         lattice_from_pairs(lat.dim, levels, pairs)
-    assert str(err.value) == \
-        "diamond property fails between {1} and {0,1,2}: 1 intermediate elements"
+    assert str(err.value) == f"face {flat} found at levels 3 and 4"
     hand = lattice_from_pairs(lat.dim, levels, pairs, unchecked=True)
     with pytest.raises(InternalInvariantError) as err:
         ConeSystem(lift(poly), hand)

@@ -655,7 +655,8 @@ def test_verify_lattice_tests_containment_not_cover_paths():
 def test_verify_lattice_rejects_cover_that_is_not_a_containment():
     # an edge of the 4-cube added below a 2-face that does not hold it (the
     # diamond counts alone pass this lattice), and the tetrahedron's 2-face
-    # {0,1,2} given the top's vertex set, so that the top covers an equal set
+    # {0,1,2} given the top's vertex set, so that the top covers an equal
+    # set: two faces of one vertex mask, refused before any containment
     cube = face_lattice(hypercube(4))
     edge, square = Face((4, 12), 1), Face((9, 11, 13, 15), 2)
     assert edge in cube.faces(1) and square in cube.faces(2)
@@ -666,13 +667,14 @@ def test_verify_lattice_rejects_cover_that_is_not_a_containment():
         return new if f == old else f
 
     cases = [
-        ((cube.dim, cube.faces_by_dim, cube.covering + ((edge, square),)), (edge, square)),
+        ((cube.dim, cube.faces_by_dim, cube.covering + ((edge, square),)),
+         f"covering pair ({edge}, {square}) is not a strict vertex-set containment"),
         ((tetra.dim, tuple(tuple(map(swap, level)) for level in tetra.faces_by_dim),
-          tuple((swap(e), swap(f)) for e, f in tetra.covering)), (new, tetra.top_face)),
+          tuple((swap(e), swap(f)) for e, f in tetra.covering)),
+         f"face {tetra.top_face} found at levels 3 and 4"),
     ]
-    for args, (low, high) in cases:
+    for args, message in cases:
         # refused as it is built, before its grading is checked
-        message = f"covering pair ({low}, {high}) is not a strict vertex-set containment"
         with pytest.raises(InternalInvariantError) as err:
             lattice_from_pairs(*args)
         assert str(err.value) == message
@@ -684,9 +686,10 @@ def test_vertex_masks_come_from_the_closure_and_are_derived_by_hand_built_lattic
         small_corpus):
     # face_lattice keeps the vertex masks its walk found, by face id;
     # a lattice built from faces and covers derives the same ones; and
-    # the containment check, as the lattice is built, reads them, not the
-    # vertex sets: the cube's lattice with the mask of one vertex cleared
-    # fails it
+    # the checks as the lattice is built read them, not the vertex sets:
+    # the cube's lattice with the mask of one vertex cleared repeats the
+    # empty face's mask, and with it moved to a bit no face has, the
+    # vertex's covers fail the containment check
     for poly in list(small_corpus) + [hypercube(4), cross_polytope(4)]:
         lat = face_lattice(poly)
         masks = tuple(sum(1 << v for v in f.vertex_set) for f in lat.faces_by_id)
@@ -694,29 +697,34 @@ def test_vertex_masks_come_from_the_closure_and_are_derived_by_hand_built_lattic
         assert lattice_from_pairs(lat.dim, lat.faces_by_dim, lat.covering).vertex_masks == masks
     lat = face_lattice(hypercube(3))
     vertex = lat.face_id[lat.faces(0)[0]]
-    masks = list(lat.vertex_masks)
-    masks[vertex] = 0
-    with pytest.raises(InternalInvariantError) as err:
-        polytope.FaceLattice(lat.dim, lat.faces_by_dim, lat.down, vertex_masks=tuple(masks))
-    assert str(err.value) == (f"covering pair ({lat.empty_face}, {lat.faces_by_id[vertex]}) "
-                              "is not a strict vertex-set containment")
+    edge = lat.up[vertex][0]
+    for mask, message in ((0, f"face {lat.faces_by_id[vertex]} found at levels 0 and 1"),
+                          (1 << 8, f"covering pair ({lat.faces_by_id[vertex]}, "
+                                   f"{lat.faces_by_id[edge]}) is not a strict vertex-set "
+                                   "containment")):
+        masks = list(lat.vertex_masks)
+        masks[vertex] = mask
+        with pytest.raises(InternalInvariantError) as err:
+            polytope.FaceLattice(lat.dim, lat.faces_by_dim, lat.down, vertex_masks=tuple(masks))
+        assert str(err.value) == message
 
 
 # --- the simplex certificate ---
 
 def certificate_holds(lat) -> bool:
-    """Does the simplex certificate hold on the vertex masks, so that the
-    highs it returns hold no simplex?"""
+    """Does every simplex face, one whose vertex mask has rank + 1 bits,
+    pass the simplex certificate, so that the highs it returns hold no
+    simplex?"""
     masks = lat.vertex_masks
     return all(masks[g].bit_count() != r + 1
                for r, highs in enumerate(polytope.simplex_certificate(lat, masks)) for g in highs)
 
 
 def test_simplex_certificate_holds_on_polytopes_and_verify_matches_all_pairs():
-    # every face lattice passes the certificate, so its diamond check reads
-    # the diamonds only below faces that are not simplices, and the
-    # all-pairs oracle, which reads every pair, finds each lattice sound as
-    # well
+    # every simplex face of a face lattice passes the certificate, so its
+    # diamond check reads the diamonds only below faces that are not
+    # simplices, and the all-pairs oracle, which reads every pair, finds
+    # each lattice sound as well
     rng = random.Random(3901)
     inputs = (acceptance_corpus() + [hypercube(d) for d in range(1, 7)]
               + [cross_polytope(d) for d in range(1, 7)] + [simplex(8)]
@@ -772,32 +780,26 @@ SHORT_BY_A_SKIP = "cover ({}, {0,1,2}) skips a rank: not graded"
 
 @pytest.mark.parametrize("build, message", [
     (lambda: tetrahedron_with_covers(drop=[(Face((1, 2), 1), TRIANGLE)], unchecked=True), SHORT),
-    (lambda: tetrahedron_with_a_repeated_mask(unchecked=True),
-     "diamond property fails between {0,1} and {0,1,2}: 0 intermediate elements"),
+    (lambda: tetrahedron_with_a_repeated_mask(unchecked=True), "face {0,1} found at levels 1 and 2"),
     (lambda: tetrahedron_with_covers(drop=[(Face((1, 2), 1), TRIANGLE)],
                                      extra=[(Face((), -1), TRIANGLE)], unchecked=True),
      SHORT_BY_A_SKIP),
 ], ids=["simplex-short-of-a-cover", "two-faces-one-mask", "cover-skips-a-level"])
 def test_simplex_certificate_fails_and_the_full_check_names_the_pair(build, message):
-    # one premise of the certificate broken each: (c) the triangle {0,1,2}
-    # has two lower covers, (a) a vertex repeats an edge's mask, (b) the
-    # triangle covers the empty face in place of {1,2}; the other two hold.
-    # In the first two the first failing pair lies below the triangle, a
-    # simplex, so only the failed certificate keeps the pair in the check,
-    # which names it as the all-pairs oracle does.  (b) belongs to the
-    # graded axiom, so the lattice names the pair that breaks it as it is
-    # built, and no certificate is asked.  The lattices here are unchecked,
-    # so that the certificate can be read on each; when it fails, it
-    # returns every face as a high
+    # one premise of the diamond check's shortcut broken each: the triangle
+    # {0,1,2} has two lower covers, so it fails the certificate on its own
+    # and stays a high, and the check names the pair below it as the
+    # all-pairs oracle does; a vertex repeats an edge's mask, refused by the
+    # distinct-mask axiom before any diamond; the triangle covers the empty
+    # face in place of {1,2}, refused by the graded axiom.  In the last two
+    # the triangle passes the certificate.  The lattices here are
+    # unchecked, so that the certificate can be read on each
     lat = build()
-    if message == SHORT_BY_A_SKIP:
-        assert certificate_holds(lat)  # (b) is not its premise
-    else:
-        assert polytope.simplex_certificate(lat, lat.vertex_masks) == \
-            [lat.ids(r) for r in range(lat.dim + 1)]  # every id
-        assert not certificate_holds(lat)
+    triangle = lat.face_id[TRIANGLE]
+    assert lat.vertex_masks[triangle].bit_count() == TRIANGLE.dim + 1
+    highs = polytope.simplex_certificate(lat, lat.vertex_masks)
+    assert (triangle in highs[TRIANGLE.dim]) == (message == SHORT)
     assert failure(built, lat) == failure(all_pairs_verify_lattice, lat) == message
-    assert lat.vertex_masks[lat.face_id[TRIANGLE]].bit_count() == TRIANGLE.dim + 1
 
 
 @pytest.mark.parametrize("drop, extra, pair", [
