@@ -1344,7 +1344,7 @@ def all_pairs_diamonds(L, masks) -> None:
 def first_repeat(masks: list[int]) -> tuple[int, int] | None:
     """The first id f, in id order, whose mask an earlier id e has, as
     (e, f) with e the first id of that mask (``list.index``), or None."""
-    return next(((masks.index(m), f) for f, m in enumerate(masks) if masks.index(m) < f), None)
+    return next(((e, f) for f, m in enumerate(masks) if (e := masks.index(m)) < f), None)
 
 
 def all_pairs_verify_lattice(L: FaceLattice) -> None:
