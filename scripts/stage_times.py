@@ -16,7 +16,8 @@ Markdown table:
 
 - validate: ``validate`` on the input's vertices;
 - lattice: ``face_lattice``, the top-down walk with the checks the
-  lattice makes as it is built (containment, graded, diamonds);
+  lattice makes as it is built (distinct masks, graded, atom masks,
+  diamonds);
 - ConeSystem: ``lift`` and ``ConeSystem``;
 - build: ``trivialize`` and ``build_complex``;
 - report: ``e1_page`` and ``k_report``.

@@ -12,7 +12,8 @@ common element, which suffices by the dual of a lemma of Bjorner, Edelman
 and Ziegler (``_verify_meets``).  Both skip what the simplex certificate
 on the atom masks proves: the intervals below simplices are Boolean.
 Distinct atom masks are checked before either, once, as ``GradedIds``
-checks them on every lattice.
+checks them on every lattice; a face lattice's atom masks are its vertex
+masks, which it checks, so the search reads them with no pass.
 Isomorphism testing is backtracking in id order, rank by rank, on the
 element ids, id covers and atom masks of the two lattices, pruned by
 f-vector and up/down cover degrees.  An atom is placed only where the
@@ -60,7 +61,8 @@ class AbstractLattice(GradedIds):
     (bottom) to dim (top), numbered level by level (``GradedIds``): (rank, i)
     has the id ``level_start[rank + 1] + i`` and is ``faces_by_id`` there.
     A pair listed twice in ``covering`` is one cover, and each ``down[i]``
-    is ascending, whatever the order of ``covering``.  Built, it checks
+    is ascending, whatever the order of ``covering``; a pair naming an
+    element that the f-vector does not have is refused.  Built, it checks
     (``_verify_axioms``) the bounded and graded axioms, then that the atom
     masks are distinct, naming the two elements of the first repeated
     mask, then the diamonds on the atom masks, then the meets
@@ -77,19 +79,22 @@ class AbstractLattice(GradedIds):
     covering: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
 
     def __post_init__(self) -> None:
-        start = tuple(accumulate(self.f_vector, initial=0))
-        down: list[set[int]] = [set() for _ in range(start[-1])]
-        for (ra, a), (rb, b) in self.covering:
-            down[start[rb + 1] + b].add(start[ra + 1] + a)
-        self._number(tuple((r, i) for r in range(-1, self.dim + 1)
-                           for i in range(self.f_vector[r + 1])),
-                     start, tuple(tuple(sorted(below)) for below in down))
+        elements = tuple((r - 1, i) for r, n in enumerate(self.f_vector) for i in range(n))
+        index = {x: i for i, x in enumerate(elements)}
+        down: list[set[int]] = [set() for _ in elements]
+        try:
+            for a, b in self.covering:
+                down[index[b]].add(index[a])
+        except KeyError:
+            raise InternalInvariantError(f"cover ({a}, {b}) names no element") from None
+        self._number(elements, tuple(accumulate(self.f_vector, initial=0)),
+                     tuple(tuple(sorted(below)) for below in down))
         self._verify_axioms()
 
     def _verify_axioms(self) -> None:
         self.verify_graded()
-        self.verify_distinct(self.atom_masks, "{0} and {1} lie above the same atoms")
-        _verify_meets(self, set(chain.from_iterable(self._verify_diamonds(self.atom_masks))))
+        self.verify_distinct("{0} and {1} lie above the same atoms")
+        _verify_meets(self, set(chain.from_iterable(self._verify_diamonds())))
 
 
 def lattice_from_incidence(U: UnsignedIncidence) -> AbstractLattice:
@@ -190,8 +195,9 @@ def is_isomorphic(L1: "FaceLattice | AbstractLattice",
     Prunes on f-vector and per-element (down-degree, up-degree), and extends
     in id order, that is rank by rank, requiring the already-mapped lower
     covers to match exactly.  The search runs on the lattices' element ids,
-    id covers (``up``, ``down``) and atom masks (``GradedIds.atom_masks``);
-    only the returned pairs are faces or abstract elements.
+    id covers (``up``, ``down``) and atom masks (``GradedIds.atom_masks``,
+    on a face lattice its vertex masks, so no pass makes them); only the
+    returned pairs are faces or abstract elements.
 
     The targets for a source s are the unused elements t of s's rank, in
     ascending id order, with s's up-degree and with ``set(down[t])`` the
@@ -209,7 +215,9 @@ def is_isomorphic(L1: "FaceLattice | AbstractLattice",
       off.  So for s above rank 0 the candidates are the ids of L2 with
       that mask, ascending: one dict lookup, from each mask to the least id
       that has it, or a scan of s's rank when L2 has two elements of one
-      mask, which happens only in a poset that is not atomic.  After the
+      mask, which no lattice that is built has, as each checks its atom
+      masks distinct: only a poset built without its checks, as the tests
+      build one.  After the
       test above, the candidates and their order are those of a scan of the
       rank, and so is the mapping.  No candidate needs a rank test: for s
       at rank -1 or 0 the candidates are s's rank itself, and for s of
@@ -249,7 +257,7 @@ def is_isomorphic(L1: "FaceLattice | AbstractLattice",
             return LatticeIso(False, certificate="up/down cover degree multisets differ")
 
     atoms, masks2 = L1.ids(0), L2.atom_masks
-    # mask -> least id; masks are shared only in a poset that is not atomic
+    # mask -> least id; masks are shared only in a poset built unchecked
     first = dict(zip(reversed(masks2), range(len(masks2) - 1, -1, -1)))
     # Depth-first search over the sources in id order, that is rank by
     # rank, with an explicit stack, since lattices can have more faces than

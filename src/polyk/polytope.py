@@ -16,7 +16,8 @@ faces alone.  Each level is sorted by vertex set as soon as it is
 complete, and the faces are numbered once, from the bottom in that
 order, with each face's lower covers as the ascending id tuples every
 later stage reads.  The lattice checks its vertex masks distinct, its
-covers, its grading and its diamonds as it is built; a corrupt facet list
+grading, its vertex masks its atom masks, each face the union of the
+vertices below it, and its diamonds as it is built; a corrupt facet list
 fails there or in the walk's check of level 0, naming a face.  The same
 Boolean interval spares the diamond check: a cheap certificate on each
 face's vertex mask and covers leaves it only the pairs below the faces
@@ -49,7 +50,7 @@ from functools import cached_property, reduce
 from itertools import accumulate, chain
 from math import lcm
 from operator import and_, itemgetter
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InputError, InternalInvariantError
 from .linalg import (
@@ -129,44 +130,54 @@ class GradedIds:
       ``high``, so their number is the number of paths of two covers,
       ``mids(low, high) = #{m in up(low) : high in up(m)}``, which is
       ``popcount(up[low] & down[high])`` on id masks of covers.
-      ``two_step_paths`` gives it for every ``high`` of rank + 2 at once,
-      as the bit planes ``once``, ``twice`` and ``thrice`` (at least one,
-      two, three paths), folded over low's upper covers m from one mask U
-      per m, the highs that cover m, made with one OR per cover from the
-      highs' ``down``; mids is 2 exactly where ``twice`` is set and
-      ``thrice`` is not, so the pairs that fail are the set bits of
+      ``_verify_diamonds`` gives it for every ``high`` of rank + 2 at
+      once, as the bit planes ``once``, ``twice`` and ``thrice`` (at least
+      one, two, three paths), folded over low's upper covers m from one
+      mask U per m, the highs that cover m, made with one OR per cover
+      from the highs' ``down``; mids is 2 exactly where ``twice`` is set
+      and ``thrice`` is not, so the pairs that fail are the set bits of
       ``thrice | ~twice`` among the highs above ``low``, those whose mask
-      holds low's (``_verify_diamonds``, below), and ``diamond_error``
-      names the lowest set bit of the failure mask, the first failing pair
-      in id order, counting only that pair's mids again, for the message;
+      holds low's, and the lowest set bit is the first failing pair in id
+      order, whose mids alone are counted again for the message;
     - meets: every two elements have a meet.  ``comb_type._verify_meets``
       checks it on an abstract lattice; a face lattice does not, since
       the faces of a polytope are closed under intersection;
-    - distinct masks: distinct elements have distinct masks, the vertex
-      masks of a face lattice or the atom masks of an abstract one.  A
-      face of a polytope is fixed by its vertex set (Ziegler, "Lectures on
+    - distinct masks: distinct elements have distinct atom masks.  A face
+      of a polytope is fixed by its vertex set (Ziegler, "Lectures on
       Polytopes", section 2.2), and a lattice whose intervals of length 2
       are diamonds is atomic (below).  ``verify_distinct`` checks it, and
       it is the one place where a repeated mask is refused.
 
     Each lattice checks them once, when it is built, in one method,
     ``_verify_axioms``, that its ``__post_init__`` calls last, after
-    ``_number`` has found each cover listed once.  A ``FaceLattice``
-    checks distinct vertex masks, then that every cover is a containment
-    of vertex masks, a strict one as the masks are distinct, then
-    ``verify_graded``, then ``_verify_diamonds`` on the vertex masks; an
-    ``AbstractLattice`` checks ``verify_graded``, then distinct atom
-    masks, then ``_verify_diamonds`` on the atom masks, then the meets.
+    ``_number`` has refused a malformed shape and found each cover listed
+    once.  A ``FaceLattice`` checks distinct vertex masks, then
+    ``verify_graded``, then that its vertex masks are its atom masks, then
+    ``_verify_diamonds``; an ``AbstractLattice`` checks ``verify_graded``,
+    then distinct atom masks, then ``_verify_diamonds``, then the meets.
     So every lattice that exists is a lattice in the sense stated here,
     every lower cover lies one rank down, at a lower id, and every later
     stage rests on that and checks it nowhere else.  Any failure is an
     ``InternalInvariantError``.
 
-    The diamond check has one rule on both kinds: ``low`` is below
-    ``high`` when low's mask lies in high's.  On a face lattice that is
-    the order itself.  On an abstract lattice, with the atom masks, it
-    accepts the same posets as asking only the pairs a path of two covers
-    joins, once the meets are asked as well:
+    The atom masks (``atom_masks``) follow one rule: the k-th element of
+    rank 0 has bit k, and every other element the OR of its lower covers'
+    masks, the bottom none.  An abstract lattice reads them off its
+    covers.  A face lattice takes its vertex masks as its atom masks, and
+    checks the rule on them (``FaceLattice._verify_axioms``): the atoms are
+    the vertices, in vertex order, and a face of dimension 1 or more is the
+    union of its facets, as it is the convex hull of their vertices.  Once
+    the graded axiom holds, lower covers come first in id order, so by
+    induction each vertex mask is the atom mask.  So on every lattice
+    that exists every cover is a containment of atom masks, a strict one
+    as the masks are distinct, and every check reads one mask,
+    ``atom_masks``.  ``comb_type.is_isomorphic`` reads its candidates off
+    them.
+
+    The diamond check has one rule: ``low`` is below ``high`` when low's
+    atom mask lies in high's.  On a face lattice that is the order itself.
+    On an abstract lattice it accepts the same posets as asking only the
+    pairs a path of two covers joins, once the meets are asked as well:
 
     - a path of covers from ``low`` to ``high`` nests their atom masks,
       since each mask is the OR of its lower covers' masks; so every pair
@@ -185,21 +196,13 @@ class GradedIds:
     meets accept, and the two rules can name different failures only on a
     poset that both refuse: one whose meets fail.
 
-    The atom masks (``atom_masks``) are read off the covers alone: atom k
-    has bit k, and every element above the atoms the OR of its lower
-    covers' masks.  So every cover is a containment of atom masks, on
-    every lattice, one built by hand included, and a strict one once the
-    masks are distinct.  On the face lattice of a polytope the atoms are
-    the vertices, in vertex order, and the atom masks are the vertex
-    masks.  ``comb_type.is_isomorphic`` reads its candidates off them.
-
     The simplex certificate (``simplex_certificate``) spares the diamond
-    and meet checks most pairs.  It judges each element on its own, on the
-    masks ``_verify_diamonds`` reads: an element G of rank r passes when
-    its mask has r + 1 bits and it has exactly r + 1 lower covers.  The
-    claims below hold on a lattice whose masks are distinct, whose covers
-    are containments of masks, strict ones therefore, and whose graded
-    axiom holds; each lattice checks all three before its diamonds.
+    and meet checks most pairs.  It judges each element on its own, on its
+    atom mask: an element G of rank r passes when its mask has r + 1 bits
+    and it has exactly r + 1 lower covers.  The claims below hold on a
+    lattice whose atom masks are distinct and whose graded axiom holds, so
+    that its covers are strict containments of masks; each lattice checks
+    these before its diamonds.
 
     - An element of rank r has at least r + 1 bits: a chain of r + 1
       lower covers, each one rank down, reaches the bottom, and each is a
@@ -251,9 +254,20 @@ class GradedIds:
 
     def _number(self, faces_by_id: tuple, level_start: tuple[int, ...],
                 down: tuple[tuple[int, ...], ...]) -> None:
+        """Stores the numbering and reads ``up`` off ``down``, after
+        refusing a malformed shape: a dim below 0, an f-vector without one
+        entry per rank from -1 to dim, a ``down`` without one list per
+        element, or a cover id that names no element."""
+        if not 0 <= self.dim == len(level_start) - 3:
+            raise InternalInvariantError(f"dim {self.dim} does not fit f-vector {self.f_vector}")
+        if len(down) != (n := level_start[-1]):
+            raise InternalInvariantError(f"{len(down)} lists of lower covers for {n} elements")
         up: list[list[int]] = [[] for _ in down]
         for f, below in enumerate(down):
             for e in below:
+                if not 0 <= e < n:
+                    raise InternalInvariantError(
+                        f"lower cover id {e} of {faces_by_id[f]} names no element")
                 above = up[e]
                 if above and above[-1] == f:
                     raise InternalInvariantError(
@@ -267,13 +281,14 @@ class GradedIds:
     def ids(self, rank: int) -> range:
         return range(self.level_start[rank + 1], self.level_start[rank + 2])
 
-    @cached_property
-    def atom_masks(self) -> tuple[int, ...]:
+    def _atom_masks(self) -> tuple[int, ...]:
         """Per element, the bitmask of the atoms below it, read off the
         covers (see the class docstring): the k-th element of rank 0 has
         bit k, every element above rank 0 the OR of its lower covers'
-        masks, and every element of rank -1 none.  Made once per lattice,
-        in one pass in id order, which meets every lower cover first."""
+        masks, and every element of rank -1 none.  Made in one pass in id
+        order, which meets every lower cover first, once per lattice as
+        ``atom_masks``; a ``FaceLattice`` sets its vertex masks there, and
+        makes this pass only to check them (``FaceLattice._verify_axioms``)."""
         atoms = self.ids(0)
         masks = [0] * atoms.start + [1 << k for k in range(len(atoms))]
         for below in self.down[atoms.stop:]:
@@ -283,47 +298,7 @@ class GradedIds:
             masks.append(m)
         return tuple(masks)
 
-    def two_step_paths(self, rank: int, highs: Sequence[int]
-                       ) -> Iterator[tuple[int, int, int, int]]:
-        """For each element ``low`` of the rank, ``(low, once, twice,
-        thrice)``: bit b of ``once`` (``twice``, ``thrice``) is set iff at
-        least one (two, three) of low's upper covers are covered by the
-        element ``ids(rank + 2)[b]``, if that element is one of
-        ``highs``, some ids of rank + 2; the bits of the others are 0.
-
-        So for ``high`` two ranks up, bit b, the number of paths of two
-        covers from ``low`` to ``high`` is
-        ``mids(low, high) = #{m in up(low) : high in up(m)}``, the number of
-        elements between them, and it is 0, 1, 2 or at least 3 as b is set
-        in none of the planes, in ``once`` only, in ``twice`` but not in
-        ``thrice``, or in ``thrice``.  The planes fold, per upper cover m of
-        ``low``, the mask U of m's upper covers in ``ids(rank + 2)``:
-        ``thrice |= twice & U``, ``twice |= once & U``, ``once |= U``.  The
-        masks are level-local (bit b for ``ids(rank + 2)[b]``).  Every U is
-        made first, from the highs' lower covers: bit b is ORed into the U
-        of each m in ``down[ids(rank + 2)[b]]``, one OR per cover.  That is
-        the mask of m's upper covers among the highs, since ``up`` is read
-        off ``down``: h is in ``up[m]`` iff m is in ``down[h]``.  U is 0
-        for an m, of any rank, that no high covers.  With no highs at all,
-        every plane would be 0, and no element is yielded.
-        """
-        if not highs:
-            return
-        down, up = self.down, self.up
-        first = self.level_start[rank + 3]
-        covered_by = [0] * len(down)  # m -> U
-        for high in highs:
-            bit = 1 << (high - first)
-            for m in down[high]:
-                covered_by[m] |= bit
-        for low in self.ids(rank):
-            once = twice = thrice = 0
-            for m in up[low]:
-                u = covered_by[m]
-                thrice |= twice & u
-                twice |= once & u
-                once |= u
-            yield low, once, twice, thrice
+    atom_masks = cached_property(_atom_masks)
 
     def mids(self, low: int, high: int) -> int:
         """The number of elements that cover ``low`` and are covered by
@@ -362,48 +337,53 @@ class GradedIds:
             raise InternalInvariantError(f"cover ({elements[-1]}, {elements[up[-1][0]]}) "
                                          "does not go up a rank: not graded")
 
-    def verify_distinct(self, masks: Sequence[int], message: str) -> None:
+    def verify_distinct(self, message: str) -> None:
         """The distinct-mask axiom (see the class docstring), checked by
-        each lattice's ``_verify_axioms``: ``message`` is formatted with
-        the first element, in id order, whose mask an element e before it
-        has, in the order (e, that element, e's level, its level), a
-        level being a rank + 1.  Only when a set of the masks is smaller
-        than their list is that element searched for, to name it."""
-        if len(set(masks)) < len(masks):
+        each lattice's ``_verify_axioms`` on ``atom_masks``: ``message``
+        is formatted with the first element, in id order, whose mask an
+        element e before it has, in the order (e, that element, e's level,
+        its level), a level being a rank + 1.  Only when a set of the masks
+        is smaller than their list is that element searched for, to name
+        it."""
+        if len(set(self.atom_masks)) < len(self.atom_masks):
             first: dict[int, int] = {}  # mask -> the least id that has it
-            for f, m in enumerate(masks):
+            for f, m in enumerate(self.atom_masks):
                 e = first.setdefault(m, f)
                 if e != f:
                     raise InternalInvariantError(message.format(
                         self.faces_by_id[e], self.faces_by_id[f],
                         *(bisect_right(self.level_start, i) - 1 for i in (e, f))))
 
-    def diamond_error(self, low: int, rank: int, bad: int) -> InternalInvariantError:
-        """The failure of the diamond axiom between ``low``, of the rank,
-        and the element ``ids(rank + 2)[b]`` of the lowest set bit b of the
-        nonzero mask ``bad``, with the number of elements between them."""
-        high = self.level_start[rank + 3] + (bad & -bad).bit_length() - 1
-        return InternalInvariantError(
-            f"diamond property fails between {self.faces_by_id[low]} and "
-            f"{self.faces_by_id[high]}: {self.mids(low, high)} intermediate elements")
+    def _verify_diamonds(self) -> list[list[int]]:
+        """The diamond axiom (see the class docstring) on the atom masks,
+        with ``low`` below ``high`` when low's mask lies in high's, read
+        after the lattice's other checks, distinct masks included, have
+        passed.  Returns the highs it read, rank by rank from 0
+        (``simplex_certificate``).
 
-    def _verify_diamonds(self, masks: Sequence[int]) -> list[list[int]]:
-        """The diamond axiom (see the class docstring) on int bitmasks, with
-        ``low`` below ``high`` when ``masks[low]`` lies in ``masks[high]``:
-        the vertex masks of a face lattice or the atom masks of an abstract
-        one, read after the lattice's other checks, distinct masks
-        included, have passed.  Returns the highs it read, rank by rank
-        from 0 (``simplex_certificate``).
+        For each ``low`` of rank j, the bit planes ``once``, ``twice`` and
+        ``thrice`` fold, per upper cover m of ``low``, the mask U of m's
+        upper covers among the highs of rank j + 2 (bit b for the b-th
+        element of that rank): ``thrice |= twice & U``, ``twice |= once &
+        U``, ``once |= U``.  So bit b is set in none of them, in ``once``
+        only, in ``twice`` but not ``thrice``, or in ``thrice`` as mids is
+        0, 1, 2 or at least 3.  Each U, ``covered_by[m]``, is made with one
+        OR per cover from the highs' ``down``: h is in ``up[m]`` iff m is
+        in ``down[h]``.  It is 0 for an m that no high covers, and each m,
+        of rank j + 1, is written for rank j alone, so one list serves
+        every rank.
 
         The failure mask of ``low`` is ``above & (thrice | ~twice)``, with
         ``above`` the highs two ranks up whose mask holds low's.  ``above``
         comes from an inverted index rather than from trying every high:
         ``containing[v]`` is the bitmask of the highs whose mask has bit v,
-        so ``above`` is the AND of ``containing[v]`` over the bits v of
-        low's mask (the whole level for the bottom).  The AND starts from
-        the failure candidates and stops as soon as none is left.  A high
-        whose mask holds low's but that no path of covers reaches from
-        ``low`` fails with 0 intermediate elements.
+        made in the same loop over the highs, so ``above`` is the AND of
+        ``containing[v]`` over the bits v of low's mask (the whole level
+        for the bottom).  The AND starts from the failure candidates and
+        stops as soon as none is left.  The lowest set bit left is the
+        first failing pair in id order.  A high whose mask holds low's but
+        that no path of covers reaches from ``low`` fails with 0
+        intermediate elements.
 
         The highs are the elements that fail the simplex certificate, and
         a rank with no such element is skipped.  The class docstring shows
@@ -412,23 +392,31 @@ class GradedIds:
         same first failing pair.  On a simplicial polytope, only P over its
         ridges is left.
         """
-        others = simplex_certificate(self, masks)
+        masks, down, up, others = self.atom_masks, self.down, self.up, simplex_certificate(self)
         # a chain of upper covers, each a containment of masks, leads from
         # every element to the top, so every bit is the top's
         vbit = [1 << v for v in range(masks[-1].bit_length())]
-        for j in range(-1, self.dim - 1):
-            highs = others[j + 2]
+        covered_by = [0] * len(down)  # m -> U
+        for j, highs in ((j, h) for j, h in enumerate(others[1:], -1) if h):
             first = self.level_start[j + 3]
             containing, keep = [0] * len(vbit), 0
             for high in highs:
                 bit = 1 << (high - first)
                 keep |= bit
+                for m in down[high]:
+                    covered_by[m] |= bit
                 hi = masks[high]
                 while hi:
                     v = hi.bit_length() - 1
                     containing[v] |= bit
                     hi ^= vbit[v]
-            for low, _, twice, thrice in self.two_step_paths(j, highs):
+            for low in self.ids(j):
+                once = twice = thrice = 0
+                for m in up[low]:
+                    u = covered_by[m]
+                    thrice |= twice & u
+                    twice |= once & u
+                    once |= u
                 bad = keep & (thrice | ~twice)
                 lo = masks[low]
                 while bad and lo:
@@ -436,7 +424,10 @@ class GradedIds:
                     bad &= containing[v]
                     lo ^= vbit[v]
                 if bad:
-                    raise self.diamond_error(low, j, bad)
+                    high = first + (bad & -bad).bit_length() - 1
+                    raise InternalInvariantError(
+                        f"diamond property fails between {self.faces_by_id[low]} and "
+                        f"{self.faces_by_id[high]}: {self.mids(low, high)} intermediate elements")
         return others
 
 
@@ -456,12 +447,11 @@ class FaceLattice(GradedIds):
     ordered by the id of F, then of E) and ``face_id`` (the id of a
     ``Face``) are views made on first use.
 
-    Built, it checks (``_verify_axioms``) that the vertex masks are
+    Built, it takes its vertex masks as its atom masks (``atom_masks`` is
+    ``vertex_masks``) and checks (``_verify_axioms``) that they are
     distinct, naming a repeated one as the face found at two levels, then
-    each covering pair (low, high) for a containment of vertex masks,
-    ``lo & hi == lo``, strict as the masks are distinct, then the bounded
-    and graded axioms, then the diamonds on the vertex masks
-    (``GradedIds``).
+    the bounded and graded axioms, then that they are the atom masks, then
+    the diamonds (``GradedIds``).
     """
 
     dim: int
@@ -477,21 +467,38 @@ class FaceLattice(GradedIds):
         if self.vertex_masks is None:
             object.__setattr__(self, "vertex_masks", tuple(
                 sum(1 << v for v in f.vertex_set) for f in self.faces_by_id))
+        object.__setattr__(self, "atom_masks", self.vertex_masks)
         self._verify_axioms()
 
     def _verify_axioms(self) -> None:
-        faces, mask = self.faces_by_id, self.vertex_masks
-        self.verify_distinct(mask, "face {1} found at levels {2} and {3}")
-        for high, below in enumerate(self.down):
-            hi = mask[high]
-            for low in below:
-                lo = mask[low]
-                if lo & hi != lo:
-                    raise InternalInvariantError(
-                        f"covering pair ({faces[low]}, {faces[high]}) "
-                        "is not a strict vertex-set containment")
+        """Distinct vertex masks, the graded axiom, the atom masks, then the
+        diamonds (``GradedIds``).
+
+        The vertex masks must be the atom masks: the k-th face of rank 0
+        has bit k, and every other face the OR of its lower covers' masks,
+        the empty face, which has none, no bit.  One pass over ``down`` in
+        id order, after the graded axiom, makes the atom masks from the
+        covers alone (``_atom_masks``): the first face whose vertex mask
+        differs from its atom mask is the first whose mask is not the OR
+        of its lower covers' vertex masks, as every face before it has its
+        atom mask.  On a failure, the first cover, by high and then as
+        listed, whose low's mask does not lie in its high's is named, as a
+        containment is what each cover must be; with none, the first face
+        in id order whose mask breaks the rule.
+        """
+        self.verify_distinct("face {1} found at levels {2} and {3}")
         self.verify_graded()
-        self._verify_diamonds(mask)
+        masks, union = self.vertex_masks, self._atom_masks()
+        if union != masks:
+            faces = self.faces_by_id
+            for high, below in enumerate(self.down):
+                for low in below:
+                    if masks[low] & ~masks[high]:
+                        raise InternalInvariantError(f"covering pair ({faces[low]}, {faces[high]}) "
+                                                     "is not a strict vertex-set containment")
+            f = next(f for f, m in enumerate(union) if m != masks[f])
+            raise InternalInvariantError(f"face {faces[f]} is not the union of the vertices below it")
+        self._verify_diamonds()
 
     @cached_property
     def covering(self) -> tuple[tuple[Face, Face], ...]:
@@ -795,8 +802,9 @@ def face_lattice(P: Polytope) -> FaceLattice:
     message lists the level.
 
     The lattice then checks its vertex masks distinct, naming a face found
-    at two levels, its covers, and the bounded, graded and diamond axioms
-    as it is built (``FaceLattice``); the second identity, certified on
+    at two levels, the bounded and graded axioms, that each face is the
+    union of the vertices below it, and the diamond axiom as it is built
+    (``FaceLattice``); the second identity, certified on
     each face of the lattice itself (``simplex_certificate``), spares the
     diamond check every pair below a simplex face.  A facet list that is
     not P's fails there or in the walk's own check, each naming a face: a
@@ -849,15 +857,14 @@ def face_lattice(P: Polytope) -> FaceLattice:
                        vertex_masks=tuple(face[1] for level in levels for face in level))
 
 
-def simplex_certificate(L: GradedIds, masks: Sequence[int]) -> list[list[int]]:
+def simplex_certificate(L: GradedIds) -> list[list[int]]:
     """The highs the diamond check reads (``GradedIds._verify_diamonds``),
     rank by rank from 0 to ``L.dim``: the ids of the elements that fail the
-    simplex certificate, each judged on its own, those whose mask, a face
-    lattice's vertex mask or an abstract lattice's atom mask, does not have
-    rank + 1 bits, or that do not have rank + 1 lower covers.  What passing
-    it proves, on a lattice whose masks are distinct, is stated and proved
-    in ``GradedIds``.
+    simplex certificate, each judged on its own, those whose atom mask
+    does not have rank + 1 bits, or that do not have rank + 1 lower
+    covers.  What passing it proves, on a lattice whose masks are
+    distinct, is stated and proved in ``GradedIds``.
     """
-    down = L.down
+    masks, down = L.atom_masks, L.down
     return [[g for g in L.ids(r) if masks[g].bit_count() != r + 1 or len(down[g]) != r + 1]
             for r in range(L.dim + 1)]

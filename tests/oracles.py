@@ -169,7 +169,9 @@ The lattice-check and isomorphism oracles are the all-pairs forms the
 library used before it enumerated only the pairs a cover can reach:
 ``all_pairs_verify_lattice`` and ``all_pairs_abstract_lattice`` check what
 each kind of lattice checks as it is built, after
-``all_pairs_order_axioms`` has tested every cover: ``all_pairs_diamonds``
+``all_pairs_order_axioms`` has tested every cover, and a face lattice each
+cover a containment and each face the union of the vertices in its
+down-set: ``all_pairs_diamonds``
 counts the mids of every two elements two ranks apart whose masks nest
 (the popcount of the AND of two ``cover_masks``), on vertex sets or on the
 atoms of each down-set, and ``all_pairs_meets`` tests the meet of every
@@ -1300,18 +1302,10 @@ def failure(check, lat) -> str | None:
 
 
 def all_pairs_order_axioms(L) -> None:
-    """What a lattice checks as it is built, on every cover: on a
-    ``FaceLattice``, each covering pair a strict containment of vertex
-    sets, here tested on Python sets; then, on either kind, bounded and
+    """What a lattice checks as it is built, on every cover: bounded and
     graded, each cover one rank up (``adjacent_rank_covers``), a face's
     rank being its dimension and an abstract element's its first entry."""
     faces = isinstance(L, FaceLattice)
-    for high, below in enumerate(L.down) if faces else ():
-        for low in below:
-            lo, hi = L.faces_by_id[low], L.faces_by_id[high]
-            if not set(lo.vertex_set) < set(hi.vertex_set):
-                raise InternalInvariantError(
-                    f"covering pair ({lo}, {hi}) is not a strict vertex-set containment")
     if L.f_vector[0] != 1 or L.f_vector[-1] != 1:
         raise InternalInvariantError(f"not bounded: f-vector {L.f_vector}")
     elements = L.faces_by_id
@@ -1325,15 +1319,16 @@ def all_pairs_order_axioms(L) -> None:
     adjacent_rank_covers(elements, up, (lambda face: face.dim) if faces else itemgetter(0))
 
 
-def all_pairs_diamonds(L, masks) -> None:
+def all_pairs_diamonds(L, masks, highs=None) -> None:
     """Every two elements two ranks apart whose ``masks`` nest,
-    ``lo & hi == lo``, have two elements between them, counted as the
-    popcount of the AND of two ``cover_masks``."""
+    ``lo & hi == lo``, the higher one in ``highs`` if given, have two
+    elements between them, counted as the popcount of the AND of two
+    ``cover_masks``."""
     up, down = cover_masks(L)
     for j in range(-1, L.dim - 1):
         for low in L.ids(j):
             for high in L.ids(j + 2):
-                if masks[low] & masks[high] == masks[low]:
+                if masks[low] & masks[high] == masks[low] and (highs is None or high in highs):
                     mids = (up[low] & down[high]).bit_count()
                     if mids != 2:
                         raise InternalInvariantError(
@@ -1350,7 +1345,10 @@ def first_repeat(masks: list[int]) -> tuple[int, int] | None:
 def all_pairs_verify_lattice(L: FaceLattice) -> None:
     """What a ``FaceLattice`` checks as it is built, over all pairs:
     distinct vertex sets (``first_repeat``), the repeat named as a face
-    found at two levels, then ``all_pairs_order_axioms``, then
+    found at two levels, then ``all_pairs_order_axioms``, then each
+    covering pair a strict containment of vertex sets, on Python sets,
+    then each face's vertex set the set of the k for which the k-th face
+    of dimension 0 lies in its down-set (``down_sets``), then
     ``all_pairs_diamonds`` on the vertex sets as masks."""
     faces = L.faces_by_id
     masks = [sum(1 << v for v in f.vertex_set) for f in faces]
@@ -1359,6 +1357,15 @@ def all_pairs_verify_lattice(L: FaceLattice) -> None:
         e, f = (faces[i] for i in repeat)
         raise InternalInvariantError(f"face {f} found at levels {e.dim + 1} and {f.dim + 1}")
     all_pairs_order_axioms(L)
+    for high, below in enumerate(L.down):
+        for low in below:
+            lo, hi = faces[low], faces[high]
+            if not set(lo.vertex_set) < set(hi.vertex_set):
+                raise InternalInvariantError(
+                    f"covering pair ({lo}, {hi}) is not a strict vertex-set containment")
+    for f, down_set in zip(faces, down_sets(L)):
+        if set(f.vertex_set) != {k for k, v in enumerate(L.ids(0)) if down_set >> v & 1}:
+            raise InternalInvariantError(f"face {f} is not the union of the vertices below it")
     all_pairs_diamonds(L, masks)
 
 

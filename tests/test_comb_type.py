@@ -5,11 +5,13 @@ import json
 import random
 import sys
 from itertools import chain, combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polyk.polytope as polytope
 from polyk.cellular import build_complex, trivialize
 from polyk.comb_type import (
     AbstractLattice,
@@ -333,7 +335,7 @@ def three_atoms_under_an_edge() -> UncheckedFaceLattice:
 
 @pytest.mark.parametrize("build, face_message, abstract_message", [
     (tetrahedron_with_unreached_face,
-     "diamond property fails between {3} and {0,1,2,3}: 0 intermediate elements", None),
+     "face {0,1,2,3} is not the union of the vertices below it", None),
     (tetrahedron_without_cover,
      "diamond property fails between {1} and {0,1,2}: 1 intermediate elements",
      "diamond property fails between (0, 1) and (2, 0): 1 intermediate elements"),
@@ -344,9 +346,10 @@ def three_atoms_under_an_edge() -> UncheckedFaceLattice:
 def test_bit_plane_diamond_check_matches_all_pairs_oracles(build, face_message,
                                                           abstract_message):
     # a pair two levels apart with 0, 1 or 3 faces between: the face check
-    # fails on all three (0 only where the vertex sets are nested), the
-    # abstract check on 1 and 3, each naming the pair its oracle names; the
-    # abstract lattice of the first has the tetrahedron's covers, and so the
+    # fails on all three, on 0 before any diamond, as the face {0,1,2,3}
+    # holds {3} though no vertex below it is {3}; the abstract check fails
+    # on 1 and 3, each naming the pair its oracle names; the abstract
+    # lattice of the first has the tetrahedron's covers, and so the
     # tetrahedron's atom masks, which nest only where covers lead
     lat = build()
     assert failure(built, lat) == failure(all_pairs_verify_lattice, lat) == face_message
@@ -490,7 +493,8 @@ def test_abstract_check_names_what_the_all_pairs_oracle_names(lat):
     # oracle gives on the same poset, order axioms, diamonds on nested atom
     # masks and meets, or is built, and the oracle accepts it; the oracle
     # of the pairs a path of two covers joins, with meets, gives the same
-    # verdict (GradedIds).  A face lattice adds containment
+    # verdict (GradedIds).  A face lattice adds the check that its vertex
+    # masks are its atom masks
     # (test_lattice_checks_and_search_match_all_pairs_oracles)
     assert_abstract_check_matches_oracle(lat)
 
@@ -506,22 +510,43 @@ def test_abstract_check_rejects_a_poset_that_is_not_bounded(f_vector, covering):
         f"not bounded: f-vector {f_vector}")
 
 
-@given(cover_graphs())
+SEGMENT = (((-1, 0), (0, 0)), ((-1, 0), (0, 1)), ((0, 0), (1, 0)), ((0, 1), (1, 0)))
+
+
+@pytest.mark.parametrize("dim, extra, message", [
+    (3, (), "dim 3 does not fit f-vector (1, 2, 1)"),
+    (1, (((0, 5), (1, 0)),), "cover ((0, 5), (1, 0)) names no element"),
+    (1, (((1, 0), (3, 0)),), "cover ((1, 0), (3, 0)) names no element"),
+    (1, (((0, -1), (1, 0)),), "cover ((0, -1), (1, 0)) names no element"),
+], ids=["dim-beyond-f-vector", "index-beyond-rank", "rank-beyond-dim", "negative-index"])
+def test_abstract_lattice_refuses_a_malformed_shape(dim, extra, message):
+    # the segment's f-vector (1, 2, 1) with a dim it does not fit, or a
+    # cover naming an element it does not have, as the input lists it: a
+    # negative index does not wrap to another element
+    with pytest.raises(InternalInvariantError) as err:
+        AbstractLattice(dim=dim, f_vector=(1, 2, 1), covering=SEGMENT + extra)
+    assert str(err.value) == message
+
+
+def every_diamond(lat) -> None:
+    """``_verify_diamonds`` with every element a high, as if every element
+    failed the simplex certificate."""
+    with mock.patch.object(polytope, "simplex_certificate",
+                           lambda L: [list(L.ids(r)) for r in range(L.dim + 1)]):
+        lat._verify_diamonds()
+
+
+@given(st.one_of(st.randoms(use_true_random=False).map(random_graded_poset), cover_graphs()))
 @settings(max_examples=150, deadline=None)
 def test_two_step_path_planes_count_the_mids(lat):
-    # the planes, made from the masks U of the highs' down lists, hold
-    # mids(low, high) for every low of the rank and high two ranks up
-    for rank in range(-1, lat.dim - 1):
-        highs = lat.ids(rank + 2)
-        lows = []
-        for low, once, twice, thrice in lat.two_step_paths(rank, highs):
-            lows.append(low)
-            for b, high in enumerate(highs):
-                k = lat.mids(low, high)
-                assert [once >> b & 1, twice >> b & 1, thrice >> b & 1] == \
-                    [k >= 1, k >= 2, k >= 3], (rank, low, high)
-            assert max(once, twice, thrice).bit_length() <= len(highs)
-        assert lows == list(lat.ids(rank))
+    # the planes, made from the masks U of the highs' down lists, count
+    # mids(low, high) for every low and high two ranks up: on a poset that
+    # passes the order axioms, with every element a high, the check names
+    # the first pair of nested atom masks whose mids is not 2, with its
+    # mids, as the all-pairs count does
+    if failure(all_pairs_order_axioms, lat) is None:
+        assert failure(every_diamond, lat) == \
+            failure(lambda x: all_pairs_diamonds(x, x.atom_masks), lat)
 
 
 # --- is_isomorphic ---
@@ -915,7 +940,7 @@ def test_meet_check_reads_the_lower_covers_that_are_not_simplices():
     # lower covers are all simplices (here the squares, over edges) and
     # pairs the squares under the top, where the first failure is
     lat = pillow()
-    others = simplex_certificate(lat, lat.atom_masks)
+    others = simplex_certificate(lat)
     assert others == [[], [], list(lat.ids(2)), list(lat.ids(3))]
     message = "meet of (2, 0) and (2, 1) is not unique: poset is not a lattice"
     assert failure(built, lat) == failure(every_meet, lat) == message
@@ -927,7 +952,7 @@ def test_meet_check_reads_the_lower_covers_that_are_not_simplices():
 class RepeatedMasksAllowed(AbstractLattice):
     """An ``AbstractLattice`` that skips only the distinct-mask check."""
 
-    def verify_distinct(self, masks, message) -> None:
+    def verify_distinct(self, message) -> None:
         pass
 
 
@@ -951,42 +976,51 @@ def test_the_simplex_certificate_needs_distinct_masks():
     assert str(err.value) == "(1, 0) and (1, 1) lie above the same atoms" == \
         failure(all_pairs_abstract_lattice, two_edges_over_two_atoms(UncheckedAbstractLattice))
     lat = two_edges_over_two_atoms(RepeatedMasksAllowed)
-    assert simplex_certificate(lat, lat.atom_masks) == [[], [], []]
+    assert simplex_certificate(lat) == [[], [], []]
     assert failure(lambda x: all_pairs_diamonds(x, x.atom_masks), lat) == \
         "diamond property fails between (0, 1) and (2, 0): 3 intermediate elements"
 
 
-def digon() -> FaceLattice:
+def digon(unchecked=False) -> FaceLattice:
     """The vertices {0} and {1}, the edges {0,1} and {0,1,2}, each over
-    both vertices, and the top {0,1,2,3}: a ``FaceLattice`` with distinct
-    vertex masks whose two edges share one atom mask, so not a lattice."""
+    both vertices, and the top {0,1,2,3}: distinct vertex masks, but the
+    edge {0,1,2} holds the vertex 2, which is no vertex below it, so not a
+    face lattice, and its two edges share one atom mask.  Unchecked if
+    ``unchecked``."""
     bottom, top = Face((), -1), Face((0, 1, 2, 3), 2)
     vertices, edges = (Face((0,), 0), Face((1,), 0)), (Face((0, 1), 1), Face((0, 1, 2), 1))
     return lattice_from_pairs(2, ((bottom,), vertices, edges, (top,)),
                               [(bottom, v) for v in vertices]
                               + [(v, e) for e in edges for v in vertices]
-                              + [(e, top) for e in edges])
+                              + [(e, top) for e in edges], unchecked)
 
 
 def test_a_face_lattice_with_a_shared_atom_mask_is_searched_as_the_oracles_search_it():
-    # a face lattice checks no meets, and the digon's vertex masks are
-    # distinct, so it is built; its edges share an atom mask, so the search
-    # runs the scan of a rank for candidates, and finds the mapping the
-    # oracles find
-    lat = digon()
+    # the digon's vertex masks are distinct, but its edge {0,1,2} is not the
+    # union of the vertices below it: refused as it is built, as the
+    # all-pairs oracle refuses it.  Its covers, as a poset built unchecked,
+    # give the two edges one atom mask, so the search runs the scan of a
+    # rank for candidates, and finds the mapping the oracles find
+    with pytest.raises(InternalInvariantError) as err:
+        digon()
+    assert str(err.value) == failure(all_pairs_verify_lattice, digon(unchecked=True)) == \
+        "face {0,1,2} is not the union of the vertices below it"
+    lat = abstract_of(digon(unchecked=True))
     edges = lat.ids(1)
     assert lat.atom_masks[edges[0]] == lat.atom_masks[edges[1]] == 0b11
-    assert len(set(lat.vertex_masks)) == len(lat.vertex_masks)
     iso = assert_search_matches_oracles(lat, lat)
     assert iso.isomorphic and all(a == b for a, b in iso.mapping)
 
 
 def test_atom_masks_are_the_vertex_masks_of_a_face_lattice(small_corpus):
     # atom k is the vertex {k}, and a face of dimension 1 or more is the
-    # union of its facets
+    # union of its facets: the lattice checks it, and takes its vertex
+    # masks as its atom masks, so the search makes no pass for them; the
+    # pass an abstract lattice makes on the same covers gives them too
     for poly in small_corpus + [cross_polytope(5), hypercube(4), validate(HULL_DRAW_674)]:
         lat = face_lattice(poly)
-        assert lat.atom_masks == lat.vertex_masks, poly.name
+        assert lat.atom_masks is lat.vertex_masks, poly.name
+        assert abstract_of(lat).atom_masks == lat.vertex_masks, poly.name
 
 
 def shuffled_image(poly, rng):

@@ -34,6 +34,8 @@ from polyk.polytope import (
 from affine import apply_affine, random_invertible_affine
 from oracles import (
     affine_dim,
+    all_pairs_diamonds,
+    all_pairs_order_axioms,
     all_pairs_verify_lattice,
     brute_force_facets,
     built,
@@ -634,7 +636,9 @@ def test_verify_lattice_tests_containment_not_cover_paths():
     # the tetrahedron's 2-face {0,1,2} given the vertex set {0,1,2,3}, its
     # covers {0,1}, {1,2}, {0,2} kept: {3} lies in it, but no path of
     # covers leads from {3} to it; the top gets a vertex 4, so that every
-    # cover stays a strict vertex-set containment
+    # cover stays a strict vertex-set containment.  The face is not the
+    # union of the vertices below it, refused before any diamond, as the
+    # all-pairs oracle refuses it
     lat = face_lattice(simplex(3))
     renamed = {Face((0, 1, 2), 2): Face((0, 1, 2, 3), 2),
                lat.top_face: Face((0, 1, 2, 3, 4), 3)}
@@ -646,10 +650,8 @@ def test_verify_lattice_tests_containment_not_cover_paths():
     broken = lattice_from_pairs(3, tuple(tuple(map(swap, level)) for level in lat.faces_by_dim),
                                 tuple((swap(e), swap(f)) for e, f in lat.covering), unchecked=True)
     assert broken.lower_covers(new) == (Face((0, 1), 1), Face((0, 2), 1), Face((1, 2), 1))
-    with pytest.raises(InternalInvariantError,
-                       match=r"^diamond property fails between \{3\} and \{0,1,2,3\}: "
-                             r"0 intermediate elements$"):
-        built(broken)
+    message = "face {0,1,2,3} is not the union of the vertices below it"
+    assert failure(built, broken) == failure(all_pairs_verify_lattice, broken) == message
 
 
 def test_verify_lattice_rejects_cover_that_is_not_a_containment():
@@ -717,7 +719,7 @@ def certificate_holds(lat) -> bool:
     simplex?"""
     masks = lat.vertex_masks
     return all(masks[g].bit_count() != r + 1
-               for r, highs in enumerate(polytope.simplex_certificate(lat, masks)) for g in highs)
+               for r, highs in enumerate(polytope.simplex_certificate(lat)) for g in highs)
 
 
 def test_simplex_certificate_holds_on_polytopes_and_verify_matches_all_pairs():
@@ -739,7 +741,7 @@ def test_simplex_certificate_holds_on_polytopes_and_verify_matches_all_pairs():
     for poly, simplicial in ((cross_polytope(6), True), (simplex(8), False)):
         lat = face_lattice(poly)
         top = [len(lat.faces_by_id) - 1] if simplicial else []
-        assert polytope.simplex_certificate(lat, lat.vertex_masks) == [[]] * lat.dim + [top]
+        assert polytope.simplex_certificate(lat) == [[]] * lat.dim + [top]
 
 
 TRIANGLE = Face((0, 1, 2), 2)
@@ -797,7 +799,7 @@ def test_simplex_certificate_fails_and_the_full_check_names_the_pair(build, mess
     lat = build()
     triangle = lat.face_id[TRIANGLE]
     assert lat.vertex_masks[triangle].bit_count() == TRIANGLE.dim + 1
-    highs = polytope.simplex_certificate(lat, lat.vertex_masks)
+    highs = polytope.simplex_certificate(lat)
     assert (triangle in highs[TRIANGLE.dim]) == (message == SHORT)
     assert failure(built, lat) == failure(all_pairs_verify_lattice, lat) == message
 
@@ -831,18 +833,27 @@ def test_simplex_certificate_holds_and_a_diamond_above_a_square_fails():
         "diamond property fails between {0} and {0,1,2,3}: 1 intermediate elements"
 
 
-def test_two_step_paths_on_some_highs_are_the_full_planes_on_their_bits():
+def test_the_diamond_check_on_some_highs_names_the_first_failing_pair_among_them(
+        monkeypatch):
+    # the 4-cube, whole and without one cover, each in turn, that keeps it
+    # graded; with every second element of each rank as a high, with the
+    # others, and with none, the check names the first failing pair whose
+    # high is one of them, as the all-pairs count on those highs does
     lat = face_lattice(hypercube(4))
-    for rank in range(-1, lat.dim - 1):
-        highs = lat.ids(rank + 2)
-        some = highs[::2]
-        keep = sum(1 << (h - highs.start) for h in some)
-        full = list(lat.two_step_paths(rank, highs))
-        part = list(lat.two_step_paths(rank, some))
-        assert [low for low, *_ in part] == [low for low, *_ in full]
-        assert [tuple(p & keep for p in planes) for _, *planes in full] == \
-            [tuple(planes) for _, *planes in part]
-        assert list(lat.two_step_paths(rank, [])) == []  # no high, no plane to read
+    lattices = [lat] + [
+        lattice_from_pairs(lat.dim, lat.faces_by_dim, [c for c in lat.covering if c != drop],
+                           unchecked=True) for drop in lat.covering[::3]]
+    lattices = [x for x in lattices if failure(all_pairs_order_axioms, x) is None]
+    named = set()
+    for some in (slice(0, None, 2), slice(1, None, 2), slice(0, 0)):
+        highs = [list(lat.ids(r))[some] for r in range(lat.dim + 1)]
+        monkeypatch.setattr(polytope, "simplex_certificate", lambda L: highs)
+        for broken in lattices:
+            found = failure(lambda x: x._verify_diamonds(), broken)
+            assert found == failure(lambda x: all_pairs_diamonds(
+                x, x.vertex_masks, {h for level in highs for h in level}), broken)
+            named.add(found)
+    assert None in named and len(named) > 10
 
 
 # --- covering pairs ---
@@ -931,6 +942,22 @@ def test_verify_lattice_names_unbounded_f_vector():
         lattice_from_pairs(*args)
     assert str(err.value) == "not bounded: f-vector (1, 2, 0)" == \
         failure(all_pairs_verify_lattice, lattice_from_pairs(*args, unchecked=True))
+
+
+@pytest.mark.parametrize("dim, down, message", [
+    (3, (), "dim 3 does not fit f-vector (1, 2, 1)"),
+    (0, (), "dim 0 does not fit f-vector (1, 2, 1)"),
+    (1, ((), (0,), (0,), (1, 2), ()), "5 lists of lower covers for 4 elements"),
+    (1, ((), (0,), (0,), (1, -2)), "lower cover id -2 of {0,1} names no element"),
+], ids=["dim-beyond-levels", "dim-below-levels", "down-beyond-faces", "negative-cover-id"])
+def test_face_lattice_refuses_a_malformed_shape(dim, down, message):
+    # the segment's levels with a dim they do not fit, a down list for a
+    # face it does not have, or a cover id -2, which would wrap to the
+    # face {1}
+    lat = face_lattice(simplex(1))
+    with pytest.raises(InternalInvariantError) as err:
+        polytope.FaceLattice(dim, lat.faces_by_dim, down or lat.down)
+    assert str(err.value) == message
 
 
 def test_face_lattice_of_a_polytope_without_facets_names_bottom_level():
