@@ -16,8 +16,8 @@ Markdown table:
 
 - validate: ``validate`` on the input's vertices;
 - lattice: ``face_lattice``, the top-down walk with the checks the
-  lattice makes as it is built (distinct masks, graded, atom masks,
-  diamonds);
+  lattice makes as it is built (graded, distinct masks, atom masks,
+  diamonds, meets);
 - ConeSystem: ``lift`` and ``ConeSystem``;
 - build: ``trivialize`` and ``build_complex``;
 - report: ``e1_page`` and ``k_report``.

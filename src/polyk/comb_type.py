@@ -4,16 +4,13 @@ and decide lattice isomorphism between polytopes.
 The absolute values of the boundary-matrix entries record exactly the
 covering relation of the face lattice; transitive closure then recovers the
 whole order, so the unsigned complex determines the combinatorial type.  The
-reconstruction is an ``AbstractLattice``, which checks the lattice axioms,
-as ``GradedIds`` states them, on int bitmasks as it is built: the diamond
-property on the atom masks, by the rule a face lattice's vertex masks
-follow, and meets, kept as bitset down-sets, on pairs of lower covers of a
-common element, which suffices by the dual of a lemma of Bjorner, Edelman
-and Ziegler (``_verify_meets``).  Both skip what the simplex certificate
-on the atom masks proves: the intervals below simplices are Boolean.
-Distinct atom masks are checked before either, once, as ``GradedIds``
-checks them on every lattice; a face lattice's atom masks are its vertex
-masks, which it checks, so the search reads them with no pass.
+reconstruction is an ``AbstractLattice``, which checks the lattice axioms
+as it is built, by the one rule ``GradedIds`` states and runs for every
+lattice, a face lattice included: the graded axiom, the atom masks, which
+an abstract lattice reads off its covers and a face lattice compares with
+its vertex masks, distinct masks, the diamonds on the atom masks, and the
+meets, on pairs of lower covers of a common element.  So the search reads
+the atom masks of either kind with no pass.
 Isomorphism testing is backtracking in id order, rank by rank, on the
 element ids, id covers and atom masks of the two lattices, pruned by
 f-vector and up/down cover degrees.  An atom is placed only where the
@@ -28,7 +25,7 @@ element as its only certificate, or a certificate of non-isomorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Hashable, NamedTuple
 
 from .cellular import ChainComplex
@@ -63,20 +60,16 @@ class AbstractLattice(GradedIds):
     A pair listed twice in ``covering`` is one cover, and each ``down[i]``
     is ascending, whatever the order of ``covering``; a pair naming an
     element that the f-vector does not have is refused.  Built, it checks
-    (``_verify_axioms``) the bounded and graded axioms, then that the atom
-    masks are distinct, naming the two elements of the first repeated
-    mask, then the diamonds on the atom masks, then the meets
-    (``GradedIds``).  The meet check reads the highs the diamond check
-    read, the elements that fail the simplex certificate: it pairs the
-    lower covers only of elements that have such a lower cover.  Once the
-    diamonds hold, the others are simplices, and two simplices have a meet
-    (``GradedIds``).  No skipped pair can fail, so the check accepts the
-    same posets and names the same first failure as with every element.
+    the axioms as every lattice does (``GradedIds._verify_axioms``),
+    storing the atom masks it reads off its covers and naming the two
+    elements of the first repeated one.
     """
 
     dim: int
     f_vector: tuple[int, ...]
     covering: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+
+    repeated_mask = "{0} and {1} lie above the same atoms"
 
     def __post_init__(self) -> None:
         elements = tuple((r - 1, i) for r, n in enumerate(self.f_vector) for i in range(n))
@@ -90,11 +83,6 @@ class AbstractLattice(GradedIds):
         self._number(elements, tuple(accumulate(self.f_vector, initial=0)),
                      tuple(tuple(sorted(below)) for below in down))
         self._verify_axioms()
-
-    def _verify_axioms(self) -> None:
-        self.verify_graded()
-        self.verify_distinct("{0} and {1} lie above the same atoms")
-        _verify_meets(self, set(chain.from_iterable(self._verify_diamonds())))
 
 
 def lattice_from_incidence(U: UnsignedIncidence) -> AbstractLattice:
@@ -134,52 +122,6 @@ def lattice_from_incidence(U: UnsignedIncidence) -> AbstractLattice:
     return AbstractLattice(dim=dim, f_vector=tuple(f_vector), covering=tuple(covering))
 
 
-def _verify_meets(lat: AbstractLattice, others: set[int]) -> None:
-    """Every two lower covers of a common element have a meet, asked only
-    where some lower cover is in ``others``, the elements that fail the
-    simplex certificate, which are not simplices once the diamonds hold
-    (``AbstractLattice``).
-
-    That suffices for every pair to have one, by the dual of Bjorner,
-    Edelman & Ziegler 1990, "Hyperplane arrangements with a lattice of
-    regions", Lemma 2.1: a bounded poset of finite length is a lattice if
-    any two elements covered by a common element have a meet.  Proof, by
-    induction upward on z: every a, b <= z have a meet.  If a or b is z,
-    the other one is the meet.  Otherwise a <= a' and b <= b' for lower
-    covers a', b' of z.  If a' = b', the induction at a' gives the meet.
-    Otherwise a' and b' have a meet m, every common lower bound of a and b
-    lies below m, the induction at a' gives the meet p of a and m, and the
-    induction at b' gives the meet of p and b.  It is the meet of a and b:
-    the common lower bounds of a and b are those of a, m and b, hence those
-    of p and b.  A bounded finite poset in which every pair has a meet is a
-    lattice: the join is the meet of the common upper bounds.
-
-    ``ds[i]``, ``1 << i`` OR'd with the ``ds`` of i's lower covers (lower
-    ids, so computed first), is element i's down-set.  For elements a and
-    b, ``c = ds[a] & ds[b]`` is a down-set, and the meet of a and b exists
-    iff c has a unique maximal element.  Covers go up in id
-    (``GradedIds``), so the highest-numbered element x of c is maximal in
-    c.  Hence the meet exists iff ``c == ds[x]``: then every element of c
-    lies below x; otherwise an element of c outside ``ds[x]`` lies below a
-    second maximal element.
-    """
-    ds: list[int] = []
-    for i, below in enumerate(lat.down):
-        d = 1 << i
-        for b in below:
-            d |= ds[b]
-        ds.append(d)
-    for below in (c for c in lat.down if not others.isdisjoint(c)):
-        for k, a in enumerate(below):
-            for b in below[k + 1:]:
-                common = ds[a] & ds[b]
-                if common != ds[common.bit_length() - 1]:
-                    first, second = sorted((a, b))
-                    raise InternalInvariantError(
-                        f"meet of {lat.faces_by_id[first]} and {lat.faces_by_id[second]} "
-                        "is not unique: poset is not a lattice")
-
-
 class LatticeIso(NamedTuple):
     """A verified rank-preserving bijection, or a non-isomorphism certificate."""
 
@@ -212,14 +154,11 @@ def is_isomorphic(L1: "FaceLattice | AbstractLattice",
 
     - *candidates by mask.*  Any t with ``set(down[t]) == W`` has as its
       atom mask the OR of the masks of W, by the rule the masks are read
-      off.  So for s above rank 0 the candidates are the ids of L2 with
-      that mask, ascending: one dict lookup, from each mask to the least id
-      that has it, or a scan of s's rank when L2 has two elements of one
-      mask, which no lattice that is built has, as each checks its atom
-      masks distinct: only a poset built without its checks, as the tests
-      build one.  After the
-      test above, the candidates and their order are those of a scan of the
-      rank, and so is the mapping.  No candidate needs a rank test: for s
+      off.  Every lattice checks its atom masks distinct as it is built
+      (``GradedIds``), so for s above rank 0 the one candidate is the id of
+      L2 with that mask: one dict lookup.  After the test above, the
+      candidates are those of a scan of the rank, and so is the mapping.
+      No candidate needs a rank test: for s
       at rank -1 or 0 the candidates are s's rank itself, and for s of
       rank r above the atoms, W is a nonempty set of images of rank r - 1,
       since s has a lower cover (``GradedIds``), and the test above makes
@@ -257,8 +196,7 @@ def is_isomorphic(L1: "FaceLattice | AbstractLattice",
             return LatticeIso(False, certificate="up/down cover degree multisets differ")
 
     atoms, masks2 = L1.ids(0), L2.atom_masks
-    # mask -> least id; masks are shared only in a poset built unchecked
-    first = dict(zip(reversed(masks2), range(len(masks2) - 1, -1, -1)))
+    first = dict(zip(masks2, range(len(masks2))))  # mask -> id
     # Depth-first search over the sources in id order, that is rank by
     # rank, with an explicit stack, since lattices can have more faces than
     # Python's recursion limit.  mapping[s] is the target id placed for
@@ -277,8 +215,7 @@ def is_isomorphic(L1: "FaceLattice | AbstractLattice",
         key = 0
         for e in wanted_down:
             key |= masks2[e]
-        candidates = (rank if s < atoms.stop else [t for t in rank if masks2[t] == key]
-                      if len(first) < len(masks2) else (first[key],) if key in first else ())
+        candidates = rank if s < atoms.stop else (first[key],) if key in first else ()
         for t in candidates:
             if (t >= start and t not in used and len(up2[t]) == len(up1[s])
                     and len(down2[t]) == len(wanted_down) and wanted_down.issuperset(down2[t])

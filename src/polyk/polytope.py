@@ -15,13 +15,13 @@ facets as atoms, reaches every such face from P down, and it runs on those
 faces alone.  Each level is sorted by vertex set as soon as it is
 complete, and the faces are numbered once, from the bottom in that
 order, with each face's lower covers as the ascending id tuples every
-later stage reads.  The lattice checks its vertex masks distinct, its
-grading, its vertex masks its atom masks, each face the union of the
-vertices below it, and its diamonds as it is built; a corrupt facet list
-fails there or in the walk's check of level 0, naming a face.  The same
-Boolean interval spares the diamond check: a cheap certificate on each
-face's vertex mask and covers leaves it only the pairs below the faces
-that fail it, faces that are not simplices on a sound lattice.  The
+later stage reads.  The lattice checks its grading, its vertex masks
+distinct and its atom masks, so that each face is the union of the
+vertices below it, its diamonds and its meets as it is built; a corrupt
+facet list fails there or in the walk's check of level 0, naming a face.
+The same Boolean interval spares the diamond and meet checks: a cheap
+certificate on each face's vertex mask and covers leaves them only the
+faces that fail it, faces that are not simplices on a sound lattice.  The
 intersection closure of the facet vertex sets with one rational rank per
 face, and the closure over the vertices alone, are the tests' oracles.
 
@@ -47,10 +47,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from bisect import bisect_right
 from functools import cached_property, reduce
-from itertools import accumulate, chain
+from itertools import accumulate, chain, combinations
 from math import lcm
 from operator import and_, itemgetter
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError, InternalInvariantError
 from .linalg import (
@@ -139,9 +139,11 @@ class GradedIds:
       ``thrice | ~twice`` among the highs above ``low``, those whose mask
       holds low's, and the lowest set bit is the first failing pair in id
       order, whose mids alone are counted again for the message;
-    - meets: every two elements have a meet.  ``comb_type._verify_meets``
-      checks it on an abstract lattice; a face lattice does not, since
-      the faces of a polytope are closed under intersection;
+    - meets: every two elements have a meet, asked of the lower covers of
+      a common element (``_verify_meets``).  The faces of a polytope are
+      closed under intersection, but a face lattice given by hand need not
+      be: four squares around two vertices, the pillow, pass every other
+      axiom, and two of them meet in two edges;
     - distinct masks: distinct elements have distinct atom masks.  A face
       of a polytope is fixed by its vertex set (Ziegler, "Lectures on
       Polytopes", section 2.2), and a lattice whose intervals of length 2
@@ -151,28 +153,27 @@ class GradedIds:
     Each lattice checks them once, when it is built, in one method,
     ``_verify_axioms``, that its ``__post_init__`` calls last, after
     ``_number`` has refused a malformed shape and found each cover listed
-    once.  A ``FaceLattice`` checks distinct vertex masks, then
-    ``verify_graded``, then that its vertex masks are its atom masks, then
-    ``_verify_diamonds``; an ``AbstractLattice`` checks ``verify_graded``,
-    then distinct atom masks, then ``_verify_diamonds``, then the meets.
-    So every lattice that exists is a lattice in the sense stated here,
-    every lower cover lies one rank down, at a lower id, and every later
-    stage rests on that and checks it nowhere else.  Any failure is an
-    ``InternalInvariantError``.
+    once.  Both kinds run it alike: ``verify_graded``, then the atom
+    masks, ``verify_distinct`` on them included, then ``_verify_diamonds``,
+    then ``_verify_meets``.  So every lattice that exists is a lattice in the
+    sense stated here, every lower cover lies one rank down, at a lower
+    id, and every later stage rests on that and checks it nowhere else.
+    Any failure is an ``InternalInvariantError``.
 
     The atom masks (``atom_masks``) follow one rule: the k-th element of
     rank 0 has bit k, and every other element the OR of its lower covers'
-    masks, the bottom none.  An abstract lattice reads them off its
-    covers.  A face lattice takes its vertex masks as its atom masks, and
-    checks the rule on them (``FaceLattice._verify_axioms``): the atoms are
-    the vertices, in vertex order, and a face of dimension 1 or more is the
-    union of its facets, as it is the convex hull of their vertices.  Once
-    the graded axiom holds, lower covers come first in id order, so by
-    induction each vertex mask is the atom mask.  So on every lattice
-    that exists every cover is a containment of atom masks, a strict one
-    as the masks are distinct, and every check reads one mask,
-    ``atom_masks``.  ``comb_type.is_isomorphic`` reads its candidates off
-    them.
+    masks, the bottom none.  ``_verify_axioms`` makes them in one pass over
+    ``down`` (``_atom_masks``).  An abstract lattice stores them.  A face
+    lattice takes its vertex masks as its atom masks, and, once they are
+    distinct, compares them with the pass: the atoms are the vertices, in
+    vertex order, and a face of dimension 1 or more is the union of its
+    facets, as it is the convex hull of their vertices.  Once the graded
+    axiom holds, lower covers come first in id order, so the first face
+    whose vertex mask differs from the pass is the first whose mask is not
+    the OR of its lower covers' vertex masks.  So on every lattice that
+    exists every cover is a containment of atom masks, a strict one as the
+    masks are distinct, and every check reads one mask, ``atom_masks``.
+    ``comb_type.is_isomorphic`` reads its candidates off them.
 
     The diamond check has one rule: ``low`` is below ``high`` when low's
     atom mask lies in high's.  On a face lattice that is the order itself.
@@ -242,8 +243,8 @@ class GradedIds:
     of theirs, and each element whose mask lies in M is the one below G
     with that mask and the one below H, the masks being distinct.  So the
     elements below both are those below the element of mask M below G,
-    which is their meet.  The meet check reads the same highs
-    (``comb_type._verify_meets``).
+    which is their meet.  The meet check reads the elements just above the
+    same highs (``_verify_meets``).
     """
 
     faces_by_id: tuple
@@ -288,7 +289,7 @@ class GradedIds:
         masks, and every element of rank -1 none.  Made in one pass in id
         order, which meets every lower cover first, once per lattice as
         ``atom_masks``; a ``FaceLattice`` sets its vertex masks there, and
-        makes this pass only to check them (``FaceLattice._verify_axioms``)."""
+        makes this pass only to check them (``_verify_axioms``)."""
         atoms = self.ids(0)
         masks = [0] * atoms.start + [1 << k for k in range(len(atoms))]
         for below in self.down[atoms.stop:]:
@@ -304,6 +305,34 @@ class GradedIds:
         """The number of elements that cover ``low`` and are covered by
         ``high``."""
         return len(set(self.up[low]).intersection(self.down[high]))
+
+    def _verify_axioms(self) -> None:
+        """The axioms (see the class docstring), in their order: the graded
+        axiom, the atom masks, distinct masks, the diamonds, the meets.
+
+        The pass over ``down`` (``_atom_masks``) is stored as the atom masks
+        unless the lattice holds its own, its vertex masks.  Those must be
+        distinct, a repeated mask named by the lattice's ``repeated_mask``
+        (``verify_distinct``), and then equal the pass.  On a failure, the
+        first cover, by high and then as listed, whose low's mask does not
+        lie in its high's is named, as a containment is what each cover
+        must be; with none, the first face in id order whose mask breaks
+        the rule.
+        """
+        self.verify_graded()
+        union = self._atom_masks()
+        masks = vars(self).setdefault("atom_masks", union)
+        self.verify_distinct(self.repeated_mask)
+        if masks != union:
+            faces = self.faces_by_id
+            for high, below in enumerate(self.down):
+                for low in below:
+                    if masks[low] & ~masks[high]:
+                        raise InternalInvariantError(f"covering pair ({faces[low]}, {faces[high]}) "
+                                                     "is not a strict vertex-set containment")
+            f = next(f for f, m in enumerate(union) if m != masks[f])
+            raise InternalInvariantError(f"face {faces[f]} is not the union of the vertices below it")
+        self._verify_meets(chain.from_iterable(self._verify_diamonds()))
 
     def verify_graded(self) -> None:
         """The bounded and graded axioms (see the class docstring), checked
@@ -339,7 +368,7 @@ class GradedIds:
 
     def verify_distinct(self, message: str) -> None:
         """The distinct-mask axiom (see the class docstring), checked by
-        each lattice's ``_verify_axioms`` on ``atom_masks``: ``message``
+        ``_verify_axioms`` on ``atom_masks``: ``message``
         is formatted with the first element, in id order, whose mask an
         element e before it has, in the order (e, that element, e's level,
         its level), a level being a rank + 1.  Only when a set of the masks
@@ -430,6 +459,51 @@ class GradedIds:
                         f"{self.faces_by_id[high]}: {self.mids(low, high)} intermediate elements")
         return others
 
+    def _verify_meets(self, others: Iterable[int]) -> None:
+        """Every two lower covers of a common element have a meet, asked
+        only of the elements just above ``others``, the elements that fail
+        the simplex certificate, which are not simplices once the diamonds
+        hold; any two simplices have a meet (see the class docstring).
+
+        That suffices for every pair to have one, by the dual of Bjorner,
+        Edelman & Ziegler 1990, "Hyperplane arrangements with a lattice of
+        regions", Lemma 2.1: a bounded poset of finite length is a lattice if
+        any two elements covered by a common element have a meet.  Proof, by
+        induction upward on z: every a, b <= z have a meet.  If a or b is z,
+        the other one is the meet.  Otherwise a <= a' and b <= b' for lower
+        covers a', b' of z.  If a' = b', the induction at a' gives the meet.
+        Otherwise a' and b' have a meet m, every common lower bound of a and b
+        lies below m, the induction at a' gives the meet p of a and m, and the
+        induction at b' gives the meet of p and b.  It is the meet of a and b:
+        the common lower bounds of a and b are those of a, m and b, hence those
+        of p and b.  A bounded finite poset in which every pair has a meet is a
+        lattice: the join is the meet of the common upper bounds.
+
+        ``ds[i]``, ``1 << i`` OR'd with the ``ds`` of i's lower covers (lower
+        ids, so computed first), is element i's down-set.  For elements a and
+        b, ``c = ds[a] & ds[b]`` is a down-set, and the meet of a and b exists
+        iff c has a unique maximal element.  Covers go up in id, so the
+        highest-numbered element x of c is maximal in c.  Hence the meet
+        exists iff ``c == ds[x]``: then every element of c lies below x;
+        otherwise an element of c outside ``ds[x]`` lies below a second
+        maximal element.  The down-sets are made only below the last element
+        asked: on a simplicial polytope only the top fails the certificate,
+        and no element lies above it, so none is made.
+        """
+        asked = sorted({z for g in others for z in self.up[g]})
+        ds: list[int] = []  # up to the last element asked: its lower covers have lower ids
+        for i, below in enumerate(self.down[:asked[-1]] if asked else ()):
+            d = 1 << i
+            for b in below:
+                d |= ds[b]
+            ds.append(d)
+        for a, b in chain.from_iterable(combinations(self.down[z], 2) for z in asked):
+            common = ds[a] & ds[b]
+            if common != ds[common.bit_length() - 1]:
+                raise InternalInvariantError(f"meet of {self.faces_by_id[min(a, b)]} and "
+                                             f"{self.faces_by_id[max(a, b)]} is not unique: "
+                                             "poset is not a lattice")
+
 
 @dataclass(frozen=True)
 class FaceLattice(GradedIds):
@@ -447,11 +521,11 @@ class FaceLattice(GradedIds):
     ordered by the id of F, then of E) and ``face_id`` (the id of a
     ``Face``) are views made on first use.
 
-    Built, it takes its vertex masks as its atom masks (``atom_masks`` is
-    ``vertex_masks``) and checks (``_verify_axioms``) that they are
-    distinct, naming a repeated one as the face found at two levels, then
-    the bounded and graded axioms, then that they are the atom masks, then
-    the diamonds (``GradedIds``).
+    Built, it refuses vertex masks that are not one per face, naming both
+    counts, takes its vertex masks as its atom masks (``atom_masks`` is
+    ``vertex_masks``), and checks the axioms as every lattice does
+    (``GradedIds._verify_axioms``): its vertex masks must be the atom masks,
+    and a repeated one is named as the face found at two levels.
     """
 
     dim: int
@@ -460,8 +534,13 @@ class FaceLattice(GradedIds):
     vertex_masks: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
     f_vector: tuple[int, ...] = field(init=False)
 
+    repeated_mask = "face {1} found at levels {2} and {3}"
+
     def __post_init__(self) -> None:
         object.__setattr__(self, "f_vector", tuple(map(len, self.faces_by_dim)))
+        if self.vertex_masks is not None and len(self.vertex_masks) != sum(self.f_vector):
+            raise InternalInvariantError(
+                f"{len(self.vertex_masks)} vertex masks for {sum(self.f_vector)} faces")
         self._number(tuple(chain.from_iterable(self.faces_by_dim)),
                      tuple(accumulate(self.f_vector, initial=0)), self.down)
         if self.vertex_masks is None:
@@ -469,36 +548,6 @@ class FaceLattice(GradedIds):
                 sum(1 << v for v in f.vertex_set) for f in self.faces_by_id))
         object.__setattr__(self, "atom_masks", self.vertex_masks)
         self._verify_axioms()
-
-    def _verify_axioms(self) -> None:
-        """Distinct vertex masks, the graded axiom, the atom masks, then the
-        diamonds (``GradedIds``).
-
-        The vertex masks must be the atom masks: the k-th face of rank 0
-        has bit k, and every other face the OR of its lower covers' masks,
-        the empty face, which has none, no bit.  One pass over ``down`` in
-        id order, after the graded axiom, makes the atom masks from the
-        covers alone (``_atom_masks``): the first face whose vertex mask
-        differs from its atom mask is the first whose mask is not the OR
-        of its lower covers' vertex masks, as every face before it has its
-        atom mask.  On a failure, the first cover, by high and then as
-        listed, whose low's mask does not lie in its high's is named, as a
-        containment is what each cover must be; with none, the first face
-        in id order whose mask breaks the rule.
-        """
-        self.verify_distinct("face {1} found at levels {2} and {3}")
-        self.verify_graded()
-        masks, union = self.vertex_masks, self._atom_masks()
-        if union != masks:
-            faces = self.faces_by_id
-            for high, below in enumerate(self.down):
-                for low in below:
-                    if masks[low] & ~masks[high]:
-                        raise InternalInvariantError(f"covering pair ({faces[low]}, {faces[high]}) "
-                                                     "is not a strict vertex-set containment")
-            f = next(f for f, m in enumerate(union) if m != masks[f])
-            raise InternalInvariantError(f"face {faces[f]} is not the union of the vertices below it")
-        self._verify_diamonds()
 
     @cached_property
     def covering(self) -> tuple[tuple[Face, Face], ...]:
@@ -797,20 +846,21 @@ def face_lattice(P: Polytope) -> FaceLattice:
     ``GradedIds`` order: one pass appends each face's id to the lower-cover
     lists of the faces it was found under, so each list is the face's
     ``down``, ascending.  The walk starts level d + 1 as P alone and never
-    adds to it; a level 0 without the empty face, which sorts first there,
-    is an internal error, raised before the lattice is built, so that the
-    message lists the level.
+    adds to it; a level 0 that is not the empty face alone is an internal
+    error, raised before the lattice is built, so that the message lists
+    the level.
 
-    The lattice then checks its vertex masks distinct, naming a face found
-    at two levels, the bounded and graded axioms, that each face is the
-    union of the vertices below it, and the diamond axiom as it is built
-    (``FaceLattice``); the second identity, certified on
-    each face of the lattice itself (``simplex_certificate``), spares the
-    diamond check every pair below a simplex face.  A facet list that is
-    not P's fails there or in the walk's own check, each naming a face: a
-    facet with a vertex too few or a dropped facet leaves a diamond short,
-    or a face at two levels; a facet with a vertex too many, or a face of a
-    facet listed as a facet too, puts a face at two levels.
+    The lattice then checks, as every lattice does (``GradedIds``), the
+    bounded and graded axioms, its vertex masks distinct, naming a face
+    found at two levels, that each face is the union of the vertices below
+    it, the diamond axiom and the meets as it is built; the second
+    identity, certified on each face of the lattice itself
+    (``simplex_certificate``), spares the diamond and meet checks every
+    pair below a simplex face.  A facet list that is not P's fails there
+    or in the walk's own check, each naming a face: a facet with a vertex
+    too few or a dropped facet leaves a diamond short, or a face at two
+    levels; a face of a facet listed as a facet too puts a face at two
+    levels; a facet with a vertex too many leaves vertices in level 0.
     """
     d, n = P.ambient_dim, P.nvertices
     atoms = [(1 << j, sum(1 << v for v in fc.vertex_set)) for j, fc in enumerate(facets(P))]
@@ -846,7 +896,7 @@ def face_lattice(P: Polytope) -> FaceLattice:
     for f, face in enumerate(chain.from_iterable(levels)):
         for above in face[4:]:
             above[3].append(f)
-    if [face[1] for face in levels[0][:1]] != [0]:  # the empty face sorts first
+    if [face[1] for face in levels[0]] != [0]:
         listed = ", ".join(face_label(face[0]) for face in levels[0])
         raise InternalInvariantError("level 0 of the face lattice must hold the empty face {} "
                                      f"alone, found [{listed}]")

@@ -163,7 +163,9 @@ axioms when it is built; ``UncheckedFaceLattice`` and
 that a poset the library refuses to build can still feed the oracles, and
 ``built`` builds the library's lattice from such a one's fields.
 ``GradedPoset`` checks only the bounded and graded axioms, so that the
-isomorphism search can be run on posets that are not lattices.
+search oracles can be run on posets that are not lattices; the library's
+search is given only lattices that are built, whose atom masks are
+distinct.
 
 The lattice-check and isomorphism oracles are the all-pairs forms the
 library used before it enumerated only the pairs a cover can reach:
@@ -174,8 +176,8 @@ cover a containment and each face the union of the vertices in its
 down-set: ``all_pairs_diamonds``
 counts the mids of every two elements two ranks apart whose masks nest
 (the popcount of the AND of two ``cover_masks``), on vertex sets or on the
-atoms of each down-set, and ``all_pairs_meets`` tests the meet of every
-pair of elements.  ``all_pairs_verify_abstract_lattice`` is the rule an
+atoms of each down-set, and ``all_pairs_meets``, which both run last,
+tests the meet of every pair of elements.  ``all_pairs_verify_abstract_lattice`` is the rule an
 abstract lattice followed before, every pair a path of two covers joins,
 kept as the witness that both rules accept the same posets.
 ``rank_scan_is_isomorphic`` scans a source element's whole target rank for
@@ -1011,7 +1013,8 @@ class UncheckedAbstractLattice(AbstractLattice):
 class GradedPoset(AbstractLattice):
     """An ``AbstractLattice`` that checks only the bounded and graded
     axioms: a bounded graded poset, a lattice or not, that the search
-    (``is_isomorphic``) can still be run on."""
+    oracles (``rank_scan_is_isomorphic``, ``up_scan_is_isomorphic``) can
+    still be run on."""
 
     def _verify_axioms(self) -> None:
         self.verify_graded()
@@ -1349,7 +1352,8 @@ def all_pairs_verify_lattice(L: FaceLattice) -> None:
     covering pair a strict containment of vertex sets, on Python sets,
     then each face's vertex set the set of the k for which the k-th face
     of dimension 0 lies in its down-set (``down_sets``), then
-    ``all_pairs_diamonds`` on the vertex sets as masks."""
+    ``all_pairs_diamonds`` on the vertex sets as masks, then
+    ``all_pairs_meets``."""
     faces = L.faces_by_id
     masks = [sum(1 << v for v in f.vertex_set) for f in faces]
     repeat = first_repeat(masks)
@@ -1367,6 +1371,7 @@ def all_pairs_verify_lattice(L: FaceLattice) -> None:
         if set(f.vertex_set) != {k for k, v in enumerate(L.ids(0)) if down_set >> v & 1}:
             raise InternalInvariantError(f"face {f} is not the union of the vertices below it")
     all_pairs_diamonds(L, masks)
+    all_pairs_meets(L)
 
 
 def all_pairs_abstract_lattice(lat: AbstractLattice) -> None:
@@ -1416,7 +1421,7 @@ def down_sets(lat) -> list[int]:
     return ds
 
 
-def all_pairs_meets(lat: AbstractLattice) -> None:
+def all_pairs_meets(lat) -> None:
     """Every two elements a, b have a meet: ``ds[a] & ds[b]`` is the down-set
     of its highest-numbered element, with covers going up in id."""
     elements = lat.faces_by_id

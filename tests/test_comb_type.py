@@ -17,7 +17,6 @@ from polyk.comb_type import (
     AbstractLattice,
     LatticeIso,
     UnsignedIncidence,
-    _verify_meets,
     is_isomorphic,
     lattice_from_incidence,
     strip_signs,
@@ -278,9 +277,9 @@ def random_graded_poset(rng) -> GradedPoset:
 
 
 def every_meet(lat) -> None:
-    """``_verify_meets`` asked at every element, as if every element
-    failed the simplex certificate."""
-    _verify_meets(lat, set(range(len(lat.down))))
+    """``GradedIds._verify_meets`` asked at every element, as if every
+    element failed the simplex certificate."""
+    lat._verify_meets(range(len(lat.down)))
 
 
 def test_meets_of_lower_covers_decide_lattices():
@@ -863,8 +862,14 @@ def relabeled_pairs(draw):
 
 
 def assert_search_matches_oracles(a, b) -> LatticeIso:
-    expected = is_isomorphic(a, b)
-    assert expected == rank_scan_is_isomorphic(a, b) == up_scan_is_isomorphic(a, b)
+    """The verdict of both search oracles on ``a`` and ``b``, which must
+    agree; when both build as lattices, ``is_isomorphic`` on the built ones
+    gives it too.  The library's search is given only lattices that are
+    built, whose atom masks are distinct (``GradedIds``)."""
+    expected = rank_scan_is_isomorphic(a, b)
+    assert up_scan_is_isomorphic(a, b) == expected
+    if failure(built, a) is None and failure(built, b) is None:
+        assert is_isomorphic(built(a), built(b)) == expected
     return expected
 
 
@@ -872,7 +877,9 @@ def assert_search_matches_oracles(a, b) -> LatticeIso:
 @settings(max_examples=300, deadline=None)
 def test_search_on_atom_masks_matches_both_oracles(pair):
     # the same mapping, the least valid one in id order, or the same
-    # certificate, both ways round, on posets renumbered within each rank
+    # certificate, both ways round, on posets renumbered within each rank:
+    # from the two oracles on every draw, and from the library's search as
+    # well on the draws that build as lattices
     a, b = pair
     assert_search_matches_oracles(a, b)
     assert_search_matches_oracles(b, a)
@@ -880,17 +887,23 @@ def test_search_on_atom_masks_matches_both_oracles(pair):
 
 def test_search_on_atom_masks_reaches_every_verdict():
     # the draws of the property test above, seeded, reach an isomorphism
-    # and all three certificates a search on equal f-vectors can give
+    # and all three certificates a search on equal f-vectors can give; the
+    # 49 pairs that build as lattices are searched by the library too, and
+    # are isomorphic
     rng = random.Random(4103)
-    verdicts = set()
+    verdicts, built_verdicts = set(), []
     for _ in range(600):
         source = random_graded_poset(rng)
-        target = changed(source, rng.randrange(3), rng.randrange(99), rng.randrange(99))
-        perms = [rng.sample(range(n), n) for n in source.f_vector]
-        iso = assert_search_matches_oracles(source, relabeled(target, perms))
+        target = relabeled(changed(source, rng.randrange(3), rng.randrange(99),
+                                   rng.randrange(99)),
+                           [rng.sample(range(n), n) for n in source.f_vector])
+        iso = assert_search_matches_oracles(source, target)
         verdicts.add(iso.certificate)
+        if failure(built, source) is None and failure(built, target) is None:
+            built_verdicts.append(iso.certificate)
     assert verdicts == {None, "up/down cover degree multisets differ",
                         "exhausted search: no cover-preserving bijection"}
+    assert built_verdicts == [None] * 49
 
 
 def two_squares(over) -> GradedPoset:
@@ -908,16 +921,64 @@ def two_squares(over) -> GradedPoset:
 def test_a_candidate_of_the_right_mask_and_degrees_fails_the_down_set_test():
     # (2, 0) of the source lies over the edges (1, 0) and (1, 1); in the
     # target, (2, 0) lies over (1, 2) and (1, 3).  Both have all four atoms
-    # and the same degrees, so both are candidates; the down-set test
-    # rejects the first, and the second is placed
+    # and the same degrees, so both are candidates of the oracles' scans;
+    # their down-set test rejects the first, and the second is placed.  Two
+    # elements of one mask make neither poset a lattice, so the library's
+    # search, which reads one candidate per mask, is never given them
     source, target = two_squares([(0, 1), (2, 3)]), two_squares([(2, 3), (0, 1)])
     masks = target.atom_masks
     rank2 = target.ids(2)
     assert masks[rank2[0]] == masks[rank2[1]] == 0b1111
     assert [len(target.up[t]) for t in rank2] == [len(source.up[rank2[0]])] * 2
     assert [len(target.down[t]) for t in rank2] == [len(source.down[rank2[0]])] * 2
+    for poset in (source, target):
+        assert failure(built, poset) == "(2, 0) and (2, 1) lie above the same atoms"
     iso = assert_search_matches_oracles(source, target)
     assert dict(iso.mapping)[(2, 0)] == (2, 1)
+
+
+class LoggedCovers(tuple):
+    """Cover lists that log each list read by index as (``name``, index)."""
+
+    def __new__(cls, lists, name, log):
+        logged = super().__new__(cls, lists)
+        logged.name, logged.log = name, log
+        return logged
+
+    def __getitem__(self, i):
+        if isinstance(i, int):
+            self.log.append((self.name, i))
+        return super().__getitem__(i)
+
+
+def test_on_a_built_lattice_the_down_set_test_passes_every_candidate():
+    # on a lattice that is built, x lies below y iff x's atom mask lies in
+    # y's, so the one candidate t of a source s, whose mask is the OR of
+    # the images W of s's lower covers, has all of W among its lower
+    # covers.  Only the count of down[t] can fail, and on a polytope it
+    # does not: the images of s's facets are facets of t closed under the
+    # ridges, each in two facets of both, and t's facets are connected
+    # through ridges.  So the search on a shuffled image backtracks (a
+    # source visited again), reads down[t] after s's down list for each
+    # candidate it tests, and finds every count equal
+    log: list[tuple[str, int]] = []
+    a, b = (FaceLattice(lat.dim, lat.faces_by_dim, LoggedCovers(lat.down, name, log),
+                        lat.vertex_masks)
+            for lat, name in ((face_lattice(hypercube(4)), "s"),
+                              (face_lattice(shuffled_image(hypercube(4), random.Random(1207))),
+                               "t")))
+    log.clear()
+    assert is_isomorphic(a, b).isomorphic
+    sources = [i for name, i in log if name == "s"]
+    assert len(sources) > len(set(sources))
+    s, tested = None, 0
+    for name, i in log:
+        if name == "s":
+            s = i
+        else:
+            tested += 1
+            assert len(tuple.__getitem__(b.down, i)) == len(tuple.__getitem__(a.down, s))
+    assert tested
 
 
 def pillow() -> GradedPoset:
@@ -944,9 +1005,31 @@ def test_meet_check_reads_the_lower_covers_that_are_not_simplices():
     assert others == [[], [], list(lat.ids(2)), list(lat.ids(3))]
     message = "meet of (2, 0) and (2, 1) is not unique: poset is not a lattice"
     assert failure(built, lat) == failure(every_meet, lat) == message
-    assert failure(lambda x: _verify_meets(x, set(chain.from_iterable(others))), lat) == message
+    assert failure(lambda x: x._verify_meets(chain.from_iterable(others)), lat) == message
     assert failure(all_pairs_abstract_lattice, lat).endswith(MEETS)
     assert failure(all_pairs_verify_abstract_lattice, lat).endswith(MEETS)
+
+
+def test_a_face_lattice_checks_its_meets():
+    # the pillow by vertex sets: bounded, graded, each face the union of the
+    # vertices below it, distinct masks and every diamond; the squares over
+    # {0,2} have no meet, so the face lattice is refused as the abstract
+    # one is, with the first pair the all-pairs oracle names.  Without its
+    # meet check it was built, with f-vector (1, 6, 8, 4, 1)
+    vertices = [Face((v,), 0) for v in range(6)]
+    edges = [Face((p, a), 1) for p in (0, 1) for a in range(2, 6)]
+    squares = [Face(tuple(sorted((0, 1, a, b))), 2) for a, b in ((2, 3), (3, 4), (4, 5), (2, 5))]
+    bottom, top = Face((), -1), Face(tuple(range(6)), 3)
+    levels = [(bottom,), vertices, edges, sorted(squares), (top,)]
+    covering = [(bottom, v) for v in vertices]
+    covering += [(v, e) for e in edges for v in vertices if v.vertex_set[0] in e.vertex_set]
+    covering += [(e, q) for q in levels[3] for e in edges if set(e.vertex_set) <= set(q.vertex_set)]
+    covering += [(q, top) for q in levels[3]]
+    lat = lattice_from_pairs(3, levels, covering, unchecked=True)
+    assert lat.f_vector == (1, 6, 8, 4, 1)
+    assert failure(built, lat) == failure(all_pairs_verify_lattice, lat) == \
+        "meet of {0,1,2,3} and {0,1,2,5} is not unique: poset is not a lattice"
+    assert failure(lambda x: all_pairs_diamonds(x, x.vertex_masks), lat) is None
 
 
 class RepeatedMasksAllowed(AbstractLattice):
@@ -999,8 +1082,8 @@ def test_a_face_lattice_with_a_shared_atom_mask_is_searched_as_the_oracles_searc
     # the digon's vertex masks are distinct, but its edge {0,1,2} is not the
     # union of the vertices below it: refused as it is built, as the
     # all-pairs oracle refuses it.  Its covers, as a poset built unchecked,
-    # give the two edges one atom mask, so the search runs the scan of a
-    # rank for candidates, and finds the mapping the oracles find
+    # give the two edges one atom mask, which the abstract lattice refuses
+    # too; the oracles, which scan a rank for candidates, map it to itself
     with pytest.raises(InternalInvariantError) as err:
         digon()
     assert str(err.value) == failure(all_pairs_verify_lattice, digon(unchecked=True)) == \
@@ -1008,6 +1091,7 @@ def test_a_face_lattice_with_a_shared_atom_mask_is_searched_as_the_oracles_searc
     lat = abstract_of(digon(unchecked=True))
     edges = lat.ids(1)
     assert lat.atom_masks[edges[0]] == lat.atom_masks[edges[1]] == 0b11
+    assert failure(built, lat) == "(1, 0) and (1, 1) lie above the same atoms"
     iso = assert_search_matches_oracles(lat, lat)
     assert iso.isomorphic and all(a == b for a, b in iso.mapping)
 

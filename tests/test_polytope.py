@@ -569,12 +569,14 @@ def corrupt_facets(P, kind):
 CORRUPT_CASES = {
     ("cube3", "missing_vertex"):
         r"diamond property fails between \{0\} and \{0,1,2,3\}: 1 intermediate elements",
-    ("cube3", "extra_vertex"): r"face \{1\} found at levels 0 and 1",
+    ("cube3", "extra_vertex"): r"level 0 of the face lattice must hold the empty face \{\} "
+                               r"alone, found \[\{\}, \{1\}\]",
     ("cube3", "dropped_facet"):
         r"diamond property fails between \{0\} and \{0,1,2,3\}: 1 intermediate elements",
     ("cube3", "nested_ridge"): r"face \{0,2\} found at levels 2 and 3",
     ("cross3", "missing_vertex"): r"face \{3,5\} found at levels 2 and 3",
-    ("cross3", "extra_vertex"): r"face \{0\} found at levels 0 and 1",
+    ("cross3", "extra_vertex"): r"level 0 of the face lattice must hold the empty face \{\} "
+                                r"alone, found \[\{\}, \{0\}, \{3\}, \{5\}\]",
     ("cross3", "dropped_facet"):
         r"diamond property fails between \{1,3\} and \{0,1,2,3,4,5\}: 1 intermediate elements",
     ("cross3", "nested_ridge"): r"face \{1,3\} found at levels 2 and 3",
@@ -958,6 +960,17 @@ def test_face_lattice_refuses_a_malformed_shape(dim, down, message):
     with pytest.raises(InternalInvariantError) as err:
         polytope.FaceLattice(dim, lat.faces_by_dim, down or lat.down)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("masks", [(0, 1, 2), (0, 1, 2, 3, 8)], ids=["short", "long"])
+def test_face_lattice_refuses_vertex_masks_of_the_wrong_length(masks):
+    # one vertex mask per face, or the lattice is refused before any check,
+    # with both counts; a short tuple raised IndexError and a long one
+    # StopIteration
+    lat = face_lattice(simplex(1))
+    with pytest.raises(InternalInvariantError) as err:
+        polytope.FaceLattice(lat.dim, lat.faces_by_dim, lat.down, vertex_masks=masks)
+    assert str(err.value) == f"{len(masks)} vertex masks for 4 faces"
 
 
 def test_face_lattice_of_a_polytope_without_facets_names_bottom_level():
