@@ -308,16 +308,16 @@ class GradedIds:
 
     def _verify_axioms(self) -> None:
         """The axioms (see the class docstring), in their order: the graded
-        axiom, the atom masks, distinct masks, the diamonds, the meets.
+        axiom, the atom masks, the diamonds, the meets.
 
         The pass over ``down`` (``_atom_masks``) is stored as the atom masks
-        unless the lattice holds its own, its vertex masks.  Those must be
-        distinct, a repeated mask named by the lattice's ``repeated_mask``
-        (``verify_distinct``), and then equal the pass.  On a failure, the
-        first cover, by high and then as listed, whose low's mask does not
-        lie in its high's is named, as a containment is what each cover
-        must be; with none, the first face in id order whose mask breaks
-        the rule.
+        unless the lattice holds its own, its vertex masks.  The atom masks
+        must be distinct, a repeated mask named by the lattice's
+        ``repeated_mask`` (``verify_distinct``), and vertex masks must then
+        equal the pass.  On a failure, the first cover, by high and then as
+        listed, whose low's mask does not lie in its high's is named, as a
+        containment is what each cover must be; with none, the first face
+        in id order whose mask breaks the rule.
         """
         self.verify_graded()
         union = self._atom_masks()

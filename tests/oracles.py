@@ -177,9 +177,10 @@ down-set: ``all_pairs_diamonds``
 counts the mids of every two elements two ranks apart whose masks nest
 (the popcount of the AND of two ``cover_masks``), on vertex sets or on the
 atoms of each down-set, and ``all_pairs_meets``, which both run last,
-tests the meet of every pair of elements.  ``all_pairs_verify_abstract_lattice`` is the rule an
-abstract lattice followed before, every pair a path of two covers joins,
-kept as the witness that both rules accept the same posets.
+tests the meet of every pair of elements.
+``all_pairs_verify_abstract_lattice`` is the rule an abstract lattice
+followed before, every pair a path of two covers joins, kept as the
+witness that both rules accept the same posets.
 ``rank_scan_is_isomorphic`` scans a source element's whole target rank for
 candidates.  ``up_scan_is_isomorphic`` is
 the search the library ran before it keyed candidates on atom masks: the

@@ -1018,14 +1018,15 @@ def test_a_face_lattice_checks_its_meets():
     # meet check it was built, with f-vector (1, 6, 8, 4, 1)
     vertices = [Face((v,), 0) for v in range(6)]
     edges = [Face((p, a), 1) for p in (0, 1) for a in range(2, 6)]
-    squares = [Face(tuple(sorted((0, 1, a, b))), 2) for a, b in ((2, 3), (3, 4), (4, 5), (2, 5))]
+    squares = sorted(Face(tuple(sorted((0, 1, a, b))), 2)
+                     for a, b in ((2, 3), (3, 4), (4, 5), (2, 5)))
     bottom, top = Face((), -1), Face(tuple(range(6)), 3)
-    levels = [(bottom,), vertices, edges, sorted(squares), (top,)]
     covering = [(bottom, v) for v in vertices]
     covering += [(v, e) for e in edges for v in vertices if v.vertex_set[0] in e.vertex_set]
-    covering += [(e, q) for q in levels[3] for e in edges if set(e.vertex_set) <= set(q.vertex_set)]
-    covering += [(q, top) for q in levels[3]]
-    lat = lattice_from_pairs(3, levels, covering, unchecked=True)
+    covering += [(e, q) for q in squares for e in edges if set(e.vertex_set) <= set(q.vertex_set)]
+    covering += [(q, top) for q in squares]
+    lat = lattice_from_pairs(3, [(bottom,), vertices, edges, squares, (top,)], covering,
+                             unchecked=True)
     assert lat.f_vector == (1, 6, 8, 4, 1)
     assert failure(built, lat) == failure(all_pairs_verify_lattice, lat) == \
         "meet of {0,1,2,3} and {0,1,2,5} is not unique: poset is not a lattice"
