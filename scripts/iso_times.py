@@ -13,7 +13,8 @@ search runs N times (default 3) from the input's face lattice to the
 image's: once with the image's vertices in the input's order, and once with
 them shuffled by ``random.Random(1207)``, so that the two lattices number
 their faces differently.  Each input prints one row of a Markdown table:
-both best times, and the verdict, which must be isomorphic.
+both best times, and the verdict.  The script exits 1 when any search
+finds the two lattices not isomorphic, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -54,13 +55,14 @@ def best_time(L1: FaceLattice, L2: FaceLattice, repeat: int) -> tuple[float, boo
     return best, iso.isomorphic
 
 
-def main(argv: list[str] | None = None) -> None:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("names", nargs="*", default=DEFAULT, metavar="NAME")
     parser.add_argument("--repeat", type=int, default=3, metavar="N")
     args = parser.parse_args(argv)
     print("| input | source order | shuffled | isomorphic |")
     print("|---|---|---|---|")
+    status = 0
     for name in args.names:
         P = polytope(name)
         source = face_lattice(P)
@@ -71,7 +73,9 @@ def main(argv: list[str] | None = None) -> None:
             times.append(f"{seconds:.4f} s")
             verdicts.append(isomorphic)
         print(f"| `{name}` | {times[0]} | {times[1]} | {all(verdicts)} |", flush=True)
+        status |= not all(verdicts)
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

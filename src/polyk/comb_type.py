@@ -11,15 +11,17 @@ an abstract lattice reads off its covers and a face lattice compares with
 its vertex masks, distinct masks, the diamonds on the atom masks, and the
 meets, on pairs of lower covers of a common element.  So the search reads
 the atom masks of either kind with no pass.
-Isomorphism testing is backtracking in id order, rank by rank, on the
-element ids, id covers and atom masks of the two lattices, pruned by
-f-vector and up/down cover degrees.  An atom is placed only where the
-counts of coatoms it shares with the atoms already placed agree, and every
-other element's candidates are one dict lookup of the OR of its lower
-covers' images' atom masks (Kaibel and Schwartz 2003: a face lattice is
-fixed by its atoms and coatoms).  The search returns either a bijection
-on faces that preserves covers both ways, with the test that places each
-element as its only certificate, or a certificate of non-isomorphism.
+Isomorphism testing is a depth-first search over the bijections of the
+atoms, pruned by f-vector and up/down cover degrees: the bottom maps to the
+bottom, an atom to an unused atom of its up-degree, once the search first
+backtracks only where the counts of coatoms it shares with the atoms
+already placed agree, and every other element, with no test, to the one
+element whose atom mask is the atom bijection applied to its own, one dict
+lookup (Kaibel and Schwartz 2003: a face lattice is fixed by its atoms).
+Every lattice that is built is ordered by containment of its atom masks,
+which are distinct, so a complete assignment preserves the order both ways,
+and so the covers: the search returns it, or a certificate of
+non-isomorphism.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Hashable, NamedTuple
 from .cellular import ChainComplex
 from .errors import InternalInvariantError
 from .linalg import IntMatrix
-from .polytope import FaceLattice, GradedIds
+from .polytope import GradedIds
 from .sparse import dense_matrix
 
 Element = Hashable
@@ -130,111 +132,108 @@ class LatticeIso(NamedTuple):
     certificate: str | None = None
 
 
-def is_isomorphic(L1: "FaceLattice | AbstractLattice",
-                  L2: "FaceLattice | AbstractLattice") -> LatticeIso:
-    """Backtracking search for a cover-preserving rank bijection.
+def is_isomorphic(L1: GradedIds, L2: GradedIds) -> LatticeIso:
+    """Depth-first search over the bijections π of the atoms for a lattice
+    isomorphism.
 
-    Prunes on f-vector and per-element (down-degree, up-degree), and extends
-    in id order, that is rank by rank, requiring the already-mapped lower
-    covers to match exactly.  The search runs on the lattices' element ids,
-    id covers (``up``, ``down``) and atom masks (``GradedIds.atom_masks``,
-    on a face lattice its vertex masks, so no pass makes them); only the
-    returned pairs are faces or abstract elements.
+    Returns the isomorphism as pairs of faces or abstract elements, or a
+    certificate of non-isomorphism: unequal dimensions, unequal f-vectors,
+    unequal multisets of (down-degree, up-degree) on some rank, or an
+    exhausted search.  With equal f-vectors both lattices give rank r the
+    ids ``ids(r)``.  The search runs on element ids, ``up``, ``down`` and
+    atom masks (``GradedIds.atom_masks``, on a face lattice its vertex
+    masks, so no pass makes them).
 
-    The targets for a source s are the unused elements t of s's rank, in
-    ascending id order, with s's up-degree and with ``set(down[t])`` the
-    image W of s's lower covers; the first one is placed.  Every list of
-    covers holds each cover once (``GradedIds``), and the images of one
-    list are distinct, as the mapping is injective, so t matches iff
-    ``down[t]`` has |W| entries, all in W, whatever the order of
-    ``down[t]``, which a lattice built by hand may list in any order.
-    Three identities make the search cheap, and the first mapping found is
-    the least valid one in id order, since it prunes only by properties
-    that every isomorphism has:
+    The sources are placed in id order, that is rank by rank.  The bottom
+    maps to the bottom.  Atom s takes the first atom t of L2, in id order,
+    not yet taken, with s's up-degree; that sets π on s's bit.  Every
+    source s above rank 0 takes ``first[key]``, the id of L2 whose atom
+    mask is key, the OR of the masks of the images of s's lower covers,
+    and makes no test; if no element of L2 has that mask, the search goes
+    back to the last atom and resumes at its next target.
 
-    - *candidates by mask.*  Any t with ``set(down[t]) == W`` has as its
-      atom mask the OR of the masks of W, by the rule the masks are read
-      off.  Every lattice checks its atom masks distinct as it is built
-      (``GradedIds``), so for s above rank 0 the one candidate is the id of
-      L2 with that mask: one dict lookup.  After the test above, the
-      candidates are those of a scan of the rank, and so is the mapping.
-      No candidate needs a rank test: for s
-      at rank -1 or 0 the candidates are s's rank itself, and for s of
-      rank r above the atoms, W is a nonempty set of images of rank r - 1,
-      since s has a lower cover (``GradedIds``), and the test above makes
-      ``down[t]`` equal to W; every cover joins adjacent ranks, so t has
-      rank r.
-    - *atoms by coatom counts.*  Atom s is placed at t only if, for every
-      earlier atom a, as many coatoms hold both s and a in L1 (by their
-      atom masks) as hold both t and a's image in L2.  An isomorphism maps
-      atom masks to atom masks, so it keeps these counts, and no extendable
-      placement is cut.  Kaibel and Schwartz (2003) show that a face
-      lattice is fixed by its atoms and coatoms: once the atoms are placed,
-      each other element is one lookup.  The counts are needed only when the
-      search backtracks, so they are made then, with the atom masks of L1,
-      and the atoms are placed again from the first, now pruned; a search
-      that never backtracks reads no mask of L1.
-    - *one certificate.*  Let a mapping f send each rank onto the same
-      rank, each target once, with ``set(down[f(s)]) == f(down[s])`` for
-      every s, the bottom and the atoms included.  Then (e, s) -> (fe, fs)
-      sends covers of L1 to covers of L2, and every cover (e', fs) of L2
-      has e' in f(down[s]), so comes from a cover of L1.  So every complete
-      assignment preserves covers both ways, and it is returned with no
-      further pass.
+    *The identity.*  On every lattice that exists, x lies below y iff x's
+    atom mask lies in y's: ``GradedIds._verify_axioms`` checks every cover
+    a containment of atom masks, and its diamonds and meets make every
+    element above the bottom the join of its atoms (``GradedIds``).  Let
+    m1, m2 be the atom masks and f the mapping.  By induction in id order,
+    ``m2[f(s)] == π(m1[s])`` for every source placed: both are 0 at the
+    bottom, an atom's holds by the choice of π, and above rank 0 m1[s] is
+    the OR of m1 over s's lower covers, each placed before s, so key is
+    π(m1[s]), the mask of ``first[key]``.  π permutes the bits and the
+    masks of L1 are distinct, so distinct sources get distinct targets,
+    and a complete f is a bijection, the two lattices having equal size.
+    By the identity, x <= y iff m1[x] lies in m1[y] iff π(m1[x]) lies in
+    π(m1[y]) iff f(x) <= f(y): f preserves the order both ways, so it is
+    an isomorphism, and it preserves covers both ways.  A complete
+    assignment is returned with no further pass.  Conversely, every
+    isomorphism g sends each mask by its own atom bijection π_g, so g is
+    the mapping the search completes once it has placed the atoms as g.
+
+    *Atoms by coatom counts.*  Atom s is placed at t only if, for every
+    earlier atom a, as many coatoms hold both s and a in L1 (by their atom
+    masks) as hold both t and a's image in L2.  An isomorphism keeps these
+    counts, and the up-degrees, so no π_g is cut.  The counts are needed
+    only when the search goes back, so they are made then, with the atom
+    masks of L1, and the atoms are placed again from the first, now
+    pruned; a search that never goes back reads no mask of L1 (Kaibel and
+    Schwartz 2003: a face lattice is fixed by its atoms and coatoms).  The
+    atoms are tried in id order and pruned only by properties that every
+    isomorphism has, and the other targets follow from them, so the first
+    mapping found is the least isomorphism in id order.  The stack is
+    explicit, since lattices can have more faces than Python's recursion
+    limit.
     """
     if L1.dim != L2.dim:
         return LatticeIso(False, certificate=f"dimension mismatch: {L1.dim} != {L2.dim}")
     fv1, fv2 = tuple(L1.f_vector), tuple(L2.f_vector)
     if fv1 != fv2:
         return LatticeIso(False, certificate=f"f-vector mismatch: {fv1} != {fv2}")
-    # equal f-vectors number both lattices alike: rank r has the ids L1.ids(r) in both
-    up1, down1, up2, down2 = L1.up, L1.down, L2.up, L2.down
     for r in map(L1.ids, range(-1, L1.dim + 1)):
         sig1, sig2 = (sorted(zip(map(len, L.down[r.start:r.stop]), map(len, L.up[r.start:r.stop])))
                       for L in (L1, L2))
         if sig1 != sig2:
             return LatticeIso(False, certificate="up/down cover degree multisets differ")
 
-    atoms, masks2 = L1.ids(0), L2.atom_masks
+    atoms, down1, up1, up2, masks2 = L1.ids(0), L1.down, L1.up, L2.up, L2.atom_masks
     first = dict(zip(masks2, range(len(masks2))))  # mask -> id
-    # Depth-first search over the sources in id order, that is rank by
-    # rank, with an explicit stack, since lattices can have more faces than
-    # Python's recursion limit.  mapping[s] is the target id placed for
-    # source s; after a backtrack, the search resumes at the next target.
-    targets = [r for r in map(L1.ids, range(-1, L1.dim + 1)) for _ in r]
-    mapping: list[int] = []
-    used: set[int] = set()
+    # mapping[s] is the target id placed for source s, the bottom's first;
+    # used holds the atoms' targets.  After going back, the search resumes
+    # the last atom at its next target, start
+    mapping, used = [0], set()
     # holding[a]: the bitmask of the coatoms whose masks hold atom a, made on the first backtrack
     start, holding1, holding2 = 0, None, None
-    while len(mapping) < len(targets):
+    while len(mapping) < len(masks2):
         s = len(mapping)
-        below, rank = down1[s], targets[s]
-        wanted_down = {mapping[e] for e in below}
-        counts = [(holding2[mapping[a]], (holding1[s] & holding1[a]).bit_count())
-                  for a in range(atoms.start, s)] if holding1 and s in atoms else ()
-        key = 0
-        for e in wanted_down:
-            key |= masks2[e]
-        candidates = rank if s < atoms.stop else (first[key],) if key in first else ()
-        for t in candidates:
-            if (t >= start and t not in used and len(up2[t]) == len(up1[s])
-                    and len(down2[t]) == len(wanted_down) and wanted_down.issuperset(down2[t])
-                    and (not counts or all((holding2[t] & h).bit_count() == n for h, n in counts))):
+        if s >= atoms.stop:
+            key = 0
+            for e in down1[s]:
+                key |= masks2[mapping[e]]
+            if key in first:
+                mapping.append(first[key])
+                continue
+            del mapping[atoms.stop:]
+        else:
+            counts = [(holding2[mapping[a]], (holding1[s] & holding1[a]).bit_count())
+                      for a in range(atoms.start, s)] if holding1 else ()
+            t = next((t for t in range(max(start, atoms.start), atoms.stop)
+                      if t not in used and len(up2[t]) == len(up1[s])
+                      and all((holding2[t] & h).bit_count() == n for h, n in counts)), None)
+            if t is not None:
                 mapping.append(t)
                 used.add(t)
                 start = 0
-                break
-        else:
-            if not mapping:
-                return LatticeIso(False, certificate="exhausted search: no cover-preserving bijection")
-            if holding1 is None:  # the first backtrack: prune the atoms, and place them again
-                holding1, holding2 = ({a: sum(1 << c for c, m in enumerate(
-                    L.atom_masks[L.level_start[L.dim]:L.level_start[L.dim + 1]]) if m >> k & 1)
-                    for k, a in enumerate(atoms)} for L in (L1, L2))
-                # a sentinel -1 in place of the first atom's target: the pop below resumes there
-                mapping[atoms.start:], used = [-1], set(mapping[:atoms.start])
-            used.discard(mapping[-1])
-            start = mapping.pop() + 1
+                continue
+        if len(mapping) == atoms.start:
+            return LatticeIso(False, certificate="exhausted search: no cover-preserving bijection")
+        if holding1 is None:  # the first backtrack: prune the atoms, and place them again
+            holding1, holding2 = ({a: sum(1 << c for c, m in enumerate(
+                L.atom_masks[L.level_start[L.dim]:L.level_start[L.dim + 1]]) if m >> k & 1)
+                for k, a in enumerate(atoms)} for L in (L1, L2))
+            # a sentinel -1 in place of the first atom's target: the pop below resumes there
+            mapping[atoms.start:], used = [-1], set()
+        used.discard(mapping[-1])
+        start = mapping.pop() + 1
 
     return LatticeIso(True, mapping=tuple(zip(L1.faces_by_id,
                                               map(L2.faces_by_id.__getitem__, mapping))))

@@ -195,7 +195,11 @@ class GradedIds:
 
     So the distinct-mask axiom refuses no poset that the path rule and the
     meets accept, and the two rules can name different failures only on a
-    poset that both refuse: one whose meets fail.
+    poset that both refuse: one whose meets fail.  And on every lattice
+    that exists, face or abstract, x lies below y iff x's atom mask lies in
+    y's: a chain of covers nests the masks, and nested masks put the join
+    of x's atoms, x itself, below y.  ``comb_type.is_isomorphic`` rests on
+    this order.
 
     The simplex certificate (``simplex_certificate``) spares the diamond
     and meet checks most pairs.  It judges each element on its own, on its
@@ -488,7 +492,11 @@ class GradedIds:
         otherwise an element of c outside ``ds[x]`` lies below a second
         maximal element.  The down-sets are made only below the last element
         asked: on a simplicial polytope only the top fails the certificate,
-        and no element lies above it, so none is made.
+        and no element lies above it, so none is made.  The elements asked
+        are taken in ascending id order, and each one's lower covers are
+        paired in ascending id order too, whatever the order of its
+        ``down`` list, so the first failing pair named does not depend on
+        how a lattice built by hand lists its covers.
         """
         asked = sorted({z for g in others for z in self.up[g]})
         ds: list[int] = []  # up to the last element asked: its lower covers have lower ids
@@ -497,7 +505,7 @@ class GradedIds:
             for b in below:
                 d |= ds[b]
             ds.append(d)
-        for a, b in chain.from_iterable(combinations(self.down[z], 2) for z in asked):
+        for a, b in chain.from_iterable(combinations(sorted(self.down[z]), 2) for z in asked):
             common = ds[a] & ds[b]
             if common != ds[common.bit_length() - 1]:
                 raise InternalInvariantError(f"meet of {self.faces_by_id[min(a, b)]} and "

@@ -937,48 +937,28 @@ def test_a_candidate_of_the_right_mask_and_degrees_fails_the_down_set_test():
     assert dict(iso.mapping)[(2, 0)] == (2, 1)
 
 
-class LoggedCovers(tuple):
-    """Cover lists that log each list read by index as (``name``, index)."""
-
-    def __new__(cls, lists, name, log):
-        logged = super().__new__(cls, lists)
-        logged.name, logged.log = name, log
-        return logged
-
-    def __getitem__(self, i):
-        if isinstance(i, int):
-            self.log.append((self.name, i))
-        return super().__getitem__(i)
-
-
-def test_on_a_built_lattice_the_down_set_test_passes_every_candidate():
-    # on a lattice that is built, x lies below y iff x's atom mask lies in
-    # y's, so the one candidate t of a source s, whose mask is the OR of
-    # the images W of s's lower covers, has all of W among its lower
-    # covers.  Only the count of down[t] can fail, and on a polytope it
-    # does not: the images of s's facets are facets of t closed under the
-    # ridges, each in two facets of both, and t's facets are connected
-    # through ridges.  So the search on a shuffled image backtracks (a
-    # source visited again), reads down[t] after s's down list for each
-    # candidate it tests, and finds every count equal
-    log: list[tuple[str, int]] = []
-    a, b = (FaceLattice(lat.dim, lat.faces_by_dim, LoggedCovers(lat.down, name, log),
-                        lat.vertex_masks)
-            for lat, name in ((face_lattice(hypercube(4)), "s"),
-                              (face_lattice(shuffled_image(hypercube(4), random.Random(1207))),
-                               "t")))
-    log.clear()
-    assert is_isomorphic(a, b).isomorphic
-    sources = [i for name, i in log if name == "s"]
-    assert len(sources) > len(set(sources))
-    s, tested = None, 0
-    for name, i in log:
-        if name == "s":
-            s = i
-        else:
-            tested += 1
-            assert len(tuple.__getitem__(b.down, i)) == len(tuple.__getitem__(a.down, s))
-    assert tested
+def test_the_search_sends_each_atom_mask_through_its_atom_bijection():
+    # the identity is_isomorphic rests on: the search chooses a bijection
+    # pi of the atoms, and every other element takes the one target whose
+    # mask is pi of its own.  On shuffled images, where pi is not the
+    # identity, and on an abstract lattice rebuilt from an image's
+    # incidence, each mask of the source goes through pi onto its image's
+    # mask, and the images of each element's lower covers are its image's
+    # lower covers
+    for poly in (hypercube(4), cross_polytope(5)):
+        a = face_lattice(poly)
+        image = face_lattice(shuffled_image(poly, random.Random(1207)))
+        for b in (image, lattice_from_incidence(incidence_of(image))):
+            iso = is_isomorphic(a, b)
+            assert [x for x, _ in iso.mapping] == list(a.faces_by_id)
+            index = {y: i for i, y in enumerate(b.faces_by_id)}
+            f = [index[y] for _, y in iso.mapping]
+            atoms = a.ids(0)
+            pi = [f[atom] - atoms.start for atom in atoms]
+            assert sorted(pi) == list(range(len(atoms))) != pi
+            for s, m in enumerate(a.atom_masks):
+                assert b.atom_masks[f[s]] == sum(1 << pi[k] for k in range(len(atoms)) if m >> k & 1)
+                assert set(b.down[f[s]]) == {f[e] for e in a.down[s]}
 
 
 def pillow() -> GradedPoset:
@@ -1015,22 +995,26 @@ def test_a_face_lattice_checks_its_meets():
     # vertices below it, distinct masks and every diamond; the squares over
     # {0,2} have no meet, so the face lattice is refused as the abstract
     # one is, with the first pair the all-pairs oracle names.  Without its
-    # meet check it was built, with f-vector (1, 6, 8, 4, 1)
+    # meet check it was built, with f-vector (1, 6, 8, 4, 1).  The meet
+    # check takes each element's lower covers in id order, so it names the
+    # same pair with the squares listed under the top in their order
+    # around the pillow, which is not their id order
     vertices = [Face((v,), 0) for v in range(6)]
     edges = [Face((p, a), 1) for p in (0, 1) for a in range(2, 6)]
-    squares = sorted(Face(tuple(sorted((0, 1, a, b))), 2)
-                     for a, b in ((2, 3), (3, 4), (4, 5), (2, 5)))
+    around = [Face(tuple(sorted((0, 1, a, b))), 2) for a, b in ((2, 3), (3, 4), (4, 5), (2, 5))]
+    squares = sorted(around)
     bottom, top = Face((), -1), Face(tuple(range(6)), 3)
     covering = [(bottom, v) for v in vertices]
     covering += [(v, e) for e in edges for v in vertices if v.vertex_set[0] in e.vertex_set]
     covering += [(e, q) for q in squares for e in edges if set(e.vertex_set) <= set(q.vertex_set)]
-    covering += [(q, top) for q in squares]
-    lat = lattice_from_pairs(3, [(bottom,), vertices, edges, squares, (top,)], covering,
-                             unchecked=True)
-    assert lat.f_vector == (1, 6, 8, 4, 1)
-    assert failure(built, lat) == failure(all_pairs_verify_lattice, lat) == \
-        "meet of {0,1,2,3} and {0,1,2,5} is not unique: poset is not a lattice"
-    assert failure(lambda x: all_pairs_diamonds(x, x.vertex_masks), lat) is None
+    for under_top in (squares, around):
+        lat = lattice_from_pairs(3, [(bottom,), vertices, edges, squares, (top,)],
+                                 covering + [(q, top) for q in under_top], unchecked=True)
+        assert lat.f_vector == (1, 6, 8, 4, 1)
+        assert [lat.faces_by_id[q] for q in lat.down[-1]] == under_top
+        assert failure(built, lat) == failure(all_pairs_verify_lattice, lat) == \
+            "meet of {0,1,2,3} and {0,1,2,5} is not unique: poset is not a lattice"
+        assert failure(lambda x: all_pairs_diamonds(x, x.vertex_masks), lat) is None
 
 
 class RepeatedMasksAllowed(AbstractLattice):

@@ -1,8 +1,12 @@
 """``scripts/iso_times.py`` on the 3-cross-polytope and the 3-cube: one row
-each, both searches timed and isomorphic."""
+each, both searches timed and isomorphic, and the exit status, 0 then, and
+1 when a search says not isomorphic."""
 
 import importlib.util
 from pathlib import Path
+from unittest import mock
+
+from polyk.comb_type import LatticeIso
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -20,7 +24,7 @@ def test_iso_times_on_cross3_and_cube3(capsys):
     assert sorted(iso_times.image_vertices(cube, True)) == \
         sorted(iso_times.image_vertices(cube, False))
     assert iso_times.image_vertices(cube, True) != iso_times.image_vertices(cube, False)
-    iso_times.main(["cross3", "cube3", "--repeat", "1"])
+    assert iso_times.main(["cross3", "cube3", "--repeat", "1"]) == 0
     header, rule, *rows = capsys.readouterr().out.splitlines()
     assert header == "| input | source order | shuffled | isomorphic |"
     assert rule == "|---|---|---|---|"
@@ -28,3 +32,8 @@ def test_iso_times_on_cross3_and_cube3(capsys):
         cells = [c.strip() for c in row.strip("|").split("|")]
         assert cells[0] == f"`{name}`" and cells[3] == "True"
         assert all(c.endswith(" s") and float(c[:-2]) >= 0 for c in cells[1:3])
+    no = LatticeIso(False, certificate="exhausted search: no cover-preserving bijection")
+    with mock.patch.object(iso_times, "is_isomorphic", return_value=no):
+        assert iso_times.main(["cross3", "--repeat", "1"]) == 1
+    *_, row = capsys.readouterr().out.splitlines()
+    assert row.endswith("| False |")
