@@ -1126,3 +1126,40 @@ def test_search_between_hull_draws_with_shuffled_vertices():
     for x, y in ((a, b), (b, a)):
         assert assert_search_matches_oracles(x, y).certificate == \
             "exhausted search: no cover-preserving bijection"
+
+
+# the 6-vertex real projective plane: ten triangles on the complete graph
+# K6, each edge in two of them; a lattice, though not a polytope's
+RP2_6 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+         (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5)]
+
+
+def surface(triangles) -> AbstractLattice:
+    """The lattice of a triangulated surface: its vertices, its edges and
+    its triangles, each level in sorted order, under a top."""
+    triangles = sorted(tuple(sorted(t)) for t in triangles)
+    edges = sorted({e for t in triangles for e in combinations(t, 2)})
+    n = max(map(max, triangles)) + 1
+    covering = [((-1, 0), (0, v)) for v in range(n)]
+    covering += [((0, v), (1, k)) for k, e in enumerate(edges) for v in e]
+    covering += [((1, edges.index(e)), (2, k))
+                 for k, t in enumerate(triangles) for e in combinations(t, 2)]
+    covering += [((2, k), (3, 0)) for k in range(len(triangles))]
+    return AbstractLattice(dim=3, f_vector=(1, n, len(edges), len(triangles), 1),
+                           covering=tuple(covering))
+
+
+@pytest.mark.parametrize("sigma", [(1, 0, 2, 3, 4, 5), (5, 4, 3, 2, 1, 0)])
+def test_the_search_goes_back_from_above_the_atoms_after_pruning_them(sigma):
+    # every two atoms lie in two coatoms, so the coatom counts prune no
+    # atom bijection: each one that is not an automorphism fails above the
+    # atoms, after the counts are made, and the search goes back to the
+    # last atom, past every element placed above rank 0
+    a = surface(RP2_6)
+    coatoms = a.atom_masks[a.level_start[a.dim]:a.level_start[a.dim + 1]]
+    assert {sum(m >> u & m >> v & 1 for m in coatoms) for u, v in combinations(range(6), 2)} == {2}
+    b = surface([[sigma[v] for v in t] for t in RP2_6])
+    assert b.down != a.down
+    iso = assert_search_matches_oracles(a, b)
+    m = dict(iso.mapping)
+    assert iso.isomorphic and {(m[e], m[f]) for e, f in a.covering} == set(b.covering)
