@@ -20,7 +20,11 @@ Markdown table:
   diamonds, meets);
 - ConeSystem: ``lift`` and ``ConeSystem``;
 - build: ``trivialize`` and ``build_complex``;
-- report: ``e1_page`` and ``k_report``.
+- report: ``e1_page`` and ``k_report``;
+- reconstruct: ``lattice_from_incidence`` on the complex's unsigned
+  incidence, the lattice rebuilt with no coordinates and checked as it is
+  built; ``strip_signs``, which makes that incidence, runs outside the
+  timer.
 """
 
 from __future__ import annotations
@@ -35,13 +39,14 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from polyk.cellular import build_complex, trivialize  # noqa: E402
+from polyk.comb_type import lattice_from_incidence, strip_signs  # noqa: E402
 from polyk.cones import ConeSystem, lift  # noqa: E402
 from polyk.corpus import cross_polytope, hypercube, random_hull  # noqa: E402
 from polyk.ktheory import e1_page, k_report  # noqa: E402
 from polyk.polytope import Polytope, face_lattice, validate  # noqa: E402
 
 DEFAULT = ("cross7", "cube8", "hull6_24", "hull7_30")
-STAGES = ("validate", "lattice", "ConeSystem", "build", "report")
+STAGES = ("validate", "lattice", "ConeSystem", "build", "report", "reconstruct")
 
 
 def polytope(name: str) -> Polytope:
@@ -63,8 +68,7 @@ def stage_times(P: Polytope, repeat: int) -> dict[str, float]:
     """The best of ``repeat`` runs of each stage, in seconds, by stage."""
     best = dict.fromkeys(STAGES, float("inf"))
     for _ in range(repeat):
-        clock = time.perf_counter()
-        marks = []
+        marks = [time.perf_counter()]
         validate(P.vertices)
         marks.append(time.perf_counter())
         lattice = face_lattice(P)
@@ -76,9 +80,14 @@ def stage_times(P: Polytope, repeat: int) -> dict[str, float]:
         e1_page(complex_)
         k_report(complex_)
         marks.append(time.perf_counter())
-        for stage, mark in zip(STAGES, marks):
-            best[stage] = min(best[stage], mark - clock)
-            clock = mark
+        incidence = strip_signs(complex_)
+        marks.append(time.perf_counter())
+        lattice_from_incidence(incidence)
+        marks.append(time.perf_counter())
+        spans = [end - start for start, end in zip(marks, marks[1:])]
+        del spans[-2]  # strip_signs, outside the timer
+        for stage, span in zip(STAGES, spans, strict=True):
+            best[stage] = min(best[stage], span)
     return best
 
 

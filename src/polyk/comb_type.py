@@ -27,7 +27,7 @@ non-isomorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from typing import Hashable, NamedTuple
 
 from .cellular import ChainComplex
@@ -56,15 +56,17 @@ def strip_signs(X: ChainComplex) -> UnsignedIncidence:
 class AbstractLattice(GradedIds):
     """A graded lattice reconstructed without coordinates.
 
-    Elements, its abstract faces, are (rank, index) pairs with rank from -1
-    (bottom) to dim (top), numbered level by level (``GradedIds``): (rank, i)
-    has the id ``level_start[rank + 1] + i`` and is ``faces_by_id`` there.
-    A pair listed twice in ``covering`` is one cover, and each ``down[i]``
-    is ascending, whatever the order of ``covering``; a pair naming an
-    element that the f-vector does not have is refused.  Built, it checks
-    the axioms as every lattice does (``GradedIds._verify_axioms``),
-    storing the atom masks it reads off its covers and naming the two
-    elements of the first repeated one.
+    Elements, its abstract faces, are (rank, index) pairs of ints with rank
+    from -1 (bottom) to dim (top), numbered level by level (``GradedIds``):
+    (rank, i) has the id ``level_start[rank + 1] + i``, computed once the
+    rank is one the f-vector lists and 0 <= i < its entry there, and is
+    ``faces_by_id`` there.  A pair listed twice in ``covering`` is one
+    cover, and each ``down[i]`` is ascending, whatever the order of
+    ``covering``; a pair naming an element that the f-vector does not have,
+    or that is not a pair of ints, is refused.  Built, it checks the axioms
+    as every lattice does (``GradedIds._verify_axioms``), storing the atom
+    masks ``_number`` read off its covers and naming the two elements of
+    the first repeated one.
     """
 
     dim: int
@@ -74,34 +76,41 @@ class AbstractLattice(GradedIds):
     repeated_mask = "{0} and {1} lie above the same atoms"
 
     def __post_init__(self) -> None:
-        elements = tuple((r - 1, i) for r, n in enumerate(self.f_vector) for i in range(n))
-        index = {x: i for i, x in enumerate(elements)}
-        down: list[set[int]] = [set() for _ in elements]
-        try:
-            for a, b in self.covering:
-                down[index[b]].add(index[a])
-        except KeyError:
-            raise InternalInvariantError(f"cover ({a}, {b}) names no element") from None
-        self._number(elements, tuple(accumulate(self.f_vector, initial=0)),
-                     tuple(tuple(sorted(below)) for below in down))
-        self._verify_axioms()
+        start = tuple(accumulate(self.f_vector, initial=0))
+        size = dict(enumerate(self.f_vector, -1))  # rank -> its number of elements
+        down: list[set[int]] = [set() for _ in range(start[-1])]
+        for a, b in self.covering:
+            try:
+                (ra, ia), (rb, ib) = a, b
+                if not (0 <= ia < size[ra] and 0 <= ib < size[rb]):
+                    raise KeyError
+                down[start[rb + 1] + ib].add(start[ra + 1] + ia)
+            except (KeyError, TypeError, ValueError):
+                raise InternalInvariantError(f"cover ({a}, {b}) names no element") from None
+        elements = tuple(chain.from_iterable(zip(repeat(r), range(n)) for r, n in size.items()))
+        union = self._number(elements, start, tuple(map(tuple, map(sorted, down))))
+        object.__setattr__(self, "atom_masks", union)
+        self._verify_axioms(union)
 
 
 def lattice_from_incidence(U: UnsignedIncidence) -> AbstractLattice:
     """Rebuild the abstract face lattice from unsigned boundary matrices.
 
     Every row of D_j must have as many entries as its first row, which
-    sets the column count.  The support of the matrices is taken as the covering
-    relation, read row by row with the list methods ``count`` and ``index``
-    (a row whose 0s and 1s do not fill it holds a bad entry, named first in
-    row order); the result checks the lattice axioms of a polytope face
-    lattice as it is built (``AbstractLattice``), and any failure means the
-    incidence data is corrupt.
+    sets the column count.  The support of the matrices is taken as the
+    covering relation, each row read once, as ``bytes(row)``: ``count`` of
+    its 0s and 1s is the entry test, and ``find`` gives the columns of its
+    1s.  An entry is 0 or 1, as an int or a bool; ``bytes`` refuses an
+    entry that is no integer, a float such as 1.0 included, or that lies
+    outside 0..255, and a row it refuses, or whose 0s and 1s do not fill
+    it, holds a bad entry, the first of which in row order is named.  The
+    result checks the lattice axioms of a polytope face lattice as it is
+    built (``AbstractLattice``), and any failure means the incidence data
+    is corrupt.
     """
     mats = U.matrices
     if not mats:
         raise InternalInvariantError("no incidence matrices")
-    dim = len(mats) - 1
     f_vector = [len(mats[0])] + [len(m[0]) if m else 0 for m in mats]
     for j in range(1, len(mats)):
         if len(mats[j]) != f_vector[j]:
@@ -113,15 +122,18 @@ def lattice_from_incidence(U: UnsignedIncidence) -> AbstractLattice:
             if len(row) != f_vector[j + 1]:
                 raise InternalInvariantError(f"D_{j} is ragged: row {r} has length {len(row)}, "
                                              f"row 0 has length {f_vector[j + 1]}")
-            ones = row.count(1)
-            if row.count(0) + ones != len(row):
-                x = next(x for x in row if x not in (0, 1))
+            try:
+                b = bytes(row)
+            except (TypeError, ValueError):
+                b = b""  # shorter than any row that holds an entry
+            if b.count(0) + (ones := b.count(1)) != len(row):
+                x = next(x for x in row if not hasattr(x, "__index__") or x not in (0, 1))
                 raise InternalInvariantError(f"unsigned incidence entry {x} not in {{0, 1}}")
-            c = -1
+            low, c = (j - 1, r), -1
             for _ in range(ones):
-                c = row.index(1, c + 1)
-                covering.append(((j - 1, r), (j, c)))
-    return AbstractLattice(dim=dim, f_vector=tuple(f_vector), covering=tuple(covering))
+                c = b.find(1, c + 1)
+                covering.append((low, (j, c)))
+    return AbstractLattice(dim=len(mats) - 1, f_vector=tuple(f_vector), covering=tuple(covering))
 
 
 class LatticeIso(NamedTuple):

@@ -376,8 +376,12 @@ def _certificate_error(F: Face, u: int, why: str) -> InternalInvariantError:
 
 
 def gram_table(C: LiftedCone) -> IntMatrix:
-    """T[i][j] = <v_i, v_j> for the integer lifted vertices v_i."""
-    return tuple(tuple(int_dot(u, v) for v in C.generators) for u in C.generators)
+    """T[i][j] = <v_i, v_j> for the integer lifted vertices v_i.  T is
+    symmetric, so one dot product is taken per entry on or above the
+    diagonal, ``upper[i][j - i]`` for j >= i, and row i is the column i of
+    the rows above it, mirrored, then its own part of the triangle."""
+    upper = [[int_dot(u, v) for v in C.generators[i:]] for i, u in enumerate(C.generators)]
+    return tuple(tuple([upper[j][i - j] for j in range(i)] + row) for i, row in enumerate(upper))
 
 
 def slack_table(C: LiftedCone) -> IntMatrix:

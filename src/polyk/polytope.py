@@ -47,8 +47,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from bisect import bisect_right
 from functools import cached_property, reduce
-from itertools import accumulate, chain, combinations
-from math import lcm
+from itertools import accumulate, chain, combinations, repeat
+from math import gcd, lcm
 from operator import and_, itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -162,18 +162,24 @@ class GradedIds:
 
     The atom masks (``atom_masks``) follow one rule: the k-th element of
     rank 0 has bit k, and every other element the OR of its lower covers'
-    masks, the bottom none.  ``_verify_axioms`` makes them in one pass over
-    ``down`` (``_atom_masks``).  An abstract lattice stores them.  A face
-    lattice takes its vertex masks as its atom masks, and, once they are
-    distinct, compares them with the pass: the atoms are the vertices, in
-    vertex order, and a face of dimension 1 or more is the union of its
-    facets, as it is the convex hull of their vertices.  Once the graded
-    axiom holds, lower covers come first in id order, so the first face
-    whose vertex mask differs from the pass is the first whose mask is not
-    the OR of its lower covers' vertex masks.  So on every lattice that
-    exists every cover is a containment of atom masks, a strict one as the
-    masks are distinct, and every check reads one mask, ``atom_masks``.
-    ``comb_type.is_isomorphic`` reads its candidates off them.
+    masks, the bottom none.  ``_number`` makes them in the loop over
+    ``down`` that reads ``up``, the pass, and returns them: each element
+    starts from its own bit, or none, and ORs in the masks of its lower
+    covers as it lists itself above them.  Once the graded axiom holds,
+    lower covers come first in id order and neither the bottom nor an atom
+    has a lower cover but the bottom, so the pass follows the rule; on a
+    poset that fails the graded axiom it is refused before any check reads
+    it.  An abstract lattice stores the pass.  A face lattice takes its
+    vertex masks as its atom masks, and, once they are distinct, compares
+    them with the pass, which it keeps no copy of: the atoms are the
+    vertices, in vertex order, and a face of dimension 1 or more is the
+    union of its facets, as it is the convex hull of their vertices.  The
+    first face whose vertex mask differs from the pass is the first whose
+    mask is not the OR of its lower covers' vertex masks.  So on every
+    lattice that exists every cover is a containment of atom masks, a
+    strict one as the masks are distinct, and every check reads one mask,
+    ``atom_masks``.  ``comb_type.is_isomorphic`` reads its candidates off
+    them.
 
     The diamond check has one rule: ``low`` is below ``high`` when low's
     atom mask lies in high's.  On a face lattice that is the order itself.
@@ -256,19 +262,24 @@ class GradedIds:
     f_vector: tuple[int, ...]
     down: tuple[tuple[int, ...], ...]
     up: tuple[tuple[int, ...], ...]
+    atom_masks: tuple[int, ...]
 
     def _number(self, faces_by_id: tuple, level_start: tuple[int, ...],
-                down: tuple[tuple[int, ...], ...]) -> None:
+                down: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
         """Stores the numbering and reads ``up`` off ``down``, after
         refusing a malformed shape: a dim below 0, an f-vector without one
         entry per rank from -1 to dim, a ``down`` without one list per
-        element, or a cover id that names no element."""
+        element, or a cover id that names no element.  Returns the atom
+        masks made in the same loop, the pass (see the class docstring)."""
         if not 0 <= self.dim == len(level_start) - 3:
             raise InternalInvariantError(f"dim {self.dim} does not fit f-vector {self.f_vector}")
         if len(down) != (n := level_start[-1]):
             raise InternalInvariantError(f"{len(down)} lists of lower covers for {n} elements")
         up: list[list[int]] = [[] for _ in down]
+        masks = [0] * level_start[1] + [1 << k for k in range(level_start[2] - level_start[1])]
+        masks += [0] * (n - len(masks))
         for f, below in enumerate(down):
+            m = masks[f]
             for e in below:
                 if not 0 <= e < n:
                     raise InternalInvariantError(
@@ -278,56 +289,38 @@ class GradedIds:
                     raise InternalInvariantError(
                         f"cover ({faces_by_id[e]}, {faces_by_id[f]}) is listed twice")
                 above.append(f)
+                m |= masks[e]
+            masks[f] = m
         object.__setattr__(self, "faces_by_id", faces_by_id)
         object.__setattr__(self, "level_start", level_start)
         object.__setattr__(self, "down", down)
         object.__setattr__(self, "up", tuple(map(tuple, up)))
+        return tuple(masks)
 
     def ids(self, rank: int) -> range:
         return range(self.level_start[rank + 1], self.level_start[rank + 2])
-
-    def _atom_masks(self) -> tuple[int, ...]:
-        """Per element, the bitmask of the atoms below it, read off the
-        covers (see the class docstring): the k-th element of rank 0 has
-        bit k, every element above rank 0 the OR of its lower covers'
-        masks, and every element of rank -1 none.  Made in one pass in id
-        order, which meets every lower cover first, once per lattice as
-        ``atom_masks``; a ``FaceLattice`` sets its vertex masks there, and
-        makes this pass only to check them (``_verify_axioms``)."""
-        atoms = self.ids(0)
-        masks = [0] * atoms.start + [1 << k for k in range(len(atoms))]
-        for below in self.down[atoms.stop:]:
-            m = 0
-            for e in below:
-                m |= masks[e]
-            masks.append(m)
-        return tuple(masks)
-
-    atom_masks = cached_property(_atom_masks)
 
     def mids(self, low: int, high: int) -> int:
         """The number of elements that cover ``low`` and are covered by
         ``high``."""
         return len(set(self.up[low]).intersection(self.down[high]))
 
-    def _verify_axioms(self) -> None:
+    def _verify_axioms(self, union: tuple[int, ...]) -> None:
         """The axioms (see the class docstring), in their order: the graded
         axiom, the atom masks, the diamonds, the meets.
 
-        The pass over ``down`` (``_atom_masks``) is stored as the atom masks
-        unless the lattice holds its own, its vertex masks.  The atom masks
-        must be distinct, a repeated mask named by the lattice's
-        ``repeated_mask`` (``verify_distinct``), and vertex masks must then
-        equal the pass.  On a failure, the first cover, by high and then as
-        listed, whose low's mask does not lie in its high's is named, as a
-        containment is what each cover must be; with none, the first face
-        in id order whose mask breaks the rule.
+        ``union`` is the pass ``_number`` returned, which an abstract
+        lattice stores as its atom masks.  The atom masks must be distinct,
+        a repeated mask named by the lattice's ``repeated_mask``
+        (``verify_distinct``), and vertex masks must then equal the pass.
+        On a failure, the first cover, by high and then as listed, whose
+        low's mask does not lie in its high's is named, as a containment is
+        what each cover must be; with none, the first face in id order
+        whose mask breaks the rule.
         """
         self.verify_graded()
-        union = self._atom_masks()
-        masks = vars(self).setdefault("atom_masks", union)
         self.verify_distinct(self.repeated_mask)
-        if masks != union:
+        if (masks := self.atom_masks) != union:
             faces = self.faces_by_id
             for high, below in enumerate(self.down):
                 for low in below:
@@ -532,8 +525,9 @@ class FaceLattice(GradedIds):
     Built, it refuses vertex masks that are not one per face, naming both
     counts, takes its vertex masks as its atom masks (``atom_masks`` is
     ``vertex_masks``), and checks the axioms as every lattice does
-    (``GradedIds._verify_axioms``): its vertex masks must be the atom masks,
-    and a repeated one is named as the face found at two levels.
+    (``GradedIds._verify_axioms``): its vertex masks must be the pass
+    ``_number`` made, which it does not keep, and a repeated one is named
+    as the face found at two levels.
     """
 
     dim: int
@@ -549,13 +543,13 @@ class FaceLattice(GradedIds):
         if self.vertex_masks is not None and len(self.vertex_masks) != sum(self.f_vector):
             raise InternalInvariantError(
                 f"{len(self.vertex_masks)} vertex masks for {sum(self.f_vector)} faces")
-        self._number(tuple(chain.from_iterable(self.faces_by_dim)),
-                     tuple(accumulate(self.f_vector, initial=0)), self.down)
+        union = self._number(tuple(chain.from_iterable(self.faces_by_dim)),
+                             tuple(accumulate(self.f_vector, initial=0)), self.down)
         if self.vertex_masks is None:
             object.__setattr__(self, "vertex_masks", tuple(
                 sum(1 << v for v in f.vertex_set) for f in self.faces_by_id))
         object.__setattr__(self, "atom_masks", self.vertex_masks)
-        self._verify_axioms()
+        self._verify_axioms(union)
 
     @cached_property
     def covering(self) -> tuple[tuple[Face, Face], ...]:
@@ -620,10 +614,10 @@ def integer_grid(points: Sequence[Vector]) -> tuple[int, list[IntVector]]:
     return scale, [tuple([x.numerator * (scale // x.denominator) for x in p]) for p in points]
 
 
-def _hull_facets(grid: tuple[int, Sequence[IntVector]], d: int) -> list[Facet]:
+def _hull_facets(grid: tuple[int, Sequence[IntVector]], d: int) -> tuple[list[Facet], list[int]]:
     """The facets of the convex hull of the points of ``grid`` =
     (scale, scale * p_i) (``integer_grid``), by the double description
-    method.
+    method, with each facet's tight set as a bitmask of point indices.
 
     The grid points are homogenized to g_i = (1, scale * p_i), in
     integers.  The facets are the extreme rays of the cone
@@ -638,8 +632,9 @@ def _hull_facets(grid: tuple[int, Sequence[IntVector]], d: int) -> list[Facet]:
     adj(B), signed by det B, are its rays, column b tight on every basis
     point but g_b (``_starting_cone``).  Inserting g keeps the rays h with
     <h, g> >= 0 and adds, for every adjacent pair h+, h- with
-    <h+, g> > 0 > <h-, g>, the ray primitive(<h+, g> h- - <h-, g> h+),
-    which is zero on g.  Each ray carries its zero set (the inserted points
+    <h+, g> > 0 > <h-, g>, the ray w = <h+, g> h- - <h-, g> h+, which is
+    zero on g, made primitive by one gcd of its entries: an integer
+    combination of integer rays, w has integer entries.  Each ray carries its zero set (the inserted points
     it is tight on) as a bitmask.  Adjacency is decided combinatorially
     (Fukuda & Prodon, Prop. 7): two extreme rays of a pointed cone are
     adjacent iff their common zero set has at least d - 1 elements and no
@@ -651,16 +646,17 @@ def _hull_facets(grid: tuple[int, Sequence[IntVector]], d: int) -> list[Facet]:
     point j, so the AND of ``tight[j]`` over j in ``common`` (every ray when
     ``common`` is empty) is the set of rays whose zero sets contain
     ``common``.  It always holds p and n, so the AND can stop once it is
-    {p, n}, and the pair is adjacent iff it ends there.  A primitive normal makes each facet's (normal,
-    offset) unique, so the sorted list does not depend on the insertion
-    order.
+    {p, n}, and the pair is adjacent iff it ends there.  A primitive
+    normal makes each facet's (normal, offset) unique, so the list, sorted
+    by facet and so by (normal, offset), does not depend on the insertion
+    order; each facet's tight set is its ray's zero set.
 
     The homogenized points span rank affine dim + 1, so fewer than d + 1
     independent ones is the input error of a hull that is not
     full-dimensional; on valid input it is the only rank ``validate`` takes.
     """
     if d == 0:
-        return []
+        return [], []
     scale, grid_points = grid
     gens = [(1,) + p for p in grid_points]
     basis, _ = first_independent(gens, d + 1)
@@ -695,14 +691,14 @@ def _hull_facets(grid: tuple[int, Sequence[IntVector]], d: int) -> list[Facet]:
                 if contain != pair:
                     continue
                 hn, vn = rays[n][0], values[n]
-                kept.append((primitive_vector(tuple(vp * a - vn * b for a, b in zip(hn, hp))),
-                             common | bit))
+                w = [vp * a - vn * b for a, b in zip(hn, hp)]
+                if not (q := gcd(*w)):
+                    raise InternalInvariantError("zero vector has no primitive form")
+                kept.append((tuple([x // q for x in w]), common | bit))
         rays = kept
-    facet_list = [Facet(normal=tuple(-x for x in h[1:]), offset=Fraction(h[0], scale),
-                        vertex_set=set_bits(z))
-                  for h, z in rays]
-    facet_list.sort(key=lambda f: (f.normal, f.offset))
-    return facet_list
+    facet_list = sorted((Facet(normal=tuple(-x for x in h[1:]), offset=Fraction(h[0], scale),
+                               vertex_set=set_bits(z)), z) for h, z in rays)
+    return [f for f, _ in facet_list], [z for _, z in facet_list]
 
 
 def _hull(grid: tuple[int, Sequence[IntVector]], d: int) -> tuple[list[Facet], list[int]]:
@@ -714,18 +710,10 @@ def _hull(grid: tuple[int, Sequence[IntVector]], d: int) -> tuple[list[Facet], l
     meet in that point alone: every face, a vertex too, is the intersection
     of the facets that contain it, and a point on no facet is interior.
     """
-    facet_list = _hull_facets(grid, d)
-    masks = [sum(1 << i for i in f.vertex_set) for f in facet_list]
-    inner = []
+    facet_list, masks = _hull_facets(grid, d)
     n = len(grid[1])
-    for i in range(n):
-        meet = (1 << n) - 1
-        for m in masks:
-            if m >> i & 1:
-                meet &= m
-        if meet != 1 << i:
-            inner.append(i)
-    return facet_list, inner
+    return facet_list, [i for i in range(n)
+                        if reduce(and_, [m for m in masks if m >> i & 1], (1 << n) - 1) != 1 << i]
 
 
 def validate(vertices: Sequence[Sequence], name: str | None = None) -> Polytope:
@@ -871,7 +859,7 @@ def face_lattice(P: Polytope) -> FaceLattice:
     levels; a facet with a vertex too many leaves vertices in level 0.
     """
     d, n = P.ambient_dim, P.nvertices
-    atoms = [(1 << j, sum(1 << v for v in fc.vertex_set)) for j, fc in enumerate(facets(P))]
+    atoms = [(1 << j, sum(1 << v for v in fc.vertex_set)) for j, fc in enumerate(P.facets)]
     vbit = [1 << v for v in range(n)]
     vfac = [0] * n  # vertex -> facet mask
     for bit, fv in atoms:
@@ -884,19 +872,20 @@ def face_lattice(P: Polytope) -> FaceLattice:
     closure = {0: ((1 << len(atoms)) - 1, ())}
     for k in range(d + 1, 0, -1):
         found: dict[int, list] = {}  # vertex mask -> face
+        get = found.get
         for face in levels[-1]:
             name, gv = face[0], face[1]
             if len(name) == k:  # a simplex: G minus each one of its vertices
                 for j, v in enumerate(name):
                     ev = gv ^ vbit[v]
-                    e = found.get(ev)
+                    e = get(ev)
                     if e is None:
                         found[ev] = [name[:j] + name[j + 1:], ev, 0, [], face]
                     else:
                         e.append(face)
             elif k > d:  # P: its facets
-                for bit, fv in atoms:
-                    found[fv] = [set_bits(fv), fv, bit, [], face]
+                for (bit, fv), fc in zip(atoms, P.facets):
+                    found[fv] = [fc.vertex_set, fv, bit, [], face]
             else:
                 _closure_step(face, atoms, vfac, closure, found)
         levels.append(sorted(found.values(), key=itemgetter(0)))
@@ -908,11 +897,11 @@ def face_lattice(P: Polytope) -> FaceLattice:
         listed = ", ".join(face_label(face[0]) for face in levels[0])
         raise InternalInvariantError("level 0 of the face lattice must hold the empty face {} "
                                      f"alone, found [{listed}]")
-    return FaceLattice(dim=d,
-                       faces_by_dim=tuple(tuple(Face(face[0], k - 1) for face in level)
-                                          for k, level in enumerate(levels)),
-                       down=tuple(tuple(face[3]) for level in levels for face in level),
-                       vertex_masks=tuple(face[1] for level in levels for face in level))
+    return FaceLattice(dim=d, faces_by_dim=tuple(  # each Face made in C, by tuple.__new__
+        tuple(map(tuple.__new__, repeat(Face), zip(map(itemgetter(0), level), repeat(k - 1))))
+        for k, level in enumerate(levels)),
+        down=tuple(map(tuple, map(itemgetter(3), chain.from_iterable(levels)))),
+        vertex_masks=tuple(map(itemgetter(1), chain.from_iterable(levels))))
 
 
 def simplex_certificate(L: GradedIds) -> list[list[int]]:

@@ -167,6 +167,18 @@ search oracles can be run on posets that are not lattices; the library's
 search is given only lattices that are built, whose atom masks are
 distinct.
 
+The numbering oracles are the passes an abstract lattice made before
+``GradedIds._number`` made the atom masks in its loop over ``down`` and
+``AbstractLattice`` computed each id from (rank, index):
+``DictNumberedLattice`` numbers its covers by an element -> id dict,
+refusing an element the dict does not hold, and checks the axioms on
+``pass_atom_masks``, the separate pass in id order over ``down``, made
+after the graded axiom holds, as ``_atom_masks`` made it.
+``three_scan_lattice_from_incidence`` is ``lattice_from_incidence`` as it
+read each row with the list methods ``count`` (of 1s, then of 0s) and
+``index`` (once per 1), naming the first entry not in (0, 1), which a
+float 1.0 is in.
+
 The lattice-check and isomorphism oracles are the all-pairs forms the
 library used before it enumerated only the pairs a cover can reach:
 ``all_pairs_verify_lattice`` and ``all_pairs_abstract_lattice`` check what
@@ -194,13 +206,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 from math import lcm
 from operator import itemgetter, or_
 from typing import Sequence
 
 from polyk.cellular import AbelianGroup, ChainComplex, HomologyResult
-from polyk.comb_type import AbstractLattice, LatticeIso
+from polyk.comb_type import AbstractLattice, LatticeIso, UnsignedIncidence
 from polyk.cones import ConeSystem, EdgeRay, FaceConeData, LiftedCone, dual_cone, face_cone_data
 from polyk.errors import InternalInvariantError
 from polyk.linalg import (
@@ -999,7 +1011,7 @@ class UncheckedFaceLattice(FaceLattice):
     """A ``FaceLattice`` numbered as the library numbers one, a cover listed
     twice still an error, with no check of its axioms."""
 
-    def _verify_axioms(self) -> None:
+    def _verify_axioms(self, union) -> None:
         pass
 
 
@@ -1007,7 +1019,7 @@ class UncheckedAbstractLattice(AbstractLattice):
     """An ``AbstractLattice`` numbered as the library numbers one, a cover
     listed twice one cover, with no check of its axioms."""
 
-    def _verify_axioms(self) -> None:
+    def _verify_axioms(self, union) -> None:
         pass
 
 
@@ -1017,8 +1029,74 @@ class GradedPoset(AbstractLattice):
     oracles (``rank_scan_is_isomorphic``, ``up_scan_is_isomorphic``) can
     still be run on."""
 
-    def _verify_axioms(self) -> None:
+    def _verify_axioms(self, union) -> None:
         self.verify_graded()
+
+
+def pass_atom_masks(L) -> tuple[int, ...]:
+    """Per element, the bitmask of the atoms below it, in one pass in id
+    order over ``L.down``: the k-th element of rank 0 has bit k, every
+    element above rank 0 the OR of its lower covers' masks, and the bottom
+    none.  Each lower cover must come first in id order, as on every
+    lattice whose graded axiom holds."""
+    atoms = L.ids(0)
+    masks = [0] * atoms.start + [1 << k for k in range(len(atoms))]
+    for below in L.down[atoms.stop:]:
+        m = 0
+        for e in below:
+            m |= masks[e]
+        masks.append(m)
+    return tuple(masks)
+
+
+class DictNumberedLattice(AbstractLattice):
+    """An ``AbstractLattice`` whose covers are numbered by an element -> id
+    dict, a cover naming an element the dict does not hold refused, and
+    whose axioms are checked on ``pass_atom_masks``, made once the graded
+    axiom holds."""
+
+    def __post_init__(self) -> None:
+        elements = tuple((r - 1, i) for r, n in enumerate(self.f_vector) for i in range(n))
+        index = {x: i for i, x in enumerate(elements)}
+        down: list[set[int]] = [set() for _ in elements]
+        try:
+            for a, b in self.covering:
+                down[index[b]].add(index[a])
+        except KeyError:
+            raise InternalInvariantError(f"cover ({a}, {b}) names no element") from None
+        self._number(elements, tuple(accumulate(self.f_vector, initial=0)),
+                     tuple(tuple(sorted(below)) for below in down))
+        self.verify_graded()
+        object.__setattr__(self, "atom_masks", pass_atom_masks(self))
+        self._verify_axioms(self.atom_masks)
+
+
+def three_scan_lattice_from_incidence(U: UnsignedIncidence) -> AbstractLattice:
+    """``lattice_from_incidence`` with each row read by ``count(1)``,
+    ``count(0)`` and one ``index`` per 1."""
+    mats = U.matrices
+    if not mats:
+        raise InternalInvariantError("no incidence matrices")
+    f_vector = [len(mats[0])] + [len(m[0]) if m else 0 for m in mats]
+    for j in range(1, len(mats)):
+        if len(mats[j]) != f_vector[j]:
+            raise InternalInvariantError(
+                f"incidence matrices dimensionally inconsistent at rank {j}")
+    covering = []
+    for j, m in enumerate(mats):
+        for r, row in enumerate(m):
+            if len(row) != f_vector[j + 1]:
+                raise InternalInvariantError(f"D_{j} is ragged: row {r} has length {len(row)}, "
+                                             f"row 0 has length {f_vector[j + 1]}")
+            ones = row.count(1)
+            if row.count(0) + ones != len(row):
+                x = next(x for x in row if x not in (0, 1))
+                raise InternalInvariantError(f"unsigned incidence entry {x} not in {{0, 1}}")
+            c = -1
+            for _ in range(ones):
+                c = row.index(1, c + 1)
+                covering.append(((j - 1, r), (j, c)))
+    return AbstractLattice(dim=len(mats) - 1, f_vector=tuple(f_vector), covering=tuple(covering))
 
 
 def built(lat) -> FaceLattice | AbstractLattice:

@@ -40,6 +40,7 @@ from polyk.polytope import (
 
 from affine import apply_affine, random_invertible_affine
 from oracles import (
+    DictNumberedLattice,
     GradedPoset,
     UncheckedAbstractLattice,
     UncheckedFaceLattice,
@@ -53,7 +54,9 @@ from oracles import (
     complex_from_dense,
     failure,
     lattice_from_pairs,
+    pass_atom_masks,
     rank_scan_is_isomorphic,
+    three_scan_lattice_from_incidence,
     up_scan_is_isomorphic,
 )
 
@@ -517,14 +520,25 @@ SEGMENT = (((-1, 0), (0, 0)), ((-1, 0), (0, 1)), ((0, 0), (1, 0)), ((0, 1), (1, 
     (1, (((0, 5), (1, 0)),), "cover ((0, 5), (1, 0)) names no element"),
     (1, (((1, 0), (3, 0)),), "cover ((1, 0), (3, 0)) names no element"),
     (1, (((0, -1), (1, 0)),), "cover ((0, -1), (1, 0)) names no element"),
-], ids=["dim-beyond-f-vector", "index-beyond-rank", "rank-beyond-dim", "negative-index"])
+    (1, (((-2, 0), (0, 0)),), "cover ((-2, 0), (0, 0)) names no element"),
+    (1, (((1, 0), (2, 0)),), "cover ((1, 0), (2, 0)) names no element"),
+    (1, (((0, 2), (1, 0)),), "cover ((0, 2), (1, 0)) names no element"),
+    (1, (((0, 0), (1, -1)),), "cover ((0, 0), (1, -1)) names no element"),
+    (1, (((0,), (1, 0)),), "cover ((0,), (1, 0)) names no element"),
+], ids=["dim-beyond-f-vector", "index-beyond-rank", "rank-beyond-dim", "negative-index",
+        "rank-minus-2", "rank-dim-plus-1", "index-at-f-vector-entry", "negative-index-of-top",
+        "not-a-pair"])
 def test_abstract_lattice_refuses_a_malformed_shape(dim, extra, message):
     # the segment's f-vector (1, 2, 1) with a dim it does not fit, or a
     # cover naming an element it does not have, as the input lists it: a
-    # negative index does not wrap to another element
+    # rank outside -1..dim, a negative index or one at the f-vector's entry
+    # does not wrap to another element, though the id is computed from
+    # (rank, index); the element -> id dict numbering names the same cover
     with pytest.raises(InternalInvariantError) as err:
         AbstractLattice(dim=dim, f_vector=(1, 2, 1), covering=SEGMENT + extra)
     assert str(err.value) == message
+    assert failure(lambda c: DictNumberedLattice(dim=dim, f_vector=(1, 2, 1), covering=c),
+                   SEGMENT + extra) == message
 
 
 def every_diamond(lat) -> None:
@@ -803,6 +817,130 @@ def test_incidence_shape_guards_name_the_fault(matrices, message):
     with pytest.raises(InternalInvariantError) as err:
         lattice_from_incidence(UnsignedIncidence(matrices))
     assert str(err.value) == message
+
+
+# --- the one-loop numbering and the bytes row reader, against the passes they replaced ---
+
+class DictNumberedPoset(DictNumberedLattice):
+    """``DictNumberedLattice`` checking only the graded axiom, as
+    ``GradedPoset`` does."""
+
+    def _verify_axioms(self, union) -> None:
+        self.verify_graded()
+
+
+BAD_ELEMENTS = ((-2, 0), (5, 0), (0, -1), (0, 4), (-1, 1), (0,), (0, 0, 0))
+
+
+@given(st.one_of(st.randoms(use_true_random=False).map(random_graded_poset), cover_graphs()),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_one_loop_numbering_matches_the_dict_numbering_and_the_mask_pass(lat, data):
+    # covers listed in any order, some twice, some skipping ranks, and in
+    # half the draws one naming an element the f-vector lacks (each rank has
+    # at most 4 elements, and dim is at most 4): refused with one message
+    # by both numberings, or built, checked as a lattice or only as a graded
+    # poset, with equal down, up and atom masks, the masks those of the pass
+    covering = list(lat.covering)
+    if covering and data.draw(st.booleans()):
+        k = data.draw(st.integers(0, len(covering) - 1))
+        a, b = covering[k]
+        bad = data.draw(st.sampled_from(BAD_ELEMENTS))
+        covering.insert(k, (bad, b) if data.draw(st.booleans()) else (a, bad))
+    for kind, oracle in ((GradedPoset, DictNumberedPoset), (AbstractLattice, DictNumberedLattice)):
+        def build(k):
+            return k(dim=lat.dim, f_vector=lat.f_vector, covering=tuple(covering))
+
+        message = failure(build, kind)
+        assert message == failure(build, oracle)
+        if message is None:
+            new, old = build(kind), build(oracle)
+            assert (new.down, new.up, new.atom_masks) == (old.down, old.up, old.atom_masks)
+            assert new.atom_masks == pass_atom_masks(new)
+
+
+class PassRecordingFaceLattice(FaceLattice):
+    """A ``FaceLattice`` that keeps the pass ``_number`` gave its axiom
+    check, and checks nothing."""
+
+    def _verify_axioms(self, union) -> None:
+        object.__setattr__(self, "union", union)
+
+
+def test_one_loop_numbering_on_corpus_lattices():
+    # the abstract lattice of each corpus lattice is numbered as the dict
+    # numbers it, with the pass's atom masks, which are the vertex masks; a
+    # face lattice compares its vertex masks with the same pass, and keeps
+    # no copy of it
+    for poly in acceptance_corpus():
+        lat = face_lattice(poly)
+        new, old = (kind(dim=lat.dim, f_vector=lat.f_vector, covering=abstract_of(lat).covering)
+                    for kind in (AbstractLattice, DictNumberedLattice))
+        assert (new.down, new.up, new.atom_masks) == (old.down, old.up, old.atom_masks), poly.name
+        assert new.down == lat.down and new.up == lat.up, poly.name
+        assert new.atom_masks == pass_atom_masks(lat) == lat.vertex_masks, poly.name
+        recorded = PassRecordingFaceLattice(lat.dim, lat.faces_by_dim, lat.down, lat.vertex_masks)
+        assert recorded.union == lat.vertex_masks and recorded.union is not lat.vertex_masks
+        assert [name for name, value in vars(lat).items() if value == lat.vertex_masks] == \
+            ["vertex_masks", "atom_masks"] and lat.atom_masks is lat.vertex_masks, poly.name
+
+
+INCIDENCES = [incidence_of(face_lattice(p))
+              for p in (simplex(2), hypercube(3), cross_polytope(3), point_polytope())]
+
+
+@given(st.sampled_from(INCIDENCES),
+       st.lists(st.tuples(st.sampled_from((0, 1, 2, -1, 256, True, False)),
+                          st.integers(0, 10 ** 6)), max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_bytes_row_reader_matches_the_three_scan_reader(incidence, changes):
+    # entries set anywhere to 0, 1, True, False or a bad int: both readers
+    # refuse with one message, the first bad entry in row order or the
+    # lattice check's, or both read the same covers
+    mats = [[list(row) for row in m] for m in incidence.matrices]
+    cells = [(j, r, c) for j, m in enumerate(mats) for r, row in enumerate(m)
+             for c in range(len(row))]
+    for x, k in changes:
+        j, r, c = cells[k % len(cells)]
+        mats[j][r][c] = x
+    U = UnsignedIncidence(tuple(tuple(map(tuple, m)) for m in mats))
+    message = failure(lattice_from_incidence, U)
+    assert message == failure(three_scan_lattice_from_incidence, U)
+    if message is None:
+        new, old = lattice_from_incidence(U), three_scan_lattice_from_incidence(U)
+        assert (new.f_vector, new.covering) == (old.f_vector, old.covering)
+
+
+@pytest.mark.parametrize("entry", [-1, 256, 2, 1.0], ids=["minus-1", "256", "2", "float-1"])
+def test_reconstruct_names_an_entry_outside_0_1(entry):
+    # the entry put after a 1 in the first row of D_1, before a 2 in a
+    # later row: it is named, as the first bad entry in row order.  A float
+    # 1.0 is refused by name, as bytes() refuses it, where the list methods
+    # of the three-scan reader counted it as a 1
+    _, x = complex_of(simplex(2))
+    mats = [list(list(r) for r in m) for m in strip_signs(x).matrices]
+    assert mats[1][0][:2] == [1, 1]
+    mats[1][0][1] = entry
+
+    def incidence():
+        return UnsignedIncidence(tuple(tuple(tuple(r) for r in m) for m in mats))
+
+    if entry == 1.0:
+        assert three_scan_lattice_from_incidence(incidence()).covering == \
+            lattice_from_incidence(strip_signs(x)).covering
+    mats[1][1][0] = 2
+    with pytest.raises(InternalInvariantError) as err:
+        lattice_from_incidence(incidence())
+    assert str(err.value) == f"unsigned incidence entry {entry} not in {{0, 1}}"
+
+
+def test_reconstruct_reads_true_as_1():
+    # a bool is an int: True is read as a 1, False as a 0
+    _, x = complex_of(hypercube(3))
+    U = strip_signs(x)
+    as_bools = UnsignedIncidence(tuple(tuple(tuple(map(bool, row)) for row in m)
+                                       for m in U.matrices))
+    assert lattice_from_incidence(as_bools).covering == lattice_from_incidence(U).covering
 
 
 # --- the search keyed on atom masks, against both oracles ---

@@ -132,6 +132,26 @@ def test_lift_normals_match_polytope_facets(small_corpus):
         assert cone.facet_normals == dual_cone(cone.generators), poly.name
 
 
+def test_gram_table_is_the_full_product(small_corpus):
+    # T is filled on and above its diagonal and mirrored: it equals the
+    # product A^T A of the lifted generators as columns, one dot product
+    # per entry of the upper triangle, and is symmetric
+    for poly in list(small_corpus) + list(acceptance_corpus()) + [hypercube(4)]:
+        cone = lift(poly)
+        gens, calls = cone.generators, []
+
+        def counting(u, v):
+            calls.append(1)
+            return int_dot(u, v)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cones, "int_dot", counting)
+            table = gram_table(cone)
+        assert table == int_mat_mul(gens, tuple(zip(*gens))), poly.name
+        assert table == tuple(zip(*table)), poly.name
+        assert len(calls) == len(gens) * (len(gens) + 1) // 2, poly.name
+
+
 # --- dual_cone ---
 
 def test_dual_cone_orthant_self_dual():

@@ -202,7 +202,16 @@ def test_facets_match_brute_force_oracle(seed, d):
     pts = _random_points(rng, d, rng.randint(d + 1, 10))
     if affine_dim(pts) != d:
         return
-    assert _hull_facets(integer_grid(pts), d) == brute_force_facets(pts, d)
+    assert hull_facets_with_masks(pts, d) == brute_force_facets(pts, d)
+
+
+def hull_facets_with_masks(pts, d):
+    """``_hull_facets`` on ``pts``, its tight-set masks checked against
+    each facet's vertex set encoded again, as ``_hull`` encoded it before
+    it read the masks: the facets."""
+    facet_list, masks = _hull_facets(integer_grid(pts), d)
+    assert masks == [sum(1 << i for i in f.vertex_set) for f in facet_list]
+    return facet_list
 
 
 def test_validate_makes_at_most_d_plus_1_kernel_calls(monkeypatch):
@@ -242,7 +251,7 @@ def test_hull_facets_match_scan_and_brute_force(d):
             pts = _random_points(rng, d, n)
         if affine_dim(pts) != d:
             continue
-        assert (_hull_facets(integer_grid(pts), d) == scan_hull_facets(pts, d)
+        assert (hull_facets_with_masks(pts, d) == scan_hull_facets(pts, d)
                 == brute_force_facets(pts, d))
         checked += 1
         redundant += bool(polytope._hull(integer_grid(pts), d)[1])
@@ -391,6 +400,15 @@ def test_lattice_is_graded_with_diamonds(small_corpus):
     # the lattice checks itself as it is built; the all-pairs oracle agrees
     for p in small_corpus:
         assert failure(all_pairs_verify_lattice, face_lattice(p)) is None, p.name
+
+
+def test_face_lattice_returns_faces(small_corpus):
+    # the walk makes each Face in C, by tuple.__new__, not by calling Face:
+    # every face is still of the type Face, with its level's dimension
+    for p in small_corpus + [cross_polytope(5), hypercube(4), random_hull(random.Random(3), 4, 9)]:
+        lat = face_lattice(p)
+        assert all(type(f) is Face and f.dim == k - 1
+                   for k, level in enumerate(lat.faces_by_dim) for f in level), p.name
 
 
 def _assert_matches_closure_oracle(P):
