@@ -58,9 +58,9 @@ class AbstractLattice(GradedIds):
 
     Elements, its abstract faces, are (rank, index) pairs of ints with rank
     from -1 (bottom) to dim (top), numbered level by level (``GradedIds``):
-    (rank, i) has the id ``level_start[rank + 1] + i``, computed once the
-    rank is one the f-vector lists and 0 <= i < its entry there, and is
-    ``faces_by_id`` there.  A pair listed twice in ``covering`` is one
+    (rank, i) has the id ``level_start[rank + 1] + i``, read as entry i of
+    one list of ids per rank the f-vector lists, i >= 0, so that every
+    cover naming an element shares one int, and is ``faces_by_id`` there.  A pair listed twice in ``covering`` is one
     cover, and each ``down[i]`` is ascending, whatever the order of
     ``covering``; a pair naming an element that the f-vector does not have,
     or that is not a pair of ints, is refused.  Built, it checks the axioms
@@ -77,17 +77,17 @@ class AbstractLattice(GradedIds):
 
     def __post_init__(self) -> None:
         start = tuple(accumulate(self.f_vector, initial=0))
-        size = dict(enumerate(self.f_vector, -1))  # rank -> its number of elements
+        ids = {r: list(range(start[r + 1], start[r + 2])) for r in range(-1, len(start) - 2)}
         down: list[set[int]] = [set() for _ in range(start[-1])]
         for a, b in self.covering:
             try:
                 (ra, ia), (rb, ib) = a, b
-                if not (0 <= ia < size[ra] and 0 <= ib < size[rb]):
-                    raise KeyError
-                down[start[rb + 1] + ib].add(start[ra + 1] + ia)
-            except (KeyError, TypeError, ValueError):
+                if ia < 0 or ib < 0:  # would wrap in ids[rank]
+                    raise IndexError
+                down[ids[rb][ib]].add(ids[ra][ia])
+            except (IndexError, KeyError, TypeError, ValueError):
                 raise InternalInvariantError(f"cover ({a}, {b}) names no element") from None
-        elements = tuple(chain.from_iterable(zip(repeat(r), range(n)) for r, n in size.items()))
+        elements = tuple(chain.from_iterable(zip(repeat(r), range(len(i))) for r, i in ids.items()))
         union = self._number(elements, start, tuple(map(tuple, map(sorted, down))))
         object.__setattr__(self, "atom_masks", union)
         self._verify_axioms(union)
@@ -153,8 +153,9 @@ def is_isomorphic(L1: GradedIds, L2: GradedIds) -> LatticeIso:
     unequal multisets of (down-degree, up-degree) on some rank, or an
     exhausted search.  With equal f-vectors both lattices give rank r the
     ids ``ids(r)``.  The search runs on element ids, ``up``, ``down`` and
-    atom masks (``GradedIds.atom_masks``, on a face lattice its vertex
-    masks, so no pass makes them).
+    atom masks (``GradedIds.atom_masks``: on an abstract lattice the pass
+    its numbering made, on a face lattice its vertex masks, so the search
+    makes no pass for them).
 
     The sources are placed in id order, that is rank by rank.  The bottom
     maps to the bottom.  Atom s takes the first atom t of L2, in id order,
