@@ -60,13 +60,13 @@ class AbstractLattice(GradedIds):
     from -1 (bottom) to dim (top), numbered level by level (``GradedIds``):
     (rank, i) has the id ``level_start[rank + 1] + i``, read as entry i of
     one list of ids per rank the f-vector lists, i >= 0, so that every
-    cover naming an element shares one int, and is ``faces_by_id`` there.  A pair listed twice in ``covering`` is one
-    cover, and each ``down[i]`` is ascending, whatever the order of
-    ``covering``; a pair naming an element that the f-vector does not have,
-    or that is not a pair of ints, is refused.  Built, it checks the axioms
-    as every lattice does (``GradedIds._verify_axioms``), storing the atom
-    masks ``_number`` read off its covers and naming the two elements of
-    the first repeated one.
+    cover naming an element shares one int, and is ``faces_by_id`` there.
+    A pair listed twice in ``covering`` is one cover, and each ``down[i]``
+    is ascending, whatever the order of ``covering``; a pair naming an
+    element that the f-vector does not have, or that is not a pair of ints,
+    is refused.  Built, it checks the axioms as every lattice does
+    (``GradedIds._verify_axioms``), storing the atom masks ``_number`` read
+    off its covers and naming the two elements of the first repeated one.
     """
 
     dim: int

@@ -634,11 +634,12 @@ def _hull_facets(grid: tuple[int, Sequence[IntVector]], d: int) -> tuple[list[Fa
     <h, g> >= 0 and adds, for every adjacent pair h+, h- with
     <h+, g> > 0 > <h-, g>, the ray w = <h+, g> h- - <h-, g> h+, which is
     zero on g, made primitive by one gcd of its entries: an integer
-    combination of integer rays, w has integer entries.  Each ray carries its zero set (the inserted points
-    it is tight on) as a bitmask.  Adjacency is decided combinatorially
-    (Fukuda & Prodon, Prop. 7): two extreme rays of a pointed cone are
-    adjacent iff their common zero set has at least d - 1 elements and no
-    third extreme ray's zero set contains it.  The identity needs the rays
+    combination of integer rays, w has integer entries.  Each ray carries
+    its zero set (the inserted points it is tight on) as a bitmask.
+    Adjacency is decided combinatorially (Fukuda & Prodon, Prop. 7): two
+    extreme rays of a pointed cone are adjacent iff their common zero set
+    has at least d - 1 elements and no third extreme ray's zero set
+    contains it.  The identity needs the rays
     to be exactly the extreme rays, which holds after every insertion.
 
     The third rays are found on an inverted zero-set index: ``tight[j]``,
@@ -859,7 +860,8 @@ def face_lattice(P: Polytope) -> FaceLattice:
     levels; a facet with a vertex too many leaves vertices in level 0.
     """
     d, n = P.ambient_dim, P.nvertices
-    atoms = [(1 << j, sum(1 << v for v in fc.vertex_set)) for j, fc in enumerate(P.facets)]
+    facet_list = facets(P)
+    atoms = [(1 << j, sum(1 << v for v in fc.vertex_set)) for j, fc in enumerate(facet_list)]
     vbit = [1 << v for v in range(n)]
     vfac = [0] * n  # vertex -> facet mask
     for bit, fv in atoms:
@@ -884,7 +886,7 @@ def face_lattice(P: Polytope) -> FaceLattice:
                     else:
                         e.append(face)
             elif k > d:  # P: its facets
-                for (bit, fv), fc in zip(atoms, P.facets):
+                for (bit, fv), fc in zip(atoms, facet_list):
                     found[fv] = [fc.vertex_set, fv, bit, [], face]
             else:
                 _closure_step(face, atoms, vfac, closure, found)
