@@ -100,7 +100,8 @@ def lattice_from_incidence(U: UnsignedIncidence) -> AbstractLattice:
     sets the column count.  The support of the matrices is taken as the
     covering relation, each row read once, as ``bytes(row)``: ``count`` of
     its 0s and 1s is the entry test, and ``find`` gives the columns of its
-    1s.  An entry is 0 or 1, as an int or a bool; ``bytes`` refuses an
+    1s, each cover a pair of (rank, index) elements made once per
+    element.  An entry is 0 or 1, as an int or a bool; ``bytes`` refuses an
     entry that is no integer, a float such as 1.0 included, or that lies
     outside 0..255, and a row it refuses, or whose 0s and 1s do not fill
     it, holds a bad entry, the first of which in row order is named.  The
@@ -116,8 +117,9 @@ def lattice_from_incidence(U: UnsignedIncidence) -> AbstractLattice:
         if len(mats[j]) != f_vector[j]:
             raise InternalInvariantError(
                 f"incidence matrices dimensionally inconsistent at rank {j}")
-    covering = []
+    covering, elements = [], [[(r, i) for i in range(n)] for r, n in enumerate(f_vector, -1)]
     for j, m in enumerate(mats):
+        below, above = elements[j], elements[j + 1]  # ranks j - 1 and j
         for r, row in enumerate(m):
             if len(row) != f_vector[j + 1]:
                 raise InternalInvariantError(f"D_{j} is ragged: row {r} has length {len(row)}, "
@@ -129,10 +131,10 @@ def lattice_from_incidence(U: UnsignedIncidence) -> AbstractLattice:
             if b.count(0) + (ones := b.count(1)) != len(row):
                 x = next(x for x in row if not hasattr(x, "__index__") or x not in (0, 1))
                 raise InternalInvariantError(f"unsigned incidence entry {x} not in {{0, 1}}")
-            low, c = (j - 1, r), -1
+            low, c = below[r], -1
             for _ in range(ones):
                 c = b.find(1, c + 1)
-                covering.append((low, (j, c)))
+                covering.append((low, above[c]))
     return AbstractLattice(dim=len(mats) - 1, f_vector=tuple(f_vector), covering=tuple(covering))
 
 
