@@ -646,7 +646,9 @@ def _hull_facets(grid: tuple[int, Sequence[IntVector]], d: int) -> tuple[list[Fa
     rebuilt on each insertion, is the bitmask of the current rays tight on
     point j, so the AND of ``tight[j]`` over j in ``common`` (every ray when
     ``common`` is empty) is the set of rays whose zero sets contain
-    ``common``.  It always holds p and n, so the AND can stop once it is
+    ``common``.  Each ray carries its zero set's bits too, decoded once,
+    when the zero set is made, and read by every rebuild of the index and
+    as its facet's vertex set.  It always holds p and n, so the AND can stop once it is
     {p, n}, and the pair is adjacent iff it ends there.  A primitive
     normal makes each facet's (normal, offset) unique, so the list, sorted
     by facet and so by (normal, offset), does not depend on the insertion
@@ -664,23 +666,25 @@ def _hull_facets(grid: tuple[int, Sequence[IntVector]], d: int) -> tuple[list[Fa
     if len(basis) != d + 1:
         raise InputError(
             f"hull not full-dimensional: affine dimension {len(basis) - 1} < ambient {d}")
-    rays = _starting_cone(gens, basis)  # (h, zero set as a bitmask)
+    # (h, zero set as a bitmask, its bits), the bits decoded once per zero set
+    rays = [(h, z, set_bits(z)) for h, z in _starting_cone(gens, basis)]
     for i, g in enumerate(gens):
         if i in basis:
             continue
         bit = 1 << i
-        values = [int_dot(h, g) for h, _ in rays]
-        kept = [(h, z | bit if v == 0 else z) for (h, z), v in zip(rays, values) if v >= 0]
-        minus = [(n, z) for n, ((_, z), v) in enumerate(zip(rays, values)) if v < 0]
+        values = [int_dot(r[0], g) for r in rays]
+        kept = [r if v else (r[0], r[1] | bit, set_bits(r[1] | bit))
+                for r, v in zip(rays, values) if v >= 0]
+        minus = [(n, r[1]) for n, (r, v) in enumerate(zip(rays, values)) if v < 0]
         tight = [0] * len(gens)  # point j -> bitmask of the rays tight on it
-        for k, (_, z) in enumerate(rays):
-            for j in set_bits(z):
+        for k, r in enumerate(rays):
+            for j in r[2]:
                 tight[j] |= 1 << k
         everything = (1 << len(rays)) - 1
         for p, vp in enumerate(values):
             if vp <= 0:
                 continue
-            hp, zp = rays[p]
+            hp, zp, _ = rays[p]
             for n, common in [(n, zp & zn) for n, zn in minus
                               if (zp & zn).bit_count() >= d - 1]:
                 pair = 1 << p | 1 << n
@@ -695,10 +699,10 @@ def _hull_facets(grid: tuple[int, Sequence[IntVector]], d: int) -> tuple[list[Fa
                 w = [vp * a - vn * b for a, b in zip(hn, hp)]
                 if not (q := gcd(*w)):
                     raise InternalInvariantError("zero vector has no primitive form")
-                kept.append((tuple([x // q for x in w]), common | bit))
+                kept.append((tuple([x // q for x in w]), common | bit, set_bits(common | bit)))
         rays = kept
-    facet_list = sorted((Facet(normal=tuple(-x for x in h[1:]), offset=Fraction(h[0], scale),
-                               vertex_set=set_bits(z)), z) for h, z in rays)
+    facet_list = sorted((Facet(normal=tuple([-x for x in h[1:]]), offset=Fraction(h[0], scale),
+                               vertex_set=bits), z) for h, z, bits in rays)
     return [f for f, _ in facet_list], [z for _, z in facet_list]
 
 
