@@ -87,7 +87,8 @@ class AbstractLattice(GradedIds):
                 down[ids[rb][ib]].add(ids[ra][ia])
             except (IndexError, KeyError, TypeError, ValueError):
                 raise InternalInvariantError(f"cover ({a}, {b}) names no element") from None
-        elements = tuple(chain.from_iterable(zip(repeat(r), range(len(i))) for r, i in ids.items()))
+        elements = tuple(chain.from_iterable(zip(repeat(r), range(len(level)))
+                                             for r, level in ids.items()))
         union = self._number(elements, start, tuple(map(tuple, map(sorted, down))))
         object.__setattr__(self, "atom_masks", union)
         self._verify_axioms(union)

@@ -266,6 +266,16 @@ def test_hull_facets_match_scan_on_larger_hulls():
         assert facet_list == scan_hull_facets(pts, d)
 
 
+def test_a_zero_ray_is_an_internal_error(monkeypatch):
+    # opposite starting rays, a cone that is not pointed, combine into the
+    # zero ray on the next point, (1, 2): its gcd is 0, and the double
+    # description names it rather than dividing by 0
+    monkeypatch.setattr(polytope, "_starting_cone",
+                        lambda gens, basis: [((0, 1), 0b01), ((0, -1), 0b10)])
+    with pytest.raises(InternalInvariantError, match="^zero vector has no primitive form$"):
+        validate([(0,), (1,), (2,)])
+
+
 def test_starting_cone_matches_cofactor_oracle():
     rng = random.Random(4)
     negative = 0
