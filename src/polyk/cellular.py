@@ -3,10 +3,11 @@
 Each face F is oriented by the basis A_F of the span of its lifted subcone
 (the cone's generators at its span ids, greedy in vertex-index order: a
 simplex face's vertex ids, any other face's ``FaceConeData.span_ids``),
-its last column negated if the trivialization flips F.  For a
-covering pair (E, F) with edge ray e the incidence number is the
-orientation sign of the basis
-B = [e | A_E] of span(F) against A_F: sign det C for B C = A_F, which is
+its last column negated if F is flipped.  The trivialization is the set
+of flipped face ids, a frozenset of the lattice's ids (``trivialize``).
+For a covering pair (E, F) with edge ray e the incidence number is the
+orientation sign of the basis B = [e | A_E] of span(F) against A_F:
+sign det C for B C = A_F, which is
 sign det(B^T A_F) since B^T A_F = (B^T B) C and det(B^T B) > 0.  (B is a
 basis of span(F): e spans the line where span(F) meets span(E)^perp, and
 A_E is a basis of span(E), as the checks of
@@ -84,36 +85,30 @@ from .polytope import Face, FaceLattice, face_label
 from .sparse import SparseColumn, acyclic_matching, dense_matrix
 
 
-class Trivialization(NamedTuple):
-    """The orientation of every face: the span basis A_F of its face data,
-    with the last column negated for the ids in ``flipped``, which number
-    the faces of the one lattice given to ``trivialize``.  A flip reverses
-    the face's orientation; the empty face has no column to flip."""
-
-    flipped: frozenset[int]
-
-
-def trivialize(L: FaceLattice, flip_faces: Iterable[Face] = ()) -> Trivialization:
-    """The orientation of every face of the lattice, with the requested
-    flips, held by face id.  Each must be a nonempty face of L."""
+def trivialize(L: FaceLattice, flip_faces: Iterable[Face] = ()) -> frozenset[int]:
+    """The orientation of every face of the lattice: the ids, in L, of the
+    requested flips.  Each face is oriented by the span basis A_F of its
+    face data, its last column negated when its id is in the set, which
+    reverses its orientation.  Each flip must be a nonempty face of L: the
+    empty face has no column to flip."""
     flips = tuple(flip_faces)
     for f in flips:
         if f.dim < 0:
             raise ValueError("the empty face has no basis column to flip")
         if f not in L.face_id:
             raise ValueError(f"cannot flip {f}: it is not a face of the lattice")
-    return Trivialization(flipped=frozenset(L.face_id[f] for f in flips))
+    return frozenset(L.face_id[f] for f in flips)
 
 
-def incidence_sign(T: Trivialization, sigma: int, e: int, f: int) -> int:
+def incidence_sign(flipped: frozenset[int], sigma: int, e: int, f: int) -> int:
     """[E : F] for the covering pair of face ids (e, f); always +1 or -1.
 
     It is sigma * eps_E * eps_F, with sigma the pair's orientation and
-    eps = -1 for a flipped face: sigma is the sign det(B^T A_F) for the
-    edge ray's direction e, B = [e | A_E] and the unflipped bases, as
-    ``ConeSystem.cover_orientations`` gives it.
+    eps = -1 for a face whose id is in ``flipped``: sigma is the sign
+    det(B^T A_F) for the edge ray's direction e, B = [e | A_E] and the
+    unflipped bases, as ``ConeSystem.cover_orientations`` gives it.
     """
-    return sigma * (-1) ** ((e in T.flipped) + (f in T.flipped))
+    return sigma * (-1) ** ((e in flipped) + (f in flipped))
 
 
 @dataclass(frozen=True)
@@ -173,7 +168,7 @@ class ChainComplex:
         return tuple(len(level) for level in self.face_order)
 
 
-def boundary_columns(T: Trivialization, system: ConeSystem, j: int) -> list[SparseColumn]:
+def boundary_columns(flipped: frozenset[int], system: ConeSystem, j: int) -> list[SparseColumn]:
     """The columns of D_j as {row: [E : F]} dicts, one per j-face F of the
     system's lattice in order; the row of a (j-1)-face is its id minus its
     level's first id.  Each lower cover E of F is one covering pair, visited
@@ -186,7 +181,7 @@ def boundary_columns(T: Trivialization, system: ConeSystem, j: int) -> list[Spar
     first_row = L.level_start[j]
     columns = []
     for f in L.ids(j):
-        columns.append({e - first_row: incidence_sign(T, sigma, e, f)
+        columns.append({e - first_row: incidence_sign(flipped, sigma, e, f)
                         for e, sigma in zip(L.down[f], system.cover_orientations(f))})
     return columns
 
@@ -214,7 +209,7 @@ def boundary_squared_entry(lower: Sequence[SparseColumn],
     return first
 
 
-def build_complex(T: Trivialization, system: ConeSystem) -> ChainComplex:
+def build_complex(flipped: frozenset[int], system: ConeSystem) -> ChainComplex:
     """Assemble all boundary matrices of the system's lattice and verify
     the complex exactly.
 
@@ -230,7 +225,7 @@ def build_complex(T: Trivialization, system: ConeSystem) -> ChainComplex:
     one the system numbers its faces by, ``system.lattice``.
     """
     L = system.lattice
-    columns = tuple(tuple(boundary_columns(T, system, j)) for j in range(0, L.dim + 1))
+    columns = tuple(tuple(boundary_columns(flipped, system, j)) for j in range(0, L.dim + 1))
     face_order = tuple(tuple(f.vertex_set for f in L.faces(j)) for j in range(-1, L.dim + 1))
     return ChainComplex(dim=L.dim, columns=columns, face_order=face_order)
 

@@ -229,9 +229,11 @@ def lift(P: Polytope) -> LiftedCone:
     lowest terms, the normal is the primitive vector of q (b, -a) = (p, -q a),
     an integer vector on the same ray, so no ``Fraction`` enters.  The point
     (d = 0) has no facets, yet its cone, the ray through (1), has the one
-    facet normal (1,).  Pointedness is witnessed by the functional
-    (1, 0, ..., 0), which is strictly positive on every generator; solidity
-    follows from the polytope being full-dimensional.  Both are asserted.
+    facet normal (1,).  The cone is pointed by construction: every
+    generator's first coordinate is L (below), the lcm of positive
+    denominators, so L >= 1 and the functional (1, 0, ..., 0) is strictly
+    positive on every generator.  Solidity follows from the polytope being
+    full-dimensional, and is asserted.
 
     The generators are L * (1, v_i), with L the lcm of all vertex
     denominators and L * v_i the vertex on the integer grid
@@ -242,8 +244,6 @@ def lift(P: Polytope) -> LiftedCone:
     n = P.ambient_dim + 1
     scale, grid = integer_grid(P.vertices)
     gens = tuple((scale,) + p for p in grid)
-    if any(g[0] <= 0 for g in gens):
-        raise InternalInvariantError("lifted cone is not pointed")
     if IntEchelon(gens).rank != n:
         raise InternalInvariantError("lifted cone is not solid")
     normals = tuple(sorted(primitive_vector((f.offset.numerator,) + tuple(

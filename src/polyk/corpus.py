@@ -24,10 +24,6 @@ def simplex(d: int, name: str | None = None) -> Polytope:
     return validate(verts, name=name or f"simplex{d}")
 
 
-def point_polytope(name: str = "point") -> Polytope:
-    return simplex(0, name=name)
-
-
 def hypercube(d: int, name: str | None = None) -> Polytope:
     verts = [[(k >> i) & 1 for i in range(d)] for k in range(2 ** d)]
     return validate(verts, name=name or f"cube{d}")

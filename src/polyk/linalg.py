@@ -5,11 +5,13 @@ anywhere; :class:`fractions.Fraction` holds only the input coordinates
 (``qvec``), the facet offsets, and the dense rational matrices the tests'
 oracles use.  This module provides the shared substrate: the integer
 tools the hot paths and validation run on (dot products, primitive ray
-generators, an incremental fraction-free echelon form for ranks, span
-membership and greedy bases, Bareiss determinants, certified adjugates,
-cofactor kernels), Smith normal form over the integers, and dense rational
-matrices with rank / determinant-sign / solve operations, which the tests'
-oracles still use.
+generators, an incremental fraction-free echelon form for ranks and
+greedy bases, Bareiss determinants, certified adjugates, cofactor
+kernels) and Smith normal form over the integers.  ``rank``, ``det_sign``
+and ``coords_in_basis`` on dense rational matrices are oracles no report
+runs; ``QMatrix`` is only their argument type, with its shape check and
+the ``hstack`` the solve needs.  The tests build, multiply and transpose
+these matrices themselves (``tests/oracles.py``).
 
 Homology reads its ranks off a certified acyclic matching of the sparse
 columns (``polyk.sparse.acyclic_matching``); ``smith_normal_form`` takes
@@ -42,12 +44,6 @@ Scalar = int | Fraction
 def qvec(values: Iterable) -> Vector:
     """Coerce an iterable of ints / Fractions / 'p/q' strings to a Vector."""
     return tuple(Fraction(x) for x in values)
-
-
-def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Fraction:
-    if len(u) != len(v):
-        raise InternalInvariantError(f"dot of length {len(u)} with {len(v)}")
-    return sum((Fraction(a) * b for a, b in zip(u, v)), start=Fraction(0))
 
 
 def int_dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -91,57 +87,11 @@ class QMatrix:
         if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
             raise InternalInvariantError("QMatrix shape mismatch")
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Scalar]], cols: int | None = None) -> "QMatrix":
-        data = tuple(qvec(r) for r in rows)
-        if cols is None:
-            cols = len(data[0]) if data else 0
-        return cls(len(data), cols, data)
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[Scalar]], rows: int | None = None) -> "QMatrix":
-        cols = [qvec(c) for c in columns]
-        if rows is None:
-            if not cols:
-                raise InternalInvariantError("from_columns([]) needs an explicit row count")
-            rows = len(cols[0])
-        data = tuple(tuple(c[i] for c in cols) for i in range(rows))
-        return cls(rows, len(cols), data)
-
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls(n, n, tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "QMatrix":
-        return cls(rows, cols, tuple(tuple(Fraction(0) for _ in range(cols)) for _ in range(rows)))
-
-    def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.entries)
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix(self.cols, self.rows, tuple(self.column(j) for j in range(self.cols)))
-
     def hstack(self, other: "QMatrix") -> "QMatrix":
         if self.rows != other.rows:
             raise InternalInvariantError("hstack row mismatch")
         data = tuple(self.entries[i] + other.entries[i] for i in range(self.rows))
         return QMatrix(self.rows, self.cols + other.cols, data)
-
-    def __matmul__(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.rows:
-            raise InternalInvariantError("matmul shape mismatch")
-        data = tuple(
-            tuple(sum((self.entries[i][k] * other.entries[k][j] for k in range(self.cols)),
-                      start=Fraction(0))
-                  for j in range(other.cols))
-            for i in range(self.rows))
-        return QMatrix(self.rows, other.cols, data)
-
-    def mat_vec(self, v: Sequence[Scalar]) -> Vector:
-        if len(v) != self.cols:
-            raise InternalInvariantError("mat_vec shape mismatch")
-        return tuple(dot(r, v) for r in self.entries)
 
 
 def _rref(M: QMatrix) -> tuple[list[list[Fraction]], list[int]]:
@@ -284,10 +234,6 @@ class IntEchelon:
         g = gcd(*w)
         self._rows.append((pivot, [x // g for x in w]))
         return True
-
-    def contains(self, v: Sequence[int]) -> bool:
-        """Is v in the span of the kept rows?"""
-        return not any(self.remainder(v))
 
 
 def first_independent(vectors: Iterable[Sequence[int]], n: int) -> tuple[list[int], IntEchelon]:

@@ -516,9 +516,10 @@ class FaceLattice(GradedIds):
     order (``GradedIds``): face i is ``faces_by_id[i]``, and ``down[i]``
     holds the ids of its lower covers (ascending, as ``face_lattice`` fills
     it); ``up`` is read off ``down``, each ascending.  ``vertex_masks[i]`` is
-    the vertex bitmask of face i: ``face_lattice`` passes the masks its
-    walk found, and a lattice built without them derives them from the
-    vertex sets.  ``covering`` (the pairs of faces (E, F), E covered by F,
+    the vertex bitmask of face i, given by whoever builds the lattice:
+    ``face_lattice`` passes the masks its walk found, and the lattice
+    derives none from the vertex sets.  ``covering`` (the pairs of faces
+    (E, F), E covered by F,
     ordered by the id of F, then of E) and ``face_id`` (the id of a
     ``Face``) are views made on first use.
 
@@ -533,21 +534,18 @@ class FaceLattice(GradedIds):
     dim: int
     faces_by_dim: tuple[tuple[Face, ...], ...]
     down: tuple[tuple[int, ...], ...]
-    vertex_masks: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    vertex_masks: tuple[int, ...] = field(compare=False, repr=False)
     f_vector: tuple[int, ...] = field(init=False)
 
     repeated_mask = "face {1} found at levels {2} and {3}"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "f_vector", tuple(map(len, self.faces_by_dim)))
-        if self.vertex_masks is not None and len(self.vertex_masks) != sum(self.f_vector):
+        if len(self.vertex_masks) != sum(self.f_vector):
             raise InternalInvariantError(
                 f"{len(self.vertex_masks)} vertex masks for {sum(self.f_vector)} faces")
         union = self._number(tuple(chain.from_iterable(self.faces_by_dim)),
                              tuple(accumulate(self.f_vector, initial=0)), self.down)
-        if self.vertex_masks is None:
-            object.__setattr__(self, "vertex_masks", tuple(
-                sum(1 << v for v in f.vertex_set) for f in self.faces_by_id))
         object.__setattr__(self, "atom_masks", self.vertex_masks)
         self._verify_axioms(union)
 
@@ -565,17 +563,6 @@ class FaceLattice(GradedIds):
         if not -1 <= j <= self.dim:
             raise ValueError(f"face dimension {j} out of range [-1, {self.dim}]")
         return self.faces_by_dim[j + 1]
-
-    @property
-    def empty_face(self) -> Face:
-        return self.faces_by_dim[0][0]
-
-    @property
-    def top_face(self) -> Face:
-        return self.faces_by_dim[-1][0]
-
-    def lower_covers(self, f: Face) -> tuple[Face, ...]:
-        return tuple(self.faces_by_id[e] for e in self.down[self.face_id[f]])
 
 
 def set_bits(mask: int) -> tuple[int, ...]:
@@ -721,18 +708,16 @@ def _hull(grid: tuple[int, Sequence[IntVector]], d: int) -> tuple[list[Facet], l
                         if reduce(and_, [m for m in masks if m >> i & 1], (1 << n) - 1) != 1 << i]
 
 
-def validate(vertices: Sequence[Sequence], name: str | None = None) -> Polytope:
-    """Validate a vertex list and build a Polytope.
-
-    Rejects, in this order and naming the offending index: inconsistent
-    coordinate counts, duplicate points, a hull that is not full-dimensional,
-    and listed points that are not extreme.  The last two come from the one
-    facet computation (``_hull``): its starting basis decides the affine
-    dimension, and its facets which points are extreme.
-    """
-    if not vertices:
+def _checked_points(points: Sequence[Sequence]
+                    ) -> tuple[list[Vector], int, tuple[int, list[IntVector]]]:
+    """(points, d, grid): the points as rational vectors, their common
+    coordinate count d and their ``integer_grid``, the input checks of both
+    ``validate`` and ``convex_hull``.  Rejects, in this order and naming the
+    offending index: an empty list, inconsistent coordinate counts and
+    duplicate points."""
+    if not points:
         raise InputError("empty vertex list")
-    pts = [qvec(v) for v in vertices]
+    pts = [qvec(v) for v in points]
     d = len(pts[0])
     for i, p in enumerate(pts):
         if len(p) != d:
@@ -743,6 +728,19 @@ def validate(vertices: Sequence[Sequence], name: str | None = None) -> Polytope:
         if p in seen:
             raise InputError(f"duplicate vertex: {i} equals {seen[p]}")
         seen[p] = i
+    return pts, d, grid
+
+
+def validate(vertices: Sequence[Sequence], name: str | None = None) -> Polytope:
+    """Validate a vertex list and build a Polytope.
+
+    Rejects, in this order and naming the offending index: the input
+    errors of ``_checked_points``, a hull that is not full-dimensional,
+    and listed points that are not extreme.  The last two come from the one
+    facet computation (``_hull``): its starting basis decides the affine
+    dimension, and its facets which points are extreme.
+    """
+    pts, d, grid = _checked_points(vertices)
     facet_list, inner = _hull(grid, d)
     if inner:
         i = inner[0]
@@ -752,22 +750,23 @@ def validate(vertices: Sequence[Sequence], name: str | None = None) -> Polytope:
     return Polytope(ambient_dim=d, vertices=tuple(pts), facets=tuple(facet_list), name=name)
 
 
-def convex_hull(points: Sequence[Vector], name: str | None = None) -> Polytope:
+def convex_hull(points: Sequence[Sequence], name: str | None = None) -> Polytope:
     """The polytope conv(points), on those of the points that are its vertices.
 
-    The points must be distinct rational vectors with a full-dimensional
-    hull.  The facets are computed once, for all the points, and their tight
-    sets are then restricted to the vertices.
+    The points must pass the input checks ``validate`` makes
+    (``_checked_points``), and their hull must be full-dimensional.  The
+    facets are computed once, for all the points, and their tight sets are
+    then restricted to the vertices.
     """
-    d = len(points[0])
-    facet_list, inner = _hull(integer_grid(points), d)
+    pts, d, grid = _checked_points(points)
+    facet_list, inner = _hull(grid, d)
     keep = [i for i in range(len(points)) if i not in inner]
     new_index = {old: new for new, old in enumerate(keep)}
     restricted = tuple(
         Facet(normal=f.normal, offset=f.offset,
               vertex_set=tuple(new_index[i] for i in f.vertex_set if i in new_index))
         for f in facet_list)
-    return Polytope(ambient_dim=d, vertices=tuple(qvec(points[i]) for i in keep),
+    return Polytope(ambient_dim=d, vertices=tuple(pts[i] for i in keep),
                     facets=restricted, name=name)
 
 

@@ -12,11 +12,13 @@ from fractions import Fraction
 from polyk.linalg import QMatrix, qvec
 from polyk.polytope import Polytope, validate
 
+from oracles import q_from_rows, q_identity, q_mat_vec
+
 
 def random_invertible_affine(rng: random.Random, d: int) -> tuple[QMatrix, tuple]:
     """An exact invertible rational affine map (A, t), built from shears and
     nonzero diagonal scalings so invertibility never needs a determinant check."""
-    A = QMatrix.identity(d)
+    A = q_identity(d)
     scalars = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 2)]
     for _ in range(3 * d):
         kind = rng.randrange(3)
@@ -33,11 +35,11 @@ def random_invertible_affine(rng: random.Random, d: int) -> tuple[QMatrix, tuple
             if d >= 2:
                 i, j = rng.sample(range(d), 2)
                 rows[i], rows[j] = rows[j], rows[i]
-        A = QMatrix.from_rows(rows, cols=d)
+        A = q_from_rows(rows, cols=d)
     t = tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(d))
     return A, t
 
 
 def apply_affine(P: Polytope, A: QMatrix, t: tuple, name: str | None = None) -> Polytope:
-    verts = [tuple(x + s for x, s in zip(A.mat_vec(v), qvec(t))) for v in P.vertices]
+    verts = [tuple(x + s for x, s in zip(q_mat_vec(A, v), qvec(t))) for v in P.vertices]
     return validate(verts, name=name or (P.name and P.name + "_affine"))

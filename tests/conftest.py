@@ -12,10 +12,10 @@ settings.load_profile("polyk")
 @pytest.fixture(scope="session")
 def small_corpus():
     """A quick corpus for unit tests."""
-    from polyk.corpus import cross_polytope, hypercube, point_polytope, simplex
+    from polyk.corpus import cross_polytope, hypercube, simplex
 
     return [
-        point_polytope(),
+        simplex(0, name="point"),
         simplex(1),
         simplex(2, name="triangle"),
         simplex(3),

@@ -200,6 +200,16 @@ candidates are the upper covers of the image of an element's first lower
 cover, no atom is pruned, and a final pass checks every ``up`` list.
 They raise the library's messages and return its results, so the tests
 compare the two directly.
+
+The dense rational helpers are what the library's ``QMatrix`` offered
+before it kept only its fields, its shape check and ``hstack``, the
+argument type of the rational oracles ``rank``, ``det_sign`` and
+``coords_in_basis``: ``q_from_rows``, ``q_from_columns``, ``q_identity``,
+``q_zeros``, ``q_column``, ``q_transpose``, ``q_matmul``, ``q_mat_vec``
+and the rational ``dot``, each raising the message the library raised.
+``echelon_contains`` is span membership on an ``IntEchelon``, a zero
+remainder, and ``lower_covers`` reads a face's lower covers off ``down``;
+no report asks either.
 """
 
 from __future__ import annotations
@@ -287,6 +297,74 @@ def oracle_rank(rows, n_cols: int) -> int:
     return 0
 
 
+def dot(u, v) -> Fraction:
+    """<u, v> in rationals, for two vectors of the same length."""
+    if len(u) != len(v):
+        raise InternalInvariantError(f"dot of length {len(u)} with {len(v)}")
+    return sum((Fraction(a) * b for a, b in zip(u, v)), start=Fraction(0))
+
+
+def q_from_rows(rows, cols: int | None = None) -> QMatrix:
+    """The ``QMatrix`` with these rows; ``cols`` is needed only without
+    rows."""
+    data = tuple(qvec(r) for r in rows)
+    if cols is None:
+        cols = len(data[0]) if data else 0
+    return QMatrix(len(data), cols, data)
+
+
+def q_from_columns(columns, rows: int | None = None) -> QMatrix:
+    """The ``QMatrix`` with these columns; ``rows`` is needed only without
+    columns."""
+    cols = [qvec(c) for c in columns]
+    if rows is None:
+        if not cols:
+            raise InternalInvariantError("from_columns([]) needs an explicit row count")
+        rows = len(cols[0])
+    return QMatrix(rows, len(cols), tuple(tuple(c[i] for c in cols) for i in range(rows)))
+
+
+def q_identity(n: int) -> QMatrix:
+    return q_from_rows([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
+
+
+def q_zeros(rows: int, cols: int) -> QMatrix:
+    return q_from_rows([[0] * cols for _ in range(rows)], cols=cols)
+
+
+def q_column(M: QMatrix, j: int) -> tuple[Fraction, ...]:
+    return tuple(r[j] for r in M.entries)
+
+
+def q_transpose(M: QMatrix) -> QMatrix:
+    return QMatrix(M.cols, M.rows, tuple(q_column(M, j) for j in range(M.cols)))
+
+
+def q_matmul(A: QMatrix, B: QMatrix) -> QMatrix:
+    """The product A B."""
+    if A.cols != B.rows:
+        raise InternalInvariantError("matmul shape mismatch")
+    columns = [q_column(B, j) for j in range(B.cols)]
+    return QMatrix(A.rows, B.cols, tuple(tuple(dot(r, c) for c in columns) for r in A.entries))
+
+
+def q_mat_vec(M: QMatrix, v) -> tuple[Fraction, ...]:
+    """The product M v."""
+    if len(v) != M.cols:
+        raise InternalInvariantError("mat_vec shape mismatch")
+    return tuple(dot(r, v) for r in M.entries)
+
+
+def echelon_contains(echelon: IntEchelon, v) -> bool:
+    """Is v in the span of the echelon's kept rows: is its remainder zero?"""
+    return not any(echelon.remainder(v))
+
+
+def lower_covers(L: FaceLattice, f: Face) -> tuple[Face, ...]:
+    """The lower covers of the face f of L, in ``down`` order."""
+    return tuple(L.faces_by_id[e] for e in L.down[L.face_id[f]])
+
+
 def _rref(M: QMatrix) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form by Gauss-Jordan; (rows, pivot columns)."""
     a = [list(r) for r in M.entries]
@@ -312,7 +390,7 @@ def solve_in_span(B: QMatrix, target) -> tuple[Fraction, ...] | None:
     the column span.  B need not have independent columns; free coordinates
     are set to zero."""
     t = qvec(target)
-    a, pivots = _rref(B.hstack(QMatrix.from_columns([t])))
+    a, pivots = _rref(B.hstack(q_from_columns([t])))
     if B.cols in pivots:
         return None
     x = [Fraction(0)] * B.cols
@@ -333,19 +411,19 @@ def kernel_basis(M: QMatrix) -> QMatrix:
         cols.append(v)
     if not cols:
         return QMatrix(M.cols, 0, tuple(() for _ in range(M.cols)))
-    return QMatrix.from_columns(cols, rows=M.cols)
+    return q_from_columns(cols, rows=M.cols)
 
 
 def _greedy_independent(vectors, n: int) -> QMatrix:
     """Columns: the vectors that raise the rank, in the given order."""
     cols: list = []
     for v in vectors:
-        candidate = QMatrix.from_columns(cols + [qvec(v)], rows=n)
+        candidate = q_from_columns(cols + [qvec(v)], rows=n)
         if len(_rref(candidate)[1]) > len(cols):
             cols.append(qvec(v))
     if not cols:
         return QMatrix(n, 0, tuple(() for _ in range(n)))
-    return QMatrix.from_columns(cols, rows=n)
+    return q_from_columns(cols, rows=n)
 
 
 def dual_cone_in_span(basis, gens) -> tuple[tuple[int, ...], ...]:
@@ -511,35 +589,35 @@ def rational_lifted_vertex(C: LiftedCone, i: int) -> tuple[Fraction, ...]:
 def coords_det_sign(b_cols, a_cols, n: int) -> int:
     """Sign of det C for B C = A, B and A given by their columns (length n);
     the columns of A must lie in the span of B's independent columns."""
-    b = QMatrix.from_columns(list(b_cols), rows=n)
-    a = QMatrix.from_columns(list(a_cols), rows=n)
+    b = q_from_columns(list(b_cols), rows=n)
+    a = q_from_columns(list(a_cols), rows=n)
     return det_sign(coords_in_basis(b, a))
 
 
-def oriented_basis(system, T, f: int) -> tuple[tuple[int, ...], ...]:
-    """A_F as the ``Trivialization`` T orients the face with id f: the span
-    basis of its face data in the ``ConeSystem``, its last column negated
-    when the face is flipped."""
+def oriented_basis(system, flipped, f: int) -> tuple[tuple[int, ...], ...]:
+    """A_F as the trivialization ``flipped``, the set of flipped face ids,
+    orients the face with id f: the span basis of its face data in the
+    ``ConeSystem``, its last column negated when the face is flipped."""
     basis = span_basis(system.cone, system.face_data(f))
-    if f in T.flipped:
+    if f in flipped:
         basis = basis[:-1] + (tuple(-x for x in basis[-1]),)
     return basis
 
 
-def oracle_incidence_sign(system, T, ray, e: int, f: int) -> int:
+def oracle_incidence_sign(system, flipped, ray, e: int, f: int) -> int:
     """[E : F] for the faces with ids e and f, as the orientation sign of
     [e | A_E] against A_F, by solving for the coordinate matrix."""
     n = len(ray.direction)
-    return coords_det_sign((ray.direction,) + oriented_basis(system, T, e),
-                           oriented_basis(system, T, f), n)
+    return coords_det_sign((ray.direction,) + oriented_basis(system, flipped, e),
+                           oriented_basis(system, flipped, f), n)
 
 
-def gram_incidence_sign(system, T, ray, e: int, f: int) -> int:
+def gram_incidence_sign(system, flipped, ray, e: int, f: int) -> int:
     """[E : F] as sign det(B^T A_F) with B = [e | A_E], by a Bareiss
     determinant: B^T A_F = (B^T B) C for the coordinate matrix C, and the
     Gram determinant det(B^T B) is positive."""
-    b = (ray.direction,) + oriented_basis(system, T, e)
-    a_f = oriented_basis(system, T, f)
+    b = (ray.direction,) + oriented_basis(system, flipped, e)
+    a_f = oriented_basis(system, flipped, f)
     det = bareiss_det([[sum(x * y for x, y in zip(u, v)) for v in a_f] for u in b])
     return (det > 0) - (det < 0)
 
@@ -677,9 +755,9 @@ def orthogonal_component(C: LiftedCone, E: Face, point) -> tuple[Fraction, ...]:
     A = _greedy_independent([rational_lifted_vertex(C, i) for i in E.vertex_set], C.dim)
     if A.cols == 0:
         return point
-    at = A.transpose()
-    x = coords_in_basis(at @ A, QMatrix.from_columns([at.mat_vec(point)]))
-    proj = A.mat_vec(x.column(0))
+    at = q_transpose(A)
+    x = coords_in_basis(q_matmul(at, A), q_from_columns([q_mat_vec(at, point)]))
+    proj = q_mat_vec(A, q_column(x, 0))
     return tuple(b - p for b, p in zip(point, proj))
 
 
@@ -787,7 +865,7 @@ def in_convex_hull(point, points, dim: int) -> bool:
     for k in range(1, dim + 2):
         for subset in combinations(range(len(points)), k):
             cols = [tuple(Fraction(x) for x in points[i]) + (Fraction(1),) for i in subset]
-            sol = solve_in_span(QMatrix.from_columns(cols), target)
+            sol = solve_in_span(q_from_columns(cols), target)
             if sol is not None and all(c >= 0 for c in sol):
                 return True
     return False
@@ -1112,12 +1190,14 @@ def lattice_from_pairs(dim: int, faces_by_dim, covering, unchecked: bool = False
     """The ``FaceLattice`` with these levels whose lower covers are the
     covering pairs (E, F) of faces, each F's in the order given, checked as
     it is built, or an ``UncheckedFaceLattice`` if ``unchecked``."""
-    face_id = {f: i for i, f in enumerate(f for level in faces_by_dim for f in level)}
+    faces = [f for level in faces_by_dim for f in level]
+    face_id = {f: i for i, f in enumerate(faces)}
     down: list[list[int]] = [[] for _ in face_id]
     for e, f in covering:
         down[face_id[f]].append(face_id[e])
     return (UncheckedFaceLattice if unchecked else FaceLattice)(
-        dim=dim, faces_by_dim=tuple(map(tuple, faces_by_dim)), down=tuple(map(tuple, down)))
+        dim=dim, faces_by_dim=tuple(map(tuple, faces_by_dim)), down=tuple(map(tuple, down)),
+        vertex_masks=tuple(sum(1 << v for v in f.vertex_set) for f in faces))
 
 
 def cover_masks(L) -> tuple[list[int], list[int]]:

@@ -29,7 +29,7 @@ from polyk.cellular import (
 from polyk.cli import main
 from polyk.comb_type import is_isomorphic, lattice_from_incidence, strip_signs
 from polyk.corpus import acceptance_corpus, simplex
-from polyk.linalg import QMatrix, int_dot, int_mat_mul, rank
+from polyk.linalg import int_dot, int_mat_mul, rank
 from polyk.pipeline import run_pipeline
 
 from affine import apply_affine, random_invertible_affine
@@ -40,6 +40,7 @@ from oracles import (
     dual_face_gens,
     int_mat_is_zero,
     positive_multiple_ratio,
+    q_from_columns,
     simplicial_boundary_matrices,
     span_basis,
 )
@@ -141,7 +142,7 @@ def test_criterion_5_edge_ray_crosscheck(corpus_run):
             for e in below:
                 ray = system.ray(e, f)
                 # membership invariants, all exact
-                stacked = QMatrix.from_columns(basis[f] + (ray.direction,), rows=n)
+                stacked = q_from_columns(basis[f] + (ray.direction,), rows=n)
                 assert rank(stacked) == len(basis[f])
                 assert all(int_dot(ray.direction, col) == 0 for col in basis[e])
                 assert all(int_dot(ray.direction, y) >= 0 for y in dual[e])

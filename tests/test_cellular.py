@@ -41,7 +41,6 @@ from polyk.corpus import (
     acceptance_corpus,
     cross_polytope,
     hypercube,
-    point_polytope,
     random_hull,
     simplex,
 )
@@ -57,6 +56,7 @@ from oracles import (
     dense_matrices,
     gram_incidence_sign,
     int_mat_is_zero,
+    lower_covers,
     oracle_incidence_sign,
     pair_route,
     PerFaceSystem,
@@ -83,24 +83,24 @@ def boundary_matrix(triv, lat, system, j):
 # --- trivialize ---
 
 def test_trivialize_vertex_and_empty():
-    # a trivialization holds its flips only; the bases it orients are the
-    # face data's span bases
+    # a trivialization is the set of its flips' face ids; the bases it
+    # orients are the face data's span bases
     poly = simplex(2)
     lat, system, triv = setup_polytope(poly)
     v0 = lat.faces(0)[0]
-    assert triv == cellular.Trivialization(flipped=frozenset())
-    assert trivialize(lat, flip_faces=[v0]).flipped == {lat.face_id[v0]}
+    assert triv == frozenset()
+    assert trivialize(lat, flip_faces=[v0]) == {lat.face_id[v0]}
     v0_data = system.face_data(lat.face_id[v0])
     assert span_basis(system.cone, v0_data) == (system.cone.generators[0],)
-    assert len(system.face_data(lat.face_id[lat.empty_face]).span_ids) == 0
-    assert len(system.face_data(lat.face_id[lat.top_face]).span_ids) == 3
+    assert len(system.face_data(0).span_ids) == 0
+    assert len(system.face_data(len(lat.faces_by_id) - 1).span_ids) == 3
 
 
 def test_trivialize_rejects_flipping_empty_face():
     poly = simplex(1)
     lat, system, _ = setup_polytope(poly)
     with pytest.raises(ValueError):
-        trivialize(lat, flip_faces=[lat.empty_face])
+        trivialize(lat, flip_faces=[lat.faces_by_id[0]])
 
 
 def test_trivialize_rejects_flipping_a_face_not_in_the_lattice():
@@ -109,7 +109,7 @@ def test_trivialize_rejects_flipping_a_face_not_in_the_lattice():
     too_big = Face(vertex_set=(0, 1, 2, 3), dim=3)
     for stray in (diagonal, too_big):
         with pytest.raises(ValueError) as err:
-            trivialize(lat, flip_faces=[lat.top_face, stray])
+            trivialize(lat, flip_faces=[lat.faces_by_id[-1], stray])
         assert str(err.value) == f"cannot flip {stray}: it is not a face of the lattice"
 
 
@@ -325,7 +325,7 @@ def test_no_face_hash_in_build_complex_or_is_isomorphic(monkeypatch):
     relabeled = face_lattice(validate(list(reversed(poly.vertices)), name="cube4-reversed"))
     triv, system = trivialize(lat), ConeSystem(cone, lat)
     assert calls == []
-    assert lat.face_id[lat.top_face] == len(lat.faces_by_id) - 1
+    assert lat.face_id[lat.faces_by_id[-1]] == len(lat.faces_by_id) - 1
     assert len(calls) == len(lat.faces_by_id) + 1
     calls.clear()
     x = build_complex(triv, system)
@@ -364,7 +364,7 @@ def test_cone_and_cellular_stages_make_no_fraction(monkeypatch):
 def test_sign_empty_to_vertex_is_plus_one(small_corpus):
     for poly in small_corpus:
         lat, system, triv = setup_polytope(poly)
-        empty = lat.face_id[lat.empty_face]
+        empty = 0
         for v in lat.ids(0):
             assert system.cover_orientations(v) == [1]
             assert incidence_sign(triv, system.ray(empty, v).orientation, empty, v) == 1
@@ -375,7 +375,7 @@ def test_segment_signs_frozen():
     poly = simplex(1)
     lat, system, triv = setup_polytope(poly)
     v0, v1 = lat.ids(0)
-    top = lat.face_id[lat.top_face]
+    top = len(lat.faces_by_id) - 1
     assert tuple(lat.down[top]) == (v0, v1) and system.cover_orientations(top) == [-1, 1]
     for v, sign in ((v0, -1), (v1, 1)):
         assert incidence_sign(triv, system.ray(v, top).orientation, v, top) == sign
@@ -455,7 +455,7 @@ def test_complex_matrix_and_labels_reject_dimension_out_of_range(d):
 # --- build_complex ---
 
 def test_point_complex():
-    poly = point_polytope()
+    poly = simplex(0, name="point")
     lat, system, triv = setup_polytope(poly)
     x = build_complex(triv, system)
     assert dense_matrices(x) == (((1,),),)
@@ -487,7 +487,7 @@ def test_column_support_counts(small_corpus):
             d = x.matrix(j)
             for ci, f in enumerate(lat.faces(j)):
                 nonzero = [d[r][ci] for r in range(len(d)) if d[r][ci] != 0]
-                assert len(nonzero) == len(lat.lower_covers(f))
+                assert len(nonzero) == len(lower_covers(lat, f))
                 assert all(e in (-1, 1) for e in nonzero)
 
 
@@ -550,7 +550,7 @@ def test_build_complex_reports_corrupt_sign(monkeypatch):
 # --- homology ---
 
 def test_homology_point_reduced():
-    poly = point_polytope()
+    poly = simplex(0, name="point")
     lat, system, triv = setup_polytope(poly)
     x = build_complex(triv, system)
     red = homology(x, augmented=False)

@@ -26,7 +26,6 @@ from polyk.corpus import (
     acceptance_corpus,
     cross_polytope,
     hypercube,
-    point_polytope,
     simplex,
 )
 from polyk.errors import InternalInvariantError
@@ -94,7 +93,7 @@ def test_reconstruct_triangle():
 
 
 def test_reconstruct_point_two_chain():
-    lat, x = complex_of(point_polytope())
+    lat, x = complex_of(simplex(0, name="point"))
     rebuilt = lattice_from_incidence(strip_signs(x))
     assert rebuilt.f_vector == (1, 1)
     assert rebuilt.covering == ((((-1, 0)), (0, 0)),)
@@ -308,7 +307,7 @@ def tetrahedron_with_unreached_face() -> UncheckedFaceLattice:
     below, so that the oracles can be given it."""
     lat = face_lattice(simplex(3))
     renamed = {Face((0, 1, 2), 2): Face((0, 1, 2, 3), 2),
-               lat.top_face: Face((0, 1, 2, 3, 4), 3)}
+               lat.faces_by_id[-1]: Face((0, 1, 2, 3, 4), 3)}
 
     def swap(f):
         return renamed.get(f, f)
@@ -401,7 +400,7 @@ def test_face_diamond_check_with_a_cover_that_skips_a_level():
     # the triangle with the empty face also below the edge {0,1}
     lat = face_lattice(simplex(2))
     skip = lattice_from_pairs(2, lat.faces_by_dim,
-                              lat.covering + ((lat.empty_face, Face((0, 1), 1)),), unchecked=True)
+                              lat.covering + ((lat.faces_by_id[0], Face((0, 1), 1)),), unchecked=True)
     assert failure(built, skip) == failure(all_pairs_verify_lattice, skip) == \
         "cover ({}, {0,1}) skips a rank: not graded"
 
@@ -885,7 +884,7 @@ def test_one_loop_numbering_on_corpus_lattices():
             ["vertex_masks", "atom_masks"] and lat.atom_masks is lat.vertex_masks, poly.name
 
 
-@given(st.sampled_from((simplex(2), hypercube(3), cross_polytope(3), point_polytope())),
+@given(st.sampled_from((simplex(2), hypercube(3), cross_polytope(3), simplex(0, name="point"))),
        st.lists(st.tuples(st.sampled_from((0, 1, 2, -1, 256, True, False)),
                           st.integers(0, 10 ** 6)), max_size=3))
 @settings(max_examples=200, deadline=None)

@@ -10,7 +10,7 @@ import polyk.sparse as sparse
 from polyk.cellular import Z, build_complex, homology, trivialize
 from polyk.cli import report_document
 from polyk.cones import ConeSystem, lift
-from polyk.corpus import cross_polytope, hypercube, point_polytope, simplex
+from polyk.corpus import cross_polytope, hypercube, simplex
 from polyk.errors import InternalInvariantError
 from polyk.ktheory import (
     ZERO_GROUP,
@@ -108,7 +108,7 @@ def test_e1_page_even_rows_vanish():
 
 
 def test_e1_page_point():
-    poly, lat, x = full_run(point_polytope())
+    poly, lat, x = full_run(simplex(0, name="point"))
     page = e1_page(x)
     assert [page.odd_rank(p) for p in (1, 2)] == [1, 1]
 
@@ -133,7 +133,7 @@ def test_cube_report():
 
 
 def test_point_report_same_shape():
-    poly, lat, x = full_run(point_polytope())
+    poly, lat, x = full_run(simplex(0, name="point"))
     rep = k_report(x)
     assert rep.k_algebra == (ZERO_GROUP, ZERO_GROUP)
     assert rep.k_quotient == (ZERO_GROUP, Z)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import polyk.linalg as linalg
 from polyk.errors import InternalInvariantError
 from polyk.linalg import (
     IntEchelon,
@@ -16,7 +17,6 @@ from polyk.linalg import (
     cofactor_kernel_vector,
     coords_in_basis,
     det_sign,
-    dot,
     int_adjugate,
     int_dot,
     int_identity,
@@ -27,13 +27,28 @@ from polyk.linalg import (
     smith_normal_form,
 )
 
-from oracles import coords_det_sign, kernel_basis, leibniz_det, oracle_rank, solve_in_span
+from oracles import (
+    coords_det_sign,
+    dot,
+    echelon_contains,
+    kernel_basis,
+    leibniz_det,
+    oracle_rank,
+    q_column,
+    q_from_columns,
+    q_from_rows,
+    q_identity,
+    q_mat_vec,
+    q_matmul,
+    q_zeros,
+    solve_in_span,
+)
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
 
 def qm(rows):
-    return QMatrix.from_rows(rows)
+    return q_from_rows(rows)
 
 
 def matrix_strategy(max_rows=4, max_cols=4):
@@ -47,7 +62,7 @@ def matrix_strategy(max_rows=4, max_cols=4):
 # --- rank ---
 
 def test_rank_identity():
-    assert rank(QMatrix.identity(3)) == 3
+    assert rank(q_identity(3)) == 3
 
 
 def test_rank_proportional_rows():
@@ -73,7 +88,7 @@ def test_rank_matches_minor_oracle(m):
 # --- det_sign ---
 
 def test_det_sign_identity():
-    assert det_sign(QMatrix.identity(4)) == 1
+    assert det_sign(q_identity(4)) == 1
 
 
 def test_det_sign_swapped_columns():
@@ -105,42 +120,42 @@ def test_det_sign_matches_leibniz(m):
     st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n))))
 def test_det_sign_multiplicative(pair):
     a, b = qm(pair[0]), qm(pair[1])
-    assert det_sign(a @ b) == det_sign(a) * det_sign(b)
+    assert det_sign(q_matmul(a, b)) == det_sign(a) * det_sign(b)
 
 
 # --- coords_in_basis ---
 
 def test_coords_identity_basis():
     t = qm([[1, 2], [3, 4]])
-    assert coords_in_basis(QMatrix.identity(2), t) == t
+    assert coords_in_basis(q_identity(2), t) == t
 
 
 def test_coords_diagonal_scaling():
     b = qm([[2, 0], [0, 2]])
-    t = QMatrix.from_columns([[1, 1]])
+    t = q_from_columns([[1, 1]])
     x = coords_in_basis(b, t)
-    assert x.column(0) == (Fraction(1, 2), Fraction(1, 2))
+    assert q_column(x, 0) == (Fraction(1, 2), Fraction(1, 2))
 
 
 def test_coords_segment_edge_system():
     # the 2x2 system of the segment covering pair (vertex 0, top): the edge
     # direction plus the lifted vertex against the top-face basis
-    b = QMatrix.from_columns([[0, 1], [1, 0]])
-    t = QMatrix.from_columns([[1, 0], [1, 1]])
+    b = q_from_columns([[0, 1], [1, 0]])
+    t = q_from_columns([[1, 0], [1, 1]])
     x = coords_in_basis(b, t)
-    assert (b @ x) == t
+    assert q_matmul(b, x) == t
     assert det_sign(x) == -1  # solved by hand: X = [[0,1],[1,1]]
     assert x == qm([[0, 1], [1, 1]])
 
 
 def test_coords_dependent_basis_rejected():
     with pytest.raises(InternalInvariantError):
-        coords_in_basis(qm([[1, 2], [2, 4]]), QMatrix.identity(2))
+        coords_in_basis(qm([[1, 2], [2, 4]]), q_identity(2))
 
 
 def test_coords_outside_span_rejected():
-    b = QMatrix.from_columns([[1, 0, 0]])
-    t = QMatrix.from_columns([[0, 1, 0]])
+    b = q_from_columns([[1, 0, 0]])
+    t = q_from_columns([[0, 1, 0]])
     with pytest.raises(InternalInvariantError):
         coords_in_basis(b, t)
 
@@ -154,15 +169,15 @@ def test_coords_roundtrip(data):
     b = qm(b_rows)
     if leibniz_det(b.entries) == 0:
         return
-    x = QMatrix.from_columns(x_cols)
-    t = b @ x
+    x = q_from_columns(x_cols)
+    t = q_matmul(b, x)
     solved = coords_in_basis(b, t)
     assert solved == x
-    assert b @ solved == t
+    assert q_matmul(b, solved) == t
 
 
 def test_solve_in_span_none_outside():
-    b = QMatrix.from_columns([[1, 0, 0], [0, 1, 0]])
+    b = q_from_columns([[1, 0, 0], [0, 1, 0]])
     assert solve_in_span(b, (0, 0, 1)) is None
     assert solve_in_span(b, (2, 3, 0)) == (Fraction(2), Fraction(3))
 
@@ -170,11 +185,11 @@ def test_solve_in_span_none_outside():
 # --- kernel_basis ---
 
 def test_kernel_identity_empty():
-    assert kernel_basis(QMatrix.identity(3)).cols == 0
+    assert kernel_basis(q_identity(3)).cols == 0
 
 
 def test_kernel_zero_matrix():
-    k = kernel_basis(QMatrix.zeros(2, 3))
+    k = kernel_basis(q_zeros(2, 3))
     assert k.cols == 3
 
 
@@ -183,7 +198,7 @@ def test_kernel_row_sum():
     k = kernel_basis(m)
     assert k.cols == 2
     for j in range(k.cols):
-        assert m.mat_vec(k.column(j)) == (Fraction(0),)
+        assert q_mat_vec(m, q_column(k, j)) == (Fraction(0),)
 
 
 @given(matrix_strategy())
@@ -191,7 +206,7 @@ def test_kernel_dimension_and_membership(m):
     k = kernel_basis(m)
     assert k.cols == m.cols - rank(m)
     for j in range(k.cols):
-        assert all(x == 0 for x in m.mat_vec(k.column(j)))
+        assert all(x == 0 for x in q_mat_vec(m, q_column(k, j)))
     if k.cols:
         assert rank(k) == k.cols
 
@@ -239,6 +254,15 @@ def test_int_adjugate_small_cases():
     assert int_adjugate([[2, 1], [3, 4]]) == (((4, -1), (-3, 2)), 5)
 
 
+def test_int_adjugate_certificate_names_a_wrong_product(monkeypatch):
+    # a dot product off by one fails M adj(M) = det(M) I, the check run
+    # before the adjugate is returned
+    monkeypatch.setattr(linalg, "int_dot", lambda u, v: sum(a * b for a, b in zip(u, v)) + 1)
+    with pytest.raises(InternalInvariantError) as err:
+        int_adjugate([[2, 1], [3, 4]])
+    assert str(err.value) == "int_adjugate: M adj(M) != det(M) I"
+
+
 @pytest.mark.parametrize("rows", [
     [[0]],
     [[1, 2], [2, 4]],
@@ -278,7 +302,7 @@ def test_cofactor_kernel_in_kernel(rows):
 def test_echelon_rank_and_span_match_oracle(rows, v):
     echelon = IntEchelon(rows)
     assert echelon.rank == oracle_rank(rows, 4)
-    assert echelon.contains(v) == (oracle_rank(rows + [v], 4) == echelon.rank)
+    assert echelon_contains(echelon, v) == (oracle_rank(rows + [v], 4) == echelon.rank)
 
 
 def test_echelon_keeps_first_independent_vectors():
@@ -382,17 +406,38 @@ def test_snf_invariants(mat):
 @given(int_matrix_strategy)
 def test_snf_rank_agrees_with_rational_rank(mat):
     s = smith_normal_form(mat)
-    assert sum(1 for x in s.diagonal if x != 0) == rank(QMatrix.from_rows(mat))
+    assert sum(1 for x in s.diagonal if x != 0) == rank(q_from_rows(mat))
+
+
+def test_snf_certificate_names_a_wrong_product(monkeypatch):
+    # a product that is not D fails U @ M @ V = D
+    monkeypatch.setattr(linalg, "int_mat_mul", lambda A, B: ())
+    with pytest.raises(InternalInvariantError) as err:
+        smith_normal_form([[2, 4], [6, 8]])
+    assert str(err.value) == "smith_normal_form: U @ M @ V != D"
+
+
+@pytest.mark.parametrize("mat, message", [
+    ([[0, 0], [0, 1]], "smith_normal_form: zeros do not trail"),
+    ([[2, 0], [0, 3]], "smith_normal_form: divisibility chain broken"),
+], ids=["zeros-first", "no-divisibility"])
+def test_snf_certificate_names_a_diagonal_that_is_not_smith(monkeypatch, mat, message):
+    # with no pivot found the reduction stops at once, U = V = I and D = M,
+    # so U @ M @ V = D holds and the diagonal of M is checked as it is
+    monkeypatch.setattr(linalg, "_min_abs_pivot", lambda a, t, r, c: None)
+    with pytest.raises(InternalInvariantError) as err:
+        smith_normal_form(mat)
+    assert str(err.value) == message
 
 
 SHAPE_GUARDS = {
     "dot": (lambda: dot((1, 2), (1,)), "dot of length 2 with 1"),
     "qmatrix": (lambda: QMatrix(2, 1, ((1,),)), "QMatrix shape mismatch"),
-    "from-columns": (lambda: QMatrix.from_columns([]),
+    "from-columns": (lambda: q_from_columns([]),
                      "from_columns([]) needs an explicit row count"),
     "hstack": (lambda: qm([[1]]).hstack(qm([[1], [2]])), "hstack row mismatch"),
-    "matmul": (lambda: qm([[1, 2]]) @ qm([[1, 2]]), "matmul shape mismatch"),
-    "mat-vec": (lambda: qm([[1, 2]]).mat_vec((1,)), "mat_vec shape mismatch"),
+    "matmul": (lambda: q_matmul(qm([[1, 2]]), qm([[1, 2]])), "matmul shape mismatch"),
+    "mat-vec": (lambda: q_mat_vec(qm([[1, 2]]), (1,)), "mat_vec shape mismatch"),
     "coords": (lambda: coords_in_basis(qm([[1]]), qm([[1], [2]])),
                "coords_in_basis: row count mismatch"),
     "int-mat-mul": (lambda: int_mat_mul(((1, 2),), ((1, 2),)), "int_mat_mul shape mismatch"),

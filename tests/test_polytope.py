@@ -16,7 +16,6 @@ from polyk.corpus import (
     acceptance_corpus,
     cross_polytope,
     hypercube,
-    point_polytope,
     random_hull,
     simplex,
 )
@@ -46,6 +45,7 @@ from oracles import (
     hull_by_rank,
     in_convex_hull,
     lattice_from_pairs,
+    lower_covers,
     prism_over_cross,
     pyramid_prism,
     random_hull_draw,
@@ -373,7 +373,7 @@ def test_facets_complete_at_scale(case):
 # --- face lattice ---
 
 def test_point_lattice():
-    lat = face_lattice(point_polytope())
+    lat = face_lattice(simplex(0, name="point"))
     assert lat.f_vector == (1, 1)
 
 
@@ -451,7 +451,7 @@ def incidence_cases():
     return [*acceptance_corpus(), *(hypercube(d) for d in range(1, 7)),
             *(cross_polytope(d) for d in range(1, 7)),
             *(random_hull(rng, d, k) for d in (2, 3, 4, 5) for k in (d + 3, 2 * d + 5)),
-            point_polytope()]
+            simplex(0, name="point")]
 
 
 def is_simplex(face) -> bool:
@@ -499,7 +499,7 @@ def test_closure_step_runs_on_faces_that_are_not_simplices(monkeypatch):
         stepped = closure_step_faces(monkeypatch, P)
         assert len(stepped) == len(set(stepped)), P.name
         expected = {f.vertex_set for f in lat.faces_by_id if not is_simplex(f)}
-        expected.discard(lat.top_face.vertex_set)
+        expected.discard(lat.faces_by_id[-1].vertex_set)
         assert set(stepped) == expected, P.name
     assert closure_step_faces(monkeypatch, cross_polytope(4)) == []
     cube = face_lattice(hypercube(4))
@@ -510,8 +510,8 @@ def test_closure_step_runs_on_faces_that_are_not_simplices(monkeypatch):
 def test_point_takes_the_simplex_rule(monkeypatch):
     # the point has no facets: as a 0-simplex it covers itself minus its
     # one vertex, the empty face, with no closure step
-    assert closure_step_faces(monkeypatch, point_polytope()) == []
-    lat = face_lattice(point_polytope())
+    assert closure_step_faces(monkeypatch, simplex(0, name="point")) == []
+    lat = face_lattice(simplex(0, name="point"))
     assert lat.faces_by_dim == ((Face((), -1),), (Face((0,), 0),))
     assert lat.down == ((), (0,))
 
@@ -671,7 +671,7 @@ def test_verify_lattice_tests_containment_not_cover_paths():
     # all-pairs oracle refuses it
     lat = face_lattice(simplex(3))
     renamed = {Face((0, 1, 2), 2): Face((0, 1, 2, 3), 2),
-               lat.top_face: Face((0, 1, 2, 3, 4), 3)}
+               lat.faces_by_id[-1]: Face((0, 1, 2, 3, 4), 3)}
     new = renamed[Face((0, 1, 2), 2)]
 
     def swap(f):
@@ -679,7 +679,7 @@ def test_verify_lattice_tests_containment_not_cover_paths():
 
     broken = lattice_from_pairs(3, tuple(tuple(map(swap, level)) for level in lat.faces_by_dim),
                                 tuple((swap(e), swap(f)) for e, f in lat.covering), unchecked=True)
-    assert broken.lower_covers(new) == (Face((0, 1), 1), Face((0, 2), 1), Face((1, 2), 1))
+    assert lower_covers(broken, new) == (Face((0, 1), 1), Face((0, 2), 1), Face((1, 2), 1))
     message = "face {0,1,2,3} is not the union of the vertices below it"
     assert failure(built, broken) == failure(all_pairs_verify_lattice, broken) == message
 
@@ -703,7 +703,7 @@ def test_verify_lattice_rejects_cover_that_is_not_a_containment():
          f"covering pair ({edge}, {square}) is not a strict vertex-set containment"),
         ((tetra.dim, tuple(tuple(map(swap, level)) for level in tetra.faces_by_dim),
           tuple((swap(e), swap(f)) for e, f in tetra.covering)),
-         f"face {tetra.top_face} found at levels 3 and 4"),
+         f"face {tetra.faces_by_id[-1]} found at levels 3 and 4"),
     ]
     for args, message in cases:
         # refused as it is built, before its grading is checked
@@ -795,7 +795,7 @@ def tetrahedron_with_a_repeated_mask(unchecked=False) -> polytope.FaceLattice:
                Face((1, 3), 1): (0, 1, 3, 5), Face((2, 3), 1): (0, 1, 2, 3, 6),
                Face((0, 1, 3), 2): (0, 1, 3, 4, 5, 7),
                Face((0, 2, 3), 2): (0, 1, 2, 3, 4, 6, 8),
-               Face((1, 2, 3), 2): (0, 1, 2, 3, 5, 6, 9), lat.top_face: tuple(range(10))}
+               Face((1, 2, 3), 2): (0, 1, 2, 3, 5, 6, 9), lat.faces_by_id[-1]: tuple(range(10))}
 
     def swap(f):
         return Face(renamed[f], f.dim) if f in renamed else f
@@ -890,7 +890,7 @@ def test_the_diamond_check_on_some_highs_names_the_first_failing_pair_among_them
 
 def test_covering_triangle_edges():
     lat = face_lattice(simplex(2))
-    assert sum(len(lat.lower_covers(f)) for f in lat.faces(1)) == 6
+    assert sum(len(lower_covers(lat, f)) for f in lat.faces(1)) == 6
 
 
 def test_covering_bottom_rank():
@@ -898,17 +898,17 @@ def test_covering_bottom_rank():
     pairs = [(e, f) for e, f in lat.covering if f.dim == 0]
     assert len(pairs) == 4
     assert all(e.dim == -1 for e, _ in pairs)
-    assert all(lat.lower_covers(v) == (lat.empty_face,) for v in lat.faces(0))
+    assert all(lower_covers(lat, v) == (lat.faces_by_id[0],) for v in lat.faces(0))
 
 
 def test_covering_segment():
     lat = face_lattice(simplex(1))
-    assert len(lat.lower_covers(lat.top_face)) == 2
+    assert len(lower_covers(lat, lat.faces_by_id[-1])) == 2
 
 
 def test_faces_out_of_range():
     lat = face_lattice(simplex(1))
-    assert lat.faces(-1) == (lat.empty_face,)
+    assert lat.faces(-1) == (lat.faces_by_id[0],)
     with pytest.raises(ValueError, match=r"face dimension 2 out of range \[-1, 1\]"):
         lat.faces(2)
     with pytest.raises(ValueError):
@@ -956,6 +956,22 @@ def test_validate_rejects_empty_vertex_list():
         validate([])
 
 
+@pytest.mark.parametrize("points, message", [
+    ([[0], [0], [1]], "duplicate vertex: 1 equals 0"),
+    ([], "empty vertex list"),
+    ([[0, 0], [1], [0, 1]], "vertex 1 has 1 coordinates, expected 2"),
+], ids=["duplicate", "empty", "ragged"])
+def test_convex_hull_makes_the_input_checks_of_validate(points, message):
+    # both entry points share one input check: unchecked, the repeated
+    # point gave a 1-d polytope with a facet on no vertex, which the face
+    # lattice refused, the empty list an IndexError, and the ragged rows
+    # a non-square adjugate
+    for build in (validate, polytope.convex_hull):
+        with pytest.raises(InputError) as err:
+            build(points)
+        assert str(err.value) == message, build.__name__
+
+
 def test_cross_polytope_needs_dimension_one():
     with pytest.raises(InputError) as err:
         cross_polytope(0)
@@ -986,7 +1002,7 @@ def test_face_lattice_refuses_a_malformed_shape(dim, down, message):
     # face {1}
     lat = face_lattice(simplex(1))
     with pytest.raises(InternalInvariantError) as err:
-        polytope.FaceLattice(dim, lat.faces_by_dim, down or lat.down)
+        polytope.FaceLattice(dim, lat.faces_by_dim, down or lat.down, lat.vertex_masks)
     assert str(err.value) == message
 
 

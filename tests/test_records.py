@@ -17,10 +17,10 @@ from polyk.cellular import ChainComplex
 
 DATACLASSES = {"cellular.ChainComplex", "cellular.AbelianGroup", "comb_type.AbstractLattice",
                "polytope.FaceLattice", "linalg.QMatrix"}
-RECORDS = {"cellular.Trivialization", "cellular.HomologyResult", "comb_type.UnsignedIncidence",
-           "comb_type.LatticeIso", "cones.LiftedCone", "cones.FaceConeData", "cones.EdgeRay",
-           "files.PolytopeFile", "ktheory.E1Page", "ktheory.KReport", "linalg.SNFResult",
-           "pipeline.PipelineResult", "polytope.Polytope", "polytope.Face", "polytope.Facet"}
+RECORDS = {"cellular.HomologyResult", "comb_type.UnsignedIncidence", "comb_type.LatticeIso",
+           "cones.LiftedCone", "cones.FaceConeData", "cones.EdgeRay", "files.PolytopeFile",
+           "ktheory.E1Page", "ktheory.KReport", "linalg.SNFResult", "pipeline.PipelineResult",
+           "polytope.Polytope", "polytope.Face", "polytope.Facet"}
 
 
 def polyk_classes() -> dict[str, type]:
