@@ -519,9 +519,8 @@ class FaceLattice(GradedIds):
     the vertex bitmask of face i, given by whoever builds the lattice:
     ``face_lattice`` passes the masks its walk found, and the lattice
     derives none from the vertex sets.  ``covering`` (the pairs of faces
-    (E, F), E covered by F,
-    ordered by the id of F, then of E) and ``face_id`` (the id of a
-    ``Face``) are views made on first use.
+    (E, F), E covered by F, ordered by the id of F, then of E) and
+    ``face_id`` (the id of a ``Face``) are views made on first use.
 
     Built, it refuses vertex masks that are not one per face, naming both
     counts, takes its vertex masks as its atom masks (``atom_masks`` is

@@ -400,7 +400,8 @@ def test_face_diamond_check_with_a_cover_that_skips_a_level():
     # the triangle with the empty face also below the edge {0,1}
     lat = face_lattice(simplex(2))
     skip = lattice_from_pairs(2, lat.faces_by_dim,
-                              lat.covering + ((lat.faces_by_id[0], Face((0, 1), 1)),), unchecked=True)
+                              lat.covering + ((lat.faces_by_id[0], Face((0, 1), 1)),),
+                              unchecked=True)
     assert failure(built, skip) == failure(all_pairs_verify_lattice, skip) == \
         "cover ({}, {0,1}) skips a rank: not graded"
 

@@ -191,7 +191,7 @@ def test_face_data_top_face():
     system = ConeSystem(cone, lat)
     top = len(lat.faces_by_id) - 1
     assert dual_face_gens(system, top) == ()
-    assert circledast_gens(cone, lat.faces_by_id[-1]) == ()
+    assert circledast_gens(cone, lat.faces_by_id[top]) == ()
     assert len(system.face_data(top).span_ids) == 3
 
 
@@ -202,7 +202,8 @@ def test_face_data_empty_face_bipolar():
     cone = lift(poly)
     system = ConeSystem(cone, lat)
     empty = 0
-    assert set(circledast_gens(cone, lat.faces_by_id[0])) == {primitive_vector(g) for g in cone.generators}
+    assert set(circledast_gens(cone, lat.faces_by_id[empty])) == {
+        primitive_vector(g) for g in cone.generators}
     assert dual_face_gens(system, empty) == cone.facet_normals
     assert len(system.face_data(empty).span_ids) == 0
 
@@ -1276,7 +1277,8 @@ def test_top_of_wrong_dimension_names_face():
     cone = lift(poly)._replace(dim=4)
     with pytest.raises(InternalInvariantError) as err:
         ConeSystem(cone, lat)
-    assert str(err.value) == f"top face {lat.faces_by_id[-1]} has dimension 2 in a cone of dimension 4"
+    assert str(err.value) == (
+        f"top face {lat.faces_by_id[-1]} has dimension 2 in a cone of dimension 4")
 
 
 @pytest.mark.parametrize("dim", [1, 0], ids=["edge-uncovered", "vertex-under-top"])
