@@ -44,7 +44,6 @@ from polyk.linalg import (
     primitive_vector,
     rank,
 )
-from polyk.pipeline import run_pipeline
 from polyk.polytope import Face, face_lattice, validate
 
 from oracles import (
