@@ -8,10 +8,11 @@ Run from the repository root:
 Each NAME is ``cross<d>`` (``cross_polytope(d)``), ``cube<d>``
 (``hypercube(d)``), ``hull<d>_<k>`` (``random_hull(Random(3), d, k)``),
 all from ``polyk.corpus``, or ``prism<d>``, the prism over
-``cross_polytope(d)`` (its vertices times {0, 1}), where the covering pairs
-of the general route live; the default is ``cross7 cube8 hull6_24
-hull7_30``.  The pipeline runs N times (default 3) per input, and each
-stage's best time is printed, with their sum as the total, as one row of a
+``cross_polytope(d)`` (its vertices times {0, 1}), which has many covering
+pairs with m > 0 between faces that are not both dual-simple, all filled
+by the diamond rule; the default is ``cross7 cube8 hull6_24 hull7_30``.
+The pipeline runs N times (default 3) per input, and each stage's best
+time is printed, with their sum as the total, as one row of a
 Markdown table:
 
 - validate: ``validate`` on the input's vertices;

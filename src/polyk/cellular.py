@@ -10,20 +10,24 @@ orientation sign of the basis B = [e | A_E] of span(F) against A_F:
 sign det C for B C = A_F, which is
 sign det(B^T A_F) since B^T A_F = (B^T B) C and det(B^T B) > 0.  (B is a
 basis of span(F): e spans the line where span(F) meets span(E)^perp, and
-A_E is a basis of span(E), as the checks of
-``ConeSystem.cover_orientations`` certify on each route.)
+A_E is a basis of span(E), as the checks of the ``ConeSystem``
+certify.)
 
-The cone stage has already decided that sign for the unflipped bases, by
-face: ``ConeSystem.cover_orientations`` gives the orientation sigma of
-every lower cover E of F at once.  A pair with m = 0 reads sigma off F's
-certified adjugate with no ray made (``cones.adjugate_column`` states the
-identities), and a pair into a simplex face, which carries no face data,
-reads it off F's vertex tuple, the simplicial boundary's (-1)^r; a pair
-with m > 0 whose faces are both dual-simple reads it on the dual side, from
-the dual base signs of E and F, fixed once from the top face down
-(``ConeSystem``), and one bit of their dual masks (``cones.dual_sign``);
-any other pair reads it off F's basis coordinates, one m x m determinant
-with no ray made (``cones._coordinate_sign``).  A flip of F
+The cone stage has already decided that sign for the unflipped bases,
+when the ``ConeSystem`` was built: ``ConeSystem.orientations[f]`` holds
+the orientation sigma of every lower cover E of F, in ``down[f]`` order.
+Two sources give a sign, and one rule gives the rest.  A pair with m = 0
+reads sigma off F's certified adjugate with no ray made
+(``cones.adjugate_column`` states the identities), and a pair into a
+simplex face, which carries no face data, reads it off F's vertex tuple,
+the simplicial boundary's (-1)^r.  A face with no m = 0 lower cover takes
+one sign off F's basis coordinates, one m x m determinant with no ray
+made (``cones._coordinate_sign``).  Every other pair is filled by the
+diamond rule [G : E][E : F] + [G : E'][E' : F] = 0, which D_{j-1} D_j = 0
+reads on the two faces E and E' between G and F (Bjoerner 1984, "Posets,
+regular CW complexes and Bruhat order").  Each source has a witness, the
+Gram determinant sign det([g | A_E]^T A_F), and the ``ChainComplex``
+check below evaluates every diamond the fill did not cross.  A flip of F
 negates a column of B^T A_F and a flip of E a row, so with eps = -1 for a
 flipped face and +1 otherwise
 
@@ -35,7 +39,7 @@ a positive multiple of the lifted vertex, sigma = +1, and the empty face
 cannot be flipped: the bottom boundary matrix is the all-ones augmentation
 row.
 
-The batch makes no ray, so it runs no barycenter cross-check of one.  On
+The cone stage makes no ray, so it runs no barycenter cross-check of one.  On
 every pair that check reduces to a fact of the dual masks and S >= 0,
 some facet normal vanishing on E and not on F, which
 ``cones.check_dual_faces`` states and certifies for every covering pair
@@ -106,7 +110,9 @@ def incidence_sign(flipped: frozenset[int], sigma: int, e: int, f: int) -> int:
     It is sigma * eps_E * eps_F, with sigma the pair's orientation and
     eps = -1 for a face whose id is in ``flipped``: sigma is the sign
     det(B^T A_F) for the edge ray's direction e, B = [e | A_E] and the
-    unflipped bases, as ``ConeSystem.cover_orientations`` gives it.
+    unflipped bases, as ``ConeSystem.orientations`` holds it: read off an
+    adjugate, taken by the general route, or filled by the diamond rule
+    (Bjoerner 1984; see the module docstring).
     """
     return sigma * (-1) ** ((e in flipped) + (f in flipped))
 
@@ -172,9 +178,8 @@ def boundary_columns(flipped: frozenset[int], system: ConeSystem, j: int) -> lis
     """The columns of D_j as {row: [E : F]} dicts, one per j-face F of the
     system's lattice in order; the row of a (j-1)-face is its id minus its
     level's first id.  Each lower cover E of F is one covering pair, visited
-    once: F's pairs are oriented and cross-checked together
-    (``ConeSystem.cover_orientations``), and each orientation sigma then
-    gives the incidence sign."""
+    once: its orientation sigma, which the system set and checked when it
+    was built (``ConeSystem.orientations``), gives the incidence sign."""
     L = system.lattice
     if not 0 <= j <= L.dim:
         raise ValueError(f"boundary dimension {j} out of range [0, {L.dim}]")
@@ -182,7 +187,7 @@ def boundary_columns(flipped: frozenset[int], system: ConeSystem, j: int) -> lis
     columns = []
     for f in L.ids(j):
         columns.append({e - first_row: incidence_sign(flipped, sigma, e, f)
-                        for e, sigma in zip(L.down[f], system.cover_orientations(f))})
+                        for e, sigma in zip(L.down[f], system.orientations[f])})
     return columns
 
 
@@ -214,11 +219,12 @@ def build_complex(flipped: frozenset[int], system: ConeSystem) -> ChainComplex:
     the complex exactly.
 
     Walks the covering pairs once, by ``boundary_columns`` for j = 0..dim,
-    face by face: ``ConeSystem.cover_orientations`` orients and
-    cross-checks all the lower covers E of a face F in one pass, each pair
-    with m = 0 read off F's certified adjugate, a pair of two dual-simple
-    faces on the dual side, and any other by one sign determinant off F's
-    adjugate, no ray made on any; ``incidence_sign`` then
+    face by face, reading the orientation sigma of each lower cover E of a
+    face F off ``ConeSystem.orientations``, with no second path: each
+    pair with m = 0 read off F's certified adjugate, one pair of a face
+    with no such cover by one sign determinant off F's adjugate, every
+    other pair filled by the diamond rule, no ray made on any, and each
+    source witnessed by a Gram determinant.  ``incidence_sign`` then
     computes each [E : F] from sigma.  The ``ChainComplex`` it returns checks
     D_{j-1} @ D_j = 0 for every j on the sparse columns when it is made.
     Any failure aborts with the offending face pair.  The lattice is the

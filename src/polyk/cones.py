@@ -28,7 +28,7 @@ vertices, greedy in index order), held by vertex ids and as the bitmask s_F
 of those ids.  A simplex face, |F| = dim F + 1, has all its vertices as
 span ids and its vertex mask as s_F, and carries no other data: each of
 its lower covers is F without one vertex, the simplicial boundary, whose
-sign is a permutation sign (``ConeSystem.cover_orientations``).  Any other
+sign is a permutation sign (``ConeSystem``).  Any other
 face carries face data (``FaceConeData``): its span basis with det G and
 adj G of the Gram matrix G = A_F^T A_F, all from T alone, by bordered
 steps (``face_cone_data``): a Schur complement per candidate decides
@@ -45,7 +45,7 @@ No n-vector is read for any of it, and a face's data holds vertex ids and
 integers only: its span basis is the cone's generators at its span ids.
 The dual face of F, a face of the dual cone, is generated by the facet
 normals of the cone that vanish on every lifted vertex of F; it is not
-built, and its bitmask serves the rank check and the dual route.
+built, and its bitmask serves the rank check (``check_dual_faces``).
 
 In the paper, the edge vector of a covering pair E < F is the extreme ray of
 the dual of E's dual face, taken inside that dual face's span (the
@@ -61,9 +61,9 @@ primitive integer ray generators replace unit vectors and keep the
 arithmetic exact.  ``edge_ray_crosscheck`` checks a ray against a second,
 independent construction, the barycenter vector, on Gram numbers.
 
-The covering pairs are taken by face: ``ConeSystem.cover_orientations``
-orients and checks all the lower covers E of a face F in one pass, each by
-one of three routes, fixed by the pair's span and dual masks alone:
+The covering pairs are oriented in one pass over the face ids from the
+bottom up, when the ``ConeSystem`` is built, by two sources of signs and
+one rule (the class states them):
 
   * m = 0, E's span ids F's minus one: read off F's certified adjugate with
     no ray made; ``adjugate_column`` states the identities that give its
@@ -71,26 +71,18 @@ one of three routes, fixed by the pair's span and dual masks alone:
     to the dual-mask certificate and the principal-minor check of
     ``adjugate_pair_fault``; every pair into a simplex face takes this
     route with no Gram number read, its sign (-1)^r a permutation sign;
-  * m > 0 with E and F both dual-simple, their dual masks of exactly
-    n - dim - 1 normals: read on the dual side, by the cone duality the
-    circledast construction rests on, from the dual base signs tau of the
-    two faces and one bit of their dual masks; ``dual_sign`` states and
-    proves the formula and why tau is defined, ``ConeSystem`` how tau is
-    fixed once, from the top face down, and ``cover_orientations`` what
-    the cross-check reduces to and how tau is checked against the
-    adjugates;
-  * any other pair, of the general route: its sign alone, sign det C for
-    [g | A_E] = A_F C, one m x m determinant off F's certified adjugate and
-    E's span ids (``_coordinate_sign`` states it), so a simplex E reads no
-    data.
+  * a face with no m = 0 lower cover takes one sign by the general route
+    on its first lower cover, sign det C for [g | A_E] = A_F C, one m x m
+    determinant off F's certified adjugate and E's span ids
+    (``_coordinate_sign`` states it);
+  * every other pair is filled by the diamond rule
+    [G : E][E : F] + [G : E'][E' : F] = 0 from the signs below it and
+    beside it (Bjoerner 1984).
 
 No pair takes a barycenter test of its own: ``check_dual_faces`` has
-certified what it reduces to.  So the batch makes no ray on any input, and
+certified what it reduces to.  So the system makes no ray on any input, and
 ``edge_ray`` and ``edge_ray_crosscheck``, the Gram solve and the
-Cauchy-Schwarz test, are its independent per-pair oracle.  tau has one
-root, the top face, and one rule, the pair signs: a face that the spread
-of tau from the top cannot reach takes tau over its first upper cover,
-``up[E][0]``, from that pair's sign by the general route (``ConeSystem``).
+Cauchy-Schwarz test, are its independent per-pair oracle.
 """
 
 from __future__ import annotations
@@ -98,7 +90,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import combinations
 from math import gcd
-from operator import and_, mul
+from operator import and_, mul, neg
 from typing import NamedTuple, Sequence
 
 from .errors import InternalInvariantError
@@ -145,7 +137,7 @@ class EdgeRay(NamedTuple):
     (see ``edge_ray``), with its orientation sign det([e | A_E]^T A_F): the
     incidence sign [E : F] of the unflipped span bases.  Its primitive
     generator e, ``direction``, is made from the cone's generators when it
-    is read; the report never reads it.  The batch makes none: it is the
+    is read; the report never reads it.  The system makes none: it is the
     per-pair oracle's."""
 
     pair: tuple[Face, Face]
@@ -261,7 +253,7 @@ def face_cone_data(F: Face, gram: IntMatrix,
     the certificate G adj(G) = det G * I, det G > 0.  The certificate makes
     every ray off span(F), c g - A_F adj(G) A_F^T g, orthogonal to span(F),
     and with it the identities of the cross-check.  The span ids are also
-    kept as the bitmask s_F, which ``ConeSystem.cover_orientations`` reads.
+    kept as the bitmask s_F, which ``ConeSystem``'s orientation pass reads.
     Only the Gram table is read, no generator of the cone.  ``ConeSystem``
     calls it for the faces that are not simplices, and its ``face_data``
     for a simplex face, the full walk, whose span ids are F's vertices.
@@ -434,11 +426,11 @@ def check_dual_faces(lattice: FaceLattice, dual_masks: Sequence[int], n: int) ->
     det G > 0; for a simplex face, it is the identity below.
 
     The barycenter test of every covering pair (E, F) reduces to this
-    certificate, so ``ConeSystem.cover_orientations`` makes no mask
-    comparison.  The ray v of the pair spans the line span(F) meet
-    span(E)^perp: w = c g - A_E x (``edge_ray``), or F's adjugate column
-    for m = 0 (``adjugate_column``, once ``adjugate_pair_fault`` has
-    passed).  Take y in dual_E & ~dual_F.  y vanishes on E's span ids, so
+    certificate, so ``ConeSystem`` makes no mask comparison per pair.
+    The ray v of the pair spans the line span(F) meet span(E)^perp:
+    w = c g - A_E x (``edge_ray``), or F's adjugate column for m = 0
+    (``adjugate_column``, once ``adjugate_pair_fault`` has passed).  Take
+    y in dual_E & ~dual_F.  y vanishes on E's span ids, so
     <y, v> = det G_E * S[g][y].  Every vertex u of F is e_u + t_u v with
     e_u in span(E), so S[u][y] = t_u <y, v>.  S >= 0
     (``vertex_facet_masks``), and y is not in dual_F, so S[u][y] > 0 at
@@ -511,8 +503,8 @@ def adjugate_column(span_F: int, span_E: int) -> int | None:
     columns, g's at row r and E's span ids at the other rows in order, so
     sigma = sign det C is the sign of the permutation that moves row r to
     the front, (-1)^r, never zero.  So the ray is O(k) copies and no
-    arithmetic, and its sign none; ``ConeSystem.cover_orientations`` makes
-    neither, and reads sigma = (-1)^r."""
+    arithmetic, and its sign none; ``ConeSystem`` makes neither, and
+    reads sigma = (-1)^r."""
     g = span_F & ~span_E
     if span_E & ~span_F or g & (g - 1) or not g:
         return None
@@ -524,7 +516,7 @@ def adjugate_pair_fault(data_E: FaceConeData | None, data_F: FaceConeData, r: in
     ray is column r of F's adjugate (``adjugate_column``) on its face
     data, or None: it accepts iff adj(G_F)[r][r] = det G_E > 0.  F is not
     a simplex; a pair into a simplex face takes no such check
-    (``ConeSystem.cover_orientations`` states why).
+    (``ConeSystem`` states why).
 
     That is the principal-minor identity, the cofactor at (r, r) of G_F
     being the Gram determinant of F's span ids minus row r's, which are
@@ -575,11 +567,11 @@ def edge_ray(C: LiftedCone, E: Face, F: Face, data_E: FaceConeData, data_F: Face
     positive at g, and v projects to det G <v, e> / |e|^2 * e, a positive
     multiple of e.
 
-    The batch makes no ray: on a pair with m = 0 the ray is a column of
-    F's certified adjugate (``adjugate_column``), on a pair of dual-simple
-    faces its sign is (-1)^(n-1) * pi * tau_E * tau_F (``dual_sign``), and
-    any other pair takes the sign below alone.  So this function is the
-    batch's independent oracle on every pair.  The ray takes one check per
+    The system makes no ray: on a pair with m = 0 the ray is a column of
+    F's certified adjugate (``adjugate_column``), a face with no such
+    pair takes the sign below alone on one pair, and the diamond rule
+    gives the rest (``ConeSystem``).  So this function is the system's
+    independent oracle on every pair.  The ray takes one check per
     pair, on k numbers (k = dim F, the size of E's basis), besides the
     sign minor's below:
 
@@ -665,7 +657,7 @@ def _coordinate_sign(E: Face, F: Face, g: int, a_ids: Sequence[int], data_F: Fac
     E empty, C is the one unit vector of g: +1.  det M != 0 means
     [g | A_E] = A_F C with C nonsingular, so [g | A_E] is a basis of
     span(F): A_E is independent and g is not in span(E), what side > 0 and
-    det G_E > 0 show on the ray.  So the batch's general route
+    det G_E > 0 show on the ray.  So the general route
     (``ConeSystem._general_sign``) takes sigma = sign det C alone, from F's
     data and E's span ids (g from ``_vertex_outside``), with no ray made.
     """
@@ -695,7 +687,7 @@ def edge_ray_crosscheck(ray: EdgeRay, data_E: FaceConeData, gram: IntMatrix) -> 
     L * m * D times the barycenter's component orthogonal to span(E).
 
     Every ray takes the Cauchy-Schwarz test, and nothing there is an
-    n-vector.  (The batch makes no ray: on every pair the test reduces to
+    n-vector.  (The system makes no ray: on every pair the test reduces to
     the dual-mask certificate, which ``check_dual_faces`` states and
     makes.)  Only E's face data and the Gram table are read:
     for F = ``ray.pair[1]``, <v, b_F> = sum over u in F of T[v][u] for each
@@ -741,54 +733,11 @@ def edge_ray_crosscheck(ray: EdgeRay, data_E: FaceConeData, gram: IntMatrix) -> 
             "barycenter projection is not a positive multiple")
 
 
-def dual_sign(n: int, dual_F: int, dual_E: int) -> int:
-    """(-1)^(n-1) * pi for a covering pair (E, F) whose faces are both
-    dual-simple, from their dual masks: pi = (-1)^(popcount of the bits of
-    ``dual_F`` above y), y the one bit of ``dual_E`` & ~``dual_F``.  The
-    pair's orientation is then
-
-        sigma = (-1)^(n-1) * pi * tau_E * tau_F,
-
-    with tau the dual base sign of each face (``ConeSystem.taus``).
-
-    A face F is dual-simple when its dual mask has exactly n - dim F - 1
-    bits, the rank ``check_dual_faces`` certifies; its normals, in index
-    order the columns of Y_F, are then independent.  [A_F | Y_F] is then a
-    basis of R^n: A_F is independent (det G_F > 0), the normals of Y_F are
-    orthogonal to span(F), as each vanishes on F's vertices, a vector in
-    both spans is orthogonal to itself, and the counts add up to n.  Its
-    sign, taken against the top face's basis A_P, is
-    tau_F = sign det[A_F | Y_F] * sign det A_P, one factor for every face,
-    which cancels in tau_E tau_F.  E lies in F, so dual_F is inside
-    dual_E, and their counts differ by one: dual_E = dual_F plus the one
-    normal y, column j of Y_E, j = popcount(dual_F below y).
-
-    Proof.  The ray w = c g - A_E x of the pair (``edge_ray``) spans
-    span(F) meet span(E)^perp, and span(E)^perp is span(Y_E): the
-    n - dim E - 1 independent normals of Y_E vanish on span(E), of that
-    codimension.  So w = alpha y + Y_F beta.  Every normal of Y_F vanishes on g, a vertex of
-    F, so <w, g> = alpha S[g][y]; <w, g> = c * side > 0 and S >= 0 give
-    alpha > 0.  Expand det[w | A_E | Y_F], n columns, both ways:
-
-      * [w | A_E] = A_F C with sign det C = sigma (``edge_ray``), so the
-        matrix is [A_F | Y_F] diag(C, I): the sign is sigma * tau_F;
-      * Y_F beta is a combination of the other columns, so the determinant
-        is alpha det[y | A_E | Y_F]; moving y past the dim F columns of A_E
-        and the j of Y_F below it gives [A_E | Y_E]: the sign is
-        (-1)^(dim F + j) * tau_E.
-
-    So sigma = (-1)^(dim F + j) tau_E tau_F, and
-    dim F + j = n - 1 - popcount(dual_F above y), as |dual_F| = n - dim F - 1.
-    No ray is made, and no Gram number is read."""
-    y = dual_E & ~dual_F
-    return -1 if (n - 1 + (dual_F >> y.bit_length()).bit_count()) & 1 else 1
-
-
 class ConeSystem:
     """Per-face cone data (``FaceConeData``) for the faces of ``lattice``
-    that need it, indexed by face id, read by the covering pairs.  The Gram
-    table of the lifted vertices (``gram``) and each face's dual-face
-    bitmask (``dual_masks``, the AND of its vertices'
+    that need it, indexed by face id, and the orientation of every covering
+    pair.  The Gram table of the lifted vertices (``gram``) and each face's
+    dual-face bitmask (``dual_masks``, the AND of its vertices'
     ``vertex_facet_masks``) are built first, and the dual masks of every
     covering pair (``check_dual_faces``) are certified then.  The slack
     table S is read once, by the pass of ``vertex_facet_masks`` that also
@@ -796,58 +745,73 @@ class ConeSystem:
 
     A simplex face, |F| = dim F + 1, takes no data of its own: its span
     ids are its vertex ids and its span mask its vertex mask, which
-    ``span_masks`` holds for every face, so tau spreads over it, a bridge
-    (below) reads its vertex ids as its span ids, and every pair into it
-    is read with no arithmetic (``cover_orientations``).  The data of every
-    other face is built once, in face-id order.  It grows from the data of
-    a lower cover E, its resume cover, when E's span ids all lie below
-    p = min(F - E) (see ``face_cone_data``): the first such cover in
-    ``down`` order that carries data.  Lower covers have lower ids, so E's
-    data is already built.  A face with no such cover, a square say, whose
-    lower covers are simplices, takes the full walk.  So a face carries
-    data exactly when it is not a simplex.  ``face_data`` gives a simplex
-    face's data, made when read and not kept, for the per-pair API.  No
-    ray is made: ``build_complex`` asks for the orientations of each
-    face's lower covers once (``cover_orientations``).
+    ``span_masks`` holds for every face, and every pair into it is read
+    with no arithmetic (below).  The data of every other face is built
+    once, in face-id order.  It grows from the data of a lower cover E, its
+    resume cover, when E's span ids all lie below p = min(F - E) (see
+    ``face_cone_data``): the first such cover in ``down`` order that
+    carries data.  Lower covers have lower ids, so E's data is already
+    built.  A face with no such cover, a square say, whose lower covers are
+    simplices, takes the full walk.  So a face carries data exactly when it
+    is not a simplex.  ``face_data`` gives a simplex face's data, made when
+    read and not kept, for the per-pair API.  No ray is made.
 
-    Last, ``taus`` holds the dual base sign tau_F of every face
-    (``dual_sign``): +1 or -1 for a dual-simple face, 0 for any other.
-    Every upper cover H of a dual-simple face E is dual-simple: dual_H is
-    a subset of dual_E (E lies in H), whose normals are independent, their
-    count being their certified rank; so dual_H's normals are independent
-    too, and their count is their rank n - dim H - 1
-    (``check_dual_faces``).  tau is fixed from the top face P down:
+    Last, ``orientations[f]`` holds the orientation sigma of every
+    covering pair (E, F) of face f, one per lower cover in ``down[f]``
+    order, the sign ``build_complex`` reads.  One pass over the face ids
+    from the bottom up sets them, from two sources and one rule:
 
-      * tau_P = sign det(A_P^T A_P) = +1, with no determinant: Y_P is
-        empty (``check_dual_faces``) and A_P is a basis, with det G_P > 0
-        certified by P's bordering steps, or by the dual masks of its
-        lower covers if P is a simplex (``check_dual_faces``);
-      * tau spreads over the covering pairs (E, F) with m = 0 between
-        dual-simple faces, both ways: there sigma = (-1)^r
-        (``adjugate_column``), so tau_E = (-1)^r * dual_sign * tau_F, and
-        tau_F = (-1)^r * dual_sign * tau_E;
-      * the dual-simple face E of highest id that the spread has not
-        reached, a bridge, takes tau over its first upper cover
-        H = ``up[E][0]``.  ``check_dual_faces`` certified every covering
-        pair, so every upper cover of E is dual-simple (above), and, one
-        dimension up, of a higher id; the descending loop over roots has
-        set its tau already.  The spread did not go from H to E, so the
-        pair (E, H) has m > 0, and the general route gives its sign
-        sigma = sign det C (``_coordinate_sign``), one m x m determinant
-        off H's certified adjugate (``_general_sign``).
-        With sigma = dual_sign * tau_E * tau_H (``dual_sign``),
-        tau_E = sigma * dual_sign * tau_H, and the spread goes on from E.
+      * a pair with m = 0 (``adjugate_column``: s_E & ~s_F = 0 on the span
+        bitmasks, its ray column r of F's certified adjugate) reads
+        sigma = (-1)^r, with the verdict of ``adjugate_pair_fault`` where F
+        carries data.  A pair into a simplex face is one of these, E being
+        F without one vertex g and r the row of g in F's vertex tuple, the
+        sign of the simplicial boundary; it takes no cofactor check, since
+        F's independence and det G_E > 0 follow from the dual masks
+        (``check_dual_faces``);
+      * a face with no m = 0 lower cover takes the general route on its
+        first lower cover: sigma = sign det C for [g | A_E] = A_F C, one
+        m x m determinant off F's certified adjugate and E's span ids
+        (``_coordinate_sign``).  F is not a simplex there, so it carries
+        data.  None does on the 5-cube, the 5-cross-polytope or the prisms
+        over cross-polytopes; one face each does on three members of the
+        acceptance corpus;
+      * every other pair, with m > 0, is filled by the diamond rule.  Each
+        interval [G, F] of length 2 holds exactly two faces E and E' (the
+        diamond axiom, which the lattice checks), and on +-1 entries
+        D_{j-1} D_j = 0 reads
 
-    Every face's tau is set once, by one of those three, from one root,
-    P, by one rule, the signs of covering pairs.  No face takes an n x n
-    determinant, and only a bridge takes any, one m x m and one k x k for
-    its check (``_check_bridge``): none on the 5-cube or the
-    5-cross-polytope, one bridge on the prism over the 4-cross-polytope,
-    three on the acceptance corpus.  No ray is made.  The spread carries
-    tau along pairs whose sigma the certified adjugate fixes, and
-    ``cover_orientations`` checks every pair with m = 0 between two
-    dual-simple faces against the formula, the pairs the spread went
-    along included.  Nothing is assigned after ``__init__``.
+            [G : E][E : F] + [G : E'][E' : F] = 0,
+
+        so [E' : F] = -[G : E'][G : E][E : F] once E's sign is set; the
+        signs of the pairs (G, E) and (G, E') are set, G lying below F.
+        Flips negate rows and columns of D alike, so the rule holds for
+        the unflipped sigma.  The fill starts from the covers whose sign
+        is set and goes in rounds, each setting every cover that shares a
+        lower cover G with one already set (``_fill``).  The lower covers
+        of F are joined by such diamonds, through its ridges when
+        dim F >= 2, since the boundary of F is a sphere, and through the
+        empty face for an edge; on a regular CW complex, +-1 incidences on
+        the covers with D_{j-1} D_j = 0 are unique up to re-orienting cells
+        (Bjoerner 1984, "Posets, regular CW complexes and Bruhat order").
+        So on a lattice of P the fill reaches every cover, and a cover it
+        does not reach is an error naming the pair.
+
+    Each filled sign is forced by the one diamond the fill crossed, so it
+    is the sign of the geometric orientation, which satisfies
+    D_{j-1} D_j = 0.  The ``ChainComplex`` that ``build_complex`` makes
+    checks every entry of D_{j-1} D_j, so it evaluates every other
+    diamond, the m = 0 read-offs against each other and against the
+    fill included: a comparison of the m = 0 signs with a second sign per
+    face, on the dual side, would check nothing that it does not.  What
+    D_{j-1} D_j = 0 cannot see is a source that flips whole columns, which
+    re-orients cells.  So each source has a witness (``_witness``): the
+    first pair read off an adjugate in each dimension of F, and every
+    general-route sign, is recomputed as sign det([g | A_E]^T A_F), one
+    k x k determinant of Gram entries that reads no adjugate (``edge_ray``
+    shows that it is sigma).  That is at most d + 1 determinants per run,
+    and one more per general-route sign.  Nothing is assigned after
+    ``__init__``.
     """
 
     def __init__(self, cone: LiftedCone, lattice: FaceLattice):
@@ -856,10 +820,10 @@ class ConeSystem:
         self.gram = gram_table(cone)
         vertex_masks = vertex_facet_masks(slack_table(cone))
         every = (1 << len(cone.facet_normals)) - 1
-        faces, n = lattice.faces_by_id, cone.dim
+        faces = lattice.faces_by_id
         self.dual_masks = tuple(reduce(and_, (vertex_masks[i] for i in f.vertex_set), every)
                                 for f in faces)
-        check_dual_faces(lattice, self.dual_masks, n)
+        check_dual_faces(lattice, self.dual_masks, cone.dim)
         data: list[FaceConeData | None] = [None] * len(faces)
         for f, F in enumerate(faces):
             if len(F.vertex_set) != F.dim + 1:
@@ -867,8 +831,7 @@ class ConeSystem:
         self._face_data = tuple(data)
         self.span_masks = tuple(lattice.vertex_masks[f] if d is None else d.span_mask
                                 for f, d in enumerate(data))
-        simple = [mask.bit_count() == n - F.dim - 1 for mask, F in zip(self.dual_masks, faces)]
-        self.taus = self._signs_from_top(simple)
+        self.orientations = self._orient()
 
     def face_data(self, f: int) -> FaceConeData:
         """The face data of face f: the one built with the system, or, for a
@@ -892,144 +855,98 @@ class ConeSystem:
                     return data_e, p
         return None
 
-    def _signs_from_top(self, simple: Sequence[bool]) -> tuple[int, ...]:
-        """tau of every face, from the top face down (see the class), with
-        ``simple`` flagging the dual-simple faces."""
-        n, dual, L, spans = self.cone.dim, self.dual_masks, self.lattice, self.span_masks
-        taus: list[int | None] = [None if s else 0 for s in simple]  # None: not set yet
-        top = len(taus) - 1
-        for root in range(top, -1, -1):
-            if taus[root] is not None:
-                continue
-            if root == top:
-                taus[root] = 1
-            else:
-                taus[root] = self._bridge(root, taus)
-                self._check_bridge(root, taus)
-            stack = [root]
-            while stack:
-                f = stack.pop()
-                for g in L.down[f] + L.up[f]:
-                    if taus[g] is None:
-                        e, h = min(f, g), max(f, g)  # lower covers have lower ids
-                        r = adjugate_column(spans[h], spans[e])
-                        if r is not None:
-                            sigma = -1 if r & 1 else 1
-                            taus[g] = sigma * dual_sign(n, dual[h], dual[e]) * taus[f]
-                            stack.append(g)
-        return tuple(taus)
+    def _orient(self) -> tuple[tuple[int, ...], ...]:
+        """``orientations``, face by face from the bottom up (see the
+        class): the m = 0 read-offs and their checks, the witness of the
+        first in each dimension, then the fill.  A rejected pair is an
+        error naming it.  Faces with the same signs share one tuple: a run
+        has few distinct ones (10 of the 74,930 faces of ``hull8_30``), so
+        the stored signs cost about a pointer per face."""
+        L, data, spans = self.lattice, self._face_data, self.span_masks
+        faces, signs, witnessed = L.faces_by_id, [], -1  # the last dimension witnessed
+        shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for f, lower in enumerate(L.down):
+            data_F, span_F = data[f], spans[f]
+            sigma = []
+            for e in lower:
+                r = adjugate_column(span_F, spans[e])
+                if r is not None and data_F is not None and (
+                        fault := adjugate_pair_fault(data[e], data_F, r)):
+                    raise InternalInvariantError(
+                        f"edge-ray cross-check failed for ({faces[e]}, {faces[f]}): {fault}")
+                sigma.append(0 if r is None else -1 if r & 1 else 1)
+            if faces[f].dim > witnessed and any(sigma):
+                i = next(i for i, s in enumerate(sigma) if s)
+                self._witness(lower[i], f, sigma[i], "F's adjugate")
+                witnessed = faces[f].dim
+            if 0 in sigma:
+                self._fill(f, sigma, signs)
+            sigma = tuple(sigma)
+            signs.append(shared.setdefault(sigma, sigma))
+        return tuple(signs)
 
-    def _bridge(self, e: int, taus: Sequence[int | None]) -> int:
-        """tau_E of a face E the spread does not reach, over its first upper
-        cover H = ``up[E][0]``, whose tau is set (see the class)."""
-        h, dual = self.lattice.up[e][0], self.dual_masks
-        return self._general_sign(e, h) * dual_sign(self.cone.dim, dual[h], dual[e]) * taus[h]
+    def _fill(self, f: int, sigma: list[int], signs: Sequence[tuple[int, ...]]) -> None:
+        """Set the zero entries of ``sigma``, the signs of face f's lower
+        covers in ``down[f]`` order, by the diamond rule, after one
+        general-route sign if none is set (see the class); ``signs`` holds
+        the orientations of the faces below f."""
+        down = self.lattice.down
+        lower = down[f]
+        if not any(sigma):
+            sigma[0] = self._general_sign(lower[0], f)
+            self._witness(lower[0], f, sigma[0], "the general route")
+        above: dict[int, int] = {}  # G -> [G : E][E : F] for a set cover E of F above G
+        fresh = [i for i, s in enumerate(sigma) if s]
+        pending = [i for i, s in enumerate(sigma) if not s]
+        while pending:  # a round: the covers set last enter ``above``, then the rest look
+            for i in fresh:
+                e, s = lower[i], sigma[i]
+                above.update(zip(down[e], signs[e] if s > 0 else map(neg, signs[e])))
+            fresh, left = [], []
+            for i in pending:
+                e = lower[i]
+                for g, t in zip(down[e], signs[e]):
+                    if (u := above.get(g)) is not None:
+                        sigma[i] = -t * u
+                        fresh.append(i)
+                        break
+                else:
+                    left.append(i)
+            if not fresh:
+                faces = self.lattice.faces_by_id
+                E, F = faces[lower[left[0]]], faces[f]
+                raise InternalInvariantError(f"no diamond sets the sign of ({E}, {F}): it joins "
+                                             f"no lower cover of {F} whose sign is set")
+            pending = left
 
-    def _check_bridge(self, e: int, taus: Sequence[int | None]) -> None:
-        """The tau of the bridge E against the definition of the sign of
-        its pair (E, H), H = ``up[E][0]``: dual_sign * tau_E * tau_H must
-        be sign det([g | A_E]^T A_H), one k x k determinant of Gram
-        entries, which reads no adjugate.  A mismatch is an error naming
-        the pair.  Boundary squared zero cannot see a wrong bridge: it
-        flips whole columns, which re-orients cells (Bjoerner 1984)."""
-        h = self.lattice.up[e][0]
-        E, H, g, a_ids, data_H = self._general_pair(e, h)
-        det = bareiss_det([[self.gram[a][b] for b in data_H.span_ids] for a in (g, *a_ids)])
-        sign, dual = (det > 0) - (det < 0), self.dual_masks
-        sigma = dual_sign(self.cone.dim, dual[h], dual[e]) * taus[e] * taus[h]
-        if sign != sigma:
-            raise InternalInvariantError(f"bridge ({E}, {H}): the dual base signs give {sigma}, "
-                                         f"sign det([g | A_E]^T A_H) = {sign}")
+    def _witness(self, e: int, f: int, sigma: int, source: str) -> None:
+        """The sign sigma that ``source`` gave the covering pair (E, F),
+        against sign det([g | A_E]^T A_F), one k x k ``bareiss_det`` of
+        Gram entries, which reads no adjugate (see the class).  A mismatch
+        is an error naming the pair."""
+        E, F, g, a_ids, f_ids = self._general_pair(e, f)
+        det = bareiss_det([[self.gram[a][b] for b in f_ids] for a in (g, *a_ids)])
+        if (sign := (det > 0) - (det < 0)) != sigma:
+            raise InternalInvariantError(f"sign witness ({E}, {F}): {source} gives {sigma}, "
+                                         f"sign det([g | A_E]^T A_F) = {sign}")
 
     def _general_pair(self, e: int, f: int) -> tuple[Face, Face, int, tuple[int, ...],
-                                                     FaceConeData]:
-        """(E, F, g, E's span ids, F's data) of the covering pair (E, F),
-        the arguments of ``_coordinate_sign``."""
+                                                     tuple[int, ...]]:
+        """(E, F, g, E's span ids, F's span ids) of the covering pair
+        (E, F), a simplex's span ids its vertex ids."""
         L, data_E, data_F = self.lattice, self._face_data[e], self._face_data[f]
         E, F = L.faces_by_id[e], L.faces_by_id[f]
         a_ids = E.vertex_set if data_E is None else data_E.span_ids
-        g = _vertex_outside(E, F, a_ids, data_F.span_ids, L.vertex_masks[e])
-        return E, F, g, a_ids, data_F
+        f_ids = F.vertex_set if data_F is None else data_F.span_ids
+        return E, F, _vertex_outside(E, F, a_ids, f_ids, L.vertex_masks[e]), a_ids, f_ids
 
     def _general_sign(self, e: int, f: int) -> int:
         """sigma of the covering pair (E, F) by the general route, sign det C
         for [g | A_E] = A_F C, off F's data and E's span ids, a simplex E's
-        vertex ids (``_coordinate_sign``).
-
-        On a lattice of P, F is never a simplex, so it carries data.  A
-        simplex's lower covers are the simplex without one vertex, pairs
-        with m = 0, which ``cover_orientations`` reads off the adjugate
-        route; and a bridge's upper cover H carries tau, so if H were a
-        simplex the spread of tau, which crosses every m = 0 pair from a
-        face that carries tau, would have reached the bridge from H."""
-        return _coordinate_sign(*self._general_pair(e, f), self.gram)
-
-    def cover_orientations(self, f: int) -> list[int]:
-        """The orientation sigma of every covering pair (E, F) of face f, one
-        per lower cover e in ``down[f]`` order, each with the verdict the
-        per-pair oracle (``edge_ray`` + ``edge_ray_crosscheck``) reaches,
-        and with no ray made.  Every pair takes one of three routes, fixed
-        by its span and dual masks alone:
-
-          * m = 0 (``adjugate_column``: s_E & ~s_F = 0 on the span bitmasks,
-            its ray column r of F's certified adjugate): read off F's data
-            in O(1): sigma = (-1)^r, and the verdict of
-            ``adjugate_pair_fault``;
-          * m > 0, E and F both dual-simple, tau_E tau_F != 0: sigma from
-            ``taus`` and one dual-mask bit (``dual_sign``), in O(1), with no
-            Gram number read;
-          * any other pair: sigma = sign det C for [g | A_E] = A_F C, one
-            m x m determinant off F's data and E's span ids, nonzero only
-            if [g | A_E] is a basis of span(F) (``_coordinate_sign``).
-
-        Each gives the sign and the verdict the per-pair functions reach
-        by the Gram solve and the Cauchy-Schwarz test on face data that
-        pass their certificates; the identities are stated in the helpers.
-        On every route the barycenter test reduces to the dual-mask
-        certificate that ``check_dual_faces`` made on every covering pair
-        when the system was built; it states the identity.
-
-        What the dual route adds is checked on the adjugate route: every
-        m = 0 pair between two dual-simple faces must have
-        (-1)^r = dual_sign * tau_E * tau_F, which ties every tau to the
-        certified adjugates.  A rejected pair is an error naming it.
-
-        A simplex face F, |F| = dim F + 1, carries no data, and its pairs
-        read no Gram number.  Its span ids are its vertex ids, so on a
-        lattice of P each lower cover E is F without one vertex g, a simplex
-        whose span ids are E's vertex ids: m = 0, and sigma = (-1)^r with r
-        the row of g in F's vertex tuple, the sign of the simplicial
-        boundary.  The pair takes the tau check, and no
-        ``adjugate_pair_fault``: that F's vertices are independent, which
-        F's certificate det G_F > 0 would show, and that the cofactor
-        adj(G_F)[r][r] is det G_E > 0, follow from the dual masks
-        (``check_dual_faces``).  A simplex E under a face F that carries
-        data takes the reduced cofactor check of ``adjugate_pair_fault``,
-        and a general pair reads only E's span ids, a simplex E's vertex
-        ids."""
-        faces, spans, taus, dual = self._face_data, self.span_masks, self.taus, self.dual_masks
-        L, n = self.lattice, self.cone.dim
-        data_F = faces[f]  # None: F is a simplex
-        span_F, dual_F, tau_F = spans[f], dual[f], taus[f]
-        signs = []
-        for e in L.down[f]:
-            r = adjugate_column(span_F, spans[e])
-            tau = taus[e] * tau_F  # nonzero iff both faces are dual-simple
-            if r is not None:
-                sigma = -1 if r & 1 else 1
-                fault = None if data_F is None else adjugate_pair_fault(faces[e], data_F, r)
-                if fault is None and tau and dual_sign(n, dual_F, dual[e]) * tau != sigma:
-                    fault = f"the dual base signs give {-sigma}, F's adjugate (-1)^{r} = {sigma}"
-                if fault is not None:
-                    E, F = L.faces_by_id[e], L.faces_by_id[f]
-                    raise InternalInvariantError(
-                        f"edge-ray cross-check failed for ({E}, {F}): {fault}")
-                signs.append(sigma)
-            elif tau:
-                signs.append(dual_sign(n, dual_F, dual[e]) * tau)
-            else:
-                signs.append(self._general_sign(e, f))
-        return signs
+        vertex ids (``_coordinate_sign``).  F takes it only when none of its
+        lower covers has m = 0, so F is not a simplex and carries data."""
+        E, F, g, a_ids, _ = self._general_pair(e, f)
+        return _coordinate_sign(E, F, g, a_ids, self._face_data[f], self.gram)
 
     def ray(self, e: int, f: int) -> EdgeRay:
         L = self.lattice

@@ -115,13 +115,23 @@ first lower cover it can resume from, a simplex or not, or walked in full.
 every covering pair without a full bordered walk at each read of a simplex
 face.
 
-The dual-base oracle is the determinant the cone batch took for tau_F,
-the sign of [A_F | Y_F] of a dual-simple face, before it fixed every tau
-once from the top face down: ``dual_base_sign``, one n x n Bareiss
-determinant on the Gram and slack tables against the top face's basis.
-The library takes no such determinant: a face that the spread from the
-top does not reach takes tau over an upper cover, from that pair's sign
-by the general route (``ConeSystem._bridge``).
+The dual-base oracle is the second source of signs for the pairs with
+m > 0 that the cone stage had before the diamond fill replaced it
+(``polyk.cones.ConeSystem``): the dual base sign tau_F, the sign of
+[A_F | Y_F] of a dual-simple face F, whose dual mask has exactly
+n - dim F - 1 bits.  ``dual_sign`` gives a pair of dual-simple faces its
+sigma from tau_E tau_F and one bit of their dual masks.  ``TauSystem`` is
+a cone system with ``taus`` fixed from the top face down as the library
+fixed them (``_signs_from_top``): spread over the pairs with m = 0, and at
+a face the spread does not reach, a bridge, taken over its first upper
+cover from that pair's general-route sign (``_bridge``) and checked by one
+Gram determinant (``_check_bridge``).  Its ``cover_orientations`` orients
+a face's lower covers by the three routes the batch took: m = 0 off F's
+adjugate, each such pair between dual-simple faces checked against tau;
+the dual route; and the general route's sign on every other pair.
+``dual_base_sign`` is the determinant the batch took for tau_F before it
+fixed every tau from the top: one n x n Bareiss determinant on the Gram
+and slack tables against the top face's basis.
 
 The dual-rank oracle is the count the library made per face before it
 certified dual ranks once per run by the growth of the dual-face masks
@@ -223,7 +233,16 @@ from typing import Sequence
 
 from polyk.cellular import AbelianGroup, ChainComplex, HomologyResult
 from polyk.comb_type import AbstractLattice, LatticeIso, UnsignedIncidence
-from polyk.cones import ConeSystem, EdgeRay, FaceConeData, LiftedCone, dual_cone, face_cone_data
+from polyk.cones import (
+    ConeSystem,
+    EdgeRay,
+    FaceConeData,
+    LiftedCone,
+    adjugate_column,
+    adjugate_pair_fault,
+    dual_cone,
+    face_cone_data,
+)
 from polyk.errors import InternalInvariantError
 from polyk.linalg import (
     IntEchelon,
@@ -577,6 +596,164 @@ def dual_base_sign(F: Face, span_ids: Sequence[int], dual_mask: int, top_ids: Se
     if det == 0:
         raise InternalInvariantError(f"dual base [A_F | Y_F] of {F} is singular")
     return 1 if det > 0 else -1
+
+
+def dual_sign(n: int, dual_F: int, dual_E: int) -> int:
+    """(-1)^(n-1) * pi for a covering pair (E, F) whose faces are both
+    dual-simple, from their dual masks: pi = (-1)^(popcount of the bits of
+    ``dual_F`` above y), y the one bit of ``dual_E`` & ~``dual_F``.  The
+    pair's orientation is then
+
+        sigma = (-1)^(n-1) * pi * tau_E * tau_F,
+
+    with tau the dual base sign of each face (``TauSystem.taus``).
+
+    A face F is dual-simple when its dual mask has exactly n - dim F - 1
+    bits, the rank ``check_dual_faces`` certifies; its normals, in index
+    order the columns of Y_F, are then independent.  [A_F | Y_F] is then a
+    basis of R^n: A_F is independent (det G_F > 0), the normals of Y_F are
+    orthogonal to span(F), as each vanishes on F's vertices, a vector in
+    both spans is orthogonal to itself, and the counts add up to n.  Its
+    sign, taken against the top face's basis A_P, is
+    tau_F = sign det[A_F | Y_F] * sign det A_P, one factor for every face,
+    which cancels in tau_E tau_F.  E lies in F, so dual_F is inside
+    dual_E, and their counts differ by one: dual_E = dual_F plus the one
+    normal y, column j of Y_E, j = popcount(dual_F below y).
+
+    Proof.  The ray w = c g - A_E x of the pair (``edge_ray``) spans
+    span(F) meet span(E)^perp, and span(E)^perp is span(Y_E): the
+    n - dim E - 1 independent normals of Y_E vanish on span(E), of that
+    codimension.  So w = alpha y + Y_F beta.  Every normal of Y_F vanishes
+    on g, a vertex of F, so <w, g> = alpha S[g][y]; <w, g> = c * side > 0
+    and S >= 0 give alpha > 0.  Expand det[w | A_E | Y_F], n columns, both
+    ways:
+
+      * [w | A_E] = A_F C with sign det C = sigma (``edge_ray``), so the
+        matrix is [A_F | Y_F] diag(C, I): the sign is sigma * tau_F;
+      * Y_F beta is a combination of the other columns, so the determinant
+        is alpha det[y | A_E | Y_F]; moving y past the dim F columns of A_E
+        and the j of Y_F below it gives [A_E | Y_E]: the sign is
+        (-1)^(dim F + j) * tau_E.
+
+    So sigma = (-1)^(dim F + j) tau_E tau_F, and
+    dim F + j = n - 1 - popcount(dual_F above y), as |dual_F| = n - dim F - 1.
+    No ray is made, and no Gram number is read."""
+    y = dual_E & ~dual_F
+    return -1 if (n - 1 + (dual_F >> y.bit_length()).bit_count()) & 1 else 1
+
+
+class TauSystem(ConeSystem):
+    """``system`` with ``taus``, the dual base sign tau_F of every face:
+    +1 or -1 for a dual-simple face, 0 for any other, fixed from the top
+    face P down (``_signs_from_top``); its tables, masks, face data and
+    orientations are the system's, which is left unchanged.
+
+    Every upper cover H of a dual-simple face E is dual-simple: dual_H is
+    a subset of dual_E, whose normals are independent, so dual_H's are
+    too, and their count is their rank n - dim H - 1.  tau is fixed:
+
+      * tau_P = +1: Y_P is empty and A_P is a basis with det G_P > 0;
+      * tau spreads over the covering pairs (E, F) with m = 0 between
+        dual-simple faces, both ways: there sigma = (-1)^r
+        (``adjugate_column``), so tau_E = (-1)^r * dual_sign * tau_F, and
+        tau_F = (-1)^r * dual_sign * tau_E;
+      * the dual-simple face E of highest id that the spread has not
+        reached, a bridge, takes tau over its first upper cover
+        H = ``up[E][0]``, whose tau the descending loop has set: the pair
+        (E, H) has m > 0, and its general-route sign sigma gives
+        tau_E = sigma * dual_sign * tau_H (``_bridge``), checked against
+        sign det([g | A_E]^T A_H) (``_check_bridge``); the spread goes on
+        from E."""
+
+    def __init__(self, system: ConeSystem):
+        vars(self).update(vars(system))
+        n, faces = self.cone.dim, self.lattice.faces_by_id
+        simple = [mask.bit_count() == n - F.dim - 1 for mask, F in zip(self.dual_masks, faces)]
+        self.taus = self._signs_from_top(simple)
+
+    def _signs_from_top(self, simple: Sequence[bool]) -> tuple[int, ...]:
+        """tau of every face, from the top face down (see the class), with
+        ``simple`` flagging the dual-simple faces."""
+        n, dual, L, spans = self.cone.dim, self.dual_masks, self.lattice, self.span_masks
+        taus: list[int | None] = [None if s else 0 for s in simple]  # None: not set yet
+        top = len(taus) - 1
+        for root in range(top, -1, -1):
+            if taus[root] is not None:
+                continue
+            if root == top:
+                taus[root] = 1
+            else:
+                taus[root] = self._bridge(root, taus)
+                self._check_bridge(root, taus)
+            stack = [root]
+            while stack:
+                f = stack.pop()
+                for g in L.down[f] + L.up[f]:
+                    if taus[g] is None:
+                        e, h = min(f, g), max(f, g)  # lower covers have lower ids
+                        r = adjugate_column(spans[h], spans[e])
+                        if r is not None:
+                            sigma = -1 if r & 1 else 1
+                            taus[g] = sigma * dual_sign(n, dual[h], dual[e]) * taus[f]
+                            stack.append(g)
+        return tuple(taus)
+
+    def _bridge(self, e: int, taus: Sequence[int | None]) -> int:
+        """tau_E of a face E the spread does not reach, over its first upper
+        cover H = ``up[E][0]``, whose tau is set (see the class)."""
+        h, dual = self.lattice.up[e][0], self.dual_masks
+        return self._general_sign(e, h) * dual_sign(self.cone.dim, dual[h], dual[e]) * taus[h]
+
+    def _check_bridge(self, e: int, taus: Sequence[int | None]) -> None:
+        """The tau of the bridge E against the sign of its pair (E, H),
+        H = ``up[E][0]``: dual_sign * tau_E * tau_H must be
+        sign det([g | A_E]^T A_H), one k x k determinant of Gram entries.
+        A mismatch is an error naming the pair."""
+        h = self.lattice.up[e][0]
+        E, H, g, a_ids, h_ids = self._general_pair(e, h)
+        det = bareiss_det([[self.gram[a][b] for b in h_ids] for a in (g, *a_ids)])
+        sign, dual = (det > 0) - (det < 0), self.dual_masks
+        sigma = dual_sign(self.cone.dim, dual[h], dual[e]) * taus[e] * taus[h]
+        if sign != sigma:
+            raise InternalInvariantError(f"bridge ({E}, {H}): the dual base signs give {sigma}, "
+                                         f"sign det([g | A_E]^T A_H) = {sign}")
+
+    def cover_orientations(self, f: int) -> list[int]:
+        """The orientation sigma of every covering pair (E, F) of face f, one
+        per lower cover in ``down[f]`` order, by the three routes, fixed by
+        the pair's span and dual masks alone:
+
+          * m = 0: sigma = (-1)^r off F's adjugate column r, with the
+            verdict of ``adjugate_pair_fault``, and, between two
+            dual-simple faces, (-1)^r = dual_sign * tau_E * tau_F;
+          * m > 0, E and F both dual-simple: dual_sign * tau_E * tau_F;
+          * any other pair: the general route's sign det C
+            (``ConeSystem._general_sign``).
+
+        A rejected pair is an error naming it."""
+        faces, spans, taus, dual = self._face_data, self.span_masks, self.taus, self.dual_masks
+        L, n = self.lattice, self.cone.dim
+        data_F = faces[f]  # None: F is a simplex
+        span_F, dual_F, tau_F = spans[f], dual[f], taus[f]
+        signs = []
+        for e in L.down[f]:
+            r = adjugate_column(span_F, spans[e])
+            tau = taus[e] * tau_F  # nonzero iff both faces are dual-simple
+            if r is not None:
+                sigma = -1 if r & 1 else 1
+                fault = None if data_F is None else adjugate_pair_fault(faces[e], data_F, r)
+                if fault is None and tau and dual_sign(n, dual_F, dual[e]) * tau != sigma:
+                    fault = f"the dual base signs give {-sigma}, F's adjugate (-1)^{r} = {sigma}"
+                if fault is not None:
+                    E, F = L.faces_by_id[e], L.faces_by_id[f]
+                    raise InternalInvariantError(
+                        f"edge-ray cross-check failed for ({E}, {F}): {fault}")
+                signs.append(sigma)
+            elif tau:
+                signs.append(dual_sign(n, dual_F, dual[e]) * tau)
+            else:
+                signs.append(self._general_sign(e, f))
+        return signs
 
 
 def rational_lifted_vertex(C: LiftedCone, i: int) -> tuple[Fraction, ...]:

@@ -136,14 +136,13 @@ def test_one_span_basis_per_face_per_run(monkeypatch):
 
 def test_no_edge_ray_per_run(monkeypatch):
     # build_complex walks each covering pair once, and neither ConeSystem
-    # nor the batch makes a ray: a pair with m = 0 is read off F's
-    # adjugate, one with m > 0 of two dual-simple faces on the dual side,
-    # and one of the general route (m > 0, a span id of E outside F's
-    # basis, with a face that is not dual-simple) takes only its sign, off
-    # F's adjugate and E's span ids.  On the 4-cube all 76 pairs with
-    # m > 0 (of 232) take the dual route; on the prism over a square
-    # pyramid 4 of its 38 take the general route.  A ray of the per-pair
-    # API builds its n-vector direction only when it is read
+    # nor build_complex makes a ray: a pair with m = 0 is read off F's
+    # adjugate, and one with m > 0 (a span id of E outside F's basis) is
+    # filled by the diamond rule.  On the 4-cube 76 pairs of 232 have
+    # m > 0, all of two dual-simple faces; on the prism over a square
+    # pyramid 38 do, 4 of them with a face that is not dual-simple (the
+    # oracle's general route).  A ray of the per-pair API builds its
+    # n-vector direction only when it is read
     real = cones.edge_ray
     calls = []
     built = []
@@ -186,11 +185,10 @@ def test_no_edge_ray_per_run(monkeypatch):
 def test_face_data_only_where_a_pair_reads_it(polys, counts, monkeypatch):
     # a run builds the face data of each face that is not a simplex once,
     # and none of a simplex face, nor any while the complex is built: the
-    # system holds data exactly for the faces with |F| > dim F + 1.  A pair
-    # of the general route reads F's data, F being no simplex there, and
-    # E's span ids, a simplex E's its vertex ids; no ray is made and none
-    # cross-checked.  counts: the faces that are not simplices, and the
-    # general pairs whose E is a simplex
+    # system holds data exactly for the faces with |F| > dim F + 1, and no
+    # ray is made and none cross-checked.  counts: the faces that are not
+    # simplices, and the pairs of the oracle's general route whose E is a
+    # simplex, whose sign the system fills by the diamond rule
     real = cones.face_cone_data
     built, rays = [], []
 
@@ -226,11 +224,11 @@ def test_per_face_work_once_per_run(monkeypatch):
     # face that carries data, the 18 faces that are not simplices here,
     # and the Gram and slack tables once per ConeSystem, with the dual ranks
     # checked on masks and no echelon; the per-pair steps only read them: no
-    # echelon or Gram pass runs inside a pair, a pair of the general route
-    # takes one sign minor (_coordinate_sign) and no edge ray, the dual
-    # route takes no determinant (tau spreads from the top face here, and
-    # no face is bridged), the incidence sign none, and no
-    # cofactor kernel is solved while the complex is built
+    # echelon or Gram pass runs inside a pair, a pair with m > 0 is filled
+    # by the diamond rule with no determinant and no edge ray (every face
+    # here has a lower cover with m = 0, so none takes a general-route
+    # sign minor), the incidence sign takes none, and no cofactor kernel is
+    # solved while the complex is built
     poly = pyramid_prism()
     active = []  # the wrapped per-pair functions now running
 
@@ -294,15 +292,17 @@ def test_per_face_work_once_per_run(monkeypatch):
     assert Counter(caller for caller, _ in echelons) == {"lift": 1}
     assert not any(set(pair) - {"build_complex"} for _, pair in echelons + grams)
     assert not any("incidence_sign" in pair for pair in dets)
-    # the orientation: one sign minor per covering pair of the general
-    # route, 4 of the 38 with m > 0 here (m the number of E's span ids
-    # outside F's), and none for the other 34
+    # the orientation: no sign minor for the 38 pairs with m > 0 here (m the
+    # number of E's span ids outside F's), 4 of which took one each on the
+    # oracle's general route; the only determinants are the witnesses of
+    # the adjugate read-off, one per dimension of F, 0 to 4, made when the
+    # system is built
     system = PerFaceSystem(result.system)
     routes = {(e, f): pair_route(system, e, f) for f, lower in enumerate(lat.down) for e in lower}
     counts = Counter(routes.values())
-    assert sum("_coordinate_sign" in pair for pair in dets) == counts["general"] == 4
-    assert counts["dual"] == 34
-    assert len(dets) == 4 and len(lat.covering) == 159
+    assert not any("_coordinate_sign" in pair for pair in dets)
+    assert counts["general"] == 4 and counts["dual"] == 34
+    assert dets == [()] * 5 and len(lat.covering) == 159
     assert built == Counter(F for F in lat.faces_by_id if len(F.vertex_set) > F.dim + 1)
     assert sum(built.values()) == 18
     assert not any("build_complex" in pair for pair in kernels)
@@ -366,7 +366,7 @@ def test_sign_empty_to_vertex_is_plus_one(small_corpus):
         lat, system, triv = setup_polytope(poly)
         empty = 0
         for v in lat.ids(0):
-            assert system.cover_orientations(v) == [1]
+            assert system.orientations[v] == (1,)
             assert incidence_sign(triv, system.ray(empty, v).orientation, empty, v) == 1
 
 
@@ -376,7 +376,7 @@ def test_segment_signs_frozen():
     lat, system, triv = setup_polytope(poly)
     v0, v1 = lat.ids(0)
     top = len(lat.faces_by_id) - 1
-    assert tuple(lat.down[top]) == (v0, v1) and system.cover_orientations(top) == [-1, 1]
+    assert tuple(lat.down[top]) == (v0, v1) and system.orientations[top] == (-1, 1)
     for v, sign in ((v0, -1), (v1, 1)):
         assert incidence_sign(triv, system.ray(v, top).orientation, v, top) == sign
 
@@ -390,7 +390,7 @@ def test_incidence_signs_match_coordinate_oracle(small_corpus):
         lat, system, triv = setup_polytope(poly)
         flipped = trivialize(lat, flip_faces=[f for f in lat.faces_by_id if f.dim >= 0])
         sigma = {(e, f): s for f, lower in enumerate(lat.down)
-                 for e, s in zip(lower, system.cover_orientations(f))}
+                 for e, s in zip(lower, system.orientations[f])}
         for t in (triv, flipped):
             for e, f in lat.covering:
                 e, f = lat.face_id[e], lat.face_id[f]
@@ -494,10 +494,11 @@ def test_column_support_counts(small_corpus):
 def test_build_complex_reports_failed_crosscheck(monkeypatch):
     # a ray with negated coefficients, -w = -c g + A_E x, is a negative
     # multiple of its barycenter projection: <w, w'> < 0, and the per-pair
-    # cross-check rejects it.  The batch makes no ray on a general pair:
-    # its sign negated there breaks D_{j-1} D_j = 0, which build_complex
-    # reports.  The target is the last pair of the general route of the
-    # prism over a square pyramid
+    # cross-check rejects it.  The system makes no ray on a pair with
+    # m > 0: its sign, filled by the diamond rule, negated there breaks
+    # D_{j-1} D_j = 0, which build_complex reports.  The target is the last
+    # pair of the (oracle's) general route of the prism over a square
+    # pyramid
     lat, system, triv = setup_polytope(pyramid_prism())
     target = [pair for pair in lat.covering
               if pair_route(system, lat.face_id[pair[0]], lat.face_id[pair[1]]) == "general"][-1]
@@ -508,13 +509,9 @@ def test_build_complex_reports_failed_crosscheck(monkeypatch):
     with pytest.raises(InternalInvariantError) as err:
         system.crosscheck(e, f, negated)
     assert f"edge-ray cross-check failed for ({target[0]}, {target[1]})" in str(err.value)
-    real = cones._coordinate_sign
-
-    def flipped(E, F, *args):
-        sign = real(E, F, *args)
-        return -sign if (E, F) == target else sign
-
-    monkeypatch.setattr(cones, "_coordinate_sign", flipped)
+    signs = list(system.orientations)
+    signs[f] = tuple(-s if c == e else s for c, s in zip(lat.down[f], signs[f]))
+    monkeypatch.setattr(system, "orientations", tuple(signs))
     with pytest.raises(InternalInvariantError, match="boundary squared nonzero"):
         build_complex(triv, system)
 

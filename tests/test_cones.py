@@ -9,6 +9,7 @@ import sys
 from collections import Counter
 from itertools import combinations
 from math import lcm
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -57,6 +58,7 @@ from oracles import (
     dual_face_gens,
     dual_face_ids,
     dot,
+    dual_sign,
     dual_simple,
     echelon_contains,
     echelon_dual_rank,
@@ -82,6 +84,7 @@ from oracles import (
     span_gram,
     span_row,
     table_orientation,
+    TauSystem,
     vertex_projection,
     vertex_sum,
     vertex_sum_numbers,
@@ -451,12 +454,11 @@ def test_scaled_ray_is_accepted(m_zero_systems):
 
 
 def test_m_zero_pairs_take_no_dot_products(monkeypatch):
-    # on cross5, inside cover_orientations, no pair runs an int_dot: not the
-    # 812 with m = 0, read off F's adjugate, nor the other 30, which take
-    # the dual route (their dual base signs are Bareiss determinants on the
-    # tables); a pair's count runs from its adjugate_column call in
-    # cover_orientations, the first thing the batch does for it, to the
-    # next pair's.  face_cone_data reads no n-vector generator of the cone,
+    # on cross5, inside the system's orientation pass, no pair runs an
+    # int_dot: not the 812 with m = 0, read off F's adjugate, nor the other
+    # 30, filled by the diamond rule; a pair's count runs from its
+    # adjugate_column call in the pass, the first thing the pass does for
+    # it, to the next pair's.  face_cone_data reads no n-vector generator of the cone,
     # for the top, the one face that is not a simplex and the one face
     # whose data the system builds, nor for a simplex face whose data is
     # made when read; nor does the batch
@@ -502,20 +504,15 @@ def test_m_zero_pairs_take_no_dot_products(monkeypatch):
 
     def marking(span_f, span_e):
         r = real_column(span_f, span_e)
-        if sys._getframe(1).f_code.co_name == "cover_orientations":  # not a check of tau
-            starts.append((r is not None, calls[0]))
+        starts.append((r is not None, calls[0]))
         return r
 
     monkeypatch.setattr(cones, "int_dot", counting)
     monkeypatch.setattr(cones, "adjugate_column", marking)
-    dots = Counter()
-    for f, lower in enumerate(lat.down):
-        starts.clear()
-        system.cover_orientations(f)
-        assert len(starts) == len(lower)
-        ends = [before for _, before in starts[1:]] + [calls[0]]
-        for (m_zero, before), end in zip(starts, ends):
-            dots[m_zero, end > before] += 1
+    assert system._orient() == system.orientations
+    assert len(starts) == sum(map(len, lat.down))
+    ends = [before for _, before in starts[1:]] + [calls[0]]
+    dots = Counter((m_zero, end > before) for (m_zero, before), end in zip(starts, ends))
     assert dots == {(True, False): 812, (False, False): 30}
     assert reads == []
 
@@ -796,14 +793,14 @@ def test_cover_batch_matches_per_pair_api(resume_systems, mixed_route_systems):
     # route, here on the per-face path's data of every face.  On m = 0 the solved ray is the identity the batch rests on,
     # column r of F's certified adjugate: c = adj(G_F)[r][r] = det G_E,
     # x = (-adj(G_F)[a][r] for a != r) and sigma = (-1)^r.  The pairs with
-    # m > 0 take the dual route, sigma from two face signs and a dual-mask
-    # bit, or, where a face is not dual-simple, the per-pair API
+    # m > 0, of the oracle's dual and general routes, are filled by the
+    # diamond rule
     routes = Counter()
     for poly, batch in resume_systems + mixed_route_systems:
         lat, system = batch.lattice, PerFaceSystem(batch)
         for f, lower in enumerate(lat.down):
             data_f = system.face_data(f)
-            for e, sigma in zip(lower, batch.cover_orientations(f)):
+            for e, sigma in zip(lower, batch.orientations[f]):
                 ray = system.ray(e, f)
                 system.crosscheck(e, f, ray)
                 assert sigma == ray.orientation, (poly.name, e, f)
@@ -820,6 +817,69 @@ def test_cover_batch_matches_per_pair_api(resume_systems, mixed_route_systems):
                     (poly.name, e, f)
                 assert ray.orientation == (-1) ** r, (poly.name, e, f)
     assert routes["adjugate"] > 10000 and routes["dual"] > 1000 and routes["general"] > 80
+
+
+def test_filled_signs_match_the_tau_oracle_and_the_per_pair_rays():
+    # every sign the system stores, read off an adjugate, taken by the
+    # general route or filled by the diamond rule, is the sign the tau
+    # oracle's three routes give (spread from the top, bridged, dual route,
+    # general route per pair) and the orientation of the per-pair edge ray,
+    # on the per-face path's data
+    polys = list(acceptance_corpus()) + [hypercube(5), cross_polytope(5), prism_over_cross(4),
+                                         pyramid_prism(), random_hull(random.Random(3), 6, 24)]
+    filled = Counter()
+    for poly in polys:
+        lat = face_lattice(poly)
+        system = ConeSystem(lift(poly), lat)
+        oracle, per_pair = TauSystem(system), PerFaceSystem(system)
+        spans = system.span_masks
+        for f, lower in enumerate(lat.down):
+            sigma = system.orientations[f]
+            assert list(sigma) == oracle.cover_orientations(f), (poly.name, f)
+            for e, s in zip(lower, sigma):
+                assert s == per_pair.ray(e, f).orientation, (poly.name, e, f)
+                filled[cones.adjugate_column(spans[f], spans[e]) is None] += 1
+    assert filled[True] > 1000 and filled[False] > 10000
+
+
+def test_unreached_cover_names_the_pair(monkeypatch):
+    # on the 3-cube, the square {4,5,6,7} has m > 0 under the top face; on a
+    # lattice whose view lists no lower cover for it, no diamond joins it
+    # to a cover of the top whose sign is set, and the orientation pass
+    # names the pair
+    poly = hypercube(3)
+    lat, by_set = faces_of(poly)
+    system = ConeSystem(lift(poly), lat)
+    square, top = lat.face_id[by_set[(4, 5, 6, 7)]], len(lat.faces_by_id) - 1
+    assert cones.adjugate_column(system.span_masks[top], system.span_masks[square]) is None
+    down = list(lat.down)
+    down[square] = ()
+    monkeypatch.setattr(system, "lattice", SimpleNamespace(
+        faces_by_id=lat.faces_by_id, down=tuple(down), vertex_masks=lat.vertex_masks))
+    with pytest.raises(InternalInvariantError) as err:
+        system._orient()
+    E, F = lat.faces_by_id[square], lat.faces_by_id[top]
+    assert str(err.value) == (f"no diamond sets the sign of ({E}, {F}): it joins no lower "
+                              f"cover of {F} whose sign is set")
+
+
+def test_general_sign_witness_names_the_pair(monkeypatch):
+    # on random16_d3, one face has no m = 0 lower cover: its fill starts
+    # from the general route's sign of its first lower cover, which the
+    # witness recomputes as sign det([g | A_E]^T A_F); that sign negated
+    # is an error naming the pair, in the witness's words
+    poly = corpus_member("random16_d3")
+    lat = face_lattice(poly)
+    system = ConeSystem(lift(poly), lat)
+    (e, f), = general_sign_pairs(system)
+    sigma = system.orientations[f][0]
+    real = cones._coordinate_sign
+    monkeypatch.setattr(cones, "_coordinate_sign", lambda *args: -real(*args))
+    with pytest.raises(InternalInvariantError) as err:
+        ConeSystem(lift(poly), lat)
+    assert str(err.value) == (
+        f"sign witness ({lat.faces_by_id[e]}, {lat.faces_by_id[f]}): the general route gives "
+        f"{-sigma}, sign det([g | A_E]^T A_F) = {sigma}")
 
 
 @pytest.fixture(scope="module")
@@ -841,7 +901,7 @@ def test_simplex_pairs_are_the_simplicial_boundary(simplex_route_systems):
     # of F's vertices (det G_F > 0, which the strict dual masks certify in
     # the batch).  On the pairs whose lower face E is a simplex and whose
     # upper face is not, the batch's sigma is the per-pair API's on all
-    # three routes
+    # three routes of the oracle's classification
     routes = Counter()
     for poly, batch in simplex_route_systems:
         lat, system = batch.lattice, PerFaceSystem(batch)
@@ -851,7 +911,7 @@ def test_simplex_pairs_are_the_simplicial_boundary(simplex_route_systems):
             simplex_f = len(F.vertex_set) == F.dim + 1
             if simplex_f:
                 assert system.face_data(f).span_ids == F.vertex_set, (poly.name, f)
-            for e, sigma in zip(lower, batch.cover_orientations(f)):
+            for e, sigma in zip(lower, batch.orientations[f]):
                 E = lat.faces_by_id[e]
                 if simplex_f:
                     (g,) = set(F.vertex_set) - set(E.vertex_set)
@@ -867,17 +927,18 @@ def test_simplex_pairs_are_the_simplicial_boundary(simplex_route_systems):
 
 
 @pytest.mark.parametrize("poly, counts", [
-    (hypercube(5), {"dual": 325, "general": 0, "tau_dets": 0}),
-    (cross_polytope(5), {"dual": 30, "general": 0, "tau_dets": 0}),
-    (prism_over_cross(4), {"dual": 108, "general": 80, "tau_dets": 1}),
+    (hypercube(5), {"dual": 325, "general": 0, "general_signs": 0, "witnesses": 6}),
+    (cross_polytope(5), {"dual": 30, "general": 0, "general_signs": 0, "witnesses": 6}),
+    (prism_over_cross(4), {"dual": 108, "general": 80, "general_signs": 0, "witnesses": 6}),
 ], ids=["cube5", "cross5", "prism_cross4"])
 def test_dual_route_counts(poly, counts, monkeypatch):
-    # neither the system nor the batch makes a ray: a face tau cannot
-    # spread to from the top takes tau over an upper cover, by that pair's
-    # sign off the cover's adjugate, one _coordinate_sign call and its one
-    # determinant in the constructor, and the bridge check's determinant
-    # after it, which makes two per bridge and no other;
-    # a general pair takes its sign off F's adjugate the same way
+    # neither the system nor build_complex makes a ray, and the pairs with
+    # m > 0, of the oracle's dual and general routes alike, take no
+    # determinant: the diamond rule fills them.  The system's only
+    # determinants are the witnesses of the adjugate read-off, one per
+    # dimension of F, 0 to 5, and a general-route sign with its witness at
+    # a face with no m = 0 lower cover, which none of these has (the
+    # prism's one bridge of tau is no such face); build_complex takes none
     made, signs, dets = [], [], []
     real_ray, real_sign, real_det = cones.edge_ray, cones._coordinate_sign, cones.bareiss_det
 
@@ -890,7 +951,7 @@ def test_dual_route_counts(poly, counts, monkeypatch):
         return real_sign(E, F, *args)
 
     def det(rows):
-        dets.append(signs[-1] if signs else None)
+        dets.append(len(rows))
         return real_det(rows)
 
     monkeypatch.setattr(cones, "edge_ray", ray)
@@ -898,15 +959,12 @@ def test_dual_route_counts(poly, counts, monkeypatch):
     monkeypatch.setattr(cones, "bareiss_det", det)
     lat = face_lattice(poly)
     system = ConeSystem(lift(poly), lat)
-    bridges = len(signs)
-    assert made == []
-    assert dets == [pair for pair in signs for _ in range(2)]
-    for f in range(len(lat.faces_by_id)):
-        system.cover_orientations(f)
+    assert dets == list(range(1, lat.dim + 2))  # the witness of dimension j is (j + 1) x (j + 1)
+    build_complex(trivialize(lat), system)
     routes = Counter(pair_route(system, e, f) for f, lower in enumerate(lat.down) for e in lower)
-    assert made == []
-    assert len(signs) == len(dets) - bridges == bridges + routes["general"]
-    assert {"dual": routes["dual"], "general": routes["general"], "tau_dets": bridges} == counts
+    assert made == [] and len(dets) == lat.dim + 1
+    assert {"dual": routes["dual"], "general": routes["general"], "general_signs": len(signs),
+            "witnesses": len(dets)} == counts
 
 
 @pytest.fixture(scope="module")
@@ -922,22 +980,24 @@ def general_route_systems():
 
 
 def test_general_pairs_take_the_mask_test_and_the_coordinate_sign(general_route_systems):
-    # the batch makes no ray on a pair of the general route: sigma is
-    # sign det C for [g | A_E] = A_F C, off F's adjugate and E's span ids,
-    # and the barycenter test is the mask test, some normal of dual_E
-    # outside dual_F.  On every such pair the mask test holds, the per-pair
-    # API's ray passes its cross-check, and its orientation is the batch's
+    # the system makes no ray on a pair of the oracle's general route: it
+    # fills sigma by the diamond rule, and the barycenter test is the mask
+    # test, some normal of dual_E outside dual_F.  On every such pair the
+    # mask test holds, the per-pair API's ray passes its cross-check, and
+    # its orientation and the general route's sign det C for
+    # [g | A_E] = A_F C, off F's adjugate and E's span ids, are the filled
     # sigma
     counts = []
     for poly, system in general_route_systems:
         lat, dual, general = system.lattice, system.dual_masks, 0
         for f, lower in enumerate(lat.down):
-            for e, sigma in zip(lower, system.cover_orientations(f)):
+            for e, sigma in zip(lower, system.orientations[f]):
                 if pair_route(system, e, f) == "general":
                     assert dual[e] & ~dual[f], (poly.name, e, f)
                     ray = system.ray(e, f)
                     system.crosscheck(e, f, ray)
-                    assert sigma == ray.orientation, (poly.name, e, f)
+                    assert sigma == ray.orientation == system._general_sign(e, f), \
+                        (poly.name, e, f)
                     general += 1
         counts.append(general)
     assert counts == [80, 320, 4, 72]
@@ -968,17 +1028,27 @@ def test_general_pair_with_equal_dual_masks_fails(monkeypatch):
         "so its rank 3 is not certified")
 
 
+def general_sign_pairs(system) -> list[tuple[int, int]]:
+    """The pairs that take a general-route sign in the system: the first
+    lower cover of each face with no lower cover of m = 0."""
+    spans = system.span_masks
+    return [(lower[0], f) for f, lower in enumerate(system.lattice.down)
+            if lower and all(cones.adjugate_column(spans[f], spans[e]) is None for e in lower)]
+
+
 def test_zero_sign_determinant_fails_the_general_pair(monkeypatch):
     # [g | A_E] = A_F C with det C = 0 is no basis of span(F): the sign
-    # determinant of a general pair read as zero is an error naming it.
-    # Only the general route takes a determinant in build_complex
-    poly = prism_over_cross(4)
+    # determinant of the one general-route pair of random11_d4, the first
+    # lower cover of its one face with no m = 0 lower cover, read as zero
+    # is an error naming it, when the system is built
+    poly = corpus_member("random11_d4")
     lat = face_lattice(poly)
-    system = ConeSystem(lift(poly), lat)
-    e, f = first_general_pair(system)
-    monkeypatch.setattr(cones, "bareiss_det", lambda rows: 0)
+    (e, f), = general_sign_pairs(ConeSystem(lift(poly), lat))
+    real = cones.bareiss_det
+    monkeypatch.setattr(cones, "bareiss_det", lambda rows: 0 if sys._getframe(
+        1).f_code.co_name == "_coordinate_sign" else real(rows))
     with pytest.raises(InternalInvariantError) as err:
-        build_complex(trivialize(lat), system)
+        ConeSystem(lift(poly), lat)
     assert str(err.value) == (
         f"incidence sign of ({lat.faces_by_id[e]}, {lat.faces_by_id[f]}) is zero")
 
@@ -998,7 +1068,7 @@ def test_dual_base_signs_match_the_generator_determinants():
         corpus_member(name) for name in ("random11_d4", "random14_d4", "random16_d3")]
     for poly in polys:
         lat = face_lattice(poly)
-        system = ConeSystem(lift(poly), lat)
+        system = TauSystem(ConeSystem(lift(poly), lat))
         C, n, top = system.cone, system.cone.dim, len(lat.faces_by_id) - 1
         slack = slack_table(C)
         top_basis = span_basis(C, system.face_data(top))
@@ -1016,7 +1086,7 @@ def test_dual_base_signs_match_the_generator_determinants():
         for f, lower in enumerate(lat.down):
             for e in lower:
                 if system.taus[e] and system.taus[f]:
-                    sigma = cones.dual_sign(n, system.dual_masks[f], system.dual_masks[e])
+                    sigma = dual_sign(n, system.dual_masks[f], system.dual_masks[e])
                     assert system.ray(e, f).orientation == \
                         sigma * system.taus[e] * system.taus[f], (poly.name, e, f)
                     checked[pair_route(system, e, f)] += 1
@@ -1024,15 +1094,16 @@ def test_dual_base_signs_match_the_generator_determinants():
 
 
 def test_flipped_dual_base_sign_fails_the_batch_not_the_per_pair_api(monkeypatch):
-    # the dual base sign of vertex {0} of the 3-cube flipped in a built
-    # system: the batch, taking the faces in id order, rejects the first
+    # the dual base sign of vertex {0} of the 3-cube flipped in the tau
+    # oracle: its three-route batch, taking the faces in id order, rejects
+    # the first
     # m = 0 pair at {0} between dual-simple faces, ({0}, {0,1}), naming it
     # (the empty face below {0} is not dual-simple); the per-pair API, which
     # reads no dual base sign, makes the same ray and accepts it
     poly = hypercube(3)
     lat, by_set = faces_of(poly)
-    system = ConeSystem(lift(poly), lat)
-    broken = ConeSystem(system.cone, lat)
+    system = TauSystem(ConeSystem(lift(poly), lat))
+    broken = TauSystem(ConeSystem(system.cone, lat))
     flipped = lat.face_id[by_set[(0,)]]
     monkeypatch.setattr(broken, "taus", tuple(-t if f == flipped else t
                                               for f, t in enumerate(system.taus)))
@@ -1053,14 +1124,13 @@ def corpus_member(name):
 
 
 def test_m_zero_dual_masks_imply_the_barycenter_test(monkeypatch):
-    # the identity cover_orientations states: on a pair with m = 0, a
+    # the identity check_dual_faces states: on a pair with m = 0, a
     # normal y of dual_E outside dual_F gives z_F[r] = |v|^2 sum t_u > 0.
     # On every such pair of these inputs dual_F lies inside dual_E, the
     # batch's mask test holds and the vertex-sum oracle's z_F[r] is
-    # positive.  The faces tau cannot spread to from the top take it over
-    # an upper cover, by one _coordinate_sign call each in the constructor:
-    # three on the corpus (random11_d4, random14_d4 and random16_d3), one
-    # on the prism over the 4-cross-polytope
+    # positive.  The faces with no m = 0 lower cover take one general-route
+    # sign, one _coordinate_sign call each in the constructor: three on the
+    # corpus (random11_d4, random14_d4 and random16_d3), none elsewhere
     dets = []
     real_sign = cones._coordinate_sign
 
@@ -1072,12 +1142,12 @@ def test_m_zero_dual_masks_imply_the_barycenter_test(monkeypatch):
     groups = [("corpus", P) for P in acceptance_corpus()] + [
         (P.name, P) for P in (hypercube(5), cross_polytope(5), prism_over_cross(4),
                               pyramid_prism())]
-    pairs, taus = Counter(), Counter()
+    pairs, general = Counter(), Counter()
     for group, poly in groups:
         lat = face_lattice(poly)
         before = len(dets)
         system = ConeSystem(lift(poly), lat)
-        taus[group] += len(dets) - before
+        general[group] += len(dets) - before
         dual = system.dual_masks
         for f, lower in enumerate(lat.down):
             span_f = system.face_data(f).span_mask
@@ -1092,22 +1162,25 @@ def test_m_zero_dual_masks_imply_the_barycenter_test(monkeypatch):
                 pairs[group] += 1
     assert pairs == {"corpus": 2566, "cube5": 517, "cross5": 812,
                      "prism_cross4": 662, "pyramid_prism": 121}
-    assert taus == {"corpus": 3, "cube5": 0, "cross5": 0, "prism_cross4": 1,
-                    "pyramid_prism": 0}
+    assert general == {"corpus": 3, "cube5": 0, "cross5": 0, "prism_cross4": 0,
+                       "pyramid_prism": 0}
 
 
 def test_cover_orientations_in_reverse_order_match_and_keep_taus(mixed_route_systems):
-    # tau is fixed by the constructor: asking for the faces from the top
-    # down gives the signs of asking from the bottom up, and assigns no
-    # attribute of the system, taus included
+    # the tau oracle fixes tau when it is built: asking its three-route
+    # batch for the faces from the top down gives the signs of asking from
+    # the bottom up, the system's orientations, and assigns no attribute,
+    # taus included
     for poly, system in mixed_route_systems:
         ids = range(len(system.lattice.faces_by_id))
-        taus, attributes = system.taus, dict(vars(system))
-        backward = {f: system.cover_orientations(f) for f in reversed(ids)}
-        assert vars(system).keys() == attributes.keys(), poly.name
-        assert all(vars(system)[k] is v for k, v in attributes.items()), poly.name
-        fresh = ConeSystem(system.cone, system.lattice)
-        assert [fresh.cover_orientations(f) for f in ids] == [backward[f] for f in ids], poly.name
+        oracle = TauSystem(system)
+        taus, attributes = oracle.taus, dict(vars(oracle))
+        backward = {f: oracle.cover_orientations(f) for f in reversed(ids)}
+        assert vars(oracle).keys() == attributes.keys(), poly.name
+        assert all(vars(oracle)[k] is v for k, v in attributes.items()), poly.name
+        fresh = TauSystem(ConeSystem(system.cone, system.lattice))
+        assert [fresh.cover_orientations(f) for f in ids] == [backward[f] for f in ids] \
+            == [list(system.orientations[f]) for f in ids], poly.name
         assert fresh.taus == taus, poly.name
 
 
@@ -1127,8 +1200,8 @@ def test_singular_dual_base_names_face():
 
 def bridges_of(poly, monkeypatch):
     """The lattice and cone of ``poly`` with the pairs (E, H) over which the
-    cone system bridged tau, read off its _coordinate_sign calls, the only
-    ones its constructor makes."""
+    tau oracle bridged tau, read off its _coordinate_sign calls, the only
+    ones it makes when it is built on a system that makes none."""
     lat, cone, bridges = face_lattice(poly), lift(poly), []
     real_sign = cones._coordinate_sign
 
@@ -1138,24 +1211,28 @@ def bridges_of(poly, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(cones, "_coordinate_sign", sign)
-        ConeSystem(cone, lat)
+        system = ConeSystem(cone, lat)
+        assert bridges == []
+        TauSystem(system)
     return lat, cone, bridges
 
 
 def test_singular_tau_determinant_names_face(monkeypatch):
-    # the one face of the prism over the 4-cross-polytope that tau cannot
-    # spread to from the top takes tau over its first upper cover, a facet
-    # under P, by the general route's sign of that pair; a zero
-    # determinant there (bareiss_det patched, as no table of a polytope
-    # gives it) is an error naming the pair, in the general route's words
+    # the one face of the prism over the 4-cross-polytope that the tau
+    # oracle cannot spread to from the top takes tau over its first upper
+    # cover, a facet under P, by the general route's sign of that pair; a
+    # zero determinant there (bareiss_det patched once the system is
+    # built, as no table of a polytope gives it) is an error naming the
+    # pair, in the general route's words
     poly = prism_over_cross(4)
     lat, cone, bridges = bridges_of(poly, monkeypatch)
     assert len(bridges) == 1
     (E, H), = bridges
     assert lat.face_id[H] == lat.up[lat.face_id[E]][0] and H == lat.faces_by_id[-1]
+    system = ConeSystem(cone, lat)
     monkeypatch.setattr(cones, "bareiss_det", lambda rows: 0)
     with pytest.raises(InternalInvariantError) as err:
-        ConeSystem(cone, lat)
+        TauSystem(system)
     assert str(err.value) == f"incidence sign of ({E}, {H}) is zero"
 
 
@@ -1164,10 +1241,10 @@ def test_m_zero_faults_fail_the_batch_not_the_per_pair_api(fault, monkeypatch):
     # the top face of the 3-cube, which no face resumes from, and its first
     # lower cover E with m = 0, with E's dual mask set to the top's (empty)
     # or adj(G_F)[r][r] moved off det G_E by one, for E's row r: the
-    # system's certificate rejects (E, top) when it is built, or the batch
-    # does, naming it, and the per-pair API, which reads neither the dual
-    # masks nor F's adjugate on that pair, makes the same ray and accepts
-    # it
+    # system's certificate or its orientation pass rejects (E, top) when
+    # it is built, naming it, and the per-pair API, which reads neither the
+    # dual masks nor F's adjugate on that pair, makes the same ray and
+    # accepts it
     poly = hypercube(3)
     lat = face_lattice(poly)
     system = ConeSystem(lift(poly), lat)
@@ -1195,15 +1272,17 @@ def test_m_zero_faults_fail_the_batch_not_the_per_pair_api(fault, monkeypatch):
         return data._replace(gram_adj=tuple(map(tuple, adj))) if F == lat.faces_by_id[-1] else data
 
     monkeypatch.setattr(cones, "face_cone_data", corrupting)
-    broken = ConeSystem(system.cone, lat)
     det = system.face_data(e).gram_det
     why = f"cofactor adj(G_F)[{r}][{r}] = {det + 1} is not det G_E = {det} > 0"
     with pytest.raises(InternalInvariantError) as batch:
-        broken.cover_orientations(top)
+        ConeSystem(system.cone, lat)
     assert str(batch.value) == (
         f"edge-ray cross-check failed for ({lat.faces_by_id[e]}, {lat.faces_by_id[-1]}): {why}")
-    assert broken.ray(e, top) == ray
-    broken.crosscheck(e, top, ray)
+    data_e, broken = system.face_data(e), data_top._replace(gram_adj=tuple(map(tuple, adj)))
+    per_pair = edge_ray(system.cone, lat.faces_by_id[e], lat.faces_by_id[-1], data_E=data_e,
+                        data_F=broken, gram=system.gram, e_mask=lat.vertex_masks[e])
+    assert per_pair == ray
+    cones.edge_ray_crosscheck(per_pair, data_e, system.gram)
 
 
 def test_bordering_step_rejects_inexact_division():
@@ -1363,8 +1442,8 @@ def test_simplex_lower_cover_takes_the_reduced_cofactor_check(cofactor, monkeypa
     # Gram determinant of E's vertices as a principal minor of G_F, which
     # F's certificate makes positive.  F's adjugate corrupted there after
     # its steps (the last square, which no face resumes from) fails the
-    # batch, naming the pair; the per-pair API, which reads E's own data,
-    # makes the same ray and accepts it
+    # system when it is built, naming the pair; the per-pair API, which
+    # reads E's own data, makes the same ray and accepts it
     poly = hypercube(3)
     lat = face_lattice(poly)
     system = ConeSystem(lift(poly), lat)
@@ -1384,9 +1463,8 @@ def test_simplex_lower_cover_takes_the_reduced_cofactor_check(cofactor, monkeypa
         return data._replace(gram_adj=tuple(map(tuple, adj)))
 
     monkeypatch.setattr(cones, "face_cone_data", corrupting)
-    broken = ConeSystem(system.cone, lat)
     with pytest.raises(InternalInvariantError) as batch:
-        broken.cover_orientations(f)
+        ConeSystem(system.cone, lat)
     assert str(batch.value) == (
         f"edge-ray cross-check failed for ({lat.faces_by_id[e]}, {F}): "
         f"cofactor adj(G_F)[{r}][{r}] = {cofactor} is not det G_E > 0")
@@ -1630,10 +1708,11 @@ def test_edge_ray_rejects_negative_slack(monkeypatch):
 
 def test_edge_ray_zero_sign_names_pair(monkeypatch):
     # the pair's E has one span id outside F's basis (m = 1), so its sign
-    # takes a minor, which the patched determinant makes zero
-    monkeypatch.setattr(cones, "bareiss_det", lambda rows: 0)
+    # takes a minor, which the determinant patched after the system is
+    # built makes zero
     lat, _ = faces_of(hypercube(2))
     system = ConeSystem(lift(hypercube(2)), lat)
+    monkeypatch.setattr(cones, "bareiss_det", lambda rows: 0)
     e, f = lat.covering[-1]
     i, j = lat.face_id[e], lat.face_id[f]
     assert len(set(system.face_data(i).span_ids) - set(system.face_data(j).span_ids)) == 1
@@ -1749,10 +1828,13 @@ def test_tables_are_the_inner_products(small_corpus):
 
 
 def test_cone_system_keeps_only_what_pairs_read():
-    # the slack table is read once, by vertex_facet_masks, and not kept
+    # the slack table is read once, by vertex_facet_masks, and not kept;
+    # faces with equal signs share one stored tuple
     system = ConeSystem(lift(pyramid_prism()), face_lattice(pyramid_prism()))
     assert set(vars(system)) == {"cone", "lattice", "gram", "dual_masks", "_face_data",
-                                 "span_masks", "taus"}
+                                 "span_masks", "orientations"}
+    signs = system.orientations
+    assert len(set(map(id, signs))) == len(set(signs)) < len(signs)
 
 
 def test_ray_intersection_is_one_dimensional(small_corpus):

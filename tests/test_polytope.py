@@ -714,7 +714,7 @@ def test_verify_lattice_rejects_cover_that_is_not_a_containment():
             message
 
 
-def test_vertex_masks_come_from_the_closure_and_are_derived_by_hand_built_lattices(
+def test_vertex_masks_are_the_vertex_sets_and_the_lattice_checks_read_them(
         small_corpus):
     # face_lattice keeps the vertex masks its walk found, by face id;
     # a lattice built from faces and covers derives the same ones; and

@@ -3,40 +3,36 @@ pipeline's own checks.
 
 A mutation patches one producer, runs ``run_pipeline`` and compares the
 report (every section of ``cli.report_document``) with the unpatched
-run's.  The inputs are the three acceptance-corpus members whose lattice
-has a bridge (a face the spread of tau from the top face does not reach),
-the prisms over the 4- and 5-cross-polytopes and ``pyramid_prism``, whose
-pairs take the general route, and the 5-cube and 5-cross-polytope, which
-take none.
+run's.  The inputs are the three acceptance-corpus members with a face
+that has no lower cover with m = 0, whose fill starts from one
+general-route sign, the prisms over the 4- and 5-cross-polytopes and
+``pyramid_prism``, whose pairs the tau oracle sends down the general
+route, and the 5-cube and 5-cross-polytope.
 
-Boundary squared zero cannot see every defect.  On a regular CW complex,
-+-1 incidences on the covers with D_{j-1} D_j = 0 are unique up to
-re-orienting cells (Bjoerner 1984), so a mutation that re-orients cells
-passes it.  Negating a bridge's tau or the general route's sign does that
-on the corpus members.  The bridge check (``ConeSystem._check_bridge``)
-compares each bridge's tau with the definition of its pair's sign, so
-those mutations raise there, on the prisms too, before any boundary is
-made.
+The cone system has two sources of signs, the adjugate read-off of the
+pairs with m = 0 and the general route's sign det C, and fills every
+other sign by the diamond rule (``ConeSystem``).  Boundary squared zero
+cannot see every defect.  On a regular CW complex, +-1 incidences on the
+covers with D_{j-1} D_j = 0 are unique up to re-orienting cells (Bjoerner
+1984), so a mutation that flips a source wholesale re-orients cells and
+passes it.  So each source has a witness, sign det([g | A_E]^T A_F), which
+reads no adjugate: the first read-off of each dimension of F and every
+general-route sign.  Negating the general route's sign, or flipping the
+parity of the row ``adjugate_column`` returns (to a row of F in range),
+raises there, before any boundary is made.
 
-Two mutations are re-orientations by construction, and the tests state the
+The bridges of tau (a face the spread of tau from the top face does not
+reach) live in the tau oracle (``oracles.TauSystem``): the pipeline
+calls none, and the oracle's bridge check catches a negated one.  Two
+mutations are re-orientations by construction, and the tests state the
 identity instead of asking for an error:
 
-  * ``dual_sign`` negated is a gauge: tau_F -> (-1)^(dim P - dim F) tau_F
-    negates tau_E tau_F on every covering pair, so it meets every spread,
-    bridge, dual-route and m = 0 relation with -dual_sign, and every sigma,
-    hence the report, is unchanged;
+  * ``dual_sign`` negated in the oracle is a gauge:
+    tau_F -> (-1)^(dim P - dim F) tau_F negates tau_E tau_F on every
+    covering pair, so it meets every spread, bridge, dual-route and m = 0
+    relation with -dual_sign, and every sigma of the oracle is unchanged;
   * every entry of D_1 negated re-orients every cell of dimension >= 1:
     D_1 has one flipped end, every D_j with j >= 2 two.
-
-The parity of the row ``adjugate_column`` returns, flipped (to a row of F
-in range), negates every m = 0 sign and reads a neighbouring column of F's
-adjugate.  Where the lower face of such a pair is not a simplex, it carries
-data, and the cofactor check (``adjugate_pair_fault``) names the pair.  On
-a simplicial polytope every proper face is a simplex, whose check reduces
-to a positive principal minor, which any row passes; the mutation then
-passes every check, and since a complex with +-1 incidences on the covers
-and D_{j-1} D_j = 0 is unique up to re-orienting cells (Bjoerner 1984), it
-re-orients cells: the boundary changes, the homology does not.
 """
 
 import hashlib
@@ -45,6 +41,7 @@ from functools import cache
 
 import pytest
 
+import oracles
 import polyk.cellular as cellular
 import polyk.cones as cones
 from polyk.cellular import diagonal_sign_equivalence
@@ -53,14 +50,15 @@ from polyk.corpus import acceptance_corpus, cross_polytope, hypercube
 from polyk.errors import InternalInvariantError
 from polyk.pipeline import run_pipeline
 
-from oracles import prism_over_cross, pyramid_prism
+from oracles import TauSystem, prism_over_cross, pyramid_prism
 
 BRIDGED = ("random11_d4", "random14_d4", "random16_d3")
 GENERAL = ("prism_cross4", "prism_cross5", "pyramid_prism")
 INPUTS = BRIDGED + GENERAL + ("cube5", "cross5")
-WITH_BRIDGE = BRIDGED + GENERAL[:2]
+WITH_BRIDGE = BRIDGED + GENERAL[:2]  # the inputs on which the tau oracle bridges tau
 # the message each outcome starts with
-RAISED = {"bridge": "bridge (", "raises": "boundary squared nonzero at j="}
+RAISED = {"bridge": "bridge (", "raises": "boundary squared nonzero at j=",
+          "witness": "sign witness ("}
 
 
 @cache
@@ -125,13 +123,13 @@ def case(producer, name, outcome):
     return pytest.param(producer, name, outcome, id=f"{producer}-{name}")
 
 
-# "bridge": the bridge check fails; "raises": boundary squared zero fails;
-# "unreached": the input never calls it
+# "witness": the sign witness fails; "raises": boundary squared zero
+# fails; "bridge": the tau oracle's bridge check fails, on the pipeline's
+# system, whose report is unchanged; "unreached": the input never calls it
 CASES = [case("d2_entry", name, "raises") for name in INPUTS] + [
-    case(producer, name, "bridge" if name in WITH_BRIDGE
-         else "raises" if name in raising else "unreached")
-    for producer, raising in (("coordinate_sign", GENERAL), ("bridge", ()))
-    for name in INPUTS]
+    case("coordinate_sign", name, "witness" if name in BRIDGED else "unreached")
+    for name in INPUTS] + [
+    case("bridge", name, "bridge" if name in WITH_BRIDGE else "unreached") for name in INPUTS]
 
 
 @pytest.mark.parametrize("producer, name, outcome", CASES)
@@ -139,22 +137,25 @@ def test_negated_sign_is_caught(monkeypatch, producer, name, outcome):
     base = digest(unpatched(name))
     calls = {"d2_entry": lambda: patch_level(monkeypatch, 2, negate_first_entry),
              "coordinate_sign": lambda: negate(monkeypatch, cones, "_coordinate_sign"),
-             "bridge": lambda: negate(monkeypatch, cones.ConeSystem, "_bridge")}[producer]()
+             "bridge": lambda: negate(monkeypatch, TauSystem, "_bridge")}[producer]()
+    result = None
     try:
         result = run_pipeline(polytope(name))
+        if producer == "bridge":
+            TauSystem(result.system)
     except InternalInvariantError as err:
         assert outcome in RAISED and str(err).startswith(RAISED[outcome]), str(err)
+        assert result is None or digest(result) == base
         return
     assert outcome == "unreached", f"negated {producer} on {name} passes every check"
     assert calls == [] and digest(result) == base
 
 
-@pytest.mark.parametrize("name, minors", [("prism_cross4", 81), ("pyramid_prism", 4)])
+@pytest.mark.parametrize("name, minors", [("random11_d4", 1), ("random16_d3", 1)])
 def test_each_general_minor_negated_alone_is_caught(monkeypatch, name, minors):
-    # the k-th general-route minor negated alone, for every k, fails: the
-    # prism's bridge takes the first minor, in the constructor, and fails
-    # the bridge check; every other fails boundary squared zero
-    bridges = int(name in WITH_BRIDGE)
+    # the k-th general-route minor negated alone, for every k, fails the
+    # sign witness: each starts the fill at a face with no m = 0 lower
+    # cover, one such face here, and is taken in the constructor
     with monkeypatch.context() as patch:
         calls = negate(patch, cones, "_coordinate_sign", only=minors)  # counts, negates none
         assert digest(run_pipeline(polytope(name))) == digest(unpatched(name))
@@ -164,21 +165,26 @@ def test_each_general_minor_negated_alone_is_caught(monkeypatch, name, minors):
             negate(patch, cones, "_coordinate_sign", only=k)
             with pytest.raises(InternalInvariantError) as err:
                 run_pipeline(polytope(name))
-            assert str(err.value).startswith(RAISED["bridge" if k < bridges else "raises"])
+            assert str(err.value).startswith(RAISED["witness"])
 
 
 @pytest.mark.parametrize("name", INPUTS)
 def test_negated_dual_sign_is_a_gauge(monkeypatch, name):
-    # tau_F -> (-1)^(dim P - dim F) tau_F with -dual_sign gives every pair
-    # its sigma back, so the report is byte-identical
+    # in the tau oracle, tau_F -> (-1)^(dim P - dim F) tau_F with -dual_sign
+    # gives every pair its sigma back, the system's; the pipeline reads no
+    # dual_sign, so its report is byte-identical
     base = unpatched(name)
-    calls = negate(monkeypatch, cones, "dual_sign")
+    taus = TauSystem(base.system).taus
+    calls = negate(monkeypatch, oracles, "dual_sign")
     result = run_pipeline(polytope(name))
-    assert calls
     assert digest(result) == digest(base)
+    oracle = TauSystem(result.system)
+    assert calls
     top = base.lattice.dim
-    assert result.system.taus == tuple((-1) ** (top - F.dim) * tau for F, tau in
-                                       zip(base.lattice.faces_by_id, base.system.taus))
+    assert oracle.taus == tuple((-1) ** (top - F.dim) * tau for F, tau in
+                                zip(base.lattice.faces_by_id, taus))
+    assert [oracle.cover_orientations(f) for f in range(len(base.lattice.down))] == \
+        [list(sigma) for sigma in base.system.orientations]
 
 
 @pytest.mark.parametrize("name", INPUTS)
@@ -199,10 +205,10 @@ def test_negated_first_boundary_reorients_cells(monkeypatch, name):
 
 @pytest.mark.parametrize("name", INPUTS)
 def test_pipeline_reads_no_per_pair_face_data(monkeypatch, name):
-    # the batch reads only the face data it built: the upper face of a
-    # general pair or of a bridge is never a simplex on a lattice of P
-    # (``ConeSystem._general_sign``), so ``face_data``, the per-pair API's
-    # reader, is never called
+    # the system reads only the face data it built: the upper face of a
+    # general-route sign, a face with no m = 0 lower cover, is never a
+    # simplex on a lattice of P (``ConeSystem._general_sign``), so
+    # ``face_data``, the per-pair API's reader, is never called
     calls = []
     real = cones.ConeSystem.face_data
     monkeypatch.setattr(cones.ConeSystem, "face_data",
@@ -226,25 +232,52 @@ def flip_parity(monkeypatch) -> list:
     return calls
 
 
-# every proper face a simplex: the flipped parity re-orients cells there
-SIMPLICIAL = BRIDGED + ("cross5",)
-
-
 @pytest.mark.parametrize("name", INPUTS)
 def test_flipped_adjugate_parity_is_caught_or_reorients(monkeypatch, name):
-    # caught by the cofactor check where an m = 0 pair's lower face carries
-    # data; on the simplicial inputs, a re-orientation that every check
-    # passes, whose boundary differs and whose homology does not
-    base = unpatched(name)
+    # caught on every input by the sign witness of the adjugate read-off,
+    # at its first pair, (empty face, vertex), before any boundary is made:
+    # on the simplicial inputs too, whose cofactor checks all reduce to a
+    # positive principal minor and pass
     calls = flip_parity(monkeypatch)
-    try:
-        result = run_pipeline(polytope(name))
-    except InternalInvariantError as err:
-        assert name not in SIMPLICIAL and str(err).startswith("edge-ray cross-check failed for (")
-        assert "is not det G_E" in str(err), str(err)
-        return
-    assert name in SIMPLICIAL and calls
-    assert digest(result) != digest(base)
-    assert diagonal_sign_equivalence(base.complex, result.complex) is not None
-    sections = {"homology", "ktheory"}
-    assert report_document(result, sections) == report_document(base, sections)
+    with pytest.raises(InternalInvariantError) as err:
+        run_pipeline(polytope(name))
+    assert calls
+    assert str(err.value) == ("sign witness ({}, {0}): F's adjugate gives -1, "
+                              "sign det([g | A_E]^T A_F) = 1")
+
+
+@pytest.mark.parametrize("name", ("random11_d4", "cross5", "cube5", "prism_cross4"))
+def test_adjugate_parity_flipped_in_one_dimension_is_caught(monkeypatch, name):
+    # the parity flipped only on the pairs into faces of one dimension j
+    # would re-orient those cells, which boundary squared zero cannot see.
+    # The first face F of dimension j with a pair read off its adjugate
+    # fails: the cofactor check names a pair whose E carries data, and
+    # otherwise the witness of dimension j names F's first such pair.
+    # random11_d4's top face has no m = 0 lower cover: nothing of
+    # dimension 4 is read off, and the report is unchanged
+    base = unpatched(name)
+    lat, spans = base.lattice, base.system.span_masks
+    for j in range(1, lat.dim + 1):
+        first = next(((e, f) for f in lat.ids(j) for e in lat.down[f]
+                      if cones.adjugate_column(spans[f], spans[e]) is not None), None)
+        real = cones.adjugate_column
+
+        def flipped(span_F, span_E):
+            r = real(span_F, span_E)
+            if r is None or span_F.bit_count() != j + 1:
+                return r
+            return r ^ 1 if r ^ 1 < span_F.bit_count() else r - 1
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cones, "adjugate_column", flipped)
+            if first is None:
+                assert (name, j) == ("random11_d4", 4)
+                assert digest(run_pipeline(polytope(name))) == digest(base)
+                continue
+            with pytest.raises(InternalInvariantError) as err:
+                run_pipeline(polytope(name))
+        E, F = (lat.faces_by_id[i] for i in first)
+        message = str(err.value)
+        assert message.startswith(f"sign witness ({E}, {F}): F's adjugate gives ") or (
+            message.startswith("edge-ray cross-check failed for (")
+            and f", {F}): cofactor adj(G_F)" in message), (name, j, message)

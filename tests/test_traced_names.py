@@ -66,9 +66,10 @@ def test_traced_pipeline_runs_with_every_observer(monkeypatch):
     assert not tracer.absent
     assert traced == expected
     # C(10, 4) lift subsets and 159 covering pairs for the prism over a
-    # square pyramid; the pipeline makes no edge ray, though 4 pairs take
-    # the general route (m > 0, a span id of E outside F's basis, and a
-    # face that is not dual-simple): their signs are read off F's adjugate
+    # square pyramid; the pipeline makes no edge ray, though 4 pairs are of
+    # the oracle's general route (m > 0, a span id of E outside F's basis,
+    # and a face that is not dual-simple): the diamond rule fills their
+    # signs
     assert tracer.lift_subsets == 210 and tracer.covering_pairs == 159
     assert len(general) == 4 and piped == 0
     assert tracer.totals["cones.edge_ray"][0] == 1 and tracer.max_bits > 0
