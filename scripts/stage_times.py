@@ -39,15 +39,16 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from polyk.cellular import build_complex, trivialize  # noqa: E402
+from polyk.cellular import ChainComplex, build_complex, trivialize  # noqa: E402
 from polyk.comb_type import lattice_from_incidence, strip_signs  # noqa: E402
 from polyk.cones import ConeSystem, lift  # noqa: E402
 from polyk.corpus import cross_polytope, hypercube, random_hull  # noqa: E402
 from polyk.ktheory import e1_page, k_report  # noqa: E402
-from polyk.polytope import Polytope, face_lattice, validate  # noqa: E402
+from polyk.polytope import FaceLattice, Polytope, face_lattice, validate  # noqa: E402
 
 DEFAULT = ("cross7", "cube8", "hull6_24", "hull7_30")
-STAGES = ("validate", "lattice", "ConeSystem", "build", "report", "reconstruct")
+PIPELINE = ("validate", "lattice", "ConeSystem", "build", "report")
+STAGES = PIPELINE + ("reconstruct",)
 
 
 def polytope(name: str) -> Polytope:
@@ -65,28 +66,36 @@ def polytope(name: str) -> Polytope:
         f"unknown input {name!r}: expected cross<d>, cube<d>, hull<d>_<k> or prism<d>")
 
 
+def pipeline_times(P: Polytope) -> tuple[FaceLattice, ChainComplex, list[float]]:
+    """One run of the stages up to ``report`` on P, each timed once: the
+    lattice, the complex and the seconds of each stage, in ``PIPELINE``
+    order.  ``scripts/scale_times.py`` runs this alone, so it makes no
+    dense incidence."""
+    marks = [time.perf_counter()]
+    validate(P.vertices)
+    marks.append(time.perf_counter())
+    lattice = face_lattice(P)
+    marks.append(time.perf_counter())
+    system = ConeSystem(lift(P), lattice)
+    marks.append(time.perf_counter())
+    complex_ = build_complex(trivialize(lattice), system)
+    marks.append(time.perf_counter())
+    e1_page(complex_)
+    k_report(complex_)
+    marks.append(time.perf_counter())
+    return lattice, complex_, [end - start for start, end in zip(marks, marks[1:])]
+
+
 def stage_times(P: Polytope, repeat: int) -> dict[str, float]:
-    """The best of ``repeat`` runs of each stage, in seconds, by stage."""
+    """The best of ``repeat`` runs of each stage, in seconds, by stage:
+    ``pipeline_times``, then ``reconstruct``."""
     best = dict.fromkeys(STAGES, float("inf"))
     for _ in range(repeat):
-        marks = [time.perf_counter()]
-        validate(P.vertices)
-        marks.append(time.perf_counter())
-        lattice = face_lattice(P)
-        marks.append(time.perf_counter())
-        system = ConeSystem(lift(P), lattice)
-        marks.append(time.perf_counter())
-        complex_ = build_complex(trivialize(lattice), system)
-        marks.append(time.perf_counter())
-        e1_page(complex_)
-        k_report(complex_)
-        marks.append(time.perf_counter())
+        _, complex_, spans = pipeline_times(P)
         incidence = strip_signs(complex_)
-        marks.append(time.perf_counter())
+        start = time.perf_counter()
         lattice_from_incidence(incidence)
-        marks.append(time.perf_counter())
-        spans = [end - start for start, end in zip(marks, marks[1:])]
-        del spans[-2]  # strip_signs, outside the timer
+        spans.append(time.perf_counter() - start)
         for stage, span in zip(STAGES, spans, strict=True):
             best[stage] = min(best[stage], span)
     return best

@@ -8,9 +8,9 @@ reconstruction is an ``AbstractLattice``, which checks the lattice axioms
 as it is built, by the one rule ``GradedIds`` states and runs for every
 lattice, a face lattice included: the graded axiom, the atom masks, which
 an abstract lattice reads off its covers and a face lattice compares with
-its vertex masks, distinct masks, the diamonds on the atom masks, and the
-meets, on pairs of lower covers of a common element.  So the search reads
-the atom masks of either kind with no pass.
+its vertex masks, distinct masks, the diamonds, as counts of paths of two
+covers, and the meets, on pairs of lower covers of a common element.  So
+the search reads the atom masks of either kind with no pass.
 Isomorphism testing is a depth-first search over the bijections of the
 atoms, pruned by f-vector and up/down cover degrees: the bottom maps to the
 bottom, an atom to an unused atom of its up-degree, once the search first
@@ -64,9 +64,10 @@ class AbstractLattice(GradedIds):
     A pair listed twice in ``covering`` is one cover, and each ``down[i]``
     is ascending, whatever the order of ``covering``; a pair naming an
     element that the f-vector does not have, or that is not a pair of ints,
-    is refused.  Built, it checks the axioms as every lattice does
-    (``GradedIds._verify_axioms``), storing the atom masks ``_number`` read
-    off its covers and naming the two elements of the first repeated one.
+    such as a rank -1.0, is refused; a bool is an int.  Built, it checks
+    the axioms as every lattice does (``GradedIds._verify_axioms``),
+    storing the atom masks ``_number`` read off its covers and naming the
+    two elements of the first repeated one.
     """
 
     dim: int
@@ -77,18 +78,18 @@ class AbstractLattice(GradedIds):
 
     def __post_init__(self) -> None:
         start = tuple(accumulate(self.f_vector, initial=0))
-        ids = {r: list(range(start[r + 1], start[r + 2])) for r in range(-1, len(start) - 2)}
+        ids = [list(range(i, j)) for i, j in zip(start, start[1:])]  # rank r at r + 1
         down: list[set[int]] = [set() for _ in range(start[-1])]
         for a, b in self.covering:
             try:
                 (ra, ia), (rb, ib) = a, b
-                if ia < 0 or ib < 0:  # would wrap in ids[rank]
+                if ia < 0 or ib < 0 or ra < -1 or rb < -1:  # would wrap in ids
                     raise IndexError
-                down[ids[rb][ib]].add(ids[ra][ia])
-            except (IndexError, KeyError, TypeError, ValueError):
+                down[ids[rb + 1][ib]].add(ids[ra + 1][ia])
+            except (IndexError, TypeError, ValueError):
                 raise InternalInvariantError(f"cover ({a}, {b}) names no element") from None
         elements = tuple(chain.from_iterable(zip(repeat(r), range(len(level)))
-                                             for r, level in ids.items()))
+                                             for r, level in enumerate(ids, -1)))
         union = self._number(elements, start, tuple(map(tuple, map(sorted, down))))
         object.__setattr__(self, "atom_masks", union)
         self._verify_axioms(union)

@@ -17,8 +17,9 @@ complete, and the faces are numbered once, from the bottom in that
 order, with each face's lower covers as the ascending id tuples every
 later stage reads.  The lattice checks its grading, its vertex masks
 distinct and its atom masks, so that each face is the union of the
-vertices below it, its diamonds and its meets as it is built; a corrupt
-facet list fails there or in the walk's check of level 0, naming a face.
+vertices below it, its diamonds, as counts of paths of two covers, and
+its meets as it is built; a corrupt facet list fails there or in the
+walk's check of level 0, naming a face.
 The same Boolean interval spares the diamond and meet checks: a cheap
 certificate on each face's vertex mask and covers leaves them only the
 faces that fail it, faces that are not simplices on a sound lattice.  The
@@ -43,6 +44,7 @@ tests' oracles (``tests/oracles.py``).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from bisect import bisect_right
@@ -127,18 +129,10 @@ class GradedIds:
     - diamond: two elements ``low`` and ``high`` two ranks apart, with
       ``low`` below ``high``, have exactly two elements between them.  The
       elements between are those that cover ``low`` and are covered by
-      ``high``, so their number is the number of paths of two covers,
-      ``mids(low, high) = #{m in up(low) : high in up(m)}``, which is
-      ``popcount(up[low] & down[high])`` on id masks of covers.
-      ``_verify_diamonds`` gives it for every ``high`` of rank + 2 at
-      once, as the bit planes ``once``, ``twice`` and ``thrice`` (at least
-      one, two, three paths), folded over low's upper covers m from one
-      mask U per m, the highs that cover m, made with one OR per cover
-      from the highs' ``down``; mids is 2 exactly where ``twice`` is set
-      and ``thrice`` is not, so the pairs that fail are the set bits of
-      ``thrice | ~twice`` among the highs above ``low``, those whose mask
-      holds low's, and the lowest set bit is the first failing pair in id
-      order, whose mids alone are counted again for the message;
+      ``high``, so ``low`` lies below ``high`` iff a path of two covers
+      joins them, and the elements between are counted by those paths:
+      the times ``low`` occurs among the lower covers of high's lower
+      covers, which ``_verify_diamonds`` reads per ``high``;
     - meets: every two elements have a meet, asked of the lower covers of
       a common element (``_verify_meets``).  The faces of a polytope are
       closed under intersection, but a face lattice given by hand need not
@@ -178,34 +172,17 @@ class GradedIds:
     mask is not the OR of its lower covers' vertex masks.  So on every
     lattice that exists every cover is a containment of atom masks, a
     strict one as the masks are distinct, and every check reads one mask,
-    ``atom_masks``.  ``comb_type.is_isomorphic`` reads its candidates off
-    them.
+    ``atom_masks``.
 
-    The diamond check has one rule: ``low`` is below ``high`` when low's
-    atom mask lies in high's.  On a face lattice that is the order itself.
-    On an abstract lattice it accepts the same posets as asking only the
-    pairs a path of two covers joins, once the meets are asked as well:
-
-    - a path of covers from ``low`` to ``high`` nests their atom masks,
-      since each mask is the OR of its lower covers' masks; so every pair
-      the path rule asks is asked here too, and a poset this check accepts
-      the path rule accepts;
-    - a poset that the path rule and the meets accept is a lattice in
-      which every interval of length 2 is a diamond; there every element
-      above the bottom is the join of its atoms (an atom is one; an
-      element of rank r >= 1 is the join of two of its lower covers, each
-      a join of atoms by induction), so distinct elements have distinct
-      atom masks, and nested masks mean that the join of low's atoms lies
-      below high: the pair is comparable, a path of two covers joins it,
-      and the path rule has asked it already.
-
-    So the distinct-mask axiom refuses no poset that the path rule and the
-    meets accept, and the two rules can name different failures only on a
-    poset that both refuse: one whose meets fail.  And on every lattice
-    that exists, face or abstract, x lies below y iff x's atom mask lies in
-    y's: a chain of covers nests the masks, and nested masks put the join
-    of x's atoms, x itself, below y.  ``comb_type.is_isomorphic`` rests on
-    this order.
+    On every lattice that exists, face or abstract, x lies below y iff x's
+    atom mask lies in y's, and ``comb_type.is_isomorphic`` rests on this
+    order.  A chain of covers nests the masks.  Conversely, the diamonds
+    and the meets make every element above the bottom the join of its
+    atoms (an atom is one; an element of rank r >= 1 is the join of two of
+    its lower covers, each a join of atoms by induction), so nested masks
+    put the join of x's atoms, x itself, below y.  So a poset with two
+    elements whose masks nest but that no chain of covers joins is
+    refused, by the meets if its diamonds hold.
 
     The simplex certificate (``simplex_certificate``) spares the diamond
     and meet checks most pairs.  It judges each element on its own, on its
@@ -221,11 +198,11 @@ class GradedIds:
     - If G passes, each lower cover of G, of rank r - 1 and so of at least
       r bits, is G minus one bit, and, the masks being distinct, the r + 1
       of them are all the elements G - u.
-    - If G and every G - u pass, no pair (low, G) fails: low, of rank
-      r - 2 and so of at least r - 1 bits inside G's, has the mask of a
-      G - {u, v}, a G - u or G, and the last two belong to elements of
-      other ranks; so low is the lower cover G - {u, v} of G - u, and of
-      G - v, and of no other G - w, and two elements lie between it and G.
+    - If G and every G - u pass, no pair (low, G) fails: a low that a path
+      of two covers joins to G is a lower cover of some G - u, so, by the
+      second claim on G - u, it is the element G - {u, v} for some v; the
+      passing G - v covers it too, and no other G - w does, as low's mask
+      holds w; so two elements lie between it and G.
     - If an element X of rank s has s + 1 bits and fails, some pair
       (low, high) fails with low of rank at most s - 2.  By induction on
       s: as in the second claim, X's lower covers are elements X - v, at
@@ -235,13 +212,14 @@ class GradedIds:
       its only lower cover.  For s >= 2, if some X - v fails, the
       induction gives the pair; otherwise each X - v passes and covers
       every X - {v, w}.  Take v in V and w not in V: X - {v, w} lies under
-      X - v, but under no X - w, so one element lies between it and X.
+      X - v, a path of two covers to X, and under no other lower cover
+      X - u of X, whose mask lacks u, so one element lies between.
 
     So the first failing pair (low, G) in the check's order, by the rank
-    of low, then by id, has a high that fails the certificate: were G to
-    pass, some G - u would fail, by the third claim, and the fourth would
-    give a failing pair whose low has rank at most r - 3, earlier in that
-    order.  The diamond check reads only the highs that fail the
+    of low, then by the ids of low and G, has a high that fails the
+    certificate: were G to pass, some G - u would fail, by the third
+    claim, and the fourth would give a failing pair whose low has rank at
+    most r - 3, earlier in that order.  The diamond check reads only the highs that fail the
     certificate (``_verify_diamonds``), and it accepts the same lattices
     and names the same first failing pair as with every element a high.
 
@@ -300,11 +278,6 @@ class GradedIds:
     def ids(self, rank: int) -> range:
         return range(self.level_start[rank + 1], self.level_start[rank + 2])
 
-    def mids(self, low: int, high: int) -> int:
-        """The number of elements that cover ``low`` and are covered by
-        ``high``."""
-        return len(set(self.up[low]).intersection(self.down[high]))
-
     def _verify_axioms(self, union: tuple[int, ...]) -> None:
         """The axioms (see the class docstring), in their order: the graded
         axiom, the atom masks, the diamonds, the meets.
@@ -319,7 +292,7 @@ class GradedIds:
         whose mask breaks the rule.
         """
         self.verify_graded()
-        self.verify_distinct(self.repeated_mask)
+        self.verify_distinct()
         if (masks := self.atom_masks) != union:
             faces = self.faces_by_id
             for high, below in enumerate(self.down):
@@ -363,97 +336,58 @@ class GradedIds:
             raise InternalInvariantError(f"cover ({elements[-1]}, {elements[up[-1][0]]}) "
                                          "does not go up a rank: not graded")
 
-    def verify_distinct(self, message: str) -> None:
+    def verify_distinct(self) -> None:
         """The distinct-mask axiom (see the class docstring), checked by
-        ``_verify_axioms`` on ``atom_masks``: ``message``
-        is formatted with the first element, in id order, whose mask an
-        element e before it has, in the order (e, that element, e's level,
-        its level), a level being a rank + 1.  Only when a set of the masks
-        is smaller than their list is that element searched for, to name
-        it."""
+        ``_verify_axioms`` on ``atom_masks``: the lattice's
+        ``repeated_mask`` is formatted with the first element, in id order,
+        whose mask an element e before it has, in the order (e, that
+        element, e's level, its level), a level being a rank + 1.  Only
+        when a set of the masks is smaller than their list is that element
+        searched for, to name it."""
         if len(set(self.atom_masks)) < len(self.atom_masks):
             first: dict[int, int] = {}  # mask -> the least id that has it
             for f, m in enumerate(self.atom_masks):
                 e = first.setdefault(m, f)
                 if e != f:
-                    raise InternalInvariantError(message.format(
+                    raise InternalInvariantError(self.repeated_mask.format(
                         self.faces_by_id[e], self.faces_by_id[f],
                         *(bisect_right(self.level_start, i) - 1 for i in (e, f))))
 
     def _verify_diamonds(self) -> list[list[int]]:
-        """The diamond axiom (see the class docstring) on the atom masks,
-        with ``low`` below ``high`` when low's mask lies in high's, read
-        after the lattice's other checks, distinct masks included, have
-        passed.  Returns the highs it read, rank by rank from 0
-        (``simplex_certificate``).
+        """The diamond axiom (see the class docstring), read after the
+        lattice's other checks have passed.  Returns the highs it read,
+        rank by rank from 0 (``simplex_certificate``).
 
-        For each ``low`` of rank j, the bit planes ``once``, ``twice`` and
-        ``thrice`` fold, per upper cover m of ``low``, the mask U of m's
-        upper covers among the highs of rank j + 2 (bit b for the b-th
-        element of that rank): ``thrice |= twice & U``, ``twice |= once &
-        U``, ``once |= U``.  So bit b is set in none of them, in ``once``
-        only, in ``twice`` but not ``thrice``, or in ``thrice`` as mids is
-        0, 1, 2 or at least 3.  Each U, ``covered_by[m]``, is made with one
-        OR per cover from the highs' ``down``: h is in ``up[m]`` iff m is
-        in ``down[h]``.  It is 0 for an m that no high covers, and each m,
-        of rank j + 1, is written for rank j alone, so one list serves
-        every rank.
-
-        The failure mask of ``low`` is ``above & (thrice | ~twice)``, with
-        ``above`` the highs two ranks up whose mask holds low's.  ``above``
-        comes from an inverted index rather than from trying every high:
-        ``containing[v]`` is the bitmask of the highs whose mask has bit v,
-        made in the same loop over the highs, so ``above`` is the AND of
-        ``containing[v]`` over the bits v of low's mask (the whole level
-        for the bottom).  The AND starts from the failure candidates and
-        stops as soon as none is left.  The lowest set bit left is the
-        first failing pair in id order.  A high whose mask holds low's but
-        that no path of covers reaches from ``low`` fails with 0
-        intermediate elements.
+        For each high, the lower covers of its lower covers hold each low
+        below it once per path of two covers, so each must occur exactly
+        twice: sorted, the list pairs up, ``lows[::2] == lows[1::2]``, with
+        no two pairs alike.  Only a high that fails has its paths counted
+        per low (``Counter``), to name its least failing low, and a rank
+        that fails names its least failing (low, high), with the count.
 
         The highs are the elements that fail the simplex certificate, and
-        a rank with no such element is skipped.  The class docstring shows
-        that the first failing pair, with every element a high, has a high
-        that fails it, so the check accepts the same lattices and names the
-        same first failing pair.  On a simplicial polytope, only P over its
-        ridges is left.
+        the ranks are read from the lowest low up.  The class docstring
+        shows that the first failing pair, with every element a high, has
+        a high that fails it, so the check accepts the same lattices and
+        names the same first failing pair.  On a simplicial polytope, only
+        P over its ridges is left.
         """
-        masks, down, up, others = self.atom_masks, self.down, self.up, simplex_certificate(self)
-        # a chain of upper covers, each a containment of masks, leads from
-        # every element to the top, so every bit is the top's
-        vbit = [1 << v for v in range(masks[-1].bit_length())]
-        covered_by = [0] * len(down)  # m -> U
-        for j, highs in ((j, h) for j, h in enumerate(others[1:], -1) if h):
-            first = self.level_start[j + 3]
-            containing, keep = [0] * len(vbit), 0
+        down, others = self.down, simplex_certificate(self)
+        for highs in others[1:]:  # an atom has no low two ranks down
+            failed = None  # (low, high, paths), the least low; the first high among equals
             for high in highs:
-                bit = 1 << (high - first)
-                keep |= bit
-                for m in down[high]:
-                    covered_by[m] |= bit
-                hi = masks[high]
-                while hi:
-                    v = hi.bit_length() - 1
-                    containing[v] |= bit
-                    hi ^= vbit[v]
-            for low in self.ids(j):
-                once = twice = thrice = 0
-                for m in up[low]:
-                    u = covered_by[m]
-                    thrice |= twice & u
-                    twice |= once & u
-                    once |= u
-                bad = keep & (thrice | ~twice)
-                lo = masks[low]
-                while bad and lo:
-                    v = lo.bit_length() - 1
-                    bad &= containing[v]
-                    lo ^= vbit[v]
-                if bad:
-                    high = first + (bad & -bad).bit_length() - 1
-                    raise InternalInvariantError(
-                        f"diamond property fails between {self.faces_by_id[low]} and "
-                        f"{self.faces_by_id[high]}: {self.mids(low, high)} intermediate elements")
+                lows = sorted([low for m in down[high] for low in down[m]])
+                pairs = lows[::2]
+                if pairs != lows[1::2] or len(set(pairs)) != len(pairs):
+                    paths = Counter(lows)
+                    low = min(low for low, n in paths.items() if n != 2)
+                    if failed is None or low < failed[0]:
+                        failed = low, high, paths[low]
+            if failed:
+                low, high, n = failed
+                raise InternalInvariantError(
+                    f"diamond property fails between {self.faces_by_id[low]} and "
+                    f"{self.faces_by_id[high]}: {n} intermediate elements")
         return others
 
     def _verify_meets(self, others: Iterable[int]) -> None:

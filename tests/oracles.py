@@ -198,11 +198,13 @@ cover a containment and each face the union of the vertices in its
 down-set: ``all_pairs_diamonds``
 counts the mids of every two elements two ranks apart whose masks nest
 (the popcount of the AND of two ``cover_masks``), on vertex sets or on the
-atoms of each down-set, and ``all_pairs_meets``, which both run last,
-tests the meet of every pair of elements.
-``all_pairs_verify_abstract_lattice`` is the rule an abstract lattice
-followed before, every pair a path of two covers joins, kept as the
-witness that both rules accept the same posets.
+atoms of each down-set, the containment rule the library followed
+before, or, with ``paths``, on the down-sets themselves, the pairs a path
+of two covers joins, the path rule it follows now; and
+``all_pairs_meets``, which both run last, tests the meet of every pair of
+elements.  ``all_pairs_verify_abstract_lattice`` is the path rule on an
+abstract lattice; the tests pin the library's messages to the path rule
+and its verdicts to both, the witness that both accept the same posets.
 ``rank_scan_is_isomorphic`` scans a source element's whole target rank for
 candidates.  ``up_scan_is_isomorphic`` is
 the search the library ran before it keyed candidates on atom masks: the
@@ -1681,15 +1683,16 @@ def first_repeat(masks: list[int]) -> tuple[int, int] | None:
     return next(((e, f) for f, m in enumerate(masks) if (e := masks.index(m)) < f), None)
 
 
-def all_pairs_verify_lattice(L: FaceLattice) -> None:
+def all_pairs_verify_lattice(L: FaceLattice, paths: bool = False) -> None:
     """What a ``FaceLattice`` checks as it is built, over all pairs:
     distinct vertex sets (``first_repeat``), the repeat named as a face
     found at two levels, then ``all_pairs_order_axioms``, then each
     covering pair a strict containment of vertex sets, on Python sets,
     then each face's vertex set the set of the k for which the k-th face
     of dimension 0 lies in its down-set (``down_sets``), then
-    ``all_pairs_diamonds`` on the vertex sets as masks, then
-    ``all_pairs_meets``."""
+    ``all_pairs_diamonds`` on the vertex sets as masks, the containment
+    rule, or, with ``paths``, on the down-sets, the path rule the library
+    follows, then ``all_pairs_meets``."""
     faces = L.faces_by_id
     masks = [sum(1 << v for v in f.vertex_set) for f in faces]
     repeat = first_repeat(masks)
@@ -1703,49 +1706,42 @@ def all_pairs_verify_lattice(L: FaceLattice) -> None:
             if not set(lo.vertex_set) < set(hi.vertex_set):
                 raise InternalInvariantError(
                     f"covering pair ({lo}, {hi}) is not a strict vertex-set containment")
-    for f, down_set in zip(faces, down_sets(L)):
+    ds = down_sets(L)
+    for f, down_set in zip(faces, ds):
         if set(f.vertex_set) != {k for k, v in enumerate(L.ids(0)) if down_set >> v & 1}:
             raise InternalInvariantError(f"face {f} is not the union of the vertices below it")
-    all_pairs_diamonds(L, masks)
+    all_pairs_diamonds(L, ds if paths else masks)
     all_pairs_meets(L)
 
 
-def all_pairs_abstract_lattice(lat: AbstractLattice) -> None:
+def all_pairs_abstract_lattice(lat: AbstractLattice, paths: bool = False) -> None:
     """What an ``AbstractLattice`` checks as it is built, over all pairs:
     ``all_pairs_order_axioms``, then distinct atom sets (``first_repeat``)
     on the atoms below each element, read off its down-set
     (``down_sets``), naming both elements of the repeat, then
-    ``all_pairs_diamonds`` on those atom sets, then ``all_pairs_meets``."""
+    ``all_pairs_diamonds`` on those atom sets, the containment rule, or,
+    with ``paths``, on the down-sets, then ``all_pairs_meets``."""
     all_pairs_order_axioms(lat)
     atoms = sum(1 << a for a in lat.ids(0))
-    masks = [d & atoms for d in down_sets(lat)]
+    ds = down_sets(lat)
+    masks = [d & atoms for d in ds]
     repeat = first_repeat(masks)
     if repeat:
         e, f = (lat.faces_by_id[i] for i in repeat)
         raise InternalInvariantError(f"{e} and {f} lie above the same atoms")
-    all_pairs_diamonds(lat, masks)
+    all_pairs_diamonds(lat, ds if paths else masks)
     all_pairs_meets(lat)
 
 
 def all_pairs_verify_abstract_lattice(lat: AbstractLattice) -> None:
-    """The rule an abstract lattice's diamond check followed before it read
-    atom masks, over all pairs, after ``all_pairs_order_axioms``: every two
-    elements two ranks apart that a path of two covers joins have two
-    elements between them; then ``all_pairs_meets``.  It accepts what
-    ``all_pairs_abstract_lattice`` accepts (``GradedIds``)."""
-    all_pairs_order_axioms(lat)
-    elements = lat.faces_by_id
-    up, down = cover_masks(lat)
-    for rank in range(-1, lat.dim - 1):
-        for low in lat.ids(rank):
-            ups = up[low]
-            for high in lat.ids(rank + 2):
-                mids = (ups & down[high]).bit_count()
-                if mids and mids != 2:
-                    raise InternalInvariantError(
-                        f"diamond property fails between {elements[low]} and "
-                        f"{elements[high]}: {mids} intermediate elements")
-    all_pairs_meets(lat)
+    """The path rule an ``AbstractLattice`` follows, over all pairs:
+    ``all_pairs_abstract_lattice`` with its diamonds asked of every two
+    elements two ranks apart that a path of two covers joins, those whose
+    down-sets nest.  It accepts what the containment rule accepts
+    (``GradedIds``), and the two name different first failing pairs only
+    where the containment rule meets nested atom masks that no path
+    joins."""
+    all_pairs_abstract_lattice(lat, paths=True)
 
 
 def down_sets(lat) -> list[int]:

@@ -4,6 +4,8 @@ import hashlib
 import json
 import random
 import sys
+from fractions import Fraction
+from functools import partial
 from itertools import chain, combinations
 from unittest import mock
 
@@ -51,6 +53,7 @@ from oracles import (
     all_pairs_verify_lattice,
     built,
     complex_from_dense,
+    down_sets,
     failure,
     lattice_from_pairs,
     pass_atom_masks,
@@ -227,16 +230,17 @@ MEETS = "is not unique: poset is not a lattice"
 
 
 def assert_abstract_check_matches_oracle(lat):
-    """Built or refused as the all-pairs check of nested atom masks accepts
-    it or not, with its message, except that a meet failure may name
-    another pair; and the same verdict from the all-pairs check of the
-    pairs a path of two covers joins, with the meets (``GradedIds``)."""
-    found, expected = failure(built, lat), failure(all_pairs_abstract_lattice, lat)
+    """Built, or refused with the message of the all-pairs check of the
+    pairs a path of two covers joins, the rule the library follows, except
+    that a meet failure may name another pair; and the same verdict from
+    the all-pairs check of the pairs whose atom masks nest, with the meets
+    (``GradedIds``).  Returns the path rule's message."""
+    found, expected = failure(built, lat), failure(all_pairs_verify_abstract_lattice, lat)
     if expected is not None and expected.endswith(MEETS):
         assert found is not None and found.endswith(MEETS), (found, expected)
     else:
-        assert found == expected
-    assert (failure(all_pairs_verify_abstract_lattice, lat) is None) == (expected is None), \
+        assert found == expected, lat.covering
+    assert (failure(all_pairs_abstract_lattice, lat) is None) == (expected is None), \
         (lat.covering, expected)
     return expected
 
@@ -245,8 +249,9 @@ def test_lattice_checks_and_search_match_all_pairs_oracles():
     rng = random.Random(1412)
     outcomes = []
     for lat in corpus_lattices_and_one_cover_changes(rng):
-        expected = failure(all_pairs_verify_lattice, lat)
+        expected = failure(partial(all_pairs_verify_lattice, paths=True), lat)
         assert failure(built, lat) == expected
+        assert (failure(all_pairs_verify_lattice, lat) is None) == (expected is None)
         abstract = abstract_of(lat)
         outcomes.append((expected, assert_abstract_check_matches_oracle(abstract)))
         if failure(built, lat) is None:  # only a lattice that is built is searched
@@ -298,7 +303,7 @@ def test_meets_of_lower_covers_decide_lattices():
     assert verdicts == {True, False}
 
 
-# --- diamond check by path-count bit planes ---
+# --- diamond check by counts of paths of two covers ---
 
 def tetrahedron_with_unreached_face() -> UncheckedFaceLattice:
     """The tetrahedron with its 2-face {0,1,2} given the vertex set
@@ -344,14 +349,15 @@ def three_atoms_under_an_edge() -> UncheckedFaceLattice:
      "diamond property fails between {} and {0,1,2}: 3 intermediate elements",
      "diamond property fails between (-1, 0) and (1, 0): 3 intermediate elements"),
 ], ids=["0-paths", "1-path", "3-paths"])
-def test_bit_plane_diamond_check_matches_all_pairs_oracles(build, face_message,
-                                                          abstract_message):
+def test_path_count_diamond_check_matches_all_pairs_oracles(build, face_message,
+                                                           abstract_message):
     # a pair two levels apart with 0, 1 or 3 faces between: the face check
     # fails on all three, on 0 before any diamond, as the face {0,1,2,3}
     # holds {3} though no vertex below it is {3}; the abstract check fails
     # on 1 and 3, each naming the pair its oracle names; the abstract
     # lattice of the first has the tetrahedron's covers, and so the
-    # tetrahedron's atom masks, which nest only where covers lead
+    # tetrahedron's atom masks, which nest only where covers lead, and
+    # both rules name the same pairs
     lat = build()
     assert failure(built, lat) == failure(all_pairs_verify_lattice, lat) == face_message
     abstract = abstract_of(lat)
@@ -541,6 +547,28 @@ def test_abstract_lattice_refuses_a_malformed_shape(dim, extra, message):
                    SEGMENT + extra) == message
 
 
+@pytest.mark.parametrize("cover, message", [
+    (((-1.0, 0), (0, 0)), "cover ((-1.0, 0), (0, 0)) names no element"),
+    (((-1, 0), (Fraction(0), 1)), "cover ((-1, 0), (Fraction(0, 1), 1)) names no element"),
+    (((0, 0), (1.0, 0)), "cover ((0, 0), (1.0, 0)) names no element"),
+], ids=["float-low", "fraction-high", "float-top"])
+def test_abstract_lattice_refuses_a_rank_that_is_no_int(cover, message):
+    # a float or Fraction rank equals an int rank, and hashes as it does,
+    # but an element is a pair of ints, so the cover names none
+    with pytest.raises(InternalInvariantError) as err:
+        AbstractLattice(dim=1, f_vector=(1, 2, 1), covering=SEGMENT + (cover,))
+    assert str(err.value) == message
+
+
+def test_abstract_lattice_reads_bools_as_ints():
+    # a bool is an int, as lattice_from_incidence reads True as 1
+    bools = (((-1, False), (False, 0)), ((-1, 0), (0, True)),
+             ((False, False), (True, 0)), ((0, True), (True, False)))
+    plain = AbstractLattice(dim=1, f_vector=(1, 2, 1), covering=SEGMENT)
+    lat = AbstractLattice(dim=1, f_vector=(1, 2, 1), covering=bools)
+    assert (lat.down, lat.atom_masks) == (plain.down, plain.atom_masks)
+
+
 def every_diamond(lat) -> None:
     """``_verify_diamonds`` with every element a high, as if every element
     failed the simplex certificate."""
@@ -551,15 +579,36 @@ def every_diamond(lat) -> None:
 
 @given(st.one_of(st.randoms(use_true_random=False).map(random_graded_poset), cover_graphs()))
 @settings(max_examples=150, deadline=None)
-def test_two_step_path_planes_count_the_mids(lat):
-    # the planes, made from the masks U of the highs' down lists, count
-    # mids(low, high) for every low and high two ranks up: on a poset that
-    # passes the order axioms, with every element a high, the check names
-    # the first pair of nested atom masks whose mids is not 2, with its
-    # mids, as the all-pairs count does
+def test_two_step_paths_count_the_mids(lat):
+    # the lower covers of a high's lower covers count mids(low, high) for
+    # every low two ranks down: on a poset that passes the order axioms,
+    # with every element a high, the check names the first pair a path of
+    # two covers joins whose mids is not 2, with its mids, as the all-pairs
+    # count on the down-sets does
     if failure(all_pairs_order_axioms, lat) is None:
         assert failure(every_diamond, lat) == \
-            failure(lambda x: all_pairs_diamonds(x, x.atom_masks), lat)
+            failure(lambda x: all_pairs_diamonds(x, down_sets(x)), lat)
+
+
+def test_the_diamond_check_names_the_first_pair_a_path_joins():
+    # the 4-cross-polytope's covers with the triangle {0,3,4} also under
+    # the facet {1,2,4,6}, as an abstract lattice: the facet's atom mask
+    # now holds the edge (1, 0), {0,2}, which no path of two covers joins
+    # to it, so the all-pairs check of nested atom masks names it first,
+    # with no element between; the library asks only the pairs a path
+    # joins, as the path rule does, and names the edge (1, 1), {0,3},
+    # under the triangle alone.  Both refuse the poset
+    lat = face_lattice(cross_polytope(4))
+    triangle, facet = Face((0, 3, 4), 2), Face((1, 2, 4, 6), 3)
+    assert lat.faces(1)[:2] == (Face((0, 2), 1), Face((0, 3), 1))
+    assert lat.faces(3)[8] == facet and (triangle, facet) not in lat.covering
+    abstract = abstract_of(lattice_from_pairs(4, lat.faces_by_dim,
+                                              lat.covering + ((triangle, facet),),
+                                              unchecked=True))
+    assert failure(all_pairs_abstract_lattice, abstract) == \
+        "diamond property fails between (1, 0) and (3, 8): 0 intermediate elements"
+    assert failure(built, abstract) == failure(all_pairs_verify_abstract_lattice, abstract) == \
+        "diamond property fails between (1, 1) and (3, 8): 1 intermediate elements"
 
 
 # --- is_isomorphic ---
@@ -1125,6 +1174,43 @@ def test_meet_check_reads_the_lower_covers_that_are_not_simplices():
     assert failure(all_pairs_verify_abstract_lattice, lat).endswith(MEETS)
 
 
+def sphere_beside_a_tetrahedron() -> GradedPoset:
+    """On atoms 0-3, a sphere of three 2-faces, the square 0-1-2-3, (2, 0),
+    and the triangles 012, (2, 1), and 023, (2, 2), which share the
+    diagonal 02; on atoms 4-7, a tetrahedron's boundary; and one top over
+    all seven 2-faces.  Each 2-face covers the edges between consecutive
+    vertices of its cycle."""
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), *combinations(range(4, 8), 2)]
+    cycles = [(0, 1, 2, 3), (0, 1, 2), (0, 2, 3), *combinations(range(4, 8), 3)]
+    covering = [((-1, 0), (0, v)) for v in range(8)]
+    covering += [((0, v), (1, e)) for e, pair in enumerate(edges) for v in pair]
+    covering += [((1, edges.index(tuple(sorted((c[k - 1], c[k]))))), (2, i))
+                 for i, c in enumerate(cycles) for k in range(len(c))]
+    covering += [((2, i), (3, 0)) for i in range(len(cycles))]
+    return GradedPoset(dim=3, f_vector=(1, 8, 11, 7, 1), covering=tuple(covering))
+
+
+def test_nested_atom_masks_do_not_give_the_meets():
+    # the triangle 012's atom mask lies in the square's, but the two have
+    # one rank, so the order is not containment of atom masks: they share
+    # the edges 01 and 12, two maximal lower bounds, and have no meet.  The
+    # poset passes the graded, distinct-mask, union and diamond checks, the
+    # diamonds asked at every element, and the AND of the masks of any two
+    # lower covers of an element is some element's mask, so reading each
+    # meet off the atom masks would accept it; the meet check refuses it
+    lat = sphere_beside_a_tetrahedron()
+    masks = lat.atom_masks
+    square, triangle = lat.ids(2)[:2]
+    assert masks[triangle] & ~masks[square] == 0
+    assert masks == pass_atom_masks(lat) and len(set(masks)) == len(masks)
+    assert failure(every_diamond, lat) is None
+    assert all(masks[a] & masks[b] in masks
+               for below in lat.down for a, b in combinations(below, 2))
+    message = "meet of (2, 0) and (2, 1) is not unique: poset is not a lattice"
+    assert failure(built, lat) == failure(every_meet, lat) == message
+    assert failure(all_pairs_verify_abstract_lattice, lat).endswith(MEETS)
+
+
 def test_a_face_lattice_checks_its_meets():
     # the pillow by vertex sets: bounded, graded, each face the union of the
     # vertices below it, distinct masks and every diamond; the squares over
@@ -1155,7 +1241,7 @@ def test_a_face_lattice_checks_its_meets():
 class RepeatedMasksAllowed(AbstractLattice):
     """An ``AbstractLattice`` that skips only the distinct-mask check."""
 
-    def verify_distinct(self, message) -> None:
+    def verify_distinct(self) -> None:
         pass
 
 

@@ -40,6 +40,7 @@ from oracles import (
     built,
     closure_face_lattice,
     cofactor_starting_cone,
+    down_sets,
     faces_by_direction,
     failure,
     hull_by_rank,
@@ -868,7 +869,8 @@ def test_the_diamond_check_on_some_highs_names_the_first_failing_pair_among_them
     # the 4-cube, whole and without one cover, each in turn, that keeps it
     # graded; with every second element of each rank as a high, with the
     # others, and with none, the check names the first failing pair whose
-    # high is one of them, as the all-pairs count on those highs does
+    # high is one of them, as the all-pairs count of paths on those highs
+    # does
     lat = face_lattice(hypercube(4))
     lattices = [lat] + [
         lattice_from_pairs(lat.dim, lat.faces_by_dim, [c for c in lat.covering if c != drop],
@@ -881,7 +883,7 @@ def test_the_diamond_check_on_some_highs_names_the_first_failing_pair_among_them
         for broken in lattices:
             found = failure(lambda x: x._verify_diamonds(), broken)
             assert found == failure(lambda x: all_pairs_diamonds(
-                x, x.vertex_masks, {h for level in highs for h in level}), broken)
+                x, down_sets(x), {h for level in highs for h in level}), broken)
             named.add(found)
     assert None in named and len(named) > 10
 
